@@ -68,6 +68,7 @@ func primitiveBench(b *testing.B, body func(e *core.Env, a *core.Matrix)) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer m.Close()
 	g := embed.SplitFor(d, n, n)
 	a, err := core.FromDense(g, bench.RandMat(1, n, n), embed.Block, embed.Block)
 	if err != nil {

@@ -9,7 +9,7 @@
 //	vmload -addr http://127.0.0.1:7790
 //	                             drive an external vmprimd
 //	vmload -runs 2000 -c 64 -exp E2 -d 4 -size 64
-//	vmload -out BENCH_4.json     write the latency snapshot
+//	vmload -out load.json        also write the latency document as JSON
 //
 // The workload defaults to a small E1 (d=4, n=64): the point is
 // serving-plane latency under concurrency, not simulator throughput,

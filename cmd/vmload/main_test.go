@@ -27,7 +27,7 @@ func newLoadTarget(t *testing.T) string {
 // TestDriveInProcess runs a miniature load session end to end and
 // checks the latency document drive assembles: counts, percentile
 // ordering and the histogram invariants the check.sh smoke asserts on
-// the real BENCH_4 snapshot.
+// the document a real burst writes.
 func TestDriveInProcess(t *testing.T) {
 	base := newLoadTarget(t)
 	spec, err := bench.RunSpec{Exp: "E1", D: 3, N: 32}.Normalized()

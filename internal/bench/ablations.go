@@ -10,7 +10,7 @@ import (
 	"vmprim/internal/hypercube"
 )
 
-// Ablations A1–A3: design-choice experiments DESIGN.md calls out.
+// Ablations A1–A4: design-choice experiments DESIGN.md calls out.
 
 // A1Ports compares the one-port machine (the paper's implementation
 // model) with an all-port machine on the operations that can overlap
@@ -30,6 +30,7 @@ func A1Ports() (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
+			defer m.Close()
 			elapsed, err := m.Run(func(p *hypercube.Proc) {
 				dims := make([]int, d)
 				payloads := make([][]float64, d)
@@ -68,6 +69,7 @@ func A2Broadcast() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		defer m.Close()
 		for _, n := range []int{256, 1024, 4096, 16384} {
 			data := make([]float64, n)
 			var times [2]costmodel.Time
@@ -108,6 +110,7 @@ func A3Cyclic() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer m.Close()
 	t := &Table{
 		ID:      "A3",
 		Title:   fmt.Sprintf("Gaussian elimination embeddings, p=%d (simulated us)", m.P()),
@@ -138,6 +141,7 @@ func A4AllPortBroadcast() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer m.Close()
 	t := &Table{
 		ID:      "A4",
 		Title:   fmt.Sprintf("all-port broadcast (d rotated trees) vs binomial, p=%d, all-port machine (simulated us)", m.P()),

@@ -29,6 +29,7 @@ func E1Primitives() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer m.Close()
 	t := &Table{
 		ID:      "E1",
 		Title:   fmt.Sprintf("primitive timings, p=%d, CM2-like params (simulated us)", m.P()),
@@ -91,6 +92,7 @@ func E2Scaling() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		defer m.Close()
 		g := embed.SplitFor(d, n, n)
 		dm := RandMat(300+int64(d), n, n)
 		a, err := core.FromDense(g, dm, embed.Block, embed.Block)
@@ -126,6 +128,7 @@ func E3Matvec() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer m.Close()
 	t := &Table{
 		ID:      "E3",
 		Title:   fmt.Sprintf("y = x*A, p=%d: naive vs primitives (simulated us)", m.P()),
@@ -155,6 +158,7 @@ func E4Gauss() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer m.Close()
 	t := &Table{
 		ID:      "E4",
 		Title:   fmt.Sprintf("Gaussian elimination Ax=b, p=%d (simulated us)", m.P()),
@@ -187,6 +191,7 @@ func E5Simplex() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer m.Close()
 	t := &Table{
 		ID:      "E5",
 		Title:   fmt.Sprintf("dense simplex, p=%d (simulated us)", m.P()),

@@ -11,9 +11,9 @@ import (
 	"vmprim/internal/serial"
 )
 
-// Extension experiments X1–X2: beyond the paper's tables, exercising
-// the library's extension features (outer-product matrix multiply and
-// the iterative solver) under the same cost model.
+// Extension experiments X1–X3: beyond the paper's tables, exercising
+// the library's extension features (outer-product matrix multiply, the
+// iterative solver and cyclic reduction) under the same cost model.
 
 // X1MatMul times the primitive-composed outer-product matrix multiply
 // against the modelled serial time, across sizes.
@@ -24,6 +24,7 @@ func X1MatMul() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer m.Close()
 	t := &Table{
 		ID:      "X1",
 		Title:   fmt.Sprintf("C = A*B by outer products, p=%d (simulated us)", m.P()),
@@ -55,6 +56,7 @@ func X2DirectVsIterative() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer m.Close()
 	t := &Table{
 		ID:      "X2",
 		Title:   fmt.Sprintf("SPD solve: elimination vs conjugate gradient, p=%d (simulated us)", m.P()),
@@ -107,6 +109,7 @@ func X3Tridiag() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer m.Close()
 	t := &Table{
 		ID:      "X3",
 		Title:   fmt.Sprintf("tridiagonal solve by cyclic reduction, p=%d (simulated us)", m.P()),

@@ -32,6 +32,7 @@ func F1Speedup() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		defer m.Close()
 		_, elapsed, _, err := apps.RunVecMat(m, a, x, apps.MatvecFused)
 		if err != nil {
 			return nil, err
@@ -57,6 +58,7 @@ func F2Efficiency() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer m.Close()
 	t := &Table{
 		ID:      "F2",
 		Title:   fmt.Sprintf("Reduce(rows,+) work-efficiency vs grain, p=%d", m.P()),
@@ -95,6 +97,7 @@ func F3Embedding() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer m.Close()
 	t := &Table{
 		ID:      "F3",
 		Title:   fmt.Sprintf("embedding-change costs, p=%d (simulated us)", m.P()),

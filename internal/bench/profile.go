@@ -79,9 +79,6 @@ type ProfileResult struct {
 	Metrics *metrics.Snapshot
 }
 
-// ProfileIDs lists the experiment ids ProfileRun accepts.
-func ProfileIDs() []string { return []string{"E1", "E2", "E3", "E4", "E5"} }
-
 // ProfileRun executes the representative workload of experiment id on
 // a fresh machine, with the profiler and critical-path tracer enabled
 // or not, and returns the simulated times of every run plus (when

@@ -30,13 +30,43 @@ type RunSpec struct {
 	Model string `json:"model,omitempty"`
 }
 
-// specDefaults maps each experiment to its table configuration.
-var specDefaults = map[string]struct{ d, n int }{
-	"E1": {10, 512},
-	"E2": {8, 512},
-	"E3": {10, 512},
-	"E4": {8, 128},
-	"E5": {8, 32},
+// profiledExp is one profiled experiment: its id, its table
+// configuration (the defaults a zero RunSpec field takes) and its
+// workload.
+type profiledExp struct {
+	id   string
+	d, n int
+	run  func(*hypercube.Machine, RunSpec, ProfileOpts) (*ProfileResult, error)
+}
+
+// profiled is the one list of profiled experiments, in ProfileIDs
+// order; validation, defaults and dispatch all read it.
+var profiled = []profiledExp{
+	{"E1", 10, 512, profileE1},
+	{"E2", 8, 512, profileE2},
+	{"E3", 10, 512, profileE3},
+	{"E4", 8, 128, profileE4},
+	{"E5", 8, 32, profileE5},
+}
+
+// profiledByID finds the experiment with the given (upper-case) id,
+// or returns nil.
+func profiledByID(id string) *profiledExp {
+	for i := range profiled {
+		if profiled[i].id == id {
+			return &profiled[i]
+		}
+	}
+	return nil
+}
+
+// ProfileIDs lists the experiment ids ProfileRun and RunSpec accept.
+func ProfileIDs() []string {
+	ids := make([]string, len(profiled))
+	for i, e := range profiled {
+		ids[i] = e.id
+	}
+	return ids
 }
 
 // Spec size bounds: the server accepts untrusted specs, so Normalized
@@ -52,8 +82,8 @@ const (
 // for any zero field, returning the fully concrete spec.
 func (s RunSpec) Normalized() (RunSpec, error) {
 	s.Exp = strings.ToUpper(strings.TrimSpace(s.Exp))
-	def, ok := specDefaults[s.Exp]
-	if !ok {
+	def := profiledByID(s.Exp)
+	if def == nil {
 		return s, fmt.Errorf("bench: no profiled workload for %q (have %v)", s.Exp, ProfileIDs())
 	}
 	if s.D == 0 {
@@ -116,16 +146,5 @@ func (s RunSpec) RunOn(m *hypercube.Machine, opts ProfileOpts) (res *ProfileResu
 			res, err = nil, fmt.Errorf("bench: %s workload panicked: %v", ns.Exp, r)
 		}
 	}()
-	switch ns.Exp {
-	case "E1":
-		return profileE1(m, ns, opts)
-	case "E2":
-		return profileE2(m, ns, opts)
-	case "E3":
-		return profileE3(m, ns, opts)
-	case "E4":
-		return profileE4(m, ns, opts)
-	default:
-		return profileE5(m, ns, opts)
-	}
+	return profiledByID(ns.Exp).run(m, ns, opts) // Normalized vouched for the id
 }

@@ -1,9 +1,12 @@
 // Package bench is the experiment harness: one runner per table and
-// figure of the reconstructed evaluation (E1–E5, F1–F3, A1–A3 in
-// DESIGN.md), each producing a formatted Table of simulated-time
-// measurements. The top-level bench_test.go benchmarks and the
-// cmd/vmprim CLI both call these runners, so `go test -bench` and
-// `vmprim -exp E3` print the same rows.
+// figure of the reconstructed evaluation (E1–E5, F1–F3, A1–A4 and the
+// extensions X1–X3 in DESIGN.md), each producing a formatted Table of
+// simulated-time measurements. The top-level bench_test.go benchmarks
+// and the cmd/vmprim CLI both call these runners, so `go test -bench`
+// and `vmprim -exp E3` print the same rows. E1–E5 also exist as
+// profiled workloads on a caller-supplied machine (RunSpec, spec.go),
+// which is what vmprimd serves and benchmark/ drives; the Rand*
+// generators in workload.go supply every experiment's seeded inputs.
 package bench
 
 import (

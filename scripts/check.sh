@@ -2,7 +2,9 @@
 # Pre-PR gate: formatting, module hygiene, vet, the vmlint static
 # analyzers, build, full tests under the race detector (which also
 # exercises the steady-state allocation guards in internal/hypercube
-# and internal/core). Run from the repository root:
+# and internal/core), the end-to-end CLI and vmprimd smokes, and the
+# benchmark module's own gate (benchmark/check.sh). Run from the
+# repository root:
 #
 #	./scripts/check.sh
 #
@@ -10,9 +12,9 @@
 # surfaces is a real behavioral change, not noise.
 #
 # Set CHECK_ARTIFACT_DIR to keep the produced artifacts (profile and
-# trace JSON, the demo post-mortem, metrics, the fresh benchmark
-# snapshot) instead of discarding them — CI uses this to upload them
-# on failure.
+# trace JSON, the demo post-mortem, metrics, critical-path reports, the
+# vmprimd and vmload smoke outputs) instead of discarding them — CI uses
+# this to upload them on failure.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -149,22 +151,13 @@ cmp "$tmpdir/critpath-gmp1.json" "$tmpdir/critpath-ncpu.json" || {
 }
 python3 scripts/critpath_schema_check.py "$tmpdir/critpath-ncpu.json" scripts/critpath_schema.json
 
-# Continuous-benchmark gate, now a GOMAXPROCS sweep: a fresh
-# 1-iteration host run at GOMAXPROCS 1, 2, 4 and NumCPU must reproduce
-# the committed snapshot's simulated times bit for bit at EVERY
-# setting (-each-new-section diffs each sweep section against the
-# gate). Host ns/op at -benchtime 1x is pure noise and stays
-# informational (benchdiff gates it only under -gate-host).
-go run ./cmd/hostbench -d 4 -n 64 -benchtime 1x -sweep 1,2,4,ncpu \
-	-o "$tmpdir/bench-fresh.json" 2>/dev/null
-go run ./cmd/benchdiff -old BENCH_2.json:gate -new "$tmpdir/bench-fresh.json" \
-	-each-new-section
-
-# Committed sweep gate: BENCH_3.json's [d4-|d8-]gomaxprocs-N sections
-# must agree on simulated times within each group, and host ns/op at
-# GOMAXPROCS=NumCPU (of the recording host) must not regress beyond
-# 20% versus GOMAXPROCS=1 — parallelism must never be a slowdown.
-go run ./cmd/benchdiff -sweep BENCH_3.json
+# Benchmark gate: the nested vmprim/benchmark module is invisible to
+# ./... above, so its own gate runs here — gofmt, vet, vmlint, and its
+# tests, whose smoke runs check every op of all four workloads against
+# the golden simulated oracle (sim time, messages and words per call,
+# served-document hashes) at GOMAXPROCS 1 and NumCPU. Host time is not
+# gated anywhere: compare two runs of benchmark/bench.sh on one host.
+./benchmark/check.sh
 
 # vmprimd smoke gate: the served observability plane must hand out the
 # SAME simulated documents the CLI writes. Start the server, submit the
@@ -261,10 +254,9 @@ cmp "$tmpdir/vmprimd-gmp1/profile.json" "$tmpdir/vmprimd-ncpu/profile.json" || {
 }
 
 # vmload mini-burst: concurrent submissions against an in-process
-# server must all complete. The committed BENCH_4.json records the
-# full 1000-run session; this keeps the harness itself gated.
-"$tmpdir/vmload" -runs 60 -c 8 -out "$tmpdir/bench4-smoke.json" 2>/dev/null
-python3 - "$tmpdir/bench4-smoke.json" <<'PYEOF'
+# server must all complete; this keeps the load harness itself gated.
+"$tmpdir/vmload" -runs 60 -c 8 -out "$tmpdir/vmload-smoke.json" 2>/dev/null
+python3 - "$tmpdir/vmload-smoke.json" <<'PYEOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
 res = doc["results"]
