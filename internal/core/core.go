@@ -27,7 +27,7 @@
 // code before a run and filled from dense data, or created inside a
 // run, in which case each processor lazily materializes only its own
 // block. All inter-processor data motion happens through the
-// collectives of internal/collective over cube-edge channels, and
+// collectives of internal/collective over cube-edge links, and
 // every operation charges the cost model for its communication and
 // arithmetic, so Machine.Elapsed after a run is the simulated time of
 // the whole distributed computation.

@@ -1,0 +1,377 @@
+package hypercube
+
+import (
+	"errors"
+	"fmt"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"vmprim/internal/costmodel"
+)
+
+// Tests and benchmarks of the link transport (link.go): the send-stall
+// path, abort while stalled, the post-mortem census of a wrapped ring,
+// and a lost-wake-up stress. Ring capacity is covered by
+// TestLinkCapScalesWithDimension.
+
+// awaitParked holds the calling processor back until processor pid has
+// published the park word w. It waits on the event itself, yielding so
+// that it also works at GOMAXPROCS 1; the deadline turns a transport
+// bug into a run error instead of a hung test.
+func awaitParked(m *Machine, pid int, w uint32) {
+	deadline := time.Now().Add(20 * time.Second)
+	for m.parkers[pid].state.Load() != w {
+		if time.Now().After(deadline) {
+			panic(fmt.Sprintf("processor %d never parked on %#x", pid, w))
+		}
+		runtime.Gosched()
+	}
+}
+
+// checkAllParksResumed asserts the SchedStats identity of a successful
+// run: every park was ended by link traffic.
+func checkAllParksResumed(t *testing.T, s SchedStats) {
+	t.Helper()
+	if s.Wakeups != s.RecvParks+s.SendStalls {
+		t.Fatalf("successful run: wakeups %d != recv parks %d + send stalls %d",
+			s.Wakeups, s.RecvParks, s.SendStalls)
+	}
+}
+
+// checkSameSimResults asserts that the last runs of a and b agree in
+// every simulated quantity: elapsed time, counters and each clock.
+func checkSameSimResults(t *testing.T, what string, a, b *Machine) {
+	t.Helper()
+	if a.Elapsed() != b.Elapsed() || a.LastStats() != b.LastStats() {
+		t.Fatalf("%s: %v/%+v vs %v/%+v", what, a.Elapsed(), a.LastStats(), b.Elapsed(), b.LastStats())
+	}
+	ac, bc := a.Clocks(), b.Clocks()
+	for pid := range ac {
+		if ac[pid] != bc[pid] {
+			t.Fatalf("%s: proc %d clock %v vs %v", what, pid, ac[pid], bc[pid])
+		}
+	}
+}
+
+func TestSendStallFIFO(t *testing.T) {
+	// Processor 0 streams more messages than the ring holds while its
+	// partner is held back until the sender has parked on the full
+	// ring. Tags are sequence numbers, so Recv itself rejects any
+	// reordering; n exceeds twice the capacity so both indices wrap.
+	const dim = 1
+	n := 2*linkCap(dim) + 5
+	run := func(hold bool) *Machine {
+		m := MustNew(dim, costmodel.CM2())
+		if _, err := m.Run(func(p *Proc) {
+			if p.ID() == 0 {
+				for i := 0; i < n; i++ {
+					p.Send(0, i, []float64{float64(i)})
+				}
+				return
+			}
+			if hold {
+				awaitParked(p.m, 0, parkSend|0)
+			}
+			for i := 0; i < n; i++ {
+				got := p.Recv(0, i)
+				if len(got) != 1 || got[0] != float64(i) {
+					panic(fmt.Sprintf("message %d carried %v", i, got))
+				}
+				p.Recycle(got)
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	stalled := run(true)
+	defer stalled.Close()
+	s := stalled.SchedStats()
+	if s.SendStalls < 1 {
+		t.Fatalf("sender was held on a full ring but SendStalls = %d", s.SendStalls)
+	}
+	checkAllParksResumed(t, s)
+	if !stalled.linksEmpty() {
+		t.Fatal("links not empty after a successful run")
+	}
+
+	// Backpressure is host scheduling only: the stalled run's simulated
+	// results equal those of a run whose receiver was never held back.
+	free := run(false)
+	defer free.Close()
+	checkSameSimResults(t, "stalled run vs unstalled", stalled, free)
+}
+
+func TestSendStallAbortedBySibling(t *testing.T) {
+	// Processor 0 is parked on a full ring nobody will ever drain when
+	// processor 2 panics. The abort must wake the stalled sender (and
+	// the two blocked receivers), Run must report processor 2's panic,
+	// and the machine must come back indistinguishable from a fresh one.
+	const dim = 2
+	m := MustNew(dim, costmodel.CM2())
+	defer m.Close()
+	m.SetRecvTimeout(time.Minute)
+	start := time.Now()
+	_, err := m.Run(func(p *Proc) {
+		switch p.ID() {
+		case 0:
+			for i := 0; i < linkCap(dim)+3; i++ {
+				p.Send(0, i, []float64{1})
+			}
+			panic("sender ran past a full ring")
+		case 2:
+			awaitParked(p.m, 0, parkSend|0)
+			panic("sibling failure")
+		default:
+			p.Recv(1, 99) // 1 and 3 wait on each other until the abort
+		}
+	})
+	if err == nil || !strings.Contains(err.Error(), "processor 2") || !strings.Contains(err.Error(), "sibling failure") {
+		t.Fatalf("err = %v, want processor 2's panic", err)
+	}
+	if time.Since(start) > 10*time.Second {
+		t.Fatal("abort did not unblock the stalled sender promptly")
+	}
+	if s := m.SchedStats(); s.SendStalls != 1 || s.RecvParks != 2 || s.Wakeups != 0 {
+		t.Fatalf("sched stats %+v, want 1 send stall and 2 recv parks, none resumed", s)
+	}
+	var re *RunError
+	if !errors.As(err, &re) {
+		t.Fatalf("error %T does not wrap *RunError", err)
+	}
+	if ps := re.Report.Procs[0]; ps.Wait != "send" || ps.WaitDim != 0 || ps.WaitTag != linkCap(dim) {
+		t.Fatalf("proc 0 blocked on %q dim %d tag %d, want send dim 0 tag %d",
+			ps.Wait, ps.WaitDim, ps.WaitTag, linkCap(dim))
+	}
+	if len(re.Report.Links) != 1 || re.Report.Links[0].Queued != linkCap(dim) {
+		t.Fatalf("links = %+v, want the one full ring", re.Report.Links)
+	}
+	if !m.linksEmpty() {
+		t.Fatal("links not empty after aborted run")
+	}
+
+	fresh := MustNew(dim, costmodel.CM2())
+	defer fresh.Close()
+	for _, mm := range []*Machine{m, fresh} {
+		if _, err := mm.Run(exerciseBody); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkSameSimResults(t, "run after abort vs fresh machine", m, fresh)
+}
+
+func TestWatchdogDisarmedBetweenRuns(t *testing.T) {
+	// An idle machine has no watchdog pending: the runtime keeps an
+	// armed timer's callback (and the park words behind it) reachable
+	// until it fires, which would outlive a closed machine by a whole
+	// timeout.
+	m := MustNew(2, costmodel.Ideal())
+	defer m.Close()
+	if _, err := m.Run(func(p *Proc) {
+		if p.ID() == 0 {
+			awaitParked(p.m, 1, parkRecv|0)
+		}
+		p.Barrier(p.FullMask(), 1)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := m.Metrics().Snapshot().Value("vmprim_watchdog_arms_total"); v < 1 {
+		t.Fatalf("watchdog_arms_total = %v: processor 1 parked without arming", v)
+	}
+	for pid, pr := range m.procs {
+		if pr.timerArmed || pr.pk.watchdogs.Load() != 0 {
+			t.Fatalf("proc %d: watchdog still armed after the run (armed %v, pending %d)",
+				pid, pr.timerArmed, pr.pk.watchdogs.Load())
+		}
+	}
+}
+
+func TestLinkCensusOfWrappedRing(t *testing.T) {
+	// The post-mortem census must list a ring's undelivered messages
+	// oldest first wherever they sit in the buffer. Processor 1 consumes
+	// six messages (moving the head off slot 0), waits until the sender
+	// has refilled the ring across the wrap, then dies on a tag
+	// mismatch: the mismatched message is consumed, the rest is census.
+	const dim = 1
+	c := linkCap(dim)
+	const consumed = 6
+	m := MustNew(dim, costmodel.CM2())
+	defer m.Close()
+	_, err := m.Run(func(p *Proc) {
+		if p.ID() == 0 {
+			for i := 0; i < consumed+c; i++ {
+				p.Send(0, i, make([]float64, i%3))
+			}
+			return
+		}
+		for i := 0; i < consumed; i++ {
+			p.Recycle(p.Recv(0, i))
+		}
+		for !p.in[0].full() {
+			runtime.Gosched()
+		}
+		p.Recv(0, -1)
+	})
+	if err == nil || !strings.Contains(err.Error(), "tag mismatch") {
+		t.Fatalf("err = %v, want tag mismatch", err)
+	}
+	rep := m.PostMortem()
+	if len(rep.Links) != 1 {
+		t.Fatalf("links = %+v, want one occupied", rep.Links)
+	}
+	words := 0
+	for i := consumed + 1; i < consumed+c; i++ {
+		words += i % 3
+	}
+	l := rep.Links[0]
+	if l.Src != 0 || l.Dst != 1 || l.Dim != 0 || l.Queued != c-1 || l.QueuedWords != words || l.HeadTag != consumed+1 {
+		t.Fatalf("link %+v, want 0->1 dim 0 holding %d msgs / %d words, head tag %d",
+			l, c-1, words, consumed+1)
+	}
+	if !m.linksEmpty() {
+		t.Fatal("links not drained after post-mortem census")
+	}
+}
+
+// pipeline passes laps zero-word messages around the four-processor
+// cycle 0 -> 1 -> 3 -> 2 -> 0 of a 2-cube, processor 0 keeping window
+// of them in flight. Every processor idles a pseudo-random few hundred
+// nanoseconds before each message (slow's delays are four times as
+// long), so that the two ends of a link run on different host threads
+// and drift in and out of step — which the strict hand-off of a
+// ping-pong never does.
+func pipeline(p *Proc, laps, window, slow int) {
+	in, out := 1, 0
+	if p.ID() == 1 || p.ID() == 2 {
+		in, out = 0, 1
+	}
+	shift := 54
+	if p.ID() == slow {
+		shift = 52
+	}
+	acc, rng := 1.0, uint64(p.ID()+1)
+	for i := 0; i < laps+window; i++ {
+		rng = rng*6364136223846793005 + 1442695040888963407
+		for k := rng >> shift; k > 0; k-- {
+			acc = acc*1.0000001 + 1e-9
+		}
+		if p.ID() != 0 {
+			if i < laps {
+				p.Recycle(p.Recv(in, i))
+				p.Send(out, i, nil)
+			}
+			continue
+		}
+		if i >= window {
+			p.Recycle(p.Recv(in, i-window))
+		}
+		if i < laps {
+			p.Send(out, i, nil)
+		}
+	}
+	if acc == 0 {
+		panic("unreachable: keeps the delay loop alive")
+	}
+}
+
+func TestLostWakeupStress(t *testing.T) {
+	// Every message of a ping-pong finds its receiver parked or about
+	// to park, so each one races a publication against a wake-up. The
+	// balanced pipeline repeats that race with both ends of a link
+	// running in parallel; the pipeline with a slow stage keeps the
+	// rings upstream of it full, which races senders parked on a full
+	// ring against the pops that free it. The races are real but rare —
+	// Go hands a woken goroutine to the waker's thread, so most hand-offs
+	// are serial: with Recv's slow path broken to check the ring before
+	// it publishes the park word, about one run in three fails on two
+	// cores. That is why CI runs this under -race with -count=5.
+	//
+	// A lost token leaves a processor asleep with its message posted
+	// until the watchdog wakes it, so instead of hanging, the run fails
+	// either as a reported deadlock or — when the watchdog finds earlier
+	// deliveries and re-arms, after which the sleeper sees its message —
+	// on the re-arm count: no healthy run of this size outlasts the
+	// watchdog's first window.
+	const dim = 2
+	const rounds = 50_000 // 10^5 zero-word messages per pair and dimension
+	const laps = 50_000
+	for _, procs := range []int{1, 2, 4, 8} {
+		t.Run(fmt.Sprintf("gomaxprocs-%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			m := MustNew(dim, costmodel.Ideal())
+			defer m.Close()
+			m.SetRecvTimeout(30 * time.Second)
+			if _, err := m.Run(func(p *Proc) {
+				for d := 0; d < dim; d++ {
+					low := p.ID()>>d&1 == 0
+					for i := 0; i < rounds; i++ {
+						if low {
+							p.Send(d, i, nil)
+							p.Recycle(p.Recv(d, i))
+						} else {
+							p.Recycle(p.Recv(d, i))
+							p.Send(d, i, nil)
+						}
+					}
+				}
+				pipeline(p, laps, linkCap(dim), -1)
+				pipeline(p, laps, 3*linkCap(dim), 3)
+			}); err != nil {
+				t.Fatal(err)
+			}
+			checkAllParksResumed(t, m.SchedStats())
+			if v, _ := m.Metrics().Snapshot().Value("vmprim_watchdog_rearms_total"); v != 0 {
+				t.Fatalf("watchdog re-armed %v times: a processor slept through a posted message (lost wake-up)", v)
+			}
+		})
+	}
+}
+
+// benchLink times one Run in which every processor executes step b.N
+// times, and reports host nanoseconds per link message. One long run
+// amortises the per-Run dispatch away, so the profile is the transport.
+func benchLink(b *testing.B, dim int, step func(p *Proc, i int)) {
+	m := MustNew(dim, costmodel.Ideal())
+	defer m.Close()
+	run := func(n int) {
+		if _, err := m.Run(func(p *Proc) {
+			for i := 0; i < n; i++ {
+				step(p, i)
+			}
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	run(64) // start the workers, warm the pools
+	b.ResetTimer()
+	run(b.N)
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(m.LastStats().Messages), "ns/msg")
+}
+
+// BenchmarkLinkPingPong is the start-up term alone: two processors,
+// strict alternation, zero-word messages, a park per message.
+func BenchmarkLinkPingPong(b *testing.B) {
+	benchLink(b, 1, func(p *Proc, i int) {
+		if p.ID() == 0 {
+			p.Send(0, i, nil)
+			p.Recycle(p.Recv(0, i))
+		} else {
+			p.Recycle(p.Recv(0, i))
+			p.Send(0, i, nil)
+		}
+	})
+}
+
+// BenchmarkLinkExchange is the pattern the collectives are made of: 64
+// processors exchange a few words along every dimension in turn.
+func BenchmarkLinkExchange(b *testing.B) {
+	payload := []float64{1, 2, 3, 4}
+	benchLink(b, 6, func(p *Proc, i int) {
+		for d := 0; d < p.Dim(); d++ {
+			p.Recycle(p.Exchange(d, i, payload))
+		}
+	})
+}

@@ -38,17 +38,20 @@
 // span recorder, flight ring, buffer pool) is owned by exactly one
 // goroutine. Cross-goroutine handoffs — payload buffers inside
 // messages, per-run setup and the post-run fold — synchronize through
-// the link channels, the work channels and rc.wg, which provide the
-// happens-before edges. The only concurrency-shaped machine state is
-// the host-scheduler instrumentation (SchedStats), which uses atomics
-// on the park slow paths and is explicitly excluded from every
-// determinism guarantee.
+// the link rings' atomic indices, the work channels and rc.wg, which
+// provide the happens-before edges. A link is a lock-free ring (see
+// link.go): a Send or Recv that does not have to wait touches no
+// runtime lock, and a processor that does wait sleeps on its own
+// one-token wake channel, which its link partner, a run abort and the
+// deadlock watchdog all signal the same way. The only other
+// concurrency-shaped machine state is the host-scheduler
+// instrumentation (SchedStats), which uses atomics on the park slow
+// paths and is explicitly excluded from every determinism guarantee.
 package hypercube
 
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -120,8 +123,11 @@ type Machine struct {
 	p      int
 	params costmodel.Params
 
-	// in[pid][d] carries messages addressed to pid along dimension d.
-	in [][]chan message
+	// links[pid*dim+d] is the ring carrying messages addressed to pid
+	// along dimension d; parkers[pid] is pid's park/wake primitive.
+	// Both are slabs allocated once by New (see link.go).
+	links   []link
+	parkers []parker
 
 	recvTimeout time.Duration
 
@@ -191,17 +197,31 @@ type engine struct {
 type runCtx struct {
 	body   func(*Proc)
 	procs  []*Proc
-	abort  chan struct{}
-	errs   chan procError
 	prof   bool
 	crit   bool
 	stream obs.StreamSink
 
-	wg        sync.WaitGroup
-	abortOnce sync.Once
+	wg sync.WaitGroup
+	// aborted is set by the first processor to panic. Only the park
+	// slow paths read it: the siblings of a failed processor consume
+	// what was already posted to them and stop where they would
+	// otherwise have waited.
+	aborted atomic.Bool
 }
 
-// linkCap returns the buffer capacity of each link channel for a cube
+// abort marks the run failed and wakes every parked processor. A
+// processor about to park publishes its park word before it re-reads
+// the flag, so it either sees the flag or is seen here.
+func (rc *runCtx) abort() {
+	if !rc.aborted.CompareAndSwap(false, true) {
+		return
+	}
+	for _, pr := range rc.procs {
+		pr.pk.interrupt()
+	}
+}
+
+// linkCap returns the capacity of each link ring for a cube
 // of dimension dim. The invariant that sizes it: collectives are built
 // from matched exchange phases in which each directed link carries at
 // most one message before the partner receives, so capacity 1 already
@@ -296,22 +316,30 @@ func New(dim int, params costmodel.Params) (*Machine, error) {
 		dim:         dim,
 		p:           p,
 		params:      params,
-		in:          make([][]chan message, p),
+		links:       make([]link, p*dim),
+		parkers:     make([]parker, p),
 		recvTimeout: currentDefaultRecvTimeout(),
 		procs:       make([]*Proc, p),
 		clocks:      make([]costmodel.Time, p),
 		met:         newMachMetrics(),
 	}
+	// Rings hold linkCap messages so that matched exchange phases (both
+	// sides send, then both receive) never block on the send; see
+	// linkCap for how the capacity is derived and link for the spare
+	// slot.
+	slots := linkCap(dim) + 1
+	slab := make([]message, len(m.links)*slots)
+	for i := range m.links {
+		m.links[i].buf = slab[i*slots : (i+1)*slots : (i+1)*slots]
+	}
 	for pid := 0; pid < p; pid++ {
-		chans := make([]chan message, dim)
-		for d := 0; d < dim; d++ {
-			// Buffered so that matched exchange phases (both sides
-			// send, then both receive) never block on the send; see
-			// linkCap for how the capacity is derived.
-			chans[d] = make(chan message, linkCap(dim))
+		pk := &m.parkers[pid]
+		pk.wake = make(chan struct{}, 1)
+		m.procs[pid] = &Proc{
+			m: m, id: pid, pk: pk,
+			in:        m.links[pid*dim : (pid+1)*dim],
+			linkWords: make([]int64, dim),
 		}
-		m.in[pid] = chans
-		m.procs[pid] = &Proc{m: m, id: pid, linkWords: make([]int64, dim)}
 		m.procs[pid].rec.Init(defaultFlightDepth)
 	}
 	return m, nil
@@ -390,12 +418,6 @@ func (m *Machine) Clocks() []costmodel.Time {
 	return out
 }
 
-// procError carries a panic out of a processor goroutine.
-type procError struct {
-	pid int
-	val any
-}
-
 // Run executes body as an SPMD program: one invocation per processor,
 // concurrently, each receiving its own *Proc. Run returns the
 // simulated elapsed time (maximum clock over processors) and the first
@@ -405,14 +427,12 @@ type procError struct {
 func (m *Machine) Run(body func(*Proc)) (costmodel.Time, error) {
 	m.ensureEngine()
 	rc := &runCtx{
-		body:  body,
-		procs: m.procs,
-		abort: make(chan struct{}),
-		errs:  make(chan procError, m.p),
+		body:   body,
+		procs:  m.procs,
+		prof:   m.profEnabled,
+		crit:   m.critEnabled,
+		stream: m.stream,
 	}
-	rc.prof = m.profEnabled
-	rc.crit = m.critEnabled
-	rc.stream = m.stream
 	rc.wg.Add(m.p)
 	for pid := 0; pid < m.p; pid++ {
 		// The per-run Proc reset happens on the worker goroutine
@@ -423,26 +443,29 @@ func (m *Machine) Run(body func(*Proc)) (costmodel.Time, error) {
 		m.eng.work[pid] <- rc
 	}
 	rc.wg.Wait()
-	close(rc.errs)
 
+	// The first error is the lowest-numbered processor's own panic;
+	// processors cancelled because a sibling failed first are secondary
+	// casualties and speak only if nobody else does.
 	var firstErr error
 	failedPid := -1
-	perrs := make([]procError, 0)
-	for pe := range rc.errs {
-		perrs = append(perrs, pe)
-	}
-	sort.Slice(perrs, func(i, j int) bool { return perrs[i].pid < perrs[j].pid })
-	for _, pe := range perrs {
-		if _, aborted := pe.val.(abortedError); aborted {
-			continue // secondary casualty of the first panic
+	if rc.aborted.Load() {
+		for pid, pr := range m.procs {
+			if pr.panicked == nil {
+				continue
+			}
+			if _, secondary := pr.panicked.(abortedError); !secondary {
+				firstErr = fmt.Errorf("hypercube: processor %d: %v", pid, pr.panicked)
+				failedPid = pid
+				break
+			}
+			if failedPid < 0 {
+				failedPid = pid
+			}
 		}
-		firstErr = fmt.Errorf("hypercube: processor %d: %v", pe.pid, pe.val)
-		failedPid = pe.pid
-		break
-	}
-	if firstErr == nil && len(perrs) > 0 {
-		firstErr = fmt.Errorf("hypercube: processor %d aborted", perrs[0].pid)
-		failedPid = perrs[0].pid
+		if firstErr == nil {
+			firstErr = fmt.Errorf("hypercube: processor %d aborted", failedPid)
+		}
 	}
 
 	var elapsed costmodel.Time
@@ -544,13 +567,19 @@ func worker(pid int, work chan *runCtx, stop chan struct{}) {
 // containment the seed's per-run goroutines had.
 func runBody(pid int, rc *runCtx) {
 	defer rc.wg.Done()
+	pr := rc.procs[pid]
 	defer func() {
 		if r := recover(); r != nil {
-			rc.errs <- procError{pid: pid, val: r}
-			rc.abortOnce.Do(func() { close(rc.abort) })
+			pr.panicked = r
+			rc.abort()
 		}
+		// An idle machine keeps nothing of the finished run reachable:
+		// not its body (and whatever that captured), and no pending
+		// watchdog, which the runtime would hold — together with the
+		// machine's park words — until it fired.
+		pr.disarmWatchdog()
+		pr.rc = nil
 	}()
-	pr := rc.procs[pid]
 	pr.resetForRun(rc)
 	rc.body(pr)
 	pr.checkSpansClosed()
@@ -595,12 +624,20 @@ func (p *Proc) resetForRun(rc *runCtx) {
 		p.captured[i] = nil
 	}
 	p.captured = p.captured[:0]
-	p.abort = rc.abort
+	p.rc = rc
+	p.panicked = nil
 	p.trace = p.trace[:0]
+}
+
+// disarmWatchdog stops the deadlock watchdog at the end of a run, which
+// is also what makes a timeout changed via SetRecvTimeout take effect
+// at the next arming. A timer that can no longer be stopped has
+// started its callback, which takes back its own count.
+func (p *Proc) disarmWatchdog() {
 	if p.timerArmed {
-		// Disarm the watchdog between runs so a timeout changed via
-		// SetRecvTimeout takes effect at the next arming.
-		p.timer.Stop()
+		if p.timer.Stop() {
+			p.pk.watchdogs.Add(-1)
+		}
 		p.timerArmed = false
 	}
 }
@@ -618,31 +655,24 @@ func (m *Machine) Close() {
 	}
 }
 
-// drain empties every link channel (messages left behind by an aborted
-// or buggy program).
+// drain empties every link ring (messages left behind by an aborted
+// or buggy program). It runs between runs, when the caller is the only
+// goroutine touching the rings.
 func (m *Machine) drain() {
-	for pid := range m.in {
-		for d := range m.in[pid] {
-			ch := m.in[pid][d]
-			for drained := false; !drained; {
-				select {
-				case <-ch:
-				default:
-					drained = true
-				}
-			}
+	for i := range m.links {
+		l := &m.links[i]
+		for ok := true; ok; {
+			_, ok = l.pop()
 		}
 	}
 }
 
-// linksEmpty reports whether every link channel is empty; tests use it
-// to assert that drain left the machine clean.
+// linksEmpty reports whether every link ring is empty; tests use it to
+// assert that drain left the machine clean.
 func (m *Machine) linksEmpty() bool {
-	for pid := range m.in {
-		for d := range m.in[pid] {
-			if len(m.in[pid][d]) != 0 {
-				return false
-			}
+	for i := range m.links {
+		if !m.links[i].empty() {
+			return false
 		}
 	}
 	return true
@@ -662,7 +692,16 @@ type Proc struct {
 	m     *Machine
 	id    int
 	clock costmodel.Time
-	abort chan struct{}
+
+	// Link transport (see link.go): in[d] is the ring this processor
+	// receives from along dimension d, pk its park/wake primitive, rc
+	// the run in progress (for the abort flag). panicked is the value
+	// this processor's body panicked with, nil if it returned; written
+	// by its own goroutine and read by Run after the workers quiesce.
+	in       []link
+	pk       *parker
+	rc       *runCtx
+	panicked any
 
 	nMsgs  int64
 	nWords int64
@@ -727,7 +766,8 @@ type Proc struct {
 	// timeout window (not per blocking Recv): recvSeq counts delivered
 	// messages and timerSeq records its value at arming, so a fire with
 	// progress in between just re-arms. Busy steady-state runs touch
-	// the timer heap only once per window.
+	// the timer heap only once per window. The timer's callback is
+	// pk.watchdogFired, which wakes a parked awaitRecv.
 	timer      *time.Timer
 	timerArmed bool
 	recvSeq    uint64
@@ -832,27 +872,41 @@ func (p *Proc) post(d, tag int, words []float64, arrive costmodel.Time) {
 	if p.crit {
 		msg.cp = p.cpSnapshot()
 	}
-	ch := p.m.in[dst][d]
-	select {
-	case ch <- msg:
-	default:
-		// Link buffer full: run-ahead backpressure. Note the blocked
-		// send in the wait registers so a post-mortem can name it,
-		// count the stall for SchedStats, then park.
-		p.waitKind = flightrec.WaitSend
-		p.waitDim, p.waitTag = d, tag
-		p.waitSince = arrive
-		p.nSendStalls++
-		p.m.parkEnter()
-		select {
-		case ch <- msg:
+	l := &p.m.links[dst*p.m.dim+d]
+	if !l.push(msg) {
+		p.stallSend(l, msg, d)
+	}
+	p.m.parkers[dst].unpark(parkRecv | uint32(d))
+}
+
+// stallSend is post's slow path: the ring is full (run-ahead
+// backpressure), so park until the receiver has consumed a message or
+// the run aborts.
+func (p *Proc) stallSend(l *link, msg message, d int) {
+	// Note the blocked send in the wait registers so a post-mortem can
+	// name it, and count the stall for SchedStats.
+	p.waitKind = flightrec.WaitSend
+	p.waitDim, p.waitTag = d, msg.tag
+	p.waitSince = msg.arrive
+	p.nSendStalls++
+	p.m.parkEnter()
+	w := parkSend | uint32(d)
+	for {
+		p.pk.state.Store(w)
+		switch {
+		case !l.full():
+			p.pk.cancel(w)
+			l.push(msg)
 			p.m.parkExit()
 			p.nWakeups++
 			p.waitKind = flightrec.WaitNone
-		case <-p.abort:
+			return
+		case p.rc.aborted.Load():
+			p.pk.cancel(w)
 			p.m.parkExit()
 			panic(abortedError{})
 		}
+		<-p.pk.wake
 	}
 }
 
@@ -909,60 +963,13 @@ func (p *Proc) Capture(buf []float64) {
 // slice is owned by the caller.
 func (p *Proc) Recv(d, wantTag int) []float64 {
 	p.checkDim(d)
-	var msg message
-	ch := p.m.in[p.id][d]
-	select {
-	case msg = <-ch:
-	case <-p.abort:
-		panic(abortedError{})
-	default:
-		// Slow path: wait under the deadlock watchdog. The go directive
-		// is >= 1.23, so Stop/Reset leave no stale fire in the timer
-		// channel. The timer is not stopped on a successful receive; a
-		// later fire that finds progress (recvSeq advanced past
-		// timerSeq) re-arms and keeps waiting, so a genuine deadlock is
-		// reported within two timeout windows while the steady state
-		// pays no per-Recv timer traffic. The wait registers make the
-		// blocked state visible to the post-mortem assembler.
-		p.waitKind = flightrec.WaitRecv
-		p.waitDim, p.waitTag = d, wantTag
-		p.waitSince = p.clock
-		p.nRecvParks++
-		p.m.parkEnter()
-		for {
-			if !p.timerArmed {
-				if p.timer == nil {
-					p.timer = time.NewTimer(p.m.recvTimeout)
-				} else {
-					p.timer.Reset(p.m.recvTimeout)
-				}
-				p.timerArmed = true
-				p.timerSeq = p.recvSeq
-				p.nArms++
-			}
-			fired := false
-			select {
-			case msg = <-ch:
-			case <-p.abort:
-				p.m.parkExit()
-				panic(abortedError{})
-			case <-p.timer.C:
-				p.timerArmed = false
-				if p.recvSeq == p.timerSeq {
-					p.m.parkExit()
-					panic(fmt.Sprintf("recv timeout on dim %d (tag %d): deadlock", d, wantTag))
-				}
-				p.nRearms++
-				fired = true
-			}
-			if !fired {
-				break
-			}
-		}
-		p.m.parkExit()
-		p.nWakeups++
-		p.waitKind = flightrec.WaitNone
+	l := &p.in[d]
+	msg, ok := l.pop()
+	if !ok {
+		msg = p.awaitRecv(l, d, wantTag)
 	}
+	// The sender may be parked on this ring having found it full.
+	p.m.parkers[p.id^(1<<d)].unpark(parkSend | uint32(d))
 	p.recvSeq++
 	if msg.tag != wantTag {
 		// Preserve the offending payload for the post-mortem before
@@ -978,6 +985,62 @@ func (p *Proc) Recv(d, wantTag int) []float64 {
 	}
 	p.record(flightrec.KindRecv, "", d, wantTag, len(msg.words), p.clock)
 	return msg.words
+}
+
+// awaitRecv is Recv's slow path: the ring is empty, so park at the
+// virtual-time frontier until the message is posted, the run aborts,
+// or the deadlock watchdog finds a whole window without a delivery.
+// The timer is not stopped on a successful receive; a later fire that
+// finds progress (recvSeq advanced past timerSeq) re-arms and keeps
+// waiting, so a genuine deadlock is reported within two timeout
+// windows while the steady state pays no per-Recv timer traffic. The
+// wait registers make the blocked state visible to the post-mortem
+// assembler.
+func (p *Proc) awaitRecv(l *link, d, wantTag int) message {
+	p.waitKind = flightrec.WaitRecv
+	p.waitDim, p.waitTag = d, wantTag
+	p.waitSince = p.clock
+	p.nRecvParks++
+	p.m.parkEnter()
+	w := parkRecv | uint32(d)
+	for {
+		if !p.timerArmed {
+			p.pk.watchdogs.Add(1)
+			if p.timer == nil {
+				p.timer = time.AfterFunc(p.m.recvTimeout, p.pk.watchdogFired)
+			} else {
+				p.timer.Reset(p.m.recvTimeout)
+			}
+			p.timerArmed = true
+			p.timerSeq = p.recvSeq
+			p.nArms++
+		}
+		p.pk.state.Store(w)
+		switch {
+		case !l.empty():
+			p.pk.cancel(w)
+			msg, _ := l.pop()
+			p.m.parkExit()
+			p.nWakeups++
+			p.waitKind = flightrec.WaitNone
+			return msg
+		case p.rc.aborted.Load():
+			p.pk.cancel(w)
+			p.m.parkExit()
+			panic(abortedError{})
+		case p.pk.watchdogs.Load() == 0:
+			// The window armed last has run out (see parker.watchdogs).
+			p.pk.cancel(w)
+			p.timerArmed = false
+			if p.recvSeq == p.timerSeq {
+				p.m.parkExit()
+				panic(fmt.Sprintf("recv timeout on dim %d (tag %d): deadlock", d, wantTag))
+			}
+			p.nRearms++
+			continue
+		}
+		<-p.pk.wake
+	}
 }
 
 // Exchange performs the paired send/receive with the neighbor along

@@ -3,6 +3,7 @@ package hypercube
 import (
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"vmprim/internal/costmodel"
 )
@@ -27,11 +28,56 @@ func TestLinkCapScalesWithDimension(t *testing.T) {
 	if got := linkCap(8); got != 36 {
 		t.Fatalf("linkCap(8) = %d, want 36", got)
 	}
+	// Every ring of a machine holds exactly linkCap(dim) messages, in
+	// order, at every position of head and tail around the buffer.
+	for _, dim := range []int{1, 4, 8} {
+		m := MustNew(dim, costmodel.Ideal())
+		c := linkCap(dim)
+		l := &m.links[len(m.links)-1]
+		pushed, popped := 0, 0
+		for round := 0; round <= c+1; round++ {
+			for l.push(message{tag: pushed}) {
+				pushed++
+			}
+			if pushed-popped != c || !l.full() {
+				t.Fatalf("dim %d round %d: ring holds %d messages (full=%v), want linkCap = %d",
+					dim, round, pushed-popped, l.full(), c)
+			}
+			for i := 0; i <= round%c; i++ {
+				msg, ok := l.pop()
+				if !ok || msg.tag != popped {
+					t.Fatalf("dim %d round %d: pop = tag %d ok %v, want tag %d", dim, round, msg.tag, ok, popped)
+				}
+				popped++
+			}
+		}
+		m.drain()
+		if _, ok := l.pop(); ok || !l.empty() || !m.linksEmpty() {
+			t.Fatalf("dim %d: ring not empty after drain", dim)
+		}
+	}
+}
+
+func TestLinkLayoutSeparatesProducerAndConsumer(t *testing.T) {
+	// The padding in link and parker assumes 64-bit words; what it buys
+	// is that the two ring indices, neighboring rings and neighboring
+	// processors' park words never share a cache line.
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("layout is sized for 64-bit hosts")
+	}
+	var l link
+	if unsafe.Sizeof(l) != 2*cacheLine || unsafe.Offsetof(l.head)/cacheLine == unsafe.Offsetof(l.tail)/cacheLine {
+		t.Fatalf("link is %d bytes with head at %d and tail at %d",
+			unsafe.Sizeof(l), unsafe.Offsetof(l.head), unsafe.Offsetof(l.tail))
+	}
+	if unsafe.Sizeof(parker{}) != cacheLine {
+		t.Fatalf("parker is %d bytes, want %d", unsafe.Sizeof(parker{}), cacheLine)
+	}
 }
 
 func TestLinksEmptyAfterAbortedRun(t *testing.T) {
 	// Processor 0 posts messages nobody consumes and then panics; the
-	// post-run drain must leave every link channel empty.
+	// post-run drain must leave every link ring empty.
 	m := MustNew(3, costmodel.Ideal())
 	_, err := m.Run(func(p *Proc) {
 		if p.ID() == 0 {
@@ -156,9 +202,9 @@ func mallocsPerRun(warm, runs int, f func()) float64 {
 
 func TestSendRecvSteadyStateAllocs(t *testing.T) {
 	// After the pools equilibrate, a run full of Send/Recv pairs must
-	// allocate only the per-Run fixed overhead (run context, error
-	// channel, ...), not per-message buffers: 16 procs x 32 exchanges
-	// would cost >1000 allocations unpooled.
+	// allocate only the per-Run fixed overhead (see
+	// TestRunFixedOverheadAllocs), not per-message buffers: 16 procs x
+	// 32 exchanges would cost >1000 allocations unpooled.
 	m := MustNew(4, costmodel.Ideal())
 	const exchanges = 32
 	body := func(p *Proc) {
@@ -179,6 +225,32 @@ func TestSendRecvSteadyStateAllocs(t *testing.T) {
 	})
 	if per > 200 {
 		t.Fatalf("steady-state Send/Recv allocates %.0f objects per run, want <= 200", per)
+	}
+}
+
+func TestRunFixedOverheadAllocs(t *testing.T) {
+	// A successful Run allocates its run context and nothing that grows
+	// with p: a panic is recorded in the failing Proc, not sent through
+	// a p-slot error channel. d=8 so that anything O(p) shows.
+	m := MustNew(8, costmodel.Ideal())
+	defer m.Close()
+	body := func(p *Proc) {}
+	run := func() {
+		if _, err := m.Run(body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if per := mallocsPerRun(5, 50, run); per > 2 {
+		t.Fatalf("empty Run allocates %.1f objects, want <= 2", per)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 50; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	if per := float64(after.TotalAlloc-before.TotalAlloc) / 50; per > 512 {
+		t.Fatalf("empty Run allocates %.0f bytes, want <= 512", per)
 	}
 }
 

@@ -110,29 +110,28 @@ func (m *Machine) buildPostMortem(cause string, failedPid int) *flightrec.Report
 	// Census-drain the links: every undelivered message becomes link
 	// occupancy in the report — the queue a blocked receiver never
 	// consumed, or the mate of a mismatched exchange.
-	for pid := range m.in {
-		for d, ch := range m.in[pid] {
-			queued, words, headTag := 0, 0, 0
-			var headVT costmodel.Time
-			for drained := false; !drained; {
-				select {
-				case msg := <-ch:
-					if queued == 0 {
-						headTag, headVT = msg.tag, msg.arrive
-					}
-					queued++
-					words += len(msg.words)
-				default:
-					drained = true
-				}
+	for i := range m.links {
+		l := &m.links[i]
+		pid, d := i/m.dim, i%m.dim
+		queued, words, headTag := 0, 0, 0
+		var headVT costmodel.Time
+		for {
+			msg, ok := l.pop()
+			if !ok {
+				break
 			}
-			if queued > 0 {
-				rep.Links = append(rep.Links, flightrec.LinkState{
-					Src: pid ^ (1 << d), Dim: d, Dst: pid,
-					Queued: queued, QueuedWords: words,
-					HeadTag: headTag, HeadVT: float64(headVT),
-				})
+			if queued == 0 {
+				headTag, headVT = msg.tag, msg.arrive
 			}
+			queued++
+			words += len(msg.words)
+		}
+		if queued > 0 {
+			rep.Links = append(rep.Links, flightrec.LinkState{
+				Src: pid ^ (1 << d), Dim: d, Dst: pid,
+				Queued: queued, QueuedWords: words,
+				HeadTag: headTag, HeadVT: float64(headVT),
+			})
 		}
 	}
 	return rep

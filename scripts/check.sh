@@ -74,6 +74,12 @@ go test ./...
 # loads, metrics folds and profile documents, with the race detector
 # watching the host-parallel engine the whole time.
 go test -race ./internal/...
+# Link transport stress: the lock-free rings and the park/wake protocol
+# (send stalls, abort while stalled, the lost-wake-up ping-pong and
+# pipelines at GOMAXPROCS 1, 2, 4 and 8) repeated under the race
+# detector — the races it hunts are timing-dependent, so one pass in
+# the line above is not enough.
+go test -race -count=5 -run 'Link|SendStall|LostWake' ./internal/hypercube/
 # The profiler invariant tests (bit-identity, bucket reconciliation)
 # under the race detector: the span recorder runs on every processor
 # goroutine, so races here would be real simulator bugs.
