@@ -128,14 +128,7 @@ func checkFunc(pass *framework.Pass, fn *ast.FuncDecl, summary *collectives.Resu
 	// As in spmdsym, every function literal is its own SPMD scope: the
 	// closure handed to Machine.Run is the SPMD body, the enclosing
 	// function is host code.
-	scopes := []*ast.BlockStmt{fn.Body}
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		if lit, ok := n.(*ast.FuncLit); ok {
-			scopes = append(scopes, lit.Body)
-		}
-		return true
-	})
-	for _, scope := range scopes {
+	for _, scope := range framework.Bodies(fn) {
 		c.checkArgs(scope)
 		c.seqOf(scope.List)
 	}

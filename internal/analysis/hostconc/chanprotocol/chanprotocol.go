@@ -15,19 +15,20 @@
 //     and variables written only inside the closure itself are fine;
 //     the cure is passing the value as an argument.)
 //
-// The close/send walk is path-sensitive and intra-procedural: channel
-// identity is the receiver-expression text, branch joins take the
-// union of closed sets, return/panic/break end a path, and
-// reassigning a channel variable (ch = make(...)) revives it. The
-// single-owner convention keeps the serving plane analyzable this way
-// — the broadcaster closes subscriber channels only under its own
-// mutex after removing them from the map, the registry's Run closes
-// done exactly once in complete.
+// The close/send walk is a framework.WalkPaths flow, path-sensitive and
+// intra-procedural: channel identity is the receiver-expression text,
+// branch and loop joins take the union of closed sets, return and
+// panic end a path, and reassigning a channel variable
+// (ch = make(...)) revives it. The single-owner convention keeps the
+// serving plane analyzable this way — the broadcaster closes subscriber
+// channels only under its own mutex after removing them from the map,
+// the registry's Run closes done exactly once in complete.
 package chanprotocol
 
 import (
 	"go/ast"
 	"go/types"
+	"maps"
 
 	"vmprim/internal/analysis/framework"
 	"vmprim/internal/analysis/hostconc"
@@ -48,17 +49,12 @@ func run(pass *framework.Pass) (any, error) {
 			if !ok || fn.Body == nil || !hostconc.InDiagScope(pass, fn.Pos()) {
 				continue
 			}
-			checkFunc(pass, fn.Body)
-			checkCaptures(pass, fn.Body)
 			// Function literals get their own independent close walk: a
 			// closure's closes are its own protocol.
-			ast.Inspect(fn.Body, func(n ast.Node) bool {
-				if lit, ok := n.(*ast.FuncLit); ok {
-					checkFunc(pass, lit.Body)
-					checkCaptures(pass, lit.Body)
-				}
-				return true
-			})
+			for _, body := range framework.Bodies(fn) {
+				framework.WalkPaths[closedSet](body, &cflow{pass: pass}, closedSet{})
+				checkCaptures(pass, body)
+			}
 		}
 	}
 	return nil, nil
@@ -67,241 +63,88 @@ func run(pass *framework.Pass) (any, error) {
 // closedSet is the set of channel keys some path may have closed.
 type closedSet map[string]bool
 
-func (c closedSet) clone() closedSet {
-	out := make(closedSet, len(c))
-	for k := range c {
-		out[k] = true
-	}
-	return out
-}
-
-func (c closedSet) union(o closedSet) {
-	for k := range o {
-		c[k] = true
-	}
-}
-
-// cwalker carries the per-function close/send walk.
-type cwalker struct {
+// cflow is the close/send framework.Flow over closedSet.
+type cflow struct {
 	pass *framework.Pass
-	// loops holds the enclosing loop nodes, for deciding whether a
-	// closed channel's identity depends on the iteration.
-	loops []ast.Node
 }
 
-func checkFunc(pass *framework.Pass, body *ast.BlockStmt) {
-	hasGoto := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		if b, ok := n.(*ast.BranchStmt); ok && b.Tok.String() == "goto" {
-			hasGoto = true
-		}
-		return true
-	})
-	if hasGoto {
-		return
-	}
-	w := &cwalker{pass: pass}
-	w.walkStmts(body.List, closedSet{})
-}
-
-// walkStmts walks a statement list, mutating and returning the closed
-// set, plus whether control cannot fall off the end.
-func (w *cwalker) walkStmts(stmts []ast.Stmt, set closedSet) (closedSet, bool) {
-	for _, s := range stmts {
-		var diverged bool
-		set, diverged = w.walkStmt(s, set)
-		if diverged {
-			return set, true
-		}
-	}
-	return set, false
-}
-
-func (w *cwalker) walkStmt(s ast.Stmt, set closedSet) (closedSet, bool) {
+func (w *cflow) Leaf(s ast.Stmt, set closedSet, loops []ast.Stmt) (closedSet, bool) {
 	switch s := s.(type) {
 	case *ast.ExprStmt:
 		if call, ok := s.X.(*ast.CallExpr); ok {
-			if ch, ok := w.closeArg(call); ok {
+			if vmlib.IsBuiltinCall(w.pass.TypesInfo, call, "close") && len(call.Args) == 1 {
+				ch := call.Args[0]
 				key := types.ExprString(ch)
 				if set[key] {
 					w.pass.Reportf(call.Pos(), "close of %s, which an earlier point on this path may already have closed (a second close panics)", key)
 				}
-				if len(w.loops) > 0 && !w.loopDependent(ch) {
+				if len(loops) > 0 && !w.loopDependent(ch, loops) {
 					w.pass.Reportf(call.Pos(), "close of %s inside a loop runs on every iteration (the second close panics)", key)
 				}
 				set[key] = true
-				return set, false
-			}
-			if vmlib.IsPanicCall(w.pass.TypesInfo, call) {
+			} else if vmlib.IsBuiltinCall(w.pass.TypesInfo, call, "panic") {
 				return set, true
 			}
 		}
-		return set, false
 
 	case *ast.SendStmt:
-		key := types.ExprString(s.Chan)
-		if set[key] {
-			w.pass.Reportf(s.Arrow, "send on %s, which some path may already have closed (a send on a closed channel panics)", key)
-		}
-		return set, false
+		w.checkSend(s, set)
 
 	case *ast.AssignStmt:
 		// Reassigning a channel variable revives it.
 		for _, lhs := range s.Lhs {
 			delete(set, types.ExprString(lhs))
 		}
-		return set, false
 
 	case *ast.ReturnStmt:
 		return set, true
-
-	case *ast.BranchStmt:
-		if s.Tok.String() == "fallthrough" {
-			return set, false
-		}
-		// break/continue leave this statement list; the loop join
-		// below already unions body outcomes conservatively.
-		return set, true
-
-	case *ast.BlockStmt:
-		return w.walkStmts(s.List, set)
-
-	case *ast.IfStmt:
-		if s.Init != nil {
-			set, _ = w.walkStmt(s.Init, set)
-		}
-		thenSet, thenDiv := w.walkStmts(s.Body.List, set.clone())
-		elseSet, elseDiv := set.clone(), false
-		if s.Else != nil {
-			elseSet, elseDiv = w.walkStmt(s.Else, set.clone())
-		}
-		switch {
-		case thenDiv && elseDiv:
-			return set, true
-		case thenDiv:
-			return elseSet, false
-		case elseDiv:
-			return thenSet, false
-		default:
-			thenSet.union(elseSet)
-			return thenSet, false
-		}
-
-	case *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
-		return w.walkBranches(s, set)
-
-	case *ast.ForStmt:
-		if s.Init != nil {
-			set, _ = w.walkStmt(s.Init, set)
-		}
-		w.loops = append(w.loops, s)
-		bodySet, _ := w.walkStmts(s.Body.List, set.clone())
-		w.loops = w.loops[:len(w.loops)-1]
-		set.union(bodySet)
-		return set, false
-
-	case *ast.RangeStmt:
-		w.loops = append(w.loops, s)
-		bodySet, _ := w.walkStmts(s.Body.List, set.clone())
-		w.loops = w.loops[:len(w.loops)-1]
-		set.union(bodySet)
-		return set, false
-
-	case *ast.LabeledStmt:
-		return w.walkStmt(s.Stmt, set)
-
-	case *ast.GoStmt, *ast.DeferStmt:
-		return set, false // the closure's closes happen later, on its own walk
-
-	default:
-		return set, false
 	}
+	// Everything else — go and defer included, whose closures' closes
+	// happen later, on their own walk — leaves the set alone.
+	return set, false
 }
 
-// walkBranches handles switch/select: each case walks from a copy and
-// the result is the union of the non-diverged outcomes (plus the
-// fall-through when there is no default).
-func (w *cwalker) walkBranches(s ast.Stmt, set closedSet) (closedSet, bool) {
-	var bodies [][]ast.Stmt
-	hasDefault := false
-	var commStmts []ast.Stmt
-	switch s := s.(type) {
-	case *ast.SwitchStmt:
-		for _, c := range s.Body.List {
-			cc := c.(*ast.CaseClause)
-			bodies = append(bodies, cc.Body)
-			hasDefault = hasDefault || cc.List == nil
-		}
-	case *ast.TypeSwitchStmt:
-		for _, c := range s.Body.List {
-			cc := c.(*ast.CaseClause)
-			bodies = append(bodies, cc.Body)
-			hasDefault = hasDefault || cc.List == nil
-		}
-	case *ast.SelectStmt:
-		hasDefault = true // a select runs exactly one case; no fall-through
-		for _, c := range s.Body.List {
-			cc := c.(*ast.CommClause)
-			if cc.Comm != nil {
-				commStmts = append(commStmts, cc.Comm)
-			}
-			bodies = append(bodies, cc.Body)
-		}
-	}
-	// A select's comm sends are checked against the incoming set.
-	for _, cs := range commStmts {
-		if send, ok := cs.(*ast.SendStmt); ok {
-			if key := types.ExprString(send.Chan); set[key] {
-				w.pass.Reportf(send.Arrow, "send on %s, which some path may already have closed (a send on a closed channel panics)", key)
+// Head checks a select's comm sends against the incoming set.
+func (w *cflow) Head(s ast.Stmt, set closedSet) {
+	if sel, ok := s.(*ast.SelectStmt); ok {
+		for _, c := range sel.Body.List {
+			if send, ok := c.(*ast.CommClause).Comm.(*ast.SendStmt); ok {
+				w.checkSend(send, set)
 			}
 		}
 	}
-	out := closedSet{}
-	any := false
-	allDiverge := len(bodies) > 0
-	for _, b := range bodies {
-		bset, div := w.walkStmts(stripTrailingBreak(b), set.clone())
-		if !div {
-			out.union(bset)
-			any = true
-			allDiverge = false
-		}
-	}
-	if !hasDefault {
-		out.union(set)
-		any = true
-		allDiverge = false
-	}
-	if allDiverge {
-		return set, true
-	}
-	if !any {
-		return set, false
-	}
-	return out, false
 }
 
-// closeArg returns the operand of a builtin close call.
-func (w *cwalker) closeArg(call *ast.CallExpr) (ast.Expr, bool) {
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok || len(call.Args) != 1 {
-		return nil, false
+func (w *cflow) checkSend(s *ast.SendStmt, set closedSet) {
+	if key := types.ExprString(s.Chan); set[key] {
+		w.pass.Reportf(s.Arrow, "send on %s, which some path may already have closed (a send on a closed channel panics)", key)
 	}
-	b, ok := w.pass.TypesInfo.Uses[id].(*types.Builtin)
-	if !ok || b.Name() != "close" {
-		return nil, false
-	}
-	return call.Args[0], true
 }
+
+// Join takes the union: closed on some arm is may-closed after it.
+func (w *cflow) Join(_ ast.Stmt, outs []closedSet) closedSet {
+	for _, o := range outs[1:] {
+		maps.Copy(outs[0], o)
+	}
+	return outs[0]
+}
+
+func (w *cflow) Loop(_ ast.Stmt, entry, back closedSet) closedSet {
+	maps.Copy(entry, back)
+	return entry
+}
+
+// Jump carries what the path closed before its break or continue out
+// of the loop: entry is the set the loop hands on.
+func (w *cflow) Jump(_ *ast.BranchStmt, entry, at closedSet) { maps.Copy(entry, at) }
+
+func (w *cflow) Copy(set closedSet) closedSet { return maps.Clone(set) }
 
 // loopDependent reports whether the channel expression involves an
 // identifier declared inside one of the enclosing loops (the range
 // variable, or a variable created per iteration) — in which case each
 // iteration closes a different channel and the loop close is fine.
-func (w *cwalker) loopDependent(ch ast.Expr) bool {
+func (w *cflow) loopDependent(ch ast.Expr, loops []ast.Stmt) bool {
 	dep := false
 	ast.Inspect(ch, func(n ast.Node) bool {
 		id, ok := n.(*ast.Ident)
@@ -315,7 +158,7 @@ func (w *cwalker) loopDependent(ch ast.Expr) bool {
 		if obj == nil {
 			return true
 		}
-		for _, loop := range w.loops {
+		for _, loop := range loops {
 			if obj.Pos() >= loop.Pos() && obj.Pos() <= loop.End() {
 				dep = true
 				return false
@@ -324,15 +167,6 @@ func (w *cwalker) loopDependent(ch ast.Expr) bool {
 		return true
 	})
 	return dep
-}
-
-func stripTrailingBreak(b []ast.Stmt) []ast.Stmt {
-	if n := len(b); n > 0 {
-		if br, ok := b[n-1].(*ast.BranchStmt); ok && br.Tok.String() == "break" && br.Label == nil {
-			return b[:n-1]
-		}
-	}
-	return b
 }
 
 // checkCaptures reports go/defer closures inside loops that read a

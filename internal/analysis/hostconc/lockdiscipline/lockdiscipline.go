@@ -3,8 +3,9 @@
 // stream files, vmprimd, vmload):
 //
 //   - every Lock has a matching Unlock on every control-flow path —
-//     the same symbolic engine spanbalance runs over BeginSpan/EndSpan,
-//     here one walk per distinct mutex of the function;
+//     the same package balance proof spanbalance runs over
+//     BeginSpan/EndSpan, here one walk per distinct mutex of the
+//     function;
 //   - no path re-acquires a mutex it already holds, directly or
 //     through a same-package call chain (hostconc's "acquires" fact):
 //     sync.Mutex is not reentrant, so a double acquire self-deadlocks;
@@ -17,11 +18,8 @@
 //     other goroutine that touches the same mutex, and on the serving
 //     plane that is the whole daemon.
 //
-// The walk mirrors spanbalance: per-path depth/credit counters with
-// divergence on return/panic, branch agreement across if/switch/select
-// arms, loop-body neutrality, and the defer-in-a-loop trap. Function
-// literals are walked independently — a closure's locks balance
-// against its own body. Deferred calls other than the mutex ops
+// Function literals are walked independently — a closure's locks
+// balance against its own body. Deferred calls other than the mutex ops
 // themselves are not scanned for blocking operations: whether a lock
 // is still held when a defer fires is path-dependent, and hostconc's
 // interprocedural summary already catches the caller-side version.
@@ -36,9 +34,11 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 
+	"vmprim/internal/analysis/balance"
 	"vmprim/internal/analysis/framework"
 	"vmprim/internal/analysis/hostconc"
 	"vmprim/internal/analysis/vmlib"
@@ -60,16 +60,12 @@ func run(pass *framework.Pass) (any, error) {
 			if !ok || fn.Body == nil || !hostconc.InDiagScope(pass, fn.Pos()) {
 				continue
 			}
-			checkFunc(pass, res, fn.Body)
 			// Function literals get their own independent walk: a
 			// closure's locks balance against its own body, not its
 			// lexical surroundings.
-			ast.Inspect(fn.Body, func(n ast.Node) bool {
-				if lit, ok := n.(*ast.FuncLit); ok {
-					checkFunc(pass, res, lit.Body)
-				}
-				return true
-			})
+			for _, body := range framework.Bodies(fn) {
+				checkFunc(pass, res, body)
+			}
 		}
 	}
 	return nil, nil
@@ -82,20 +78,15 @@ type lockSite struct {
 	root    string // receiver-path text, e.g. "b", for matching call receivers
 }
 
-// checkFunc runs one symbolic walk per distinct mutex the body
-// touches (lock sites inside nested literals belong to the literals'
-// own walks).
+// checkFunc runs one balance walk per distinct mutex the body touches
+// (lock sites inside nested literals belong to the literals' own
+// walks).
 func checkFunc(pass *framework.Pass, res *hostconc.Result, body *ast.BlockStmt) {
-	hasGoto := false
 	sites := map[string]lockSite{}
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
 			return false
-		case *ast.BranchStmt:
-			if n.Tok.String() == "goto" {
-				hasGoto = true
-			}
 		case *ast.CallExpr:
 			if mx, _, ok := hostconc.MutexOp(pass.TypesInfo, n); ok {
 				key := types.ExprString(mx)
@@ -107,86 +98,10 @@ func checkFunc(pass *framework.Pass, res *hostconc.Result, body *ast.BlockStmt) 
 		}
 		return true
 	})
-	if hasGoto {
-		return // a function containing goto cannot be verified structurally
+	for _, k := range slices.Sorted(maps.Keys(sites)) {
+		w := &walker{pass: pass, res: res, site: sites[k]}
+		balance.Check(pass, body, balance.Pair{Op: w.ourOp, Release: "Unlock", Message: w.message, Held: w.held})
 	}
-	keys := make([]string, 0, len(sites))
-	for k := range sites {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		w := &walker{pass: pass, res: res, site: sites[k], fix: deferFix(pass, body, k)}
-		st, diverged := w.walkStmts(body.List, state{})
-		if diverged {
-			continue
-		}
-		switch {
-		case st.depth > st.credits:
-			w.reportOpen(body.Rbrace,
-				"function ends with %s still locked (Lock without a matching Unlock)", k)
-		case st.depth < st.credits:
-			pass.Reportf(body.Rbrace,
-				"deferred Unlock of %s fires with the mutex already unlocked on this path", k)
-		}
-	}
-}
-
-// deferFix builds the "insert defer x.Unlock() after the Lock" fix
-// when the body's usage is the simple forgotten-defer shape: exactly
-// one Lock of this mutex, as a top-level statement, and no Unlock of
-// it anywhere. Anything more structured has no single right repair.
-func deferFix(pass *framework.Pass, body *ast.BlockStmt, key string) *framework.SuggestedFix {
-	locks, unlocks := 0, 0
-	var lock *ast.ExprStmt
-	ast.Inspect(body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		if call, ok := n.(*ast.CallExpr); ok {
-			if mx, acquire, ok := hostconc.MutexOp(pass.TypesInfo, call); ok && types.ExprString(mx) == key {
-				if acquire {
-					locks++
-				} else {
-					unlocks++
-				}
-			}
-		}
-		return true
-	})
-	if locks != 1 || unlocks != 0 {
-		return nil
-	}
-	for _, s := range body.List {
-		es, ok := s.(*ast.ExprStmt)
-		if !ok {
-			continue
-		}
-		call, ok := es.X.(*ast.CallExpr)
-		if !ok {
-			continue
-		}
-		if mx, acquire, ok := hostconc.MutexOp(pass.TypesInfo, call); ok && acquire && types.ExprString(mx) == key {
-			lock = es
-			break
-		}
-	}
-	if lock == nil {
-		return nil // the one Lock is nested in inner control flow
-	}
-	pos := pass.Fset.Position(lock.Pos())
-	indent := strings.Repeat("\t", pos.Column-1) // gofmt indents with tabs
-	text := "\n" + indent + "defer " + key + ".Unlock()"
-	return &framework.SuggestedFix{
-		Message:   "defer the matching Unlock",
-		TextEdits: []framework.TextEdit{{Pos: lock.End(), End: token.NoPos, NewText: []byte(text)}},
-	}
-}
-
-// state is the symbolic lock bookkeeping at one program point.
-type state struct {
-	depth   int // times this mutex is held by non-deferred Locks
-	credits int // deferred Unlocks registered so far
 }
 
 // walker carries the per-function, per-mutex check context.
@@ -194,31 +109,78 @@ type walker struct {
 	pass *framework.Pass
 	res  *hostconc.Result
 	site lockSite
-	fix  *framework.SuggestedFix
-	// loopDepth holds the entry depth of each enclosing loop, for
-	// validating break/continue.
-	loopDepth []int
-	inLoop    int
 }
 
-func (w *walker) reportOpen(pos token.Pos, format string, args ...any) {
-	d := framework.Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)}
-	if w.fix != nil {
-		d.SuggestedFixes = []framework.SuggestedFix{*w.fix}
+// message words the balance findings for this walk's mutex. A return
+// below its credits is left to the function-end wording.
+func (w *walker) message(ev balance.Event, n int) string {
+	k := w.site.key
+	switch ev {
+	case balance.Reacquire:
+		return fmt.Sprintf("Lock of %s while already held on this path (sync.Mutex is not reentrant: this self-deadlocks)", k)
+	case balance.Unmatched:
+		return fmt.Sprintf("Unlock of %s without a matching Lock on this path", k)
+	case balance.DeferInLoop:
+		return fmt.Sprintf("deferred Unlock of %s inside a loop runs at function return, not at iteration end", k)
+	case balance.ReturnOpen:
+		if n > 0 {
+			return fmt.Sprintf("return leaves %s locked on this path (Unlock is not deferred and this exit misses it)", k)
+		}
+	case balance.EndOpen:
+		if n > 0 {
+			return fmt.Sprintf("function ends with %s still locked (Lock without a matching Unlock)", k)
+		}
+		return fmt.Sprintf("deferred Unlock of %s fires with the mutex already unlocked on this path", k)
+	case balance.IfSkew:
+		return fmt.Sprintf("lock state of %s differs between the branches of this if (one side is missing a Lock or Unlock)", k)
+	case balance.CaseSkew:
+		return fmt.Sprintf("lock state of %s differs between the cases of this switch", k)
+	case balance.LoopDrift:
+		return fmt.Sprintf("loop body changes the hold depth of %s by %d per iteration", k, n)
+	case balance.JumpSkew:
+		return fmt.Sprintf("jumps with %s at a different hold depth than the enclosing loop's entry", k)
 	}
-	w.pass.Report(d)
+	return ""
 }
 
-// scanLocked audits one leaf statement (or expression) reached with
-// the mutex held: blocking operations and calls that re-acquire the
-// held mutex are reported.
-func (w *walker) scanLocked(n ast.Node, st state) {
-	if st.depth <= 0 {
+const stalls = "(a blocked holder stalls every contender; release the lock first or make the operation non-blocking)"
+
+// held audits one statement, or the head of one branching statement,
+// reached with the mutex held.
+func (w *walker) held(n ast.Node) {
+	switch n := n.(type) {
+	case *ast.IfStmt:
+		w.scanLocked(n.Cond)
+	case *ast.ForStmt:
+		w.scanLocked(n.Cond)
+	case *ast.RangeStmt:
+		if hostconc.IsChan(w.pass.TypesInfo.TypeOf(n.X)) {
+			w.pass.Reportf(n.For, "a range over channel %s while %s is held %s", types.ExprString(n.X), w.site.key, stalls)
+		}
+		w.scanLocked(n.X)
+	case *ast.SwitchStmt:
+		w.scanLocked(n.Tag)
+	case *ast.TypeSwitchStmt:
+		w.scanLocked(n.Assign)
+	case *ast.SelectStmt:
+		if !hostconc.SelectHasDefault(n) {
+			w.pass.Reportf(n.Select, "a select with no default case while %s is held %s", w.site.key, stalls)
+		}
+	default:
+		// Leaf statements — calls, assignments, declarations, sends,
+		// returns, the synchronously evaluated arguments of a go.
+		w.scanLocked(n)
+	}
+}
+
+// scanLocked reports the blocking operations in n (nil for an absent
+// condition or tag) and its calls that re-acquire the held mutex.
+func (w *walker) scanLocked(n ast.Node) {
+	if n == nil {
 		return
 	}
 	w.res.BlockOps(n, func(pos token.Pos, desc, _ string) {
-		w.pass.Reportf(pos, "%s while %s is held (a blocked holder stalls every contender; release the lock first or make the operation non-blocking)",
-			desc, w.site.key)
+		w.pass.Reportf(pos, "%s while %s is held %s", desc, w.site.key, stalls)
 	})
 	if w.site.typeKey == "" {
 		return
@@ -274,259 +236,4 @@ func (w *walker) ourOp(call *ast.CallExpr) (acquire, ok bool) {
 		return false, false
 	}
 	return acquire, true
-}
-
-// walkStmts runs the symbolic walk over a statement list, returning
-// the resulting state and whether control cannot fall off the end.
-func (w *walker) walkStmts(stmts []ast.Stmt, st state) (state, bool) {
-	for _, s := range stmts {
-		var diverged bool
-		st, diverged = w.walkStmt(s, st)
-		if diverged {
-			return st, true
-		}
-	}
-	return st, false
-}
-
-func (w *walker) walkStmt(s ast.Stmt, st state) (state, bool) {
-	switch s := s.(type) {
-	case *ast.ExprStmt:
-		if call, ok := s.X.(*ast.CallExpr); ok {
-			if acquire, ok := w.ourOp(call); ok {
-				if acquire {
-					if st.depth > 0 {
-						w.pass.Reportf(call.Pos(), "Lock of %s while already held on this path (sync.Mutex is not reentrant: this self-deadlocks)", w.site.key)
-					}
-					st.depth++
-				} else {
-					if st.depth <= 0 && st.credits <= 0 {
-						w.pass.Reportf(call.Pos(), "Unlock of %s without a matching Lock on this path", w.site.key)
-					} else {
-						st.depth--
-					}
-				}
-				return st, false
-			}
-			if vmlib.IsPanicCall(w.pass.TypesInfo, call) {
-				return st, true // the goroutine unwinds; deferred unlocks fire
-			}
-		}
-		w.scanLocked(s, st)
-		return st, false
-
-	case *ast.DeferStmt:
-		if acquire, ok := w.ourOp(s.Call); ok && !acquire {
-			if w.inLoop > 0 {
-				w.pass.Reportf(s.Pos(),
-					"deferred Unlock of %s inside a loop runs at function return, not at iteration end", w.site.key)
-				return st, false
-			}
-			st.credits++
-			return st, false
-		}
-		if lit, ok := s.Call.Fun.(*ast.FuncLit); ok {
-			// defer func() { ...Unlock()... }(): count the literal's
-			// top-level Unlocks of our mutex as credits.
-			for _, inner := range lit.Body.List {
-				if es, ok := inner.(*ast.ExprStmt); ok {
-					if call, ok := es.X.(*ast.CallExpr); ok {
-						if acquire, ok := w.ourOp(call); ok && !acquire {
-							if w.inLoop > 0 {
-								w.pass.Reportf(s.Pos(),
-									"deferred Unlock of %s inside a loop runs at function return, not at iteration end", w.site.key)
-							} else {
-								st.credits++
-							}
-						}
-					}
-				}
-			}
-		}
-		return st, false // other defers run at exit; path-dependent, not scanned
-
-	case *ast.ReturnStmt:
-		w.scanLocked(s, st)
-		if st.depth > st.credits {
-			w.reportOpen(s.Pos(),
-				"return leaves %s locked on this path (Unlock is not deferred and this exit misses it)", w.site.key)
-		}
-		return st, true
-
-	case *ast.BlockStmt:
-		return w.walkStmts(s.List, st)
-
-	case *ast.IfStmt:
-		if s.Init != nil {
-			st, _ = w.walkStmt(s.Init, st)
-		}
-		w.scanLocked(s.Cond, st)
-		thenSt, thenDiv := w.walkStmts(s.Body.List, st)
-		elseSt, elseDiv := st, false
-		if s.Else != nil {
-			elseSt, elseDiv = w.walkStmt(s.Else, st)
-		}
-		switch {
-		case thenDiv && elseDiv:
-			return st, true
-		case thenDiv:
-			return elseSt, false
-		case elseDiv:
-			return thenSt, false
-		default:
-			if thenSt != elseSt {
-				w.pass.Reportf(s.Pos(),
-					"lock state of %s differs between the branches of this if (one side is missing a Lock or Unlock)", w.site.key)
-			}
-			return thenSt, false
-		}
-
-	case *ast.ForStmt:
-		if s.Init != nil {
-			st, _ = w.walkStmt(s.Init, st)
-		}
-		w.scanLocked(s.Cond, st)
-		w.pushLoop(st)
-		bodySt, _ := w.walkStmts(s.Body.List, st)
-		w.popLoop()
-		if bodySt.depth != st.depth {
-			w.pass.Reportf(s.Pos(),
-				"loop body changes the hold depth of %s by %d per iteration", w.site.key, bodySt.depth-st.depth)
-		}
-		return st, false
-
-	case *ast.RangeStmt:
-		if st.depth > 0 && hostconc.IsChan(w.pass.TypesInfo.TypeOf(s.X)) {
-			w.pass.Reportf(s.For, "a range over channel %s while %s is held (a blocked holder stalls every contender; release the lock first or make the operation non-blocking)",
-				types.ExprString(s.X), w.site.key)
-		}
-		w.scanLocked(s.X, st)
-		w.pushLoop(st)
-		bodySt, _ := w.walkStmts(s.Body.List, st)
-		w.popLoop()
-		if bodySt.depth != st.depth {
-			w.pass.Reportf(s.Pos(),
-				"loop body changes the hold depth of %s by %d per iteration", w.site.key, bodySt.depth-st.depth)
-		}
-		return st, false
-
-	case *ast.BranchStmt:
-		// break/continue jump to code expecting the loop's entry
-		// depth. (goto was excluded up front.)
-		if n := len(w.loopDepth); n > 0 && st.depth != w.loopDepth[n-1] {
-			w.pass.Reportf(s.Pos(),
-				"%s jumps with %s at a different hold depth than the enclosing loop's entry", s.Tok, w.site.key)
-		}
-		return st, true
-
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			st, _ = w.walkStmt(s.Init, st)
-		}
-		if s.Tag != nil {
-			w.scanLocked(s.Tag, st)
-		}
-		return w.walkCases(s.Pos(), st, caseBodies(s.Body), hasDefaultClause(s.Body))
-
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			st, _ = w.walkStmt(s.Init, st)
-		}
-		return w.walkCases(s.Pos(), st, caseBodies(s.Body), hasDefaultClause(s.Body))
-
-	case *ast.SelectStmt:
-		if st.depth > 0 && !hostconc.SelectHasDefault(s) {
-			w.pass.Reportf(s.Select,
-				"a select with no default case while %s is held (a blocked holder stalls every contender; release the lock first or make the operation non-blocking)", w.site.key)
-		}
-		var bodies [][]ast.Stmt
-		for _, c := range s.Body.List {
-			bodies = append(bodies, c.(*ast.CommClause).Body)
-		}
-		// A select blocks until a case runs: there is no implicit
-		// fall-through path, so treat like a switch with a default.
-		return w.walkCases(s.Pos(), st, bodies, true)
-
-	case *ast.LabeledStmt:
-		return w.walkStmt(s.Stmt, st)
-
-	case *ast.GoStmt:
-		w.scanLocked(s, st) // argument expressions evaluate synchronously
-		return st, false
-
-	default:
-		// Leaf statements — assignments, declarations, sends,
-		// increments: scan them for blocking operations under the lock.
-		w.scanLocked(s, st)
-		return st, false
-	}
-}
-
-// walkCases applies the branch-agreement rule to switch/select case
-// bodies, exactly as spanbalance does.
-func (w *walker) walkCases(pos token.Pos, st state, bodies [][]ast.Stmt, hasDefault bool) (state, bool) {
-	outs := make([]state, 0, len(bodies)+1)
-	allDiverge := len(bodies) > 0
-	for _, b := range bodies {
-		out, div := w.walkStmts(stripTrailingBreak(b), st)
-		if !div {
-			outs = append(outs, out)
-			allDiverge = false
-		}
-	}
-	if !hasDefault {
-		outs = append(outs, st)
-		allDiverge = false
-	}
-	for i := 1; i < len(outs); i++ {
-		if outs[i] != outs[0] {
-			w.pass.Reportf(pos,
-				"lock state of %s differs between the cases of this switch", w.site.key)
-			break
-		}
-	}
-	if allDiverge {
-		return st, true
-	}
-	if len(outs) > 0 {
-		return outs[0], false
-	}
-	return st, false
-}
-
-func caseBodies(body *ast.BlockStmt) [][]ast.Stmt {
-	var out [][]ast.Stmt
-	for _, c := range body.List {
-		out = append(out, c.(*ast.CaseClause).Body)
-	}
-	return out
-}
-
-func hasDefaultClause(body *ast.BlockStmt) bool {
-	for _, c := range body.List {
-		if cc, ok := c.(*ast.CaseClause); ok && cc.List == nil {
-			return true
-		}
-	}
-	return false
-}
-
-// stripTrailingBreak drops a bare trailing break from a case body.
-func stripTrailingBreak(b []ast.Stmt) []ast.Stmt {
-	if n := len(b); n > 0 {
-		if br, ok := b[n-1].(*ast.BranchStmt); ok && br.Tok.String() == "break" && br.Label == nil {
-			return b[:n-1]
-		}
-	}
-	return b
-}
-
-func (w *walker) pushLoop(st state) {
-	w.loopDepth = append(w.loopDepth, st.depth)
-	w.inLoop++
-}
-
-func (w *walker) popLoop() {
-	w.loopDepth = w.loopDepth[:len(w.loopDepth)-1]
-	w.inLoop--
 }

@@ -505,12 +505,10 @@ func callDischarges(info *types.Info, call *ast.CallExpr, arg ast.Node, sinks *s
 	if vmlib.IsProcMethod(info, call, "Recycle", "Capture") {
 		return true
 	}
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if b, ok := info.Uses[id].(*types.Builtin); ok && b.Name() == "append" {
-			for i, a := range call.Args {
-				if a == arg {
-					return i > 0 && call.Ellipsis == 0
-				}
+	if vmlib.IsBuiltinCall(info, call, "append") {
+		for i, a := range call.Args {
+			if a == arg {
+				return i > 0 && call.Ellipsis == 0
 			}
 		}
 	}

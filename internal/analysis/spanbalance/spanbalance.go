@@ -4,22 +4,10 @@
 // run" panics that otherwise fire only when a profiled run happens to
 // take the broken path.
 //
-// The proof is a symbolic walk of each function body tracking two
-// counters: the number of spans opened by non-deferred BeginSpan calls
-// (depth) and the number of deferred EndSpan calls registered so far
-// (credits). The rules:
-//
-//   - at every return, and at the end of a function that can fall off,
-//     depth must equal credits — the deferred ends close exactly the
-//     spans still open;
-//   - the two arms of an if (and all non-terminating cases of a
-//     switch or select) must agree on both counters, since the
-//     following code cannot know which arm ran;
-//   - a loop body must be neutral: net depth change zero, and no
-//     deferred EndSpan inside the loop (a defer in a loop runs at
-//     function return, not at iteration end — the classic bug);
-//   - break and continue must occur at the loop's entry depth,
-//     because they jump to code that assumes it.
+// The proof is package balance's all-paths depth/credit walk with
+// BeginSpan as the acquire and EndSpan as the release; its rules (exits,
+// branch agreement, loop neutrality, jumps, the defer-in-a-loop trap)
+// are documented there.
 //
 // Functions containing goto are skipped (the walk cannot follow
 // arbitrary jumps), as are the one-line BeginSpan/EndSpan forwarding
@@ -35,8 +23,8 @@ package spanbalance
 import (
 	"fmt"
 	"go/ast"
-	"go/token"
 
+	"vmprim/internal/analysis/balance"
 	"vmprim/internal/analysis/framework"
 	"vmprim/internal/analysis/vmlib"
 )
@@ -63,391 +51,45 @@ func run(pass *framework.Pass) (any, error) {
 			if fn.Name.Name == "BeginSpan" || fn.Name.Name == "EndSpan" {
 				continue
 			}
-			checkFunc(pass, fn.Body)
 			// Function literals get their own independent walk: a
 			// closure's spans balance against its own body, not its
 			// lexical surroundings.
-			ast.Inspect(fn.Body, func(n ast.Node) bool {
-				if lit, ok := n.(*ast.FuncLit); ok {
-					checkFunc(pass, lit.Body)
-				}
-				return true
-			})
+			for _, body := range framework.Bodies(fn) {
+				checkFunc(pass, body)
+			}
 		}
 	}
 	return nil, nil
 }
 
-// deferFix builds the "insert defer x.EndSpan() after the BeginSpan"
-// fix when the body's span usage is the simple forgotten-defer shape:
-// exactly one BeginSpan, as a top-level statement of the body, and no
-// EndSpan anywhere (inline or deferred). Anything more structured has
-// no single right repair, and the fix stays nil.
-func deferFix(pass *framework.Pass, body *ast.BlockStmt) *framework.SuggestedFix {
-	begins, ends := 0, 0
-	var begin *ast.ExprStmt
-	ast.Inspect(body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		if call, ok := n.(*ast.CallExpr); ok {
-			if isBegin, ok := vmlib.IsSpanCall(pass.TypesInfo, call); ok {
-				if isBegin {
-					begins++
-				} else {
-					ends++
-				}
-			}
-		}
-		return true
-	})
-	if begins != 1 || ends != 0 {
-		return nil
-	}
-	for _, s := range body.List {
-		es, ok := s.(*ast.ExprStmt)
-		if !ok {
-			continue
-		}
-		call, ok := es.X.(*ast.CallExpr)
-		if !ok {
-			continue
-		}
-		if isBegin, ok := vmlib.IsSpanCall(pass.TypesInfo, call); ok && isBegin {
-			begin = es
-			break
-		}
-	}
-	if begin == nil {
-		return nil // the one BeginSpan is nested in inner control flow
-	}
-	sel, ok := ast.Unparen(begin.X.(*ast.CallExpr).Fun).(*ast.SelectorExpr)
-	if !ok {
-		return nil
-	}
-	recv, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	pos := pass.Fset.Position(begin.Pos())
-	indent := ""
-	for i := 1; i < pos.Column; i++ {
-		indent += "\t" // gofmt indents with tabs; a fixed file must stay gofmt-clean
-	}
-	text := "\n" + indent + "defer " + recv.Name + ".EndSpan()"
-	return &framework.SuggestedFix{
-		Message:   "defer the matching EndSpan",
-		TextEdits: []framework.TextEdit{{Pos: begin.End(), End: token.NoPos, NewText: []byte(text)}},
-	}
-}
-
-// state is the symbolic span bookkeeping at one program point.
-type state struct {
-	depth   int // spans opened and not yet closed by inline EndSpan
-	credits int // deferred EndSpan calls registered so far
-}
-
-// walker carries the per-function check context.
-type walker struct {
-	pass *framework.Pass
-	// fix, when non-nil, is the defer-EndSpan repair attached to this
-	// function's unbalanced-exit diagnostics.
-	fix *framework.SuggestedFix
-	// loopDepth holds the entry depth of each enclosing loop, for
-	// validating break/continue.
-	loopDepth []int
-	inLoop    int
-	bailed    bool // goto seen: abandon the function silently
-}
-
-// reportOpen emits an unbalanced-exit diagnostic, carrying the
-// function's defer-EndSpan fix when one applies.
-func (w *walker) reportOpen(pos token.Pos, format string, args ...any) {
-	d := framework.Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)}
-	if w.fix != nil {
-		d.SuggestedFixes = []framework.SuggestedFix{*w.fix}
-	}
-	w.pass.Report(d)
-}
-
 func checkFunc(pass *framework.Pass, body *ast.BlockStmt) {
-	// A function containing goto cannot be verified structurally.
-	hasGoto := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false // literals are checked separately
-		}
-		if b, ok := n.(*ast.BranchStmt); ok && b.Tok.String() == "goto" {
-			hasGoto = true
-		}
-		return true
+	balance.Check(pass, body, balance.Pair{
+		Op:      func(call *ast.CallExpr) (bool, bool) { return vmlib.IsSpanCall(pass.TypesInfo, call) },
+		Release: "EndSpan",
+		Message: message,
 	})
-	if hasGoto {
-		return
-	}
-	w := &walker{pass: pass, fix: deferFix(pass, body)}
-	st, diverged := w.walkStmts(body.List, state{})
-	if w.bailed || diverged {
-		return
-	}
-	if st.depth != st.credits {
-		w.reportOpen(body.Rbrace,
-			"function ends with %d span(s) still open (BeginSpan without matching EndSpan)",
-			st.depth-st.credits)
-	}
 }
 
-// walkStmts runs the symbolic walk over a statement list, returning
-// the resulting state and whether control cannot fall off the end.
-func (w *walker) walkStmts(stmts []ast.Stmt, st state) (state, bool) {
-	for _, s := range stmts {
-		var diverged bool
-		st, diverged = w.walkStmt(s, st)
-		if w.bailed {
-			return st, false
-		}
-		if diverged {
-			return st, true
-		}
+// message words the balance findings. Spans nest, so a BeginSpan with
+// one already open is not a finding.
+func message(ev balance.Event, n int) string {
+	switch ev {
+	case balance.Unmatched:
+		return "EndSpan without an open span on this path"
+	case balance.DeferInLoop:
+		return "deferred EndSpan inside a loop runs at function return, not at iteration end"
+	case balance.ReturnOpen:
+		return fmt.Sprintf("return leaves %d span(s) open on this path (EndSpan is not deferred and this exit misses it)", n)
+	case balance.EndOpen:
+		return fmt.Sprintf("function ends with %d span(s) still open (BeginSpan without matching EndSpan)", n)
+	case balance.IfSkew:
+		return "span depth differs between the branches of this if (one side is missing a BeginSpan or EndSpan)"
+	case balance.CaseSkew:
+		return "span depth differs between the cases of this switch"
+	case balance.LoopDrift:
+		return fmt.Sprintf("loop body changes open-span depth by %d per iteration", n)
+	case balance.JumpSkew:
+		return fmt.Sprintf("leaves %d span(s) open relative to the enclosing loop", n)
 	}
-	return st, false
-}
-
-func (w *walker) walkStmt(s ast.Stmt, st state) (state, bool) {
-	switch s := s.(type) {
-	case *ast.ExprStmt:
-		if call, ok := s.X.(*ast.CallExpr); ok {
-			if begin, ok := vmlib.IsSpanCall(w.pass.TypesInfo, call); ok {
-				if begin {
-					st.depth++
-				} else {
-					if st.depth <= 0 {
-						w.pass.Reportf(call.Pos(), "EndSpan without an open span on this path")
-					} else {
-						st.depth--
-					}
-				}
-				return st, false
-			}
-			if vmlib.IsPanicCall(w.pass.TypesInfo, call) {
-				return st, true // run aborts; open spans are moot
-			}
-		}
-		return st, false
-
-	case *ast.DeferStmt:
-		if _, ok := vmlib.IsSpanCall(w.pass.TypesInfo, s.Call); ok {
-			if begin, _ := vmlib.IsSpanCall(w.pass.TypesInfo, s.Call); !begin {
-				if w.inLoop > 0 {
-					w.pass.Reportf(s.Pos(),
-						"deferred EndSpan inside a loop runs at function return, not at iteration end")
-					return st, false
-				}
-				st.credits++
-			}
-		} else if lit, ok := s.Call.Fun.(*ast.FuncLit); ok {
-			// defer func() { ...EndSpan()... }(): count the literal's
-			// top-level EndSpan calls as credits.
-			for _, inner := range lit.Body.List {
-				if es, ok := inner.(*ast.ExprStmt); ok {
-					if call, ok := es.X.(*ast.CallExpr); ok {
-						if begin, ok := vmlib.IsSpanCall(w.pass.TypesInfo, call); ok && !begin {
-							if w.inLoop > 0 {
-								w.pass.Reportf(s.Pos(),
-									"deferred EndSpan inside a loop runs at function return, not at iteration end")
-							} else {
-								st.credits++
-							}
-						}
-					}
-				}
-			}
-		}
-		return st, false
-
-	case *ast.ReturnStmt:
-		if st.depth != st.credits {
-			w.reportOpen(s.Pos(),
-				"return leaves %d span(s) open on this path (EndSpan is not deferred and this exit misses it)",
-				st.depth-st.credits)
-		}
-		return st, true
-
-	case *ast.BlockStmt:
-		return w.walkStmts(s.List, st)
-
-	case *ast.IfStmt:
-		if s.Init != nil {
-			st, _ = w.walkStmt(s.Init, st)
-		}
-		thenSt, thenDiv := w.walkStmts(s.Body.List, st)
-		elseSt, elseDiv := st, false
-		if s.Else != nil {
-			elseSt, elseDiv = w.walkStmt(s.Else, st)
-		}
-		if w.bailed {
-			return st, false
-		}
-		switch {
-		case thenDiv && elseDiv:
-			return st, true
-		case thenDiv:
-			return elseSt, false
-		case elseDiv:
-			return thenSt, false
-		default:
-			if thenSt != elseSt {
-				w.pass.Reportf(s.Pos(),
-					"span depth differs between the branches of this if (one side is missing a BeginSpan or EndSpan)")
-			}
-			return thenSt, false
-		}
-
-	case *ast.ForStmt:
-		if s.Init != nil {
-			st, _ = w.walkStmt(s.Init, st)
-		}
-		w.pushLoop(st)
-		bodySt, _ := w.walkStmts(s.Body.List, st)
-		w.popLoop()
-		if w.bailed {
-			return st, false
-		}
-		if bodySt.depth != st.depth {
-			w.pass.Reportf(s.Pos(),
-				"loop body changes open-span depth by %d per iteration", bodySt.depth-st.depth)
-		}
-		return st, false
-
-	case *ast.RangeStmt:
-		w.pushLoop(st)
-		bodySt, _ := w.walkStmts(s.Body.List, st)
-		w.popLoop()
-		if w.bailed {
-			return st, false
-		}
-		if bodySt.depth != st.depth {
-			w.pass.Reportf(s.Pos(),
-				"loop body changes open-span depth by %d per iteration", bodySt.depth-st.depth)
-		}
-		return st, false
-
-	case *ast.BranchStmt:
-		// break/continue jump to code expecting the loop's entry
-		// depth. (goto was excluded up front.)
-		if n := len(w.loopDepth); n > 0 && st.depth != w.loopDepth[n-1] {
-			w.pass.Reportf(s.Pos(),
-				"%s leaves %d span(s) open relative to the enclosing loop", s.Tok, st.depth-w.loopDepth[n-1])
-		}
-		return st, true
-
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			st, _ = w.walkStmt(s.Init, st)
-		}
-		return w.walkCases(s.Pos(), st, caseBodies(s.Body), hasDefaultClause(s.Body))
-
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			st, _ = w.walkStmt(s.Init, st)
-		}
-		return w.walkCases(s.Pos(), st, caseBodies(s.Body), hasDefaultClause(s.Body))
-
-	case *ast.SelectStmt:
-		var bodies [][]ast.Stmt
-		for _, c := range s.Body.List {
-			bodies = append(bodies, c.(*ast.CommClause).Body)
-		}
-		// A select without default blocks until a case runs, so there
-		// is no implicit fall-through path; treat like a switch with a
-		// default.
-		return w.walkCases(s.Pos(), st, bodies, true)
-
-	case *ast.LabeledStmt:
-		return w.walkStmt(s.Stmt, st)
-
-	case *ast.GoStmt:
-		return st, false // runs on another goroutine's span stack
-
-	default:
-		return st, false
-	}
-}
-
-// walkCases applies the branch-agreement rule to switch/select case
-// bodies. Cases are checked independently from the incoming state; a
-// switch without a default keeps the fall-through path, which must
-// agree with every case.
-func (w *walker) walkCases(pos token.Pos, st state, bodies [][]ast.Stmt, hasDefault bool) (state, bool) {
-	outs := make([]state, 0, len(bodies)+1)
-	allDiverge := len(bodies) > 0
-	for _, b := range bodies {
-		// "break" at case top level terminates the case, not a loop;
-		// the symbolic walk treats it as divergence at the current
-		// state, which walkStmt's loop check would misjudge. Strip the
-		// trailing break, the only form that appears in this tree.
-		out, div := w.walkStmts(stripTrailingBreak(b), st)
-		if w.bailed {
-			return st, false
-		}
-		if !div {
-			outs = append(outs, out)
-			allDiverge = false
-		}
-	}
-	if !hasDefault {
-		outs = append(outs, st)
-		allDiverge = false
-	}
-	for i := 1; i < len(outs); i++ {
-		if outs[i] != outs[0] {
-			w.pass.Reportf(pos,
-				"span depth differs between the cases of this switch")
-			break
-		}
-	}
-	if allDiverge {
-		return st, true
-	}
-	if len(outs) > 0 {
-		return outs[0], false
-	}
-	return st, false
-}
-
-func caseBodies(body *ast.BlockStmt) [][]ast.Stmt {
-	var out [][]ast.Stmt
-	for _, c := range body.List {
-		out = append(out, c.(*ast.CaseClause).Body)
-	}
-	return out
-}
-
-func hasDefaultClause(body *ast.BlockStmt) bool {
-	for _, c := range body.List {
-		if cc, ok := c.(*ast.CaseClause); ok && cc.List == nil {
-			return true
-		}
-	}
-	return false
-}
-
-// stripTrailingBreak drops a bare trailing break from a case body.
-func stripTrailingBreak(b []ast.Stmt) []ast.Stmt {
-	if n := len(b); n > 0 {
-		if br, ok := b[n-1].(*ast.BranchStmt); ok && br.Tok.String() == "break" && br.Label == nil {
-			return b[:n-1]
-		}
-	}
-	return b
-}
-
-func (w *walker) pushLoop(st state) {
-	w.loopDepth = append(w.loopDepth, st.depth)
-	w.inLoop++
-}
-
-func (w *walker) popLoop() {
-	w.loopDepth = w.loopDepth[:len(w.loopDepth)-1]
-	w.inLoop--
+	return ""
 }

@@ -83,14 +83,7 @@ func checkFunc(pass *framework.Pass, fn *ast.FuncDecl, summary *collectives.Resu
 	// host code, so divergence is judged per scope, never across a
 	// closure boundary.
 	reported := make(map[token.Pos]bool)
-	scopes := []*ast.BlockStmt{fn.Body}
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		if lit, ok := n.(*ast.FuncLit); ok {
-			scopes = append(scopes, lit.Body)
-		}
-		return true
-	})
-	for _, scope := range scopes {
+	for _, scope := range framework.Bodies(fn) {
 		checkScope(pass, scope, summary.IsCollectiveCall, exprTainted, reported)
 	}
 }

@@ -243,12 +243,13 @@ func IsSpanCall(info *types.Info, call *ast.CallExpr) (begin, ok bool) {
 	return false, false
 }
 
-// IsPanicCall reports whether call invokes the builtin panic.
-func IsPanicCall(info *types.Info, call *ast.CallExpr) bool {
+// IsBuiltinCall reports whether call invokes the named builtin (panic,
+// close, …) and not a function or method that shadows it.
+func IsBuiltinCall(info *types.Info, call *ast.CallExpr, name string) bool {
 	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
 	if !ok {
 		return false
 	}
 	b, ok := info.Uses[id].(*types.Builtin)
-	return ok && b.Name() == "panic"
+	return ok && b.Name() == name
 }

@@ -74,10 +74,12 @@ func (s *Server) execute(run *Run) {
 	s.finishRun(run, res, runMetrics, pm, err)
 }
 
-// finishRun publishes the terminal state, folds the run's metrics into
-// the server-wide aggregate and applies retention to the backlog.
+// finishRun folds the run's metrics into the server-wide aggregate,
+// applies retention to the backlog and then publishes the terminal
+// state. Completion comes last: it wakes /wait and the SSE readers, and
+// a client acting on that must find the counters, the aggregate and the
+// evictions already in place.
 func (s *Server) finishRun(run *Run, res *bench.ProfileResult, runMetrics *metrics.Snapshot, pm *flightrec.Report, err error) {
-	run.complete(res, runMetrics, pm, err)
 	if err != nil {
 		s.met.runsFailed.Add(1)
 	} else {
@@ -94,4 +96,5 @@ func (s *Server) finishRun(run *Run, res *bench.ProfileResult, runMetrics *metri
 	if n := s.reg.markFinished(run.ID); n > 0 {
 		s.met.runsEvicted.Add(int64(n))
 	}
+	run.complete(res, runMetrics, pm, err)
 }

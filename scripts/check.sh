@@ -44,10 +44,13 @@ go build ./...
 # drive; this sees every function the compiler does.
 ./scripts/allocgate.sh
 
-# vmlint: the repo's own analyzers (SPMD symmetry, span balance,
-# buffer ownership, determinism). Build the tool once, then lint
-# before spending time on tests — a lint finding is file:line:col
-# actionable, a deadlocked test run is a 30s watchdog timeout.
+# vmlint: the repo's own ten analyzers — buffer ownership
+# (recyclecheck), span balance, SPMD symmetry, collective order,
+# simulated determinism, commverify, and the host-concurrency four
+# (hostconc, lockdiscipline, goroutinelife, chanprotocol). Build the
+# tool once, then lint before spending time on tests — a lint finding
+# is file:line:col actionable, a deadlocked test run is a 30s watchdog
+# timeout.
 vmlint_bin=$(mktemp)
 go build -o "$vmlint_bin" ./cmd/vmlint
 "$vmlint_bin" ./... || { rm -f "$vmlint_bin"; echo "vmlint failed" >&2; exit 1; }
@@ -92,6 +95,11 @@ go test -race -run 'Profile|Span|Congestion|LinkVolumes' ./internal/hypercube/ .
 # same code dynamically. (./internal/... above already covers serve
 # and metrics; this line pins the contract and adds cmd/vmload.)
 go test -race ./internal/serve/ ./internal/metrics/ ./cmd/vmload/
+# Completion ordering: finishRun must finish its bookkeeping (counters,
+# aggregate, retention) before it wakes /wait. These two tests act on
+# the wake-up at once and caught the reverse order in only 1-14% of
+# runs, so repeat them.
+go test -race -count=20 -run 'RunRetentionEviction|MetricsScrape' ./internal/serve/
 
 # End-to-end profiled run: the JSON profile on stdout must parse, and
 # the Chrome trace written next to it must parse, or the exporters
