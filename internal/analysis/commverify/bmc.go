@@ -78,25 +78,25 @@ type verdict struct {
 type frame map[string]int64
 
 func eval(e *expr, fr frame, id, d int64) (int64, error) {
-	switch e.kind {
+	switch e.Kind {
 	case eConst:
-		return e.val, nil
+		return e.Val, nil
 	case eID:
 		return id, nil
 	case eDim:
 		return d, nil
 	case eVar:
-		v, ok := fr[e.name]
+		v, ok := fr[e.Name]
 		if !ok {
-			return 0, fmt.Errorf("unbound variable %s", e.name)
+			return 0, fmt.Errorf("unbound variable %s", e.Name)
 		}
 		return v, nil
 	case eUnary:
-		x, err := eval(e.x, fr, id, d)
+		x, err := eval(e.X, fr, id, d)
 		if err != nil {
 			return 0, err
 		}
-		switch e.tok {
+		switch e.Tok {
 		case token.SUB:
 			return -x, nil
 		case token.XOR:
@@ -109,11 +109,11 @@ func eval(e *expr, fr frame, id, d int64) (int64, error) {
 		}
 		return 0, fmt.Errorf("bad unary op")
 	case eBinary:
-		x, err := eval(e.x, fr, id, d)
+		x, err := eval(e.X, fr, id, d)
 		if err != nil {
 			return 0, err
 		}
-		y, err := eval(e.y, fr, id, d)
+		y, err := eval(e.Y, fr, id, d)
 		if err != nil {
 			return 0, err
 		}
@@ -123,7 +123,7 @@ func eval(e *expr, fr frame, id, d int64) (int64, error) {
 			}
 			return 0
 		}
-		switch e.tok {
+		switch e.Tok {
 		case token.ADD:
 			return x + y, nil
 		case token.SUB:
@@ -152,7 +152,7 @@ func eval(e *expr, fr frame, id, d int64) (int64, error) {
 			if y < 0 || y > 62 {
 				return 0, fmt.Errorf("shift out of range")
 			}
-			if e.tok == token.SHL {
+			if e.Tok == token.SHL {
 				return x << uint(y), nil
 			}
 			return x >> uint(y), nil
@@ -198,55 +198,55 @@ func (u *unroller) exec(body []stmt, fr frame) (returned bool, err error) {
 				return true, nil // stop unrolling past a certain panic
 			}
 		case *ifStmt:
-			c, err := eval(s.cond, fr, u.id, u.d)
+			c, err := eval(s.Cond, fr, u.id, u.d)
 			if err != nil {
 				return false, err
 			}
-			arm := s.els
+			arm := s.Els
 			if c != 0 {
-				arm = s.then
+				arm = s.Then
 			}
 			ret, err := u.exec(arm, fr)
 			if ret || err != nil {
 				return ret, err
 			}
 		case *forStmt:
-			from, err := eval(s.from, fr, u.id, u.d)
+			from, err := eval(s.From, fr, u.id, u.d)
 			if err != nil {
 				return false, err
 			}
-			to, err := eval(s.to, fr, u.id, u.d)
+			to, err := eval(s.To, fr, u.id, u.d)
 			if err != nil {
 				return false, err
 			}
-			if s.incl {
+			if s.Incl {
 				to++
 			}
 			if to-from > maxIter {
 				return false, fmt.Errorf("loop bound too large")
 			}
 			for i := from; i < to; i++ {
-				fr[s.v] = i
-				ret, err := u.exec(s.body, fr)
+				fr[s.V] = i
+				ret, err := u.exec(s.Body, fr)
 				if ret || err != nil {
-					delete(fr, s.v)
+					delete(fr, s.V)
 					return ret, err
 				}
 			}
-			delete(fr, s.v)
+			delete(fr, s.V)
 		case *retStmt:
 			return true, nil
 		case *callStmt:
-			inner := make(frame, len(s.args))
-			for i, a := range s.args {
+			inner := make(frame, len(s.Args))
+			for i, a := range s.Args {
 				v, err := eval(a, fr, u.id, u.d)
 				if err != nil {
 					return false, err
 				}
-				inner[s.callee.params[i]] = v
+				inner[s.Callee.Params[i]] = v
 			}
 			// A return inside the callee terminates the callee only.
-			if _, err := u.exec(s.callee.body, inner); err != nil {
+			if _, err := u.exec(s.Callee.Body, inner); err != nil {
 				return false, err
 			}
 			if u.bad != nil {
@@ -262,33 +262,33 @@ func (u *unroller) op(s *opStmt, fr frame) error {
 		return fmt.Errorf("op budget exceeded")
 	}
 	evalAt := func(e *expr) (int64, error) { return eval(e, fr, u.id, u.d) }
-	switch s.kind {
+	switch s.Kind {
 	case opSend, opRecv, opExchange:
-		dim, err := evalAt(s.dim)
+		dim, err := evalAt(s.Dim)
 		if err != nil {
 			return err
 		}
 		if dim < 0 || dim >= u.d {
 			return errSkipDim
 		}
-		tag, err := evalAt(s.tag)
+		tag, err := evalAt(s.Tag)
 		if err != nil {
 			return err
 		}
-		if s.kind != opRecv {
-			u.ops = append(u.ops, cop{kind: cSend, dim: dim, tag: tag, pos: s.pos})
+		if s.Kind != opRecv {
+			u.ops = append(u.ops, cop{kind: cSend, dim: dim, tag: tag, pos: s.Pos})
 		}
-		if s.kind != opSend {
-			u.ops = append(u.ops, cop{kind: cRecv, dim: dim, tag: tag, pos: s.pos})
+		if s.Kind != opSend {
+			u.ops = append(u.ops, cop{kind: cRecv, dim: dim, tag: tag, pos: s.Pos})
 		}
 	case opExchangeAll:
-		tag, err := evalAt(s.tag)
+		tag, err := evalAt(s.Tag)
 		if err != nil {
 			return err
 		}
-		seen := make(map[int64]bool, len(s.dims))
+		seen := make(map[int64]bool, len(s.Dims))
 		var dims []int64
-		for _, de := range s.dims {
+		for _, de := range s.Dims {
 			dim, err := evalAt(de)
 			if err != nil {
 				return err
@@ -297,7 +297,7 @@ func (u *unroller) op(s *opStmt, fr frame) error {
 				return errSkipDim
 			}
 			if seen[dim] {
-				u.bad = &verdict{pos: s.pos, msg: fmt.Sprintf(
+				u.bad = &verdict{pos: s.Pos, msg: fmt.Sprintf(
 					"ExchangeAll dimension list contains dim %d twice for p%d on the d=%d cube: the runtime panics on duplicate dimensions",
 					dim, u.id, u.d)}
 				return nil
@@ -306,13 +306,13 @@ func (u *unroller) op(s *opStmt, fr frame) error {
 			dims = append(dims, dim)
 		}
 		for _, dim := range dims {
-			u.ops = append(u.ops, cop{kind: cSend, dim: dim, tag: tag, pos: s.pos})
+			u.ops = append(u.ops, cop{kind: cSend, dim: dim, tag: tag, pos: s.Pos})
 		}
 		for _, dim := range dims {
-			u.ops = append(u.ops, cop{kind: cRecv, dim: dim, tag: tag, pos: s.pos})
+			u.ops = append(u.ops, cop{kind: cRecv, dim: dim, tag: tag, pos: s.Pos})
 		}
 	case opColl:
-		mask, err := evalAt(s.mask)
+		mask, err := evalAt(s.Mask)
 		if err != nil {
 			return err
 		}
@@ -320,15 +320,15 @@ func (u *unroller) op(s *opStmt, fr frame) error {
 		if mask&^full != 0 || mask < 0 {
 			return errSkipDim
 		}
-		tag, err := evalAt(s.tag)
+		tag, err := evalAt(s.Tag)
 		if err != nil {
 			return err
 		}
-		root, err := evalAt(s.root)
+		root, err := evalAt(s.Root)
 		if err != nil {
 			return err
 		}
-		u.ops = append(u.ops, cop{kind: cColl, name: s.name, mask: mask, tag: tag, root: root, pos: s.pos})
+		u.ops = append(u.ops, cop{kind: cColl, name: s.Name, mask: mask, tag: tag, root: root, pos: s.Pos})
 	}
 	return nil
 }
@@ -346,7 +346,7 @@ type message struct {
 // first — the minimal counterexample. A nil result means every
 // checkable instantiation ran to completion with drained links.
 func boundedCheck(proto *protocol) *verdict {
-	if len(proto.params) != 0 {
+	if len(proto.Params) != 0 {
 		return nil // open protocol: checked at its call sites, inlined
 	}
 	for d := int64(1); d <= maxDim; d++ {
@@ -355,7 +355,7 @@ func boundedCheck(proto *protocol) *verdict {
 		skip := false
 		for id := 0; id < n && !skip; id++ {
 			u := &unroller{id: int64(id), d: d}
-			_, err := u.exec(proto.body, make(frame))
+			_, err := u.exec(proto.Body, make(frame))
 			switch {
 			case err == errSkipDim:
 				skip = true

@@ -32,6 +32,7 @@
 package commverify
 
 import (
+	"encoding/gob"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -51,15 +52,31 @@ var Analyzer = &framework.Analyzer{
 	Run:       run,
 }
 
-// Fact is one package's exported protocol summary: the marshalled
-// protocol of every exported communicating function, plus the names
-// of exported functions that communicate in ways the IR cannot
-// express. The fact is exported even when both lists are empty — its
-// presence tells importers "this package was analyzed, anything not
-// listed is communication-free", which is what lets cross-package
-// calls to plain helpers stay verifiable.
+// The framework registers Fact itself; gob also has to know the
+// concrete types behind the stmt interface inside it.
+func init() {
+	gob.Register(&opStmt{})
+	gob.Register(&ifStmt{})
+	gob.Register(&forStmt{})
+	gob.Register(&retStmt{})
+	gob.Register(&callStmt{})
+}
+
+// Fact is one package's exported protocol summary: the protocol IR of
+// every exported communicating function, plus the names of exported
+// functions that communicate in ways the IR cannot express. The fact
+// is exported even when both lists are empty — its presence tells
+// importers "this package was analyzed, anything not listed is
+// communication-free", which is what lets cross-package calls to
+// plain helpers stay verifiable.
+//
+// A summary is closed: callees hang inline off their callStmt
+// (recursive protocols are opaque long before this point), so it
+// never references another fact. Its positions are the exporter's and
+// mean nothing to an importer, which takes its own copy with
+// protocol.at.
 type Fact struct {
-	Protocols map[string]string
+	Protocols map[string]*protocol
 	Opaque    []string
 }
 
@@ -112,7 +129,7 @@ func run(pass *framework.Pass) (any, error) {
 			} else if p, err := x.extractFunc(fn.Type, fn.Body); err == nil {
 				proto = p
 			}
-			if proto != nil && proto.comm {
+			if proto != nil && proto.Comm {
 				report(boundedCheck(proto))
 			}
 			// Every function literal underneath is its own SPMD scope.
@@ -121,7 +138,7 @@ func run(pass *framework.Pass) (any, error) {
 				if !ok {
 					return true
 				}
-				if p, err := x.extractFunc(lit.Type, lit.Body); err == nil && p.comm {
+				if p, err := x.extractFunc(lit.Type, lit.Body); err == nil && p.Comm {
 					report(boundedCheck(p))
 				}
 				return true
@@ -134,7 +151,7 @@ func run(pass *framework.Pass) (any, error) {
 // exportFact summarizes the package's exported functions for
 // importers.
 func (x *extractor) exportFact() {
-	fact := &Fact{Protocols: make(map[string]string)}
+	fact := &Fact{Protocols: make(map[string]*protocol)}
 	for f, decl := range x.bodies {
 		if !decl.Name.IsExported() {
 			continue
@@ -143,8 +160,8 @@ func (x *extractor) exportFact() {
 		switch {
 		case e.opaque:
 			fact.Opaque = append(fact.Opaque, f.Name())
-		case e.proto != nil && e.proto.comm:
-			fact.Protocols[f.Name()] = marshalProtocol(e.proto)
+		case e.proto != nil && e.proto.Comm:
+			fact.Protocols[f.Name()] = e.proto
 		}
 	}
 	sort.Strings(fact.Opaque)

@@ -137,7 +137,7 @@ func (x *extractor) protocolOf(f *types.Func) *protoEntry {
 	delete(x.inwork, f)
 	e := &protoEntry{}
 	switch {
-	case err == nil && proto.comm:
+	case err == nil && proto.Comm:
 		e.proto = proto
 	case err == nil:
 		// Lowered cleanly but communicates nothing: pure.
@@ -161,7 +161,7 @@ func (x *extractor) extractFunc(ft *ast.FuncType, body *ast.BlockStmt) (*protoco
 				if obj != nil && isIntType(obj.Type()) {
 					v := paramName(argIdx)
 					ev[obj] = varE(v)
-					proto.params = append(proto.params, v)
+					proto.Params = append(proto.Params, v)
 				}
 				argIdx++
 			}
@@ -174,8 +174,8 @@ func (x *extractor) extractFunc(ft *ast.FuncType, body *ast.BlockStmt) (*protoco
 	if err != nil {
 		return nil, err
 	}
-	proto.body = stmts
-	proto.comm, proto.p2p = scan(stmts)
+	proto.Body = stmts
+	proto.Comm, proto.P2P = scan(stmts)
 	return proto, nil
 }
 
@@ -251,17 +251,17 @@ func (x *extractor) callExprOf(call *ast.CallExpr, ev env) *expr {
 	info := x.pass.TypesInfo
 	switch {
 	case vmlib.IsProcMethod(info, call, "ID"):
-		return &expr{kind: eID}
+		return &expr{Kind: eID}
 	case vmlib.IsProcMethod(info, call, "Dim"):
-		return &expr{kind: eDim}
+		return &expr{Kind: eDim}
 	case vmlib.IsProcMethod(info, call, "P"):
-		return binE(token.SHL, constE(1), &expr{kind: eDim})
+		return binE(token.SHL, constE(1), &expr{Kind: eDim})
 	case vmlib.IsProcMethod(info, call, "FullMask"):
-		return binE(token.SUB, binE(token.SHL, constE(1), &expr{kind: eDim}), constE(1))
+		return binE(token.SUB, binE(token.SHL, constE(1), &expr{Kind: eDim}), constE(1))
 	case vmlib.IsProcMethod(info, call, "Neighbor"):
 		if len(call.Args) == 1 {
 			if a := x.exprOf(call.Args[0], ev); a != nil {
-				return binE(token.XOR, &expr{kind: eID}, binE(token.SHL, constE(1), a))
+				return binE(token.XOR, &expr{Kind: eID}, binE(token.SHL, constE(1), a))
 			}
 		}
 	}
@@ -337,7 +337,7 @@ func (x *extractor) mayComm(n ast.Node) bool {
 		}
 		if f.Pkg() != nil && f.Pkg() == x.pass.Pkg && x.bodies[f] != nil {
 			e := x.protocolOf(f)
-			if e.opaque || (e.proto != nil && e.proto.comm) {
+			if e.opaque || (e.proto != nil && e.proto.Comm) {
 				found = true
 				return false
 			}
@@ -519,8 +519,8 @@ func (x *extractor) extractCall(call *ast.CallExpr, ev env) ([]stmt, error) {
 		if mask == nil || tag == nil {
 			return nil, errUnverifiable
 		}
-		return []stmt{&opStmt{kind: opColl, name: "Barrier", pos: call.Pos(),
-			mask: mask, tag: tag, root: constE(-1)}}, nil
+		return []stmt{&opStmt{Kind: opColl, Name: "Barrier", Pos: call.Pos(),
+			Mask: mask, Tag: tag, Root: constE(-1)}}, nil
 	}
 
 	if x.isPureCall(call) {
@@ -545,19 +545,15 @@ func (x *extractor) extractCall(call *ast.CallExpr, ev env) ([]stmt, error) {
 		switch {
 		case e.opaque:
 			return nil, errUnverifiable
-		case e.proto != nil && e.proto.comm:
+		case e.proto != nil && e.proto.Comm:
 			return x.inlineCall(call, e.proto, ev)
 		default:
 			return nil, nil
 		}
 	}
 	if fact, ok := x.factFor(f); ok {
-		if src, ok := fact.Protocols[f.Name()]; ok {
-			proto, err := parseProtocol(src, call.Pos())
-			if err != nil {
-				return nil, errUnverifiable
-			}
-			return x.inlineCall(call, proto, ev)
+		if proto, ok := fact.Protocols[f.Name()]; ok {
+			return x.inlineCall(call, proto.at(call.Pos()), ev)
 		}
 		if contains(fact.Opaque, f.Name()) {
 			return nil, errUnverifiable
@@ -581,18 +577,18 @@ func (x *extractor) extractCall(call *ast.CallExpr, ev env) ([]stmt, error) {
 // extractP2P lowers Send/Recv/Exchange/ExchangeAll.
 func (x *extractor) extractP2P(call *ast.CallExpr, ev env) ([]stmt, error) {
 	f := vmlib.Callee(x.pass.TypesInfo, call)
-	op := &opStmt{pos: call.Pos()}
+	op := &opStmt{Pos: call.Pos()}
 	switch f.Name() {
 	case "Send":
-		op.kind = opSend
+		op.Kind = opSend
 	case "Recv":
-		op.kind = opRecv
+		op.Kind = opRecv
 	case "Exchange":
-		op.kind = opExchange
+		op.Kind = opExchange
 	case "ExchangeAll":
-		op.kind = opExchangeAll
+		op.Kind = opExchangeAll
 	}
-	if op.kind == opExchangeAll {
+	if op.Kind == opExchangeAll {
 		if len(call.Args) < 2 {
 			return nil, errUnverifiable
 		}
@@ -605,9 +601,9 @@ func (x *extractor) extractP2P(call *ast.CallExpr, ev env) ([]stmt, error) {
 			if d == nil {
 				return nil, errUnverifiable
 			}
-			op.dims = append(op.dims, d)
+			op.Dims = append(op.Dims, d)
 		}
-		if op.tag = x.exprOf(call.Args[1], ev); op.tag == nil {
+		if op.Tag = x.exprOf(call.Args[1], ev); op.Tag == nil {
 			return nil, errUnverifiable
 		}
 		return []stmt{op}, nil
@@ -615,9 +611,9 @@ func (x *extractor) extractP2P(call *ast.CallExpr, ev env) ([]stmt, error) {
 	if len(call.Args) < 2 {
 		return nil, errUnverifiable
 	}
-	op.dim = x.exprOf(call.Args[0], ev)
-	op.tag = x.exprOf(call.Args[1], ev)
-	if op.dim == nil || op.tag == nil {
+	op.Dim = x.exprOf(call.Args[0], ev)
+	op.Tag = x.exprOf(call.Args[1], ev)
+	if op.Dim == nil || op.Tag == nil {
 		return nil, errUnverifiable
 	}
 	return []stmt{op}, nil
@@ -632,7 +628,7 @@ func (x *extractor) extractCollective(call *ast.CallExpr, f *types.Func, ev env)
 	if !ok {
 		return nil, errUnverifiable
 	}
-	op := &opStmt{kind: opColl, name: f.Name(), pos: call.Pos(), root: constE(-1)}
+	op := &opStmt{Kind: opColl, Name: f.Name(), Pos: call.Pos(), Root: constE(-1)}
 	n := sig.Params().Len()
 	for i, arg := range call.Args {
 		if i >= n {
@@ -641,11 +637,11 @@ func (x *extractor) extractCollective(call *ast.CallExpr, f *types.Func, ev env)
 		var dst **expr
 		switch sig.Params().At(i).Name() {
 		case "mask":
-			dst = &op.mask
+			dst = &op.Mask
 		case "tag":
-			dst = &op.tag
+			dst = &op.Tag
 		case "rootRel", "root":
-			dst = &op.root
+			dst = &op.Root
 		default:
 			continue
 		}
@@ -653,7 +649,7 @@ func (x *extractor) extractCollective(call *ast.CallExpr, f *types.Func, ev env)
 			return nil, errUnverifiable
 		}
 	}
-	if op.mask == nil || op.tag == nil {
+	if op.Mask == nil || op.Tag == nil {
 		return nil, errUnverifiable
 	}
 	return []stmt{op}, nil
@@ -662,8 +658,8 @@ func (x *extractor) extractCollective(call *ast.CallExpr, f *types.Func, ev env)
 // inlineCall binds the callee protocol's parameters to the
 // call-site's argument expressions.
 func (x *extractor) inlineCall(call *ast.CallExpr, proto *protocol, ev env) ([]stmt, error) {
-	cs := &callStmt{pos: call.Pos(), callee: proto}
-	for _, p := range proto.params {
+	cs := &callStmt{Callee: proto}
+	for _, p := range proto.Params {
 		k, ok := paramIndex(p)
 		if !ok || k >= len(call.Args) {
 			return nil, errUnverifiable
@@ -672,7 +668,7 @@ func (x *extractor) inlineCall(call *ast.CallExpr, proto *protocol, ev env) ([]s
 		if a == nil {
 			return nil, errUnverifiable
 		}
-		cs.args = append(cs.args, a)
+		cs.Args = append(cs.Args, a)
 	}
 	return []stmt{cs}, nil
 }
@@ -836,7 +832,7 @@ func (x *extractor) extractIf(s *ast.IfStmt, ev env) ([]stmt, error) {
 		}
 	}
 	mergeEnvs(ev, thenEv, elseEv)
-	return []stmt{&ifStmt{cond: cond, then: then, els: els}}, nil
+	return []stmt{&ifStmt{Cond: cond, Then: then, Els: els}}, nil
 }
 
 // mergeEnvs reconciles the branch environments into the outer one:
@@ -919,7 +915,7 @@ func (x *extractor) extractFor(s *ast.ForStmt, ev env) ([]stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	return []stmt{&forStmt{v: name, from: from, to: to, incl: cond.Op == token.LEQ, body: body}}, nil
+	return []stmt{&forStmt{V: name, From: from, To: to, Incl: cond.Op == token.LEQ, Body: body}}, nil
 }
 
 // extractSwitch lowers a value switch with extractable tag and guards
@@ -987,7 +983,7 @@ func (x *extractor) extractSwitch(s *ast.SwitchStmt, ev env) ([]stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		return []stmt{&ifStmt{cond: arms[i].cond, then: body, els: els}}, nil
+		return []stmt{&ifStmt{Cond: arms[i].cond, Then: body, Els: els}}, nil
 	}
 	out, err := build(0)
 	if err != nil {

@@ -28,11 +28,11 @@ const (
 
 // expr is one node of an integer (or boolean, encoded 0/1) expression.
 type expr struct {
-	kind exprKind
-	val  int64
-	name string
-	tok  token.Token
-	x, y *expr
+	Kind exprKind
+	Val  int64
+	Name string
+	Tok  token.Token
+	X, Y *expr
 }
 
 // poisoned is the sentinel for a variable whose value the extractor
@@ -41,13 +41,13 @@ type expr struct {
 // makes the scope unverifiable.
 var poisoned = &expr{}
 
-func constE(v int64) *expr   { return &expr{kind: eConst, val: v} }
-func varE(name string) *expr { return &expr{kind: eVar, name: name} }
+func constE(v int64) *expr   { return &expr{Kind: eConst, Val: v} }
+func varE(name string) *expr { return &expr{Kind: eVar, Name: name} }
 func unE(tok token.Token, x *expr) *expr {
-	return &expr{kind: eUnary, tok: tok, x: x}
+	return &expr{Kind: eUnary, Tok: tok, X: x}
 }
 func binE(tok token.Token, x, y *expr) *expr {
-	return &expr{kind: eBinary, tok: tok, x: x, y: y}
+	return &expr{Kind: eBinary, Tok: tok, X: x, Y: y}
 }
 
 // exprEq is structural equality, used when merging the variable
@@ -56,10 +56,10 @@ func exprEq(a, b *expr) bool {
 	if a == nil || b == nil {
 		return a == b
 	}
-	if a.kind != b.kind || a.val != b.val || a.name != b.name || a.tok != b.tok {
+	if a.Kind != b.Kind || a.Val != b.Val || a.Name != b.Name || a.Tok != b.Tok {
 		return false
 	}
-	return exprEq(a.x, b.x) && exprEq(a.y, b.y)
+	return exprEq(a.X, b.X) && exprEq(a.Y, b.Y)
 }
 
 // opKind discriminates the communication operations.
@@ -83,29 +83,29 @@ type stmt interface{ isStmt() }
 
 // opStmt is one communication operation.
 type opStmt struct {
-	kind opKind
-	name string // collective name for opColl (Barrier, Bcast, …)
-	pos  token.Pos
-	dim  *expr   // Send/Recv/Exchange
-	tag  *expr   // every op
-	mask *expr   // opColl
-	root *expr   // opColl; constE(-1) when the collective has no root
-	dims []*expr // opExchangeAll
+	Kind opKind
+	Name string // collective name for opColl (Barrier, Bcast, …)
+	Pos  token.Pos
+	Dim  *expr   // Send/Recv/Exchange
+	Tag  *expr   // every op
+	Mask *expr   // opColl
+	Root *expr   // opColl; constE(-1) when the collective has no root
+	Dims []*expr // opExchangeAll
 }
 
 // ifStmt is a two-way branch on an extractable condition.
 type ifStmt struct {
-	cond      *expr
-	then, els []stmt
+	Cond      *expr
+	Then, Els []stmt
 }
 
 // forStmt is counted iteration: for v := from; v < to; v++ (incl
 // flips the bound to <=). The body may reference v.
 type forStmt struct {
-	v        string
-	from, to *expr
-	incl     bool
-	body     []stmt
+	V        string
+	From, To *expr
+	Incl     bool
+	Body     []stmt
 }
 
 // retStmt terminates the enclosing protocol frame (a function return;
@@ -116,9 +116,8 @@ type retStmt struct{}
 // arguments, preserving call-return semantics (a retStmt inside the
 // callee terminates only the callee's frame).
 type callStmt struct {
-	pos    token.Pos
-	callee *protocol
-	args   []*expr // aligned with callee.params
+	Callee *protocol
+	Args   []*expr // aligned with Callee.Params
 }
 
 func (*opStmt) isStmt()   {}
@@ -129,13 +128,48 @@ func (*callStmt) isStmt() {}
 
 // protocol is one extracted SPMD scope: a statement body over the
 // IR, with the inlinable integer parameters it is generic over.
-// params[i] is the IR variable name "$<k>" where k is the call-site
+// Params[i] is the IR variable name "$<k>" where k is the call-site
 // argument index that binds it.
 type protocol struct {
-	params []string
-	body   []stmt
-	comm   bool // contains at least one communication op
-	p2p    bool // contains at least one point-to-point op
+	Params []string
+	Body   []stmt
+	Comm   bool // contains at least one communication op
+	P2P    bool // contains at least one point-to-point op
+}
+
+// at returns a copy of an imported protocol for inlining at the call
+// site pos, which every copied operation is stamped with: a diagnostic
+// against an imported summary points at the call, the line the
+// importing package controls. The copy is what keeps call sites apart
+// — a standalone run hands every importer the exporter's own tree.
+// Expressions are never modified once built and stay shared.
+func (p *protocol) at(pos token.Pos) *protocol {
+	c := *p
+	c.Body = stmtsAt(p.Body, pos)
+	return &c
+}
+
+func stmtsAt(body []stmt, pos token.Pos) []stmt {
+	out := make([]stmt, len(body))
+	for i, s := range body {
+		switch s := s.(type) {
+		case *opStmt:
+			c := *s
+			c.Pos = pos
+			out[i] = &c
+		case *ifStmt:
+			out[i] = &ifStmt{Cond: s.Cond, Then: stmtsAt(s.Then, pos), Els: stmtsAt(s.Els, pos)}
+		case *forStmt:
+			c := *s
+			c.Body = stmtsAt(s.Body, pos)
+			out[i] = &c
+		case *callStmt:
+			out[i] = &callStmt{Callee: s.Callee.at(pos), Args: s.Args}
+		default: // *retStmt has nothing to stamp
+			out[i] = s
+		}
+	}
+	return out
 }
 
 // paramName renders the IR variable bound to call-site argument k.
@@ -158,15 +192,15 @@ func scan(body []stmt) (comm, p2p bool) {
 		switch s := s.(type) {
 		case *opStmt:
 			c = true
-			p = s.kind != opColl
+			p = s.Kind != opColl
 		case *ifStmt:
-			c1, p1 := scan(s.then)
-			c2, p2 := scan(s.els)
+			c1, p1 := scan(s.Then)
+			c2, p2 := scan(s.Els)
 			c, p = c1 || c2, p1 || p2
 		case *forStmt:
-			c, p = scan(s.body)
+			c, p = scan(s.Body)
 		case *callStmt:
-			c, p = s.callee.comm, s.callee.p2p
+			c, p = s.Callee.Comm, s.Callee.P2P
 		}
 		comm = comm || c
 		p2p = p2p || p

@@ -154,9 +154,6 @@ func TestHostSchedMetricsExcluded(t *testing.T) {
 	}
 	want := []string{
 		"vmprim_sched_recv_parks_total",
-		"vmprim_sched_send_stalls_total",
-		"vmprim_sched_wakeups_total",
-		"vmprim_sched_max_parked_procs",
 		"vmprim_watchdog_arms_total",
 		"vmprim_watchdog_rearms_total",
 	}

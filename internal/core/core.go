@@ -99,25 +99,6 @@ func (e *Env) GridRow() int { return e.G.RowOf(e.P.ID()) }
 // GridCol returns this processor's grid column.
 func (e *Env) GridCol() int { return e.G.ColOf(e.P.ID()) }
 
-// Axis names the two matrix axes for primitives that take one.
-type Axis int
-
-const (
-	// Rows selects the row axis: reducing over Rows collapses the row
-	// index and yields a row-aligned vector of length Cols.
-	Rows Axis = iota
-	// Cols selects the column axis.
-	Cols
-)
-
-// String returns the axis name.
-func (a Axis) String() string {
-	if a == Rows {
-		return "rows"
-	}
-	return "cols"
-}
-
 // Matrix is a dense matrix distributed over the processor grid. Local
 // blocks are row-major with RMap.B local rows and CMap.B local
 // columns; slots beyond the logical extent (padding) hold zero and are

@@ -538,9 +538,6 @@ func TestHostAccessorsRejectLocalHandles(t *testing.T) {
 }
 
 func TestAxisAndLayoutStrings(t *testing.T) {
-	if Rows.String() != "rows" || Cols.String() != "cols" {
-		t.Fatal("Axis strings")
-	}
 	if Linear.String() != "linear" || RowAligned.String() != "row-aligned" || ColAligned.String() != "col-aligned" {
 		t.Fatal("Layout strings")
 	}

@@ -271,7 +271,7 @@ func (e *Env) VecElemAt(v *Vector, idx int) float64 {
 		panic(fmt.Sprintf("core: VecElemAt %d out of [0,%d)", idx, v.N))
 	}
 	c, l := v.Map.CoordOf(idx), v.Map.LocalOf(idx)
-	owner := e.vecOwnerProc(v, c)
+	owner := v.ownerProcAt(c)
 	var data []float64
 	if e.P.ID() == owner {
 		data = e.P.GetBuf(1)
@@ -284,10 +284,10 @@ func (e *Env) VecElemAt(v *Vector, idx int) float64 {
 	return out
 }
 
-// vecOwnerProc returns the canonical owner processor of piece
+// ownerProcAt returns the canonical owner processor of piece
 // coordinate c: the unique holder, or the home/first grid row's copy
 // for replicated vectors.
-func (e *Env) vecOwnerProc(v *Vector, c int) int {
+func (v *Vector) ownerProcAt(c int) int {
 	switch v.Layout {
 	case Linear:
 		return linearProcOf(c)
@@ -309,25 +309,7 @@ func (e *Env) vecOwnerProc(v *Vector, c int) int {
 // OwnerProcOf returns the canonical processor owning global element g
 // of the vector (the unique holder, or the home/first copy for
 // replicated vectors).
-func (v *Vector) OwnerProcOf(g int) int {
-	c := v.Map.CoordOf(g)
-	switch v.Layout {
-	case Linear:
-		return linearProcOf(c)
-	case RowAligned:
-		home := v.Home
-		if v.Replicated {
-			home = 0
-		}
-		return v.G.ProcAt(home, c)
-	default:
-		home := v.Home
-		if v.Replicated {
-			home = 0
-		}
-		return v.G.ProcAt(c, home)
-	}
-}
+func (v *Vector) OwnerProcOf(g int) int { return v.ownerProcAt(v.Map.CoordOf(g)) }
 
 // SetVecElem writes element idx of a vector on its holder(s); every
 // processor calls it (with the same value — typically one produced by

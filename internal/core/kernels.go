@@ -16,43 +16,6 @@ package core
 // the floating-point rounding of reduction chains — are bit-identical
 // to the seed's.
 
-// foldKernel returns the elementwise fold dst[i] = op(dst[i], src[i])
-// as a monomorphic loop; reductions select it once per call.
-func foldKernel(op Op) func(dst, src []float64) {
-	switch op {
-	case OpSum:
-		return sumInto
-	case OpMax:
-		return maxInto
-	case OpMin:
-		return minInto
-	default:
-		panic("core: unknown Op")
-	}
-}
-
-func sumInto(dst, src []float64) {
-	for i, v := range src {
-		dst[i] += v
-	}
-}
-
-func maxInto(dst, src []float64) {
-	for i, v := range src {
-		if v > dst[i] {
-			dst[i] = v
-		}
-	}
-}
-
-func minInto(dst, src []float64) {
-	for i, v := range src {
-		if v < dst[i] {
-			dst[i] = v
-		}
-	}
-}
-
 // fillIdentity sets every element of dst to op's identity.
 func fillIdentity(dst []float64, op Op) {
 	id := op.identity()

@@ -88,13 +88,13 @@ func TestFoldKernelsMatchOpFold(t *testing.T) {
 		if got := foldSlice(op, op.identity(), xs); got != want {
 			t.Fatalf("%v: foldSlice = %v, want %v", op, got, want)
 		}
-		// foldKernel elementwise against fold.
+		// The combiner elementwise against fold.
 		dst := make([]float64, len(xs))
 		fillIdentity(dst, op)
-		foldKernel(op)(dst, xs)
+		op.combiner()(dst, xs)
 		for i, v := range xs {
 			if w := op.fold(op.identity(), v); dst[i] != w {
-				t.Fatalf("%v: foldKernel[%d] = %v, want %v", op, i, dst[i], w)
+				t.Fatalf("%v: combiner[%d] = %v, want %v", op, i, dst[i], w)
 			}
 		}
 		// scanSlice against a serial inclusive prefix.

@@ -31,7 +31,7 @@ func (e *Env) ReduceRows(a *Matrix, op Op, replicate bool) *Vector {
 	// Padding rows are a suffix of the local block, so the valid rows
 	// form the prefix [0, nr) and the fold kernel runs guard-free.
 	nr := a.RMap.ValidCount(e.GridRow())
-	fold := foldKernel(op)
+	fold := op.combiner()
 	for lr := 0; lr < nr; lr++ {
 		fold(piece, blk[lr*b:(lr+1)*b])
 	}

@@ -273,15 +273,6 @@ func (m *Machine) EnableCritPath(on bool) {
 	m.critEnabled = on
 }
 
-// SetConformanceThreshold sets the measured/predicted ratio above
-// which conformance entries are flagged; r <= 0 restores
-// obs.DefaultConformanceThreshold. It must be called between runs.
-func (m *Machine) SetConformanceThreshold(r float64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.confThreshold = r
-}
-
 // CritPath returns the critical path of the most recent Run, or nil if
 // recording was off. The returned value is a snapshot; it stays valid
 // across later runs.
@@ -321,10 +312,7 @@ func (m *Machine) buildCritPath(elapsed costmodel.Time) *obs.CritPath {
 	w := m.procs[end]
 	cp := &obs.CritPath{
 		Dim: m.dim, P: m.p, EndProc: end, Makespan: elapsed,
-		Threshold: m.confThreshold,
-	}
-	if cp.Threshold <= 0 {
-		cp.Threshold = obs.DefaultConformanceThreshold
+		Threshold: obs.DefaultConformanceThreshold,
 	}
 	if len(w.cp) < cpHdrWords {
 		return cp

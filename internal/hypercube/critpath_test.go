@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"vmprim/internal/costmodel"
+	"vmprim/internal/obs"
 )
 
 func TestCritPathNilWhenDisabled(t *testing.T) {
@@ -226,6 +227,9 @@ func TestCritPathConformance(t *testing.T) {
 		t.Fatal(err)
 	}
 	cp := m.CritPath()
+	if cp.Threshold != obs.DefaultConformanceThreshold {
+		t.Fatalf("threshold = %g, want the obs default", cp.Threshold)
+	}
 	if len(cp.Conformance) != 2 {
 		t.Fatalf("conformance entries = %d, want 2", len(cp.Conformance))
 	}
@@ -242,36 +246,6 @@ func TestCritPathConformance(t *testing.T) {
 	}
 	if worst, flagged := cp.WorstConformance(); worst != 10 || flagged != 1 {
 		t.Fatalf("WorstConformance = %g, %d", worst, flagged)
-	}
-}
-
-// TestCritPathConformanceThresholdOverride checks SetConformanceThreshold
-// moves the flag line.
-func TestCritPathConformanceThresholdOverride(t *testing.T) {
-	m := MustNew(0, costmodel.CM2())
-	m.EnableCritPath(true)
-	m.SetConformanceThreshold(50)
-	if _, err := m.Run(func(p *Proc) {
-		p.BeginSpan("s")
-		p.SpanPredict(10)
-		p.Compute(100)
-		p.EndSpan()
-	}); err != nil {
-		t.Fatal(err)
-	}
-	cp := m.CritPath()
-	if cp.Threshold != 50 {
-		t.Fatalf("threshold = %g", cp.Threshold)
-	}
-	if len(cp.Conformance) != 1 || cp.Conformance[0].Flagged {
-		t.Fatalf("entry = %+v, want unflagged under threshold 50", cp.Conformance)
-	}
-	m.SetConformanceThreshold(0) // restore the default
-	if _, err := m.Run(func(p *Proc) {}); err != nil {
-		t.Fatal(err)
-	}
-	if got := m.CritPath().Threshold; got != 2.0 {
-		t.Fatalf("restored threshold = %g, want the obs default 2.0", got)
 	}
 }
 

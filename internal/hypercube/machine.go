@@ -43,10 +43,7 @@
 // link.go): a Send or Recv that does not have to wait touches no
 // runtime lock, and a processor that does wait sleeps on its own
 // one-token wake channel, which its link partner, a run abort and the
-// deadlock watchdog all signal the same way. The only other
-// concurrency-shaped machine state is the host-scheduler
-// instrumentation (SchedStats), which uses atomics on the park slow
-// paths and is explicitly excluded from every determinism guarantee.
+// deadlock watchdog all signal the same way.
 package hypercube
 
 import (
@@ -139,38 +136,24 @@ type Machine struct {
 	mu         sync.Mutex
 	elapsed    costmodel.Time
 	stats      Stats
-	sched      SchedStats
 	clocks     []costmodel.Time
 	traceLimit int
 	trace      []TraceEvent
 
-	// Host-scheduler gauges, touched only on the park slow paths:
-	// parked counts processor goroutines currently blocked at the
-	// virtual-time frontier, maxParked its per-run high-water mark.
-	// These are the one piece of machine state written concurrently by
-	// the workers; they feed SchedStats and never the simulation.
-	parked    atomic.Int32
-	maxParked atomic.Int32
-
 	// Profiling state (see profile.go): profEnabled gates the span
 	// machinery for the next Run, profile holds the last profiled
-	// run's result. vols caches LinkVolumes' per-link word map, built
-	// lazily from the always-on counters and invalidated by Run.
+	// run's result.
 	profEnabled bool
 	profile     *obs.Profile
-	vols        map[int]map[int]int
 
 	// stream is the live event sink armed with EnableStream (see
 	// stream.go), nil when streaming is off.
 	stream obs.StreamSink
 
 	// Critical-path state (see critpath.go): critEnabled gates chain
-	// recording for the next Run, crit holds the last recorded path,
-	// confThreshold the conformance flagging ratio (0 means
-	// obs.DefaultConformanceThreshold).
-	critEnabled   bool
-	crit          *obs.CritPath
-	confThreshold float64
+	// recording for the next Run, crit holds the last recorded path.
+	critEnabled bool
+	crit        *obs.CritPath
 
 	// postmortem is the report of the most recent failed Run (see
 	// postmortem.go); nil after a successful one. met is the machine's
@@ -250,56 +233,6 @@ func (s *Stats) Add(other Stats) {
 	s.Words += other.Words
 	s.Flops += other.Flops
 }
-
-// SchedStats describes the host-side scheduling of one Run: how often
-// processor goroutines parked at the virtual-time frontier and how
-// far host parallelism was throttled. Unlike every simulated quantity
-// these counters are NOT deterministic — they depend on GOMAXPROCS,
-// host load and goroutine interleaving — so they are diagnostics
-// only, excluded from profiles' JSON/Chrome exports and from the
-// bit-identity guarantees. A high RecvParks/Messages ratio means the
-// workload synchronizes at nearly every message (little run-ahead to
-// overlap); SendStalls > 0 means linkCap backpressure bounded a fast
-// processor's run-ahead.
-type SchedStats struct {
-	// RecvParks counts receives that found the link empty and parked
-	// the goroutine until the message was posted (frontier waits).
-	RecvParks int64
-	// SendStalls counts sends that found the link buffer full and
-	// parked until the receiver drained it (run-ahead backpressure).
-	SendStalls int64
-	// Wakeups counts parks resumed by link traffic (as opposed to
-	// aborts); RecvParks + SendStalls - Wakeups parks died with the run.
-	Wakeups int64
-	// MaxParked is the high-water mark of concurrently parked
-	// processor goroutines over the run.
-	MaxParked int
-}
-
-// Add accumulates other into s.
-func (s *SchedStats) Add(other SchedStats) {
-	s.RecvParks += other.RecvParks
-	s.SendStalls += other.SendStalls
-	s.Wakeups += other.Wakeups
-	if other.MaxParked > s.MaxParked {
-		s.MaxParked = other.MaxParked
-	}
-}
-
-// parkEnter registers a processor goroutine blocking at the frontier;
-// parkExit undoes it. Both run only on the slow (already-blocking)
-// paths, so the atomics never tax a run that keeps its links warm.
-func (m *Machine) parkEnter() {
-	n := m.parked.Add(1)
-	for {
-		max := m.maxParked.Load()
-		if n <= max || m.maxParked.CompareAndSwap(max, n) {
-			return
-		}
-	}
-}
-
-func (m *Machine) parkExit() { m.parked.Add(-1) }
 
 // New returns a machine of dimension dim (2^dim processors) governed
 // by the given cost parameters. It returns an error if dim is negative
@@ -396,17 +329,6 @@ func (m *Machine) LastStats() Stats {
 	return m.stats
 }
 
-// SchedStats returns the host-scheduler instrumentation of the most
-// recent Run: frontier parks, backpressure stalls, wakeups and the
-// parked-goroutine high-water mark. These describe the host
-// execution, vary with GOMAXPROCS, and are NOT covered by the
-// simulator's determinism guarantees.
-func (m *Machine) SchedStats() SchedStats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.sched
-}
-
 // Clocks returns every processor's final virtual clock from the most
 // recent Run, indexed by processor address. The spread between the
 // minimum and maximum is the run's load imbalance.
@@ -470,15 +392,6 @@ func (m *Machine) Run(body func(*Proc)) (costmodel.Time, error) {
 
 	var elapsed costmodel.Time
 	var st Stats
-	var sch SchedStats
-	for _, pr := range m.procs {
-		sch.RecvParks += pr.nRecvParks
-		sch.SendStalls += pr.nSendStalls
-		sch.Wakeups += pr.nWakeups
-	}
-	sch.MaxParked = int(m.maxParked.Load())
-	m.parked.Store(0)
-	m.maxParked.Store(0)
 	m.mu.Lock()
 	for i, pr := range m.procs {
 		m.clocks[i] = pr.clock
@@ -491,8 +404,6 @@ func (m *Machine) Run(body func(*Proc)) (costmodel.Time, error) {
 	}
 	m.elapsed = elapsed
 	m.stats = st
-	m.sched = sch
-	m.vols = nil // link counters changed; LinkVolumes rebuilds lazily
 	m.mu.Unlock()
 	m.collectTrace(m.procs)
 	if rc.stream != nil {
@@ -527,7 +438,7 @@ func (m *Machine) Run(body func(*Proc)) (costmodel.Time, error) {
 	m.crit = crit
 	m.mu.Unlock()
 
-	m.updateMetrics(elapsed, sch, firstErr != nil, crit)
+	m.updateMetrics(elapsed, firstErr != nil, crit)
 	m.drain()
 	return elapsed, firstErr
 }
@@ -615,7 +526,7 @@ func (p *Proc) resetForRun(rc *runCtx) {
 		p.cp = p.cp[:0]
 	}
 	p.nColl, p.nArms, p.nRearms = 0, 0, 0
-	p.nRecvParks, p.nSendStalls, p.nWakeups = 0, 0, 0
+	p.nRecvParks = 0
 	p.pool.gets, p.pool.hits = 0, 0
 	p.msgHist = [msgHistBins]int64{}
 	p.rec.Reset()
@@ -755,12 +666,11 @@ type Proc struct {
 	nRearms int64
 	msgHist [msgHistBins]int64
 
-	// Host-scheduler counters (see SchedStats): parks taken at the
-	// virtual-time frontier and their resumptions. Bumped only on the
-	// blocking slow paths; host-nondeterministic by nature.
-	nRecvParks  int64
-	nSendStalls int64
-	nWakeups    int64
+	// nRecvParks counts receives that found the link empty and parked
+	// at the virtual-time frontier. Host-nondeterministic by nature; it
+	// is the one host-scheduler counter kept, because the benchmark
+	// prices parks per message with it.
+	nRecvParks int64
 
 	// Deadlock watchdog state. The timer is armed at most once per
 	// timeout window (not per blocking Recv): recvSeq counts delivered
@@ -884,12 +794,10 @@ func (p *Proc) post(d, tag int, words []float64, arrive costmodel.Time) {
 // the run aborts.
 func (p *Proc) stallSend(l *link, msg message, d int) {
 	// Note the blocked send in the wait registers so a post-mortem can
-	// name it, and count the stall for SchedStats.
+	// name it.
 	p.waitKind = flightrec.WaitSend
 	p.waitDim, p.waitTag = d, msg.tag
 	p.waitSince = msg.arrive
-	p.nSendStalls++
-	p.m.parkEnter()
 	w := parkSend | uint32(d)
 	for {
 		p.pk.state.Store(w)
@@ -897,13 +805,10 @@ func (p *Proc) stallSend(l *link, msg message, d int) {
 		case !l.full():
 			p.pk.cancel(w)
 			l.push(msg)
-			p.m.parkExit()
-			p.nWakeups++
 			p.waitKind = flightrec.WaitNone
 			return
 		case p.rc.aborted.Load():
 			p.pk.cancel(w)
-			p.m.parkExit()
 			panic(abortedError{})
 		}
 		<-p.pk.wake
@@ -1001,7 +906,6 @@ func (p *Proc) awaitRecv(l *link, d, wantTag int) message {
 	p.waitDim, p.waitTag = d, wantTag
 	p.waitSince = p.clock
 	p.nRecvParks++
-	p.m.parkEnter()
 	w := parkRecv | uint32(d)
 	for {
 		if !p.timerArmed {
@@ -1020,20 +924,16 @@ func (p *Proc) awaitRecv(l *link, d, wantTag int) message {
 		case !l.empty():
 			p.pk.cancel(w)
 			msg, _ := l.pop()
-			p.m.parkExit()
-			p.nWakeups++
 			p.waitKind = flightrec.WaitNone
 			return msg
 		case p.rc.aborted.Load():
 			p.pk.cancel(w)
-			p.m.parkExit()
 			panic(abortedError{})
 		case p.pk.watchdogs.Load() == 0:
 			// The window armed last has run out (see parker.watchdogs).
 			p.pk.cancel(w)
 			p.timerArmed = false
 			if p.recvSeq == p.timerSeq {
-				p.m.parkExit()
 				panic(fmt.Sprintf("recv timeout on dim %d (tag %d): deadlock", d, wantTag))
 			}
 			p.nRearms++

@@ -173,10 +173,8 @@ type machMetrics struct {
 	colls                    *metrics.Counter
 	poolGets, poolHits       *metrics.Counter
 	wdArms, wdRearms         *metrics.Counter
-	recvParks, sendStalls    *metrics.Counter
-	wakeups                  *metrics.Counter
+	recvParks                *metrics.Counter
 	lastElapsed, poolHitRate *metrics.Gauge
-	maxParked                *metrics.Gauge
 	msgWords                 *metrics.Histogram
 
 	// Critical-path gauges, describing the most recent run recorded
@@ -189,17 +187,15 @@ type machMetrics struct {
 }
 
 // schedMetricNames lists the registry entries fed by the host
-// scheduler (plus the watchdog counters, which share its host-timing
-// dependence). They describe host execution, not the simulated
-// machine, so they are exempt from the bit-identical-across-GOMAXPROCS
-// guarantee; the determinism stress tests exclude exactly this set.
+// scheduler: the frontier-park counter and the watchdog counters,
+// which share its host-timing dependence. They describe host
+// execution, not the simulated machine, so they are exempt from the
+// bit-identical-across-GOMAXPROCS guarantee; the determinism stress
+// tests exclude exactly this set.
 var schedMetricNames = map[string]bool{
-	"vmprim_sched_recv_parks_total":  true,
-	"vmprim_sched_send_stalls_total": true,
-	"vmprim_sched_wakeups_total":     true,
-	"vmprim_sched_max_parked_procs":  true,
-	"vmprim_watchdog_arms_total":     true,
-	"vmprim_watchdog_rearms_total":   true,
+	"vmprim_sched_recv_parks_total": true,
+	"vmprim_watchdog_arms_total":    true,
+	"vmprim_watchdog_rearms_total":  true,
 }
 
 // HostSchedMetricNames reports whether name is one of the
@@ -221,11 +217,8 @@ func newMachMetrics() machMetrics {
 		wdArms:      reg.Counter("vmprim_watchdog_arms_total", "deadlock-watchdog timer arms"),
 		wdRearms:    reg.Counter("vmprim_watchdog_rearms_total", "watchdog fires that found progress and re-armed"),
 		recvParks:   reg.Counter("vmprim_sched_recv_parks_total", "host goroutine parks waiting at the virtual-time frontier for a message (host-nondeterministic)"),
-		sendStalls:  reg.Counter("vmprim_sched_send_stalls_total", "host goroutine parks on a full link buffer, run-ahead backpressure (host-nondeterministic)"),
-		wakeups:     reg.Counter("vmprim_sched_wakeups_total", "frontier parks resumed by link traffic (host-nondeterministic)"),
 		lastElapsed: reg.Gauge("vmprim_last_elapsed_us", "simulated time of the most recent run"),
 		poolHitRate: reg.Gauge("vmprim_pool_hit_rate", "fraction of pool gets served from a free list in the most recent run"),
-		maxParked:   reg.Gauge("vmprim_sched_max_parked_procs", "high-water mark of concurrently parked processor goroutines in the most recent run (host-nondeterministic)"),
 		msgWords:    reg.Histogram("vmprim_message_words", "payload size of link messages in 64-bit words", msgWordBounds),
 
 		cpCompute:    reg.Gauge("vmprim_critpath_compute_us", "compute time on the most recent run's critical path"),
@@ -247,17 +240,13 @@ func (m *Machine) Metrics() *metrics.Registry { return m.met.reg }
 // ended into the registry. Called once per Run, after the workers have
 // quiesced; crit is the run's critical path, or nil when recording was
 // off (the critpath gauges then read zero).
-func (m *Machine) updateMetrics(elapsed costmodel.Time, sch SchedStats, failed bool, crit *obs.CritPath) {
+func (m *Machine) updateMetrics(elapsed costmodel.Time, failed bool, crit *obs.CritPath) {
 	mm := &m.met
 	mm.runs.Add(1)
 	if failed {
 		mm.failures.Add(1)
 	}
-	mm.recvParks.Add(sch.RecvParks)
-	mm.sendStalls.Add(sch.SendStalls)
-	mm.wakeups.Add(sch.Wakeups)
-	mm.maxParked.Set(float64(sch.MaxParked))
-	var msgs, words, flops, colls, gets, hits, arms, rearms int64
+	var msgs, words, flops, colls, gets, hits, arms, rearms, parks int64
 	var hist [msgHistBins]int64
 	for _, pr := range m.procs {
 		msgs += pr.nMsgs
@@ -268,6 +257,7 @@ func (m *Machine) updateMetrics(elapsed costmodel.Time, sch SchedStats, failed b
 		hits += pr.pool.hits
 		arms += pr.nArms
 		rearms += pr.nRearms
+		parks += pr.nRecvParks
 		for i, c := range pr.msgHist {
 			hist[i] += c
 		}
@@ -280,6 +270,7 @@ func (m *Machine) updateMetrics(elapsed costmodel.Time, sch SchedStats, failed b
 	mm.poolHits.Add(hits)
 	mm.wdArms.Add(arms)
 	mm.wdRearms.Add(rearms)
+	mm.recvParks.Add(parks)
 	mm.lastElapsed.Set(float64(elapsed))
 	rate := 1.0
 	if gets > 0 {

@@ -2,7 +2,6 @@ package hypercube
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 
@@ -284,15 +283,7 @@ func (m *Machine) buildProfile() *obs.Profile {
 			Time: ev.Time, Src: ev.Src, Dst: ev.Dst, Dim: ev.Dim, Words: ev.Words, Tag: ev.Tag,
 		})
 	}
-	pf := obs.Build(m.dim, procs, events, m.linkLoads(0))
-	pf.Sched = &obs.HostSched{
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		RecvParks:  m.sched.RecvParks,
-		SendStalls: m.sched.SendStalls,
-		Wakeups:    m.sched.Wakeups,
-		MaxParked:  m.sched.MaxParked,
-	}
-	return pf
+	return obs.Build(m.dim, procs, events, m.linkLoads(0))
 }
 
 // linkLoads lists the nonzero directed-link word counts of the most

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"vmprim/internal/costmodel"
+	"vmprim/internal/obs"
 )
 
 // profiledPingPong is a small SPMD body exercising spans, compute and
@@ -131,7 +132,7 @@ func TestProfilingDoesNotPerturbClocks(t *testing.T) {
 	}
 }
 
-func TestCongestionAndLinkVolumesAgree(t *testing.T) {
+func TestCongestionReadsLinkCounters(t *testing.T) {
 	m := MustNew(3, costmodel.CM2())
 	// No EnableTrace: volumes must come from the always-on counters.
 	if _, err := m.Run(func(p *Proc) {
@@ -142,75 +143,30 @@ func TestCongestionAndLinkVolumesAgree(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	vols := m.LinkVolumes()
-	if len(vols) != m.P() {
-		t.Fatalf("LinkVolumes covers %d processors, want %d", len(vols), m.P())
+	all := m.Congestion(0)
+	if len(all) != 2*m.P() {
+		t.Fatalf("Congestion(0) lists %d links, want %d", len(all), 2*m.P())
 	}
-	for pid, dims := range vols {
-		if dims[0] != 4 || dims[1] != 2 {
-			t.Fatalf("proc %d volumes = %v, want dim0:4 dim1:2", pid, dims)
+	for i, l := range all {
+		// Hottest first: the 4-word dim-0 links, then the 2-word dim-1
+		// links, each group by source.
+		src, dim := i%m.P(), i/m.P()
+		want := obs.LinkLoad{Src: src, Dim: dim, Dst: src ^ 1<<dim, Words: int64(4 - 2*dim)}
+		if l != want {
+			t.Fatalf("link %d = %+v, want %+v", i, l, want)
 		}
 	}
-	top := m.Congestion(4)
-	if len(top) != 4 {
-		t.Fatalf("Congestion(4) returned %d entries", len(top))
+	if top := m.Congestion(4); len(top) != 4 || top[3] != all[3] {
+		t.Fatalf("Congestion(4) = %+v, want the four dim-0 links", top)
 	}
-	for _, l := range top {
-		if l.Dim != 0 || l.Words != 4 {
-			t.Fatalf("hottest links should be dim-0 with 4 words, got %+v", l)
-		}
-		if vols[l.Src][l.Dim] != int(l.Words) {
-			t.Fatalf("Congestion %+v disagrees with LinkVolumes %v", l, vols[l.Src])
-		}
-	}
-}
 
-func TestLinkVolumesCachedPerRun(t *testing.T) {
-	m := MustNew(2, costmodel.Ideal())
-	body := func(p *Proc) { p.Exchange(0, 3, []float64{1}) }
-	if _, err := m.Run(body); err != nil {
+	// The counters describe the most recent run only.
+	if _, err := m.Run(func(p *Proc) { p.Exchange(2, 8, []float64{9}) }); err != nil {
 		t.Fatal(err)
 	}
-	a := m.LinkVolumes()
-	b := m.LinkVolumes()
-	if a[0][0] != 1 || b[0][0] != 1 {
-		t.Fatalf("volumes = %v / %v", a, b)
-	}
-	// Returned maps are copies: mutating one must not leak into the
-	// cache.
-	a[0][0] = 99
-	if c := m.LinkVolumes(); c[0][0] != 1 {
-		t.Fatalf("cache was mutated through the returned copy: %v", c)
-	}
-	// A new run invalidates the cache.
-	if _, err := m.Run(func(p *Proc) {
-		body(p)
-		body(p)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if c := m.LinkVolumes(); c[0][0] != 2 {
-		t.Fatalf("stale cache after second run: %v", c)
-	}
-}
-
-// BenchmarkLinkVolumes guards the satellite fix: LinkVolumes is a
-// cached copy, not an O(trace events) rescan per call.
-func BenchmarkLinkVolumes(b *testing.B) {
-	m := MustNew(6, costmodel.CM2())
-	m.EnableTrace(1 << 14)
-	if _, err := m.Run(func(p *Proc) {
-		for i := 0; i < 64; i++ {
-			p.Exchange(i%p.Dim(), 100+i, []float64{1, 2, 3, 4})
-		}
-	}); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if v := m.LinkVolumes(); len(v) == 0 {
-			b.Fatal("empty volumes")
+	for _, l := range m.Congestion(0) {
+		if l.Dim != 2 || l.Words != 1 {
+			t.Fatalf("after a second run: %+v, want only 1-word dim-2 links", l)
 		}
 	}
 }

@@ -48,48 +48,12 @@ func (m *Machine) EnableTrace(limit int) {
 // virtual time (ties by source address). It returns nil if tracing was
 // off. Tracing is independent of EnableProfile — a profiled run has a
 // trace only if EnableTrace was also set before it — but per-link word
-// volumes no longer need it: LinkVolumes and Congestion read always-on
-// counters.
+// volumes do not need it: Congestion reads always-on counters.
 func (m *Machine) Trace() []TraceEvent {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	out := make([]TraceEvent, len(m.trace))
 	copy(out, m.trace)
-	return out
-}
-
-// LinkVolumes returns, for the most recent run, the total words
-// carried by each directed link, keyed by [src][dim]. Congestion
-// analyses read hot links directly from this. The volumes come from
-// the always-on per-link counters — tracing need not be enabled — and
-// are computed once per run: the first call after a Run builds a
-// cached map in O(p*dim) and every call returns a copy of the cache,
-// instead of the old per-call O(events) rescan of the trace.
-func (m *Machine) LinkVolumes() map[int]map[int]int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.vols == nil {
-		vols := make(map[int]map[int]int)
-		for pid, pr := range m.procs {
-			for d, w := range pr.linkWords {
-				if w > 0 {
-					if vols[pid] == nil {
-						vols[pid] = make(map[int]int)
-					}
-					vols[pid][d] = int(w)
-				}
-			}
-		}
-		m.vols = vols
-	}
-	out := make(map[int]map[int]int, len(m.vols))
-	for src, dims := range m.vols {
-		cp := make(map[int]int, len(dims))
-		for d, w := range dims {
-			cp[d] = w
-		}
-		out[src] = cp
-	}
 	return out
 }
 

@@ -142,25 +142,6 @@ type LinkEvent struct {
 	Src, Dst, Dim, Words, Tag int
 }
 
-// HostSched describes the host-side scheduling of the run behind a
-// profile: how the machine's processor goroutines were executed, not
-// what the simulated machine did. These numbers vary with GOMAXPROCS,
-// host load and goroutine interleaving, so they appear only in the
-// human-readable text rendering — the JSON and Chrome exports must
-// stay bit-identical across host configurations and omit them.
-type HostSched struct {
-	// GOMAXPROCS is the host parallelism in effect during the run.
-	GOMAXPROCS int
-	// RecvParks counts host goroutine parks waiting at the
-	// virtual-time frontier for a message; SendStalls counts parks on
-	// a full link buffer (run-ahead backpressure); Wakeups counts
-	// parks resumed by link traffic.
-	RecvParks, SendStalls, Wakeups int64
-	// MaxParked is the high-water mark of concurrently parked
-	// processor goroutines.
-	MaxParked int
-}
-
 // LinkLoad is the total words carried by one directed link over a Run.
 type LinkLoad struct {
 	Src   int   `json:"src"`
@@ -228,14 +209,9 @@ type Profile struct {
 	// had EnableTrace set); the Chrome exporter renders them as flow
 	// arrows.
 	Events []LinkEvent
-	// Sched is the host-scheduler diagnostic of the run, or nil when
-	// the producer recorded none. It is rendered by WriteTree only;
-	// WriteJSON and ChromeTrace deliberately exclude it (see
-	// HostSched).
-	Sched *HostSched
 	// Crit is the run's critical path, or nil when the producer did
-	// not record one. Unlike Sched it is pure virtual time: all three
-	// exporters include it and determinism comparisons cover it.
+	// not record one. It is pure virtual time: all three exporters
+	// include it and determinism comparisons cover it.
 	Crit *CritPath
 
 	nodes []*Span

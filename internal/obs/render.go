@@ -32,10 +32,6 @@ func (pf *Profile) WriteTree(w io.Writer) {
 	}
 	fmt.Fprintf(bw, "bucket reconciliation: max |clock - (compute+startup+transfer+idle)| = %g us\n",
 		float64(pf.BucketSkew()))
-	if s := pf.Sched; s != nil {
-		fmt.Fprintf(bw, "host sched (nondeterministic): gomaxprocs %d  recv parks %d  send stalls %d  wakeups %d  max parked %d\n",
-			s.GOMAXPROCS, s.RecvParks, s.SendStalls, s.Wakeups, s.MaxParked)
-	}
 
 	label := func(s *Span) string {
 		if s.Note != "" {

@@ -50,11 +50,6 @@ type (
 	Proc = hypercube.Proc
 	// Stats aggregates message/word/flop counters over one run.
 	Stats = hypercube.Stats
-	// SchedStats aggregates host-scheduler diagnostics over one run
-	// (frontier parks, backpressure stalls, wakeups). Unlike Stats these
-	// describe host execution, not the simulated machine, and vary with
-	// GOMAXPROCS and load; exclude them from any determinism comparison.
-	SchedStats = hypercube.SchedStats
 	// Params is the architectural cost-parameter set.
 	Params = costmodel.Params
 	// Time is simulated machine time in microseconds.
