@@ -1,39 +1,9 @@
-// Command vmlint runs the repository's static-analysis suite: nine
-// analyzers that enforce at compile time the invariants the simulator
-// otherwise only checks (or fails to check) at run time.
-//
-//	recyclecheck    pooled buffers from GetBuf/Recv are recycled,
-//	                returned, or handed off — no pool leaks
-//	spanbalance     BeginSpan/EndSpan pairs balance on every
-//	                control-flow path
-//	spmdsym         collectives are not control-dependent on
-//	                processor identity inside SPMD code
-//	collorder       all processors execute the same communication
-//	                sequence with agreeing dims, masks, tags and roots
-//	simdeterminism  no wall-clock reads, global rand, or
-//	                map-order-dependent communication in the simulator
-//	commverify      point-to-point protocols are deadlock-free:
-//	                every concretizable SPMD scope is bounded
-//	                model-checked on cubes up to d=4, and unmatched
-//	                sends, tag mismatches, and cyclic waits are
-//	                reported with a counterexample schedule
-//	lockdiscipline  in the host-concurrent packages (the serving
-//	                plane), mutexes balance Lock/Unlock on every
-//	                path, are never re-acquired on a path that holds
-//	                them, and guard no blocking operation
-//	goroutinelife   every go statement in those packages carries a
-//	                termination obligation: a done-channel select, a
-//	                WaitGroup pairing, or a reasoned //lint:allow
-//	chanprotocol    channels have a single closing owner, no path
-//	                sends on a channel another path closed, and
-//	                go/defer closures in loops do not capture
-//	                variables the loop keeps writing
-//
-// Two more run implicitly: collectives summarizes which functions
-// perform collectives and which return identity-derived values, and
-// hostconc summarizes which functions may block and which mutexes
-// they acquire. Both export their summaries as package facts so the
-// diagnostic analyzers see through package boundaries.
+// Command vmlint runs the repository's static-analysis suite: the
+// analyzers registered in analyzers below, which enforce at compile
+// time the invariants the simulator otherwise only checks (or fails
+// to check) at run time. The "Static analysis" table in README.md
+// says what each one enforces and which runtime failure it subsumes;
+// TestAnalyzerRoster holds that table and the registration together.
 //
 // Usage, standalone:
 //
@@ -55,7 +25,8 @@
 //
 // on the diagnostic's line, the line above it, or in the doc comment
 // of the enclosing declaration. The reason is mandatory, and a
-// directive that no longer suppresses anything is itself a finding.
+// directive that no longer suppresses anything, or that names no
+// registered analyzer, is itself a finding.
 //
 // Exit status: 0 for no findings, 2 for findings (with -fix, findings
 // that remain after the fixes were applied), 1 for operational errors
@@ -71,7 +42,6 @@ import (
 	"sort"
 
 	"vmprim/internal/analysis/collorder"
-	"vmprim/internal/analysis/commverify"
 	"vmprim/internal/analysis/framework"
 	"vmprim/internal/analysis/hostconc"
 	"vmprim/internal/analysis/hostconc/chanprotocol"
@@ -90,7 +60,6 @@ func analyzers() []*framework.Analyzer {
 		spmdsym.Analyzer,
 		collorder.Analyzer,
 		simdeterminism.Analyzer,
-		commverify.Analyzer,
 		hostconc.Analyzer,
 		lockdiscipline.Analyzer,
 		goroutinelife.Analyzer,
@@ -126,6 +95,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	auditDirectiveNames(res)
 
 	if *suppressions {
 		listSuppressions(res.Suppressions)
@@ -177,6 +147,30 @@ func main() {
 	}
 
 	report(res.Findings)
+}
+
+// auditDirectiveNames adds a "directive" finding for every
+// //lint:allow whose analyzer this binary does not register.
+// framework.Run cannot judge such a directive (a single-analyzer run
+// legitimately sees the others' names) and audits it as used; the
+// full roster can, and a typo or a deleted analyzer's name suppresses
+// nothing.
+func auditDirectiveNames(res *framework.RunResult) {
+	known := map[string]bool{"all": true}
+	for _, a := range analyzers() {
+		known[a.Name] = true
+	}
+	for i, s := range res.Suppressions {
+		if !known[s.Analyzer] {
+			res.Suppressions[i].Used = false
+			res.Findings = append(res.Findings, framework.Finding{
+				Analyzer: "directive",
+				Pos:      token.Position{Filename: s.File, Line: s.Line, Column: s.Col},
+				Message:  fmt.Sprintf("//lint:allow %s names no registered analyzer", s.Analyzer),
+			})
+		}
+	}
+	framework.SortFindings(res.Findings)
 }
 
 // report prints findings and exits 2 if there are any.

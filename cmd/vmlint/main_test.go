@@ -2,12 +2,16 @@ package main
 
 import (
 	"encoding/json"
+	"go/ast"
 	"go/token"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
+	"strings"
 	"testing"
 
+	"vmprim/internal/analysis/collorder"
 	"vmprim/internal/analysis/framework"
 )
 
@@ -17,9 +21,9 @@ import (
 func TestFindingsJSON(t *testing.T) {
 	in := []framework.Finding{
 		{
-			Analyzer: "commverify",
+			Analyzer: "collorder",
 			Pos:      token.Position{Filename: "a.go", Line: 3, Column: 7},
-			Message:  "protocol deadlocks on the d=2 cube",
+			Message:  "communication sequence diverges on this identity-dependent branch",
 		},
 		{
 			Analyzer: "recyclecheck",
@@ -35,7 +39,7 @@ func TestFindingsJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := `[{"file":"a.go","line":3,"col":7,"analyzer":"commverify","message":"protocol deadlocks on the d=2 cube"},` +
+	want := `[{"file":"a.go","line":3,"col":7,"analyzer":"collorder","message":"communication sequence diverges on this identity-dependent branch"},` +
 		`{"file":"b.go","line":10,"col":2,"analyzer":"recyclecheck","message":"buffer never recycled","fix":"add p.Recycle(buf)"}]`
 	if string(got) != want {
 		t.Errorf("wire shape drifted:\n got: %s\nwant: %s", got, want)
@@ -114,28 +118,117 @@ func TestProblemMatcherCoversAnalyzers(t *testing.T) {
 	}
 }
 
-// TestAnalyzerRoster guards the registration list: every analyzer the
-// docs promise, exactly once, the hostconc family included.
+// TestAnalyzerRoster holds the registration list and the one written
+// statement of the roster — the first column of README.md's "Static
+// analysis" table — together: every registered analyzer has exactly
+// one row and every row names a registered analyzer. A summary
+// analyzer that a registered one Requires (hostconc) reports nothing
+// of its own; the README describes those in prose, not rows.
 func TestAnalyzerRoster(t *testing.T) {
-	want := map[string]bool{
-		"recyclecheck": false, "spanbalance": false, "spmdsym": false,
-		"collorder": false, "simdeterminism": false, "commverify": false,
-		"hostconc": false, "lockdiscipline": false, "goroutinelife": false,
-		"chanprotocol": false,
+	readme, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
+	if err != nil {
+		t.Fatal(err)
 	}
+	_, section, ok := strings.Cut(string(readme), "\n## Static analysis\n")
+	if !ok {
+		t.Fatal(`README.md has no "## Static analysis" section`)
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	rows := make(map[string]int)
+	for _, m := range regexp.MustCompile("(?m)^\\| `([a-z]+)` \\|").FindAllStringSubmatch(section, -1) {
+		rows[m[1]]++
+	}
+	summaryOnly := make(map[string]bool)
 	for _, a := range analyzers() {
-		seen, ok := want[a.Name]
-		if !ok {
-			t.Errorf("unexpected analyzer %q registered", a.Name)
-		}
-		if seen {
-			t.Errorf("analyzer %q registered twice", a.Name)
-		}
-		want[a.Name] = true
-	}
-	for name, seen := range want {
-		if !seen {
-			t.Errorf("analyzer %q not registered", name)
+		for _, dep := range a.Requires {
+			summaryOnly[dep.Name] = true
 		}
 	}
+	registered := make(map[string]int)
+	for _, a := range analyzers() {
+		if !summaryOnly[a.Name] {
+			registered[a.Name]++
+		}
+	}
+	if !reflect.DeepEqual(rows, registered) {
+		t.Errorf("README table rows and registered diagnostic analyzers differ (name: count):\n  README: %v\n  vmlint: %v", rows, registered)
+	}
+}
+
+// TestUnknownDirectiveName: a //lint:allow naming an analyzer the
+// binary does not register (a typo, or an analyzer since deleted)
+// suppresses nothing and must fail the run, not be audited as used.
+func TestUnknownDirectiveName(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, body string) {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("go.mod", "module scratch\n\ngo 1.21\n")
+	write("a.go", "package scratch\n\n//lint:allow nosuchanalyzer a reason, so the directive is well-formed\nvar X = 1\n")
+	pkgs, err := framework.Load(dir, "./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := framework.Run(pkgs, analyzers())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Findings) != 0 {
+		t.Fatalf("framework.Run must leave names it cannot judge alone, got %v", res.Findings)
+	}
+	auditDirectiveNames(res)
+	if len(res.Findings) != 1 {
+		t.Fatalf("want one finding for the unknown name, got %v", res.Findings)
+	}
+	f := res.Findings[0]
+	if f.Analyzer != "directive" || f.Pos.Line != 3 || f.Pos.Column != 1 ||
+		!strings.Contains(f.Message, "nosuchanalyzer names no registered analyzer") {
+		t.Errorf("unexpected finding: %s", f)
+	}
+	if len(res.Suppressions) != 1 || res.Suppressions[0].Used {
+		t.Errorf("the directive must be listed as not used: %+v", res.Suppressions)
+	}
+}
+
+// TestDemoDeadlockStaysFlagged: the mismatched-pairing bug that
+// `vmprim -demo-deadlock` stages is still caught statically — collorder
+// alone reports it, which the used //lint:allow inside runDemoDeadlock
+// proves (a directive that suppressed nothing would be a finding).
+func TestDemoDeadlockStaysFlagged(t *testing.T) {
+	pkgs, err := framework.Load(filepath.Join("..", ".."), "./cmd/vmprim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := framework.Run(pkgs, []*framework.Analyzer{collorder.Analyzer})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range res.Findings {
+		t.Errorf("unexpected finding: %s", f)
+	}
+	var first, last int
+	for _, pkg := range pkgs {
+		if pkg.PkgPath != "vmprim/cmd/vmprim" {
+			continue
+		}
+		for _, file := range pkg.Files {
+			for _, decl := range file.Decls {
+				if fn, ok := decl.(*ast.FuncDecl); ok && fn.Name.Name == "runDemoDeadlock" {
+					first, last = pkg.Fset.Position(fn.Pos()).Line, pkg.Fset.Position(fn.End()).Line
+				}
+			}
+		}
+	}
+	if first == 0 {
+		t.Fatal("cmd/vmprim has no runDemoDeadlock")
+	}
+	for _, s := range res.Suppressions {
+		if s.Analyzer == "collorder" && s.Used && filepath.Base(s.File) == "main.go" &&
+			first <= s.Line && s.Line <= last {
+			return
+		}
+	}
+	t.Errorf("no used collorder suppression inside runDemoDeadlock (lines %d-%d): %+v", first, last, res.Suppressions)
 }

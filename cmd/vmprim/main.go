@@ -219,7 +219,6 @@ func runDemoDeadlock(jsonOut bool, pmOut, metricsOut string) error {
 		d := (p.ID() & 1) ^ ((p.ID() >> 1) & 1)
 		//lint:allow collorder the mismatched pairing is the point: -demo-deadlock exists to show the watchdog's post-mortem on exactly this bug
 		//lint:allow recyclecheck the exchange never completes, so there is no buffer to recycle; the run is torn down by the watchdog
-		//lint:allow commverify the model checker is right — this protocol deadlocks on the d=2 cube by design, and the demo exists to show the runtime post-mortem on exactly the bug the static counterexample describes
 		p.Exchange(d, 7, []float64{float64(p.ID()), 1, 2})
 	})
 	if err == nil {

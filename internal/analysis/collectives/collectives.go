@@ -71,7 +71,7 @@ func (r *Result) IsCollectiveCall(call *ast.CallExpr) bool {
 		return true
 	}
 	f := vmlib.Callee(r.info, call)
-	return f != nil && (r.localColl[f] || r.collNames[factKey(f)])
+	return f != nil && (r.localColl[f] || r.collNames[vmlib.FactKey(f)])
 }
 
 // IsIdentityCall reports whether call's result derives from processor
@@ -82,7 +82,7 @@ func (r *Result) IsIdentityCall(call *ast.CallExpr) bool {
 		return true
 	}
 	f := vmlib.Callee(r.info, call)
-	return f != nil && (r.localIdent[f] || r.identNames[factKey(f)])
+	return f != nil && (r.localIdent[f] || r.identNames[vmlib.FactKey(f)])
 }
 
 // TaintConfig is the taint engine configuration using this result's
@@ -93,31 +93,6 @@ func (r *Result) TaintConfig() taint.Config {
 		IsIdentityCall:   r.IsIdentityCall,
 		IsReplicatedCall: r.IsCollectiveCall,
 	}
-}
-
-// factKey is the cross-package lookup key of a function: package path
-// plus the qualified name used in facts.
-func factKey(f *types.Func) string {
-	if f.Pkg() == nil {
-		return ""
-	}
-	return f.Pkg().Path() + ":" + qualifiedName(f)
-}
-
-// qualifiedName renders a function as it appears in a Fact:
-// "TypeName.Method" for methods, the bare name for functions.
-func qualifiedName(f *types.Func) string {
-	sig, ok := f.Type().(*types.Signature)
-	if ok && sig.Recv() != nil {
-		t := sig.Recv().Type()
-		if p, ok := t.(*types.Pointer); ok {
-			t = p.Elem()
-		}
-		if named, ok := t.(*types.Named); ok {
-			return named.Obj().Name() + "." + f.Name()
-		}
-	}
-	return f.Name()
 }
 
 func run(pass *framework.Pass) (any, error) {
@@ -189,10 +164,10 @@ func run(pass *framework.Pass) (any, error) {
 	// absence and emptiness mean the same thing to consumers.
 	fact := &Fact{}
 	for obj := range res.localColl {
-		fact.Collective = append(fact.Collective, qualifiedName(obj))
+		fact.Collective = append(fact.Collective, vmlib.QualifiedName(obj))
 	}
 	for obj := range res.localIdent {
-		fact.Identity = append(fact.Identity, qualifiedName(obj))
+		fact.Identity = append(fact.Identity, vmlib.QualifiedName(obj))
 	}
 	sort.Strings(fact.Collective)
 	sort.Strings(fact.Identity)

@@ -116,14 +116,14 @@ var (
 	registered = make(map[string]bool)
 )
 
-// registerFactTypes registers every fact type declared by the
-// analyzers (and their Requires closure) with gob, under the stable
-// %T name, so stores round-trip across processes regardless of
-// registration order.
-func registerFactTypes(analyzers []*Analyzer) {
+// registerFactTypes registers every fact type declared by ordered (an
+// analyzerOrder result, so the Requires closure is included) with
+// gob, under the stable %T name, so stores round-trip across
+// processes regardless of registration order.
+func registerFactTypes(ordered []*Analyzer) {
 	registerMu.Lock()
 	defer registerMu.Unlock()
-	for _, a := range closure(analyzers) {
+	for _, a := range ordered {
 		for _, ft := range a.FactTypes {
 			name := factTypeName(ft)
 			if !registered[name] {

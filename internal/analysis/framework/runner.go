@@ -26,6 +26,7 @@ func (f Finding) String() string {
 type Suppression struct {
 	File     string
 	Line     int
+	Col      int
 	Analyzer string
 	Reason   string
 	// Used reports whether the directive suppressed at least one
@@ -64,11 +65,11 @@ func Run(pkgs []*Package, analyzers []*Analyzer) (*RunResult, error) {
 // be pre-seeded (the unitchecker seeds it from dependency vetx files)
 // and is left holding every fact exported during the run.
 func RunWithFacts(pkgs []*Package, analyzers []*Analyzer, facts *FactStore) (*RunResult, error) {
-	registerFactTypes(analyzers)
 	ordered, err := analyzerOrder(analyzers)
 	if err != nil {
 		return nil, err
 	}
+	registerFactTypes(ordered)
 	requested := make(map[string]bool, len(analyzers))
 	for _, a := range analyzers {
 		requested[a.Name] = true
@@ -138,7 +139,7 @@ func RunWithFacts(pkgs []*Package, analyzers []*Analyzer, facts *FactStore) (*Ru
 			auditable := dir.analyzer == "all" || requested[dir.analyzer]
 			if !pkg.FactsOnly {
 				res.Suppressions = append(res.Suppressions, Suppression{
-					File: dir.file, Line: dir.line,
+					File: dir.file, Line: dir.line, Col: pkg.Fset.Position(dir.pos).Column,
 					Analyzer: dir.analyzer, Reason: dir.reason,
 					Used: dir.used || !auditable,
 				})
@@ -158,8 +159,23 @@ func RunWithFacts(pkgs []*Package, analyzers []*Analyzer, facts *FactStore) (*Ru
 			})
 		}
 	}
-	sort.Slice(res.Findings, func(i, j int) bool {
-		a, b := res.Findings[i], res.Findings[j]
+	SortFindings(res.Findings)
+	sort.Slice(res.Suppressions, func(i, j int) bool {
+		a, b := res.Suppressions[i], res.Suppressions[j]
+		if a.File != b.File {
+			return a.File < b.File
+		}
+		return a.Line < b.Line
+	})
+	return res, nil
+}
+
+// SortFindings orders findings by position, then analyzer name: the
+// order Run returns them in, for drivers that add findings of their
+// own.
+func SortFindings(findings []Finding) {
+	sort.Slice(findings, func(i, j int) bool {
+		a, b := findings[i], findings[j]
 		if a.Pos.Filename != b.Pos.Filename {
 			return a.Pos.Filename < b.Pos.Filename
 		}
@@ -171,41 +187,12 @@ func RunWithFacts(pkgs []*Package, analyzers []*Analyzer, facts *FactStore) (*Ru
 		}
 		return a.Analyzer < b.Analyzer
 	})
-	sort.Slice(res.Suppressions, func(i, j int) bool {
-		a, b := res.Suppressions[i], res.Suppressions[j]
-		if a.File != b.File {
-			return a.File < b.File
-		}
-		return a.Line < b.Line
-	})
-	return res, nil
 }
 
-// closure expands analyzers to include their transitive Requires, in
-// an order where dependencies precede dependents.
-func closure(analyzers []*Analyzer) []*Analyzer {
-	var out []*Analyzer
-	seen := make(map[*Analyzer]bool)
-	var visit func(a *Analyzer)
-	visit = func(a *Analyzer) {
-		if seen[a] {
-			return
-		}
-		seen[a] = true
-		for _, dep := range a.Requires {
-			visit(dep)
-		}
-		out = append(out, a)
-	}
-	for _, a := range analyzers {
-		visit(a)
-	}
-	return out
-}
-
-// analyzerOrder is closure plus cycle detection: a Requires cycle
-// would deadlock the real framework's scheduler and is a programming
-// error here too.
+// analyzerOrder expands analyzers to include their transitive
+// Requires, in an order where dependencies precede dependents. A
+// Requires cycle would deadlock the real framework's scheduler and is
+// a programming error here too.
 func analyzerOrder(analyzers []*Analyzer) ([]*Analyzer, error) {
 	const (
 		visiting = 1

@@ -26,8 +26,10 @@
 // the family's diagnostics are scoped to the host-concurrent code:
 // internal/serve, internal/metrics, cmd/vmprimd, cmd/vmload, and the
 // machinepool.go/stream.go files of internal/hypercube — the rest of
-// the hypercube package is the virtual-time simulator, whose channel
-// protocol is commverify's jurisdiction, not this family's.
+// the hypercube package is the virtual-time simulator, whose link
+// transport (lock-free rings and one park word per processor) is
+// policed by the race detector and the link stress tests, not by
+// this family.
 package hostconc
 
 import (
@@ -36,7 +38,6 @@ import (
 	"go/types"
 	"path/filepath"
 	"sort"
-	"strings"
 
 	"vmprim/internal/analysis/framework"
 	"vmprim/internal/analysis/vmlib"
@@ -244,7 +245,7 @@ func (r *Result) Summary(f *types.Func) *FuncSummary {
 	if s, ok := r.local[f]; ok {
 		return s
 	}
-	return r.imported[factKey(f)]
+	return r.imported[vmlib.FactKey(f)]
 }
 
 // ioVerbs are the method/function names that perform network I/O when
@@ -279,7 +280,7 @@ func (r *Result) BlockingCall(call *ast.CallExpr) (desc, root string) {
 		return d, d
 	}
 	if s := r.Summary(f); s != nil && s.Blocker != "" {
-		return "a call to " + qualifiedName(f) + ", which may block (" + s.Blocker + ")", s.Blocker
+		return "a call to " + vmlib.QualifiedName(f) + ", which may block (" + s.Blocker + ")", s.Blocker
 	}
 	return "", ""
 }
@@ -394,30 +395,6 @@ func (r *Result) BlockOps(node ast.Node, visit func(pos token.Pos, desc, root st
 	})
 }
 
-// factKey is the cross-package lookup key of a function.
-func factKey(f *types.Func) string {
-	if f.Pkg() == nil {
-		return ""
-	}
-	return f.Pkg().Path() + ":" + qualifiedName(f)
-}
-
-// qualifiedName renders a function as it appears in a Fact:
-// "TypeName.Method" for methods, the bare name for functions.
-func qualifiedName(f *types.Func) string {
-	sig, ok := f.Type().(*types.Signature)
-	if ok && sig.Recv() != nil {
-		t := sig.Recv().Type()
-		if p, ok := t.(*types.Pointer); ok {
-			t = p.Elem()
-		}
-		if named, ok := t.(*types.Named); ok {
-			return named.Obj().Name() + "." + f.Name()
-		}
-	}
-	return f.Name()
-}
-
 func (s *FuncSummary) acquires(key string) bool {
 	for _, k := range s.Acquires {
 		if k == key {
@@ -427,25 +404,21 @@ func (s *FuncSummary) acquires(key string) bool {
 	return false
 }
 
-// inModule reports whether path is one of this module's packages.
-// Summaries exist only for them: the go vet driver also runs facts
-// analyzers over the standard library's source units, and summarizing
-// those drowns the classifier in runtime internals (every allocation
-// "may block" because the GC's start-the-world handshake receives from
-// a channel). The standard library is modeled solely by the explicit
-// knownBlocker/netPrint entries, which name the operations that block
-// on behalf of the *caller*.
-func inModule(path string) bool {
-	return path == "vmprim" || strings.HasPrefix(path, "vmprim/")
-}
-
 func run(pass *framework.Pass) (any, error) {
 	res := &Result{
 		info:     pass.TypesInfo,
 		local:    make(map[*types.Func]*FuncSummary),
 		imported: make(map[string]*FuncSummary),
 	}
-	if !inModule(pass.Pkg.Path()) {
+	// Summaries exist only for this module's packages: the go vet
+	// driver also runs facts analyzers over the standard library's
+	// source units, and summarizing those drowns the classifier in
+	// runtime internals (every allocation "may block" because the GC's
+	// start-the-world handshake receives from a channel). The standard
+	// library is modeled solely by the explicit knownBlocker/netPrint
+	// entries, which name the operations that block on behalf of the
+	// *caller*.
+	if !vmlib.InModule(pass.Pkg.Path()) {
 		return res, nil
 	}
 
@@ -455,7 +428,7 @@ func run(pass *framework.Pass) (any, error) {
 	// the module are skipped for the same reason run skips computing
 	// them — defense against a store populated by an older binary.
 	for _, pf := range pass.AllPackageFacts() {
-		if !inModule(pf.Path) {
+		if !vmlib.InModule(pf.Path) {
 			continue
 		}
 		fact := pf.Fact.(*Fact)
@@ -476,7 +449,7 @@ func run(pass *framework.Pass) (any, error) {
 			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Body != nil {
 				if obj, ok := pass.TypesInfo.Defs[fn.Name].(*types.Func); ok {
 					bodies[obj] = fn
-					res.local[obj] = &FuncSummary{Name: qualifiedName(obj)}
+					res.local[obj] = &FuncSummary{Name: vmlib.QualifiedName(obj)}
 				}
 			}
 		}

@@ -142,3 +142,22 @@ func OwnerSwitch(p *hypercube.Proc, replicate bool, data []float64) {
 		data[0] = 1
 	}
 }
+
+// LostSend: only rank 0 sends and nobody receives — a one-sided
+// point-to-point op under an identity guard.
+func LostSend(p *hypercube.Proc) {
+	if p.ID() == 0 { // want `one side runs \[Send\(d=0,tag=4\)\], the other \[nothing\]`
+		p.Send(0, 4, nil)
+	}
+}
+
+// TagSkew: the arms pair a Send with a Recv on the same link but
+// disagree on the tag — the runtime panics at the Recv.
+func TagSkew(p *hypercube.Proc) {
+	if p.ID()&1 == 0 { // want `one side runs \[Send\(d=0,tag=1\)\], the other \[Recv\(d=0,wantTag=2\)\]`
+		p.Send(0, 1, nil)
+	} else {
+		got := p.Recv(0, 2)
+		_ = got
+	}
+}

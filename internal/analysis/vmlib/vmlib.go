@@ -25,7 +25,6 @@ const (
 	AppsPath       = "vmprim/internal/apps"
 	RouterPath     = "vmprim/internal/router"
 	BenchPath      = "vmprim/internal/bench"
-	GrayPath       = "vmprim/internal/gray"
 
 	// FacadePath is the public facade package, which re-exports the
 	// machine model and kernels; ExamplesPath and CmdPath are the
@@ -63,6 +62,11 @@ func InTopLevelScope(pkgPath string) bool {
 	return pkgPath == FacadePath || InScope(pkgPath, ExamplesPath, CmdPath)
 }
 
+// InModule reports whether path is one of this module's packages.
+func InModule(path string) bool {
+	return InScope(path, FacadePath)
+}
+
 // IsTestFile reports whether the file containing pos is a _test.go
 // file. The analyzers audit only non-test sources: tests deliberately
 // exercise the failing runtime paths (unbalanced spans, seeded random
@@ -84,6 +88,31 @@ func Callee(info *types.Info, call *ast.CallExpr) *types.Func {
 		return f
 	}
 	return nil
+}
+
+// FactKey is the cross-package lookup key of a function in the
+// analyzers' package facts: package path plus QualifiedName.
+func FactKey(f *types.Func) string {
+	if f.Pkg() == nil {
+		return ""
+	}
+	return f.Pkg().Path() + ":" + QualifiedName(f)
+}
+
+// QualifiedName renders a function as it appears in a package fact:
+// "TypeName.Method" for methods, the bare name for functions.
+func QualifiedName(f *types.Func) string {
+	sig, ok := f.Type().(*types.Signature)
+	if ok && sig.Recv() != nil {
+		t := sig.Recv().Type()
+		if p, ok := t.(*types.Pointer); ok {
+			t = p.Elem()
+		}
+		if named, ok := t.(*types.Named); ok {
+			return named.Obj().Name() + "." + f.Name()
+		}
+	}
+	return f.Name()
 }
 
 // IsMethod reports whether f is a method named name on the (possibly

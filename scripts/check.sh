@@ -44,13 +44,9 @@ go build ./...
 # drive; this sees every function the compiler does.
 ./scripts/allocgate.sh
 
-# vmlint: the repo's own ten analyzers — buffer ownership
-# (recyclecheck), span balance, SPMD symmetry, collective order,
-# simulated determinism, commverify, and the host-concurrency four
-# (hostconc, lockdiscipline, goroutinelife, chanprotocol). Build the
-# tool once, then lint before spending time on tests — a lint finding
-# is file:line:col actionable, a deadlocked test run is a 30s watchdog
-# timeout.
+# The vmlint suite (see README). Build the tool once, then lint before
+# spending time on tests — a lint finding is file:line:col actionable,
+# a deadlocked test run is a 30s watchdog timeout.
 vmlint_bin=$(mktemp)
 go build -o "$vmlint_bin" ./cmd/vmlint
 "$vmlint_bin" ./... || { rm -f "$vmlint_bin"; echo "vmlint failed" >&2; exit 1; }
