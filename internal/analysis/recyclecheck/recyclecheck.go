@@ -20,6 +20,8 @@
 //   - p.Recycle(v) — returned to the pool;
 //   - p.Capture(v) — handed to the flight recorder, which keeps it
 //     for the post-mortem report;
+//   - p.SendOwned(d, tag, v) — the buffer itself rides the link and
+//     belongs to the receiver;
 //   - any appearance inside a return statement — ownership passes to
 //     the caller;
 //   - v (or a reslice v[i:j], which shares the backing array) assigned
@@ -39,6 +41,11 @@
 // Everything else — indexing, ranging, len/cap, copy, payload
 // arguments to Send/Exchange (which copy), combiner arguments — is a
 // borrow and leaves the obligation standing.
+//
+// A buffer discharged twice (SendOwned and then Recycle, say) is out
+// of scope: without flow the check cannot tell that from the two arms
+// of "send it if there is a partner, else recycle it", which is
+// correct code.
 //
 // Missing-Recycle diagnostics carry a suggested fix (inserting
 // p.Recycle(buf) after the buffer's last use) when the insertion point
@@ -497,13 +504,17 @@ func discharges(info *types.Info, id *ast.Ident, stack []ast.Node, sinks *sinkSe
 // callDischarges decides whether passing the buffer as arg to call
 // transfers ownership: Recycle always does, and so does Capture (the
 // flight recorder takes the buffer for the post-mortem, so it must
-// not go back to the pool); append does for element arguments (not
+// not go back to the pool); SendOwned does for its payload, which the
+// receiver owns from then on; append does for element arguments (not
 // for the slice being grown, and not for v... which copies); a call
 // to a summarized sink does for the discharged parameter positions;
 // every other call is a borrow.
 func callDischarges(info *types.Info, call *ast.CallExpr, arg ast.Node, sinks *sinkSet) bool {
 	if vmlib.IsProcMethod(info, call, "Recycle", "Capture") {
 		return true
+	}
+	if vmlib.IsProcMethod(info, call, "SendOwned") {
+		return len(call.Args) == 3 && call.Args[2] == arg
 	}
 	if vmlib.IsBuiltinCall(info, call, "append") {
 		for i, a := range call.Args {

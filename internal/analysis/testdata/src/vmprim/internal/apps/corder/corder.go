@@ -21,6 +21,11 @@ func TagByRank(p *hypercube.Proc, data []float64) {
 	p.Send(0, p.ID(), data) // want `argument "tag" derives from processor identity`
 }
 
+// OwnedTagByRank: the ownership-transfer send pairs up like Send.
+func OwnedTagByRank(p *hypercube.Proc, data []float64) {
+	p.SendOwned(0, p.ID(), data) // want `argument "tag" derives from processor identity`
+}
+
 // myDim launders identity through a local helper; the collectives
 // summary marks it an identity source.
 func myDim(p *hypercube.Proc) int { return p.ID() % 2 }

@@ -43,6 +43,14 @@ func mapOrderSend(p *hypercube.Proc, pending map[int][]float64) {
 	}
 }
 
+// mapOrderSendOwned: moving the buffer instead of copying it changes
+// nothing about the order.
+func mapOrderSendOwned(p *hypercube.Proc, pending map[int][]float64) {
+	for d, words := range pending { // want `map iteration order is nondeterministic and this loop feeds SendOwned`
+		p.SendOwned(d, 1, words)
+	}
+}
+
 // sortedSend iterates a deterministic key slice instead.
 func sortedSend(p *hypercube.Proc, pending map[int][]float64, keys []int) {
 	for _, d := range keys {

@@ -83,6 +83,21 @@ func borrowOnly(p *hypercube.Proc, out []float64) int {
 	return len(buf)
 }
 
+// ownedSend discharges by moving the buffer itself onto the link: the
+// receiver owns it, so the sender has nothing left to recycle.
+func ownedSend(p *hypercube.Proc) {
+	buf := p.GetBuf(8)
+	buf[0] = 1
+	p.SendOwned(0, 1, buf[:4])
+}
+
+// ownedSendOther moves a different buffer; sizing the tag from buf is
+// a borrow, so buf's obligation stands.
+func ownedSendOther(p *hypercube.Proc, other []float64) {
+	buf := p.GetBuf(8) // want `buffer "buf" from GetBuf is never recycled`
+	p.SendOwned(0, len(buf), other)
+}
+
 // captured discharges by handing the buffer to the flight recorder:
 // Capture keeps it for the post-mortem, so it must not be recycled.
 func captured(p *hypercube.Proc) {

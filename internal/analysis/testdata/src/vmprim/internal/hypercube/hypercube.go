@@ -16,6 +16,7 @@ func (p *Proc) Neighbor(d int) int                             { return 0 }
 func (p *Proc) GetBuf(n int) []float64                         { return nil }
 func (p *Proc) Recycle(buf []float64)                          {}
 func (p *Proc) Send(d, tag int, words []float64)               {}
+func (p *Proc) SendOwned(d, tag int, buf []float64)            {}
 func (p *Proc) Recv(d, wantTag int) []float64                  { return nil }
 func (p *Proc) Exchange(d, tag int, words []float64) []float64 { return nil }
 func (p *Proc) ExchangeAll(dims []int, tag int, payloads [][]float64) [][]float64 {

@@ -194,7 +194,8 @@ func vecMatNaive(e *core.Env, a *core.Matrix, x *core.Vector) *core.Vector {
 	}
 	xp := x.L(pid)
 	got := router.Request(e.P, e.NextTag2(), want, func(key int) []float64 {
-		return []float64{xp[x.Map.LocalOf(key)]}
+		l := x.Map.LocalOf(key)
+		return xp[l : l+1] // Request copies it
 	})
 	e.EndSpan()
 
@@ -204,7 +205,8 @@ func vecMatNaive(e *core.Env, a *core.Matrix, x *core.Vector) *core.Vector {
 	// one message per local element.
 	out := e.TempVector(a.Cols, core.Linear, a.CMap.Kind, 0, false)
 	e.BeginSpan("route-products")
-	var parts []router.Msg
+	parts := make([]router.Msg, 0, len(rows)*b)
+	prods := make([]float64, len(rows)*b) // one slab for the one-word payloads
 	flops := 0
 	for wi, lr := range rows {
 		xi := got[wi][0]
@@ -214,7 +216,8 @@ func vecMatNaive(e *core.Env, a *core.Matrix, x *core.Vector) *core.Vector {
 			if gj < 0 {
 				continue
 			}
-			parts = append(parts, router.Msg{Dst: out.OwnerProcOf(gj), Key: gj, Words: []float64{xi * aij}})
+			prods[flops] = xi * aij
+			parts = append(parts, router.Msg{Dst: out.OwnerProcOf(gj), Key: gj, Words: prods[flops : flops+1]})
 			flops++
 		}
 	}

@@ -12,6 +12,12 @@ import (
 // explicit send per destination — exactly the "straightforward global
 // address space" style the paper's primitives displaced. They share no
 // code with the structured collectives on purpose.
+//
+// One-word payloads are one-word windows onto the local block, not
+// fresh slices: router.Route copies what it is given into its own
+// buffer before anything moves, and router.Request copies what serve
+// returns, so a message per element need not mean an allocation per
+// element on the host.
 
 // naiveBcast has proc src send words to every processor as P separate
 // routed messages (no spanning tree, no combining); everyone returns
@@ -43,8 +49,8 @@ func naiveFetchElems(e *core.Env, a *core.Matrix, idx [][2]int) []float64 {
 	blk := a.L(pid)
 	b := a.CMap.B
 	got := router.Request(e.P, e.NextTag2(), want, func(key int) []float64 {
-		i, j := key/a.Cols, key%a.Cols
-		return []float64{blk[a.RMap.LocalOf(i)*b+a.CMap.LocalOf(j)]}
+		k := a.RMap.LocalOf(key/a.Cols)*b + a.CMap.LocalOf(key%a.Cols)
+		return blk[k : k+1]
 	})
 	if e.P.ID() != 0 {
 		return nil
@@ -79,7 +85,7 @@ func naiveSwapRows(e *core.Env, a *core.Matrix, i1, i2 int) {
 			out = append(out, router.Msg{
 				Dst:   a.OwnerOf(to, gj),
 				Key:   to*a.Cols + gj,
-				Words: []float64{blk[lr*b+lc]},
+				Words: blk[lr*b+lc : lr*b+lc+1],
 			})
 		}
 	}
@@ -111,7 +117,7 @@ func naiveSpreadRow(e *core.Env, a *core.Matrix, i, clo, chi int) []float64 {
 				out = append(out, router.Msg{
 					Dst:   e.G.ProcAt(gr, myCol),
 					Key:   gj,
-					Words: []float64{blk[lr*b+lc]},
+					Words: blk[lr*b+lc : lr*b+lc+1],
 				})
 			}
 		}
@@ -147,7 +153,7 @@ func naiveSpreadCol(e *core.Env, a *core.Matrix, j, rlo, rhi int) []float64 {
 				out = append(out, router.Msg{
 					Dst:   e.G.ProcAt(myRow, gc),
 					Key:   gi,
-					Words: []float64{blk[lr*b+lc]},
+					Words: blk[lr*b+lc : lr*b+lc+1],
 				})
 			}
 		}

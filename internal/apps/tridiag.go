@@ -83,9 +83,11 @@ func SolveTridiag(mach *hypercube.Machine, a, b, c, d []float64) ([]float64, cos
 			for q2, gi := range idx {
 				want[q2] = router.Msg{Dst: ownerOf(gi), Key: gi}
 			}
+			eq := make([]float64, 4) // Request copies each answer before the next
 			got := router.Request(p, e.NextTag2(), want, func(key int) []float64 {
 				l := localOf(key)
-				return []float64{la[l], lb[l], lc[l], ld[l]}
+				eq[0], eq[1], eq[2], eq[3] = la[l], lb[l], lc[l], ld[l]
+				return eq
 			})
 			out := make(map[int][4]float64, len(idx))
 			for q2, gi := range idx {
@@ -99,7 +101,8 @@ func SolveTridiag(mach *hypercube.Machine, a, b, c, d []float64) ([]float64, cos
 				want[q2] = router.Msg{Dst: ownerOf(gi), Key: gi}
 			}
 			got := router.Request(p, e.NextTag2(), want, func(key int) []float64 {
-				return []float64{lx[localOf(key)]}
+				l := localOf(key)
+				return lx[l : l+1]
 			})
 			out := make(map[int]float64, len(idx))
 			for q2, gi := range idx {

@@ -2,12 +2,12 @@ package core
 
 import (
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"vmprim/internal/costmodel"
 	"vmprim/internal/embed"
 	"vmprim/internal/hypercube"
+	"vmprim/internal/testutil"
 )
 
 // The fused UpdateOuterSub/UpdateOuterAddMul kernels must be
@@ -150,17 +150,7 @@ func TestReduceRowsSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 5; i++ {
-		run()
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	const runs = 10
-	for i := 0; i < runs; i++ {
-		run()
-	}
-	runtime.ReadMemStats(&after)
-	per := float64(after.Mallocs-before.Mallocs) / runs
+	per := testutil.MallocsPerRun(5, 10, run)
 	perProc := per / float64(g.P())
 	if perProc > 10 {
 		t.Fatalf("ReduceRows steady state allocates %.1f objects/proc/run, want <= 10", perProc)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"vmprim/internal/embed"
 	"vmprim/internal/router"
@@ -17,41 +16,53 @@ import (
 // message combining that distinguishes a primitive from naive
 // element-at-a-time access.
 
-// remapItem is one (global index, value) pair in flight during an
-// embedding change. Keys must be nonnegative.
+// remapItem is one element in flight during an embedding change: the
+// processor it moves to, its global index there (nonnegative) and its
+// value.
 type remapItem struct {
-	key int
-	val float64
+	dst, key int
+	val      float64
 }
 
-// remapExchange routes every processor's items to dstOf(key) and
-// returns the items that arrived here. All processors call it
-// together.
-func (e *Env) remapExchange(items []remapItem, dstOf func(key int) int) []remapItem {
-	buckets := make(map[int][]float64)
+// remapExchange routes every processor's items to their destinations,
+// one combined message of (key, value) pairs per destination, and
+// returns the messages that arrived here. All processors call it
+// together. Destinations are dense in [0, P), so a counting sort lays
+// the pairs out as per-destination runs of one slab, in item order
+// within a run and ascending destination order across runs.
+func (e *Env) remapExchange(items []remapItem) []router.Msg {
+	end := make([]int, e.P.P()) // end[d]: where d's run ends so far
 	for _, it := range items {
-		d := dstOf(it.key)
-		buckets[d] = append(buckets[d], float64(it.key), it.val)
+		end[it.dst] += 2
 	}
-	msgs := make([]router.Msg, 0, len(buckets))
-	for d, words := range buckets {
-		msgs = append(msgs, router.Msg{Dst: d, Key: len(words) / 2, Words: words})
+	nmsgs, at := 0, 0
+	for d, n := range end {
+		if n > 0 {
+			nmsgs++
+		}
+		end[d] = at
+		at += n
 	}
-	// Map iteration order is random; sort for run-to-run determinism.
-	sort.Slice(msgs, func(i, j int) bool { return msgs[i].Dst < msgs[j].Dst })
-	got := router.Route(e.P, e.NextTag(), msgs)
-	var recv []remapItem
-	for _, m := range got {
-		for i := 0; i+1 < len(m.Words); i += 2 {
-			recv = append(recv, remapItem{key: int(m.Words[i]), val: m.Words[i+1]})
+	slab := make([]float64, at)
+	for _, it := range items {
+		k := end[it.dst]
+		slab[k], slab[k+1] = float64(it.key), it.val
+		end[it.dst] = k + 2
+	}
+	msgs := make([]router.Msg, 0, nmsgs)
+	lo := 0
+	for d, hi := range end {
+		if hi > lo {
+			msgs = append(msgs, router.Msg{Dst: d, Key: (hi - lo) / 2, Words: slab[lo:hi]})
+			lo = hi
 		}
 	}
-	return recv
+	return router.Route(e.P, e.NextTag(), msgs)
 }
 
-// ownedVecItems lists the (index, value) pairs of v this processor is
-// the canonical contributor for.
-func (e *Env) ownedVecItems(v *Vector) []remapItem {
+// ownedVecItems lists the elements of v this processor is the
+// canonical contributor for, each bound for dstOf of its index.
+func (e *Env) ownedVecItems(v *Vector, dstOf func(g int) int) []remapItem {
 	pid := e.P.ID()
 	if !v.HoldsData(pid) || !e.isCanonicalHolder(v) {
 		return nil
@@ -61,7 +72,7 @@ func (e *Env) ownedVecItems(v *Vector) []remapItem {
 	items := make([]remapItem, 0, len(pv))
 	for l, val := range pv {
 		if g := v.Map.GlobalOf(c, l); g >= 0 {
-			items = append(items, remapItem{key: g, val: val})
+			items = append(items, remapItem{dst: dstOf(g), key: g, val: val})
 		}
 	}
 	return items
@@ -79,8 +90,7 @@ func (e *Env) Realign(v *Vector, layout Layout, kind embed.MapKind, home int, re
 		e.P.SpanNote(v.Layout.String() + "->" + layout.String())
 	}
 	out := e.TempVector(v.N, layout, kind, home, false)
-	items := e.ownedVecItems(v)
-	dstOf := func(g int) int {
+	got := e.remapExchange(e.ownedVecItems(v, func(g int) int {
 		c := out.Map.CoordOf(g)
 		switch layout {
 		case Linear:
@@ -90,15 +100,17 @@ func (e *Env) Realign(v *Vector, layout Layout, kind embed.MapKind, home int, re
 		default:
 			return e.G.ProcAt(c, home)
 		}
-	}
-	recv := e.remapExchange(items, dstOf)
-	pid := e.P.ID()
-	if len(recv) > 0 {
-		pv := out.L(pid)
-		for _, it := range recv {
-			pv[out.Map.LocalOf(it.key)] = it.val
+	}))
+	if len(got) > 0 {
+		pv := out.L(e.P.ID())
+		n := 0
+		for _, m := range got {
+			for i := 0; i+1 < len(m.Words); i += 2 {
+				pv[out.Map.LocalOf(int(m.Words[i]))] = m.Words[i+1]
+			}
+			n += len(m.Words) / 2
 		}
-		e.P.Compute(len(recv))
+		e.P.Compute(n)
 	}
 	if replicated && layout != Linear {
 		return e.Distribute(out)
@@ -128,7 +140,7 @@ func (e *Env) TransposeInto(dst, a *Matrix) {
 	blk := a.L(pid)
 	b := a.CMap.B
 	myRow, myCol := e.GridRow(), e.GridCol()
-	var items []remapItem
+	items := make([]remapItem, 0, len(blk))
 	for lr := 0; lr < a.RMap.B; lr++ {
 		gi := a.RMap.GlobalOf(myRow, lr)
 		if gi < 0 {
@@ -140,19 +152,23 @@ func (e *Env) TransposeInto(dst, a *Matrix) {
 				continue
 			}
 			// Element (gi, gj) becomes dst element (gj, gi).
-			items = append(items, remapItem{key: gj*dst.Cols + gi, val: blk[lr*b+lc]})
+			items = append(items, remapItem{dst: dst.OwnerOf(gj, gi), key: gj*dst.Cols + gi, val: blk[lr*b+lc]})
 		}
 	}
-	dstOf := func(key int) int { return dst.OwnerOf(key/dst.Cols, key%dst.Cols) }
-	recv := e.remapExchange(items, dstOf)
-	if len(recv) > 0 {
+	got := e.remapExchange(items)
+	if len(got) > 0 {
 		db := dst.L(pid)
 		bc := dst.CMap.B
-		for _, it := range recv {
-			i, j := it.key/dst.Cols, it.key%dst.Cols
-			db[dst.RMap.LocalOf(i)*bc+dst.CMap.LocalOf(j)] = it.val
+		n := 0
+		for _, m := range got {
+			for k := 0; k+1 < len(m.Words); k += 2 {
+				key := int(m.Words[k])
+				i, j := key/dst.Cols, key%dst.Cols
+				db[dst.RMap.LocalOf(i)*bc+dst.CMap.LocalOf(j)] = m.Words[k+1]
+			}
+			n += len(m.Words) / 2
 		}
-		e.P.Compute(len(recv))
+		e.P.Compute(n)
 	}
 }
 

@@ -3,6 +3,7 @@ package hypercube
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -94,7 +95,15 @@ func TestSendStallAbortedBySibling(t *testing.T) {
 	// Processor 0 is parked on a full ring nobody will ever drain when
 	// processor 2 panics. The abort must wake the stalled sender (and
 	// the two blocked receivers), Run must report processor 2's panic,
-	// and the machine must come back indistinguishable from a fresh one.
+	// and the machine must come back indistinguishable from a fresh one
+	// — whether the stalled message is a pooled copy or a buffer the
+	// sender gave up with SendOwned.
+	for _, owned := range []bool{false, true} {
+		sendStallAbortedBySibling(t, owned)
+	}
+}
+
+func sendStallAbortedBySibling(t *testing.T, owned bool) {
 	const dim = 2
 	m := MustNew(dim, costmodel.CM2())
 	defer m.Close()
@@ -104,7 +113,11 @@ func TestSendStallAbortedBySibling(t *testing.T) {
 		switch p.ID() {
 		case 0:
 			for i := 0; i < linkCap(dim)+3; i++ {
-				p.Send(0, i, []float64{1})
+				if owned {
+					p.SendOwned(0, i, []float64{1})
+				} else {
+					p.Send(0, i, []float64{1})
+				}
 			}
 			panic("sender ran past a full ring")
 		case 2:
@@ -154,6 +167,75 @@ func TestSendStallAbortedBySibling(t *testing.T) {
 		}
 	}
 	checkSameSimResults(t, "run after abort vs fresh machine", m, fresh)
+}
+
+// TestLinkSendOwnedMatchesSend: SendOwned is Send without the copy and
+// nothing else. The same program written with either must agree in
+// every simulated quantity and in every recorder: clocks, counters,
+// message trace, flight-recorder events, profile and critical path.
+func TestLinkSendOwnedMatchesSend(t *testing.T) {
+	const dim = 3
+	program := func(send func(p *Proc, d, tag int, words []float64)) func(*Proc) {
+		return func(p *Proc) {
+			words := make([]float64, 9)
+			for i := range words {
+				words[i] = float64(10*p.ID() + i)
+			}
+			for round := 0; round < 3; round++ {
+				p.BeginSpan("round")
+				for d := 0; d < p.Dim(); d++ {
+					n := (p.ID() + d + round) % len(words) // includes empty messages
+					send(p, d, 8*round+d, words[:n])
+					got := p.Recv(d, 8*round+d)
+					partner := p.ID() ^ 1<<d
+					if want := (partner + d + round) % len(words); len(got) != want || (want > 0 && got[want-1] != float64(10*partner+want-1)) {
+						panic(fmt.Sprintf("round %d dim %d: got %v from %d", round, d, got, partner))
+					}
+					p.Compute(len(got) + p.ID()%3)
+					p.Recycle(got)
+				}
+				p.EndSpan()
+			}
+		}
+	}
+	run := func(body func(*Proc)) *Machine {
+		m := MustNew(dim, costmodel.CM2())
+		m.EnableTrace(1 << 10)
+		m.EnableProfile(true)
+		m.EnableCritPath(true)
+		if _, err := m.Run(body); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	copied := run(program(func(p *Proc, d, tag int, words []float64) { p.Send(d, tag, words) }))
+	defer copied.Close()
+	moved := run(program(func(p *Proc, d, tag int, words []float64) {
+		buf := p.GetBuf(len(words))
+		copy(buf, words)
+		p.SendOwned(d, tag, buf)
+	}))
+	defer moved.Close()
+
+	checkSameSimResults(t, "SendOwned vs Send", moved, copied)
+	if a, b := moved.Trace(), copied.Trace(); len(a) == 0 || !reflect.DeepEqual(a, b) {
+		t.Fatalf("message traces differ (%d vs %d events)", len(a), len(b))
+	}
+	for pid := range copied.procs {
+		a, b := moved.procs[pid].rec.Snapshot(nil), copied.procs[pid].rec.Snapshot(nil)
+		if len(a) == 0 || !reflect.DeepEqual(a, b) {
+			t.Fatalf("proc %d: flight-recorder events differ:\n%+v\n%+v", pid, a, b)
+		}
+	}
+	if a, b := moved.CritPath(), copied.CritPath(); a == nil || !reflect.DeepEqual(a, b) {
+		t.Fatalf("critical-path reports differ:\n%+v\n%+v", a, b)
+	}
+	if a, b := moved.Profile(), copied.Profile(); a == nil || !reflect.DeepEqual(a, b) {
+		t.Fatal("profiles differ")
+	}
+	if !moved.linksEmpty() {
+		t.Fatal("links not empty after the owned-send run")
+	}
 }
 
 func TestWatchdogDisarmedBetweenRuns(t *testing.T) {

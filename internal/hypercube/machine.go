@@ -750,35 +750,47 @@ func (p *Proc) Compute(flops int) {
 // the slice. The sender's clock advances by the send cost and the
 // message arrives at that time.
 func (p *Proc) Send(d, tag int, words []float64) {
-	p.checkDim(d)
-	p.clock += p.m.params.SendCost(len(words))
-	p.tStart += p.m.params.CommStartup
-	p.tXfer += costmodel.Time(len(words)) * p.m.params.CommPerWord
-	if p.crit {
-		p.cpChargeSend(d, len(words))
-	}
-	p.post(d, tag, words, p.clock)
+	p.SendOwned(d, tag, p.pooledCopy(words))
 }
 
-// post enqueues a copy of words on the neighbor's inbound link with
-// the given arrival time. The copy comes from the sender's buffer pool
-// and is recycled into the receiver's pool once the receiver consumes
-// it.
-func (p *Proc) post(d, tag int, words []float64, arrive costmodel.Time) {
+// SendOwned is Send without the copy: buf itself rides the link and
+// belongs to the receiver once it arrives, so the caller must not read,
+// write or Recycle it afterwards. Clock, counters and recorders are
+// charged exactly as by Send; len(buf) is the message length.
+func (p *Proc) SendOwned(d, tag int, buf []float64) {
+	p.checkDim(d)
+	p.clock += p.m.params.SendCost(len(buf))
+	p.tStart += p.m.params.CommStartup
+	p.tXfer += costmodel.Time(len(buf)) * p.m.params.CommPerWord
+	if p.crit {
+		p.cpChargeSend(d, len(buf))
+	}
+	p.post(d, tag, buf, p.clock)
+}
+
+// pooledCopy returns a copy of words in a buffer from this processor's
+// pool; it lands in the receiver's pool when the receiver recycles it.
+func (p *Proc) pooledCopy(words []float64) []float64 {
 	cp := p.pool.get(len(words))
 	copy(cp, words)
+	return cp
+}
+
+// post enqueues buf, which the caller gives up, on the neighbor's
+// inbound link with the given arrival time.
+func (p *Proc) post(d, tag int, buf []float64, arrive costmodel.Time) {
 	p.nMsgs++
-	p.nWords += int64(len(words))
-	p.linkWords[d] += int64(len(words))
+	p.nWords += int64(len(buf))
+	p.linkWords[d] += int64(len(buf))
 	dst := p.id ^ (1 << d)
 	if lim := p.m.traceLimit; lim > 0 && len(p.trace) < lim {
 		p.trace = append(p.trace, TraceEvent{
-			Time: arrive, Src: p.id, Dst: dst, Dim: d, Words: len(words), Tag: tag,
+			Time: arrive, Src: p.id, Dst: dst, Dim: d, Words: len(buf), Tag: tag,
 		})
 	}
-	p.msgHist[msgBin(len(words))]++
-	p.record(flightrec.KindSend, "", d, tag, len(words), arrive)
-	msg := message{words: cp, tag: tag, arrive: arrive}
+	p.msgHist[msgBin(len(buf))]++
+	p.record(flightrec.KindSend, "", d, tag, len(buf), arrive)
+	msg := message{words: buf, tag: tag, arrive: arrive}
 	if p.crit {
 		msg.cp = p.cpSnapshot()
 	}
@@ -995,7 +1007,7 @@ func (p *Proc) ExchangeAll(dims []int, tag int, payloads [][]float64) [][]float6
 				p.cpRestore(pre)
 				p.cpChargeSend(d, len(payloads[i]))
 			}
-			p.post(d, tag, payloads[i], p.clock)
+			p.post(d, tag, p.pooledCopy(payloads[i]), p.clock)
 		}
 		p.clock = start + maxCost
 		// The phase charges the largest single send; attribute one

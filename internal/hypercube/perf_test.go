@@ -6,6 +6,7 @@ import (
 	"unsafe"
 
 	"vmprim/internal/costmodel"
+	"vmprim/internal/testutil"
 )
 
 // Tests for the zero-allocation hot paths: the persistent engine, the
@@ -184,22 +185,6 @@ func TestFreshVsReusedMachineDeterminism(t *testing.T) {
 	}
 }
 
-// mallocsPerRun reports the average number of heap allocations per
-// call of f after warming up, in the spirit of testing.AllocsPerRun
-// but tolerant of the worker goroutines' concurrent activity.
-func mallocsPerRun(warm, runs int, f func()) float64 {
-	for i := 0; i < warm; i++ {
-		f()
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		f()
-	}
-	runtime.ReadMemStats(&after)
-	return float64(after.Mallocs-before.Mallocs) / float64(runs)
-}
-
 func TestSendRecvSteadyStateAllocs(t *testing.T) {
 	// After the pools equilibrate, a run full of Send/Recv pairs must
 	// allocate only the per-Run fixed overhead (see
@@ -218,7 +203,7 @@ func TestSendRecvSteadyStateAllocs(t *testing.T) {
 		}
 		p.Recycle(buf)
 	}
-	per := mallocsPerRun(5, 10, func() {
+	per := testutil.MallocsPerRun(5, 10, func() {
 		if _, err := m.Run(body); err != nil {
 			t.Fatal(err)
 		}
@@ -240,7 +225,7 @@ func TestRunFixedOverheadAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if per := mallocsPerRun(5, 50, run); per > 2 {
+	if per := testutil.MallocsPerRun(5, 50, run); per > 2 {
 		t.Fatalf("empty Run allocates %.1f objects, want <= 2", per)
 	}
 	var before, after runtime.MemStats

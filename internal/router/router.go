@@ -19,10 +19,21 @@
 // overhead per element-message per hop. Congestion is emergent: a
 // processor whose links carry more routed volume accumulates a larger
 // virtual clock, and the operation finishes at the slowest processor.
+//
+// On the host, messages stay in wire form (two header words, then the
+// payload) from injection to delivery, and buffers move instead of
+// being copied: Route encodes the outgoing list once into a buffer it
+// owns, each phase partitions that buffer in place and hands the
+// forwarded part to Proc.SendOwned, and what arrives is adopted as is
+// when nothing else is pending, so a lone block hops across the
+// machine without a copy. Routed buffers are plain allocations that
+// travel with the messages; none is kept between calls and none enters
+// the per-processor pools, which drift under one-sided traffic.
 package router
 
 import (
 	"fmt"
+	"math"
 
 	"vmprim/internal/costmodel"
 	"vmprim/internal/hypercube"
@@ -30,13 +41,19 @@ import (
 
 // Msg is one routed message: a destination processor, an integer key
 // that the application uses to identify the payload (for example a
-// matrix element index), and the payload words.
+// matrix element index), and the payload words. The header travels as
+// two float64 words, so Route panics on a message it cannot carry
+// exactly: a Dst outside [0, P), a Key beyond ±2^53 or a payload of
+// 2^32 words or more.
 type Msg struct {
 	// Dst is the destination processor address in [0, P).
 	Dst int
 	// Key identifies the message to the receiving application code.
 	Key int
-	// Words is the payload.
+	// Words is the payload. In a message returned by Route it aliases
+	// a buffer shared with the other returned messages (capacity
+	// clipped to the payload, so an append reallocates): the caller
+	// may keep or overwrite it, and must not Recycle it.
 	Words []float64
 }
 
@@ -46,92 +63,133 @@ type Msg struct {
 // sum stays integral below 2^53); the key rides in the second word.
 const headerWords = 2
 
-// encode flattens messages for one link transfer.
-func encode(msgs []Msg) []float64 {
-	n := 0
-	for _, m := range msgs {
-		n += headerWords + len(m.Words)
+// maxKey bounds |Key|: every integer up to 2^53 is a float64.
+const maxKey = 1 << 53
+
+// appendHeader appends the header of an n-word message for dst on a
+// procs-processor machine, panicking on a value the wire would corrupt.
+func appendHeader(wire []float64, procs, dst, key, n int) []float64 {
+	switch {
+	case dst < 0 || dst >= procs:
+		panic(fmt.Sprintf("router: destination %d out of range [0,%d)", dst, procs))
+	case int64(key) < -maxKey || int64(key) > maxKey:
+		panic(fmt.Sprintf("router: key %d not representable on the wire (|key| > 2^53)", key))
+	case uint64(n) > math.MaxUint32:
+		panic(fmt.Sprintf("router: payload of %d words not representable on the wire (>= 2^32)", n))
 	}
-	flat := make([]float64, 0, n)
-	for _, m := range msgs {
-		flat = append(flat, float64(uint64(m.Dst)<<32|uint64(len(m.Words))), float64(m.Key))
-		flat = append(flat, m.Words...)
-	}
-	return flat
+	return append(wire, float64(uint64(dst)<<32|uint64(n)), float64(key))
 }
 
-// decode parses a link transfer back into messages.
-func decode(flat []float64) []Msg {
-	var msgs []Msg
-	for i := 0; i < len(flat); {
-		dl := uint64(flat[i])
-		dst := int(dl >> 32)
-		n := int(dl & 0xffffffff)
-		key := int(flat[i+1])
-		i += headerWords
-		words := make([]float64, n)
-		copy(words, flat[i:i+n])
-		i += n
-		msgs = append(msgs, Msg{Dst: dst, Key: key, Words: words})
-	}
-	return msgs
+// header decodes the first header word: destination and payload length.
+func header(w float64) (dst, n int) {
+	dl := uint64(w)
+	return int(dl >> 32), int(dl & math.MaxUint32)
 }
 
 // Route delivers every processor's outgoing messages to their
 // destinations through dimension-ordered routing and returns the
 // messages addressed to the calling processor (including any the
-// processor sent to itself). Message order in the result is
-// deterministic but unspecified; receivers should dispatch on Key.
-// Route is a machine-wide collective: every processor must call it
-// with the same tag.
+// processor sent to itself). The result holds the messages that never
+// left, in the order given, then each phase's arrivals in the order
+// their sender held them; receivers should dispatch on Key, but sums
+// taken in arrival order are reproducible. outgoing and its payloads
+// are only read. Route is a machine-wide collective: every processor
+// must call it with the same tag.
 func Route(p *hypercube.Proc, tag int, outgoing []Msg) []Msg {
+	words := 0
+	for _, m := range outgoing {
+		words += len(m.Words)
+	}
+	wire := make([]float64, 0, headerWords*len(outgoing)+words)
+	for _, m := range outgoing {
+		wire = appendHeader(wire, p.P(), m.Dst, m.Key, len(m.Words))
+		wire = append(wire, m.Words...)
+	}
+	wire = route(p, tag, wire, len(outgoing))
+	n := 0
+	for at := 0; at < len(wire); n++ {
+		_, l := header(wire[at])
+		at += headerWords + l
+	}
+	msgs := make([]Msg, n)
+	at := 0
+	for k := range msgs {
+		dst, l := header(wire[at])
+		end := at + headerWords + l
+		msgs[k] = Msg{Dst: dst, Key: int(wire[at+1]), Words: wire[at+headerWords : end : end]}
+		at = end
+	}
+	return msgs
+}
+
+// route runs the d phases on wire, the caller's msgs messages in wire
+// form, and returns the wire form of what was addressed here. It owns
+// wire and the caller owns the result.
+func route(p *hypercube.Proc, tag int, wire []float64, msgs int) []float64 {
 	p.BeginSpan("route")
 	defer p.EndSpan()
 	p.NoteCollective("route", p.FullMask(), tag)
 	if p.Profiling() {
 		// Predict from the local injection load: each of the d phases
 		// forwards about half of what is pending here on average.
-		words := 0
-		for _, m := range outgoing {
-			words += len(m.Words)
-		}
-		p.SpanPredict(costmodel.PredictRoute(p.Params(), p.Dim(), len(outgoing), words, headerWords))
+		p.SpanPredict(costmodel.PredictRoute(p.Params(), p.Dim(), msgs, len(wire)-headerWords*msgs, headerWords))
 	}
-	for _, m := range outgoing {
-		if m.Dst < 0 || m.Dst >= p.P() {
-			panic(fmt.Sprintf("router: destination %d out of range [0,%d)", m.Dst, p.P()))
-		}
-	}
-	pending := make([]Msg, len(outgoing))
-	copy(pending, outgoing)
 	for i := 0; i < p.Dim(); i++ {
-		keep := pending[:0]
-		var fwd []Msg
-		words := 0
-		for _, m := range pending {
-			if (m.Dst>>i)&1 != (p.ID()>>i)&1 {
-				fwd = append(fwd, m)
-				words += len(m.Words)
-			} else {
-				keep = append(keep, m)
-			}
-		}
-		pending = keep
+		kept, fwd, nfwd, wfwd := split(wire, p.ID()>>i&1, i)
 		// The router charges per-phase start-up plus per-message
 		// handling on the payload volume; the link transfer itself
-		// (payload + headers) is charged by Exchange.
-		p.RoutePhaseCharge(len(fwd), words)
-		got := p.Exchange(i, tag<<6|i, encode(fwd))
-		pending = append(pending, decode(got)...)
+		// (payload + headers) is charged by the send.
+		p.RoutePhaseCharge(nfwd, wfwd)
+		p.SendOwned(i, tag<<6|i, fwd)
+		got := p.Recv(i, tag<<6|i)
+		if wire = got; len(kept) > 0 {
+			wire = append(kept, got...)
+		}
 	}
-	return pending
+	return wire
+}
+
+// split partitions wire by bit i of each message's destination:
+// messages whose bit equals mine stay, compacted in order to the front
+// of wire; the others go, in order, to fwd (nfwd messages, wfwd payload
+// words). When everything leaves, wire itself is fwd.
+func split(wire []float64, mine, i int) (kept, fwd []float64, nfwd, wfwd int) {
+	for at := 0; at < len(wire); {
+		dst, n := header(wire[at])
+		if dst>>i&1 != mine {
+			nfwd++
+			wfwd += n
+		}
+		at += headerWords + n
+	}
+	switch total := headerWords*nfwd + wfwd; total {
+	case 0:
+		return wire, nil, 0, 0
+	case len(wire):
+		return nil, wire, nfwd, wfwd
+	default:
+		fwd = make([]float64, 0, total)
+	}
+	k := 0
+	for at := 0; at < len(wire); {
+		dst, n := header(wire[at])
+		end := at + headerWords + n
+		if dst>>i&1 != mine {
+			fwd = append(fwd, wire[at:end]...)
+		} else {
+			k += copy(wire[k:], wire[at:end])
+		}
+		at = end
+	}
+	return wire[:k], fwd, nfwd, wfwd
 }
 
 // Request pairs a round-trip through the router: each processor sends
 // read requests for remote values and answers the requests it
 // receives. want lists (owner processor, key) pairs; serve must return
-// the payload for a key this processor owns. The result maps each
-// request index to the fetched payload, in the order of want.
+// the payload for a key this processor owns, which is copied before
+// serve is called again, so serve may reuse one buffer. The result maps
+// each request index to the fetched payload, in the order of want.
 //
 // This is the access pattern of the naive implementations: fetch the
 // remote operands element by element, with no combining.
@@ -139,31 +197,33 @@ func Request(p *hypercube.Proc, tag int, want []Msg, serve func(key int) []float
 	p.BeginSpan("route-request")
 	defer p.EndSpan()
 	p.NoteCollective("route-request", p.FullMask(), tag)
-	// Phase 1: route the requests. Key carries the requested item;
-	// the payload carries the requester's address and request index.
-	reqs := make([]Msg, len(want))
+	// Leg 1: route the requests. Key carries the requested item; the
+	// payload carries the requester's address and request index.
+	const reqWords = 2
+	reqs := make([]float64, 0, (headerWords+reqWords)*len(want))
 	for i, w := range want {
-		reqs[i] = Msg{Dst: w.Dst, Key: w.Key, Words: []float64{float64(p.ID()), float64(i)}}
+		reqs = appendHeader(reqs, p.P(), w.Dst, w.Key, reqWords)
+		reqs = append(reqs, float64(p.ID()), float64(i))
 	}
-	arrived := Route(p, tag, reqs)
+	arrived := route(p, tag, reqs, len(want))
 
-	// Phase 2: route the responses back.
-	resps := make([]Msg, len(arrived))
-	for i, r := range arrived {
-		requester := int(r.Words[0])
-		index := int(r.Words[1])
-		payload := serve(r.Key)
-		words := make([]float64, 0, 1+len(payload))
-		words = append(words, float64(index))
-		words = append(words, payload...)
-		resps[i] = Msg{Dst: requester, Key: r.Key, Words: words}
+	// Leg 2: route the responses back, each led by its request index.
+	// Sized for one-word answers; longer ones grow the buffer.
+	resps := make([]float64, 0, len(arrived))
+	for at := 0; at < len(arrived); at += headerWords + reqWords {
+		key := int(arrived[at+1])
+		payload := serve(key)
+		resps = appendHeader(resps, p.P(), int(arrived[at+2]), key, 1+len(payload))
+		resps = append(append(resps, arrived[at+3]), payload...)
 	}
-	back := Route(p, tag+1, resps)
+	back := route(p, tag+1, resps, len(arrived)/(headerWords+reqWords))
 
 	out := make([][]float64, len(want))
-	for _, r := range back {
-		index := int(r.Words[0])
-		out[index] = r.Words[1:]
+	for at := 0; at < len(back); {
+		_, n := header(back[at])
+		end := at + headerWords + n
+		out[int(back[at+headerWords])] = back[at+headerWords+1 : end : end]
+		at = end
 	}
 	return out
 }

@@ -39,7 +39,8 @@ go build ./...
 
 # Static allocation gate: the compiler's escape analysis must not
 # report new heap escapes in the hot-path packages (hypercube,
-# collective, core, flightrec) relative to the committed baseline.
+# collective, core, router, flightrec) relative to the committed
+# baseline.
 # The dynamic AllocsPerRun guards only see the paths the benchmarks
 # drive; this sees every function the compiler does.
 ./scripts/allocgate.sh
@@ -75,10 +76,16 @@ go test ./...
 go test -race ./internal/...
 # Link transport stress: the lock-free rings and the park/wake protocol
 # (send stalls, abort while stalled, the lost-wake-up ping-pong and
-# pipelines at GOMAXPROCS 1, 2, 4 and 8) repeated under the race
-# detector — the races it hunts are timing-dependent, so one pass in
-# the line above is not enough.
+# pipelines at GOMAXPROCS 1, 2, 4 and 8, SendOwned against Send)
+# repeated under the race detector — the races it hunts are
+# timing-dependent, so one pass in the line above is not enough.
 go test -race -count=5 -run 'Link|SendStall|LostWake' ./internal/hypercube/
+# Router wire format: a short native fuzz burst of the wire-form router
+# against the decode/encode reference it replaced (stdlib, offline). A
+# failing input lands in internal/router/testdata/fuzz/ — commit it with
+# the fix. Minimization is capped because coverage of 2^d goroutines is
+# noisy and the default budget (60s per input) would eat the burst.
+go test -run '^$' -fuzz FuzzRouterWire -fuzztime 10s -fuzzminimizetime 1s ./internal/router/
 # Host-concurrency race gate: the hostconc analyzers police the serving
 # plane, the metrics registry and the vmload harness statically, and
 # the race detector watches the same code dynamically. ./internal/...
