@@ -26,7 +26,7 @@
 //	                         critical path up to the deadlock)
 //
 // Every mode accepts -recv-timeout to change the deadlock watchdog's
-// default arming interval (default 30s; raise it under heavy host
+// default window (default 30s; raise it under heavy host
 // load, lower it when iterating on a hang) and -postmortem-out to
 // write the structured post-mortem JSON of a failed run.
 package main
@@ -56,7 +56,7 @@ func main() {
 	model := flag.String("model", "cm2", "cost model for -critpath (cm2 or ipsc)")
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON instead of text")
 	traceOut := flag.String("trace-out", "", "Chrome trace output path for -profile (default vmprim-trace-<id>.json, '-' to skip)")
-	recvTimeout := flag.Duration("recv-timeout", 0, "deadlock watchdog arming interval (0 keeps the 30s default)")
+	recvTimeout := flag.Duration("recv-timeout", 0, "deadlock watchdog window (0 keeps the 30s default)")
 	pmOut := flag.String("postmortem-out", "", "write the post-mortem JSON of a failed run to this path")
 	metricsOut := flag.String("metrics-out", "", "write the metrics snapshot of a -profile or -demo-deadlock run (.prom suffix selects Prometheus text, otherwise JSON)")
 	demoDeadlock := flag.Bool("demo-deadlock", false, "run a deliberately deadlocked exchange and print its post-mortem")

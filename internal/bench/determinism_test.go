@@ -154,7 +154,6 @@ func TestHostSchedMetricsExcluded(t *testing.T) {
 	}
 	want := []string{
 		"vmprim_sched_recv_parks_total",
-		"vmprim_watchdog_arms_total",
 		"vmprim_watchdog_rearms_total",
 	}
 	have := make(map[string]bool)

@@ -16,15 +16,25 @@ import "sync/atomic"
 //
 // Blocking is the slow path and goes through the parker: a processor
 // that finds its ring empty (or full) publishes what it is parked on,
-// re-checks the ring, and only then sleeps on its wake channel. The
-// peer, after moving its index, loads that word and — if it names this
-// link — claims it by compare-and-swap and sends the one token. Either
-// the parker's re-check sees the peer's index store or the peer's load
-// sees the parker's publication (both are sequentially consistent
-// store-then-load pairs), so no wake-up is lost; the claim by CAS
-// means exactly one token is sent per publication, so the one-slot
-// wake channel never blocks its sender. Run abort and the deadlock
-// watchdog deliver their tokens the same way.
+// re-checks the ring, and only then sleeps on its wake channel (see
+// Proc.park). Three parties wake it, all the same way — load the park
+// word, claim it by compare-and-swap, send the one token:
+//
+//   - its link partner, after moving its ring index, if the word names
+//     this link (unpark). Either the parker's re-check sees the
+//     partner's index store or the partner's load sees the parker's
+//     publication (both are sequentially consistent store-then-load
+//     pairs), so no wake-up is lost;
+//   - a failing sibling, after setting the run's abort flag (interrupt);
+//   - the goroutine that called Run, which is the run's only deadlock
+//     watchdog: at the end of every timeout window it claims each
+//     published word, marks the parker expired and wakes it (expire).
+//     The woken processor judges itself (see Proc.park).
+//
+// The claim by CAS means exactly one token is sent per publication, so
+// the one-slot wake channel never blocks its sender, and the owner
+// consumes that token on every way out of the wait, so none is left
+// over for the next park.
 
 // cacheLine is the padding granularity that keeps the producer's and
 // the consumer's index (and neighboring processors' park words) from
@@ -89,31 +99,36 @@ const (
 	parkSend uint32 = 2 << 8
 )
 
-// parker is one processor's park/wake primitive. It lives in a
-// per-machine slab apart from the Proc so that the watchdog timer's
-// callback, which the runtime keeps reachable until it fires, pins
-// only the slab and never the Machine.
+// parker is one processor's park/wake primitive. The parkers are a
+// per-machine slab, one cache line each; they are all Run's own
+// goroutine touches between dispatch and join.
 type parker struct {
 	// state is the published park word.
 	state atomic.Uint32
-	// watchdogs counts watchdog timer callbacks armed but not yet run
-	// (or stopped): the owner adds one per arming, the callback takes
-	// it back. A callback cannot tell which arming it belongs to and
-	// one left over from a stopped window may still be in flight, so
-	// the current window has expired exactly when the count is zero.
-	watchdogs atomic.Int32
+	// expired is the watchdog's mark: a timeout window ended while the
+	// owner was parked. It is only ever set under a claimed publication
+	// and before that claim's token is sent, so the owner finds it with
+	// the token and clears it with the publication (cancel); a mark set
+	// on a bare look at the word could outlive a wait that a delivery
+	// had just ended and kill the processor at its next park.
+	expired atomic.Bool
 	// wake carries the one token of the current publication.
 	wake chan struct{}
 	_    [cacheLine - 4 - 4 - 8]byte
 }
 
-// cancel withdraws the publication of w after a re-check found the
-// wait unnecessary. If a waker claimed the word first its token is on
-// the way and is consumed here, so none is ever left over for the next
-// park.
+// cancel withdraws the publication of w once the owner has decided to
+// stop waiting. If a waker claimed the word first its token is on the
+// way and is consumed here, so none is ever left over for the next
+// park. The watchdog's mark goes with the publication: it came with a
+// token, this one or the one that ended the owner's last sleep, and
+// the owner has acted on it or has a better reason to stop.
 func (pk *parker) cancel(w uint32) {
 	if !pk.state.CompareAndSwap(w, 0) {
 		<-pk.wake
+	}
+	if pk.expired.Load() {
+		pk.expired.Store(false)
 	}
 }
 
@@ -125,15 +140,18 @@ func (pk *parker) unpark(w uint32) {
 }
 
 // interrupt wakes the owner whatever it is parked on; the woken loop
-// re-reads the abort flag and the watchdog count to learn why.
+// re-reads the abort flag to learn why.
 func (pk *parker) interrupt() {
 	if w := pk.state.Load(); w != 0 && pk.state.CompareAndSwap(w, 0) {
 		pk.wake <- struct{}{}
 	}
 }
 
-// watchdogFired is the deadlock watchdog's timer callback.
-func (pk *parker) watchdogFired() {
-	pk.watchdogs.Add(-1)
-	pk.interrupt()
+// expire is interrupt at a window boundary: the mark is stored under
+// the claim and before the token, in that order (see parker.expired).
+func (pk *parker) expire() {
+	if w := pk.state.Load(); w != 0 && pk.state.CompareAndSwap(w, 0) {
+		pk.expired.Store(true)
+		pk.wake <- struct{}{}
+	}
 }

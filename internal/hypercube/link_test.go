@@ -4,12 +4,14 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"regexp"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"vmprim/internal/costmodel"
+	"vmprim/internal/testutil"
 )
 
 // Tests and benchmarks of the link transport (link.go): the send-stall
@@ -44,6 +46,21 @@ func checkSameSimResults(t *testing.T, what string, a, b *Machine) {
 			t.Fatalf("%s: proc %d clock %v vs %v", what, pid, ac[pid], bc[pid])
 		}
 	}
+}
+
+// checkLikeFresh runs the same program on m and on a new machine like
+// it and asserts that they agree in every simulated quantity: whatever
+// m's last run left behind must not show.
+func checkLikeFresh(t *testing.T, what string, m *Machine) {
+	t.Helper()
+	fresh := MustNew(m.Dim(), m.Params())
+	defer fresh.Close()
+	for _, mm := range []*Machine{m, fresh} {
+		if _, err := mm.Run(exerciseBody); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkSameSimResults(t, what+" vs fresh machine", m, fresh)
 }
 
 func TestSendStallFIFO(t *testing.T) {
@@ -158,15 +175,50 @@ func sendStallAbortedBySibling(t *testing.T, owned bool) {
 	if !m.linksEmpty() {
 		t.Fatal("links not empty after aborted run")
 	}
+	checkLikeFresh(t, "run after abort", m)
+}
 
-	fresh := MustNew(dim, costmodel.CM2())
-	defer fresh.Close()
-	for _, mm := range []*Machine{m, fresh} {
-		if _, err := mm.Run(exerciseBody); err != nil {
-			t.Fatal(err)
+func TestSendStallDeadlockDetected(t *testing.T) {
+	// Both processors run past their full ring before either receives,
+	// so both park in stallSend and nobody is in Recv. The watchdog used
+	// to be armed by receivers only and this run hung for ever; now a
+	// stalled send expires like a blocked receive.
+	const dim = 1
+	const window = 200 * time.Millisecond
+	m := MustNew(dim, costmodel.CM2())
+	defer m.Close()
+	m.SetRecvTimeout(window)
+	n := linkCap(dim) + 2
+	start := time.Now()
+	_, err := m.Run(func(p *Proc) {
+		for i := 0; i < n; i++ {
+			p.Send(0, 1, []float64{float64(i)})
+		}
+		for i := 0; i < n; i++ {
+			p.Recycle(p.Recv(0, 1))
+		}
+	})
+	if took := time.Since(start); took < window || took > 2*window+10*time.Second {
+		t.Fatalf("run took %v, want more than one window of %v and at most two", took, window)
+	}
+	// Both die at the same boundary; which one aborts the other is a race.
+	want := regexp.MustCompile(`^hypercube: processor [01]: send stalled on dim 0 \(tag 1\): deadlock \[2/2 procs blocked; post-mortem attached\]$`)
+	if err == nil || !want.MatchString(err.Error()) {
+		t.Fatalf("err = %v, want %v", err, want)
+	}
+	rep := m.PostMortem()
+	for pid, ps := range rep.Procs {
+		if ps.Wait != "send" || ps.WaitDim != 0 || ps.WaitTag != 1 {
+			t.Fatalf("proc %d blocked on %q dim %d tag %d, want send dim 0 tag 1", pid, ps.Wait, ps.WaitDim, ps.WaitTag)
 		}
 	}
-	checkSameSimResults(t, "run after abort vs fresh machine", m, fresh)
+	if len(rep.Links) != 2 || rep.Links[0].Queued != linkCap(dim) || rep.Links[1].Queued != linkCap(dim) {
+		t.Fatalf("links = %+v, want both rings full", rep.Links)
+	}
+	if !m.linksEmpty() {
+		t.Fatal("links not empty after the deadlocked run")
+	}
+	checkLikeFresh(t, "run after send deadlock", m)
 }
 
 // TestLinkSendOwnedMatchesSend: SendOwned is Send without the copy and
@@ -239,12 +291,24 @@ func TestLinkSendOwnedMatchesSend(t *testing.T) {
 }
 
 func TestWatchdogDisarmedBetweenRuns(t *testing.T) {
-	// An idle machine has no watchdog pending: the runtime keeps an
-	// armed timer's callback (and the park words behind it) reachable
-	// until it fires, which would outlive a closed machine by a whole
-	// timeout.
+	// An idle machine has nothing pending in the runtime's timer heap,
+	// however its last run ended: Run stops the machine's one timer
+	// before it returns, so stopping it again finds nothing to stop and
+	// no tick waits in its channel. (A timer left running would also
+	// keep a closed machine's tick due for a whole timeout.)
 	m := MustNew(2, costmodel.Ideal())
 	defer m.Close()
+	idle := func(after string) {
+		t.Helper()
+		if m.watchdog.Stop() {
+			t.Fatalf("the machine's timer was still running after %s", after)
+		}
+		select {
+		case <-m.watchdog.C:
+			t.Fatalf("a tick was left in the timer's channel after %s", after)
+		default:
+		}
+	}
 	if _, err := m.Run(func(p *Proc) {
 		if p.ID() == 0 {
 			awaitParked(p.m, 1, parkRecv|0)
@@ -253,15 +317,136 @@ func TestWatchdogDisarmedBetweenRuns(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := m.Metrics().Snapshot().Value("vmprim_watchdog_arms_total"); v < 1 {
-		t.Fatalf("watchdog_arms_total = %v: processor 1 parked without arming", v)
+	idle("a successful run")
+	m.SetRecvTimeout(50 * time.Millisecond)
+	if _, err := m.Run(func(p *Proc) { p.Recv(0, 1) }); err == nil || !strings.Contains(err.Error(), "deadlock") {
+		t.Fatalf("err = %v, want deadlock", err)
 	}
-	for pid, pr := range m.procs {
-		if pr.timerArmed || pr.pk.watchdogs.Load() != 0 {
-			t.Fatalf("proc %d: watchdog still armed after the run (armed %v, pending %d)",
-				pid, pr.timerArmed, pr.pk.watchdogs.Load())
+	idle("a deadlocked run, in which it fired twice")
+	m.SetRecvTimeout(0)
+	if _, err := m.Run(func(p *Proc) {
+		if p.ID() == 0 {
+			awaitParked(p.m, 1, parkRecv|0)
+			panic("sibling failure")
 		}
+		p.Recv(0, 1)
+	}); err == nil || !strings.Contains(err.Error(), "sibling failure") {
+		t.Fatalf("err = %v, want processor 0's panic", err)
 	}
+	idle("an aborted run")
+}
+
+// deadlocked has processor 0 wait for a message nobody sends.
+func deadlocked(p *Proc) {
+	if p.ID() == 0 {
+		p.Recv(0, 1)
+	}
+}
+
+func TestLinkWatchdogWindowIsTheRuns(t *testing.T) {
+	// Windows belong to the run, not to the wait: processor 0 parks three
+	// quarters into the first one, is found parked at its end without
+	// having been so for a whole window, and dies only at the next
+	// boundary. Never before a full window without progress, at most two.
+	const window = 200 * time.Millisecond
+	m := MustNew(1, costmodel.Ideal())
+	defer m.Close()
+	m.SetRecvTimeout(window)
+	var entered time.Time // written by processor 0, read after the join
+	_, err := m.Run(func(p *Proc) {
+		if p.ID() == 0 {
+			time.Sleep(3 * window / 4)
+			entered = time.Now()
+			deadlocked(p)
+			return
+		}
+		awaitParked(p.m, 0, parkRecv|0) // what is timed below is a park
+	})
+	waited := time.Since(entered)
+	if want := "processor 0: recv timeout on dim 0 (tag 1): deadlock [1/2 procs blocked"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("err = %v, want %q", err, want)
+	}
+	if waited < window {
+		t.Fatalf("processor 0 died %v after it entered Recv, before a full window of %v without progress", waited, window)
+	}
+	if waited > 2*window+10*time.Second {
+		t.Fatalf("processor 0 died %v after it entered Recv, want within two windows of %v", waited, window)
+	}
+	if v, _ := m.Metrics().Snapshot().Value("vmprim_watchdog_rearms_total"); v != 1 {
+		t.Fatalf("watchdog_rearms_total = %v, want the one boundary that spared processor 0", v)
+	}
+}
+
+func TestLinkWatchdogTimeoutAppliesToNextRun(t *testing.T) {
+	// The machine's one timer is Reset with the current timeout at every
+	// dispatch, so a timeout changed between runs governs the next run,
+	// in both directions.
+	m := MustNew(1, costmodel.Ideal())
+	defer m.Close()
+	timed := func(window time.Duration) time.Duration {
+		t.Helper()
+		m.SetRecvTimeout(window)
+		start := time.Now()
+		if _, err := m.Run(deadlocked); err == nil || !strings.Contains(err.Error(), "deadlock") {
+			t.Fatalf("err = %v, want deadlock", err)
+		}
+		return time.Since(start)
+	}
+	const short, long = 30 * time.Millisecond, 400 * time.Millisecond
+	timed(short)
+	if took := timed(long); took < long {
+		t.Fatalf("deadlock reported after %v with the timeout raised to %v: the run kept the old one", took, long)
+	}
+	if took := timed(short); took >= long {
+		t.Fatalf("deadlock reported after %v with the timeout lowered to %v: the run kept the old one", took, short)
+	}
+}
+
+// awaitWorkers collects garbage until exactly n hypercube.worker
+// goroutines are left in the process; the collections run the
+// finalizers of machines dropped without Close, by earlier tests too.
+func awaitWorkers(t *testing.T, n int) {
+	t.Helper()
+	deadline := time.Now().Add(20 * time.Second)
+	for {
+		runtime.GC()
+		alive := 0
+		for sig, c := range testutil.Snapshot() {
+			if strings.Contains(sig, "hypercube.worker") {
+				alive += c
+			}
+		}
+		if alive == n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d hypercube.worker goroutines alive, want %d", alive, n)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+func TestLinkWorkersExit(t *testing.T) {
+	// A worker ranges over its own channel and holds nothing else, so it
+	// exits when Close closes the channel — and, because it does not pin
+	// the Machine, when a Machine dropped without Close is collected and
+	// its finalizer does the same.
+	run := func() *Machine {
+		m := MustNew(3, costmodel.Ideal())
+		if _, err := m.Run(func(p *Proc) { p.Barrier(p.FullMask(), 1) }); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	awaitWorkers(t, 0)
+	m := run()
+	awaitWorkers(t, m.P())
+	m.Close()
+	awaitWorkers(t, 0)
+	runtime.KeepAlive(m) // Close ended them, not the collector
+
+	run()
+	awaitWorkers(t, 0)
 }
 
 func TestLinkCensusOfWrappedRing(t *testing.T) {

@@ -38,12 +38,19 @@
 // span recorder, flight ring, buffer pool) is owned by exactly one
 // goroutine. Cross-goroutine handoffs — payload buffers inside
 // messages, per-run setup and the post-run fold — synchronize through
-// the link rings' atomic indices, the work channels and rc.wg, which
-// provide the happens-before edges. A link is a lock-free ring (see
-// link.go): a Send or Recv that does not have to wait touches no
-// runtime lock, and a processor that does wait sleeps on its own
-// one-token wake channel, which its link partner, a run abort and the
-// deadlock watchdog all signal the same way.
+// the link rings' atomic indices, the work channels and the run's
+// countdown, which provide the happens-before edges. A link is a
+// lock-free ring (see link.go): a Send or Recv that does not have to
+// wait touches no runtime lock, and a processor that does wait sleeps
+// on its own one-token wake channel, which its link partner, a run
+// abort and the deadlock watchdog all signal the same way.
+//
+// A run has one owner, the goroutine that called Run. It hands the run
+// to each worker over that worker's private channel, then waits in one
+// loop (Machine.join) for the last processor's join token — and, while
+// it waits, is the run's only deadlock watchdog: at the end of every
+// timeout window of the machine's one timer it wakes each parked
+// processor to judge its own progress.
 package hypercube
 
 import (
@@ -74,7 +81,7 @@ var defaultRecvTimeoutNs atomic.Int64
 // SetDefaultRecvTimeout changes the deadlock-watchdog timeout applied
 // to machines constructed from now on; existing machines keep theirs
 // (use SetRecvTimeout for a per-machine override). d <= 0 restores
-// DefaultRecvTimeout.
+// DefaultRecvTimeout, as it restores the default in SetRecvTimeout.
 func SetDefaultRecvTimeout(d time.Duration) {
 	if d <= 0 {
 		defaultRecvTimeoutNs.Store(0)
@@ -131,7 +138,14 @@ type Machine struct {
 	// procs are the persistent per-processor handles, reset and reused
 	// by every Run.
 	procs []*Proc
-	eng   *engine
+
+	// What a Run needs of the host, nil until the first one (see
+	// start): eng is the persistent worker pool, joined carries the one
+	// token the last processor of a run hands back, watchdog is the
+	// machine's one timer, running only while Run waits.
+	eng      *engine
+	joined   chan struct{}
+	watchdog *time.Timer
 
 	mu         sync.Mutex
 	elapsed    costmodel.Time
@@ -163,13 +177,21 @@ type Machine struct {
 	met        machMetrics
 }
 
-// engine is the persistent worker pool. It is a separate object so the
-// worker goroutines hold no reference to the Machine: when the Machine
-// becomes unreachable its finalizer closes stop and the workers exit,
-// instead of pinning the Machine alive forever.
+// engine is the persistent worker pool: work[pid] is processor pid's
+// private dispatch channel. It is an object of its own because it
+// carries the finalizer that stops the workers of a Machine dropped
+// without Close. The Machine cannot: it and its Procs point at each
+// other, and the collector never frees a cycle through a finalized
+// object, so a finalizer set there never runs.
 type engine struct {
-	work []chan *runCtx // one slot per worker, buffered 1
-	stop chan struct{}
+	work []chan *runCtx
+}
+
+// shutdown ends the workers, each of which ranges over its channel.
+func (e *engine) shutdown() {
+	for _, work := range e.work {
+		close(work)
+	}
 }
 
 // runCtx carries one Run invocation to the workers, including the
@@ -184,7 +206,9 @@ type runCtx struct {
 	crit   bool
 	stream obs.StreamSink
 
-	wg sync.WaitGroup
+	// pending counts the processors still running; the one that takes
+	// it to zero hands Run the join token.
+	pending atomic.Int32
 	// aborted is set by the first processor to panic. Only the park
 	// slow paths read it: the siblings of a failed processor consume
 	// what was already posted to them and stop where they would
@@ -305,9 +329,16 @@ func (m *Machine) P() int { return m.p }
 // Params returns the machine's cost parameters.
 func (m *Machine) Params() costmodel.Params { return m.params }
 
-// SetRecvTimeout overrides the deadlock-detection timeout. It must be
-// called between runs, not during one.
-func (m *Machine) SetRecvTimeout(d time.Duration) { m.recvTimeout = d }
+// SetRecvTimeout overrides the deadlock-detection timeout from the next
+// Run on; d <= 0 restores the default New would apply now (see
+// SetDefaultRecvTimeout). It must be called between runs, not during
+// one.
+func (m *Machine) SetRecvTimeout(d time.Duration) {
+	if d <= 0 {
+		d = currentDefaultRecvTimeout()
+	}
+	m.recvTimeout = d
+}
 
 // RecvTimeout reports the machine's current deadlock-detection
 // timeout.
@@ -347,7 +378,9 @@ func (m *Machine) Clocks() []costmodel.Time {
 // error with the processor id. Run drains all links afterwards so the
 // machine is clean for the next program.
 func (m *Machine) Run(body func(*Proc)) (costmodel.Time, error) {
-	m.ensureEngine()
+	if m.eng == nil {
+		m.start()
+	}
 	rc := &runCtx{
 		body:   body,
 		procs:  m.procs,
@@ -355,16 +388,17 @@ func (m *Machine) Run(body func(*Proc)) (costmodel.Time, error) {
 		crit:   m.critEnabled,
 		stream: m.stream,
 	}
-	rc.wg.Add(m.p)
-	for pid := 0; pid < m.p; pid++ {
+	rc.pending.Store(int32(m.p))
+	m.watchdog.Reset(m.recvTimeout)
+	for _, work := range m.eng.work {
 		// The per-run Proc reset happens on the worker goroutine
 		// (resetForRun, called from runBody): the O(p*dim) reset work
 		// parallelizes across host cores, and every Proc field is
-		// written only by its owning goroutine. From here until
-		// rc.wg.Wait returns, this goroutine must not touch any Proc.
-		m.eng.work[pid] <- rc
+		// written only by its owning goroutine. From here until join
+		// returns, this goroutine must not touch any Proc.
+		work <- rc
 	}
-	rc.wg.Wait()
+	m.join()
 
 	// The first error is the lowest-numbered processor's own panic;
 	// processors cancelled because a sibling failed first are secondary
@@ -443,33 +477,50 @@ func (m *Machine) Run(body func(*Proc)) (costmodel.Time, error) {
 	return elapsed, firstErr
 }
 
-// ensureEngine lazily starts the persistent worker pool and arms the
-// garbage-collection backstop that shuts it down.
-func (m *Machine) ensureEngine() {
-	if m.eng != nil {
-		return
+// start lazily spawns the persistent workers, with what a Run needs to
+// wait for them, and arms the garbage-collection backstop that stops
+// them.
+func (m *Machine) start() {
+	m.eng = &engine{work: make([]chan *runCtx, m.p)}
+	for pid := range m.eng.work {
+		// One slot, so dispatch never waits for a worker to be scheduled.
+		m.eng.work[pid] = make(chan *runCtx, 1)
+		go worker(pid, m.eng.work[pid])
 	}
-	eng := &engine{
-		work: make([]chan *runCtx, m.p),
-		stop: make(chan struct{}),
-	}
-	for pid := 0; pid < m.p; pid++ {
-		eng.work[pid] = make(chan *runCtx, 1)
-		go worker(pid, eng.work[pid], eng.stop)
-	}
-	m.eng = eng
-	runtime.SetFinalizer(m, (*Machine).Close)
+	runtime.SetFinalizer(m.eng, (*engine).shutdown)
+	m.joined = make(chan struct{}, 1)
+	m.watchdog = time.NewTimer(m.recvTimeout)
 }
 
-// worker is the persistent goroutine of one processor. It deliberately
-// closes over only its channels, never the Machine (see engine).
-func worker(pid int, work chan *runCtx, stop chan struct{}) {
+// worker is the persistent goroutine of one processor. It holds only
+// its own channel, never the Machine or the engine: when the Machine
+// becomes unreachable so does the engine, whose finalizer then ends the
+// workers, instead of their pinning both alive forever.
+func worker(pid int, work chan *runCtx) {
+	for rc := range work {
+		runBody(pid, rc)
+	}
+}
+
+// join waits for the run's last processor on the goroutine that called
+// Run. That goroutine is also the run's only deadlock watchdog: at the
+// end of every timeout window it wakes each parked processor to judge
+// itself (see Proc.park); a deadlocked one panics on its own goroutine
+// and the abort that follows ends the wait like any other failure. It
+// touches the parkers and nothing else of a processor. The timer is
+// stopped before join returns, so an idle machine has nothing pending
+// in the runtime's timer heap.
+func (m *Machine) join() {
 	for {
 		select {
-		case rc := <-work:
-			runBody(pid, rc)
-		case <-stop:
+		case <-m.joined:
+			m.watchdog.Stop()
 			return
+		case <-m.watchdog.C:
+			for i := range m.parkers {
+				m.parkers[i].expire()
+			}
+			m.watchdog.Reset(m.recvTimeout)
 		}
 	}
 }
@@ -477,7 +528,6 @@ func worker(pid int, work chan *runCtx, stop chan struct{}) {
 // runBody executes one processor's share of a Run with the same panic
 // containment the seed's per-run goroutines had.
 func runBody(pid int, rc *runCtx) {
-	defer rc.wg.Done()
 	pr := rc.procs[pid]
 	defer func() {
 		if r := recover(); r != nil {
@@ -485,11 +535,13 @@ func runBody(pid int, rc *runCtx) {
 			rc.abort()
 		}
 		// An idle machine keeps nothing of the finished run reachable:
-		// not its body (and whatever that captured), and no pending
-		// watchdog, which the runtime would hold — together with the
-		// machine's park words — until it fired.
-		pr.disarmWatchdog()
+		// not its body, and not whatever that captured.
 		pr.rc = nil
+		// Last, after every write above: the countdown is what orders
+		// this processor's state before Run's reads of it.
+		if rc.pending.Add(-1) == 0 {
+			pr.m.joined <- struct{}{}
+		}
 	}()
 	pr.resetForRun(rc)
 	rc.body(pr)
@@ -499,8 +551,8 @@ func runBody(pid int, rc *runCtx) {
 // resetForRun clears the processor's per-run state. It runs on the
 // processor's own worker goroutine, never the Run caller's, so every
 // hot-path Proc field keeps a single writer; the work-channel handoff
-// orders it after Run's bookkeeping and before the SPMD body, and
-// rc.wg orders the previous run's reads before it.
+// orders it after Run's bookkeeping and before the SPMD body, and the
+// previous run's join ordered that run's reads before it.
 func (p *Proc) resetForRun(rc *runCtx) {
 	p.clock = 0
 	p.nMsgs, p.nWords, p.nFlops = 0, 0, 0
@@ -525,7 +577,10 @@ func (p *Proc) resetForRun(rc *runCtx) {
 	} else if len(p.cp) > 0 {
 		p.cp = p.cp[:0]
 	}
-	p.nColl, p.nArms, p.nRearms = 0, 0, 0
+	p.nColl, p.nRearms = 0, 0
+	// The first window boundary of a run must never look like the
+	// second of a wait (see park).
+	p.progress, p.markedAt = 1, 0
 	p.nRecvParks = 0
 	p.pool.gets, p.pool.hits = 0, 0
 	p.msgHist = [msgHistBins]int64{}
@@ -540,19 +595,6 @@ func (p *Proc) resetForRun(rc *runCtx) {
 	p.trace = p.trace[:0]
 }
 
-// disarmWatchdog stops the deadlock watchdog at the end of a run, which
-// is also what makes a timeout changed via SetRecvTimeout take effect
-// at the next arming. A timer that can no longer be stopped has
-// started its callback, which takes back its own count.
-func (p *Proc) disarmWatchdog() {
-	if p.timerArmed {
-		if p.timer.Stop() {
-			p.pk.watchdogs.Add(-1)
-		}
-		p.timerArmed = false
-	}
-}
-
 // Close shuts down the persistent worker goroutines. It is optional —
 // an unreachable Machine is cleaned up by the garbage collector — and
 // idempotent, but Run must not be called after Close.
@@ -560,9 +602,9 @@ func (m *Machine) Close() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.eng != nil {
-		close(m.eng.stop)
+		runtime.SetFinalizer(m.eng, nil)
+		m.eng.shutdown()
 		m.eng = nil
-		runtime.SetFinalizer(m, nil)
 	}
 }
 
@@ -659,10 +701,9 @@ type Proc struct {
 	captured  [][]float64
 
 	// Per-run metric counters, folded into the machine's registry once
-	// per Run: collective entries, watchdog arms/re-arms, and the
+	// per Run: collective entries, watchdog re-arms, and the
 	// message-size histogram bins (bounds in msgWordBounds).
 	nColl   int64
-	nArms   int64
 	nRearms int64
 	msgHist [msgHistBins]int64
 
@@ -672,16 +713,12 @@ type Proc struct {
 	// prices parks per message with it.
 	nRecvParks int64
 
-	// Deadlock watchdog state. The timer is armed at most once per
-	// timeout window (not per blocking Recv): recvSeq counts delivered
-	// messages and timerSeq records its value at arming, so a fire with
-	// progress in between just re-arms. Busy steady-state runs touch
-	// the timer heap only once per window. The timer's callback is
-	// pk.watchdogFired, which wakes a parked awaitRecv.
-	timer      *time.Timer
-	timerArmed bool
-	recvSeq    uint64
-	timerSeq   uint64
+	// Deadlock judgement (see park): progress counts the waits this
+	// processor has come out of, markedAt is its value at the last
+	// window boundary that found the processor parked. Plain fields:
+	// the watchdog only wakes, the processor judges itself.
+	progress uint64
+	markedAt uint64
 }
 
 // GetBuf returns a scratch buffer of length n from this processor's
@@ -802,29 +839,10 @@ func (p *Proc) post(d, tag int, buf []float64, arrive costmodel.Time) {
 }
 
 // stallSend is post's slow path: the ring is full (run-ahead
-// backpressure), so park until the receiver has consumed a message or
-// the run aborts.
+// backpressure), so park until the receiver has consumed a message.
 func (p *Proc) stallSend(l *link, msg message, d int) {
-	// Note the blocked send in the wait registers so a post-mortem can
-	// name it.
-	p.waitKind = flightrec.WaitSend
-	p.waitDim, p.waitTag = d, msg.tag
-	p.waitSince = msg.arrive
-	w := parkSend | uint32(d)
-	for {
-		p.pk.state.Store(w)
-		switch {
-		case !l.full():
-			p.pk.cancel(w)
-			l.push(msg)
-			p.waitKind = flightrec.WaitNone
-			return
-		case p.rc.aborted.Load():
-			p.pk.cancel(w)
-			panic(abortedError{})
-		}
-		<-p.pk.wake
-	}
+	p.park(l, flightrec.WaitSend, d, msg.tag, msg.arrive)
+	l.push(msg)
 }
 
 // record appends one event to this processor's flight recorder,
@@ -887,7 +905,6 @@ func (p *Proc) Recv(d, wantTag int) []float64 {
 	}
 	// The sender may be parked on this ring having found it full.
 	p.m.parkers[p.id^(1<<d)].unpark(parkSend | uint32(d))
-	p.recvSeq++
 	if msg.tag != wantTag {
 		// Preserve the offending payload for the post-mortem before
 		// dying: the report shows its length and leading words.
@@ -905,49 +922,50 @@ func (p *Proc) Recv(d, wantTag int) []float64 {
 }
 
 // awaitRecv is Recv's slow path: the ring is empty, so park at the
-// virtual-time frontier until the message is posted, the run aborts,
-// or the deadlock watchdog finds a whole window without a delivery.
-// The timer is not stopped on a successful receive; a later fire that
-// finds progress (recvSeq advanced past timerSeq) re-arms and keeps
-// waiting, so a genuine deadlock is reported within two timeout
-// windows while the steady state pays no per-Recv timer traffic. The
-// wait registers make the blocked state visible to the post-mortem
-// assembler.
+// virtual-time frontier until the message is posted.
 func (p *Proc) awaitRecv(l *link, d, wantTag int) message {
-	p.waitKind = flightrec.WaitRecv
-	p.waitDim, p.waitTag = d, wantTag
-	p.waitSince = p.clock
 	p.nRecvParks++
-	w := parkRecv | uint32(d)
+	p.park(l, flightrec.WaitRecv, d, wantTag, p.clock)
+	msg, _ := l.pop()
+	return msg
+}
+
+// park blocks until the ring l has room for the send, or a message for
+// the receive, that kind says this processor is waiting to do on
+// dimension d. It ends early, in a panic, when the run aborts or when
+// the watchdog finds the processor deadlocked. The watchdog is Run's
+// goroutine (see Machine.join): at every window boundary it marks and
+// wakes whoever is parked, and the woken processor judges itself here —
+// a boundary that finds no wait completed since the last one that found
+// it parked means a whole window went by inside this wait, which is the
+// deadlock; otherwise the mark moves and the wait goes on (a re-arm).
+// Windows belong to the run, not to the wait, so a deadlock is reported
+// after more than one and at most two of them. The wait registers make
+// the blocked state visible to the post-mortem assembler.
+func (p *Proc) park(l *link, kind flightrec.WaitKind, d, tag int, since costmodel.Time) {
+	p.waitKind, p.waitDim, p.waitTag, p.waitSince = kind, d, tag, since
+	sending := kind == flightrec.WaitSend
+	w, what := parkRecv|uint32(d), "recv timeout"
+	if sending {
+		w, what = parkSend|uint32(d), "send stalled"
+	}
 	for {
-		if !p.timerArmed {
-			p.pk.watchdogs.Add(1)
-			if p.timer == nil {
-				p.timer = time.AfterFunc(p.m.recvTimeout, p.pk.watchdogFired)
-			} else {
-				p.timer.Reset(p.m.recvTimeout)
-			}
-			p.timerArmed = true
-			p.timerSeq = p.recvSeq
-			p.nArms++
-		}
 		p.pk.state.Store(w)
 		switch {
-		case !l.empty():
+		case sending && !l.full(), !sending && !l.empty():
 			p.pk.cancel(w)
-			msg, _ := l.pop()
 			p.waitKind = flightrec.WaitNone
-			return msg
+			p.progress++
+			return
 		case p.rc.aborted.Load():
 			p.pk.cancel(w)
 			panic(abortedError{})
-		case p.pk.watchdogs.Load() == 0:
-			// The window armed last has run out (see parker.watchdogs).
+		case p.pk.expired.Load():
 			p.pk.cancel(w)
-			p.timerArmed = false
-			if p.recvSeq == p.timerSeq {
-				panic(fmt.Sprintf("recv timeout on dim %d (tag %d): deadlock", d, wantTag))
+			if p.progress == p.markedAt {
+				panic(fmt.Sprintf("%s on dim %d (tag %d): deadlock", what, d, tag))
 			}
+			p.markedAt = p.progress
 			p.nRearms++
 			continue
 		}

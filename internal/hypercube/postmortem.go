@@ -14,7 +14,7 @@ import (
 // Both follow the observability discipline of profile.go: the hot
 // paths only bump plain per-processor int64 counters and write into
 // preallocated rings; everything here runs once per Run, after the
-// worker goroutines have quiesced (rc.wg.Wait establishes the
+// worker goroutines have quiesced (the run's join establishes the
 // happens-before edge that makes reading their state safe).
 
 // RunError is the error Run returns when a processor fails. It wraps
@@ -172,8 +172,7 @@ type machMetrics struct {
 	msgs, words, flops       *metrics.Counter
 	colls                    *metrics.Counter
 	poolGets, poolHits       *metrics.Counter
-	wdArms, wdRearms         *metrics.Counter
-	recvParks                *metrics.Counter
+	wdRearms, recvParks      *metrics.Counter
 	lastElapsed, poolHitRate *metrics.Gauge
 	msgWords                 *metrics.Histogram
 
@@ -187,14 +186,13 @@ type machMetrics struct {
 }
 
 // schedMetricNames lists the registry entries fed by the host
-// scheduler: the frontier-park counter and the watchdog counters,
-// which share its host-timing dependence. They describe host
+// scheduler: the frontier-park counter and the watchdog's re-arm
+// counter, which shares its host-timing dependence. They describe host
 // execution, not the simulated machine, so they are exempt from the
 // bit-identical-across-GOMAXPROCS guarantee; the determinism stress
 // tests exclude exactly this set.
 var schedMetricNames = map[string]bool{
 	"vmprim_sched_recv_parks_total": true,
-	"vmprim_watchdog_arms_total":    true,
 	"vmprim_watchdog_rearms_total":  true,
 }
 
@@ -214,8 +212,7 @@ func newMachMetrics() machMetrics {
 		colls:       reg.Counter("vmprim_collectives_total", "collective protocol invocations"),
 		poolGets:    reg.Counter("vmprim_pool_gets_total", "buffer-pool get requests"),
 		poolHits:    reg.Counter("vmprim_pool_hits_total", "buffer-pool gets served from a free list"),
-		wdArms:      reg.Counter("vmprim_watchdog_arms_total", "deadlock-watchdog timer arms"),
-		wdRearms:    reg.Counter("vmprim_watchdog_rearms_total", "watchdog fires that found progress and re-armed"),
+		wdRearms:    reg.Counter("vmprim_watchdog_rearms_total", "watchdog window boundaries that found a processor parked, but not for a whole window without progress"),
 		recvParks:   reg.Counter("vmprim_sched_recv_parks_total", "host goroutine parks waiting at the virtual-time frontier for a message (host-nondeterministic)"),
 		lastElapsed: reg.Gauge("vmprim_last_elapsed_us", "simulated time of the most recent run"),
 		poolHitRate: reg.Gauge("vmprim_pool_hit_rate", "fraction of pool gets served from a free list in the most recent run"),
@@ -246,7 +243,7 @@ func (m *Machine) updateMetrics(elapsed costmodel.Time, failed bool, crit *obs.C
 	if failed {
 		mm.failures.Add(1)
 	}
-	var msgs, words, flops, colls, gets, hits, arms, rearms, parks int64
+	var msgs, words, flops, colls, gets, hits, rearms, parks int64
 	var hist [msgHistBins]int64
 	for _, pr := range m.procs {
 		msgs += pr.nMsgs
@@ -255,7 +252,6 @@ func (m *Machine) updateMetrics(elapsed costmodel.Time, failed bool, crit *obs.C
 		colls += pr.nColl
 		gets += pr.pool.gets
 		hits += pr.pool.hits
-		arms += pr.nArms
 		rearms += pr.nRearms
 		parks += pr.nRecvParks
 		for i, c := range pr.msgHist {
@@ -268,7 +264,6 @@ func (m *Machine) updateMetrics(elapsed costmodel.Time, failed bool, crit *obs.C
 	mm.colls.Add(colls)
 	mm.poolGets.Add(gets)
 	mm.poolHits.Add(hits)
-	mm.wdArms.Add(arms)
 	mm.wdRearms.Add(rearms)
 	mm.recvParks.Add(parks)
 	mm.lastElapsed.Set(float64(elapsed))

@@ -75,9 +75,10 @@ go test ./...
 # watching the host-parallel engine the whole time.
 go test -race ./internal/...
 # Link transport stress: the lock-free rings and the park/wake protocol
-# (send stalls, abort while stalled, the lost-wake-up ping-pong and
-# pipelines at GOMAXPROCS 1, 2, 4 and 8, SendOwned against Send)
-# repeated under the race detector — the races it hunts are
+# (send stalls, abort and deadlock while stalled, the lost-wake-up
+# ping-pong and pipelines at GOMAXPROCS 1, 2, 4 and 8, SendOwned against
+# Send, the watchdog's window boundaries, worker exit on Close and on
+# collection) repeated under the race detector — the races it hunts are
 # timing-dependent, so one pass in the line above is not enough.
 go test -race -count=5 -run 'Link|SendStall|LostWake' ./internal/hypercube/
 # Router wire format: a short native fuzz burst of the wire-form router
@@ -231,10 +232,7 @@ import json, sys
 # Host-scheduler and watchdog counters depend on goroutine interleaving
 # by design; everything else in the per-run metrics is simulated truth
 # and must match the CLI's fresh-machine snapshot exactly.
-sched = {
-    "vmprim_sched_recv_parks_total",
-    "vmprim_watchdog_arms_total", "vmprim_watchdog_rearms_total",
-}
+sched = {"vmprim_sched_recv_parks_total", "vmprim_watchdog_rearms_total"}
 def load(p):
     doc = json.load(open(p))
     return {m["name"]: m for m in doc["metrics"] if m["name"] not in sched}
