@@ -155,6 +155,8 @@ func TestHostSchedMetricsExcluded(t *testing.T) {
 	want := []string{
 		"vmprim_sched_recv_parks_total",
 		"vmprim_watchdog_rearms_total",
+		"vmprim_pool_hits_total",
+		"vmprim_pool_hit_rate",
 	}
 	have := make(map[string]bool)
 	for _, mv := range res.Metrics.Metrics {

@@ -207,8 +207,7 @@ func Reduce(p *hypercube.Proc, mask, tag, rootRel int, data []float64, comb Comb
 			p.Compute(len(acc))
 			p.Recycle(src)
 		case low == 1<<i:
-			p.Send(ds[i], subTag(tag, i), acc)
-			p.Recycle(acc)
+			p.SendOwned(ds[i], subTag(tag, i), acc)
 			acc = nil
 			// This processor's part is done; it holds no data.
 			i = k
@@ -379,8 +378,7 @@ func Gather(p *hypercube.Proc, mask, tag, rootRel int, piece []float64) []float6
 				flat = append(flat, float64(s.origin), float64(len(s.words)))
 				flat = append(flat, s.words...)
 			}
-			p.Send(ds[i], subTag(tag, i), flat)
-			p.Recycle(flat)
+			p.SendOwned(ds[i], subTag(tag, i), flat)
 			segs = nil
 			i = k
 		case low == 0:
@@ -467,8 +465,7 @@ func Scatter(p *hypercube.Proc, mask, tag, rootRel int, data []float64) []float6
 				flat = append(flat, float64(s.dest), float64(len(s.words)))
 				flat = append(flat, s.words...)
 			}
-			p.Send(ds[i], subTag(tag, i), flat)
-			p.Recycle(flat)
+			p.SendOwned(ds[i], subTag(tag, i), flat)
 			segs = mine
 		case low == 1<<i:
 			flat := p.Recv(ds[i], subTag(tag, i))
@@ -531,11 +528,12 @@ func AllToAll(p *hypercube.Proc, mask, tag int, out [][]float64) [][]float64 {
 				slots = append(slots, j)
 			}
 		}
-		got := p.Exchange(ds[i], subTag(tag, i), flat)
-		if len(got) != len(flat) {
+		sent := len(flat)
+		p.SendOwned(ds[i], subTag(tag, i), flat)
+		got := p.Recv(ds[i], subTag(tag, i))
+		if len(got) != sent {
 			panic("collective: AllToAll volume mismatch")
 		}
-		p.Recycle(flat)
 		for si, j := range slots {
 			copy(cur[j], got[si*sz:(si+1)*sz])
 		}

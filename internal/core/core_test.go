@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -71,15 +72,28 @@ func vecEqual(t *testing.T, got, want []float64, tol float64, what string) {
 
 func TestFromDenseToDenseRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
+	kinds := []embed.MapKind{embed.Block, embed.Cyclic}
 	for _, g := range testGrids(t) {
-		for _, kind := range []embed.MapKind{embed.Block, embed.Cyclic} {
-			for _, shape := range [][2]int{{1, 1}, {4, 4}, {5, 7}, {8, 3}, {13, 13}} {
-				dm := randDense(rng, shape[0], shape[1])
-				a, err := FromDense(g, dm, kind, kind)
-				if err != nil {
-					t.Fatal(err)
+		for _, rkind := range kinds {
+			for _, ckind := range kinds {
+				for _, shape := range [][2]int{{1, 1}, {4, 4}, {5, 7}, {8, 3}, {13, 13}} {
+					dm := randDense(rng, shape[0], shape[1])
+					a, err := FromDense(g, dm, rkind, ckind)
+					if err != nil {
+						t.Fatal(err)
+					}
+					// Every element sits where the maps say it does.
+					for i := 0; i < dm.R; i++ {
+						for j := 0; j < dm.C; j++ {
+							slot := a.RMap.LocalOf(i)*a.CMap.B + a.CMap.LocalOf(j)
+							if got := a.L(a.OwnerOf(i, j))[slot]; got != dm.At(i, j) {
+								t.Fatalf("%v/%v %dx%d on %dx%d: (%d,%d) stored as %v, want %v",
+									rkind, ckind, dm.R, dm.C, g.PRows(), g.PCols(), i, j, got, dm.At(i, j))
+							}
+						}
+					}
+					matEqual(t, a.ToDense(), dm, 0, "round trip")
 				}
-				matEqual(t, a.ToDense(), dm, 0, "round trip")
 			}
 		}
 	}
@@ -98,13 +112,37 @@ func TestVectorFromSliceToSliceRoundTrip(t *testing.T) {
 					if layout == Linear && repl {
 						continue
 					}
-					v, err := VectorFromSlice(g, x, layout, embed.Block, 0, repl)
-					if err != nil {
-						t.Fatal(err)
-					}
-					vecEqual(t, v.ToSlice(), x, 0, "vector round trip")
-					if err := v.CheckReplicas(); err != nil {
-						t.Fatal(err)
+					for _, kind := range []embed.MapKind{embed.Block, embed.Cyclic} {
+						// The last grid row or column as home, not just 0.
+						home := 0
+						switch layout {
+						case RowAligned:
+							home = g.PRows() - 1
+						case ColAligned:
+							home = g.PCols() - 1
+						}
+						v, err := VectorFromSlice(g, x, layout, kind, home, repl)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for e, want := range x {
+							if got := v.L(v.OwnerProcOf(e))[v.Map.LocalOf(e)]; got != want {
+								t.Fatalf("%v %v repl=%v n=%d: element %d stored as %v, want %v", layout, kind, repl, n, e, got, want)
+							}
+						}
+						vecEqual(t, v.ToSlice(), x, 0, "vector round trip")
+						if err := v.CheckReplicas(); err != nil {
+							t.Fatal(err)
+						}
+						// One corrupted word in the last copy of the last
+						// element is a mismatch CheckReplicas must name.
+						if v.copies() > 1 {
+							last := v.holder(v.Map.CoordOf(n-1), v.copies()-1)
+							v.L(last)[v.Map.LocalOf(n-1)]++
+							if err := v.CheckReplicas(); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("element %d:", n-1)) {
+								t.Fatalf("%v %v n=%d: CheckReplicas = %v after corrupting element %d on proc %d", layout, kind, n, err, n-1, last)
+							}
+						}
 					}
 				}
 			}

@@ -287,24 +287,7 @@ func (e *Env) VecElemAt(v *Vector, idx int) float64 {
 // ownerProcAt returns the canonical owner processor of piece
 // coordinate c: the unique holder, or the home/first grid row's copy
 // for replicated vectors.
-func (v *Vector) ownerProcAt(c int) int {
-	switch v.Layout {
-	case Linear:
-		return linearProcOf(c)
-	case RowAligned:
-		home := v.Home
-		if v.Replicated {
-			home = 0
-		}
-		return v.G.ProcAt(home, c)
-	default:
-		home := v.Home
-		if v.Replicated {
-			home = 0
-		}
-		return v.G.ProcAt(c, home)
-	}
-}
+func (v *Vector) ownerProcAt(c int) int { return v.holder(c, 0) }
 
 // OwnerProcOf returns the canonical processor owning global element g
 // of the vector (the unique holder, or the home/first copy for

@@ -16,6 +16,41 @@ func linearCoordOf(pid int) int { return gray.Decode(pid) }
 
 func linearProcOf(c int) int { return gray.Encode(c) }
 
+// A piece of a Map1D, seen from the dense index space, is a strided
+// run: pieceOf returns how many valid local slots coord has, the global
+// index of the first, and the distance between consecutive ones (1 for
+// block maps, so the run is contiguous). The host-side loaders below
+// walk pieces instead of asking every element for its owner.
+func pieceOf(m embed.Map1D, coord int) (n, first, stride int) {
+	n = m.ValidCount(coord)
+	if n > 0 {
+		first = m.GlobalOf(coord, 0)
+	}
+	return n, first, m.GlobalStride()
+}
+
+// toPiece fills local[:n] with dense[first], dense[first+stride], ...
+func toPiece(local, dense []float64, n, first, stride int) {
+	if stride == 1 {
+		copy(local[:n], dense[first:])
+		return
+	}
+	for l := range local[:n] {
+		local[l] = dense[first+l*stride]
+	}
+}
+
+// fromPiece is toPiece's inverse: it scatters local[:n] into dense.
+func fromPiece(dense, local []float64, n, first, stride int) {
+	if stride == 1 {
+		copy(dense[first:], local[:n])
+		return
+	}
+	for l, val := range local[:n] {
+		dense[first+l*stride] = val
+	}
+}
+
 // FromDense distributes a dense matrix onto grid g (host-side: no
 // simulated communication; loading input data is outside the timed
 // computation, as it was for the paper's experiments).
@@ -24,15 +59,30 @@ func FromDense(g embed.Grid, dm *serial.Mat, rkind, ckind embed.MapKind) (*Matri
 	if err != nil {
 		return nil, err
 	}
-	for i := 0; i < dm.R; i++ {
-		gr, lr := a.RMap.CoordOf(i), a.RMap.LocalOf(i)
-		for j := 0; j < dm.C; j++ {
-			gc, lc := a.CMap.CoordOf(j), a.CMap.LocalOf(j)
-			pid := g.ProcAt(gr, gc)
-			a.L(pid)[lr*a.CMap.B+lc] = dm.At(i, j)
+	a.eachBlockRow(func(blockRow []float64, i, nc, c0, cs int) {
+		toPiece(blockRow, dm.A[i*dm.C:(i+1)*dm.C], nc, c0, cs)
+	})
+	return a, nil
+}
+
+// eachBlockRow calls f once per local row of every block that holds
+// data: blockRow is the local row, i the global row it stores, and
+// (nc, c0, cs) the column piece it covers (see pieceOf). Blocks with
+// no valid element are not materialized.
+func (a *Matrix) eachBlockRow(f func(blockRow []float64, i, nc, c0, cs int)) {
+	for gr := 0; gr < a.G.PRows(); gr++ {
+		nr, r0, rs := pieceOf(a.RMap, gr)
+		for gc := 0; gc < a.G.PCols(); gc++ {
+			nc, c0, cs := pieceOf(a.CMap, gc)
+			if nr == 0 || nc == 0 {
+				continue
+			}
+			blk := a.L(a.G.ProcAt(gr, gc))
+			for lr := 0; lr < nr; lr++ {
+				f(blk[lr*a.CMap.B:(lr+1)*a.CMap.B], r0+lr*rs, nc, c0, cs)
+			}
 		}
 	}
-	return a, nil
 }
 
 // ToDense assembles the distributed matrix into a dense one
@@ -43,14 +93,9 @@ func (a *Matrix) ToDense() *serial.Mat {
 		panic("core: ToDense on an SPMD-local matrix")
 	}
 	dm := serial.NewMat(a.Rows, a.Cols)
-	for i := 0; i < a.Rows; i++ {
-		gr, lr := a.RMap.CoordOf(i), a.RMap.LocalOf(i)
-		for j := 0; j < a.Cols; j++ {
-			gc, lc := a.CMap.CoordOf(j), a.CMap.LocalOf(j)
-			pid := a.G.ProcAt(gr, gc)
-			dm.Set(i, j, a.L(pid)[lr*a.CMap.B+lc])
-		}
-	}
+	a.eachBlockRow(func(blockRow []float64, i, nc, c0, cs int) {
+		fromPiece(dm.A[i*dm.C:(i+1)*dm.C], blockRow, nc, c0, cs)
+	})
 	return dm
 }
 
@@ -61,38 +106,42 @@ func VectorFromSlice(g embed.Grid, x []float64, layout Layout, kind embed.MapKin
 	if err != nil {
 		return nil, err
 	}
-	for e, val := range x {
-		c, l := v.Map.CoordOf(e), v.Map.LocalOf(e)
-		for _, pid := range v.holders(c) {
-			v.L(pid)[l] = val
+	for c := 0; c < v.Map.Coords(); c++ {
+		n, first, stride := pieceOf(v.Map, c)
+		if n == 0 {
+			continue
+		}
+		for k := 0; k < v.copies(); k++ {
+			toPiece(v.L(v.holder(c, k)), x, n, first, stride)
 		}
 	}
 	return v, nil
 }
 
-// holders returns the processors that store piece coordinate c.
-func (v *Vector) holders(c int) []int {
+// copies returns the number of processors storing each piece, and
+// holder(c, k) the k-th of them for piece coordinate c.
+func (v *Vector) copies() int {
+	switch {
+	case !v.Replicated:
+		return 1
+	case v.Layout == RowAligned:
+		return v.G.PRows()
+	default: // ColAligned
+		return v.G.PCols()
+	}
+}
+
+func (v *Vector) holder(c, k int) int {
+	if !v.Replicated {
+		k = v.Home
+	}
 	switch v.Layout {
 	case Linear:
-		return []int{linearProcOf(c)}
+		return linearProcOf(c)
 	case RowAligned:
-		if v.Replicated {
-			pids := make([]int, v.G.PRows())
-			for gr := range pids {
-				pids[gr] = v.G.ProcAt(gr, c)
-			}
-			return pids
-		}
-		return []int{v.G.ProcAt(v.Home, c)}
+		return v.G.ProcAt(k, c)
 	default: // ColAligned
-		if v.Replicated {
-			pids := make([]int, v.G.PCols())
-			for gc := range pids {
-				pids[gc] = v.G.ProcAt(c, gc)
-			}
-			return pids
-		}
-		return []int{v.G.ProcAt(c, v.Home)}
+		return v.G.ProcAt(c, k)
 	}
 }
 
@@ -104,16 +153,20 @@ func (v *Vector) ToSlice() []float64 {
 		panic("core: ToSlice on an SPMD-local vector")
 	}
 	out := make([]float64, v.N)
-	for e := 0; e < v.N; e++ {
-		c, l := v.Map.CoordOf(e), v.Map.LocalOf(e)
-		out[e] = v.L(v.holders(c)[0])[l]
+	for c := 0; c < v.Map.Coords(); c++ {
+		n, first, stride := pieceOf(v.Map, c)
+		if n == 0 {
+			continue
+		}
+		fromPiece(out, v.L(v.holder(c, 0)), n, first, stride)
 	}
 	return out
 }
 
 // CheckReplicas verifies (host-side) that a replicated vector's copies
 // agree across all holders; it returns an error naming the first
-// mismatch. Tests use it to catch broken replication invariants.
+// mismatch, piece by piece. Tests use it to catch broken replication
+// invariants.
 func (v *Vector) CheckReplicas() error {
 	if v.isLocal {
 		return fmt.Errorf("core: CheckReplicas on an SPMD-local vector")
@@ -121,14 +174,20 @@ func (v *Vector) CheckReplicas() error {
 	if !v.Replicated {
 		return nil
 	}
-	for e := 0; e < v.N; e++ {
-		c, l := v.Map.CoordOf(e), v.Map.LocalOf(e)
-		hs := v.holders(c)
-		want := v.L(hs[0])[l]
-		for _, pid := range hs[1:] {
-			if got := v.L(pid)[l]; got != want {
-				return fmt.Errorf("core: replica mismatch at element %d: proc %d has %v, proc %d has %v",
-					e, hs[0], want, pid, got)
+	for c := 0; c < v.Map.Coords(); c++ {
+		n, first, stride := pieceOf(v.Map, c)
+		if n == 0 {
+			continue
+		}
+		ref := v.holder(c, 0)
+		want := v.L(ref)[:n]
+		for k := 1; k < v.copies(); k++ {
+			pid := v.holder(c, k)
+			for l, got := range v.L(pid)[:n] {
+				if got != want[l] {
+					return fmt.Errorf("core: replica mismatch at element %d: proc %d has %v, proc %d has %v",
+						first+l*stride, ref, want[l], pid, got)
+				}
 			}
 		}
 	}

@@ -35,11 +35,13 @@
 // dimension-d neighbor), receives are addressed by (link, program
 // order) rather than by time, virtual arrival times travel inside the
 // messages, and all remaining hot-path state (clock, counters, trace,
-// span recorder, flight ring, buffer pool) is owned by exactly one
+// span recorder, flight ring, buffer magazine) is owned by exactly one
 // goroutine. Cross-goroutine handoffs — payload buffers inside
 // messages, per-run setup and the post-run fold — synchronize through
 // the link rings' atomic indices, the work channels and the run's
-// countdown, which provide the happens-before edges. A link is a
+// countdown, which provide the happens-before edges; free buffers
+// change hands through the machine's depot, under its lock (pool.go),
+// which decides who allocates and never what is computed. A link is a
 // lock-free ring (see link.go): a Send or Recv that does not have to
 // wait touches no runtime lock, and a processor that does wait sleeps
 // on its own one-token wake channel, which its link partner, a run
@@ -132,6 +134,11 @@ type Machine struct {
 	// Both are slabs allocated once by New (see link.go).
 	links   []link
 	parkers []parker
+
+	// depot is the machine-wide level of the buffer pool behind the
+	// processors' magazines (see pool.go), the one object the workers
+	// share under a lock.
+	depot depot
 
 	recvTimeout time.Duration
 
@@ -296,6 +303,7 @@ func New(dim int, params costmodel.Params) (*Machine, error) {
 			m: m, id: pid, pk: pk,
 			in:        m.links[pid*dim : (pid+1)*dim],
 			linkWords: make([]int64, dim),
+			pool:      bufPool{depot: &m.depot},
 		}
 		m.procs[pid].rec.Init(defaultFlightDepth)
 	}

@@ -9,12 +9,13 @@ import (
 // MachinePool is an LRU cache of idle Machines keyed by configuration,
 // for serving layers that run many workloads against a small set of
 // machine shapes. Construction of a Machine is cheap but its steady
-// state is expensive to rebuild: the persistent worker goroutines,
-// per-processor buffer pools and link rings all warm up over the
-// first runs, so a pool hit hands the caller a machine whose pools are
-// already equilibrated. Acquire removes the machine from the pool (a
-// Machine is single-tenant: one Run at a time), Release returns it;
-// machines evicted by capacity pressure are Closed.
+// state is expensive to rebuild: the persistent worker goroutines and
+// the buffer pool fill up over the first runs, so a pool hit hands the
+// caller a machine that already owns the buffers a run needs — and,
+// the pool being bounded by peak demand (see pool.go), no more than
+// that however many tenants it has served. Acquire removes the machine
+// from the pool (a Machine is single-tenant: one Run at a time),
+// Release returns it; machines evicted by capacity pressure are Closed.
 //
 // The pool is safe for concurrent use. The machines themselves are
 // not shared: between Acquire and Release exactly one goroutine owns

@@ -240,7 +240,7 @@ func TestRunFixedOverheadAllocs(t *testing.T) {
 }
 
 func TestPoolGetPutClasses(t *testing.T) {
-	var bp bufPool
+	bp := bufPool{depot: new(depot)}
 	// A recycled buffer must come back only for requests it can hold.
 	b := bp.get(100)
 	if len(b) != 100 || cap(b) < 100 {
@@ -253,6 +253,18 @@ func TestPoolGetPutClasses(t *testing.T) {
 	}
 	if cap(c) < 128 {
 		t.Fatalf("get(128) returned too-small capacity %d", cap(c))
+	}
+	// A foreign allocation and a sub-slice are classed by the largest
+	// power of two their capacity holds, so they serve only requests
+	// that fit: 100 and 50 words of capacity are buffers of 64 and 32.
+	for _, tc := range []struct{ capacity, fits int }{{100, 64}, {50, 32}} {
+		bp.put(make([]float64, 128)[:10:tc.capacity])
+		if b := bp.get(tc.fits + 1); cap(b) < 2*tc.fits {
+			t.Fatalf("get(%d) after recycling cap %d: too-small capacity %d", tc.fits+1, tc.capacity, cap(b))
+		}
+		if b := bp.get(tc.fits); len(b) != tc.fits || cap(b) != tc.capacity {
+			t.Fatalf("get(%d) after recycling cap %d: len=%d cap=%d, want the recycled buffer", tc.fits, tc.capacity, len(b), cap(b))
+		}
 	}
 	// Zero-length requests and recycles must be safe.
 	z := bp.get(0)

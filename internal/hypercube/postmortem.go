@@ -186,14 +186,18 @@ type machMetrics struct {
 }
 
 // schedMetricNames lists the registry entries fed by the host
-// scheduler: the frontier-park counter and the watchdog's re-arm
-// counter, which shares its host-timing dependence. They describe host
-// execution, not the simulated machine, so they are exempt from the
-// bit-identical-across-GOMAXPROCS guarantee; the determinism stress
-// tests exclude exactly this set.
+// scheduler: the frontier-park counter, the watchdog's re-arm counter,
+// which shares its host-timing dependence, and the pool's hits — which
+// get finds a buffer in the shared depot depends on which goroutine
+// asked first (the number of gets does not, and stays compared). They
+// describe host execution, not the simulated machine, so they are
+// exempt from the bit-identical-across-GOMAXPROCS guarantee; the
+// determinism stress tests exclude exactly this set.
 var schedMetricNames = map[string]bool{
 	"vmprim_sched_recv_parks_total": true,
 	"vmprim_watchdog_rearms_total":  true,
+	"vmprim_pool_hits_total":        true,
+	"vmprim_pool_hit_rate":          true,
 }
 
 // HostSchedMetricNames reports whether name is one of the
@@ -211,11 +215,11 @@ func newMachMetrics() machMetrics {
 		flops:       reg.Counter("vmprim_flops_total", "local floating-point operations"),
 		colls:       reg.Counter("vmprim_collectives_total", "collective protocol invocations"),
 		poolGets:    reg.Counter("vmprim_pool_gets_total", "buffer-pool get requests"),
-		poolHits:    reg.Counter("vmprim_pool_hits_total", "buffer-pool gets served from a free list"),
+		poolHits:    reg.Counter("vmprim_pool_hits_total", "buffer-pool gets served from a free list, the processor's or the machine's (host-nondeterministic)"),
 		wdRearms:    reg.Counter("vmprim_watchdog_rearms_total", "watchdog window boundaries that found a processor parked, but not for a whole window without progress"),
 		recvParks:   reg.Counter("vmprim_sched_recv_parks_total", "host goroutine parks waiting at the virtual-time frontier for a message (host-nondeterministic)"),
 		lastElapsed: reg.Gauge("vmprim_last_elapsed_us", "simulated time of the most recent run"),
-		poolHitRate: reg.Gauge("vmprim_pool_hit_rate", "fraction of pool gets served from a free list in the most recent run"),
+		poolHitRate: reg.Gauge("vmprim_pool_hit_rate", "fraction of pool gets served from a free list in the most recent run (host-nondeterministic)"),
 		msgWords:    reg.Histogram("vmprim_message_words", "payload size of link messages in 64-bit words", msgWordBounds),
 
 		cpCompute:    reg.Gauge("vmprim_critpath_compute_us", "compute time on the most recent run's critical path"),

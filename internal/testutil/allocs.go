@@ -18,3 +18,13 @@ func MallocsPerRun(warm, runs int, f func()) float64 {
 	runtime.ReadMemStats(&after)
 	return float64(after.Mallocs-before.Mallocs) / float64(runs)
 }
+
+// LiveHeap returns the bytes of heap objects still reachable after a
+// full collection: two readings around a loop say what the loop
+// retained.
+func LiveHeap() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}

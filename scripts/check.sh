@@ -74,13 +74,14 @@ go test ./...
 # loads, metrics folds and profile documents, with the race detector
 # watching the host-parallel engine the whole time.
 go test -race ./internal/...
-# Link transport stress: the lock-free rings and the park/wake protocol
-# (send stalls, abort and deadlock while stalled, the lost-wake-up
-# ping-pong and pipelines at GOMAXPROCS 1, 2, 4 and 8, SendOwned against
-# Send, the watchdog's window boundaries, worker exit on Close and on
-# collection) repeated under the race detector — the races it hunts are
+# Link transport and buffer pool stress: the lock-free rings and the
+# park/wake protocol (send stalls, abort and deadlock while stalled, the
+# lost-wake-up ping-pong and pipelines at GOMAXPROCS 1, 2, 4 and 8,
+# SendOwned against Send, the watchdog's window boundaries, worker exit
+# on Close and on collection) and the magazines hammering one depot,
+# repeated under the race detector — the races it hunts are
 # timing-dependent, so one pass in the line above is not enough.
-go test -race -count=5 -run 'Link|SendStall|LostWake' ./internal/hypercube/
+go test -race -count=5 -run 'Link|SendStall|LostWake|Pool' ./internal/hypercube/
 # Router wire format: a short native fuzz burst of the wire-form router
 # against the decode/encode reference it replaced (stdlib, offline). A
 # failing input lands in internal/router/testdata/fuzz/ — commit it with
@@ -229,10 +230,12 @@ vmprimd_pass() { # $1: pass name; $2: GOMAXPROCS value ("" = host default)
 	python3 scripts/critpath_schema_check.py "$pdir/critpath.json" scripts/critpath_schema.json
 	python3 - "$pdir/metrics.json" "$pdir/cli-metrics.json" <<'PYEOF'
 import json, sys
-# Host-scheduler and watchdog counters depend on goroutine interleaving
-# by design; everything else in the per-run metrics is simulated truth
+# Host-scheduler and watchdog counters, and which pool gets found a
+# free buffer in the shared depot, depend on goroutine interleaving by
+# design; everything else in the per-run metrics is simulated truth
 # and must match the CLI's fresh-machine snapshot exactly.
-sched = {"vmprim_sched_recv_parks_total", "vmprim_watchdog_rearms_total"}
+sched = {"vmprim_sched_recv_parks_total", "vmprim_watchdog_rearms_total",
+         "vmprim_pool_hits_total", "vmprim_pool_hit_rate"}
 def load(p):
     doc = json.load(open(p))
     return {m["name"]: m for m in doc["metrics"] if m["name"] not in sched}
