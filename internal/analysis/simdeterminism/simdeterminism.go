@@ -9,8 +9,8 @@
 // router) the analyzer forbids, in non-test files:
 //
 //   - time.Now, time.Since, time.Until and time.Sleep — wall-clock
-//     reads and waits (time.Duration values and timers used for the
-//     deadlock watchdog are fine: they never feed the virtual clock);
+//     reads and waits (time.Duration values and timers are fine: they
+//     never feed the virtual clock);
 //   - package-level math/rand and math/rand/v2 functions, which draw
 //     from the process-global generator seeded differently every run;
 //     explicitly seeded generators (rand.New(rand.NewSource(seed)))

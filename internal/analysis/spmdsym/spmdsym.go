@@ -4,9 +4,8 @@
 // relies on every processor opening the same spans in the same order)
 // must not be control-dependent on processor identity. A collective
 // guarded by `if p.ID() == 0` is executed by one processor and skipped
-// by the rest, which deadlocks the run — the watchdog catches it only
-// after a full timeout window, and only on the executions that reach
-// the guard.
+// by the rest, which deadlocks the run — caught at run time only on
+// the executions that reach the guard.
 //
 // Processor identity flows from Proc.ID (and the grid coordinates
 // Env.GridRow/GridCol, which are derived from it). The analyzer taints

@@ -6,18 +6,17 @@ import (
 	"runtime"
 	"testing"
 
-	"vmprim/internal/hypercube"
 	"vmprim/internal/metrics"
 )
 
 // GOMAXPROCS determinism stress: the same E1–E5 workloads executed at
 // GOMAXPROCS 1, 2 and NumCPU must produce bit-identical simulated
 // results — elapsed times, per-processor clocks, link loads, the
-// profile document and the Chrome trace, and every metric except the
-// host-scheduling diagnostics. This is the contract that lets the
-// engine run worker goroutines host-parallel between communication
-// points: simulated behavior may depend only on the program and the
-// cost model, never on the host interleaving.
+// profile document and the Chrome trace, and every metric — the
+// host-side counters (frontier parks, pool hits) included, since a
+// machine runs its processors one at a time in a fixed order. Simulated
+// behavior may depend only on the program and the cost model, never on
+// the host.
 
 // gomaxprocsSettings returns the distinct settings to stress: 1, 2 and
 // NumCPU (deduplicated, so a single-core host still exercises 1 vs 2 —
@@ -74,12 +73,7 @@ func captureRun(t *testing.T, id string) *simCapture {
 		t.Fatalf("%s: critpath JSON: %v", id, err)
 	}
 	c.critpath = append([]byte(nil), buf.Bytes()...)
-	for _, mv := range res.Metrics.Metrics {
-		if hypercube.HostSchedMetricNames(mv.Name) {
-			continue
-		}
-		c.metrics = append(c.metrics, mv)
-	}
+	c.metrics = res.Metrics.Metrics
 	return c
 }
 
@@ -144,33 +138,23 @@ func TestGOMAXPROCSDeterminism(t *testing.T) {
 	}
 }
 
-// TestHostSchedMetricsExcluded pins the quarantine boundary: the
-// host-scheduling metrics exist in the registry (so operators see
-// them) and are exactly the ones the determinism comparison skips.
+// TestHostSchedMetricsExcluded pins the quarantine boundary at empty:
+// the host-side scheduler and pool counters exist in the registry (so
+// operators see them) and the determinism comparison keeps every one.
 func TestHostSchedMetricsExcluded(t *testing.T) {
-	res, err := ProfileRun("E2", false)
-	if err != nil {
-		t.Fatal(err)
+	c := captureRun(t, "E2")
+	compared := make(map[string]bool)
+	for _, mv := range c.metrics {
+		compared[mv.Name] = true
 	}
-	want := []string{
+	for _, name := range []string{
 		"vmprim_sched_recv_parks_total",
-		"vmprim_watchdog_rearms_total",
+		"vmprim_pool_gets_total",
 		"vmprim_pool_hits_total",
 		"vmprim_pool_hit_rate",
-	}
-	have := make(map[string]bool)
-	for _, mv := range res.Metrics.Metrics {
-		have[mv.Name] = true
-	}
-	for _, name := range want {
-		if !have[name] {
-			t.Errorf("registry is missing %s", name)
+	} {
+		if !compared[name] {
+			t.Errorf("the determinism comparison does not cover %s", name)
 		}
-		if !hypercube.HostSchedMetricNames(name) {
-			t.Errorf("HostSchedMetricNames(%q) = false, want true", name)
-		}
-	}
-	if hypercube.HostSchedMetricNames("vmprim_messages_total") {
-		t.Error("HostSchedMetricNames must not exempt simulated-machine metrics")
 	}
 }

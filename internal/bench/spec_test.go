@@ -118,9 +118,6 @@ func TestRunSpecPooledReuse(t *testing.T) {
 		if !ok1 || !ok2 {
 			t.Fatalf("metric %s missing from deltas", name)
 		}
-		if hypercube.HostSchedMetricNames(name) {
-			continue
-		}
 		if v1 != v2 {
 			t.Fatalf("per-run delta of %s differs across identical tenants: %g vs %g", name, v1, v2)
 		}

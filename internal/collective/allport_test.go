@@ -85,7 +85,6 @@ func TestBcastAllPortMaskZero(t *testing.T) {
 
 func TestBcastAllPortRejectsBadLength(t *testing.T) {
 	m, _ := hypercube.New(2, costmodel.CM2().WithAllPorts(true))
-	m.SetRecvTimeout(2e9)
 	_, err := m.Run(func(p *hypercube.Proc) {
 		var data []float64
 		if p.ID() == 0 {
@@ -244,7 +243,6 @@ func TestReduceAllPortBandwidthWin(t *testing.T) {
 
 func TestReduceAllPortRejectsBadLength(t *testing.T) {
 	m, _ := hypercube.New(2, costmodel.CM2().WithAllPorts(true))
-	m.SetRecvTimeout(2e9)
 	_, err := m.Run(func(p *hypercube.Proc) {
 		ReduceAllPort(p, 0b11, 1, 0, []float64{1, 2, 3}, Sum)
 	})

@@ -585,7 +585,6 @@ func TestEmptyMaskIsLocal(t *testing.T) {
 
 func TestReduceScatterRejectsBadLength(t *testing.T) {
 	m := newMachine(t, 2)
-	m.SetRecvTimeout(2e9)
 	_, err := m.Run(func(p *hypercube.Proc) {
 		ReduceScatter(p, 0b11, 1, []float64{1, 2, 3}, Sum) // 3 % 4 != 0
 	})

@@ -9,13 +9,10 @@ import (
 	"vmprim/internal/hypercube"
 )
 
-// newCM2Machine builds a machine matching grid g with a short deadlock
-// timeout for error-path tests.
+// newCM2Machine builds a machine matching grid g for error-path tests.
 func newCM2Machine(t *testing.T, g embed.Grid) *hypercube.Machine {
 	t.Helper()
-	m := hypercube.MustNew(g.D, costmodel.CM2())
-	m.SetRecvTimeout(2e9)
-	return m
+	return hypercube.MustNew(g.D, costmodel.CM2())
 }
 
 func TestConstructorErrorPaths(t *testing.T) {

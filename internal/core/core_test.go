@@ -487,7 +487,6 @@ func TestUpdateOuterRequiresReplication(t *testing.T) {
 	cv, _ := NewVector(g, 4, ColAligned, embed.Block, 0, false)
 	rv, _ := NewVector(g, 4, RowAligned, embed.Block, 0, true)
 	m := hypercube.MustNew(g.D, costmodel.CM2())
-	m.SetRecvTimeout(2e9)
 	_, err := m.Run(func(p *hypercube.Proc) {
 		e := NewEnv(p, g)
 		e.UpdateOuter(a, cv, rv, 0, 4, 0, 4, func(x, c, r float64) float64 { return x }, 1)

@@ -1,14 +1,14 @@
 // Package flightrec is the simulator's flight recorder: a bounded,
 // always-on, per-processor ring buffer of recent simulator events
 // (sends, receives, collective entries) and the post-mortem report the
-// machine assembles from it when a run dies — by deadlock-watchdog
-// timeout or by a panic inside a processor body.
+// machine assembles from it when a run dies — by a detected deadlock
+// or by a panic inside a processor body.
 //
 // The package follows the same discipline as internal/obs: it is
 // passive and cheap. internal/hypercube records events into each
 // processor's Ring on the communication hot paths (a single struct
 // store per message, no allocation, no locking — each ring is touched
-// only by its processor's goroutine during a run), and assembles a
+// only by its processor during a run), and assembles a
 // Report only after a run has already failed. flightrec depends only
 // on internal/costmodel, so every layer above the machine can import
 // it without cycles.

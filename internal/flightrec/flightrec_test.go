@@ -92,7 +92,7 @@ func TestRingTruncationBoundary(t *testing.T) {
 
 func sampleReport() *Report {
 	return &Report{
-		Cause:      "hypercube: processor 0: recv timeout on dim 1 (tag 7): deadlock",
+		Cause:      "hypercube: processor 0: recv on dim 1 (tag 7): deadlock",
 		FailedProc: 0,
 		Dim:        1,
 		P:          2,

@@ -299,7 +299,7 @@ func qualSpanNames(ps *profState) []string {
 
 // buildCritPath decodes the winning processor's chain vector into the
 // exported obs.CritPath and assembles the conformance report. It runs
-// once per Run after the workers have quiesced (on failed runs too —
+// once per Run after every processor has finished (on failed runs too —
 // the post-mortem embeds the chain up to the death). Caller must not
 // hold m.mu.
 func (m *Machine) buildCritPath(elapsed costmodel.Time) *obs.CritPath {

@@ -1,35 +1,31 @@
 package hypercube
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"reflect"
-	"regexp"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"vmprim/internal/costmodel"
-	"vmprim/internal/testutil"
+	"vmprim/internal/flightrec"
 )
 
-// Tests and benchmarks of the link transport (link.go): the send-stall
-// path, abort while stalled, the post-mortem census of a wrapped ring,
-// and a lost-wake-up stress. Ring capacity is covered by
-// TestLinkCapScalesWithDimension.
+// Tests and benchmarks of the link transport (link.go) and the engine
+// that runs processors as coroutines: the send-stall path, abort while
+// stalled, exact deadlock detection, the post-mortem census of a wrapped
+// ring, coroutine exit, and a wake-up stress. Ring capacity is covered
+// by TestLinkCapScalesWithDimension.
 
-// awaitParked holds the calling processor back until processor pid has
-// published the park word w. It waits on the event itself, yielding so
-// that it also works at GOMAXPROCS 1; the deadline turns a transport
-// bug into a run error instead of a hung test.
-func awaitParked(m *Machine, pid int, w uint32) {
-	deadline := time.Now().Add(20 * time.Second)
-	for m.parkers[pid].state.Load() != w {
-		if time.Now().After(deadline) {
-			panic(fmt.Sprintf("processor %d never parked on %#x", pid, w))
-		}
-		runtime.Gosched()
+// mustBeParked panics unless processor pid is suspended waiting to do
+// kind on dimension d: the engine runs one processor at a time, so a
+// test states the interleaving it relies on instead of waiting for it.
+func mustBeParked(m *Machine, pid int, kind flightrec.WaitKind, d int) {
+	if pr := m.procs[pid]; pr.parked == nil || pr.waitKind != kind || pr.waitDim != d {
+		panic(fmt.Sprintf("processor %d is not parked on %v dim %d", pid, kind, d))
 	}
 }
 
@@ -64,56 +60,51 @@ func checkLikeFresh(t *testing.T, what string, m *Machine) {
 }
 
 func TestSendStallFIFO(t *testing.T) {
-	// Processor 0 streams more messages than the ring holds while its
-	// partner is held back until the sender has parked on the full
-	// ring (awaitParked returns on nothing else, so a run that ends
-	// has stalled). Tags are sequence numbers, so Recv itself rejects
-	// any reordering; n exceeds twice the capacity so both indices wrap.
+	// Processor 0 streams more messages than the ring holds before its
+	// partner receives any, so it stalls on the full ring (the receiver
+	// checks that it did). Tags are sequence numbers, so Recv itself
+	// rejects any reordering; n exceeds twice the capacity so both
+	// indices wrap.
 	const dim = 1
 	n := 2*linkCap(dim) + 5
-	run := func(hold bool) *Machine {
-		m := MustNew(dim, costmodel.CM2())
-		if _, err := m.Run(func(p *Proc) {
-			if p.ID() == 0 {
-				for i := 0; i < n; i++ {
-					p.Send(0, i, []float64{float64(i)})
-				}
-				return
-			}
-			if hold {
-				awaitParked(p.m, 0, parkSend|0)
-			}
+	params := costmodel.CM2()
+	m := MustNew(dim, params)
+	defer m.Close()
+	if _, err := m.Run(func(p *Proc) {
+		if p.ID() == 0 {
 			for i := 0; i < n; i++ {
-				got := p.Recv(0, i)
-				if len(got) != 1 || got[0] != float64(i) {
-					panic(fmt.Sprintf("message %d carried %v", i, got))
-				}
-				p.Recycle(got)
+				p.Send(0, i, []float64{float64(i)})
 			}
-		}); err != nil {
-			t.Fatal(err)
+			return
 		}
-		return m
+		mustBeParked(p.m, 0, flightrec.WaitSend, 0)
+		for i := 0; i < n; i++ {
+			got := p.Recv(0, i)
+			if len(got) != 1 || got[0] != float64(i) {
+				panic(fmt.Sprintf("message %d carried %v", i, got))
+			}
+			p.Recycle(got)
+		}
+	}); err != nil {
+		t.Fatal(err)
 	}
-	stalled := run(true)
-	defer stalled.Close()
-	if !stalled.linksEmpty() {
+	if !m.linksEmpty() {
 		t.Fatal("links not empty after a successful run")
 	}
-
-	// Backpressure is host scheduling only: the stalled run's simulated
-	// results equal those of a run whose receiver was never held back.
-	free := run(false)
-	defer free.Close()
-	checkSameSimResults(t, "stalled run vs unstalled", stalled, free)
+	// Backpressure is host scheduling only: both clocks end where the
+	// sender's n back-to-back sends put them.
+	want := costmodel.Time(n) * params.SendCost(1)
+	if c := m.Clocks(); c[0] != want || c[1] != want {
+		t.Fatalf("clocks %v, want both %v", c, want)
+	}
 }
 
 func TestSendStallAbortedBySibling(t *testing.T) {
 	// Processor 0 is parked on a full ring nobody will ever drain when
-	// processor 2 panics. The abort must wake the stalled sender (and
-	// the two blocked receivers), Run must report processor 2's panic,
-	// and the machine must come back indistinguishable from a fresh one
-	// — whether the stalled message is a pooled copy or a buffer the
+	// processor 2 panics. The abort must resume the stalled sender (and
+	// the blocked receivers), Run must report processor 2's panic, and
+	// the machine must come back indistinguishable from a fresh one —
+	// whether the stalled message is a pooled copy or a buffer the
 	// sender gave up with SendOwned.
 	for _, owned := range []bool{false, true} {
 		sendStallAbortedBySibling(t, owned)
@@ -124,8 +115,6 @@ func sendStallAbortedBySibling(t *testing.T, owned bool) {
 	const dim = 2
 	m := MustNew(dim, costmodel.CM2())
 	defer m.Close()
-	m.SetRecvTimeout(time.Minute)
-	start := time.Now()
 	_, err := m.Run(func(p *Proc) {
 		switch p.ID() {
 		case 0:
@@ -138,7 +127,7 @@ func sendStallAbortedBySibling(t *testing.T, owned bool) {
 			}
 			panic("sender ran past a full ring")
 		case 2:
-			awaitParked(p.m, 0, parkSend|0)
+			mustBeParked(p.m, 0, flightrec.WaitSend, 0)
 			panic("sibling failure")
 		default:
 			p.Recv(1, 99) // 1 and 3 wait on each other until the abort
@@ -146,9 +135,6 @@ func sendStallAbortedBySibling(t *testing.T, owned bool) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "processor 2") || !strings.Contains(err.Error(), "sibling failure") {
 		t.Fatalf("err = %v, want processor 2's panic", err)
-	}
-	if time.Since(start) > 10*time.Second {
-		t.Fatal("abort did not unblock the stalled sender promptly")
 	}
 	var re *RunError
 	if !errors.As(err, &re) {
@@ -164,8 +150,7 @@ func sendStallAbortedBySibling(t *testing.T, owned bool) {
 				pid, ps.Wait, ps.WaitDim, ps.WaitTag)
 		}
 	}
-	// The two receivers parked once each; this is the one host counter
-	// the machine still keeps.
+	// The two receivers found their rings empty once each.
 	if v, _ := m.Metrics().Snapshot().Value("vmprim_sched_recv_parks_total"); v != 2 {
 		t.Fatalf("vmprim_sched_recv_parks_total = %v, want 2", v)
 	}
@@ -180,16 +165,12 @@ func sendStallAbortedBySibling(t *testing.T, owned bool) {
 
 func TestSendStallDeadlockDetected(t *testing.T) {
 	// Both processors run past their full ring before either receives,
-	// so both park in stallSend and nobody is in Recv. The watchdog used
-	// to be armed by receivers only and this run hung for ever; now a
-	// stalled send expires like a blocked receive.
+	// so both park in stallSend and nobody is in Recv: a deadlock of
+	// senders, reported like one of receivers, by the lower address.
 	const dim = 1
-	const window = 200 * time.Millisecond
 	m := MustNew(dim, costmodel.CM2())
 	defer m.Close()
-	m.SetRecvTimeout(window)
 	n := linkCap(dim) + 2
-	start := time.Now()
 	_, err := m.Run(func(p *Proc) {
 		for i := 0; i < n; i++ {
 			p.Send(0, 1, []float64{float64(i)})
@@ -198,13 +179,9 @@ func TestSendStallDeadlockDetected(t *testing.T) {
 			p.Recycle(p.Recv(0, 1))
 		}
 	})
-	if took := time.Since(start); took < window || took > 2*window+10*time.Second {
-		t.Fatalf("run took %v, want more than one window of %v and at most two", took, window)
-	}
-	// Both die at the same boundary; which one aborts the other is a race.
-	want := regexp.MustCompile(`^hypercube: processor [01]: send stalled on dim 0 \(tag 1\): deadlock \[2/2 procs blocked; post-mortem attached\]$`)
-	if err == nil || !want.MatchString(err.Error()) {
-		t.Fatalf("err = %v, want %v", err, want)
+	const want = "hypercube: processor 0: send stalled on dim 0 (tag 1): deadlock [2/2 procs blocked; post-mortem attached]"
+	if err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %s", err, want)
 	}
 	rep := m.PostMortem()
 	for pid, ps := range rep.Procs {
@@ -219,6 +196,43 @@ func TestSendStallDeadlockDetected(t *testing.T) {
 		t.Fatal("links not empty after the deadlocked run")
 	}
 	checkLikeFresh(t, "run after send deadlock", m)
+}
+
+func TestDeadlockExactAfterManyMessages(t *testing.T) {
+	// 10^4 messages of healthy traffic, then processors 0 and 1 wait on
+	// dimension 1 for messages 2 and 3 never send. With no timeout to
+	// configure, the run must be reported the moment nothing can run, and
+	// the post-mortem must name exactly the two parked processors.
+	const dim, rounds = 2, 1250 // 4 procs x 2 dims x 1250 = 10^4 messages
+	m := MustNew(dim, costmodel.CM2())
+	defer m.Close()
+	start := time.Now()
+	_, err := m.Run(func(p *Proc) {
+		for i := 0; i < rounds; i++ {
+			for d := 0; d < dim; d++ {
+				p.Recycle(p.Exchange(d, i, []float64{float64(i)}))
+			}
+		}
+		if p.ID() < 2 {
+			p.Recv(1, -1)
+		}
+	})
+	if took := time.Since(start); took > 100*time.Millisecond {
+		t.Errorf("deadlock reported after %v, want within 100ms", took)
+	}
+	const want = "hypercube: processor 0: recv on dim 1 (tag -1): deadlock [2/4 procs blocked; post-mortem attached]"
+	if err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %s", err, want)
+	}
+	if st := m.LastStats(); st.Messages != 4*dim*rounds {
+		t.Fatalf("%d messages before the deadlock, want %d", st.Messages, 4*dim*rounds)
+	}
+	for pid, ps := range m.PostMortem().Procs {
+		parked := pid < 2
+		if got := ps.Wait == "recv" && ps.WaitDim == 1 && ps.WaitTag == -1; got != parked || (!parked && ps.Wait != "") {
+			t.Fatalf("proc %d waits on %q dim %d tag %d, want parked=%v", pid, ps.Wait, ps.WaitDim, ps.WaitTag, parked)
+		}
+	}
 }
 
 // TestLinkSendOwnedMatchesSend: SendOwned is Send without the copy and
@@ -290,147 +304,73 @@ func TestLinkSendOwnedMatchesSend(t *testing.T) {
 	}
 }
 
-func TestWatchdogDisarmedBetweenRuns(t *testing.T) {
-	// An idle machine has nothing pending in the runtime's timer heap,
-	// however its last run ended: Run stops the machine's one timer
-	// before it returns, so stopping it again finds nothing to stop and
-	// no tick waits in its channel. (A timer left running would also
-	// keep a closed machine's tick due for a whole timeout.)
-	m := MustNew(2, costmodel.Ideal())
+func TestLinkOneMessageAtATimeStaysAtSlotZero(t *testing.T) {
+	// A ring that empties restarts at slot 0, so a link that carries one
+	// message at a time never walks its buffer: between messages it sits
+	// at head == tail == 0.
+	m := MustNew(1, costmodel.Ideal())
 	defer m.Close()
-	idle := func(after string) {
-		t.Helper()
-		if m.watchdog.Stop() {
-			t.Fatalf("the machine's timer was still running after %s", after)
-		}
-		select {
-		case <-m.watchdog.C:
-			t.Fatalf("a tick was left in the timer's channel after %s", after)
-		default:
-		}
-	}
+	atZero := func(l *link) bool { return l.head == 0 && l.tail == 0 }
 	if _, err := m.Run(func(p *Proc) {
-		if p.ID() == 0 {
-			awaitParked(p.m, 1, parkRecv|0)
+		for i := 0; i < 3*linkCap(1); i++ {
+			if p.ID() == 0 {
+				p.Send(0, i, []float64{1})
+				p.Recycle(p.Recv(0, i))
+			} else {
+				p.Recycle(p.Recv(0, i))
+				p.Send(0, i, []float64{2})
+			}
+			if !atZero(&p.in[0]) {
+				panic(fmt.Sprintf("after message %d the ring sits at head %d tail %d", i, p.in[0].head, p.in[0].tail))
+			}
 		}
-		p.Barrier(p.FullMask(), 1)
 	}); err != nil {
 		t.Fatal(err)
 	}
-	idle("a successful run")
-	m.SetRecvTimeout(50 * time.Millisecond)
-	if _, err := m.Run(func(p *Proc) { p.Recv(0, 1) }); err == nil || !strings.Contains(err.Error(), "deadlock") {
-		t.Fatalf("err = %v, want deadlock", err)
-	}
-	idle("a deadlocked run, in which it fired twice")
-	m.SetRecvTimeout(0)
-	if _, err := m.Run(func(p *Proc) {
-		if p.ID() == 0 {
-			awaitParked(p.m, 1, parkRecv|0)
-			panic("sibling failure")
+	for i := range m.links {
+		if !atZero(&m.links[i]) {
+			t.Fatalf("link %d at head %d tail %d after the run", i, m.links[i].head, m.links[i].tail)
 		}
-		p.Recv(0, 1)
-	}); err == nil || !strings.Contains(err.Error(), "sibling failure") {
-		t.Fatalf("err = %v, want processor 0's panic", err)
-	}
-	idle("an aborted run")
-}
-
-// deadlocked has processor 0 wait for a message nobody sends.
-func deadlocked(p *Proc) {
-	if p.ID() == 0 {
-		p.Recv(0, 1)
 	}
 }
 
-func TestLinkWatchdogWindowIsTheRuns(t *testing.T) {
-	// Windows belong to the run, not to the wait: processor 0 parks three
-	// quarters into the first one, is found parked at its end without
-	// having been so for a whole window, and dies only at the next
-	// boundary. Never before a full window without progress, at most two.
-	const window = 200 * time.Millisecond
-	m := MustNew(1, costmodel.Ideal())
-	defer m.Close()
-	m.SetRecvTimeout(window)
-	var entered time.Time // written by processor 0, read after the join
-	_, err := m.Run(func(p *Proc) {
-		if p.ID() == 0 {
-			time.Sleep(3 * window / 4)
-			entered = time.Now()
-			deadlocked(p)
-			return
+// coroutines counts the goroutines in the process that are running or
+// suspended in a hypercube processor coroutine.
+func coroutines() int {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return bytes.Count(buf[:n], []byte("hypercube.(*coro).loop"))
 		}
-		awaitParked(p.m, 0, parkRecv|0) // what is timed below is a park
-	})
-	waited := time.Since(entered)
-	if want := "processor 0: recv timeout on dim 0 (tag 1): deadlock [1/2 procs blocked"; err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("err = %v, want %q", err, want)
-	}
-	if waited < window {
-		t.Fatalf("processor 0 died %v after it entered Recv, before a full window of %v without progress", waited, window)
-	}
-	if waited > 2*window+10*time.Second {
-		t.Fatalf("processor 0 died %v after it entered Recv, want within two windows of %v", waited, window)
-	}
-	if v, _ := m.Metrics().Snapshot().Value("vmprim_watchdog_rearms_total"); v != 1 {
-		t.Fatalf("watchdog_rearms_total = %v, want the one boundary that spared processor 0", v)
+		buf = make([]byte, 2*len(buf))
 	}
 }
 
-func TestLinkWatchdogTimeoutAppliesToNextRun(t *testing.T) {
-	// The machine's one timer is Reset with the current timeout at every
-	// dispatch, so a timeout changed between runs governs the next run,
-	// in both directions.
-	m := MustNew(1, costmodel.Ideal())
-	defer m.Close()
-	timed := func(window time.Duration) time.Duration {
-		t.Helper()
-		m.SetRecvTimeout(window)
-		start := time.Now()
-		if _, err := m.Run(deadlocked); err == nil || !strings.Contains(err.Error(), "deadlock") {
-			t.Fatalf("err = %v, want deadlock", err)
-		}
-		return time.Since(start)
-	}
-	const short, long = 30 * time.Millisecond, 400 * time.Millisecond
-	timed(short)
-	if took := timed(long); took < long {
-		t.Fatalf("deadlock reported after %v with the timeout raised to %v: the run kept the old one", took, long)
-	}
-	if took := timed(short); took >= long {
-		t.Fatalf("deadlock reported after %v with the timeout lowered to %v: the run kept the old one", took, short)
-	}
-}
-
-// awaitWorkers collects garbage until exactly n hypercube.worker
-// goroutines are left in the process; the collections run the
+// awaitCoroutines collects garbage until exactly n processor
+// coroutines are left in the process; the collections run the
 // finalizers of machines dropped without Close, by earlier tests too.
-func awaitWorkers(t *testing.T, n int) {
+func awaitCoroutines(t *testing.T, n int) {
 	t.Helper()
 	deadline := time.Now().Add(20 * time.Second)
 	for {
 		runtime.GC()
-		alive := 0
-		for sig, c := range testutil.Snapshot() {
-			if strings.Contains(sig, "hypercube.worker") {
-				alive += c
-			}
-		}
+		alive := coroutines()
 		if alive == n {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("%d hypercube.worker goroutines alive, want %d", alive, n)
+			t.Fatalf("%d processor coroutines alive, want %d", alive, n)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 }
 
 func TestLinkWorkersExit(t *testing.T) {
-	// A worker ranges over its own channel and holds nothing else, so it
-	// exits when Close closes the channel — and, because it does not pin
-	// the Machine, when a Machine dropped without Close is collected and
-	// its finalizer does the same.
+	// An idle coroutine pins nothing of its machine, so the coroutines
+	// end when Close stops them and, because they do not pin the
+	// Machine, when a Machine dropped without Close is collected and its
+	// engine's finalizer does the same.
 	run := func() *Machine {
 		m := MustNew(3, costmodel.Ideal())
 		if _, err := m.Run(func(p *Proc) { p.Barrier(p.FullMask(), 1) }); err != nil {
@@ -438,42 +378,53 @@ func TestLinkWorkersExit(t *testing.T) {
 		}
 		return m
 	}
-	awaitWorkers(t, 0)
+	awaitCoroutines(t, 0)
 	m := run()
-	awaitWorkers(t, m.P())
+	awaitCoroutines(t, m.P())
 	m.Close()
-	awaitWorkers(t, 0)
+	awaitCoroutines(t, 0)
 	runtime.KeepAlive(m) // Close ended them, not the collector
 
 	run()
-	awaitWorkers(t, 0)
+	awaitCoroutines(t, 0)
 }
 
 func TestLinkCensusOfWrappedRing(t *testing.T) {
 	// The post-mortem census must list a ring's undelivered messages
 	// oldest first wherever they sit in the buffer. Processor 1 consumes
-	// six messages (moving the head off slot 0), waits until the sender
-	// has refilled the ring across the wrap, then dies on a tag
-	// mismatch: the mismatched message is consumed, the rest is census.
-	const dim = 1
+	// six of the messages 0 sends it along dimension 0 (moving the head
+	// off slot 0), waits for a token that 0 sends round the rest of the
+	// cube once it has refilled the ring across the wrap, then dies on a
+	// tag mismatch: the mismatched message is consumed, the rest is
+	// census.
+	const dim = 2
 	c := linkCap(dim)
 	const consumed = 6
 	m := MustNew(dim, costmodel.CM2())
 	defer m.Close()
 	_, err := m.Run(func(p *Proc) {
-		if p.ID() == 0 {
+		switch p.ID() {
+		case 0:
 			for i := 0; i < consumed+c; i++ {
 				p.Send(0, i, make([]float64, i%3))
 			}
-			return
+			p.Send(1, 0, nil) // 0 -> 2 -> 3 -> 1
+		case 2:
+			p.Recycle(p.Recv(1, 0))
+			p.Send(0, 0, nil)
+		case 3:
+			p.Recycle(p.Recv(0, 0))
+			p.Send(1, 0, nil)
+		case 1:
+			for i := 0; i < consumed; i++ {
+				p.Recycle(p.Recv(0, i))
+			}
+			p.Recycle(p.Recv(1, 0))
+			if !p.in[0].full() {
+				panic("the ring was not refilled")
+			}
+			p.Recv(0, -1)
 		}
-		for i := 0; i < consumed; i++ {
-			p.Recycle(p.Recv(0, i))
-		}
-		for !p.in[0].full() {
-			runtime.Gosched()
-		}
-		p.Recv(0, -1)
 	})
 	if err == nil || !strings.Contains(err.Error(), "tag mismatch") {
 		t.Fatalf("err = %v, want tag mismatch", err)
@@ -496,13 +447,66 @@ func TestLinkCensusOfWrappedRing(t *testing.T) {
 	}
 }
 
+func TestSchedCountersDeterministic(t *testing.T) {
+	// Processors run in a fixed order, so the host-side counters are
+	// functions of the program: frontier parks, and which pool gets find
+	// a buffer — in a broadcast, whose sinks pile up buffers that flow
+	// back to its sources through the depot. Two runs at GOMAXPROCS 1 and
+	// two at 4 must read the same.
+	const dim = 4
+	body := func(p *Proc) {
+		for i := 0; i < 20; i++ {
+			exerciseBody(p)
+			// Binomial-tree broadcast from processor 0.
+			buf := p.GetBuf(16)
+			for d := 0; d < dim; d++ {
+				switch low := p.ID() & (1<<d - 1); {
+				case low != 0:
+				case p.ID()>>d&1 == 0:
+					p.Send(d, d, buf)
+				default:
+					p.Recycle(buf)
+					buf = p.Recv(d, d)
+				}
+			}
+			p.Recycle(buf)
+		}
+	}
+	names := []string{"vmprim_sched_recv_parks_total", "vmprim_pool_gets_total", "vmprim_pool_hits_total", "vmprim_pool_hit_rate"}
+	var first []float64
+	for _, procs := range []int{1, 1, 4, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		m := MustNew(dim, costmodel.CM2())
+		_, err := m.Run(body)
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := m.Metrics().Snapshot()
+		m.Close()
+		var got []float64
+		for _, name := range names {
+			v, _ := snap.Value(name)
+			got = append(got, v)
+		}
+		if first == nil {
+			first = got
+			if got[0] == 0 || got[2] == 0 || got[2] == got[1] {
+				t.Fatalf("%v = %v: the body must park and must both hit and miss", names, got)
+			}
+			continue
+		}
+		if !reflect.DeepEqual(got, first) {
+			t.Fatalf("GOMAXPROCS %d: %v = %v, want %v", procs, names, got, first)
+		}
+	}
+}
+
 // pipeline passes laps zero-word messages around the four-processor
 // cycle 0 -> 1 -> 3 -> 2 -> 0 of a 2-cube, processor 0 keeping window
-// of them in flight. Every processor idles a pseudo-random few hundred
-// nanoseconds before each message (slow's delays are four times as
-// long), so that the two ends of a link run on different host threads
-// and drift in and out of step — which the strict hand-off of a
-// ping-pong never does.
+// of them in flight. Every processor computes a pseudo-random few
+// hundred nanoseconds before each message (slow's delays are four times
+// as long).
 func pipeline(p *Proc, laps, window, slow int) {
 	in, out := 1, 0
 	if p.ID() == 1 || p.ID() == 2 {
@@ -538,23 +542,13 @@ func pipeline(p *Proc, laps, window, slow int) {
 }
 
 func TestLostWakeupStress(t *testing.T) {
-	// Every message of a ping-pong finds its receiver parked or about
-	// to park, so each one races a publication against a wake-up. The
-	// balanced pipeline repeats that race with both ends of a link
-	// running in parallel; the pipeline with a slow stage keeps the
-	// rings upstream of it full, which races senders parked on a full
-	// ring against the pops that free it. The races are real but rare —
-	// Go hands a woken goroutine to the waker's thread, so most hand-offs
-	// are serial: with Recv's slow path broken to check the ring before
-	// it publishes the park word, about one run in three fails on two
-	// cores. That is why CI runs this under -race with -count=5.
-	//
-	// A lost token leaves a processor asleep with its message posted
-	// until the watchdog wakes it, so instead of hanging, the run fails
-	// either as a reported deadlock or — when the watchdog finds earlier
-	// deliveries and re-arms, after which the sleeper sees its message —
-	// on the re-arm count: no healthy run of this size outlasts the
-	// watchdog's first window.
+	// Every message of a ping-pong finds its receiver parked, so each
+	// one exercises the wake-up of a receiver; the pipeline with a slow
+	// stage keeps the rings upstream of it full, which exercises the
+	// wake-up of senders parked on a full ring. A wake-up lost by the
+	// engine leaves a processor parked with its message posted; the run
+	// queue then empties and the run fails as a reported deadlock. The
+	// engine is one thread per run, so every GOMAXPROCS must pass alike.
 	const dim = 2
 	const rounds = 50_000 // 10^5 zero-word messages per pair and dimension
 	const laps = 50_000
@@ -563,7 +557,6 @@ func TestLostWakeupStress(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			m := MustNew(dim, costmodel.Ideal())
 			defer m.Close()
-			m.SetRecvTimeout(30 * time.Second)
 			if _, err := m.Run(func(p *Proc) {
 				for d := 0; d < dim; d++ {
 					low := p.ID()>>d&1 == 0
@@ -582,16 +575,13 @@ func TestLostWakeupStress(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
-			if v, _ := m.Metrics().Snapshot().Value("vmprim_watchdog_rearms_total"); v != 0 {
-				t.Fatalf("watchdog re-armed %v times: a processor slept through a posted message (lost wake-up)", v)
-			}
 		})
 	}
 }
 
 // benchLink times one Run in which every processor executes step b.N
 // times, and reports host nanoseconds per link message. One long run
-// amortises the per-Run dispatch away, so the profile is the transport.
+// amortises the per-Run start away, so the profile is the transport.
 func benchLink(b *testing.B, dim int, step func(p *Proc, i int)) {
 	m := MustNew(dim, costmodel.Ideal())
 	defer m.Close()
@@ -604,7 +594,7 @@ func benchLink(b *testing.B, dim int, step func(p *Proc, i int)) {
 			b.Fatal(err)
 		}
 	}
-	run(64) // start the workers, warm the pools
+	run(64) // create the coroutines, warm the pools
 	b.ResetTimer()
 	run(b.N)
 	b.StopTimer()

@@ -1,7 +1,7 @@
 // Package hypercube simulates a Boolean-cube (hypercube) distributed-
 // memory multiprocessor, the machine model of the SPAA 1989 paper.
 //
-// A Machine with dimension d has p = 2^d processors, one goroutine
+// A Machine with dimension d has p = 2^d processors, one coroutine
 // each, connected by bidirectional links along the d cube dimensions:
 // processors a and a XOR 2^i are neighbors along dimension i. All
 // inter-processor data moves through these links as messages of 64-bit
@@ -10,7 +10,7 @@
 // tau + n*t_c, a receive advances the receiver's clock to at least the
 // message's arrival time, and local arithmetic advances the clock by
 // n*t_f. The run time of an SPMD program is the maximum clock over all
-// processors when every goroutine has returned, which is how the
+// processors when every body has returned, which is how the
 // Connection Machine timings of the paper are reproduced as simulated
 // microseconds independent of the host.
 //
@@ -21,84 +21,44 @@
 // the A1 ablation; ExchangeAll charges the maximum rather than the sum
 // of the per-dimension costs under that model.
 //
-// # Host parallelism
+// # Execution
 //
-// The 2^d processor goroutines execute host-parallel: between
-// communication points a processor's body runs freely on whatever
-// host core the Go scheduler gives it, and it parks only at the
-// virtual-time frontier — a Recv whose message has not been posted
-// yet, or a Send against a full link buffer (run-ahead backpressure,
-// see linkCap). Simulated results are bit-identical at every
-// GOMAXPROCS value because nothing in the simulation depends on host
-// interleaving: every directed link is a single-producer
-// single-consumer FIFO (the only sender along (dst, d) is dst's
-// dimension-d neighbor), receives are addressed by (link, program
-// order) rather than by time, virtual arrival times travel inside the
-// messages, and all remaining hot-path state (clock, counters, trace,
-// span recorder, flight ring, buffer magazine) is owned by exactly one
-// goroutine. Cross-goroutine handoffs — payload buffers inside
-// messages, per-run setup and the post-run fold — synchronize through
-// the link rings' atomic indices, the work channels and the run's
-// countdown, which provide the happens-before edges; free buffers
-// change hands through the machine's depot, under its lock (pool.go),
-// which decides who allocates and never what is computed. A link is a
-// lock-free ring (see link.go): a Send or Recv that does not have to
-// wait touches no runtime lock, and a processor that does wait sleeps
-// on its own one-token wake channel, which its link partner, a run
-// abort and the deadlock watchdog all signal the same way.
+// A run has one thread, the goroutine that called Run. Each processor's
+// body is a coroutine (iter.Pull) that Run's goroutine resumes from a
+// FIFO run queue, so a machine executes one processor at a time and a
+// processor runs until it returns or must wait at the virtual-time
+// frontier — a Recv whose message has not been posted yet, or a Send
+// against a full link ring (run-ahead backpressure, see linkCap). A
+// waiting processor records what it waits on and yields; the partner
+// that changes that ring puts it back on the queue, and an abort puts
+// back every parked processor. A deadlock is exact: the queue is empty
+// while processors are still pending, so every one of them waits on a
+// ring nobody will change. The parked processors are then resumed in
+// address order and the lowest reports the deadlock; no timer and no
+// timeout are involved.
 //
-// A run has one owner, the goroutine that called Run. It hands the run
-// to each worker over that worker's private channel, then waits in one
-// loop (Machine.join) for the last processor's join token — and, while
-// it waits, is the run's only deadlock watchdog: at the end of every
-// timeout window of the machine's one timer it wakes each parked
-// processor to judge its own progress.
+// Simulated results never depend on the order processors run in: every
+// directed link is a single-producer single-consumer FIFO (the only
+// sender along (dst, d) is dst's dimension-d neighbor), receives are
+// addressed by (link, program order) rather than by time, and virtual
+// arrival times travel inside the messages. The order is fixed anyway,
+// so host-side counters — frontier parks, which pool get finds a buffer
+// in the depot — are functions of the program too, at every GOMAXPROCS.
+// Parallelism is between runs (separate machines run on separate
+// goroutines), not inside one.
 package hypercube
 
 import (
 	"fmt"
+	"iter"
 	"runtime"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"vmprim/internal/costmodel"
 	"vmprim/internal/flightrec"
 	"vmprim/internal/gray"
 	"vmprim/internal/obs"
 )
-
-// DefaultRecvTimeout bounds how long a processor waits for a message
-// before declaring the program deadlocked. Collective protocols in
-// this library complete in well under a second of host time; a stuck
-// Recv means a protocol bug, and failing fast beats hanging a test
-// run.
-const DefaultRecvTimeout = 30 * time.Second
-
-// defaultRecvTimeoutNs, when nonzero, overrides DefaultRecvTimeout for
-// machines constructed afterwards (set from cmd/vmprim's -recv-timeout
-// flag before any machine exists; atomic so tests may race it safely).
-var defaultRecvTimeoutNs atomic.Int64
-
-// SetDefaultRecvTimeout changes the deadlock-watchdog timeout applied
-// to machines constructed from now on; existing machines keep theirs
-// (use SetRecvTimeout for a per-machine override). d <= 0 restores
-// DefaultRecvTimeout, as it restores the default in SetRecvTimeout.
-func SetDefaultRecvTimeout(d time.Duration) {
-	if d <= 0 {
-		defaultRecvTimeoutNs.Store(0)
-		return
-	}
-	defaultRecvTimeoutNs.Store(int64(d))
-}
-
-// currentDefaultRecvTimeout resolves the timeout New applies.
-func currentDefaultRecvTimeout() time.Duration {
-	if ns := defaultRecvTimeoutNs.Load(); ns > 0 {
-		return time.Duration(ns)
-	}
-	return DefaultRecvTimeout
-}
 
 // defaultFlightDepth is the per-processor flight-recorder capacity
 // (events retained) unless overridden with SetFlightRecorderDepth.
@@ -119,40 +79,30 @@ type message struct {
 // New, then execute SPMD programs with Run. A Machine is reusable: Run
 // may be called any number of times, sequentially.
 //
-// The machine keeps one worker goroutine per processor alive across
-// Run calls (spawned lazily on the first Run), so benchmark loops and
-// multi-phase applications that Run once per step do not pay goroutine
-// spawn and teardown for every call. The workers exit when Close is
-// called or, failing that, when the Machine is garbage collected.
+// The machine keeps one coroutine per processor alive across Run calls
+// (created on the first Run), so benchmark loops and multi-phase
+// applications that Run once per step do not pay for creating them
+// every call. The coroutines end when Close is called or, failing
+// that, when the Machine is garbage collected.
 type Machine struct {
 	dim    int
 	p      int
 	params costmodel.Params
 
 	// links[pid*dim+d] is the ring carrying messages addressed to pid
-	// along dimension d; parkers[pid] is pid's park/wake primitive.
-	// Both are slabs allocated once by New (see link.go).
-	links   []link
-	parkers []parker
+	// along dimension d, a slab allocated once by New (see link.go).
+	links []link
 
 	// depot is the machine-wide level of the buffer pool behind the
-	// processors' magazines (see pool.go), the one object the workers
-	// share under a lock.
+	// processors' magazines (see pool.go).
 	depot depot
-
-	recvTimeout time.Duration
 
 	// procs are the persistent per-processor handles, reset and reused
 	// by every Run.
 	procs []*Proc
 
-	// What a Run needs of the host, nil until the first one (see
-	// start): eng is the persistent worker pool, joined carries the one
-	// token the last processor of a run hands back, watchdog is the
-	// machine's one timer, running only while Run waits.
-	eng      *engine
-	joined   chan struct{}
-	watchdog *time.Timer
+	// eng runs the processors, nil until the first Run (see start).
+	eng *engine
 
 	mu         sync.Mutex
 	elapsed    costmodel.Time
@@ -184,54 +134,113 @@ type Machine struct {
 	met        machMetrics
 }
 
-// engine is the persistent worker pool: work[pid] is processor pid's
-// private dispatch channel. It is an object of its own because it
-// carries the finalizer that stops the workers of a Machine dropped
-// without Close. The Machine cannot: it and its Procs point at each
-// other, and the collector never frees a cycle through a finalized
-// object, so a finalizer set there never runs.
+// engine runs a machine's processors: one coroutine each, resumed one
+// at a time from a FIFO run queue by the goroutine that called Run. It
+// is an object of its own because it carries the finalizer that ends
+// the coroutines of a Machine dropped without Close. The Machine cannot:
+// it and its Procs point at each other, and the collector never frees a
+// cycle through a finalized object, so a finalizer set there never runs.
+// For the same reason the engine holds nothing of the Machine (Run
+// passes the processors in), and nothing the coroutines reference
+// between runs points back here.
 type engine struct {
-	work []chan *runCtx
+	cos []coro
+
+	// queue is the run queue, a ring of processor addresses with room
+	// for all of them (a processor is on it at most once); qhead is the
+	// oldest entry and qlen the number queued.
+	queue       []int32
+	qhead, qlen int
+
+	// The run in progress: its body (nil between runs), the processors
+	// that have not returned yet, and whether one has failed. Once one
+	// has, the others consume what was already posted to them and stop
+	// where they would otherwise have waited.
+	body    func(*Proc)
+	pending int
+	aborted bool
 }
 
-// shutdown ends the workers, each of which ranges over its channel.
+// coro is one processor's coroutine. pr is the processor it runs in
+// the current Run, set by the scheduler and taken by the coroutine as
+// it starts the body, so an idle coroutine pins nothing of the machine.
+type coro struct {
+	next func() (struct{}, bool)
+	stop func()
+	pr   *Proc
+}
+
+// loop is the body of a processor's coroutine: its share of each Run,
+// then a yield until the next Run resumes it. Close (or the engine's
+// finalizer) resumes it with stop, and it returns.
+func (co *coro) loop(yield func(struct{}) bool) {
+	for {
+		pr := co.pr
+		co.pr = nil
+		pr.yield = yield
+		pr.runBody()
+		if !yield(struct{}{}) {
+			return
+		}
+	}
+}
+
+// run executes the engine's body on every processor of procs and
+// returns when all of them have returned or failed.
+func (e *engine) run(procs []*Proc) {
+	e.pending, e.aborted = len(procs), false
+	for pid, pr := range procs {
+		e.cos[pid].pr = pr
+		e.ready(pid)
+	}
+	for e.pending > 0 {
+		if e.qlen == 0 {
+			// Nothing can run and processors are pending: every one of
+			// them is parked on a ring nobody will change. Resumed, each
+			// finds its ring unchanged and the run not aborted, which
+			// is how it knows; the lowest address reports first.
+			if e.wakeParked(procs); e.qlen == 0 {
+				panic("hypercube: processors pending, none runnable and none parked")
+			}
+			continue
+		}
+		pid := e.queue[e.qhead]
+		e.qhead = (e.qhead + 1) & (len(e.queue) - 1)
+		e.qlen--
+		e.cos[pid].next()
+	}
+}
+
+// ready appends processor pid to the run queue.
+func (e *engine) ready(pid int) {
+	e.queue[(e.qhead+e.qlen)&(len(e.queue)-1)] = int32(pid)
+	e.qlen++
+}
+
+// wakeParked puts every parked processor back on the run queue, in
+// address order.
+func (e *engine) wakeParked(procs []*Proc) {
+	for pid, pr := range procs {
+		if l := pr.parked; l != nil && l.waiter == int32(pid)+1 {
+			l.waiter = 0
+			e.ready(pid)
+		}
+	}
+}
+
+// abort marks the run failed and wakes every parked processor; a
+// processor that would park afterwards sees the mark instead.
+func (e *engine) abort(procs []*Proc) {
+	if !e.aborted {
+		e.aborted = true
+		e.wakeParked(procs)
+	}
+}
+
+// shutdown ends the coroutines.
 func (e *engine) shutdown() {
-	for _, work := range e.work {
-		close(work)
-	}
-}
-
-// runCtx carries one Run invocation to the workers, including the
-// per-run configuration each worker needs to reset its own Proc
-// (resetForRun executes on the worker goroutine, so the reset work
-// parallelizes across host cores and every Proc field stays
-// single-writer).
-type runCtx struct {
-	body   func(*Proc)
-	procs  []*Proc
-	prof   bool
-	crit   bool
-	stream obs.StreamSink
-
-	// pending counts the processors still running; the one that takes
-	// it to zero hands Run the join token.
-	pending atomic.Int32
-	// aborted is set by the first processor to panic. Only the park
-	// slow paths read it: the siblings of a failed processor consume
-	// what was already posted to them and stop where they would
-	// otherwise have waited.
-	aborted atomic.Bool
-}
-
-// abort marks the run failed and wakes every parked processor. A
-// processor about to park publishes its park word before it re-reads
-// the flag, so it either sees the flag or is seen here.
-func (rc *runCtx) abort() {
-	if !rc.aborted.CompareAndSwap(false, true) {
-		return
-	}
-	for _, pr := range rc.procs {
-		pr.pk.interrupt()
+	for i := range e.cos {
+		e.cos[i].stop()
 	}
 }
 
@@ -240,12 +249,11 @@ func (rc *runCtx) abort() {
 // from matched exchange phases in which each directed link carries at
 // most one message before the partner receives, so capacity 1 already
 // guarantees deadlock freedom. Capacity above that only controls how
-// far a fast processor may pipeline ahead of a slow neighbor on one
-// link without parking its goroutine; a full-cube collective issues at
-// most one message per link per step and has O(dim) steps, so a small
-// multiple of dim absorbs a whole collective of run-ahead. Beyond the
-// buffer the sender blocks, which throttles host-side pipelining but
-// never affects simulated time.
+// far a processor may run ahead of its neighbor on one link without
+// yielding; a full-cube collective issues at most one message per link
+// per step and has O(dim) steps, so a small multiple of dim absorbs a
+// whole collective of run-ahead. Beyond the buffer the sender yields,
+// which changes the host's schedule but never simulated time.
 func linkCap(dim int) int { return 4 * (dim + 1) }
 
 // Stats aggregates communication and arithmetic counters over one Run.
@@ -277,15 +285,13 @@ func New(dim int, params costmodel.Params) (*Machine, error) {
 	}
 	p := 1 << dim
 	m := &Machine{
-		dim:         dim,
-		p:           p,
-		params:      params,
-		links:       make([]link, p*dim),
-		parkers:     make([]parker, p),
-		recvTimeout: currentDefaultRecvTimeout(),
-		procs:       make([]*Proc, p),
-		clocks:      make([]costmodel.Time, p),
-		met:         newMachMetrics(),
+		dim:    dim,
+		p:      p,
+		params: params,
+		links:  make([]link, p*dim),
+		procs:  make([]*Proc, p),
+		clocks: make([]costmodel.Time, p),
+		met:    newMachMetrics(),
 	}
 	// Rings hold linkCap messages so that matched exchange phases (both
 	// sides send, then both receive) never block on the send; see
@@ -297,10 +303,8 @@ func New(dim int, params costmodel.Params) (*Machine, error) {
 		m.links[i].buf = slab[i*slots : (i+1)*slots : (i+1)*slots]
 	}
 	for pid := 0; pid < p; pid++ {
-		pk := &m.parkers[pid]
-		pk.wake = make(chan struct{}, 1)
 		m.procs[pid] = &Proc{
-			m: m, id: pid, pk: pk,
+			m: m, id: pid,
 			in:        m.links[pid*dim : (pid+1)*dim],
 			linkWords: make([]int64, dim),
 			pool:      bufPool{depot: &m.depot},
@@ -337,21 +341,6 @@ func (m *Machine) P() int { return m.p }
 // Params returns the machine's cost parameters.
 func (m *Machine) Params() costmodel.Params { return m.params }
 
-// SetRecvTimeout overrides the deadlock-detection timeout from the next
-// Run on; d <= 0 restores the default New would apply now (see
-// SetDefaultRecvTimeout). It must be called between runs, not during
-// one.
-func (m *Machine) SetRecvTimeout(d time.Duration) {
-	if d <= 0 {
-		d = currentDefaultRecvTimeout()
-	}
-	m.recvTimeout = d
-}
-
-// RecvTimeout reports the machine's current deadlock-detection
-// timeout.
-func (m *Machine) RecvTimeout() time.Duration { return m.recvTimeout }
-
 // Elapsed returns the simulated time of the most recent Run: the
 // maximum virtual clock over all processors.
 func (m *Machine) Elapsed() costmodel.Time {
@@ -380,40 +369,32 @@ func (m *Machine) Clocks() []costmodel.Time {
 }
 
 // Run executes body as an SPMD program: one invocation per processor,
-// concurrently, each receiving its own *Proc. Run returns the
-// simulated elapsed time (maximum clock over processors) and the first
-// error; a panic in any processor aborts the run and is reported as an
-// error with the processor id. Run drains all links afterwards so the
-// machine is clean for the next program.
+// each receiving its own *Proc, interleaved at communication points on
+// the calling goroutine. Run returns the simulated elapsed time
+// (maximum clock over processors) and the first error; a panic in any
+// processor aborts the run and is reported as an error with the
+// processor id, and so is a deadlock. Run drains all links afterwards
+// so the machine is clean for the next program.
 func (m *Machine) Run(body func(*Proc)) (costmodel.Time, error) {
 	if m.eng == nil {
 		m.start()
 	}
-	rc := &runCtx{
-		body:   body,
-		procs:  m.procs,
-		prof:   m.profEnabled,
-		crit:   m.critEnabled,
-		stream: m.stream,
+	for _, pr := range m.procs {
+		pr.resetForRun()
 	}
-	rc.pending.Store(int32(m.p))
-	m.watchdog.Reset(m.recvTimeout)
-	for _, work := range m.eng.work {
-		// The per-run Proc reset happens on the worker goroutine
-		// (resetForRun, called from runBody): the O(p*dim) reset work
-		// parallelizes across host cores, and every Proc field is
-		// written only by its owning goroutine. From here until join
-		// returns, this goroutine must not touch any Proc.
-		work <- rc
-	}
-	m.join()
+	e := m.eng
+	e.body = body
+	e.run(m.procs)
+	// An idle machine keeps nothing of the finished run reachable: not
+	// its body, and not whatever that captured.
+	e.body = nil
 
 	// The first error is the lowest-numbered processor's own panic;
 	// processors cancelled because a sibling failed first are secondary
 	// casualties and speak only if nobody else does.
 	var firstErr error
 	failedPid := -1
-	if rc.aborted.Load() {
+	if e.aborted {
 		for pid, pr := range m.procs {
 			if pr.panicked == nil {
 				continue
@@ -448,8 +429,8 @@ func (m *Machine) Run(body func(*Proc)) (costmodel.Time, error) {
 	m.stats = st
 	m.mu.Unlock()
 	m.collectTrace(m.procs)
-	if rc.stream != nil {
-		m.emitRunSummary(rc.stream, float64(elapsed))
+	if m.stream != nil {
+		m.emitRunSummary(m.stream, float64(elapsed))
 	}
 
 	// The critical path is built on success and on failure alike: a
@@ -485,83 +466,35 @@ func (m *Machine) Run(body func(*Proc)) (costmodel.Time, error) {
 	return elapsed, firstErr
 }
 
-// start lazily spawns the persistent workers, with what a Run needs to
-// wait for them, and arms the garbage-collection backstop that stops
-// them.
+// start creates the processors' coroutines and the run queue, and arms
+// the garbage-collection backstop that ends the coroutines.
 func (m *Machine) start() {
-	m.eng = &engine{work: make([]chan *runCtx, m.p)}
-	for pid := range m.eng.work {
-		// One slot, so dispatch never waits for a worker to be scheduled.
-		m.eng.work[pid] = make(chan *runCtx, 1)
-		go worker(pid, m.eng.work[pid])
+	e := &engine{cos: make([]coro, m.p), queue: make([]int32, m.p)}
+	for pid := range e.cos {
+		co := &e.cos[pid]
+		co.next, co.stop = iter.Pull(co.loop)
 	}
-	runtime.SetFinalizer(m.eng, (*engine).shutdown)
-	m.joined = make(chan struct{}, 1)
-	m.watchdog = time.NewTimer(m.recvTimeout)
+	runtime.SetFinalizer(e, (*engine).shutdown)
+	m.eng = e
 }
 
-// worker is the persistent goroutine of one processor. It holds only
-// its own channel, never the Machine or the engine: when the Machine
-// becomes unreachable so does the engine, whose finalizer then ends the
-// workers, instead of their pinning both alive forever.
-func worker(pid int, work chan *runCtx) {
-	for rc := range work {
-		runBody(pid, rc)
-	}
-}
-
-// join waits for the run's last processor on the goroutine that called
-// Run. That goroutine is also the run's only deadlock watchdog: at the
-// end of every timeout window it wakes each parked processor to judge
-// itself (see Proc.park); a deadlocked one panics on its own goroutine
-// and the abort that follows ends the wait like any other failure. It
-// touches the parkers and nothing else of a processor. The timer is
-// stopped before join returns, so an idle machine has nothing pending
-// in the runtime's timer heap.
-func (m *Machine) join() {
-	for {
-		select {
-		case <-m.joined:
-			m.watchdog.Stop()
-			return
-		case <-m.watchdog.C:
-			for i := range m.parkers {
-				m.parkers[i].expire()
-			}
-			m.watchdog.Reset(m.recvTimeout)
-		}
-	}
-}
-
-// runBody executes one processor's share of a Run with the same panic
-// containment the seed's per-run goroutines had.
-func runBody(pid int, rc *runCtx) {
-	pr := rc.procs[pid]
+// runBody executes this processor's share of a Run on its coroutine. A
+// panic is contained as the processor's failure and aborts the run.
+func (p *Proc) runBody() {
+	e := p.m.eng
 	defer func() {
 		if r := recover(); r != nil {
-			pr.panicked = r
-			rc.abort()
+			p.panicked = r
+			e.abort(p.m.procs)
 		}
-		// An idle machine keeps nothing of the finished run reachable:
-		// not its body, and not whatever that captured.
-		pr.rc = nil
-		// Last, after every write above: the countdown is what orders
-		// this processor's state before Run's reads of it.
-		if rc.pending.Add(-1) == 0 {
-			pr.m.joined <- struct{}{}
-		}
+		e.pending--
 	}()
-	pr.resetForRun(rc)
-	rc.body(pr)
-	pr.checkSpansClosed()
+	e.body(p)
+	p.checkSpansClosed()
 }
 
-// resetForRun clears the processor's per-run state. It runs on the
-// processor's own worker goroutine, never the Run caller's, so every
-// hot-path Proc field keeps a single writer; the work-channel handoff
-// orders it after Run's bookkeeping and before the SPMD body, and the
-// previous run's join ordered that run's reads before it.
-func (p *Proc) resetForRun(rc *runCtx) {
+// resetForRun clears the processor's per-run state.
+func (p *Proc) resetForRun() {
 	p.clock = 0
 	p.nMsgs, p.nWords, p.nFlops = 0, 0, 0
 	p.tComp, p.tStart, p.tXfer = 0, 0, 0
@@ -570,25 +503,22 @@ func (p *Proc) resetForRun(rc *runCtx) {
 	}
 	// Chain recording attributes the path to spans, so it activates
 	// the span machinery even when no Profile will be built.
-	p.prof = rc.prof || rc.crit
+	p.crit = p.m.critEnabled
+	p.prof = p.m.profEnabled || p.crit
 	if p.prof || len(p.ps.nodes) > 0 {
 		p.ps.reset()
 	}
 	p.stream = nil
-	if rc.stream != nil && p.prof && p.id == 0 {
-		p.stream = rc.stream
+	if p.prof && p.id == 0 {
+		p.stream = p.m.stream
 	}
 	p.streamClosed = 0
-	p.crit = rc.crit
 	if p.crit {
 		p.cpReset()
 	} else if len(p.cp) > 0 {
 		p.cp = p.cp[:0]
 	}
-	p.nColl, p.nRearms = 0, 0
-	// The first window boundary of a run must never look like the
-	// second of a wait (see park).
-	p.progress, p.markedAt = 1, 0
+	p.nColl = 0
 	p.nRecvParks = 0
 	p.pool.gets, p.pool.hits = 0, 0
 	p.msgHist = [msgHistBins]int64{}
@@ -598,13 +528,12 @@ func (p *Proc) resetForRun(rc *runCtx) {
 		p.captured[i] = nil
 	}
 	p.captured = p.captured[:0]
-	p.rc = rc
 	p.panicked = nil
 	p.trace = p.trace[:0]
 }
 
-// Close shuts down the persistent worker goroutines. It is optional —
-// an unreachable Machine is cleaned up by the garbage collector — and
+// Close ends the processors' coroutines. It is optional — an
+// unreachable Machine is cleaned up by the garbage collector — and
 // idempotent, but Run must not be called after Close.
 func (m *Machine) Close() {
 	m.mu.Lock()
@@ -617,8 +546,7 @@ func (m *Machine) Close() {
 }
 
 // drain empties every link ring (messages left behind by an aborted
-// or buggy program). It runs between runs, when the caller is the only
-// goroutine touching the rings.
+// or buggy program). It runs between runs.
 func (m *Machine) drain() {
 	for i := range m.links {
 		l := &m.links[i]
@@ -646,7 +574,7 @@ type abortedError struct{}
 func (abortedError) Error() string { return "aborted by sibling failure" }
 
 // Proc is one simulated processor's handle, valid only inside the body
-// passed to Run and only on that processor's goroutine. Procs are
+// passed to Run and only on that processor's coroutine. Procs are
 // persistent: the machine reuses them (and their buffer pools) across
 // runs.
 type Proc struct {
@@ -655,13 +583,13 @@ type Proc struct {
 	clock costmodel.Time
 
 	// Link transport (see link.go): in[d] is the ring this processor
-	// receives from along dimension d, pk its park/wake primitive, rc
-	// the run in progress (for the abort flag). panicked is the value
-	// this processor's body panicked with, nil if it returned; written
-	// by its own goroutine and read by Run after the workers quiesce.
+	// receives from along dimension d, yield suspends its coroutine, and
+	// parked is the ring it waits on while suspended there (nil
+	// otherwise). panicked is the value this processor's body panicked
+	// with, nil if it returned.
 	in       []link
-	pk       *parker
-	rc       *runCtx
+	yield    func(struct{}) bool
+	parked   *link
 	panicked any
 
 	nMsgs  int64
@@ -697,8 +625,8 @@ type Proc struct {
 
 	// Flight recorder and post-mortem state (see postmortem.go). rec is
 	// the bounded event ring; the wait registers say what the processor
-	// is blocked on right now (written by this goroutine on the slow
-	// paths, read by the machine only after the run has ended); captured
+	// is blocked on right now (written on the slow paths, read by the
+	// machine only after the run has ended); captured
 	// holds payloads handed over with Capture. All feed the post-mortem
 	// report of a failed run.
 	rec       flightrec.Ring
@@ -709,24 +637,15 @@ type Proc struct {
 	captured  [][]float64
 
 	// Per-run metric counters, folded into the machine's registry once
-	// per Run: collective entries, watchdog re-arms, and the
-	// message-size histogram bins (bounds in msgWordBounds).
+	// per Run: collective entries and the message-size histogram bins
+	// (bounds in msgWordBounds).
 	nColl   int64
-	nRearms int64
 	msgHist [msgHistBins]int64
 
 	// nRecvParks counts receives that found the link empty and parked
-	// at the virtual-time frontier. Host-nondeterministic by nature; it
-	// is the one host-scheduler counter kept, because the benchmark
-	// prices parks per message with it.
+	// at the virtual-time frontier; the benchmark prices parks per
+	// message with it.
 	nRecvParks int64
-
-	// Deadlock judgement (see park): progress counts the waits this
-	// processor has come out of, markedAt is its value at the last
-	// window boundary that found the processor parked. Plain fields:
-	// the watchdog only wakes, the processor judges itself.
-	progress uint64
-	markedAt uint64
 }
 
 // GetBuf returns a scratch buffer of length n from this processor's
@@ -843,7 +762,15 @@ func (p *Proc) post(d, tag int, buf []float64, arrive costmodel.Time) {
 	if !l.push(msg) {
 		p.stallSend(l, msg, d)
 	}
-	p.m.parkers[dst].unpark(parkRecv | uint32(d))
+	p.wake(l)
+}
+
+// wake puts the processor parked on l, if any, back on the run queue.
+func (p *Proc) wake(l *link) {
+	if w := l.waiter; w != 0 {
+		l.waiter = 0
+		p.m.eng.ready(int(w - 1))
+	}
 }
 
 // stallSend is post's slow path: the ring is full (run-ahead
@@ -912,7 +839,7 @@ func (p *Proc) Recv(d, wantTag int) []float64 {
 		msg = p.awaitRecv(l, d, wantTag)
 	}
 	// The sender may be parked on this ring having found it full.
-	p.m.parkers[p.id^(1<<d)].unpark(parkSend | uint32(d))
+	p.wake(l)
 	if msg.tag != wantTag {
 		// Preserve the offending payload for the post-mortem before
 		// dying: the report shows its length and leading words.
@@ -938,46 +865,34 @@ func (p *Proc) awaitRecv(l *link, d, wantTag int) message {
 	return msg
 }
 
-// park blocks until the ring l has room for the send, or a message for
-// the receive, that kind says this processor is waiting to do on
-// dimension d. It ends early, in a panic, when the run aborts or when
-// the watchdog finds the processor deadlocked. The watchdog is Run's
-// goroutine (see Machine.join): at every window boundary it marks and
-// wakes whoever is parked, and the woken processor judges itself here —
-// a boundary that finds no wait completed since the last one that found
-// it parked means a whole window went by inside this wait, which is the
-// deadlock; otherwise the mark moves and the wait goes on (a re-arm).
-// Windows belong to the run, not to the wait, so a deadlock is reported
-// after more than one and at most two of them. The wait registers make
-// the blocked state visible to the post-mortem assembler.
+// park suspends the processor until the ring l has room for the send,
+// or a message for the receive, that kind says it is waiting to do on
+// dimension d. The partner that changes l resumes it (see wake). It
+// ends in a panic instead when the run has aborted, or when it was
+// resumed with l unchanged and the run not aborted — which only the
+// engine's deadlock verdict does. The wait registers make the blocked
+// state visible to the post-mortem assembler.
 func (p *Proc) park(l *link, kind flightrec.WaitKind, d, tag int, since costmodel.Time) {
 	p.waitKind, p.waitDim, p.waitTag, p.waitSince = kind, d, tag, since
-	sending := kind == flightrec.WaitSend
-	w, what := parkRecv|uint32(d), "recv timeout"
-	if sending {
-		w, what = parkSend|uint32(d), "send stalled"
+	e := p.m.eng
+	if !e.aborted {
+		l.waiter = int32(p.id) + 1
+		p.parked = l
+		p.yield(struct{}{})
+		p.parked = nil
 	}
-	for {
-		p.pk.state.Store(w)
-		switch {
-		case sending && !l.full(), !sending && !l.empty():
-			p.pk.cancel(w)
-			p.waitKind = flightrec.WaitNone
-			p.progress++
-			return
-		case p.rc.aborted.Load():
-			p.pk.cancel(w)
-			panic(abortedError{})
-		case p.pk.expired.Load():
-			p.pk.cancel(w)
-			if p.progress == p.markedAt {
-				panic(fmt.Sprintf("%s on dim %d (tag %d): deadlock", what, d, tag))
-			}
-			p.markedAt = p.progress
-			p.nRearms++
-			continue
+	sending := kind == flightrec.WaitSend
+	switch {
+	case sending && !l.full(), !sending && !l.empty():
+		p.waitKind = flightrec.WaitNone
+	case e.aborted:
+		panic(abortedError{})
+	default:
+		what := "recv"
+		if sending {
+			what = "send stalled"
 		}
-		<-p.pk.wake
+		panic(fmt.Sprintf("%s on dim %d (tag %d): deadlock", what, d, tag))
 	}
 }
 

@@ -9,9 +9,10 @@ import (
 // MachinePool is an LRU cache of idle Machines keyed by configuration,
 // for serving layers that run many workloads against a small set of
 // machine shapes. Construction of a Machine is cheap but its steady
-// state is expensive to rebuild: the persistent worker goroutines and
-// the buffer pool fill up over the first runs, so a pool hit hands the
-// caller a machine that already owns the buffers a run needs — and,
+// state is expensive to rebuild: the first run creates the processors'
+// coroutines and the buffer pool fills up over the first runs, so a
+// pool hit hands the caller a machine that already owns the buffers a
+// run needs — and,
 // the pool being bounded by peak demand (see pool.go), no more than
 // that however many tenants it has served. Acquire removes the machine
 // from the pool (a Machine is single-tenant: one Run at a time),

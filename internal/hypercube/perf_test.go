@@ -3,7 +3,6 @@ package hypercube
 import (
 	"runtime"
 	"testing"
-	"unsafe"
 
 	"vmprim/internal/costmodel"
 	"vmprim/internal/testutil"
@@ -56,23 +55,6 @@ func TestLinkCapScalesWithDimension(t *testing.T) {
 		if _, ok := l.pop(); ok || !l.empty() || !m.linksEmpty() {
 			t.Fatalf("dim %d: ring not empty after drain", dim)
 		}
-	}
-}
-
-func TestLinkLayoutSeparatesProducerAndConsumer(t *testing.T) {
-	// The padding in link and parker assumes 64-bit words; what it buys
-	// is that the two ring indices, neighboring rings and neighboring
-	// processors' park words never share a cache line.
-	if unsafe.Sizeof(uintptr(0)) != 8 {
-		t.Skip("layout is sized for 64-bit hosts")
-	}
-	var l link
-	if unsafe.Sizeof(l) != 2*cacheLine || unsafe.Offsetof(l.head)/cacheLine == unsafe.Offsetof(l.tail)/cacheLine {
-		t.Fatalf("link is %d bytes with head at %d and tail at %d",
-			unsafe.Sizeof(l), unsafe.Offsetof(l.head), unsafe.Offsetof(l.tail))
-	}
-	if unsafe.Sizeof(parker{}) != cacheLine {
-		t.Fatalf("parker is %d bytes, want %d", unsafe.Sizeof(parker{}), cacheLine)
 	}
 }
 

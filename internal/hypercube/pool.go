@@ -23,18 +23,18 @@ import (
 // Hence two levels, as in Bonwick's magazine/depot slab layer. Each
 // Proc owns a magazine: free lists segregated by power-of-two capacity
 // class, at most magCap buffers per class, touched only by that
-// processor's goroutine and therefore unsynchronized. The Machine owns
-// the depot: the same lists, unbounded, behind a mutex. A put that
-// finds its magazine full first moves magBatch buffers to the depot; a
-// get that finds it empty takes up to magBatch back, and calls make
-// only when the depot has none either. What piles up at the sinks
-// thereby flows back to the sources, the number of buffers in existence
-// is the peak concurrent demand whatever the number of runs, and a
-// processor's retained memory is bounded by magCap buffers per class.
-// The depot's lock is also the happens-before edge for the contents of
-// the buffers that cross it. The router's buffers stay out of the pools
-// altogether (plain make, moved with SendOwned): their sizes follow the
-// traffic pattern, not a class a later message would ask for again.
+// processor and therefore unsynchronized. The Machine owns the depot:
+// the same lists, unbounded, behind a mutex (uncontended, since a
+// machine runs one processor at a time). A put that finds its magazine
+// full first moves magBatch buffers to the depot; a get that finds it
+// empty takes up to magBatch back, and calls make only when the depot
+// has none either. What piles up at the sinks thereby flows back to the
+// sources, the number of buffers in existence is the peak concurrent
+// demand whatever the number of runs, and a processor's retained memory
+// is bounded by magCap buffers per class. The router's buffers stay out
+// of the pools altogether (plain make, moved with SendOwned): their
+// sizes follow the traffic pattern, not a class a later message would
+// ask for again.
 
 // poolClasses bounds the capacity classes kept (2^27 floats = 1 GiB of
 // payload per buffer is far beyond any simulated message).
@@ -62,9 +62,7 @@ type depot struct {
 // bufPool is one processor's magazine. The gets/hits counters feed the
 // machine's metrics registry (pool hit rate); they are reset by every
 // Run and, like the free lists, are touched only by the owning
-// processor's goroutine. Which get finds a buffer in the shared depot
-// depends on which goroutine asked first, so hits describe the host,
-// not the simulated machine (see schedMetricNames); gets do not.
+// processor.
 type bufPool struct {
 	free  [poolClasses][][]float64
 	depot *depot

@@ -13,9 +13,8 @@ import (
 //
 // Both follow the observability discipline of profile.go: the hot
 // paths only bump plain per-processor int64 counters and write into
-// preallocated rings; everything here runs once per Run, after the
-// worker goroutines have quiesced (the run's join establishes the
-// happens-before edge that makes reading their state safe).
+// preallocated rings; everything here runs once per Run, after every
+// processor has returned or failed.
 
 // RunError is the error Run returns when a processor fails. It wraps
 // the underlying failure ("hypercube: processor N: ...") so existing
@@ -172,7 +171,7 @@ type machMetrics struct {
 	msgs, words, flops       *metrics.Counter
 	colls                    *metrics.Counter
 	poolGets, poolHits       *metrics.Counter
-	wdRearms, recvParks      *metrics.Counter
+	recvParks                *metrics.Counter
 	lastElapsed, poolHitRate *metrics.Gauge
 	msgWords                 *metrics.Histogram
 
@@ -185,25 +184,6 @@ type machMetrics struct {
 	cpWorstRatio, cpFlagged *metrics.Gauge
 }
 
-// schedMetricNames lists the registry entries fed by the host
-// scheduler: the frontier-park counter, the watchdog's re-arm counter,
-// which shares its host-timing dependence, and the pool's hits — which
-// get finds a buffer in the shared depot depends on which goroutine
-// asked first (the number of gets does not, and stays compared). They
-// describe host execution, not the simulated machine, so they are
-// exempt from the bit-identical-across-GOMAXPROCS guarantee; the
-// determinism stress tests exclude exactly this set.
-var schedMetricNames = map[string]bool{
-	"vmprim_sched_recv_parks_total": true,
-	"vmprim_watchdog_rearms_total":  true,
-	"vmprim_pool_hits_total":        true,
-	"vmprim_pool_hit_rate":          true,
-}
-
-// HostSchedMetricNames reports whether name is one of the
-// host-scheduling metrics exempt from determinism comparisons.
-func HostSchedMetricNames(name string) bool { return schedMetricNames[name] }
-
 func newMachMetrics() machMetrics {
 	reg := metrics.NewRegistry()
 	return machMetrics{
@@ -215,11 +195,10 @@ func newMachMetrics() machMetrics {
 		flops:       reg.Counter("vmprim_flops_total", "local floating-point operations"),
 		colls:       reg.Counter("vmprim_collectives_total", "collective protocol invocations"),
 		poolGets:    reg.Counter("vmprim_pool_gets_total", "buffer-pool get requests"),
-		poolHits:    reg.Counter("vmprim_pool_hits_total", "buffer-pool gets served from a free list, the processor's or the machine's (host-nondeterministic)"),
-		wdRearms:    reg.Counter("vmprim_watchdog_rearms_total", "watchdog window boundaries that found a processor parked, but not for a whole window without progress"),
-		recvParks:   reg.Counter("vmprim_sched_recv_parks_total", "host goroutine parks waiting at the virtual-time frontier for a message (host-nondeterministic)"),
+		poolHits:    reg.Counter("vmprim_pool_hits_total", "buffer-pool gets served from a free list, the processor's or the machine's"),
+		recvParks:   reg.Counter("vmprim_sched_recv_parks_total", "receives that found their link empty and yielded at the virtual-time frontier"),
 		lastElapsed: reg.Gauge("vmprim_last_elapsed_us", "simulated time of the most recent run"),
-		poolHitRate: reg.Gauge("vmprim_pool_hit_rate", "fraction of pool gets served from a free list in the most recent run (host-nondeterministic)"),
+		poolHitRate: reg.Gauge("vmprim_pool_hit_rate", "fraction of pool gets served from a free list in the most recent run"),
 		msgWords:    reg.Histogram("vmprim_message_words", "payload size of link messages in 64-bit words", msgWordBounds),
 
 		cpCompute:    reg.Gauge("vmprim_critpath_compute_us", "compute time on the most recent run's critical path"),
@@ -238,8 +217,8 @@ func newMachMetrics() machMetrics {
 func (m *Machine) Metrics() *metrics.Registry { return m.met.reg }
 
 // updateMetrics folds the per-processor counters of the run that just
-// ended into the registry. Called once per Run, after the workers have
-// quiesced; crit is the run's critical path, or nil when recording was
+// ended into the registry. Called once per Run, after every processor has
+// returned or failed; crit is the run's critical path, or nil when recording was
 // off (the critpath gauges then read zero).
 func (m *Machine) updateMetrics(elapsed costmodel.Time, failed bool, crit *obs.CritPath) {
 	mm := &m.met
@@ -247,7 +226,7 @@ func (m *Machine) updateMetrics(elapsed costmodel.Time, failed bool, crit *obs.C
 	if failed {
 		mm.failures.Add(1)
 	}
-	var msgs, words, flops, colls, gets, hits, rearms, parks int64
+	var msgs, words, flops, colls, gets, hits, parks int64
 	var hist [msgHistBins]int64
 	for _, pr := range m.procs {
 		msgs += pr.nMsgs
@@ -256,7 +235,6 @@ func (m *Machine) updateMetrics(elapsed costmodel.Time, failed bool, crit *obs.C
 		colls += pr.nColl
 		gets += pr.pool.gets
 		hits += pr.pool.hits
-		rearms += pr.nRearms
 		parks += pr.nRecvParks
 		for i, c := range pr.msgHist {
 			hist[i] += c
@@ -268,7 +246,6 @@ func (m *Machine) updateMetrics(elapsed costmodel.Time, failed bool, crit *obs.C
 	mm.colls.Add(colls)
 	mm.poolGets.Add(gets)
 	mm.poolHits.Add(hits)
-	mm.wdRearms.Add(rearms)
 	mm.recvParks.Add(parks)
 	mm.lastElapsed.Set(float64(elapsed))
 	rate := 1.0

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"strings"
 	"testing"
-	"time"
 
 	"vmprim/internal/costmodel"
 	"vmprim/internal/flightrec"
@@ -22,7 +21,6 @@ func exchangeDim(id int) int { return (id & 1) ^ ((id >> 1) & 1) }
 func TestDeadlockPostMortemNamesEveryBlockedProc(t *testing.T) {
 	m := MustNew(2, costmodel.CM2())
 	defer m.Close()
-	m.SetRecvTimeout(100 * time.Millisecond)
 	const tag = 9
 	_, err := m.Run(func(p *Proc) {
 		p.Exchange(exchangeDim(p.id), tag, []float64{1, 2, 3})
@@ -206,49 +204,6 @@ func TestPostMortemOpenSpansAndCollectives(t *testing.T) {
 	m.EnableProfile(false)
 }
 
-func TestSetDefaultRecvTimeout(t *testing.T) {
-	SetDefaultRecvTimeout(123 * time.Millisecond)
-	defer SetDefaultRecvTimeout(0)
-	m := MustNew(0, costmodel.CM2())
-	defer m.Close()
-	if m.recvTimeout != 123*time.Millisecond {
-		t.Fatalf("recvTimeout = %v, want 123ms", m.recvTimeout)
-	}
-	SetDefaultRecvTimeout(0)
-	m2 := MustNew(0, costmodel.CM2())
-	defer m2.Close()
-	if m2.recvTimeout != DefaultRecvTimeout {
-		t.Fatalf("recvTimeout = %v, want restored default %v", m2.recvTimeout, DefaultRecvTimeout)
-	}
-}
-
-func TestSetRecvTimeoutNonPositiveRestoresDefault(t *testing.T) {
-	// A zero timeout used to be taken literally: every window was over
-	// before it began and correct programs were reported deadlocked.
-	m := MustNew(3, costmodel.CM2())
-	defer m.Close()
-	m.SetRecvTimeout(time.Second)
-	m.SetRecvTimeout(0)
-	if got := m.RecvTimeout(); got != DefaultRecvTimeout {
-		t.Fatalf("RecvTimeout after SetRecvTimeout(0) = %v, want %v", got, DefaultRecvTimeout)
-	}
-	for i := 0; i < 20; i++ {
-		if _, err := m.Run(func(p *Proc) {
-			for tag := 0; tag < 20; tag++ {
-				p.Barrier(p.FullMask(), tag)
-			}
-		}); err != nil {
-			t.Fatalf("run %d: %v", i, err)
-		}
-	}
-	SetDefaultRecvTimeout(123 * time.Millisecond)
-	defer SetDefaultRecvTimeout(0)
-	m.SetRecvTimeout(-time.Second)
-	if got := m.RecvTimeout(); got != 123*time.Millisecond {
-		t.Fatalf("RecvTimeout after SetRecvTimeout(-1s) = %v, want the default in force, 123ms", got)
-	}
-}
-
 func TestMetricsReconcileWithObservability(t *testing.T) {
 	m := MustNew(3, costmodel.CM2())
 	defer m.Close()
@@ -337,32 +292,5 @@ func TestMetricsReconcileWithObservability(t *testing.T) {
 	// The second run hits the warmed pool on every get.
 	if v, _ := snap2.Value("vmprim_pool_hit_rate"); v != 1 {
 		t.Fatalf("pool_hit_rate = %v, want 1 on the warmed second run", v)
-	}
-}
-
-func TestWatchdogRearmCountsAsProgress(t *testing.T) {
-	m := MustNew(1, costmodel.CM2())
-	defer m.Close()
-	m.SetRecvTimeout(100 * time.Millisecond)
-	if _, err := m.Run(func(p *Proc) {
-		if p.id == 0 {
-			// First message arrives inside the run's first watchdog
-			// window; the second only inside the next, which proc 1
-			// lives to see because the boundary between them finds
-			// progress and re-arms.
-			time.Sleep(20 * time.Millisecond)
-			p.Send(0, 1, []float64{1})
-			time.Sleep(130 * time.Millisecond)
-			p.Send(0, 2, []float64{2})
-			return
-		}
-		p.Recycle(p.Recv(0, 1))
-		p.Recycle(p.Recv(0, 2))
-	}); err != nil {
-		t.Fatal(err)
-	}
-	snap := m.Metrics().Snapshot()
-	if v, _ := snap.Value("vmprim_watchdog_rearms_total"); v < 1 {
-		t.Fatalf("watchdog_rearms_total = %v, want >= 1: the boundary at 100ms sees the first delivery and re-arms", v)
 	}
 }

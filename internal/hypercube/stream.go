@@ -4,8 +4,8 @@ import "vmprim/internal/obs"
 
 // Live event streaming (see internal/obs stream.go for the event
 // vocabulary). The machine emits span-open/span-close/progress events
-// from processor 0's goroutine while the run executes, and a
-// link-congestion summary once the workers have quiesced. Emission
+// from processor 0's coroutine while the run executes, and a
+// link-congestion summary once every processor has finished. Emission
 // only observes clocks, never advances them, so a streamed run's
 // simulated results are bit-identical to an unstreamed one — the same
 // contract the profiler keeps.
@@ -23,8 +23,9 @@ const streamLinkTopK = 8
 // when EnableProfile (or EnableCritPath) is also set; progress and
 // link-congestion events flow regardless. Like EnableProfile it must
 // be called between runs, never during one. The sink is invoked inline
-// on processor 0's worker goroutine (and on Run's caller for the link
-// summary), so it must be cheap and must not block.
+// in processor 0's coroutine (and after the run for the link summary),
+// on the goroutine that called Run, so it must be cheap and must not
+// block.
 func (m *Machine) EnableStream(sink obs.StreamSink) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -54,8 +55,8 @@ func (p *Proc) emitSpanClose(name string, depth int) {
 }
 
 // emitRunSummary streams the final progress mark and the hottest-link
-// census after the workers have quiesced; Run calls it on the caller's
-// goroutine.
+// census after every processor has finished; Run calls it after the
+// run.
 func (m *Machine) emitRunSummary(sink obs.StreamSink, elapsed float64) {
 	closed := m.procs[0].streamClosed
 	sink(obs.StreamEvent{Kind: obs.EvProgress, VTUs: elapsed, Closed: closed})

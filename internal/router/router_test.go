@@ -125,7 +125,6 @@ func TestRouteManyToMany(t *testing.T) {
 
 func TestRouteDestinationRangeChecked(t *testing.T) {
 	m := hypercube.MustNew(2, costmodel.CM2())
-	m.SetRecvTimeout(2e9)
 	_, err := m.Run(func(p *hypercube.Proc) {
 		if p.ID() == 0 {
 			Route(p, 1, []Msg{{Dst: 99}})
@@ -384,7 +383,6 @@ func TestWireHeaderRangeChecked(t *testing.T) {
 	// Through Route and Request: the run fails and names the key.
 	m := hypercube.MustNew(2, costmodel.CM2())
 	defer m.Close()
-	m.SetRecvTimeout(2e9)
 	for name, body := range map[string]func(p *hypercube.Proc, out []Msg){
 		"Route":   func(p *hypercube.Proc, out []Msg) { Route(p, 1, out) },
 		"Request": func(p *hypercube.Proc, out []Msg) { Request(p, 1, out, func(int) []float64 { return nil }) },

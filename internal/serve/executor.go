@@ -60,8 +60,9 @@ func (s *Server) execute(run *Run) {
 	}
 	runMetrics := metrics.Delta(after, before)
 
-	// A failed run tears down cleanly (the watchdog aborts and the
-	// workers quiesce), so the machine goes back to the pool either way.
+	// A failed run tears down cleanly (a panic or a detected deadlock
+	// aborts it and every processor unwinds before Run returns), so the
+	// machine goes back to the pool either way.
 	s.pool.Release(key, m)
 
 	var pm *flightrec.Report

@@ -163,9 +163,9 @@ func TestServedArtifactsMatchDirectRun(t *testing.T) {
 	}
 }
 
-// diffMetricsJSON compares two metrics-snapshot JSON documents,
-// ignoring the host-nondeterministic scheduler metrics, and returns a
-// description of the first difference ("" when equal).
+// diffMetricsJSON compares two metrics-snapshot JSON documents, ignoring
+// the metrics named by the ignore prefixes, and returns a description of
+// the first difference ("" when equal).
 func diffMetricsJSON(t *testing.T, a, b []byte, ignore ...string) string {
 	t.Helper()
 	parse := func(raw []byte) map[string]json.RawMessage {
@@ -186,9 +186,6 @@ func diffMetricsJSON(t *testing.T, a, b []byte, ignore ...string) string {
 		out := make(map[string]json.RawMessage)
 	metric:
 		for i, m := range doc.Metrics {
-			if hypercube.HostSchedMetricNames(m.Name) {
-				continue
-			}
 			for _, pre := range ignore {
 				if strings.HasPrefix(m.Name, pre) {
 					continue metric

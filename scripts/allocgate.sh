@@ -30,11 +30,17 @@ BASELINE=scripts/allocgate_baseline.txt
 # current prints "file count" per source file, sorted, for every
 # "escapes to heap" / "moved to heap" diagnostic in the gated
 # packages. -gcflags without a pattern applies only to the packages
-# named on the command line, so dependencies don't pollute the count.
+# named on the command line, so dependencies don't pollute the count —
+# but generic code instantiated in them (iter.Pull's, say) reports
+# under its own file in GOROOT, which is keyed by its path relative to
+# GOROOT/src so that the baseline does not depend on where Go lives.
 current() {
+  local goroot_src
+  goroot_src="$(go env GOROOT)/src/"
   go build -gcflags=-m "${PKGS[@]}" 2>&1 |
     grep -E 'escapes to heap|moved to heap' |
     cut -d: -f1 |
+    awk -v pre="$goroot_src" 'index($0, pre) == 1 { $0 = substr($0, length(pre) + 1) } { print }' |
     sort | uniq -c |
     awk '{ print $2, $1 }'
 }

@@ -47,7 +47,8 @@ go build ./...
 
 # The vmlint suite (see README). Build the tool once, then lint before
 # spending time on tests — a lint finding is file:line:col actionable,
-# a deadlocked test run is a 30s watchdog timeout.
+# a deadlocked test run fails at once with the run's post-mortem, which
+# names the blocked processors but not the line that mispaired them.
 vmlint_bin=$(mktemp)
 go build -o "$vmlint_bin" ./cmd/vmlint
 "$vmlint_bin" ./... || { rm -f "$vmlint_bin"; echo "vmlint failed" >&2; exit 1; }
@@ -71,17 +72,17 @@ go test ./...
 # GOMAXPROCS determinism stress (internal/bench TestGOMAXPROCSDeterminism
 # plus the collective and router variants): the same E1–E5 workloads at
 # GOMAXPROCS 1, 2 and NumCPU must produce bit-identical clocks, link
-# loads, metrics folds and profile documents, with the race detector
-# watching the host-parallel engine the whole time.
+# loads, metrics folds (host-side counters included) and profile
+# documents, with the race detector watching the coroutine hand-offs.
 go test -race ./internal/...
-# Link transport and buffer pool stress: the lock-free rings and the
-# park/wake protocol (send stalls, abort and deadlock while stalled, the
-# lost-wake-up ping-pong and pipelines at GOMAXPROCS 1, 2, 4 and 8,
-# SendOwned against Send, the watchdog's window boundaries, worker exit
-# on Close and on collection) and the magazines hammering one depot,
-# repeated under the race detector — the races it hunts are
-# timing-dependent, so one pass in the line above is not enough.
-go test -race -count=5 -run 'Link|SendStall|LostWake|Pool' ./internal/hypercube/
+# Link transport, engine and buffer pool stress: send stalls, abort and
+# deadlock while stalled, exact deadlock after heavy traffic, the
+# wake-up ping-pong and pipelines at GOMAXPROCS 1, 2, 4 and 8, SendOwned
+# against Send, coroutine exit on Close and on collection, and the
+# magazines hammering one depot from four goroutines, repeated under the
+# race detector — the depot stress hunts timing-dependent races, so one
+# pass in the line above is not enough.
+go test -race -count=5 -run 'Link|SendStall|Deadlock|LostWake|Pool' ./internal/hypercube/
 # Router wire format: a short native fuzz burst of the wire-form router
 # against the decode/encode reference it replaced (stdlib, offline). A
 # failing input lands in internal/router/testdata/fuzz/ — commit it with
@@ -128,7 +129,7 @@ PYEOF
 # structured report that names every processor's blocked receive, and
 # the metrics snapshot must record the failed run. The command itself
 # exits nonzero unless the report shows all procs blocked.
-go run ./cmd/vmprim -demo-deadlock -recv-timeout 300ms \
+go run ./cmd/vmprim -demo-deadlock \
 	-postmortem-out "$tmpdir/postmortem.json" \
 	-metrics-out "$tmpdir/metrics.prom" >"$tmpdir/postmortem.txt"
 python3 - "$tmpdir/postmortem.json" <<'PYEOF'
@@ -178,8 +179,8 @@ python3 scripts/critpath_schema_check.py "$tmpdir/critpath-ncpu.json" scripts/cr
 # Chrome trace and critical-path JSON against a direct `vmprim
 # -profile E1` run — once with the server and CLI at GOMAXPROCS=1 and
 # once at the host default — then validate the served critpath against
-# the committed schema, check the per-run metrics match modulo the
-# host-nondeterministic scheduler counters, drive a vmload mini-burst,
+# the committed schema, check the per-run metrics match exactly, drive
+# a vmload mini-burst,
 # and require a clean SIGTERM shutdown.
 go build -o "$tmpdir/vmprimd" ./cmd/vmprimd
 go build -o "$tmpdir/vmprim-cli" ./cmd/vmprim
@@ -230,15 +231,12 @@ vmprimd_pass() { # $1: pass name; $2: GOMAXPROCS value ("" = host default)
 	python3 scripts/critpath_schema_check.py "$pdir/critpath.json" scripts/critpath_schema.json
 	python3 - "$pdir/metrics.json" "$pdir/cli-metrics.json" <<'PYEOF'
 import json, sys
-# Host-scheduler and watchdog counters, and which pool gets found a
-# free buffer in the shared depot, depend on goroutine interleaving by
-# design; everything else in the per-run metrics is simulated truth
-# and must match the CLI's fresh-machine snapshot exactly.
-sched = {"vmprim_sched_recv_parks_total", "vmprim_watchdog_rearms_total",
-         "vmprim_pool_hits_total", "vmprim_pool_hit_rate"}
+# Every per-run metric, the host-side park and pool counters included,
+# is a function of the program and must match the CLI's fresh-machine
+# snapshot exactly.
 def load(p):
     doc = json.load(open(p))
-    return {m["name"]: m for m in doc["metrics"] if m["name"] not in sched}
+    return {m["name"]: m for m in doc["metrics"]}
 served, cli = load(sys.argv[1]), load(sys.argv[2])
 assert served.keys() == cli.keys(), \
     "metric sets differ: %s" % sorted(served.keys() ^ cli.keys())

@@ -27,8 +27,6 @@
 package vmprim
 
 import (
-	"time"
-
 	"vmprim/internal/apps"
 	"vmprim/internal/core"
 	"vmprim/internal/costmodel"
@@ -155,12 +153,6 @@ const (
 // NewMachinePool returns a pool retaining up to capacity idle
 // machines; Acquire either reuses a pooled machine or builds one.
 func NewMachinePool(capacity int) *MachinePool { return hypercube.NewMachinePool(capacity) }
-
-// SetDefaultRecvTimeout changes the deadlock-watchdog timeout applied
-// to machines created afterwards; d <= 0 restores the built-in
-// default (hypercube.DefaultRecvTimeout, 30s). Existing machines keep
-// their timeout — use Machine.SetRecvTimeout for those.
-func SetDefaultRecvTimeout(d time.Duration) { hypercube.SetDefaultRecvTimeout(d) }
 
 // NewMachine returns a 2^dim-processor machine; it panics on invalid
 // arguments (use hypercube.New for the error-returning form).
