@@ -12,7 +12,7 @@ import (
 // Host-parallel determinism for the collectives: the protocols are
 // built from paired exchanges and dimension loops whose receive order
 // is fixed by program order, so their simulated clocks and link loads
-// must not depend on how the host schedules the worker goroutines.
+// must not depend on the order the host runs the processors in.
 
 // collectiveWorkload runs a representative mix (reduce, bcast,
 // all-to-all personalized) on a fresh machine and returns the clocks

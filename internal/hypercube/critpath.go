@@ -211,10 +211,10 @@ func (p *Proc) cpIdle(from, to costmodel.Time) {
 }
 
 // cpSnapshot copies the chain vector into a pooled buffer; post
-// attaches one to every message, and the receiver recycles it into its
-// own pool — the payload discipline exactly.
+// attaches one to every message, and the receiver recycles it — the
+// payload discipline exactly.
 func (p *Proc) cpSnapshot() []float64 {
-	s := p.pool.get(len(p.cp))
+	s := p.m.pool.get(len(p.cp))
 	copy(s, p.cp)
 	return s
 }
@@ -256,7 +256,7 @@ func (p *Proc) cpRecv(msg *message, d int) {
 		}
 	}
 	if msg.cp != nil {
-		p.pool.put(msg.cp)
+		p.m.pool.put(msg.cp)
 		msg.cp = nil
 	}
 }
@@ -267,20 +267,12 @@ func (p *Proc) cpRecv(msg *message, d int) {
 // itself to spans), but building the full Profile still requires
 // EnableProfile. The recorded path is simulated truth: bit-identical
 // at every GOMAXPROCS and included in determinism comparisons.
-func (m *Machine) EnableCritPath(on bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.critEnabled = on
-}
+func (m *Machine) EnableCritPath(on bool) { m.critEnabled = on }
 
 // CritPath returns the critical path of the most recent Run, or nil if
 // recording was off. The returned value is a snapshot; it stays valid
 // across later runs.
-func (m *Machine) CritPath() *obs.CritPath {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.crit
-}
+func (m *Machine) CritPath() *obs.CritPath { return m.crit }
 
 // qualSpanNames joins each span node's path from the top level with
 // ">" (children always have larger ids than their parents, so one
@@ -300,8 +292,7 @@ func qualSpanNames(ps *profState) []string {
 // buildCritPath decodes the winning processor's chain vector into the
 // exported obs.CritPath and assembles the conformance report. It runs
 // once per Run after every processor has finished (on failed runs too —
-// the post-mortem embeds the chain up to the death). Caller must not
-// hold m.mu.
+// the post-mortem embeds the chain up to the death).
 func (m *Machine) buildCritPath(elapsed costmodel.Time) *obs.CritPath {
 	end := 0
 	for pid, pr := range m.procs {

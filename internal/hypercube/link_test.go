@@ -450,9 +450,9 @@ func TestLinkCensusOfWrappedRing(t *testing.T) {
 func TestSchedCountersDeterministic(t *testing.T) {
 	// Processors run in a fixed order, so the host-side counters are
 	// functions of the program: frontier parks, and which pool gets find
-	// a buffer — in a broadcast, whose sinks pile up buffers that flow
-	// back to its sources through the depot. Two runs at GOMAXPROCS 1 and
-	// two at 4 must read the same.
+	// a buffer — in a broadcast, whose sinks pile up buffers that its
+	// sources take back from the machine's pool. Two runs at GOMAXPROCS 1
+	// and two at 4 must read the same.
 	const dim = 4
 	body := func(p *Proc) {
 		for i := 0; i < 20; i++ {

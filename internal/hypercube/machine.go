@@ -42,8 +42,8 @@
 // sender along (dst, d) is dst's dimension-d neighbor), receives are
 // addressed by (link, program order) rather than by time, and virtual
 // arrival times travel inside the messages. The order is fixed anyway,
-// so host-side counters — frontier parks, which pool get finds a buffer
-// in the depot — are functions of the program too, at every GOMAXPROCS.
+// so host-side counters — frontier parks, which pool gets find a free
+// buffer — are functions of the program too, at every GOMAXPROCS.
 // Parallelism is between runs (separate machines run on separate
 // goroutines), not inside one.
 package hypercube
@@ -52,7 +52,6 @@ import (
 	"fmt"
 	"iter"
 	"runtime"
-	"sync"
 
 	"vmprim/internal/costmodel"
 	"vmprim/internal/flightrec"
@@ -77,7 +76,9 @@ type message struct {
 
 // Machine is a simulated hypercube multiprocessor. Construct it with
 // New, then execute SPMD programs with Run. A Machine is reusable: Run
-// may be called any number of times, sequentially.
+// may be called any number of times, sequentially. It is not safe for
+// concurrent use: one goroutine at a time calls Run, the Enable*/Set*
+// setters and the accessors.
 //
 // The machine keeps one coroutine per processor alive across Run calls
 // (created on the first Run), so benchmark loops and multi-phase
@@ -93,9 +94,8 @@ type Machine struct {
 	// along dimension d, a slab allocated once by New (see link.go).
 	links []link
 
-	// depot is the machine-wide level of the buffer pool behind the
-	// processors' magazines (see pool.go).
-	depot depot
+	// pool is the buffer pool every processor draws from (see pool.go).
+	pool bufPool
 
 	// procs are the persistent per-processor handles, reset and reused
 	// by every Run.
@@ -104,7 +104,6 @@ type Machine struct {
 	// eng runs the processors, nil until the first Run (see start).
 	eng *engine
 
-	mu         sync.Mutex
 	elapsed    costmodel.Time
 	stats      Stats
 	clocks     []costmodel.Time
@@ -307,7 +306,6 @@ func New(dim int, params costmodel.Params) (*Machine, error) {
 			m: m, id: pid,
 			in:        m.links[pid*dim : (pid+1)*dim],
 			linkWords: make([]int64, dim),
-			pool:      bufPool{depot: &m.depot},
 		}
 		m.procs[pid].rec.Init(defaultFlightDepth)
 	}
@@ -343,26 +341,16 @@ func (m *Machine) Params() costmodel.Params { return m.params }
 
 // Elapsed returns the simulated time of the most recent Run: the
 // maximum virtual clock over all processors.
-func (m *Machine) Elapsed() costmodel.Time {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.elapsed
-}
+func (m *Machine) Elapsed() costmodel.Time { return m.elapsed }
 
 // LastStats returns the communication/arithmetic counters of the most
 // recent Run.
-func (m *Machine) LastStats() Stats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.stats
-}
+func (m *Machine) LastStats() Stats { return m.stats }
 
 // Clocks returns every processor's final virtual clock from the most
 // recent Run, indexed by processor address. The spread between the
 // minimum and maximum is the run's load imbalance.
 func (m *Machine) Clocks() []costmodel.Time {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	out := make([]costmodel.Time, len(m.clocks))
 	copy(out, m.clocks)
 	return out
@@ -382,6 +370,7 @@ func (m *Machine) Run(body func(*Proc)) (costmodel.Time, error) {
 	for _, pr := range m.procs {
 		pr.resetForRun()
 	}
+	m.pool.gets, m.pool.hits = 0, 0
 	e := m.eng
 	e.body = body
 	e.run(m.procs)
@@ -415,7 +404,6 @@ func (m *Machine) Run(body func(*Proc)) (costmodel.Time, error) {
 
 	var elapsed costmodel.Time
 	var st Stats
-	m.mu.Lock()
 	for i, pr := range m.procs {
 		m.clocks[i] = pr.clock
 		if pr.clock > elapsed {
@@ -427,7 +415,6 @@ func (m *Machine) Run(body func(*Proc)) (costmodel.Time, error) {
 	}
 	m.elapsed = elapsed
 	m.stats = st
-	m.mu.Unlock()
 	m.collectTrace(m.procs)
 	if m.stream != nil {
 		m.emitRunSummary(m.stream, float64(elapsed))
@@ -455,11 +442,7 @@ func (m *Machine) Run(body func(*Proc)) (costmodel.Time, error) {
 		pm.Crit = crit
 		firstErr = &RunError{Err: firstErr, Report: pm}
 	}
-	m.mu.Lock()
-	m.profile = prof
-	m.postmortem = pm
-	m.crit = crit
-	m.mu.Unlock()
+	m.profile, m.postmortem, m.crit = prof, pm, crit
 
 	m.updateMetrics(elapsed, firstErr != nil, crit)
 	m.drain()
@@ -520,7 +503,6 @@ func (p *Proc) resetForRun() {
 	}
 	p.nColl = 0
 	p.nRecvParks = 0
-	p.pool.gets, p.pool.hits = 0, 0
 	p.msgHist = [msgHistBins]int64{}
 	p.rec.Reset()
 	p.waitKind = flightrec.WaitNone
@@ -536,8 +518,6 @@ func (p *Proc) resetForRun() {
 // unreachable Machine is cleaned up by the garbage collector — and
 // idempotent, but Run must not be called after Close.
 func (m *Machine) Close() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if m.eng != nil {
 		runtime.SetFinalizer(m.eng, nil)
 		m.eng.shutdown()
@@ -575,8 +555,7 @@ func (abortedError) Error() string { return "aborted by sibling failure" }
 
 // Proc is one simulated processor's handle, valid only inside the body
 // passed to Run and only on that processor's coroutine. Procs are
-// persistent: the machine reuses them (and their buffer pools) across
-// runs.
+// persistent: the machine reuses them across runs.
 type Proc struct {
 	m     *Machine
 	id    int
@@ -621,8 +600,6 @@ type Proc struct {
 	crit bool
 	cp   []float64
 
-	pool bufPool
-
 	// Flight recorder and post-mortem state (see postmortem.go). rec is
 	// the bounded event ring; the wait registers say what the processor
 	// is blocked on right now (written on the slow paths, read by the
@@ -648,18 +625,18 @@ type Proc struct {
 	nRecvParks int64
 }
 
-// GetBuf returns a scratch buffer of length n from this processor's
-// pool, with arbitrary contents: the caller must fully overwrite it
-// before reading. Pair with Recycle for allocation-free steady state.
-func (p *Proc) GetBuf(n int) []float64 { return p.pool.get(n) }
+// GetBuf returns a scratch buffer of length n from the machine's pool,
+// with arbitrary contents: the caller must fully overwrite it before
+// reading. Pair with Recycle for allocation-free steady state.
+func (p *Proc) GetBuf(n int) []float64 { return p.m.pool.get(n) }
 
-// Recycle returns a buffer to this processor's pool. The caller must
+// Recycle returns a buffer to the machine's pool. The caller must
 // own buf and must not touch it afterwards; recycling a payload that is
 // still referenced elsewhere (still in flight, or retained by another
 // holder) corrupts later messages. Collectives recycle the payloads
 // they consume; payloads returned to application code are the
 // application's to keep or recycle.
-func (p *Proc) Recycle(buf []float64) { p.pool.put(buf) }
+func (p *Proc) Recycle(buf []float64) { p.m.pool.put(buf) }
 
 // ID returns this processor's cube address in [0, P).
 func (p *Proc) ID() int { return p.id }
@@ -732,10 +709,10 @@ func (p *Proc) SendOwned(d, tag int, buf []float64) {
 	p.post(d, tag, buf, p.clock)
 }
 
-// pooledCopy returns a copy of words in a buffer from this processor's
-// pool; it lands in the receiver's pool when the receiver recycles it.
+// pooledCopy returns a copy of words in a buffer from the machine's
+// pool; it goes back when the receiver recycles it.
 func (p *Proc) pooledCopy(words []float64) []float64 {
-	cp := p.pool.get(len(words))
+	cp := p.m.pool.get(len(words))
 	copy(cp, words)
 	return cp
 }
@@ -962,7 +939,7 @@ func (p *Proc) ExchangeAll(dims []int, tag int, payloads [][]float64) [][]float6
 			}
 		}
 		if pre != nil {
-			p.pool.put(pre)
+			p.m.pool.put(pre)
 		}
 	} else {
 		for i, d := range dims {

@@ -10,13 +10,12 @@ import (
 // for serving layers that run many workloads against a small set of
 // machine shapes. Construction of a Machine is cheap but its steady
 // state is expensive to rebuild: the first run creates the processors'
-// coroutines and the buffer pool fills up over the first runs, so a
-// pool hit hands the caller a machine that already owns the buffers a
-// run needs — and,
-// the pool being bounded by peak demand (see pool.go), no more than
-// that however many tenants it has served. Acquire removes the machine
-// from the pool (a Machine is single-tenant: one Run at a time),
-// Release returns it; machines evicted by capacity pressure are Closed.
+// coroutines and fills the machine's buffer pool, so a pool hit hands
+// the caller a machine that already owns the buffers a run needs — and
+// no more than its peak demand (see pool.go), however many tenants it
+// has served. Acquire removes the machine from the pool (a Machine is
+// single-tenant: one Run at a time), Release returns it; machines
+// evicted by capacity pressure are Closed.
 //
 // The pool is safe for concurrent use. The machines themselves are
 // not shared: between Acquire and Release exactly one goroutine owns

@@ -1,6 +1,7 @@
 package hypercube
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -78,18 +79,22 @@ func TestMachinePoolHitMissEvict(t *testing.T) {
 }
 
 // Pooled machines must still run correctly after a round trip, and the
-// pool must tolerate concurrent acquire/release traffic.
+// pool must tolerate concurrent acquire/release traffic. Machines run
+// on eight goroutines at once while their buffers cross processors, so
+// under the race detector this is also the evidence that a machine's
+// buffer pool and state are reached from one goroutine only, and need
+// no lock.
 func TestMachinePoolConcurrentRuns(t *testing.T) {
 	defer testutil.CheckLeaks(t, testutil.Snapshot())
 	mp := NewMachinePool(2)
 	defer mp.Close()
-	key := PoolKey{Dim: 2, Params: costmodel.CM2()}
+	key := PoolKey{Dim: 3, Params: costmodel.CM2()}
 
 	ref, _, err := mp.Acquire(key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := runPing(ref)
+	want, err := runBcast(ref)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +112,7 @@ func TestMachinePoolConcurrentRuns(t *testing.T) {
 					errs <- err
 					return
 				}
-				got, err := runPing(m)
+				got, err := runBcast(m)
 				if err != nil {
 					errs <- err
 					return
@@ -126,11 +131,35 @@ func TestMachinePoolConcurrentRuns(t *testing.T) {
 	}
 }
 
-// runPing exchanges one word along dimension 0 and returns the
-// simulated elapsed time (deterministic for a given cost model).
-func runPing(m *Machine) (costmodel.Time, error) {
+// runBcast broadcasts a payload from processor 0 down a binomial tree;
+// every processor checks what it ends up holding and recycles it. Each
+// hop's copy is taken from the pool on one processor and returned on
+// another, so pooled buffers cross processors on every run. It returns
+// the simulated elapsed time (deterministic for a given cost model).
+func runBcast(m *Machine) (costmodel.Time, error) {
+	const words = 16
 	return m.Run(func(p *Proc) {
-		got := p.Exchange(0, 1, []float64{float64(p.ID())})
-		p.Recycle(got)
+		var buf []float64
+		if p.ID() == 0 {
+			buf = p.GetBuf(words)
+			for i := range buf {
+				buf[i] = float64(i + 1)
+			}
+		}
+		for d := p.Dim() - 1; d >= 0; d-- {
+			switch low := p.ID() & (1<<d - 1); {
+			case low != 0:
+			case p.ID()>>d&1 == 0:
+				p.Send(d, d, buf)
+			default:
+				buf = p.Recv(d, d)
+			}
+		}
+		for i, w := range buf {
+			if w != float64(i+1) {
+				panic(fmt.Sprintf("word %d = %v, want %d", i, w, i+1))
+			}
+		}
+		p.Recycle(buf)
 	})
 }

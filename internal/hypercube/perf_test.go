@@ -222,7 +222,7 @@ func TestRunFixedOverheadAllocs(t *testing.T) {
 }
 
 func TestPoolGetPutClasses(t *testing.T) {
-	bp := bufPool{depot: new(depot)}
+	var bp bufPool
 	// A recycled buffer must come back only for requests it can hold.
 	b := bp.get(100)
 	if len(b) != 100 || cap(b) < 100 {

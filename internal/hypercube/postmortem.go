@@ -41,16 +41,12 @@ func (e *RunError) Unwrap() error { return e.Err }
 // PostMortem returns the post-mortem report of the most recent Run,
 // or nil if it succeeded. The report is a snapshot; it stays valid
 // across later runs.
-func (m *Machine) PostMortem() *flightrec.Report {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.postmortem
-}
+func (m *Machine) PostMortem() *flightrec.Report { return m.postmortem }
 
 // buildPostMortem assembles the report of a failed run from the
 // quiescent per-processor state and the messages still queued on the
 // links (which it census-drains; Run's drain afterwards is then a
-// no-op). Caller must not hold m.mu.
+// no-op).
 func (m *Machine) buildPostMortem(cause string, failedPid int) *flightrec.Report {
 	rep := &flightrec.Report{
 		Cause:      cause,
@@ -195,7 +191,7 @@ func newMachMetrics() machMetrics {
 		flops:       reg.Counter("vmprim_flops_total", "local floating-point operations"),
 		colls:       reg.Counter("vmprim_collectives_total", "collective protocol invocations"),
 		poolGets:    reg.Counter("vmprim_pool_gets_total", "buffer-pool get requests"),
-		poolHits:    reg.Counter("vmprim_pool_hits_total", "buffer-pool gets served from a free list, the processor's or the machine's"),
+		poolHits:    reg.Counter("vmprim_pool_hits_total", "buffer-pool gets served from a free list"),
 		recvParks:   reg.Counter("vmprim_sched_recv_parks_total", "receives that found their link empty and yielded at the virtual-time frontier"),
 		lastElapsed: reg.Gauge("vmprim_last_elapsed_us", "simulated time of the most recent run"),
 		poolHitRate: reg.Gauge("vmprim_pool_hit_rate", "fraction of pool gets served from a free list in the most recent run"),
@@ -226,15 +222,13 @@ func (m *Machine) updateMetrics(elapsed costmodel.Time, failed bool, crit *obs.C
 	if failed {
 		mm.failures.Add(1)
 	}
-	var msgs, words, flops, colls, gets, hits, parks int64
+	var msgs, words, flops, colls, parks int64
 	var hist [msgHistBins]int64
 	for _, pr := range m.procs {
 		msgs += pr.nMsgs
 		words += pr.nWords
 		flops += pr.nFlops
 		colls += pr.nColl
-		gets += pr.pool.gets
-		hits += pr.pool.hits
 		parks += pr.nRecvParks
 		for i, c := range pr.msgHist {
 			hist[i] += c
@@ -244,6 +238,7 @@ func (m *Machine) updateMetrics(elapsed costmodel.Time, failed bool, crit *obs.C
 	mm.words.Add(words)
 	mm.flops.Add(flops)
 	mm.colls.Add(colls)
+	gets, hits := m.pool.gets, m.pool.hits
 	mm.poolGets.Add(gets)
 	mm.poolHits.Add(hits)
 	mm.recvParks.Add(parks)

@@ -233,23 +233,15 @@ func (p *Proc) checkSpansClosed() {
 // always on; EnableProfile only controls the span tree (and therefore
 // whether Profile returns a value). For Chrome-trace flow arrows,
 // also call EnableTrace: the exporter reuses the traced messages.
-func (m *Machine) EnableProfile(on bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.profEnabled = on
-}
+func (m *Machine) EnableProfile(on bool) { m.profEnabled = on }
 
 // Profile returns the profile of the most recent Run, or nil if
 // profiling was off or the run failed. The returned value is a
 // snapshot; it stays valid across later runs.
-func (m *Machine) Profile() *obs.Profile {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.profile
-}
+func (m *Machine) Profile() *obs.Profile { return m.profile }
 
 // buildProfile assembles the obs.Profile after a successful profiled
-// run. Caller must not hold m.mu.
+// run.
 func (m *Machine) buildProfile() *obs.Profile {
 	procs := make([]obs.ProcData, m.p)
 	for pid, pr := range m.procs {
@@ -287,9 +279,7 @@ func (m *Machine) buildProfile() *obs.Profile {
 }
 
 // linkLoads lists the nonzero directed-link word counts of the most
-// recent run, hottest first; k > 0 truncates to the top k. Caller may
-// hold m.mu or not — the method reads only per-proc counters, which
-// are quiescent between runs.
+// recent run, hottest first; k > 0 truncates to the top k.
 func (m *Machine) linkLoads(k int) []obs.LinkLoad {
 	var loads []obs.LinkLoad
 	for pid, pr := range m.procs {
@@ -320,8 +310,4 @@ func (m *Machine) linkLoads(k int) []obs.LinkLoad {
 // run (all nonzero links if k <= 0), hottest first. It reads the
 // always-on per-link word counters, so it works whether or not
 // tracing or profiling was enabled.
-func (m *Machine) Congestion(k int) []obs.LinkLoad {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.linkLoads(k)
-}
+func (m *Machine) Congestion(k int) []obs.LinkLoad { return m.linkLoads(k) }

@@ -26,11 +26,7 @@ const streamLinkTopK = 8
 // in processor 0's coroutine (and after the run for the link summary),
 // on the goroutine that called Run, so it must be cheap and must not
 // block.
-func (m *Machine) EnableStream(sink obs.StreamSink) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.stream = sink
-}
+func (m *Machine) EnableStream(sink obs.StreamSink) { m.stream = sink }
 
 // emitSpanOpen streams one BeginSpan on processor 0. Hot-path cost
 // when streaming is off: one nil check in BeginSpan.

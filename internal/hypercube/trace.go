@@ -38,11 +38,7 @@ func (ev TraceEvent) String() string {
 // tracing, but the Chrome-trace exporter draws message flow arrows
 // only from traced events, so set both before the run you want to
 // visualize.
-func (m *Machine) EnableTrace(limit int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.traceLimit = limit
-}
+func (m *Machine) EnableTrace(limit int) { m.traceLimit = limit }
 
 // Trace returns the events of the most recent traced run, ordered by
 // virtual time (ties by source address). It returns nil if tracing was
@@ -50,8 +46,6 @@ func (m *Machine) EnableTrace(limit int) {
 // trace only if EnableTrace was also set before it — but per-link word
 // volumes do not need it: Congestion reads always-on counters.
 func (m *Machine) Trace() []TraceEvent {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	out := make([]TraceEvent, len(m.trace))
 	copy(out, m.trace)
 	return out

@@ -8,12 +8,12 @@ package obs
 // summary) and obs only defines the event vocabulary. Emission never
 // touches a virtual clock, so a streamed run's simulated results are
 // bit-identical to an unstreamed one; the only cost is the sink call
-// itself, paid exclusively on processor 0's goroutine.
+// itself, paid exclusively on processor 0's coroutine.
 //
-// Sinks must be cheap and must not block: they run inline on a worker
-// goroutine at communication-free points. The serving layer's sink
-// appends to a bounded buffer and fans out to subscribers on their own
-// goroutines, which is the intended shape.
+// Sinks must be cheap and must not block: they run inline on the
+// goroutine that called Run, which is the run's only thread. The
+// serving layer's sink appends to a bounded buffer and fans out to
+// subscribers on their own goroutines, which is the intended shape.
 
 // Stream event kinds, as they appear on the wire (SSE event names and
 // the "kind" JSON field).
@@ -55,8 +55,7 @@ type StreamEvent struct {
 	Words int64 `json:"words,omitempty"`
 }
 
-// StreamSink consumes live events. It is called from machine worker
-// goroutines (and from Run's caller for the link summary), one call at
-// a time per machine; implementations must be safe for calls from
-// different goroutines in sequence and must return quickly.
+// StreamSink consumes live events. It is called on the goroutine that
+// called Run, during the run and after it for the link summary, one
+// call at a time per machine; it must return quickly.
 type StreamSink func(StreamEvent)

@@ -9,8 +9,8 @@ import (
 	"vmprim/internal/obs"
 )
 
-// Live event fan-out. The simulator's stream sink runs on processor
-// 0's worker goroutine inside the virtual-time engine, so the
+// Live event fan-out. The simulator's stream sink runs inline on the
+// executor worker that called Run, the run's only thread, so the
 // broadcaster must never block it: subscribers get buffered channels
 // and a subscriber that falls behind loses events (counted, not
 // waited for). A bounded replay buffer lets subscribers who connect

@@ -75,14 +75,12 @@ go test ./...
 # loads, metrics folds (host-side counters included) and profile
 # documents, with the race detector watching the coroutine hand-offs.
 go test -race ./internal/...
-# Link transport, engine and buffer pool stress: send stalls, abort and
-# deadlock while stalled, exact deadlock after heavy traffic, the
-# wake-up ping-pong and pipelines at GOMAXPROCS 1, 2, 4 and 8, SendOwned
-# against Send, coroutine exit on Close and on collection, and the
-# magazines hammering one depot from four goroutines, repeated under the
-# race detector — the depot stress hunts timing-dependent races, so one
-# pass in the line above is not enough.
-go test -race -count=5 -run 'Link|SendStall|Deadlock|LostWake|Pool' ./internal/hypercube/
+# Link transport and engine stress: send stalls, abort and deadlock
+# while stalled, exact deadlock after heavy traffic, the wake-up
+# ping-pong and pipelines at GOMAXPROCS 1, 2, 4 and 8, SendOwned against
+# Send, and coroutine exit on Close and on collection, repeated under
+# the race detector.
+go test -race -count=5 -run 'Link|SendStall|Deadlock|LostWake' ./internal/hypercube/
 # Router wire format: a short native fuzz burst of the wire-form router
 # against the decode/encode reference it replaced (stdlib, offline). A
 # failing input lands in internal/router/testdata/fuzz/ — commit it with

@@ -41,8 +41,9 @@ import (
 // Machine model (internal/hypercube, internal/costmodel).
 type (
 	// Machine is a simulated Boolean-cube multiprocessor: one
-	// goroutine per processor, message channels along cube edges, and
-	// virtual clocks driven by Params.
+	// coroutine per processor, all resumed by the goroutine that calls
+	// Run, message rings along cube edges, and virtual clocks driven by
+	// Params. It is not safe for concurrent use.
 	Machine = hypercube.Machine
 	// Proc is one processor's handle inside a Machine.Run body.
 	Proc = hypercube.Proc
@@ -131,8 +132,8 @@ type (
 	// StreamEvent is one live observability event from a running
 	// machine; Kind is one of the Ev* constants.
 	StreamEvent = obs.StreamEvent
-	// StreamSink consumes StreamEvents; it is called from machine
-	// worker goroutines and must return quickly.
+	// StreamSink consumes StreamEvents; it is called on the goroutine
+	// that called Run and must return quickly.
 	StreamSink = obs.StreamSink
 	// MachinePool is a bounded LRU of idle machines.
 	MachinePool = hypercube.MachinePool
