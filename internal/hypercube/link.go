@@ -1,67 +1,97 @@
 package hypercube
 
-// Link transport: one bounded FIFO ring per directed cube edge.
+// Link transport: one bounded FIFO queue per directed cube edge, its
+// messages held in nodes of one store per machine.
 //
-// A machine executes one processor at a time (see engine), so a ring is
-// plain memory: no atomics, no locks and no padding. The only sender
-// along (dst, dim) is dst's dimension-dim neighbor and the only receiver
-// is dst, so at most one party ever waits on a ring — the receiver when
-// it is empty, the sender when it is full — and the ring names it in
-// waiter. Whoever changes the ring's state next (the sender's push, the
-// receiver's pop) puts that processor back on the run queue (see
-// Proc.wake), so a wake-up cannot be lost.
+// A machine executes one processor at a time (see engine), so links and
+// the store are plain memory: no atomics, no locks and no padding. The
+// only sender along (dst, dim) is dst's dimension-dim neighbor and the
+// only receiver is dst, so at most one party ever waits on a link — the
+// receiver when it is empty, the sender when it is full — and the link
+// names it in waiter. Whoever changes the link's state next (the
+// sender's push, the receiver's pop) puts that processor back on the
+// run queue (see Proc.wake), so a wake-up cannot be lost.
 //
-// A ring that empties restarts at slot 0, so a link that carries one
-// message at a time keeps using the same slot and cache line.
+// A link owns no storage. Its messages are a list of nodes taken from
+// the store's free list on push and returned on pop, so a machine holds
+// its peak number of messages in flight, not linkCap per link. The free
+// list is LIFO, so a link that carries one message at a time keeps
+// reusing the same node and cache line.
 
-// link is the ring of one directed edge. buf has linkCap+1 slots: one
-// stays empty so that head == tail means empty and next(tail) == head
-// means full, with no separate count to keep.
+// link is the queue of one directed edge. It holds no pointer, so the
+// collector never scans a machine's links.
 type link struct {
-	buf []message
-	// head is the next slot to read, tail the next to write.
-	head, tail int32
-	// waiter is 1 + the address of the processor parked on this ring,
+	// head and tail are 1 + the store index of the oldest and newest
+	// node, 0 when the link is empty; n is the number of nodes.
+	head, tail, n int32
+	// waiter is 1 + the address of the processor parked on this link,
 	// 0 when nobody is.
 	waiter int32
 }
 
-func (l *link) next(i int32) int32 {
-	if i++; int(i) == len(l.buf) {
-		return 0
-	}
-	return i
+func (l *link) empty() bool { return l.n == 0 }
+
+// msgNode is one queued message. next is 1 + the index of the node
+// after it on its link or on the free list, 0 at the end.
+type msgNode struct {
+	message
+	next int32
 }
 
-// push appends msg, reporting false when the ring is full.
-func (l *link) push(msg message) bool {
-	n := l.next(l.tail)
-	if n == l.head {
+// msgStore holds the nodes of every link of one machine.
+type msgStore struct {
+	nodes []msgNode
+	// free is 1 + the index of the top of the free list, 0 when empty.
+	free int32
+	// inUse counts the nodes on links; the rest are on the free list.
+	inUse int
+	// cap is the number of messages a link holds, linkCap(dim).
+	cap int32
+}
+
+func (s *msgStore) full(l *link) bool { return l.n == s.cap }
+
+// push appends msg to l, reporting false when l is full.
+func (s *msgStore) push(l *link, msg message) bool {
+	if s.full(l) {
 		return false
 	}
-	l.buf[l.tail] = msg
-	l.tail = n
+	i := s.free
+	if i == 0 {
+		s.nodes = append(s.nodes, msgNode{})
+		i = int32(len(s.nodes))
+	}
+	// An appended node's next is 0, so the free list stays empty.
+	nd := &s.nodes[i-1]
+	s.free, nd.next = nd.next, 0
+	nd.message = msg
+	if l.tail == 0 {
+		l.head = i
+	} else {
+		s.nodes[l.tail-1].next = i
+	}
+	l.tail = i
+	l.n++
+	s.inUse++
 	return true
 }
 
-// pop removes the oldest message, reporting false when the ring is
-// empty. The slot is cleared so the ring does not keep a delivered
-// payload reachable.
-func (l *link) pop() (message, bool) {
-	h := l.head
-	if h == l.tail {
+// pop removes l's oldest message, reporting false when l is empty. The
+// node is cleared before it goes back on the free list, so the store
+// does not keep a delivered payload reachable.
+func (s *msgStore) pop(l *link) (message, bool) {
+	i := l.head
+	if i == 0 {
 		return message{}, false
 	}
-	msg := l.buf[h]
-	l.buf[h] = message{}
-	if h = l.next(h); h == l.tail {
-		l.head, l.tail = 0, 0
-	} else {
-		l.head = h
+	nd := &s.nodes[i-1]
+	msg := nd.message
+	if l.head = nd.next; l.head == 0 {
+		l.tail = 0
 	}
+	*nd = msgNode{next: s.free}
+	s.free = i
+	l.n--
+	s.inUse--
 	return msg, true
 }
-
-func (l *link) empty() bool { return l.head == l.tail }
-
-func (l *link) full() bool { return l.next(l.tail) == l.head }

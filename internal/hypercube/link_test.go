@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"strings"
@@ -15,10 +16,10 @@ import (
 )
 
 // Tests and benchmarks of the link transport (link.go) and the engine
-// that runs processors as coroutines: the send-stall path, abort while
-// stalled, exact deadlock detection, the post-mortem census of a wrapped
-// ring, coroutine exit, and a wake-up stress. Ring capacity is covered
-// by TestLinkCapScalesWithDimension.
+// that runs processors as coroutines: the node store, the send-stall
+// path, abort while stalled, exact deadlock detection, the post-mortem
+// census of a refilled link, coroutine exit, and a wake-up stress. Link
+// capacity is covered by TestLinkCapScalesWithDimension.
 
 // mustBeParked panics unless processor pid is suspended waiting to do
 // kind on dimension d: the engine runs one processor at a time, so a
@@ -60,11 +61,11 @@ func checkLikeFresh(t *testing.T, what string, m *Machine) {
 }
 
 func TestSendStallFIFO(t *testing.T) {
-	// Processor 0 streams more messages than the ring holds before its
-	// partner receives any, so it stalls on the full ring (the receiver
+	// Processor 0 streams more messages than the link holds before its
+	// partner receives any, so it stalls on the full link (the receiver
 	// checks that it did). Tags are sequence numbers, so Recv itself
-	// rejects any reordering; n exceeds twice the capacity so both
-	// indices wrap.
+	// rejects any reordering; n exceeds twice the capacity so the link
+	// is refilled from freed nodes more than once.
 	const dim = 1
 	n := 2*linkCap(dim) + 5
 	params := costmodel.CM2()
@@ -100,7 +101,7 @@ func TestSendStallFIFO(t *testing.T) {
 }
 
 func TestSendStallAbortedBySibling(t *testing.T) {
-	// Processor 0 is parked on a full ring nobody will ever drain when
+	// Processor 0 is parked on a full link nobody will ever drain when
 	// processor 2 panics. The abort must resume the stalled sender (and
 	// the blocked receivers), Run must report processor 2's panic, and
 	// the machine must come back indistinguishable from a fresh one —
@@ -125,7 +126,7 @@ func sendStallAbortedBySibling(t *testing.T, owned bool) {
 					p.Send(0, i, []float64{1})
 				}
 			}
-			panic("sender ran past a full ring")
+			panic("sender ran past a full link")
 		case 2:
 			mustBeParked(p.m, 0, flightrec.WaitSend, 0)
 			panic("sibling failure")
@@ -150,12 +151,12 @@ func sendStallAbortedBySibling(t *testing.T, owned bool) {
 				pid, ps.Wait, ps.WaitDim, ps.WaitTag)
 		}
 	}
-	// The two receivers found their rings empty once each.
+	// The two receivers found their links empty once each.
 	if v, _ := m.Metrics().Snapshot().Value("vmprim_sched_recv_parks_total"); v != 2 {
 		t.Fatalf("vmprim_sched_recv_parks_total = %v, want 2", v)
 	}
 	if len(re.Report.Links) != 1 || re.Report.Links[0].Queued != linkCap(dim) {
-		t.Fatalf("links = %+v, want the one full ring", re.Report.Links)
+		t.Fatalf("links = %+v, want the one full link", re.Report.Links)
 	}
 	if !m.linksEmpty() {
 		t.Fatal("links not empty after aborted run")
@@ -164,7 +165,7 @@ func sendStallAbortedBySibling(t *testing.T, owned bool) {
 }
 
 func TestSendStallDeadlockDetected(t *testing.T) {
-	// Both processors run past their full ring before either receives,
+	// Both processors run past their full link before either receives,
 	// so both park in stallSend and nobody is in Recv: a deadlock of
 	// senders, reported like one of receivers, by the lower address.
 	const dim = 1
@@ -190,7 +191,7 @@ func TestSendStallDeadlockDetected(t *testing.T) {
 		}
 	}
 	if len(rep.Links) != 2 || rep.Links[0].Queued != linkCap(dim) || rep.Links[1].Queued != linkCap(dim) {
-		t.Fatalf("links = %+v, want both rings full", rep.Links)
+		t.Fatalf("links = %+v, want both links full", rep.Links)
 	}
 	if !m.linksEmpty() {
 		t.Fatal("links not empty after the deadlocked run")
@@ -304,13 +305,12 @@ func TestLinkSendOwnedMatchesSend(t *testing.T) {
 	}
 }
 
-func TestLinkOneMessageAtATimeStaysAtSlotZero(t *testing.T) {
-	// A ring that empties restarts at slot 0, so a link that carries one
-	// message at a time never walks its buffer: between messages it sits
-	// at head == tail == 0.
+func TestLinkPingPongReusesTwoNodes(t *testing.T) {
+	// The free list is LIFO, so a message takes the node the last
+	// delivered one gave back: a ping-pong of any length, one message in
+	// flight at a time, never holds more than two nodes.
 	m := MustNew(1, costmodel.Ideal())
 	defer m.Close()
-	atZero := func(l *link) bool { return l.head == 0 && l.tail == 0 }
 	if _, err := m.Run(func(p *Proc) {
 		for i := 0; i < 3*linkCap(1); i++ {
 			if p.ID() == 0 {
@@ -320,17 +320,107 @@ func TestLinkOneMessageAtATimeStaysAtSlotZero(t *testing.T) {
 				p.Recycle(p.Recv(0, i))
 				p.Send(0, i, []float64{2})
 			}
-			if !atZero(&p.in[0]) {
-				panic(fmt.Sprintf("after message %d the ring sits at head %d tail %d", i, p.in[0].head, p.in[0].tail))
+			if n := len(p.m.store.nodes); n > 2 {
+				panic(fmt.Sprintf("after message %d the store holds %d nodes", i, n))
 			}
 		}
 	}); err != nil {
 		t.Fatal(err)
 	}
-	for i := range m.links {
-		if !atZero(&m.links[i]) {
-			t.Fatalf("link %d at head %d tail %d after the run", i, m.links[i].head, m.links[i].tail)
+	if n := len(m.store.nodes); n > 2 || !m.linksEmpty() {
+		t.Fatalf("store holds %d nodes, %d in use after the run, want <= 2 and 0", n, m.store.inUse)
+	}
+}
+
+// TestLinkStoreInvariants drives several links of one machine's store
+// with a random push/pop sequence and checks after every step what the
+// store promises against a slice per link: FIFO order, a push fails iff
+// the link holds linkCap messages, a pop fails iff it is empty, every
+// node is either on a link or on the free list, and no free node keeps
+// a delivered payload reachable.
+func TestLinkStoreInvariants(t *testing.T) {
+	const dim = 2
+	m := MustNew(dim, costmodel.Ideal())
+	s, c := &m.store, linkCap(dim)
+	model := make([][]int, len(m.links))
+	payload := []float64{1}
+	rng := rand.New(rand.NewSource(1))
+	for step := 0; step < 200000; step++ {
+		i := rng.Intn(len(m.links))
+		l, q := &m.links[i], model[i]
+		if rng.Intn(2) == 0 {
+			if ok := s.push(l, message{words: payload, tag: step, cp: payload}); ok != (len(q) < c) {
+				t.Fatalf("step %d: push on link %d holding %d = %v", step, i, len(q), ok)
+			} else if ok {
+				model[i] = append(q, step)
+			}
+		} else {
+			msg, ok := s.pop(l)
+			if ok != (len(q) > 0) {
+				t.Fatalf("step %d: pop on link %d holding %d = %v", step, i, len(q), ok)
+			}
+			if ok {
+				if msg.tag != q[0] || msg.words == nil {
+					t.Fatalf("step %d: pop on link %d = tag %d, want %d", step, i, msg.tag, q[0])
+				}
+				model[i] = q[1:]
+			}
 		}
+		inUse := 0
+		for j, q := range model {
+			if int(m.links[j].n) != len(q) {
+				t.Fatalf("step %d: link %d counts %d messages, holds %d", step, j, m.links[j].n, len(q))
+			}
+			inUse += len(q)
+		}
+		free := 0
+		for f := s.free; f != 0 && free <= len(s.nodes); f = s.nodes[f-1].next {
+			if nd := s.nodes[f-1]; nd.words != nil || nd.cp != nil {
+				t.Fatalf("step %d: free node %d keeps a payload", step, f-1)
+			}
+			free++
+		}
+		if s.inUse != inUse || len(s.nodes) != inUse+free {
+			t.Fatalf("step %d: %d nodes, %d counted in use, %d free, %d queued", step, len(s.nodes), s.inUse, free, inUse)
+		}
+	}
+	t.Logf("%d nodes serve %d links of capacity %d", len(s.nodes), len(m.links), c)
+}
+
+// TestLinkMemoryProportionalToTraffic: New allocates nothing that grows
+// with linkCap, so the heap a machine retains per processor is flat in
+// the dimension, and the store grows only to the messages in flight.
+func TestLinkMemoryProportionalToTraffic(t *testing.T) {
+	heap := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	var base float64
+	for _, dim := range []int{8, 10, 12} {
+		heap() // finish the finalizers of machines dropped earlier
+		before := heap()
+		m := MustNew(dim, costmodel.Ideal())
+		per := float64(heap()-before) / float64(m.P())
+		runtime.KeepAlive(m)
+		t.Logf("d=%d: %.0f bytes per processor after New", dim, per)
+		if base == 0 {
+			base = per
+		}
+		if per > 6<<10 || per < 0.85*base || per > 1.15*base {
+			t.Fatalf("d=%d: New retains %.0f bytes per processor, want < 6 KB and within 15%% of d=8's %.0f", dim, per, base)
+		}
+	}
+	// Every processor exchanges along every dimension: one message per
+	// processor is the most ever in flight.
+	m := MustNew(8, costmodel.Ideal())
+	defer m.Close()
+	if _, err := m.Run(exerciseBody); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(m.store.nodes); n > m.P() {
+		t.Fatalf("store holds %d nodes after an exchange on every dimension, want <= %d", n, m.P())
 	}
 }
 
@@ -389,14 +479,14 @@ func TestLinkWorkersExit(t *testing.T) {
 	awaitCoroutines(t, 0)
 }
 
-func TestLinkCensusOfWrappedRing(t *testing.T) {
-	// The post-mortem census must list a ring's undelivered messages
-	// oldest first wherever they sit in the buffer. Processor 1 consumes
-	// six of the messages 0 sends it along dimension 0 (moving the head
-	// off slot 0), waits for a token that 0 sends round the rest of the
-	// cube once it has refilled the ring across the wrap, then dies on a
-	// tag mismatch: the mismatched message is consumed, the rest is
-	// census.
+func TestLinkCensusOfRefilledLink(t *testing.T) {
+	// The post-mortem census must list a link's undelivered messages
+	// oldest first, in list order rather than node order. Processor 1
+	// consumes six of the messages 0 sends it along dimension 0, which
+	// frees six nodes, waits for a token that 0 sends round the rest of
+	// the cube once it has refilled the link from those nodes (newest
+	// message in the lowest node), then dies on a tag mismatch: the
+	// mismatched message is consumed, the rest is census.
 	const dim = 2
 	c := linkCap(dim)
 	const consumed = 6
@@ -420,8 +510,8 @@ func TestLinkCensusOfWrappedRing(t *testing.T) {
 				p.Recycle(p.Recv(0, i))
 			}
 			p.Recycle(p.Recv(1, 0))
-			if !p.in[0].full() {
-				panic("the ring was not refilled")
+			if l := &p.in[0]; !p.m.store.full(l) || l.tail >= l.head {
+				panic("the link was not refilled from freed nodes")
 			}
 			p.Recv(0, -1)
 		}
@@ -544,8 +634,8 @@ func pipeline(p *Proc, laps, window, slow int) {
 func TestLostWakeupStress(t *testing.T) {
 	// Every message of a ping-pong finds its receiver parked, so each
 	// one exercises the wake-up of a receiver; the pipeline with a slow
-	// stage keeps the rings upstream of it full, which exercises the
-	// wake-up of senders parked on a full ring. A wake-up lost by the
+	// stage keeps the links upstream of it full, which exercises the
+	// wake-up of senders parked on a full link. A wake-up lost by the
 	// engine leaves a processor parked with its message posted; the run
 	// queue then empties and the run fails as a reported deadlock. The
 	// engine is one thread per run, so every GOMAXPROCS must pass alike.

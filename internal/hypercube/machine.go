@@ -28,12 +28,12 @@
 // FIFO run queue, so a machine executes one processor at a time and a
 // processor runs until it returns or must wait at the virtual-time
 // frontier — a Recv whose message has not been posted yet, or a Send
-// against a full link ring (run-ahead backpressure, see linkCap). A
-// waiting processor records what it waits on and yields; the partner
-// that changes that ring puts it back on the queue, and an abort puts
-// back every parked processor. A deadlock is exact: the queue is empty
-// while processors are still pending, so every one of them waits on a
-// ring nobody will change. The parked processors are then resumed in
+// against a full link (run-ahead backpressure, see linkCap). A waiting
+// processor records what it waits on and yields; the partner that
+// changes that link puts it back on the queue, and an abort puts back
+// every parked processor. A deadlock is exact: the queue is empty while
+// processors are still pending, so every one of them waits on a link
+// nobody will change. The parked processors are then resumed in
 // address order and the lowest reports the deadlock; no timer and no
 // timeout are involved.
 //
@@ -90,9 +90,10 @@ type Machine struct {
 	p      int
 	params costmodel.Params
 
-	// links[pid*dim+d] is the ring carrying messages addressed to pid
-	// along dimension d, a slab allocated once by New (see link.go).
+	// links[pid*dim+d] is the queue of messages addressed to pid along
+	// dimension d; store holds the messages of all of them (see link.go).
 	links []link
+	store msgStore
 
 	// pool is the buffer pool every processor draws from (see pool.go).
 	pool bufPool
@@ -195,8 +196,8 @@ func (e *engine) run(procs []*Proc) {
 	for e.pending > 0 {
 		if e.qlen == 0 {
 			// Nothing can run and processors are pending: every one of
-			// them is parked on a ring nobody will change. Resumed, each
-			// finds its ring unchanged and the run not aborted, which
+			// them is parked on a link nobody will change. Resumed, each
+			// finds its link unchanged and the run not aborted, which
 			// is how it knows; the lowest address reports first.
 			if e.wakeParked(procs); e.qlen == 0 {
 				panic("hypercube: processors pending, none runnable and none parked")
@@ -243,15 +244,15 @@ func (e *engine) shutdown() {
 	}
 }
 
-// linkCap returns the capacity of each link ring for a cube
-// of dimension dim. The invariant that sizes it: collectives are built
+// linkCap returns the number of messages each link holds in a cube of
+// dimension dim. The invariant that sizes it: collectives are built
 // from matched exchange phases in which each directed link carries at
 // most one message before the partner receives, so capacity 1 already
 // guarantees deadlock freedom. Capacity above that only controls how
 // far a processor may run ahead of its neighbor on one link without
 // yielding; a full-cube collective issues at most one message per link
 // per step and has O(dim) steps, so a small multiple of dim absorbs a
-// whole collective of run-ahead. Beyond the buffer the sender yields,
+// whole collective of run-ahead. Beyond that bound the sender yields,
 // which changes the host's schedule but never simulated time.
 func linkCap(dim int) int { return 4 * (dim + 1) }
 
@@ -288,18 +289,14 @@ func New(dim int, params costmodel.Params) (*Machine, error) {
 		p:      p,
 		params: params,
 		links:  make([]link, p*dim),
+		// Links hold linkCap messages so that matched exchange phases
+		// (both sides send, then both receive) never block on the send.
+		// The store starts empty and grows to the most messages ever in
+		// flight at once.
+		store:  msgStore{cap: int32(linkCap(dim))},
 		procs:  make([]*Proc, p),
 		clocks: make([]costmodel.Time, p),
 		met:    newMachMetrics(),
-	}
-	// Rings hold linkCap messages so that matched exchange phases (both
-	// sides send, then both receive) never block on the send; see
-	// linkCap for how the capacity is derived and link for the spare
-	// slot.
-	slots := linkCap(dim) + 1
-	slab := make([]message, len(m.links)*slots)
-	for i := range m.links {
-		m.links[i].buf = slab[i*slots : (i+1)*slots : (i+1)*slots]
 	}
 	for pid := 0; pid < p; pid++ {
 		m.procs[pid] = &Proc{
@@ -525,27 +522,21 @@ func (m *Machine) Close() {
 	}
 }
 
-// drain empties every link ring (messages left behind by an aborted
-// or buggy program). It runs between runs.
+// drain empties every link (messages left behind by an aborted or
+// buggy program). It runs between runs and returns at once when no
+// message is in flight.
 func (m *Machine) drain() {
-	for i := range m.links {
-		l := &m.links[i]
+	for i := 0; m.store.inUse > 0; i++ {
 		for ok := true; ok; {
-			_, ok = l.pop()
+			_, ok = m.store.pop(&m.links[i])
 		}
 	}
 }
 
-// linksEmpty reports whether every link ring is empty; tests use it to
-// assert that drain left the machine clean.
-func (m *Machine) linksEmpty() bool {
-	for i := range m.links {
-		if !m.links[i].empty() {
-			return false
-		}
-	}
-	return true
-}
+// linksEmpty reports whether no node of the store is in use, so every
+// link is empty and none leaked; tests use it to assert that drain left
+// the machine clean.
+func (m *Machine) linksEmpty() bool { return m.store.inUse == 0 }
 
 // abortedError is the panic value used when a processor is cancelled
 // because a sibling failed first.
@@ -561,9 +552,9 @@ type Proc struct {
 	id    int
 	clock costmodel.Time
 
-	// Link transport (see link.go): in[d] is the ring this processor
+	// Link transport (see link.go): in[d] is the link this processor
 	// receives from along dimension d, yield suspends its coroutine, and
-	// parked is the ring it waits on while suspended there (nil
+	// parked is the link it waits on while suspended there (nil
 	// otherwise). panicked is the value this processor's body panicked
 	// with, nil if it returned.
 	in       []link
@@ -736,7 +727,7 @@ func (p *Proc) post(d, tag int, buf []float64, arrive costmodel.Time) {
 		msg.cp = p.cpSnapshot()
 	}
 	l := &p.m.links[dst*p.m.dim+d]
-	if !l.push(msg) {
+	if !p.m.store.push(l, msg) {
 		p.stallSend(l, msg, d)
 	}
 	p.wake(l)
@@ -750,11 +741,11 @@ func (p *Proc) wake(l *link) {
 	}
 }
 
-// stallSend is post's slow path: the ring is full (run-ahead
+// stallSend is post's slow path: the link is full (run-ahead
 // backpressure), so park until the receiver has consumed a message.
 func (p *Proc) stallSend(l *link, msg message, d int) {
 	p.park(l, flightrec.WaitSend, d, msg.tag, msg.arrive)
-	l.push(msg)
+	p.m.store.push(l, msg)
 }
 
 // record appends one event to this processor's flight recorder,
@@ -811,11 +802,11 @@ func (p *Proc) Capture(buf []float64) {
 func (p *Proc) Recv(d, wantTag int) []float64 {
 	p.checkDim(d)
 	l := &p.in[d]
-	msg, ok := l.pop()
+	msg, ok := p.m.store.pop(l)
 	if !ok {
 		msg = p.awaitRecv(l, d, wantTag)
 	}
-	// The sender may be parked on this ring having found it full.
+	// The sender may be parked on this link having found it full.
 	p.wake(l)
 	if msg.tag != wantTag {
 		// Preserve the offending payload for the post-mortem before
@@ -833,16 +824,16 @@ func (p *Proc) Recv(d, wantTag int) []float64 {
 	return msg.words
 }
 
-// awaitRecv is Recv's slow path: the ring is empty, so park at the
+// awaitRecv is Recv's slow path: the link is empty, so park at the
 // virtual-time frontier until the message is posted.
 func (p *Proc) awaitRecv(l *link, d, wantTag int) message {
 	p.nRecvParks++
 	p.park(l, flightrec.WaitRecv, d, wantTag, p.clock)
-	msg, _ := l.pop()
+	msg, _ := p.m.store.pop(l)
 	return msg
 }
 
-// park suspends the processor until the ring l has room for the send,
+// park suspends the processor until the link l has room for the send,
 // or a message for the receive, that kind says it is waiting to do on
 // dimension d. The partner that changes l resumes it (see wake). It
 // ends in a panic instead when the run has aborted, or when it was
@@ -860,7 +851,7 @@ func (p *Proc) park(l *link, kind flightrec.WaitKind, d, tag int, since costmode
 	}
 	sending := kind == flightrec.WaitSend
 	switch {
-	case sending && !l.full(), !sending && !l.empty():
+	case sending && !p.m.store.full(l), !sending && !l.empty():
 		p.waitKind = flightrec.WaitNone
 	case e.aborted:
 		panic(abortedError{})

@@ -9,7 +9,7 @@ import (
 )
 
 // Tests for the zero-allocation hot paths: the persistent engine, the
-// per-processor buffer pools, and the dimension-derived link capacity.
+// machine's buffer pool, and the dimension-derived link capacity.
 
 func TestLinkCapScalesWithDimension(t *testing.T) {
 	// Matched exchange phases only need capacity 1 for deadlock
@@ -28,23 +28,23 @@ func TestLinkCapScalesWithDimension(t *testing.T) {
 	if got := linkCap(8); got != 36 {
 		t.Fatalf("linkCap(8) = %d, want 36", got)
 	}
-	// Every ring of a machine holds exactly linkCap(dim) messages, in
-	// order, at every position of head and tail around the buffer.
+	// Every link of a machine holds exactly linkCap(dim) messages, in
+	// order, however far it was drained before being refilled.
 	for _, dim := range []int{1, 4, 8} {
 		m := MustNew(dim, costmodel.Ideal())
 		c := linkCap(dim)
-		l := &m.links[len(m.links)-1]
+		s, l := &m.store, &m.links[len(m.links)-1]
 		pushed, popped := 0, 0
 		for round := 0; round <= c+1; round++ {
-			for l.push(message{tag: pushed}) {
+			for s.push(l, message{tag: pushed}) {
 				pushed++
 			}
-			if pushed-popped != c || !l.full() {
-				t.Fatalf("dim %d round %d: ring holds %d messages (full=%v), want linkCap = %d",
-					dim, round, pushed-popped, l.full(), c)
+			if pushed-popped != c || !s.full(l) {
+				t.Fatalf("dim %d round %d: link holds %d messages (full=%v), want linkCap = %d",
+					dim, round, pushed-popped, s.full(l), c)
 			}
 			for i := 0; i <= round%c; i++ {
-				msg, ok := l.pop()
+				msg, ok := s.pop(l)
 				if !ok || msg.tag != popped {
 					t.Fatalf("dim %d round %d: pop = tag %d ok %v, want tag %d", dim, round, msg.tag, ok, popped)
 				}
@@ -52,15 +52,15 @@ func TestLinkCapScalesWithDimension(t *testing.T) {
 			}
 		}
 		m.drain()
-		if _, ok := l.pop(); ok || !l.empty() || !m.linksEmpty() {
-			t.Fatalf("dim %d: ring not empty after drain", dim)
+		if _, ok := s.pop(l); ok || !l.empty() || !m.linksEmpty() {
+			t.Fatalf("dim %d: link not empty after drain", dim)
 		}
 	}
 }
 
 func TestLinksEmptyAfterAbortedRun(t *testing.T) {
 	// Processor 0 posts messages nobody consumes and then panics; the
-	// post-run drain must leave every link ring empty.
+	// post-run drain must leave every link empty.
 	m := MustNew(3, costmodel.Ideal())
 	_, err := m.Run(func(p *Proc) {
 		if p.ID() == 0 {

@@ -111,7 +111,7 @@ func (m *Machine) buildPostMortem(cause string, failedPid int) *flightrec.Report
 		queued, words, headTag := 0, 0, 0
 		var headVT costmodel.Time
 		for {
-			msg, ok := l.pop()
+			msg, ok := m.store.pop(l)
 			if !ok {
 				break
 			}
