@@ -50,14 +50,12 @@ import (
 	"vmprim/internal/analysis/recyclecheck"
 	"vmprim/internal/analysis/simdeterminism"
 	"vmprim/internal/analysis/spanbalance"
-	"vmprim/internal/analysis/spmdsym"
 )
 
 func analyzers() []*framework.Analyzer {
 	return []*framework.Analyzer{
 		recyclecheck.Analyzer,
 		spanbalance.Analyzer,
-		spmdsym.Analyzer,
 		collorder.Analyzer,
 		simdeterminism.Analyzer,
 		hostconc.Analyzer,

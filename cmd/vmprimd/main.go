@@ -66,6 +66,13 @@ func main() {
 	}
 }
 
+// readHeaderTimeout bounds how long a client may take to send its
+// request headers, so slow-header clients cannot hold connections
+// open indefinitely. Bodies are bounded by the handlers themselves,
+// and /events streams are long-lived by design, so no read or write
+// timeout is set.
+const readHeaderTimeout = 10 * time.Second
+
 func run(addr, addrFile string, opts serve.Options) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -80,7 +87,7 @@ func run(addr, addrFile string, opts serve.Options) error {
 	}
 
 	srv := serve.New(opts)
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	errCh := make(chan error, 1)
 	//lint:allow goroutinelife Serve returns when Close/Shutdown below closes the listener, and errCh is buffered so the send never blocks
 	go func() { errCh <- httpSrv.Serve(ln) }()

@@ -4,8 +4,8 @@
 // processor identity — and it exports both summaries as package
 // facts, so they survive package boundaries.
 //
-// It reports no diagnostics of its own. spmdsym and collorder list it
-// in Requires and consume its Result: a classifier that answers "is
+// It reports no diagnostics of its own. collorder lists it in
+// Requires and consumes its Result: a classifier that answers "is
 // this call a collective?" and "does this call's result depend on the
 // processor's identity?" for local functions (summarized in this
 // pass), for imported functions (summarized when their package was

@@ -4,9 +4,7 @@
 // executes the same collectives in the same order with agreeing
 // structural arguments (dimensions, masks, tags, roots), and pairwise
 // operations (Send/Recv/Exchange) only pair off when both sides agree
-// on the dimension and tag. spmdsym already rejects collectives under
-// identity-dependent *control flow*; collorder closes the two gaps
-// left open:
+// on the dimension and tag. Three shapes break it:
 //
 //   - identity-dependent *data* in a structural argument. The
 //     canonical example ships in this repository as `vmprim
@@ -31,6 +29,11 @@
 //     but a mismatch in operation, order, dim or tag is a static
 //     deadlock.
 //
+//   - identity-dependent *loops*. A `for` whose condition, or a
+//     `range` whose operand, reads identity runs its communication
+//     events a different number of times on different processors:
+//     `for i := 0; i < p.ID(); i++ { p.Barrier(1, 1) }`.
+//
 // Sequences are compared symbolically: constant arguments by value,
 // identity-derived arguments as "rank-dependent", everything else by
 // normalized source text. Untainted branches become choice points and
@@ -38,10 +41,10 @@
 // control flow does not produce false positives: whichever way an
 // untainted condition goes, it goes that way on every processor.
 //
-// Scope matches spmdsym: the packages above the collective layer
-// (core, apps, bench) and the top-level facade/example/command code.
-// The collective and hypercube internals are exempt — rank-dependent
-// sends along tree edges are exactly how the collectives are built.
+// Scope: the packages above the collective layer (core, apps, bench)
+// and the top-level facade/example/command code. The collective and
+// hypercube internals are exempt — rank-dependent sends along tree
+// edges are exactly how the collectives are built.
 // Identity and collective summaries come from the collectives base
 // analyzer, facts included, so a helper computing a dimension from
 // p.ID() in another package still marks its callers' arguments
@@ -125,9 +128,9 @@ func checkFunc(pass *framework.Pass, fn *ast.FuncDecl, summary *collectives.Resu
 		tainted:  cfg.Objects(fn),
 		reported: make(map[string]bool),
 	}
-	// As in spmdsym, every function literal is its own SPMD scope: the
-	// closure handed to Machine.Run is the SPMD body, the enclosing
-	// function is host code.
+	// Every function literal is its own SPMD scope: the closure handed
+	// to Machine.Run is the SPMD body, the enclosing function is host
+	// code.
 	for _, scope := range framework.Bodies(fn) {
 		c.checkArgs(scope)
 		c.seqOf(scope.List)
@@ -360,23 +363,10 @@ func (c *checker) seqOf(stmts []ast.Stmt) (items []string, term bool) {
 			if s.Init != nil {
 				items = append(items, c.events(s.Init)...)
 			}
-			// A loop condition reading identity is spmdsym's case
-			// (control dependence); here an untainted loop is one
-			// repetition group — every processor iterates alike. A
-			// body with no communication events contributes nothing:
-			// its breaks and continues gate only the loop itself, so
-			// even a body full of control flow cannot skew the
-			// communication sequence.
-			body, _ := c.seqOf(s.Body.List)
-			if hasEvent(body) {
-				items = append(items, "loop{"+strings.Join(body, " ")+"}")
-			}
+			items = append(items, c.loop(s.Pos(), s.Cond, s.Body)...)
 
 		case *ast.RangeStmt:
-			body, _ := c.seqOf(s.Body.List)
-			if hasEvent(body) {
-				items = append(items, "loop{"+strings.Join(body, " ")+"}")
-			}
+			items = append(items, c.loop(s.Pos(), s.X, s.Body)...)
 
 		case *ast.SelectStmt:
 			var parts []string
@@ -397,6 +387,27 @@ func (c *checker) seqOf(stmts []ast.Stmt) (items []string, term bool) {
 		}
 	}
 	return items, false
+}
+
+// loop renders a for or range statement as one repetition group. A
+// body with no communication events contributes nothing: its breaks
+// and continues gate only the loop itself, so even a body full of
+// control flow cannot skew the communication sequence. An untainted
+// loop is fine — every processor iterates alike — but when the trip
+// count reads identity (a tainted condition or range operand),
+// processors run the body's events a different number of times.
+func (c *checker) loop(pos token.Pos, bound ast.Expr, body *ast.BlockStmt) []string {
+	items, _ := c.seqOf(body.List)
+	if !hasEvent(items) {
+		return nil
+	}
+	seq := strings.Join(items, " ")
+	if bound != nil && c.cfg.Expr(c.tainted, bound) && c.once(pos) {
+		c.pass.Reportf(pos,
+			"communication sequence diverges on this identity-dependent loop: processors repeat [%s] a rank-dependent number of times and the run deadlocks",
+			abbrev(seq))
+	}
+	return []string{"loop{" + seq + "}"}
 }
 
 // switchParts normalizes value and type switches into their shared
@@ -450,17 +461,24 @@ func (c *checker) switchParts(s ast.Stmt) (init ast.Stmt, tag ast.Expr, bodies [
 // plus everything that follows it, folded in by the caller).
 func (c *checker) compareArms(pos token.Pos, kind string, a, b []string) {
 	sa, sb := strings.Join(a, " "), strings.Join(b, " ")
-	if sa == sb {
+	if sa == sb || !c.once(pos) {
 		return
 	}
-	key := fmt.Sprintf("seq:%d", pos)
-	if c.reported[key] {
-		return
-	}
-	c.reported[key] = true
 	c.pass.Reportf(pos,
 		"communication sequence diverges on this identity-dependent %s: one side runs [%s], the other [%s]; processors fall out of step and the run deadlocks",
 		kind, abbrev(sa), abbrev(sb))
+}
+
+// once claims the sequence finding at pos, so a statement nested in
+// several tainted branches (each folding it into its own comparison)
+// is reported only once.
+func (c *checker) once(pos token.Pos) bool {
+	key := fmt.Sprintf("seq:%d", pos)
+	if c.reported[key] {
+		return false
+	}
+	c.reported[key] = true
+	return true
 }
 
 // abbrev keeps diagnostics readable when a divergent continuation is

@@ -1,5 +1,5 @@
 // Package taint is the shared identity-taint engine of the SPMD
-// analyzers (spmdsym, collorder, collectives): it decides which local
+// analyzers (collorder, collectives): it decides which local
 // variables and expressions of a function derive from processor
 // identity.
 //

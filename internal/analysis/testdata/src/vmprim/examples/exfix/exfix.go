@@ -11,8 +11,8 @@ import (
 
 // Lopsided runs a facade kernel on row zero only.
 func Lopsided(e *vmprim.Env) {
-	if e.GridRow() == 0 {
-		vmprim.MatVecKernel(e) // want `MatVecKernel is control-dependent on processor identity`
+	if e.GridRow() == 0 { // want `one side runs \[MatVecKernel\(\)\], the other \[nothing\]`
+		vmprim.MatVecKernel(e)
 	}
 }
 
@@ -21,10 +21,8 @@ func Balanced(e *vmprim.Env) float64 {
 	return vmprim.MatVecKernel(e)
 }
 
-// RingByRank feeds a rank-derived tag into a facade helper; this is
-// collorder territory and must stay clean under spmdsym, so no want
-// comment — the collorder test covers the same package path shape in
-// its own fixture.
+// RingByRank is fine: every processor calls the facade helper with
+// the same constant tag; only the payload is per-rank.
 func RingByRank(p *vmprim.Proc, data []float64) []float64 {
 	return vmprim.Ring(p, 4, data)
 }

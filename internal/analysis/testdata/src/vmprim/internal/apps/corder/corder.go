@@ -166,3 +166,36 @@ func TagSkew(p *hypercube.Proc) {
 		_ = got
 	}
 }
+
+// LoopByRank: the trip count is the rank, so processor i joins i
+// barriers and the others wait for partners that never come.
+func LoopByRank(p *hypercube.Proc) {
+	for i := 0; i < p.ID(); i++ { // want `identity-dependent loop: processors repeat \[Barrier\(mask=1,tag=1\)\]`
+		p.Barrier(1, 1)
+	}
+}
+
+// WhileByRank: the same bug as a while-loop over a tainted counter.
+func WhileByRank(p *hypercube.Proc, data []float64) {
+	k := p.ID()
+	for k > 0 { // want `identity-dependent loop: processors repeat \[Bcast\(mask=3,tag=6,rootRel=0\)\]`
+		collective.Bcast(p, 3, 6, 0, data)
+		k--
+	}
+}
+
+// RangeByRank: ranging over an identity-derived count.
+func RangeByRank(p *hypercube.Proc) {
+	for range p.ID() { // want `identity-dependent loop: processors repeat \[Barrier\(mask=1,tag=3\)\]`
+		p.Barrier(1, 3)
+	}
+}
+
+// PayloadLoop is fine: the trip count is uniform; only the payload
+// each iteration exchanges reads the rank.
+func PayloadLoop(p *hypercube.Proc) {
+	for i := 0; i < 3; i++ {
+		got := p.Exchange(0, 5, []float64{float64(p.ID() + i)})
+		p.Recycle(got)
+	}
+}

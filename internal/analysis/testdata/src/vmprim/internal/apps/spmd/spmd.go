@@ -1,4 +1,6 @@
-// Fixtures for the spmdsym analyzer.
+// Fixtures for identity-guarded collectives, checked by collorder:
+// a collective (or a return that skips one) under an `if`/`switch` on
+// processor identity is reported at the guarding statement.
 package spmd
 
 import (
@@ -10,8 +12,8 @@ import (
 // rootOnlyBcast is the canonical deadlock: one processor calls the
 // collective, the rest skip it.
 func rootOnlyBcast(p *hypercube.Proc, data []float64) {
-	if p.ID() == 0 {
-		collective.Bcast(p, 1, 1, 0, data) // want `Bcast is control-dependent on processor identity`
+	if p.ID() == 0 { // want `one side runs \[Bcast\(mask=1,tag=1,rootRel=0\)\], the other \[nothing\]`
+		collective.Bcast(p, 1, 1, 0, data)
 	}
 }
 
@@ -35,24 +37,24 @@ func helper(p *hypercube.Proc, data []float64) {
 // hiddenInHelper launders the collective through the helper; the
 // interprocedural summary still flags the guarded call.
 func hiddenInHelper(p *hypercube.Proc, data []float64) {
-	if p.ID() != 0 {
-		helper(p, data) // want `helper is control-dependent on processor identity`
+	if p.ID() != 0 { // want `one side runs \[helper\(\)\], the other \[nothing\]`
+		helper(p, data)
 	}
 }
 
 // taintedVar tracks identity through an intermediate variable.
 func taintedVar(p *hypercube.Proc) {
 	root := p.ID() == 0
-	if root {
-		p.Barrier(1, 1) // want `Barrier is control-dependent on processor identity`
+	if root { // want `one side runs \[Barrier\(mask=1,tag=1\)\], the other \[nothing\]`
+		p.Barrier(1, 1)
 	}
 }
 
 // earlyReturn diverges: non-holders leave, holders reach the
 // collective below and wait forever.
 func earlyReturn(e *core.Env) {
-	if e.GridRow() != 0 {
-		return // want `early return under a processor-identity condition skips the collective`
+	if e.GridRow() != 0 { // want `one side runs \[nothing\], the other \[DotVec\(\)\]`
+		return
 	}
 	e.DotVec()
 }
@@ -99,8 +101,8 @@ func hostCode(run func(func(p *hypercube.Proc)) error, data []float64) error {
 // closureGuarded flags divergence inside the closure scope itself.
 func closureGuarded(run func(func(p *hypercube.Proc)), data []float64) {
 	run(func(p *hypercube.Proc) {
-		if p.ID() == 0 {
-			collective.Bcast(p, 1, 1, 0, data) // want `Bcast is control-dependent on processor identity`
+		if p.ID() == 0 { // want `one side runs \[Bcast\(mask=1,tag=1,rootRel=0\)\], the other \[nothing\]`
+			collective.Bcast(p, 1, 1, 0, data)
 		}
 	})
 }
@@ -109,19 +111,19 @@ func closureGuarded(run func(func(p *hypercube.Proc)), data []float64) {
 // rank guard in a condition-less switch. Only the rank-guarded case
 // is identity-dependent.
 func switchGuards(e *core.Env, replicate bool) {
-	switch {
+	switch { // want `identity-dependent switch: one side runs \[DotVec\(\)\], the other \[nothing\]`
 	case replicate:
 		e.DotVec()
 	case e.GridRow() == 0:
-		e.DotVec() // want `DotVec is control-dependent on processor identity`
+		e.DotVec()
 	}
 }
 
 // subcube documents a deliberate holder-only collective with a
 // suppression directive.
 func subcube(p *hypercube.Proc, data []float64) {
+	//lint:allow collorder the gather below spans the root subcube only, which the other ranks are not part of
 	if p.ID() == 0 {
-		//lint:allow spmdsym the gather below spans the root subcube only, which the other ranks are not part of
 		got := collective.AllGather(p, 1, 1, data)
 		p.Recycle(got)
 	}

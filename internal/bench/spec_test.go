@@ -1,6 +1,9 @@
 package bench
 
 import (
+	"encoding/json"
+	"fmt"
+	"slices"
 	"testing"
 
 	"vmprim/internal/hypercube"
@@ -30,6 +33,48 @@ func TestRunSpecNormalized(t *testing.T) {
 			t.Fatalf("spec %+v normalized without error", bad)
 		}
 	}
+}
+
+// FuzzRunSpec drives the path an untrusted POST /runs body takes
+// before any machine is built: bytes → json.Unmarshal → Normalized.
+// It must never panic, and a spec it accepts must lie inside the size
+// bounds, name a known experiment and cost model, and be a fixed point
+// of Normalized.
+func FuzzRunSpec(f *testing.F) {
+	for _, id := range ProfileIDs() {
+		f.Add([]byte(fmt.Sprintf(`{"exp":%q}`, id)))
+	}
+	for _, edge := range []string{
+		fmt.Sprintf(`{"exp":"e1","d":1,"n":%d,"model":"IPSC"}`, specMinN),
+		fmt.Sprintf(`{"exp":"E2","d":%d,"n":%d,"model":"cm2"}`, specMaxD, specMaxN),
+		fmt.Sprintf(`{"exp":"E3","d":%d,"n":%d}`, specMaxD+1, specMinN-1),
+		fmt.Sprintf(`{"exp":" e4 ","d":-1,"n":%d}`, specMaxN+1),
+	} {
+		f.Add([]byte(edge))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var spec RunSpec
+		if json.Unmarshal(body, &spec) != nil {
+			return
+		}
+		norm, err := spec.Normalized()
+		if err != nil {
+			return
+		}
+		if norm.D < 1 || norm.D > specMaxD || norm.N < specMinN || norm.N > specMaxN {
+			t.Fatalf("%s: accepted out-of-bounds spec %+v", body, norm)
+		}
+		if norm.Model != "cm2" && norm.Model != "ipsc" {
+			t.Fatalf("%s: accepted unknown model in %+v", body, norm)
+		}
+		if !slices.Contains(ProfileIDs(), norm.Exp) {
+			t.Fatalf("%s: accepted unknown experiment in %+v", body, norm)
+		}
+		again, err := norm.Normalized()
+		if err != nil || again != norm {
+			t.Fatalf("%s: Normalized not idempotent: %+v → %+v, %v", body, norm, again, err)
+		}
+	})
 }
 
 // A default-spec RunOn on a fresh machine is the same computation as

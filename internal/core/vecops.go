@@ -105,7 +105,6 @@ func (e *Env) ScanVec(v *Vector, op Op) *Vector {
 	if !v.HoldsData(pid) {
 		// Non-holders of a non-replicated aligned vector take no part:
 		// the subcube collective below spans exactly the holder rows.
-		//lint:allow spmdsym the AllGather below runs on the holder subcube only, which non-holders are not part of; the tag was reserved above to keep sequences aligned
 		return out
 	}
 	pv := out.L(pid)

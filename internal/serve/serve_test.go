@@ -455,29 +455,45 @@ func TestMetricsScrape(t *testing.T) {
 	}
 }
 
-// Bad submissions answer structured 400s; artifact requests against
-// unfinished runs answer 409.
+// Bad submissions answer structured 400s (413 past maxSpecBytes); a
+// body must hold exactly one JSON value, though trailing whitespace is
+// fine.
 func TestSubmitValidation(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1})
-	for _, body := range []string{
-		`{"exp":"E9"}`,
-		`{"exp":"E1","d":99}`,
-		`{"exp":"E1","frobnicate":1}`,
-		`not json`,
+	for _, tc := range []struct {
+		name, body string
+		want       int
+	}{
+		{"unknown exp", `{"exp":"E9"}`, http.StatusBadRequest},
+		{"d out of range", `{"exp":"E1","d":99}`, http.StatusBadRequest},
+		{"unknown field", `{"exp":"E1","frobnicate":1}`, http.StatusBadRequest},
+		{"not json", `not json`, http.StatusBadRequest},
+		{"trailing junk", `{"exp":"E1"} junk`, http.StatusBadRequest},
+		{"second value", `{"exp":"E1"}{"exp":"E2"}`, http.StatusBadRequest},
+		{"stray brace", `{"exp":"E1"} }`, http.StatusBadRequest},
+		{"oversized value", `{"model":"` + strings.Repeat("x", maxSpecBytes) + `"}`, http.StatusRequestEntityTooLarge},
+		{"oversized tail", `{"exp":"E1"}` + strings.Repeat(" ", maxSpecBytes), http.StatusRequestEntityTooLarge},
+		{"trailing newline", `{"exp":"E1","d":4,"n":64}` + "\n", http.StatusAccepted},
 	} {
-		resp, err := http.Post(ts.URL+"/runs", "application/json", strings.NewReader(body))
+		resp, err := http.Post(ts.URL+"/runs", "application/json", strings.NewReader(tc.body))
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if resp.StatusCode != tc.want {
+			b, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			t.Fatalf("%s: POST /runs = %d, want %d: %s", tc.name, resp.StatusCode, tc.want, b)
+		}
+		if tc.want == http.StatusAccepted {
+			resp.Body.Close()
+			continue
 		}
 		var e struct {
 			Error apiError `json:"error"`
 		}
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("POST %s = %d, want 400", body, resp.StatusCode)
-		}
 		decodeBody(t, resp, &e)
 		if e.Error.Code == "" || e.Error.Message == "" {
-			t.Fatalf("POST %s: unstructured error %+v", body, e)
+			t.Fatalf("%s: unstructured error %+v", tc.name, e)
 		}
 	}
 }

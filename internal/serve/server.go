@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"sync"
@@ -301,13 +302,35 @@ func (s *Server) runStatus(run *Run) runStatusJSON {
 	return st
 }
 
+// maxSpecBytes bounds a POST /runs body. A RunSpec is under 100
+// bytes; the bound only stops a client from streaming an unbounded
+// body into the decoder.
+const maxSpecBytes = 64 << 10
+
 // handleSubmit accepts a bench.RunSpec JSON body, validates it,
 // registers a run and queues it, answering 202 with the run status.
+// The body must be exactly one JSON value of at most maxSpecBytes.
 func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	var spec bench.RunSpec
-	dec := json.NewDecoder(req.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	err := dec.Decode(&spec)
+	if err == nil {
+		_, tail := dec.Token()
+		if tail == nil {
+			tail = errors.New("trailing data after the spec")
+		}
+		if tail != io.EOF {
+			err = tail
+		}
+	}
+	if err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge, "body_too_large",
+				fmt.Sprintf("request body exceeds %d bytes", maxSpecBytes))
+			return
+		}
 		writeError(w, http.StatusBadRequest, "bad_body", "request body is not a workload spec: "+err.Error())
 		return
 	}

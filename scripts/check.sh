@@ -87,6 +87,11 @@ go test -race -count=5 -run 'Link|SendStall|Deadlock|LostWake' ./internal/hyperc
 # the fix. Minimization is capped because coverage of 2^d goroutines is
 # noisy and the default budget (60s per input) would eat the burst.
 go test -run '^$' -fuzz FuzzRouterWire -fuzztime 10s -fuzzminimizetime 1s ./internal/router/
+# RunSpec parser: the untrusted POST /runs body path (json.Unmarshal,
+# then Normalized) must never panic, and what it accepts must be in
+# bounds and a fixed point of Normalized. Failing inputs land in
+# internal/bench/testdata/fuzz/.
+go test -run '^$' -fuzz FuzzRunSpec -fuzztime 5s ./internal/bench/
 # Host-concurrency race gate: the hostconc analyzers police the serving
 # plane, the metrics registry and the vmload harness statically, and
 # the race detector watches the same code dynamically. ./internal/...
