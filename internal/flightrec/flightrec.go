@@ -6,12 +6,15 @@
 //
 // The package follows the same discipline as internal/obs: it is
 // passive and cheap. internal/hypercube records events into each
-// processor's Ring on the communication hot paths (a single struct
-// store per message, no allocation, no locking — each ring is touched
-// only by its processor during a run), and assembles a
-// Report only after a run has already failed. flightrec depends only
-// on internal/costmodel, so every layer above the machine can import
-// it without cycles.
+// processor's Ring on the communication hot paths. A ring is an array
+// of 32-byte, pointer-free slots, so recording an event writes four
+// words, with no allocation, no write barrier and no locking — each
+// ring is touched only by its processor during a run, and a run has one
+// thread. A label is stored as an id into the machine's Labels table.
+// Only after a run has already failed does the machine expand the slots
+// into Events and assemble a Report. flightrec depends only on
+// internal/costmodel and internal/obs, so every layer above the machine
+// can import it without cycles.
 //
 // Events are kept in causal (sequence) order per processor. Under the
 // one-port machine model a processor's virtual clock is nondecreasing
@@ -56,9 +59,8 @@ func (k Kind) String() string {
 	}
 }
 
-// Event is one recorded simulator event. The ring stores events by
-// value; Label is always a static string (a collective name), so
-// recording never allocates.
+// Event is one recorded simulator event as the report shows it.
+// Ring.Snapshot expands the ring's slots into Events.
 type Event struct {
 	// Seq is the processor-local sequence number, counted from 0 at
 	// the start of the run over all events ever recorded (not just the
@@ -86,7 +88,7 @@ type Event struct {
 	// Depth is the open-span-stack depth at record time.
 	Depth int `json:"span_depth,omitempty"`
 	// SpanName is the resolved name of Span, filled in by the report
-	// assembler (empty in the ring).
+	// assembler (empty in a Snapshot).
 	SpanName string `json:"span,omitempty"`
 }
 
@@ -94,13 +96,80 @@ type Event struct {
 // is excluded from marshalling so the document stays readable).
 func (ev Event) KindName() string { return ev.Kind.String() }
 
-// Ring is a bounded buffer of the most recent events on one processor.
-// The zero Ring drops everything; size it with Init. All methods are
+// Label identifies an event label in a Labels table. NoLabel, the
+// zero Label, stands for the empty label.
+type Label uint16
+
+// NoLabel is the label of events that carry none.
+const NoLabel Label = 0
+
+// maxLabels is how many distinct labels one Labels table holds: every
+// Label but NoLabel. A label first seen after the table is full is
+// recorded as NoLabel, so its events show an empty label.
+const maxLabels = 1<<16 - 1
+
+// Labels is the string table behind Label ids, shared by the rings of
+// one machine. A label allocates only the first time the table sees
+// it. Like the rings, a table is used by one goroutine at a time.
+type Labels struct {
+	names []string // names[id-1] is the label with that id
+	ids   map[string]Label
+}
+
+// Intern returns the id of name, adding name to the table on first
+// sight. The empty name is NoLabel.
+func (t *Labels) Intern(name string) Label {
+	if id, ok := t.ids[name]; ok {
+		return id
+	}
+	if name == "" || len(t.names) == maxLabels {
+		return NoLabel
+	}
+	if t.ids == nil {
+		t.ids = make(map[string]Label)
+	}
+	t.names = append(t.names, name)
+	id := Label(len(t.names))
+	t.ids[name] = id
+	return id
+}
+
+// Name returns the label with the given id, or "" for NoLabel.
+func (t *Labels) Name(id Label) string {
+	if id == NoLabel {
+		return ""
+	}
+	return t.names[id-1]
+}
+
+// maxDepth is the largest span depth a slot stores; events recorded
+// deeper than that show maxDepth.
+const maxDepth = 1<<8 - 1
+
+// slot is one event as the ring stores it: 32 bytes and no pointer, so
+// the collector never scans a ring and a store needs no write barrier.
+// Seq is the slot's position and is not stored. Dimension or mask,
+// words and span id are narrowed to int32, which holds every mask of a
+// machine of at most 2^20 processors and any payload under 2^31 words.
+type slot struct {
+	vt    costmodel.Time
+	tag   int
+	dim   int32
+	words int32
+	span  int32
+	kind  Kind
+	depth uint8
+	label Label
+}
+
+// Ring is a bounded buffer of the most recent events on one processor,
+// kept as slots that Snapshot expands into Events. The zero Ring drops
+// everything; size it with Init. All methods are
 // single-goroutine: the owning processor records during a run, and the
 // machine snapshots only after the run has ended.
 type Ring struct {
-	buf []Event // capacity is a power of two; mask = len-1
-	n   uint64  // total events recorded since the last Reset
+	buf []slot // capacity is a power of two; mask = len-1
+	n   uint64 // total events recorded since the last Reset
 }
 
 // Init (re)allocates the ring to hold k events, rounding k up to the
@@ -115,7 +184,7 @@ func (r *Ring) Init(k int) {
 	for c < k {
 		c <<= 1
 	}
-	r.buf = make([]Event, c)
+	r.buf = make([]slot, c)
 	r.n = 0
 }
 
@@ -129,20 +198,23 @@ func (r *Ring) Depth() int { return len(r.buf) }
 // including ones that have already been overwritten.
 func (r *Ring) Total() uint64 { return r.n }
 
-// Record appends ev, stamping its sequence number and overwriting the
-// oldest event once the ring is full.
-func (r *Ring) Record(ev Event) {
+// Record appends one event, overwriting the oldest once the ring is
+// full. span is the innermost open profiler span's node id (-1 for
+// none) and depth the open-span-stack depth, stored up to maxDepth.
+func (r *Ring) Record(kind Kind, label Label, dim, tag, words, span, depth int, vt costmodel.Time) {
 	if len(r.buf) == 0 {
 		return
 	}
-	ev.Seq = r.n
-	r.buf[r.n&uint64(len(r.buf)-1)] = ev
+	s := &r.buf[r.n&uint64(len(r.buf)-1)]
+	s.vt, s.tag = vt, tag
+	s.dim, s.words, s.span = int32(dim), int32(words), int32(span)
+	s.kind, s.depth, s.label = kind, uint8(min(depth, maxDepth)), label
 	r.n++
 }
 
-// Snapshot appends the retained events to dst, oldest first, and
-// returns the extended slice.
-func (r *Ring) Snapshot(dst []Event) []Event {
+// Snapshot appends the retained events to dst, oldest first, resolving
+// labels in labels, and returns the extended slice.
+func (r *Ring) Snapshot(dst []Event, labels *Labels) []Event {
 	if len(r.buf) == 0 || r.n == 0 {
 		return dst
 	}
@@ -151,8 +223,13 @@ func (r *Ring) Snapshot(dst []Event) []Event {
 	if r.n > uint64(len(r.buf)) {
 		start = r.n - uint64(len(r.buf))
 	}
-	for s := start; s < r.n; s++ {
-		dst = append(dst, r.buf[s&mask])
+	for seq := start; seq < r.n; seq++ {
+		s := &r.buf[seq&mask]
+		dst = append(dst, Event{
+			Seq: seq, VT: s.vt, Kind: s.kind, Label: labels.Name(s.label),
+			Dim: int(s.dim), Tag: s.tag, Words: int(s.words),
+			Span: int(s.span), Depth: int(s.depth),
+		})
 	}
 	return dst
 }

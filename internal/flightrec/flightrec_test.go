@@ -3,17 +3,28 @@ package flightrec
 import (
 	"bytes"
 	"encoding/json"
+	"math"
+	"math/rand/v2"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"vmprim/internal/costmodel"
 )
 
+// recordTag records an unlabelled event that differs from its
+// neighbours only in tag and virtual time.
+func recordTag(r *Ring, kind Kind, tag int, vt costmodel.Time) {
+	r.Record(kind, NoLabel, 0, tag, 0, -1, 0, vt)
+}
+
 func TestRingRecordAndSnapshot(t *testing.T) {
 	var r Ring
 	// Zero ring drops everything.
-	r.Record(Event{Kind: KindSend})
-	if got := r.Snapshot(nil); len(got) != 0 || r.Total() != 0 {
+	recordTag(&r, KindSend, 0, 0)
+	if got := r.Snapshot(nil, nil); len(got) != 0 || r.Total() != 0 {
 		t.Fatalf("zero ring retained events: %v (total %d)", got, r.Total())
 	}
 
@@ -22,9 +33,9 @@ func TestRingRecordAndSnapshot(t *testing.T) {
 		t.Fatalf("Depth = %d, want 4", r.Depth())
 	}
 	for i := 0; i < 3; i++ {
-		r.Record(Event{Kind: KindSend, Tag: i})
+		recordTag(&r, KindSend, i, 0)
 	}
-	got := r.Snapshot(nil)
+	got := r.Snapshot(nil, nil)
 	if len(got) != 3 {
 		t.Fatalf("len = %d, want 3", len(got))
 	}
@@ -39,12 +50,12 @@ func TestRingWrapsKeepingNewest(t *testing.T) {
 	var r Ring
 	r.Init(4)
 	for i := 0; i < 11; i++ {
-		r.Record(Event{Kind: KindRecv, Tag: i, VT: costmodel.Time(10 * i)})
+		recordTag(&r, KindRecv, i, costmodel.Time(10*i))
 	}
 	if r.Total() != 11 {
 		t.Fatalf("Total = %d, want 11", r.Total())
 	}
-	got := r.Snapshot(nil)
+	got := r.Snapshot(nil, nil)
 	if len(got) != 4 {
 		t.Fatalf("len = %d, want 4", len(got))
 	}
@@ -58,7 +69,7 @@ func TestRingWrapsKeepingNewest(t *testing.T) {
 		}
 	}
 	r.Reset()
-	if r.Total() != 0 || len(r.Snapshot(nil)) != 0 {
+	if r.Total() != 0 || len(r.Snapshot(nil, nil)) != 0 {
 		t.Fatal("Reset did not clear the ring")
 	}
 }
@@ -70,9 +81,9 @@ func TestRingTruncationBoundary(t *testing.T) {
 	var r Ring
 	r.Init(8)
 	for i := 0; i < r.Depth(); i++ {
-		r.Record(Event{Kind: KindSend, Tag: i})
+		recordTag(&r, KindSend, i, 0)
 	}
-	got := r.Snapshot(nil)
+	got := r.Snapshot(nil, nil)
 	if len(got) != 8 || got[0].Seq != 0 {
 		t.Fatalf("full ring: len %d oldest seq %d, want 8 and 0 (nothing dropped)", len(got), got[0].Seq)
 	}
@@ -80,13 +91,145 @@ func TestRingTruncationBoundary(t *testing.T) {
 		t.Fatalf("full ring reports %d dropped", dropped)
 	}
 
-	r.Record(Event{Kind: KindSend, Tag: 8})
-	got = r.Snapshot(got[:0])
+	recordTag(&r, KindSend, 8, 0)
+	got = r.Snapshot(got[:0], nil)
 	if len(got) != 8 || got[0].Seq != 1 || got[7].Seq != 8 {
 		t.Fatalf("after one wrap: len %d seqs %d..%d, want 8 and 1..8", len(got), got[0].Seq, got[7].Seq)
 	}
 	if dropped := r.Total() - uint64(len(got)); dropped != 1 {
 		t.Fatalf("after one wrap: %d dropped, want 1", dropped)
+	}
+}
+
+// hasPointers reports whether a value of type t holds anything the
+// garbage collector must scan.
+func hasPointers(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if hasPointers(t.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	case reflect.Array:
+		return t.Len() > 0 && hasPointers(t.Elem())
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return false
+	default:
+		return true
+	}
+}
+
+// TestSlotIsSmallAndPointerFree guards the ring's storage: a slot is at
+// most four words and holds no pointer, so rings cost the collector
+// nothing and a record needs no write barrier.
+func TestSlotIsSmallAndPointerFree(t *testing.T) {
+	if size := unsafe.Sizeof(slot{}); size > 32 {
+		t.Fatalf("slot is %d bytes, want <= 32", size)
+	}
+	if hasPointers(reflect.TypeOf(slot{})) {
+		t.Fatal("slot holds a pointer")
+	}
+	if !hasPointers(reflect.TypeOf(Event{})) {
+		t.Fatal("hasPointers misses Event's strings")
+	}
+}
+
+func TestRecordDoesNotAllocate(t *testing.T) {
+	var r Ring
+	r.Init(32)
+	var labels Labels
+	labels.Intern("bcast")
+	allocs := testing.AllocsPerRun(1000, func() {
+		r.Record(KindCollective, labels.Intern("bcast"), 3, 7, 0, 2, 1, 1.5)
+		r.Record(KindSend, NoLabel, 1, 7, 16, 2, 1, 2.5)
+	})
+	if allocs != 0 {
+		t.Fatalf("Record allocates %v times per call pair, want 0", allocs)
+	}
+}
+
+// TestRingMatchesModel drives a ring and its label table with random
+// sequences of Record, Reset and Init, and after every step compares
+// the snapshot with a reference model: the last Depth events of a
+// plain slice, with every field as recorded except the documented caps
+// (depth saturates at maxDepth; a label first seen after the table is
+// full reads empty).
+func TestRingMatchesModel(t *testing.T) {
+	var labels Labels
+	// Leave room for two new labels, so the table fills up mid-run.
+	for i := 0; i < maxLabels-2; i++ {
+		labels.Intern("fill-" + strconv.Itoa(i))
+	}
+	known, count := map[string]bool{}, maxLabels-2
+	names := []string{"", "bcast", "reduce", "route", "scan", "fill-0", "fill-65532"}
+	tags := []int{math.MaxInt, math.MinInt, 0, -1, 7}
+	dims := []int{0, 1, 1<<20 - 1, 12}
+	wordsOf := []int{0, 1, 4096, math.MaxInt32}
+	spans := []int{-1, 0, 5, math.MaxInt32}
+	depths := []int{0, 1, maxDepth - 1, maxDepth, maxDepth + 1, 1 << 20}
+	inits := []int{0, 1, 3, 4, 5, 32}
+
+	rng := rand.New(rand.NewPCG(1, 2))
+	pick := func(xs []int) int { return xs[rng.IntN(len(xs))] }
+	var r Ring
+	var model []Event // every event since the last Reset or Init
+	depth := 0
+	for step := 0; step < 20000; step++ {
+		switch op := rng.IntN(100); {
+		case op < 2:
+			k := pick(inits)
+			r.Init(k)
+			depth = 0
+			for depth < k {
+				depth = max(1, 2*depth)
+			}
+			model = model[:0]
+		case op < 4:
+			r.Reset()
+			model = model[:0]
+		default:
+			name := names[rng.IntN(len(names))]
+			want := name
+			if name != "" && !known[name] && !strings.HasPrefix(name, "fill-") {
+				if count == maxLabels {
+					want = ""
+				} else {
+					known[name] = true
+					count++
+				}
+			}
+			ev := Event{
+				Seq: uint64(len(model)), VT: costmodel.Time(rng.Float64() * 1e9),
+				Kind: Kind(rng.IntN(4)), Label: want,
+				Dim: pick(dims), Tag: pick(tags), Words: pick(wordsOf), Span: pick(spans),
+			}
+			d := pick(depths)
+			ev.Depth = min(d, maxDepth)
+			if depth > 0 {
+				model = append(model, ev)
+			}
+			r.Record(ev.Kind, labels.Intern(name), ev.Dim, ev.Tag, ev.Words, ev.Span, d, ev.VT)
+		}
+		want := model[max(0, len(model)-depth):]
+		got := r.Snapshot(nil, &labels)
+		if r.Depth() != depth || r.Total() != uint64(len(model)) || len(got) != len(want) {
+			t.Fatalf("step %d: depth %d total %d len %d, want %d, %d, %d",
+				step, r.Depth(), r.Total(), len(got), depth, len(model), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("step %d: event %d = %+v, want %+v", step, i, got[i], want[i])
+			}
+		}
+	}
+	if count != maxLabels || len(labels.names) != maxLabels ||
+		labels.Intern("never-seen") != NoLabel || labels.Intern("") != NoLabel {
+		t.Fatalf("table holds %d labels (model %d); it must be full at %d and map new and empty labels to NoLabel",
+			len(labels.names), count, maxLabels)
 	}
 }
 

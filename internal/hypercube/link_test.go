@@ -289,7 +289,8 @@ func TestLinkSendOwnedMatchesSend(t *testing.T) {
 		t.Fatalf("message traces differ (%d vs %d events)", len(a), len(b))
 	}
 	for pid := range copied.procs {
-		a, b := moved.procs[pid].rec.Snapshot(nil), copied.procs[pid].rec.Snapshot(nil)
+		a := moved.procs[pid].rec.Snapshot(nil, &moved.labels)
+		b := copied.procs[pid].rec.Snapshot(nil, &copied.labels)
 		if len(a) == 0 || !reflect.DeepEqual(a, b) {
 			t.Fatalf("proc %d: flight-recorder events differ:\n%+v\n%+v", pid, a, b)
 		}
@@ -391,18 +392,12 @@ func TestLinkStoreInvariants(t *testing.T) {
 // with linkCap, so the heap a machine retains per processor is flat in
 // the dimension, and the store grows only to the messages in flight.
 func TestLinkMemoryProportionalToTraffic(t *testing.T) {
-	heap := func() int64 {
-		var ms runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&ms)
-		return int64(ms.HeapAlloc)
-	}
 	var base float64
 	for _, dim := range []int{8, 10, 12} {
-		heap() // finish the finalizers of machines dropped earlier
-		before := heap()
+		liveHeap() // finish the finalizers of machines dropped earlier
+		before := liveHeap()
 		m := MustNew(dim, costmodel.Ideal())
-		per := float64(heap()-before) / float64(m.P())
+		per := float64(liveHeap()-before) / float64(m.P())
 		runtime.KeepAlive(m)
 		t.Logf("d=%d: %.0f bytes per processor after New", dim, per)
 		if base == 0 {
@@ -421,6 +416,35 @@ func TestLinkMemoryProportionalToTraffic(t *testing.T) {
 	}
 	if n := len(m.store.nodes); n > m.P() {
 		t.Fatalf("store holds %d nodes after an exchange on every dimension, want <= %d", n, m.P())
+	}
+}
+
+// liveHeap collects garbage and returns the bytes of heap still in use.
+func liveHeap() int64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// TestMachineBytesPerProc bounds what a machine retains per processor
+// once it is ready to work: New plus one empty Run, which creates the
+// coroutines. The flight recorders are the largest per-processor term.
+func TestMachineBytesPerProc(t *testing.T) {
+	const limit = 3 << 10
+	for _, dim := range []int{8, 10, 12} {
+		liveHeap() // finish the finalizers of machines dropped earlier
+		before := liveHeap()
+		m := MustNew(dim, costmodel.Ideal())
+		if _, err := m.Run(func(*Proc) {}); err != nil {
+			t.Fatal(err)
+		}
+		per := float64(liveHeap()-before) / float64(m.P())
+		m.Close()
+		t.Logf("d=%d: %.0f bytes per processor after New and one empty Run", dim, per)
+		if per > limit {
+			t.Errorf("d=%d: %.0f bytes per processor, want <= %d", dim, per, limit)
+		}
 	}
 }
 

@@ -127,10 +127,12 @@ type Machine struct {
 	crit        *obs.CritPath
 
 	// postmortem is the report of the most recent failed Run (see
-	// postmortem.go); nil after a successful one. met is the machine's
-	// metrics registry, folded from the per-processor counters once per
-	// Run.
+	// postmortem.go); nil after a successful one. labels names the
+	// collective labels in every processor's flight recorder. met is the
+	// machine's metrics registry, folded from the per-processor counters
+	// once per Run.
 	postmortem *flightrec.Report
+	labels     flightrec.Labels
 	met        machMetrics
 }
 
@@ -721,7 +723,7 @@ func (p *Proc) post(d, tag int, buf []float64, arrive costmodel.Time) {
 		})
 	}
 	p.msgHist[msgBin(len(buf))]++
-	p.record(flightrec.KindSend, "", d, tag, len(buf), arrive)
+	p.record(flightrec.KindSend, flightrec.NoLabel, d, tag, len(buf), arrive)
 	msg := message{words: buf, tag: tag, arrive: arrive}
 	if p.crit {
 		msg.cp = p.cpSnapshot()
@@ -749,30 +751,26 @@ func (p *Proc) stallSend(l *link, msg message, d int) {
 }
 
 // record appends one event to this processor's flight recorder,
-// stamping the current open profiler span (if any). One struct store
-// per call; labels must be static strings so recording never
-// allocates.
-func (p *Proc) record(kind flightrec.Kind, label string, dim, tag, words int, vt costmodel.Time) {
+// stamping the current open profiler span (if any).
+func (p *Proc) record(kind flightrec.Kind, label flightrec.Label, dim, tag, words int, vt costmodel.Time) {
 	span := -1
 	depth := len(p.ps.stack)
 	if depth > 0 {
 		span = p.ps.stack[depth-1].node
 	}
-	p.rec.Record(flightrec.Event{
-		VT: vt, Kind: kind, Label: label,
-		Dim: dim, Tag: tag, Words: words,
-		Span: span, Depth: depth,
-	})
+	p.rec.Record(kind, label, dim, tag, words, span, depth, vt)
 }
 
 // NoteCollective records the entry into a named collective protocol
 // (or router phase) on this processor's flight recorder and counts it
 // toward the machine's collective-invocation metric. mask is the
-// subcube dimension mask and tag the protocol tag; name must be a
-// static string so recording never allocates.
+// subcube dimension mask and tag the protocol tag. The machine keeps
+// every distinct name it is given for its lifetime (see
+// flightrec.Labels), so name should come from a fixed set; only its
+// first use on a machine allocates.
 func (p *Proc) NoteCollective(name string, mask, tag int) {
 	p.nColl++
-	p.record(flightrec.KindCollective, name, mask, tag, 0, p.clock)
+	p.record(flightrec.KindCollective, p.m.labels.Intern(name), mask, tag, 0, p.clock)
 }
 
 // maxCaptured bounds the payloads the recorder retains per processor.
@@ -792,7 +790,7 @@ func (p *Proc) Capture(buf []float64) {
 		copy(p.captured, p.captured[1:])
 		p.captured[maxCaptured-1] = buf
 	}
-	p.record(flightrec.KindCapture, "", -1, 0, len(buf), p.clock)
+	p.record(flightrec.KindCapture, flightrec.NoLabel, -1, 0, len(buf), p.clock)
 }
 
 // Recv receives the next message on dimension d, checks that its tag
@@ -820,7 +818,7 @@ func (p *Proc) Recv(d, wantTag int) []float64 {
 	if msg.arrive > p.clock {
 		p.clock = msg.arrive
 	}
-	p.record(flightrec.KindRecv, "", d, wantTag, len(msg.words), p.clock)
+	p.record(flightrec.KindRecv, flightrec.NoLabel, d, wantTag, len(msg.words), p.clock)
 	return msg.words
 }
 

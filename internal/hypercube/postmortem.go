@@ -93,7 +93,7 @@ func (m *Machine) buildPostMortem(cause string, failedPid int) *flightrec.Report
 				Len: len(buf), Head: append([]float64(nil), head...),
 			})
 		}
-		ps.Events = pr.rec.Snapshot(nil)
+		ps.Events = pr.rec.Snapshot(nil, &m.labels)
 		ps.EventsTotal = pr.rec.Total()
 		for i := range ps.Events {
 			if n := ps.Events[i].Span; n >= 0 && n < len(pr.ps.nodes) {

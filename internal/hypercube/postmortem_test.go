@@ -3,6 +3,8 @@ package hypercube
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -202,6 +204,104 @@ func TestPostMortemOpenSpansAndCollectives(t *testing.T) {
 		}
 	}
 	m.EnableProfile(false)
+}
+
+// goldenPostMortemBody is a profiled 3-cube program that fails on
+// purpose, shaped so its post-mortem shows every part of a flight
+// record: nested spans, several distinct collective labels, a captured
+// payload, and rings that have wrapped. Each step is a hand-rolled
+// all-reduce over the cube, a broadcast inside each 2-subcube and an
+// exchange along dimension 2 (internal/collective cannot be imported
+// from here without a cycle). In step failStep processor 5 expects the
+// wrong tag and dies of a tag mismatch; the others are aborted where
+// they stand, most of them blocked in a receive.
+func goldenPostMortemBody(p *Proc) {
+	const steps, failStep = 5, 3
+	p.BeginSpan("solve")
+	for step := 0; step < steps; step++ {
+		p.BeginSpan("step")
+
+		p.BeginSpan("all-reduce")
+		tag := 10 + step
+		p.NoteCollective("all-reduce", p.FullMask(), tag)
+		acc := p.GetBuf(2)
+		acc[0], acc[1] = float64(p.ID()), float64(step)
+		for d := 0; d < p.Dim(); d++ {
+			got := p.Exchange(d, tag, acc)
+			acc[0] += got[0]
+			p.Compute(2)
+			p.Recycle(got)
+		}
+		p.EndSpan()
+
+		p.BeginSpan("row")
+		p.BeginSpan("bcast")
+		tag = 20 + step
+		p.NoteCollective("bcast", 3, tag)
+		for d := 0; d < 2; d++ {
+			switch low := p.ID() & (1<<d - 1); {
+			case low != 0:
+			case p.ID()>>d&1 == 0:
+				p.Send(d, tag, acc)
+			default:
+				p.Recycle(acc)
+				acc = p.Recv(d, tag)
+			}
+		}
+		p.Compute(8 * (p.ID() + 1))
+		p.EndSpan()
+		p.EndSpan()
+
+		p.BeginSpan("shift")
+		tag = 30 + step
+		p.NoteCollective("shift", 4, tag)
+		p.Send(2, tag, acc)
+		want := tag
+		if step == failStep && p.ID() == 5 {
+			want = 99
+		}
+		p.Recycle(acc)
+		p.Recycle(p.Recv(2, want))
+		p.EndSpan()
+
+		p.EndSpan()
+	}
+	p.EndSpan()
+}
+
+// TestPostMortemGolden pins the post-mortem of goldenPostMortemBody,
+// JSON and text, byte for byte: event order and sequence numbers,
+// labels, span names and depths, clocks, captures and link census.
+func TestPostMortemGolden(t *testing.T) {
+	m := MustNew(3, costmodel.CM2())
+	defer m.Close()
+	m.EnableProfile(true)
+	if _, err := m.Run(goldenPostMortemBody); err == nil || !strings.Contains(err.Error(), "tag mismatch") {
+		t.Fatalf("Run error = %v, want tag mismatch", err)
+	}
+	rep := m.PostMortem()
+	for _, ps := range rep.Procs {
+		if ps.EventsTotal <= uint64(defaultFlightDepth) {
+			t.Fatalf("proc %d recorded %d events; the ring must wrap", ps.ID, ps.EventsTotal)
+		}
+	}
+	var js, txt bytes.Buffer
+	if err := rep.WriteJSON(&js); err != nil {
+		t.Fatal(err)
+	}
+	rep.WriteText(&txt)
+	for _, g := range []struct {
+		file string
+		got  []byte
+	}{{"postmortem_d3.json", js.Bytes()}, {"postmortem_d3.txt", txt.Bytes()}} {
+		want, err := os.ReadFile(filepath.Join("testdata", g.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(g.got, want) {
+			t.Errorf("post-mortem differs from testdata/%s; got:\n%s", g.file, g.got)
+		}
+	}
 }
 
 func TestMetricsReconcileWithObservability(t *testing.T) {

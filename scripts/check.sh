@@ -141,9 +141,13 @@ rep = json.load(open(sys.argv[1]))
 assert rep["blocked"] == rep["p"] == 4, "not every proc blocked: %s" % rep
 for ps in rep["procs"]:
     assert ps["wait"] == "recv" and ps["wait_dim"] >= 0, \
-        "proc %d not blocked in recv" % ps["id"]
+        "proc %d not blocked in recv" % ps["proc"]
     vts = [ev["vt_us"] for ev in ps["events"]]
     assert vts == sorted(vts), "flight events out of VT order"
+    seqs = [ev["seq"] for ev in ps["events"]]
+    total = ps["events_total"]
+    assert seqs == list(range(total - len(seqs), total)), \
+        "proc %d flight seqs %s do not end at events_total-1 = %d" % (ps["proc"], seqs, total - 1)
 assert len(rep["links"]) == 4, "expected 4 occupied links"
 print("post-mortem: %d/%d procs blocked, %d occupied links" %
       (rep["blocked"], rep["p"], len(rep["links"])))
