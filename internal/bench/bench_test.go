@@ -1,10 +1,74 @@
 package bench
 
 import (
+	"fmt"
+	"os"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
+
+// tables memoizes each experiment's table across tests: every builder
+// is deterministic, so the golden comparison and the shape tests can
+// share one run of each.
+var tables sync.Map // id → func() (*Table, error)
+
+// table returns experiment id's table, building it at most once per
+// test binary.
+func table(t *testing.T, id string) *Table {
+	t.Helper()
+	e, ok := ByID(id)
+	if !ok {
+		t.Fatalf("unknown experiment %s", id)
+	}
+	run, _ := tables.LoadOrStore(e.ID, sync.OnceValues(e.Run))
+	tb, err := run.(func() (*Table, error))()
+	if err != nil {
+		t.Fatalf("%s: %v", id, err)
+	}
+	return tb
+}
+
+// goldenBlock renders a table in the format of testdata/tables.golden:
+// one tab-separated line per field and per row.
+func goldenBlock(tb *Table) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "id\t%s\ntitle\t%s\ncolumns\t%s\n", tb.ID, tb.Title, strings.Join(tb.Columns, "\t"))
+	for _, row := range tb.Rows {
+		fmt.Fprintf(&sb, "row\t%s\n", strings.Join(row, "\t"))
+	}
+	fmt.Fprintf(&sb, "notes\t%s\n", tb.Notes)
+	return sb.String()
+}
+
+// TestTablesGolden pins every experiment's whole table — id, title,
+// columns, every row and the notes — against testdata/tables.golden.
+// Simulated times are deterministic, so any difference is a behavioral
+// change of the harness or of the engine beneath it.
+func TestTablesGolden(t *testing.T) {
+	raw, err := os.ReadFile("testdata/tables.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[string]string)
+	for _, block := range strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n\n") {
+		id, _, _ := strings.Cut(strings.TrimPrefix(block, "id\t"), "\n")
+		want[id] = block + "\n"
+	}
+	all := All()
+	if len(want) != len(all) {
+		t.Fatalf("golden file has %d tables, the registry %d", len(want), len(all))
+	}
+	for _, e := range all {
+		t.Run(e.ID, func(t *testing.T) {
+			t.Parallel()
+			if got := goldenBlock(table(t, e.ID)); got != want[e.ID] {
+				t.Errorf("table differs from testdata/tables.golden\ngot:\n%s\nwant:\n%s", got, want[e.ID])
+			}
+		})
+	}
+}
 
 func TestTableFormatting(t *testing.T) {
 	tb := &Table{
@@ -95,10 +159,7 @@ func TestWorkloadGeneratorsDeterministic(t *testing.T) {
 }
 
 func TestF1SpeedupShape(t *testing.T) {
-	tb, err := F1Speedup()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := table(t, "F1")
 	if len(tb.Rows) != 9 {
 		t.Fatalf("%d rows", len(tb.Rows))
 	}
@@ -118,10 +179,7 @@ func TestF1SpeedupShape(t *testing.T) {
 }
 
 func TestF2EfficiencyClimbs(t *testing.T) {
-	tb, err := F2Efficiency()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := table(t, "F2")
 	prev := -1.0
 	for r := range tb.Rows {
 		eff := cell(t, tb, r, 4)
@@ -136,10 +194,7 @@ func TestF2EfficiencyClimbs(t *testing.T) {
 }
 
 func TestE2ReduceNearOptimalAtLargeGrain(t *testing.T) {
-	tb, err := E2Scaling()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := table(t, "E2")
 	// First row: p=4, m/p=65536 >> lg p: processor-time product within
 	// a small constant of serial.
 	if ratio := cell(t, tb, 0, 3); ratio > 1.5 {
@@ -157,10 +212,7 @@ func TestE2ReduceNearOptimalAtLargeGrain(t *testing.T) {
 }
 
 func TestA1AllPortRatioIsD(t *testing.T) {
-	tb, err := A1Ports()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := table(t, "A1")
 	for r := range tb.Rows {
 		if ratio := cell(t, tb, r, 3); ratio < 5.5 || ratio > 6.5 {
 			t.Fatalf("row %d: all-port ratio %v, want ~6 (=d)", r, ratio)
@@ -169,10 +221,7 @@ func TestA1AllPortRatioIsD(t *testing.T) {
 }
 
 func TestA2CrossoverExists(t *testing.T) {
-	tb, err := A2Broadcast()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := table(t, "A2")
 	winners := make(map[string]bool)
 	for _, row := range tb.Rows {
 		winners[row[4]] = true
@@ -195,10 +244,7 @@ func TestE1TimesGrowWithN(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment runner in -short mode")
 	}
-	tb, err := E1Primitives()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := table(t, "E1")
 	for col := 1; col <= 4; col++ {
 		prev := 0.0
 		for r := range tb.Rows {
@@ -215,10 +261,7 @@ func TestE3OrderOfMagnitude(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment runner in -short mode")
 	}
-	tb, err := E3Matvec()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := table(t, "E3")
 	for r := range tb.Rows {
 		if ratio := cell(t, tb, r, 4); ratio < 5 {
 			t.Fatalf("row %d: naive/fused = %v, want >= 5 (order-of-magnitude claim)", r, ratio)
@@ -230,20 +273,14 @@ func TestE4E5OrderOfMagnitude(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment runner in -short mode")
 	}
-	e4, err := E4Gauss()
-	if err != nil {
-		t.Fatal(err)
-	}
+	e4 := table(t, "E4")
 	for r := range e4.Rows {
 		ratio := cell(t, e4, r, 3)
 		if ratio < 4 || ratio > 40 {
 			t.Fatalf("E4 row %d: naive/prim = %v, want in the order-of-magnitude band", r, ratio)
 		}
 	}
-	e5, err := E5Simplex()
-	if err != nil {
-		t.Fatal(err)
-	}
+	e5 := table(t, "E5")
 	for r := range e5.Rows {
 		ratio := cell(t, e5, r, 4)
 		if ratio < 4 || ratio > 40 {
@@ -256,10 +293,7 @@ func TestA3CyclicWins(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment runner in -short mode")
 	}
-	tb, err := A3Cyclic()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := table(t, "A3")
 	prev := 0.0
 	for r := range tb.Rows {
 		ratio := cell(t, tb, r, 3)
@@ -277,10 +311,7 @@ func TestF3EmbeddingRunsAndGrows(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment runner in -short mode")
 	}
-	tb, err := F3Embedding()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := table(t, "F3")
 	for col := 1; col <= 4; col++ {
 		prev := 0.0
 		for r := range tb.Rows {
@@ -297,10 +328,7 @@ func TestX1MatMulShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment runner in -short mode")
 	}
-	tb, err := X1MatMul()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := table(t, "X1")
 	prev := 0.0
 	for r := range tb.Rows {
 		v := cell(t, tb, r, 1)
@@ -319,10 +347,7 @@ func TestX2CGOvertakesGauss(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment runner in -short mode")
 	}
-	tb, err := X2DirectVsIterative()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := table(t, "X2")
 	last := len(tb.Rows) - 1
 	if ratio := cell(t, tb, last, 4); ratio <= 1 {
 		t.Fatalf("gauss/cg = %v at the largest size, want > 1", ratio)
@@ -333,10 +358,7 @@ func TestX2CGOvertakesGauss(t *testing.T) {
 }
 
 func TestA4AllPortSpeedupGrows(t *testing.T) {
-	tb, err := A4AllPortBroadcast()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := table(t, "A4")
 	prev := 0.0
 	for r := range tb.Rows {
 		s := cell(t, tb, r, 3)
@@ -354,10 +376,7 @@ func TestX3TridiagLogDepth(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment runner in -short mode")
 	}
-	tb, err := X3Tridiag()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := table(t, "X3")
 	// Simulated time must grow far slower than n (log depth): across
 	// the 64x size range, time grows by well under 8x.
 	first := cell(t, tb, 0, 1)

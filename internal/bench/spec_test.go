@@ -77,51 +77,6 @@ func FuzzRunSpec(f *testing.F) {
 	})
 }
 
-// A default-spec RunOn on a fresh machine is the same computation as
-// ProfileRun: same simulated times, clocks and metric totals. E4 is
-// the cheapest full-size workload.
-func TestRunSpecMatchesProfileRun(t *testing.T) {
-	want, err := ProfileRun("E4", true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec, err := RunSpec{Exp: "E4"}.Normalized()
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := hypercube.New(spec.D, spec.CostParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	got, err := spec.RunOn(m, ProfileOpts{Profile: true, CritPath: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Times) != len(want.Times) {
-		t.Fatalf("%d times vs %d", len(got.Times), len(want.Times))
-	}
-	for i := range want.Times {
-		if got.Times[i] != want.Times[i] {
-			t.Fatalf("time %d: %v != %v", i, got.Times[i], want.Times[i])
-		}
-	}
-	for i := range want.Clocks {
-		if got.Clocks[i] != want.Clocks[i] {
-			t.Fatalf("clock %d: %v != %v", i, got.Clocks[i], want.Clocks[i])
-		}
-	}
-	if got.Desc != want.Desc {
-		t.Fatalf("desc %q != %q", got.Desc, want.Desc)
-	}
-	if got.Profile == nil || got.CritPath == nil {
-		t.Fatal("RunOn with recorders armed returned nil profile or critpath")
-	}
-	if got.CritPath.Makespan != want.CritPath.Makespan {
-		t.Fatalf("critpath makespan %v != %v", got.CritPath.Makespan, want.CritPath.Makespan)
-	}
-}
-
 // Reusing one machine across specs must be deterministic run to run,
 // recorder hygiene included: a profiled tenant followed by an
 // unprofiled one leaves no profile, and per-run metric deltas around
