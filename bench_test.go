@@ -1,14 +1,17 @@
 package vmprim
 
-// One benchmark per table/figure of the reconstructed evaluation (see
-// DESIGN.md). Each benchmark regenerates its experiment through the
-// internal/bench harness and prints the table once, so the output of
+// The tables and figures of the reconstructed evaluation (see
+// DESIGN.md), one sub-benchmark per experiment of the registry, each
+// regenerating its table through the internal/bench harness and
+// printing it once. So the output of
 //
 //	go test -bench . -benchmem
 //
-// contains every row EXPERIMENTS.md records. Benchmarks measure host
-// wall time per experiment; the tables themselves carry the simulated
-// machine times, which are deterministic and host-independent.
+// contains every row EXPERIMENTS.md records, and
+// `go test -bench 'Experiment/E3'` regenerates one table. Benchmarks
+// measure host wall time per experiment; the tables themselves carry
+// the simulated machine times, which are deterministic and
+// host-independent.
 
 import (
 	"fmt"
@@ -25,37 +28,24 @@ import (
 
 var printOnce sync.Map
 
-func runExperiment(b *testing.B, id string) {
-	b.Helper()
-	e, ok := bench.ByID(id)
-	if !ok {
-		b.Fatalf("unknown experiment %s", id)
-	}
-	var last *bench.Table
-	for i := 0; i < b.N; i++ {
-		t, err := e.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = t
-	}
-	if _, done := printOnce.LoadOrStore(id, true); !done && last != nil {
-		fmt.Fprintln(os.Stdout)
-		last.Fprint(os.Stdout)
+func BenchmarkExperiment(b *testing.B) {
+	for _, e := range bench.All() {
+		b.Run(e.ID, func(b *testing.B) {
+			var last *bench.Table
+			for i := 0; i < b.N; i++ {
+				t, err := e.Run()
+				if err != nil {
+					b.Fatal(err)
+				}
+				last = t
+			}
+			if _, done := printOnce.LoadOrStore(e.ID, true); !done && last != nil {
+				fmt.Fprintln(os.Stdout)
+				last.Fprint(os.Stdout)
+			}
+		})
 	}
 }
-
-func BenchmarkE1Primitives(b *testing.B) { runExperiment(b, "E1") }
-func BenchmarkE2Scaling(b *testing.B)    { runExperiment(b, "E2") }
-func BenchmarkE3Matvec(b *testing.B)     { runExperiment(b, "E3") }
-func BenchmarkE4Gauss(b *testing.B)      { runExperiment(b, "E4") }
-func BenchmarkE5Simplex(b *testing.B)    { runExperiment(b, "E5") }
-func BenchmarkF1Speedup(b *testing.B)    { runExperiment(b, "F1") }
-func BenchmarkF2Efficiency(b *testing.B) { runExperiment(b, "F2") }
-func BenchmarkF3Embedding(b *testing.B)  { runExperiment(b, "F3") }
-func BenchmarkA1Ports(b *testing.B)      { runExperiment(b, "A1") }
-func BenchmarkA2Broadcast(b *testing.B)  { runExperiment(b, "A2") }
-func BenchmarkA3Cyclic(b *testing.B)     { runExperiment(b, "A3") }
 
 // Micro-benchmarks of the individual primitives at a fixed
 // configuration (d=8, 512x512), reporting simulated machine time per
@@ -119,10 +109,3 @@ func BenchmarkPrimitiveReduceColLoc(b *testing.B) {
 func BenchmarkPrimitiveTranspose(b *testing.B) {
 	primitiveBench(b, func(e *core.Env, a *core.Matrix) { e.Transpose(a) })
 }
-
-func BenchmarkX1MatMul(b *testing.B)          { runExperiment(b, "X1") }
-func BenchmarkX2DirectIterative(b *testing.B) { runExperiment(b, "X2") }
-
-func BenchmarkA4AllPort(b *testing.B) { runExperiment(b, "A4") }
-
-func BenchmarkX3Tridiag(b *testing.B) { runExperiment(b, "X3") }

@@ -6,12 +6,14 @@
 //
 //	vmprim -list             list experiment ids
 //	vmprim -exp E3           run one experiment and print its table
-//	vmprim -exp all          run every experiment (several minutes)
+//	vmprim -exp all          run every experiment (a few seconds)
 //	vmprim -exp E3 -json     print the table as JSON
 //	vmprim -profile E4       profile a representative run: span tree on
 //	                         stdout, Chrome trace JSON to
 //	                         vmprim-trace-e4.json (load in Perfetto)
 //	vmprim -profile E1 -json machine-readable profile on stdout
+//	vmprim -profile E4 -model ipsc
+//	                         the same workload on the iPSC cost model
 //	vmprim -profile E1 -metrics-out m.json
 //	                         also snapshot the run's metrics registry
 //	                         (a .prom suffix selects Prometheus text)
@@ -42,7 +44,7 @@ import (
 	"vmprim/internal/bench"
 	"vmprim/internal/costmodel"
 	"vmprim/internal/hypercube"
-	"vmprim/internal/obs"
+	"vmprim/internal/metrics"
 )
 
 func main() {
@@ -51,7 +53,7 @@ func main() {
 	profile := flag.String("profile", "", "profile a representative run of an experiment (E1..E5)")
 	critpath := flag.String("critpath", "", "trace the critical path of a representative run (E1..E5)")
 	critpathOut := flag.String("critpath-out", "", "write the critical-path JSON of a -critpath or -profile run to this path")
-	model := flag.String("model", "cm2", "cost model for -critpath (cm2 or ipsc)")
+	model := flag.String("model", "cm2", "cost model for -profile and -critpath (cm2 or ipsc)")
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON instead of text")
 	traceOut := flag.String("trace-out", "", "Chrome trace output path for -profile (default vmprim-trace-<id>.json, '-' to skip)")
 	pmOut := flag.String("postmortem-out", "", "write the post-mortem JSON of a failed run to this path")
@@ -70,13 +72,13 @@ func main() {
 			os.Exit(1)
 		}
 	case *critpath != "":
-		if err := runCritPath(*critpath, *jsonOut, *critpathOut, *model); err != nil {
+		if err := runCritPath(*critpath, *model, *jsonOut, *critpathOut); err != nil {
 			writePostMortem(err, *pmOut)
 			fmt.Fprintf(os.Stderr, "%s: %v\n", *critpath, err)
 			os.Exit(1)
 		}
 	case *profile != "":
-		if err := runProfile(*profile, *jsonOut, *traceOut, *metricsOut, *critpathOut); err != nil {
+		if err := runProfile(*profile, *model, *jsonOut, *traceOut, *metricsOut, *critpathOut); err != nil {
 			writePostMortem(err, *pmOut)
 			fmt.Fprintf(os.Stderr, "%s: %v\n", *profile, err)
 			os.Exit(1)
@@ -145,44 +147,41 @@ func writePostMortem(err error, path string) {
 		fmt.Fprintf(os.Stderr, "no post-mortem attached to the error; %s not written\n", path)
 		return
 	}
-	f, ferr := os.Create(path)
-	if ferr != nil {
-		fmt.Fprintln(os.Stderr, ferr)
-		return
-	}
-	if werr := re.Report.WriteJSON(f); werr != nil {
+	if werr := writeFile(path, "post-mortem", re.Report.WriteJSON); werr != nil {
 		fmt.Fprintln(os.Stderr, werr)
 	}
-	if cerr := f.Close(); cerr != nil {
-		fmt.Fprintln(os.Stderr, cerr)
-		return
-	}
-	fmt.Fprintf(os.Stderr, "wrote post-mortem to %s\n", path)
 }
 
-// writeMetrics writes a machine's metrics snapshot to path; a .prom
-// suffix selects the Prometheus text exposition, anything else JSON.
-func writeMetrics(m *hypercube.Machine, path string) error {
+// writeFile creates path, fills it with write and closes it, then
+// reports the artifact on stderr; a write or close error is returned.
+// An empty path is a no-op, so every optional -*-out flag can be passed
+// straight through.
+func writeFile(path, what string, write func(io.Writer) error) error {
 	if path == "" {
 		return nil
 	}
-	snap := m.Metrics().Snapshot()
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if strings.HasSuffix(path, ".prom") {
-		err = snap.WritePrometheus(f)
-	} else {
-		err = snap.WriteJSON(f)
-	}
+	err = write(f)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
 	if err == nil {
-		fmt.Fprintf(os.Stderr, "wrote metrics to %s\n", path)
+		fmt.Fprintf(os.Stderr, "wrote %s to %s\n", what, path)
 	}
 	return err
+}
+
+// writeMetrics writes a metrics snapshot to path; a .prom suffix
+// selects the Prometheus text exposition, anything else JSON.
+func writeMetrics(snap *metrics.Snapshot, path string) error {
+	write := snap.WriteJSON
+	if strings.HasSuffix(path, ".prom") {
+		write = snap.WritePrometheus
+	}
+	return writeFile(path, "metrics", write)
 }
 
 // runDemoDeadlock executes a deliberately wrong SPMD program — the
@@ -224,7 +223,7 @@ func runDemoDeadlock(jsonOut bool, pmOut, metricsOut string) error {
 		rep.WriteText(os.Stdout)
 	}
 	writePostMortem(err, pmOut)
-	if err := writeMetrics(m, metricsOut); err != nil {
+	if err := writeMetrics(m.Metrics().Snapshot(), metricsOut); err != nil {
 		return err
 	}
 	if rep.Blocked != rep.P {
@@ -233,20 +232,11 @@ func runDemoDeadlock(jsonOut bool, pmOut, metricsOut string) error {
 	return nil
 }
 
-// runCritPath executes the experiment's representative workload with
-// the critical-path tracer on and prints the makespan attribution and
-// cost-model conformance report.
-func runCritPath(id string, jsonOut bool, outPath, model string) error {
-	var params costmodel.Params
-	switch strings.ToLower(model) {
-	case "", "cm2":
-		params = costmodel.CM2()
-	case "ipsc":
-		params = costmodel.IPSC()
-	default:
-		return fmt.Errorf("unknown cost model %q (have cm2, ipsc)", model)
-	}
-	res, err := bench.ProfileRunOpts(id, bench.ProfileOpts{CritPath: true, Params: &params})
+// runCritPath executes the experiment's representative workload on the
+// named cost model with the critical-path tracer on and prints the
+// makespan attribution and cost-model conformance report.
+func runCritPath(id, model string, jsonOut bool, outPath string) error {
+	res, err := bench.RunSpec{Exp: id, Model: model}.Run(bench.ProfileOpts{CritPath: true})
 	if err != nil {
 		return err
 	}
@@ -269,34 +259,15 @@ func runCritPath(id string, jsonOut bool, outPath, model string) error {
 		fmt.Println()
 		cp.WriteText(os.Stdout)
 	}
-	return writeCritPath(cp, outPath)
+	return writeFile(outPath, "critical path", cp.WriteJSON)
 }
 
-// writeCritPath writes the critical-path JSON document to path ("" is
-// a no-op).
-func writeCritPath(cp *obs.CritPath, path string) error {
-	if path == "" || cp == nil {
-		return nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	werr := cp.WriteJSON(f)
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr == nil {
-		fmt.Fprintf(os.Stderr, "wrote critical path to %s\n", path)
-	}
-	return werr
-}
-
-// runProfile executes the experiment's representative workload with
-// the profiler on, prints the span tree (or profile JSON), and writes
-// the Chrome trace next to the working directory.
-func runProfile(id string, jsonOut bool, traceOut, metricsOut, critpathOut string) error {
-	res, err := bench.ProfileRun(id, true)
+// runProfile executes the experiment's representative workload on the
+// named cost model with the profiler on, prints the span tree (or
+// profile JSON), and writes the Chrome trace next to the working
+// directory.
+func runProfile(id, model string, jsonOut bool, traceOut, metricsOut, critpathOut string) error {
+	res, err := bench.RunSpec{Exp: id, Model: model}.Run(bench.ProfileOpts{Profile: true, CritPath: true})
 	if err != nil {
 		return err
 	}
@@ -304,7 +275,7 @@ func runProfile(id string, jsonOut bool, traceOut, metricsOut, critpathOut strin
 	if err := pf.Check(); err != nil {
 		return fmt.Errorf("profile invariants violated: %w", err)
 	}
-	if err := writeCritPath(res.CritPath, critpathOut); err != nil {
+	if err := writeFile(critpathOut, "critical path", res.CritPath.WriteJSON); err != nil {
 		return err
 	}
 	if jsonOut {
@@ -319,42 +290,14 @@ func runProfile(id string, jsonOut bool, traceOut, metricsOut, critpathOut strin
 		fmt.Println()
 		pf.WriteTree(os.Stdout)
 	}
-	if metricsOut != "" && res.Metrics != nil {
-		f, err := os.Create(metricsOut)
-		if err != nil {
-			return err
-		}
-		werr := error(nil)
-		if strings.HasSuffix(metricsOut, ".prom") {
-			werr = res.Metrics.WritePrometheus(f)
-		} else {
-			werr = res.Metrics.WriteJSON(f)
-		}
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			return werr
-		}
-		fmt.Fprintf(os.Stderr, "wrote metrics to %s\n", metricsOut)
+	if err := writeMetrics(res.Metrics, metricsOut); err != nil {
+		return err
 	}
-	if traceOut == "-" {
+	switch traceOut {
+	case "-":
 		return nil
-	}
-	if traceOut == "" {
+	case "":
 		traceOut = fmt.Sprintf("vmprim-trace-%s.json", strings.ToLower(res.ID))
 	}
-	f, err := os.Create(traceOut)
-	if err != nil {
-		return err
-	}
-	if err := pf.ChromeTrace(f, 0); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "wrote Chrome trace to %s (open in Perfetto or chrome://tracing)\n", traceOut)
-	return nil
+	return writeFile(traceOut, "Chrome trace", func(w io.Writer) error { return pf.ChromeTrace(w, 0) })
 }

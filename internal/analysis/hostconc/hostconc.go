@@ -26,10 +26,10 @@
 // the family's diagnostics are scoped to the host-concurrent code:
 // internal/serve, internal/metrics, cmd/vmprimd, cmd/vmload, and the
 // machinepool.go/stream.go files of internal/hypercube — the rest of
-// the hypercube package is the virtual-time simulator, whose link
-// transport (lock-free rings and one park word per processor) is
-// policed by the race detector and the link stress tests, not by
-// this family.
+// the hypercube package is the virtual-time simulator, which runs a
+// machine's processors as coroutines on one thread over plain memory
+// (no locks, no channels inside a run) and is policed by the race
+// detector and the link stress tests, not by this family.
 package hostconc
 
 import (

@@ -1,10 +1,6 @@
 package bench
 
-import (
-	"testing"
-
-	"vmprim/internal/costmodel"
-)
+import "testing"
 
 // TestProfileCritPathInvariants: every profiled workload's critical
 // path satisfies the structural invariants and its weights sum to the
@@ -15,7 +11,7 @@ func TestProfileCritPathInvariants(t *testing.T) {
 		ids = []string{"E2", "E4"}
 	}
 	for _, id := range ids {
-		res, err := ProfileRun(id, true)
+		res, err := RunSpec{Exp: id}.Run(armed)
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
@@ -45,11 +41,9 @@ func TestProfileCritPathInvariants(t *testing.T) {
 // predicted costs within the documented threshold, under both machine
 // models.
 func TestConformanceE1E4WithinThreshold(t *testing.T) {
-	models := map[string]costmodel.Params{"cm2": costmodel.CM2(), "ipsc": costmodel.IPSC()}
 	for _, id := range []string{"E1", "E4"} {
-		for name, params := range models {
-			p := params
-			res, err := ProfileRunOpts(id, ProfileOpts{CritPath: true, Params: &p})
+		for _, name := range []string{"cm2", "ipsc"} {
+			res, err := RunSpec{Exp: id, Model: name}.Run(ProfileOpts{CritPath: true})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", id, name, err)
 			}
@@ -74,7 +68,7 @@ func TestConformanceE3RouteEntriesPresent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("E3 runs all three matvec variants")
 	}
-	res, err := ProfileRun("E3", true)
+	res, err := RunSpec{Exp: "E3"}.Run(armed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,7 @@ type simCapture struct {
 
 func captureRun(t *testing.T, id string) *simCapture {
 	t.Helper()
-	res, err := ProfileRun(id, true)
+	res, err := RunSpec{Exp: id}.Run(armed)
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}

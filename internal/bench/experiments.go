@@ -12,12 +12,62 @@ import (
 )
 
 // Tables E1–E5: the reconstructed evaluation tables (see DESIGN.md).
-// All timings are simulated microseconds on the CM2-like parameter
-// set; shapes, ratios and crossovers are the reproduction target.
+// All timings are simulated microseconds on the CM2-like parameter set;
+// shapes, ratios and crossovers are the reproduction target.
+//
+// Each experiment is defined once. Its seeded inputs and its
+// per-primitive closures are shared by its table builder (the sizes of
+// EXPERIMENTS.md, one Run per timing) and by its profiled workload (one
+// RunSpec size on a caller's machine, the primitives back to back). The
+// registry in table.go pairs the two and holds the RunSpec defaults.
 
 // timedRun executes one SPMD body and returns the simulated time.
 func timedRun(m *hypercube.Machine, g embed.Grid, body func(e *core.Env)) (costmodel.Time, error) {
 	return m.Run(func(p *hypercube.Proc) { body(core.NewEnv(p, g)) })
+}
+
+// timeEach times each body in a run of its own, in order.
+func timeEach(m *hypercube.Machine, g embed.Grid, bodies []func(*core.Env)) ([]costmodel.Time, error) {
+	times := make([]costmodel.Time, len(bodies))
+	for i, body := range bodies {
+		elapsed, err := timedRun(m, g, body)
+		if err != nil {
+			return nil, err
+		}
+		times[i] = elapsed
+	}
+	return times, nil
+}
+
+// runBackToBack executes the bodies in one run, in order, and returns
+// its simulated time.
+func runBackToBack(m *hypercube.Machine, g embed.Grid, bodies []func(*core.Env)) (costmodel.Time, error) {
+	return timedRun(m, g, func(e *core.Env) {
+		for _, body := range bodies {
+			body(e)
+		}
+	})
+}
+
+// e1Prims returns E1's four primitives, in table column order, over its
+// seeded n x n matrix and row-aligned vector on the d-cube.
+func e1Prims(d, n int) (embed.Grid, []func(*core.Env), error) {
+	g := embed.SplitFor(d, n, n)
+	a, err := core.FromDense(g, RandMat(100+int64(n), n, n), embed.Block, embed.Block)
+	if err != nil {
+		return g, nil, err
+	}
+	xv, err := core.VectorFromSlice(g, RandVec(200+int64(n), n), core.RowAligned, embed.Block, 0, false)
+	if err != nil {
+		return g, nil, err
+	}
+	row := n / 2
+	return g, []func(*core.Env){
+		func(e *core.Env) { e.ExtractRow(a, row, true) },
+		func(e *core.Env) { e.InsertRow(a, xv, row) },
+		func(e *core.Env) { e.Distribute(xv) },
+		func(e *core.Env) { e.ReduceRows(a, core.OpSum, true) },
+	}, nil
 }
 
 // E1Primitives times each of the four primitives on n x n matrices at
@@ -37,36 +87,51 @@ func E1Primitives() (*Table, error) {
 		Notes:   "times grow as m/p + lg p; at small n the lg p start-up term dominates, at large n the m/p volume term",
 	}
 	for _, n := range []int{64, 128, 256, 512, 1024} {
-		g := embed.SplitFor(d, n, n)
-		dm := RandMat(100+int64(n), n, n)
-		a, err := core.FromDense(g, dm, embed.Block, embed.Block)
+		g, prims, err := e1Prims(d, n)
 		if err != nil {
 			return nil, err
 		}
-		xv, err := core.VectorFromSlice(g, RandVec(200+int64(n), n), core.RowAligned, embed.Block, 0, false)
+		times, err := timeEach(m, g, prims)
 		if err != nil {
 			return nil, err
 		}
-		row := n / 2
-		tExtract, err := timedRun(m, g, func(e *core.Env) { e.ExtractRow(a, row, true) })
-		if err != nil {
-			return nil, err
-		}
-		tInsert, err := timedRun(m, g, func(e *core.Env) { e.InsertRow(a, xv, row) })
-		if err != nil {
-			return nil, err
-		}
-		tDist, err := timedRun(m, g, func(e *core.Env) { e.Distribute(xv) })
-		if err != nil {
-			return nil, err
-		}
-		tReduce, err := timedRun(m, g, func(e *core.Env) { e.ReduceRows(a, core.OpSum, true) })
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(n, float64(tExtract), float64(tInsert), float64(tDist), float64(tReduce))
+		t.AddRow(n, float64(times[0]), float64(times[1]), float64(times[2]), float64(times[3]))
 	}
 	return t, nil
+}
+
+// profileE1 runs all four primitives back to back in a single run.
+func profileE1(m *hypercube.Machine, s RunSpec, opts ProfileOpts) (*ProfileResult, error) {
+	d, n := s.D, s.N
+	g, prims, err := e1Prims(d, n)
+	if err != nil {
+		return nil, err
+	}
+	elapsed, err := runBackToBack(m, g, prims)
+	if err != nil {
+		return nil, err
+	}
+	desc := fmt.Sprintf("extract+insert+distribute+reduce, n=%d, p=%d", n, 1<<d)
+	return finish(s, desc, m, opts, elapsed), nil
+}
+
+// e2Prims returns E2's Reduce and Distribute (a row-aligned vector
+// spread down the rows), in table column order, over its seeded n x n
+// inputs on the d-cube.
+func e2Prims(d, n int) (embed.Grid, []func(*core.Env), error) {
+	g := embed.SplitFor(d, n, n)
+	a, err := core.FromDense(g, RandMat(300+int64(d), n, n), embed.Block, embed.Block)
+	if err != nil {
+		return g, nil, err
+	}
+	xv, err := core.VectorFromSlice(g, RandVec(400, n), core.RowAligned, embed.Block, 0, false)
+	if err != nil {
+		return g, nil, err
+	}
+	return g, []func(*core.Env){
+		func(e *core.Env) { e.ReduceRows(a, core.OpSum, true) },
+		func(e *core.Env) { e.SpreadRows(xv, n, embed.Block) },
+	}, nil
 }
 
 // E2Scaling times Reduce and Distribute for a fixed 512 x 512 matrix
@@ -93,30 +158,52 @@ func E2Scaling() (*Table, error) {
 			return nil, err
 		}
 		defer m.Close()
-		g := embed.SplitFor(d, n, n)
-		dm := RandMat(300+int64(d), n, n)
-		a, err := core.FromDense(g, dm, embed.Block, embed.Block)
+		g, prims, err := e2Prims(d, n)
 		if err != nil {
 			return nil, err
 		}
-		xv, err := core.VectorFromSlice(g, RandVec(400, n), core.RowAligned, embed.Block, 0, false)
+		times, err := timeEach(m, g, prims)
 		if err != nil {
 			return nil, err
 		}
-		tReduce, err := timedRun(m, g, func(e *core.Env) { e.ReduceRows(a, core.OpSum, true) })
-		if err != nil {
-			return nil, err
-		}
-		tDist, err := timedRun(m, g, func(e *core.Env) { e.SpreadRows(xv, n, embed.Block) })
-		if err != nil {
-			return nil, err
-		}
+		tReduce, tDist := times[0], times[1]
 		p := float64(m.P())
 		t.AddRow(m.P(), n*n/m.P(),
 			float64(tReduce), p*float64(tReduce)/float64(serialReduce),
 			float64(tDist), p*float64(tDist)/float64(serialDist))
 	}
 	return t, nil
+}
+
+// profileE2 runs the E2 Reduce and Distribute pair in a single run.
+func profileE2(m *hypercube.Machine, s RunSpec, opts ProfileOpts) (*ProfileResult, error) {
+	d, n := s.D, s.N
+	g, prims, err := e2Prims(d, n)
+	if err != nil {
+		return nil, err
+	}
+	elapsed, err := runBackToBack(m, g, prims)
+	if err != nil {
+		return nil, err
+	}
+	desc := fmt.Sprintf("reduce+spread, n=%d, p=%d", n, 1<<d)
+	return finish(s, desc, m, opts, elapsed), nil
+}
+
+// e3Times runs the given vector-matrix multiply variants, in order and
+// one run each, on E3's seeded n x n matrix and vector.
+func e3Times(m *hypercube.Machine, n int, variants ...apps.MatvecVariant) ([]costmodel.Time, error) {
+	a := RandMat(500+int64(n), n, n)
+	x := RandVec(600+int64(n), n)
+	times := make([]costmodel.Time, len(variants))
+	for i, variant := range variants {
+		_, elapsed, _, err := apps.RunVecMat(m, a, x, variant)
+		if err != nil {
+			return nil, err
+		}
+		times[i] = elapsed
+	}
+	return times, nil
 }
 
 // E3Matvec compares the naive router-based vector-matrix multiply with
@@ -136,19 +223,31 @@ func E3Matvec() (*Table, error) {
 		Notes:   "the paper reports almost an order of magnitude between the naive router implementation and the primitives",
 	}
 	for _, n := range []int{256, 512, 1024} {
-		a := RandMat(500+int64(n), n, n)
-		x := RandVec(600+int64(n), n)
-		var times [3]costmodel.Time
-		for vi, variant := range []apps.MatvecVariant{apps.MatvecNaive, apps.MatvecPrimitive, apps.MatvecFused} {
-			_, elapsed, _, err := apps.RunVecMat(m, a, x, variant)
-			if err != nil {
-				return nil, err
-			}
-			times[vi] = elapsed
+		times, err := e3Times(m, n, apps.MatvecNaive, apps.MatvecPrimitive, apps.MatvecFused)
+		if err != nil {
+			return nil, err
 		}
 		t.AddRow(n, float64(times[0]), float64(times[1]), float64(times[2]), float64(times[0])/float64(times[2]))
 	}
 	return t, nil
+}
+
+// profileE3 runs the three vector-matrix variants. The profile is of
+// the last (naive) run, whose span tree shows the router storm the
+// primitives avoid.
+func profileE3(m *hypercube.Machine, s RunSpec, opts ProfileOpts) (*ProfileResult, error) {
+	d, n := s.D, s.N
+	times, err := e3Times(m, n, apps.MatvecPrimitive, apps.MatvecFused, apps.MatvecNaive)
+	if err != nil {
+		return nil, err
+	}
+	desc := fmt.Sprintf("matvec primitive, fused, naive, n=%d, p=%d", n, 1<<d)
+	return finish(s, desc, m, opts, times...), nil
+}
+
+// e4System is E4's seeded, well-conditioned n x n system.
+func e4System(n int) (*serial.Mat, []float64) {
+	return RandSystem(700+int64(n), n)
 }
 
 // E4Gauss compares naive and primitive-based Gaussian elimination.
@@ -166,7 +265,7 @@ func E4Gauss() (*Table, error) {
 		Notes:   "identical pivoting and arithmetic; only the communication differs",
 	}
 	for _, n := range []int{32, 64, 128} {
-		a, b := RandSystem(700+int64(n), n)
+		a, b := e4System(n)
 		xp, tPrim, err := apps.SolveGauss(m, a, b, apps.DefaultGaussOpts())
 		if err != nil {
 			return nil, err
@@ -181,6 +280,26 @@ func E4Gauss() (*Table, error) {
 		t.AddRow(n, float64(tNaive), float64(tPrim), float64(tNaive)/float64(tPrim), fmt.Sprintf("%.1e", res))
 	}
 	return t, nil
+}
+
+// profileE4 runs primitive-based Gaussian elimination.
+func profileE4(m *hypercube.Machine, s RunSpec, opts ProfileOpts) (*ProfileResult, error) {
+	d, n := s.D, s.N
+	a, b := e4System(n)
+	_, elapsed, err := apps.SolveGauss(m, a, b, apps.DefaultGaussOpts())
+	if err != nil {
+		return nil, err
+	}
+	desc := fmt.Sprintf("gauss primitives, n=%d, p=%d", n, 1<<d)
+	return finish(s, desc, m, opts, elapsed), nil
+}
+
+// e5LP is E5's seeded dense LP with the given row count and 3/2 as
+// many columns.
+func e5LP(rows int) (c []float64, a *serial.Mat, b []float64, cols int) {
+	cols = rows + rows/2
+	c, a, b = RandLP(800+int64(rows), rows, cols)
+	return c, a, b, cols
 }
 
 // E5Simplex compares naive and primitive-based simplex per-iteration
@@ -198,9 +317,8 @@ func E5Simplex() (*Table, error) {
 		Columns: []string{"rows x cols", "iters", "prim/iter", "naive/iter", "naive/prim"},
 		Notes:   "per-pivot cost; both kernels follow the identical pivot sequence",
 	}
-	for _, shape := range [][2]int{{16, 24}, {32, 48}, {64, 96}} {
-		rows, cols := shape[0], shape[1]
-		c, a, b := RandLP(800+int64(rows), rows, cols)
+	for _, rows := range []int{16, 32, 64} {
+		c, a, b, cols := e5LP(rows)
 		resP, tPrim, err := apps.SolveSimplex(m, c, a, b, apps.DefaultSimplexOpts())
 		if err != nil {
 			return nil, err
@@ -222,4 +340,16 @@ func E5Simplex() (*Table, error) {
 			float64(tPrim)/iters, float64(tNaive)/iters, float64(tNaive)/float64(tPrim))
 	}
 	return t, nil
+}
+
+// profileE5 runs primitive-based simplex on an N x 3N/2 program.
+func profileE5(m *hypercube.Machine, s RunSpec, opts ProfileOpts) (*ProfileResult, error) {
+	d, rows := s.D, s.N
+	c, a, b, cols := e5LP(rows)
+	_, elapsed, err := apps.SolveSimplex(m, c, a, b, apps.DefaultSimplexOpts())
+	if err != nil {
+		return nil, err
+	}
+	desc := fmt.Sprintf("simplex primitives, %dx%d, p=%d", rows, cols, 1<<d)
+	return finish(s, desc, m, opts, elapsed), nil
 }

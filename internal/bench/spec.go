@@ -9,14 +9,15 @@ import (
 )
 
 // RunSpec names one profiled workload instance: an experiment family
-// (E1..E5) plus optional size and cost-model overrides. The zero
-// overrides select the EXPERIMENTS.md table configuration, and with
-// them a RunSpec run is bit-identical to ProfileRun — same machine
-// shape, same seeds, same simulated times. Overriding D or N keeps the
-// same seed formulas but at the requested size, which is how the load
-// harness drives thousands of small runs without paying the full-size
-// workloads. The spec is JSON-shaped so serving layers can embed it in
-// request bodies directly.
+// (E1..E5) plus optional size and cost-model overrides, and it is the
+// only way to run one: Run on a fresh machine, RunOn on a caller's.
+// The zero overrides select the registry's defaults, one configuration
+// of the experiment's table, with the same seeds and so the same
+// simulated times. Overriding D or N keeps the same seed formulas but
+// at the requested size, which is how the load harness drives
+// thousands of small runs without paying the full-size workloads. The
+// spec is JSON-shaped so serving layers can embed it in request bodies
+// directly.
 type RunSpec struct {
 	// Exp is the experiment family, E1..E5 (case-insensitive).
 	Exp string `json:"exp"`
@@ -30,41 +31,14 @@ type RunSpec struct {
 	Model string `json:"model,omitempty"`
 }
 
-// profiledExp is one profiled experiment: its id, its table
-// configuration (the defaults a zero RunSpec field takes) and its
-// workload.
-type profiledExp struct {
-	id   string
-	d, n int
-	run  func(*hypercube.Machine, RunSpec, ProfileOpts) (*ProfileResult, error)
-}
-
-// profiled is the one list of profiled experiments, in ProfileIDs
-// order; validation, defaults and dispatch all read it.
-var profiled = []profiledExp{
-	{"E1", 10, 512, profileE1},
-	{"E2", 8, 512, profileE2},
-	{"E3", 10, 512, profileE3},
-	{"E4", 8, 128, profileE4},
-	{"E5", 8, 32, profileE5},
-}
-
-// profiledByID finds the experiment with the given (upper-case) id,
-// or returns nil.
-func profiledByID(id string) *profiledExp {
-	for i := range profiled {
-		if profiled[i].id == id {
-			return &profiled[i]
-		}
-	}
-	return nil
-}
-
-// ProfileIDs lists the experiment ids ProfileRun and RunSpec accept.
+// ProfileIDs lists the experiment ids RunSpec accepts: those of the
+// registry that carry a profiled workload, in registry order.
 func ProfileIDs() []string {
-	ids := make([]string, len(profiled))
-	for i, e := range profiled {
-		ids[i] = e.id
+	var ids []string
+	for _, e := range experiments {
+		if e.profile != nil {
+			ids = append(ids, e.ID)
+		}
 	}
 	return ids
 }
@@ -82,8 +56,8 @@ const (
 // for any zero field, returning the fully concrete spec.
 func (s RunSpec) Normalized() (RunSpec, error) {
 	s.Exp = strings.ToUpper(strings.TrimSpace(s.Exp))
-	def := profiledByID(s.Exp)
-	if def == nil {
+	def, ok := ByID(s.Exp)
+	if !ok || def.profile == nil {
 		return s, fmt.Errorf("bench: no profiled workload for %q (have %v)", s.Exp, ProfileIDs())
 	}
 	if s.D == 0 {
@@ -146,5 +120,23 @@ func (s RunSpec) RunOn(m *hypercube.Machine, opts ProfileOpts) (res *ProfileResu
 			res, err = nil, fmt.Errorf("bench: %s workload panicked: %v", ns.Exp, r)
 		}
 	}()
-	return profiledByID(ns.Exp).run(m, ns, opts) // Normalized vouched for the id
+	def, _ := ByID(ns.Exp) // Normalized vouched for the id
+	return def.profile(m, ns, opts)
+}
+
+// Run executes the spec's workload as RunOn does, on a fresh machine
+// built for it (its dimension, its cost model from CostParams) and
+// closed before Run returns. With the zero overrides this reproduces
+// the EXPERIMENTS.md configuration.
+func (s RunSpec) Run(opts ProfileOpts) (*ProfileResult, error) {
+	ns, err := s.Normalized()
+	if err != nil {
+		return nil, err
+	}
+	m, err := hypercube.New(ns.D, ns.CostParams())
+	if err != nil {
+		return nil, err
+	}
+	defer m.Close()
+	return ns.RunOn(m, opts)
 }

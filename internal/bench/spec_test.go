@@ -3,12 +3,15 @@ package bench
 import (
 	"encoding/json"
 	"fmt"
-	"slices"
 	"testing"
 
 	"vmprim/internal/hypercube"
 	"vmprim/internal/metrics"
 )
+
+// armed is the recorder set vmprimd serves with: profiler and
+// critical-path tracer both on.
+var armed = ProfileOpts{Profile: true, CritPath: true}
 
 func TestRunSpecNormalized(t *testing.T) {
 	s, err := RunSpec{Exp: "e4"}.Normalized()
@@ -41,8 +44,8 @@ func TestRunSpecNormalized(t *testing.T) {
 // bounds, name a known experiment and cost model, and be a fixed point
 // of Normalized.
 func FuzzRunSpec(f *testing.F) {
-	for _, id := range ProfileIDs() {
-		f.Add([]byte(fmt.Sprintf(`{"exp":%q}`, id)))
+	for _, e := range All() {
+		f.Add([]byte(fmt.Sprintf(`{"exp":%q}`, e.ID)))
 	}
 	for _, edge := range []string{
 		fmt.Sprintf(`{"exp":"e1","d":1,"n":%d,"model":"IPSC"}`, specMinN),
@@ -67,7 +70,7 @@ func FuzzRunSpec(f *testing.F) {
 		if norm.Model != "cm2" && norm.Model != "ipsc" {
 			t.Fatalf("%s: accepted unknown model in %+v", body, norm)
 		}
-		if !slices.Contains(ProfileIDs(), norm.Exp) {
+		if e, ok := ByID(norm.Exp); !ok || e.profile == nil {
 			t.Fatalf("%s: accepted unknown experiment in %+v", body, norm)
 		}
 		again, err := norm.Normalized()
@@ -93,7 +96,7 @@ func TestRunSpecPooledReuse(t *testing.T) {
 	defer m.Close()
 
 	before := m.Metrics().Snapshot()
-	first, err := spec.RunOn(m, ProfileOpts{Profile: true, CritPath: true})
+	first, err := spec.RunOn(m, armed)
 	if err != nil {
 		t.Fatal(err)
 	}

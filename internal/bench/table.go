@@ -1,18 +1,22 @@
-// Package bench is the experiment harness: one runner per table and
-// figure of the reconstructed evaluation (E1–E5, F1–F3, A1–A4 and the
-// extensions X1–X3 in DESIGN.md), each producing a formatted Table of
-// simulated-time measurements. The top-level bench_test.go benchmarks
-// and the cmd/vmprim CLI both call these runners, so `go test -bench`
-// and `vmprim -exp E3` print the same rows. E1–E5 also exist as
-// profiled workloads on a caller-supplied machine (RunSpec, spec.go),
-// which is what vmprimd serves and benchmark/ drives; the Rand*
-// generators in workload.go supply every experiment's seeded inputs.
+// Package bench is the experiment harness: one registry (All) of the
+// tables and figures of the reconstructed evaluation (E1–E5, F1–F3,
+// A1–A4 and the extensions X1–X3 in DESIGN.md), each producing a
+// formatted Table of simulated-time measurements. The top-level
+// BenchmarkExperiment and the cmd/vmprim CLI both iterate it, so
+// `go test -bench Experiment/E3` and `vmprim -exp E3` print the same
+// rows. E1–E5 also carry a profiled workload, run through RunSpec
+// (spec.go), which is what vmprimd serves and benchmark/ drives; the
+// Rand* generators in workload.go supply every experiment's seeded
+// inputs.
 package bench
 
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
+
+	"vmprim/internal/hypercube"
 )
 
 // Table is one experiment's output: a titled grid of formatted cells.
@@ -95,37 +99,47 @@ func (t *Table) String() string {
 	return sb.String()
 }
 
-// Experiment pairs an id with its runner.
+// Experiment is one entry of the registry: an id, a title and the
+// table builder. E1–E5 also carry their profiled workload, which
+// RunSpec runs: its default cube dimension and problem size, and its
+// body on a caller's machine.
 type Experiment struct {
 	ID    string
 	Title string
 	Run   func() (*Table, error)
+
+	d, n    int
+	profile func(*hypercube.Machine, RunSpec, ProfileOpts) (*ProfileResult, error)
+}
+
+// experiments is the one registry, in DESIGN.md order. All, ByID and
+// RunSpec all read it.
+var experiments = []Experiment{
+	{ID: "E1", Title: "four primitive timings vs problem size", Run: E1Primitives, d: 10, n: 512, profile: profileE1},
+	{ID: "E2", Title: "primitive timings and work-efficiency vs machine size", Run: E2Scaling, d: 8, n: 512, profile: profileE2},
+	{ID: "E3", Title: "vector-matrix multiply: naive vs primitives", Run: E3Matvec, d: 10, n: 512, profile: profileE3},
+	{ID: "E4", Title: "Gaussian elimination: naive vs primitives", Run: E4Gauss, d: 8, n: 128, profile: profileE4},
+	{ID: "E5", Title: "simplex: naive vs primitives, per-iteration", Run: E5Simplex, d: 8, n: 32, profile: profileE5},
+	{ID: "F1", Title: "matvec speedup vs machine size (strong scaling)", Run: F1Speedup},
+	{ID: "F2", Title: "Reduce work-efficiency vs grain m/p", Run: F2Efficiency},
+	{ID: "F3", Title: "embedding-change costs vs problem size", Run: F3Embedding},
+	{ID: "A1", Title: "ablation: one-port vs all-port communication", Run: A1Ports},
+	{ID: "A2", Title: "ablation: binomial vs scatter/all-gather broadcast", Run: A2Broadcast},
+	{ID: "A3", Title: "ablation: block vs cyclic embedding in elimination", Run: A3Cyclic},
+	{ID: "A4", Title: "ablation: all-port rotated-tree broadcast", Run: A4AllPortBroadcast},
+	{ID: "X1", Title: "extension: outer-product matrix multiply", Run: X1MatMul},
+	{ID: "X2", Title: "extension: elimination vs conjugate gradient", Run: X2DirectVsIterative},
+	{ID: "X3", Title: "extension: tridiagonal cyclic reduction log-depth", Run: X3Tridiag},
 }
 
 // All returns every experiment in DESIGN.md order.
 func All() []Experiment {
-	return []Experiment{
-		{"E1", "four primitive timings vs problem size", E1Primitives},
-		{"E2", "primitive timings and work-efficiency vs machine size", E2Scaling},
-		{"E3", "vector-matrix multiply: naive vs primitives", E3Matvec},
-		{"E4", "Gaussian elimination: naive vs primitives", E4Gauss},
-		{"E5", "simplex: naive vs primitives, per-iteration", E5Simplex},
-		{"F1", "matvec speedup vs machine size (strong scaling)", F1Speedup},
-		{"F2", "Reduce work-efficiency vs grain m/p", F2Efficiency},
-		{"F3", "embedding-change costs vs problem size", F3Embedding},
-		{"A1", "ablation: one-port vs all-port communication", A1Ports},
-		{"A2", "ablation: binomial vs scatter/all-gather broadcast", A2Broadcast},
-		{"A3", "ablation: block vs cyclic embedding in elimination", A3Cyclic},
-		{"A4", "ablation: all-port rotated-tree broadcast", A4AllPortBroadcast},
-		{"X1", "extension: outer-product matrix multiply", X1MatMul},
-		{"X2", "extension: elimination vs conjugate gradient", X2DirectVsIterative},
-		{"X3", "extension: tridiagonal cyclic reduction log-depth", X3Tridiag},
-	}
+	return slices.Clone(experiments)
 }
 
 // ByID finds an experiment by its (case-insensitive) id.
 func ByID(id string) (Experiment, bool) {
-	for _, e := range All() {
+	for _, e := range experiments {
 		if strings.EqualFold(e.ID, id) {
 			return e, true
 		}

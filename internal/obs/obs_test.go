@@ -19,11 +19,11 @@ import (
 // the same simulated times as running it with the profiler off.
 func TestProfiledTimesBitIdentical(t *testing.T) {
 	for _, id := range []string{"E1", "E3"} {
-		off, err := bench.ProfileRun(id, false)
+		off, err := bench.RunSpec{Exp: id}.Run(bench.ProfileOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		on, err := bench.ProfileRun(id, true)
+		on, err := bench.RunSpec{Exp: id}.Run(bench.ProfileOpts{Profile: true, CritPath: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -36,17 +36,17 @@ func TestProfiledTimesBitIdentical(t *testing.T) {
 			}
 		}
 		if off.Profile != nil {
-			t.Errorf("%s: profile present with enable=false", id)
+			t.Errorf("%s: profile present with the profiler off", id)
 		}
 		if on.Profile == nil {
-			t.Errorf("%s: profile missing with enable=true", id)
+			t.Errorf("%s: profile missing with the profiler on", id)
 		}
 	}
 }
 
 func e2Profile(t *testing.T) *obs.Profile {
 	t.Helper()
-	res, err := bench.ProfileRun("E2", true)
+	res, err := bench.RunSpec{Exp: "E2"}.Run(bench.ProfileOpts{Profile: true, CritPath: true})
 	if err != nil {
 		t.Fatal(err)
 	}
