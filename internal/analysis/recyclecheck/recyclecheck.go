@@ -1,5 +1,5 @@
 // Package recyclecheck statically enforces the buffer-ownership
-// discipline of the simulator's per-processor pools: every buffer a
+// discipline of the simulator's machine-wide buffer pool: every buffer a
 // function obtains from Proc.GetBuf, Proc.Recv, Proc.Exchange or
 // Proc.ExchangeAll must be discharged — recycled back to the pool,
 // returned to the caller, or handed off into a longer-lived structure

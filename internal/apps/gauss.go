@@ -50,6 +50,8 @@ func GaussKernel(e *core.Env, w *core.Matrix, xOut *core.Vector) error {
 	}
 	e.BeginSpan("gauss")
 	defer e.EndSpan()
+	prow := e.TempVector(w.Cols, core.RowAligned, w.CMap.Kind, 0, true)
+	mcol := e.TempVector(n, core.ColAligned, w.RMap.Kind, 0, true)
 	// Forward elimination.
 	for k := 0; k < n; k++ {
 		// Pivot search: Reduce(maxabsloc) over column k, rows [k, n).
@@ -66,9 +68,9 @@ func GaussKernel(e *core.Env, w *core.Matrix, xOut *core.Vector) error {
 		// Pivot row and multiplier column, both replicated (Extract +
 		// Distribute fused).
 		e.BeginSpan("eliminate")
-		prow := e.ExtractRow(w, k, true)
+		e.ExtractRowInto(prow, w, k, true)
 		pivot := e.VecElemAt(prow, k)
-		mcol := e.ExtractCol(w, k, true)
+		e.ExtractColInto(mcol, w, k, true)
 		inv := 1 / pivot
 		e.MapVec(mcol, func(gi int, v float64) float64 {
 			if gi <= k {
@@ -95,8 +97,8 @@ func GaussKernel(e *core.Env, w *core.Matrix, xOut *core.Vector) error {
 		if k == 0 {
 			break
 		}
-		ck := e.ExtractCol(w, k, true)
-		e.UpdateOuter(w, ck, ones, 0, k, n, n+1,
+		e.ExtractColInto(mcol, w, k, true)
+		e.UpdateOuter(w, mcol, ones, 0, k, n, n+1,
 			func(aij, ci, _ float64) float64 { return aij - ci*xk }, 2)
 	}
 	return nil
@@ -161,6 +163,8 @@ func Determinant(mach *hypercube.Machine, a *serial.Mat, opts GaussOpts) (float6
 	elapsed, err := mach.Run(func(p *hypercube.Proc) {
 		e := core.NewEnv(p, g)
 		d := 1.0
+		prow := e.TempVector(n, core.RowAligned, w.CMap.Kind, 0, true)
+		mcol := e.TempVector(n, core.ColAligned, w.RMap.Kind, 0, true)
 		for k := 0; k < n; k++ {
 			mag, piv := e.ReduceColLoc(w, k, k, n, core.LocMaxAbs)
 			if piv < 0 || mag <= pivotEps {
@@ -171,10 +175,10 @@ func Determinant(mach *hypercube.Machine, a *serial.Mat, opts GaussOpts) (float6
 				e.SwapRows(w, k, piv)
 				d = -d
 			}
-			prow := e.ExtractRow(w, k, true)
+			e.ExtractRowInto(prow, w, k, true)
 			pivot := e.VecElemAt(prow, k)
 			d *= pivot
-			mcol := e.ExtractCol(w, k, true)
+			e.ExtractColInto(mcol, w, k, true)
 			inv := 1 / pivot
 			e.MapVec(mcol, func(gi int, v float64) float64 {
 				if gi <= k {

@@ -27,6 +27,8 @@ func EliminateMulti(e *core.Env, w *core.Matrix, nrhs int) error {
 		panic(fmt.Sprintf("apps: EliminateMulti needs n x n+nrhs, got %dx%d with nrhs=%d", w.Rows, w.Cols, nrhs))
 	}
 	cols := n + nrhs
+	prow := e.TempVector(cols, core.RowAligned, w.CMap.Kind, 0, true)
+	mcol := e.TempVector(n, core.ColAligned, w.RMap.Kind, 0, true)
 	// Forward elimination (same step as GaussKernel, wider rows).
 	for k := 0; k < n; k++ {
 		mag, piv := e.ReduceColLoc(w, k, k, n, core.LocMaxAbs)
@@ -36,9 +38,9 @@ func EliminateMulti(e *core.Env, w *core.Matrix, nrhs int) error {
 		if piv != k {
 			e.SwapRows(w, k, piv)
 		}
-		prow := e.ExtractRow(w, k, true)
+		e.ExtractRowInto(prow, w, k, true)
 		pivot := e.VecElemAt(prow, k)
-		mcol := e.ExtractCol(w, k, true)
+		e.ExtractColInto(mcol, w, k, true)
 		inv := 1 / pivot
 		e.MapVec(mcol, func(gi int, v float64) float64 {
 			if gi <= k {
@@ -58,9 +60,9 @@ func EliminateMulti(e *core.Env, w *core.Matrix, nrhs int) error {
 		if k == 0 {
 			break
 		}
-		xrow := e.ExtractRow(w, k, true)
-		ck := e.ExtractCol(w, k, true)
-		e.UpdateOuterSub(w, ck, xrow, 0, k, n, cols)
+		e.ExtractRowInto(prow, w, k, true)
+		e.ExtractColInto(mcol, w, k, true)
+		e.UpdateOuterSub(w, mcol, prow, 0, k, n, cols)
 	}
 	return nil
 }

@@ -52,6 +52,8 @@ func LUFactor(mach *hypercube.Machine, a *serial.Mat, opts GaussOpts) (*LU, erro
 		e := core.NewEnv(p, g)
 		e.BeginSpan("lu-factor")
 		defer e.EndSpan()
+		prow := e.TempVector(n, core.RowAligned, w.CMap.Kind, 0, true)
+		colK := e.TempVector(n, core.ColAligned, w.RMap.Kind, 0, true)
 		for k := 0; k < n; k++ {
 			e.BeginSpan("pivot")
 			mag, piv := e.ReduceColLoc(w, k, k, n, core.LocMaxAbs)
@@ -66,10 +68,10 @@ func LUFactor(mach *hypercube.Machine, a *serial.Mat, opts GaussOpts) (*LU, erro
 			}
 			e.EndSpan()
 			e.BeginSpan("eliminate")
-			prow := e.ExtractRow(w, k, true)
+			e.ExtractRowInto(prow, w, k, true)
 			pivot := e.VecElemAt(prow, k)
 			inv := 1 / pivot
-			colK := e.ExtractCol(w, k, true)
+			e.ExtractColInto(colK, w, k, true)
 			// Multipliers: zero at and above the pivot row, a_ik/pivot
 			// below. These drive the trailing update and are also the
 			// L factor entries.
@@ -149,11 +151,14 @@ func (lu *LU) Solve(b []float64) ([]float64, costmodel.Time, error) {
 		defer e.EndSpan()
 		// Forward substitution with unit-diagonal L:
 		// y_i -= L[i][k] * y_k for i > k.
+		// col holds column k of L in the forward sweep, of U in the
+		// backward one.
+		col := e.TempVector(n, core.ColAligned, w.RMap.Kind, 0, true)
 		e.BeginSpan("forward-sub")
 		for k := 0; k < n-1; k++ {
 			yk := e.VecElemAt(y, k)
-			lcol := e.ExtractCol(w, k, true)
-			e.ZipVecWith(y, lcol, func(gi int, yi, lik float64) float64 {
+			e.ExtractColInto(col, w, k, true)
+			e.ZipVecWith(y, col, func(gi int, yi, lik float64) float64 {
 				if gi <= k {
 					return yi
 				}
@@ -181,8 +186,8 @@ func (lu *LU) Solve(b []float64) ([]float64, costmodel.Time, error) {
 			if k == 0 {
 				break
 			}
-			ucol := e.ExtractCol(w, k, true)
-			e.ZipVecWith(y, ucol, func(gi int, yi, uik float64) float64 {
+			e.ExtractColInto(col, w, k, true)
+			e.ZipVecWith(y, col, func(gi int, yi, uik float64) float64 {
 				if gi >= k {
 					return yi
 				}

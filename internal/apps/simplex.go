@@ -68,14 +68,19 @@ func simplexLoop(e *core.Env, t *core.Matrix, nVars, maxIter int, bland bool) (s
 		basis[i] = nVars + i
 	}
 	iters := 0
+	// Per-step temporaries, refilled every iteration. Bland's pricing
+	// borrows prow for the objective row, which is dead by the pivot.
+	col := e.TempVector(t.Rows, core.ColAligned, t.RMap.Kind, 0, true)
+	rhsv := e.TempVector(t.Rows, core.ColAligned, t.RMap.Kind, 0, true)
+	prow := e.TempVector(t.Cols, core.RowAligned, t.CMap.Kind, 0, true)
 	for {
 		// Entering variable: Dantzig takes the most negative reduced
 		// cost; Bland the smallest improving index.
 		e.BeginSpan("pricing")
 		var jc int
 		if bland {
-			obj := e.ExtractRow(t, m, true)
-			_, jc = e.ZipLocVec(obj, obj, 0, rhs, func(g int, v, _ float64) (float64, bool) {
+			e.ExtractRowInto(prow, t, m, true) // the objective row
+			_, jc = e.ZipLocVec(prow, prow, 0, rhs, func(g int, v, _ float64) (float64, bool) {
 				if v < -simplexEps {
 					return float64(g), true
 				}
@@ -98,8 +103,8 @@ func simplexLoop(e *core.Env, t *core.Matrix, nVars, maxIter int, bland bool) (s
 		// Ratio test: Extract the entering column and the rhs column,
 		// ZipLoc(minloc) over the guarded ratios.
 		e.BeginSpan("ratio-test")
-		col := e.ExtractCol(t, jc, true)
-		rhsv := e.ExtractCol(t, rhs, true)
+		e.ExtractColInto(col, t, jc, true)
+		e.ExtractColInto(rhsv, t, rhs, true)
 		ratio := func(_ int, aij, bi float64) (float64, bool) {
 			if aij <= simplexEps {
 				return 0, false
@@ -129,7 +134,7 @@ func simplexLoop(e *core.Env, t *core.Matrix, nVars, maxIter int, bland bool) (s
 		e.BeginSpan("pivot")
 		pivot := e.VecElemAt(col, ir)
 		inv := 1 / pivot
-		prow := e.ExtractRow(t, ir, true)
+		e.ExtractRowInto(prow, t, ir, true)
 		e.MapVec(prow, func(_ int, v float64) float64 { return v * inv }, 1)
 		e.InsertRow(t, prow, ir)
 		mult := e.CopyVec(col)

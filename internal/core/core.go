@@ -26,11 +26,13 @@
 // tags. Distributed containers (Matrix, Vector) may be created by host
 // code before a run and filled from dense data, or created inside a
 // run, in which case each processor lazily materializes only its own
-// block. All inter-processor data motion happens through the
-// collectives of internal/collective over cube-edge links, and
-// every operation charges the cost model for its communication and
-// arithmetic, so Machine.Elapsed after a run is the simulated time of
-// the whole distributed computation.
+// block. A loop that needs the same temporary every step creates it
+// once and refills it with an *Into method (ExtractRowInto,
+// ExtractColInto, TransposeInto). All inter-processor data motion
+// happens through the collectives of internal/collective over
+// cube-edge links, and every operation charges the cost model for its
+// communication and arithmetic, so Machine.Elapsed after a run is the
+// simulated time of the whole distributed computation.
 package core
 
 import (
@@ -158,9 +160,9 @@ func MustNewMatrix(g embed.Grid, rows, cols int, rkind, ckind embed.MapKind) *Ma
 }
 
 // L returns processor pid's local block, materializing it on first
-// use. Only pid's own goroutine (or host code outside a run) may call
-// it for a given pid. For SPMD-local temporaries pid is ignored: the
-// handle belongs to exactly one processor.
+// use. Only pid's own processor body (or host code outside a run) may
+// call it for a given pid. For SPMD-local temporaries pid is ignored:
+// the handle belongs to exactly one processor.
 func (a *Matrix) L(pid int) []float64 {
 	if a.isLocal {
 		if a.local == nil {
@@ -303,7 +305,7 @@ func MustNewVector(g embed.Grid, n int, layout Layout, kind embed.MapKind, home 
 }
 
 // L returns processor pid's local piece, materializing it on first
-// use. As for Matrix.L, only pid's goroutine may call it for pid, and
+// use. As for Matrix.L, only pid's processor may call it for pid, and
 // pid is ignored for SPMD-local temporaries.
 func (v *Vector) L(pid int) []float64 {
 	if v.isLocal {
@@ -314,6 +316,15 @@ func (v *Vector) L(pid int) []float64 {
 	}
 	if v.vals[pid] == nil {
 		v.vals[pid] = make([]float64, v.Map.B)
+	}
+	return v.vals[pid]
+}
+
+// stored returns processor pid's piece without materializing it: nil
+// if L has never been called for pid.
+func (v *Vector) stored(pid int) []float64 {
+	if v.isLocal {
+		return v.local
 	}
 	return v.vals[pid]
 }

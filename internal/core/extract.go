@@ -18,67 +18,95 @@ import (
 // Extract-then-Distribute fused into one call, costing a binomial
 // broadcast of the m/p-sized local pieces over the dr row dimensions.
 func (e *Env) ExtractRow(a *Matrix, i int, replicate bool) *Vector {
+	v := e.TempVector(a.Cols, RowAligned, a.CMap.Kind, 0, replicate)
+	e.ExtractRowInto(v, a, i, replicate)
+	return v
+}
+
+// ExtractRowInto is ExtractRow writing into dst, which must be
+// row-aligned with a's column map, so a loop can refill one temporary
+// every step instead of allocating a vector per step. It sets dst.Home
+// and dst.Replicated; afterwards dst is indistinguishable from a fresh
+// ExtractRow on every processor: holder pieces are overwritten, a
+// non-holder's piece is zeroed if it was ever materialized and stays
+// unmaterialized otherwise.
+func (e *Env) ExtractRowInto(dst *Vector, a *Matrix, i int, replicate bool) {
 	e.BeginSpan("extract-row")
 	defer e.EndSpan()
 	if i < 0 || i >= a.Rows {
 		panic(fmt.Sprintf("core: ExtractRow index %d out of [0,%d)", i, a.Rows))
 	}
+	if dst.Layout != RowAligned || dst.N != a.Cols || dst.Map != a.CMap {
+		panic("core: ExtractRowInto vector incompatible with matrix row embedding")
+	}
 	ownerRow := a.RMap.CoordOf(i)
 	lr := a.RMap.LocalOf(i)
-	v := e.TempVector(a.Cols, RowAligned, a.CMap.Kind, ownerRow, replicate)
-	pid := e.P.ID()
+	owner := e.GridRow() == ownerRow
 	b := a.CMap.B
 	var piece []float64
-	if e.GridRow() == ownerRow {
-		blk := a.L(pid)
+	if owner {
+		blk := a.L(e.P.ID())
 		piece = e.P.GetBuf(b)
 		copy(piece, blk[lr*b:(lr+1)*b])
 		e.P.Compute(b)
 	}
-	switch {
-	case replicate:
-		got := collective.Bcast(e.P, e.G.RowMask(), e.NextTag(), e.G.RowRel(ownerRow), piece)
-		copy(v.L(pid), got)
-		e.P.Recycle(got)
-	case e.GridRow() == ownerRow:
-		copy(v.L(pid), piece)
-	}
+	e.landExtracted(dst, piece, owner, ownerRow, replicate, e.G.RowMask(), e.G.RowRel(ownerRow))
 	e.P.Recycle(piece)
-	return v
 }
 
 // ExtractCol pulls column j out of the matrix as a col-aligned vector,
 // symmetric to ExtractRow.
 func (e *Env) ExtractCol(a *Matrix, j int, replicate bool) *Vector {
+	v := e.TempVector(a.Rows, ColAligned, a.RMap.Kind, 0, replicate)
+	e.ExtractColInto(v, a, j, replicate)
+	return v
+}
+
+// ExtractColInto is ExtractCol writing into dst, which must be
+// col-aligned with a's row map; the rules are ExtractRowInto's.
+func (e *Env) ExtractColInto(dst *Vector, a *Matrix, j int, replicate bool) {
 	e.BeginSpan("extract-col")
 	defer e.EndSpan()
 	if j < 0 || j >= a.Cols {
 		panic(fmt.Sprintf("core: ExtractCol index %d out of [0,%d)", j, a.Cols))
 	}
+	if dst.Layout != ColAligned || dst.N != a.Rows || dst.Map != a.RMap {
+		panic("core: ExtractColInto vector incompatible with matrix column embedding")
+	}
 	ownerCol := a.CMap.CoordOf(j)
 	lc := a.CMap.LocalOf(j)
-	v := e.TempVector(a.Rows, ColAligned, a.RMap.Kind, ownerCol, replicate)
-	pid := e.P.ID()
+	owner := e.GridCol() == ownerCol
 	b := a.CMap.B
 	var piece []float64
-	if e.GridCol() == ownerCol {
-		blk := a.L(pid)
+	if owner {
+		blk := a.L(e.P.ID())
 		piece = e.P.GetBuf(a.RMap.B)
 		for r := 0; r < a.RMap.B; r++ {
 			piece[r] = blk[r*b+lc]
 		}
 		e.P.Compute(a.RMap.B)
 	}
+	e.landExtracted(dst, piece, owner, ownerCol, replicate, e.G.ColMask(), e.G.ColRel(ownerCol))
+	e.P.Recycle(piece)
+}
+
+// landExtracted finishes an Extract into dst, homed on home: with
+// replicate the owner's piece is broadcast over mask from root to every
+// copy, otherwise only the owner keeps it and a non-owner's stale piece,
+// if any, is zeroed.
+func (e *Env) landExtracted(dst *Vector, piece []float64, owner bool, home int, replicate bool, mask, root int) {
+	dst.Home, dst.Replicated = home, replicate
+	pid := e.P.ID()
 	switch {
 	case replicate:
-		got := collective.Bcast(e.P, e.G.ColMask(), e.NextTag(), e.G.ColRel(ownerCol), piece)
-		copy(v.L(pid), got)
+		got := collective.Bcast(e.P, mask, e.NextTag(), root, piece)
+		copy(dst.L(pid), got)
 		e.P.Recycle(got)
-	case e.GridCol() == ownerCol:
-		copy(v.L(pid), piece)
+	case owner:
+		copy(dst.L(pid), piece)
+	default:
+		clear(dst.stored(pid))
 	}
-	e.P.Recycle(piece)
-	return v
 }
 
 // sendAlong moves data from the subcube member at relative address

@@ -28,7 +28,8 @@
 // when nothing else is pending, so a lone block hops across the
 // machine without a copy. Routed buffers are plain allocations that
 // travel with the messages; none is kept between calls and none enters
-// the per-processor pools, which drift under one-sided traffic.
+// the machine's buffer pool, whose size classes a routed buffer, sized
+// by the traffic pattern, would not be asked for again.
 package router
 
 import (

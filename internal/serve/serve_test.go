@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -374,48 +375,7 @@ func TestMetricsScrape(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1})
 	submitAndWait(t, ts.URL, testSpec)
 
-	resp := mustGet(t, ts.URL+"/metrics", http.StatusOK)
-	defer resp.Body.Close()
-	if got := resp.Header.Get("Content-Type"); got != promContentType {
-		t.Fatalf("Content-Type = %q, want %q", got, promContentType)
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	values := map[string]float64{}
-	types := map[string]string{}
-	var histSeries []string
-	for _, line := range strings.Split(strings.TrimRight(string(body), "\n"), "\n") {
-		if strings.HasPrefix(line, "# TYPE ") {
-			parts := strings.Fields(line)
-			if len(parts) != 4 {
-				t.Fatalf("malformed TYPE line %q", line)
-			}
-			types[parts[2]] = parts[3]
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			continue
-		}
-		if !promLine.MatchString(line) {
-			t.Fatalf("unparseable exposition line %q", line)
-		}
-		name, valStr, ok := strings.Cut(line, " ")
-		if !ok {
-			t.Fatalf("no value on line %q", line)
-		}
-		var v float64
-		if _, err := fmt.Sscanf(valStr, "%g", &v); err != nil && valStr != "+Inf" {
-			t.Fatalf("bad value on line %q: %v", line, err)
-		}
-		if i := strings.IndexByte(name, '{'); i >= 0 {
-			histSeries = append(histSeries, name)
-			name = name[:i]
-		}
-		values[name] = v
-	}
+	values, types, histSeries := scrape(t, ts.URL)
 
 	// Serving counters and gauges.
 	if v := values["vmprimd_runs_done_total"]; v < 1 {
@@ -453,6 +413,86 @@ func TestMetricsScrape(t *testing.T) {
 	if !infSeen {
 		t.Errorf("%s has no +Inf bucket", histName)
 	}
+}
+
+// /metrics carries the Go runtime's samples, read at scrape time: all
+// five are present with their TYPEs, and the GC cycle count advances
+// across a forced collection between two scrapes.
+func TestMetricsGoRuntime(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1})
+	first, types, _ := scrape(t, ts.URL)
+	for _, s := range goSeries {
+		want := "gauge"
+		if s.counter {
+			want = "counter"
+		}
+		if types[s.name] != want {
+			t.Errorf("%s TYPE = %q, want %s", s.name, types[s.name], want)
+		}
+		if _, ok := first[s.name]; !ok {
+			t.Errorf("%s missing", s.name)
+		}
+	}
+	for _, name := range []string{"vmprimd_go_heap_alloc_bytes_total", "vmprimd_go_goroutines", "vmprimd_go_stack_bytes"} {
+		if first[name] <= 0 {
+			t.Errorf("%s = %g, want > 0", name, first[name])
+		}
+	}
+	runtime.GC()
+	second, _, _ := scrape(t, ts.URL)
+	const gc = "vmprimd_go_gc_cycles_total"
+	if second[gc] <= first[gc] {
+		t.Errorf("%s went %g -> %g across runtime.GC, want an increase", gc, first[gc], second[gc])
+	}
+}
+
+// scrape GETs /metrics and parses the text exposition: sample values by
+// metric name (the last series wins for labelled ones), TYPEs by name,
+// and the labelled series names.
+func scrape(t *testing.T, base string) (values map[string]float64, types map[string]string, histSeries []string) {
+	t.Helper()
+	resp := mustGet(t, base+"/metrics", http.StatusOK)
+	defer resp.Body.Close()
+	if got := resp.Header.Get("Content-Type"); got != promContentType {
+		t.Fatalf("Content-Type = %q, want %q", got, promContentType)
+	}
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	values = map[string]float64{}
+	types = map[string]string{}
+	for _, line := range strings.Split(strings.TrimRight(string(body), "\n"), "\n") {
+		if strings.HasPrefix(line, "# TYPE ") {
+			parts := strings.Fields(line)
+			if len(parts) != 4 {
+				t.Fatalf("malformed TYPE line %q", line)
+			}
+			types[parts[2]] = parts[3]
+			continue
+		}
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		if !promLine.MatchString(line) {
+			t.Fatalf("unparseable exposition line %q", line)
+		}
+		name, valStr, ok := strings.Cut(line, " ")
+		if !ok {
+			t.Fatalf("no value on line %q", line)
+		}
+		var v float64
+		if _, err := fmt.Sscanf(valStr, "%g", &v); err != nil && valStr != "+Inf" {
+			t.Fatalf("bad value on line %q: %v", line, err)
+		}
+		if i := strings.IndexByte(name, '{'); i >= 0 {
+			histSeries = append(histSeries, name)
+			name = name[:i]
+		}
+		values[name] = v
+	}
+	return values, types, histSeries
 }
 
 // Bad submissions answer structured 400s (413 past maxSpecBytes); a

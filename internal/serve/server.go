@@ -104,6 +104,7 @@ type serveMetrics struct {
 	poolIdle    *metrics.Gauge
 	retained    *metrics.Gauge
 	perEndpoint map[string]*metrics.Histogram
+	goRuntime   *goRuntime
 }
 
 // latencyBounds are the per-endpoint request-duration buckets, in
@@ -131,6 +132,7 @@ func newServeMetrics() *serveMetrics {
 		poolIdle:      r.Gauge("vmprimd_pool_idle_machines", "idle machines in the pool"),
 		retained:      r.Gauge("vmprimd_runs_retained", "runs currently addressable in the registry"),
 		perEndpoint:   make(map[string]*metrics.Histogram),
+		goRuntime:     newGoRuntime(r),
 	}
 }
 
@@ -495,9 +497,11 @@ func (s *Server) handlePostmortem(w http.ResponseWriter, _ *http.Request, run *R
 const promContentType = "text/plain; version=0.0.4"
 
 // handleMetrics serves the server-wide exposition: the serving
-// registry (with the scrape-time gauges refreshed) merged with the
-// fold of every finished run's simulated metrics.
+// registry (with the scrape-time gauges and Go runtime samples
+// refreshed) merged with the fold of every finished run's simulated
+// metrics.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
+	s.met.goRuntime.refresh()
 	s.met.inflightG.Set(float64(s.met.inflight.Load()))
 	s.met.queueDepth.Set(float64(len(s.queue)))
 	s.met.poolIdle.Set(float64(s.pool.Stats().Idle))
