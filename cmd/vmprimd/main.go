@@ -11,6 +11,9 @@
 //	                                 bound address to a.txt (for
 //	                                 scripts that need to find it)
 //	vmprimd -workers 4 -retain 512   bigger executor pool and backlog
+//	vmprimd -debug-addr 127.0.0.1:6060
+//	                                 also serve net/http/pprof on its
+//	                                 own listener (off by default)
 //
 // API sketch (all JSON unless noted):
 //
@@ -53,9 +56,10 @@ func main() {
 	queueDepth := flag.Int("queue", 1024, "submission queue depth (full queue answers 503)")
 	retain := flag.Int("retain", 256, "finished runs kept addressable before eviction")
 	poolCap := flag.Int("pool", 4, "idle machines retained in the pool")
+	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof under /debug/pprof/ on this address, apart from the API (empty: off)")
 	flag.Parse()
 
-	if err := run(*addr, *addrFile, serve.Options{
+	if err := run(*addr, *addrFile, *debugAddr, serve.Options{
 		Workers:      *workers,
 		QueueDepth:   *queueDepth,
 		RetainRuns:   *retain,
@@ -73,10 +77,22 @@ func main() {
 // timeout is set.
 const readHeaderTimeout = 10 * time.Second
 
-func run(addr, addrFile string, opts serve.Options) error {
+func run(addr, addrFile, debugAddr string, opts serve.Options) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
+	}
+	if debugAddr != "" {
+		dln, err := net.Listen("tcp", debugAddr)
+		if err != nil {
+			ln.Close()
+			return err
+		}
+		debugSrv := &http.Server{Handler: serve.DebugHandler(), ReadHeaderTimeout: readHeaderTimeout}
+		//lint:allow goroutinelife Serve returns when the deferred Close below closes the listener; its error is then ErrServerClosed, dropped
+		go func() { _ = debugSrv.Serve(dln) }()
+		defer debugSrv.Close()
+		fmt.Fprintf(os.Stderr, "vmprimd: pprof on http://%s/debug/pprof/\n", dln.Addr())
 	}
 	bound := ln.Addr().String()
 	if addrFile != "" {

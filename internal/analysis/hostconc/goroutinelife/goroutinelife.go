@@ -20,7 +20,7 @@
 // Anything else — including a go statement whose callee lives outside
 // the package, where this analyzer cannot look — is reported, and the
 // escape hatch is a reasoned //lint:allow goroutinelife directive:
-// the two legitimate daemon-lifetime goroutines in cmd/vmprimd and
+// the legitimate daemon-lifetime goroutines in cmd/vmprimd and
 // cmd/vmload (http.Server.Serve adapters whose termination is the
 // listener's Close) document themselves exactly that way.
 package goroutinelife

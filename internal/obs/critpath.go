@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -258,127 +257,97 @@ func (cp *CritPath) WriteText(w io.Writer) {
 	bw.Flush()
 }
 
-// jsonCritPath is the export schema; scripts/critpath_schema.json
-// mirrors it and scripts/check.sh validates generated documents
-// against that schema, so field changes must update both.
-type jsonCritPath struct {
-	Dim         int             `json:"dim"`
-	P           int             `json:"p"`
-	EndProc     int             `json:"end_proc"`
-	MakespanUs  float64         `json:"makespan_us"`
-	Buckets     Buckets         `json:"buckets_us"`
-	Hops        int             `json:"hops"`
-	SkewUs      float64         `json:"skew_us"`
-	ByDimUs     []float64       `json:"transfer_by_dim_us"`
-	Spans       []jsonPathSpan  `json:"spans"`
-	OtherUs     float64         `json:"other_us"`
-	Chain       []jsonPathSeg   `json:"chain"`
-	Dropped     int             `json:"chain_dropped"`
-	Conformance jsonConformance `json:"conformance"`
-}
-
-type jsonPathSpan struct {
-	Name     string  `json:"name"`
-	Compute  float64 `json:"compute_us"`
-	Startup  float64 `json:"startup_us"`
-	Transfer float64 `json:"transfer_us"`
-	Idle     float64 `json:"idle_us"`
-	TotalUs  float64 `json:"total_us"`
-	Share    float64 `json:"share"`
-}
-
-type jsonPathSeg struct {
-	Proc int     `json:"proc"`
-	From int     `json:"from,omitempty"`
-	Span string  `json:"span,omitempty"`
-	Kind string  `json:"kind"`
-	Dim  int     `json:"dim"`
-	T0   float64 `json:"t0_us"`
-	T1   float64 `json:"t1_us"`
-}
-
-type jsonConformance struct {
-	Threshold float64         `json:"threshold"`
-	Entries   []jsonConfEntry `json:"entries"`
-}
-
-type jsonConfEntry struct {
-	Name        string  `json:"name"`
-	Count       int64   `json:"count"`
-	MeasuredUs  float64 `json:"measured_per_op_us"`
-	PredictedUs float64 `json:"predicted_per_op_us"`
-	Ratio       float64 `json:"ratio"`
-	PathShare   float64 `json:"path_share"`
-	Flagged     bool    `json:"flagged"`
-}
-
-func (cp *CritPath) jsonDoc() jsonCritPath {
-	doc := jsonCritPath{
-		Dim:        cp.Dim,
-		P:          cp.P,
-		EndProc:    cp.EndProc,
-		MakespanUs: float64(cp.Makespan),
-		Buckets:    cp.Buckets,
-		Hops:       cp.Hops,
-		SkewUs:     cp.SkewUs,
-		ByDimUs:    make([]float64, len(cp.ByDim)),
-		Spans:      make([]jsonPathSpan, 0, len(cp.Spans)),
-		Chain:      make([]jsonPathSeg, 0, len(cp.Chain)),
-		Dropped:    cp.ChainDropped,
-		Conformance: jsonConformance{
-			Threshold: cp.Threshold,
-			Entries:   make([]jsonConfEntry, 0, len(cp.Conformance)),
-		},
+// writeJW writes the critical-path document: the export schema that
+// scripts/critpath_schema.json mirrors. scripts/check.sh validates
+// generated documents against that schema, so field changes must
+// update both.
+func (cp *CritPath) writeJW(j *jw) {
+	j.beginObject()
+	j.key("dim").int(int64(cp.Dim))
+	j.key("p").int(int64(cp.P))
+	j.key("end_proc").int(int64(cp.EndProc))
+	j.key("makespan_us").float(float64(cp.Makespan))
+	j.key("buckets_us").buckets(cp.Buckets)
+	j.key("hops").int(int64(cp.Hops))
+	j.key("skew_us").float(cp.SkewUs)
+	j.key("transfer_by_dim_us").beginArray()
+	for _, t := range cp.ByDim {
+		j.elem().float(float64(t))
 	}
-	for d, t := range cp.ByDim {
-		doc.ByDimUs[d] = float64(t)
-	}
+	j.endArray()
 	share := func(t costmodel.Time) float64 {
 		if cp.Makespan <= 0 {
 			return 0
 		}
 		return float64(t) / float64(cp.Makespan)
 	}
+	j.key("spans").beginArray()
 	for _, s := range cp.Spans {
-		doc.Spans = append(doc.Spans, jsonPathSpan{
-			Name:     s.Name,
-			Compute:  float64(s.Buckets.Compute),
-			Startup:  float64(s.Buckets.Startup),
-			Transfer: float64(s.Buckets.Transfer),
-			Idle:     float64(s.Buckets.Idle),
-			TotalUs:  float64(s.Total()),
-			Share:    share(s.Total()),
-		})
+		j.elem().beginObject()
+		j.key("name").str(s.Name)
+		j.key("compute_us").float(float64(s.Buckets.Compute))
+		j.key("startup_us").float(float64(s.Buckets.Startup))
+		j.key("transfer_us").float(float64(s.Buckets.Transfer))
+		j.key("idle_us").float(float64(s.Buckets.Idle))
+		j.key("total_us").float(float64(s.Total()))
+		j.key("share").float(share(s.Total()))
+		j.endObject()
 	}
-	doc.OtherUs = float64(cp.Other.Total())
+	j.endArray()
+	j.key("other_us").float(float64(cp.Other.Total()))
+	j.key("chain").beginArray()
 	for _, sg := range cp.Chain {
-		doc.Chain = append(doc.Chain, jsonPathSeg{
-			Proc: sg.Proc, From: sg.From, Span: sg.Span, Kind: sg.Kind,
-			Dim: sg.Dim, T0: float64(sg.T0), T1: float64(sg.T1),
-		})
+		j.elem().beginObject()
+		j.key("proc").int(int64(sg.Proc))
+		if sg.From != 0 {
+			j.key("from").int(int64(sg.From))
+		}
+		if sg.Span != "" {
+			j.key("span").str(sg.Span)
+		}
+		j.key("kind").str(sg.Kind)
+		j.key("dim").int(int64(sg.Dim))
+		j.key("t0_us").float(float64(sg.T0))
+		j.key("t1_us").float(float64(sg.T1))
+		j.endObject()
 	}
+	j.endArray()
+	j.key("chain_dropped").int(int64(cp.ChainDropped))
+	j.key("conformance").beginObject()
+	j.key("threshold").float(cp.Threshold)
+	j.key("entries").beginArray()
 	for _, e := range cp.Conformance {
-		doc.Conformance.Entries = append(doc.Conformance.Entries, jsonConfEntry{
-			Name: e.Name, Count: e.Count, MeasuredUs: e.MeasuredUs,
-			PredictedUs: e.PredictedUs, Ratio: e.Ratio,
-			PathShare: e.PathShare, Flagged: e.Flagged,
-		})
+		j.elem().beginObject()
+		j.key("name").str(e.Name)
+		j.key("count").int(e.Count)
+		j.key("measured_per_op_us").float(e.MeasuredUs)
+		j.key("predicted_per_op_us").float(e.PredictedUs)
+		j.key("ratio").float(e.Ratio)
+		j.key("path_share").float(e.PathShare)
+		j.key("flagged").bool(e.Flagged)
+		j.endObject()
 	}
-	return doc
+	j.endArray()
+	j.endObject()
+	j.endObject()
 }
 
 // WriteJSON writes the machine-readable critical-path document (the
 // schema scripts/critpath_schema.json describes).
 func (cp *CritPath) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(cp.jsonDoc())
+	j := newJW(w, true)
+	cp.writeJW(j)
+	j.raw("\n")
+	return j.finish()
 }
 
 // MarshalJSON embeds the same document when a CritPath appears inside
-// another JSON structure (profile JSON, post-mortem reports).
+// another JSON structure (post-mortem reports). It returns the
+// indented form; encoding/json compacts what a Marshaler returns.
 func (cp *CritPath) MarshalJSON() ([]byte, error) {
-	return json.Marshal(cp.jsonDoc())
+	j := newJW(nil, true)
+	cp.writeJW(j)
+	return j.bytes()
 }
 
 // SortSpansByShare orders the span attribution largest-total first

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
@@ -97,93 +96,83 @@ func pad(depth int) string {
 	return spaces[:n]
 }
 
-// jsonSpan mirrors Span for export. Times are mean per-processor
-// microseconds; max_incl_us is the slowest single processor.
-type jsonSpan struct {
-	Name      string     `json:"name"`
-	Note      string     `json:"note,omitempty"`
-	Count     int64      `json:"count"`
-	InclUs    float64    `json:"incl_us"`
-	ExclUs    float64    `json:"excl_us"`
-	MaxInclUs float64    `json:"max_incl_us"`
-	Compute   float64    `json:"compute_us"`
-	Startup   float64    `json:"startup_us"`
-	Transfer  float64    `json:"transfer_us"`
-	Idle      float64    `json:"idle_us"`
-	PredUs    float64    `json:"pred_us,omitempty"`
-	Msgs      int64      `json:"msgs"`
-	Words     int64      `json:"words"`
-	Flops     int64      `json:"flops"`
-	Children  []jsonSpan `json:"children,omitempty"`
-}
-
-type jsonProfile struct {
-	Dim        int        `json:"dim"`
-	P          int        `json:"p"`
-	ElapsedUs  float64    `json:"elapsed_us"`
-	Msgs       int64      `json:"msgs"`
-	Words      int64      `json:"words"`
-	Flops      int64      `json:"flops"`
-	Buckets    Buckets    `json:"buckets_mean_us"`
-	SkewUs     float64    `json:"bucket_skew_us"`
-	Congestion []LinkLoad `json:"congestion,omitempty"`
-	Spans      jsonSpan   `json:"spans"`
-	CritPath   *CritPath  `json:"critpath,omitempty"`
-}
-
 // WriteJSON writes the machine-readable profile document. Span times
-// are mean per-processor microseconds; buckets_mean_us is the mean
-// whole-run bucket split.
+// are mean per-processor microseconds (max_incl_us is the slowest
+// single processor); buckets_mean_us is the mean whole-run bucket
+// split, and congestion lists the 32 busiest links.
 func (pf *Profile) WriteJSON(w io.Writer) error {
+	j := newJW(w, true)
 	inv := 1.0 / float64(pf.P)
-	var conv func(s *Span) jsonSpan
-	conv = func(s *Span) jsonSpan {
-		js := jsonSpan{
-			Name:      s.Name,
-			Note:      s.Note,
-			Count:     s.Count,
-			InclUs:    float64(s.Incl) * inv,
-			ExclUs:    float64(s.Excl) * inv,
-			MaxInclUs: float64(s.MaxIncl),
-			Compute:   float64(s.Buckets.Compute) * inv,
-			Startup:   float64(s.Buckets.Startup) * inv,
-			Transfer:  float64(s.Buckets.Transfer) * inv,
-			Idle:      float64(s.Buckets.Idle) * inv,
-			PredUs:    float64(s.Pred) * inv,
-			Msgs:      s.Msgs,
-			Words:     s.Words,
-			Flops:     s.Flops,
-		}
-		for _, c := range s.Children {
-			js.Children = append(js.Children, conv(c))
-		}
-		return js
-	}
+	j.beginObject()
+	j.key("dim").int(int64(pf.Dim))
+	j.key("p").int(int64(pf.P))
+	j.key("elapsed_us").float(float64(pf.Elapsed))
+	j.key("msgs").int(pf.Msgs)
+	j.key("words").int(pf.Words)
+	j.key("flops").int(pf.Flops)
 	mean := pf.Root.Buckets
 	mean.Compute = costmodel.Time(float64(mean.Compute) * inv)
 	mean.Startup = costmodel.Time(float64(mean.Startup) * inv)
 	mean.Transfer = costmodel.Time(float64(mean.Transfer) * inv)
 	mean.Idle = costmodel.Time(float64(mean.Idle) * inv)
-	links := pf.Links
-	if len(links) > 32 {
-		links = links[:32]
+	j.key("buckets_mean_us").buckets(mean)
+	j.key("bucket_skew_us").float(float64(pf.BucketSkew()))
+	if links := pf.Links; len(links) > 0 {
+		if len(links) > 32 {
+			links = links[:32]
+		}
+		j.key("congestion").beginArray()
+		for _, l := range links {
+			j.elem().beginObject()
+			j.key("src").int(int64(l.Src))
+			j.key("dim").int(int64(l.Dim))
+			j.key("dst").int(int64(l.Dst))
+			j.key("words").int(l.Words)
+			j.endObject()
+		}
+		j.endArray()
 	}
-	doc := jsonProfile{
-		Dim:        pf.Dim,
-		P:          pf.P,
-		ElapsedUs:  float64(pf.Elapsed),
-		Msgs:       pf.Msgs,
-		Words:      pf.Words,
-		Flops:      pf.Flops,
-		Buckets:    mean,
-		SkewUs:     float64(pf.BucketSkew()),
-		Congestion: links,
-		Spans:      conv(pf.Root),
-		CritPath:   pf.Crit,
+	j.key("spans")
+	writeSpan(j, pf.Root, inv)
+	if pf.Crit != nil {
+		j.key("critpath")
+		pf.Crit.writeJW(j)
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
+	j.endObject()
+	j.raw("\n")
+	return j.finish()
+}
+
+// writeSpan writes one span and its subtree; inv is 1/P.
+func writeSpan(j *jw, s *Span, inv float64) {
+	j.beginObject()
+	j.key("name").str(s.Name)
+	if s.Note != "" {
+		j.key("note").str(s.Note)
+	}
+	j.key("count").int(s.Count)
+	j.key("incl_us").float(float64(s.Incl) * inv)
+	j.key("excl_us").float(float64(s.Excl) * inv)
+	j.key("max_incl_us").float(float64(s.MaxIncl))
+	j.key("compute_us").float(float64(s.Buckets.Compute) * inv)
+	j.key("startup_us").float(float64(s.Buckets.Startup) * inv)
+	j.key("transfer_us").float(float64(s.Buckets.Transfer) * inv)
+	j.key("idle_us").float(float64(s.Buckets.Idle) * inv)
+	if pred := float64(s.Pred) * inv; pred != 0 {
+		j.key("pred_us").float(pred)
+	}
+	j.key("msgs").int(s.Msgs)
+	j.key("words").int(s.Words)
+	j.key("flops").int(s.Flops)
+	if len(s.Children) > 0 {
+		j.key("children").beginArray()
+		for _, c := range s.Children {
+			j.elem()
+			writeSpan(j, c, inv)
+		}
+		j.endArray()
+	}
+	j.endObject()
 }
 
 // ChromeTrace writes Chrome trace-event JSON: one track per exported
@@ -198,83 +187,125 @@ func (pf *Profile) ChromeTrace(w io.Writer, maxProcs int) error {
 	if maxProcs <= 0 {
 		maxProcs = len(pf.inst)
 	}
-	bw := bufio.NewWriter(w)
-	fmt.Fprint(bw, "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n")
-	first := true
-	sep := func() {
-		if !first {
-			bw.WriteString(",\n")
-		}
-		first = false
-	}
-	sep()
-	fmt.Fprint(bw, `{"ph":"M","name":"process_name","pid":0,"args":{"name":"hypercube (virtual time)"}}`)
-	shown := make(map[int]bool)
+	t := traceWriter{newJW(w, false)}
+	t.raw("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n")
+	t.raw(`{"ph":"M","name":"process_name","pid":0,"args":{"name":"hypercube (virtual time)"}}`)
+	// shown marks the exported processors given a track; flow arrows
+	// are drawn only between two of them.
+	shown := make([]bool, pf.P)
+	nShown := 0
 	for _, pi := range pf.inst {
-		if len(shown) >= maxProcs {
+		if nShown >= maxProcs {
 			break
 		}
 		shown[pi.proc] = true
-		sep()
-		fmt.Fprintf(bw, `{"ph":"M","name":"thread_name","pid":0,"tid":%d,"args":{"name":"proc %d"}}`,
-			pi.proc, pi.proc)
+		nShown++
+		t.event(`{"ph":"M","name":"thread_name","pid":0,"tid":`)
+		t.int(pi.proc)
+		t.raw(`,"args":{"name":"proc `)
+		t.int(pi.proc)
+		t.raw(`"}}`)
 		for _, in := range pi.inst {
 			nd := pf.nodes[in.Node]
-			sep()
-			fmt.Fprintf(bw, `{"ph":"X","name":%s,"cat":"span","pid":0,"tid":%d,"ts":%s,"dur":%s`,
-				strconv.Quote(nd.Name), pi.proc,
-				ftoa(float64(in.Begin)), ftoa(float64(in.End-in.Begin)))
+			t.event(`{"ph":"X","name":`)
+			t.str(nd.Name)
+			t.raw(`,"cat":"span","pid":0,"tid":`)
+			t.int(pi.proc)
+			t.ts(`,"ts":`, in.Begin)
+			t.ts(`,"dur":`, in.End-in.Begin)
 			if nd.Note != "" {
-				fmt.Fprintf(bw, `,"args":{"note":%s}`, strconv.Quote(nd.Note))
+				t.raw(`,"args":{"note":`)
+				t.str(nd.Note)
+				t.raw("}")
 			}
-			bw.WriteString("}")
+			t.raw("}")
 		}
 	}
 	// The critical path as its own highlighted track: one complete
 	// event per chain segment, hops as instants. The tid sits past
 	// every processor track so the path renders at the bottom.
 	if pf.Crit != nil && len(pf.Crit.Chain) > 0 {
-		sep()
-		fmt.Fprintf(bw, `{"ph":"M","name":"thread_name","pid":0,"tid":%d,"args":{"name":"critical path"}}`,
-			pf.P)
+		t.event(`{"ph":"M","name":"thread_name","pid":0,"tid":`)
+		t.int(pf.P)
+		t.raw(`,"args":{"name":"critical path"}}`)
 		for _, sg := range pf.Crit.Chain {
-			sep()
 			if sg.Kind == "hop" {
-				fmt.Fprintf(bw, `{"ph":"i","s":"t","name":%s,"cat":"critpath","pid":0,"tid":%d,"ts":%s}`,
-					strconv.Quote(fmt.Sprintf("hop %d-d%d->%d", sg.From, sg.Dim, sg.Proc)),
-					pf.P, ftoa(float64(sg.T1)))
+				t.event(`{"ph":"i","s":"t","name":"hop `)
+				t.int(sg.From)
+				t.raw("-d")
+				t.int(sg.Dim)
+				t.raw("->")
+				t.int(sg.Proc)
+				t.raw(`","cat":"critpath","pid":0,"tid":`)
+				t.int(pf.P)
+				t.ts(`,"ts":`, sg.T1)
+				t.raw("}")
 				continue
 			}
-			name := sg.Kind
+			t.event(`{"ph":"X","name":"`)
+			t.buf = appendJSONChars(t.buf, sg.Kind, false)
 			if sg.Span != "" {
-				name = sg.Kind + " " + sg.Span
+				t.raw(" ")
+				t.buf = appendJSONChars(t.buf, sg.Span, false)
 			}
-			fmt.Fprintf(bw, `{"ph":"X","name":%s,"cat":"critpath","pid":0,"tid":%d,"ts":%s,"dur":%s,"args":{"proc":%d}}`,
-				strconv.Quote(name), pf.P,
-				ftoa(float64(sg.T0)), ftoa(float64(sg.T1-sg.T0)), sg.Proc)
+			t.raw(`","cat":"critpath","pid":0,"tid":`)
+			t.int(pf.P)
+			t.ts(`,"ts":`, sg.T0)
+			t.ts(`,"dur":`, sg.T1-sg.T0)
+			t.raw(`,"args":{"proc":`)
+			t.int(sg.Proc)
+			t.raw("}}")
 		}
 	}
-	if len(shown) > 0 {
+	if nShown > 0 {
 		id := 0
 		for _, ev := range pf.Events {
 			if !shown[ev.Src] || !shown[ev.Dst] {
 				continue
 			}
 			id++
-			name := strconv.Quote(fmt.Sprintf("msg dim%d tag%d (%dw)", ev.Dim, ev.Tag, ev.Words))
-			ts := ftoa(float64(ev.Time))
-			sep()
-			fmt.Fprintf(bw, `{"ph":"s","name":%s,"cat":"msg","id":%d,"pid":0,"tid":%d,"ts":%s}`,
-				name, id, ev.Src, ts)
-			sep()
-			fmt.Fprintf(bw, `{"ph":"f","bp":"e","name":%s,"cat":"msg","id":%d,"pid":0,"tid":%d,"ts":%s}`,
-				name, id, ev.Dst, ts)
+			t.flow(`{"ph":"s","name":"`, ev, id, ev.Src)
+			t.flow(`{"ph":"f","bp":"e","name":"`, ev, id, ev.Dst)
 		}
 	}
-	fmt.Fprint(bw, "\n]}\n")
-	return bw.Flush()
+	t.raw("\n]}\n")
+	return t.finish()
 }
 
-// ftoa formats a trace timestamp without exponent notation, which
-// some trace viewers reject.
-func ftoa(f float64) string { return strconv.FormatFloat(f, 'f', 3, 64) }
+// traceWriter appends the Chrome trace's compact events into a jw's
+// bounded buffer. Strings are escaped as JSON without HTML escaping.
+type traceWriter struct{ *jw }
+
+// event starts the next event (every event but the first metadata one
+// follows a separator) at an element boundary.
+func (t traceWriter) event(head string) {
+	t.boundary()
+	t.raw(",\n")
+	t.raw(head)
+}
+
+// flow appends one end of message ev's flow arrow on track tid.
+func (t traceWriter) flow(head string, ev LinkEvent, id, tid int) {
+	t.event(head)
+	t.raw("msg dim")
+	t.int(ev.Dim)
+	t.raw(" tag")
+	t.int(ev.Tag)
+	t.raw(" (")
+	t.int(ev.Words)
+	t.raw(`w)","cat":"msg","id":`)
+	t.int(id)
+	t.raw(`,"pid":0,"tid":`)
+	t.int(tid)
+	t.ts(`,"ts":`, ev.Time)
+	t.raw("}")
+}
+
+func (t traceWriter) int(n int) { t.buf = strconv.AppendInt(t.buf, int64(n), 10) }
+
+// ts appends a key and a timestamp, fixed to three decimals without
+// exponent notation, which some trace viewers reject.
+func (t traceWriter) ts(key string, v costmodel.Time) {
+	t.raw(key)
+	t.buf = strconv.AppendFloat(t.buf, float64(v), 'f', 3, 64)
+}

@@ -537,3 +537,18 @@ func TestSubmitValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestDebugHandlerServesPprof: pprof answers on the debug mux and is
+// absent from the API handler.
+func TestDebugHandlerServesPprof(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1})
+	dbg := httptest.NewServer(DebugHandler())
+	defer dbg.Close()
+	getBody(t, dbg.URL+"/debug/pprof/cmdline")
+	if idx := getBody(t, dbg.URL+"/debug/pprof/"); !bytes.Contains(idx, []byte("goroutine")) {
+		t.Fatalf("pprof index lists no goroutine profile:\n%s", idx)
+	}
+	for _, path := range []string{"/debug/pprof/cmdline", "/debug/pprof/"} {
+		mustGet(t, ts.URL+path, http.StatusNotFound).Body.Close()
+	}
+}
