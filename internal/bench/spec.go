@@ -109,11 +109,7 @@ func (s RunSpec) RunOn(m *hypercube.Machine, opts ProfileOpts) (res *ProfileResu
 		return nil, fmt.Errorf("bench: spec wants d=%d but machine has d=%d", ns.D, m.Dim())
 	}
 	m.EnableProfile(opts.Profile)
-	if opts.Profile {
-		m.EnableTrace(profileTraceLimit)
-	} else {
-		m.EnableTrace(0)
-	}
+	m.EnableTrace(profileTraceLimit) // records only in a profiled run
 	m.EnableCritPath(opts.CritPath)
 	defer func() {
 		if r := recover(); r != nil {

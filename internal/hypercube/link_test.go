@@ -285,7 +285,7 @@ func TestLinkSendOwnedMatchesSend(t *testing.T) {
 	defer moved.Close()
 
 	checkSameSimResults(t, "SendOwned vs Send", moved, copied)
-	if a, b := moved.Trace(), copied.Trace(); len(a) == 0 || !reflect.DeepEqual(a, b) {
+	if a, b := moved.Profile().Events, copied.Profile().Events; len(a) == 0 || !reflect.DeepEqual(a, b) {
 		t.Fatalf("message traces differ (%d vs %d events)", len(a), len(b))
 	}
 	for pid := range copied.procs {
@@ -696,9 +696,13 @@ func TestLostWakeupStress(t *testing.T) {
 // benchLink times one Run in which every processor executes step b.N
 // times, and reports host nanoseconds per link message. One long run
 // amortises the per-Run start away, so the profile is the transport.
-func benchLink(b *testing.B, dim int, step func(p *Proc, i int)) {
+// arm, if not nil, sets the machine's recorders up before the first Run.
+func benchLink(b *testing.B, dim int, arm func(*Machine), step func(p *Proc, i int)) {
 	m := MustNew(dim, costmodel.Ideal())
 	defer m.Close()
+	if arm != nil {
+		arm(m)
+	}
 	run := func(n int) {
 		if _, err := m.Run(func(p *Proc) {
 			for i := 0; i < n; i++ {
@@ -718,7 +722,7 @@ func benchLink(b *testing.B, dim int, step func(p *Proc, i int)) {
 // BenchmarkLinkPingPong is the start-up term alone: two processors,
 // strict alternation, zero-word messages, a park per message.
 func BenchmarkLinkPingPong(b *testing.B) {
-	benchLink(b, 1, func(p *Proc, i int) {
+	benchLink(b, 1, nil, func(p *Proc, i int) {
 		if p.ID() == 0 {
 			p.Send(0, i, nil)
 			p.Recycle(p.Recv(0, i))
@@ -732,10 +736,25 @@ func BenchmarkLinkPingPong(b *testing.B) {
 // BenchmarkLinkExchange is the pattern the collectives are made of: 64
 // processors exchange a few words along every dimension in turn.
 func BenchmarkLinkExchange(b *testing.B) {
-	payload := []float64{1, 2, 3, 4}
-	benchLink(b, 6, func(p *Proc, i int) {
-		for d := 0; d < p.Dim(); d++ {
-			p.Recycle(p.Exchange(d, i, payload))
-		}
-	})
+	benchLink(b, 6, nil, exchangeStep)
+}
+
+// BenchmarkLinkExchangeTraced is BenchmarkLinkExchange with the profiler
+// and the message trace armed as a profiled workload arms them (4,096
+// messages per sender), building the profile included: the price of
+// those two recorders on the message path.
+func BenchmarkLinkExchangeTraced(b *testing.B) {
+	b.ReportAllocs()
+	benchLink(b, 6, func(m *Machine) {
+		m.EnableProfile(true)
+		m.EnableTrace(4096)
+	}, exchangeStep)
+}
+
+var exchangePayload = []float64{1, 2, 3, 4}
+
+func exchangeStep(p *Proc, i int) {
+	for d := 0; d < p.Dim(); d++ {
+		p.Recycle(p.Exchange(d, i, exchangePayload))
+	}
 }

@@ -109,7 +109,6 @@ type Machine struct {
 	stats      Stats
 	clocks     []costmodel.Time
 	traceLimit int
-	trace      []TraceEvent
 
 	// Profiling state (see profile.go): profEnabled gates the span
 	// machinery for the next Run, profile holds the last profiled
@@ -414,7 +413,6 @@ func (m *Machine) Run(body func(*Proc)) (costmodel.Time, error) {
 	}
 	m.elapsed = elapsed
 	m.stats = st
-	m.collectTrace(m.procs)
 	if m.stream != nil {
 		m.emitRunSummary(m.stream, float64(elapsed))
 	}
@@ -567,7 +565,7 @@ type Proc struct {
 	nMsgs  int64
 	nWords int64
 	nFlops int64
-	trace  []TraceEvent
+	trace  []obs.LinkEvent // its sends on processor 0's links (see EnableTrace)
 
 	// Always-on attribution counters: the clock split into compute /
 	// start-up / transfer (idle is derived as clock minus their sum),
@@ -717,8 +715,8 @@ func (p *Proc) post(d, tag int, buf []float64, arrive costmodel.Time) {
 	p.nWords += int64(len(buf))
 	p.linkWords[d] += int64(len(buf))
 	dst := p.id ^ (1 << d)
-	if lim := p.m.traceLimit; lim > 0 && len(p.trace) < lim {
-		p.trace = append(p.trace, TraceEvent{
+	if (dst == 0 || p.id == 0) && len(p.trace) < p.m.traceLimit && p.m.profEnabled {
+		p.trace = append(p.trace, obs.LinkEvent{
 			Time: arrive, Src: p.id, Dst: dst, Dim: d, Words: len(buf), Tag: tag,
 		})
 	}

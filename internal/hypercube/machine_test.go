@@ -413,7 +413,8 @@ func TestClocksExposed(t *testing.T) {
 }
 
 func TestTraceRecordsMessages(t *testing.T) {
-	m := MustNew(2, costmodel.Ideal())
+	m := MustNew(3, costmodel.Ideal())
+	m.EnableProfile(true)
 	m.EnableTrace(100)
 	if _, err := m.Run(func(p *Proc) {
 		p.Exchange(0, 7, []float64{1, 2})
@@ -421,11 +422,12 @@ func TestTraceRecordsMessages(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	tr := m.Trace()
-	if len(tr) != 2*m.P() {
-		t.Fatalf("%d events, want %d", len(tr), 2*m.P())
+	// Only processor 0's links are recorded: both directions on
+	// dimensions 0 and 1.
+	tr := m.Profile().Events
+	if len(tr) != 4 {
+		t.Fatalf("%d events, want 4: %+v", len(tr), tr)
 	}
-	// Ordered by time; endpoints consistent; tags preserved.
 	for i := 1; i < len(tr); i++ {
 		if tr[i].Time < tr[i-1].Time {
 			t.Fatal("trace not time-ordered")
@@ -433,18 +435,21 @@ func TestTraceRecordsMessages(t *testing.T) {
 	}
 	seenTags := map[int]int{}
 	for _, ev := range tr {
-		if ev.Dst != ev.Src^(1<<ev.Dim) {
-			t.Fatalf("inconsistent endpoints: %v", ev)
+		if ev.Dst != ev.Src^(1<<ev.Dim) || (ev.Src != 0 && ev.Dst != 0) {
+			t.Fatalf("event off processor 0's links: %+v", ev)
 		}
 		seenTags[ev.Tag]++
-		if ev.String() == "" {
-			t.Fatal("empty event string")
-		}
 	}
-	if seenTags[7] != m.P() || seenTags[8] != m.P() {
+	if seenTags[7] != 2 || seenTags[8] != 2 {
 		t.Fatalf("tags: %v", seenTags)
 	}
-	// Hottest first: the four 2-word dim-0 links, then the 1-word dim-1
+	// The processors off processor 0's links keep no record at all.
+	for pid, pr := range m.procs {
+		if pid&(pid-1) != 0 && cap(pr.trace) != 0 {
+			t.Fatalf("proc %d holds a trace of capacity %d", pid, cap(pr.trace))
+		}
+	}
+	// Hottest first: the 2-word dim-0 links, then the 1-word dim-1
 	// links, ties by source.
 	loads := m.Congestion(0)
 	if len(loads) != 2*m.P() || loads[0] != (obs.LinkLoad{Src: 0, Dim: 0, Dst: 1, Words: 2}) ||
@@ -455,6 +460,7 @@ func TestTraceRecordsMessages(t *testing.T) {
 
 func TestTraceLimitRespected(t *testing.T) {
 	m := MustNew(1, costmodel.Ideal())
+	m.EnableProfile(true)
 	m.EnableTrace(3)
 	if _, err := m.Run(func(p *Proc) {
 		for i := 0; i < 10; i++ {
@@ -463,17 +469,30 @@ func TestTraceLimitRespected(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(m.Trace()); got != 3*m.P() {
+	if got := len(m.Profile().Events); got != 3*m.P() {
 		t.Fatalf("%d events, want %d (limit 3 per proc)", got, 3*m.P())
 	}
 }
 
 func TestTraceDisabledByDefault(t *testing.T) {
 	m := MustNew(1, costmodel.Ideal())
+	m.EnableProfile(true)
 	if _, err := m.Run(func(p *Proc) { p.Exchange(0, 1, nil) }); err != nil {
 		t.Fatal(err)
 	}
-	if m.Trace() != nil && len(m.Trace()) != 0 {
-		t.Fatal("trace recorded while disabled")
+	if ev := m.Profile().Events; len(ev) != 0 {
+		t.Fatalf("trace recorded while disabled: %+v", ev)
+	}
+	// Armed without the profiler, the trace has no reader and records
+	// nothing.
+	m.EnableProfile(false)
+	m.EnableTrace(10)
+	if _, err := m.Run(func(p *Proc) { p.Exchange(0, 1, nil) }); err != nil {
+		t.Fatal(err)
+	}
+	for pid, pr := range m.procs {
+		if len(pr.trace) != 0 {
+			t.Fatalf("proc %d recorded %d messages in an unprofiled run", pid, len(pr.trace))
+		}
 	}
 }

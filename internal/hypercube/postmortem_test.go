@@ -307,7 +307,6 @@ func TestPostMortemGolden(t *testing.T) {
 func TestMetricsReconcileWithObservability(t *testing.T) {
 	m := MustNew(3, costmodel.CM2())
 	defer m.Close()
-	m.EnableTrace(1 << 20)
 	// Recursive-doubling all-reduce, hand-rolled (internal/collective
 	// cannot be imported from here without a cycle).
 	body := func(p *Proc) {
@@ -333,8 +332,9 @@ func TestMetricsReconcileWithObservability(t *testing.T) {
 	snap := m.Metrics().Snapshot()
 	st := m.LastStats()
 
-	// Counters reconcile with the machine's own observability surfaces:
-	// words vs the always-on per-link counters, messages vs the trace.
+	// Counters reconcile with the machine's own observability surfaces
+	// (words vs the always-on per-link counters) and with the program:
+	// one message per processor per dimension.
 	var linkWords int64
 	for _, l := range m.Congestion(0) {
 		linkWords += l.Words
@@ -342,8 +342,8 @@ func TestMetricsReconcileWithObservability(t *testing.T) {
 	if v, _ := snap.Value("vmprim_words_total"); int64(v) != linkWords || int64(v) != st.Words {
 		t.Fatalf("words_total = %v, link sum = %d, stats = %d", v, linkWords, st.Words)
 	}
-	if v, _ := snap.Value("vmprim_messages_total"); int(v) != len(m.Trace()) || int64(v) != st.Messages {
-		t.Fatalf("messages_total = %v, trace = %d, stats = %d", v, len(m.Trace()), st.Messages)
+	if v, _ := snap.Value("vmprim_messages_total"); int(v) != m.P()*m.Dim() || int64(v) != st.Messages {
+		t.Fatalf("messages_total = %v, want %d, stats = %d", v, m.P()*m.Dim(), st.Messages)
 	}
 	if v, _ := snap.Value("vmprim_flops_total"); int64(v) != st.Flops {
 		t.Fatalf("flops_total = %v, stats = %d", v, st.Flops)

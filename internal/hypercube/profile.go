@@ -1,7 +1,9 @@
 package hypercube
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -232,8 +234,18 @@ func (p *Proc) checkSpansClosed() {
 // The per-processor clock buckets and per-link word counters are
 // always on; EnableProfile only controls the span tree (and therefore
 // whether Profile returns a value). For Chrome-trace flow arrows,
-// also call EnableTrace: the exporter reuses the traced messages.
+// also call EnableTrace.
 func (m *Machine) EnableProfile(on bool) { m.profEnabled = on }
+
+// EnableTrace records, in subsequent profiled runs, the messages the
+// Chrome-trace exporter draws as flow arrows, keeping at most limit per
+// sender (0 disables). Arrows join processor 0 and its neighbors (see
+// profInstProc), and every message between two of them crosses one of
+// processor 0's links, so only those messages are recorded: processor
+// 0's sends and its neighbors' sends to it. A run without EnableProfile
+// records nothing. Like EnableProfile it must be called between runs,
+// never during one.
+func (m *Machine) EnableTrace(limit int) { m.traceLimit = limit }
 
 // Profile returns the profile of the most recent Run, or nil if
 // profiling was off or the run failed. The returned value is a
@@ -269,13 +281,22 @@ func (m *Machine) buildProfile() *obs.Profile {
 			pd.Instances = append([]obs.Instance(nil), ps.inst...)
 		}
 	}
+	return obs.Build(m.dim, procs, m.flowEvents(), m.linkLoads(0))
+}
+
+// flowEvents gathers the messages recorded under EnableTrace in address
+// order and sorts them stably by arrival time, so ties stay ordered by
+// source address and then by the order the source posted them. A
+// processor's own record need not be in time order: under the all-port
+// model ExchangeAll posts each message at the phase start plus that
+// message's own cost.
+func (m *Machine) flowEvents() []obs.LinkEvent {
 	var events []obs.LinkEvent
-	for _, ev := range m.trace {
-		events = append(events, obs.LinkEvent{
-			Time: ev.Time, Src: ev.Src, Dst: ev.Dst, Dim: ev.Dim, Words: ev.Words, Tag: ev.Tag,
-		})
+	for _, pr := range m.procs {
+		events = append(events, pr.trace...)
 	}
-	return obs.Build(m.dim, procs, events, m.linkLoads(0))
+	slices.SortStableFunc(events, func(a, b obs.LinkEvent) int { return cmp.Compare(a.Time, b.Time) })
+	return events
 }
 
 // linkLoads lists the nonzero directed-link word counts of the most

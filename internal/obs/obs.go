@@ -131,8 +131,7 @@ type ProcData struct {
 	Instances []Instance
 }
 
-// LinkEvent is one link message, used for Chrome-trace flow arrows.
-// It mirrors hypercube.TraceEvent without importing it.
+// LinkEvent is one link message, drawn as a Chrome-trace flow arrow.
 type LinkEvent struct {
 	// Time is the virtual arrival time of the message.
 	Time costmodel.Time
@@ -205,9 +204,9 @@ type Profile struct {
 	// Links lists the busiest directed links, sorted by descending
 	// word count.
 	Links []LinkLoad
-	// Events are the traced link messages (empty unless the machine
-	// had EnableTrace set); the Chrome exporter renders them as flow
-	// arrows.
+	// Events are the messages the Chrome exporter draws as flow arrows,
+	// those on processor 0's links, by arrival time (empty unless the
+	// machine had EnableTrace set).
 	Events []LinkEvent
 	// Crit is the run's critical path, or nil when the producer did
 	// not record one. It is pure virtual time: all three exporters

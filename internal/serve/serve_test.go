@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"regexp"
 	"runtime"
+	rtmetrics "runtime/metrics"
 	"strings"
 	"testing"
 
@@ -415,9 +416,9 @@ func TestMetricsScrape(t *testing.T) {
 	}
 }
 
-// /metrics carries the Go runtime's samples, read at scrape time: all
-// five are present with their TYPEs, and the GC cycle count advances
-// across a forced collection between two scrapes.
+// /metrics carries the Go runtime's samples, read at scrape time: every
+// scalar and histogram is present with its TYPE, and the GC cycle and
+// pause counts advance across a forced collection between two scrapes.
 func TestMetricsGoRuntime(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1})
 	first, types, _ := scrape(t, ts.URL)
@@ -438,11 +439,40 @@ func TestMetricsGoRuntime(t *testing.T) {
 			t.Errorf("%s = %g, want > 0", name, first[name])
 		}
 	}
+	for _, h := range goHistograms {
+		if types[h.name] != "histogram" {
+			t.Errorf("%s TYPE = %q, want histogram", h.name, types[h.name])
+		}
+	}
+	// Goroutines have been scheduled, and the test binary has collected.
+	for _, name := range []string{"vmprimd_go_sched_latency_seconds_count", "vmprimd_go_sched_latency_seconds_bucket"} {
+		if first[name] <= 0 {
+			t.Errorf("%s = %g, want > 0", name, first[name])
+		}
+	}
 	runtime.GC()
 	second, _, _ := scrape(t, ts.URL)
-	const gc = "vmprimd_go_gc_cycles_total"
-	if second[gc] <= first[gc] {
-		t.Errorf("%s went %g -> %g across runtime.GC, want an increase", gc, first[gc], second[gc])
+	for _, name := range []string{"vmprimd_go_gc_cycles_total", "vmprimd_go_gc_pause_seconds_count"} {
+		if second[name] <= first[name] {
+			t.Errorf("%s went %g -> %g across runtime.GC, want an increase", name, first[name], second[name])
+		}
+	}
+	// Each scrape folds only what the runtime counted since the previous
+	// one, so the exported count is the runtime's own total.
+	pauses := func() float64 {
+		s := []rtmetrics.Sample{{Name: goHistograms[0].sample}}
+		rtmetrics.Read(s)
+		var n uint64
+		for _, c := range s[0].Value.Float64Histogram().Counts {
+			n += c
+		}
+		return float64(n)
+	}
+	before := pauses()
+	third, _, _ := scrape(t, ts.URL)
+	after := pauses()
+	if c := third["vmprimd_go_gc_pause_seconds_count"]; c < before || c > after {
+		t.Errorf("gc pause count %g, runtime counted %g before the scrape and %g after", c, before, after)
 	}
 }
 
