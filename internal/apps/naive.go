@@ -107,6 +107,13 @@ func naiveSpreadRow(e *core.Env, a *core.Matrix, i, clo, chi int) []float64 {
 	myRow, myCol := e.GridRow(), e.GridCol()
 	var out []router.Msg
 	if myRow == a.RMap.CoordOf(i) {
+		n := 0
+		for lc := 0; lc < b; lc++ {
+			if gj := a.CMap.GlobalOf(myCol, lc); gj >= clo && gj < chi {
+				n++
+			}
+		}
+		out = make([]router.Msg, 0, n*e.G.PRows())
 		lr := a.RMap.LocalOf(i)
 		for lc := 0; lc < b; lc++ {
 			gj := a.CMap.GlobalOf(myCol, lc)
@@ -143,6 +150,13 @@ func naiveSpreadCol(e *core.Env, a *core.Matrix, j, rlo, rhi int) []float64 {
 	myRow, myCol := e.GridRow(), e.GridCol()
 	var out []router.Msg
 	if myCol == a.CMap.CoordOf(j) {
+		n := 0
+		for lr := 0; lr < a.RMap.B; lr++ {
+			if gi := a.RMap.GlobalOf(myRow, lr); gi >= rlo && gi < rhi {
+				n++
+			}
+		}
+		out = make([]router.Msg, 0, n*e.G.PCols())
 		lc := a.CMap.LocalOf(j)
 		for lr := 0; lr < a.RMap.B; lr++ {
 			gi := a.RMap.GlobalOf(myRow, lr)

@@ -16,66 +16,70 @@ import (
 // message combining that distinguishes a primitive from naive
 // element-at-a-time access.
 
-// remapItem is one element in flight during an embedding change: the
-// processor it moves to, its global index there (nonnegative) and its
-// value.
-type remapItem struct {
-	dst, key int
-	val      float64
+// remap lays the elements of an embedding change out for the router:
+// one combined message of (key, value) pairs per destination, the
+// pairs of all destinations in one slab, in source order within a
+// message and ascending destination order across messages.
+// Destinations are dense in [0, P), so this is a counting sort, run as
+// two passes over the source that make the same add calls: the first
+// counts, the second fills.
+type remap struct {
+	procs int
+	end   []int // per destination: its run's length, then where it ends so far
+	slab  []float64
+	pass  int
 }
 
-// remapExchange routes every processor's items to their destinations,
-// one combined message of (key, value) pairs per destination, and
-// returns the messages that arrived here. All processors call it
-// together. Destinations are dense in [0, P), so a counting sort lays
-// the pairs out as per-destination runs of one slab, in item order
-// within a run and ascending destination order across runs.
-func (e *Env) remapExchange(items []remapItem) []router.Msg {
-	end := make([]int, e.P.P()) // end[d]: where d's run ends so far
-	for _, it := range items {
-		end[it.dst] += 2
-	}
-	nmsgs, at := 0, 0
-	for d, n := range end {
-		if n > 0 {
-			nmsgs++
+// passes starts the next pass and reports whether there is one: the
+// first call starts counting, the second lays the runs out and starts
+// filling, the third ends the sort.
+func (r *remap) passes() bool {
+	r.pass++
+	switch r.pass {
+	case 1:
+		r.end = make([]int, r.procs)
+	case 2:
+		at := 0
+		for d, n := range r.end {
+			r.end[d] = at
+			at += n
 		}
-		end[d] = at
-		at += n
+		r.slab = make([]float64, at)
 	}
-	slab := make([]float64, at)
-	for _, it := range items {
-		k := end[it.dst]
-		slab[k], slab[k+1] = float64(it.key), it.val
-		end[it.dst] = k + 2
+	return r.pass <= 2
+}
+
+// add sends element key, holding val, to processor dst.
+func (r *remap) add(dst, key int, val float64) {
+	if r.pass == 1 {
+		r.end[dst] += 2
+		return
+	}
+	k := r.end[dst]
+	r.slab[k], r.slab[k+1] = float64(key), val
+	r.end[dst] = k + 2
+}
+
+// remapExchange routes every processor's runs to their destinations
+// and returns the messages that arrived here. All processors call it
+// together, after the sort or, with nothing to send, without one.
+func (e *Env) remapExchange(r *remap) []router.Msg {
+	nmsgs, lo := 0, 0
+	for _, hi := range r.end {
+		if hi > lo {
+			nmsgs++
+			lo = hi
+		}
 	}
 	msgs := make([]router.Msg, 0, nmsgs)
-	lo := 0
-	for d, hi := range end {
+	lo = 0
+	for d, hi := range r.end {
 		if hi > lo {
-			msgs = append(msgs, router.Msg{Dst: d, Key: (hi - lo) / 2, Words: slab[lo:hi]})
+			msgs = append(msgs, router.Msg{Dst: d, Key: (hi - lo) / 2, Words: r.slab[lo:hi]})
 			lo = hi
 		}
 	}
 	return router.Route(e.P, e.NextTag(), msgs)
-}
-
-// ownedVecItems lists the elements of v this processor is the
-// canonical contributor for, each bound for dstOf of its index.
-func (e *Env) ownedVecItems(v *Vector, dstOf func(g int) int) []remapItem {
-	pid := e.P.ID()
-	if !v.HoldsData(pid) || !e.isCanonicalHolder(v) {
-		return nil
-	}
-	pv := v.L(pid)
-	c := v.PieceCoord(pid)
-	items := make([]remapItem, 0, len(pv))
-	for l, val := range pv {
-		if g := v.Map.GlobalOf(c, l); g >= 0 {
-			items = append(items, remapItem{dst: dstOf(g), key: g, val: val})
-		}
-	}
-	return items
 }
 
 // Realign converts a vector to another embedding: layout, map kind,
@@ -90,17 +94,29 @@ func (e *Env) Realign(v *Vector, layout Layout, kind embed.MapKind, home int, re
 		e.P.SpanNote(v.Layout.String() + "->" + layout.String())
 	}
 	out := e.TempVector(v.N, layout, kind, home, false)
-	got := e.remapExchange(e.ownedVecItems(v, func(g int) int {
-		c := out.Map.CoordOf(g)
-		switch layout {
-		case Linear:
-			return linearProcOf(c)
-		case RowAligned:
-			return e.G.ProcAt(home, c)
-		default:
-			return e.G.ProcAt(c, home)
+	r := remap{procs: e.P.P()}
+	// This processor sends the elements it is the canonical
+	// contributor for, each to its owner under the new embedding.
+	if pid := e.P.ID(); v.HoldsData(pid) && e.isCanonicalHolder(v) {
+		c := v.PieceCoord(pid)
+		for r.passes() {
+			for l, val := range v.L(pid) {
+				g := v.Map.GlobalOf(c, l)
+				if g < 0 {
+					continue
+				}
+				switch oc := out.Map.CoordOf(g); layout {
+				case Linear:
+					r.add(linearProcOf(oc), g, val)
+				case RowAligned:
+					r.add(e.G.ProcAt(home, oc), g, val)
+				default:
+					r.add(e.G.ProcAt(oc, home), g, val)
+				}
+			}
 		}
-	}))
+	}
+	got := e.remapExchange(&r)
 	if len(got) > 0 {
 		pv := out.L(e.P.ID())
 		n := 0
@@ -140,22 +156,24 @@ func (e *Env) TransposeInto(dst, a *Matrix) {
 	blk := a.L(pid)
 	b := a.CMap.B
 	myRow, myCol := e.GridRow(), e.GridCol()
-	items := make([]remapItem, 0, len(blk))
-	for lr := 0; lr < a.RMap.B; lr++ {
-		gi := a.RMap.GlobalOf(myRow, lr)
-		if gi < 0 {
-			continue
-		}
-		for lc := 0; lc < b; lc++ {
-			gj := a.CMap.GlobalOf(myCol, lc)
-			if gj < 0 {
+	r := remap{procs: e.P.P()}
+	for r.passes() {
+		for lr := 0; lr < a.RMap.B; lr++ {
+			gi := a.RMap.GlobalOf(myRow, lr)
+			if gi < 0 {
 				continue
 			}
-			// Element (gi, gj) becomes dst element (gj, gi).
-			items = append(items, remapItem{dst: dst.OwnerOf(gj, gi), key: gj*dst.Cols + gi, val: blk[lr*b+lc]})
+			for lc := 0; lc < b; lc++ {
+				gj := a.CMap.GlobalOf(myCol, lc)
+				if gj < 0 {
+					continue
+				}
+				// Element (gi, gj) becomes dst element (gj, gi).
+				r.add(dst.OwnerOf(gj, gi), gj*dst.Cols+gi, blk[lr*b+lc])
+			}
 		}
 	}
-	got := e.remapExchange(items)
+	got := e.remapExchange(&r)
 	if len(got) > 0 {
 		db := dst.L(pid)
 		bc := dst.CMap.B

@@ -274,11 +274,14 @@ func (s *Stats) Add(other Stats) {
 	s.Flops += other.Flops
 }
 
+// MaxDim is the largest dimension New accepts.
+const MaxDim = 20
+
 // New returns a machine of dimension dim (2^dim processors) governed
 // by the given cost parameters. It returns an error if dim is negative
-// or unreasonably large, or if the parameters are invalid.
+// or above MaxDim, or if the parameters are invalid.
 func New(dim int, params costmodel.Params) (*Machine, error) {
-	if dim < 0 || dim > 20 {
+	if dim < 0 || dim > MaxDim {
 		return nil, fmt.Errorf("hypercube: dimension %d out of range [0,20]", dim)
 	}
 	if err := params.Validate(); err != nil {

@@ -21,10 +21,11 @@ import "math/bits"
 // no free buffer of its class exists on the whole machine, and the
 // number of buffers in existence is the peak concurrent demand however
 // many runs the machine serves. A run has one thread (see machine.go),
-// so the stacks need no lock. The router's buffers stay out of the
-// pool altogether (plain make, moved with SendOwned): their sizes
-// follow the traffic pattern, not a class a later message would ask
-// for again.
+// so the stacks need no lock. The router's message buffers stay out
+// of the pool (plain make, moved with SendOwned): their sizes follow
+// the traffic pattern, not a class a later message would ask for
+// again. The router borrows only the scratch of an in-place partition,
+// and returns it before the phase's send.
 
 // poolClasses bounds the capacity classes kept (2^27 floats = 1 GiB of
 // payload per buffer is far beyond any simulated message).

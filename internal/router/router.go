@@ -22,14 +22,20 @@
 //
 // On the host, messages stay in wire form (two header words, then the
 // payload) from injection to delivery, and buffers move instead of
-// being copied: Route encodes the outgoing list once into a buffer it
-// owns, each phase partitions that buffer in place and hands the
-// forwarded part to Proc.SendOwned, and what arrives is adopted as is
-// when nothing else is pending, so a lone block hops across the
-// machine without a copy. Routed buffers are plain allocations that
-// travel with the messages; none is kept between calls and none enters
-// the machine's buffer pool, whose size classes a routed buffer, sized
-// by the traffic pattern, would not be asked for again.
+// being copied. Route encodes the outgoing list once into a buffer it
+// owns. Between phases a processor holds an ordered list of wire-form
+// runs: that injection buffer, then one arrival per phase, appended
+// and never merged. When a phase's outgoing traffic sits in one run,
+// that run is partitioned in place and the part that leaves goes to
+// Proc.SendOwned as a capacity-clipped subslice of it (a run leaving
+// whole goes as it is); only traffic drawn from two or more runs is
+// copied into a new forward buffer. Routed buffers are plain
+// allocations that travel with the messages; none is kept between
+// calls and none enters the machine's buffer pool, whose size classes
+// a routed buffer, sized by the traffic pattern, would not be asked
+// for again. The one pooled buffer is the scratch an interleaved
+// partition stages messages through, returned before the partition
+// ends.
 package router
 
 import (
@@ -87,6 +93,37 @@ func header(w float64) (dst, n int) {
 	return int(dl >> 32), int(dl & math.MaxUint32)
 }
 
+// held is a processor's pending traffic between phases: wire-form
+// runs in delivery order, at most one per source — the injection
+// buffer, then one arrival per phase. Runs are appended and never
+// merged: a phase compacts each run in place and drops the ones it
+// empties, keeping the rest in order.
+type held struct {
+	runs [hypercube.MaxDim + 1][]float64
+	n    int
+}
+
+// push appends run unless it is empty.
+func (h *held) push(run []float64) {
+	if len(run) > 0 {
+		h.runs[h.n] = run
+		h.n++
+	}
+}
+
+// next returns the offset of the message after the one at offset at.
+func next(run []float64, at int) int {
+	_, n := header(run[at])
+	return at + headerWords + n
+}
+
+// leaves reports whether the message headed by w leaves a processor
+// whose address has bit i equal to mine in phase i.
+func leaves(w float64, i, mine int) bool {
+	dst, _ := header(w)
+	return dst>>i&1 != mine
+}
+
 // Route delivers every processor's outgoing messages to their
 // destinations through dimension-ordered routing and returns the
 // messages addressed to the calling processor (including any the
@@ -106,83 +143,173 @@ func Route(p *hypercube.Proc, tag int, outgoing []Msg) []Msg {
 		wire = appendHeader(wire, p.P(), m.Dst, m.Key, len(m.Words))
 		wire = append(wire, m.Words...)
 	}
-	wire = route(p, tag, wire, len(outgoing))
+	var h held
+	h.push(wire)
+	route(p, tag, &h, len(outgoing))
 	n := 0
-	for at := 0; at < len(wire); n++ {
-		_, l := header(wire[at])
-		at += headerWords + l
+	for _, run := range h.runs[:h.n] {
+		for at := 0; at < len(run); at = next(run, at) {
+			n++
+		}
 	}
 	msgs := make([]Msg, n)
-	at := 0
-	for k := range msgs {
-		dst, l := header(wire[at])
-		end := at + headerWords + l
-		msgs[k] = Msg{Dst: dst, Key: int(wire[at+1]), Words: wire[at+headerWords : end : end]}
-		at = end
+	k := 0
+	for _, run := range h.runs[:h.n] {
+		for at := 0; at < len(run); k++ {
+			dst, l := header(run[at])
+			end := at + headerWords + l
+			msgs[k] = Msg{Dst: dst, Key: int(run[at+1]), Words: run[at+headerWords : end : end]}
+			at = end
+		}
 	}
 	return msgs
 }
 
-// route runs the d phases on wire, the caller's msgs messages in wire
-// form, and returns the wire form of what was addressed here. It owns
-// wire and the caller owns the result.
-func route(p *hypercube.Proc, tag int, wire []float64, msgs int) []float64 {
+// route runs the d phases on h, which holds the caller's msgs messages
+// in wire form as its one run, and leaves in h the runs of what was
+// addressed here. The runs h holds are the caller's.
+func route(p *hypercube.Proc, tag int, h *held, msgs int) {
 	p.BeginSpan("route")
 	defer p.EndSpan()
 	p.NoteCollective("route", p.FullMask(), tag)
 	if p.Profiling() {
 		// Predict from the local injection load: each of the d phases
 		// forwards about half of what is pending here on average.
-		p.SpanPredict(costmodel.PredictRoute(p.Params(), p.Dim(), msgs, len(wire)-headerWords*msgs, headerWords))
+		p.SpanPredict(costmodel.PredictRoute(p.Params(), p.Dim(), msgs, len(h.runs[0])-headerWords*msgs, headerWords))
 	}
 	for i := 0; i < p.Dim(); i++ {
-		kept, fwd, nfwd, wfwd := split(wire, p.ID()>>i&1, i)
+		fwd, nfwd, wfwd := h.forward(p, i)
 		// The router charges per-phase start-up plus per-message
 		// handling on the payload volume; the link transfer itself
 		// (payload + headers) is charged by the send.
 		p.RoutePhaseCharge(nfwd, wfwd)
 		p.SendOwned(i, tag<<6|i, fwd)
-		got := p.Recv(i, tag<<6|i)
-		if wire = got; len(kept) > 0 {
-			wire = append(kept, got...)
-		}
+		h.push(p.Recv(i, tag<<6|i))
 	}
-	return wire
 }
 
-// split partitions wire by bit i of each message's destination:
-// messages whose bit equals mine stay, compacted in order to the front
-// of wire; the others go, in order, to fwd (nfwd messages, wfwd payload
-// words). When everything leaves, wire itself is fwd.
-func split(wire []float64, mine, i int) (kept, fwd []float64, nfwd, wfwd int) {
-	for at := 0; at < len(wire); {
-		dst, n := header(wire[at])
-		if dst>>i&1 != mine {
-			nfwd++
-			wfwd += n
+// forward takes out of h the messages that leave in phase i, those
+// whose destination differs from p's address in bit i, and returns
+// them in order in one wire-form buffer with their count and payload
+// words. What stays is compacted in place, in order. Traffic drawn
+// from one run leaves in that run's own memory (see split); only
+// traffic drawn from two or more runs is copied into a new buffer.
+func (h *held) forward(p *hypercube.Proc, i int) (fwd []float64, nfwd, wfwd int) {
+	mine := p.ID() >> i & 1
+	var left [hypercube.MaxDim + 1]int // wire words leaving each run
+	from, src := 0, 0
+	for j, run := range h.runs[:h.n] {
+		for at := 0; at < len(run); {
+			dst, l := header(run[at])
+			if dst>>i&1 != mine {
+				nfwd++
+				wfwd += l
+				left[j] += headerWords + l
+			}
+			at += headerWords + l
 		}
-		at += headerWords + n
+		if left[j] > 0 {
+			from, src = from+1, j
+		}
 	}
-	switch total := headerWords*nfwd + wfwd; total {
+	switch from {
 	case 0:
-		return wire, nil, 0, 0
-	case len(wire):
-		return nil, wire, nfwd, wfwd
+		return nil, 0, 0
+	case 1:
+		h.runs[src], fwd = split(p, h.runs[src], i, mine, left[src])
 	default:
-		fwd = make([]float64, 0, total)
+		fwd = make([]float64, 0, headerWords*nfwd+wfwd)
+		for j, run := range h.runs[:h.n] {
+			switch left[j] {
+			case 0:
+			case len(run):
+				fwd = append(fwd, run...)
+				h.runs[j] = nil
+			default:
+				k := 0
+				for at := 0; at < len(run); {
+					end := next(run, at)
+					if leaves(run[at], i, mine) {
+						fwd = append(fwd, run[at:end]...)
+					} else {
+						if k < at {
+							copy(run[k:], run[at:end])
+						}
+						k += end - at
+					}
+					at = end
+				}
+				h.runs[j] = run[:k]
+			}
+		}
 	}
-	k := 0
-	for at := 0; at < len(wire); {
-		dst, n := header(wire[at])
-		end := at + headerWords + n
-		if dst>>i&1 != mine {
-			fwd = append(fwd, wire[at:end]...)
+	// Drop the emptied runs, keeping the others in order.
+	n := 0
+	for _, run := range h.runs[:h.n] {
+		if len(run) > 0 {
+			h.runs[n] = run
+			n++
+		}
+	}
+	clear(h.runs[n:h.n])
+	h.n = n
+	return fwd, nfwd, wfwd
+}
+
+// split divides run, f of whose words leave in phase i, into what
+// stays and what leaves, both in order and both in run's own memory,
+// one side at the front of run and the other behind it; what leaves
+// is capacity-clipped, so its receiver cannot reach what stays. Of the
+// two layouts, split takes the one that moves fewer words out of the
+// way: the front side is compacted forward, and the back-side messages
+// that precede the front side's last message are staged through a
+// scratch buffer borrowed from the machine's pool, returned before
+// split does, and copied in behind it. A run that leaves whole, or
+// whose leaving messages already form a prefix or a suffix, stages
+// nothing and moves nothing.
+func split(p *hypercube.Proc, run []float64, i, mine, f int) (kept, fwd []float64) {
+	l, k := len(run), len(run)-f
+	// Words to stage with what stays in front (leaving words before the
+	// last staying message) and with what leaves in front (staying
+	// words before the last leaving message).
+	var stageKF, stageFF, fs, ks int
+	for at := 0; at < l; {
+		end := next(run, at)
+		if leaves(run[at], i, mine) {
+			fs += end - at
+			stageFF = ks
 		} else {
-			k += copy(wire[k:], wire[at:end])
+			ks += end - at
+			stageKF = fs
 		}
 		at = end
 	}
-	return wire[:k], fwd, nfwd, wfwd
+	keptFront := stageKF <= stageFF
+	stage, front := stageKF, k
+	if !keptFront {
+		stage, front = stageFF, f
+	}
+	if stage > 0 {
+		s := p.GetBuf(stage)
+		for at, w, ns := 0, 0, 0; w < front; {
+			end := next(run, at)
+			if leaves(run[at], i, mine) == keptFront {
+				ns += copy(s[ns:], run[at:end])
+			} else {
+				if w < at {
+					copy(run[w:], run[at:end])
+				}
+				w += end - at
+			}
+			at = end
+		}
+		copy(run[front:], s)
+		p.Recycle(s)
+	}
+	if keptFront {
+		return run[:k], run[k:l:l]
+	}
+	return run[f:], run[:f:f]
 }
 
 // Request pairs a round-trip through the router: each processor sends
@@ -206,25 +333,36 @@ func Request(p *hypercube.Proc, tag int, want []Msg, serve func(key int) []float
 		reqs = appendHeader(reqs, p.P(), w.Dst, w.Key, reqWords)
 		reqs = append(reqs, float64(p.ID()), float64(i))
 	}
-	arrived := route(p, tag, reqs, len(want))
+	var arrived held
+	arrived.push(reqs)
+	route(p, tag, &arrived, len(want))
 
 	// Leg 2: route the responses back, each led by its request index.
 	// Sized for one-word answers; longer ones grow the buffer.
-	resps := make([]float64, 0, len(arrived))
-	for at := 0; at < len(arrived); at += headerWords + reqWords {
-		key := int(arrived[at+1])
-		payload := serve(key)
-		resps = appendHeader(resps, p.P(), int(arrived[at+2]), key, 1+len(payload))
-		resps = append(append(resps, arrived[at+3]), payload...)
+	words := 0
+	for _, run := range arrived.runs[:arrived.n] {
+		words += len(run)
 	}
-	back := route(p, tag+1, resps, len(arrived)/(headerWords+reqWords))
+	resps := make([]float64, 0, words)
+	for _, run := range arrived.runs[:arrived.n] {
+		for at := 0; at < len(run); at += headerWords + reqWords {
+			key := int(run[at+1])
+			payload := serve(key)
+			resps = appendHeader(resps, p.P(), int(run[at+2]), key, 1+len(payload))
+			resps = append(append(resps, run[at+3]), payload...)
+		}
+	}
+	var back held
+	back.push(resps)
+	route(p, tag+1, &back, words/(headerWords+reqWords))
 
 	out := make([][]float64, len(want))
-	for at := 0; at < len(back); {
-		_, n := header(back[at])
-		end := at + headerWords + n
-		out[int(back[at+headerWords])] = back[at+headerWords+1 : end : end]
-		at = end
+	for _, run := range back.runs[:back.n] {
+		for at := 0; at < len(run); {
+			end := next(run, at)
+			out[int(run[at+headerWords])] = run[at+headerWords+1 : end : end]
+			at = end
+		}
 	}
 	return out
 }

@@ -2,13 +2,16 @@
 # ab.sh — same-host A/B of the benchmark between a base revision and
 # the current checkout:
 #
-#   scripts/ab.sh <rev> <workload>...      e.g. scripts/ab.sh HEAD~ apps route
+#   scripts/ab.sh [--seed N] <rev> <workload>...
+#                                  e.g. scripts/ab.sh HEAD~ apps route
+#                                       scripts/ab.sh --seed 3 HEAD~ route
 #
 # <rev> is exported with `git archive` into a temporary directory (no
 # worktree is registered, so an interrupted run leaves nothing in the
 # repository), and vmbench is built from both trees. Per workload, 10
-# pairs of untraced runs at the default length and seed 1 alternate
-# which side goes first. Results go to a fresh mktemp -d outside the
+# pairs of untraced runs at the default length and the given seed
+# (default 1) alternate which side goes first. A claim is re-checked on
+# a seed not used while the change was written. Results go to a fresh mktemp -d outside the
 # repository (base.json and change.json, readable by
 # `vmbench -compare`); the temporary tree is removed on exit and
 # benchmark/ is only built, never edited.
@@ -21,8 +24,13 @@
 # uses), then vmbench -compare's verdicts.
 set -euo pipefail
 
-if (($# < 2)); then
-	echo "usage: scripts/ab.sh <rev> <workload>..." >&2
+seed=1
+if [[ "${1:-}" == "--seed" ]]; then
+	seed=${2:-}
+	shift 2 || true
+fi
+if (($# < 2)) || ! [[ "$seed" =~ ^[0-9]+$ ]]; then
+	echo "usage: scripts/ab.sh [--seed N] <rev> <workload>..." >&2
 	exit 2
 fi
 rev=$1
@@ -50,7 +58,7 @@ export GOWORK=off
 # A run with failed ops still appends its result, and -compare below
 # reports the failures; the other pairs go on.
 run() { # side workload
-	"$out/$1.vmbench" -workload "$2" -seed 1 -trace 0 -out "$out/$1.json" >>"$out/$1-$2.log" ||
+	"$out/$1.vmbench" -workload "$2" -seed "$seed" -trace 0 -out "$out/$1.json" >>"$out/$1-$2.log" ||
 		echo "ab.sh: a $1 run of $2 failed; see $out/$1-$2.log" >&2
 }
 for w in "$@"; do
@@ -68,6 +76,7 @@ done
 
 echo "base   = $rev ($sha)"
 echo "change = working tree of $root"
+echo "seed   = $seed"
 echo "results in $out"
 python3 - "$root/BENCHMARK.json" "$out/base.json" "$out/change.json" "$@" <<'PYEOF'
 import json, statistics, sys
