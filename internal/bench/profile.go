@@ -50,8 +50,8 @@ type ProfileResult struct {
 	// Clocks holds every processor's final virtual clock after the last
 	// run, and Links the nonzero directed-link word loads of that run,
 	// hottest first. Like Times they are deterministic: bit-identical
-	// across profiling settings and across GOMAXPROCS values, which the
-	// determinism stress tests assert.
+	// across profiling settings and across schedules, which
+	// TestScheduleIndependence (internal/hypercube) asserts.
 	Clocks []costmodel.Time
 	Links  []obs.LinkLoad
 	// Profile is the profile of the last run, or nil when the profiler
@@ -59,7 +59,7 @@ type ProfileResult struct {
 	Profile *obs.Profile
 	// CritPath is the critical path of the last run, or nil when the
 	// tracer was off. Like Times it is simulated truth: bit-identical
-	// at every GOMAXPROCS.
+	// under every schedule.
 	CritPath *obs.CritPath
 	// Metrics is the machine's metrics snapshot after the workload:
 	// cumulative counters over every run the machine ever executed,

@@ -32,7 +32,7 @@ import (
 // aggregate cells stay exact when the ring drops old segments), and
 // one 4-cell block per discovered span node attributing the chain to
 // named spans. Everything is virtual time, so the recorded path is
-// bit-identical at every GOMAXPROCS.
+// bit-identical under every schedule (see TestScheduleIndependence).
 
 const (
 	// Category cells: the chain's time split by attribution class.
@@ -266,7 +266,7 @@ func (p *Proc) cpRecv(msg *message, d int) {
 // Recording activates the span machinery too (the path attributes
 // itself to spans), but building the full Profile still requires
 // EnableProfile. The recorded path is simulated truth: bit-identical
-// at every GOMAXPROCS and included in determinism comparisons.
+// under every schedule, which TestScheduleIndependence compares.
 func (m *Machine) EnableCritPath(on bool) { m.critEnabled = on }
 
 // CritPath returns the critical path of the most recent Run, or nil if

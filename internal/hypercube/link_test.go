@@ -24,6 +24,9 @@ import (
 // mustBeParked panics unless processor pid is suspended waiting to do
 // kind on dimension d: the engine runs one processor at a time, so a
 // test states the interleaving it relies on instead of waiting for it.
+// That interleaving is the FIFO schedule's; the tests that use it, and
+// those that expect the lowest address to report a deadlock, hold under
+// FIFO only.
 func mustBeParked(m *Machine, pid int, kind flightrec.WaitKind, d int) {
 	if pr := m.procs[pid]; pr.parked == nil || pr.waitKind != kind || pr.waitDim != d {
 		panic(fmt.Sprintf("processor %d is not parked on %v dim %d", pid, kind, d))
@@ -167,7 +170,8 @@ func sendStallAbortedBySibling(t *testing.T, owned bool) {
 func TestSendStallDeadlockDetected(t *testing.T) {
 	// Both processors run past their full link before either receives,
 	// so both park in stallSend and nobody is in Recv: a deadlock of
-	// senders, reported like one of receivers, by the lower address.
+	// senders, reported like one of receivers, by the lower address
+	// (under FIFO; LIFO resumes processor 1 first).
 	const dim = 1
 	m := MustNew(dim, costmodel.CM2())
 	defer m.Close()
@@ -565,8 +569,9 @@ func TestSchedCountersDeterministic(t *testing.T) {
 	// Processors run in a fixed order, so the host-side counters are
 	// functions of the program: frontier parks, and which pool gets find
 	// a buffer — in a broadcast, whose sinks pile up buffers that its
-	// sources take back from the machine's pool. Two runs at GOMAXPROCS 1
-	// and two at 4 must read the same.
+	// sources take back from the machine's pool. Two runs must read the
+	// same. (Under another schedule they legitimately move; see
+	// hostCounters in schedule_test.go.)
 	const dim = 4
 	body := func(p *Proc) {
 		for i := 0; i < 20; i++ {
@@ -588,12 +593,9 @@ func TestSchedCountersDeterministic(t *testing.T) {
 	}
 	names := []string{"vmprim_sched_recv_parks_total", "vmprim_pool_gets_total", "vmprim_pool_hits_total", "vmprim_pool_hit_rate"}
 	var first []float64
-	for _, procs := range []int{1, 1, 4, 4} {
-		prev := runtime.GOMAXPROCS(procs)
+	for range 2 {
 		m := MustNew(dim, costmodel.CM2())
-		_, err := m.Run(body)
-		runtime.GOMAXPROCS(prev)
-		if err != nil {
+		if _, err := m.Run(body); err != nil {
 			t.Fatal(err)
 		}
 		snap := m.Metrics().Snapshot()
@@ -611,7 +613,7 @@ func TestSchedCountersDeterministic(t *testing.T) {
 			continue
 		}
 		if !reflect.DeepEqual(got, first) {
-			t.Fatalf("GOMAXPROCS %d: %v = %v, want %v", procs, names, got, first)
+			t.Fatalf("second run: %v = %v, want %v", names, got, first)
 		}
 	}
 }
@@ -661,15 +663,17 @@ func TestLostWakeupStress(t *testing.T) {
 	// stage keeps the links upstream of it full, which exercises the
 	// wake-up of senders parked on a full link. A wake-up lost by the
 	// engine leaves a processor parked with its message posted; the run
-	// queue then empties and the run fails as a reported deadlock. The
-	// engine is one thread per run, so every GOMAXPROCS must pass alike.
+	// queue then empties and the run fails as a reported deadlock. Which
+	// wake-up is exercised when depends on which processor runs next, so
+	// the stress runs under three schedules.
 	const dim = 2
 	const rounds = 50_000 // 10^5 zero-word messages per pair and dimension
 	const laps = 50_000
-	for _, procs := range []int{1, 2, 4, 8} {
-		t.Run(fmt.Sprintf("gomaxprocs-%d", procs), func(t *testing.T) {
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	for _, s := range []Schedule{{Policy: "fifo"}, {Policy: "lifo"}, {Policy: "random", Seed: 1}} {
+		t.Run(s.String(), func(t *testing.T) {
+			t.Parallel()
 			m := MustNew(dim, costmodel.Ideal())
+			s.Apply(m)
 			defer m.Close()
 			if _, err := m.Run(func(p *Proc) {
 				for d := 0; d < dim; d++ {

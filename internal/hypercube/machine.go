@@ -41,11 +41,12 @@
 // directed link is a single-producer single-consumer FIFO (the only
 // sender along (dst, d) is dst's dimension-d neighbor), receives are
 // addressed by (link, program order) rather than by time, and virtual
-// arrival times travel inside the messages. The order is fixed anyway,
-// so host-side counters — frontier parks, which pool gets find a free
-// buffer — are functions of the program too, at every GOMAXPROCS.
-// Parallelism is between runs (separate machines run on separate
-// goroutines), not inside one.
+// arrival times travel inside the messages; TestScheduleIndependence
+// checks it under LIFO and seeded random orders. What the order does
+// decide — host-side counters (frontier parks, pool hits) and the
+// failure path (who reports a deadlock, what the post-mortem holds) —
+// is fixed with it, as FIFO. Parallelism is between runs (separate
+// machines run on separate goroutines), not inside one.
 package hypercube
 
 import (
@@ -160,6 +161,9 @@ type engine struct {
 	body    func(*Proc)
 	pending int
 	aborted bool
+	// pick, nil (FIFO) outside tests, moves the processor to run next to
+	// the head of the queue (see testSched).
+	pick func(*engine)
 }
 
 // coro is one processor's coroutine. pr is the processor it runs in
@@ -205,6 +209,9 @@ func (e *engine) run(procs []*Proc) {
 			}
 			continue
 		}
+		if e.pick != nil {
+			e.pick(e)
+		}
 		pid := e.queue[e.qhead]
 		e.qhead = (e.qhead + 1) & (len(e.queue) - 1)
 		e.qlen--
@@ -249,12 +256,16 @@ func (e *engine) shutdown() {
 // dimension dim. The invariant that sizes it: collectives are built
 // from matched exchange phases in which each directed link carries at
 // most one message before the partner receives, so capacity 1 already
-// guarantees deadlock freedom. Capacity above that only controls how
-// far a processor may run ahead of its neighbor on one link without
-// yielding; a full-cube collective issues at most one message per link
-// per step and has O(dim) steps, so a small multiple of dim absorbs a
-// whole collective of run-ahead. Beyond that bound the sender yields,
-// which changes the host's schedule but never simulated time.
+// guarantees deadlock freedom; TestScheduleIndependence checks that on
+// E1–E5, the collectives, the router and every table. Capacity above
+// that only controls how far a processor may run ahead of its neighbor
+// on one link without yielding; a full-cube collective issues at most
+// one message per link per step and has O(dim) steps, so a small
+// multiple of dim absorbs a whole collective of run-ahead. Beyond that
+// bound the sender yields, which changes the host's schedule but never
+// simulated time. Send bursts need linkCap: FuzzTraceFlows's burst
+// seeds deadlock at capacity 1, and the stall tests and
+// TestLinkCapScalesWithDimension fail there by design.
 func linkCap(dim int) int { return 4 * (dim + 1) }
 
 // Stats aggregates communication and arithmetic counters over one Run.
@@ -293,8 +304,6 @@ func New(dim int, params costmodel.Params) (*Machine, error) {
 		p:      p,
 		params: params,
 		links:  make([]link, p*dim),
-		// Links hold linkCap messages so that matched exchange phases
-		// (both sides send, then both receive) never block on the send.
 		// The store starts empty and grows to the most messages ever in
 		// flight at once.
 		store:  msgStore{cap: int32(linkCap(dim))},
@@ -310,8 +319,14 @@ func New(dim int, params costmodel.Params) (*Machine, error) {
 		}
 		m.procs[pid].rec.Init(defaultFlightDepth)
 	}
+	if testSched != nil {
+		testSched(m)
+	}
 	return m, nil
 }
+
+// testSched, set only by export_test.go, sets each new machine's schedule.
+var testSched func(*Machine)
 
 // SetFlightRecorderDepth resizes every processor's flight-recorder
 // ring to hold k events (rounded up to a power of two; k <= 0 disables

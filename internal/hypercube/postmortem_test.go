@@ -271,7 +271,9 @@ func goldenPostMortemBody(p *Proc) {
 
 // TestPostMortemGolden pins the post-mortem of goldenPostMortemBody,
 // JSON and text, byte for byte: event order and sequence numbers,
-// labels, span names and depths, clocks, captures and link census.
+// labels, span names and depths, clocks, captures and link census. How
+// far each processor got before the failure depends on the schedule, so
+// the golden is the FIFO schedule's.
 func TestPostMortemGolden(t *testing.T) {
 	m := MustNew(3, costmodel.CM2())
 	defer m.Close()

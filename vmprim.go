@@ -81,7 +81,7 @@ type (
 // makespan was actually waiting on — with its weights attributed to
 // profiler spans and a cost-model conformance table comparing each
 // span's measured time against the Params prediction. The document is
-// deterministic (bit-identical at every GOMAXPROCS) and renderable as
+// deterministic (bit-identical under every schedule) and renderable as
 // text (WriteText) or JSON (WriteJSON); Check verifies that the path
 // weights sum exactly to the makespan.
 type (
