@@ -3,27 +3,33 @@ package collective
 import (
 	"fmt"
 	"runtime"
+	"sync"
 	"testing"
 
+	"vmprim/internal/costmodel"
 	"vmprim/internal/gray"
 	"vmprim/internal/hypercube"
 )
 
-// Host-parallel determinism for the collectives: the protocols are
-// built from paired exchanges and dimension loops whose receive order
-// is fixed by program order, so their simulated clocks and link loads
-// must not depend on the order the host runs the processors in.
+// GOMAXPROCS determinism between runs: GOMAXPROCS cannot reorder the
+// processors of one machine (TestScheduleIndependence in
+// internal/hypercube varies that order), but it lets separate machines
+// run at the same time. Machines must share no state, so each of four
+// collective runs at once on max(2, NumCPU) threads must match a run
+// alone at GOMAXPROCS 1.
 
 // collectiveWorkload runs a representative mix (reduce, bcast,
 // all-to-all personalized) on a fresh machine and returns the clocks
-// and link loads as comparable strings.
-func collectiveWorkload(t *testing.T, d int) (clocks, links string) {
-	t.Helper()
-	m := newMachine(t, d)
+// and link loads as one comparable string.
+func collectiveWorkload(d int) (string, error) {
+	m, err := hypercube.New(d, costmodel.CM2())
+	if err != nil {
+		return "", err
+	}
 	defer m.Close()
 	mask := (1 << d) - 1
 	k := gray.OnesCount(mask)
-	_, err := m.Run(func(p *hypercube.Proc) {
+	_, err = m.Run(func(p *hypercube.Proc) {
 		data := []float64{float64(p.ID()), float64(p.ID() * 2)}
 		Reduce(p, mask, 1, 0, append([]float64(nil), data...), Sum)
 		var bdata []float64
@@ -37,34 +43,35 @@ func collectiveWorkload(t *testing.T, d int) (clocks, links string) {
 		}
 		AllToAll(p, mask, 3, out)
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return fmt.Sprintf("%v", m.Clocks()), fmt.Sprintf("%v", m.Congestion(0))
+	return fmt.Sprintf("clocks %v\nlink loads %v", m.Clocks(), m.Congestion(0)), err
 }
 
 func TestCollectiveGOMAXPROCSDeterminism(t *testing.T) {
 	const d = 4
-	prev := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(prev)
-	settings := []int{1, 2}
-	if n := runtime.NumCPU(); n > 2 {
-		settings = append(settings, n)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	want, err := collectiveWorkload(d)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var baseClocks, baseLinks string
-	baseGMP := 0
-	for _, gmp := range settings {
-		runtime.GOMAXPROCS(gmp)
-		clocks, links := collectiveWorkload(t, d)
-		if baseGMP == 0 {
-			baseClocks, baseLinks, baseGMP = clocks, links, gmp
-			continue
+	gmp := max(2, runtime.NumCPU())
+	runtime.GOMAXPROCS(gmp)
+	var got [4]string
+	var errs [4]error
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = collectiveWorkload(d)
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatalf("concurrent run %d: %v", i, errs[i])
 		}
-		if clocks != baseClocks {
-			t.Errorf("gomaxprocs %d vs %d: clocks differ:\n%s\n%s", gmp, baseGMP, clocks, baseClocks)
-		}
-		if links != baseLinks {
-			t.Errorf("gomaxprocs %d vs %d: link loads differ:\n%s\n%s", gmp, baseGMP, links, baseLinks)
+		if got[i] != want {
+			t.Errorf("concurrent run %d at GOMAXPROCS %d differs from the lone run at GOMAXPROCS 1:\n%s\n%s", i, gmp, got[i], want)
 		}
 	}
 }

@@ -4,62 +4,64 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 
 	"vmprim/internal/costmodel"
 	"vmprim/internal/hypercube"
 )
 
-// Host-parallel determinism for the router: dimension-order routing
-// sorts and forwards by (Key, program order) at every hop, so the
-// delivered message order, the simulated clocks and the link loads
-// must be identical at every GOMAXPROCS — the stress here is a random
-// permutation plus an all-to-one hotspot, the two traffic patterns
-// with the most forwarding contention.
-func routerWorkload(t *testing.T) (clocks, links, delivered string) {
-	t.Helper()
-	m := hypercube.MustNew(5, costmodel.CM2())
+// GOMAXPROCS determinism between runs: GOMAXPROCS cannot reorder the
+// processors of one machine (TestScheduleIndependence in
+// internal/hypercube varies that order), but it lets separate machines
+// run at the same time. Machines must share no state, so each of four
+// router runs at once on max(2, NumCPU) threads must deliver the same
+// messages in the same order, with the same clocks and link loads, as
+// a run alone at GOMAXPROCS 1. The traffic is a random permutation
+// plus an all-to-one hotspot, the two patterns with the most
+// forwarding contention.
+func routerWorkload() (string, error) {
+	m, err := hypercube.New(5, costmodel.CM2())
+	if err != nil {
+		return "", err
+	}
 	defer m.Close()
-	rng := rand.New(rand.NewSource(42))
-	perm := rng.Perm(m.P())
+	perm := rand.New(rand.NewSource(42)).Perm(m.P())
 	received := make([][]Msg, m.P())
-	_, err := m.Run(func(p *hypercube.Proc) {
-		out := []Msg{
+	_, err = m.Run(func(p *hypercube.Proc) {
+		received[p.ID()] = Route(p, 1, []Msg{
 			{Dst: perm[p.ID()], Key: p.ID(), Words: []float64{1, 2, 3}},
 			{Dst: 7, Key: 1000 + p.ID(), Words: []float64{float64(p.ID())}},
-		}
-		received[p.ID()] = Route(p, 1, out)
+		})
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return fmt.Sprintf("%v", m.Clocks()), fmt.Sprintf("%v", m.Congestion(0)), fmt.Sprintf("%v", received)
+	return fmt.Sprintf("clocks %v\nlink loads %v\ndelivered %v", m.Clocks(), m.Congestion(0), received), err
 }
 
 func TestRouteGOMAXPROCSDeterminism(t *testing.T) {
-	prev := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(prev)
-	settings := []int{1, 2}
-	if n := runtime.NumCPU(); n > 2 {
-		settings = append(settings, n)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	want, err := routerWorkload()
+	if err != nil {
+		t.Fatal(err)
 	}
-	var baseClocks, baseLinks, baseDelivered string
-	baseGMP := 0
-	for _, gmp := range settings {
-		runtime.GOMAXPROCS(gmp)
-		clocks, links, delivered := routerWorkload(t)
-		if baseGMP == 0 {
-			baseClocks, baseLinks, baseDelivered, baseGMP = clocks, links, delivered, gmp
-			continue
+	gmp := max(2, runtime.NumCPU())
+	runtime.GOMAXPROCS(gmp)
+	var got [4]string
+	var errs [4]error
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = routerWorkload()
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatalf("concurrent run %d: %v", i, errs[i])
 		}
-		if clocks != baseClocks {
-			t.Errorf("gomaxprocs %d vs %d: clocks differ:\n%s\n%s", gmp, baseGMP, clocks, baseClocks)
-		}
-		if links != baseLinks {
-			t.Errorf("gomaxprocs %d vs %d: link loads differ", gmp, baseGMP)
-		}
-		if delivered != baseDelivered {
-			t.Errorf("gomaxprocs %d vs %d: delivered message order differs", gmp, baseGMP)
+		if got[i] != want {
+			t.Errorf("concurrent run %d at GOMAXPROCS %d differs from the lone run at GOMAXPROCS 1:\n%.300s\n%.300s", i, gmp, got[i], want)
 		}
 	}
 }
