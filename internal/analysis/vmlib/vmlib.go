@@ -183,7 +183,8 @@ var envLocalMethods = map[string]bool{
 // IsCollectiveCall reports whether call is an operation that every
 // processor of the (sub)machine must execute together: a function of
 // the collective package taking a *hypercube.Proc, a router entry
-// point, a facade re-export (a package-level vmprim function whose
+// point (Route and Request, as functions or router.Batch methods;
+// NewBatch only reads the processor's address), a facade re-export (a package-level vmprim function whose
 // first parameter is a *Proc or *Env — the kernels), a whole-cube
 // Proc method (Barrier and the span pair), or an exported core.Env
 // method outside the local allowlist.
@@ -200,14 +201,16 @@ func IsCollectiveCall(info *types.Info, call *ast.CallExpr) bool {
 		return false
 	}
 	if pkg := f.Pkg(); pkg != nil && f.Type().(*types.Signature).Recv() == nil {
-		if InScope(pkg.Path(), CollectivePath, RouterPath) && firstParamIsProc(f) {
+		if InScope(pkg.Path(), CollectivePath, RouterPath) && firstParamIsProc(f) && f.Name() != "NewBatch" {
 			return true
 		}
 		if pkg.Path() == FacadePath && (firstParamIsProc(f) || firstParamIsEnv(f)) {
 			return true
 		}
 	}
-	if IsMethod(f, HypercubePath, "Proc", "Barrier") ||
+	if IsMethod(f, RouterPath, "Batch", "Route") ||
+		IsMethod(f, RouterPath, "Batch", "Request") ||
+		IsMethod(f, HypercubePath, "Proc", "Barrier") ||
 		IsMethod(f, HypercubePath, "Proc", "BeginSpan") ||
 		IsMethod(f, HypercubePath, "Proc", "EndSpan") {
 		return true

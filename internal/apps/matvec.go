@@ -181,22 +181,23 @@ func vecMatNaive(e *core.Env, a *core.Matrix, x *core.Vector) *core.Vector {
 	// processor is already the granularity a per-element program
 	// generates, since the elements of a local row share i).
 	e.BeginSpan("fetch-x")
-	var want []router.Msg
-	var rows []int
+	rows := a.RMap.B
+	want := router.NewBatch(e.P, rows, 0)
 	for lr := 0; lr < a.RMap.B; lr++ {
-		gi := a.RMap.GlobalOf(myRow, lr)
-		if gi < 0 {
-			continue
+		if gi := a.RMap.GlobalOf(myRow, lr); gi >= 0 {
+			want.Ask(g.ProcAt(x.Map.CoordOf(gi), x.Home), gi)
 		}
-		owner := g.ProcAt(x.Map.CoordOf(gi), x.Home)
-		want = append(want, router.Msg{Dst: owner, Key: gi})
-		rows = append(rows, lr)
 	}
 	xp := x.L(pid)
-	got := router.Request(e.P, e.NextTag2(), want, func(key int) []float64 {
+	got := want.Request(e.P, e.NextTag2(), func(key int) []float64 {
 		l := x.Map.LocalOf(key)
 		return xp[l : l+1] // Request copies it
 	})
+	// x_i lands at its request's number, which is its row's rank here.
+	xs := e.P.GetBuf(rows)
+	for q, w, ok := got.Next(); ok; q, w, ok = got.Next() {
+		xs[q] = w[0]
+	}
 	e.EndSpan()
 
 	// Compute partial products and route each to the owner of y_j in
@@ -205,30 +206,34 @@ func vecMatNaive(e *core.Env, a *core.Matrix, x *core.Vector) *core.Vector {
 	// one message per local element.
 	out := e.TempVector(a.Cols, core.Linear, a.CMap.Kind, 0, false)
 	e.BeginSpan("route-products")
-	parts := make([]router.Msg, 0, len(rows)*b)
-	prods := make([]float64, len(rows)*b) // one slab for the one-word payloads
-	flops := 0
-	for wi, lr := range rows {
-		xi := got[wi][0]
+	parts := router.NewBatch(e.P, rows*b, rows*b)
+	flops, q := 0, 0
+	for lr := 0; lr < a.RMap.B; lr++ {
+		if a.RMap.GlobalOf(myRow, lr) < 0 {
+			continue
+		}
+		xi := xs[q]
+		q++
 		row := blk[lr*b : (lr+1)*b]
 		for lc, aij := range row {
 			gj := a.CMap.GlobalOf(myCol, lc)
 			if gj < 0 {
 				continue
 			}
-			prods[flops] = xi * aij
-			parts = append(parts, router.Msg{Dst: out.OwnerProcOf(gj), Key: gj, Words: prods[flops : flops+1]})
+			parts.Add(out.OwnerProcOf(gj), gj, 1)[0] = xi * aij
 			flops++
 		}
 	}
+	e.P.Recycle(xs)
 	e.P.Compute(flops)
-	arrived := router.Route(e.P, e.NextTag(), parts)
+	arrived := parts.Route(e.P, e.NextTag())
 	op := out.L(pid)
-	for _, msg := range arrived {
-		op[out.Map.LocalOf(msg.Key)] += msg.Words[0]
+	n := 0
+	for key, w, ok := arrived.Next(); ok; key, w, ok = arrived.Next() {
+		op[out.Map.LocalOf(key)] += w[0]
+		n++
 	}
-	e.P.Compute(len(arrived))
+	e.P.Compute(n)
 	e.EndSpan()
-	_ = myRow
 	return out
 }

@@ -13,51 +13,51 @@ import (
 // address space" style the paper's primitives displaced. They share no
 // code with the structured collectives on purpose.
 //
-// One-word payloads are one-word windows onto the local block, not
-// fresh slices: router.Route copies what it is given into its own
-// buffer before anything moves, and router.Request copies what serve
-// returns, so a message per element need not mean an allocation per
-// element on the host.
+// Each call builds its messages straight into a router.Batch and reads
+// what arrives from the router.Inbox: a payload is written once, into
+// the buffer the router forwards from, so a message per element need
+// not mean an allocation per element on the host.
 
 // naiveBcast has proc src send words to every processor as P separate
 // routed messages (no spanning tree, no combining); everyone returns
 // the payload.
 func naiveBcast(e *core.Env, src int, words []float64) []float64 {
-	var out []router.Msg
+	var out router.Batch
 	if e.P.ID() == src {
-		out = make([]router.Msg, e.P.P())
-		for q := range out {
-			out[q] = router.Msg{Dst: q, Key: 0, Words: words}
+		out = router.NewBatch(e.P, e.P.P(), e.P.P()*len(words))
+		for q := 0; q < e.P.P(); q++ {
+			copy(out.Add(q, 0, len(words)), words)
 		}
 	}
-	got := router.Route(e.P, e.NextTag(), out)
-	return got[0].Words
+	got := out.Route(e.P, e.NextTag())
+	_, w, _ := got.Next()
+	return w
 }
 
 // naiveFetchElems has proc 0 fetch the listed matrix elements through
 // the router, one request per element; every processor calls, proc 0
 // returns the values in order, others nil.
 func naiveFetchElems(e *core.Env, a *core.Matrix, idx [][2]int) []float64 {
-	var want []router.Msg
+	var want router.Batch
 	if e.P.ID() == 0 {
-		want = make([]router.Msg, len(idx))
-		for q, ij := range idx {
-			want[q] = router.Msg{Dst: a.OwnerOf(ij[0], ij[1]), Key: ij[0]*a.Cols + ij[1]}
+		want = router.NewBatch(e.P, len(idx), 0)
+		for _, ij := range idx {
+			want.Ask(a.OwnerOf(ij[0], ij[1]), ij[0]*a.Cols+ij[1])
 		}
 	}
 	pid := e.P.ID()
 	blk := a.L(pid)
 	b := a.CMap.B
-	got := router.Request(e.P, e.NextTag2(), want, func(key int) []float64 {
+	got := want.Request(e.P, e.NextTag2(), func(key int) []float64 {
 		k := a.RMap.LocalOf(key/a.Cols)*b + a.CMap.LocalOf(key%a.Cols)
 		return blk[k : k+1]
 	})
 	if e.P.ID() != 0 {
 		return nil
 	}
-	vals := make([]float64, len(got))
-	for q := range got {
-		vals[q] = got[q][0]
+	vals := make([]float64, len(idx))
+	for q, w, ok := got.Next(); ok; q, w, ok = got.Next() {
+		vals[q] = w[0]
 	}
 	return vals
 }
@@ -70,7 +70,7 @@ func naiveSwapRows(e *core.Env, a *core.Matrix, i1, i2 int) {
 	blk := a.L(pid)
 	b := a.CMap.B
 	myRow, myCol := e.GridRow(), e.GridCol()
-	var out []router.Msg
+	out := router.NewBatch(e.P, 2*b, 2*b)
 	for _, pair := range [2][2]int{{i1, i2}, {i2, i1}} {
 		from, to := pair[0], pair[1]
 		if myRow != a.RMap.CoordOf(from) {
@@ -82,17 +82,13 @@ func naiveSwapRows(e *core.Env, a *core.Matrix, i1, i2 int) {
 			if gj < 0 {
 				continue
 			}
-			out = append(out, router.Msg{
-				Dst:   a.OwnerOf(to, gj),
-				Key:   to*a.Cols + gj,
-				Words: blk[lr*b+lc : lr*b+lc+1],
-			})
+			out.Add(a.OwnerOf(to, gj), to*a.Cols+gj, 1)[0] = blk[lr*b+lc]
 		}
 	}
-	got := router.Route(e.P, e.NextTag(), out)
-	for _, m := range got {
-		i, j := m.Key/a.Cols, m.Key%a.Cols
-		blk[a.RMap.LocalOf(i)*b+a.CMap.LocalOf(j)] = m.Words[0]
+	got := out.Route(e.P, e.NextTag())
+	for key, w, ok := got.Next(); ok; key, w, ok = got.Next() {
+		i, j := key/a.Cols, key%a.Cols
+		blk[a.RMap.LocalOf(i)*b+a.CMap.LocalOf(j)] = w[0]
 	}
 }
 
@@ -105,7 +101,7 @@ func naiveSpreadRow(e *core.Env, a *core.Matrix, i, clo, chi int) []float64 {
 	blk := a.L(pid)
 	b := a.CMap.B
 	myRow, myCol := e.GridRow(), e.GridCol()
-	var out []router.Msg
+	var out router.Batch
 	if myRow == a.RMap.CoordOf(i) {
 		n := 0
 		for lc := 0; lc < b; lc++ {
@@ -113,7 +109,7 @@ func naiveSpreadRow(e *core.Env, a *core.Matrix, i, clo, chi int) []float64 {
 				n++
 			}
 		}
-		out = make([]router.Msg, 0, n*e.G.PRows())
+		out = router.NewBatch(e.P, n*e.G.PRows(), n*e.G.PRows())
 		lr := a.RMap.LocalOf(i)
 		for lc := 0; lc < b; lc++ {
 			gj := a.CMap.GlobalOf(myCol, lc)
@@ -121,21 +117,17 @@ func naiveSpreadRow(e *core.Env, a *core.Matrix, i, clo, chi int) []float64 {
 				continue
 			}
 			for gr := 0; gr < e.G.PRows(); gr++ {
-				out = append(out, router.Msg{
-					Dst:   e.G.ProcAt(gr, myCol),
-					Key:   gj,
-					Words: blk[lr*b+lc : lr*b+lc+1],
-				})
+				out.Add(e.G.ProcAt(gr, myCol), gj, 1)[0] = blk[lr*b+lc]
 			}
 		}
 	}
-	got := router.Route(e.P, e.NextTag(), out)
+	got := out.Route(e.P, e.NextTag())
 	vals := make([]float64, b)
 	for i := range vals {
 		vals[i] = math.NaN()
 	}
-	for _, m := range got {
-		vals[a.CMap.LocalOf(m.Key)] = m.Words[0]
+	for key, w, ok := got.Next(); ok; key, w, ok = got.Next() {
+		vals[a.CMap.LocalOf(key)] = w[0]
 	}
 	return vals
 }
@@ -148,7 +140,7 @@ func naiveSpreadCol(e *core.Env, a *core.Matrix, j, rlo, rhi int) []float64 {
 	blk := a.L(pid)
 	b := a.CMap.B
 	myRow, myCol := e.GridRow(), e.GridCol()
-	var out []router.Msg
+	var out router.Batch
 	if myCol == a.CMap.CoordOf(j) {
 		n := 0
 		for lr := 0; lr < a.RMap.B; lr++ {
@@ -156,7 +148,7 @@ func naiveSpreadCol(e *core.Env, a *core.Matrix, j, rlo, rhi int) []float64 {
 				n++
 			}
 		}
-		out = make([]router.Msg, 0, n*e.G.PCols())
+		out = router.NewBatch(e.P, n*e.G.PCols(), n*e.G.PCols())
 		lc := a.CMap.LocalOf(j)
 		for lr := 0; lr < a.RMap.B; lr++ {
 			gi := a.RMap.GlobalOf(myRow, lr)
@@ -164,21 +156,17 @@ func naiveSpreadCol(e *core.Env, a *core.Matrix, j, rlo, rhi int) []float64 {
 				continue
 			}
 			for gc := 0; gc < e.G.PCols(); gc++ {
-				out = append(out, router.Msg{
-					Dst:   e.G.ProcAt(myRow, gc),
-					Key:   gi,
-					Words: blk[lr*b+lc : lr*b+lc+1],
-				})
+				out.Add(e.G.ProcAt(myRow, gc), gi, 1)[0] = blk[lr*b+lc]
 			}
 		}
 	}
-	got := router.Route(e.P, e.NextTag(), out)
+	got := out.Route(e.P, e.NextTag())
 	vals := make([]float64, a.RMap.B)
 	for i := range vals {
 		vals[i] = math.NaN()
 	}
-	for _, m := range got {
-		vals[a.RMap.LocalOf(m.Key)] = m.Words[0]
+	for key, w, ok := got.Next(); ok; key, w, ok = got.Next() {
+		vals[a.RMap.LocalOf(key)] = w[0]
 	}
 	return vals
 }

@@ -17,34 +17,48 @@ import (
 // element-at-a-time access.
 
 // remap lays the elements of an embedding change out for the router:
-// one combined message of (key, value) pairs per destination, the
-// pairs of all destinations in one slab, in source order within a
-// message and ascending destination order across messages.
-// Destinations are dense in [0, P), so this is a counting sort, run as
-// two passes over the source that make the same add calls: the first
-// counts, the second fills.
+// one combined message of (key, value) pairs per destination, keyed by
+// its pair count, in source order within a message and ascending
+// destination order across messages. Destinations are dense in [0, P),
+// so this is a counting sort, run as two passes over the source that
+// make the same add calls: the first counts, the second fills the
+// payloads of the router.Batch the count sized.
 type remap struct {
-	procs int
-	end   []int // per destination: its run's length, then where it ends so far
-	slab  []float64
-	pass  int
+	e    *Env
+	end  []float64 // per destination: its message's length, then where it ends so far in run
+	run  []float64 // the batch from the first payload on
+	b    router.Batch
+	pass int
 }
 
 // passes starts the next pass and reports whether there is one: the
-// first call starts counting, the second lays the runs out and starts
-// filling, the third ends the sort.
+// first call starts counting, the second lays the messages out and
+// starts filling, the third ends the sort.
 func (r *remap) passes() bool {
 	r.pass++
 	switch r.pass {
 	case 1:
-		r.end = make([]int, r.procs)
+		r.end = r.e.P.GetBuf(r.e.P.P())
+		clear(r.end)
 	case 2:
-		at := 0
-		for d, n := range r.end {
-			r.end[d] = at
-			at += n
+		msgs, words := 0, 0
+		for _, n := range r.end {
+			if n > 0 {
+				msgs, words = msgs+1, words+int(n)
+			}
 		}
-		r.slab = make([]float64, at)
+		// Sized exactly, the batch never moves: a payload pl lies
+		// cap(r.run)-cap(pl) words into r.run.
+		r.b = router.NewBatch(r.e.P, msgs, words)
+		for d, n := range r.end {
+			if n > 0 {
+				pl := r.b.Add(d, int(n)/2, int(n))
+				if r.run == nil {
+					r.run = pl[:cap(pl)]
+				}
+				r.end[d] = float64(cap(r.run) - cap(pl))
+			}
+		}
 	}
 	return r.pass <= 2
 }
@@ -55,31 +69,19 @@ func (r *remap) add(dst, key int, val float64) {
 		r.end[dst] += 2
 		return
 	}
-	k := r.end[dst]
-	r.slab[k], r.slab[k+1] = float64(key), val
-	r.end[dst] = k + 2
+	k := int(r.end[dst])
+	r.run[k], r.run[k+1] = float64(key), val
+	r.end[dst] += 2
 }
 
-// remapExchange routes every processor's runs to their destinations
-// and returns the messages that arrived here. All processors call it
-// together, after the sort or, with nothing to send, without one.
-func (e *Env) remapExchange(r *remap) []router.Msg {
-	nmsgs, lo := 0, 0
-	for _, hi := range r.end {
-		if hi > lo {
-			nmsgs++
-			lo = hi
-		}
+// exchange routes every processor's batch to its destinations and
+// returns what arrived here. All processors call it together, after
+// the sort or, with nothing to send, without one.
+func (r *remap) exchange() router.Inbox {
+	if r.end != nil {
+		r.e.P.Recycle(r.end)
 	}
-	msgs := make([]router.Msg, 0, nmsgs)
-	lo = 0
-	for d, hi := range r.end {
-		if hi > lo {
-			msgs = append(msgs, router.Msg{Dst: d, Key: (hi - lo) / 2, Words: r.slab[lo:hi]})
-			lo = hi
-		}
-	}
-	return router.Route(e.P, e.NextTag(), msgs)
+	return r.b.Route(r.e.P, r.e.NextTag())
 }
 
 // Realign converts a vector to another embedding: layout, map kind,
@@ -94,7 +96,7 @@ func (e *Env) Realign(v *Vector, layout Layout, kind embed.MapKind, home int, re
 		e.P.SpanNote(v.Layout.String() + "->" + layout.String())
 	}
 	out := e.TempVector(v.N, layout, kind, home, false)
-	r := remap{procs: e.P.P()}
+	r := remap{e: e}
 	// This processor sends the elements it is the canonical
 	// contributor for, each to its owner under the new embedding.
 	if pid := e.P.ID(); v.HoldsData(pid) && e.isCanonicalHolder(v) {
@@ -116,15 +118,15 @@ func (e *Env) Realign(v *Vector, layout Layout, kind embed.MapKind, home int, re
 			}
 		}
 	}
-	got := e.remapExchange(&r)
-	if len(got) > 0 {
+	got := r.exchange()
+	if _, words, ok := got.Next(); ok {
 		pv := out.L(e.P.ID())
 		n := 0
-		for _, m := range got {
-			for i := 0; i+1 < len(m.Words); i += 2 {
-				pv[out.Map.LocalOf(int(m.Words[i]))] = m.Words[i+1]
+		for ; ok; _, words, ok = got.Next() {
+			for i := 0; i+1 < len(words); i += 2 {
+				pv[out.Map.LocalOf(int(words[i]))] = words[i+1]
 			}
-			n += len(m.Words) / 2
+			n += len(words) / 2
 		}
 		e.P.Compute(n)
 	}
@@ -156,7 +158,7 @@ func (e *Env) TransposeInto(dst, a *Matrix) {
 	blk := a.L(pid)
 	b := a.CMap.B
 	myRow, myCol := e.GridRow(), e.GridCol()
-	r := remap{procs: e.P.P()}
+	r := remap{e: e}
 	for r.passes() {
 		for lr := 0; lr < a.RMap.B; lr++ {
 			gi := a.RMap.GlobalOf(myRow, lr)
@@ -173,18 +175,18 @@ func (e *Env) TransposeInto(dst, a *Matrix) {
 			}
 		}
 	}
-	got := e.remapExchange(&r)
-	if len(got) > 0 {
+	got := r.exchange()
+	if _, words, ok := got.Next(); ok {
 		db := dst.L(pid)
 		bc := dst.CMap.B
 		n := 0
-		for _, m := range got {
-			for k := 0; k+1 < len(m.Words); k += 2 {
-				key := int(m.Words[k])
+		for ; ok; _, words, ok = got.Next() {
+			for k := 0; k+1 < len(words); k += 2 {
+				key := int(words[k])
 				i, j := key/dst.Cols, key%dst.Cols
-				db[dst.RMap.LocalOf(i)*bc+dst.CMap.LocalOf(j)] = m.Words[k+1]
+				db[dst.RMap.LocalOf(i)*bc+dst.CMap.LocalOf(j)] = words[k+1]
 			}
-			n += len(m.Words) / 2
+			n += len(words) / 2
 		}
 		e.P.Compute(n)
 	}

@@ -22,20 +22,20 @@
 //
 // On the host, messages stay in wire form (two header words, then the
 // payload) from injection to delivery, and buffers move instead of
-// being copied. Route encodes the outgoing list once into a buffer it
-// owns. Between phases a processor holds an ordered list of wire-form
-// runs: that injection buffer, then one arrival per phase, appended
-// and never merged. When a phase's outgoing traffic sits in one run,
-// that run is partitioned in place and the part that leaves goes to
-// Proc.SendOwned as a capacity-clipped subslice of it (a run leaving
-// whole goes as it is); only traffic drawn from two or more runs is
+// being copied. Callers write messages with Batch.Add (requests with
+// Batch.Ask) straight into the run the router injects and read what
+// arrives from an Inbox over the delivered runs; Route and Request on
+// message lists are wrappers over the two. Between phases a processor
+// holds its runs in order, the injection run, then one arrival per
+// phase, appended and never merged. A phase's traffic that leaves from
+// one run goes to Proc.SendOwned as a capacity-clipped subslice of it,
+// partitioned in place; only traffic drawn from two or more runs is
 // copied into a new forward buffer. Routed buffers are plain
-// allocations that travel with the messages; none is kept between
-// calls and none enters the machine's buffer pool, whose size classes
-// a routed buffer, sized by the traffic pattern, would not be asked
-// for again. The one pooled buffer is the scratch an interleaved
-// partition stages messages through, returned before the partition
-// ends.
+// allocations that travel with the messages, kept neither between
+// calls nor in the machine's buffer pool, whose size classes they
+// would not ask for again. The one pooled buffer is the scratch an
+// interleaved partition stages messages through, returned before the
+// partition ends.
 package router
 
 import (
@@ -124,45 +124,164 @@ func leaves(w float64, i, mine int) bool {
 	return dst>>i&1 != mine
 }
 
-// Route delivers every processor's outgoing messages to their
-// destinations through dimension-ordered routing and returns the
-// messages addressed to the calling processor (including any the
-// processor sent to itself). The result holds the messages that never
-// left, in the order given, then each phase's arrivals in the order
-// their sender held them; receivers should dispatch on Key, but sums
-// taken in arrival order are reproducible. outgoing and its payloads
-// are only read. Route is a machine-wide collective: every processor
-// must call it with the same tag.
+// Batch is one processor's outgoing traffic for one routing call,
+// built in wire form: the buffer Add and Ask append to is the run the
+// router injects. A batch is routed once; the zero Batch routes nothing.
+type Batch struct {
+	procs, id   int
+	msgs, words int // room reserved by NewBatch, allocated by the first Add or Ask
+	wire        []float64
+	n           int // messages added
+}
+
+// NewBatch returns an empty batch for p with room for msgs messages
+// carrying words payload words in all (a request carries none of the
+// caller's). Nothing is allocated before the first Add or Ask.
+func NewBatch(p *hypercube.Proc, msgs, words int) Batch {
+	return Batch{procs: p.P(), id: p.ID(), msgs: msgs, words: words}
+}
+
+// room makes space for k more words, at least the room NewBatch
+// reserved at per wire words a message besides the payload.
+func (b *Batch) room(per, k int) {
+	if len(b.wire)+k > cap(b.wire) {
+		w := make([]float64, len(b.wire), max(len(b.wire)+k, 2*cap(b.wire), per*b.msgs+b.words))
+		copy(w, b.wire)
+		b.wire = w
+	}
+}
+
+// Add appends a message for dst under key and returns its n-word
+// payload, zeroed, to fill before a later Add or Ask outgrows the
+// reserved room and moves the buffer. Its capacity runs on through
+// later messages, so payloads p and q lie cap(p)-cap(q) words apart;
+// it must not be appended to. Add panics on a header the wire cannot
+// carry, as Route does.
+func (b *Batch) Add(dst, key, n int) []float64 {
+	b.room(headerWords, headerWords+n)
+	b.wire = appendHeader(b.wire, b.procs, dst, key, n)
+	at := len(b.wire)
+	b.wire, b.n = b.wire[:at+n], b.n+1
+	return b.wire[at:]
+}
+
+// Ask appends a request to processor dst for the payload it serves
+// under key. Requests are numbered from 0 in the order asked.
+func (b *Batch) Ask(dst, key int) {
+	const reqWords = 2 // the asker's address and the request's number
+	b.room(headerWords+reqWords, headerWords+reqWords)
+	b.wire = append(appendHeader(b.wire, b.procs, dst, key, reqWords), float64(b.id), float64(b.n))
+	b.n++
+}
+
+// Inbox is what a routing call delivered to a processor, walked in
+// delivery order by Next.
+type Inbox struct {
+	h     held
+	r, at int // the next message: its run and its offset there
+	skip  int // leading payload words that carry the key
+}
+
+// Next returns the next delivered message's key and payload, or ok
+// false after the last. The key is the sender's for Route and the
+// request's number for Request. A payload is the caller's to keep or
+// overwrite, never to Recycle; its capacity is clipped, so an append
+// reallocates.
+func (in *Inbox) Next() (key int, words []float64, ok bool) {
+	if in.r == in.h.n {
+		return 0, nil, false
+	}
+	run, at := in.h.runs[in.r], in.at
+	end := next(run, at)
+	if in.at = end; end == len(run) {
+		in.r, in.at = in.r+1, 0
+	}
+	return int(run[at+1+in.skip]), run[at+headerWords+in.skip : end : end], true
+}
+
+// Route delivers every processor's batch to its destinations through
+// dimension-ordered routing and returns the messages addressed to the
+// calling processor (including any it sent to itself): those that
+// never left, in the order added, then each phase's arrivals in the
+// order their sender held them. Receivers should dispatch on the key,
+// but sums taken in delivery order are reproducible. The batch's
+// buffer becomes the router's. Route is a machine-wide collective:
+// every processor must call it with the same tag.
+func (b *Batch) Route(p *hypercube.Proc, tag int) Inbox {
+	var in Inbox
+	in.h.push(b.wire)
+	route(p, tag, &in.h, b.n)
+	*b = Batch{}
+	return in
+}
+
+// Request pairs a round-trip through the router, with tags tag and
+// tag+1: each processor sends the requests it asked and answers those
+// it receives, and the Inbox holds one response per request. serve
+// must return the payload for a key this processor owns, which is
+// copied before serve is called again, so serve may reuse one buffer.
+//
+// This is the access pattern of the naive implementations: fetch the
+// remote operands element by element, with no combining.
+func (b *Batch) Request(p *hypercube.Proc, tag int, serve func(key int) []float64) Inbox {
+	p.BeginSpan("route-request")
+	defer p.EndSpan()
+	p.NoteCollective("route-request", p.FullMask(), tag)
+	// Each response goes back led by its request's number, in room
+	// sized for one-word answers.
+	arrived := b.Route(p, tag)
+	words := 0
+	for _, run := range arrived.h.runs[:arrived.h.n] {
+		words += len(run)
+	}
+	back := NewBatch(p, 0, words)
+	for key, ask, ok := arrived.Next(); ok; key, ask, ok = arrived.Next() {
+		payload := serve(key)
+		resp := back.Add(int(ask[0]), key, 1+len(payload))
+		resp[0] = ask[1]
+		copy(resp[1:], payload)
+	}
+	in := back.Route(p, tag+1)
+	in.skip = 1
+	return in
+}
+
+// Route is Batch.Route over a message list, which it only reads. The
+// Words of the messages it returns alias the delivered runs.
 func Route(p *hypercube.Proc, tag int, outgoing []Msg) []Msg {
 	words := 0
 	for _, m := range outgoing {
 		words += len(m.Words)
 	}
-	wire := make([]float64, 0, headerWords*len(outgoing)+words)
+	b := NewBatch(p, len(outgoing), words)
 	for _, m := range outgoing {
-		wire = appendHeader(wire, p.P(), m.Dst, m.Key, len(m.Words))
-		wire = append(wire, m.Words...)
+		copy(b.Add(m.Dst, m.Key, len(m.Words)), m.Words)
 	}
-	var h held
-	h.push(wire)
-	route(p, tag, &h, len(outgoing))
+	in := b.Route(p, tag)
 	n := 0
-	for _, run := range h.runs[:h.n] {
-		for at := 0; at < len(run); at = next(run, at) {
-			n++
-		}
+	for c := in; c.r < c.h.n; c.Next() {
+		n++
 	}
-	msgs := make([]Msg, n)
-	k := 0
-	for _, run := range h.runs[:h.n] {
-		for at := 0; at < len(run); k++ {
-			dst, l := header(run[at])
-			end := at + headerWords + l
-			msgs[k] = Msg{Dst: dst, Key: int(run[at+1]), Words: run[at+headerWords : end : end]}
-			at = end
-		}
+	msgs := make([]Msg, 0, n)
+	for key, words, ok := in.Next(); ok; key, words, ok = in.Next() {
+		msgs = append(msgs, Msg{Dst: p.ID(), Key: key, Words: words})
 	}
 	return msgs
+}
+
+// Request is Batch.Request over a list of (owner processor, key)
+// pairs. The result maps each request index to the fetched payload.
+func Request(p *hypercube.Proc, tag int, want []Msg, serve func(key int) []float64) [][]float64 {
+	b := NewBatch(p, len(want), 0)
+	for _, w := range want {
+		b.Ask(w.Dst, w.Key)
+	}
+	in := b.Request(p, tag, serve)
+	out := make([][]float64, len(want))
+	for i, words, ok := in.Next(); ok; i, words, ok = in.Next() {
+		out[i] = words
+	}
+	return out
 }
 
 // route runs the d phases on h, which holds the caller's msgs messages
@@ -310,59 +429,4 @@ func split(p *hypercube.Proc, run []float64, i, mine, f int) (kept, fwd []float6
 		return run[:k], run[k:l:l]
 	}
 	return run[f:], run[:f:f]
-}
-
-// Request pairs a round-trip through the router: each processor sends
-// read requests for remote values and answers the requests it
-// receives. want lists (owner processor, key) pairs; serve must return
-// the payload for a key this processor owns, which is copied before
-// serve is called again, so serve may reuse one buffer. The result maps
-// each request index to the fetched payload, in the order of want.
-//
-// This is the access pattern of the naive implementations: fetch the
-// remote operands element by element, with no combining.
-func Request(p *hypercube.Proc, tag int, want []Msg, serve func(key int) []float64) [][]float64 {
-	p.BeginSpan("route-request")
-	defer p.EndSpan()
-	p.NoteCollective("route-request", p.FullMask(), tag)
-	// Leg 1: route the requests. Key carries the requested item; the
-	// payload carries the requester's address and request index.
-	const reqWords = 2
-	reqs := make([]float64, 0, (headerWords+reqWords)*len(want))
-	for i, w := range want {
-		reqs = appendHeader(reqs, p.P(), w.Dst, w.Key, reqWords)
-		reqs = append(reqs, float64(p.ID()), float64(i))
-	}
-	var arrived held
-	arrived.push(reqs)
-	route(p, tag, &arrived, len(want))
-
-	// Leg 2: route the responses back, each led by its request index.
-	// Sized for one-word answers; longer ones grow the buffer.
-	words := 0
-	for _, run := range arrived.runs[:arrived.n] {
-		words += len(run)
-	}
-	resps := make([]float64, 0, words)
-	for _, run := range arrived.runs[:arrived.n] {
-		for at := 0; at < len(run); at += headerWords + reqWords {
-			key := int(run[at+1])
-			payload := serve(key)
-			resps = appendHeader(resps, p.P(), int(run[at+2]), key, 1+len(payload))
-			resps = append(append(resps, run[at+3]), payload...)
-		}
-	}
-	var back held
-	back.push(resps)
-	route(p, tag+1, &back, words/(headerWords+reqWords))
-
-	out := make([][]float64, len(want))
-	for _, run := range back.runs[:back.n] {
-		for at := 0; at < len(run); {
-			end := next(run, at)
-			out[int(run[at+headerWords])] = run[at+headerWords+1 : end : end]
-			at = end
-		}
-	}
-	return out
 }

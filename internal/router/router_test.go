@@ -514,6 +514,96 @@ func TestRouteMatchesReference(t *testing.T) {
 	}
 }
 
+// batchRouter routes a message list the way a wire-form caller does:
+// Add each message into a Batch, sized exactly or given no room so
+// that it grows from nothing, Route, and read the Inbox with Next.
+func batchRouter(exact bool) func(*hypercube.Proc, int, []Msg) []Msg {
+	return func(p *hypercube.Proc, tag int, outgoing []Msg) []Msg {
+		b := NewBatch(p, 0, 0)
+		if exact {
+			words := 0
+			for _, m := range outgoing {
+				words += len(m.Words)
+			}
+			b = NewBatch(p, len(outgoing), words)
+		}
+		for _, m := range outgoing {
+			copy(b.Add(m.Dst, m.Key, len(m.Words)), m.Words)
+		}
+		in := b.Route(p, tag)
+		var got []Msg
+		for key, w, ok := in.Next(); ok; key, w, ok = in.Next() {
+			got = append(got, Msg{Dst: p.ID(), Key: key, Words: w})
+		}
+		return got
+	}
+}
+
+var batchRouters = []struct {
+	name  string
+	route func(*hypercube.Proc, int, []Msg) []Msg
+}{
+	{"exact", batchRouter(true)},
+	{"grown", batchRouter(false)},
+}
+
+// requestTraffic asks, from every processor, for the keys of tr's
+// messages at their destinations, and compares what Request (Ask,
+// Batch.Request and Inbox.Next) fetches, and at what simulated cost,
+// with the reference's. A key's
+// payload is key mod 4 words, served from one reused buffer.
+func requestTraffic(t testing.TB, tr traffic) {
+	t.Helper()
+	run := func(request func(*hypercube.Proc, int, []Msg, func(int) []float64) [][]float64) outcome {
+		m := hypercube.MustNew(tr.dim, costmodel.CM2())
+		defer m.Close()
+		m.EnableProfile(true)
+		m.EnableCritPath(true)
+		got := make([][][]float64, m.P())
+		o := outcome{got: make([][]Msg, m.P())}
+		var err error
+		o.elapsed, err = m.Run(func(p *hypercube.Proc) {
+			scratch := make([]float64, 3)
+			got[p.ID()] = request(p, 5, tr.out[p.ID()], func(key int) []float64 {
+				for i := range scratch {
+					scratch[i] = float64(1000*p.ID() + 10*key + i)
+				}
+				return scratch[:(key%4+4)%4]
+			})
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", tr.name, err)
+		}
+		for pid, vals := range got {
+			for i, w := range vals {
+				o.got[pid] = append(o.got[pid], Msg{Dst: pid, Key: i, Words: w})
+			}
+		}
+		o.stats, o.clocks, o.profile, o.crit = m.LastStats(), m.Clocks(), m.Profile(), m.CritPath()
+		return o
+	}
+	sameOutcome(t, tr.name+"/request", run(Request), run(requestReference))
+}
+
+// TestBatchMatchesReference: at d = 2..6, a caller that builds its
+// traffic with Batch.Add and reads it with Inbox.Next receives the
+// reference router's messages in the reference's order at the
+// reference's simulated cost, recorders included, whether the batch
+// was sized exactly or grew; requests made with Batch.Ask and answered
+// through Batch.Request fetch what the reference does.
+func TestBatchMatchesReference(t *testing.T) {
+	for _, tr := range append(referenceTraffic(), congestedTraffic()...) {
+		if tr.dim < 2 {
+			continue
+		}
+		want := runTraffic(t, tr, routeReference)
+		for _, br := range batchRouters {
+			sameOutcome(t, tr.name+"/"+br.name, runTraffic(t, tr, br.route), want)
+		}
+		requestTraffic(t, tr)
+	}
+}
+
 // congestedTraffic piles messages up at intermediate processors under
 // dimension-ordered routing, so that processors hold several runs and
 // forward from one run (in place) or from several (copied): at every d
@@ -570,40 +660,46 @@ func congestedTraffic() []traffic {
 	return all
 }
 
-// TestRouteDeliveriesIsolated: what Route delivers to a processor is
-// that processor's alone. Messages are forwarded in place, as
-// subslices of the runs that held them, so a slip in the slicing would
-// leave two processors' deliveries sharing memory: here every
-// processor in turn overwrites every word delivered to it, and no
-// other processor's deliveries may change.
+// TestRouteDeliveriesIsolated: what Route, or an Inbox, delivers to a
+// processor is that processor's alone. Messages are forwarded in
+// place, as subslices of the runs that held them (a batch's own buffer
+// among them), so a slip in the slicing would leave two processors'
+// deliveries sharing memory: here every processor in turn overwrites
+// every word delivered to it, and no other processor's deliveries may
+// change.
 func TestRouteDeliveriesIsolated(t *testing.T) {
 	for _, tr := range append(referenceTraffic(), congestedTraffic()...) {
-		got := runTraffic(t, tr, Route).got
-		want := make([][]float64, len(got))
-		for pid, msgs := range got {
-			for _, m := range msgs {
-				want[pid] = append(want[pid], m.Words...)
+		deliveriesIsolated(t, tr.name, runTraffic(t, tr, Route).got)
+		deliveriesIsolated(t, tr.name+"/inbox", runTraffic(t, tr, batchRouters[0].route).got)
+	}
+}
+
+func deliveriesIsolated(t *testing.T, name string, got [][]Msg) {
+	t.Helper()
+	want := make([][]float64, len(got))
+	for pid, msgs := range got {
+		for _, m := range msgs {
+			want[pid] = append(want[pid], m.Words...)
+		}
+	}
+	for pid, msgs := range got {
+		mark := -float64(pid + 1)
+		for _, m := range msgs {
+			for k := range m.Words {
+				m.Words[k] = mark
 			}
 		}
-		for pid, msgs := range got {
-			mark := -float64(pid + 1)
+		for k := range want[pid] {
+			want[pid][k] = mark
+		}
+		for q, msgs := range got {
+			k := 0
 			for _, m := range msgs {
-				for k := range m.Words {
-					m.Words[k] = mark
-				}
-			}
-			for k := range want[pid] {
-				want[pid][k] = mark
-			}
-			for q, msgs := range got {
-				k := 0
-				for _, m := range msgs {
-					for _, w := range m.Words {
-						if w != want[q][k] {
-							t.Fatalf("%s: processor %d overwriting its deliveries changed word %d delivered to processor %d", tr.name, pid, k, q)
-						}
-						k++
+				for _, w := range m.Words {
+					if w != want[q][k] {
+						t.Fatalf("%s: processor %d overwriting its deliveries changed word %d delivered to processor %d", name, pid, k, q)
 					}
+					k++
 				}
 			}
 		}
@@ -771,8 +867,9 @@ func trafficFromBytes(b []byte) traffic {
 	return tr
 }
 
-// FuzzRouterWire drives bytes -> message lists -> Route at d <= 4
-// against the reference router. `go test` runs the seed corpus (the
+// FuzzRouterWire drives bytes -> message lists -> Route, the batch
+// path (sized exactly and grown) and Batch.Request at d <= 4 against
+// the reference router. `go test` runs the seed corpus (the
 // differential test's cases and the congested traffic at d <= 4,
 // re-encoded, so in-place and multi-run forwarding both run); `go test
 // -fuzz FuzzRouterWire` explores, offline.
@@ -794,7 +891,12 @@ func FuzzRouterWire(f *testing.F) {
 			t.Skip("more traffic than the target is meant to explore")
 		}
 		tr := trafficFromBytes(b)
-		sameOutcome(t, "fuzz", runTraffic(t, tr, Route), runTraffic(t, tr, routeReference))
+		want := runTraffic(t, tr, routeReference)
+		sameOutcome(t, "fuzz", runTraffic(t, tr, Route), want)
+		for _, br := range batchRouters {
+			sameOutcome(t, "fuzz/"+br.name, runTraffic(t, tr, br.route), want)
+		}
+		requestTraffic(t, tr)
 	})
 }
 
