@@ -38,6 +38,43 @@ func DefaultGaussOpts() GaussOpts {
 // pivotEps matches the serial elimination's singularity threshold.
 const pivotEps = 0.0
 
+// pivotRow is the pivot half of one forward-elimination step: a
+// Reduce(maxabsloc) search down column k over rows [k, n), then a row
+// swap (Extract x2, Insert x2) that brings the pivot to row k. It
+// returns the pivot's row before the swap, or an error (identical on
+// every processor) if the column is numerically singular.
+func pivotRow(e *core.Env, w *core.Matrix, k int) (int, error) {
+	mag, piv := e.ReduceColLoc(w, k, k, w.Rows, core.LocMaxAbs)
+	if piv < 0 || mag <= pivotEps {
+		return -1, fmt.Errorf("apps: singular matrix at step %d", k)
+	}
+	if piv != k {
+		e.SwapRows(w, k, piv)
+	}
+	return piv, nil
+}
+
+// eliminateCol is the eliminate half: it extracts the pivot row into
+// prow and column k into mcol, both replicated (Extract + Distribute
+// fused), scales mcol to the multipliers (zero at and above the pivot
+// row), and applies the rank-1 elementwise update to rows (k, n) and
+// columns [k, cols). Column k is included so the eliminated entries
+// become exact zeros. It returns the pivot.
+func eliminateCol(e *core.Env, w *core.Matrix, prow, mcol *core.Vector, k, cols int) float64 {
+	e.ExtractRowInto(prow, w, k, true)
+	pivot := e.VecElemAt(prow, k)
+	e.ExtractColInto(mcol, w, k, true)
+	inv := 1 / pivot
+	e.MapVec(mcol, func(gi int, v float64) float64 {
+		if gi <= k {
+			return 0 // rows at or above the pivot are untouched
+		}
+		return v * inv
+	}, 1)
+	e.UpdateOuterSub(w, mcol, prow, k+1, w.Rows, k, cols)
+	return pivot
+}
+
 // GaussKernel runs forward elimination with partial pivoting and back
 // substitution on the distributed augmented matrix w (n rows, n+1
 // columns) and returns the solution through the provided linear-layout
@@ -54,33 +91,14 @@ func GaussKernel(e *core.Env, w *core.Matrix, xOut *core.Vector) error {
 	mcol := e.TempVector(n, core.ColAligned, w.RMap.Kind, 0, true)
 	// Forward elimination.
 	for k := 0; k < n; k++ {
-		// Pivot search: Reduce(maxabsloc) over column k, rows [k, n).
 		e.BeginSpan("pivot")
-		mag, piv := e.ReduceColLoc(w, k, k, n, core.LocMaxAbs)
-		if piv < 0 || mag <= pivotEps {
-			e.EndSpan()
-			return fmt.Errorf("apps: singular matrix at step %d", k)
-		}
-		if piv != k {
-			e.SwapRows(w, k, piv) // Extract x2, Insert x2
-		}
+		_, err := pivotRow(e, w, k)
 		e.EndSpan()
-		// Pivot row and multiplier column, both replicated (Extract +
-		// Distribute fused).
+		if err != nil {
+			return err
+		}
 		e.BeginSpan("eliminate")
-		e.ExtractRowInto(prow, w, k, true)
-		pivot := e.VecElemAt(prow, k)
-		e.ExtractColInto(mcol, w, k, true)
-		inv := 1 / pivot
-		e.MapVec(mcol, func(gi int, v float64) float64 {
-			if gi <= k {
-				return 0 // rows at or above the pivot are untouched
-			}
-			return v * inv
-		}, 1)
-		// Rank-1 elementwise update of the active submatrix. Column k
-		// is included so the eliminated entries become exact zeros.
-		e.UpdateOuterSub(w, mcol, prow, k+1, n, k, n+1)
+		eliminateCol(e, w, prow, mcol, k, n+1)
 		e.EndSpan()
 	}
 
@@ -166,27 +184,15 @@ func Determinant(mach *hypercube.Machine, a *serial.Mat, opts GaussOpts) (float6
 		prow := e.TempVector(n, core.RowAligned, w.CMap.Kind, 0, true)
 		mcol := e.TempVector(n, core.ColAligned, w.RMap.Kind, 0, true)
 		for k := 0; k < n; k++ {
-			mag, piv := e.ReduceColLoc(w, k, k, n, core.LocMaxAbs)
-			if piv < 0 || mag <= pivotEps {
+			piv, err := pivotRow(e, w, k)
+			if err != nil {
 				d = 0
 				break
 			}
 			if piv != k {
-				e.SwapRows(w, k, piv)
 				d = -d
 			}
-			e.ExtractRowInto(prow, w, k, true)
-			pivot := e.VecElemAt(prow, k)
-			d *= pivot
-			e.ExtractColInto(mcol, w, k, true)
-			inv := 1 / pivot
-			e.MapVec(mcol, func(gi int, v float64) float64 {
-				if gi <= k {
-					return 0
-				}
-				return v * inv
-			}, 1)
-			e.UpdateOuterSub(w, mcol, prow, k+1, n, k, n)
+			d *= eliminateCol(e, w, prow, mcol, k, n)
 		}
 		if p.ID() == 0 {
 			det = d

@@ -31,24 +31,10 @@ func EliminateMulti(e *core.Env, w *core.Matrix, nrhs int) error {
 	mcol := e.TempVector(n, core.ColAligned, w.RMap.Kind, 0, true)
 	// Forward elimination (same step as GaussKernel, wider rows).
 	for k := 0; k < n; k++ {
-		mag, piv := e.ReduceColLoc(w, k, k, n, core.LocMaxAbs)
-		if piv < 0 || mag <= pivotEps {
-			return fmt.Errorf("apps: singular matrix at step %d", k)
+		if _, err := pivotRow(e, w, k); err != nil {
+			return err
 		}
-		if piv != k {
-			e.SwapRows(w, k, piv)
-		}
-		e.ExtractRowInto(prow, w, k, true)
-		pivot := e.VecElemAt(prow, k)
-		e.ExtractColInto(mcol, w, k, true)
-		inv := 1 / pivot
-		e.MapVec(mcol, func(gi int, v float64) float64 {
-			if gi <= k {
-				return 0
-			}
-			return v * inv
-		}, 1)
-		e.UpdateOuterSub(w, mcol, prow, k+1, n, k, cols)
+		eliminateCol(e, w, prow, mcol, k, cols)
 	}
 	// Back substitution: normalize row k's solution block, extract it,
 	// and clear column k from the rows above with one restricted

@@ -56,15 +56,12 @@ func LUFactor(mach *hypercube.Machine, a *serial.Mat, opts GaussOpts) (*LU, erro
 		colK := e.TempVector(n, core.ColAligned, w.RMap.Kind, 0, true)
 		for k := 0; k < n; k++ {
 			e.BeginSpan("pivot")
-			mag, piv := e.ReduceColLoc(w, k, k, n, core.LocMaxAbs)
-			if piv < 0 || mag <= pivotEps {
-				panic(fmt.Errorf("apps: singular matrix at step %d", k))
+			piv, err := pivotRow(e, w, k)
+			if err != nil {
+				panic(err)
 			}
-			if piv != k {
-				e.SwapRows(w, k, piv)
-				if p.ID() == 0 {
-					perm[k], perm[piv] = perm[piv], perm[k]
-				}
+			if piv != k && p.ID() == 0 {
+				perm[k], perm[piv] = perm[piv], perm[k]
 			}
 			e.EndSpan()
 			e.BeginSpan("eliminate")

@@ -75,12 +75,6 @@ func (p Params) SendCost(n int) Time {
 	return p.CommStartup + Time(n)*p.CommPerWord
 }
 
-// RouteHopCost returns the virtual-time cost of forwarding n words one
-// hop through the general router.
-func (p Params) RouteHopCost(n int) Time {
-	return p.RouteStartup + Time(n)*p.RoutePerWord
-}
-
 // RoutePhaseCost returns the virtual-time cost of one routing phase in
 // which a processor forwards msgs messages totalling n words: one
 // start-up for the phase, per-word transfer, and per-message handling.

@@ -33,10 +33,10 @@ func TestSendCost(t *testing.T) {
 	}
 }
 
-func TestRouteHopCost(t *testing.T) {
-	p := Params{RouteStartup: 7, RoutePerWord: 3}
-	if got := p.RouteHopCost(4); got != 19 {
-		t.Fatalf("RouteHopCost(4) = %v, want 19", got)
+func TestRoutePhaseCost(t *testing.T) {
+	p := Params{RouteStartup: 7, RoutePerWord: 3, RoutePerMsg: 2}
+	if got := p.RoutePhaseCost(5, 4); got != 29 {
+		t.Fatalf("RoutePhaseCost(5, 4) = %v, want 29", got)
 	}
 }
 
@@ -62,12 +62,12 @@ func TestSendCostMonotone(t *testing.T) {
 }
 
 func TestRouterDominatesEdge(t *testing.T) {
-	// The general router must be at least as expensive per hop as a
-	// structured edge transfer in every realistic preset; the naive
-	// baseline's disadvantage depends on it.
+	// Forwarding one message through the general router must cost at
+	// least a structured edge transfer in every realistic preset; the
+	// naive baseline's disadvantage depends on it.
 	for name, p := range map[string]Params{"CM2": CM2(), "IPSC": IPSC()} {
 		for _, n := range []int{0, 1, 16, 1024} {
-			if p.RouteHopCost(n) < p.SendCost(n) {
+			if p.RoutePhaseCost(1, n) < p.SendCost(n) {
 				t.Errorf("%s: router cheaper than edge at n=%d", name, n)
 			}
 		}
@@ -95,7 +95,7 @@ func TestWithAllPorts(t *testing.T) {
 
 func TestCountOnlyIsFree(t *testing.T) {
 	p := CountOnly()
-	if p.SendCost(100) != 0 || p.FlopCost(100) != 0 || p.RouteHopCost(100) != 0 {
+	if p.SendCost(100) != 0 || p.FlopCost(100) != 0 || p.RoutePhaseCost(1, 100) != 0 {
 		t.Fatal("CountOnly charges time")
 	}
 }

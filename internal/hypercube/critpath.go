@@ -14,15 +14,15 @@ import (
 // (a bounded ring would drop edges and break the "weights sum exactly
 // to the makespan" guarantee), every processor carries a
 // chain-attribution vector: the decomposition of the longest causal
-// chain that ends at its current clock. Local charges (compute, send,
-// router, idle) extend the chain in place; every posted message
-// carries a snapshot of the sender's vector; and a receive whose
-// arrival is strictly later than the receiver's own clock adopts the
-// sender's chain wholesale — that is exactly the dynamic-programming
-// recurrence for the longest path, evaluated incrementally with O(1)
-// state per processor. Ties (arrival equal to the receiver's clock)
-// keep the receiver's own chain, which both breaks ties
-// deterministically and avoids inventing hops that carry no time.
+// chain that ends at its current clock. Local charges extend the chain
+// in place; every posted message carries a snapshot of the sender's
+// vector; and a receive whose arrival is strictly later than the
+// receiver's own clock adopts the sender's chain wholesale — that is
+// exactly the dynamic-programming recurrence for the longest path,
+// evaluated incrementally with O(1) state per processor. Ties (arrival
+// equal to the receiver's clock) keep the receiver's own chain, which
+// both breaks ties deterministically and avoids inventing hops that
+// carry no time.
 //
 // The vector is a flat []float64 so message snapshots reuse the
 // per-processor buffer pools (the same recycle discipline as
@@ -33,6 +33,15 @@ import (
 // one 4-cell block per discovered span node attributing the chain to
 // named spans. Everything is virtual time, so the recorded path is
 // bit-identical under every schedule (see TestScheduleIndependence).
+//
+// The segment kinds and where they come from: compute (Compute), send
+// (Send, SendOwned, ExchangeAll) and route (RoutePhaseCharge) all pass
+// Proc.charge and extend the chain through cpCharge; hop is a receive
+// adopting the sender's chain (cpRecv). Idle can come only from
+// cpRecv's defensive branch, a message that carried no chain, so a
+// chain recorded within one machine has none. The idle cells and the
+// exported idle_us fields stay: they keep the category sum exact on
+// that branch.
 
 const (
 	// Category cells: the chain's time split by attribution class.
@@ -104,14 +113,6 @@ func (p *Proc) cpReset() {
 	p.cp = p.cp[:base]
 }
 
-// cpNode is the innermost open span node, -1 outside any span.
-func (p *Proc) cpNode() int {
-	if n := len(p.ps.stack); n > 0 {
-		return p.ps.stack[n-1].node
-	}
-	return -1
-}
-
 // cpAcc extends the chain by t in category cat, crediting the
 // per-dimension transfer cell (dim >= 0) and the innermost span's
 // block. Span blocks grow lazily as nodes are discovered — amortized
@@ -124,7 +125,7 @@ func (p *Proc) cpAcc(cat int, t costmodel.Time, dim int) {
 	if dim >= 0 {
 		p.cp[cpHdrWords+dim] += float64(t)
 	}
-	if node := p.cpNode(); node >= 0 {
+	if node, _ := p.openSpan(); node >= 0 {
 		need := p.cpSpanBase() + 4*(node+1)
 		for len(p.cp) < need {
 			p.cp = append(p.cp, 0)
@@ -137,7 +138,7 @@ func (p *Proc) cpAcc(cat int, t costmodel.Time, dim int) {
 // coalescing a segment that continues the newest one (same processor,
 // span, kind and dimension, contiguous in time).
 func (p *Proc) cpSeg(kind, dim int, t0, t1 costmodel.Time) {
-	node := p.cpNode()
+	node, _ := p.openSpan()
 	base := p.cpBase()
 	cnt := int(p.cp[cpSegCount])
 	if cnt > 0 {
@@ -167,47 +168,18 @@ func (p *Proc) cpSeg(kind, dim int, t0, t1 costmodel.Time) {
 	p.cp[off+5] = float64(t1)
 }
 
-// cpCompute extends the chain by a local-arithmetic charge that just
-// advanced the clock by c.
-func (p *Proc) cpCompute(c costmodel.Time) {
-	if c == 0 {
+// cpCharge extends the chain by a charge that just advanced the clock
+// (see Proc.charge): comp, su and xf go to their category cells, xf
+// also to dimension dim's transfer cell (dim >= 0), and the whole to
+// one segment of the given kind ending at the clock.
+func (p *Proc) cpCharge(kind, dim int, comp, su, xf costmodel.Time) {
+	if comp == 0 && su == 0 && xf == 0 {
 		return
 	}
-	p.cpAcc(cpCatCompute, c, -1)
-	p.cpSeg(cpKindCompute, -1, p.clock-c, p.clock)
-}
-
-// cpChargeSend extends the chain by one message's send cost (start-up
-// plus words transfer on dimension d), which the caller just added to
-// the clock.
-func (p *Proc) cpChargeSend(d, words int) {
-	su := p.m.params.CommStartup
-	xf := costmodel.Time(words) * p.m.params.CommPerWord
-	if su == 0 && xf == 0 {
-		return
-	}
+	p.cpAcc(cpCatCompute, comp, -1)
 	p.cpAcc(cpCatStartup, su, -1)
-	p.cpAcc(cpCatTransfer, xf, d)
-	p.cpSeg(cpKindSend, d, p.clock-su-xf, p.clock)
-}
-
-// cpRoute extends the chain by a router charge split into its start-up
-// and transfer parts (no cube dimension — router volume is charged at
-// the processor, not a single link).
-func (p *Proc) cpRoute(su, xf costmodel.Time) {
-	if su == 0 && xf == 0 {
-		return
-	}
-	p.cpAcc(cpCatStartup, su, -1)
-	p.cpAcc(cpCatTransfer, xf, -1)
-	p.cpSeg(cpKindRoute, -1, p.clock-su-xf, p.clock)
-}
-
-// cpIdle extends the chain by a clock advance outside a receive
-// (public AdvanceTo, or a defensive gap).
-func (p *Proc) cpIdle(from, to costmodel.Time) {
-	p.cpAcc(cpCatIdle, to-from, -1)
-	p.cpSeg(cpKindIdle, -1, from, to)
+	p.cpAcc(cpCatTransfer, xf, dim)
+	p.cpSeg(kind, dim, p.clock-comp-su-xf, p.clock)
 }
 
 // cpSnapshot copies the chain vector into a pooled buffer; post
@@ -219,9 +191,9 @@ func (p *Proc) cpSnapshot() []float64 {
 	return s
 }
 
-// cpRestore copies src back over the chain vector (ExchangeAll's
-// all-port branch restores the pre-phase chain before charging each
-// message), zeroing any cells grown since the snapshot.
+// cpRestore copies src over the chain vector, zeroing any cells beyond
+// it: ExchangeAll's all-port branch restores the pre-phase chain
+// before charging each message, and cpRecv adopts a sender's chain.
 func (p *Proc) cpRestore(src []float64) {
 	n := copy(p.cp, src)
 	for i := n; i < len(p.cp); i++ {
@@ -242,17 +214,15 @@ func (p *Proc) cpRecv(msg *message, d int) {
 			for len(p.cp) < len(msg.cp) {
 				p.cp = append(p.cp, 0)
 			}
-			n := copy(p.cp, msg.cp)
-			for i := n; i < len(p.cp); i++ {
-				p.cp[i] = 0
-			}
+			p.cpRestore(msg.cp)
 			p.cp[cpHops]++
 			p.cpSeg(cpKindHop, d, msg.arrive, msg.arrive)
 		} else {
 			// No chain travelled with the message (cannot happen within
 			// one machine; defensive): account the gap as idle so the
 			// invariant holds.
-			p.cpIdle(p.clock, msg.arrive)
+			p.cpAcc(cpCatIdle, msg.arrive-p.clock, -1)
+			p.cpSeg(cpKindIdle, -1, p.clock, msg.arrive)
 		}
 	}
 	if msg.cp != nil {

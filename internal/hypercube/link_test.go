@@ -755,6 +755,15 @@ func BenchmarkLinkExchangeTraced(b *testing.B) {
 	}, exchangeStep)
 }
 
+// BenchmarkLinkExchangeCritPath is BenchmarkLinkExchange with the
+// critical path armed, building it included: every send passes charge
+// and post with a chain snapshot, every receive resolves one, so this
+// is the price of the critical-path recorder on the message path.
+func BenchmarkLinkExchangeCritPath(b *testing.B) {
+	b.ReportAllocs()
+	benchLink(b, 6, func(m *Machine) { m.EnableCritPath(true) }, exchangeStep)
+}
+
 var exchangePayload = []float64{1, 2, 3, 4}
 
 func exchangeStep(p *Proc, i int) {

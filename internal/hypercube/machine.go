@@ -9,10 +9,12 @@
 // model in internal/costmodel: a send advances the sender's clock by
 // tau + n*t_c, a receive advances the receiver's clock to at least the
 // message's arrival time, and local arithmetic advances the clock by
-// n*t_f. The run time of an SPMD program is the maximum clock over all
-// processors when every body has returned, which is how the
-// Connection Machine timings of the paper are reproduced as simulated
-// microseconds independent of the host.
+// n*t_f. Every charge but a receive's passes one edge, Proc.charge,
+// which splits it across the clock, the compute / start-up / transfer
+// buckets and the critical-path chain. The run time of an SPMD program
+// is the maximum clock over all processors when every body has
+// returned, which is how the Connection Machine timings of the paper
+// are reproduced as simulated microseconds independent of the host.
 //
 // The port model follows the paper's implementation section: by
 // default a processor drives one port at a time, so sends on distinct
@@ -587,8 +589,9 @@ type Proc struct {
 
 	// Always-on attribution counters: the clock split into compute /
 	// start-up / transfer (idle is derived as clock minus their sum),
-	// and the words posted per outgoing link. A few adds per
-	// operation; never allocated on the hot path.
+	// advanced with the clock by charge, and the words posted per
+	// outgoing link. A few adds per operation; never allocated on the
+	// hot path.
 	tComp, tStart, tXfer costmodel.Time
 	linkWords            []int64
 
@@ -604,7 +607,7 @@ type Proc struct {
 	streamClosed int64
 
 	// Critical-path chain state, active only under EnableCritPath:
-	// crit gates the hot-path hooks, cp is the encoded
+	// crit gates the hooks in charge, post and Recv, cp is the encoded
 	// chain-attribution vector (see critpath.go).
 	crit bool
 	cp   []float64
@@ -662,19 +665,6 @@ func (p *Proc) Params() costmodel.Params { return p.m.params }
 // Clock returns this processor's current virtual time.
 func (p *Proc) Clock() costmodel.Time { return p.clock }
 
-// AdvanceTo moves the virtual clock forward to at least t. It never
-// moves the clock backwards. Under critical-path recording the
-// advance counts as idle time on the chain (Recv accounts its own
-// advances causally and does not go through here).
-func (p *Proc) AdvanceTo(t costmodel.Time) {
-	if t > p.clock {
-		if p.crit {
-			p.cpIdle(p.clock, t)
-		}
-		p.clock = t
-	}
-}
-
 // Neighbor returns the cube address of the neighbor along dimension d.
 func (p *Proc) Neighbor(d int) int {
 	p.checkDim(d)
@@ -688,11 +678,30 @@ func (p *Proc) Compute(flops int) {
 	}
 	p.nFlops += int64(flops)
 	c := p.m.params.FlopCost(flops)
-	p.clock += c
 	p.tComp += c
+	p.charge(c, c, 0, 0, cpKindCompute, -1)
+}
+
+// charge is the one edge every clock charge but a receive's passes: it
+// advances the clock by cost, the start-up and transfer buckets by su
+// and xf, and, under critical-path recording, the chain by comp, su
+// and xf as one segment of the given kind on dimension dim (-1 for
+// none). The caller keeps its own expression for cost, so the clock's
+// float sum is the cost model's, and charges the compute bucket itself
+// (which keeps charge within the inliner's budget).
+func (p *Proc) charge(cost, comp, su, xf costmodel.Time, kind, dim int) {
+	p.clock += cost
+	p.tStart += su
+	p.tXfer += xf
 	if p.crit {
-		p.cpCompute(c)
+		p.cpCharge(kind, dim, comp, su, xf)
 	}
+}
+
+// chargeSend charges the send of n words on dimension d.
+func (p *Proc) chargeSend(d, n int) {
+	pm := &p.m.params
+	p.charge(pm.SendCost(n), 0, pm.CommStartup, costmodel.Time(n)*pm.CommPerWord, cpKindSend, d)
 }
 
 // Send transmits words to the neighbor along dimension d with the
@@ -709,12 +718,7 @@ func (p *Proc) Send(d, tag int, words []float64) {
 // charged exactly as by Send; len(buf) is the message length.
 func (p *Proc) SendOwned(d, tag int, buf []float64) {
 	p.checkDim(d)
-	p.clock += p.m.params.SendCost(len(buf))
-	p.tStart += p.m.params.CommStartup
-	p.tXfer += costmodel.Time(len(buf)) * p.m.params.CommPerWord
-	if p.crit {
-		p.cpChargeSend(d, len(buf))
-	}
+	p.chargeSend(d, len(buf))
 	p.post(d, tag, buf, p.clock)
 }
 
@@ -766,14 +770,20 @@ func (p *Proc) stallSend(l *link, msg message, d int) {
 	p.m.store.push(l, msg)
 }
 
+// openSpan returns the innermost open profiler span node (-1 outside
+// any span) and the depth of the span stack.
+func (p *Proc) openSpan() (node, depth int) {
+	depth = len(p.ps.stack)
+	if depth == 0 {
+		return -1, 0
+	}
+	return p.ps.stack[depth-1].node, depth
+}
+
 // record appends one event to this processor's flight recorder,
 // stamping the current open profiler span (if any).
 func (p *Proc) record(kind flightrec.Kind, label flightrec.Label, dim, tag, words int, vt costmodel.Time) {
-	span := -1
-	depth := len(p.ps.stack)
-	if depth > 0 {
-		span = p.ps.stack[depth-1].node
-	}
+	span, depth := p.openSpan()
 	p.rec.Record(kind, label, dim, tag, words, span, depth, vt)
 }
 
@@ -905,43 +915,34 @@ func (p *Proc) ExchangeAll(dims []int, tag int, payloads [][]float64) [][]float6
 		}
 		seen |= bit
 	}
-	start := p.clock
 	if p.m.params.AllPorts {
-		// Under chain recording every posted message must carry the
-		// chain as of the phase start plus its own send charge (the
-		// ports run concurrently, so the per-message chains branch from
-		// the same snapshot rather than accumulating).
+		// The ports run concurrently, so every message is charged from
+		// the phase start — clock, buckets and chain — and carries that
+		// start plus its own send; the phase as a whole costs its
+		// largest send.
+		clock, tStart, tXfer := p.clock, p.tStart, p.tXfer
 		var pre []float64
 		if p.crit {
 			pre = p.cpSnapshot()
 		}
-		var maxCost costmodel.Time
-		maxWords, maxDim := 0, -1
-		for i, d := range dims {
-			c := p.m.params.SendCost(len(payloads[i]))
-			if c > maxCost {
-				maxCost = c
-			}
-			if maxDim < 0 || len(payloads[i]) > maxWords {
-				maxWords, maxDim = len(payloads[i]), d
-			}
-			p.clock = start + c
-			if p.crit {
+		rewind := func() {
+			p.clock, p.tStart, p.tXfer = clock, tStart, tXfer
+			if pre != nil {
 				p.cpRestore(pre)
-				p.cpChargeSend(d, len(payloads[i]))
 			}
-			p.post(d, tag, p.pooledCopy(payloads[i]), p.clock)
 		}
-		p.clock = start + maxCost
-		// The phase charges the largest single send; attribute one
-		// start-up and the largest payload's transfer time.
-		if len(dims) > 0 {
-			p.tStart += p.m.params.CommStartup
-			p.tXfer += costmodel.Time(maxWords) * p.m.params.CommPerWord
-			if p.crit {
-				p.cpRestore(pre)
-				p.cpChargeSend(maxDim, maxWords)
+		largest := -1
+		for i, d := range dims {
+			rewind()
+			p.chargeSend(d, len(payloads[i]))
+			p.post(d, tag, p.pooledCopy(payloads[i]), p.clock)
+			if largest < 0 || len(payloads[i]) > len(payloads[largest]) {
+				largest = i
 			}
+		}
+		if largest >= 0 {
+			rewind()
+			p.chargeSend(dims[largest], len(payloads[largest]))
 		}
 		if pre != nil {
 			p.m.pool.put(pre)
@@ -972,30 +973,14 @@ func (p *Proc) Barrier(mask, tag int) {
 // FullMask returns the dimension mask covering the whole cube.
 func (p *Proc) FullMask() int { return (1 << p.m.dim) - 1 }
 
-// RouteCharge charges the clock for forwarding n words one hop through
-// the general router. The router package uses it so that routed and
-// structured traffic share one clock.
-func (p *Proc) RouteCharge(n int) {
-	p.clock += p.m.params.RouteHopCost(n)
-	p.tStart += p.m.params.RouteStartup
-	p.tXfer += costmodel.Time(n) * p.m.params.RoutePerWord
-	if p.crit {
-		p.cpRoute(p.m.params.RouteStartup, costmodel.Time(n)*p.m.params.RoutePerWord)
-	}
-}
-
 // RoutePhaseCharge charges the clock for one dimension-ordered routing
 // phase in which this processor forwards msgs messages totalling n
 // words: router start-up, per-word transfer, and per-message handling
 // overhead (the cost of not combining messages).
 func (p *Proc) RoutePhaseCharge(msgs, n int) {
-	p.clock += p.m.params.RoutePhaseCost(msgs, n)
-	p.tStart += p.m.params.RouteStartup + costmodel.Time(msgs)*p.m.params.RoutePerMsg
-	p.tXfer += costmodel.Time(n) * p.m.params.RoutePerWord
-	if p.crit {
-		p.cpRoute(p.m.params.RouteStartup+costmodel.Time(msgs)*p.m.params.RoutePerMsg,
-			costmodel.Time(n)*p.m.params.RoutePerWord)
-	}
+	pm := &p.m.params
+	p.charge(pm.RoutePhaseCost(msgs, n), 0, pm.RouteStartup+costmodel.Time(msgs)*pm.RoutePerMsg,
+		costmodel.Time(n)*pm.RoutePerWord, cpKindRoute, -1)
 }
 
 func (p *Proc) checkDim(d int) {

@@ -364,18 +364,18 @@ func TestNeighborAddress(t *testing.T) {
 	}
 }
 
-func TestRouteCharge(t *testing.T) {
-	params := costmodel.Params{RouteStartup: 5, RoutePerWord: 2}
+func TestRoutePhaseCharge(t *testing.T) {
+	params := costmodel.Params{RouteStartup: 5, RoutePerWord: 2, RoutePerMsg: 1}
 	m := MustNew(0, params)
 	var clock costmodel.Time
 	if _, err := m.Run(func(p *Proc) {
-		p.RouteCharge(3)
+		p.RoutePhaseCharge(2, 3)
 		clock = p.Clock()
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if clock != 11 {
-		t.Fatalf("route charge clock %v, want 11", clock)
+	if clock != 13 {
+		t.Fatalf("route phase charge clock %v, want 13", clock)
 	}
 }
 
