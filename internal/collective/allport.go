@@ -27,7 +27,8 @@ func BcastAllPort(p *hypercube.Proc, mask, tag, rootRel int, data []float64) []f
 	p.BeginSpan("bcast-allport")
 	defer p.EndSpan()
 	p.NoteCollective("bcast-allport", mask, tag)
-	ds := gray.Dims(mask)
+	var dimBuf [hypercube.MaxDim]int
+	ds := gray.AppendDims(dimBuf[:0], mask)
 	k := len(ds)
 	if p.Profiling() && p.Params().AllPorts {
 		// The analytic cost assumes concurrent ports; on a one-port
@@ -142,7 +143,8 @@ func ReduceAllPort(p *hypercube.Proc, mask, tag, rootRel int, data []float64, co
 	p.BeginSpan("reduce-allport")
 	defer p.EndSpan()
 	p.NoteCollective("reduce-allport", mask, tag)
-	ds := gray.Dims(mask)
+	var dimBuf [hypercube.MaxDim]int
+	ds := gray.AppendDims(dimBuf[:0], mask)
 	k := len(ds)
 	if p.Profiling() && p.Params().AllPorts {
 		p.SpanPredict(costmodel.PredictReduceAllPort(p.Params(), k, len(data)))

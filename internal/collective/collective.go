@@ -113,7 +113,8 @@ func Bcast(p *hypercube.Proc, mask, tag, rootRel int, data []float64) []float64 
 	p.BeginSpan("bcast")
 	defer p.EndSpan()
 	p.NoteCollective("bcast", mask, tag)
-	ds := gray.Dims(mask)
+	var dimBuf [hypercube.MaxDim]int
+	ds := gray.AppendDims(dimBuf[:0], mask)
 	k := len(ds)
 	if p.Profiling() {
 		// Only the root's data length is authoritative; non-roots may
@@ -190,7 +191,8 @@ func Reduce(p *hypercube.Proc, mask, tag, rootRel int, data []float64, comb Comb
 	p.BeginSpan("reduce")
 	defer p.EndSpan()
 	p.NoteCollective("reduce", mask, tag)
-	ds := gray.Dims(mask)
+	var dimBuf [hypercube.MaxDim]int
+	ds := gray.AppendDims(dimBuf[:0], mask)
 	k := len(ds)
 	if p.Profiling() {
 		p.SpanPredict(costmodel.PredictReduce(p.Params(), k, len(data)))
@@ -229,7 +231,8 @@ func ReduceScatter(p *hypercube.Proc, mask, tag int, data []float64, comb Combin
 	p.BeginSpan("reduce-scatter")
 	defer p.EndSpan()
 	p.NoteCollective("reduce-scatter", mask, tag)
-	ds := gray.Dims(mask)
+	var dimBuf [hypercube.MaxDim]int
+	ds := gray.AppendDims(dimBuf[:0], mask)
 	k := len(ds)
 	if p.Profiling() {
 		p.SpanPredict(costmodel.PredictReduceScatter(p.Params(), k, len(data)))
@@ -272,7 +275,8 @@ func AllGather(p *hypercube.Proc, mask, tag int, piece []float64) []float64 {
 	p.BeginSpan("all-gather")
 	defer p.EndSpan()
 	p.NoteCollective("all-gather", mask, tag)
-	ds := gray.Dims(mask)
+	var dimBuf [hypercube.MaxDim]int
+	ds := gray.AppendDims(dimBuf[:0], mask)
 	if p.Profiling() {
 		p.SpanPredict(costmodel.PredictAllGather(p.Params(), len(ds), len(piece)))
 	}
@@ -309,7 +313,8 @@ func AllReduce(p *hypercube.Proc, mask, tag int, data []float64, comb Combiner) 
 	p.BeginSpan("all-reduce")
 	defer p.EndSpan()
 	p.NoteCollective("all-reduce", mask, tag)
-	ds := gray.Dims(mask)
+	var dimBuf [hypercube.MaxDim]int
+	ds := gray.AppendDims(dimBuf[:0], mask)
 	k := len(ds)
 	if p.Profiling() {
 		p.SpanPredict(costmodel.PredictAllReduce(p.Params(), k, len(data)))
@@ -350,7 +355,8 @@ func Gather(p *hypercube.Proc, mask, tag, rootRel int, piece []float64) []float6
 	p.BeginSpan("gather")
 	defer p.EndSpan()
 	p.NoteCollective("gather", mask, tag)
-	ds := gray.Dims(mask)
+	var dimBuf [hypercube.MaxDim]int
+	ds := gray.AppendDims(dimBuf[:0], mask)
 	k := len(ds)
 	if p.Profiling() {
 		p.SpanPredict(costmodel.PredictGather(p.Params(), k, len(piece), 2))
@@ -410,7 +416,8 @@ func Scatter(p *hypercube.Proc, mask, tag, rootRel int, data []float64) []float6
 	p.BeginSpan("scatter")
 	defer p.EndSpan()
 	p.NoteCollective("scatter", mask, tag)
-	ds := gray.Dims(mask)
+	var dimBuf [hypercube.MaxDim]int
+	ds := gray.AppendDims(dimBuf[:0], mask)
 	k := len(ds)
 	if p.Profiling() {
 		// Non-roots pass nil data and predict 0; the root's prediction
@@ -498,7 +505,8 @@ func AllToAll(p *hypercube.Proc, mask, tag int, out [][]float64) [][]float64 {
 	p.BeginSpan("all-to-all")
 	defer p.EndSpan()
 	p.NoteCollective("all-to-all", mask, tag)
-	ds := gray.Dims(mask)
+	var dimBuf [hypercube.MaxDim]int
+	ds := gray.AppendDims(dimBuf[:0], mask)
 	k := len(ds)
 	if len(out) != 1<<k {
 		panic(fmt.Sprintf("collective: AllToAll needs %d payloads, got %d", 1<<k, len(out)))
@@ -550,7 +558,8 @@ func ScanInclusive(p *hypercube.Proc, mask, tag int, data []float64, comb Combin
 	p.BeginSpan("scan")
 	defer p.EndSpan()
 	p.NoteCollective("scan", mask, tag)
-	ds := gray.Dims(mask)
+	var dimBuf [hypercube.MaxDim]int
+	ds := gray.AppendDims(dimBuf[:0], mask)
 	if p.Profiling() {
 		p.SpanPredict(costmodel.PredictScan(p.Params(), len(ds), len(data)))
 	}
@@ -581,7 +590,8 @@ func ScanExclusive(p *hypercube.Proc, mask, tag int, data, identity []float64, c
 	p.BeginSpan("scan-exclusive")
 	defer p.EndSpan()
 	p.NoteCollective("scan-exclusive", mask, tag)
-	ds := gray.Dims(mask)
+	var dimBuf [hypercube.MaxDim]int
+	ds := gray.AppendDims(dimBuf[:0], mask)
 	if p.Profiling() {
 		p.SpanPredict(costmodel.PredictScan(p.Params(), len(ds), len(data)))
 	}

@@ -48,7 +48,7 @@ func TestPoolRecovery(t *testing.T) {
 	defer m.Close()
 	// The first receiver of the tree holds the payload for half the
 	// machine.
-	ds := gray.Dims(m.P() - 1)
+	ds := gray.AppendDims(nil, m.P()-1)
 	victim := 1 << ds[d-1]
 	_, err := m.Run(func(p *hypercube.Proc) {
 		if p.ID() == victim {

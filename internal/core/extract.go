@@ -5,6 +5,7 @@ import (
 
 	"vmprim/internal/collective"
 	"vmprim/internal/gray"
+	"vmprim/internal/hypercube"
 )
 
 // This file implements the first two of the four primitives — Extract
@@ -123,7 +124,8 @@ func (e *Env) sendAlong(mask, fromRel, toRel int, data []float64) []float64 {
 		}
 		return nil
 	}
-	dims := gray.Dims(mask)
+	var dimBuf [hypercube.MaxDim]int
+	dims := gray.AppendDims(dimBuf[:0], mask)
 	tag := e.NextTag()
 	cur := fromRel
 	var buf []float64

@@ -108,9 +108,16 @@ const NoLabel Label = 0
 // recorded as NoLabel, so its events show an empty label.
 const maxLabels = 1<<16 - 1
 
+// maxScan is how many names a Labels table compares one by one before
+// it looks a name up by hashing. The in-tree collective and router
+// labels number 16, and for them a few length compares beat a hash.
+const maxScan = 16
+
 // Labels is the string table behind Label ids, shared by the rings of
 // one machine. A label allocates only the first time the table sees
-// it. Like the rings, a table is used by one goroutine at a time.
+// it. Up to maxScan names, Intern finds a name by comparing it with
+// each held name; past that, through a map. Like the rings, a table is
+// used by one goroutine at a time.
 type Labels struct {
 	names []string // names[id-1] is the label with that id
 	ids   map[string]Label
@@ -119,7 +126,13 @@ type Labels struct {
 // Intern returns the id of name, adding name to the table on first
 // sight. The empty name is NoLabel.
 func (t *Labels) Intern(name string) Label {
-	if id, ok := t.ids[name]; ok {
+	if len(t.names) <= maxScan {
+		for i, n := range t.names {
+			if n == name {
+				return Label(i + 1)
+			}
+		}
+	} else if id, ok := t.ids[name]; ok {
 		return id
 	}
 	if name == "" || len(t.names) == maxLabels {

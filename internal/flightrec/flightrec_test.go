@@ -152,6 +152,24 @@ func TestRecordDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// TestInternAcrossScanLimit grows a table past maxScan, where lookup
+// moves from comparing names to the map, and at every size checks that
+// each name held keeps the id it first got, ids counting up from one.
+func TestInternAcrossScanLimit(t *testing.T) {
+	var labels Labels
+	const n = 3 * maxScan
+	for size := 1; size <= n; size++ {
+		for i := 0; i < size; i++ {
+			if id := labels.Intern("l" + strconv.Itoa(i)); id != Label(i+1) {
+				t.Fatalf("%d names: Intern(l%d) = %d, want %d", size, i, id, i+1)
+			}
+		}
+		if id := labels.Intern(""); id != NoLabel || len(labels.names) != size {
+			t.Fatalf("%d names: Intern(\"\") = %d and the table holds %d", size, id, len(labels.names))
+		}
+	}
+}
+
 // TestRingMatchesModel drives a ring and its label table with random
 // sequences of Record, Reset and Init, and after every step compares
 // the snapshot with a reference model: the last Depth events of a

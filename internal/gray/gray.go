@@ -9,10 +9,7 @@
 // literature it builds on (Ho & Johnsson).
 package gray
 
-import (
-	"math/bits"
-	"sync"
-)
+import "math/bits"
 
 // Encode returns the binary-reflected Gray code of i: g = i XOR (i >> 1).
 // Successive integers map to codes at Hamming distance one.
@@ -75,25 +72,16 @@ func OnesCount(x int) int {
 	return bits.OnesCount(uint(x))
 }
 
-// Dims returns the indices of the set bits of mask in increasing
-// order. Collectives iterate over subcube dimension masks this way.
-func Dims(mask int) []int {
-	if cached, ok := dimsCache.Load(mask); ok {
-		return cached.([]int)
+// AppendDims appends the indices of the set bits of mask to dst in
+// increasing order and returns the extended slice. Collectives iterate
+// over subcube dimension masks this way, filling a fixed-size array on
+// their own stack so that entering a collective allocates nothing.
+func AppendDims(dst []int, mask int) []int {
+	for m := uint(mask); m != 0; m &= m - 1 {
+		dst = append(dst, bits.TrailingZeros(m))
 	}
-	ds := make([]int, 0, bits.OnesCount(uint(mask)))
-	for m := mask; m != 0; m &= m - 1 {
-		ds = append(ds, bits.TrailingZeros(uint(m)))
-	}
-	dimsCache.Store(mask, ds)
-	return ds
+	return dst
 }
-
-// dimsCache memoizes Dims per mask: collectives call it on every
-// invocation with a handful of distinct masks, so the cache makes the
-// hot path allocation-free. Cached slices are shared — callers must
-// treat the result as read-only (all in-tree callers do).
-var dimsCache sync.Map
 
 // Spread distributes the low bits of x into the set-bit positions of
 // mask, lowest bit first. It is the inverse of Compact and maps a
@@ -113,7 +101,14 @@ func Spread(x, mask int) int {
 // Compact gathers the bits of x at the set-bit positions of mask into
 // the low bits of the result, lowest mask bit first. It maps a full
 // cube address to a subcube-relative coordinate.
+//
+// When the set bits of mask are contiguous, as they are for a whole
+// cube and for a grid's row and column masks, the gather is one shift.
 func Compact(x, mask int) int {
+	// Adding a run's lowest bit carries through the whole run.
+	if m := uint(mask); (m+m&-m)&m == 0 {
+		return int(uint(x&mask) >> bits.TrailingZeros(m))
+	}
 	r, i := 0, 0
 	for m := mask; m != 0; m &= m - 1 {
 		bit := m & -m
@@ -123,11 +118,4 @@ func Compact(x, mask int) int {
 		i++
 	}
 	return r
-}
-
-// Path returns the ordered list of cube dimensions along the e-cube
-// (dimension-ordered) route from address a to address b, lowest
-// dimension first. Its length is the Hamming distance.
-func Path(a, b int) []int {
-	return Dims(a ^ b)
 }

@@ -1,7 +1,9 @@
 package gray
 
 import (
+	"math"
 	"math/bits"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -105,19 +107,90 @@ func TestCeilLog2(t *testing.T) {
 }
 
 func TestDims(t *testing.T) {
-	got := Dims(0b101101)
+	got := AppendDims(nil, 0b101101)
 	want := []int{0, 2, 3, 5}
 	if len(got) != len(want) {
-		t.Fatalf("Dims = %v, want %v", got, want)
+		t.Fatalf("AppendDims = %v, want %v", got, want)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("Dims = %v, want %v", got, want)
+			t.Fatalf("AppendDims = %v, want %v", got, want)
 		}
 	}
-	if len(Dims(0)) != 0 {
-		t.Fatal("Dims(0) not empty")
+	if len(AppendDims(nil, 0)) != 0 {
+		t.Fatal("AppendDims(nil, 0) not empty")
 	}
+	// It appends: what dst holds stays in front.
+	if got := AppendDims([]int{9}, 0b110); len(got) != 3 || got[0] != 9 || got[1] != 1 || got[2] != 2 {
+		t.Fatalf("AppendDims([9], 110) = %v", got)
+	}
+}
+
+// compactLoop and dimsLoop are the bit-by-bit forms Compact and
+// AppendDims must agree with, whatever shortcut they take.
+func compactLoop(x, mask int) int {
+	r, i := 0, 0
+	for m := mask; m != 0; m &= m - 1 {
+		if x&(m&-m) != 0 {
+			r |= 1 << i
+		}
+		i++
+	}
+	return r
+}
+
+func dimsLoop(mask int) []int {
+	var ds []int
+	for i := 0; i < bits.UintSize; i++ {
+		if uint(mask)>>i&1 != 0 {
+			ds = append(ds, i)
+		}
+	}
+	return ds
+}
+
+func TestCompactAppendDimsMatchLoops(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	check := func(mask int) {
+		t.Helper()
+		got, want := AppendDims(nil, mask), dimsLoop(mask)
+		if len(got) != len(want) {
+			t.Fatalf("AppendDims(%b) = %v, want %v", mask, got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("AppendDims(%b) = %v, want %v", mask, got, want)
+			}
+		}
+		xs := []int{0, -1, mask, ^mask}
+		for i := 0; i < 8; i++ {
+			xs = append(xs, rng.Int())
+		}
+		for _, x := range xs {
+			if got, want := Compact(x, mask), compactLoop(x, mask); got != want {
+				t.Fatalf("Compact(%b, %b) = %b, want %b", x, mask, got, want)
+			}
+		}
+	}
+	// Every mask below 2^12: its 78 runs of ones take Compact's shift,
+	// the rest its loop.
+	for mask := 0; mask < 1<<12; mask++ {
+		check(mask)
+	}
+	for i := 0; i < 4096; i++ {
+		check(rng.Intn(1 << 20))
+	}
+	// Runs of ones at every offset of a 20-bit cube, and masks reaching
+	// the sign bit, where the shift must not sign-extend.
+	for lo := 0; lo < 20; lo++ {
+		for hi := lo + 1; hi <= 20; hi++ {
+			check((1<<hi - 1) &^ (1<<lo - 1))
+		}
+	}
+	check(-1)
+	check(-1 << 62)
+	check(math.MinInt)
+	check(math.MinInt | 1)
 }
 
 func TestSpreadCompactRoundTrip(t *testing.T) {
@@ -154,17 +227,6 @@ func TestSpreadCompactExamples(t *testing.T) {
 	}
 	if got := Compact(0b1000, 0b1010); got != 0b10 {
 		t.Fatalf("Compact(1000,1010) = %b", got)
-	}
-}
-
-func TestPath(t *testing.T) {
-	p := Path(0b0110, 0b1100)
-	want := []int{1, 3}
-	if len(p) != len(want) || p[0] != want[0] || p[1] != want[1] {
-		t.Fatalf("Path = %v, want %v", p, want)
-	}
-	if len(Path(5, 5)) != 0 {
-		t.Fatal("Path(a,a) not empty")
 	}
 }
 

@@ -54,11 +54,11 @@ package hypercube
 import (
 	"fmt"
 	"iter"
+	"math/bits"
 	"runtime"
 
 	"vmprim/internal/costmodel"
 	"vmprim/internal/flightrec"
-	"vmprim/internal/gray"
 	"vmprim/internal/obs"
 )
 
@@ -965,8 +965,8 @@ func (p *Proc) ExchangeAll(dims []int, tag int, payloads [][]float64) [][]float6
 // synchronization cost. It is implemented as a zero-payload dimension
 // exchange, which is also how a real cube synchronizes.
 func (p *Proc) Barrier(mask, tag int) {
-	for _, d := range gray.Dims(mask) {
-		p.Exchange(d, tag, nil)
+	for m := uint(mask); m != 0; m &= m - 1 {
+		p.Exchange(bits.TrailingZeros(m), tag, nil)
 	}
 }
 

@@ -84,8 +84,7 @@ go test -run '^$' -fuzz FuzzRunSpec -fuzztime 5s ./internal/bench/
 # Race gate, on the code with host concurrency (a run is one thread):
 # the packages whose non-test code has go statements or imports sync or
 # sync/atomic. cmd/vmprimd has no tests (the smoke below drives it),
-# gray's sync.Map cache is read by the serve and MachinePool runs, and
-# the analysis framework's mutex guards nothing run concurrently. The
+# and the analysis framework's mutex guards nothing run concurrently. The
 # MachinePool runs repeat: one run missed a machine-shared buffer pool
 # (it races only when two pooled runs overlap) in 1 of 20 tries.
 go test -race ./internal/serve/ ./internal/metrics/ ./cmd/vmload/
