@@ -325,13 +325,7 @@ func AllReduce(p *hypercube.Proc, mask, tag int, data []float64, comb Combiner) 
 		return cp
 	}
 	n := len(data)
-	params := p.Params()
-	// Recursive doubling: k*(tau + n*t_c). Halving+doubling:
-	// 2k*tau + ~2n*t_c. Prefer halving+doubling when it is cheaper and
-	// the length divides evenly.
-	doubling := float64(k) * (float64(params.CommStartup) + float64(n)*float64(params.CommPerWord))
-	halving := 2*float64(k)*float64(params.CommStartup) + 2*float64(n)*float64(params.CommPerWord)
-	if n%(1<<k) == 0 && n > 0 && halving < doubling {
+	if p.Params().PreferTwoPhase(k, n) {
 		piece, _ := ReduceScatter(p, mask, tag, data, comb)
 		out := AllGather(p, mask, tag+1, piece)
 		p.Recycle(piece)
@@ -558,28 +552,7 @@ func ScanInclusive(p *hypercube.Proc, mask, tag int, data []float64, comb Combin
 	p.BeginSpan("scan")
 	defer p.EndSpan()
 	p.NoteCollective("scan", mask, tag)
-	var dimBuf [hypercube.MaxDim]int
-	ds := gray.AppendDims(dimBuf[:0], mask)
-	if p.Profiling() {
-		p.SpanPredict(costmodel.PredictScan(p.Params(), len(ds), len(data)))
-	}
-	r := rel(p, mask)
-	prefix := p.GetBuf(len(data))
-	copy(prefix, data)
-	total := p.GetBuf(len(data))
-	copy(total, data)
-	for i := 0; i < len(ds); i++ {
-		got := p.Exchange(ds[i], subTag(tag, i), total)
-		if r>>i&1 == 1 {
-			comb(prefix, got)
-			p.Compute(len(prefix))
-		}
-		comb(total, got)
-		p.Compute(len(total))
-		p.Recycle(got)
-	}
-	p.Recycle(total)
-	return prefix
+	return scan(p, mask, tag, data, data, comb)
 }
 
 // ScanExclusive is ScanInclusive shifted by one member: member r
@@ -590,14 +563,21 @@ func ScanExclusive(p *hypercube.Proc, mask, tag int, data, identity []float64, c
 	p.BeginSpan("scan-exclusive")
 	defer p.EndSpan()
 	p.NoteCollective("scan-exclusive", mask, tag)
+	return scan(p, mask, tag, data, identity, comb)
+}
+
+// scan is the prefix loop of both scans: the prefix starts as start
+// (the member's own data, or the identity) and takes in the running
+// total of every lower half of the subcube.
+func scan(p *hypercube.Proc, mask, tag int, data, start []float64, comb Combiner) []float64 {
 	var dimBuf [hypercube.MaxDim]int
 	ds := gray.AppendDims(dimBuf[:0], mask)
 	if p.Profiling() {
 		p.SpanPredict(costmodel.PredictScan(p.Params(), len(ds), len(data)))
 	}
 	r := rel(p, mask)
-	prefix := p.GetBuf(len(identity))
-	copy(prefix, identity)
+	prefix := p.GetBuf(len(start))
+	copy(prefix, start)
 	total := p.GetBuf(len(data))
 	copy(total, data)
 	for i := 0; i < len(ds); i++ {

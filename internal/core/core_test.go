@@ -27,6 +27,12 @@ func testGrids(t *testing.T) []embed.Grid {
 	return gs
 }
 
+// mapKindPairs lists every (row, column) map-kind combination.
+var mapKindPairs = [][2]embed.MapKind{
+	{embed.Block, embed.Block}, {embed.Block, embed.Cyclic},
+	{embed.Cyclic, embed.Block}, {embed.Cyclic, embed.Cyclic},
+}
+
 // spmd runs body on a fresh CM2-parameter machine matching g.
 func spmd(t *testing.T, g embed.Grid, body func(e *Env)) {
 	t.Helper()
@@ -370,40 +376,48 @@ func TestDistributeColAligned(t *testing.T) {
 func TestSpreadRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for _, g := range testGrids(t) {
-		x := make([]float64, 5)
-		for i := range x {
-			x[i] = rng.NormFloat64()
+		for _, kinds := range mapKindPairs {
+			for _, replicated := range []bool{false, true} {
+				x := make([]float64, 5)
+				for i := range x {
+					x[i] = rng.NormFloat64()
+				}
+				v, _ := VectorFromSlice(g, x, RowAligned, kinds[1], 0, replicated)
+				out, _ := NewMatrix(g, 6, 5, kinds[0], kinds[1])
+				spmd(t, g, func(e *Env) {
+					e.StoreMatrix(out, e.SpreadRows(v, 6, kinds[0]))
+				})
+				want := serial.NewMat(6, 5)
+				for i := 0; i < 6; i++ {
+					want.SetRow(i, x)
+				}
+				matEqual(t, out.ToDense(), want, 0, fmt.Sprintf("SpreadRows %v replicated=%v", kinds, replicated))
+			}
 		}
-		v, _ := VectorFromSlice(g, x, RowAligned, embed.Block, 0, false)
-		out, _ := NewMatrix(g, 6, 5, embed.Block, embed.Block)
-		spmd(t, g, func(e *Env) {
-			e.StoreMatrix(out, e.SpreadRows(v, 6, embed.Block))
-		})
-		want := serial.NewMat(6, 5)
-		for i := 0; i < 6; i++ {
-			want.SetRow(i, x)
-		}
-		matEqual(t, out.ToDense(), want, 0, "SpreadRows")
 	}
 }
 
 func TestSpreadCols(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	for _, g := range testGrids(t) {
-		x := make([]float64, 6)
-		for i := range x {
-			x[i] = rng.NormFloat64()
+		for _, kinds := range mapKindPairs {
+			for _, replicated := range []bool{false, true} {
+				x := make([]float64, 6)
+				for i := range x {
+					x[i] = rng.NormFloat64()
+				}
+				v, _ := VectorFromSlice(g, x, ColAligned, kinds[0], 0, replicated)
+				out, _ := NewMatrix(g, 6, 5, kinds[0], kinds[1])
+				spmd(t, g, func(e *Env) {
+					e.StoreMatrix(out, e.SpreadCols(v, 5, kinds[1]))
+				})
+				want := serial.NewMat(6, 5)
+				for j := 0; j < 5; j++ {
+					want.SetCol(j, x)
+				}
+				matEqual(t, out.ToDense(), want, 0, fmt.Sprintf("SpreadCols %v replicated=%v", kinds, replicated))
+			}
 		}
-		v, _ := VectorFromSlice(g, x, ColAligned, embed.Block, 0, false)
-		out, _ := NewMatrix(g, 6, 5, embed.Block, embed.Block)
-		spmd(t, g, func(e *Env) {
-			e.StoreMatrix(out, e.SpreadCols(v, 5, embed.Block))
-		})
-		want := serial.NewMat(6, 5)
-		for j := 0; j < 5; j++ {
-			want.SetCol(j, x)
-		}
-		matEqual(t, out.ToDense(), want, 0, "SpreadCols")
 	}
 }
 
@@ -574,7 +588,7 @@ func TestHostAccessorsRejectLocalHandles(t *testing.T) {
 	}
 }
 
-func TestAxisAndLayoutStrings(t *testing.T) {
+func TestLayoutStrings(t *testing.T) {
 	if Linear.String() != "linear" || RowAligned.String() != "row-aligned" || ColAligned.String() != "col-aligned" {
 		t.Fatal("Layout strings")
 	}

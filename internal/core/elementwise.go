@@ -126,10 +126,10 @@ func (e *Env) UpdateOuterAddMul(a *Matrix, cv, rv *Vector, rlo, rhi, clo, chi in
 // the local block, vector pieces and the contiguous local windows
 // covering [rlo,rhi) x [clo,chi).
 func (e *Env) outerWindows(a *Matrix, cv, rv *Vector, rlo, rhi, clo, chi int) (blk, cvp, rvp []float64, lr0, lr1, lc0, lc1, b int) {
-	if cv.Layout != ColAligned || cv.N != a.Rows || cv.Map != a.RMap {
+	if !new(axis).cols(a).fits(cv) {
 		panic("core: UpdateOuter cv incompatible with matrix rows")
 	}
-	if rv.Layout != RowAligned || rv.N != a.Cols || rv.Map != a.CMap {
+	if !new(axis).rows(a).fits(rv) {
 		panic("core: UpdateOuter rv incompatible with matrix cols")
 	}
 	if !cv.Replicated || !rv.Replicated {

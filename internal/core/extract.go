@@ -32,27 +32,7 @@ func (e *Env) ExtractRow(a *Matrix, i int, replicate bool) *Vector {
 // non-holder's piece is zeroed if it was ever materialized and stays
 // unmaterialized otherwise.
 func (e *Env) ExtractRowInto(dst *Vector, a *Matrix, i int, replicate bool) {
-	e.BeginSpan("extract-row")
-	defer e.EndSpan()
-	if i < 0 || i >= a.Rows {
-		panic(fmt.Sprintf("core: ExtractRow index %d out of [0,%d)", i, a.Rows))
-	}
-	if dst.Layout != RowAligned || dst.N != a.Cols || dst.Map != a.CMap {
-		panic("core: ExtractRowInto vector incompatible with matrix row embedding")
-	}
-	ownerRow := a.RMap.CoordOf(i)
-	lr := a.RMap.LocalOf(i)
-	owner := e.GridRow() == ownerRow
-	b := a.CMap.B
-	var piece []float64
-	if owner {
-		blk := a.L(e.P.ID())
-		piece = e.P.GetBuf(b)
-		copy(piece, blk[lr*b:(lr+1)*b])
-		e.P.Compute(b)
-	}
-	e.landExtracted(dst, piece, owner, ownerRow, replicate, e.G.RowMask(), e.G.RowRel(ownerRow))
-	e.P.Recycle(piece)
+	e.extract(dst, a, i, replicate, new(axis).rows(a), "extract-row")
 }
 
 // ExtractCol pulls column j out of the matrix as a col-aligned vector,
@@ -66,41 +46,35 @@ func (e *Env) ExtractCol(a *Matrix, j int, replicate bool) *Vector {
 // ExtractColInto is ExtractCol writing into dst, which must be
 // col-aligned with a's row map; the rules are ExtractRowInto's.
 func (e *Env) ExtractColInto(dst *Vector, a *Matrix, j int, replicate bool) {
-	e.BeginSpan("extract-col")
-	defer e.EndSpan()
-	if j < 0 || j >= a.Cols {
-		panic(fmt.Sprintf("core: ExtractCol index %d out of [0,%d)", j, a.Cols))
-	}
-	if dst.Layout != ColAligned || dst.N != a.Rows || dst.Map != a.RMap {
-		panic("core: ExtractColInto vector incompatible with matrix column embedding")
-	}
-	ownerCol := a.CMap.CoordOf(j)
-	lc := a.CMap.LocalOf(j)
-	owner := e.GridCol() == ownerCol
-	b := a.CMap.B
-	var piece []float64
-	if owner {
-		blk := a.L(e.P.ID())
-		piece = e.P.GetBuf(a.RMap.B)
-		for r := 0; r < a.RMap.B; r++ {
-			piece[r] = blk[r*b+lc]
-		}
-		e.P.Compute(a.RMap.B)
-	}
-	e.landExtracted(dst, piece, owner, ownerCol, replicate, e.G.ColMask(), e.G.ColRel(ownerCol))
-	e.P.Recycle(piece)
+	e.extract(dst, a, j, replicate, new(axis).cols(a), "extract-col")
 }
 
-// landExtracted finishes an Extract into dst, homed on home: with
-// replicate the owner's piece is broadcast over mask from root to every
-// copy, otherwise only the owner keeps it and a non-owner's stale piece,
-// if any, is zeroed.
-func (e *Env) landExtracted(dst *Vector, piece []float64, owner bool, home int, replicate bool, mask, root int) {
-	dst.Home, dst.Replicated = home, replicate
+// extract pulls line i of axis ax out of a into dst, homed on the
+// line's coordinate: the owning processors copy their local piece of
+// the line, and with replicate a broadcast over the lines' field
+// carries it to every copy; otherwise a non-owner's stale piece, if
+// any, is zeroed.
+func (e *Env) extract(dst *Vector, a *Matrix, i int, replicate bool, ax *axis, span string) {
+	e.BeginSpan(span)
+	defer e.EndSpan()
+	checkIndex(span, i, ax.line.N)
+	if !ax.fits(dst) {
+		panic("core: Extract into a vector incompatible with the matrix line embedding")
+	}
+	_, lines := ax.layout.fields(a.G)
 	pid := e.P.ID()
+	home := ax.line.CoordOf(i)
+	owner := lines.Coord(pid) == home
+	var piece []float64
+	if owner {
+		piece = e.P.GetBuf(ax.along.B)
+		ax.get(piece, a.L(pid), ax.line.LocalOf(i))
+		e.P.Compute(ax.along.B)
+	}
+	dst.Home, dst.Replicated = home, replicate
 	switch {
 	case replicate:
-		got := collective.Bcast(e.P, mask, e.NextTag(), root, piece)
+		got := collective.Bcast(e.P, lines.Mask(), e.NextTag(), lines.Rel(home), piece)
 		copy(dst.L(pid), got)
 		e.P.Recycle(got)
 	case owner:
@@ -108,6 +82,7 @@ func (e *Env) landExtracted(dst *Vector, piece []float64, owner bool, home int, 
 	default:
 		clear(dst.stored(pid))
 	}
+	e.P.Recycle(piece)
 }
 
 // sendAlong moves data from the subcube member at relative address
@@ -164,78 +139,47 @@ func (e *Env) sendAlong(mask, fromRel, toRel int, data []float64) []float64 {
 // home row to the owner row first (an embedding change the primitive
 // performs implicitly, as the paper describes).
 func (e *Env) InsertRow(a *Matrix, v *Vector, i int) {
-	e.BeginSpan("insert-row")
-	defer e.EndSpan()
-	if i < 0 || i >= a.Rows {
-		panic(fmt.Sprintf("core: InsertRow index %d out of [0,%d)", i, a.Rows))
-	}
-	if v.Layout != RowAligned || v.N != a.Cols || v.Map != a.CMap {
-		panic("core: InsertRow vector incompatible with matrix row embedding")
-	}
-	ownerRow := a.RMap.CoordOf(i)
-	lr := a.RMap.LocalOf(i)
-	pid := e.P.ID()
-	b := a.CMap.B
-	var piece []float64
-	moved := false
-	switch {
-	case v.Replicated || v.Home == ownerRow:
-		if e.GridRow() == ownerRow {
-			piece = v.L(pid)
-		}
-	default:
-		var src []float64
-		if e.GridRow() == v.Home {
-			src = v.L(pid)
-		}
-		piece = e.sendAlong(e.G.RowMask(), e.G.RowRel(v.Home), e.G.RowRel(ownerRow), src)
-		moved = true // a non-nil piece here is a pooled receive buffer
-	}
-	if e.GridRow() == ownerRow {
-		copy(a.L(pid)[lr*b:(lr+1)*b], piece)
-		e.P.Compute(b)
-		if moved {
-			e.P.Recycle(piece)
-		}
-	}
+	e.insert(a, v, i, new(axis).rows(a), "insert-row")
 }
 
 // InsertCol stores a col-aligned vector as column j of the matrix,
 // symmetric to InsertRow.
 func (e *Env) InsertCol(a *Matrix, v *Vector, j int) {
-	e.BeginSpan("insert-col")
+	e.insert(a, v, j, new(axis).cols(a), "insert-col")
+}
+
+// insert stores v as line i of axis ax, first moving v's pieces along
+// the lines' field from its home to the line's owner unless a copy is
+// already there.
+func (e *Env) insert(a *Matrix, v *Vector, i int, ax *axis, span string) {
+	e.BeginSpan(span)
 	defer e.EndSpan()
-	if j < 0 || j >= a.Cols {
-		panic(fmt.Sprintf("core: InsertCol index %d out of [0,%d)", j, a.Cols))
+	checkIndex(span, i, ax.line.N)
+	if !ax.fits(v) {
+		panic("core: Insert of a vector incompatible with the matrix line embedding")
 	}
-	if v.Layout != ColAligned || v.N != a.Rows || v.Map != a.RMap {
-		panic("core: InsertCol vector incompatible with matrix column embedding")
-	}
-	ownerCol := a.CMap.CoordOf(j)
-	lc := a.CMap.LocalOf(j)
+	_, lines := ax.layout.fields(a.G)
 	pid := e.P.ID()
-	b := a.CMap.B
+	home := ax.line.CoordOf(i)
+	mine := lines.Coord(pid)
 	var piece []float64
 	moved := false
 	switch {
-	case v.Replicated || v.Home == ownerCol:
-		if e.GridCol() == ownerCol {
+	case v.Replicated || v.Home == home:
+		if mine == home {
 			piece = v.L(pid)
 		}
 	default:
 		var src []float64
-		if e.GridCol() == v.Home {
+		if mine == v.Home {
 			src = v.L(pid)
 		}
-		piece = e.sendAlong(e.G.ColMask(), e.G.ColRel(v.Home), e.G.ColRel(ownerCol), src)
-		moved = true
+		piece = e.sendAlong(lines.Mask(), lines.Rel(v.Home), lines.Rel(home), src)
+		moved = true // a non-nil piece here is a pooled receive buffer
 	}
-	if e.GridCol() == ownerCol {
-		blk := a.L(pid)
-		for r := 0; r < a.RMap.B; r++ {
-			blk[r*b+lc] = piece[r]
-		}
-		e.P.Compute(a.RMap.B)
+	if mine == home {
+		ax.set(a.L(pid), ax.line.LocalOf(i), piece)
+		e.P.Compute(ax.along.B)
 		if moved {
 			e.P.Recycle(piece)
 		}
@@ -301,7 +245,7 @@ func (e *Env) VecElemAt(v *Vector, idx int) float64 {
 		panic(fmt.Sprintf("core: VecElemAt %d out of [0,%d)", idx, v.N))
 	}
 	c, l := v.Map.CoordOf(idx), v.Map.LocalOf(idx)
-	owner := v.ownerProcAt(c)
+	owner := v.holder(c, 0)
 	var data []float64
 	if e.P.ID() == owner {
 		data = e.P.GetBuf(1)
@@ -314,15 +258,10 @@ func (e *Env) VecElemAt(v *Vector, idx int) float64 {
 	return out
 }
 
-// ownerProcAt returns the canonical owner processor of piece
-// coordinate c: the unique holder, or the home/first grid row's copy
-// for replicated vectors.
-func (v *Vector) ownerProcAt(c int) int { return v.holder(c, 0) }
-
 // OwnerProcOf returns the canonical processor owning global element g
 // of the vector (the unique holder, or the home/first copy for
 // replicated vectors).
-func (v *Vector) OwnerProcOf(g int) int { return v.ownerProcAt(v.Map.CoordOf(g)) }
+func (v *Vector) OwnerProcOf(g int) int { return v.holder(v.Map.CoordOf(g), 0) }
 
 // SetVecElem writes element idx of a vector on its holder(s); every
 // processor calls it (with the same value — typically one produced by

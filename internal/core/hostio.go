@@ -4,17 +4,8 @@ import (
 	"fmt"
 
 	"vmprim/internal/embed"
-	"vmprim/internal/gray"
 	"vmprim/internal/serial"
 )
-
-// linearCoordOf returns the Linear-layout piece coordinate stored at
-// processor pid, and linearProcOf its inverse. Gray coding keeps
-// consecutive pieces on neighboring processors, matching the grid
-// embeddings.
-func linearCoordOf(pid int) int { return gray.Decode(pid) }
-
-func linearProcOf(c int) int { return gray.Encode(c) }
 
 // A piece of a Map1D, seen from the dense index space, is a strided
 // run: pieceOf returns how many valid local slots coord has, the global
@@ -121,28 +112,19 @@ func VectorFromSlice(g embed.Grid, x []float64, layout Layout, kind embed.MapKin
 // copies returns the number of processors storing each piece, and
 // holder(c, k) the k-th of them for piece coordinate c.
 func (v *Vector) copies() int {
-	switch {
-	case !v.Replicated:
+	if !v.Replicated {
 		return 1
-	case v.Layout == RowAligned:
-		return v.G.PRows()
-	default: // ColAligned
-		return v.G.PCols()
 	}
+	_, home := v.fields()
+	return home.Size()
 }
 
 func (v *Vector) holder(c, k int) int {
 	if !v.Replicated {
 		k = v.Home
 	}
-	switch v.Layout {
-	case Linear:
-		return linearProcOf(c)
-	case RowAligned:
-		return v.G.ProcAt(k, c)
-	default: // ColAligned
-		return v.G.ProcAt(c, k)
-	}
+	deal, home := v.fields()
+	return deal.Place(c) | home.Place(k)
 }
 
 // ToSlice assembles the distributed vector into a dense slice

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"vmprim/internal/collective"
-)
+import "vmprim/internal/collective"
 
 // This file implements the fourth primitive, Reduce, in its vector-
 // producing form (collapse one matrix axis), its scalar forms over a
@@ -20,48 +16,49 @@ import (
 // 0. The local pass costs one operation per local element, the
 // communication lg(p_r) messages of the m/p-sized local piece.
 func (e *Env) ReduceRows(a *Matrix, op Op, replicate bool) *Vector {
-	e.BeginSpan("reduce-rows")
-	defer e.EndSpan()
-	v := e.TempVector(a.Cols, RowAligned, a.CMap.Kind, 0, replicate)
-	pid := e.P.ID()
-	blk := a.L(pid)
-	b := a.CMap.B
-	piece := e.P.GetBuf(b)
-	fillIdentity(piece, op)
-	// Padding rows are a suffix of the local block, so the valid rows
-	// form the prefix [0, nr) and the fold kernel runs guard-free.
-	nr := a.RMap.ValidCount(e.GridRow())
-	fold := op.combiner()
-	for lr := 0; lr < nr; lr++ {
-		fold(piece, blk[lr*b:(lr+1)*b])
-	}
-	e.P.Compute(nr * b)
-	e.finishReduce(v, piece, e.G.RowMask(), replicate, op)
-	e.P.Recycle(piece)
-	return v
+	return e.reduce(a, op, replicate, new(axis).rows(a), "reduce-rows")
 }
 
 // ReduceCols collapses the column axis: out[i] = op over j of a[i][j],
 // returned as a col-aligned vector (on grid column 0 unless
 // replicated).
 func (e *Env) ReduceCols(a *Matrix, op Op, replicate bool) *Vector {
-	e.BeginSpan("reduce-cols")
+	return e.reduce(a, op, replicate, new(axis).cols(a), "reduce-cols")
+}
+
+// reduce folds the lines of axis ax into one line, a vector homed on
+// coordinate 0 of the lines' field or replicated across it.
+func (e *Env) reduce(a *Matrix, op Op, replicate bool, ax *axis, span string) *Vector {
+	e.BeginSpan(span)
 	defer e.EndSpan()
-	v := e.TempVector(a.Rows, ColAligned, a.RMap.Kind, 0, replicate)
+	v := e.TempVector(ax.along.N, ax.layout, ax.along.Kind, 0, replicate)
+	_, lines := ax.layout.fields(a.G)
 	pid := e.P.ID()
 	blk := a.L(pid)
-	b := a.CMap.B
-	piece := e.P.GetBuf(a.RMap.B)
-	// Padding columns are a suffix: every row folds the valid prefix
-	// [0, nc). Padding rows still fold (their slots ride the collective
-	// exactly as in the per-element form).
-	nc := a.CMap.ValidCount(e.GridCol())
-	id := op.identity()
-	for lr := 0; lr < a.RMap.B; lr++ {
-		piece[lr] = foldSlice(op, id, blk[lr*b:lr*b+nc])
+	n := ax.along.B
+	piece := e.P.GetBuf(n)
+	// Padding lines are a suffix of the local block, so the valid lines
+	// form the prefix [0, nl) and the fold kernels run guard-free.
+	// Padding positions still fold: their slots ride the collective.
+	// The pass walks the block in memory order.
+	nl := ax.line.ValidCount(lines.Coord(pid))
+	if ax.step == 1 {
+		// Each line is contiguous: fold the lines into the piece.
+		fillIdentity(piece, op)
+		fold := op.combiner()
+		for l := 0; l < nl; l++ {
+			fold(piece, ax.lineAt(blk, l, n))
+		}
+	} else {
+		// Lines are interleaved (stride 1): each position's valid lines
+		// form one contiguous run.
+		id := op.identity()
+		for k := range piece {
+			piece[k] = foldSlice(op, id, blk[k*ax.step:k*ax.step+nl])
+		}
 	}
-	e.P.Compute(a.RMap.B * nc)
-	e.finishReduce(v, piece, e.G.ColMask(), replicate, op)
+	e.P.Compute(nl * n)
+	e.finishReduce(v, piece, lines.Mask(), replicate, op)
 	e.P.Recycle(piece)
 	return v
 }
@@ -134,68 +131,40 @@ func (e *Env) allReducePair(val, idx float64, comb collective.Combiner) (float64
 // folds its local elements, then one pair rides a full-cube
 // all-reduce.
 func (e *Env) ReduceColLoc(a *Matrix, j, lo, hi int, op LocOp) (float64, int) {
-	e.BeginSpan("reduce-col-loc")
-	defer e.EndSpan()
-	if j < 0 || j >= a.Cols {
-		panic(fmt.Sprintf("core: ReduceColLoc column %d out of [0,%d)", j, a.Cols))
-	}
-	val, idx := op.identity()
-	if e.GridCol() == a.CMap.CoordOf(j) {
-		pid := e.P.ID()
-		blk := a.L(pid)
-		lc := a.CMap.LocalOf(j)
-		b := a.CMap.B
-		myRow := e.GridRow()
-		// Global rows in [lo, hi) occupy the contiguous local window
-		// [l0, l1); walk it with an incremental global index.
-		l0, l1 := a.RMap.LocalRange(myRow, lo, hi)
-		if l0 < l1 {
-			gi := a.RMap.GlobalOf(myRow, l0)
-			stride := a.RMap.GlobalStride()
-			for lr := l0; lr < l1; lr++ {
-				v := op.value(blk[lr*b+lc])
-				if op.better(val, idx, v, float64(gi)) {
-					val, idx = v, float64(gi)
-				}
-				gi += stride
-			}
-		}
-		e.P.Compute(l1 - l0)
-	}
-	rv, ri := e.allReducePair(val, idx, op.combiner())
-	if ri >= locNone {
-		return rv, -1
-	}
-	return rv, int(ri)
+	return e.reduceLoc(a, j, lo, hi, op, new(axis).cols(a), "reduce-col-loc")
 }
 
 // ReduceRowLoc finds op over row i restricted to columns [lo, hi),
 // returning the winning value and its global column index, replicated
 // everywhere: the simplex entering-variable test.
 func (e *Env) ReduceRowLoc(a *Matrix, i, lo, hi int, op LocOp) (float64, int) {
-	e.BeginSpan("reduce-row-loc")
+	return e.reduceLoc(a, i, lo, hi, op, new(axis).rows(a), "reduce-row-loc")
+}
+
+// reduceLoc finds op over line i of axis ax restricted to the
+// positions [lo, hi), returning the winning value and its position.
+func (e *Env) reduceLoc(a *Matrix, i, lo, hi int, op LocOp, ax *axis, span string) (float64, int) {
+	e.BeginSpan(span)
 	defer e.EndSpan()
-	if i < 0 || i >= a.Rows {
-		panic(fmt.Sprintf("core: ReduceRowLoc row %d out of [0,%d)", i, a.Rows))
-	}
+	checkIndex(span, i, ax.line.N)
 	val, idx := op.identity()
-	if e.GridRow() == a.RMap.CoordOf(i) {
-		pid := e.P.ID()
+	along, lines := ax.layout.fields(a.G)
+	if pid := e.P.ID(); lines.Coord(pid) == ax.line.CoordOf(i) {
 		blk := a.L(pid)
-		lr := a.RMap.LocalOf(i)
-		b := a.CMap.B
-		myCol := e.GridCol()
-		l0, l1 := a.CMap.LocalRange(myCol, lo, hi)
+		off := ax.line.LocalOf(i) * ax.stride
+		me := along.Coord(pid)
+		// Global positions in [lo, hi) occupy the contiguous local
+		// window [l0, l1); walk it with an incremental global index.
+		l0, l1 := ax.along.LocalRange(me, lo, hi)
 		if l0 < l1 {
-			gj := a.CMap.GlobalOf(myCol, l0)
-			stride := a.CMap.GlobalStride()
-			row := blk[lr*b : (lr+1)*b]
-			for lc := l0; lc < l1; lc++ {
-				v := op.value(row[lc])
-				if op.better(val, idx, v, float64(gj)) {
-					val, idx = v, float64(gj)
+			g := ax.along.GlobalOf(me, l0)
+			stride := ax.along.GlobalStride()
+			for k := l0; k < l1; k++ {
+				v := op.value(blk[off+k*ax.step])
+				if op.better(val, idx, v, float64(g)) {
+					val, idx = v, float64(g)
 				}
-				gj += stride
+				g += stride
 			}
 		}
 		e.P.Compute(l1 - l0)
@@ -222,7 +191,7 @@ func (e *Env) ZipLocVec(v, w *Vector, lo, hi int, f func(g int, a, b float64) (f
 	}
 	pid := e.P.ID()
 	val, idx := op.identity()
-	if v.HoldsData(pid) && w.HoldsData(pid) && e.isCanonicalHolder(v) {
+	if v.contributes(pid) && w.HoldsData(pid) {
 		pv, pw := v.L(pid), w.L(pid)
 		c := v.PieceCoord(pid)
 		l0, l1 := v.Map.LocalRange(c, lo, hi)
@@ -246,23 +215,6 @@ func (e *Env) ZipLocVec(v, w *Vector, lo, hi int, f func(g int, a, b float64) (f
 	return rv, int(ri)
 }
 
-// isCanonicalHolder reports whether this processor is the designated
-// contributor for its piece of v: replicated vectors have one
-// contributor per piece (grid row/column 0) so reductions do not count
-// copies twice.
-func (e *Env) isCanonicalHolder(v *Vector) bool {
-	switch {
-	case v.Layout == Linear:
-		return true
-	case !v.Replicated:
-		return true
-	case v.Layout == RowAligned:
-		return e.GridRow() == 0
-	default:
-		return e.GridCol() == 0
-	}
-}
-
 // ReduceVec folds all elements of a vector to a scalar, replicated on
 // every processor.
 func (e *Env) ReduceVec(v *Vector, op Op) float64 {
@@ -270,7 +222,7 @@ func (e *Env) ReduceVec(v *Vector, op Op) float64 {
 	defer e.EndSpan()
 	pid := e.P.ID()
 	acc := op.identity()
-	if v.HoldsData(pid) && e.isCanonicalHolder(v) {
+	if v.contributes(pid) {
 		pv := v.L(pid)
 		nv := v.Map.ValidCount(v.PieceCoord(pid))
 		acc = foldSlice(op, acc, pv[:nv])

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -108,36 +109,15 @@ func TestReduceAll(t *testing.T) {
 func TestReduceColLoc(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, g := range testGrids(t) {
-		for _, kind := range []embed.MapKind{embed.Block, embed.Cyclic} {
+		for _, kinds := range mapKindPairs {
 			dm := randDense(rng, 11, 5)
-			a, _ := FromDense(g, dm, kind, kind)
+			a, _ := FromDense(g, dm, kinds[0], kinds[1])
 			for _, j := range []int{0, 3, 4} {
 				for _, bounds := range [][2]int{{0, 11}, {4, 11}, {4, 5}, {7, 7}} {
-					lo, hi := bounds[0], bounds[1]
 					for _, op := range []LocOp{LocMax, LocMin, LocMaxAbs} {
-						var gotVal float64
-						var gotIdx int
-						spmd(t, g, func(e *Env) {
-							v, idx := e.ReduceColLoc(a, j, lo, hi, op)
-							if e.P.ID() == 0 {
-								gotVal, gotIdx = v, idx
-							}
-						})
-						// Serial reference.
-						wantVal, _ := op.identity()
-						wantIdx := -1
-						for i := lo; i < hi; i++ {
-							v := op.value(dm.At(i, j))
-							if wantIdx == -1 || op.better(wantVal, float64(wantIdx), v, float64(i)) {
-								wantVal, wantIdx = v, i
-							}
-						}
-						if gotIdx != wantIdx {
-							t.Fatalf("%v col %d [%d,%d): idx %d, want %d", op, j, lo, hi, gotIdx, wantIdx)
-						}
-						if wantIdx >= 0 && math.Abs(gotVal-wantVal) > 1e-12 {
-							t.Fatalf("%v col %d: val %v, want %v", op, j, gotVal, wantVal)
-						}
+						what := fmt.Sprintf("grid %d/%d maps %v col %d", g.Dr, g.Dc, kinds, j)
+						checkLoc(t, g, what, op, bounds, func(i int) float64 { return dm.At(i, j) },
+							func(e *Env) (float64, int) { return e.ReduceColLoc(a, j, bounds[0], bounds[1], op) })
 					}
 				}
 			}
@@ -148,30 +128,47 @@ func TestReduceColLoc(t *testing.T) {
 func TestReduceRowLoc(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	for _, g := range testGrids(t) {
-		dm := randDense(rng, 5, 11)
-		a, _ := FromDense(g, dm, embed.Block, embed.Cyclic)
-		for _, i := range []int{0, 4} {
-			for _, bounds := range [][2]int{{0, 11}, {3, 9}, {10, 10}} {
-				lo, hi := bounds[0], bounds[1]
-				var gotVal float64
-				var gotIdx int
-				spmd(t, g, func(e *Env) {
-					v, idx := e.ReduceRowLoc(a, i, lo, hi, LocMin)
-					if e.P.ID() == 0 {
-						gotVal, gotIdx = v, idx
+		for _, kinds := range mapKindPairs {
+			dm := randDense(rng, 5, 11)
+			a, _ := FromDense(g, dm, kinds[0], kinds[1])
+			for _, i := range []int{0, 3, 4} {
+				for _, bounds := range [][2]int{{0, 11}, {3, 9}, {4, 5}, {10, 10}} {
+					for _, op := range []LocOp{LocMax, LocMin, LocMaxAbs} {
+						what := fmt.Sprintf("grid %d/%d maps %v row %d", g.Dr, g.Dc, kinds, i)
+						checkLoc(t, g, what, op, bounds, func(j int) float64 { return dm.At(i, j) },
+							func(e *Env) (float64, int) { return e.ReduceRowLoc(a, i, bounds[0], bounds[1], op) })
 					}
-				})
-				wantVal, wantIdx := math.Inf(1), -1
-				for j := lo; j < hi; j++ {
-					if dm.At(i, j) < wantVal {
-						wantVal, wantIdx = dm.At(i, j), j
-					}
-				}
-				if gotIdx != wantIdx || (wantIdx >= 0 && math.Abs(gotVal-wantVal) > 1e-12) {
-					t.Fatalf("row %d [%d,%d): (%v,%d), want (%v,%d)", i, lo, hi, gotVal, gotIdx, wantVal, wantIdx)
 				}
 			}
 		}
+	}
+}
+
+// checkLoc runs a loc-reduction on g and compares processor 0's result
+// with a serial scan of at over the bounds; what names the case.
+func checkLoc(t *testing.T, g embed.Grid, what string, op LocOp, bounds [2]int, at func(int) float64, reduce func(e *Env) (float64, int)) {
+	t.Helper()
+	var gotVal float64
+	var gotIdx int
+	spmd(t, g, func(e *Env) {
+		v, idx := reduce(e)
+		if e.P.ID() == 0 {
+			gotVal, gotIdx = v, idx
+		}
+	})
+	wantVal, _ := op.identity()
+	wantIdx := -1
+	for k := bounds[0]; k < bounds[1]; k++ {
+		v := op.value(at(k))
+		if wantIdx == -1 || op.better(wantVal, float64(wantIdx), v, float64(k)) {
+			wantVal, wantIdx = v, k
+		}
+	}
+	if gotIdx != wantIdx {
+		t.Fatalf("%s %v %v: idx %d, want %d", what, op, bounds, gotIdx, wantIdx)
+	}
+	if wantIdx >= 0 && math.Abs(gotVal-wantVal) > 1e-12 {
+		t.Fatalf("%s %v %v: val %v, want %v", what, op, bounds, gotVal, wantVal)
 	}
 }
 

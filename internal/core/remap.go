@@ -99,22 +99,17 @@ func (e *Env) Realign(v *Vector, layout Layout, kind embed.MapKind, home int, re
 	r := remap{e: e}
 	// This processor sends the elements it is the canonical
 	// contributor for, each to its owner under the new embedding.
-	if pid := e.P.ID(); v.HoldsData(pid) && e.isCanonicalHolder(v) {
+	if pid := e.P.ID(); v.contributes(pid) {
 		c := v.PieceCoord(pid)
+		deal, hf := out.fields()
+		at := hf.Place(out.Home)
 		for r.passes() {
 			for l, val := range v.L(pid) {
 				g := v.Map.GlobalOf(c, l)
 				if g < 0 {
 					continue
 				}
-				switch oc := out.Map.CoordOf(g); layout {
-				case Linear:
-					r.add(linearProcOf(oc), g, val)
-				case RowAligned:
-					r.add(e.G.ProcAt(home, oc), g, val)
-				default:
-					r.add(e.G.ProcAt(oc, home), g, val)
-				}
+				r.add(deal.Place(out.Map.CoordOf(g))|at, g, val)
 			}
 		}
 	}

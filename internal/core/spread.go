@@ -32,38 +32,23 @@ func (e *Env) Distribute(v *Vector) *Vector {
 		e.P.Compute(v.Map.B)
 		return out
 	}
-	var mask, rootRel int
-	if v.Layout == RowAligned {
-		mask, rootRel = e.G.RowMask(), e.G.RowRel(v.Home)
-	} else {
-		mask, rootRel = e.G.ColMask(), e.G.ColRel(v.Home)
-	}
+	_, home := v.fields()
+	mask, root := home.Mask(), home.Rel(v.Home)
 	var src []float64
 	if v.HoldsData(pid) {
 		src = v.L(pid)
 	}
-	piece := e.bcastBest(mask, rootRel, src, v.Map.B)
+	// Every processor makes the same choice from the same parameters,
+	// so the collectives stay matched.
+	var piece []float64
+	if e.P.Params().PreferTwoPhase(home.K, v.Map.B) {
+		piece = collective.BcastLarge(e.P, mask, e.NextTag2(), root, src)
+	} else {
+		piece = collective.Bcast(e.P, mask, e.NextTag(), root, src)
+	}
 	copy(out.L(pid), piece)
 	e.P.Recycle(piece)
 	return out
-}
-
-// bcastBest broadcasts a piece of known length over mask, choosing the
-// binomial tree for short payloads and scatter/all-gather for long
-// ones by comparing modelled costs (every processor computes the same
-// choice from the same parameters, so the collectives stay matched).
-func (e *Env) bcastBest(mask, rootRel int, src []float64, length int) []float64 {
-	k := 0
-	for m := mask; m != 0; m &= m - 1 {
-		k++
-	}
-	params := e.P.Params()
-	tree := float64(k) * (float64(params.CommStartup) + float64(length)*float64(params.CommPerWord))
-	sag := 2*float64(k)*float64(params.CommStartup) + 2*float64(length)*float64(params.CommPerWord)
-	if k > 0 && length%(1<<k) == 0 && length > 0 && sag < tree {
-		return collective.BcastLarge(e.P, mask, e.NextTag2(), rootRel, src)
-	}
-	return collective.Bcast(e.P, mask, e.NextTag(), rootRel, src)
 }
 
 // SpreadRows materializes a row-aligned vector as a matrix with the
@@ -72,51 +57,46 @@ func (e *Env) bcastBest(mask, rootRel int, src []float64, length int) []float64 
 // (vector-matrix multiply as Distribute, elementwise multiply,
 // Reduce). Row map kind follows rkind.
 func (e *Env) SpreadRows(v *Vector, rows int, rkind embed.MapKind) *Matrix {
-	e.BeginSpan("spread-rows")
-	defer e.EndSpan()
-	if v.Layout != RowAligned {
-		panic("core: SpreadRows needs a row-aligned vector")
-	}
-	rep := v
-	if !v.Replicated {
-		rep = e.Distribute(v)
-	}
 	out := e.TempMatrix(rows, v.N, rkind, v.Map.Kind)
-	pid := e.P.ID()
-	blk := out.L(pid)
-	piece := rep.L(pid)
-	b := out.CMap.B
-	for r := 0; r < out.RMap.B; r++ {
-		copy(blk[r*b:(r+1)*b], piece)
-	}
-	e.P.Compute(out.RMap.B * b)
-	return out
+	return e.spread(v, out, new(axis).rows(out), "spread-rows")
 }
 
 // SpreadCols materializes a col-aligned vector as a matrix with the
 // given number of columns, every one of which equals v.
 func (e *Env) SpreadCols(v *Vector, cols int, ckind embed.MapKind) *Matrix {
-	e.BeginSpan("spread-cols")
+	out := e.TempMatrix(v.N, cols, v.Map.Kind, ckind)
+	return e.spread(v, out, new(axis).cols(out), "spread-cols")
+}
+
+// spread fills every line of out's axis ax with v, which must hold
+// one line, distributing v first unless it is replicated. It returns
+// out.
+func (e *Env) spread(v *Vector, out *Matrix, ax *axis, span string) *Matrix {
+	e.BeginSpan(span)
 	defer e.EndSpan()
-	if v.Layout != ColAligned {
-		panic("core: SpreadCols needs a col-aligned vector")
+	if v.Layout != ax.layout {
+		panic("core: Spread needs a vector aligned with the lines it fills")
 	}
 	rep := v
 	if !v.Replicated {
 		rep = e.Distribute(v)
 	}
-	out := e.TempMatrix(v.N, cols, v.Map.Kind, ckind)
 	pid := e.P.ID()
 	blk := out.L(pid)
 	piece := rep.L(pid)
-	b := out.CMap.B
-	for r := 0; r < out.RMap.B; r++ {
-		val := piece[r]
-		row := blk[r*b : (r+1)*b]
-		for c := range row {
-			row[c] = val
+	// Walk the block in memory order, as reduce does.
+	if ax.step == 1 {
+		for l := 0; l < ax.line.B; l++ {
+			copy(ax.lineAt(blk, l, len(piece)), piece)
+		}
+	} else {
+		for k, val := range piece {
+			run := blk[k*ax.step : k*ax.step+ax.line.B]
+			for l := range run {
+				run[l] = val
+			}
 		}
 	}
-	e.P.Compute(out.RMap.B * b)
+	e.P.Compute(ax.line.B * ax.along.B)
 	return out
 }

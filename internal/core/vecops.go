@@ -23,7 +23,7 @@ func (e *Env) DotVec(v, w *Vector) float64 {
 	}
 	pid := e.P.ID()
 	acc := 0.0
-	if v.HoldsData(pid) && w.HoldsData(pid) && e.isCanonicalHolder(v) {
+	if v.contributes(pid) && w.HoldsData(pid) {
 		pv, pw := v.L(pid), w.L(pid)
 		nv := v.Map.ValidCount(v.PieceCoord(pid))
 		acc = dotSlices(pv[:nv], pw[:nv])
@@ -44,7 +44,7 @@ func (e *Env) NormInfVec(v *Vector) float64 {
 	defer e.EndSpan()
 	pid := e.P.ID()
 	acc := 0.0
-	if v.HoldsData(pid) && e.isCanonicalHolder(v) {
+	if v.contributes(pid) {
 		pv := v.L(pid)
 		nv := v.Map.ValidCount(v.PieceCoord(pid))
 		for _, x := range pv[:nv] {
@@ -96,7 +96,8 @@ func (e *Env) ScanVec(v *Vector, op Op) *Vector {
 	}
 	out := e.CopyVec(v)
 	pid := e.P.ID()
-	mask := e.scanMask(v)
+	deal, _ := v.fields()
+	mask := deal.Mask()
 	// Reserve the collective's tag on every processor before any
 	// early return, so holder and non-holder tag sequences stay
 	// synchronized for later collectives.
@@ -108,7 +109,7 @@ func (e *Env) ScanVec(v *Vector, op Op) *Vector {
 		return out
 	}
 	pv := out.L(pid)
-	c := v.PieceCoord(pid)
+	c := deal.Coord(pid)
 	// Local inclusive scan of the valid prefix, tracking the piece
 	// total.
 	nv := v.Map.ValidCount(c)
@@ -131,7 +132,7 @@ func (e *Env) ScanVec(v *Vector, op Op) *Vector {
 	totals := collective.AllGather(e.P, mask, tag, tbuf)
 	prefix := op.identity()
 	for coord := 0; coord < c; coord++ {
-		prefix = op.fold(prefix, totals[e.relOfCoord(v, coord)])
+		prefix = op.fold(prefix, totals[deal.Rel(coord)])
 	}
 	e.P.Recycle(totals)
 	e.P.Recycle(tbuf)
@@ -141,30 +142,4 @@ func (e *Env) ScanVec(v *Vector, op Op) *Vector {
 		e.P.Compute(v.Map.B)
 	}
 	return out
-}
-
-// scanMask returns the cube-dimension mask over which v's pieces are
-// distributed.
-func (e *Env) scanMask(v *Vector) int {
-	switch v.Layout {
-	case Linear:
-		return e.P.FullMask()
-	case RowAligned:
-		return e.G.ColMask()
-	default:
-		return e.G.RowMask()
-	}
-}
-
-// relOfCoord returns the subcube-relative address of the piece with
-// the given coordinate.
-func (e *Env) relOfCoord(v *Vector, coord int) int {
-	switch v.Layout {
-	case Linear:
-		return linearProcOf(coord)
-	case RowAligned:
-		return e.G.ColRel(coord)
-	default:
-		return e.G.RowRel(coord)
-	}
 }

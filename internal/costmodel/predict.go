@@ -51,17 +51,26 @@ func PredictAllGather(p Params, k, piece int) Time {
 	return Time(k)*p.CommStartup + Time(words)*p.CommPerWord
 }
 
+// PreferTwoPhase reports whether moving n words over a k-dimensional
+// subcube in two phases (scatter or reduce-scatter, then all-gather:
+// 2k*tau + 2n*t_c) is modelled strictly cheaper than k whole-payload
+// steps (k*(tau + n*t_c)); a tie keeps the k steps. The two phases
+// split the payload in 2^k slices, so n must be a positive multiple.
+func (p Params) PreferTwoPhase(k, n int) bool {
+	if k <= 0 || n <= 0 || n%(1<<uint(k)) != 0 {
+		return false
+	}
+	tree := float64(k) * (float64(p.CommStartup) + float64(n)*float64(p.CommPerWord))
+	split := 2*float64(k)*float64(p.CommStartup) + 2*float64(n)*float64(p.CommPerWord)
+	return split < tree
+}
+
 // PredictAllReduce mirrors collective.AllReduce's own algorithm
 // switch: recursive doubling (k full-payload exchange-and-combine
 // steps) unless halving+doubling is modelled cheaper and the length
-// divides, exactly the condition the implementation tests.
+// divides, exactly the rule the implementation applies.
 func PredictAllReduce(p Params, k, n int) Time {
-	if k == 0 {
-		return 0
-	}
-	doubling := float64(k) * (float64(p.CommStartup) + float64(n)*float64(p.CommPerWord))
-	halving := 2*float64(k)*float64(p.CommStartup) + 2*float64(n)*float64(p.CommPerWord)
-	if n%(1<<uint(k)) == 0 && n > 0 && halving < doubling {
+	if p.PreferTwoPhase(k, n) {
 		return PredictReduceScatter(p, k, n) + PredictAllGather(p, k, n>>uint(k))
 	}
 	return Time(k) * (p.SendCost(n) + p.FlopCost(n))

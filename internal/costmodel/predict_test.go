@@ -74,3 +74,42 @@ func TestPredictorsZeroOnEmptySubcube(t *testing.T) {
 		}
 	}
 }
+
+// TestPreferTwoPhase checks the crossover rule's guards, that a tie
+// keeps the tree, and the rule against the literal cost formulas
+// k*(tau + n*t_c) and 2k*tau + 2n*t_c on both 1989 presets.
+func TestPreferTwoPhase(t *testing.T) {
+	p := CM2()
+	for _, c := range []struct {
+		name string
+		k, n int
+		want bool
+	}{
+		{"long divisible payload", 3, 512, true},
+		{"short payload", 3, 8, false},
+		{"empty subcube", 0, 1 << 20, false},
+		{"empty payload", 3, 0, false},
+		{"n not divisible by 2^k", 3, 1004, false},
+	} {
+		if got := p.PreferTwoPhase(c.k, c.n); got != c.want {
+			t.Errorf("%s: PreferTwoPhase(%d, %d) = %v, want %v", c.name, c.k, c.n, got, c.want)
+		}
+	}
+	// With free start-up and k = 2 both forms cost 2n*t_c: a tie.
+	if Ideal().PreferTwoPhase(2, 4) {
+		t.Error("a cost tie chose the two-phase form, want the tree")
+	}
+	for name, p := range map[string]Params{"cm2": CM2(), "ipsc": IPSC()} {
+		tau, tc := float64(p.CommStartup), float64(p.CommPerWord)
+		for k := 0; k <= 8; k++ {
+			for n := 0; n <= 2048; n++ {
+				tree := float64(k) * (tau + float64(n)*tc)
+				split := 2*float64(k)*tau + 2*float64(n)*tc
+				want := k > 0 && n > 0 && n%(1<<k) == 0 && split < tree
+				if got := p.PreferTwoPhase(k, n); got != want {
+					t.Fatalf("%s: PreferTwoPhase(%d, %d) = %v, formulas say %v", name, k, n, got, want)
+				}
+			}
+		}
+	}
+}

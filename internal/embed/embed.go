@@ -7,7 +7,9 @@
 // rows (columns) are dealt to grid rows (columns) by either a
 // consecutive (block) or a cyclic map. With m matrix elements on p
 // processors every processor holds an m/p-element block, which is the
-// load balance the primitives' optimality argument rests on.
+// load balance the primitives' optimality argument rests on. Grid
+// rows, grid columns and the whole address are all Fields of the cube
+// address, so one piece of arithmetic serves every axis.
 //
 // This package is pure index arithmetic; the communication performed
 // when a primitive changes one embedding into another lives in
@@ -80,13 +82,46 @@ func (g Grid) PCols() int { return 1 << g.Dc }
 // P returns the number of processors, 2^D.
 func (g Grid) P() int { return 1 << g.D }
 
-// RowMask returns the cube-dimension mask of the row address bits.
-// Broadcasting "down a grid column" (to all grid rows) spans exactly
-// this mask.
-func (g Grid) RowMask() int { return ((1 << g.Dr) - 1) << g.Dc }
+// Field is a Gray-coded bit field of a cube address: the K address
+// bits from bit Lo up hold the Gray code of a coordinate in [0, 2^K).
+// The zero Field is empty: no bits, one coordinate.
+type Field struct {
+	Lo int // first address bit
+	K  int // width in bits
+}
+
+// Size returns the number of coordinates, 2^K.
+func (f Field) Size() int { return 1 << f.K }
+
+// Mask returns the cube-dimension mask of the field's bits.
+func (f Field) Mask() int { return (1<<f.K - 1) << f.Lo }
+
+// Coord returns the coordinate cube address pid holds in the field.
+func (f Field) Coord(pid int) int { return gray.Decode(pid >> f.Lo & (1<<f.K - 1)) }
+
+// Place returns the field's bits of the addresses with coordinate c:
+// the processors at c are those with pid&Mask() == Place(c).
+func (f Field) Place(c int) int { return gray.Encode(c) << f.Lo }
+
+// Rel returns the subcube-relative address of coordinate c: the id a
+// collective over Mask gives its members (gray.Compact of Place(c)).
+func (f Field) Rel(c int) int { return gray.Encode(c) }
+
+// Rows returns the field of the grid row: the high Dr address bits.
+func (g Grid) Rows() Field { return Field{Lo: g.Dc, K: g.Dr} }
+
+// Cols returns the field of the grid column: the low Dc address bits.
+func (g Grid) Cols() Field { return Field{K: g.Dc} }
+
+// Cube returns the field of the whole address.
+func (g Grid) Cube() Field { return Field{K: g.D} }
+
+// RowMask returns the mask of the row bits, which broadcasting "down a
+// grid column" (to all grid rows) spans.
+func (g Grid) RowMask() int { return g.Rows().Mask() }
 
 // ColMask returns the cube-dimension mask of the column address bits.
-func (g Grid) ColMask() int { return (1 << g.Dc) - 1 }
+func (g Grid) ColMask() int { return g.Cols().Mask() }
 
 // ProcAt returns the cube address of the processor at grid coordinate
 // (gr, gc). Coordinates are Gray-coded into the address so that
@@ -95,23 +130,14 @@ func (g Grid) ProcAt(gr, gc int) int {
 	if gr < 0 || gr >= g.PRows() || gc < 0 || gc >= g.PCols() {
 		panic(fmt.Sprintf("embed: grid coordinate (%d,%d) out of %dx%d", gr, gc, g.PRows(), g.PCols()))
 	}
-	return gray.Encode(gr)<<g.Dc | gray.Encode(gc)
+	return g.Rows().Place(gr) | g.Cols().Place(gc)
 }
 
 // RowOf returns the grid row of cube address pid.
-func (g Grid) RowOf(pid int) int { return gray.Decode(pid >> g.Dc) }
+func (g Grid) RowOf(pid int) int { return g.Rows().Coord(pid) }
 
 // ColOf returns the grid column of cube address pid.
-func (g Grid) ColOf(pid int) int { return gray.Decode(pid & (g.PCols() - 1)) }
-
-// RowRel returns the subcube-relative address (in the sense of the
-// collective package: compacted masked bits) of the processor at grid
-// row gr. Collectives over RowMask identify members by this value.
-func (g Grid) RowRel(gr int) int { return gray.Encode(gr) }
-
-// ColRel returns the subcube-relative address of grid column gc
-// within ColMask.
-func (g Grid) ColRel(gc int) int { return gray.Encode(gc) }
+func (g Grid) ColOf(pid int) int { return g.Cols().Coord(pid) }
 
 // MapKind selects how global indices are dealt to grid coordinates.
 type MapKind int

@@ -80,16 +80,43 @@ func TestGridAdjacency(t *testing.T) {
 	}
 }
 
-func TestRowRelMatchesCompact(t *testing.T) {
-	g, _ := NewGrid(2, 3)
-	for gr := 0; gr < g.PRows(); gr++ {
-		for gc := 0; gc < g.PCols(); gc++ {
-			pid := g.ProcAt(gr, gc)
-			if gray.Compact(pid, g.RowMask()) != g.RowRel(gr) {
-				t.Fatalf("RowRel(%d) inconsistent with Compact", gr)
+// TestField checks the three fields of every grid with D <= 6 at every
+// address: Coord inverts Place, the row and column fields compose
+// ProcAt and partition the address, and Rel is the compacted Place.
+func TestField(t *testing.T) {
+	for d := 0; d <= 6; d++ {
+		for dr := 0; dr <= d; dr++ {
+			g, err := NewGrid(dr, d-dr)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if gray.Compact(pid, g.ColMask()) != g.ColRel(gc) {
-				t.Fatalf("ColRel(%d) inconsistent with Compact", gc)
+			rows, cols := g.Rows(), g.Cols()
+			if rows.Mask()&cols.Mask() != 0 || rows.Mask()|cols.Mask() != g.Cube().Mask() || g.Cube().Mask() != g.P()-1 {
+				t.Fatalf("dr=%d dc=%d: row and column masks do not partition the address", g.Dr, g.Dc)
+			}
+			if rows.Size() != g.PRows() || cols.Size() != g.PCols() || g.Cube().Size() != g.P() {
+				t.Fatalf("dr=%d dc=%d: field sizes disagree with the grid", g.Dr, g.Dc)
+			}
+			for pid := 0; pid < g.P(); pid++ {
+				r, c := rows.Coord(pid), cols.Coord(pid)
+				if rows.Place(r)|cols.Place(c) != pid || g.ProcAt(r, c) != pid {
+					t.Fatalf("dr=%d dc=%d: pid %d at (%d,%d) does not place back", g.Dr, g.Dc, pid, r, c)
+				}
+				for _, f := range []Field{rows, cols, g.Cube()} {
+					x := f.Coord(pid)
+					if x < 0 || x >= f.Size() {
+						t.Fatalf("%+v: Coord(%d) = %d out of [0,%d)", f, pid, x, f.Size())
+					}
+					if f.Coord(f.Place(x)) != x {
+						t.Fatalf("%+v: Coord does not invert Place at %d", f, x)
+					}
+					if pid&f.Mask() != f.Place(x) {
+						t.Fatalf("%+v: Place(Coord(%d)) is not pid's field bits", f, pid)
+					}
+					if f.Rel(x) != gray.Compact(f.Place(x), f.Mask()) {
+						t.Fatalf("%+v: Rel(%d) = %d, Compact gives %d", f, x, f.Rel(x), gray.Compact(f.Place(x), f.Mask()))
+					}
+				}
 			}
 		}
 	}
