@@ -28,8 +28,9 @@
 // machinepool.go/stream.go files of internal/hypercube — the rest of
 // the hypercube package is the virtual-time simulator, which runs a
 // machine's processors as coroutines on one thread over plain memory
-// (no locks, no channels inside a run) and is policed by the race
-// detector and the link stress tests, not by this family.
+// (no locks, no channels inside a run), so it has no host concurrency
+// for this family to police; the order it runs processors in is
+// simdeterminism's and TestScheduleIndependence's concern.
 package hostconc
 
 import (

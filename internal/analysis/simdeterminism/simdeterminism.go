@@ -20,19 +20,20 @@
 //     message order, floating-point reduction order, and the
 //     SPMD span-discovery order would too.
 //
-// Host-parallel execution adds two failure modes, also checked here:
+// A run is one thread, but the order it runs processors in is the
+// engine's to choose (TestScheduleIndependence runs LIFO and random
+// orders), so two more rules guard against depending on it:
 //
 //   - runtime.Gosched — a host-scheduler yield inside the simulation
 //     layer means the code is timing itself against the host
-//     interleaving, which GOMAXPROCS changes; correct SPMD code
-//     synchronizes only through sends, receives and collectives;
+//     scheduler; correct SPMD code synchronizes only through sends,
+//     receives and collectives;
 //   - unsynchronized writes to captured variables from SPMD bodies —
-//     with workers running host-parallel between communication points,
-//     every processor executes the body concurrently, so a plain
-//     assignment to a variable declared outside the body is a data
-//     race unless it is guarded by a processor-identity check
-//     (if p.ID() == 0 { ... }) or indexed per processor
-//     (out[p.ID()] = ...).
+//     every processor executes the body, in an order the engine
+//     picks, so a plain assignment to a variable declared outside the
+//     body leaves whichever processor ran last the winner, unless it
+//     is guarded by a processor-identity check (if p.ID() == 0 { ... })
+//     or indexed per processor (out[p.ID()] = ...).
 package simdeterminism
 
 import (
@@ -262,8 +263,8 @@ func isSPMDFunc(pass *framework.Pass, ft *ast.FuncType) bool {
 
 // checkSharedWrites flags plain assignments and increments to
 // variables declared outside [bodyStart, bodyEnd] — state every
-// processor's goroutine would write concurrently under host-parallel
-// execution. Writes inside an if whose condition reads processor
+// processor writes, so its final value depends on the order processors
+// run in. Writes inside an if whose condition reads processor
 // identity (p.ID(), e.GridRow/GridCol) are the sanctioned
 // one-writer idiom and pass; so do indexed writes (out[p.ID()] = ...),
 // whose element is per-processor by convention and whose aliasing the
@@ -304,7 +305,7 @@ func checkSharedWrites(pass *framework.Pass, body *ast.BlockStmt, bodyStart, bod
 			return // declared inside the SPMD body: per-processor state
 		}
 		pass.Reportf(id.Pos(),
-			"write to %s, captured from outside the SPMD body, races across processors under host-parallel execution; index it by p.ID() or guard the write with a processor-identity check",
+			"write to %s, captured from outside the SPMD body, races across processors: its value depends on the order they run in; index it by p.ID() or guard the write with a processor-identity check",
 			id.Name)
 	}
 	ast.Inspect(body, func(n ast.Node) bool {

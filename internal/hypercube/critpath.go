@@ -12,27 +12,27 @@ import (
 //
 // Rather than materializing the DAG and extracting the path afterwards
 // (a bounded ring would drop edges and break the "weights sum exactly
-// to the makespan" guarantee), every processor carries a
-// chain-attribution vector: the decomposition of the longest causal
-// chain that ends at its current clock. Local charges extend the chain
-// in place; every posted message carries a snapshot of the sender's
-// vector; and a receive whose arrival is strictly later than the
-// receiver's own clock adopts the sender's chain wholesale — that is
-// exactly the dynamic-programming recurrence for the longest path,
-// evaluated incrementally with O(1) state per processor. Ties (arrival
-// equal to the receiver's clock) keep the receiver's own chain, which
-// both breaks ties deterministically and avoids inventing hops that
-// carry no time.
+// to the makespan" guarantee), every processor carries a chain: the
+// decomposition of the longest causal chain that ends at its current
+// clock. Local charges extend the chain in place; every posted message
+// carries a snapshot of the sender's chain; and a receive whose arrival
+// is strictly later than the receiver's own clock adopts the sender's
+// chain wholesale — that is exactly the dynamic-programming recurrence
+// for the longest path, evaluated incrementally with O(1) state per
+// processor. Ties (arrival equal to the receiver's clock) keep the
+// receiver's own chain, which both breaks ties deterministically and
+// avoids inventing hops that carry no time.
 //
-// The vector is a flat []float64 so message snapshots reuse the
-// per-processor buffer pools (the same recycle discipline as
-// payloads): four category cells that always sum to the clock, hop and
-// ring bookkeeping, per-dimension transfer cells, a bounded ring of
+// A chain is a struct: four class cells that always sum to the clock,
+// hop and drop counts, per-dimension transfer cells, a bounded ring of
 // displayable chain segments (the flight-recorder pattern — the
 // aggregate cells stay exact when the ring drops old segments), and
 // one 4-cell block per discovered span node attributing the chain to
-// named spans. Everything is virtual time, so the recorded path is
-// bit-identical under every schedule (see TestScheduleIndependence).
+// named spans. Snapshots come from the machine's chain free list: a
+// sender takes one, the message carries it, and the receiver either
+// adopts it (returning its own old chain) or returns it. Everything is
+// virtual time, so the recorded path is bit-identical under every
+// schedule (see TestScheduleIndependence).
 //
 // The segment kinds and where they come from: compute (Compute), send
 // (Send, SendOwned, ExchangeAll) and route (RoutePhaseCharge) all pass
@@ -40,195 +40,162 @@ import (
 // adopting the sender's chain (cpRecv). Idle can come only from
 // cpRecv's defensive branch, a message that carried no chain, so a
 // chain recorded within one machine has none. The idle cells and the
-// exported idle_us fields stay: they keep the category sum exact on
+// exported idle_us fields stay: they keep the class sum exact on
 // that branch.
 
+// Segment kinds, indexing segKinds.
 const (
-	// Category cells: the chain's time split by attribution class.
-	// Their sum is an invariant: always exactly the owning processor's
-	// clock (buildCritPath reports the residual as SkewUs).
-	cpCatCompute  = 0
-	cpCatStartup  = 1
-	cpCatTransfer = 2
-	cpCatIdle     = 3
-
-	// Bookkeeping cells: cross-processor hops on the chain, segments
-	// evicted from the ring, live segment count, ring start slot.
-	cpHops     = 4
-	cpDropped  = 5
-	cpSegCount = 6
-	cpSegStart = 7
-
-	cpHdrWords = 8
-
-	// The segment ring: cpSegCap slots of cpSegWords cells
-	// {proc, node, kind, dim, t0, t1}, oldest overwritten first.
-	cpSegCap   = 32
-	cpSegWords = 6
-
-	// Segment kinds.
-	cpKindCompute = 0
-	cpKindSend    = 1
-	cpKindRoute   = 2
-	cpKindIdle    = 3
-	cpKindHop     = 4
+	cpKindCompute = iota
+	cpKindSend
+	cpKindRoute
+	cpKindIdle
+	cpKindHop
 )
 
-// cpKindName maps a segment kind to its export name.
-func cpKindName(k int) string {
-	switch k {
-	case cpKindCompute:
-		return "compute"
-	case cpKindSend:
-		return "send"
-	case cpKindRoute:
-		return "route"
-	case cpKindIdle:
-		return "idle"
-	case cpKindHop:
-		return "hop"
-	}
-	return "?"
+// segKinds are the export names of the segment kinds.
+var segKinds = [...]string{"compute", "send", "route", "idle", "hop"}
+
+// chainSeg is one displayable segment of a chain: processor, span node
+// (-1 outside any span), kind and dimension (-1 for none), and its
+// virtual-time bounds.
+type chainSeg struct {
+	proc, node, kind, dim int32
+	t0, t1                costmodel.Time
 }
 
-// cpBase is the first ring cell; cpSpanBase the first span cell. Both
-// depend only on the cube dimension.
-func (p *Proc) cpBase() int     { return cpHdrWords + p.m.dim }
-func (p *Proc) cpSpanBase() int { return p.cpBase() + cpSegCap*cpSegWords }
-
-// cpReset clears the chain vector for a new run, reusing its capacity.
-// Zeroing the full capacity matters: the vector's length only grows
-// within a run (adoption never shrinks it), so in-run growth via
-// append always lands on cells append itself writes.
-func (p *Proc) cpReset() {
-	base := p.cpSpanBase()
-	if cap(p.cp) < base {
-		p.cp = make([]float64, base)
-		return
-	}
-	p.cp = p.cp[:cap(p.cp)]
-	for i := range p.cp {
-		p.cp[i] = 0
-	}
-	p.cp = p.cp[:base]
+// chain is one processor's chain-attribution record. cat and every span
+// block split time by class in obs.Buckets order (compute, start-up,
+// transfer, idle); the cat cells always sum to the owning processor's
+// clock (buildCritPath reports the residual as SkewUs).
+type chain struct {
+	cat           [4]costmodel.Time
+	hops, dropped int
+	byDim         [MaxDim]costmodel.Time
+	// segs is the ring of the newest segments: n live ones starting at
+	// slot head, the oldest overwritten first.
+	segs    [32]chainSeg
+	head, n int
+	spans   [][4]costmodel.Time
 }
 
-// cpAcc extends the chain by t in category cat, crediting the
-// per-dimension transfer cell (dim >= 0) and the innermost span's
-// block. Span blocks grow lazily as nodes are discovered — amortized
-// allocation-free across runs, like the span recorder itself.
-func (p *Proc) cpAcc(cat int, t costmodel.Time, dim int) {
-	if t == 0 {
-		return
+// reset clears the chain for a new run, keeping its span capacity.
+func (c *chain) reset() { *c = chain{spans: c.spans[:0]} }
+
+// copyFrom overwrites c with src, reusing c's span capacity, so the
+// snapshots a machine recycles stop allocating once they have seen a
+// run's span count.
+func (c *chain) copyFrom(src *chain) {
+	spans := c.spans[:0]
+	*c = *src
+	c.spans = append(spans, src.spans...)
+}
+
+// add extends the class cells by t and credits node's span block
+// (node >= 0). Span blocks grow lazily as nodes are discovered —
+// amortized allocation-free across runs, like the span recorder itself.
+func (c *chain) add(node int, t [4]costmodel.Time) {
+	for i := range t {
+		c.cat[i] += t[i]
 	}
-	p.cp[cat] += float64(t)
-	if dim >= 0 {
-		p.cp[cpHdrWords+dim] += float64(t)
-	}
-	if node, _ := p.openSpan(); node >= 0 {
-		need := p.cpSpanBase() + 4*(node+1)
-		for len(p.cp) < need {
-			p.cp = append(p.cp, 0)
+	if node >= 0 {
+		for len(c.spans) <= node {
+			c.spans = append(c.spans, [4]costmodel.Time{})
 		}
-		p.cp[p.cpSpanBase()+4*node+cat] += float64(t)
+		for i := range t {
+			c.spans[node][i] += t[i]
+		}
 	}
 }
 
-// cpSeg appends one displayable segment to the bounded ring,
-// coalescing a segment that continues the newest one (same processor,
-// span, kind and dimension, contiguous in time).
-func (p *Proc) cpSeg(kind, dim int, t0, t1 costmodel.Time) {
-	node, _ := p.openSpan()
-	base := p.cpBase()
-	cnt := int(p.cp[cpSegCount])
-	if cnt > 0 {
-		off := base + ((int(p.cp[cpSegStart])+cnt-1)%cpSegCap)*cpSegWords
-		if int(p.cp[off]) == p.id && int(p.cp[off+1]) == node &&
-			int(p.cp[off+2]) == kind && int(p.cp[off+3]) == dim &&
-			p.cp[off+5] == float64(t0) {
-			p.cp[off+5] = float64(t1)
+// seg appends s to the ring, coalescing a segment that continues the
+// newest one (same processor, span, kind and dimension, contiguous in
+// time).
+func (c *chain) seg(s chainSeg) {
+	if c.n > 0 {
+		last := &c.segs[(c.head+c.n-1)%len(c.segs)]
+		if last.proc == s.proc && last.node == s.node && last.kind == s.kind &&
+			last.dim == s.dim && last.t1 == s.t0 {
+			last.t1 = s.t1
 			return
 		}
 	}
-	var slot int
-	if cnt == cpSegCap {
-		slot = int(p.cp[cpSegStart])
-		p.cp[cpSegStart] = float64((slot + 1) % cpSegCap)
-		p.cp[cpDropped]++
-	} else {
-		slot = (int(p.cp[cpSegStart]) + cnt) % cpSegCap
-		p.cp[cpSegCount]++
+	if c.n == len(c.segs) {
+		c.segs[c.head] = s
+		c.head = (c.head + 1) % len(c.segs)
+		c.dropped++
+		return
 	}
-	off := base + slot*cpSegWords
-	p.cp[off] = float64(p.id)
-	p.cp[off+1] = float64(node)
-	p.cp[off+2] = float64(kind)
-	p.cp[off+3] = float64(dim)
-	p.cp[off+4] = float64(t0)
-	p.cp[off+5] = float64(t1)
+	c.segs[(c.head+c.n)%len(c.segs)] = s
+	c.n++
+}
+
+// getChain returns a chain from the machine's free list (or a new one)
+// holding a copy of src.
+func (m *Machine) getChain(src *chain) *chain {
+	var c *chain
+	if n := len(m.chains); n > 0 {
+		c = m.chains[n-1]
+		m.chains = m.chains[:n-1]
+	} else {
+		c = new(chain)
+	}
+	c.copyFrom(src)
+	return c
+}
+
+// putChain returns c, if any, to the machine's free list.
+func (m *Machine) putChain(c *chain) {
+	if c != nil {
+		m.chains = append(m.chains, c)
+	}
+}
+
+// cpSeg appends a segment of this processor under its innermost open
+// span to its chain.
+func (p *Proc) cpSeg(node, kind, dim int, t0, t1 costmodel.Time) {
+	p.cp.seg(chainSeg{proc: int32(p.id), node: int32(node), kind: int32(kind), dim: int32(dim), t0: t0, t1: t1})
 }
 
 // cpCharge extends the chain by a charge that just advanced the clock
-// (see Proc.charge): comp, su and xf go to their category cells, xf
-// also to dimension dim's transfer cell (dim >= 0), and the whole to
-// one segment of the given kind ending at the clock.
+// (see Proc.charge): comp, su and xf go to their class cells, xf also
+// to dimension dim's transfer cell (dim >= 0), and the whole to one
+// segment of the given kind ending at the clock.
 func (p *Proc) cpCharge(kind, dim int, comp, su, xf costmodel.Time) {
 	if comp == 0 && su == 0 && xf == 0 {
 		return
 	}
-	p.cpAcc(cpCatCompute, comp, -1)
-	p.cpAcc(cpCatStartup, su, -1)
-	p.cpAcc(cpCatTransfer, xf, dim)
-	p.cpSeg(kind, dim, p.clock-comp-su-xf, p.clock)
-}
-
-// cpSnapshot copies the chain vector into a pooled buffer; post
-// attaches one to every message, and the receiver recycles it — the
-// payload discipline exactly.
-func (p *Proc) cpSnapshot() []float64 {
-	s := p.m.pool.get(len(p.cp))
-	copy(s, p.cp)
-	return s
-}
-
-// cpRestore copies src over the chain vector, zeroing any cells beyond
-// it: ExchangeAll's all-port branch restores the pre-phase chain
-// before charging each message, and cpRecv adopts a sender's chain.
-func (p *Proc) cpRestore(src []float64) {
-	n := copy(p.cp, src)
-	for i := n; i < len(p.cp); i++ {
-		p.cp[i] = 0
+	node, _ := p.openSpan()
+	p.cp.add(node, [4]costmodel.Time{comp, su, xf, 0})
+	if dim >= 0 {
+		p.cp.byDim[dim] += xf
 	}
+	p.cpSeg(node, kind, dim, p.clock-comp-su-xf, p.clock)
 }
 
 // cpRecv resolves the longest-path recurrence at a receive on
 // dimension d: an arrival strictly later than the receiver's clock
 // means the sender's chain bounds this processor from now on — adopt
-// its vector and append the hop. Otherwise the receiver's own chain
-// already dominates and nothing changes. The caller advances the clock
-// afterwards; adoption keeps the category-sum invariant because the
+// the message's snapshot and append the hop. Otherwise the receiver's
+// own chain already dominates and nothing changes. Either way the
+// chain left over goes back to the free list. The caller advances the
+// clock afterwards; adoption keeps the class-sum invariant because the
 // snapshot sums exactly to the arrival time.
 func (p *Proc) cpRecv(msg *message, d int) {
 	if msg.arrive > p.clock {
+		node, _ := p.openSpan()
 		if msg.cp != nil {
-			for len(p.cp) < len(msg.cp) {
-				p.cp = append(p.cp, 0)
-			}
-			p.cpRestore(msg.cp)
-			p.cp[cpHops]++
-			p.cpSeg(cpKindHop, d, msg.arrive, msg.arrive)
+			p.cp, msg.cp = msg.cp, p.cp
+			p.cp.hops++
+			p.cpSeg(node, cpKindHop, d, msg.arrive, msg.arrive)
 		} else {
 			// No chain travelled with the message (cannot happen within
 			// one machine; defensive): account the gap as idle so the
 			// invariant holds.
-			p.cpAcc(cpCatIdle, msg.arrive-p.clock, -1)
-			p.cpSeg(cpKindIdle, -1, p.clock, msg.arrive)
+			p.cp.add(node, [4]costmodel.Time{3: msg.arrive - p.clock})
+			p.cpSeg(node, cpKindIdle, -1, p.clock, msg.arrive)
 		}
 	}
-	if msg.cp != nil {
-		p.m.pool.put(msg.cp)
-		msg.cp = nil
-	}
+	p.m.putChain(msg.cp)
 }
 
 // EnableCritPath turns critical-path recording on or off for
@@ -250,8 +217,8 @@ func (m *Machine) CritPath() *obs.CritPath { return m.crit }
 func qualSpanNames(ps *profState) []string {
 	out := make([]string, len(ps.nodes))
 	for i := range ps.nodes {
-		n := ps.nodes[i].name
-		if par := ps.nodes[i].parent; par >= 0 {
+		n := ps.nodes[i].Name
+		if par := ps.nodes[i].Parent; par >= 0 {
 			n = out[par] + ">" + n
 		}
 		out[i] = n
@@ -259,43 +226,29 @@ func qualSpanNames(ps *profState) []string {
 	return out
 }
 
-// buildCritPath decodes the winning processor's chain vector into the
-// exported obs.CritPath and assembles the conformance report. It runs
-// once per Run after every processor has finished (on failed runs too —
-// the post-mortem embeds the chain up to the death).
-func (m *Machine) buildCritPath(elapsed costmodel.Time) *obs.CritPath {
-	end := 0
-	for pid, pr := range m.procs {
-		if pr.clock > m.procs[end].clock {
-			end = pid
-		}
-	}
+// buckets reads a chain's class cells as obs.Buckets.
+func buckets(t [4]costmodel.Time) obs.Buckets {
+	return obs.Buckets{Compute: t[0], Startup: t[1], Transfer: t[2], Idle: t[3]}
+}
+
+// buildCritPath decodes the chain of processor end, the one whose clock
+// is the makespan, into the exported obs.CritPath and assembles the
+// conformance report. It runs once per Run after every processor has
+// finished (on failed runs too — the post-mortem embeds the chain up to
+// the death).
+func (m *Machine) buildCritPath(end int) *obs.CritPath {
 	w := m.procs[end]
+	c := w.cp
 	cp := &obs.CritPath{
-		Dim: m.dim, P: m.p, EndProc: end, Makespan: elapsed,
-		Threshold: obs.DefaultConformanceThreshold,
-	}
-	if len(w.cp) < cpHdrWords {
-		return cp
-	}
-	cp.Buckets = obs.Buckets{
-		Compute:  costmodel.Time(w.cp[cpCatCompute]),
-		Startup:  costmodel.Time(w.cp[cpCatStartup]),
-		Transfer: costmodel.Time(w.cp[cpCatTransfer]),
-		Idle:     costmodel.Time(w.cp[cpCatIdle]),
-	}
-	cp.Hops = int(w.cp[cpHops])
-	cp.ChainDropped = int(w.cp[cpDropped])
-	cp.ByDim = make([]costmodel.Time, m.dim)
-	for d := 0; d < m.dim; d++ {
-		cp.ByDim[d] = costmodel.Time(w.cp[cpHdrWords+d])
+		Dim: m.dim, P: m.p, EndProc: end, Makespan: m.elapsed,
+		Threshold:    obs.DefaultConformanceThreshold,
+		Buckets:      buckets(c.cat),
+		Hops:         c.hops,
+		ChainDropped: c.dropped,
+		ByDim:        append(make([]costmodel.Time, 0, m.dim), c.byDim[:m.dim]...),
 	}
 	for _, pr := range m.procs {
-		if len(pr.cp) < cpHdrWords {
-			continue
-		}
-		s := pr.cp[cpCatCompute] + pr.cp[cpCatStartup] +
-			pr.cp[cpCatTransfer] + pr.cp[cpCatIdle] - float64(pr.clock)
+		s := float64(buckets(pr.cp.cat).Total() - pr.clock)
 		if s < 0 {
 			s = -s
 		}
@@ -312,36 +265,21 @@ func (m *Machine) buildCritPath(elapsed costmodel.Time) *obs.CritPath {
 		return ""
 	}
 
-	base := w.cpBase()
-	cnt := int(w.cp[cpSegCount])
-	startIdx := int(w.cp[cpSegStart])
-	for s := 0; s < cnt; s++ {
-		off := base + ((startIdx+s)%cpSegCap)*cpSegWords
-		kind := int(w.cp[off+2])
+	for i := 0; i < c.n; i++ {
+		s := &c.segs[(c.head+i)%len(c.segs)]
 		seg := obs.PathSegment{
-			Proc: int(w.cp[off]),
-			From: -1,
-			Span: name(int(w.cp[off+1])),
-			Kind: cpKindName(kind),
-			Dim:  int(w.cp[off+3]),
-			T0:   costmodel.Time(w.cp[off+4]),
-			T1:   costmodel.Time(w.cp[off+5]),
+			Proc: int(s.proc), From: -1, Span: name(int(s.node)),
+			Kind: segKinds[s.kind], Dim: int(s.dim), T0: s.t0, T1: s.t1,
 		}
-		if kind == cpKindHop && seg.Dim >= 0 {
+		if s.kind == cpKindHop && s.dim >= 0 {
 			seg.From = seg.Proc ^ (1 << seg.Dim)
 		}
 		cp.Chain = append(cp.Chain, seg)
 	}
 
-	spanBase := w.cpSpanBase()
 	var attributed obs.Buckets
-	for nd := 0; 4*nd+spanBase+3 < len(w.cp); nd++ {
-		b := obs.Buckets{
-			Compute:  costmodel.Time(w.cp[spanBase+4*nd+cpCatCompute]),
-			Startup:  costmodel.Time(w.cp[spanBase+4*nd+cpCatStartup]),
-			Transfer: costmodel.Time(w.cp[spanBase+4*nd+cpCatTransfer]),
-			Idle:     costmodel.Time(w.cp[spanBase+4*nd+cpCatIdle]),
-		}
+	for nd, blk := range c.spans {
+		b := buckets(blk)
 		if b.Total() == 0 {
 			continue
 		}
@@ -356,7 +294,7 @@ func (m *Machine) buildCritPath(elapsed costmodel.Time) *obs.CritPath {
 		Idle:     cp.Buckets.Idle - attributed.Idle,
 	}
 
-	m.buildConformance(cp, w, qual)
+	m.buildConformance(cp, c, qual)
 	return cp
 }
 
@@ -367,9 +305,8 @@ func (m *Machine) buildCritPath(elapsed costmodel.Time) *obs.CritPath {
 // member arriving late at a collective shows up in the slowest
 // member's wait — which is why the flagging threshold leaves headroom
 // (see obs.DefaultConformanceThreshold).
-func (m *Machine) buildConformance(cp *obs.CritPath, w *Proc, qual []string) {
+func (m *Machine) buildConformance(cp *obs.CritPath, c *chain, qual []string) {
 	ref := &m.procs[0].ps
-	spanBase := w.cpSpanBase()
 	for nd := range ref.nodes {
 		var maxIncl, maxPred costmodel.Time
 		for _, pr := range m.procs {
@@ -377,21 +314,20 @@ func (m *Machine) buildConformance(cp *obs.CritPath, w *Proc, qual []string) {
 				continue
 			}
 			a := &pr.ps.agg[nd]
-			if a.incl > maxIncl {
-				maxIncl = a.incl
+			if a.Incl > maxIncl {
+				maxIncl = a.Incl
 			}
-			if a.pred > maxPred {
-				maxPred = a.pred
+			if a.Pred > maxPred {
+				maxPred = a.Pred
 			}
 		}
-		count := ref.agg[nd].count
+		count := ref.agg[nd].Count
 		if maxPred <= 0 || count == 0 {
 			continue
 		}
 		var share float64
-		if idx := spanBase + 4*nd; idx+3 < len(w.cp) && cp.Makespan > 0 {
-			share = (w.cp[idx] + w.cp[idx+1] + w.cp[idx+2] + w.cp[idx+3]) /
-				float64(cp.Makespan)
+		if nd < len(c.spans) && cp.Makespan > 0 {
+			share = float64(buckets(c.spans[nd]).Total()) / float64(cp.Makespan)
 		}
 		name := ""
 		if nd < len(qual) {

@@ -1,6 +1,7 @@
 package hypercube
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -324,5 +325,75 @@ func TestCritPathDoesNotPerturbClocks(t *testing.T) {
 	}
 	if on, off := run(true), run(false); on != off {
 		t.Fatalf("elapsed with tracing %g != without %g", float64(on), float64(off))
+	}
+}
+
+// TestArmedAbortLeavesNothingBehind: a run that fails with chain
+// snapshots in flight (Run drains them back to the machine's chain free
+// list) leaves a machine whose next profiled, critical-path run writes
+// the documents of a fresh machine byte for byte.
+func TestArmedAbortLeavesNothingBehind(t *testing.T) {
+	// Uneven compute makes receives adopt their senders' chains, so
+	// recycled snapshots end up on the path.
+	documents := func(m *Machine) []byte {
+		if _, err := m.Run(func(p *Proc) {
+			p.BeginSpan("outer")
+			p.Compute(10 + 7*p.ID())
+			profiledPingPong(p)
+			p.EndSpan()
+		}); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := m.CritPath().WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Profile().WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	armed := func() *Machine {
+		m := MustNew(3, costmodel.CM2())
+		m.EnableProfile(true)
+		m.EnableCritPath(true)
+		return m
+	}
+
+	m := armed()
+	defer m.Close()
+	// Every processor sends along every dimension, then processor 5
+	// dies before receiving: its neighbors' snapshots stay on its links.
+	_, err := m.Run(func(p *Proc) {
+		p.BeginSpan("doomed")
+		for d := 0; d < p.Dim(); d++ {
+			p.BeginSpan(fmt.Sprintf("send%d", d))
+			p.Compute(3 + p.ID())
+			p.Send(d, 1, []float64{1, 2})
+			p.EndSpan()
+		}
+		if p.ID() == 5 {
+			panic("boom")
+		}
+		for d := 0; d < p.Dim(); d++ {
+			p.Recycle(p.Recv(d, 1))
+		}
+		p.EndSpan()
+	})
+	var re *RunError
+	if !errors.As(err, &re) || !strings.Contains(err.Error(), "boom") {
+		t.Fatalf("Run = %v, want processor 5's panic", err)
+	}
+	if len(re.Report.Links) == 0 {
+		t.Fatal("no message was in flight at the failure")
+	}
+	if !m.linksEmpty() {
+		t.Fatal("links not drained after the failed run")
+	}
+
+	fresh := armed()
+	defer fresh.Close()
+	if got, want := documents(m), documents(fresh); !bytes.Equal(got, want) {
+		t.Errorf("documents after the failed run differ from a fresh machine's:\n%s\nwant:\n%s", got, want)
 	}
 }

@@ -348,13 +348,13 @@ func TestLinkStoreInvariants(t *testing.T) {
 	m := MustNew(dim, costmodel.Ideal())
 	s, c := &m.store, linkCap(dim)
 	model := make([][]int, len(m.links))
-	payload := []float64{1}
+	payload, snap := []float64{1}, new(chain)
 	rng := rand.New(rand.NewSource(1))
 	for step := 0; step < 200000; step++ {
 		i := rng.Intn(len(m.links))
 		l, q := &m.links[i], model[i]
 		if rng.Intn(2) == 0 {
-			if ok := s.push(l, message{words: payload, tag: step, cp: payload}); ok != (len(q) < c) {
+			if ok := s.push(l, message{words: payload, tag: step, cp: snap}); ok != (len(q) < c) {
 				t.Fatalf("step %d: push on link %d holding %d = %v", step, i, len(q), ok)
 			} else if ok {
 				model[i] = append(q, step)

@@ -69,12 +69,12 @@ const defaultFlightDepth = 32
 // message is one inter-processor transfer: a payload of words, a
 // protocol tag for error detection, and the virtual arrival time.
 // Under critical-path recording cp carries a snapshot of the sender's
-// chain-attribution vector (see critpath.go), pooled like the payload.
+// chain (see critpath.go).
 type message struct {
 	words  []float64
 	tag    int
 	arrive costmodel.Time
-	cp     []float64
+	cp     *chain
 }
 
 // Machine is a simulated hypercube multiprocessor. Construct it with
@@ -98,8 +98,11 @@ type Machine struct {
 	links []link
 	store msgStore
 
-	// pool is the buffer pool every processor draws from (see pool.go).
-	pool bufPool
+	// pool is the buffer pool every processor draws from (see pool.go),
+	// chains the free list of critical-path chain snapshots (see
+	// critpath.go).
+	pool   bufPool
+	chains []*chain
 
 	// procs are the persistent per-processor handles, reset and reused
 	// by every Run.
@@ -420,21 +423,19 @@ func (m *Machine) Run(body func(*Proc)) (costmodel.Time, error) {
 		}
 	}
 
-	var elapsed costmodel.Time
-	var st Stats
+	// The one fold over the processors: the makespan, the lowest
+	// processor reaching it, and the totals everything below reads.
+	m.elapsed, m.stats = 0, Stats{}
+	end := 0
 	for i, pr := range m.procs {
 		m.clocks[i] = pr.clock
-		if pr.clock > elapsed {
-			elapsed = pr.clock
+		if pr.clock > m.elapsed {
+			m.elapsed, end = pr.clock, i
 		}
-		st.Messages += pr.nMsgs
-		st.Words += pr.nWords
-		st.Flops += pr.nFlops
+		m.stats.Add(Stats{Messages: pr.nMsgs, Words: pr.nWords, Flops: pr.nFlops})
 	}
-	m.elapsed = elapsed
-	m.stats = st
 	if m.stream != nil {
-		m.emitRunSummary(m.stream, float64(elapsed))
+		m.emitRunSummary(m.stream, float64(m.elapsed))
 	}
 
 	// The critical path is built on success and on failure alike: a
@@ -442,7 +443,7 @@ func (m *Machine) Run(body func(*Proc)) (costmodel.Time, error) {
 	// post-mortem.
 	var crit *obs.CritPath
 	if m.critEnabled {
-		crit = m.buildCritPath(elapsed)
+		crit = m.buildCritPath(end)
 	}
 	var prof *obs.Profile
 	if m.profEnabled && firstErr == nil {
@@ -461,9 +462,9 @@ func (m *Machine) Run(body func(*Proc)) (costmodel.Time, error) {
 	}
 	m.profile, m.postmortem, m.crit = prof, pm, crit
 
-	m.updateMetrics(elapsed, firstErr != nil, crit)
+	m.updateMetrics(firstErr != nil, crit)
 	m.drain()
-	return elapsed, firstErr
+	return m.elapsed, firstErr
 }
 
 // start creates the processors' coroutines and the run queue, and arms
@@ -514,9 +515,10 @@ func (p *Proc) resetForRun() {
 	}
 	p.streamClosed = 0
 	if p.crit {
-		p.cpReset()
-	} else if len(p.cp) > 0 {
-		p.cp = p.cp[:0]
+		if p.cp == nil {
+			p.cp = new(chain)
+		}
+		p.cp.reset()
 	}
 	p.nColl = 0
 	p.nRecvParks = 0
@@ -547,8 +549,8 @@ func (m *Machine) Close() {
 // message is in flight.
 func (m *Machine) drain() {
 	for i := 0; m.store.inUse > 0; i++ {
-		for ok := true; ok; {
-			_, ok = m.store.pop(&m.links[i])
+		for msg, ok := m.store.pop(&m.links[i]); ok; msg, ok = m.store.pop(&m.links[i]) {
+			m.putChain(msg.cp)
 		}
 	}
 }
@@ -607,10 +609,10 @@ type Proc struct {
 	streamClosed int64
 
 	// Critical-path chain state, active only under EnableCritPath:
-	// crit gates the hooks in charge, post and Recv, cp is the encoded
-	// chain-attribution vector (see critpath.go).
+	// crit gates the hooks in charge, post and Recv, cp is the chain
+	// (see critpath.go).
 	crit bool
-	cp   []float64
+	cp   *chain
 
 	// Flight recorder and post-mortem state (see postmortem.go). rec is
 	// the bounded event ring; the wait registers say what the processor
@@ -746,7 +748,7 @@ func (p *Proc) post(d, tag int, buf []float64, arrive costmodel.Time) {
 	p.record(flightrec.KindSend, flightrec.NoLabel, d, tag, len(buf), arrive)
 	msg := message{words: buf, tag: tag, arrive: arrive}
 	if p.crit {
-		msg.cp = p.cpSnapshot()
+		msg.cp = p.m.getChain(p.cp)
 	}
 	l := &p.m.links[dst*p.m.dim+d]
 	if !p.m.store.push(l, msg) {
@@ -921,14 +923,14 @@ func (p *Proc) ExchangeAll(dims []int, tag int, payloads [][]float64) [][]float6
 		// start plus its own send; the phase as a whole costs its
 		// largest send.
 		clock, tStart, tXfer := p.clock, p.tStart, p.tXfer
-		var pre []float64
+		var pre *chain
 		if p.crit {
-			pre = p.cpSnapshot()
+			pre = p.m.getChain(p.cp)
 		}
 		rewind := func() {
 			p.clock, p.tStart, p.tXfer = clock, tStart, tXfer
 			if pre != nil {
-				p.cpRestore(pre)
+				p.cp.copyFrom(pre)
 			}
 		}
 		largest := -1
@@ -944,9 +946,7 @@ func (p *Proc) ExchangeAll(dims []int, tag int, payloads [][]float64) [][]float6
 			rewind()
 			p.chargeSend(dims[largest], len(payloads[largest]))
 		}
-		if pre != nil {
-			p.m.pool.put(pre)
-		}
+		p.m.putChain(pre)
 	} else {
 		for i, d := range dims {
 			p.Send(d, tag, payloads[i])

@@ -54,20 +54,14 @@ func (m *Machine) buildPostMortem(cause string, failedPid int) *flightrec.Report
 		Dim:        m.dim,
 		P:          m.p,
 	}
-	var maxClock costmodel.Time
-	for _, pr := range m.procs {
-		if pr.clock > maxClock {
-			maxClock = pr.clock
-		}
-	}
-	rep.MaxClockUs = float64(maxClock)
+	rep.MaxClockUs = float64(m.elapsed)
 
 	rep.Procs = make([]flightrec.ProcState, m.p)
 	for pid, pr := range m.procs {
 		ps := &rep.Procs[pid]
 		ps.ID = pid
 		ps.ClockUs = float64(pr.clock)
-		ps.BehindUs = float64(maxClock - pr.clock)
+		ps.BehindUs = float64(m.elapsed - pr.clock)
 		ps.Buckets = obs.Buckets{
 			Compute:  pr.tComp,
 			Startup:  pr.tStart,
@@ -82,7 +76,7 @@ func (m *Machine) buildPostMortem(cause string, failedPid int) *flightrec.Report
 			rep.Blocked++
 		}
 		for _, f := range pr.ps.stack {
-			ps.OpenSpans = append(ps.OpenSpans, pr.ps.nodes[f.node].name)
+			ps.OpenSpans = append(ps.OpenSpans, pr.ps.nodes[f.node].Name)
 		}
 		for _, buf := range pr.captured {
 			head := buf
@@ -97,7 +91,7 @@ func (m *Machine) buildPostMortem(cause string, failedPid int) *flightrec.Report
 		ps.EventsTotal = pr.rec.Total()
 		for i := range ps.Events {
 			if n := ps.Events[i].Span; n >= 0 && n < len(pr.ps.nodes) {
-				ps.Events[i].SpanName = pr.ps.nodes[n].name
+				ps.Events[i].SpanName = pr.ps.nodes[n].Name
 			}
 		}
 	}
@@ -118,6 +112,7 @@ func (m *Machine) buildPostMortem(cause string, failedPid int) *flightrec.Report
 			if queued == 0 {
 				headTag, headVT = msg.tag, msg.arrive
 			}
+			m.putChain(msg.cp)
 			queued++
 			words += len(msg.words)
 		}
@@ -212,43 +207,41 @@ func newMachMetrics() machMetrics {
 // runs to export JSON or Prometheus text (see internal/metrics).
 func (m *Machine) Metrics() *metrics.Registry { return m.met.reg }
 
-// updateMetrics folds the per-processor counters of the run that just
-// ended into the registry. Called once per Run, after every processor has
+// updateMetrics folds the run that just ended into the registry: the
+// totals Run took (m.elapsed, m.stats) and the per-processor counters
+// only the metrics read. Called once per Run, after every processor has
 // returned or failed; crit is the run's critical path, or nil when recording was
 // off (the critpath gauges then read zero).
-func (m *Machine) updateMetrics(elapsed costmodel.Time, failed bool, crit *obs.CritPath) {
+func (m *Machine) updateMetrics(failed bool, crit *obs.CritPath) {
 	mm := &m.met
 	mm.runs.Add(1)
 	if failed {
 		mm.failures.Add(1)
 	}
-	var msgs, words, flops, colls, parks int64
+	var colls, parks int64
 	var hist [msgHistBins]int64
 	for _, pr := range m.procs {
-		msgs += pr.nMsgs
-		words += pr.nWords
-		flops += pr.nFlops
 		colls += pr.nColl
 		parks += pr.nRecvParks
 		for i, c := range pr.msgHist {
 			hist[i] += c
 		}
 	}
-	mm.msgs.Add(msgs)
-	mm.words.Add(words)
-	mm.flops.Add(flops)
+	mm.msgs.Add(m.stats.Messages)
+	mm.words.Add(m.stats.Words)
+	mm.flops.Add(m.stats.Flops)
 	mm.colls.Add(colls)
 	gets, hits := m.pool.gets, m.pool.hits
 	mm.poolGets.Add(gets)
 	mm.poolHits.Add(hits)
 	mm.recvParks.Add(parks)
-	mm.lastElapsed.Set(float64(elapsed))
+	mm.lastElapsed.Set(float64(m.elapsed))
 	rate := 1.0
 	if gets > 0 {
 		rate = float64(hits) / float64(gets)
 	}
 	mm.poolHitRate.Set(rate)
-	mm.msgWords.AddBuckets(hist[:], float64(words))
+	mm.msgWords.AddBuckets(hist[:], float64(m.stats.Words))
 	if crit != nil {
 		mm.cpCompute.Set(float64(crit.Buckets.Compute))
 		mm.cpStartup.Set(float64(crit.Buckets.Startup))

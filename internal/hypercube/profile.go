@@ -42,67 +42,39 @@ type spanFrame struct {
 	childIncl costmodel.Time
 }
 
-// profNode is one discovered span-tree node: a unique (parent, name)
-// path. SPMD symmetry makes every processor discover the same nodes
-// in the same order.
-type profNode struct {
-	name     string
-	parent   int // node id, -1 at top level
-	note     string
-	children []int
-}
-
-// nodeAgg is a processor's aggregate over all occurrences of a node.
-// pred accumulates the cost model's predicted time recorded with
-// SpanPredict; the conformance report compares it against incl.
-type nodeAgg struct {
-	count              int64
-	incl, excl         costmodel.Time
-	comp, start, xfer  costmodel.Time
-	pred               costmodel.Time
-	msgs, words, flops int64
-}
-
-// profState is a processor's span recorder, reset by every Run.
+// profState is a processor's span recorder, reset by every Run. nodes
+// and agg, indexed by node id, are the discovered span-tree nodes — a
+// node is a unique (Parent, Name) path, and SPMD symmetry makes every
+// processor discover the same nodes in the same order — and this
+// processor's aggregate over all occurrences of each. Pred accumulates
+// the cost model's predicted time recorded with SpanPredict; the
+// conformance report compares it against Incl.
 type profState struct {
-	nodes []profNode
-	roots []int
-	agg   []nodeAgg
+	nodes []obs.NodeMeta
+	agg   []obs.NodeStats
 	stack []spanFrame
 	inst  []obs.Instance
 }
 
 func (ps *profState) reset() {
 	ps.nodes = ps.nodes[:0]
-	ps.roots = ps.roots[:0]
 	ps.agg = ps.agg[:0]
 	ps.stack = ps.stack[:0]
 	ps.inst = ps.inst[:0]
 }
 
 // findOrAddNode resolves name under parent (-1 for top level),
-// appending a new node on first sight.
+// appending a new node on first sight. A node's id is larger than its
+// parent's, so the scan starts after the parent.
 func (ps *profState) findOrAddNode(parent int, name string) int {
-	var siblings []int
-	if parent < 0 {
-		siblings = ps.roots
-	} else {
-		siblings = ps.nodes[parent].children
-	}
-	for _, id := range siblings {
-		if ps.nodes[id].name == name {
+	for id := parent + 1; id < len(ps.nodes); id++ {
+		if ps.nodes[id].Parent == parent && ps.nodes[id].Name == name {
 			return id
 		}
 	}
-	id := len(ps.nodes)
-	ps.nodes = append(ps.nodes, profNode{name: name, parent: parent})
-	ps.agg = append(ps.agg, nodeAgg{})
-	if parent < 0 {
-		ps.roots = append(ps.roots, id)
-	} else {
-		ps.nodes[parent].children = append(ps.nodes[parent].children, id)
-	}
-	return id
+	ps.nodes = append(ps.nodes, obs.NodeMeta{Name: name, Parent: parent})
+	ps.agg = append(ps.agg, obs.NodeStats{})
+	return len(ps.nodes) - 1
 }
 
 // Profiling reports whether span recording is active for the current
@@ -152,20 +124,20 @@ func (p *Proc) EndSpan() {
 	f := &ps.stack[n-1]
 	incl := p.clock - f.begin
 	a := &ps.agg[f.node]
-	a.count++
-	a.incl += incl
-	a.excl += incl - f.childIncl
-	a.comp += p.tComp - f.comp
-	a.start += p.tStart - f.start
-	a.xfer += p.tXfer - f.xfer
-	a.msgs += p.nMsgs - f.msgs
-	a.words += p.nWords - f.words
-	a.flops += p.nFlops - f.flops
+	a.Count++
+	a.Incl += incl
+	a.Excl += incl - f.childIncl
+	a.Compute += p.tComp - f.comp
+	a.Startup += p.tStart - f.start
+	a.Transfer += p.tXfer - f.xfer
+	a.Msgs += p.nMsgs - f.msgs
+	a.Words += p.nWords - f.words
+	a.Flops += p.nFlops - f.flops
 	if profInstProc(p.id) {
 		ps.inst = append(ps.inst, obs.Instance{Node: f.node, Begin: f.begin, End: p.clock})
 	}
 	if p.stream != nil {
-		p.emitSpanClose(ps.nodes[f.node].name, n-1)
+		p.emitSpanClose(ps.nodes[f.node].Name, n-1)
 	}
 	ps.stack = ps.stack[:n-1]
 	if n > 1 {
@@ -189,7 +161,7 @@ func (p *Proc) SpanPredict(t costmodel.Time) {
 	if n == 0 {
 		return
 	}
-	p.ps.agg[p.ps.stack[n-1].node].pred += t
+	p.ps.agg[p.ps.stack[n-1].node].Pred += t
 }
 
 // SpanNote attaches an annotation (an embedding change, a chosen
@@ -207,10 +179,10 @@ func (p *Proc) SpanNote(note string) {
 	}
 	nd := &p.ps.nodes[p.ps.stack[n-1].node]
 	switch {
-	case nd.note == "":
-		nd.note = note
-	case !strings.Contains(nd.note, note):
-		nd.note += "; " + note
+	case nd.Note == "":
+		nd.Note = note
+	case !strings.Contains(nd.Note, note):
+		nd.Note += "; " + note
 	}
 }
 
@@ -222,7 +194,7 @@ func (p *Proc) checkSpansClosed() {
 		return
 	}
 	if n := len(p.ps.stack); n > 0 {
-		name := p.ps.nodes[p.ps.stack[n-1].node].name
+		name := p.ps.nodes[p.ps.stack[n-1].node].Name
 		panic(fmt.Sprintf(
 			"hypercube: %d span(s) left open at end of run (innermost %q): BeginSpan without matching EndSpan",
 			n, name))
@@ -262,21 +234,8 @@ func (m *Machine) buildProfile() *obs.Profile {
 		pd.Compute, pd.Startup, pd.Transfer = pr.tComp, pr.tStart, pr.tXfer
 		pd.Msgs, pd.Words, pd.Flops = pr.nMsgs, pr.nWords, pr.nFlops
 		ps := &pr.ps
-		pd.Meta = make([]obs.NodeMeta, len(ps.nodes))
-		pd.Stats = make([]obs.NodeStats, len(ps.nodes))
-		for i := range ps.nodes {
-			pd.Meta[i] = obs.NodeMeta{
-				Name: ps.nodes[i].name, Parent: ps.nodes[i].parent, Note: ps.nodes[i].note,
-			}
-			a := &ps.agg[i]
-			pd.Stats[i] = obs.NodeStats{
-				Count: a.count,
-				Incl:  a.incl, Excl: a.excl,
-				Compute: a.comp, Startup: a.start, Transfer: a.xfer,
-				Pred: a.pred,
-				Msgs: a.msgs, Words: a.words, Flops: a.flops,
-			}
-		}
+		pd.Meta = append([]obs.NodeMeta(nil), ps.nodes...)
+		pd.Stats = append([]obs.NodeStats(nil), ps.agg...)
 		if len(ps.inst) > 0 {
 			pd.Instances = append([]obs.Instance(nil), ps.inst...)
 		}

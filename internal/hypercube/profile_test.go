@@ -63,6 +63,48 @@ func TestSpanOpsIgnoredWhenProfilingOff(t *testing.T) {
 	}
 }
 
+// TestSpanNodeIdentity pins how the span recorder identifies nodes,
+// which its flat (Parent, Name) lookup relies on: a name under two
+// parents makes two nodes, reopening a name under the same parent
+// reuses its node, and node ids follow first-discovery order on every
+// processor.
+func TestSpanNodeIdentity(t *testing.T) {
+	m := MustNew(2, costmodel.Ideal())
+	m.EnableProfile(true)
+	span := func(p *Proc, name string, body func()) {
+		p.BeginSpan(name)
+		body()
+		p.EndSpan()
+	}
+	nop := func() {}
+	if _, err := m.Run(func(p *Proc) {
+		span(p, "a", func() { span(p, "x", nop) })
+		span(p, "b", func() {
+			span(p, "x", nop)
+			span(p, "x", nop)
+		})
+		span(p, "a", func() { span(p, "y", nop) })
+		span(p, "x", nop)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	want := []obs.NodeMeta{
+		{Name: "a", Parent: -1}, {Name: "x", Parent: 0}, {Name: "b", Parent: -1},
+		{Name: "x", Parent: 2}, {Name: "y", Parent: 0}, {Name: "x", Parent: -1},
+	}
+	wantCount := []int64{2, 1, 1, 2, 1, 1}
+	for pid, pr := range m.procs {
+		if fmt.Sprint(pr.ps.nodes) != fmt.Sprint(want) {
+			t.Fatalf("proc %d nodes = %v, want %v", pid, pr.ps.nodes, want)
+		}
+		for i, a := range pr.ps.agg {
+			if a.Count != wantCount[i] {
+				t.Errorf("proc %d node %d (%s) count = %d, want %d", pid, i, want[i].Name, a.Count, wantCount[i])
+			}
+		}
+	}
+}
+
 func TestProfileBucketsReconcileExactly(t *testing.T) {
 	for _, params := range []costmodel.Params{costmodel.CM2(), costmodel.IPSC(), costmodel.Ideal()} {
 		m := MustNew(3, params)

@@ -39,7 +39,6 @@ package obs
 
 import (
 	"fmt"
-	"sort"
 
 	"vmprim/internal/costmodel"
 )
@@ -217,9 +216,10 @@ type Profile struct {
 	inst  []procInstances
 }
 
-// Build assembles a Profile from per-processor records. It panics if
-// the span structure diverges between processors — SPMD programs must
-// open and close the same spans in the same order everywhere.
+// Build assembles a Profile from per-processor records; links must
+// arrive hottest first, as Profile.Links lists them. It panics if the
+// span structure diverges between processors — SPMD programs must open
+// and close the same spans in the same order everywhere.
 func Build(dim int, procs []ProcData, events []LinkEvent, links []LinkLoad) *Profile {
 	p := len(procs)
 	if p == 0 {
@@ -319,15 +319,6 @@ func Build(dim int, procs []ProcData, events []LinkEvent, links []LinkLoad) *Pro
 	}
 	root.MaxIncl = pf.Elapsed
 	root.Msgs, root.Words, root.Flops = pf.Msgs, pf.Words, pf.Flops
-	sort.Slice(pf.Links, func(i, j int) bool {
-		if pf.Links[i].Words != pf.Links[j].Words {
-			return pf.Links[i].Words > pf.Links[j].Words
-		}
-		if pf.Links[i].Src != pf.Links[j].Src {
-			return pf.Links[i].Src < pf.Links[j].Src
-		}
-		return pf.Links[i].Dim < pf.Links[j].Dim
-	})
 	return pf
 }
 

@@ -1,7 +1,11 @@
 package serve
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -14,9 +18,10 @@ import (
 // server-assigned ID, and the registry keeps finished runs — results,
 // per-run metric deltas, post-mortems — addressable until capacity
 // pressure evicts them. Queued and running runs are never evicted;
-// only the done/failed backlog is bounded, oldest-completed first, and
-// the registry remembers evicted IDs so the API can distinguish "this
-// run existed and aged out" from "never heard of it".
+// only the done/failed backlog is bounded, oldest-completed first. IDs
+// are issued in sequence and runs leave only by eviction, so an issued
+// ID that is no longer retained is one that aged out: the API tells
+// that apart from "never heard of it" without remembering evicted IDs.
 
 // RunState is a run's lifecycle phase.
 type RunState string
@@ -32,8 +37,10 @@ const (
 // Fields under mu change as the run progresses; everything else is
 // written once before the run is published.
 type Run struct {
-	// ID is the server-assigned identifier, "r-000001" onward.
-	ID string
+	// ID is the server-assigned identifier, "r-000001" onward; seq is
+	// its number.
+	ID  string
+	seq int64
 	// Spec is the normalized workload descriptor.
 	Spec bench.RunSpec
 	// Submitted is the wall-clock arrival time (serving metadata only —
@@ -129,35 +136,40 @@ type registry struct {
 	// finished is completion order, oldest first; its head is evicted
 	// when the backlog exceeds retain.
 	finished []string
-	evicted  map[string]bool
 }
 
 func newRegistry(retain int) *registry {
 	if retain < 1 {
 		retain = 1
 	}
-	return &registry{
-		retain:  retain,
-		runs:    make(map[string]*Run),
-		evicted: make(map[string]bool),
-	}
+	return &registry{retain: retain, runs: make(map[string]*Run)}
 }
+
+// runID spells the ID of run number n.
+func runID(n int64) string { return fmt.Sprintf("r-%06d", n) }
 
 // add registers a new queued run under a fresh ID.
 func (g *registry) add(spec bench.RunSpec, now time.Time) *Run {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.seq++
-	r := newRun(fmt.Sprintf("r-%06d", g.seq), spec, now)
+	r := newRun(runID(g.seq), spec, now)
+	r.seq = g.seq
 	g.runs[r.ID] = r
 	return r
 }
 
-// get looks a run up; evicted reports a formerly retained ID.
+// get looks a run up; evicted reports an ID that was issued, spelled
+// exactly as issued, and is no longer retained.
 func (g *registry) get(id string) (r *Run, evicted bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.runs[id], g.evicted[id]
+	if r := g.runs[id]; r != nil {
+		return r, false
+	}
+	digits, ok := strings.CutPrefix(id, "r-")
+	n, err := strconv.ParseInt(digits, 10, 64)
+	return nil, ok && err == nil && n >= 1 && n <= g.seq && runID(n) == id
 }
 
 // list returns every retained run, submission (ID) order.
@@ -165,11 +177,10 @@ func (g *registry) list() []*Run {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	out := make([]*Run, 0, len(g.runs))
-	for i := int64(1); i <= g.seq && len(out) < len(g.runs); i++ {
-		if r, ok := g.runs[fmt.Sprintf("r-%06d", i)]; ok {
-			out = append(out, r)
-		}
+	for _, r := range g.runs {
+		out = append(out, r)
 	}
+	slices.SortFunc(out, func(a, b *Run) int { return cmp.Compare(a.seq, b.seq) })
 	return out
 }
 
@@ -183,7 +194,6 @@ func (g *registry) markFinished(id string) (evictions int) {
 		victim := g.finished[0]
 		g.finished = g.finished[1:]
 		delete(g.runs, victim)
-		g.evicted[victim] = true
 		evictions++
 	}
 	return evictions

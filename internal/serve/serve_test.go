@@ -270,21 +270,24 @@ func TestRunRetentionEviction(t *testing.T) {
 			t.Errorf("retained run %s served an empty profile", id)
 		}
 	}
-	resp := mustGet(t, ts.URL+"/runs/r-999999", http.StatusNotFound)
-	var e struct {
-		Error apiError `json:"error"`
-	}
-	decodeBody(t, resp, &e)
-	if e.Error.Code != "not_found" {
-		t.Errorf("unknown run answered code %q, want not_found", e.Error.Code)
+	// Never issued, and another spelling of an evicted number.
+	for _, id := range []string{"r-999999", "r-1"} {
+		resp := mustGet(t, ts.URL+"/runs/"+id, http.StatusNotFound)
+		var e struct {
+			Error apiError `json:"error"`
+		}
+		decodeBody(t, resp, &e)
+		if e.Error.Code != "not_found" {
+			t.Errorf("unknown run %s answered code %q, want not_found", id, e.Error.Code)
+		}
 	}
 
 	var list struct {
 		Runs []runStatusJSON `json:"runs"`
 	}
 	decodeBody(t, mustGet(t, ts.URL+"/runs", http.StatusOK), &list)
-	if len(list.Runs) != 2 {
-		t.Errorf("list shows %d runs after eviction, want 2", len(list.Runs))
+	if len(list.Runs) != 2 || list.Runs[0].ID != ids[2] || list.Runs[1].ID != ids[3] {
+		t.Errorf("list after eviction = %+v, want %v in submission order", list.Runs, ids[2:])
 	}
 }
 

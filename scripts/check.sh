@@ -51,12 +51,14 @@ go build ./...
 # names the blocked processors but not the line that mispaired them.
 vmlint_bin=$(mktemp)
 go build -o "$vmlint_bin" ./cmd/vmlint
-"$vmlint_bin" ./... || { rm -f "$vmlint_bin"; echo "vmlint failed" >&2; exit 1; }
-# -diff must print nothing: a pending suggested fix is uncommitted
-# mechanical work — run vmlint -fix and commit the result.
-fixes=$("$vmlint_bin" -diff ./...) || { rm -f "$vmlint_bin"; echo "vmlint -diff failed" >&2; exit 1; }
-if [ -n "$fixes" ]; then
-	echo "vmlint -diff: pending suggested fixes; run vmlint -fix and commit:" >&2
+# One run does both checks: -diff prints every finding on stderr and
+# exits non-zero if there is any, and it prints every pending suggested
+# fix on stdout, which must stay empty — a pending fix is uncommitted
+# mechanical work; run vmlint -fix and commit the result.
+lint_status=0
+fixes=$("$vmlint_bin" -diff ./...) || lint_status=$?
+if [ "$lint_status" -ne 0 ] || [ -n "$fixes" ]; then
+	echo "vmlint -diff failed: findings (above) or pending suggested fixes (below, if any); fix them, or run vmlint -fix and commit:" >&2
 	echo "$fixes" >&2
 	rm -f "$vmlint_bin"
 	exit 1
