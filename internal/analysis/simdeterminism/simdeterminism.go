@@ -160,7 +160,9 @@ func seededRandFix(pass *framework.Pass, call *ast.CallExpr, f *types.Func) *fra
 	}
 }
 
-// checkMapRange flags map-ordered loops that feed communication.
+// checkMapRange flags map-ordered loops that feed communication. A
+// RecvParts counts as well as the sends: it appends to a list the loop
+// builds, in the order of the loop.
 func checkMapRange(pass *framework.Pass, rng *ast.RangeStmt) {
 	tv, ok := pass.TypesInfo.Types[rng.X]
 	if !ok {
@@ -178,7 +180,7 @@ func checkMapRange(pass *framework.Pass, rng *ast.RangeStmt) {
 		if !ok {
 			return true
 		}
-		if vmlib.IsProcMethod(pass.TypesInfo, call, "Send", "SendOwned", "Exchange", "ExchangeAll", "Barrier", "BeginSpan") ||
+		if vmlib.IsProcMethod(pass.TypesInfo, call, "Send", "SendOwned", "SendOwnedParts", "RecvParts", "Exchange", "ExchangeAll", "Barrier", "BeginSpan") ||
 			vmlib.IsCollectiveCall(pass.TypesInfo, call) {
 			culprit = call
 			return false

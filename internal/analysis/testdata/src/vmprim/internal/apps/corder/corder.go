@@ -199,3 +199,30 @@ func PayloadLoop(p *hypercube.Proc) {
 		p.Recycle(got)
 	}
 }
+
+// OwnedPartsTagByRank: a message sent in parts pairs up like one sent
+// whole.
+func OwnedPartsTagByRank(p *hypercube.Proc, parts [][]float64) {
+	p.SendOwnedParts(0, p.ID(), parts) // want `SendOwnedParts argument "tag" derives from processor identity`
+}
+
+// RecvPartsDimByRank: the receiving side of the same mistake.
+func RecvPartsDimByRank(p *hypercube.Proc) [][]float64 {
+	return p.RecvParts(p.ID()&1, 3, nil) // want `RecvParts argument "d" derives from processor identity`
+}
+
+// OwnedPartsGuarded: only rank 0 sends its parts, so its neighbor's
+// receive never pairs.
+func OwnedPartsGuarded(p *hypercube.Proc, parts [][]float64) {
+	if p.ID() == 0 { // want `communication sequence diverges`
+		p.SendOwnedParts(0, 4, parts)
+	}
+	p.RecvParts(0, 4, nil)
+}
+
+// OwnedPartsPaired is fine: every processor sends its parts and
+// receives its neighbor's.
+func OwnedPartsPaired(p *hypercube.Proc, parts [][]float64) [][]float64 {
+	p.SendOwnedParts(0, 4, parts)
+	return p.RecvParts(0, 4, nil)
+}

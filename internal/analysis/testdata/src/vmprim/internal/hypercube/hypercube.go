@@ -22,6 +22,10 @@ func (p *Proc) Exchange(d, tag int, words []float64) []float64 { return nil }
 func (p *Proc) ExchangeAll(dims []int, tag int, payloads [][]float64) [][]float64 {
 	return nil
 }
+func (p *Proc) SendOwnedParts(d, tag int, parts [][]float64) {}
+func (p *Proc) RecvParts(d, wantTag int, dst [][]float64) [][]float64 {
+	return dst
+}
 func (p *Proc) Barrier(mask, tag int) {}
 func (p *Proc) Capture(buf []float64) {}
 func (p *Proc) BeginSpan(name string) {}

@@ -35,7 +35,7 @@ import (
 // schedule (see TestScheduleIndependence).
 //
 // The segment kinds and where they come from: compute (Compute), send
-// (Send, SendOwned, ExchangeAll) and route (RoutePhaseCharge) all pass
+// (Send, SendOwned, SendOwnedParts, ExchangeAll) and route (RoutePhaseCharge) all pass
 // Proc.charge and extend the chain through cpCharge; hop is a receive
 // adopting the sender's chain (cpRecv). Idle can come only from
 // cpRecv's defensive branch, a message that carried no chain, so a

@@ -1,6 +1,7 @@
 package hypercube
 
 import (
+	"slices"
 	"sync"
 
 	"vmprim/internal/costmodel"
@@ -61,7 +62,7 @@ func (mp *MachinePool) Acquire(key PoolKey) (m *Machine, hit bool, err error) {
 	for i := range mp.idle {
 		if mp.idle[i].key == key {
 			m = mp.idle[i].m
-			mp.idle = append(mp.idle[:i], mp.idle[i+1:]...)
+			mp.idle = slices.Delete(mp.idle, i, i+1)
 			mp.hits++
 			mp.mu.Unlock()
 			return m, true, nil
@@ -79,11 +80,14 @@ func (mp *MachinePool) Acquire(key PoolKey) (m *Machine, hit bool, err error) {
 func (mp *MachinePool) Release(key PoolKey, m *Machine) {
 	var evicted []*Machine
 	mp.mu.Lock()
-	mp.idle = append([]poolSlot{{key: key, m: m}}, mp.idle...)
+	// Inserted in place: once the slice has grown to the pool's
+	// capacity, a release allocates nothing.
+	mp.idle = slices.Insert(mp.idle, 0, poolSlot{key: key, m: m})
 	for len(mp.idle) > mp.cap {
-		last := mp.idle[len(mp.idle)-1]
-		mp.idle = mp.idle[:len(mp.idle)-1]
-		evicted = append(evicted, last.m)
+		last := len(mp.idle) - 1
+		evicted = append(evicted, mp.idle[last].m)
+		mp.idle[last] = poolSlot{}
+		mp.idle = mp.idle[:last]
 		mp.evictions++
 	}
 	mp.mu.Unlock()

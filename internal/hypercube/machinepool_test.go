@@ -163,3 +163,35 @@ func runBcast(m *Machine) (costmodel.Time, error) {
 		p.Recycle(buf)
 	})
 }
+
+// TestMachinePoolHitAllocatesNothing: a served run that hits the pool
+// takes its machine and puts it back without allocating, whichever
+// slot of the LRU order the machine came from.
+func TestMachinePoolHitAllocatesNothing(t *testing.T) {
+	mp := NewMachinePool(2)
+	defer mp.Close()
+	k4 := PoolKey{Dim: 2, Params: costmodel.CM2()}
+	k8 := PoolKey{Dim: 3, Params: costmodel.CM2()}
+	for _, k := range []PoolKey{k4, k8} {
+		m, _, err := mp.Acquire(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mp.Release(k, m)
+	}
+	for _, k := range []PoolKey{k4, k8} {
+		allocs := testing.AllocsPerRun(100, func() {
+			m, hit, err := mp.Acquire(k)
+			if err != nil || !hit {
+				t.Fatalf("acquire %+v: hit=%v err=%v, want a hit", k, hit, err)
+			}
+			mp.Release(k, m)
+		})
+		if allocs != 0 {
+			t.Errorf("Acquire/Release of a pooled machine allocates %.1f objects, want 0", allocs)
+		}
+	}
+	if st := mp.Stats(); st.Misses != 2 || st.Evictions != 0 || st.Idle != 2 {
+		t.Errorf("pool stats %+v, want 2 misses, no evictions, 2 idle", st)
+	}
+}

@@ -22,10 +22,12 @@ import "math/bits"
 // number of buffers in existence is the peak concurrent demand however
 // many runs the machine serves. A run has one thread (see machine.go),
 // so the stacks need no lock. The router's message buffers stay out
-// of the pool (plain make, moved with SendOwned): their sizes follow
-// the traffic pattern, not a class a later message would ask for
-// again. The router borrows only the scratch of an in-place partition,
-// and returns it before the phase's send.
+// of the pool (plain make, moved in place as the parts of one
+// SendOwnedParts message per phase): their sizes follow the traffic
+// pattern, not a class a later message would ask for again. The router
+// borrows only the scratch of an in-place partition, and returns it
+// before the phase's send. A plain Recv of a message sent in parts
+// gathers it into a pooled buffer, recycled as any received payload.
 
 // poolClasses bounds the capacity classes kept (2^27 floats = 1 GiB of
 // payload per buffer is far beyond any simulated message).

@@ -112,9 +112,10 @@ func (m *Machine) buildPostMortem(cause string, failedPid int) *flightrec.Report
 			if queued == 0 {
 				headTag, headVT = msg.tag, msg.arrive
 			}
-			m.putChain(msg.cp)
 			queued++
-			words += len(msg.words)
+			words += msg.size()
+			m.putChain(msg.cp)
+			m.putParts(msg.more)
 		}
 		if queued > 0 {
 			rep.Links = append(rep.Links, flightrec.LinkState{

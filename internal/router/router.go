@@ -26,16 +26,18 @@
 // Batch.Ask) straight into the run the router injects and read what
 // arrives from an Inbox over the delivered runs; Route and Request on
 // message lists are wrappers over the two. Between phases a processor
-// holds its runs in order, the injection run, then one arrival per
-// phase, appended and never merged. A phase's traffic that leaves from
-// one run goes to Proc.SendOwned as a capacity-clipped subslice of it,
-// partitioned in place; only traffic drawn from two or more runs is
-// copied into a new forward buffer. Routed buffers are plain
-// allocations that travel with the messages, kept neither between
-// calls nor in the machine's buffer pool, whose size classes they
-// would not ask for again. The one pooled buffer is the scratch an
-// interleaved partition stages messages through, returned before the
-// partition ends.
+// holds its runs in order, the injection run, then each phase's
+// arrivals. A phase partitions every run with leaving traffic in place
+// and sends the leaving parts, capacity-clipped subslices of their
+// runs in run order, as one message through Proc.SendOwnedParts; the
+// receiver appends them to its runs with Proc.RecvParts. Nothing is
+// copied on the way, except that arrivals that do not fit the fixed
+// number of runs a processor holds are merged into one. Routed buffers
+// are plain allocations that travel with the messages, kept neither
+// between calls nor in the machine's buffer pool, whose size classes
+// they would not ask for again. The one pooled buffer is the scratch
+// an interleaved partition stages messages through, returned before
+// the partition ends.
 package router
 
 import (
@@ -94,14 +96,18 @@ func header(w float64) (dst, n int) {
 }
 
 // held is a processor's pending traffic between phases: wire-form
-// runs in delivery order, at most one per source — the injection
-// buffer, then one arrival per phase. Runs are appended and never
-// merged: a phase compacts each run in place and drops the ones it
+// runs in delivery order — the injection buffer, then each phase's
+// arrivals, as many runs as their sender forwarded from. Runs are
+// appended and merged only when the array would overflow (see
+// receive): a phase divides each run in place and drops the ones it
 // empties, keeping the rest in order.
 type held struct {
-	runs [hypercube.MaxDim + 1][]float64
+	runs [maxRuns][]float64
 	n    int
 }
+
+// maxRuns is the number of runs a processor holds between phases.
+const maxRuns = hypercube.MaxDim + 1
 
 // push appends run unless it is empty.
 func (h *held) push(run []float64) {
@@ -296,75 +302,49 @@ func route(p *hypercube.Proc, tag int, h *held, msgs int) {
 		// forwards about half of what is pending here on average.
 		p.SpanPredict(costmodel.PredictRoute(p.Params(), p.Dim(), msgs, len(h.runs[0])-headerWords*msgs, headerWords))
 	}
+	var fwd [maxRuns][]float64
 	for i := 0; i < p.Dim(); i++ {
-		fwd, nfwd, wfwd := h.forward(p, i)
+		parts, nfwd, wfwd := h.forward(p, i, &fwd)
 		// The router charges per-phase start-up plus per-message
 		// handling on the payload volume; the link transfer itself
 		// (payload + headers) is charged by the send.
 		p.RoutePhaseCharge(nfwd, wfwd)
-		p.SendOwned(i, tag<<6|i, fwd)
-		h.push(p.Recv(i, tag<<6|i))
+		p.SendOwnedParts(i, tag<<6|i, parts)
+		// Once sent, the parts leave fwd free for the arrivals.
+		h.receive(p.RecvParts(i, tag<<6|i, fwd[:0]))
 	}
 }
 
 // forward takes out of h the messages that leave in phase i, those
 // whose destination differs from p's address in bit i, and returns
-// them in order in one wire-form buffer with their count and payload
-// words. What stays is compacted in place, in order. Traffic drawn
-// from one run leaves in that run's own memory (see split); only
-// traffic drawn from two or more runs is copied into a new buffer.
-func (h *held) forward(p *hypercube.Proc, i int) (fwd []float64, nfwd, wfwd int) {
+// them in order as parts in fwd, one per run they leave from, with
+// their count and payload words. Nothing is copied: a run that leaves
+// whole is a part as it is, and any other with leaving traffic is
+// divided in its own memory (see split). What stays is kept in order,
+// and the runs emptied are dropped.
+func (h *held) forward(p *hypercube.Proc, i int, fwd *[maxRuns][]float64) (parts [][]float64, nfwd, wfwd int) {
 	mine := p.ID() >> i & 1
-	var left [hypercube.MaxDim + 1]int // wire words leaving each run
-	from, src := 0, 0
-	for j, run := range h.runs[:h.n] {
+	n, k := 0, 0
+	for _, run := range h.runs[:h.n] {
+		f := 0 // wire words leaving run
 		for at := 0; at < len(run); {
 			dst, l := header(run[at])
 			if dst>>i&1 != mine {
 				nfwd++
 				wfwd += l
-				left[j] += headerWords + l
+				f += headerWords + l
 			}
 			at += headerWords + l
 		}
-		if left[j] > 0 {
-			from, src = from+1, j
+		switch f {
+		case 0:
+		case len(run):
+			run, fwd[k] = nil, run[:f:f]
+			k++
+		default:
+			run, fwd[k] = split(p, run, i, mine, f)
+			k++
 		}
-	}
-	switch from {
-	case 0:
-		return nil, 0, 0
-	case 1:
-		h.runs[src], fwd = split(p, h.runs[src], i, mine, left[src])
-	default:
-		fwd = make([]float64, 0, headerWords*nfwd+wfwd)
-		for j, run := range h.runs[:h.n] {
-			switch left[j] {
-			case 0:
-			case len(run):
-				fwd = append(fwd, run...)
-				h.runs[j] = nil
-			default:
-				k := 0
-				for at := 0; at < len(run); {
-					end := next(run, at)
-					if leaves(run[at], i, mine) {
-						fwd = append(fwd, run[at:end]...)
-					} else {
-						if k < at {
-							copy(run[k:], run[at:end])
-						}
-						k += end - at
-					}
-					at = end
-				}
-				h.runs[j] = run[:k]
-			}
-		}
-	}
-	// Drop the emptied runs, keeping the others in order.
-	n := 0
-	for _, run := range h.runs[:h.n] {
 		if len(run) > 0 {
 			h.runs[n] = run
 			n++
@@ -372,7 +352,32 @@ func (h *held) forward(p *hypercube.Proc, i int) (fwd []float64, nfwd, wfwd int)
 	}
 	clear(h.runs[n:h.n])
 	h.n = n
-	return fwd, nfwd, wfwd
+	return fwd[:k], nfwd, wfwd
+}
+
+// receive appends to h the runs that arrived in a phase. When they do
+// not all fit, they are merged, in order, into one run, led by h's
+// last run if h is full: the one copy the router makes.
+func (h *held) receive(arrived [][]float64) {
+	if h.n+len(arrived) <= maxRuns {
+		h.n += copy(h.runs[h.n:], arrived)
+		return
+	}
+	var last []float64
+	if h.n == maxRuns {
+		h.n--
+		last = h.runs[h.n]
+	}
+	w := len(last)
+	for _, run := range arrived {
+		w += len(run)
+	}
+	merged := append(make([]float64, 0, w), last...)
+	for _, run := range arrived {
+		merged = append(merged, run...)
+	}
+	h.runs[h.n] = merged
+	h.n++
 }
 
 // split divides run, f of whose words leave in phase i, into what
