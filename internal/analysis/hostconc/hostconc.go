@@ -25,8 +25,8 @@
 // package (any function anywhere can end up called under a lock), but
 // the family's diagnostics are scoped to the host-concurrent code:
 // internal/serve, internal/metrics, cmd/vmprimd, cmd/vmload, and the
-// machinepool.go/stream.go files of internal/hypercube — the rest of
-// the hypercube package is the virtual-time simulator, which runs a
+// machinepool.go file of internal/hypercube — the rest of the
+// hypercube package is the virtual-time simulator, which runs a
 // machine's processors as coroutines on one thread over plain memory
 // (no locks, no channels inside a run), so it has no host concurrency
 // for this family to police; the order it runs processors in is
@@ -80,8 +80,8 @@ func (*Fact) AFact() {}
 // InDiagScope reports whether the hostconc family reports diagnostics
 // for the file holding pos: the serving plane and its load driver as
 // whole packages (fixture packages beneath them included), plus the
-// host-side pool/stream files of the hypercube package. Test files
-// are excluded, as everywhere.
+// machine pool file of the hypercube package. Test files are
+// excluded, as everywhere.
 func InDiagScope(pass *framework.Pass, pos token.Pos) bool {
 	if vmlib.IsTestFile(pass.Fset, pos) {
 		return false
@@ -92,7 +92,7 @@ func InDiagScope(pass *framework.Pass, pos token.Pos) bool {
 		return true
 	case vmlib.InScope(p, vmlib.HypercubePath):
 		base := filepath.Base(pass.Fset.Position(pos).Filename)
-		return base == "machinepool.go" || base == "stream.go"
+		return base == "machinepool.go"
 	}
 	return false
 }

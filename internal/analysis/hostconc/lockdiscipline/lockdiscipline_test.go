@@ -14,8 +14,8 @@ func TestLockDiscipline(t *testing.T) {
 }
 
 // TestPoolFileScope: inside the hypercube package only machinepool.go
-// and stream.go are host-concurrent; the identical violation in
-// helper.go must stay silent.
+// is host-concurrent; the identical violation in helper.go must stay
+// silent.
 func TestPoolFileScope(t *testing.T) {
 	analysistest.Run(t, filepath.Join("..", "..", "testdata"), lockdiscipline.Analyzer,
 		"vmprim/internal/hypercube/hcpool")

@@ -1,4 +1,4 @@
-// helper.go is neither machinepool.go nor stream.go: it belongs to
+// helper.go is not machinepool.go: it belongs to
 // the simulator side of the hypercube package, where the hostconc
 // family stays silent — the identical violation here must produce no
 // finding.

@@ -1,5 +1,5 @@
 // Fixture for the family's file-level scoping inside the hypercube
-// package: only machinepool.go and stream.go are host-concurrent —
+// package: only machinepool.go is host-concurrent —
 // the rest of the package is the virtual-time simulator. This file is
 // named machinepool.go, so its findings are reported; helper.go in
 // the same package is not.

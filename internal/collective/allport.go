@@ -19,10 +19,36 @@ import (
 // one-port binomial tree's k*tau + k*n*t_c. On a one-port machine the
 // same schedule serializes and is strictly worse than Bcast — use it
 // only when Params.AllPorts is set (ablation A4 quantifies both).
+//
+// Both directions keep the pieces in slot order in one pooled buffer
+// of n words, piece j in words [j*n/k, (j+1)*n/k). A step hands
+// ExchangeAll the subcube's dimensions as they are, with the piece
+// tree j sends in the slot of the dimension tree j crosses and nil (an
+// empty message) in the others.
+
+// rotatedStep returns the port (index into the subcube's dimensions)
+// that tree j of the rotated schedule over k dimensions crosses at
+// broadcast step s, whether member r (relative to the root) holds tree
+// j's piece before the step, and whether it first receives it at the
+// step. A reduction runs the steps backwards: the first receivers send
+// and the holders combine.
+func rotatedStep(r, j, s, k int) (port int, holds, first bool) {
+	port = (j + s) % k
+	before := (1<<s - 1) << j // the rel bits tree j crossed before step s
+	before = (before | before>>k) & (1<<k - 1)
+	return port, r&^before == 0, r&^before == 1<<port
+}
+
+// piece returns slot j of buf's k equal slots.
+func piece(buf []float64, j, k int) []float64 {
+	return buf[j*len(buf)/k : (j+1)*len(buf)/k]
+}
 
 // BcastAllPort broadcasts data from the subcube member with relative
 // address rootRel using k rotated edge-disjoint binomial trees.
-// len(data) must be divisible by k (and may be zero).
+// len(data) must be divisible by k (and may be zero). Every member
+// returns its own pooled copy; a non-root learns the piece size from
+// the first piece it receives and files each piece in its slot.
 func BcastAllPort(p *hypercube.Proc, mask, tag, rootRel int, data []float64) []float64 {
 	p.BeginSpan("bcast-allport")
 	defer p.EndSpan()
@@ -36,98 +62,38 @@ func BcastAllPort(p *hypercube.Proc, mask, tag, rootRel int, data []float64) []f
 		// is recorded there (the flag would fire spuriously).
 		p.SpanPredict(costmodel.PredictBcastAllPort(p.Params(), k, len(data)))
 	}
-	if k == 0 {
-		cp := make([]float64, len(data))
-		copy(cp, data)
-		return cp
-	}
 	r := rel(p, mask) ^ rootRel
-	var n int
+	var out []float64
 	if r == 0 {
-		n = len(data)
-		if n%k != 0 {
-			panic(fmt.Sprintf("collective: BcastAllPort length %d not divisible by %d trees", n, k))
+		if k > 0 && len(data)%k != 0 {
+			panic(fmt.Sprintf("collective: BcastAllPort length %d not divisible by %d trees", len(data), k))
 		}
+		out = p.GetBuf(len(data))
+		copy(out, data)
 	}
-	// Piece j of the payload, nil while not yet received. The root
-	// holds all pieces from the start.
-	pieces := make([][]float64, k)
-	if r == 0 {
-		sz := n / k
-		for j := 0; j < k; j++ {
-			// Copy into non-nil slices: nil marks "not yet received",
-			// and zero-length pieces (n == 0) must still count as held.
-			pieces[j] = append([]float64{}, data[j*sz:(j+1)*sz]...)
-		}
-	}
-	// maskBefore[j] accumulates the rel-space bits of the dimensions
-	// tree j has already processed.
-	maskBefore := make([]int, k)
-	dims := make([]int, k)
-	payloads := make([][]float64, k)
+	var payBuf [hypercube.MaxDim][]float64
+	payloads := payBuf[:k]
 	for s := 0; s < k; s++ {
-		// Slot i of the exchange carries whatever some tree sends on
-		// physical dimension ds[i] this step; tree j uses rel-bit
-		// (j+s) mod k.
-		for i := 0; i < k; i++ {
-			dims[i] = ds[i]
-			payloads[i] = nil
-		}
-		type recvSlot struct{ tree, slot int }
-		var recvs []recvSlot
+		clear(payloads)
 		for j := 0; j < k; j++ {
-			bitIdx := (j + s) % k
-			bit := 1 << bitIdx
-			switch {
-			case r&^maskBefore[j] == 0 && pieces[j] != nil:
-				// Holder in tree j: forward the piece along this
-				// step's dimension.
-				payloads[bitIdx] = pieces[j]
-			case r&^(maskBefore[j]|bit) == 0 && r&bit != 0:
-				recvs = append(recvs, recvSlot{tree: j, slot: bitIdx})
-			}
-			maskBefore[j] |= bit
-		}
-		got := p.ExchangeAll(dims, subTag(tag, s), payloads)
-		for _, rs := range recvs {
-			if len(got[rs.slot]) > 0 || lenPieceZero(pieces, r) {
-				pieces[rs.tree] = got[rs.slot]
+			if port, holds, _ := rotatedStep(r, j, s, k); holds {
+				payloads[port] = piece(out, j, k)
 			}
 		}
-	}
-	// Reassemble. Piece sizes are uniform; learn the size from any
-	// received piece (the root knows its own).
-	sz := 0
-	for _, pc := range pieces {
-		if pc != nil {
-			sz = len(pc)
-			break
+		got := p.ExchangeAll(ds, subTag(tag, s), payloads)
+		for j := 0; j < k; j++ {
+			if port, _, first := rotatedStep(r, j, s, k); first {
+				if out == nil {
+					out = p.GetBuf(len(got[port]) * k)
+				}
+				copy(piece(out, j, k), got[port])
+			}
 		}
-	}
-	out := make([]float64, 0, sz*k)
-	for j := 0; j < k; j++ {
-		if pieces[j] == nil {
-			panic("collective: BcastAllPort missing a piece (inconsistent rootRel?)")
+		for i := range got {
+			p.Recycle(got[i])
 		}
-		out = append(out, pieces[j]...)
 	}
 	return out
-}
-
-// lenPieceZero reports whether this broadcast carries zero-length
-// pieces (empty payload), in which case an empty receive is still a
-// valid piece.
-func lenPieceZero(pieces [][]float64, r int) bool {
-	for _, pc := range pieces {
-		if pc != nil {
-			return len(pc) == 0
-		}
-	}
-	// No piece seen yet: only possible mid-broadcast for non-roots; an
-	// empty exchange result then means "no data on this slot" for
-	// nonzero-length broadcasts and "the piece" for zero-length ones.
-	// Zero-length broadcasts still deliver: treat empty as a piece.
-	return true
 }
 
 // ReduceAllPort combines data across the subcube with comb and
@@ -138,7 +104,8 @@ func lenPieceZero(pieces [][]float64, r int) bool {
 // use k distinct dimensions at every step. On the all-port machine the
 // cost is about k*tau + n*t_c (+ n flops of combining) versus the
 // binomial tree's k*tau + k*n*t_c. Non-roots return nil. len(data)
-// must be divisible by k on every member.
+// must be divisible by k on every member. Each member combines into
+// its own pooled copy of data, slot j holding piece j.
 func ReduceAllPort(p *hypercube.Proc, mask, tag, rootRel int, data []float64, comb Combiner) []float64 {
 	p.BeginSpan("reduce-allport")
 	defer p.EndSpan()
@@ -149,69 +116,39 @@ func ReduceAllPort(p *hypercube.Proc, mask, tag, rootRel int, data []float64, co
 	if p.Profiling() && p.Params().AllPorts {
 		p.SpanPredict(costmodel.PredictReduceAllPort(p.Params(), k, len(data)))
 	}
-	if k == 0 {
-		cp := make([]float64, len(data))
-		copy(cp, data)
-		return cp
-	}
-	if len(data)%k != 0 {
+	if k > 0 && len(data)%k != 0 {
 		panic(fmt.Sprintf("collective: ReduceAllPort length %d not divisible by %d trees", len(data), k))
 	}
 	r := rel(p, mask) ^ rootRel
-	sz := len(data) / k
-	pieces := make([][]float64, k)
-	for j := 0; j < k; j++ {
-		pieces[j] = append([]float64{}, data[j*sz:(j+1)*sz]...)
-	}
-	// maskBefore[j] for broadcast step s holds bits pi_j(0..s-1); the
-	// reduce runs the steps in reverse order, so precompute the masks.
-	masksAt := make([][]int, k) // masksAt[j][s]
-	for j := 0; j < k; j++ {
-		masksAt[j] = make([]int, k)
-		acc := 0
-		for s := 0; s < k; s++ {
-			masksAt[j][s] = acc
-			acc |= 1 << ((j + s) % k)
-		}
-	}
-	dims := make([]int, k)
-	payloads := make([][]float64, k)
+	acc := p.GetBuf(len(data))
+	copy(acc, data)
+	var payBuf [hypercube.MaxDim][]float64
+	payloads := payBuf[:k]
 	for s := k - 1; s >= 0; s-- {
-		for i := 0; i < k; i++ {
-			dims[i] = ds[i]
-			payloads[i] = nil
-		}
-		type recvSlot struct{ tree, slot int }
-		var recvs []recvSlot
+		clear(payloads)
 		for j := 0; j < k; j++ {
-			bitIdx := (j + s) % k
-			bit := 1 << bitIdx
-			before := masksAt[j][s]
-			switch {
-			case r&^(before|bit) == 0 && r&bit != 0:
-				// The broadcast-receiver of step s sends its
-				// accumulated piece up the tree.
-				payloads[bitIdx] = pieces[j]
-			case r&^before == 0:
-				recvs = append(recvs, recvSlot{tree: j, slot: bitIdx})
+			if port, _, first := rotatedStep(r, j, s, k); first {
+				payloads[port] = piece(acc, j, k)
 			}
 		}
-		got := p.ExchangeAll(dims, subTag(tag, s), payloads)
-		for _, rs := range recvs {
-			if len(got[rs.slot]) != len(pieces[rs.tree]) {
-				panic("collective: ReduceAllPort piece length mismatch")
+		got := p.ExchangeAll(ds, subTag(tag, s), payloads)
+		for j := 0; j < k; j++ {
+			if port, holds, _ := rotatedStep(r, j, s, k); holds {
+				pc := piece(acc, j, k)
+				if len(got[port]) != len(pc) {
+					panic("collective: ReduceAllPort piece length mismatch")
+				}
+				comb(pc, got[port])
+				p.Compute(len(pc))
 			}
-			comb(pieces[rs.tree], got[rs.slot])
-			p.Compute(len(pieces[rs.tree]))
-			p.Recycle(got[rs.slot])
+		}
+		for i := range got {
+			p.Recycle(got[i])
 		}
 	}
 	if r != 0 {
+		p.Recycle(acc)
 		return nil
 	}
-	out := make([]float64, 0, sz*k)
-	for j := 0; j < k; j++ {
-		out = append(out, pieces[j]...)
-	}
-	return out
+	return acc
 }

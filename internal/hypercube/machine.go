@@ -1059,8 +1059,7 @@ func (p *Proc) ExchangeAll(dims []int, tag int, payloads [][]float64) [][]float6
 		largest := -1
 		for i, d := range dims {
 			rewind()
-			p.chargeSend(d, len(payloads[i]))
-			p.post(d, message{words: p.pooledCopy(payloads[i]), tag: tag, arrive: p.clock})
+			p.Send(d, tag, payloads[i])
 			if largest < 0 || len(payloads[i]) > len(payloads[largest]) {
 				largest = i
 			}
