@@ -9,6 +9,7 @@ import (
 	"vmprim/internal/gray"
 	"vmprim/internal/hypercube"
 	"vmprim/internal/router"
+	"vmprim/internal/serial"
 )
 
 // Distributed tridiagonal solve by odd-even cyclic reduction — the
@@ -29,7 +30,7 @@ import (
 func SolveTridiag(mach *hypercube.Machine, a, b, c, d []float64) ([]float64, costmodel.Time, error) {
 	n := len(b)
 	if len(a) != n || len(c) != n || len(d) != n {
-		return nil, 0, fmt.Errorf("apps: SolveTridiag band lengths %d/%d/%d/%d", len(a), len(c), len(c), len(d))
+		return nil, 0, fmt.Errorf("apps: SolveTridiag band lengths %d/%d/%d/%d", len(a), len(b), len(c), len(d))
 	}
 	if n == 0 {
 		return nil, 0, nil
@@ -269,7 +270,7 @@ func SolveTridiagBatch(mach *hypercube.Machine, systems []TridiagSystem) ([][]fl
 			n := len(msg.Words) / 4
 			a, b := msg.Words[:n], msg.Words[n:2*n]
 			c, d := msg.Words[2*n:3*n], msg.Words[3*n:]
-			x, err := serialThomas(a, b, c, d)
+			x, err := serial.SolveTridiag(a, b, c, d)
 			if err != nil {
 				panic(fmt.Errorf("apps: system %d: %w", msg.Key, err))
 			}
@@ -287,35 +288,4 @@ func SolveTridiagBatch(mach *hypercube.Machine, systems []TridiagSystem) ([][]fl
 		return nil, 0, err
 	}
 	return results, elapsed, nil
-}
-
-// serialThomas is the local Thomas recurrence used by the batch solver
-// (identical arithmetic to serial.SolveTridiag, duplicated here to
-// keep the SPMD kernel self-contained and panic-based).
-func serialThomas(a, b, c, d []float64) ([]float64, error) {
-	n := len(b)
-	if n == 0 {
-		return nil, nil
-	}
-	cp := make([]float64, n)
-	dp := make([]float64, n)
-	if b[0] == 0 {
-		return nil, fmt.Errorf("zero pivot at row 0")
-	}
-	cp[0] = c[0] / b[0]
-	dp[0] = d[0] / b[0]
-	for i := 1; i < n; i++ {
-		den := b[i] - a[i]*cp[i-1]
-		if den == 0 {
-			return nil, fmt.Errorf("zero pivot at row %d", i)
-		}
-		cp[i] = c[i] / den
-		dp[i] = (d[i] - a[i]*dp[i-1]) / den
-	}
-	x := make([]float64, n)
-	x[n-1] = dp[n-1]
-	for i := n - 2; i >= 0; i-- {
-		x[i] = dp[i] - cp[i]*x[i+1]
-	}
-	return x, nil
 }

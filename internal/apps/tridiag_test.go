@@ -3,6 +3,7 @@ package apps
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"vmprim/internal/costmodel"
@@ -67,6 +68,15 @@ func TestSerialTridiagValidation(t *testing.T) {
 	}
 	if x, err := serial.SolveTridiag(nil, nil, nil, nil); err != nil || x != nil {
 		t.Fatal("empty system mishandled")
+	}
+}
+
+func TestDistributedTridiagValidation(t *testing.T) {
+	m := hypercube.MustNew(2, costmodel.CM2())
+	one := func(n int) []float64 { return make([]float64, n) }
+	_, _, err := SolveTridiag(m, one(3), one(3), one(2), one(3))
+	if err == nil || !strings.Contains(err.Error(), "3/3/2/3") {
+		t.Fatalf("b/c length mismatch: err = %v, want the four lengths 3/3/2/3", err)
 	}
 }
 

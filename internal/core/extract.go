@@ -116,9 +116,10 @@ func (e *Env) sendAlong(mask, fromRel, toRel int, data []float64) []float64 {
 		//lint:allow collorder hop-by-hop relay: cur and next are the two endpoints of one e-cube edge, so the Send and the Recv are the matched halves of a single transfer and the partners agree by construction of the route
 		switch myRel {
 		case cur:
-			e.P.Send(d, tag, buf)
 			if owned {
-				e.P.Recycle(buf)
+				e.P.SendOwned(d, tag, buf)
+			} else {
+				e.P.Send(d, tag, buf)
 			}
 			buf = nil
 		case next:

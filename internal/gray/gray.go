@@ -26,13 +26,6 @@ func Decode(g int) int {
 	return i
 }
 
-// ChangeBit returns the index of the bit that changes between the Gray
-// codes of i and i+1. For the binary-reflected code this is the number
-// of trailing ones of i, equivalently the lowest set bit of i+1.
-func ChangeBit(i int) int {
-	return bits.TrailingZeros(uint(i + 1))
-}
-
 // Log2 returns the base-2 logarithm of the power of two n.
 // It panics if n is not a positive power of two: cube sizes, grid
 // extents and block counts in this library are powers of two by
@@ -42,19 +35,6 @@ func Log2(n int) int {
 		panic("gray: Log2 of non-power-of-two")
 	}
 	return bits.TrailingZeros(uint(n))
-}
-
-// IsPow2 reports whether n is a positive power of two.
-func IsPow2(n int) bool {
-	return n > 0 && n&(n-1) == 0
-}
-
-// CeilPow2 returns the smallest power of two >= n (n >= 1).
-func CeilPow2(n int) int {
-	if n <= 1 {
-		return 1
-	}
-	return 1 << bits.Len(uint(n-1))
 }
 
 // CeilLog2 returns ceil(log2(n)) for n >= 1.

@@ -40,15 +40,6 @@ func TestEncodeIsPermutation(t *testing.T) {
 	}
 }
 
-func TestChangeBit(t *testing.T) {
-	for i := 0; i < 1<<12; i++ {
-		want := bits.TrailingZeros(uint(Encode(i) ^ Encode(i+1)))
-		if got := ChangeBit(i); got != want {
-			t.Fatalf("ChangeBit(%d) = %d, want %d", i, got, want)
-		}
-	}
-}
-
 func TestEncodeDecodeQuick(t *testing.T) {
 	f := func(x uint16) bool { return Decode(Encode(int(x))) == int(x) }
 	if err := quick.Check(f, nil); err != nil {
@@ -71,29 +62,6 @@ func TestLog2(t *testing.T) {
 			}()
 			Log2(bad)
 		}()
-	}
-}
-
-func TestIsPow2(t *testing.T) {
-	cases := map[int]bool{
-		-8: false, -1: false, 0: false, 1: true, 2: true, 3: false,
-		4: true, 6: false, 8: true, 1 << 20: true, 1<<20 + 1: false,
-	}
-	for n, want := range cases {
-		if got := IsPow2(n); got != want {
-			t.Errorf("IsPow2(%d) = %v, want %v", n, got, want)
-		}
-	}
-}
-
-func TestCeilPow2(t *testing.T) {
-	cases := map[int]int{
-		0: 1, 1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 9: 16, 16: 16, 17: 32, 1000: 1024,
-	}
-	for n, want := range cases {
-		if got := CeilPow2(n); got != want {
-			t.Errorf("CeilPow2(%d) = %d, want %d", n, got, want)
-		}
 	}
 }
 

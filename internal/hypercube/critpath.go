@@ -23,23 +23,23 @@ import (
 // receiver's own chain, which both breaks ties deterministically and
 // avoids inventing hops that carry no time.
 //
-// A chain is a struct: four class cells that always sum to the clock,
-// hop and drop counts, per-dimension transfer cells, a bounded ring of
-// displayable chain segments (the flight-recorder pattern — the
-// aggregate cells stay exact when the ring drops old segments), and
-// one 4-cell block per discovered span node attributing the chain to
-// named spans. Snapshots come from the machine's chain free list: a
-// sender takes one, the message carries it, and the receiver either
-// adopts it (returning its own old chain) or returns it. Everything is
-// virtual time, so the recorded path is bit-identical under every
-// schedule (see TestScheduleIndependence).
+// A chain is a struct: a clock split (obs.Buckets) that always sums to
+// the clock, hop and drop counts, per-dimension transfer cells, a
+// bounded ring of displayable chain segments (the flight-recorder
+// pattern — the aggregate cells stay exact when the ring drops old
+// segments), and one clock split per discovered span node attributing
+// the chain to named spans. Snapshots come from the machine's chain
+// free list: a sender takes one, the message carries it, and the
+// receiver either adopts it (returning its own old chain) or returns
+// it. Everything is virtual time, so the recorded path is bit-identical
+// under every schedule (see TestScheduleIndependence).
 //
 // The segment kinds and where they come from: compute (Compute), send
 // (Send, SendOwned, SendOwnedParts, ExchangeAll) and route (RoutePhaseCharge) all pass
 // Proc.charge and extend the chain through cpCharge; hop is a receive
 // adopting the sender's chain (cpRecv). Idle can come only from
 // cpRecv's defensive branch, a message that carried no chain, so a
-// chain recorded within one machine has none. The idle cells and the
+// chain recorded within one machine has none. The idle class and the
 // exported idle_us fields stay: they keep the class sum exact on
 // that branch.
 
@@ -64,18 +64,17 @@ type chainSeg struct {
 }
 
 // chain is one processor's chain-attribution record. cat and every span
-// block split time by class in obs.Buckets order (compute, start-up,
-// transfer, idle); the cat cells always sum to the owning processor's
+// block split time by class; cat always sums to the owning processor's
 // clock (buildCritPath reports the residual as SkewUs).
 type chain struct {
-	cat           [4]costmodel.Time
+	cat           obs.Buckets
 	hops, dropped int
 	byDim         [MaxDim]costmodel.Time
 	// segs is the ring of the newest segments: n live ones starting at
 	// slot head, the oldest overwritten first.
 	segs    [32]chainSeg
 	head, n int
-	spans   [][4]costmodel.Time
+	spans   []obs.Buckets
 }
 
 // reset clears the chain for a new run, keeping its span capacity.
@@ -90,20 +89,16 @@ func (c *chain) copyFrom(src *chain) {
 	c.spans = append(spans, src.spans...)
 }
 
-// add extends the class cells by t and credits node's span block
+// add extends the clock split by t and credits node's span block
 // (node >= 0). Span blocks grow lazily as nodes are discovered —
 // amortized allocation-free across runs, like the span recorder itself.
-func (c *chain) add(node int, t [4]costmodel.Time) {
-	for i := range t {
-		c.cat[i] += t[i]
-	}
+func (c *chain) add(node int, t obs.Buckets) {
+	c.cat.Add(t)
 	if node >= 0 {
 		for len(c.spans) <= node {
-			c.spans = append(c.spans, [4]costmodel.Time{})
+			c.spans = append(c.spans, obs.Buckets{})
 		}
-		for i := range t {
-			c.spans[node][i] += t[i]
-		}
+		c.spans[node].Add(t)
 	}
 }
 
@@ -165,7 +160,7 @@ func (p *Proc) cpCharge(kind, dim int, comp, su, xf costmodel.Time) {
 		return
 	}
 	node, _ := p.openSpan()
-	p.cp.add(node, [4]costmodel.Time{comp, su, xf, 0})
+	p.cp.add(node, obs.Buckets{Compute: comp, Startup: su, Transfer: xf})
 	if dim >= 0 {
 		p.cp.byDim[dim] += xf
 	}
@@ -191,7 +186,7 @@ func (p *Proc) cpRecv(msg *message, d int) {
 			// No chain travelled with the message (cannot happen within
 			// one machine; defensive): account the gap as idle so the
 			// invariant holds.
-			p.cp.add(node, [4]costmodel.Time{3: msg.arrive - p.clock})
+			p.cp.add(node, obs.Buckets{Idle: msg.arrive - p.clock})
 			p.cpSeg(node, cpKindIdle, -1, p.clock, msg.arrive)
 		}
 	}
@@ -226,11 +221,6 @@ func qualSpanNames(ps *profState) []string {
 	return out
 }
 
-// buckets reads a chain's class cells as obs.Buckets.
-func buckets(t [4]costmodel.Time) obs.Buckets {
-	return obs.Buckets{Compute: t[0], Startup: t[1], Transfer: t[2], Idle: t[3]}
-}
-
 // buildCritPath decodes the chain of processor end, the one whose clock
 // is the makespan, into the exported obs.CritPath and assembles the
 // conformance report. It runs once per Run after every processor has
@@ -242,13 +232,13 @@ func (m *Machine) buildCritPath(end int) *obs.CritPath {
 	cp := &obs.CritPath{
 		Dim: m.dim, P: m.p, EndProc: end, Makespan: m.elapsed,
 		Threshold:    obs.DefaultConformanceThreshold,
-		Buckets:      buckets(c.cat),
+		Buckets:      c.cat,
 		Hops:         c.hops,
 		ChainDropped: c.dropped,
 		ByDim:        append(make([]costmodel.Time, 0, m.dim), c.byDim[:m.dim]...),
 	}
 	for _, pr := range m.procs {
-		s := float64(buckets(pr.cp.cat).Total() - pr.clock)
+		s := float64(pr.cp.cat.Total() - pr.clock)
 		if s < 0 {
 			s = -s
 		}
@@ -278,8 +268,7 @@ func (m *Machine) buildCritPath(end int) *obs.CritPath {
 	}
 
 	var attributed obs.Buckets
-	for nd, blk := range c.spans {
-		b := buckets(blk)
+	for nd, b := range c.spans {
 		if b.Total() == 0 {
 			continue
 		}
@@ -287,12 +276,7 @@ func (m *Machine) buildCritPath(end int) *obs.CritPath {
 		attributed.Add(b)
 	}
 	obs.SortSpansByShare(cp.Spans)
-	cp.Other = obs.Buckets{
-		Compute:  cp.Buckets.Compute - attributed.Compute,
-		Startup:  cp.Buckets.Startup - attributed.Startup,
-		Transfer: cp.Buckets.Transfer - attributed.Transfer,
-		Idle:     cp.Buckets.Idle - attributed.Idle,
-	}
+	cp.Other = cp.Buckets.Since(attributed)
 
 	m.buildConformance(cp, c, qual)
 	return cp
@@ -327,7 +311,7 @@ func (m *Machine) buildConformance(cp *obs.CritPath, c *chain, qual []string) {
 		}
 		var share float64
 		if nd < len(c.spans) && cp.Makespan > 0 {
-			share = float64(buckets(c.spans[nd]).Total()) / float64(cp.Makespan)
+			share = float64(c.spans[nd].Total()) / float64(cp.Makespan)
 		}
 		name := ""
 		if nd < len(qual) {

@@ -296,22 +296,9 @@ func (e *engine) shutdown() {
 // TestLinkCapScalesWithDimension fail there by design.
 func linkCap(dim int) int { return 4 * (dim + 1) }
 
-// Stats aggregates communication and arithmetic counters over one Run.
-type Stats struct {
-	// Messages is the total number of link messages sent.
-	Messages int64
-	// Words is the total number of 64-bit words transferred over links.
-	Words int64
-	// Flops is the total number of local floating-point operations.
-	Flops int64
-}
-
-// Add accumulates other into s.
-func (s *Stats) Add(other Stats) {
-	s.Messages += other.Messages
-	s.Words += other.Words
-	s.Flops += other.Flops
-}
+// Stats aggregates communication and arithmetic counters over one Run:
+// the same record each processor keeps, summed over the machine.
+type Stats = obs.Counts
 
 // MaxDim is the largest dimension New accepts.
 const MaxDim = 20
@@ -455,7 +442,7 @@ func (m *Machine) Run(body func(*Proc)) (costmodel.Time, error) {
 		if pr.clock > m.elapsed {
 			m.elapsed, end = pr.clock, i
 		}
-		m.stats.Add(Stats{Messages: pr.nMsgs, Words: pr.nWords, Flops: pr.nFlops})
+		m.stats.Add(pr.counts)
 	}
 	if m.stream != nil {
 		m.emitRunSummary(m.stream, float64(m.elapsed))
@@ -520,7 +507,7 @@ func (p *Proc) runBody() {
 // resetForRun clears the processor's per-run state.
 func (p *Proc) resetForRun() {
 	p.clock = 0
-	p.nMsgs, p.nWords, p.nFlops = 0, 0, 0
+	p.counts = Stats{}
 	p.tComp, p.tStart, p.tXfer = 0, 0, 0
 	for d := range p.linkWords {
 		p.linkWords[d] = 0
@@ -608,16 +595,15 @@ type Proc struct {
 	parked   *link
 	panicked any
 
-	nMsgs  int64
-	nWords int64
-	nFlops int64
+	counts Stats
 	trace  []obs.LinkEvent // its sends on processor 0's links (see EnableTrace)
 
 	// Always-on attribution counters: the clock split into compute /
-	// start-up / transfer (idle is derived as clock minus their sum),
-	// advanced with the clock by charge, and the words posted per
+	// start-up / transfer, advanced with the clock by charge and read
+	// as one obs.Buckets through split, and the words posted per
 	// outgoing link. A few adds per operation; never allocated on the
-	// hot path.
+	// hot path. The split stays three flat fields because charge, which
+	// advances two of them, must stay within the inliner's budget.
 	tComp, tStart, tXfer costmodel.Time
 	linkWords            []int64
 
@@ -702,7 +688,7 @@ func (p *Proc) Compute(flops int) {
 	if flops < 0 {
 		panic("hypercube: negative flop count")
 	}
-	p.nFlops += int64(flops)
+	p.counts.Flops += int64(flops)
 	c := p.m.params.FlopCost(flops)
 	p.tComp += c
 	p.charge(c, c, 0, 0, cpKindCompute, -1)
@@ -722,6 +708,12 @@ func (p *Proc) charge(cost, comp, su, xf costmodel.Time, kind, dim int) {
 	if p.crit {
 		p.cpCharge(kind, dim, comp, su, xf)
 	}
+}
+
+// split returns the clock split so far. Idle is not accumulated (it
+// reads zero); obs.Buckets.WithIdle derives it from a clock.
+func (p *Proc) split() obs.Buckets {
+	return obs.Buckets{Compute: p.tComp, Startup: p.tStart, Transfer: p.tXfer}
 }
 
 // chargeSend charges the send of n words on dimension d.
@@ -809,8 +801,8 @@ func (p *Proc) pooledCopy(words []float64) []float64 {
 // neighbor's inbound link along dimension d.
 func (p *Proc) post(d int, msg message) {
 	n := msg.size()
-	p.nMsgs++
-	p.nWords += int64(n)
+	p.counts.Messages++
+	p.counts.Words += int64(n)
 	p.linkWords[d] += int64(n)
 	dst := p.id ^ (1 << d)
 	if (dst == 0 || p.id == 0) && len(p.trace) < p.m.traceLimit && p.m.profEnabled {

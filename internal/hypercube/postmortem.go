@@ -62,12 +62,7 @@ func (m *Machine) buildPostMortem(cause string, failedPid int) *flightrec.Report
 		ps.ID = pid
 		ps.ClockUs = float64(pr.clock)
 		ps.BehindUs = float64(m.elapsed - pr.clock)
-		ps.Buckets = obs.Buckets{
-			Compute:  pr.tComp,
-			Startup:  pr.tStart,
-			Transfer: pr.tXfer,
-			Idle:     pr.clock - pr.tComp - pr.tStart - pr.tXfer,
-		}
+		ps.Buckets = pr.split().WithIdle(pr.clock)
 		if pr.waitKind != flightrec.WaitNone {
 			ps.Wait = pr.waitKind.String()
 			ps.WaitDim = pr.waitDim

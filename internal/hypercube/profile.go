@@ -33,10 +33,10 @@ func profInstProc(id int) bool { return id&(id-1) == 0 }
 type spanFrame struct {
 	node  int
 	begin costmodel.Time
-	// Snapshots of the bucket and stat accumulators at BeginSpan;
+	// Snapshots of the clock split and the counters at BeginSpan;
 	// EndSpan turns them into inclusive deltas.
-	comp, start, xfer  costmodel.Time
-	msgs, words, flops int64
+	split  obs.Buckets
+	counts obs.Counts
 	// childIncl accumulates the inclusive time of completed direct
 	// children, giving the exclusive time without a second pass.
 	childIncl costmodel.Time
@@ -102,10 +102,10 @@ func (p *Proc) BeginSpan(name string) {
 		p.emitSpanOpen(name, len(ps.stack))
 	}
 	ps.stack = append(ps.stack, spanFrame{
-		node:  node,
-		begin: p.clock,
-		comp:  p.tComp, start: p.tStart, xfer: p.tXfer,
-		msgs: p.nMsgs, words: p.nWords, flops: p.nFlops,
+		node:   node,
+		begin:  p.clock,
+		split:  p.split(),
+		counts: p.counts,
 	})
 }
 
@@ -127,12 +127,8 @@ func (p *Proc) EndSpan() {
 	a.Count++
 	a.Incl += incl
 	a.Excl += incl - f.childIncl
-	a.Compute += p.tComp - f.comp
-	a.Startup += p.tStart - f.start
-	a.Transfer += p.tXfer - f.xfer
-	a.Msgs += p.nMsgs - f.msgs
-	a.Words += p.nWords - f.words
-	a.Flops += p.nFlops - f.flops
+	a.Buckets.Add(p.split().Since(f.split))
+	a.Counts.Add(p.counts.Since(f.counts))
 	if profInstProc(p.id) {
 		ps.inst = append(ps.inst, obs.Instance{Node: f.node, Begin: f.begin, End: p.clock})
 	}
@@ -225,19 +221,19 @@ func (m *Machine) EnableTrace(limit int) { m.traceLimit = limit }
 func (m *Machine) Profile() *obs.Profile { return m.profile }
 
 // buildProfile assembles the obs.Profile after a successful profiled
-// run.
+// run. obs.Build only reads the span tables, so they are handed over
+// as they are; the instance logs end up in the Profile, which must
+// outlive the next run, so those are copied.
 func (m *Machine) buildProfile() *obs.Profile {
 	procs := make([]obs.ProcData, m.p)
 	for pid, pr := range m.procs {
-		pd := &procs[pid]
-		pd.Clock = pr.clock
-		pd.Compute, pd.Startup, pd.Transfer = pr.tComp, pr.tStart, pr.tXfer
-		pd.Msgs, pd.Words, pd.Flops = pr.nMsgs, pr.nWords, pr.nFlops
 		ps := &pr.ps
-		pd.Meta = append([]obs.NodeMeta(nil), ps.nodes...)
-		pd.Stats = append([]obs.NodeStats(nil), ps.agg...)
+		procs[pid] = obs.ProcData{
+			Clock: pr.clock, Buckets: pr.split(), Counts: pr.counts,
+			Meta: ps.nodes, Stats: ps.agg,
+		}
 		if len(ps.inst) > 0 {
-			pd.Instances = append([]obs.Instance(nil), ps.inst...)
+			procs[pid].Instances = append([]obs.Instance(nil), ps.inst...)
 		}
 	}
 	return obs.Build(m.dim, procs, m.flowEvents(), m.linkLoads(0))

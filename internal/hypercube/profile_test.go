@@ -155,8 +155,8 @@ func TestProfileSpanTree(t *testing.T) {
 			float64(outer.Incl), float64(outer.Excl), float64(ex.Incl))
 	}
 	// All messages were sent inside the exchange span.
-	if ex.Msgs != int64(m.P()*m.Dim()) {
-		t.Fatalf("exchange msgs = %d, want %d", ex.Msgs, m.P()*m.Dim())
+	if ex.Messages != int64(m.P()*m.Dim()) {
+		t.Fatalf("exchange msgs = %d, want %d", ex.Messages, m.P()*m.Dim())
 	}
 	if outer.Excl <= 0 {
 		t.Fatal("outer exclusive time should cover its own compute")
@@ -230,6 +230,65 @@ func TestChromeTraceFlowsGolden(t *testing.T) {
 		if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != c.sha {
 			t.Errorf("maxProcs %d: trace SHA-256 %s, want %s; trace:\n%s", c.maxProcs, got, c.sha, buf.Bytes())
 		}
+	}
+}
+
+// TestProfileSnapshotSurvivesLaterRuns pins what Profile and CritPath
+// promise, that the value returned stays valid across later runs: the
+// machine reuses its span recorder's tables from run to run, so a
+// profile must not share them. The first run's documents must render
+// the same bytes after three runs with other span trees.
+func TestProfileSnapshotSurvivesLaterRuns(t *testing.T) {
+	m := MustNew(3, costmodel.CM2())
+	defer m.Close()
+	m.EnableProfile(true)
+	m.EnableTrace(4096)
+	m.EnableCritPath(true)
+	if _, err := m.Run(profiledPingPong); err != nil {
+		t.Fatal(err)
+	}
+	pf, cp := m.Profile(), m.CritPath()
+	render := func() []byte {
+		var buf bytes.Buffer
+		if err := pf.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := pf.ChromeTrace(&buf, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := cp.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	want := render()
+
+	nested := func(p *Proc) {
+		for _, name := range []string{"exchange", "outer", "third"} {
+			p.BeginSpan(name)
+			p.SpanNote("later run")
+			p.Compute(3 + p.ID())
+		}
+		p.Recycle(p.Exchange(0, 5, []float64{1, 2, 3}))
+		for range 3 {
+			p.EndSpan()
+		}
+	}
+	phases := func(p *Proc) {
+		for d := 0; d < p.Dim(); d++ {
+			p.BeginSpan(fmt.Sprintf("phase%d", d))
+			p.Compute(7 * (d + 1))
+			p.Recycle(p.Exchange(d, 30+d, make([]float64, d+2)))
+			p.EndSpan()
+		}
+	}
+	for _, body := range []func(*Proc){flowProgram, nested, phases} {
+		if _, err := m.Run(body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := render(); !bytes.Equal(got, want) {
+		t.Fatalf("the first run's documents changed after later runs:\nbefore:\n%s\nafter:\n%s", want, got)
 	}
 }
 

@@ -135,19 +135,11 @@ func (cp *CritPath) Check() error {
 	for _, s := range cp.Spans {
 		sum.Add(s.Buckets)
 	}
-	for _, d := range []costmodel.Time{
-		sum.Compute - cp.Buckets.Compute,
-		sum.Startup - cp.Buckets.Startup,
-		sum.Transfer - cp.Buckets.Transfer,
-		sum.Idle - cp.Buckets.Idle,
-	} {
-		if d < -eps || d > eps {
-			return fmt.Errorf("obs: critical path span attribution %+v does not reproduce buckets %+v",
-				sum, cp.Buckets)
-		}
+	if sum.Since(cp.Buckets).below(-eps) || cp.Buckets.Since(sum).below(-eps) {
+		return fmt.Errorf("obs: critical path span attribution %+v does not reproduce buckets %+v",
+			sum, cp.Buckets)
 	}
-	if cp.Other.Compute < -eps || cp.Other.Startup < -eps ||
-		cp.Other.Transfer < -eps || cp.Other.Idle < -eps {
+	if cp.Other.below(-eps) {
 		return fmt.Errorf("obs: critical path unattributed residue is negative: %+v", cp.Other)
 	}
 	prev := costmodel.Time(-1)
@@ -267,7 +259,9 @@ func (cp *CritPath) writeJW(j *jw) {
 	j.key("p").int(int64(cp.P))
 	j.key("end_proc").int(int64(cp.EndProc))
 	j.key("makespan_us").float(float64(cp.Makespan))
-	j.key("buckets_us").buckets(cp.Buckets)
+	j.key("buckets_us").beginObject()
+	j.bucketFields(cp.Buckets, 1)
+	j.endObject()
 	j.key("hops").int(int64(cp.Hops))
 	j.key("skew_us").float(cp.SkewUs)
 	j.key("transfer_by_dim_us").beginArray()
@@ -285,10 +279,7 @@ func (cp *CritPath) writeJW(j *jw) {
 	for _, s := range cp.Spans {
 		j.elem().beginObject()
 		j.key("name").str(s.Name)
-		j.key("compute_us").float(float64(s.Buckets.Compute))
-		j.key("startup_us").float(float64(s.Buckets.Startup))
-		j.key("transfer_us").float(float64(s.Buckets.Transfer))
-		j.key("idle_us").float(float64(s.Buckets.Idle))
+		j.bucketFields(s.Buckets, 1)
 		j.key("total_us").float(float64(s.Total()))
 		j.key("share").float(share(s.Total()))
 		j.endObject()

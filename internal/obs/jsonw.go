@@ -148,15 +148,13 @@ func (j *jw) float(f float64) {
 	}
 }
 
-// buckets writes the four attribution classes under Buckets' JSON
-// names.
-func (j *jw) buckets(b Buckets) {
-	j.beginObject()
-	j.key("compute_us").float(float64(b.Compute))
-	j.key("startup_us").float(float64(b.Startup))
-	j.key("transfer_us").float(float64(b.Transfer))
-	j.key("idle_us").float(float64(b.Idle))
-	j.endObject()
+// bucketFields writes the four attribution classes, each times scale,
+// as fields of the open object under Buckets' JSON names.
+func (j *jw) bucketFields(b Buckets, scale float64) {
+	j.key("compute_us").float(float64(b.Compute) * scale)
+	j.key("startup_us").float(float64(b.Startup) * scale)
+	j.key("transfer_us").float(float64(b.Transfer) * scale)
+	j.key("idle_us").float(float64(b.Idle) * scale)
 }
 
 // appendJSONFloat appends f as encoding/json writes a float64: the

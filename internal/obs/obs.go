@@ -13,17 +13,24 @@
 //
 // # Attribution model
 //
-// Every processor's virtual clock is decomposed into four disjoint
-// buckets. Compute is time spent in local arithmetic (Proc.Compute).
-// Startup is the fixed per-message cost tau (CommStartup, and the
-// router's RouteStartup plus per-message handling). Transfer is the
-// per-word volume cost (n*CommPerWord, n*RoutePerWord). Idle is
-// everything else: time the clock was advanced waiting for a message
-// that had not yet arrived. Idle is derived as clock minus the other
-// three, which makes the reconciliation "bucket sums equal the final
-// clock" exact by construction; with the integer-valued parameter
-// presets every sum is exact in float64, so the identity holds
-// digit-for-digit.
+// Every processor's virtual clock is decomposed into the four disjoint
+// classes of Buckets. Compute is time spent in local arithmetic
+// (Proc.Compute). Startup is the fixed per-message cost tau
+// (CommStartup, and the router's RouteStartup plus per-message
+// handling). Transfer is the per-word volume cost (n*CommPerWord,
+// n*RoutePerWord). Idle is everything else: time the clock was advanced
+// waiting for a message that had not yet arrived. Idle is derived as
+// clock minus the other three (Buckets.WithIdle), which makes the
+// reconciliation "bucket sums equal the final clock" exact by
+// construction; with the integer-valued parameter presets every sum is
+// exact in float64, so the identity holds digit-for-digit. Beside its
+// clock, every processor counts messages, words and flops in a Counts.
+//
+// Buckets and Counts are the one record of what a processor measures.
+// The machine's run totals (hypercube.Stats is Counts), the span
+// recorder's snapshots and deltas, the critical-path chain and the
+// post-mortem all hold these two types, so a new counter is one new
+// field.
 //
 // # Span model
 //
@@ -71,6 +78,56 @@ func (b *Buckets) Add(o Buckets) {
 	b.Idle += o.Idle
 }
 
+// Since returns what b accumulated after the snapshot then.
+func (b Buckets) Since(then Buckets) Buckets {
+	return Buckets{
+		Compute:  b.Compute - then.Compute,
+		Startup:  b.Startup - then.Startup,
+		Transfer: b.Transfer - then.Transfer,
+		Idle:     b.Idle - then.Idle,
+	}
+}
+
+// WithIdle returns b with Idle derived as total minus the other three
+// classes, so that the four sum to total.
+func (b Buckets) WithIdle(total costmodel.Time) Buckets {
+	b.Idle = total - b.Compute - b.Startup - b.Transfer
+	return b
+}
+
+// below reports whether any class of b is below x.
+func (b Buckets) below(x costmodel.Time) bool {
+	return b.Compute < x || b.Startup < x || b.Transfer < x || b.Idle < x
+}
+
+// Counts is what a processor counts beside its clock: link messages
+// sent, words posted on links and local floating-point operations.
+// hypercube.Stats is this type.
+type Counts struct {
+	// Messages is the number of link messages sent.
+	Messages int64
+	// Words is the number of 64-bit words transferred over links.
+	Words int64
+	// Flops is the number of local floating-point operations.
+	Flops int64
+}
+
+// Add accumulates o into c.
+func (c *Counts) Add(o Counts) {
+	c.Messages += o.Messages
+	c.Words += o.Words
+	c.Flops += o.Flops
+}
+
+// Since returns what c counted after the snapshot then.
+func (c Counts) Since(then Counts) Counts {
+	return Counts{
+		Messages: c.Messages - then.Messages,
+		Words:    c.Words - then.Words,
+		Flops:    c.Flops - then.Flops,
+	}
+}
+
 // NodeMeta is the structural description of one span node (a unique
 // path in the span tree), identical on every processor.
 type NodeMeta struct {
@@ -91,14 +148,14 @@ type NodeStats struct {
 	// Incl is the summed inclusive virtual time; Excl subtracts the
 	// inclusive time of child spans.
 	Incl, Excl costmodel.Time
-	// Compute, Startup and Transfer are the inclusive bucket deltas;
-	// idle is derived as Incl minus their sum.
-	Compute, Startup, Transfer costmodel.Time
 	// Pred is the cost model's predicted time accumulated with
 	// SpanPredict (zero for spans that record no prediction).
 	Pred costmodel.Time
-	// Msgs, Words and Flops are inclusive Stats deltas.
-	Msgs, Words, Flops int64
+	// Buckets holds the inclusive compute, start-up and transfer
+	// deltas; Build derives idle from Incl.
+	Buckets
+	// Counts holds the inclusive counter deltas.
+	Counts
 }
 
 // Instance is one timed occurrence of a span on one processor, kept
@@ -115,18 +172,19 @@ type Instance struct {
 type ProcData struct {
 	// Clock is the processor's final virtual time.
 	Clock costmodel.Time
-	// Compute, Startup and Transfer are the whole-run bucket
-	// accumulators; idle is derived as Clock minus their sum.
-	Compute, Startup, Transfer costmodel.Time
-	// Msgs, Words and Flops are the whole-run counters.
-	Msgs, Words, Flops int64
+	// Buckets holds the whole-run compute, start-up and transfer
+	// accumulators; Build derives idle from Clock.
+	Buckets
+	// Counts holds the whole-run counters.
+	Counts
 	// Meta is the span structure this processor discovered; Build
-	// verifies it is identical to processor 0's.
+	// verifies it is identical to processor 0's. Build reads Meta and
+	// Stats but keeps neither, so a producer may hand over its own.
 	Meta []NodeMeta
 	// Stats are the per-node aggregates, indexed like Meta.
 	Stats []NodeStats
 	// Instances is the per-occurrence log (only exported
-	// processors keep one; empty elsewhere).
+	// processors keep one; empty elsewhere). The Profile keeps it.
 	Instances []Instance
 }
 
@@ -170,9 +228,8 @@ type Span struct {
 	Pred, MaxPred costmodel.Time
 	// Buckets attributes the inclusive time (summed over processors).
 	Buckets Buckets
-	// Msgs, Words and Flops are inclusive counter deltas summed over
-	// processors.
-	Msgs, Words, Flops int64
+	// Counts holds the inclusive counter deltas summed over processors.
+	Counts
 	// Children are the nested spans in first-seen order.
 	Children []*Span
 }
@@ -189,8 +246,8 @@ type Profile struct {
 	// time (maximum clock).
 	Dim, P  int
 	Elapsed costmodel.Time
-	// Msgs, Words and Flops are the whole-run machine totals.
-	Msgs, Words, Flops int64
+	// Counts holds the whole-run machine totals.
+	Counts
 	// Clocks holds every processor's final virtual clock.
 	Clocks []costmodel.Time
 	// ProcTotals holds every processor's whole-run bucket split; the
@@ -267,17 +324,12 @@ func Build(dim int, procs []ProcData, events []LinkEvent, links []LinkLoad) *Pro
 	}
 	for pid := range procs {
 		pd := &procs[pid]
-		idle := pd.Clock - pd.Compute - pd.Startup - pd.Transfer
 		pf.Clocks[pid] = pd.Clock
-		pf.ProcTotals[pid] = Buckets{
-			Compute: pd.Compute, Startup: pd.Startup, Transfer: pd.Transfer, Idle: idle,
-		}
+		pf.ProcTotals[pid] = pd.Buckets.WithIdle(pd.Clock)
 		if pd.Clock > pf.Elapsed {
 			pf.Elapsed = pd.Clock
 		}
-		pf.Msgs += pd.Msgs
-		pf.Words += pd.Words
-		pf.Flops += pd.Flops
+		pf.Counts.Add(pd.Counts)
 
 		var topIncl costmodel.Time
 		for i := range pd.Stats {
@@ -292,13 +344,8 @@ func Build(dim int, procs []ProcData, events []LinkEvent, links []LinkLoad) *Pro
 			}
 			nd.Incl += st.Incl
 			nd.Excl += st.Excl
-			nd.Buckets.Compute += st.Compute
-			nd.Buckets.Startup += st.Startup
-			nd.Buckets.Transfer += st.Transfer
-			nd.Buckets.Idle += st.Incl - st.Compute - st.Startup - st.Transfer
-			nd.Msgs += st.Msgs
-			nd.Words += st.Words
-			nd.Flops += st.Flops
+			nd.Buckets.Add(st.Buckets.WithIdle(st.Incl))
+			nd.Counts.Add(st.Counts)
 			if st.Incl > nd.MaxIncl {
 				nd.MaxIncl = st.Incl
 			}
@@ -318,7 +365,7 @@ func Build(dim int, procs []ProcData, events []LinkEvent, links []LinkLoad) *Pro
 		}
 	}
 	root.MaxIncl = pf.Elapsed
-	root.Msgs, root.Words, root.Flops = pf.Msgs, pf.Words, pf.Flops
+	root.Counts = pf.Counts
 	return pf
 }
 
@@ -379,8 +426,7 @@ func (pf *Profile) Check() error {
 			return fmt.Errorf("obs: span %q inclusive %.6f < children exclusive %.6f",
 				s.Name, float64(s.Incl), float64(childExcl))
 		}
-		if s.Buckets.Compute < -eps || s.Buckets.Startup < -eps ||
-			s.Buckets.Transfer < -eps || s.Buckets.Idle < -eps {
+		if s.Buckets.below(-eps) {
 			return fmt.Errorf("obs: span %q has a negative bucket: %+v", s.Name, s.Buckets)
 		}
 		return nil

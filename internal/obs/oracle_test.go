@@ -77,7 +77,7 @@ func oracleProfileJSON(pf *Profile, w io.Writer) error {
 			Transfer:  float64(s.Buckets.Transfer) * inv,
 			Idle:      float64(s.Buckets.Idle) * inv,
 			PredUs:    float64(s.Pred) * inv,
-			Msgs:      s.Msgs,
+			Msgs:      s.Messages,
 			Words:     s.Words,
 			Flops:     s.Flops,
 		}
@@ -99,7 +99,7 @@ func oracleProfileJSON(pf *Profile, w io.Writer) error {
 		Dim:        pf.Dim,
 		P:          pf.P,
 		ElapsedUs:  float64(pf.Elapsed),
-		Msgs:       pf.Msgs,
+		Msgs:       pf.Messages,
 		Words:      pf.Words,
 		Flops:      pf.Flops,
 		Buckets:    mean,

@@ -21,7 +21,7 @@ import (
 func (pf *Profile) WriteTree(w io.Writer) {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "profile: p=%d (d=%d)  elapsed %.1f us  msgs %d  words %d  flops %d\n",
-		pf.P, pf.Dim, float64(pf.Elapsed), pf.Msgs, pf.Words, pf.Flops)
+		pf.P, pf.Dim, float64(pf.Elapsed), pf.Messages, pf.Words, pf.Flops)
 	tot := pf.Root.Buckets.Total()
 	if tot > 0 {
 		fmt.Fprintf(bw, "buckets (share of total processor-time): compute %.1f%%  startup %.1f%%  transfer %.1f%%  idle %.1f%%\n",
@@ -65,7 +65,7 @@ func (pf *Profile) WriteTree(w io.Writer) {
 		fmt.Fprintf(bw, "%-*s %7d %11.1f %11.1f %10d %12d %12d %6.1f\n",
 			nameW, pad(depth)+label(s), s.Count,
 			float64(s.Incl)*inv, float64(s.Excl)*inv,
-			s.Msgs, s.Words, s.Flops, idlePct)
+			s.Messages, s.Words, s.Flops, idlePct)
 		for _, c := range s.Children {
 			print(c, depth+1)
 		}
@@ -108,15 +108,12 @@ func (pf *Profile) WriteJSON(w io.Writer) error {
 	j.key("dim").int(int64(pf.Dim))
 	j.key("p").int(int64(pf.P))
 	j.key("elapsed_us").float(float64(pf.Elapsed))
-	j.key("msgs").int(pf.Msgs)
+	j.key("msgs").int(pf.Messages)
 	j.key("words").int(pf.Words)
 	j.key("flops").int(pf.Flops)
-	mean := pf.Root.Buckets
-	mean.Compute = costmodel.Time(float64(mean.Compute) * inv)
-	mean.Startup = costmodel.Time(float64(mean.Startup) * inv)
-	mean.Transfer = costmodel.Time(float64(mean.Transfer) * inv)
-	mean.Idle = costmodel.Time(float64(mean.Idle) * inv)
-	j.key("buckets_mean_us").buckets(mean)
+	j.key("buckets_mean_us").beginObject()
+	j.bucketFields(pf.Root.Buckets, inv)
+	j.endObject()
 	j.key("bucket_skew_us").float(float64(pf.BucketSkew()))
 	if links := pf.Links; len(links) > 0 {
 		if len(links) > 32 {
@@ -155,14 +152,11 @@ func writeSpan(j *jw, s *Span, inv float64) {
 	j.key("incl_us").float(float64(s.Incl) * inv)
 	j.key("excl_us").float(float64(s.Excl) * inv)
 	j.key("max_incl_us").float(float64(s.MaxIncl))
-	j.key("compute_us").float(float64(s.Buckets.Compute) * inv)
-	j.key("startup_us").float(float64(s.Buckets.Startup) * inv)
-	j.key("transfer_us").float(float64(s.Buckets.Transfer) * inv)
-	j.key("idle_us").float(float64(s.Buckets.Idle) * inv)
+	j.bucketFields(s.Buckets, inv)
 	if pred := float64(s.Pred) * inv; pred != 0 {
 		j.key("pred_us").float(pred)
 	}
-	j.key("msgs").int(s.Msgs)
+	j.key("msgs").int(s.Messages)
 	j.key("words").int(s.Words)
 	j.key("flops").int(s.Flops)
 	if len(s.Children) > 0 {

@@ -1,10 +1,10 @@
 #!/bin/sh
 # Pre-PR gate: formatting, module hygiene, vet, the vmlint static
-# analyzers, build, the full tests (the steady-state allocation guards
-# and the schedule-independence test among them), the race detector on
-# the code with host concurrency, the end-to-end CLI and vmprimd smokes,
-# and the benchmark module's own gate (benchmark/check.sh). Run from the
-# repository root:
+# analyzers, build, the allocation and inlining gates, the full tests
+# (the steady-state allocation guards and the schedule-independence
+# test among them), the race detector on the code with host
+# concurrency, the end-to-end CLI and vmprimd smokes, and the benchmark
+# module's own gate (benchmark/check.sh). Run from the repository root:
 #
 #	./scripts/check.sh
 #
@@ -44,6 +44,20 @@ go build ./...
 # The dynamic AllocsPerRun guards only see the paths the benchmarks
 # drive; this sees every function the compiler does.
 ./scripts/allocgate.sh
+
+# Inlining gate: the link transport's hot path relies on the compiler
+# inlining (*Proc).charge, (*Proc).Recv and (*Proc).wake (costs 79, 69
+# and 43 against the inliner's budget of 80). One more statement or
+# nested field access can push one over the budget with every other
+# gate green, so fail if any of them stops inlining. The diagnostics
+# replay from the build cache.
+inl=$(go build -gcflags=-m ./internal/hypercube 2>&1)
+for fn in charge Recv wake; do
+	echo "$inl" | grep -Eq "can inline \(\*Proc\)\.$fn\$" || {
+		echo "(*Proc).$fn no longer inlines; bring its cost back within the inliner's budget (go build -gcflags=-m=2 ./internal/hypercube)" >&2
+		exit 1
+	}
+done
 
 # The vmlint suite (see README). Build the tool once, then lint before
 # spending time on tests — a lint finding is file:line:col actionable,
