@@ -91,15 +91,15 @@ func vecMatPrimitive(e *core.Env, a *core.Matrix, x *core.Vector) *core.Vector {
 func vecMatFused(e *core.Env, a *core.Matrix, x *core.Vector) *core.Vector {
 	e.BeginSpan("matvec(fused)")
 	defer e.EndSpan()
-	xr := x
-	if !x.Replicated {
-		xr = e.Distribute(x)
-	}
 	pid := e.P.ID()
+	xp := x.L(pid)
+	if !x.Replicated {
+		xp = e.DistributePiece(x)
+	}
 	blk := a.L(pid)
-	xp := xr.L(pid)
 	b := a.CMap.B
-	piece := make([]float64, b)
+	piece := e.P.GetBuf(b)
+	clear(piece)
 	myRow := e.GridRow()
 	count := 0
 	e.BeginSpan("local-mac")
@@ -116,10 +116,15 @@ func vecMatFused(e *core.Env, a *core.Matrix, x *core.Vector) *core.Vector {
 	}
 	e.P.Compute(count)
 	e.EndSpan()
+	if !x.Replicated {
+		e.P.Recycle(xp)
+	}
 	// All-reduce the partial sums down the rows; every grid row gets y.
 	out := e.TempVector(a.Cols, core.RowAligned, a.CMap.Kind, 0, true)
 	sum := e.AllReduceRowsPiece(piece, core.OpSum)
 	copy(out.L(pid), sum)
+	e.P.Recycle(sum)
+	e.P.Recycle(piece)
 	return out
 }
 

@@ -17,15 +17,14 @@ func MatVecKernel(e *core.Env, a *core.Matrix, x *core.Vector) *core.Vector {
 	}
 	e.BeginSpan("matvec(dual)")
 	defer e.EndSpan()
-	xr := x
-	if !x.Replicated {
-		xr = e.Distribute(x)
-	}
 	pid := e.P.ID()
+	xp := x.L(pid)
+	if !x.Replicated {
+		xp = e.DistributePiece(x)
+	}
 	blk := a.L(pid)
-	xp := xr.L(pid)
 	b := a.CMap.B
-	piece := make([]float64, a.RMap.B)
+	piece := e.P.GetBuf(a.RMap.B)
 	myCol := e.GridCol()
 	count := 0
 	for lr := 0; lr < a.RMap.B; lr++ {
@@ -41,8 +40,13 @@ func MatVecKernel(e *core.Env, a *core.Matrix, x *core.Vector) *core.Vector {
 		piece[lr] = s
 	}
 	e.P.Compute(count)
+	if !x.Replicated {
+		e.P.Recycle(xp)
+	}
 	out := e.TempVector(a.Rows, core.ColAligned, a.RMap.Kind, 0, true)
 	sum := e.AllReduceColsPiece(piece, core.OpSum)
 	copy(out.L(pid), sum)
+	e.P.Recycle(sum)
+	e.P.Recycle(piece)
 	return out
 }

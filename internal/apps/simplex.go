@@ -73,6 +73,7 @@ func simplexLoop(e *core.Env, t *core.Matrix, nVars, maxIter int, bland bool) (s
 	col := e.TempVector(t.Rows, core.ColAligned, t.RMap.Kind, 0, true)
 	rhsv := e.TempVector(t.Rows, core.ColAligned, t.RMap.Kind, 0, true)
 	prow := e.TempVector(t.Cols, core.RowAligned, t.CMap.Kind, 0, true)
+	mult := e.TempVector(t.Rows, core.ColAligned, t.RMap.Kind, 0, true)
 	for {
 		// Entering variable: Dantzig takes the most negative reduced
 		// cost; Bland the smallest improving index.
@@ -137,7 +138,7 @@ func simplexLoop(e *core.Env, t *core.Matrix, nVars, maxIter int, bland bool) (s
 		e.ExtractRowInto(prow, t, ir, true)
 		e.MapVec(prow, func(_ int, v float64) float64 { return v * inv }, 1)
 		e.InsertRow(t, prow, ir)
-		mult := e.CopyVec(col)
+		e.CopyVecInto(mult, col)
 		e.MapVec(mult, func(gi int, v float64) float64 {
 			if gi == ir {
 				return 0

@@ -1,6 +1,8 @@
 package apps
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -62,6 +64,18 @@ func TestKernelTemporariesPerRun(t *testing.T) {
 			return nil
 		})
 	}
+	// restorer returns a reset that puts w's blocks back as they are now.
+	restorer := func(w *core.Matrix) func() {
+		saved := make([][]float64, m.P())
+		for pid := range saved {
+			saved[pid] = slices.Clone(w.L(pid))
+		}
+		return func() {
+			for pid, blk := range saved {
+				copy(w.L(pid), blk)
+			}
+		}
+	}
 	gauss := func(n int) float64 {
 		aug := randMat(n, n+1)
 		for i := 0; i < n; i++ {
@@ -69,16 +83,34 @@ func TestKernelTemporariesPerRun(t *testing.T) {
 		}
 		g := embed.SplitFor(d, n, n+1)
 		w := fromDense(g, aug, embed.Cyclic)
-		saved := make([][]float64, m.P())
-		for pid := range saved {
-			saved[pid] = slices.Clone(w.L(pid))
-		}
 		xOut := core.MustNewVector(g, n, core.Linear, embed.Block, 0, false)
-		return allocsPerRun(g, func() {
-			for pid, blk := range saved {
-				copy(w.L(pid), blk)
+		return allocsPerRun(g, restorer(w), func(e *core.Env) error { return GaussKernel(e, w, xOut) })
+	}
+	// simplex stops Dantzig's rule after the given number of pivots on
+	// the 5-variable Klee-Minty cube, which it solves in 31.
+	const kmN = 5
+	lpA, lpB, lpC := serial.NewMat(kmN, kmN), make([]float64, kmN), make([]float64, kmN)
+	for i := 0; i < kmN; i++ {
+		for j := 0; j < i; j++ {
+			lpA.Set(i, j, float64(int(1)<<(i-j+1)))
+		}
+		lpA.Set(i, i, 1)
+		lpB[i] = math.Pow(5, float64(i+1))
+		lpC[i] = float64(int(1) << (kmN - 1 - i))
+	}
+	simplex := func(pivots int) float64 {
+		tab, err := serial.NewTableau(lpC, lpA, lpB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := embed.SplitFor(d, tab.R, tab.C)
+		w := fromDense(g, tab, embed.Block)
+		return allocsPerRun(g, restorer(w), func(e *core.Env) error {
+			if st, _, iters, _ := SimplexKernel(e, w, len(lpC), pivots); st != serial.IterLimit || iters != pivots {
+				return fmt.Errorf("simplex stopped %v after %d pivots, want the limit of %d", st, iters, pivots)
 			}
-		}, func(e *core.Env) error { return GaussKernel(e, w, xOut) })
+			return nil
+		})
 	}
 
 	slack := float64(m.P())
@@ -88,6 +120,7 @@ func TestKernelTemporariesPerRun(t *testing.T) {
 	}{
 		{"MatMulKernel K=8 vs K=64", matmul(8), matmul(64)},
 		{"GaussKernel n=8 vs n=32", gauss(8), gauss(32)},
+		{"SimplexKernel 1 vs 8 pivots", simplex(1), simplex(8)},
 	} {
 		t.Logf("%s: %.0f vs %.0f objects per run", c.name, c.short, c.long)
 		if c.long > c.short+slack {

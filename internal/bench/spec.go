@@ -96,10 +96,11 @@ func (s RunSpec) CostParams() costmodel.Params {
 // disarming — m may be pooled, with recorders left over from its
 // previous tenant) the profiler, message trace and critical-path
 // tracer per opts. The machine must have the spec's dimension; its
-// cost model is whatever it was built with, so callers constructing
-// machines from a spec should use CostParams. Host-side workload
-// panics (degenerate embeddings and the like) are returned as errors
-// rather than taking the process down.
+// cost model is whatever it was built or last acquired from a
+// MachinePool with, so callers should build or acquire it with
+// CostParams. Host-side workload panics (degenerate embeddings and
+// the like) are returned as errors rather than taking the process
+// down.
 func (s RunSpec) RunOn(m *hypercube.Machine, opts ProfileOpts) (res *ProfileResult, err error) {
 	ns, err := s.Normalized()
 	if err != nil {

@@ -17,6 +17,19 @@ import (
 // the m^(1/2)/p^(1/2)-sized piece over the orthogonal cube dimensions
 // — or, for long pieces, the bandwidth-optimal scatter/all-gather.
 func (e *Env) Distribute(v *Vector) *Vector {
+	piece := e.DistributePiece(v)
+	out := e.TempVector(v.N, v.Layout, v.Map.Kind, v.Home, true)
+	copy(out.L(e.P.ID()), piece)
+	e.P.Recycle(piece)
+	return out
+}
+
+// DistributePiece is Distribute without the result vector: it returns
+// this processor's piece of the replicated v in a pooled buffer the
+// caller owns and recycles, at Distribute's cost, under the same span.
+// Kernels that only read the replicated piece use it and skip
+// Distribute's vector and copy.
+func (e *Env) DistributePiece(v *Vector) []float64 {
 	if v.Layout == Linear {
 		panic("core: Distribute needs an aligned vector (convert with AlignRows/AlignCols)")
 	}
@@ -25,12 +38,12 @@ func (e *Env) Distribute(v *Vector) *Vector {
 	if e.Profiling() {
 		e.P.SpanNote("replicate " + v.Layout.String())
 	}
-	out := e.TempVector(v.N, v.Layout, v.Map.Kind, v.Home, true)
 	pid := e.P.ID()
 	if v.Replicated {
-		copy(out.L(pid), v.L(pid))
+		piece := e.P.GetBuf(len(v.L(pid)))
+		copy(piece, v.L(pid))
 		e.P.Compute(v.Map.B)
-		return out
+		return piece
 	}
 	_, home := v.fields()
 	mask, root := home.Mask(), home.Rel(v.Home)
@@ -40,15 +53,10 @@ func (e *Env) Distribute(v *Vector) *Vector {
 	}
 	// Every processor makes the same choice from the same parameters,
 	// so the collectives stay matched.
-	var piece []float64
 	if e.P.Params().PreferTwoPhase(home.K, v.Map.B) {
-		piece = collective.BcastLarge(e.P, mask, e.NextTag2(), root, src)
-	} else {
-		piece = collective.Bcast(e.P, mask, e.NextTag(), root, src)
+		return collective.BcastLarge(e.P, mask, e.NextTag2(), root, src)
 	}
-	copy(out.L(pid), piece)
-	e.P.Recycle(piece)
-	return out
+	return collective.Bcast(e.P, mask, e.NextTag(), root, src)
 }
 
 // SpreadRows materializes a row-aligned vector as a matrix with the
@@ -69,21 +77,21 @@ func (e *Env) SpreadCols(v *Vector, cols int, ckind embed.MapKind) *Matrix {
 }
 
 // spread fills every line of out's axis ax with v, which must hold
-// one line, distributing v first unless it is replicated. It returns
-// out.
+// one line, distributing v's piece first unless it is replicated. It
+// returns out.
 func (e *Env) spread(v *Vector, out *Matrix, ax *axis, span string) *Matrix {
 	e.BeginSpan(span)
 	defer e.EndSpan()
 	if v.Layout != ax.layout {
 		panic("core: Spread needs a vector aligned with the lines it fills")
 	}
-	rep := v
-	if !v.Replicated {
-		rep = e.Distribute(v)
-	}
 	pid := e.P.ID()
 	blk := out.L(pid)
-	piece := rep.L(pid)
+	piece := v.L(pid)
+	if !v.Replicated {
+		piece = e.DistributePiece(v)
+		defer e.P.Recycle(piece)
+	}
 	// Walk the block in memory order, as reduce does.
 	if ax.step == 1 {
 		for l := 0; l < ax.line.B; l++ {

@@ -7,7 +7,7 @@ import (
 	"vmprim/internal/costmodel"
 )
 
-// MachinePool is an LRU cache of idle Machines keyed by configuration,
+// MachinePool is an LRU cache of idle Machines keyed by dimension,
 // for serving layers that run many workloads against a small set of
 // machine shapes. Construction of a Machine is cheap but its steady
 // state is expensive to rebuild: the first run creates the processors'
@@ -18,16 +18,18 @@ import (
 // single-tenant: one Run at a time), Release returns it; machines
 // evicted by capacity pressure are Closed.
 //
+// The key is the dimension alone. Everything a pooled machine keeps
+// warm — coroutines, buffer pool, span tables, chain and part free
+// lists, flight recorders, the link store — is shaped by the dimension
+// and the traffic, never by the cost model. The cost parameters are
+// read only while a run charges time (Params, the charge edges,
+// ExchangeAll's port model), so they belong to the acquisition: a hit
+// under a different model is the same cube priced anew, and its run is
+// identical to one on a fresh machine built with those parameters.
+//
 // The pool is safe for concurrent use. The machines themselves are
 // not shared: between Acquire and Release exactly one goroutine owns
 // the machine.
-
-// PoolKey identifies one machine configuration: the cube dimension and
-// the full cost-parameter set (which includes the port model).
-type PoolKey struct {
-	Dim    int
-	Params costmodel.Params
-}
 
 // MachinePool caches idle machines, most recently released first.
 type MachinePool struct {
@@ -35,14 +37,9 @@ type MachinePool struct {
 	cap int
 	// idle is ordered most-recently-released first; eviction takes
 	// from the tail.
-	idle []poolSlot
+	idle []*Machine
 
 	hits, misses, evictions int64
-}
-
-type poolSlot struct {
-	key PoolKey
-	m   *Machine
 }
 
 // NewMachinePool returns a pool retaining at most capacity idle
@@ -54,39 +51,44 @@ func NewMachinePool(capacity int) *MachinePool {
 	return &MachinePool{cap: capacity}
 }
 
-// Acquire returns a machine for key, reusing an idle pooled machine
-// when one matches (hit reports which). The caller owns the machine
-// until it calls Release (or Close, to retire it).
-func (mp *MachinePool) Acquire(key PoolKey) (m *Machine, hit bool, err error) {
+// Acquire returns a machine of dimension dim that charges by params:
+// the most recently released idle machine of that dimension when there
+// is one (hit reports which), with its cost parameters set to params,
+// or else a new machine. Invalid params are rejected as New rejects
+// them, before the pool is touched. The caller owns the machine until
+// it calls Release (or Close, to retire it).
+func (mp *MachinePool) Acquire(dim int, params costmodel.Params) (m *Machine, hit bool, err error) {
+	if err := params.Validate(); err != nil {
+		return nil, false, err
+	}
 	mp.mu.Lock()
-	for i := range mp.idle {
-		if mp.idle[i].key == key {
-			m = mp.idle[i].m
+	for i, im := range mp.idle {
+		if im.dim == dim {
 			mp.idle = slices.Delete(mp.idle, i, i+1)
 			mp.hits++
 			mp.mu.Unlock()
-			return m, true, nil
+			im.params = params
+			return im, true, nil
 		}
 	}
 	mp.misses++
 	mp.mu.Unlock()
-	m, err = New(key.Dim, key.Params)
+	m, err = New(dim, params)
 	return m, false, err
 }
 
-// Release returns a machine to the pool under its key, evicting (and
-// Closing) the least recently released machine when the pool is over
-// capacity.
-func (mp *MachinePool) Release(key PoolKey, m *Machine) {
+// Release returns a machine to the pool, evicting (and Closing) the
+// least recently released machine when the pool is over capacity.
+func (mp *MachinePool) Release(m *Machine) {
 	var evicted []*Machine
 	mp.mu.Lock()
 	// Inserted in place: once the slice has grown to the pool's
 	// capacity, a release allocates nothing.
-	mp.idle = slices.Insert(mp.idle, 0, poolSlot{key: key, m: m})
+	mp.idle = slices.Insert(mp.idle, 0, m)
 	for len(mp.idle) > mp.cap {
 		last := len(mp.idle) - 1
-		evicted = append(evicted, mp.idle[last].m)
-		mp.idle[last] = poolSlot{}
+		evicted = append(evicted, mp.idle[last])
+		mp.idle[last] = nil
 		mp.idle = mp.idle[:last]
 		mp.evictions++
 	}
@@ -125,7 +127,7 @@ func (mp *MachinePool) Close() {
 	idle := mp.idle
 	mp.idle = nil
 	mp.mu.Unlock()
-	for _, s := range idle {
-		s.m.Close()
+	for _, m := range idle {
+		m.Close()
 	}
 }

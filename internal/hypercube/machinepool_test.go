@@ -13,68 +13,84 @@ func TestMachinePoolHitMissEvict(t *testing.T) {
 	defer testutil.CheckLeaks(t, testutil.Snapshot())
 	mp := NewMachinePool(2)
 	defer mp.Close()
-	k4 := PoolKey{Dim: 2, Params: costmodel.CM2()}
-	k8 := PoolKey{Dim: 3, Params: costmodel.CM2()}
-	kIpsc := PoolKey{Dim: 2, Params: costmodel.IPSC()}
+	cm2, ipsc := costmodel.CM2(), costmodel.IPSC()
 
-	m1, hit, err := mp.Acquire(k4)
+	m1, hit, err := mp.Acquire(2, cm2)
 	if err != nil || hit {
 		t.Fatalf("first acquire: hit=%v err=%v, want miss", hit, err)
 	}
 	if m1.Dim() != 2 {
 		t.Fatalf("acquired dim %d, want 2", m1.Dim())
 	}
-	mp.Release(k4, m1)
+	mp.Release(m1)
 
-	// Same key: must hand back the identical machine.
-	m2, hit, err := mp.Acquire(k4)
+	// Same dimension and model: must hand back the identical machine.
+	m2, hit, err := mp.Acquire(2, cm2)
 	if err != nil || !hit {
 		t.Fatalf("second acquire: hit=%v err=%v, want hit", hit, err)
 	}
 	if m2 != m1 {
-		t.Fatalf("pool returned a different machine for the same key")
+		t.Fatalf("pool returned a different machine for the same dimension")
+	}
+	mp.Release(m2)
+
+	// Same dimension, other cost model: the same warm machine, handed
+	// out under the new parameters.
+	m3, hit, err := mp.Acquire(2, ipsc)
+	if err != nil || !hit {
+		t.Fatalf("ipsc acquire: hit=%v err=%v, want hit", hit, err)
+	}
+	if m3 != m1 || m3.Params() != ipsc {
+		t.Fatalf("ipsc acquire: same machine %v, params %+v; want the pooled machine priced by ipsc",
+			m3 == m1, m3.Params())
 	}
 
-	// Same dim, different cost params: distinct configuration, miss.
-	m3, hit, err := mp.Acquire(kIpsc)
+	// Fill past capacity: m3 (released first) must be evicted, the two
+	// most recent machines retained.
+	m4, hit, err := mp.Acquire(2, cm2)
 	if err != nil || hit {
-		t.Fatalf("ipsc acquire: hit=%v err=%v, want miss", hit, err)
+		t.Fatalf("acquire with the only d=2 machine out: hit=%v err=%v, want miss", hit, err)
 	}
-
-	// Fill past capacity: k4 (released first) must be evicted, the
-	// two most recent keys retained.
-	m4, _, err := mp.Acquire(k8)
+	m5, _, err := mp.Acquire(3, cm2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mp.Release(k4, m2)
-	mp.Release(kIpsc, m3)
-	mp.Release(k8, m4)
+	mp.Release(m3)
+	mp.Release(m4)
+	mp.Release(m5)
 
 	st := mp.Stats()
 	if st.Evictions != 1 || st.Idle != 2 {
 		t.Fatalf("stats after overflow: %+v, want 1 eviction, 2 idle", st)
 	}
+	// Invalid parameters are refused before the pool is looked at.
+	if m, _, err := mp.Acquire(3, costmodel.Params{CommStartup: -1}); err == nil || m != nil {
+		t.Fatalf("acquire with a negative start-up: machine %v, err %v; want an error", m, err)
+	}
+	if got := mp.Stats(); got != st {
+		t.Fatalf("a refused acquire changed the pool: %+v, was %+v", got, st)
+	}
 	// The pool's Close only retires idle machines, so these acquired
 	// ones are ours to close — the leak check holds us to it.
-	m5, hit, _ := mp.Acquire(k4)
-	if hit {
-		t.Fatalf("evicted key still hit the pool")
-	}
-	defer m5.Close()
-	m6, hit, _ := mp.Acquire(kIpsc)
-	if !hit {
-		t.Fatalf("recently released key missed the pool")
+	m6, hit, _ := mp.Acquire(2, ipsc)
+	if !hit || m6 != m4 || m6.Params() != ipsc {
+		t.Fatalf("d=2 acquire: hit=%v, machine m4 %v, params %+v; want m4 priced by ipsc",
+			hit, m6 == m4, m6.Params())
 	}
 	defer m6.Close()
-	m7, hit, _ := mp.Acquire(k8)
-	if !hit {
-		t.Fatalf("most recently released key missed the pool")
+	m7, hit, _ := mp.Acquire(2, cm2)
+	if hit {
+		t.Fatalf("evicted machine still hit the pool")
 	}
 	defer m7.Close()
+	m8, hit, _ := mp.Acquire(3, cm2)
+	if !hit || m8 != m5 {
+		t.Fatalf("most recently released machine missed the pool")
+	}
+	defer m8.Close()
 	st = mp.Stats()
-	if st.Hits != 3 || st.Misses != 4 {
-		t.Fatalf("final stats %+v, want 3 hits / 4 misses", st)
+	if st.Hits != 4 || st.Misses != 4 {
+		t.Fatalf("final stats %+v, want 4 hits / 4 misses", st)
 	}
 }
 
@@ -88,9 +104,7 @@ func TestMachinePoolConcurrentRuns(t *testing.T) {
 	defer testutil.CheckLeaks(t, testutil.Snapshot())
 	mp := NewMachinePool(2)
 	defer mp.Close()
-	key := PoolKey{Dim: 3, Params: costmodel.CM2()}
-
-	ref, _, err := mp.Acquire(key)
+	ref, _, err := mp.Acquire(3, costmodel.CM2())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +112,7 @@ func TestMachinePoolConcurrentRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mp.Release(key, ref)
+	mp.Release(ref)
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
@@ -107,7 +121,7 @@ func TestMachinePoolConcurrentRuns(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 5; i++ {
-				m, _, err := mp.Acquire(key)
+				m, _, err := mp.Acquire(3, costmodel.CM2())
 				if err != nil {
 					errs <- err
 					return
@@ -120,7 +134,7 @@ func TestMachinePoolConcurrentRuns(t *testing.T) {
 				if got != want {
 					t.Errorf("pooled run elapsed %v, want %v", got, want)
 				}
-				mp.Release(key, m)
+				mp.Release(m)
 			}
 		}()
 	}
@@ -166,29 +180,30 @@ func runBcast(m *Machine) (costmodel.Time, error) {
 
 // TestMachinePoolHitAllocatesNothing: a served run that hits the pool
 // takes its machine and puts it back without allocating, whichever
-// slot of the LRU order the machine came from.
+// slot of the LRU order the machine came from and whichever cost model
+// it is handed out under.
 func TestMachinePoolHitAllocatesNothing(t *testing.T) {
 	mp := NewMachinePool(2)
 	defer mp.Close()
-	k4 := PoolKey{Dim: 2, Params: costmodel.CM2()}
-	k8 := PoolKey{Dim: 3, Params: costmodel.CM2()}
-	for _, k := range []PoolKey{k4, k8} {
-		m, _, err := mp.Acquire(k)
+	for _, dim := range []int{2, 3} {
+		m, _, err := mp.Acquire(dim, costmodel.CM2())
 		if err != nil {
 			t.Fatal(err)
 		}
-		mp.Release(k, m)
+		mp.Release(m)
 	}
-	for _, k := range []PoolKey{k4, k8} {
-		allocs := testing.AllocsPerRun(100, func() {
-			m, hit, err := mp.Acquire(k)
-			if err != nil || !hit {
-				t.Fatalf("acquire %+v: hit=%v err=%v, want a hit", k, hit, err)
+	for _, dim := range []int{2, 3} {
+		for _, params := range []costmodel.Params{costmodel.CM2(), costmodel.IPSC()} {
+			allocs := testing.AllocsPerRun(100, func() {
+				m, hit, err := mp.Acquire(dim, params)
+				if err != nil || !hit {
+					t.Fatalf("acquire d=%d: hit=%v err=%v, want a hit", dim, hit, err)
+				}
+				mp.Release(m)
+			})
+			if allocs != 0 {
+				t.Errorf("Acquire/Release of a pooled machine allocates %.1f objects, want 0", allocs)
 			}
-			mp.Release(k, m)
-		})
-		if allocs != 0 {
-			t.Errorf("Acquire/Release of a pooled machine allocates %.1f objects, want 0", allocs)
 		}
 	}
 	if st := mp.Stats(); st.Misses != 2 || st.Evictions != 0 || st.Idle != 2 {

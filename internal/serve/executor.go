@@ -10,8 +10,11 @@ import (
 )
 
 // The executor: a fixed pool of worker goroutines drains the submit
-// queue, each run borrowing a persistent Machine from the LRU pool
-// keyed by the spec's (dimension, cost parameters). Recorders are
+// queue, each run borrowing a persistent Machine of the spec's
+// dimension from the LRU pool. The spec's cost model is handed to the
+// acquisition, not made part of the key: a warm machine's state
+// depends on its dimension and traffic only, so a d=4 ipsc run reuses
+// the cube a d=4 cm2 run just released, priced by ipsc. Recorders are
 // armed exactly as `vmprim -profile` arms them — profiler, message
 // trace, critical-path tracer — so the artifacts a run serves are the
 // same documents the CLI writes for the same spec. Machine metric
@@ -33,8 +36,7 @@ func (s *Server) execute(run *Run) {
 	defer s.met.inflight.Add(-1)
 	s.met.runsStarted.Add(1)
 
-	key := hypercube.PoolKey{Dim: run.Spec.D, Params: run.Spec.CostParams()}
-	m, hit, err := s.pool.Acquire(key)
+	m, hit, err := s.pool.Acquire(run.Spec.D, run.Spec.CostParams())
 	if err != nil {
 		s.finishRun(run, nil, nil, nil, err)
 		return
@@ -63,7 +65,7 @@ func (s *Server) execute(run *Run) {
 	// A failed run tears down cleanly (a panic or a detected deadlock
 	// aborts it and every processor unwinds before Run returns), so the
 	// machine goes back to the pool either way.
-	s.pool.Release(key, m)
+	s.pool.Release(m)
 
 	var pm *flightrec.Report
 	if err != nil {

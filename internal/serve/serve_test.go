@@ -105,6 +105,45 @@ func getBody(t *testing.T, url string) []byte {
 	return b
 }
 
+// directArtifacts runs spec on a fresh machine built for it, as the
+// CLI does, and renders the documents a served run exposes: profile,
+// trace, critpath and the run's metrics.
+func directArtifacts(t *testing.T, spec bench.RunSpec) map[string][]byte {
+	t.Helper()
+	spec, err := spec.Normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := hypercube.New(spec.D, spec.CostParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	res, err := spec.RunOn(m, bench.ProfileOpts{Profile: true, CritPath: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var prof, trace, cp, met bytes.Buffer
+	for _, err := range []error{
+		res.Profile.WriteJSON(&prof),
+		res.Profile.ChromeTrace(&trace, 0),
+		res.CritPath.WriteJSON(&cp),
+		res.Metrics.WriteJSON(&met),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return map[string][]byte{
+		"profile": prof.Bytes(), "trace": trace.Bytes(),
+		"critpath": cp.Bytes(), "metrics": met.Bytes(),
+	}
+}
+
+// simulatedDocs are the served documents that are a function of the
+// spec alone, byte for byte.
+var simulatedDocs = []string{"profile", "trace", "critpath"}
+
 // Served artifacts must be the same documents the CLI writers produce
 // for the same spec: profile, Chrome trace and critical-path JSON
 // byte-identical, per-run metrics identical after dropping the
@@ -239,6 +278,43 @@ func TestPooledRerunIsIdentical(t *testing.T) {
 	bm := getBody(t, fmt.Sprintf("%s/runs/%s/metrics", ts.URL, id2))
 	if diff := diffMetricsJSON(t, am, bm, "vmprim_pool_"); diff != "" {
 		t.Errorf("per-run metric deltas differ between identical runs: %s", diff)
+	}
+}
+
+// One pooled cube serves both cost models: through a pool of one
+// machine, E1, E3, E4 and E5 at d=4 alternate cm2 and ipsc, so every
+// run after the first takes the machine its predecessor left, warmed
+// under the other model. Each must serve exactly the documents a fresh
+// machine built for its spec renders, and the same per-run metrics
+// apart from the buffer-pool counters, which follow the machine's
+// warmth.
+func TestPooledMachineServesEitherModel(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1, PoolMachines: 1})
+	// Models alternate run to run; each experiment runs under both.
+	specs := []bench.RunSpec{
+		{Exp: "E1", D: 4, N: 64, Model: "cm2"}, {Exp: "E3", D: 4, N: 32, Model: "ipsc"},
+		{Exp: "E4", D: 4, N: 16, Model: "cm2"}, {Exp: "E5", D: 4, N: 8, Model: "ipsc"},
+		{Exp: "E3", D: 4, N: 32, Model: "cm2"}, {Exp: "E1", D: 4, N: 64, Model: "ipsc"},
+		{Exp: "E5", D: 4, N: 8, Model: "cm2"}, {Exp: "E4", D: 4, N: 16, Model: "ipsc"},
+	}
+	for i, spec := range specs {
+		id := submitAndWait(t, ts.URL, spec)
+		var st runStatusJSON
+		decodeBody(t, mustGet(t, ts.URL+"/runs/"+id, http.StatusOK), &st)
+		if st.PoolHit != (i > 0) {
+			t.Errorf("run %d (%+v): pool_hit %v, want %v", i, spec, st.PoolHit, i > 0)
+		}
+		want := directArtifacts(t, spec)
+		for _, artifact := range simulatedDocs {
+			if got := getBody(t, fmt.Sprintf("%s/runs/%s/%s", ts.URL, id, artifact)); !bytes.Equal(got, want[artifact]) {
+				t.Errorf("run %d (%+v): served %s differs from a fresh machine's (%d vs %d bytes)",
+					i, spec, artifact, len(got), len(want[artifact]))
+			}
+		}
+		got := getBody(t, fmt.Sprintf("%s/runs/%s/metrics", ts.URL, id))
+		if diff := diffMetricsJSON(t, got, want["metrics"], "vmprim_pool_"); diff != "" {
+			t.Errorf("run %d (%+v): per-run metrics differ from a fresh machine's: %s", i, spec, diff)
+		}
 	}
 }
 

@@ -3,7 +3,9 @@
 # analyzers, build, the allocation and inlining gates, the full tests
 # (the steady-state allocation guards and the schedule-independence
 # test among them), the race detector on the code with host
-# concurrency, the end-to-end CLI and vmprimd smokes, and the benchmark
+# concurrency, the end-to-end CLI and vmprimd smokes (the second of
+# them a cross-model pool hit: an ipsc run on the machine a cm2 run
+# warmed must serve the CLI's ipsc documents), and the benchmark
 # module's own gate (benchmark/check.sh). Run from the repository root:
 #
 #	./scripts/check.sh
@@ -97,6 +99,10 @@ go test -run '^$' -fuzz FuzzRouterWire -fuzztime 10s -fuzzminimizetime 1s ./inte
 # bounds and a fixed point of Normalized. Failing inputs land in
 # internal/bench/testdata/fuzz/.
 go test -run '^$' -fuzz FuzzRunSpec -fuzztime 5s ./internal/bench/
+# The same body through the whole submit handler: size limit, strict
+# decoding, validation, the structured error answer. Failing inputs
+# land in internal/serve/testdata/fuzz/.
+go test -run '^$' -fuzz FuzzSubmit -fuzztime 5s -fuzzminimizetime 1s ./internal/serve/
 # Race gate, on the code with host concurrency (a run is one thread):
 # the packages whose non-test code has go statements or imports sync or
 # sync/atomic. cmd/vmprimd has no tests (the smoke below drives it),
@@ -185,12 +191,27 @@ python3 scripts/critpath_schema_check.py "$tmpdir/critpath.json" scripts/critpat
 # Chrome trace and critical-path JSON against a direct `vmprim
 # -profile E1` run — once with the server and CLI at GOMAXPROCS=1 and
 # once at the host default — then validate the served critpath against
-# the committed schema, check the per-run metrics match exactly, drive
-# a vmload mini-burst,
-# and require a clean SIGTERM shutdown.
+# the committed schema and check the per-run metrics match exactly.
+# Each pass then submits E1 under the ipsc model to the same server: it
+# must hit the pool (the machine the cm2 run warmed) and serve what
+# `vmprim -profile E1 -model ipsc` writes, metrics included apart from
+# the buffer-pool counters, which follow the machine's warmth. Finally
+# drive a vmload mini-burst and require a clean SIGTERM shutdown.
 go build -o "$tmpdir/vmprimd" ./cmd/vmprimd
 go build -o "$tmpdir/vmprim-cli" ./cmd/vmprim
 go build -o "$tmpdir/vmload" ./cmd/vmload
+
+submit() { # $1: server address; $2: spec JSON; $3: output path prefix
+	run_id=$(curl -sf -X POST "http://$1/runs" -d "$2" \
+		| python3 -c 'import json,sys; print(json.load(sys.stdin)["id"])')
+	state=$(curl -sf "http://$1/runs/$run_id/wait?timeout=300s" \
+		| python3 -c 'import json,sys; print(json.load(sys.stdin)["state"])')
+	[ "$state" = "done" ] || { echo "vmprimd($pass): run $2 ended $state" >&2; exit 1; }
+	for doc in profile trace critpath metrics; do
+		curl -sf "http://$1/runs/$run_id/$doc" >"$3$doc.json"
+	done
+	curl -sf "http://$1/runs/$run_id" >"$3status.json"
+}
 
 vmprimd_pass() { # $1: pass name; $2: GOMAXPROCS value ("" = host default)
 	pass=$1
@@ -206,15 +227,7 @@ vmprimd_pass() { # $1: pass name; $2: GOMAXPROCS value ("" = host default)
 		sleep 0.1
 	done
 	addr=$(cat "$pdir/addr")
-	run_id=$(curl -sf -X POST "http://$addr/runs" -d '{"exp":"E1"}' \
-		| python3 -c 'import json,sys; print(json.load(sys.stdin)["id"])')
-	state=$(curl -sf "http://$addr/runs/$run_id/wait?timeout=300s" \
-		| python3 -c 'import json,sys; print(json.load(sys.stdin)["state"])')
-	[ "$state" = "done" ] || { echo "vmprimd($pass): run ended $state" >&2; exit 1; }
-	curl -sf "http://$addr/runs/$run_id/profile" >"$pdir/profile.json"
-	curl -sf "http://$addr/runs/$run_id/trace" >"$pdir/trace.json"
-	curl -sf "http://$addr/runs/$run_id/critpath" >"$pdir/critpath.json"
-	curl -sf "http://$addr/runs/$run_id/metrics" >"$pdir/metrics.json"
+	submit "$addr" '{"exp":"E1"}' "$pdir/"
 	curl -sfi "http://$addr/metrics" >"$pdir/scrape.txt"
 	grep -qi '^content-type: text/plain; version=0.0.4' "$pdir/scrape.txt" || {
 		echo "vmprimd($pass): /metrics Content-Type is not the 0.0.4 exposition" >&2
@@ -252,13 +265,45 @@ for name in served:
 print("served per-run metrics: %d metrics identical to the CLI snapshot" % len(served))
 PYEOF
 
+	# Cross-model pool hit: the same dimension under the other model.
+	submit "$addr" '{"exp":"E1","model":"ipsc"}' "$pdir/ipsc-"
+	python3 -c 'import json,sys; sys.exit(0 if json.load(open(sys.argv[1])).get("pool_hit") is True else 1)' \
+		"$pdir/ipsc-status.json" || {
+		echo "vmprimd($pass): the ipsc run did not hit the machine the cm2 run warmed" >&2
+		exit 1
+	}
+	GOMAXPROCS=$gmp "$tmpdir/vmprim-cli" -profile E1 -model ipsc -json \
+		-trace-out "$pdir/cli-ipsc-trace.json" -critpath-out "$pdir/cli-ipsc-critpath.json" \
+		-metrics-out "$pdir/cli-ipsc-metrics.json" >"$pdir/cli-ipsc-profile.json" 2>/dev/null
+	for artifact in profile trace critpath; do
+		cmp "$pdir/ipsc-$artifact.json" "$pdir/cli-ipsc-$artifact.json" || {
+			echo "vmprimd($pass): served ipsc $artifact differs from the CLI document" >&2
+			exit 1
+		}
+	done
+	python3 - "$pdir/ipsc-metrics.json" "$pdir/cli-ipsc-metrics.json" <<'PYEOF'
+import json, sys
+# A pooled rerun differs from a fresh machine only in the buffer-pool
+# counters (TestPooledRerunIsIdentical drops the same prefix).
+def load(p):
+    doc = json.load(open(p))
+    return {m["name"]: m for m in doc["metrics"] if not m["name"].startswith("vmprim_pool_")}
+served, cli = load(sys.argv[1]), load(sys.argv[2])
+assert served.keys() == cli.keys(), \
+    "metric sets differ: %s" % sorted(served.keys() ^ cli.keys())
+for name in served:
+    assert served[name] == cli[name], \
+        "metric %s: served %r != cli %r" % (name, served[name], cli[name])
+print("cross-model pool hit: %d per-run metrics identical to the CLI's ipsc snapshot" % len(served))
+PYEOF
+
 	kill -TERM "$srv_pid"
 	wait "$srv_pid" || { echo "vmprimd($pass): nonzero exit on SIGTERM" >&2; exit 1; }
 	grep -q 'clean shutdown' "$pdir/server.log" || {
 		echo "vmprimd($pass): no clean shutdown line in server log" >&2
 		exit 1
 	}
-	echo "vmprimd($pass): served E1 artifacts byte-identical to CLI; clean shutdown"
+	echo "vmprimd($pass): served E1 cm2 and ipsc artifacts byte-identical to CLI; clean shutdown"
 }
 
 vmprimd_pass gmp1 1

@@ -127,7 +127,9 @@ type (
 // Machine.EnableStream attaches a StreamSink that receives
 // span-open/span-close, progress and link-congestion events as a
 // profiled run executes; a MachinePool keeps warm machines across
-// runs, keyed by (dimension, cost parameters).
+// runs, keyed by dimension. The cost parameters are given to each
+// Acquire instead: they price a run but shape none of the state a warm
+// machine keeps, so one pooled cube serves CM-2 and iPSC runs alike.
 type (
 	// StreamEvent is one live observability event from a running
 	// machine; Kind is one of the Ev* constants.
@@ -137,8 +139,6 @@ type (
 	StreamSink = obs.StreamSink
 	// MachinePool is a bounded LRU of idle machines.
 	MachinePool = hypercube.MachinePool
-	// PoolKey identifies one machine configuration within a pool.
-	PoolKey = hypercube.PoolKey
 	// PoolStats summarizes a pool's hit/miss/eviction traffic.
 	PoolStats = hypercube.PoolStats
 )
@@ -152,7 +152,8 @@ const (
 )
 
 // NewMachinePool returns a pool retaining up to capacity idle
-// machines; Acquire either reuses a pooled machine or builds one.
+// machines; Acquire either reuses a pooled machine of the requested
+// dimension, under the requested cost parameters, or builds one.
 func NewMachinePool(capacity int) *MachinePool { return hypercube.NewMachinePool(capacity) }
 
 // NewMachine returns a 2^dim-processor machine; it panics on invalid
