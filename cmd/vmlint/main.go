@@ -43,10 +43,6 @@ import (
 
 	"vmprim/internal/analysis/collorder"
 	"vmprim/internal/analysis/framework"
-	"vmprim/internal/analysis/hostconc"
-	"vmprim/internal/analysis/hostconc/chanprotocol"
-	"vmprim/internal/analysis/hostconc/goroutinelife"
-	"vmprim/internal/analysis/hostconc/lockdiscipline"
 	"vmprim/internal/analysis/recyclecheck"
 	"vmprim/internal/analysis/simdeterminism"
 	"vmprim/internal/analysis/spanbalance"
@@ -58,10 +54,6 @@ func analyzers() []*framework.Analyzer {
 		spanbalance.Analyzer,
 		collorder.Analyzer,
 		simdeterminism.Analyzer,
-		hostconc.Analyzer,
-		lockdiscipline.Analyzer,
-		goroutinelife.Analyzer,
-		chanprotocol.Analyzer,
 	}
 }
 

@@ -52,25 +52,6 @@ func TestFindingsJSON(t *testing.T) {
 	if string(empty) != "[]" {
 		t.Errorf("clean run must encode as [], got %s", empty)
 	}
-
-	// The hostconc family rides the same wire: a lockdiscipline finding
-	// with its defer-Unlock fix serializes with the analyzer name CI
-	// keys annotations on.
-	hc, err := json.Marshal(findingsJSON([]framework.Finding{{
-		Analyzer: "lockdiscipline",
-		Pos:      token.Position{Filename: "sse.go", Line: 42, Column: 2},
-		Message:  "function ends with b.mu still locked (Lock without a matching Unlock)",
-		Fixes:    []framework.SuggestedFix{{Message: "defer the matching Unlock"}},
-	}}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantHC := `[{"file":"sse.go","line":42,"col":2,"analyzer":"lockdiscipline",` +
-		`"message":"function ends with b.mu still locked (Lock without a matching Unlock)",` +
-		`"fix":"defer the matching Unlock"}]`
-	if string(hc) != wantHC {
-		t.Errorf("hostconc wire shape drifted:\n got: %s\nwant: %s", hc, wantHC)
-	}
 }
 
 // TestProblemMatcherCoversAnalyzers proves the CI problem matcher's
@@ -122,7 +103,7 @@ func TestProblemMatcherCoversAnalyzers(t *testing.T) {
 // statement of the roster — the first column of README.md's "Static
 // analysis" table — together: every registered analyzer has exactly
 // one row and every row names a registered analyzer. A summary
-// analyzer that a registered one Requires (hostconc) reports nothing
+// analyzer that a registered one Requires (collectives) reports nothing
 // of its own; the README describes those in prose, not rows.
 func TestAnalyzerRoster(t *testing.T) {
 	readme, err := os.ReadFile(filepath.Join("..", "..", "README.md"))

@@ -133,7 +133,8 @@ func main() {
 			os.Exit(2)
 		}
 		hs := &http.Server{Handler: srv.Handler()}
-		//lint:allow goroutinelife Serve returns when the deferred hs.Close closes the listener at process exit
+		// Serve returns when the deferred hs.Close closes the listener
+		// at process exit.
 		go hs.Serve(ln)
 		defer hs.Close()
 		base = "http://" + ln.Addr().String()

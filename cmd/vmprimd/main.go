@@ -89,7 +89,8 @@ func run(addr, addrFile, debugAddr string, opts serve.Options) error {
 			return err
 		}
 		debugSrv := &http.Server{Handler: serve.DebugHandler(), ReadHeaderTimeout: readHeaderTimeout}
-		//lint:allow goroutinelife Serve returns when the deferred Close below closes the listener; its error is then ErrServerClosed, dropped
+		// Serve returns when the deferred Close below closes the
+		// listener; its error is then ErrServerClosed, dropped.
 		go func() { _ = debugSrv.Serve(dln) }()
 		defer debugSrv.Close()
 		fmt.Fprintf(os.Stderr, "vmprimd: pprof on http://%s/debug/pprof/\n", dln.Addr())
@@ -105,7 +106,8 @@ func run(addr, addrFile, debugAddr string, opts serve.Options) error {
 	srv := serve.New(opts)
 	httpSrv := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	errCh := make(chan error, 1)
-	//lint:allow goroutinelife Serve returns when Close/Shutdown below closes the listener, and errCh is buffered so the send never blocks
+	// Serve returns when Close or Shutdown below closes the listener,
+	// and errCh is buffered so the send never blocks.
 	go func() { errCh <- httpSrv.Serve(ln) }()
 	fmt.Fprintf(os.Stderr, "vmprimd: serving on http://%s (workers %d, retain %d, pool %d)\n",
 		bound, opts.Workers, opts.RetainRuns, opts.PoolMachines)

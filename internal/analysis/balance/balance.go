@@ -1,8 +1,7 @@
 // Package balance proves that a paired acquire/release call balances on
 // every control-flow path of a function body. spanbalance instantiates
-// it over BeginSpan/EndSpan and lockdiscipline over Lock/Unlock of one
-// mutex; each supplies only how it recognises its calls and how it
-// words the findings.
+// it over BeginSpan/EndSpan, supplying only how it recognises its calls
+// and how it words the findings.
 //
 // The proof is a framework.WalkPaths flow over two counters: the
 // number of acquires not yet undone by an inline release (depth) and
@@ -41,8 +40,7 @@ import (
 type Event int
 
 const (
-	Reacquire   Event = iota // acquire with depth n already held
-	Unmatched                // release with nothing held
+	Unmatched   Event = iota // release with nothing held
 	DeferInLoop              // release deferred inside a loop
 	ReturnOpen               // return with depth-credits == n, n != 0
 	EndOpen                  // body falls off its end likewise
@@ -59,12 +57,8 @@ type Pair struct {
 	Op func(call *ast.CallExpr) (acquire, ok bool)
 	// Release is the release method's name, for the suggested fix.
 	Release string
-	// Message words one finding, or returns "" to stay silent about it.
+	// Message words one finding.
 	Message func(ev Event, n int) string
-	// Held, if set, is shown every statement (other than the pair's own
-	// calls and defers) and every if/for/range/switch/select head
-	// reached with the resource held.
-	Held func(n ast.Node)
 }
 
 // Check walks body and reports every path on which pair does not
@@ -89,11 +83,7 @@ type checker struct {
 }
 
 func (c *checker) report(pos token.Pos, prefix string, ev Event, n int) {
-	msg := c.pair.Message(ev, n)
-	if msg == "" {
-		return
-	}
-	d := framework.Diagnostic{Pos: pos, Message: prefix + msg}
+	d := framework.Diagnostic{Pos: pos, Message: prefix + c.pair.Message(ev, n)}
 	if c.fix != nil && (ev == ReturnOpen || ev == EndOpen) {
 		d.SuggestedFixes = []framework.SuggestedFix{*c.fix}
 	}
@@ -106,12 +96,6 @@ func (c *checker) exit(pos token.Pos, ev Event, st state) {
 	}
 }
 
-func (c *checker) held(n ast.Node, st state) {
-	if st.depth > 0 && c.pair.Held != nil {
-		c.pair.Held(n)
-	}
-}
-
 func (c *checker) Leaf(s ast.Stmt, st state, loops []ast.Stmt) (state, bool) {
 	switch s := s.(type) {
 	case *ast.ExprStmt:
@@ -119,9 +103,6 @@ func (c *checker) Leaf(s ast.Stmt, st state, loops []ast.Stmt) (state, bool) {
 			if acquire, ok := c.pair.Op(call); ok {
 				switch {
 				case acquire:
-					if st.depth > 0 {
-						c.report(call.Pos(), "", Reacquire, st.depth)
-					}
 					st.depth++
 				case st.depth <= 0:
 					c.report(call.Pos(), "", Unmatched, 0)
@@ -137,8 +118,7 @@ func (c *checker) Leaf(s ast.Stmt, st state, loops []ast.Stmt) (state, bool) {
 
 	case *ast.DeferStmt:
 		// defer x.Release(), or defer func() { …x.Release()… }() whose
-		// top-level releases count. Other defers run at exit, where what
-		// is held is path-dependent: not shown to Held.
+		// top-level releases count.
 		calls := []*ast.CallExpr{s.Call}
 		if lit, ok := s.Call.Fun.(*ast.FuncLit); ok {
 			calls = nil
@@ -163,15 +143,11 @@ func (c *checker) Leaf(s ast.Stmt, st state, loops []ast.Stmt) (state, bool) {
 		return st, false
 
 	case *ast.ReturnStmt:
-		c.held(s, st)
 		c.exit(s.Pos(), ReturnOpen, st)
 		return st, true
 	}
-	c.held(s, st)
 	return st, false
 }
-
-func (c *checker) Head(s ast.Stmt, st state) { c.held(s, st) }
 
 func (c *checker) Join(at ast.Stmt, outs []state) state {
 	for _, o := range outs[1:] {

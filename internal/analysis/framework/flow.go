@@ -17,11 +17,6 @@ type Flow[S any] interface {
 	// statement and whether the path ends there (return, panic).
 	Leaf(s ast.Stmt, st S, loops []ast.Stmt) (out S, diverged bool)
 
-	// Head is told the state in which an if, for, range, switch or
-	// select evaluates its condition, tag, operand or comm clauses,
-	// after any init statement and before any arm.
-	Head(s ast.Stmt, st S)
-
 	// Join merges the two or more states in which control can leave
 	// the arms of the if, switch or select at (including the state
 	// before at, when no arm need run) — or, when at is a case clause,
@@ -120,7 +115,6 @@ func (w *pathWalker[S]) stmt(s ast.Stmt, label string, st S) (S, bool) {
 
 	case *ast.IfStmt:
 		st = w.init(s.Init, st)
-		w.flow.Head(s, st)
 		var outs []S
 		if out, diverged := w.stmts(s.Body.List, w.flow.Copy(st)); !diverged {
 			outs = append(outs, out)
@@ -178,7 +172,6 @@ func (w *pathWalker[S]) join(at ast.Stmt, st S, outs []S) (S, bool) {
 }
 
 func (w *pathWalker[S]) loop(s ast.Stmt, label string, body *ast.BlockStmt, st S) S {
-	w.flow.Head(s, st)
 	w.targets = append(w.targets, target[S]{label: label, loop: true, entry: st})
 	w.loops = append(w.loops, s)
 	back, diverged := w.stmts(body.List, w.flow.Copy(st))
@@ -195,7 +188,6 @@ func (w *pathWalker[S]) loop(s ast.Stmt, label string, body *ast.BlockStmt, st S
 // that targets it, and — for a switch with no default — straight from
 // the head; a select always runs exactly one clause.
 func (w *pathWalker[S]) cases(s ast.Stmt, label string, body *ast.BlockStmt, st S) (S, bool) {
-	w.flow.Head(s, st)
 	w.targets = append(w.targets, target[S]{label: label})
 	self := len(w.targets) - 1
 	_, isSelect := s.(*ast.SelectStmt)

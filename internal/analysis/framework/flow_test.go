@@ -39,12 +39,6 @@ func (f *countFlow) Leaf(s ast.Stmt, st int, loops []ast.Stmt) (int, bool) {
 	return st, false
 }
 
-func (f *countFlow) Head(s ast.Stmt, st int) {
-	if _, ok := s.(*ast.SelectStmt); ok {
-		f.log = append(f.log, fmt.Sprintf("head select %d", st))
-	}
-}
-
 func (f *countFlow) Join(at ast.Stmt, outs []int) int {
 	kind := "?"
 	switch at.(type) {
@@ -124,20 +118,18 @@ func TestWalkPaths(t *testing.T) {
 			body:  `inc(); select { case <-c: inc(); case c <- 1: return }`,
 			end:   2,
 			falls: true,
-			log:   []string{"head select 1"},
 		},
 		{
 			name:  "select with default",
 			body:  `select { case <-c: inc(); default: }`,
 			end:   1,
 			falls: true,
-			log:   []string{"head select 0", "join select [1 0]"},
+			log:   []string{"join select [1 0]"},
 		},
 		{
 			name:  "empty select blocks for ever",
 			body:  `inc(); select {}`,
 			falls: false,
-			log:   []string{"head select 1"},
 		},
 		{
 			name: "nested loops: jumps resolve to the loop they name",
@@ -193,7 +185,7 @@ func TestWalkPaths(t *testing.T) {
 			body:  `sel: select { case <-c: for { inc(); break sel }; default: }`,
 			end:   1,
 			falls: true,
-			log:   []string{"head select 0", "join select [1 0 0]"},
+			log:   []string{"join select [1 0 0]"},
 		},
 		{
 			name:  "fallthrough carries the clause's state into the next clause",

@@ -33,14 +33,6 @@ const (
 	FacadePath   = "vmprim"
 	ExamplesPath = "vmprim/examples"
 	CmdPath      = "vmprim/cmd"
-
-	// The host-concurrent packages: the serving plane and its load
-	// driver, audited by the hostconc analyzer family (which also
-	// covers the pool/stream files of HypercubePath).
-	ServePath   = "vmprim/internal/serve"
-	MetricsPath = "vmprim/internal/metrics"
-	VmprimdPath = "vmprim/cmd/vmprimd"
-	VmloadPath  = "vmprim/cmd/vmload"
 )
 
 // InScope reports whether pkgPath is one of the listed audit roots or
@@ -60,11 +52,6 @@ func InScope(pkgPath string, roots ...string) bool {
 // sits beneath "vmprim/".)
 func InTopLevelScope(pkgPath string) bool {
 	return pkgPath == FacadePath || InScope(pkgPath, ExamplesPath, CmdPath)
-}
-
-// InModule reports whether path is one of this module's packages.
-func InModule(path string) bool {
-	return InScope(path, FacadePath)
 }
 
 // IsTestFile reports whether the file containing pos is a _test.go

@@ -15,9 +15,37 @@ import (
 // These tests exist for the race detector: the broadcaster is the one
 // piece of the serving plane where the simulator's stream goroutine,
 // every SSE handler goroutine and the run-completion path all touch
-// the same state. check.sh runs this package under -race; a quiet run
-// here is the dynamic counterpart of the lockdiscipline/chanprotocol
-// proofs about the same code.
+// the same state. check.sh runs this package under -race with a
+// bounded -timeout, so a lock left held or a send that blocks fails
+// here by name instead of hanging the gate.
+
+// TestPublishNeverBlocks: publish runs inline on the run's only
+// thread, so a subscriber that never drains must cost dropped events,
+// never a blocked publisher; and a publish after close must leave the
+// broadcaster's lock free.
+func TestPublishNeverBlocks(t *testing.T) {
+	b := newBroadcaster()
+	_, live := b.subscribe() // never drained
+	within(t, "publishing 2*subBuffer events to a stalled subscriber", func() {
+		for n := 0; n < 2*subBuffer; n++ {
+			b.publish(obs.StreamEvent{Kind: obs.EvProgress, VTUs: float64(n)})
+		}
+	})
+	if len(live) != subBuffer {
+		t.Fatalf("stalled subscriber holds %d events, want its full buffer of %d", len(live), subBuffer)
+	}
+	var dropped int64
+	within(t, "droppedEvents", func() { dropped = b.droppedEvents() })
+	if dropped != subBuffer {
+		t.Fatalf("droppedEvents = %d, want %d", dropped, subBuffer)
+	}
+	b.close()
+	within(t, "a publish after close", func() { b.publish(obs.StreamEvent{Kind: obs.EvProgress}) })
+	within(t, "droppedEvents after a late publish", func() { dropped = b.droppedEvents() })
+	if dropped != subBuffer {
+		t.Fatalf("droppedEvents after close = %d, want %d (a late publish drops uncounted)", dropped, subBuffer)
+	}
+}
 
 // TestBroadcasterChurn hammers one broadcaster with concurrent
 // publishers and subscribe/drain/unsubscribe churn, then closes it and

@@ -1,10 +1,8 @@
 // Package testutil holds helpers shared by the host-side test suites.
 //
-// The leak checker is the runtime counterpart of the goroutinelife
-// analyzer: the analyzer proves every go statement carries a
-// termination obligation, and CheckLeaks proves the obligations are
-// actually discharged — a test that returns while one of its
-// goroutines still runs fails with the leaked stacks' signatures.
+// The leak checker proves that the goroutines a test starts have
+// stopped by the time it returns: a test that returns while one of
+// its goroutines still runs fails with the leaked stacks' signatures.
 //
 // Usage, first line of the test:
 //

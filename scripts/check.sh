@@ -109,13 +109,17 @@ go test -run '^$' -fuzz FuzzSubmit -fuzztime 5s -fuzzminimizetime 1s ./internal/
 # and the analysis framework's mutex guards nothing run concurrently. The
 # MachinePool runs repeat: one run missed a machine-shared buffer pool
 # (it races only when two pooled runs overlap) in 1 of 20 tries.
-go test -race ./internal/serve/ ./internal/metrics/ ./cmd/vmload/
-go test -race -count=5 -run MachinePool ./internal/hypercube/
+# These tests are the serving plane's guard against lock, goroutine and
+# channel bugs (CHANGES.md has the mutant table that showed it); each
+# step takes seconds, so a bounded -timeout makes a lock left held fail
+# here by name instead of hanging the gate for Go's default 10 minutes.
+go test -race -timeout 120s ./internal/serve/ ./internal/metrics/ ./cmd/vmload/
+go test -race -timeout 120s -count=5 -run MachinePool ./internal/hypercube/
 # Completion ordering: finishRun must finish its bookkeeping (counters,
 # aggregate, retention) before it wakes /wait. These two tests act on
 # the wake-up at once and caught the reverse order in only 1-14% of
 # runs, so repeat them.
-go test -race -count=20 -run 'RunRetentionEviction|MetricsScrape' ./internal/serve/
+go test -race -timeout 120s -count=20 -run 'RunRetentionEviction|MetricsScrape' ./internal/serve/
 
 # End-to-end profiled run: the JSON profile on stdout must parse, and
 # the Chrome trace written next to it must parse, or the exporters

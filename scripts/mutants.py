@@ -1,0 +1,487 @@
+#!/usr/bin/env python3
+"""Mutation harness for the host-concurrency code: the serving plane
+(internal/serve, internal/metrics), the machine pool
+(internal/hypercube/machinepool.go) and the two daemons' mains
+(cmd/vmload, cmd/vmprimd).
+
+Each mutant is data: a file, an exact old text, the new text that
+replaces it, and the bug class it seeds. The harness copies a source
+tree to a temporary directory, builds vmlint there once, then for each
+mutant applies it, runs the checks below, restores the file, and
+finally prints one Markdown table row per mutant:
+
+  * vmlint -json ./...: the analyzers that report a finding;
+  * go test -race -timeout 60s on ./internal/serve, ./internal/metrics
+    and ./cmd/vmload, and on the MachinePool tests of
+    ./internal/hypercube: the failing tests, and why they failed
+    (panic, data race, or the binary's timeout);
+  * the other tests of the mutated code: for internal/metrics the
+    packages that import it, for machinepool.go the rest of
+    internal/hypercube and the facade; for cmd/vmload and cmd/vmprimd
+    the end-to-end smokes scripts/check.sh runs (vmload's in-process
+    mini-burst; vmprimd's submit, wait, scrape and SIGTERM steps).
+
+A mutant whose old text is not found, or that does not compile, is
+reported as such; it decides nothing.
+
+Usage, from the repository root (needs go, and python3 only):
+
+    scripts/mutants.py                  # mutants against HEAD
+    scripts/mutants.py --tree DIR       # against a copy of DIR
+    scripts/mutants.py --only L1 B2     # a subset, by id
+    scripts/mutants.py --list           # the mutants, no runs
+    scripts/mutants.py --logs DIR       # keep each mutant's test output
+
+To audit a past revision, extract it first (git archive REV | tar -x
+-C DIR) and pass --tree DIR. The tree given is never modified.
+
+scripts/check.sh does not run this: one pass takes about 40 minutes on
+2 vCPUs, most of it in the 60 s timeouts of mutants that deadlock. The
+same harness, with new mutant lists, is meant to audit the SPMD
+analyzers (ROADMAP item 3(d)) and to run the mutants on the real
+machine (item 4(b)).
+"""
+
+import argparse
+import json
+import os
+import re
+import shutil
+import signal
+import subprocess
+import sys
+import tempfile
+import time
+import urllib.request
+
+CLASSES = {
+    "L": "lock held past a branch",
+    "A": "double acquire",
+    "B": "blocking operation under a lock",
+    "G": "goroutine with no exit",
+    "C": "double close or close in a loop",
+    "S": "send on a closed channel or close by the receiver",
+    "K": "go closure capturing a variable the loop writes",
+}
+
+SSE = "internal/serve/sse.go"
+SERVER = "internal/serve/server.go"
+REGISTRY = "internal/serve/registry.go"
+EXECUTOR = "internal/serve/executor.go"
+METRICS = "internal/metrics/metrics.go"
+POOL = "internal/hypercube/machinepool.go"
+VMLOAD = "cmd/vmload/main.go"
+VMPRIMD = "cmd/vmprimd/main.go"
+
+# id, file, site (function), old text, new text. The class is the id's
+# letter.
+MUTANTS = [
+    # L: a path out of the critical section that skips the Unlock.
+    ("L1", SSE, "broadcaster.publish: closed branch returns locked",
+     "\tif b.closed {\n\t\tb.mu.Unlock()\n\t\treturn\n\t}\n",
+     "\tif b.closed {\n\t\treturn\n\t}\n"),
+    ("L2", SERVER, "Server.handleSubmit: shutting-down branch returns locked",
+     "\tif s.closed {\n\t\ts.closedMu.Unlock()\n\t\twriteError(",
+     "\tif s.closed {\n\t\twriteError("),
+    ("L3", SERVER, "Server.handleSubmit: queue-full branch returns locked",
+     "\tdefault:\n\t\ts.closedMu.Unlock()\n\t\trun.complete(",
+     "\tdefault:\n\t\trun.complete("),
+    ("L4", POOL, "MachinePool.Acquire: hit path returns locked",
+     "\t\t\tmp.hits++\n\t\t\tmp.mu.Unlock()\n",
+     "\t\t\tmp.hits++\n"),
+    ("L5", SSE, "broadcaster.unsubscribe: unlocks only when subscribed",
+     "\t\tdelete(b.subs, ch)\n\t\tclose(ch)\n\t}\n\tb.mu.Unlock()\n}\n\n// close ends",
+     "\t\tdelete(b.subs, ch)\n\t\tclose(ch)\n\t\tb.mu.Unlock()\n\t}\n}\n\n// close ends"),
+    ("L6", REGISTRY, "registry.get: unlocks only on a hit",
+     "\tg.mu.Lock()\n\tdefer g.mu.Unlock()\n\tif r := g.runs[id]; r != nil {\n\t\treturn r, false\n\t}\n",
+     "\tg.mu.Lock()\n\tif r := g.runs[id]; r != nil {\n\t\tg.mu.Unlock()\n\t\treturn r, false\n\t}\n"),
+    ("L7", METRICS, "Registry.register: duplicate panic leaves the lock held",
+     "\tr.mu.Lock()\n\tdefer r.mu.Unlock()\n\tif _, dup := r.byName[m.name]; dup {\n\t\tpanic(\"metrics: duplicate metric \" + m.name)\n\t}\n\tr.byName[m.name] = m\n\tr.order = append(r.order, m)\n",
+     "\tr.mu.Lock()\n\tif _, dup := r.byName[m.name]; dup {\n\t\tpanic(\"metrics: duplicate metric \" + m.name)\n\t}\n\tr.byName[m.name] = m\n\tr.order = append(r.order, m)\n\tr.mu.Unlock()\n"),
+    ("L8", METRICS, "Registry.Snapshot: histogram case leaves h.mu held",
+     "\t\t\tmv.Count = h.n\n\t\t\th.mu.Unlock()\n",
+     "\t\t\tmv.Count = h.n\n"),
+
+    # A: a mutex taken again by the goroutine that holds it.
+    ("A1", SERVER, "Server.runStatus: reads the state through Run.State",
+     "\t\tState:     run.state,\n",
+     "\t\tState:     run.State(),\n"),
+    ("A2", REGISTRY, "registry.list: sizes its result through counts",
+     "\tout := make([]*Run, 0, len(g.runs))\n",
+     "\tn, _ := g.counts()\n\tout := make([]*Run, 0, n)\n"),
+    ("A3", POOL, "MachinePool.Release: bounds the pool through Stats",
+     "\tfor len(mp.idle) > mp.cap {\n",
+     "\tfor mp.Stats().Idle > mp.cap {\n"),
+    ("A4", SSE, "broadcaster.close: closes each subscriber through unsubscribe",
+     "\tfor ch := range b.subs {\n\t\tdelete(b.subs, ch)\n\t\tclose(ch)\n\t}\n\tb.mu.Unlock()\n}\n\n// droppedEvents",
+     "\tfor ch := range b.subs {\n\t\tb.unsubscribe(ch)\n\t}\n\tb.mu.Unlock()\n}\n\n// droppedEvents"),
+    ("A5", METRICS, "Histogram.Observe: locks twice",
+     "func (h *Histogram) Observe(v float64) {\n\th.mu.Lock()\n",
+     "func (h *Histogram) Observe(v float64) {\n\th.mu.Lock()\n\th.mu.Lock()\n"),
+    ("A6", EXECUTOR, "Server.finishRun: Lock where Unlock was meant",
+     "\t\ts.simAgg = metrics.Merge(s.simAgg, runMetrics)\n\t\ts.aggMu.Unlock()\n",
+     "\t\ts.simAgg = metrics.Merge(s.simAgg, runMetrics)\n\t\ts.aggMu.Lock()\n"),
+
+    # B: an operation that can wait without bound, run under a lock.
+    ("B1", SSE, "broadcaster.publish: blocking send to a subscriber",
+     "\t\tselect {\n\t\tcase ch <- ev:\n\t\tdefault:\n\t\t\tb.dropped++\n\t\t}\n",
+     "\t\tch <- ev\n"),
+    ("B2", SERVER, "Server.handleSubmit: blocking enqueue under closedMu",
+     "\tselect {\n\tcase s.queue <- run:\n\t\ts.closedMu.Unlock()\n\tdefault:\n\t\ts.closedMu.Unlock()\n\t\trun.complete(nil, nil, nil, errors.New(\"submission queue full\"))\n\t\ts.reg.markFinished(run.ID)\n\t\twriteError(w, http.StatusServiceUnavailable, \"queue_full\",\n\t\t\tfmt.Sprintf(\"submission queue is full (%d pending)\", s.opts.QueueDepth))\n\t\treturn\n\t}\n",
+     "\ts.queue <- run\n\ts.closedMu.Unlock()\n"),
+    ("B3", SERVER, "Server.Close: WaitGroup.Wait under closedMu",
+     "\ts.closed = true\n\ts.closedMu.Unlock()\n\tif already {\n\t\treturn\n\t}\n\tclose(s.queue)\n\ts.wg.Wait()\n",
+     "\ts.closed = true\n\tif already {\n\t\ts.closedMu.Unlock()\n\t\treturn\n\t}\n\tclose(s.queue)\n\ts.wg.Wait()\n\ts.closedMu.Unlock()\n"),
+    ("B4", EXECUTOR, "Server.execute: Machine.Run (via RunOn) under run.mu",
+     "\tres, err := run.Spec.RunOn(m, bench.ProfileOpts{Profile: true, CritPath: true})\n",
+     "\trun.mu.Lock()\n\tres, err := run.Spec.RunOn(m, bench.ProfileOpts{Profile: true, CritPath: true})\n\trun.mu.Unlock()\n"),
+    ("B5", SERVER, "Server.handleSubmit: writes the 503 under closedMu",
+     "\t\ts.closedMu.Unlock()\n\t\twriteError(w, http.StatusServiceUnavailable, \"shutting_down\", \"server is shutting down\")\n",
+     "\t\twriteError(w, http.StatusServiceUnavailable, \"shutting_down\", \"server is shutting down\")\n\t\ts.closedMu.Unlock()\n"),
+    ("B6", SERVER, "Server.handleMetrics: writes the exposition under aggMu",
+     "\tsim := s.simAgg\n\ts.aggMu.Unlock()\n\tsnap := metrics.Merge(s.met.reg.Snapshot(), sim)\n\tw.Header().Set(\"Content-Type\", promContentType)\n\t_ = snap.WritePrometheus(w)\n",
+     "\tsim := s.simAgg\n\tsnap := metrics.Merge(s.met.reg.Snapshot(), sim)\n\tw.Header().Set(\"Content-Type\", promContentType)\n\t_ = snap.WritePrometheus(w)\n\ts.aggMu.Unlock()\n"),
+
+    # G: a goroutine that never returns.
+    ("G1", SERVER, "New: a goroutine parked forever",
+     "\ts.routes()\n\ts.wg.Add(opts.Workers)\n",
+     "\ts.routes()\n\tgo func() { select {} }()\n\ts.wg.Add(opts.Workers)\n"),
+    ("G2", EXECUTOR, "Server.worker: loops on after the queue closes",
+     "\tfor run := range s.queue {\n\t\ts.execute(run)\n\t}\n",
+     "\tfor {\n\t\tif run, ok := <-s.queue; ok {\n\t\t\ts.execute(run)\n\t\t}\n\t}\n"),
+    ("G3", VMLOAD, "drive: a submitter parks instead of returning",
+     "\t\t\t\tif i >= int64(total) {\n\t\t\t\t\treturn\n\t\t\t\t}\n",
+     "\t\t\t\tif i >= int64(total) {\n\t\t\t\t\tselect {}\n\t\t\t\t}\n"),
+    ("G4", VMPRIMD, "run: the API listener goroutine serves forever",
+     "\tgo func() { errCh <- httpSrv.Serve(ln) }()\n",
+     "\tgo func() {\n\t\tfor {\n\t\t\terrCh <- httpSrv.Serve(ln)\n\t\t}\n\t}()\n"),
+    ("G5", SERVER, "New: a runtime-metrics refresher on a ticker",
+     "\ts.routes()\n\ts.wg.Add(opts.Workers)\n",
+     "\ts.routes()\n\tgo func() {\n\t\tfor range time.Tick(time.Second) {\n\t\t\ts.met.goRuntime.refresh()\n\t\t}\n\t}()\n\ts.wg.Add(opts.Workers)\n"),
+    ("G6", VMLOAD, "main: the in-process listener goroutine serves forever",
+     "\t\tgo hs.Serve(ln)\n",
+     "\t\tgo func() {\n\t\t\tfor {\n\t\t\t\t_ = hs.Serve(ln)\n\t\t\t}\n\t\t}()\n"),
+
+    # C: a channel closed twice, or once per iteration.
+    ("C1", REGISTRY, "Run.complete: closes done twice",
+     "\tr.bcast.close()\n\tclose(r.done)\n",
+     "\tr.bcast.close()\n\tclose(r.done)\n\tclose(r.done)\n"),
+    ("C2", SERVER, "Server.Close: no guard against a second Close",
+     "\tif already {\n\t\treturn\n\t}\n\tclose(s.queue)\n",
+     "\t_ = already\n\tclose(s.queue)\n"),
+    ("C3", SSE, "broadcaster.close: closes without removing the subscriber",
+     "\tfor ch := range b.subs {\n\t\tdelete(b.subs, ch)\n\t\tclose(ch)\n\t}\n\tb.mu.Unlock()\n}\n\n// droppedEvents",
+     "\tfor ch := range b.subs {\n\t\tclose(ch)\n\t}\n\tb.mu.Unlock()\n}\n\n// droppedEvents"),
+    ("C4", SSE, "broadcaster.unsubscribe: closes whether or not subscribed",
+     "\tif _, ok := b.subs[ch]; ok {\n\t\tdelete(b.subs, ch)\n\t\tclose(ch)\n\t}\n",
+     "\tdelete(b.subs, ch)\n\tclose(ch)\n"),
+    ("C5", SERVER, "Server.Close: closes the queue once per worker",
+     "\tclose(s.queue)\n\ts.wg.Wait()\n",
+     "\tfor i := 0; i < s.opts.Workers; i++ {\n\t\tclose(s.queue)\n\t}\n\ts.wg.Wait()\n"),
+    ("C6", SERVER, "Server.handleSubmit: queue-full path closes done after complete",
+     "\t\trun.complete(nil, nil, nil, errors.New(\"submission queue full\"))\n",
+     "\t\trun.complete(nil, nil, nil, errors.New(\"submission queue full\"))\n\t\tclose(run.done)\n"),
+
+    # S: a send on a channel that may be closed, or a receiver that
+    # closes.
+    ("S1", SSE, "broadcaster.unsubscribe: closes without delete",
+     "\t\tdelete(b.subs, ch)\n\t\tclose(ch)\n\t}\n\tb.mu.Unlock()\n}\n\n// close ends",
+     "\t\tclose(ch)\n\t}\n\tb.mu.Unlock()\n}\n\n// close ends"),
+    ("S2", SSE, "handleEvents: the receiver closes its live channel",
+     "\t\tdefer run.bcast.unsubscribe(live)\n",
+     "\t\tdefer close(live)\n"),
+    ("S3", SERVER, "Server.handleSubmit: enqueues without the closed check",
+     "\tif s.closed {\n\t\ts.closedMu.Unlock()\n\t\twriteError(w, http.StatusServiceUnavailable, \"shutting_down\", \"server is shutting down\")\n\t\treturn\n\t}\n",
+     ""),
+    ("S4", SSE, "broadcaster.publish: closes a slow subscriber it keeps",
+     "\t\tdefault:\n\t\t\tb.dropped++\n",
+     "\t\tdefault:\n\t\t\tb.dropped++\n\t\t\tclose(ch)\n"),
+    ("S5", VMPRIMD, "run: the signal receiver closes the signal channel",
+     "\tcase s := <-sig:\n",
+     "\tcase s := <-sig:\n\t\tclose(sig)\n"),
+    ("S6", EXECUTOR, "Server.worker: the receiver closes the queue",
+     "\tfor run := range s.queue {\n\t\ts.execute(run)\n\t}\n",
+     "\tfor run := range s.queue {\n\t\ts.execute(run)\n\t}\n\tclose(s.queue)\n"),
+
+    # K: a go closure in a loop reading a variable the loop keeps
+    # writing, or a variable hoisted out of the loop.
+    ("K1", VMLOAD, "drive: the loop counter, hoisted, read by the submitter",
+     "\tfor w := 0; w < conc; w++ {\n",
+     "\tvar w int\n\tfor w = 0; w < conc; w++ {\n"),
+    ("K2", VMLOAD, "drive: the run index hoisted out of the submitters",
+     "\tfor w := 0; w < conc; w++ {\n\t\twg.Add(1)\n\t\tgo func() {\n\t\t\tdefer wg.Done()\n\t\t\tfor {\n\t\t\t\ti := next.Add(1) - 1\n",
+     "\tvar i int64\n\tfor w := 0; w < conc; w++ {\n\t\twg.Add(1)\n\t\tgo func() {\n\t\t\tdefer wg.Done()\n\t\t\tfor {\n\t\t\t\ti = next.Add(1) - 1\n"),
+    ("K3", VMLOAD, "drive: the latency and error hoisted out of the submitters",
+     "\tfor w := 0; w < conc; w++ {\n\t\twg.Add(1)\n",
+     "\tvar lat float64\n\tvar err error\n\tfor w := 0; w < conc; w++ {\n\t\twg.Add(1)\n"),
+    ("K4", VMLOAD, "drive: a client per worker, written by the loop",
+     "\tfor w := 0; w < conc; w++ {\n\t\twg.Add(1)\n",
+     "\tfor w := 0; w < conc; w++ {\n\t\tclient = &http.Client{Timeout: 5 * time.Minute}\n\t\twg.Add(1)\n"),
+    ("K5", POOL, "MachinePool.Close: closes in goroutines over a hoisted variable",
+     "\tfor _, m := range idle {\n\t\tm.Close()\n\t}\n",
+     "\tvar m *Machine\n\tfor _, m = range idle {\n\t\tgo func() { m.Close() }()\n\t}\n"),
+    ("K6", POOL, "MachinePool.Release: closes evictions in goroutines over a loop-written variable",
+     "\tfor _, em := range evicted {\n\t\tem.Close()\n\t}\n",
+     "\tvar cur *Machine\n\tfor _, em := range evicted {\n\t\tcur = em\n\t\tgo func() { cur.Close() }()\n\t}\n"),
+]
+
+# K1 must read w inside the closure and K3 must assign the hoisted
+# variables there: both need a second edit in the submitter's body.
+EXTRA = {
+    "K1": ("firstErr.CompareAndSwap(nil, fmt.Errorf(\"run %d: %w\", i, err))",
+           "firstErr.CompareAndSwap(nil, fmt.Errorf(\"worker %d run %d: %w\", w, i, err))"),
+    "K3": ("\t\t\t\tlat, err := submitOne(client, base, spec)\n",
+           "\t\t\t\tlat, err = submitOne(client, base, spec)\n"),
+}
+
+RACE_PKGS = ["./internal/serve/", "./internal/metrics/", "./cmd/vmload/"]
+
+
+def other_tests(path):
+    """The non-race tests of the mutated file beyond the race set."""
+    if path == METRICS:
+        return ("go", ["go", "test", "-count=1", "-timeout", "120s",
+                       ".", "./cmd/vmprim/", "./internal/bench/", "./internal/hypercube/"])
+    if path == POOL:
+        return ("go", ["go", "test", "-count=1", "-timeout", "120s", ".", "./internal/hypercube/"])
+    if path == VMLOAD:
+        return ("smoke", "vmload")
+    if path == VMPRIMD:
+        return ("smoke", "vmprimd")
+    return None
+
+
+def sh(cmd, cwd, timeout):
+    """Runs cmd, returning (exit status or None on timeout, output)."""
+    try:
+        p = subprocess.run(cmd, cwd=cwd, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+                           timeout=timeout, text=True)
+        return p.returncode, p.stdout
+    except subprocess.TimeoutExpired as e:
+        out = e.stdout or ""
+        if isinstance(out, bytes):
+            out = out.decode(errors="replace")
+        return None, out
+
+
+def summarize_go_test(status, out):
+    """One cell: ok, or the failing tests and why."""
+    if status is None:
+        return "harness timeout"
+    if status == 0:
+        return "ok"
+    if "[build failed]" in out or "[setup failed]" in out:
+        return "BUILD FAILED"
+    failed = []
+    for m in re.finditer(r"--- FAIL: (\S+)", out):
+        if m.group(1) not in failed:
+            failed.append(m.group(1))
+    why = []
+    if "WARNING: DATA RACE" in out:
+        why.append("data race")
+    tm = re.search(r"panic: test timed out after (\S+)\n(?:\s*running tests:\n((?:\s+\S+ \(.*\)\n)+))?", out)
+    if tm:
+        if tm.group(2):
+            running = [l.split()[0] for l in tm.group(2).splitlines()]
+        else:  # a fuzz target's seeds: name it from the stacks
+            running = sorted(set(re.findall(r"\.((?:Test|Fuzz)\w+)(?:\.func\d+)*\(", out[tm.start():])))
+        why.append("timeout %s in %s" % (tm.group(1), ", ".join(running)))
+    for m in re.finditer(r"^(?:panic|fatal error): (.+)$", out, re.M):
+        msg = m.group(1)
+        if msg.startswith("test timed out"):
+            continue
+        msg = re.sub(r" \[recovered\]$", "", msg)
+        why.append("panic: " + msg)
+        break
+    for m in re.finditer(r"^\s+\S+_test\.go:\d+: (.+)$", out, re.M):
+        if not why:
+            why.append(m.group(1)[:90])
+        break
+    cell = ", ".join(failed) if failed else "FAIL"
+    if why:
+        cell += " (" + "; ".join(why) + ")"
+    return cell
+
+
+def vmlint(tree, binary):
+    status, out = sh([binary, "-json", "./..."], tree, 300)
+    if status is None:
+        return "vmlint timeout"
+    try:
+        findings = json.loads(out[out.index("["):])
+    except ValueError:
+        return "vmlint error: " + out.strip().splitlines()[-1][:80] if out.strip() else "vmlint error"
+    names = sorted({f["analyzer"] for f in findings})
+    return ", ".join(names) if names else "none"
+
+
+def race_tests(tree, log):
+    s1, o1 = sh(["go", "test", "-race", "-count=1", "-timeout", "60s"] + RACE_PKGS, tree, 600)
+    s2, o2 = sh(["go", "test", "-race", "-count=1", "-timeout", "60s", "-run", "MachinePool",
+                 "./internal/hypercube/"], tree, 600)
+    log(o1 + o2)
+    cells = []
+    for (s, o) in ((s1, o1), (s2, o2)):
+        c = summarize_go_test(s, o)
+        if c != "ok":
+            cells.append(c)
+    return "; ".join(cells) if cells else "ok"
+
+
+def smoke_vmload(tree, bindir):
+    status, out = sh(["go", "build", "-o", os.path.join(bindir, "vmload"), "./cmd/vmload"], tree, 600)
+    if status != 0:
+        return "BUILD FAILED"
+    outfile = os.path.join(bindir, "vmload.json")
+    status, out = sh([os.path.join(bindir, "vmload"), "-runs", "60", "-c", "8", "-out", outfile], tree, 120)
+    if status is None:
+        return "smoke timeout (120 s)"
+    if status != 0:
+        return "smoke exit %d" % status
+    res = json.load(open(outfile))["results"]
+    if res["completed"] != 60 or res["failed"] != 0:
+        return "smoke: %d/60 completed" % res["completed"]
+    return "ok"
+
+
+def http_json(url, body=None, timeout=60):
+    req = urllib.request.Request(url, data=body.encode() if body else None,
+                                 method="POST" if body else "GET")
+    with urllib.request.urlopen(req, timeout=timeout) as r:
+        data = r.read()
+    return json.loads(data) if data[:1] in (b"{", b"[") else data
+
+
+def smoke_vmprimd(tree, bindir):
+    status, out = sh(["go", "build", "-o", os.path.join(bindir, "vmprimd"), "./cmd/vmprimd"], tree, 600)
+    if status != 0:
+        return "BUILD FAILED"
+    addrfile = os.path.join(bindir, "addr")
+    if os.path.exists(addrfile):
+        os.remove(addrfile)
+    log = open(os.path.join(bindir, "vmprimd.log"), "w+")
+    p = subprocess.Popen([os.path.join(bindir, "vmprimd"), "-addr", "127.0.0.1:0",
+                          "-addr-file", addrfile, "-workers", "1"], stderr=log)
+    try:
+        for _ in range(100):
+            if os.path.exists(addrfile) and os.path.getsize(addrfile) > 0:
+                break
+            time.sleep(0.1)
+        base = "http://" + open(addrfile).read().strip()
+        for spec in ('{"exp":"E1"}', '{"exp":"E1","model":"ipsc"}'):
+            run_id = http_json(base + "/runs", spec)["id"]
+            st = http_json(base + "/runs/%s/wait?timeout=60s" % run_id, timeout=90)
+            if st["state"] != "done":
+                return "smoke: run ended " + st["state"]
+            for doc in ("profile", "trace", "critpath", "metrics"):
+                http_json(base + "/runs/%s/%s" % (run_id, doc))
+        http_json(base + "/metrics")
+        p.send_signal(signal.SIGTERM)
+        status = p.wait(timeout=60)
+    except subprocess.TimeoutExpired:
+        return "smoke: no exit within 60 s of SIGTERM"
+    except Exception as e:  # a hung or crashed server answers nothing
+        return "smoke: " + str(e)[:80]
+    finally:
+        if p.poll() is None:
+            p.kill()
+            p.wait()
+    log.seek(0)
+    text = log.read()
+    if status != 0:
+        m = re.search(r"^panic: (.+)$", text, re.M)
+        return "smoke exit %d%s" % (status, " (panic: %s)" % m.group(1) if m else "")
+    if "clean shutdown" not in text:
+        return "smoke: no clean shutdown line"
+    return "ok"
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--tree", help="source tree to copy (default: HEAD of this repository)")
+    ap.add_argument("--only", nargs="*", help="mutant ids to run")
+    ap.add_argument("--list", action="store_true", help="print the mutants and exit")
+    ap.add_argument("--logs", help="directory to keep each mutant's test output in")
+    args = ap.parse_args()
+    if args.logs:
+        os.makedirs(args.logs, exist_ok=True)
+
+    mutants = [m for m in MUTANTS if not args.only or m[0] in args.only]
+    if args.list:
+        for mid, path, site, _, _ in mutants:
+            print("%s\t%s\t%s\t%s" % (mid, CLASSES[mid[0]], path, site))
+        return
+
+    work = tempfile.mkdtemp(prefix="mutants-")
+    tree = os.path.join(work, "tree")
+    bindir = os.path.join(work, "bin")
+    os.mkdir(bindir)
+    try:
+        if args.tree:
+            shutil.copytree(args.tree, tree, ignore=shutil.ignore_patterns(".git"))
+        else:
+            root = subprocess.check_output(["git", "rev-parse", "--show-toplevel"], text=True).strip()
+            os.mkdir(tree)
+            archive = subprocess.Popen(["git", "-C", root, "archive", "HEAD"], stdout=subprocess.PIPE)
+            subprocess.check_call(["tar", "-x", "-C", tree], stdin=archive.stdout)
+            archive.wait()
+        lint = os.path.join(bindir, "vmlint")
+        subprocess.check_call(["go", "build", "-o", lint, "./cmd/vmlint"], cwd=tree)
+        base = vmlint(tree, lint)
+        if base != "none":
+            sys.exit("the unmutated tree already has vmlint findings (%s)" % base)
+
+        print("| id | class | site | analyzers that fire | `go test -race` | other tests |")
+        print("|---|---|---|---|---|---|")
+        for mid, path, site, old, new in mutants:
+            start = time.time()
+            target = os.path.join(tree, path)
+            src = open(target).read()
+            edits = [(old, new)] + ([EXTRA[mid]] if mid in EXTRA else [])
+            mutated = src
+            missing = False
+            for o, n in edits:
+                if mutated.count(o) != 1:
+                    missing = True
+                    break
+                mutated = mutated.replace(o, n)
+            if missing:
+                print("| %s | %s | `%s` %s | old text not found once | | |" %
+                      (mid, CLASSES[mid[0]], path, site), flush=True)
+                continue
+            open(target, "w").write(mutated)
+
+            def log(text, name=mid):
+                if args.logs:
+                    with open(os.path.join(args.logs, name + ".log"), "a") as f:
+                        f.write(text)
+            try:
+                status, out = sh(["go", "build", "./..."], tree, 600)
+                if status != 0:
+                    print("| %s | %s | `%s` %s | does not compile | | |" %
+                          (mid, CLASSES[mid[0]], path, site), flush=True)
+                    continue
+                lint_cell = vmlint(tree, lint)
+                race_cell = race_tests(tree, log)
+                kind = other_tests(path)
+                if kind is None:
+                    other_cell = "(none beyond the race set)"
+                elif kind[0] == "go":
+                    status, out = sh(kind[1], tree, 900)
+                    log(out)
+                    other_cell = summarize_go_test(status, out)
+                elif kind[1] == "vmload":
+                    other_cell = "vmload smoke: " + smoke_vmload(tree, bindir)
+                else:
+                    other_cell = "vmprimd smoke: " + smoke_vmprimd(tree, bindir)
+            finally:
+                open(target, "w").write(src)
+            print("| %s | %s | `%s` %s | %s | %s | %s |" %
+                  (mid, CLASSES[mid[0]], path, site, lint_cell, race_cell, other_cell), flush=True)
+            print("%s done in %.0f s" % (mid, time.time() - start), file=sys.stderr, flush=True)
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+
+
+if __name__ == "__main__":
+    main()
