@@ -33,7 +33,15 @@
 // run, in which case each processor lazily materializes only its own
 // block. A loop that needs the same temporary every step creates it
 // once and refills it with an *Into method (ExtractRowInto,
-// ExtractColInto, TransposeInto). All inter-processor data motion
+// ExtractColInto, TransposeInto).
+//
+// An Env, and every SPMD-local temporary made inside a run (TempVector,
+// TempMatrix, and the results of the primitives), is valid until the
+// end of the Run that made it. Their headers come from a run-scoped
+// slab on each processor that the machine rewinds after every Run, so
+// a primitive call allocates nothing but its result's storage; a value
+// that must outlive the Run is copied into a host-created container or
+// a plain slice before the body returns. All inter-processor data motion
 // happens through the collectives of internal/collective over
 // cube-edge links, and every operation charges the cost model for its
 // communication and arithmetic, so Machine.Elapsed after a run is the
@@ -56,16 +64,71 @@ type Env struct {
 	P *hypercube.Proc
 	G embed.Grid
 
-	tag int
+	tag  int
+	slab *runSlab
 }
 
 // NewEnv returns the environment for proc p on grid g. The grid must
-// exactly cover p's machine.
+// exactly cover p's machine. The Env, and every temporary made through
+// it, is valid until the end of the Run that made it.
 func NewEnv(p *hypercube.Proc, g embed.Grid) *Env {
 	if g.D != p.Dim() {
 		panic(fmt.Sprintf("core: grid dimension %d does not match machine dimension %d", g.D, p.Dim()))
 	}
-	return &Env{P: p, G: g}
+	s, _ := p.Local().(*runSlab)
+	if s == nil {
+		s = new(runSlab)
+		p.SetLocal(s)
+	}
+	e := s.envs.next()
+	*e = Env{P: p, G: g, slab: s}
+	return e
+}
+
+// runSlab is one processor's store of the fixed-size objects a Run
+// makes: its Envs and the headers of its SPMD-local temporaries. It is
+// the processor's hypercube.RunLocal, so the machine rewinds it after
+// every Run. Block and piece storage is not pooled: it stays a plain
+// make, reachable only from its header until EndRun drops it, so the
+// machine retains no run's data between Runs.
+type runSlab struct {
+	envs slots[Env]
+	vecs slots[Vector]
+	mats slots[Matrix]
+}
+
+// EndRun zeroes every object handed out since the last rewind,
+// dropping each header's storage, and rewinds the slab.
+func (s *runSlab) EndRun() {
+	s.envs.rewind()
+	s.vecs.rewind()
+	s.mats.rewind()
+}
+
+// slots hands out *T in order; all grows to the most a Run has taken.
+type slots[T any] struct {
+	all []*T
+	n   int
+}
+
+// next returns the next unused object, allocating it only the first
+// time a Run takes that many.
+func (s *slots[T]) next() *T {
+	if s.n == len(s.all) {
+		s.all = append(s.all, new(T))
+	}
+	t := s.all[s.n]
+	s.n++
+	return t
+}
+
+// rewind zeroes the objects handed out and makes them available again.
+func (s *slots[T]) rewind() {
+	var zero T
+	for _, t := range s.all[:s.n] {
+		*t = zero
+	}
+	s.n = 0
 }
 
 // NextTag returns a fresh protocol tag. Primitives call it once per
@@ -128,31 +191,59 @@ type Matrix struct {
 // NewMatrix returns a zero matrix of the given shape distributed on
 // grid g with the given row and column maps.
 func NewMatrix(g embed.Grid, rows, cols int, rkind, ckind embed.MapKind) (*Matrix, error) {
-	m, err := newMatrixShape(g, rows, cols, rkind, ckind)
-	if err != nil {
+	m := new(Matrix)
+	if err := m.setShape(g, rows, cols, rkind, ckind); err != nil {
 		return nil, err
 	}
 	m.blocks = make([][]float64, g.P())
+	m.carve()
 	return m, nil
 }
 
-// newMatrixShape validates and builds the matrix header without any
-// backing storage: hosts attach the all-processor block table,
-// SPMD-local temporaries stay storage-free until L materializes the
-// caller's own block.
-func newMatrixShape(g embed.Grid, rows, cols int, rkind, ckind embed.MapKind) (*Matrix, error) {
+// setShape validates the shape and overwrites the whole header with
+// it, leaving no backing storage: hosts attach the all-processor block
+// table, SPMD-local temporaries stay storage-free until L materializes
+// the caller's own block.
+func (a *Matrix) setShape(g embed.Grid, rows, cols int, rkind, ckind embed.MapKind) error {
 	if rows < 0 || cols < 0 {
-		return nil, fmt.Errorf("core: invalid shape %dx%d", rows, cols)
+		return fmt.Errorf("core: invalid shape %dx%d", rows, cols)
 	}
 	rmap, err := embed.NewMap1D(rows, g.Dr, rkind)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	cmap, err := embed.NewMap1D(cols, g.Dc, ckind)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return &Matrix{Rows: rows, Cols: cols, G: g, RMap: rmap, CMap: cmap}, nil
+	*a = Matrix{Rows: rows, Cols: cols, G: g, RMap: rmap, CMap: cmap}
+	return nil
+}
+
+// carve backs every block that holds data with one slice of a single
+// array, capacity-clipped so that no block can grow into the next;
+// blocks of padding alone stay nil until L materializes them.
+func (a *Matrix) carve() {
+	n := a.RMap.B * a.CMap.B
+	buf := make([]float64, dataCoords(a.RMap)*dataCoords(a.CMap)*n)
+	for gr := 0; gr < a.G.PRows(); gr++ {
+		for gc := 0; gc < a.G.PCols(); gc++ {
+			if a.RMap.ValidCount(gr) > 0 && a.CMap.ValidCount(gc) > 0 {
+				a.blocks[a.G.ProcAt(gr, gc)], buf = buf[:n:n], buf[n:]
+			}
+		}
+	}
+}
+
+// dataCoords returns how many coordinates of m hold an element.
+func dataCoords(m embed.Map1D) int {
+	k := 0
+	for c := 0; c < m.Coords(); c++ {
+		if m.ValidCount(c) > 0 {
+			k++
+		}
+	}
+	return k
 }
 
 // MustNewMatrix is NewMatrix for static arguments; panics on error.
@@ -350,37 +441,36 @@ type Vector struct {
 // For aligned layouts home names the owning grid row/column; pass
 // replicated=true for a copy on every grid row/column.
 func NewVector(g embed.Grid, n int, layout Layout, kind embed.MapKind, home int, replicated bool) (*Vector, error) {
-	v, err := newVectorShape(g, n, layout, kind, home, replicated)
-	if err != nil {
+	v := new(Vector)
+	if err := v.setShape(g, n, layout, kind, home, replicated); err != nil {
 		return nil, err
 	}
 	v.vals = make([][]float64, g.P())
 	return v, nil
 }
 
-// newVectorShape validates and builds the vector header without any
-// backing storage (see newMatrixShape).
-func newVectorShape(g embed.Grid, n int, layout Layout, kind embed.MapKind, home int, replicated bool) (*Vector, error) {
+// setShape validates the shape and overwrites the whole header with
+// it, leaving no backing storage (see Matrix.setShape).
+func (v *Vector) setShape(g embed.Grid, n int, layout Layout, kind embed.MapKind, home int, replicated bool) error {
 	if n < 0 {
-		return nil, fmt.Errorf("core: invalid vector length %d", n)
+		return fmt.Errorf("core: invalid vector length %d", n)
 	}
 	if layout < Linear || layout > ColAligned {
-		return nil, fmt.Errorf("core: unknown layout %v", layout)
+		return fmt.Errorf("core: unknown layout %v", layout)
 	}
 	if layout == Linear {
 		home, replicated = 0, false
 	}
 	deal, hf := layout.fields(g)
 	if home < 0 || home >= hf.Size() {
-		return nil, fmt.Errorf("core: home %d of a %v vector out of [0,%d)", home, layout, hf.Size())
+		return fmt.Errorf("core: home %d of a %v vector out of [0,%d)", home, layout, hf.Size())
 	}
 	m, err := embed.NewMap1D(n, deal.K, kind)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return &Vector{
-		N: n, G: g, Layout: layout, Map: m, Replicated: replicated, Home: home,
-	}, nil
+	*v = Vector{N: n, G: g, Layout: layout, Map: m, Replicated: replicated, Home: home}
+	return nil
 }
 
 // MustNewVector is NewVector for static arguments; panics on error.
@@ -453,20 +543,22 @@ func (v *Vector) SameShape(w *Vector) bool {
 
 // TempMatrix creates an SPMD-local zero matrix: a per-processor handle
 // holding only this processor's block. Every processor of the machine
-// must create the temporary with identical arguments.
+// must create the temporary with identical arguments. The matrix is
+// valid until the end of the Run that made it.
 func (e *Env) TempMatrix(rows, cols int, rkind, ckind embed.MapKind) *Matrix {
-	m, err := newMatrixShape(e.G, rows, cols, rkind, ckind)
-	if err != nil {
+	m := e.slab.mats.next()
+	if err := m.setShape(e.G, rows, cols, rkind, ckind); err != nil {
 		panic(err)
 	}
 	m.isLocal = true
 	return m
 }
 
-// TempVector creates an SPMD-local zero vector (see TempMatrix).
+// TempVector creates an SPMD-local zero vector (see TempMatrix), valid
+// until the end of the Run that made it.
 func (e *Env) TempVector(n int, layout Layout, kind embed.MapKind, home int, replicated bool) *Vector {
-	v, err := newVectorShape(e.G, n, layout, kind, home, replicated)
-	if err != nil {
+	v := e.slab.vecs.next()
+	if err := v.setShape(e.G, n, layout, kind, home, replicated); err != nil {
 		panic(err)
 	}
 	v.isLocal = true

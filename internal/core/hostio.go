@@ -97,6 +97,7 @@ func VectorFromSlice(g embed.Grid, x []float64, layout Layout, kind embed.MapKin
 	if err != nil {
 		return nil, err
 	}
+	v.carve()
 	for c := 0; c < v.Map.Coords(); c++ {
 		n, first, stride := pieceOf(v.Map, c)
 		if n == 0 {
@@ -107,6 +108,21 @@ func VectorFromSlice(g embed.Grid, x []float64, layout Layout, kind embed.MapKin
 		}
 	}
 	return v, nil
+}
+
+// carve backs every piece that holds data, on each of its holders,
+// with one slice of a single array (see Matrix.carve).
+func (v *Vector) carve() {
+	b := v.Map.B
+	buf := make([]float64, dataCoords(v.Map)*v.copies()*b)
+	for c := 0; c < v.Map.Coords(); c++ {
+		if v.Map.ValidCount(c) == 0 {
+			continue
+		}
+		for k := 0; k < v.copies(); k++ {
+			v.vals[v.holder(c, k)], buf = buf[:b:b], buf[b:]
+		}
+	}
 }
 
 // copies returns the number of processors storing each piece, and

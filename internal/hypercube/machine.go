@@ -406,8 +406,15 @@ func (m *Machine) Run(body func(*Proc)) (costmodel.Time, error) {
 	e.body = body
 	e.run(m.procs)
 	// An idle machine keeps nothing of the finished run reachable: not
-	// its body, and not whatever that captured.
+	// its body, not whatever that captured, and not what the layers
+	// above made for the run in their processor-local state. EndRun runs
+	// on every path out of the body: return, panic, deadlock or abort.
 	e.body = nil
+	for _, pr := range m.procs {
+		if pr.local != nil {
+			pr.local.EndRun()
+		}
+	}
 
 	// The first error is the lowest-numbered processor's own panic;
 	// processors cancelled because a sibling failed first are secondary
@@ -647,7 +654,24 @@ type Proc struct {
 	// at the virtual-time frontier; the benchmark prices parks per
 	// message with it.
 	nRecvParks int64
+
+	// local is the layer above's run-scoped state (see RunLocal).
+	local RunLocal
 }
+
+// RunLocal is per-processor state owned by a layer above the machine,
+// kept on the Proc across Runs with SetLocal. The machine never reads
+// it: it only calls EndRun on every processor's value after every Run,
+// whether the Run returned, panicked or deadlocked, so whatever the
+// state handed out during a Run ends with that Run.
+type RunLocal interface{ EndRun() }
+
+// Local returns the value last stored with SetLocal, nil if none.
+func (p *Proc) Local() RunLocal { return p.local }
+
+// SetLocal stores l as this processor's run-scoped state. Like every
+// Proc method it is called only from this processor's body.
+func (p *Proc) SetLocal(l RunLocal) { p.local = l }
 
 // GetBuf returns a scratch buffer of length n from the machine's pool,
 // with arbitrary contents: the caller must fully overwrite it before

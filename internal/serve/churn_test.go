@@ -6,8 +6,10 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"vmprim/internal/bench"
 	"vmprim/internal/obs"
 	"vmprim/internal/testutil"
 )
@@ -108,15 +110,25 @@ func TestBroadcasterChurn(t *testing.T) {
 	b.close()                                        // second close is a no-op, not a panic
 }
 
+// churnSpec is a served run that publishes for long enough (about a
+// tenth of a second on a 2-vCPU host, longer under -race) for the SSE
+// clients below to connect and hang up while it still runs; testSpec's
+// E1 run finishes before the first of them connects.
+var churnSpec = bench.RunSpec{Exp: "E4", D: 6, N: 256}
+
 // TestEventsSSEChurn churns real SSE clients — connect, read a little,
 // disconnect mid-stream — against a live run, racing the handler's
 // unsubscribe path with the worker goroutine's publishes, then checks
 // a final full read of the stream still terminates with a done frame.
+// At least one client must have read a frame and hung up before the
+// run finished, or the race was not run.
 func TestEventsSSEChurn(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 2})
-	st := postSpec(t, ts.URL, testSpec, http.StatusAccepted)
+	s, ts := newTestServer(t, Options{Workers: 2})
+	st := postSpec(t, ts.URL, churnSpec, http.StatusAccepted)
+	run, _ := s.reg.get(st.ID)
 	url := ts.URL + "/runs/" + st.ID + "/events"
 
+	var midRun atomic.Int64
 	var wg sync.WaitGroup
 	for c := 0; c < 6; c++ {
 		wg.Add(1)
@@ -140,7 +152,14 @@ func TestEventsSSEChurn(t *testing.T) {
 				// handler sees the context cancellation and unsubscribes
 				// while the run keeps publishing.
 				buf := make([]byte, 2048)
-				_, _ = resp.Body.Read(buf)
+				k, _ := resp.Body.Read(buf)
+				select {
+				case <-run.done:
+				default:
+					if frame := string(buf[:k]); strings.Contains(frame, "event: ") && !strings.Contains(frame, "event: done") {
+						midRun.Add(1)
+					}
+				}
 				cancel()
 				resp.Body.Close()
 			}
@@ -152,6 +171,9 @@ func TestEventsSSEChurn(t *testing.T) {
 	decodeBody(t, mustGet(t, ts.URL+"/runs/"+st.ID+"/wait", http.StatusOK), &fin)
 	if fin.State != StateDone {
 		t.Fatalf("run finished %s: %s", fin.State, fin.Error)
+	}
+	if midRun.Load() == 0 {
+		t.Fatal("no SSE client read a frame and hung up while the run was publishing")
 	}
 	resp := mustGet(t, url, http.StatusOK)
 	defer resp.Body.Close()

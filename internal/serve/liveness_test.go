@@ -76,9 +76,11 @@ func stallWorker(t *testing.T, s *Server, base string) (release func()) {
 
 // TestQueueFullAnswersAtOnce: with the worker busy and the queue full,
 // a submission is refused with 503 at once, and so is the next one: the
-// refusal leaves nothing locked and closes nothing twice.
+// refusal leaves nothing locked and closes nothing twice. Each refusal
+// is a failed run that enters the retention backlog, so with room for
+// one finished run the second refusal evicts the first.
 func TestQueueFullAnswersAtOnce(t *testing.T) {
-	s, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 1})
+	s, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 1, RetainRuns: 1})
 	release := stallWorker(t, s, ts.URL)
 	defer release()
 	postSpec(t, ts.URL, testSpec, http.StatusAccepted) // fills the queue
@@ -90,6 +92,12 @@ func TestQueueFullAnswersAtOnce(t *testing.T) {
 		if err != nil || status != http.StatusServiceUnavailable || code != "queue_full" {
 			t.Fatalf("submission %d to a full queue = %d %q (%v), want 503 queue_full", i, status, code, err)
 		}
+	}
+	if n := s.met.runsFailed.Value(); n != 2 {
+		t.Errorf("vmprimd_run_failures_total = %v after two refusals, want 2", n)
+	}
+	if n := s.met.runsEvicted.Value(); n != 1 {
+		t.Errorf("vmprimd_runs_evicted_total = %v after two refusals with room for one, want 1", n)
 	}
 }
 

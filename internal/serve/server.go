@@ -353,8 +353,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		s.closedMu.Unlock()
 	default:
 		s.closedMu.Unlock()
-		run.complete(nil, nil, nil, errors.New("submission queue full"))
-		s.reg.markFinished(run.ID)
+		s.finishRun(run, nil, nil, nil, errors.New("submission queue full"))
 		writeError(w, http.StatusServiceUnavailable, "queue_full",
 			fmt.Sprintf("submission queue is full (%d pending)", s.opts.QueueDepth))
 		return

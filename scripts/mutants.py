@@ -2,7 +2,10 @@
 """Mutation harness for the host-concurrency code: the serving plane
 (internal/serve, internal/metrics), the machine pool
 (internal/hypercube/machinepool.go) and the two daemons' mains
-(cmd/vmload, cmd/vmprimd).
+(cmd/vmload, cmd/vmprimd); and for the run-scoped slab, the
+per-processor store of Envs and temporary headers in
+internal/core/core.go that Machine.Run (internal/hypercube/machine.go)
+rewinds after every Run.
 
 Each mutant is data: a file, an exact old text, the new text that
 replaces it, and the bug class it seeds. The harness copies a source
@@ -14,12 +17,16 @@ finally prints one Markdown table row per mutant:
   * go test -race -timeout 60s on ./internal/serve, ./internal/metrics
     and ./cmd/vmload, and on the MachinePool tests of
     ./internal/hypercube: the failing tests, and why they failed
-    (panic, data race, or the binary's timeout);
+    (panic, data race, or the binary's timeout). Not run for the slab's
+    mutants: a Run is one thread, so the race detector has nothing to
+    say about it;
   * the other tests of the mutated code: for internal/metrics the
     packages that import it, for machinepool.go the rest of
     internal/hypercube and the facade; for cmd/vmload and cmd/vmprimd
     the end-to-end smokes scripts/check.sh runs (vmload's in-process
-    mini-burst; vmprimd's submit, wait, scrape and SIGTERM steps).
+    mini-burst; vmprimd's submit, wait, scrape and SIGTERM steps); for
+    the slab, core, hypercube, apps, bench (the golden tables) and the
+    facade.
 
 A mutant whose old text is not found, or that does not compile, is
 reported as such; it decides nothing.
@@ -62,6 +69,9 @@ CLASSES = {
     "C": "double close or close in a loop",
     "S": "send on a closed channel or close by the receiver",
     "K": "go closure capturing a variable the loop writes",
+    "E": "run-scoped slab not rewound after a failed Run",
+    "R": "run-scoped slab keeps a header's storage",
+    "D": "run-scoped slot handed out twice in one Run",
 }
 
 SSE = "internal/serve/sse.go"
@@ -72,6 +82,9 @@ METRICS = "internal/metrics/metrics.go"
 POOL = "internal/hypercube/machinepool.go"
 VMLOAD = "cmd/vmload/main.go"
 VMPRIMD = "cmd/vmprimd/main.go"
+MACHINE = "internal/hypercube/machine.go"
+CORE = "internal/core/core.go"
+SLAB = (MACHINE, CORE)
 
 # id, file, site (function), old text, new text. The class is the id's
 # letter.
@@ -84,8 +97,8 @@ MUTANTS = [
      "\tif s.closed {\n\t\ts.closedMu.Unlock()\n\t\twriteError(",
      "\tif s.closed {\n\t\twriteError("),
     ("L3", SERVER, "Server.handleSubmit: queue-full branch returns locked",
-     "\tdefault:\n\t\ts.closedMu.Unlock()\n\t\trun.complete(",
-     "\tdefault:\n\t\trun.complete("),
+     "\tdefault:\n\t\ts.closedMu.Unlock()\n\t\ts.finishRun(",
+     "\tdefault:\n\t\ts.finishRun("),
     ("L4", POOL, "MachinePool.Acquire: hit path returns locked",
      "\t\t\tmp.hits++\n\t\t\tmp.mu.Unlock()\n",
      "\t\t\tmp.hits++\n"),
@@ -127,7 +140,7 @@ MUTANTS = [
      "\t\tselect {\n\t\tcase ch <- ev:\n\t\tdefault:\n\t\t\tb.dropped++\n\t\t}\n",
      "\t\tch <- ev\n"),
     ("B2", SERVER, "Server.handleSubmit: blocking enqueue under closedMu",
-     "\tselect {\n\tcase s.queue <- run:\n\t\ts.closedMu.Unlock()\n\tdefault:\n\t\ts.closedMu.Unlock()\n\t\trun.complete(nil, nil, nil, errors.New(\"submission queue full\"))\n\t\ts.reg.markFinished(run.ID)\n\t\twriteError(w, http.StatusServiceUnavailable, \"queue_full\",\n\t\t\tfmt.Sprintf(\"submission queue is full (%d pending)\", s.opts.QueueDepth))\n\t\treturn\n\t}\n",
+     "\tselect {\n\tcase s.queue <- run:\n\t\ts.closedMu.Unlock()\n\tdefault:\n\t\ts.closedMu.Unlock()\n\t\ts.finishRun(run, nil, nil, nil, errors.New(\"submission queue full\"))\n\t\twriteError(w, http.StatusServiceUnavailable, \"queue_full\",\n\t\t\tfmt.Sprintf(\"submission queue is full (%d pending)\", s.opts.QueueDepth))\n\t\treturn\n\t}\n",
      "\ts.queue <- run\n\ts.closedMu.Unlock()\n"),
     ("B3", SERVER, "Server.Close: WaitGroup.Wait under closedMu",
      "\ts.closed = true\n\ts.closedMu.Unlock()\n\tif already {\n\t\treturn\n\t}\n\tclose(s.queue)\n\ts.wg.Wait()\n",
@@ -178,9 +191,9 @@ MUTANTS = [
     ("C5", SERVER, "Server.Close: closes the queue once per worker",
      "\tclose(s.queue)\n\ts.wg.Wait()\n",
      "\tfor i := 0; i < s.opts.Workers; i++ {\n\t\tclose(s.queue)\n\t}\n\ts.wg.Wait()\n"),
-    ("C6", SERVER, "Server.handleSubmit: queue-full path closes done after complete",
-     "\t\trun.complete(nil, nil, nil, errors.New(\"submission queue full\"))\n",
-     "\t\trun.complete(nil, nil, nil, errors.New(\"submission queue full\"))\n\t\tclose(run.done)\n"),
+    ("C6", SERVER, "Server.handleSubmit: queue-full path closes done after finishRun",
+     "\t\ts.finishRun(run, nil, nil, nil, errors.New(\"submission queue full\"))\n",
+     "\t\ts.finishRun(run, nil, nil, nil, errors.New(\"submission queue full\"))\n\t\tclose(run.done)\n"),
 
     # S: a send on a channel that may be closed, or a receiver that
     # closes.
@@ -223,6 +236,30 @@ MUTANTS = [
     ("K6", POOL, "MachinePool.Release: closes evictions in goroutines over a loop-written variable",
      "\tfor _, em := range evicted {\n\t\tem.Close()\n\t}\n",
      "\tvar cur *Machine\n\tfor _, em := range evicted {\n\t\tcur = em\n\t\tgo func() { cur.Close() }()\n\t}\n"),
+
+    # E: a Run that fails leaves the slab as the failure left it.
+    ("E1", MACHINE, "Machine.Run: EndRun only after a Run nobody aborted",
+     "\t\tif pr.local != nil {\n\t\t\tpr.local.EndRun()\n",
+     "\t\tif pr.local != nil && !e.aborted {\n\t\t\tpr.local.EndRun()\n"),
+    ("E2", MACHINE, "Proc.runBody: each processor ends its own Run when its body returns",
+     "\te.body(p)\n\tp.checkSpansClosed()\n",
+     "\te.body(p)\n\tp.checkSpansClosed()\n\tif p.local != nil {\n\t\tp.local.EndRun()\n\t}\n"),
+
+    # R: a rewound header still points at the last Run's storage.
+    ("R1", CORE, "slots.rewind: rewinds without zeroing",
+     "\tvar zero T\n\tfor _, t := range s.all[:s.n] {\n\t\t*t = zero\n\t}\n\ts.n = 0\n",
+     "\ts.n = 0\n"),
+    ("R2", CORE, "runSlab.EndRun: rewinds the vector headers without zeroing them",
+     "\ts.vecs.rewind()\n",
+     "\ts.vecs.n = 0\n"),
+
+    # D: two live objects of one Run share a slot.
+    ("D1", CORE, "NewEnv: reuses the processor's last Env of the Run",
+     "\te := s.envs.next()\n",
+     "\tif s.envs.n > 0 {\n\t\ts.envs.n--\n\t}\n\te := s.envs.next()\n"),
+    ("D2", CORE, "slots.next: hands out a slot without taking it",
+     "\tt := s.all[s.n]\n\ts.n++\n\treturn t\n",
+     "\treturn s.all[s.n]\n"),
 ]
 
 # K1 must read w inside the closure and K3 must assign the hoisted
@@ -232,6 +269,8 @@ EXTRA = {
            "firstErr.CompareAndSwap(nil, fmt.Errorf(\"worker %d run %d: %w\", w, i, err))"),
     "K3": ("\t\t\t\tlat, err := submitOne(client, base, spec)\n",
            "\t\t\t\tlat, err = submitOne(client, base, spec)\n"),
+    # E2 moves EndRun into the body's success path: Run's own call goes.
+    "E2": ("\tfor _, pr := range m.procs {\n\t\tif pr.local != nil {\n\t\t\tpr.local.EndRun()\n\t\t}\n\t}\n", ""),
 }
 
 RACE_PKGS = ["./internal/serve/", "./internal/metrics/", "./cmd/vmload/"]
@@ -248,6 +287,9 @@ def other_tests(path):
         return ("smoke", "vmload")
     if path == VMPRIMD:
         return ("smoke", "vmprimd")
+    if path in SLAB:
+        return ("go", ["go", "test", "-count=1", "-timeout", "300s", "./internal/core/",
+                       "./internal/hypercube/", "./internal/apps/", "./internal/bench/", "."])
     return None
 
 
@@ -462,7 +504,7 @@ def main():
                           (mid, CLASSES[mid[0]], path, site), flush=True)
                     continue
                 lint_cell = vmlint(tree, lint)
-                race_cell = race_tests(tree, log)
+                race_cell = "(not run)" if path in SLAB else race_tests(tree, log)
                 kind = other_tests(path)
                 if kind is None:
                     other_cell = "(none beyond the race set)"

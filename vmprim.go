@@ -200,7 +200,11 @@ type (
 	// Layout names the vector embeddings.
 	Layout = core.Layout
 	// Env is one processor's handle to the primitives inside an SPMD
-	// body; its methods are the library's operation set.
+	// body; its methods are the library's operation set. The Env, and
+	// every temporary made through it (Env.TempVector, Env.TempMatrix
+	// and the vectors and matrices the primitives return), is valid
+	// until the end of the Run that made it: copy what must outlive the
+	// Run into a host-created container (Env.StoreVec, Env.StoreMatrix).
 	Env = core.Env
 	// Op names the plain reduction operators.
 	Op = core.Op
@@ -226,7 +230,9 @@ const (
 	LocMaxAbs = core.LocMaxAbs
 )
 
-// NewEnv returns the SPMD environment for proc p on grid g.
+// NewEnv returns the SPMD environment for proc p on grid g, valid
+// until the end of the Run that made it. Making one allocates nothing
+// once the processor's run-scoped slab has grown to the body's needs.
 func NewEnv(p *Proc, g Grid) *Env { return core.NewEnv(p, g) }
 
 // NewMatrix returns a zero distributed matrix.
