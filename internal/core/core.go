@@ -41,14 +41,20 @@
 // slab on each processor that the machine rewinds after every Run, so
 // a primitive call allocates nothing but its result's storage; a value
 // that must outlive the Run is copied into a host-created container or
-// a plain slice before the body returns. All inter-processor data motion
-// happens through the collectives of internal/collective over
-// cube-edge links, and every operation charges the cost model for its
-// communication and arithmetic, so Machine.Elapsed after a run is the
-// simulated time of the whole distributed computation.
+// a plain slice before the body returns. A temporary used after its Run
+// is refused by name (L and the host accessors panic), until its slot
+// is handed out again. The slab holds a few headers of each kind; a
+// body that makes more gets plain allocations, so a long loop of
+// temporaries keeps at most that few alive, however many steps it
+// takes. All inter-processor data motion happens through the
+// collectives of internal/collective over cube-edge links, and every
+// operation charges the cost model for its communication and
+// arithmetic, so Machine.Elapsed after a run is the simulated time of
+// the whole distributed computation.
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"vmprim/internal/embed"
@@ -77,7 +83,7 @@ func NewEnv(p *hypercube.Proc, g embed.Grid) *Env {
 	}
 	s, _ := p.Local().(*runSlab)
 	if s == nil {
-		s = new(runSlab)
+		s = newRunSlab()
 		p.SetLocal(s)
 	}
 	e := s.envs.next()
@@ -97,36 +103,57 @@ type runSlab struct {
 	mats slots[Matrix]
 }
 
-// EndRun zeroes every object handed out since the last rewind,
-// dropping each header's storage, and rewinds the slab.
-func (s *runSlab) EndRun() {
-	s.envs.rewind()
-	s.vecs.rewind()
-	s.mats.rewind()
+// errExpired is the panic of L on a temporary whose Run has ended. It
+// is an error value already, so L's inlined copies convert nothing.
+var errExpired = errors.New("core: SPMD-local temporary used after the end of the Run that made it")
+
+// newRunSlab returns an empty slab holding at most 4 Envs, 4 vector
+// headers and 1 matrix header; a Run that makes more gets plain
+// allocations for the rest, which the collector reclaims as before. A
+// held header keeps its storage alive until EndRun, so the limits bound
+// what a body that loops over temporaries, dropping each, keeps alive
+// to four pieces and one block per processor, however long it loops.
+// The benchmark's bodies take at most 4 vectors and 1 matrix. Rewound
+// headers are expired: L and the host accessors refuse them by name.
+func newRunSlab() *runSlab {
+	return &runSlab{envs: slots[Env]{limit: 4}, vecs: slots[Vector]{limit: 4}, mats: slots[Matrix]{limit: 1}}
 }
 
-// slots hands out *T in order; all grows to the most a Run has taken.
+// EndRun resets every object handed out since the last rewind,
+// dropping each header's storage, and rewinds the slab.
+func (s *runSlab) EndRun() {
+	s.envs.rewind(Env{})
+	s.vecs.rewind(Vector{isLocal: true, expired: true})
+	s.mats.rewind(Matrix{isLocal: true, expired: true})
+}
+
+// slots hands out *T in order; all grows to the most a Run has taken,
+// up to limit.
 type slots[T any] struct {
-	all []*T
-	n   int
+	all      []*T
+	n, limit int
 }
 
 // next returns the next unused object, allocating it only the first
-// time a Run takes that many.
+// time a Run takes that many, and past the limit every time.
 func (s *slots[T]) next() *T {
-	if s.n == len(s.all) {
-		s.all = append(s.all, new(T))
+	if s.n < len(s.all) {
+		s.n++
+		return s.all[s.n-1]
 	}
-	t := s.all[s.n]
-	s.n++
+	t := new(T)
+	if s.n < s.limit {
+		s.all = append(s.all, t)
+		s.n++
+	}
 	return t
 }
 
-// rewind zeroes the objects handed out and makes them available again.
-func (s *slots[T]) rewind() {
-	var zero T
+// rewind resets the objects handed out to spent, dropping what they
+// referenced, and makes them available again.
+func (s *slots[T]) rewind(spent T) {
 	for _, t := range s.all[:s.n] {
-		*t = zero
+		*t = spent
 	}
 	s.n = 0
 }
@@ -186,6 +213,7 @@ type Matrix struct {
 	blocks  [][]float64 // indexed by processor address; nil in local mode
 	local   []float64
 	isLocal bool
+	expired bool // a temporary whose Run has ended; it holds nothing
 }
 
 // NewMatrix returns a zero matrix of the given shape distributed on
@@ -262,6 +290,9 @@ func MustNewMatrix(g embed.Grid, rows, cols int, rkind, ckind embed.MapKind) *Ma
 func (a *Matrix) L(pid int) []float64 {
 	if a.isLocal {
 		if a.local == nil {
+			if a.expired {
+				panic(errExpired)
+			}
 			a.local = make([]float64, a.RMap.B*a.CMap.B)
 		}
 		return a.local
@@ -435,6 +466,7 @@ type Vector struct {
 	vals    [][]float64 // indexed by processor address; nil in local mode
 	local   []float64
 	isLocal bool
+	expired bool // as for Matrix
 }
 
 // NewVector returns a zero vector of length n in the given layout.
@@ -488,6 +520,9 @@ func MustNewVector(g embed.Grid, n int, layout Layout, kind embed.MapKind, home 
 func (v *Vector) L(pid int) []float64 {
 	if v.isLocal {
 		if v.local == nil {
+			if v.expired {
+				panic(errExpired)
+			}
 			v.local = make([]float64, v.Map.B)
 		}
 		return v.local

@@ -562,35 +562,51 @@ func TestEnvValidatesGrid(t *testing.T) {
 	}
 }
 
+// TestHostAccessorsRejectLocalHandles: the host accessors refuse an
+// SPMD-local temporary inside the Run that made it, which holds one
+// processor's piece, and after that Run, when it holds nothing; L
+// refuses it then too, by name, instead of reading an empty container.
 func TestHostAccessorsRejectLocalHandles(t *testing.T) {
 	g, _ := embed.NewGrid(0, 0)
-	// The temporaries are valid only inside the Run that made them, so
-	// the host accessors are tried there.
-	var accepted []string
-	var replicasErr error
-	spmd(t, g, func(e *Env) {
-		tempM := e.TempMatrix(2, 2, embed.Block, embed.Block)
-		tempV := e.TempVector(2, Linear, embed.Block, 0, false)
-		for name, f := range map[string]func(){
-			"ToDense": func() { tempM.ToDense() },
-			"ToSlice": func() { tempV.ToSlice() },
-		} {
+	var tempM *Matrix
+	var tempV *Vector
+	refused := func(want string, fs map[string]func()) (accepted []string) {
+		for name, f := range fs {
 			func() {
 				defer func() {
-					if recover() == nil {
-						accepted = append(accepted, name)
+					if msg := fmt.Sprint(recover()); !strings.Contains(msg, want) {
+						accepted = append(accepted, fmt.Sprintf("%s (panic %q)", name, msg))
 					}
 				}()
 				f()
 			}()
 		}
+		return accepted
+	}
+	host := map[string]func(){
+		"ToDense": func() { tempM.ToDense() },
+		"ToSlice": func() { tempV.ToSlice() },
+	}
+	var inRun []string
+	var replicasErr error
+	spmd(t, g, func(e *Env) {
+		tempM = e.TempMatrix(2, 2, embed.Block, embed.Block)
+		tempV = e.TempVector(2, Linear, embed.Block, 0, false)
+		tempM.L(e.P.ID())
+		inRun = refused("SPMD-local", host)
 		replicasErr = tempV.CheckReplicas()
 	})
-	if len(accepted) > 0 {
-		t.Fatalf("local handle accepted by host accessors %v", accepted)
+	if len(inRun) > 0 || replicasErr == nil {
+		t.Fatalf("in its Run, a local handle accepted by host accessors %v, CheckReplicas error %v", inRun, replicasErr)
 	}
-	if replicasErr == nil {
-		t.Fatal("CheckReplicas accepted local handle")
+	const lifetime = "end of the Run that made it"
+	host["Matrix.L"] = func() { tempM.L(0) }
+	host["Vector.L"] = func() { tempV.L(0) }
+	if after := refused(lifetime, host); len(after) > 0 {
+		t.Fatalf("after its Run, an expired local handle accepted without a lifetime error by %v", after)
+	}
+	if err := tempV.CheckReplicas(); err == nil || !strings.Contains(err.Error(), lifetime) {
+		t.Fatalf("CheckReplicas of an expired vector = %v, want a lifetime error", err)
 	}
 }
 

@@ -81,6 +81,9 @@ func (a *Matrix) eachBlockRow(f func(blockRow []float64, i, nc, c0, cs int)) {
 // one processor's block.
 func (a *Matrix) ToDense() *serial.Mat {
 	if a.isLocal {
+		if a.expired {
+			panic(errExpired)
+		}
 		panic("core: ToDense on an SPMD-local matrix")
 	}
 	dm := serial.NewMat(a.Rows, a.Cols)
@@ -148,6 +151,9 @@ func (v *Vector) holder(c, k int) int {
 // SPMD-local temporaries.
 func (v *Vector) ToSlice() []float64 {
 	if v.isLocal {
+		if v.expired {
+			panic(errExpired)
+		}
 		panic("core: ToSlice on an SPMD-local vector")
 	}
 	out := make([]float64, v.N)
@@ -166,6 +172,9 @@ func (v *Vector) ToSlice() []float64 {
 // mismatch, piece by piece. Tests use it to catch broken replication
 // invariants.
 func (v *Vector) CheckReplicas() error {
+	if v.expired {
+		return errExpired
+	}
 	if v.isLocal {
 		return fmt.Errorf("core: CheckReplicas on an SPMD-local vector")
 	}

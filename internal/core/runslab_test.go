@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/rand"
-	"runtime/debug"
 	"slices"
 	"testing"
 
@@ -33,14 +32,6 @@ func slabMatrix(t *testing.T) (embed.Grid, *Matrix) {
 	return g, a
 }
 
-// mallocs is testutil.MallocsPerRun with the collector off: a cycle
-// that starts during the measured Runs allocates objects of its own,
-// which would blur counts that must be exact.
-func mallocs(warm, runs int, f func()) float64 {
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	return testutil.MallocsPerRun(warm, runs, f)
-}
-
 func mustRun(t *testing.T, m *hypercube.Machine, body func(*hypercube.Proc)) {
 	t.Helper()
 	if _, err := m.Run(body); err != nil {
@@ -48,8 +39,9 @@ func mustRun(t *testing.T, m *hypercube.Machine, body func(*hypercube.Proc)) {
 	}
 }
 
-// checkRewound fails unless every processor's slab is rewound and
-// every object it ever handed out is zero: no header keeps storage.
+// checkRewound fails unless every processor's slab is rewound, holds
+// no more objects of a kind than its limit, and every object it ever handed
+// out is reset: Envs zero, headers expired and without storage.
 func checkRewound(t *testing.T, procs []*hypercube.Proc) {
 	t.Helper()
 	for pid, p := range procs {
@@ -61,19 +53,23 @@ func checkRewound(t *testing.T, procs []*hypercube.Proc) {
 			t.Fatalf("proc %d: slab not rewound after the Run: %d Envs, %d vectors, %d matrices still taken",
 				pid, s.envs.n, s.vecs.n, s.mats.n)
 		}
+		if len(s.envs.all) > s.envs.limit || len(s.vecs.all) > s.vecs.limit || len(s.mats.all) > s.mats.limit {
+			t.Fatalf("proc %d: the slab keeps %d Envs, %d vectors, %d matrices, more than its limits %d, %d, %d",
+				pid, len(s.envs.all), len(s.vecs.all), len(s.mats.all), s.envs.limit, s.vecs.limit, s.mats.limit)
+		}
 		for _, e := range s.envs.all {
 			if *e != (Env{}) {
 				t.Fatalf("proc %d: a rewound Env still holds %+v", pid, *e)
 			}
 		}
 		for _, v := range s.vecs.all {
-			if v.local != nil || v.vals != nil || v.N != 0 {
-				t.Fatalf("proc %d: a rewound vector header keeps its storage (N=%d)", pid, v.N)
+			if v.local != nil || v.vals != nil || v.N != 0 || !v.expired {
+				t.Fatalf("proc %d: a rewound vector header keeps its storage (N=%d) or is not expired", pid, v.N)
 			}
 		}
 		for _, a := range s.mats.all {
-			if a.local != nil || a.blocks != nil || a.Rows != 0 {
-				t.Fatalf("proc %d: a rewound matrix header keeps its storage (%dx%d)", pid, a.Rows, a.Cols)
+			if a.local != nil || a.blocks != nil || a.Rows != 0 || !a.expired {
+				t.Fatalf("proc %d: a rewound matrix header keeps its storage (%dx%d) or is not expired", pid, a.Rows, a.Cols)
 			}
 		}
 	}
@@ -89,7 +85,7 @@ func TestNewEnvAllocatesNothing(t *testing.T) {
 		NewEnv(p, g)
 		NewEnv(p, g)
 	}
-	if allocs := mallocs(2, 20, func() { mustRun(t, m, body) }); allocs != 0 {
+	if allocs := testutil.MallocsPerRun(2, 20, func() { mustRun(t, m, body) }); allocs != 0 {
 		t.Fatalf("a warm Run making two Envs per processor allocates %.1f objects, want 0", allocs)
 	}
 }
@@ -121,7 +117,7 @@ func TestPrimitivesAllocateOnlyResults(t *testing.T) {
 			m := hypercube.MustNew(slabDim, costmodel.CM2())
 			defer m.Close()
 			body := func(p *hypercube.Proc) { tc.body(NewEnv(p, g)) }
-			allocs := mallocs(2, 10, func() { mustRun(t, m, body) })
+			allocs := testutil.MallocsPerRun(2, 10, func() { mustRun(t, m, body) })
 			if limit := float64(tc.results * m.P()); allocs > limit {
 				t.Fatalf("a warm Run allocates %.1f objects, want at most %.0f (the result's storage)", allocs, limit)
 			}
@@ -162,12 +158,7 @@ func TestFailedRunRewindsSlab(t *testing.T) {
 	defer fresh.Close()
 	mustRun(t, fresh, good)
 	want := answer()
-	// A warm Run's count is the least of three: once in a few thousand
-	// Runs something outside the machine allocates during the count.
-	warm := mallocs(1, 1, func() { mustRun(t, fresh, good) })
-	for i := 0; i < 2; i++ {
-		warm = min(warm, mallocs(0, 1, func() { mustRun(t, fresh, good) }))
-	}
+	warm := testutil.MallocsPerRun(1, 1, func() { mustRun(t, fresh, good) })
 
 	failures := map[string]func(*hypercube.Proc){
 		"panic": func(p *hypercube.Proc) {
@@ -209,7 +200,7 @@ func TestFailedRunRewindsSlab(t *testing.T) {
 				for pid := range got {
 					clear(got[pid])
 				}
-				if allocs := mallocs(0, 1, func() { mustRun(t, m, good) }); allocs != warm {
+				if allocs := testutil.MallocsPerRun(0, 1, func() { mustRun(t, m, good) }); allocs != warm {
 					t.Errorf("the Run after a failed one allocates %.0f objects, a warm Run %.0f", allocs, warm)
 				}
 				if !slices.Equal(answer(), want) {
@@ -260,4 +251,42 @@ func TestSlabSlotsDistinct(t *testing.T) {
 		}
 		checkRewound(t, procs)
 	}
+}
+
+// TestSlabLimitBoundsRun: a body that makes many more temporaries
+// than the slab holds in one Run, dropping each after use as a solver
+// loop does, keeps the storage of at most the slab's limits alive, not
+// one per step, and leaves no more headers than the limits on the
+// machine.
+func TestSlabLimitBoundsRun(t *testing.T) {
+	// Every step makes a vector and a matrix whose piece and block on
+	// each processor are one piece of words.
+	const dim, steps, piece, blockRows = 2, 64, 1 << 12, 64
+	g := embed.SplitFor(dim, piece<<dim, piece<<dim)
+	rows, cols := blockRows<<g.Dr, piece/blockRows<<g.Dc
+	m := hypercube.MustNew(dim, costmodel.CM2())
+	defer m.Close()
+	procs := make([]*hypercube.Proc, m.P())
+	live := make([]uint64, m.P())
+	body := func(p *hypercube.Proc) {
+		procs[p.ID()] = p
+		e := NewEnv(p, g)
+		for i := 0; i < steps; i++ {
+			e.TempVector(piece<<dim, Linear, embed.Block, 0, false).L(p.ID())[0] = float64(i)
+			e.TempMatrix(rows, cols, embed.Block, embed.Block).L(p.ID())[0] = float64(i)
+		}
+		// The processors do not communicate, so the last one to run
+		// finds every other body returned and its slab not yet rewound.
+		live[p.ID()] = testutil.LiveHeap()
+	}
+	before := testutil.LiveHeap()
+	mustRun(t, m, body)
+	limits := newRunSlab()
+	held := uint64(limits.vecs.limit + limits.mats.limit)
+	kept := slices.Max(live) - min(before, slices.Max(live))
+	if want := 2 * held * uint64(m.P()) * 8 * piece; kept > want {
+		t.Fatalf("a Run of %d steps, each dropping a %d KB piece and block per processor, keeps %d KB live at its end, want at most %d KB (twice the %d pieces the slab may hold per processor)",
+			steps, 8*piece>>10, kept>>10, want>>10, held)
+	}
+	checkRewound(t, procs)
 }

@@ -1,15 +1,24 @@
 package testutil
 
-import "runtime"
+import (
+	"runtime"
+	"runtime/debug"
+)
 
 // MallocsPerRun reports the average number of heap allocations per
 // call of f after warm warm-up calls, in the spirit of
 // testing.AllocsPerRun but tolerant of the simulator's worker
-// goroutines allocating concurrently with the caller.
+// goroutines allocating concurrently with the caller. While it counts,
+// the collector is off and the process runs on one P: a collection
+// that starts during the measured calls, or another goroutine running
+// beside them, allocates objects of its own, which would blur an exact
+// count.
 func MallocsPerRun(warm, runs int, f func()) float64 {
 	for i := 0; i < warm; i++ {
 		f()
 	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {

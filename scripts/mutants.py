@@ -72,6 +72,8 @@ CLASSES = {
     "E": "run-scoped slab not rewound after a failed Run",
     "R": "run-scoped slab keeps a header's storage",
     "D": "run-scoped slot handed out twice in one Run",
+    "U": "run-scoped slab grows past its limit",
+    "X": "expired temporary not refused",
 }
 
 SSE = "internal/serve/sse.go"
@@ -247,10 +249,10 @@ MUTANTS = [
 
     # R: a rewound header still points at the last Run's storage.
     ("R1", CORE, "slots.rewind: rewinds without zeroing",
-     "\tvar zero T\n\tfor _, t := range s.all[:s.n] {\n\t\t*t = zero\n\t}\n\ts.n = 0\n",
+     "\tfor _, t := range s.all[:s.n] {\n\t\t*t = spent\n\t}\n\ts.n = 0\n",
      "\ts.n = 0\n"),
     ("R2", CORE, "runSlab.EndRun: rewinds the vector headers without zeroing them",
-     "\ts.vecs.rewind()\n",
+     "\ts.vecs.rewind(Vector{isLocal: true, expired: true})\n",
      "\ts.vecs.n = 0\n"),
 
     # D: two live objects of one Run share a slot.
@@ -258,8 +260,22 @@ MUTANTS = [
      "\te := s.envs.next()\n",
      "\tif s.envs.n > 0 {\n\t\ts.envs.n--\n\t}\n\te := s.envs.next()\n"),
     ("D2", CORE, "slots.next: hands out a slot without taking it",
-     "\tt := s.all[s.n]\n\ts.n++\n\treturn t\n",
-     "\treturn s.all[s.n]\n"),
+     "\t\ts.n++\n\t\treturn s.all[s.n-1]\n",
+     "\t\treturn s.all[s.n]\n"),
+
+    # U: the slab holds more than its limit, so a looping body's
+    # dropped temporaries stay alive until the Run ends.
+    ("U1", CORE, "slots.next: grows past its limit",
+     "\tif s.n < s.limit {\n",
+     "\tif true {\n"),
+
+    # X: a temporary used after its Run is not refused by name.
+    ("X1", CORE, "runSlab.EndRun: rewound vector headers are zeroed, not expired",
+     "s.vecs.rewind(Vector{isLocal: true, expired: true})",
+     "s.vecs.rewind(Vector{})"),
+    ("X2", CORE, "Vector.L: materializes an expired vector's piece",
+     "\t\t\tif v.expired {\n\t\t\t\tpanic(errExpired)\n\t\t\t}\n",
+     ""),
 ]
 
 # K1 must read w inside the closure and K3 must assign the hoisted

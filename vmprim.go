@@ -232,7 +232,8 @@ const (
 
 // NewEnv returns the SPMD environment for proc p on grid g, valid
 // until the end of the Run that made it. Making one allocates nothing
-// once the processor's run-scoped slab has grown to the body's needs.
+// once the processor's run-scoped slab has grown to the body's needs
+// (a body that makes more than a few Envs gets the rest from the heap).
 func NewEnv(p *Proc, g Grid) *Env { return core.NewEnv(p, g) }
 
 // NewMatrix returns a zero distributed matrix.
