@@ -102,9 +102,7 @@ func TestProblemMatcherCoversAnalyzers(t *testing.T) {
 // TestAnalyzerRoster holds the registration list and the one written
 // statement of the roster — the first column of README.md's "Static
 // analysis" table — together: every registered analyzer has exactly
-// one row and every row names a registered analyzer. A summary
-// analyzer that a registered one Requires (collectives) reports nothing
-// of its own; the README describes those in prose, not rows.
+// one row and every row names a registered analyzer.
 func TestAnalyzerRoster(t *testing.T) {
 	readme, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
 	if err != nil {
@@ -119,20 +117,12 @@ func TestAnalyzerRoster(t *testing.T) {
 	for _, m := range regexp.MustCompile("(?m)^\\| `([a-z]+)` \\|").FindAllStringSubmatch(section, -1) {
 		rows[m[1]]++
 	}
-	summaryOnly := make(map[string]bool)
-	for _, a := range analyzers() {
-		for _, dep := range a.Requires {
-			summaryOnly[dep.Name] = true
-		}
-	}
 	registered := make(map[string]int)
 	for _, a := range analyzers() {
-		if !summaryOnly[a.Name] {
-			registered[a.Name]++
-		}
+		registered[a.Name]++
 	}
 	if !reflect.DeepEqual(rows, registered) {
-		t.Errorf("README table rows and registered diagnostic analyzers differ (name: count):\n  README: %v\n  vmlint: %v", rows, registered)
+		t.Errorf("README table rows and registered analyzers differ (name: count):\n  README: %v\n  vmlint: %v", rows, registered)
 	}
 }
 

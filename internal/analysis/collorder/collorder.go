@@ -45,9 +45,10 @@
 // and the top-level facade/example/command code. The collective and
 // hypercube internals are exempt — rank-dependent sends along tree
 // edges are exactly how the collectives are built.
-// Identity and collective summaries come from the collectives base
-// analyzer, facts included, so a helper computing a dimension from
-// p.ID() in another package still marks its callers' arguments
+// collorder summarizes every package it analyzes, in scope or not,
+// and carries the identity and collective summaries across package
+// boundaries as facts (summary.go), so a helper computing a dimension
+// from p.ID() in another package still marks its callers' arguments
 // rank-dependent.
 package collorder
 
@@ -58,18 +59,16 @@ import (
 	"go/types"
 	"strings"
 
-	"vmprim/internal/analysis/collectives"
 	"vmprim/internal/analysis/framework"
-	"vmprim/internal/analysis/taint"
 	"vmprim/internal/analysis/vmlib"
 )
 
 // Analyzer is the collorder entry point.
 var Analyzer = &framework.Analyzer{
-	Name:     "collorder",
-	Doc:      "check that all processors execute the same communication sequence with agreeing structural arguments",
-	Requires: []*framework.Analyzer{collectives.Analyzer},
-	Run:      run,
+	Name:      "collorder",
+	Doc:       "check that all processors execute the same communication sequence with agreeing structural arguments",
+	FactTypes: []framework.Fact{(*Fact)(nil)},
+	Run:       run,
 }
 
 // structuralParams are the parameter names that determine how an
@@ -91,11 +90,11 @@ var structuralParams = map[string]bool{
 var pairwiseMethods = []string{"Send", "SendOwned", "SendOwnedParts", "Recv", "RecvParts", "Exchange", "ExchangeAll"}
 
 func run(pass *framework.Pass) (any, error) {
+	summary := summarize(pass)
 	if !vmlib.InScope(pass.Pkg.Path(), vmlib.CorePath, vmlib.AppsPath, vmlib.BenchPath) &&
 		!vmlib.InTopLevelScope(pass.Pkg.Path()) {
 		return nil, nil
 	}
-	summary := pass.ResultOf[collectives.Analyzer].(*collectives.Result)
 	for _, file := range pass.Files {
 		if vmlib.IsTestFile(pass.Fset, file.Pos()) {
 			continue
@@ -113,19 +112,16 @@ func run(pass *framework.Pass) (any, error) {
 // checker carries the per-scope analysis state.
 type checker struct {
 	pass     *framework.Pass
-	summary  *collectives.Result
-	cfg      taint.Config
+	summary  *summary
 	tainted  map[types.Object]bool
 	reported map[string]bool // position-keyed dedup across nested tainted branches
 }
 
-func checkFunc(pass *framework.Pass, fn *ast.FuncDecl, summary *collectives.Result) {
-	cfg := summary.TaintConfig()
+func checkFunc(pass *framework.Pass, fn *ast.FuncDecl, summary *summary) {
 	c := &checker{
 		pass:     pass,
 		summary:  summary,
-		cfg:      cfg,
-		tainted:  cfg.Objects(fn),
+		tainted:  summary.tainted(fn),
 		reported: make(map[string]bool),
 	}
 	// Every function literal is its own SPMD scope: the closure handed
@@ -141,7 +137,7 @@ func checkFunc(pass *framework.Pass, fn *ast.FuncDecl, summary *collectives.Resu
 // contract constrains: collectives (summaries and facts included) and
 // the pairwise Proc operations.
 func (c *checker) isComm(call *ast.CallExpr) bool {
-	return c.summary.IsCollectiveCall(call) ||
+	return c.summary.isCollectiveCall(call) ||
 		vmlib.IsProcMethod(c.pass.TypesInfo, call, pairwiseMethods...)
 }
 
@@ -164,7 +160,7 @@ func (c *checker) checkArgs(scope *ast.BlockStmt) {
 		}
 		for i, arg := range call.Args {
 			name := paramName(sig, i)
-			if !structuralParams[name] || !c.cfg.Expr(c.tainted, arg) {
+			if !structuralParams[name] || !c.summary.taints(c.tainted, arg) {
 				continue
 			}
 			key := fmt.Sprintf("arg:%d", arg.Pos())
@@ -247,7 +243,7 @@ func (c *checker) seqOf(stmts []ast.Stmt) (items []string, term bool) {
 			}
 			thenItems, thenTerm := c.seqOf(s.Body.List)
 			elseItems, elseTerm := c.seqOf(elseList)
-			if c.cfg.Expr(c.tainted, s.Cond) {
+			if c.summary.taints(c.tainted, s.Cond) {
 				rest, _ := c.seqOf(stmts[idx+1:])
 				full := func(arm []string, t bool) []string {
 					if t {
@@ -402,7 +398,7 @@ func (c *checker) loop(pos token.Pos, bound ast.Expr, body *ast.BlockStmt) []str
 		return nil
 	}
 	seq := strings.Join(items, " ")
-	if bound != nil && c.cfg.Expr(c.tainted, bound) && c.once(pos) {
+	if bound != nil && c.summary.taints(c.tainted, bound) && c.once(pos) {
 		c.pass.Reportf(pos,
 			"communication sequence diverges on this identity-dependent loop: processors repeat [%s] a rank-dependent number of times and the run deadlocks",
 			abbrev(seq))
@@ -422,7 +418,7 @@ func (c *checker) switchParts(s ast.Stmt) (init ast.Stmt, tag ast.Expr, bodies [
 	case *ast.SwitchStmt:
 		init = s.Init
 		tag = s.Tag
-		if tag != nil && c.cfg.Expr(c.tainted, tag) {
+		if tag != nil && c.summary.taints(c.tainted, tag) {
 			taintFrom = 0
 		}
 		for i, cl := range s.Body.List {
@@ -435,7 +431,7 @@ func (c *checker) switchParts(s ast.Stmt) (init ast.Stmt, tag ast.Expr, bodies [
 				// conditions, evaluated in order, so every guard
 				// before the first tainted one is a uniform decision.
 				for _, e := range cc.List {
-					if c.cfg.Expr(c.tainted, e) {
+					if c.summary.taints(c.tainted, e) {
 						taintFrom = i
 						break
 					}
@@ -588,7 +584,7 @@ func (c *checker) renderArg(e ast.Expr) string {
 	if tv, ok := c.pass.TypesInfo.Types[e]; ok && tv.Value != nil {
 		return tv.Value.String()
 	}
-	if c.cfg.Expr(c.tainted, e) {
+	if c.summary.taints(c.tainted, e) {
 		return "rank-dependent"
 	}
 	// A dimension-list literal ([]int{0, 1}) must be rendered per

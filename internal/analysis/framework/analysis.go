@@ -1,9 +1,8 @@
 // Package framework is a self-contained reimplementation of the slice
 // of golang.org/x/tools/go/analysis that the vmlint analyzers need:
-// the Analyzer/Pass/Diagnostic vocabulary, package facts with a
-// Requires graph, suggested fixes, a package loader, a standalone
-// runner with //lint:allow suppression, and the go vet -vettool
-// unit-checker protocol.
+// the Analyzer/Pass/Diagnostic vocabulary, package facts, suggested
+// fixes, a package loader, a standalone runner with //lint:allow
+// suppression, and the go vet -vettool unit-checker protocol.
 //
 // The build environment for this repository is hermetic — the module
 // proxy is unreachable and the module must stay dependency-free — so
@@ -43,11 +42,6 @@ type Analyzer struct {
 	// line, then details.
 	Doc string
 
-	// Requires lists the analyzers whose results this one consumes.
-	// The runner executes them first (on the same package) and makes
-	// their results available through Pass.ResultOf.
-	Requires []*Analyzer
-
 	// FactTypes lists the concrete types (pointers to gob-encodable
 	// structs implementing Fact) this analyzer may export or import.
 	// Declaring them here registers them for serialization through the
@@ -55,15 +49,15 @@ type Analyzer struct {
 	FactTypes []Fact
 
 	// Run applies the analyzer to a package. It reports findings via
-	// pass.Report/Reportf, returns a result value for dependent
-	// analyzers (or nil), and returns an error only for internal
-	// analyzer failures (never for findings).
+	// pass.Report/Reportf and returns an error only for internal
+	// analyzer failures (never for findings). The result value is
+	// ignored; it keeps the signature of x/tools' Analyzer.Run.
 	Run func(pass *Pass) (any, error)
 }
 
 // A Fact is a serializable per-package summary produced by one
 // analyzer while analyzing a package and consumed when analyzing its
-// importers — the mechanism that carries collectives' identity-taint
+// importers — the mechanism that carries collorder's identity-taint
 // summaries and recyclecheck's ownership summaries across package
 // boundaries. Concrete fact types must be pointers to gob-encodable
 // structs, and a zero-valued fact must be distinguishable from an
@@ -95,10 +89,6 @@ type Pass struct {
 
 	// TypesInfo holds the type-checker's results for Files.
 	TypesInfo *types.Info
-
-	// ResultOf holds the results of the analyzers named in
-	// Analyzer.Requires, computed on this same package.
-	ResultOf map[*Analyzer]any
 
 	// Report delivers one diagnostic. The runner installs it; analyzer
 	// code should prefer Reportf.
@@ -207,4 +197,17 @@ func WalkStack(root ast.Node, fn func(n ast.Node, stack []ast.Node) bool) {
 		}
 		return descend
 	})
+}
+
+// Bodies returns the units an analyzer walks independently: fn's own
+// body, then that of every function literal inside it.
+func Bodies(fn *ast.FuncDecl) []*ast.BlockStmt {
+	bodies := []*ast.BlockStmt{fn.Body}
+	ast.Inspect(fn.Body, func(n ast.Node) bool {
+		if lit, ok := n.(*ast.FuncLit); ok {
+			bodies = append(bodies, lit.Body)
+		}
+		return true
+	})
+	return bodies
 }

@@ -106,7 +106,7 @@ func (s *FactStore) Decode(data []byte) error {
 }
 
 // factTypeName is the stable registration name for a fact's concrete
-// type: the %T rendering, e.g. "*collectives.Fact".
+// type: the %T rendering, e.g. "*collorder.Fact".
 func factTypeName(f Fact) string {
 	return fmt.Sprintf("%T", f)
 }
@@ -116,14 +116,13 @@ var (
 	registered = make(map[string]bool)
 )
 
-// registerFactTypes registers every fact type declared by ordered (an
-// analyzerOrder result, so the Requires closure is included) with
-// gob, under the stable %T name, so stores round-trip across
+// registerFactTypes registers every fact type declared by analyzers
+// with gob, under the stable %T name, so stores round-trip across
 // processes regardless of registration order.
-func registerFactTypes(ordered []*Analyzer) {
+func registerFactTypes(analyzers []*Analyzer) {
 	registerMu.Lock()
 	defer registerMu.Unlock()
-	for _, a := range ordered {
+	for _, a := range analyzers {
 		for _, ft := range a.FactTypes {
 			name := factTypeName(ft)
 			if !registered[name] {

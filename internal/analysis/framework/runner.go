@@ -42,14 +42,12 @@ type RunResult struct {
 	Suppressions []Suppression
 }
 
-// Run applies the analyzers (and, first, their Requires closure) to
-// every package, honors //lint:allow directives, and returns the
-// surviving findings sorted by position together with the suppression
-// audit. Only findings from the requested analyzers are reported;
-// required-but-unrequested analyzers run for their results and facts
-// alone. Malformed directives (missing analyzer or reason) and stale
-// directives (suppressing nothing) are reported as findings of the
-// pseudo-analyzer "directive" so they fail the lint gate.
+// Run applies the analyzers to every package, honors //lint:allow
+// directives, and returns the surviving findings sorted by position
+// together with the suppression audit. Malformed directives (missing
+// analyzer or reason) and stale directives (suppressing nothing) are
+// reported as findings of the pseudo-analyzer "directive" so they fail
+// the lint gate.
 //
 // Packages are processed in dependency order so that package facts
 // flow from imports to importers; pkgs marked FactsOnly contribute
@@ -65,14 +63,10 @@ func Run(pkgs []*Package, analyzers []*Analyzer) (*RunResult, error) {
 // be pre-seeded (the unitchecker seeds it from dependency vetx files)
 // and is left holding every fact exported during the run.
 func RunWithFacts(pkgs []*Package, analyzers []*Analyzer, facts *FactStore) (*RunResult, error) {
-	ordered, err := analyzerOrder(analyzers)
-	if err != nil {
-		return nil, err
-	}
-	registerFactTypes(ordered)
-	requested := make(map[string]bool, len(analyzers))
+	registerFactTypes(analyzers)
+	inRun := make(map[string]bool, len(analyzers))
 	for _, a := range analyzers {
-		requested[a.Name] = true
+		inRun[a.Name] = true
 	}
 
 	res := &RunResult{}
@@ -95,21 +89,15 @@ func RunWithFacts(pkgs []*Package, analyzers []*Analyzer, facts *FactStore) (*Ru
 				})
 			}
 		}
-		results := make(map[*Analyzer]any, len(ordered))
-		for _, a := range ordered {
+		for _, a := range analyzers {
 			pass := &Pass{
 				Analyzer:  a,
 				Fset:      pkg.Fset,
 				Files:     pkg.Files,
 				Pkg:       pkg.Types,
 				TypesInfo: pkg.Info,
-				ResultOf:  make(map[*Analyzer]any, len(a.Requires)),
 				facts:     facts,
 			}
-			for _, dep := range a.Requires {
-				pass.ResultOf[dep] = results[dep]
-			}
-			report := requested[a.Name] && !pkg.FactsOnly
 			pass.Report = func(d Diagnostic) {
 				pos := pkg.Fset.Position(d.Pos)
 				for _, dir := range dirs {
@@ -118,17 +106,15 @@ func RunWithFacts(pkgs []*Package, analyzers []*Analyzer, facts *FactStore) (*Ru
 						return
 					}
 				}
-				if report {
+				if !pkg.FactsOnly {
 					res.Findings = append(res.Findings, Finding{
 						Analyzer: a.Name, Pos: pos, Message: d.Message, Fixes: d.SuggestedFixes,
 					})
 				}
 			}
-			result, err := a.Run(pass)
-			if err != nil {
+			if _, err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("analyzer %s on %s: %v", a.Name, pkg.PkgPath, err)
 			}
-			results[a] = result
 		}
 		// Suppression audit: a directive that suppressed nothing is
 		// dead weight (the exception it documented is gone) and is
@@ -136,7 +122,7 @@ func RunWithFacts(pkgs []*Package, analyzers []*Analyzer, facts *FactStore) (*Ru
 		// naming analyzers outside this run's set cannot be judged and
 		// are skipped, as are facts-only packages.
 		for _, dir := range dirs {
-			auditable := dir.analyzer == "all" || requested[dir.analyzer]
+			auditable := dir.analyzer == "all" || inRun[dir.analyzer]
 			if !pkg.FactsOnly {
 				res.Suppressions = append(res.Suppressions, Suppression{
 					File: dir.file, Line: dir.line, Col: pkg.Fset.Position(dir.pos).Column,
@@ -187,43 +173,6 @@ func SortFindings(findings []Finding) {
 		}
 		return a.Analyzer < b.Analyzer
 	})
-}
-
-// analyzerOrder expands analyzers to include their transitive
-// Requires, in an order where dependencies precede dependents. A
-// Requires cycle would deadlock the real framework's scheduler and is
-// a programming error here too.
-func analyzerOrder(analyzers []*Analyzer) ([]*Analyzer, error) {
-	const (
-		visiting = 1
-		done     = 2
-	)
-	state := make(map[*Analyzer]int)
-	var out []*Analyzer
-	var visit func(a *Analyzer) error
-	visit = func(a *Analyzer) error {
-		switch state[a] {
-		case done:
-			return nil
-		case visiting:
-			return fmt.Errorf("analyzer Requires cycle through %s", a.Name)
-		}
-		state[a] = visiting
-		for _, dep := range a.Requires {
-			if err := visit(dep); err != nil {
-				return err
-			}
-		}
-		state[a] = done
-		out = append(out, a)
-		return nil
-	}
-	for _, a := range analyzers {
-		if err := visit(a); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }
 
 // packageOrder sorts pkgs so that every package follows the packages

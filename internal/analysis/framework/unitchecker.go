@@ -120,11 +120,7 @@ func RunUnit(cfgFile string, analyzers []*Analyzer) (res *RunResult, vetxOnly bo
 	// it ran the tool on. Each file holds that dependency's transitive
 	// fact view, so merging them reconstructs everything our imports
 	// know. Fact types must be registered before decoding.
-	ordered, err := analyzerOrder(analyzers)
-	if err != nil {
-		return nil, false, err
-	}
-	registerFactTypes(ordered)
+	registerFactTypes(analyzers)
 	facts := NewFactStore()
 	for _, vetx := range cfg.PackageVetx {
 		data, err := os.ReadFile(vetx)

@@ -1,9 +1,8 @@
 // Package xhelp sits outside every analyzer's reporting scope but
-// inside the collectives base analyzer's summary: Quadrant is an
-// identity source and SumAll a collective wrapper. Both classifications
-// travel to importers as package facts; the xuse and spmdx fixtures
-// assert that the dependent analyzers see them — and that without
-// facts they see nothing.
+// inside collorder's summary: Quadrant is an identity source and
+// SumAll a collective wrapper. Both classifications travel to
+// importers as package facts; the xuse and spmdx fixtures assert that
+// collorder sees them — and that without facts it sees nothing.
 package xhelp
 
 import (

@@ -28,9 +28,13 @@ PKGS=(./internal/hypercube ./internal/collective ./internal/core ./internal/rout
 BASELINE=scripts/allocgate_baseline.txt
 
 # current prints "file count" per source file, sorted, for every
-# "escapes to heap" / "moved to heap" diagnostic in the gated
-# packages. -gcflags without a pattern applies only to the packages
-# named on the command line, so dependencies don't pollute the count —
+# distinct "escapes to heap" / "moved to heap" diagnostic in the gated
+# packages. The compiler repeats a diagnostic, position and text
+# alike, for each instantiation of a generic function and each inlined
+# copy of a call, so identical lines count once: one site is one
+# escape however often it is instantiated or inlined. -gcflags
+# without a pattern applies only to the packages named on the command
+# line, so dependencies don't pollute the count —
 # but generic code instantiated in them (iter.Pull's, say) reports
 # under its own file in GOROOT, which is keyed by its path relative to
 # GOROOT/src so that the baseline does not depend on where Go lives.
@@ -39,6 +43,7 @@ current() {
   goroot_src="$(go env GOROOT)/src/"
   go build -gcflags=-m "${PKGS[@]}" 2>&1 |
     grep -E 'escapes to heap|moved to heap' |
+    sort -u |
     cut -d: -f1 |
     awk -v pre="$goroot_src" 'index($0, pre) == 1 { $0 = substr($0, length(pre) + 1) } { print }' |
     sort | uniq -c |
@@ -48,7 +53,8 @@ current() {
 if [[ "${1:-}" == "-update" ]]; then
   {
     echo "# Per-file heap-escape counts in the hot-path packages,"
-    echo "# from 'go build -gcflags=-m' (escapes to heap + moved to heap)."
+    echo "# from 'go build -gcflags=-m' (escapes to heap + moved to heap),"
+    echo "# each distinct diagnostic line counted once."
     echo "# Regenerate with: scripts/allocgate.sh -update"
     current
   } > "$BASELINE"

@@ -2,10 +2,12 @@
 """Mutation harness for the host-concurrency code: the serving plane
 (internal/serve, internal/metrics), the machine pool
 (internal/hypercube/machinepool.go) and the two daemons' mains
-(cmd/vmload, cmd/vmprimd); and for the run-scoped slab, the
+(cmd/vmload, cmd/vmprimd); for the run-scoped slab, the
 per-processor store of Envs and temporary headers in
 internal/core/core.go that Machine.Run (internal/hypercube/machine.go)
-rewinds after every Run.
+rewinds after every Run; and for the SPMD code the spanbalance and
+collorder analyzers check (internal/core, internal/collective,
+internal/apps).
 
 Each mutant is data: a file, an exact old text, the new text that
 replaces it, and the bug class it seeds. The harness copies a source
@@ -13,20 +15,21 @@ tree to a temporary directory, builds vmlint there once, then for each
 mutant applies it, runs the checks below, restores the file, and
 finally prints one Markdown table row per mutant:
 
-  * vmlint -json ./...: the analyzers that report a finding;
+  * vmlint -json ./...: every finding, as analyzer, position and
+    message;
   * go test -race -timeout 60s on ./internal/serve, ./internal/metrics
     and ./cmd/vmload, and on the MachinePool tests of
     ./internal/hypercube: the failing tests, and why they failed
     (panic, data race, or the binary's timeout). Not run for the slab's
-    mutants: a Run is one thread, so the race detector has nothing to
-    say about it;
+    or the SPMD code's mutants: a Run is one thread, so the race
+    detector has nothing to say about it;
   * the other tests of the mutated code: for internal/metrics the
     packages that import it, for machinepool.go the rest of
     internal/hypercube and the facade; for cmd/vmload and cmd/vmprimd
     the end-to-end smokes scripts/check.sh runs (vmload's in-process
     mini-burst; vmprimd's submit, wait, scrape and SIGTERM steps); for
-    the slab, core, hypercube, apps, bench (the golden tables) and the
-    facade.
+    the slab and the SPMD code, core, collective, hypercube, apps,
+    bench (the golden tables) and the facade.
 
 A mutant whose old text is not found, or that does not compile, is
 reported as such; it decides nothing.
@@ -43,10 +46,9 @@ To audit a past revision, extract it first (git archive REV | tar -x
 -C DIR) and pass --tree DIR. The tree given is never modified.
 
 scripts/check.sh does not run this: one pass takes about 40 minutes on
-2 vCPUs, most of it in the 60 s timeouts of mutants that deadlock. The
-same harness, with new mutant lists, is meant to audit the SPMD
-analyzers (ROADMAP item 3(d)) and to run the mutants on the real
-machine (item 4(b)).
+2 vCPUs, most of it in the 60 s timeouts of mutants that deadlock.
+The N and I classes are the first of the SPMD analyzers' yield audit
+(ROADMAP item 3(d)).
 """
 
 import argparse
@@ -74,6 +76,8 @@ CLASSES = {
     "D": "run-scoped slot handed out twice in one Run",
     "U": "run-scoped slab grows past its limit",
     "X": "expired temporary not refused",
+    "N": "EndSpan dropped on one branch",
+    "I": "collective guarded by identity, or structural argument derived from ID()",
 }
 
 SSE = "internal/serve/sse.go"
@@ -87,6 +91,13 @@ VMPRIMD = "cmd/vmprimd/main.go"
 MACHINE = "internal/hypercube/machine.go"
 CORE = "internal/core/core.go"
 SLAB = (MACHINE, CORE)
+COLL = "internal/collective/collective.go"
+EXTRACT = "internal/core/extract.go"
+VECOPS = "internal/core/vecops.go"
+REDUCE = "internal/core/reduce.go"
+SIMPLEX = "internal/apps/simplex.go"
+CG = "internal/apps/cg.go"
+SPMD = ("internal/core/", "internal/collective/", "internal/apps/")
 
 # id, file, site (function), old text, new text. The class is the id's
 # letter.
@@ -276,6 +287,55 @@ MUTANTS = [
     ("X2", CORE, "Vector.L: materializes an expired vector's piece",
      "\t\t\tif v.expired {\n\t\t\t\tpanic(errExpired)\n\t\t\t}\n",
      ""),
+
+    # N: a span closed on the main path only. The defer becomes an
+    # inline EndSpan at the last exit (EXTRA), so an early return skips
+    # it; or an inline EndSpan moves past, or into, a branch.
+    ("N1", COLL, "BcastLarge: EndSpan inline at the end, the k == 0 return skips it",
+     "\tp.BeginSpan(\"bcast-large\")\n\tdefer p.EndSpan()\n",
+     "\tp.BeginSpan(\"bcast-large\")\n"),
+    ("N2", COLL, "Gather: EndSpan inline at the end, the sender's return skips it",
+     "\tp.BeginSpan(\"gather\")\n\tdefer p.EndSpan()\n",
+     "\tp.BeginSpan(\"gather\")\n"),
+    ("N3", EXTRACT, "Env.sendAlong: EndSpan inline at the end, the fromRel == toRel returns skip it",
+     "\te.BeginSpan(\"shift\")\n\tdefer e.EndSpan()\n",
+     "\te.BeginSpan(\"shift\")\n"),
+    ("N4", EXTRACT, "Env.SwapRows: EndSpan inline at the end, the i1 == i2 return skips it",
+     "\te.BeginSpan(\"swap-rows\")\n\tdefer e.EndSpan()\n",
+     "\te.BeginSpan(\"swap-rows\")\n"),
+    ("N5", VECOPS, "Env.ScanVec: EndSpan inline at the end, the non-holder and mask == 0 returns skip it",
+     "\te.BeginSpan(\"scan-vec\")\n\tdefer e.EndSpan()\n",
+     "\te.BeginSpan(\"scan-vec\")\n"),
+    ("N6", SIMPLEX, "simplexLoop: the unbounded return leaves the ratio-test span open",
+     "\t\te.EndSpan()\n\t\tif ir < 0 {\n\t\t\treturn serial.Unbounded, e.ElemAt(t, m, rhs), iters, basis\n\t\t}\n",
+     "\t\tif ir < 0 {\n\t\t\treturn serial.Unbounded, e.ElemAt(t, m, rhs), iters, basis\n\t\t}\n\t\te.EndSpan()\n"),
+    ("N7", SIMPLEX, "simplexLoop: pricing closes its span on the Dantzig branch only",
+     "\t\t\tif jc >= 0 && val >= -simplexEps {\n\t\t\t\tjc = -1\n\t\t\t}\n\t\t}\n\t\te.EndSpan()\n",
+     "\t\t\tif jc >= 0 && val >= -simplexEps {\n\t\t\t\tjc = -1\n\t\t\t}\n\t\t\te.EndSpan()\n\t\t}\n"),
+
+    # I: processors disagree on which collectives run, or on how an
+    # operation pairs them.
+    ("I1", REDUCE, "Env.AllReduceRowsPiece: the mask drops dimension 0 on odd processors",
+     "e.G.RowMask(), e.NextTag2(), piece",
+     "e.G.RowMask()&^(e.P.ID()&1), e.NextTag2(), piece"),
+    ("I2", VECOPS, "Env.DotVec: only processor 0 joins the all-reduce",
+     "\treturn e.allReduceScalar(acc, collective.Sum)\n",
+     "\tif pid != 0 {\n\t\treturn acc\n\t}\n\treturn e.allReduceScalar(acc, collective.Sum)\n"),
+    ("I3", EXTRACT, "Env.sendAlong: the relay's Send dimension depends on the sender's ID",
+     "\t\t\t\te.P.Send(d, tag, buf)\n",
+     "\t\t\t\te.P.Send(d^(e.P.ID()&1), tag, buf)\n"),
+    ("I4", CG, "SolveCG: only processors other than 0 compute the residual norm",
+     "\t\t\tresid = e.Norm2Vec(r)\n",
+     "\t\t\tif p.ID() != 0 {\n\t\t\t\tresid = e.Norm2Vec(r)\n\t\t\t}\n"),
+    ("I5", SIMPLEX, "simplexLoop: processor 1 stops before the first pivot",
+     "\t\tif jc < 0 {\n\t\t\treturn serial.Optimal",
+     "\t\tif jc < 0 || e.P.ID() == 1 {\n\t\t\treturn serial.Optimal"),
+    ("I6", CG, "SolveCG: odd processors allow one more iteration",
+     "\t\tfor iters < opts.MaxIter && resid > opts.Tol {\n",
+     "\t\tfor iters < opts.MaxIter+p.ID()%2 && resid > opts.Tol {\n"),
+    ("I7", COLL, "AllReduce: the recursive-doubling Exchange dimension depends on the ID",
+     "got := p.Exchange(ds[i], subTag(tag, i), acc)",
+     "got := p.Exchange(ds[(i+p.ID()&1)%len(ds)], subTag(tag, i), acc)"),
 ]
 
 # K1 must read w inside the closure and K3 must assign the hoisted
@@ -287,9 +347,23 @@ EXTRA = {
            "\t\t\t\tlat, err = submitOne(client, base, spec)\n"),
     # E2 moves EndRun into the body's success path: Run's own call goes.
     "E2": ("\tfor _, pr := range m.procs {\n\t\tif pr.local != nil {\n\t\t\tpr.local.EndRun()\n\t\t}\n\t}\n", ""),
+    # N1-N5 close the span inline before the function's last return.
+    "N1": ("\tp.Recycle(piece)\n\treturn out\n}", "\tp.Recycle(piece)\n\tp.EndSpan()\n\treturn out\n}"),
+    "N2": ("\tp.Recycle(buf)\n\treturn out\n}\n\n// Scatter distributes",
+           "\tp.Recycle(buf)\n\tp.EndSpan()\n\treturn out\n}\n\n// Scatter distributes"),
+    "N3": ("\tif myRel == toRel {\n\t\treturn buf\n\t}\n\treturn nil\n}",
+           "\te.EndSpan()\n\tif myRel == toRel {\n\t\treturn buf\n\t}\n\treturn nil\n}"),
+    "N4": ("\te.InsertRow(a, r2, i1)\n}", "\te.InsertRow(a, r2, i1)\n\te.EndSpan()\n}"),
+    "N5": ("\t\te.P.Compute(v.Map.B)\n\t}\n\treturn out\n}",
+           "\t\te.P.Compute(v.Map.B)\n\t}\n\te.EndSpan()\n\treturn out\n}"),
 }
 
 RACE_PKGS = ["./internal/serve/", "./internal/metrics/", "./cmd/vmload/"]
+
+
+def one_thread(path):
+    """Whether path is code a Run executes on its one thread."""
+    return path in SLAB or path.startswith(SPMD)
 
 
 def other_tests(path):
@@ -303,9 +377,10 @@ def other_tests(path):
         return ("smoke", "vmload")
     if path == VMPRIMD:
         return ("smoke", "vmprimd")
-    if path in SLAB:
+    if one_thread(path):
         return ("go", ["go", "test", "-count=1", "-timeout", "300s", "./internal/core/",
-                       "./internal/hypercube/", "./internal/apps/", "./internal/bench/", "."])
+                       "./internal/collective/", "./internal/hypercube/", "./internal/apps/",
+                       "./internal/bench/", "."])
     return None
 
 
@@ -369,8 +444,13 @@ def vmlint(tree, binary):
         findings = json.loads(out[out.index("["):])
     except ValueError:
         return "vmlint error: " + out.strip().splitlines()[-1][:80] if out.strip() else "vmlint error"
-    names = sorted({f["analyzer"] for f in findings})
-    return ", ".join(names) if names else "none"
+    if not findings:
+        return "none"
+    # A collorder message quotes sequences with "|" in them, which would
+    # split a Markdown table cell.
+    return "; ".join("%s `%s:%d`: %s" % (f["analyzer"], os.path.relpath(f["file"], tree), f["line"],
+                                        f["message"].replace("|", "\\|"))
+                     for f in findings)
 
 
 def race_tests(tree, log):
@@ -520,7 +600,7 @@ def main():
                           (mid, CLASSES[mid[0]], path, site), flush=True)
                     continue
                 lint_cell = vmlint(tree, lint)
-                race_cell = "(not run)" if path in SLAB else race_tests(tree, log)
+                race_cell = "(not run)" if one_thread(path) else race_tests(tree, log)
                 kind = other_tests(path)
                 if kind is None:
                     other_cell = "(none beyond the race set)"
