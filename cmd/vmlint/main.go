@@ -81,11 +81,11 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	res, err := framework.Run(pkgs, analyzers())
+	res, err := framework.Run(pkgs, analyzers(), nil)
 	if err != nil {
 		fatal(err)
 	}
-	auditDirectiveNames(res)
+	framework.AuditDirectiveNames(res, analyzers())
 
 	if *suppressions {
 		listSuppressions(res.Suppressions)
@@ -137,30 +137,6 @@ func main() {
 	}
 
 	report(res.Findings)
-}
-
-// auditDirectiveNames adds a "directive" finding for every
-// //lint:allow whose analyzer this binary does not register.
-// framework.Run cannot judge such a directive (a single-analyzer run
-// legitimately sees the others' names) and audits it as used; the
-// full roster can, and a typo or a deleted analyzer's name suppresses
-// nothing.
-func auditDirectiveNames(res *framework.RunResult) {
-	known := map[string]bool{"all": true}
-	for _, a := range analyzers() {
-		known[a.Name] = true
-	}
-	for i, s := range res.Suppressions {
-		if !known[s.Analyzer] {
-			res.Suppressions[i].Used = false
-			res.Findings = append(res.Findings, framework.Finding{
-				Analyzer: "directive",
-				Pos:      token.Position{Filename: s.File, Line: s.Line, Column: s.Col},
-				Message:  fmt.Sprintf("//lint:allow %s names no registered analyzer", s.Analyzer),
-			})
-		}
-	}
-	framework.SortFindings(res.Findings)
 }
 
 // report prints findings and exits 2 if there are any.

@@ -142,14 +142,14 @@ func TestUnknownDirectiveName(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := framework.Run(pkgs, analyzers())
+	res, err := framework.Run(pkgs, analyzers(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Findings) != 0 {
 		t.Fatalf("framework.Run must leave names it cannot judge alone, got %v", res.Findings)
 	}
-	auditDirectiveNames(res)
+	framework.AuditDirectiveNames(res, analyzers())
 	if len(res.Findings) != 1 {
 		t.Fatalf("want one finding for the unknown name, got %v", res.Findings)
 	}
@@ -172,7 +172,7 @@ func TestDemoDeadlockStaysFlagged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := framework.Run(pkgs, []*framework.Analyzer{collorder.Analyzer})
+	res, err := framework.Run(pkgs, []*framework.Analyzer{collorder.Analyzer}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,6 +32,10 @@
 // fixes and compares each changed file against its <file>.golden
 // sibling, then re-analyzes the fixed tree to prove the fixes are
 // complete and idempotent.
+//
+// CompileExport and RunUnit drive the vet driver instead, one unit per
+// package as `go vet -vettool` does, so a test can watch facts cross
+// the vetx files.
 package analysistest
 
 import (
@@ -39,11 +43,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"go/ast"
-	"go/importer"
-	"go/parser"
 	"go/token"
 	"go/types"
-	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -73,21 +74,12 @@ func Run(t *testing.T, testdata string, a *framework.Analyzer, pkgpaths ...strin
 	}
 }
 
-// Findings runs a over one fixture package and returns the raw
-// findings, ignoring want comments. withFacts controls whether the
-// target's fixture dependencies are analyzed for their facts first;
-// a test asserts cross-package detection by comparing the two modes.
-func Findings(t *testing.T, testdata string, a *framework.Analyzer, path string, withFacts bool) []framework.Finding {
-	t.Helper()
-	res, _ := analyze(t, testdata, a, path, withFacts)
-	return res.Findings
-}
-
 // Result runs a over one fixture package and returns the complete
 // run result — findings plus the suppression audit — together with
-// the FileSet positioning them, for tests that assert on suppressions
-// or drive framework.ApplyFixes themselves. withFacts is as in
-// Findings.
+// the FileSet positioning them, ignoring want comments. withFacts
+// controls whether the target's fixture dependencies are analyzed for
+// their facts first; a test asserts cross-package detection by
+// comparing the two modes.
 func Result(t *testing.T, testdata string, a *framework.Analyzer, path string, withFacts bool) (*framework.RunResult, *token.FileSet) {
 	t.Helper()
 	res, l := analyze(t, testdata, a, path, withFacts)
@@ -203,7 +195,7 @@ func analyze(t *testing.T, testdata string, a *framework.Analyzer, path string, 
 			pkgs = append(pkgs, dep)
 		}
 	}
-	res, err := framework.Run(pkgs, []*framework.Analyzer{a})
+	res, err := framework.Run(pkgs, []*framework.Analyzer{a}, nil)
 	if err != nil {
 		t.Fatalf("running %s on %s: %v", a.Name, path, err)
 	}
@@ -290,23 +282,21 @@ func parseWants(t *testing.T, fset *token.FileSet, c *ast.Comment) []*expectatio
 // loader type-checks fixture packages from source, resolving fixture
 // imports recursively and everything else from export data.
 type loader struct {
-	root       string // testdata/src
-	fset       *token.FileSet
-	pkgs       map[string]*framework.Package
-	std        types.Importer
-	stdExports map[string]string // import path -> export data file
-	listed     map[string]bool   // go list already attempted
+	root    string // testdata/src
+	fset    *token.FileSet
+	pkgs    map[string]*framework.Package
+	std     types.Importer
+	exports map[string]string // import path -> export data file ("" if listed and missing)
 }
 
 func newLoader(testdata string) *loader {
 	l := &loader{
-		root:       filepath.Join(testdata, "src"),
-		fset:       token.NewFileSet(),
-		pkgs:       make(map[string]*framework.Package),
-		stdExports: make(map[string]string),
-		listed:     make(map[string]bool),
+		root:    filepath.Join(testdata, "src"),
+		fset:    token.NewFileSet(),
+		pkgs:    make(map[string]*framework.Package),
+		exports: make(map[string]string),
 	}
-	l.std = importer.ForCompiler(l.fset, "gc", l.lookupExport)
+	l.std = framework.ExportImporter(l.fset, l.lookupExport)
 	return l
 }
 
@@ -335,59 +325,74 @@ func (l *loader) load(path string) (*framework.Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &framework.Package{PkgPath: path, Dir: dir, Fset: l.fset, Info: framework.NewInfo()}
+	var files []string
 	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
+		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
+			files = append(files, e.Name())
 		}
-		f, err := parser.ParseFile(l.fset, filepath.Join(dir, e.Name()), nil,
-			parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
-		}
-		p.Files = append(p.Files, f)
 	}
-	if len(p.Files) == 0 {
+	if len(files) == 0 {
 		return nil, fmt.Errorf("no Go files in %s", dir)
 	}
-	conf := types.Config{
-		Importer: l,
-		Error:    func(err error) { p.TypeErrors = append(p.TypeErrors, err) },
+	p, err := framework.Check(l.fset, path, dir, files, l, "")
+	if err != nil {
+		return nil, err
 	}
-	p.Types, _ = conf.Check(path, l.fset, p.Files, p.Info)
 	l.pkgs[path] = p
 	return p, nil
 }
 
 // lookupExport resolves export data for non-fixture imports, listing
 // each root package (with its dependency closure) at most once.
-func (l *loader) lookupExport(path string) (io.ReadCloser, error) {
-	if f, ok := l.stdExports[path]; ok {
-		return os.Open(f)
-	}
-	if !l.listed[path] {
-		l.listed[path] = true
-		out, err := exec.Command("go", "list", "-e", "-export", "-deps", "-json=ImportPath,Export", path).Output()
-		if err == nil {
-			dec := json.NewDecoder(bytes.NewReader(out))
-			for {
-				var lp struct{ ImportPath, Export string }
-				if err := dec.Decode(&lp); err != nil {
-					break
-				}
-				if lp.Export != "" {
-					l.stdExports[lp.ImportPath] = lp.Export
-				}
+func (l *loader) lookupExport(path string) string {
+	if _, ok := l.exports[path]; !ok {
+		l.exports[path] = ""
+		listed, _ := framework.GoList("", path)
+		for _, lp := range listed {
+			if lp.Export != "" {
+				l.exports[lp.ImportPath] = lp.Export
 			}
 		}
 	}
-	if f, ok := l.stdExports[path]; ok {
-		return os.Open(f)
-	}
-	return nil, fmt.Errorf("no export data for %q", path)
+	return l.exports[path]
 }
 
 func dirExists(dir string) bool {
 	fi, err := os.Stat(dir)
 	return err == nil && fi.IsDir()
+}
+
+// CompileExport compiles package pkgpath from files into export data
+// at dir/<pkgpath>.a, importing what was compiled into dir before it,
+// and returns the file: a vet unit's PackageFile entry.
+func CompileExport(t *testing.T, dir, pkgpath string, files ...string) string {
+	t.Helper()
+	out := filepath.Join(dir, filepath.FromSlash(pkgpath)+".a")
+	if err := os.MkdirAll(filepath.Dir(out), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	args := append([]string{"tool", "compile", "-p", pkgpath, "-I", dir, "-o", out}, files...)
+	if b, err := exec.Command("go", args...).CombinedOutput(); err != nil {
+		t.Fatalf("go tool compile %s: %v\n%s", pkgpath, err, b)
+	}
+	return out
+}
+
+// RunUnit writes cfg to dir/<cfg.ID>.cfg and runs framework.RunUnit on
+// it, as `go vet -vettool` runs one package, failing t on an error.
+func RunUnit(t *testing.T, dir string, cfg framework.VetConfig, analyzers []*framework.Analyzer) (*framework.RunResult, bool) {
+	t.Helper()
+	data, err := json.Marshal(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	file := filepath.Join(dir, cfg.ID+".cfg")
+	if err := os.WriteFile(file, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	res, vetxOnly, err := framework.RunUnit(file, analyzers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, vetxOnly
 }

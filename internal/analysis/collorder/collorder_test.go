@@ -25,7 +25,8 @@ func TestCrossPackageFacts(t *testing.T) {
 	testdata := filepath.Join("..", "testdata")
 	for _, path := range []string{"vmprim/internal/apps/xuse", "vmprim/internal/apps/spmdx"} {
 		analysistest.Run(t, testdata, collorder.Analyzer, path)
-		for _, f := range analysistest.Findings(t, testdata, collorder.Analyzer, path, false) {
+		res, _ := analysistest.Result(t, testdata, collorder.Analyzer, path, false)
+		for _, f := range res.Findings {
 			t.Errorf("with facts disabled, cross-package diagnostic still reported: %s", f)
 		}
 	}

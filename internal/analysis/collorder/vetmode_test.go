@@ -1,10 +1,7 @@
 package collorder_test
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"os/exec"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -13,21 +10,6 @@ import (
 	"vmprim/internal/analysis/collorder"
 	"vmprim/internal/analysis/framework"
 )
-
-// vetCfg mirrors the JSON shape the go command writes for a vet unit
-// (the framework's own type is unexported; the protocol is the JSON).
-type vetCfg struct {
-	ID          string
-	Compiler    string
-	Dir         string
-	ImportPath  string
-	GoFiles     []string
-	ImportMap   map[string]string
-	PackageFile map[string]string
-	PackageVetx map[string]string
-	VetxOnly    bool
-	VetxOutput  string
-}
 
 // TestVetModeSummaryFacts drives framework.RunUnit the way `go vet
 // -vettool=vmlint` does, one cfg file per package: collorder's
@@ -50,23 +32,12 @@ func TestVetModeSummaryFacts(t *testing.T) {
 	pkgFiles := make(map[string]string)
 	importMap := make(map[string]string)
 	for _, path := range []string{hcPath, collPath, xhelpPath} {
-		pkgFiles[path] = compile(t, tmp, path, fileOf(src, path))
+		pkgFiles[path] = analysistest.CompileExport(t, tmp, path, fileOf(src, path))
 		importMap[path] = path
 	}
-	unit := func(cfg vetCfg) *framework.RunResult {
+	unit := func(cfg framework.VetConfig) *framework.RunResult {
 		t.Helper()
-		data, err := json.Marshal(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		file := filepath.Join(tmp, cfg.ID+".cfg")
-		if err := os.WriteFile(file, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		res, vetxOnly, err := framework.RunUnit(file, analyzers)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res, vetxOnly := analysistest.RunUnit(t, tmp, cfg, analyzers)
 		if vetxOnly != cfg.VetxOnly {
 			t.Fatalf("unit %s: vetxOnly = %v, want %v", cfg.ID, vetxOnly, cfg.VetxOnly)
 		}
@@ -75,7 +46,7 @@ func TestVetModeSummaryFacts(t *testing.T) {
 
 	// Unit 1: the dependency, facts only.
 	xhelpVetx := filepath.Join(tmp, "xhelp.vetx")
-	if res := unit(vetCfg{
+	if res := unit(framework.VetConfig{
 		ID: "xhelp", Compiler: "gc", Dir: filepath.Dir(fileOf(src, xhelpPath)), ImportPath: xhelpPath,
 		GoFiles: []string{fileOf(src, xhelpPath)}, ImportMap: importMap, PackageFile: pkgFiles,
 		VetxOnly: true, VetxOutput: xhelpVetx,
@@ -87,14 +58,15 @@ func TestVetModeSummaryFacts(t *testing.T) {
 	for _, path := range []string{"vmprim/internal/apps/xuse", "vmprim/internal/apps/spmdx"} {
 		file := fileOf(src, path)
 		run := func(id string, vetx map[string]string) []string {
-			res := unit(vetCfg{
+			res := unit(framework.VetConfig{
 				ID: id, Compiler: "gc", Dir: filepath.Dir(file), ImportPath: path,
 				GoFiles: []string{file}, ImportMap: importMap, PackageFile: pkgFiles,
 				PackageVetx: vetx,
 			})
 			return render(res.Findings)
 		}
-		standalone := render(analysistest.Findings(t, filepath.Join("..", "testdata"), collorder.Analyzer, path, true))
+		res, _ := analysistest.Result(t, filepath.Join("..", "testdata"), collorder.Analyzer, path, true)
+		standalone := render(res.Findings)
 		if len(standalone) == 0 {
 			t.Fatalf("%s: the standalone run reports nothing to compare with", path)
 		}
@@ -111,20 +83,6 @@ func TestVetModeSummaryFacts(t *testing.T) {
 func fileOf(src, pkgpath string) string {
 	rel, _ := filepath.Rel("vmprim", pkgpath)
 	return filepath.Join(src, rel, filepath.Base(pkgpath)+".go")
-}
-
-// compile produces gc export data for a fixture package whose imports
-// were compiled into dir before it.
-func compile(t *testing.T, dir, pkgpath, file string) string {
-	t.Helper()
-	out := filepath.Join(dir, pkgpath+".a")
-	if err := os.MkdirAll(filepath.Dir(out), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if b, err := exec.Command("go", "tool", "compile", "-p", pkgpath, "-I", dir, "-o", out, file).CombinedOutput(); err != nil {
-		t.Fatalf("go tool compile %s: %v\n%s", file, err, b)
-	}
-	return out
 }
 
 // render positions findings by line and column only: the two drivers

@@ -22,9 +22,6 @@ type Package struct {
 	// PkgPath is the package's import path.
 	PkgPath string
 
-	// Dir is the directory holding the package's sources.
-	Dir string
-
 	// Fset positions the package's syntax (shared across a Load call).
 	Fset *token.FileSet
 
@@ -48,8 +45,49 @@ type Package struct {
 	FactsOnly bool
 }
 
-// listPackage is the subset of `go list -json` output the loader uses.
-type listPackage struct {
+// Check parses files (relative to dir) and type-checks them as package
+// path against imp, at goVersion if not empty; every driver loads
+// through it. A parse error is returned, type errors are collected.
+func Check(fset *token.FileSet, path, dir string, files []string, imp types.Importer, goVersion string) (*Package, error) {
+	p := &Package{PkgPath: path, Fset: fset, Info: &types.Info{ // the maps the analyzers read
+		Types: make(map[ast.Expr]types.TypeAndValue),
+		Defs:  make(map[*ast.Ident]types.Object),
+		Uses:  make(map[*ast.Ident]types.Object),
+	}}
+	for _, name := range files {
+		if !filepath.IsAbs(name) {
+			name = filepath.Join(dir, name)
+		}
+		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		p.Files = append(p.Files, f)
+	}
+	conf := types.Config{
+		Importer:  imp,
+		GoVersion: goVersion,
+		Error:     func(err error) { p.TypeErrors = append(p.TypeErrors, err) },
+	}
+	p.Types, _ = conf.Check(path, fset, p.Files, p.Info)
+	return p, nil
+}
+
+// ExportImporter returns an importer that reads the compiler's export
+// data from the file lookup names for an import path ("" for none).
+func ExportImporter(fset *token.FileSet, lookup func(path string) string) types.Importer {
+	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		file := lookup(path)
+		if file == "" {
+			return nil, fmt.Errorf("no export data for %q", path)
+		}
+		return os.Open(file)
+	})
+}
+
+// A ListedPackage is the subset of `go list -json` output the loaders
+// use.
+type ListedPackage struct {
 	Dir        string
 	ImportPath string
 	Export     string
@@ -57,6 +95,35 @@ type listPackage struct {
 	DepOnly    bool
 	GoFiles    []string
 	Error      *struct{ Err string }
+}
+
+// GoList runs `go list -e -export -deps` on patterns from dir (the
+// current directory if empty). A package go list could not load
+// carries its Error; GoList fails only if the go command does.
+func GoList(dir string, patterns ...string) ([]ListedPackage, error) {
+	args := append([]string{
+		"list", "-e", "-export",
+		"-deps", "-json=ImportPath,Export,Dir,GoFiles,Standard,DepOnly,Error",
+	}, patterns...)
+	cmd := exec.Command("go", args...)
+	cmd.Dir = dir
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("go list %v: %v\n%s", patterns, err, stderr.Bytes())
+	}
+	var listed []ListedPackage
+	dec := json.NewDecoder(bytes.NewReader(out))
+	for {
+		var lp ListedPackage
+		if err := dec.Decode(&lp); err == io.EOF {
+			return listed, nil
+		} else if err != nil {
+			return nil, fmt.Errorf("go list %v: decoding output: %v", patterns, err)
+		}
+		listed = append(listed, lp)
+	}
 }
 
 // Load lists patterns with the go command (from dir), parses every
@@ -75,29 +142,13 @@ type listPackage struct {
 // and hands back their export-data files, which go/importer consumes
 // directly.
 func Load(dir string, patterns ...string) ([]*Package, error) {
-	args := append([]string{
-		"list", "-e", "-export",
-		"-deps", "-json=ImportPath,Export,Dir,GoFiles,Standard,DepOnly,Error",
-	}, patterns...)
-	cmd := exec.Command("go", args...)
-	cmd.Dir = dir
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	out, err := cmd.Output()
+	listed, err := GoList(dir, patterns...)
 	if err != nil {
-		return nil, fmt.Errorf("go list %v: %v\n%s", patterns, err, stderr.Bytes())
+		return nil, err
 	}
-
 	exports := make(map[string]string)
-	var targets []listPackage
-	dec := json.NewDecoder(bytes.NewReader(out))
-	for {
-		var lp listPackage
-		if err := dec.Decode(&lp); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("go list %v: decoding output: %v", patterns, err)
-		}
+	var targets []ListedPackage
+	for _, lp := range listed {
 		if lp.Error != nil {
 			return nil, fmt.Errorf("go list %v: %s", patterns, lp.Error.Err)
 		}
@@ -111,51 +162,15 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	sort.Slice(targets, func(i, j int) bool { return targets[i].ImportPath < targets[j].ImportPath })
 
 	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		f, ok := exports[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(f)
-	})
-
+	imp := ExportImporter(fset, func(path string) string { return exports[path] })
 	var pkgs []*Package
 	for _, t := range targets {
-		p := &Package{PkgPath: t.ImportPath, Dir: t.Dir, Fset: fset, FactsOnly: t.DepOnly}
-		var parseErr error
-		for _, gf := range t.GoFiles {
-			f, err := parser.ParseFile(fset, filepath.Join(t.Dir, gf), nil, parser.ParseComments|parser.SkipObjectResolution)
-			if err != nil {
-				parseErr = err
-				break
-			}
-			p.Files = append(p.Files, f)
+		p, err := Check(fset, t.ImportPath, t.Dir, t.GoFiles, imp, "")
+		if err != nil {
+			return nil, fmt.Errorf("parsing %s: %v", t.ImportPath, err)
 		}
-		if parseErr != nil {
-			return nil, fmt.Errorf("parsing %s: %v", t.ImportPath, parseErr)
-		}
-		p.Info = NewInfo()
-		conf := types.Config{
-			Importer: imp,
-			Error:    func(err error) { p.TypeErrors = append(p.TypeErrors, err) },
-		}
-		// Check returns the (possibly incomplete) package even on
-		// error; TypeErrors carries the details.
-		p.Types, _ = conf.Check(t.ImportPath, fset, p.Files, p.Info)
+		p.FactsOnly = t.DepOnly
 		pkgs = append(pkgs, p)
 	}
 	return pkgs, nil
-}
-
-// NewInfo returns a types.Info with every map the analyzers consult
-// allocated.
-func NewInfo() *types.Info {
-	return &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Implicits:  make(map[ast.Node]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Scopes:     make(map[ast.Node]*types.Scope),
-	}
 }

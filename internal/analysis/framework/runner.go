@@ -55,14 +55,14 @@ type RunResult struct {
 //
 // Packages with type errors are not analyzed; Run returns an error
 // naming them, since findings over broken types would be unreliable.
-func Run(pkgs []*Package, analyzers []*Analyzer) (*RunResult, error) {
-	return RunWithFacts(pkgs, analyzers, NewFactStore())
-}
-
-// RunWithFacts is Run against a caller-provided fact store, which may
-// be pre-seeded (the unitchecker seeds it from dependency vetx files)
-// and is left holding every fact exported during the run.
-func RunWithFacts(pkgs []*Package, analyzers []*Analyzer, facts *FactStore) (*RunResult, error) {
+//
+// facts is the run's fact store, nil for a fresh one. The vet driver
+// passes one seeded from its dependencies' vetx files; it is left
+// holding every fact exported during the run.
+func Run(pkgs []*Package, analyzers []*Analyzer, facts *FactStore) (*RunResult, error) {
+	if facts == nil {
+		facts = NewFactStore()
+	}
 	registerFactTypes(analyzers)
 	inRun := make(map[string]bool, len(analyzers))
 	for _, a := range analyzers {
@@ -145,7 +145,7 @@ func RunWithFacts(pkgs []*Package, analyzers []*Analyzer, facts *FactStore) (*Ru
 			})
 		}
 	}
-	SortFindings(res.Findings)
+	sortFindings(res.Findings)
 	sort.Slice(res.Suppressions, func(i, j int) bool {
 		a, b := res.Suppressions[i], res.Suppressions[j]
 		if a.File != b.File {
@@ -156,10 +156,30 @@ func RunWithFacts(pkgs []*Package, analyzers []*Analyzer, facts *FactStore) (*Ru
 	return res, nil
 }
 
-// SortFindings orders findings by position, then analyzer name: the
-// order Run returns them in, for drivers that add findings of their
-// own.
-func SortFindings(findings []Finding) {
+// AuditDirectiveNames reports, and lists as not used, every
+// //lint:allow in res naming an analyzer outside roster. Run cannot
+// judge such a name (a one-analyzer run sees the others'); a driver
+// holding the whole roster can, and applies this after Run.
+func AuditDirectiveNames(res *RunResult, roster []*Analyzer) {
+	known := map[string]bool{"all": true}
+	for _, a := range roster {
+		known[a.Name] = true
+	}
+	for i, s := range res.Suppressions {
+		if !known[s.Analyzer] {
+			res.Suppressions[i].Used = false
+			res.Findings = append(res.Findings, Finding{
+				Analyzer: "directive",
+				Pos:      token.Position{Filename: s.File, Line: s.Line, Column: s.Col},
+				Message:  fmt.Sprintf("//lint:allow %s names no registered analyzer", s.Analyzer),
+			})
+		}
+	}
+	sortFindings(res.Findings)
+}
+
+// sortFindings orders findings by position, then analyzer name.
+func sortFindings(findings []Finding) {
 	sort.Slice(findings, func(i, j int) bool {
 		a, b := findings[i], findings[j]
 		if a.Pos.Filename != b.Pos.Filename {

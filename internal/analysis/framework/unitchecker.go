@@ -4,14 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
 	"go/token"
-	"go/types"
-	"io"
 	"os"
-	"path/filepath"
 	"strings"
 )
 
@@ -32,18 +26,17 @@ import (
 // VetxOutput for the unit's importers. Dependency units (VetxOnly)
 // run the analyzers for their facts alone and report nothing.
 
-// vetConfig mirrors the JSON the go command writes for a vet unit.
-type vetConfig struct {
+// A VetConfig is the JSON the go command writes for a vet unit, less
+// the fields vmlint does not read. GoFiles are the files compiled into
+// the package; the ones build constraints exclude are listed apart.
+type VetConfig struct {
 	ID                        string
 	Compiler                  string
 	Dir                       string
 	ImportPath                string
 	GoFiles                   []string
-	NonGoFiles                []string
-	IgnoredFiles              []string
 	ImportMap                 map[string]string
 	PackageFile               map[string]string
-	Standard                  map[string]bool
 	PackageVetx               map[string]string
 	VetxOnly                  bool
 	VetxOutput                string
@@ -102,16 +95,18 @@ func UnitcheckerMain(args []string, analyzers []*Analyzer) bool {
 
 // RunUnit processes one vet unit file: it loads the unit package from
 // the cfg, seeds the fact store from the dependencies' vetx files,
-// runs the analyzers, and writes the resulting facts to the unit's
-// vetx output. It is exported for the facts round-trip test; the vet
-// driver goes through UnitcheckerMain. vetxOnly reports that the unit
-// exists only to produce facts (its findings, if any, were discarded).
+// runs the analyzers, audits directive names against them (the vet
+// driver is always handed the whole roster), and writes the resulting
+// facts to the unit's vetx output. It is exported for the vet-mode
+// tests; the vet driver goes through UnitcheckerMain. vetxOnly reports
+// that the unit exists only to produce facts (its findings, if any,
+// were discarded).
 func RunUnit(cfgFile string, analyzers []*Analyzer) (res *RunResult, vetxOnly bool, err error) {
 	data, err := os.ReadFile(cfgFile)
 	if err != nil {
 		return nil, false, err
 	}
-	var cfg vetConfig
+	var cfg VetConfig
 	if err := json.Unmarshal(data, &cfg); err != nil {
 		return nil, false, fmt.Errorf("parsing %s: %v", cfgFile, err)
 	}
@@ -147,55 +142,25 @@ func RunUnit(cfgFile string, analyzers []*Analyzer) (res *RunResult, vetxOnly bo
 	}
 
 	fset := token.NewFileSet()
-	ignored := make(map[string]bool, len(cfg.IgnoredFiles))
-	for _, f := range cfg.IgnoredFiles {
-		ignored[f] = true
-	}
-	var files []*ast.File
-	for _, gf := range cfg.GoFiles {
-		if ignored[gf] {
-			continue
-		}
-		if !filepath.IsAbs(gf) {
-			gf = filepath.Join(cfg.Dir, gf)
-		}
-		f, err := parser.ParseFile(fset, gf, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			if cfg.SucceedOnTypecheckFailure {
-				return &RunResult{}, cfg.VetxOnly, writeFacts()
-			}
-			return nil, false, err
-		}
-		files = append(files, f)
-	}
-
-	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+	imp := ExportImporter(fset, func(path string) string {
 		if canon, ok := cfg.ImportMap[path]; ok {
 			path = canon
 		}
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
+		return cfg.PackageFile[path]
 	})
-	pkg := &Package{
-		PkgPath: cfg.ImportPath, Dir: cfg.Dir, Fset: fset, Files: files,
-		Info: NewInfo(), FactsOnly: cfg.VetxOnly,
-	}
-	conf := types.Config{
-		Importer:  imp,
-		GoVersion: cfg.GoVersion,
-		Error:     func(err error) { pkg.TypeErrors = append(pkg.TypeErrors, err) },
-	}
-	pkg.Types, _ = conf.Check(cfg.ImportPath, fset, files, pkg.Info)
-	if len(pkg.TypeErrors) > 0 && cfg.SucceedOnTypecheckFailure {
+	pkg, err := Check(fset, cfg.ImportPath, cfg.Dir, cfg.GoFiles, imp, cfg.GoVersion)
+	if cfg.SucceedOnTypecheckFailure && (err != nil || len(pkg.TypeErrors) > 0) {
 		return &RunResult{}, cfg.VetxOnly, writeFacts()
 	}
-
-	res, err = RunWithFacts([]*Package{pkg}, analyzers, facts)
 	if err != nil {
 		return nil, false, err
 	}
+	pkg.FactsOnly = cfg.VetxOnly
+
+	res, err = Run([]*Package{pkg}, analyzers, facts)
+	if err != nil {
+		return nil, false, err
+	}
+	AuditDirectiveNames(res, analyzers)
 	return res, cfg.VetxOnly, writeFacts()
 }

@@ -1,17 +1,18 @@
-package framework
+package framework_test
 
 import (
-	"encoding/json"
 	"go/ast"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
+
+	"vmprim/internal/analysis/analysistest"
+	"vmprim/internal/analysis/framework"
 )
 
-// The facts round-trip test drives RunUnit exactly the way `go vet
+// The facts round-trip test drives framework.RunUnit exactly the way `go vet
 // -vettool` does — one process-shaped invocation per package, with
 // hand-written cfg files and real export data from `go tool compile`
 // — and watches a toy fact cross the package (and notional process)
@@ -23,12 +24,12 @@ type declFact struct{ Funcs []string }
 
 func (*declFact) AFact() {}
 
-func declAnalyzers() []*Analyzer {
-	export := &Analyzer{
+func declAnalyzers() []*framework.Analyzer {
+	export := &framework.Analyzer{
 		Name:      "exportdecls",
 		Doc:       "exports each package's declared function names as a fact",
-		FactTypes: []Fact{(*declFact)(nil)},
-		Run: func(pass *Pass) (any, error) {
+		FactTypes: []framework.Fact{(*declFact)(nil)},
+		Run: func(pass *framework.Pass) (any, error) {
 			var fns []string
 			for _, f := range pass.Files {
 				for _, d := range f.Decls {
@@ -44,11 +45,11 @@ func declAnalyzers() []*Analyzer {
 			return nil, nil
 		},
 	}
-	sees := &Analyzer{
+	sees := &framework.Analyzer{
 		Name:      "seesfacts",
 		Doc:       "reports every declFact visible to the pass",
-		FactTypes: []Fact{(*declFact)(nil)},
-		Run: func(pass *Pass) (any, error) {
+		FactTypes: []framework.Fact{(*declFact)(nil)},
+		Run: func(pass *framework.Pass) (any, error) {
 			for _, pf := range pass.AllPackageFacts() {
 				f := pf.Fact.(*declFact)
 				pass.Reportf(pass.Files[0].Name.Pos(), "sees %s:%s",
@@ -57,36 +58,10 @@ func declAnalyzers() []*Analyzer {
 			return nil, nil
 		},
 	}
-	return []*Analyzer{export, sees}
+	return []*framework.Analyzer{export, sees}
 }
 
-// compileUnit produces gc export data for one single-file package, so
-// RunUnit's importer can type-check code importing it.
-func compileUnit(t *testing.T, dir, pkgpath, file string) string {
-	t.Helper()
-	out := filepath.Join(dir, pkgpath+".a")
-	cmd := exec.Command("go", "tool", "compile", "-p", pkgpath, "-I", dir, "-o", out, file)
-	cmd.Dir = dir
-	if b, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("go tool compile %s: %v\n%s", file, err, b)
-	}
-	return out
-}
-
-func writeUnitCfg(t *testing.T, dir string, cfg vetConfig) string {
-	t.Helper()
-	data, err := json.Marshal(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := filepath.Join(dir, cfg.ID+".cfg")
-	if err := os.WriteFile(p, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return p
-}
-
-func messages(res *RunResult) []string {
+func messages(res *framework.RunResult) []string {
 	var out []string
 	for _, f := range res.Findings {
 		out = append(out, f.Message)
@@ -115,21 +90,18 @@ func TestUnitCheckerFactsRoundTrip(t *testing.T) {
 	write("c.go", "package factc\n\nimport \"factb\"\n\nfunc Chain() { factb.UseIt() }\n")
 
 	analyzers := declAnalyzers()
-	aObj := compileUnit(t, tmp, "facta", "a.go")
-	bObj := compileUnit(t, tmp, "factb", "b.go")
+	aObj := analysistest.CompileExport(t, tmp, "facta", filepath.Join(tmp, "a.go"))
+	bObj := analysistest.CompileExport(t, tmp, "factb", filepath.Join(tmp, "b.go"))
 	aVetx := filepath.Join(tmp, "facta.vetx")
 	bVetx := filepath.Join(tmp, "factb.vetx")
 
 	// Unit 1: the dependency, VetxOnly — the driver wants its facts,
 	// not its findings.
-	cfgA := writeUnitCfg(t, tmp, vetConfig{
+	cfgA := framework.VetConfig{
 		ID: "facta", Compiler: "gc", Dir: tmp, ImportPath: "facta",
 		GoFiles: []string{"a.go"}, VetxOnly: true, VetxOutput: aVetx,
-	})
-	res, vetxOnly, err := RunUnit(cfgA, analyzers)
-	if err != nil {
-		t.Fatal(err)
 	}
+	res, vetxOnly := analysistest.RunUnit(t, tmp, cfgA, analyzers)
 	if !vetxOnly {
 		t.Error("unit facta: want vetxOnly")
 	}
@@ -142,18 +114,15 @@ func TestUnitCheckerFactsRoundTrip(t *testing.T) {
 
 	// Unit 2: the importer, handed the dependency's vetx — its pass
 	// sees both its own fact and the imported one.
-	cfgB := writeUnitCfg(t, tmp, vetConfig{
+	cfgB := framework.VetConfig{
 		ID: "factb", Compiler: "gc", Dir: tmp, ImportPath: "factb",
 		GoFiles:     []string{"b.go"},
 		ImportMap:   map[string]string{"facta": "facta"},
 		PackageFile: map[string]string{"facta": aObj},
 		PackageVetx: map[string]string{"facta": aVetx},
 		VetxOutput:  bVetx,
-	})
-	res, vetxOnly, err = RunUnit(cfgB, analyzers)
-	if err != nil {
-		t.Fatal(err)
 	}
+	res, vetxOnly = analysistest.RunUnit(t, tmp, cfgB, analyzers)
 	if vetxOnly {
 		t.Error("unit factb: want findings, got vetxOnly")
 	}
@@ -167,16 +136,13 @@ func TestUnitCheckerFactsRoundTrip(t *testing.T) {
 
 	// Control: the same unit without the vetx handoff degrades to
 	// facts-free analysis, not an error.
-	cfgB0 := writeUnitCfg(t, tmp, vetConfig{
+	cfgB0 := framework.VetConfig{
 		ID: "factb-nofacts", Compiler: "gc", Dir: tmp, ImportPath: "factb",
 		GoFiles:     []string{"b.go"},
 		ImportMap:   map[string]string{"facta": "facta"},
 		PackageFile: map[string]string{"facta": aObj},
-	})
-	res, _, err = RunUnit(cfgB0, analyzers)
-	if err != nil {
-		t.Fatal(err)
 	}
+	res, _ = analysistest.RunUnit(t, tmp, cfgB0, analyzers)
 	if msgs := messages(res); contains(msgs, "sees facta:Helper,Other") {
 		t.Errorf("dependency fact visible without its vetx file: %v", msgs)
 	}
@@ -184,18 +150,40 @@ func TestUnitCheckerFactsRoundTrip(t *testing.T) {
 	// Unit 3: transitivity. The driver hands each unit only its DIRECT
 	// imports' vetx files; factb's whole-store output must therefore
 	// re-export facta's facts for its own importers.
-	cfgC := writeUnitCfg(t, tmp, vetConfig{
+	cfgC := framework.VetConfig{
 		ID: "factc", Compiler: "gc", Dir: tmp, ImportPath: "factc",
 		GoFiles:     []string{"c.go"},
 		ImportMap:   map[string]string{"factb": "factb", "facta": "facta"},
 		PackageFile: map[string]string{"factb": bObj, "facta": aObj},
 		PackageVetx: map[string]string{"factb": bVetx},
-	})
-	res, _, err = RunUnit(cfgC, analyzers)
-	if err != nil {
-		t.Fatal(err)
 	}
+	res, _ = analysistest.RunUnit(t, tmp, cfgC, analyzers)
 	if msgs := messages(res); !contains(msgs, "sees facta:Helper,Other") {
 		t.Errorf("transitive fact lost through the whole-store encoding: %v", msgs)
+	}
+}
+
+// TestVetUnitAuditsDirectiveNames: the vet driver, handed the whole
+// roster, reports a //lint:allow naming no analyzer in it, as the
+// standalone driver does, and lists the directive as not used.
+func TestVetUnitAuditsDirectiveNames(t *testing.T) {
+	tmp := t.TempDir()
+	src := "package scratch\n\n//lint:allow nosuchanalyzer a reason, so the directive is well-formed\nvar X = 1\n"
+	if err := os.WriteFile(filepath.Join(tmp, "a.go"), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	res, _ := analysistest.RunUnit(t, tmp, framework.VetConfig{
+		ID: "scratch", Compiler: "gc", Dir: tmp, ImportPath: "scratch", GoFiles: []string{"a.go"},
+	}, declAnalyzers())
+	if len(res.Findings) != 1 {
+		t.Fatalf("want one finding for the unknown name, got %v", res.Findings)
+	}
+	f := res.Findings[0]
+	if f.Analyzer != "directive" || f.Pos.Line != 3 || f.Pos.Column != 1 ||
+		!strings.Contains(f.Message, "nosuchanalyzer names no registered analyzer") {
+		t.Errorf("unexpected finding: %s", f)
+	}
+	if len(res.Suppressions) != 1 || res.Suppressions[0].Used {
+		t.Errorf("the directive must be listed as not used: %+v", res.Suppressions)
 	}
 }

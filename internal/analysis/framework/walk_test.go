@@ -2,10 +2,10 @@ package framework_test
 
 import (
 	"fmt"
-	"go/ast"
-	"go/parser"
 	"go/token"
 	"go/types"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -208,24 +208,24 @@ func f(p *hypercube.Proc) {
 // over it.
 func walkFindings(t *testing.T, src string) []framework.Finding {
 	t.Helper()
+	dir := t.TempDir()
 	fset := token.NewFileSet()
-	check := func(path, name, src string, imp types.Importer) (*ast.File, *types.Package, *types.Info) {
-		file, err := parser.ParseFile(fset, name, src, parser.SkipObjectResolution)
+	check := func(path, name, src string, imp types.Importer) *framework.Package {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		pkg, err := framework.Check(fset, path, dir, []string{name}, imp, "")
 		if err != nil {
 			t.Fatal(err)
 		}
-		info := framework.NewInfo()
-		pkg, err := (&types.Config{Importer: imp}).Check(path, fset, []*ast.File{file}, info)
-		if err != nil {
-			t.Fatal(err)
+		if len(pkg.TypeErrors) > 0 {
+			t.Fatal(pkg.TypeErrors[0])
 		}
-		return file, pkg, info
+		return pkg
 	}
-	_, hc, _ := check("vmprim/internal/hypercube", "hypercube.go", walkStub, nil)
-	file, pkg, info := check("w", "w.go", src, importerFunc(func(string) (*types.Package, error) { return hc, nil }))
-	res, err := framework.Run([]*framework.Package{{
-		PkgPath: "w", Fset: fset, Files: []*ast.File{file}, Types: pkg, Info: info,
-	}}, []*framework.Analyzer{spanbalance.Analyzer})
+	hc := check("vmprim/internal/hypercube", "hypercube.go", walkStub, nil)
+	pkg := check("w", "w.go", src, importerFunc(func(string) (*types.Package, error) { return hc.Types, nil }))
+	res, err := framework.Run([]*framework.Package{pkg}, []*framework.Analyzer{spanbalance.Analyzer}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

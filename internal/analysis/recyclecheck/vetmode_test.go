@@ -1,57 +1,16 @@
 package recyclecheck_test
 
 import (
-	"encoding/json"
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"os"
-	"os/exec"
 	"path/filepath"
 	"testing"
 
+	"vmprim/internal/analysis/analysistest"
 	"vmprim/internal/analysis/framework"
 	"vmprim/internal/analysis/recyclecheck"
 )
-
-// vetCfg mirrors the JSON shape the go command writes for a vet unit
-// (the framework's own type is unexported; the protocol is the JSON).
-type vetCfg struct {
-	ID          string
-	Compiler    string
-	Dir         string
-	ImportPath  string
-	GoFiles     []string
-	ImportMap   map[string]string
-	PackageFile map[string]string
-	PackageVetx map[string]string
-	VetxOnly    bool
-	VetxOutput  string
-}
-
-func writeCfg(t *testing.T, dir string, cfg vetCfg) string {
-	t.Helper()
-	data, err := json.Marshal(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := filepath.Join(dir, cfg.ID+".cfg")
-	if err := os.WriteFile(p, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return p
-}
-
-// compile produces gc export data for an import-free fixture package,
-// so a unit importing it can type-check.
-func compile(t *testing.T, dir, pkgpath, file string) string {
-	t.Helper()
-	out := filepath.Join(dir, filepath.Base(pkgpath)+".a")
-	if b, err := exec.Command("go", "tool", "compile", "-p", pkgpath, "-o", out, file).CombinedOutput(); err != nil {
-		t.Fatalf("go tool compile %s: %v\n%s", file, err, b)
-	}
-	return out
-}
 
 // TestVetModeSinkFacts drives framework.RunUnit the way `go vet
 // -vettool=vmlint` does, one cfg file per package, with a real
@@ -75,20 +34,17 @@ func TestVetModeSinkFacts(t *testing.T) {
 	tmp := t.TempDir()
 	analyzers := []*framework.Analyzer{recyclecheck.Analyzer}
 	pkgFiles := map[string]string{
-		hcPath:   compile(t, tmp, hcPath, hcFile),
-		sinkPath: compile(t, tmp, sinkPath, sinkFile),
+		hcPath:   analysistest.CompileExport(t, tmp, hcPath, hcFile),
+		sinkPath: analysistest.CompileExport(t, tmp, sinkPath, sinkFile),
 	}
 	importMap := map[string]string{hcPath: hcPath, sinkPath: sinkPath}
 
 	// Unit 1: the dependency, facts only.
 	sinkVetx := filepath.Join(tmp, "sink.vetx")
-	res, vetxOnly, err := framework.RunUnit(writeCfg(t, tmp, vetCfg{
+	res, vetxOnly := analysistest.RunUnit(t, tmp, framework.VetConfig{
 		ID: "sink", Compiler: "gc", Dir: filepath.Dir(sinkFile), ImportPath: sinkPath,
 		GoFiles: []string{sinkFile}, VetxOnly: true, VetxOutput: sinkVetx,
-	}), analyzers)
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, analyzers)
 	if !vetxOnly || len(res.Findings) != 0 {
 		t.Fatalf("sink unit: want facts only and no findings, got %v", res.Findings)
 	}
@@ -98,17 +54,14 @@ func TestVetModeSinkFacts(t *testing.T) {
 	first, last := funcLines(t, rcFile, "HandOff")
 	handOffFindings := func(id string, vetx map[string]string) []framework.Finding {
 		t.Helper()
-		res, _, err := framework.RunUnit(writeCfg(t, tmp, vetCfg{
+		res, _ := analysistest.RunUnit(t, tmp, framework.VetConfig{
 			ID: id, Compiler: "gc", Dir: filepath.Dir(rcFile),
 			ImportPath:  "vmprim/internal/apps/rcfacts",
 			GoFiles:     []string{rcFile},
 			ImportMap:   importMap,
 			PackageFile: pkgFiles,
 			PackageVetx: vetx,
-		}), analyzers)
-		if err != nil {
-			t.Fatal(err)
-		}
+		}, analyzers)
 		var in []framework.Finding
 		for _, f := range res.Findings {
 			if first <= f.Pos.Line && f.Pos.Line <= last {

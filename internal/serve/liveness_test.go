@@ -275,3 +275,28 @@ func TestEventsSubscriberLeavesBeforeRun(t *testing.T) {
 		t.Fatalf("run ended %s (%v): %s", fin.State, werr, fin.Error)
 	}
 }
+
+// TestStalledScrapeStallsNoRun: a /metrics client that stops reading
+// holds up its own scrape only; a run submitted meanwhile folds its
+// metrics into the aggregate and finishes.
+func TestStalledScrapeStallsNoRun(t *testing.T) {
+	s, ts := newTestServer(t, Options{Workers: 1})
+	w := &stalledWriter{header: http.Header{}, writing: make(chan struct{}), unblock: make(chan struct{})}
+	handled := make(chan struct{})
+	go func() {
+		defer close(handled)
+		s.handleMetrics(w, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	}()
+	defer func() {
+		close(w.unblock)
+		<-handled
+	}()
+	<-w.writing
+	st := postSpec(t, ts.URL, testSpec, http.StatusAccepted)
+	var fin runStatusJSON
+	var err error
+	within(t, "a run while a scrape stalls", func() { err = getJSON(ts.URL+"/runs/"+st.ID+"/wait", &fin) })
+	if err != nil || fin.State != StateDone {
+		t.Fatalf("run beside a stalled scrape ended %s (%v): %s", fin.State, err, fin.Error)
+	}
+}

@@ -47,8 +47,9 @@ To audit a past revision, extract it first (git archive REV | tar -x
 
 scripts/check.sh does not run this: one pass takes about 40 minutes on
 2 vCPUs, most of it in the 60 s timeouts of mutants that deadlock.
-The N and I classes are the first of the SPMD analyzers' yield audit
-(ROADMAP item 3(d)).
+The N, I, P, T and W classes are the SPMD analyzers' yield audit
+(ROADMAP item 3(d)): which bugs spanbalance, collorder, recyclecheck
+and simdeterminism catch that the tests do not, and the reverse.
 """
 
 import argparse
@@ -78,6 +79,9 @@ CLASSES = {
     "X": "expired temporary not refused",
     "N": "EndSpan dropped on one branch",
     "I": "collective guarded by identity, or structural argument derived from ID()",
+    "P": "Recycle dropped: a pooled buffer leaks",
+    "T": "tag skewed across a call",
+    "W": "wall clock in a sim package",
 }
 
 SSE = "internal/serve/sse.go"
@@ -97,6 +101,10 @@ VECOPS = "internal/core/vecops.go"
 REDUCE = "internal/core/reduce.go"
 SIMPLEX = "internal/apps/simplex.go"
 CG = "internal/apps/cg.go"
+SPREAD = "internal/core/spread.go"
+MATVEC = "internal/apps/matvec.go"
+NAIVE = "internal/apps/naive.go"
+LU = "internal/apps/lu.go"
 SPMD = ("internal/core/", "internal/collective/", "internal/apps/")
 
 # id, file, site (function), old text, new text. The class is the id's
@@ -336,6 +344,73 @@ MUTANTS = [
     ("I7", COLL, "AllReduce: the recursive-doubling Exchange dimension depends on the ID",
      "got := p.Exchange(ds[i], subTag(tag, i), acc)",
      "got := p.Exchange(ds[(i+p.ID()&1)%len(ds)], subTag(tag, i), acc)"),
+
+    # P: a buffer taken from the pool (GetBuf, Exchange, or a
+    # collective's result) that is never handed back.
+    ("P1", REDUCE, "Env.allReduceScalar: the GetBuf payload is not recycled",
+     "\tout := res[0]\n\te.P.Recycle(res)\n\te.P.Recycle(buf)\n",
+     "\tout := res[0]\n\te.P.Recycle(res)\n"),
+    ("P2", REDUCE, "Env.allReducePair: the all-reduce's result is not recycled",
+     "\tv, i := res[0], res[1]\n\te.P.Recycle(res)\n",
+     "\tv, i := res[0], res[1]\n"),
+    ("P3", VECOPS, "Env.ScanVec: the one-word GetBuf of the piece total is not recycled",
+     "\te.P.Recycle(totals)\n\te.P.Recycle(tbuf)\n",
+     "\te.P.Recycle(totals)\n"),
+    ("P4", COLL, "ReduceScatter: each round's Exchange result is not recycled",
+     "\t\tp.Recycle(got)\n\t\tcur = keep\n",
+     "\t\tcur = keep\n"),
+    ("P5", COLL, "scan: the running total's GetBuf is not recycled",
+     "\t\tp.Recycle(got)\n\t}\n\tp.Recycle(total)\n\treturn prefix\n",
+     "\t\tp.Recycle(got)\n\t}\n\treturn prefix\n"),
+    ("P6", EXTRACT, "Env.extract: the replicated branch keeps the broadcast's result",
+     "\t\tcopy(dst.L(pid), got)\n\t\te.P.Recycle(got)\n\tcase owner:",
+     "\t\tcopy(dst.L(pid), got)\n\tcase owner:"),
+    ("P7", MATVEC, "vecMatFused: the partial-sum piece is not recycled",
+     "\tcopy(out.L(pid), sum)\n\te.P.Recycle(sum)\n\te.P.Recycle(piece)\n\treturn out\n",
+     "\tcopy(out.L(pid), sum)\n\te.P.Recycle(sum)\n\treturn out\n"),
+
+    # T: the tag a caller hands a call disagrees, between processors
+    # or with the tags the callee takes, so a later message can pair
+    # with the wrong receive: one tag reserved where the callee uses
+    # two, a tag derived from the ID, or a tag counter advanced on some
+    # processors only.
+    ("T1", SPREAD, "Env.DistributePiece: BcastLarge, which also uses tag+1, gets one tag",
+     "collective.BcastLarge(e.P, mask, e.NextTag2(), root, src)",
+     "collective.BcastLarge(e.P, mask, e.NextTag(), root, src)"),
+    ("T2", REDUCE, "Env.finishReduce: AllReduce, which may also use tag+1, gets one tag",
+     "collective.AllReduce(e.P, mask, e.NextTag2(), piece, op.combiner())",
+     "collective.AllReduce(e.P, mask, e.NextTag(), piece, op.combiner())"),
+    ("T3", NAIVE, "naiveFetchElems: Request, a round trip on tag and tag+1, gets one tag",
+     "want.Request(e.P, e.NextTag2(), func(key int) []float64 {",
+     "want.Request(e.P, e.NextTag(), func(key int) []float64 {"),
+    ("T4", REDUCE, "Env.allReduceScalar: the all-reduce's tag depends on the ID",
+     "\tbuf[0] = x\n\tres := collective.AllReduce(e.P, e.P.FullMask(), e.NextTag(), buf, comb)\n",
+     "\tbuf[0] = x\n\tres := collective.AllReduce(e.P, e.P.FullMask(), e.NextTag()+e.P.ID()&1, buf, comb)\n"),
+    ("T5", VECOPS, "Env.ScanVec: the tag is reserved after the non-holders' early return",
+     "\ttag := e.NextTag()\n\t//lint:allow collorder",
+     "\t//lint:allow collorder"),
+    ("T6", LU, "LU.Solve: the owner of x[k] takes one more tag before the broadcast",
+     "\t\t\txk := collective.Bcast(e.P, e.P.FullMask(), e.NextTag(), owner, quot)[0]\n",
+     "\t\t\tif e.P.ID() == owner {\n\t\t\t\te.NextTag()\n\t\t\t}\n"
+     "\t\t\txk := collective.Bcast(e.P, e.P.FullMask(), e.NextTag(), owner, quot)[0]\n"),
+
+    # W: host time read or waited on in the simulation packages; the
+    # import is the second edit (EXTRA).
+    ("W1", MACHINE, "Proc.Compute: the charge adds a wall-clock bit",
+     "\tc := p.m.params.FlopCost(flops)\n",
+     "\tc := p.m.params.FlopCost(flops) + costmodel.Time(time.Now().UnixNano()%2)\n"),
+    ("W2", CG, "SolveCG: a one-minute wall-clock budget on the iteration loop",
+     "\t\tfor iters < opts.MaxIter && resid > opts.Tol {\n",
+     "\t\tfor start := time.Now(); iters < opts.MaxIter && resid > opts.Tol && time.Since(start) < time.Minute; {\n"),
+    ("W3", COLL, "Gather: every member sleeps first so the pieces can arrive",
+     "\tp.BeginSpan(\"gather\")\n",
+     "\tp.BeginSpan(\"gather\")\n\ttime.Sleep(time.Microsecond)\n"),
+    ("W4", VECOPS, "Env.ScanVec: the local fold's flop count adds wall-clock noise",
+     "\te.P.Compute(c)\n",
+     "\te.P.Compute(c + int(time.Now().UnixNano()%3))\n"),
+    ("W5", CG, "SolveCG: the zero-diagonal error carries a timestamp",
+     "fmt.Errorf(\"apps: zero diagonal at %d (Jacobi preconditioner)\", i)",
+     "fmt.Errorf(\"apps: zero diagonal at %d (Jacobi preconditioner) at %v\", i, time.Now())"),
 ]
 
 # K1 must read w inside the closure and K3 must assign the hoisted
@@ -356,6 +431,15 @@ EXTRA = {
     "N4": ("\te.InsertRow(a, r2, i1)\n}", "\te.InsertRow(a, r2, i1)\n\te.EndSpan()\n}"),
     "N5": ("\t\te.P.Compute(v.Map.B)\n\t}\n\treturn out\n}",
            "\t\te.P.Compute(v.Map.B)\n\t}\n\te.EndSpan()\n\treturn out\n}"),
+    # T5 takes the tag after the early return instead.
+    "T5": ("\tpv := out.L(pid)\n\tc := deal.Coord(pid)\n",
+           "\ttag := e.NextTag()\n\tpv := out.L(pid)\n\tc := deal.Coord(pid)\n"),
+    # W1-W5 import time.
+    "W1": ("\t\"runtime\"\n", "\t\"runtime\"\n\t\"time\"\n"),
+    "W2": ("\t\"math\"\n", "\t\"math\"\n\t\"time\"\n"),
+    "W3": ("import (\n\t\"fmt\"\n", "import (\n\t\"fmt\"\n\t\"time\"\n"),
+    "W4": ("\t\"math\"\n", "\t\"math\"\n\t\"time\"\n"),
+    "W5": ("\t\"math\"\n", "\t\"math\"\n\t\"time\"\n"),
 }
 
 RACE_PKGS = ["./internal/serve/", "./internal/metrics/", "./cmd/vmload/"]
