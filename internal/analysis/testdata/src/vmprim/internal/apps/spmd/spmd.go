@@ -59,6 +59,14 @@ func earlyReturn(e *core.Env) {
 	e.DotVec()
 }
 
+// guardedTag advances the tag counter on some processors only, so the
+// tags the processors draw next differ.
+func guardedTag(e *core.Env) {
+	if e.GridRow() == 0 { // want `one side runs \[NextTag\(\)\], the other \[nothing\]`
+		e.NextTag()
+	}
+}
+
 // safeEarlyReturn does not diverge: the only span close after the
 // return is deferred, so it runs on every exit, and no collective
 // follows.

@@ -1,7 +1,8 @@
 // Package core is a typecheck-only stub of the real Env wrapper for
 // the analyzer fixtures. DotVec stands in for the exported SPMD
-// operations (treated as collectives by the analyzers); the methods
-// on the vmlib allowlist (NextTag, GridRow, GridCol, ...) are local.
+// operations (treated as collectives by the analyzers), as do the tag
+// counter's NextTag and NextTag2; the methods on the vmlib allowlist
+// (GridRow, GridCol, ...) are local.
 package core
 
 import "vmprim/internal/hypercube"

@@ -150,17 +150,17 @@ func IsEnvMethod(info *types.Info, call *ast.CallExpr, names ...string) bool {
 
 // envLocalMethods are the exported core.Env methods that perform no
 // collective communication and may therefore run under
-// processor-identity conditions: tag bookkeeping, grid coordinates,
-// and profiling accessors. Every other exported Env method is treated
-// as a collective by the SPMD-symmetry analyzer, which matches the
-// package contract: Env operations are SPMD and must be called by
-// every processor. Unexported Env methods are package-internal
-// helpers with no such contract; callers inside core rely on the
-// analyzer's interprocedural summary to classify them by what their
-// bodies actually do.
+// processor-identity conditions: grid coordinates and profiling
+// accessors. Every other exported Env method is treated as a
+// collective by the SPMD-symmetry analyzer, which matches the package
+// contract: Env operations are SPMD and must be called by every
+// processor. NextTag and NextTag2 communicate nothing, but they
+// advance a counter every processor must advance in step, so they
+// count as collectives too. Unexported Env methods are
+// package-internal helpers with no such contract; callers inside core
+// rely on the analyzer's interprocedural summary to classify them by
+// what their bodies actually do.
 var envLocalMethods = map[string]bool{
-	"NextTag":   true,
-	"NextTag2":  true,
 	"Profiling": true,
 	"GridRow":   true,
 	"GridCol":   true,

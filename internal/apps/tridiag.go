@@ -77,37 +77,17 @@ func SolveTridiag(mach *hypercube.Machine, a, b, c, d []float64) ([]float64, cos
 		}
 		ownerOf := func(gi int) int { return gray.Encode(lmap.CoordOf(gi)) }
 		localOf := func(gi int) int { return lmap.LocalOf(gi) }
-		// fetchEqs gathers (a,b,c,d) for a set of global indices
+		// fetch gathers what serve answers for a set of global indices
 		// through one batched routing round trip.
-		fetchEqs := func(idx []int) map[int][4]float64 {
-			want := make([]router.Msg, len(idx))
-			for q2, gi := range idx {
-				want[q2] = router.Msg{Dst: ownerOf(gi), Key: gi}
+		fetch := func(idx []int, serve func(l int) []float64) map[int][]float64 {
+			want := router.NewBatch(p, len(idx), 0)
+			for _, gi := range idx {
+				want.Ask(ownerOf(gi), gi)
 			}
-			eq := make([]float64, 4) // Request copies each answer before the next
-			got := router.Request(p, e.NextTag2(), want, func(key int) []float64 {
-				l := localOf(key)
-				eq[0], eq[1], eq[2], eq[3] = la[l], lb[l], lc[l], ld[l]
-				return eq
-			})
-			out := make(map[int][4]float64, len(idx))
-			for q2, gi := range idx {
-				out[gi] = [4]float64{got[q2][0], got[q2][1], got[q2][2], got[q2][3]}
-			}
-			return out
-		}
-		fetchX := func(idx []int) map[int]float64 {
-			want := make([]router.Msg, len(idx))
-			for q2, gi := range idx {
-				want[q2] = router.Msg{Dst: ownerOf(gi), Key: gi}
-			}
-			got := router.Request(p, e.NextTag2(), want, func(key int) []float64 {
-				l := localOf(key)
-				return lx[l : l+1]
-			})
-			out := make(map[int]float64, len(idx))
-			for q2, gi := range idx {
-				out[gi] = got[q2][0]
+			got := want.Request(p, e.NextTag2(), func(key int) []float64 { return serve(localOf(key)) })
+			out := make(map[int][]float64, len(idx))
+			for q2, words, ok := got.Next(); ok; q2, words, ok = got.Next() {
+				out[idx[q2]] = words
 			}
 			return out
 		}
@@ -137,12 +117,16 @@ func SolveTridiag(mach *hypercube.Machine, a, b, c, d []float64) ([]float64, cos
 					need = append(need, gi+h)
 				}
 			}
-			vals := fetchEqs(need)
+			eq := make([]float64, 4) // Request copies each answer before the next
+			vals := fetch(need, func(l int) []float64 {
+				eq[0], eq[1], eq[2], eq[3] = la[l], lb[l], lc[l], ld[l]
+				return eq
+			})
 			flops := 0
 			for _, gi := range act {
 				l := localOf(gi)
 				lo := vals[gi-h]
-				hi := [4]float64{0, 1, 0, 0}
+				hi := []float64{0, 1, 0, 0}
 				if gi+h < np {
 					hi = vals[gi+h]
 				}
@@ -186,16 +170,16 @@ func SolveTridiag(mach *hypercube.Machine, a, b, c, d []float64) ([]float64, cos
 					need = append(need, gi+h)
 				}
 			}
-			xs := fetchX(need)
+			xs := fetch(need, func(l int) []float64 { return lx[l : l+1] })
 			flops := 0
 			for _, gi := range act {
 				l := localOf(gi)
 				xm, xp2 := 0.0, 0.0
 				if gi-h >= 0 {
-					xm = xs[gi-h]
+					xm = xs[gi-h][0]
 				}
 				if gi+h < np {
-					xp2 = xs[gi+h]
+					xp2 = xs[gi+h][0]
 				}
 				lx[l] = (ld[l] - la[l]*xm - lc[l]*xp2) / lb[l]
 				flops += 5
@@ -251,37 +235,39 @@ func SolveTridiagBatch(mach *hypercube.Machine, systems []TridiagSystem) ([][]fl
 		// combined message. (A real application would already have the
 		// data distributed; charging the scatter keeps the comparison
 		// honest.)
-		var out []router.Msg
+		var out router.Batch // routes nothing but on processor 0
 		if pid == 0 {
+			words := 0
+			for _, sys := range systems {
+				words += 4 * len(sys.B)
+			}
+			out = router.NewBatch(pr, ns, words)
 			for si, sys := range systems {
 				n := len(sys.B)
-				words := make([]float64, 0, 4*n)
-				words = append(words, sys.A...)
-				words = append(words, sys.B...)
-				words = append(words, sys.C...)
-				words = append(words, sys.D...)
-				out = append(out, router.Msg{Dst: si % p, Key: si, Words: words})
+				bands := out.Add(si%p, si, 4*n)
+				copy(bands, sys.A)
+				copy(bands[n:], sys.B)
+				copy(bands[2*n:], sys.C)
+				copy(bands[3*n:], sys.D)
 			}
 		}
-		mine := router.Route(pr, 1, out)
+		mine := out.Route(pr, 1)
 		// Local Thomas solves, one per owned system.
-		var back []router.Msg
-		for _, msg := range mine {
-			n := len(msg.Words) / 4
-			a, b := msg.Words[:n], msg.Words[n:2*n]
-			c, d := msg.Words[2*n:3*n], msg.Words[3*n:]
+		back := router.NewBatch(pr, 0, 0)
+		for si, bands, ok := mine.Next(); ok; si, bands, ok = mine.Next() {
+			n := len(bands) / 4
+			a, b := bands[:n], bands[n:2*n]
+			c, d := bands[2*n:3*n], bands[3*n:]
 			x, err := serial.SolveTridiag(a, b, c, d)
 			if err != nil {
-				panic(fmt.Errorf("apps: system %d: %w", msg.Key, err))
+				panic(fmt.Errorf("apps: system %d: %w", si, err))
 			}
 			pr.Compute(8 * n)
-			back = append(back, router.Msg{Dst: 0, Key: msg.Key, Words: x})
+			copy(back.Add(0, si, n), x)
 		}
-		gathered := router.Route(pr, 2, back)
-		if pid == 0 {
-			for _, msg := range gathered {
-				results[msg.Key] = msg.Words
-			}
+		gathered := back.Route(pr, 2)
+		for si, x, ok := gathered.Next(); ok; si, x, ok = gathered.Next() {
+			results[si] = x
 		}
 	})
 	if err != nil {

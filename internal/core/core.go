@@ -160,18 +160,31 @@ func (s *slots[T]) rewind(spent T) {
 
 // NextTag returns a fresh protocol tag. Primitives call it once per
 // collective phase; SPMD symmetry keeps all processors' sequences
-// identical.
+// identical. It panics if a collective on this processor has already
+// used the tag in this Run: its caller reserved fewer tags than the
+// collective took.
 func (e *Env) NextTag() int {
 	e.tag++
+	if e.tag <= e.P.TagMark() {
+		e.tagUsed()
+	}
 	return e.tag
 }
 
+// tagUsed panics with the reused tag and the collective that took it.
+// It formats the message only on this path, out of NextTag's line, so
+// that NextTag inlines.
+func (e *Env) tagUsed() {
+	panic(fmt.Sprintf("core: tag %d already used by %s", e.tag, e.P.TagOwner()))
+}
+
 // NextTag2 reserves two consecutive tags — the shape round-trip
-// protocols like router.Request and scatter/all-gather broadcasts need
-// — and returns the first.
+// protocols like Batch.Request and scatter/all-gather broadcasts need
+// — and returns the first. The second lies above the first, so only
+// the first needs the check.
 func (e *Env) NextTag2() int {
 	t := e.NextTag()
-	e.NextTag()
+	e.tag++
 	return t
 }
 

@@ -375,19 +375,29 @@ func TestPrimitiveCompositionMatvec(t *testing.T) {
 }
 
 func TestReduceScatterPathInLongReduce(t *testing.T) {
-	// Long pieces push AllReduce onto the halving+doubling path; the
-	// result must not depend on which path was taken.
+	// Long pieces push AllReduce onto the halving+doubling path, which
+	// takes two tags; the result must not depend on which path was
+	// taken, and the primitive after it in the same Run must find its
+	// own tag unused.
 	g, _ := embed.NewGrid(3, 2)
 	rng := rand.New(rand.NewSource(32))
-	dm := randDense(rng, 64, 64)
+	dm := randDense(rng, 64, 320)
 	a, _ := FromDense(g, dm, embed.Block, embed.Block)
-	out, _ := NewVector(g, 64, RowAligned, embed.Block, 0, true)
+	if k, n := g.Dr, a.CMap.B; !costmodel.CM2().PreferTwoPhase(k, n) {
+		t.Fatalf("a %d-word piece over %d dimensions takes recursive doubling", n, k)
+	}
+	rows, _ := NewVector(g, 320, RowAligned, embed.Block, 0, true)
+	cols, _ := NewVector(g, 64, ColAligned, embed.Block, 0, true)
 	spmd(t, g, func(e *Env) {
-		e.StoreVec(out, e.ReduceRows(a, OpSum, true))
+		e.StoreVec(rows, e.ReduceRows(a, OpSum, true))
+		e.StoreVec(cols, e.ReduceCols(a, OpSum, true))
 	})
-	vecEqual(t, out.ToSlice(), serialReduceRows(dm, OpSum), 1e-10, "long ReduceRows")
-	if err := out.CheckReplicas(); err != nil {
-		t.Fatal(err)
+	vecEqual(t, rows.ToSlice(), serialReduceRows(dm, OpSum), 1e-10, "long ReduceRows")
+	vecEqual(t, cols.ToSlice(), serialReduceCols(dm, OpSum), 1e-10, "ReduceCols after it")
+	for _, v := range []*Vector{rows, cols} {
+		if err := v.CheckReplicas(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

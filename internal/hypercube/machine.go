@@ -538,6 +538,7 @@ func (p *Proc) resetForRun() {
 		p.cp.reset()
 	}
 	p.nColl = 0
+	p.tagMark, p.tagBy = 0, flightrec.NoLabel
 	p.nRecvParks = 0
 	p.msgHist = [msgHistBins]int64{}
 	p.rec.Reset()
@@ -657,6 +658,12 @@ type Proc struct {
 
 	// local is the layer above's run-scoped state (see RunLocal).
 	local RunLocal
+
+	// tagMark is the highest protocol tag NoteCollective has seen in
+	// this Run, 0 if none, and tagBy the label of the collective that
+	// took it.
+	tagMark int
+	tagBy   flightrec.Label
 }
 
 // RunLocal is per-processor state owned by a layer above the machine,
@@ -880,15 +887,28 @@ func (p *Proc) record(kind flightrec.Kind, label flightrec.Label, dim, tag, word
 
 // NoteCollective records the entry into a named collective protocol
 // (or router phase) on this processor's flight recorder and counts it
-// toward the machine's collective-invocation metric. mask is the
-// subcube dimension mask and tag the protocol tag. The machine keeps
-// every distinct name it is given for its lifetime (see
-// flightrec.Labels), so name should come from a fixed set; only its
-// first use on a machine allocates.
+// toward the machine's collective-invocation metric, and raises the
+// processor's tag mark (see TagMark). mask is the subcube dimension
+// mask and tag the protocol tag. The machine keeps every distinct name
+// it is given for its lifetime (see flightrec.Labels), so name should
+// come from a fixed set; only its first use on a machine allocates.
 func (p *Proc) NoteCollective(name string, mask, tag int) {
 	p.nColl++
-	p.record(flightrec.KindCollective, p.m.labels.Intern(name), mask, tag, 0, p.clock)
+	label := p.m.labels.Intern(name)
+	if tag > p.tagMark {
+		p.tagMark, p.tagBy = tag, label
+	}
+	p.record(flightrec.KindCollective, label, mask, tag, 0, p.clock)
 }
+
+// TagMark returns the highest tag NoteCollective has seen on p in
+// this Run, 0 if none. A tag reserved for a later protocol must lie
+// above it.
+func (p *Proc) TagMark() int { return p.tagMark }
+
+// TagOwner returns the name of the collective that took TagMark, or
+// "" if none.
+func (p *Proc) TagOwner() string { return p.m.labels.Name(p.tagBy) }
 
 // maxCaptured bounds the payloads the recorder retains per processor.
 const maxCaptured = 4

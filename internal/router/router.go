@@ -25,19 +25,20 @@
 // being copied. Callers write messages with Batch.Add (requests with
 // Batch.Ask) straight into the run the router injects and read what
 // arrives from an Inbox over the delivered runs; Route and Request on
-// message lists are wrappers over the two. Between phases a processor
-// holds its runs in order, the injection run, then each phase's
-// arrivals. A phase partitions every run with leaving traffic in place
-// and sends the leaving parts, capacity-clipped subslices of their
-// runs in run order, as one message through Proc.SendOwnedParts; the
-// receiver appends them to its runs with Proc.RecvParts. Nothing is
-// copied on the way, except that arrivals that do not fit the fixed
-// number of runs a processor holds are merged into one. Routed buffers
-// are plain allocations that travel with the messages, kept neither
-// between calls nor in the machine's buffer pool, whose size classes
-// they would not ask for again. The one pooled buffer is the scratch
-// an interleaved partition stages messages through, returned before
-// the partition ends.
+// message lists are wrappers over the two, kept for the benchmark's
+// callers. Between phases a processor holds its runs in order, the
+// injection run, then each phase's arrivals. A phase plans each run in
+// one walk over its headers, partitions every run with leaving traffic
+// in place, and sends the leaving parts, capacity-clipped subslices of
+// their runs in run order, as one message through
+// Proc.SendOwnedParts; the receiver appends them to its runs with
+// Proc.RecvParts. Nothing is copied on the way, except that arrivals
+// that do not fit the fixed number of runs a processor holds are
+// merged into one. Routed buffers are plain allocations that travel
+// with the messages, kept neither between calls nor in the machine's
+// buffer pool, whose size classes they would not ask for again. The
+// one pooled buffer is the scratch an interleaved partition stages
+// messages through, returned before the partition ends.
 package router
 
 import (
@@ -121,13 +122,6 @@ func (h *held) push(run []float64) {
 func next(run []float64, at int) int {
 	_, n := header(run[at])
 	return at + headerWords + n
-}
-
-// leaves reports whether the message headed by w leaves a processor
-// whose address has bit i equal to mine in phase i.
-func leaves(w float64, i, mine int) bool {
-	dst, _ := header(w)
-	return dst>>i&1 != mine
 }
 
 // Batch is one processor's outgoing traffic for one routing call,
@@ -253,7 +247,9 @@ func (b *Batch) Request(p *hypercube.Proc, tag int, serve func(key int) []float6
 }
 
 // Route is Batch.Route over a message list, which it only reads. The
-// Words of the messages it returns alias the delivered runs.
+// Words of the messages it returns alias the delivered runs. It and
+// Request serve the benchmark's callers, which hold message lists;
+// code in this module builds Batches.
 func Route(p *hypercube.Proc, tag int, outgoing []Msg) []Msg {
 	words := 0
 	for _, m := range outgoing {
@@ -318,35 +314,22 @@ func route(p *hypercube.Proc, tag int, h *held, msgs int) {
 // forward takes out of h the messages that leave in phase i, those
 // whose destination differs from p's address in bit i, and returns
 // them in order as parts in fwd, one per run they leave from, with
-// their count and payload words. Nothing is copied: a run that leaves
-// whole is a part as it is, and any other with leaving traffic is
-// divided in its own memory (see split). What stays is kept in order,
-// and the runs emptied are dropped.
+// their count and payload words. Nothing is copied: split divides
+// each run in its own memory. What stays is kept in order, and the
+// runs emptied are dropped.
 func (h *held) forward(p *hypercube.Proc, i int, fwd *[maxRuns][]float64) (parts [][]float64, nfwd, wfwd int) {
 	mine := p.ID() >> i & 1
 	n, k := 0, 0
 	for _, run := range h.runs[:h.n] {
-		f := 0 // wire words leaving run
-		for at := 0; at < len(run); {
-			dst, l := header(run[at])
-			if dst>>i&1 != mine {
-				nfwd++
-				wfwd += l
-				f += headerWords + l
-			}
-			at += headerWords + l
-		}
-		switch f {
-		case 0:
-		case len(run):
-			run, fwd[k] = nil, run[:f:f]
-			k++
-		default:
-			run, fwd[k] = split(p, run, i, mine, f)
+		kept, f, msgs, words := split(p, run, i, mine)
+		nfwd += msgs
+		wfwd += words
+		if len(f) > 0 {
+			fwd[k] = f
 			k++
 		}
-		if len(run) > 0 {
-			h.runs[n] = run
+		if len(kept) > 0 {
+			h.runs[n] = kept
 			n++
 		}
 	}
@@ -380,34 +363,40 @@ func (h *held) receive(arrived [][]float64) {
 	h.n++
 }
 
-// split divides run, f of whose words leave in phase i, into what
-// stays and what leaves, both in order and both in run's own memory,
-// one side at the front of run and the other behind it; what leaves
-// is capacity-clipped, so its receiver cannot reach what stays. Of the
-// two layouts, split takes the one that moves fewer words out of the
-// way: the front side is compacted forward, and the back-side messages
-// that precede the front side's last message are staged through a
-// scratch buffer borrowed from the machine's pool, returned before
-// split does, and copied in behind it. A run that leaves whole, or
-// whose leaving messages already form a prefix or a suffix, stages
-// nothing and moves nothing.
-func split(p *hypercube.Proc, run []float64, i, mine, f int) (kept, fwd []float64) {
-	l, k := len(run), len(run)-f
-	// Words to stage with what stays in front (leaving words before the
-	// last staying message) and with what leaves in front (staying
-	// words before the last leaving message).
-	var stageKF, stageFF, fs, ks int
+// split divides run into what stays and what leaves in phase i, the
+// messages whose destination's bit i differs from mine, and returns
+// both with the count and payload words of what leaves. Both sides
+// keep their order and run's own memory, one at the front of run and
+// the other behind it; what leaves is capacity-clipped, so its
+// receiver cannot reach what stays. One walk over the headers plans
+// the division: of the two layouts, split takes the one that moves
+// fewer words out of the way. The front side is compacted forward,
+// and the back-side messages that precede the front side's last
+// message are staged through a scratch buffer borrowed from the
+// machine's pool, returned before split does, and copied in behind
+// it. A run with nothing leaving, one that leaves whole, and one whose
+// leaving messages form a prefix or a suffix stage nothing and move
+// nothing.
+func split(p *hypercube.Proc, run []float64, i, mine int) (kept, fwd []float64, msgs, words int) {
+	l := len(run)
+	// Wire words leaving and staying, and the words to stage with what
+	// stays in front (leaving words before the last staying message)
+	// and with what leaves in front (staying words before the last
+	// leaving message).
+	var f, k, stageKF, stageFF int
 	for at := 0; at < l; {
-		end := next(run, at)
-		if leaves(run[at], i, mine) {
-			fs += end - at
-			stageFF = ks
+		dst, n := header(run[at])
+		if dst>>i&1 != mine {
+			f += headerWords + n
+			msgs++
+			stageFF = k
 		} else {
-			ks += end - at
-			stageKF = fs
+			k += headerWords + n
+			stageKF = f
 		}
-		at = end
+		at += headerWords + n
 	}
+	words = f - headerWords*msgs
 	keptFront := stageKF <= stageFF
 	stage, front := stageKF, k
 	if !keptFront {
@@ -416,8 +405,9 @@ func split(p *hypercube.Proc, run []float64, i, mine, f int) (kept, fwd []float6
 	if stage > 0 {
 		s := p.GetBuf(stage)
 		for at, w, ns := 0, 0, 0; w < front; {
-			end := next(run, at)
-			if leaves(run[at], i, mine) == keptFront {
+			dst, n := header(run[at])
+			end := at + headerWords + n
+			if (dst>>i&1 != mine) == keptFront {
 				ns += copy(s[ns:], run[at:end])
 			} else {
 				if w < at {
@@ -431,7 +421,7 @@ func split(p *hypercube.Proc, run []float64, i, mine, f int) (kept, fwd []float6
 		p.Recycle(s)
 	}
 	if keptFront {
-		return run[:k], run[k:l:l]
+		return run[:k], run[k:l:l], msgs, words
 	}
-	return run[f:], run[:f:f]
+	return run[f:], run[:f:f], msgs, words
 }

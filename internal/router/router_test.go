@@ -707,15 +707,17 @@ func deliveriesIsolated(t *testing.T, name string, got [][]Msg) {
 }
 
 // TestSplit: a run that is the only source of a phase's traffic is
-// divided in its own memory on every path split takes (leaving whole,
-// as a suffix, as a prefix, and interleaved, staged with either side
-// in front), both sides in order; what leaves is capacity-clipped, so
-// its receiver cannot append into what stays, and the pool scratch of
-// the interleaved cases goes back, so a second pass gets every buffer
-// from the pool.
+// divided in its own memory on every path split takes (nothing
+// leaving, leaving whole, as a suffix, as a prefix, and interleaved,
+// staged with either side in front), both sides in order, with the
+// count and payload words of what leaves; what leaves is
+// capacity-clipped, so its receiver cannot append into what stays, and
+// the pool scratch of the interleaved cases goes back, so a second
+// pass gets every buffer from the pool.
 func TestSplit(t *testing.T) {
 	type msg struct{ dst, words int }
 	cases := [][]msg{
+		{{0, 2}, {2, 0}, {0, 3}},                 // nothing leaves
 		{{1, 2}, {3, 0}},                         // leaves whole
 		{{0, 1}, {2, 3}, {1, 2}, {3, 1}},         // suffix
 		{{1, 2}, {3, 0}, {0, 4}, {2, 1}},         // prefix
@@ -729,6 +731,7 @@ func TestSplit(t *testing.T) {
 		if _, err := m.Run(func(p *hypercube.Proc) {
 			for c, msgs := range cases {
 				var run, wantKept, wantFwd []float64
+				wantMsgs, wantWords := 0, 0
 				for k, mm := range msgs {
 					w := appendHeader(nil, 4, mm.dst, k, mm.words)
 					for j := 0; j < mm.words; j++ {
@@ -737,20 +740,26 @@ func TestSplit(t *testing.T) {
 					run = append(run, w...)
 					if mm.dst&1 == 1 {
 						wantFwd = append(wantFwd, w...)
+						wantMsgs++
+						wantWords += mm.words
 					} else {
 						wantKept = append(wantKept, w...)
 					}
 				}
-				kept, fwd := split(p, run, 0, 0, len(wantFwd))
+				kept, fwd, nfwd, wfwd := split(p, run, 0, 0)
 				if !reflect.DeepEqual(append([]float64{}, kept...), append([]float64{}, wantKept...)) ||
-					!reflect.DeepEqual(fwd, wantFwd) {
+					!reflect.DeepEqual(append([]float64{}, fwd...), append([]float64{}, wantFwd...)) {
 					t.Errorf("case %d: kept %v forwarded %v, want %v and %v", c, kept, fwd, wantKept, wantFwd)
 					continue
+				}
+				if nfwd != wantMsgs || wfwd != wantWords {
+					t.Errorf("case %d: %d messages of %d payload words leave, want %d and %d", c, nfwd, wfwd, wantMsgs, wantWords)
 				}
 				if cap(fwd) != len(fwd) {
 					t.Errorf("case %d: forwarded %d words with capacity %d", c, len(fwd), cap(fwd))
 				}
-				inPlace := len(kept) == 0 && &fwd[0] == &run[0] ||
+				inPlace := len(fwd) == 0 && &kept[0] == &run[0] ||
+					len(kept) == 0 && &fwd[0] == &run[0] ||
 					&kept[0] == &run[0] && &fwd[0] == &run[len(kept)] ||
 					&fwd[0] == &run[0] && &kept[0] == &run[len(fwd)]
 				if !inPlace {

@@ -5,6 +5,15 @@
 #   scripts/ab.sh [--seed N] <rev> <workload>...
 #                                  e.g. scripts/ab.sh HEAD~ apps route
 #                                       scripts/ab.sh --seed 3 HEAD~ route
+#   scripts/ab.sh --go-bench <regexp> <rev>
+#                                  e.g. scripts/ab.sh --go-bench 'Experiment/E[345]$' HEAD~
+#
+# With --go-bench it A/Bs the root package's Go benchmarks matching
+# <regexp> instead (BenchmarkExperiment has one per table): `go test
+# -c` binaries of both trees, run from their own trees at the default
+# -test.benchtime, 10 pairs alternating which side goes first, and per
+# benchmark the medians of ns/op, the change's gain, pairs won and the
+# base's IQR, as below. Its results go to base.txt and change.txt.
 #
 # <rev> is exported with `git archive` into a temporary directory (no
 # worktree is registered, so an interrupted run leaves nothing in the
@@ -25,12 +34,21 @@
 set -euo pipefail
 
 seed=1
-if [[ "${1:-}" == "--seed" ]]; then
+gobench=
+case "${1:-}" in
+--seed)
 	seed=${2:-}
 	shift 2 || true
-fi
-if (($# < 2)) || ! [[ "$seed" =~ ^[0-9]+$ ]]; then
+	;;
+--go-bench)
+	gobench=${2:-}
+	shift 2 || true
+	;;
+esac
+if { [[ -z "$gobench" ]] && (($# < 2)); } || { [[ -n "$gobench" ]] && (($# != 1)); } ||
+	! [[ "$seed" =~ ^[0-9]+$ ]]; then
 	echo "usage: scripts/ab.sh [--seed N] <rev> <workload>..." >&2
+	echo "       scripts/ab.sh --go-bench <regexp> <rev>" >&2
 	exit 2
 fi
 rev=$1
@@ -47,11 +65,63 @@ case "$out/" in
 	;;
 esac
 tree="$out/base-tree"
-trap 'rm -rf "$tree" "$out/base.vmbench" "$out/change.vmbench"' EXIT
+trap 'rm -rf "$tree" "$out"/*.vmbench "$out"/*.test' EXIT
 
 mkdir "$tree"
 git -C "$root" archive "$sha" | tar -x -C "$tree"
 export GOWORK=off
+
+if [[ -n "$gobench" ]]; then
+	(cd "$tree" && go test -c -o "$out/base.test" .)
+	(cd "$root" && go test -c -o "$out/change.test" .)
+	gorun() { # side dir; the pair is $i
+		local log="$out/$1-$i.log"
+		(cd "$2" && "$out/$1.test" -test.run '^$' -test.bench "$gobench" -test.timeout 30m) >"$log" 2>&1 ||
+			echo "ab.sh: a $1 run failed; see $log" >&2
+		grep '^Benchmark.* ns/op' "$log" >>"$out/$1.txt" || true
+	}
+	for ((i = 0; i < pairs; i++)); do
+		echo "ab.sh: go-bench pair $((i + 1))/$pairs" >&2
+		if ((i % 2 == 0)); then
+			gorun base "$tree"
+			gorun change "$root"
+		else
+			gorun change "$root"
+			gorun base "$tree"
+		fi
+	done
+	echo "base   = $rev ($sha)"
+	echo "change = working tree of $root"
+	echo "bench  = $gobench on $(nproc) CPUs"
+	echo "results in $out"
+	python3 - "$out/base.txt" "$out/change.txt" <<'PYEOF'
+import re, statistics, sys
+
+def runs(path):
+    # Runs are appended in order, so the i-th line of a benchmark is pair i.
+    out = {}
+    for line in open(path):
+        m = re.match(r"(\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op", line)
+        if m:
+            out.setdefault(m[1], []).append(float(m[2]))
+    return out
+
+a, b = runs(sys.argv[1]), runs(sys.argv[2])
+print(f"\n  {'benchmark':<28} {'base ns/op':>12} {'change ns/op':>12} {'gain':>8} {'won':>6} {'base IQR':>10}")
+for name in a:
+    xa, xb = a[name], b.get(name, [])
+    n = min(len(xa), len(xb))
+    if n < 2:
+        print(f"  {name:<28} fewer than 2 pairs")
+        continue
+    xa, xb = xa[:n], xb[:n]
+    won = sum(1 for x, y in zip(xa, xb) if y < x)
+    ma, mb = statistics.median(xa), statistics.median(xb)
+    q1, _, q3 = statistics.quantiles(xa, n=4)
+    print(f"  {name:<28} {ma:>12.6g} {mb:>12.6g} {(ma - mb) / ma * 100:>+7.1f}% {won:>3}/{n:<2} {q3 - q1:>10.4g}")
+PYEOF
+	exit 0
+fi
 (cd "$tree/benchmark" && go build -o "$out/base.vmbench" .)
 (cd "$root/benchmark" && go build -o "$out/change.vmbench" .)
 
