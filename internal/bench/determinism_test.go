@@ -35,8 +35,8 @@ func captureRun(id string) (map[string]string, error) {
 	}
 	r := map[string]string{
 		"elapsed times":      fmt.Sprint(res.Times),
-		"clocks":             fmt.Sprint(res.Clocks),
-		"link loads":         fmt.Sprint(res.Links),
+		"clocks":             fmt.Sprint(res.Profile.Clocks),
+		"link loads":         fmt.Sprint(res.Profile.Links),
 		"profile JSON":       prof.String(),
 		"Chrome trace":       chrome.String(),
 		"critical-path JSON": crit.String(),

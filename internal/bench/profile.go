@@ -47,13 +47,6 @@ type ProfileResult struct {
 	// the workload, in execution order. These are bit-identical with
 	// profiling on or off.
 	Times []costmodel.Time
-	// Clocks holds every processor's final virtual clock after the last
-	// run, and Links the nonzero directed-link word loads of that run,
-	// hottest first. Like Times they are deterministic: bit-identical
-	// across profiling settings and across schedules, which
-	// TestScheduleIndependence (internal/hypercube) asserts.
-	Clocks []costmodel.Time
-	Links  []obs.LinkLoad
 	// Profile is the profile of the last run, or nil when the profiler
 	// was off.
 	Profile *obs.Profile
@@ -61,11 +54,11 @@ type ProfileResult struct {
 	// tracer was off. Like Times it is simulated truth: bit-identical
 	// under every schedule.
 	CritPath *obs.CritPath
-	// Metrics is the machine's metrics snapshot after the workload:
-	// cumulative counters over every run the machine ever executed,
-	// plus the last run's gauges. Always populated. On a fresh machine
-	// this is exactly the workload's own metrics; on a pooled machine,
-	// subtract a pre-run snapshot with metrics.Delta to isolate them.
+	// Metrics is the machine's metrics snapshot after the workload: its
+	// counters sum every run since the registry was last zeroed, its
+	// gauges describe the last run. Always populated. A new machine and
+	// one a MachinePool hands out both start zeroed, so on either this
+	// is exactly the workload's own metrics.
 	Metrics *metrics.Snapshot
 }
 
@@ -74,8 +67,6 @@ type ProfileResult struct {
 func finish(s RunSpec, desc string, m *hypercube.Machine, opts ProfileOpts, times ...costmodel.Time) *ProfileResult {
 	res := &ProfileResult{
 		ID: s.Exp, Desc: desc, Times: times,
-		Clocks:  m.Clocks(),
-		Links:   m.Congestion(0),
 		Metrics: m.Metrics().Snapshot(),
 	}
 	if opts.Profile {

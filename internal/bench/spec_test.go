@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"vmprim/internal/hypercube"
-	"vmprim/internal/metrics"
 )
 
 // armed is the recorder set vmprimd serves with: profiler and
@@ -80,35 +79,37 @@ func FuzzRunSpec(f *testing.F) {
 	})
 }
 
-// Reusing one machine across specs must be deterministic run to run,
-// recorder hygiene included: a profiled tenant followed by an
-// unprofiled one leaves no profile, and per-run metric deltas around
-// each tenant are identical.
+// Tenants a MachinePool serves one after another on one machine must
+// be deterministic run to run, recorder hygiene included: a profiled
+// tenant followed by an unprofiled one leaves no profile, and each
+// tenant's metrics, read straight off its result, count only its own
+// run.
 func TestRunSpecPooledReuse(t *testing.T) {
 	spec, err := RunSpec{Exp: "E1", D: 4, N: 64}.Normalized()
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := hypercube.New(spec.D, spec.CostParams())
-	if err != nil {
-		t.Fatal(err)
+	mp := hypercube.NewMachinePool(1)
+	defer mp.Close()
+	tenant := func(s RunSpec, opts ProfileOpts, wantHit bool) *ProfileResult {
+		t.Helper()
+		m, hit, err := mp.Acquire(s.D, s.CostParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer mp.Release(m)
+		if hit != wantHit {
+			t.Fatalf("%s: pool hit = %v, want %v", s.Exp, hit, wantHit)
+		}
+		res, err := s.RunOn(m, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	defer m.Close()
 
-	before := m.Metrics().Snapshot()
-	first, err := spec.RunOn(m, armed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d1 := metrics.Delta(first.Metrics, before)
-
-	before = m.Metrics().Snapshot()
-	second, err := spec.RunOn(m, ProfileOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2 := metrics.Delta(second.Metrics, before)
-
+	first := tenant(spec, armed, false)
+	second := tenant(spec, ProfileOpts{}, true)
 	if second.Profile != nil || second.CritPath != nil {
 		t.Fatal("recorders left armed from the previous tenant")
 	}
@@ -116,17 +117,15 @@ func TestRunSpecPooledReuse(t *testing.T) {
 		t.Fatalf("reused machine drifted: %v then %v", first.Times[0], second.Times[0])
 	}
 	for _, name := range []string{"vmprim_runs_total", "vmprim_messages_total", "vmprim_words_total"} {
-		v1, ok1 := d1.Value(name)
-		v2, ok2 := d2.Value(name)
+		v1, ok1 := first.Metrics.Value(name)
+		v2, ok2 := second.Metrics.Value(name)
 		if !ok1 || !ok2 {
-			t.Fatalf("metric %s missing from deltas", name)
+			t.Fatalf("metric %s missing from a tenant's metrics", name)
 		}
 		if v1 != v2 {
-			t.Fatalf("per-run delta of %s differs across identical tenants: %g vs %g", name, v1, v2)
+			t.Fatalf("%s differs across identical tenants: %g vs %g", name, v1, v2)
 		}
 	}
 	// Different experiment family on the same machine shape also works.
-	if _, err := (RunSpec{Exp: "E2", D: 4, N: 64}).RunOn(m, ProfileOpts{}); err != nil {
-		t.Fatal(err)
-	}
+	tenant(RunSpec{Exp: "E2", D: 4, N: 64}, ProfileOpts{}, true)
 }

@@ -59,9 +59,27 @@ func (k Kind) String() string {
 	}
 }
 
+// kindText holds String's names as bytes, for MarshalText to hand out
+// without allocating; its last entry names every undefined Kind.
+var kindText = [...][]byte{
+	KindSend:        []byte("send"),
+	KindRecv:        []byte("recv"),
+	KindCollective:  []byte("coll"),
+	KindCapture:     []byte("capt"),
+	KindCapture + 1: []byte("?"),
+}
+
+// MarshalText returns String's name for k, so the JSON report spells
+// event kinds out. The slice is shared: callers must not modify it.
+func (k Kind) MarshalText() ([]byte, error) {
+	return kindText[min(int(k), len(kindText)-1)], nil
+}
+
 // Event is one recorded simulator event as the report shows it.
 // Ring.Snapshot expands the ring's slots into Events.
 type Event struct {
+	// Kind classifies the event.
+	Kind Kind `json:"kind"`
 	// Seq is the processor-local sequence number, counted from 0 at
 	// the start of the run over all events ever recorded (not just the
 	// ones still in the ring).
@@ -69,8 +87,6 @@ type Event struct {
 	// VT is the processor's virtual time when the event was recorded;
 	// for sends it is the message's arrival stamp.
 	VT costmodel.Time `json:"vt_us"`
-	// Kind classifies the event.
-	Kind Kind `json:"-"`
 	// Label is the collective protocol name for KindCollective, empty
 	// otherwise.
 	Label string `json:"label,omitempty"`
@@ -91,10 +107,6 @@ type Event struct {
 	// assembler (empty in a Snapshot).
 	SpanName string `json:"span,omitempty"`
 }
-
-// KindName is the string form of Kind for the JSON report (Kind itself
-// is excluded from marshalling so the document stays readable).
-func (ev Event) KindName() string { return ev.Kind.String() }
 
 // Label identifies an event label in a Labels table. NoLabel, the
 // zero Label, stands for the empty label.

@@ -152,6 +152,20 @@ func TestRecordDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// MarshalText spells every Kind, and any undefined value, as String
+// does, and hands out its names without allocating.
+func TestKindMarshalText(t *testing.T) {
+	for k := KindSend; k <= KindCapture+2; k++ {
+		b, err := k.MarshalText()
+		if err != nil || string(b) != k.String() {
+			t.Fatalf("Kind(%d).MarshalText() = %q, %v; want %q", k, b, err, k.String())
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _, _ = KindRecv.MarshalText() }); allocs != 0 {
+		t.Fatalf("MarshalText allocates %v times per call, want 0", allocs)
+	}
+}
+
 // TestInternAcrossScanLimit grows a table past maxScan, where lookup
 // moves from comparing names to the map, and at every size checks that
 // each name held keeps the id it first got, ids counting up from one.

@@ -75,30 +75,11 @@ type ProcState struct {
 	// Captured lists payloads handed to the recorder with Capture,
 	// oldest first.
 	Captured []CapturedBuf `json:"captured,omitempty"`
-	// Events is the flight-recorder tail, oldest first. EventsTotal
-	// counts all events recorded this run, including overwritten ones.
-	Events      []Event `json:"events"`
+	// EventsTotal counts all events recorded this run, including
+	// overwritten ones; Events is the flight-recorder tail, oldest
+	// first.
 	EventsTotal uint64  `json:"events_total"`
-}
-
-// kindedEvent adds the kind string to the Event JSON without keeping a
-// redundant field live in the hot ring struct.
-type kindedEvent struct {
-	Kind string `json:"kind"`
-	Event
-}
-
-// MarshalJSON renders ProcState with event kinds spelled out.
-func (ps ProcState) MarshalJSON() ([]byte, error) {
-	type alias ProcState
-	evs := make([]kindedEvent, len(ps.Events))
-	for i, ev := range ps.Events {
-		evs[i] = kindedEvent{Kind: ev.KindName(), Event: ev}
-	}
-	return json.Marshal(struct {
-		alias
-		Events []kindedEvent `json:"events"`
-	}{alias(ps), evs})
+	Events      []Event `json:"events"`
 }
 
 // LinkState is one directed link that still held undelivered messages

@@ -53,10 +53,12 @@ func NewMachinePool(capacity int) *MachinePool {
 
 // Acquire returns a machine of dimension dim that charges by params:
 // the most recently released idle machine of that dimension when there
-// is one (hit reports which), with its cost parameters set to params,
-// or else a new machine. Invalid params are rejected as New rejects
-// them, before the pool is touched. The caller owns the machine until
-// it calls Release (or Close, to retire it).
+// is one (hit reports which), with its cost parameters set to params
+// and its metrics registry reset to zero, or else a new machine. Either
+// way the registry counts only the caller's runs, so a tenant's metrics
+// are the machine's snapshot. Invalid params are rejected as New
+// rejects them, before the pool is touched. The caller owns the machine
+// until it calls Release (or Close, to retire it).
 func (mp *MachinePool) Acquire(dim int, params costmodel.Params) (m *Machine, hit bool, err error) {
 	if err := params.Validate(); err != nil {
 		return nil, false, err
@@ -68,6 +70,7 @@ func (mp *MachinePool) Acquire(dim int, params costmodel.Params) (m *Machine, hi
 			mp.hits++
 			mp.mu.Unlock()
 			im.params = params
+			im.met.reg.Reset()
 			return im, true, nil
 		}
 	}

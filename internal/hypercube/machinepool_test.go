@@ -1,6 +1,7 @@
 package hypercube
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
@@ -142,6 +143,59 @@ func TestMachinePoolConcurrentRuns(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// A hit hands out a machine whose metrics read as a fresh machine's,
+// whatever its earlier tenants did: here one that ran and one whose
+// body panicked after communicating.
+func TestMachinePoolHitZeroesMetrics(t *testing.T) {
+	mp := NewMachinePool(1)
+	defer mp.Close()
+	render := func(m *Machine) string {
+		var buf bytes.Buffer
+		if err := m.Metrics().Snapshot().WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+
+	m, _, err := mp.Acquire(3, costmodel.CM2())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := runBcast(m); err != nil {
+		t.Fatal(err)
+	}
+	mp.Release(m)
+
+	m, hit, err := mp.Acquire(3, costmodel.CM2())
+	if err != nil || !hit {
+		t.Fatalf("second tenant: hit=%v err=%v, want a hit", hit, err)
+	}
+	_, err = m.Run(func(p *Proc) {
+		p.Recycle(p.Exchange(0, 1, []float64{1, 2}))
+		if p.ID() == 5 {
+			panic("tenant failure")
+		}
+	})
+	if err == nil {
+		t.Fatal("panicking tenant returned no error")
+	}
+	if v, _ := m.Metrics().Snapshot().Value("vmprim_run_failures_total"); v != 1 {
+		t.Fatalf("failed tenant's metrics count %v failures, want 1", v)
+	}
+	mp.Release(m)
+
+	m, hit, err = mp.Acquire(3, costmodel.IPSC())
+	if err != nil || !hit {
+		t.Fatalf("third tenant: hit=%v err=%v, want a hit", hit, err)
+	}
+	defer mp.Release(m)
+	fresh := MustNew(3, costmodel.IPSC())
+	defer fresh.Close()
+	if got, want := render(m), render(fresh); got != want {
+		t.Fatalf("pooled machine's metrics after a hit:\n%s\nfresh machine's:\n%s", got, want)
 	}
 }
 

@@ -86,8 +86,8 @@ func specResults(t *testing.T, s hypercube.Schedule, r results, ids ...string) {
 			t.Fatalf("%s: %v", id, err)
 		}
 		r[id+"/elapsed times"] = fmt.Sprint(res.Times)
-		r[id+"/clocks"] = fmt.Sprint(res.Clocks)
-		r[id+"/link loads"] = fmt.Sprint(res.Links)
+		r[id+"/clocks"] = fmt.Sprint(res.Profile.Clocks)
+		r[id+"/link loads"] = fmt.Sprint(res.Profile.Links)
 		r[id+"/profile JSON"] = prof.String()
 		r[id+"/Chrome trace"] = chrome.String()
 		r[id+"/critical-path JSON"] = crit.String()

@@ -5,12 +5,11 @@ import (
 	"math"
 )
 
-// Snapshot algebra for the serving layer. A pooled machine's registry
-// is cumulative over every run it has ever executed, so a single run's
-// metrics are Delta(after, before) around that run; the server's
-// /metrics endpoint is Merge over the per-run deltas plus its own
-// serving registry. Both operate on immutable snapshots, never on live
-// registries, so they need no locking and cannot perturb the source.
+// Snapshot algebra for the serving layer: the server's /metrics
+// endpoint is Merge over every finished run's metrics plus its own
+// serving registry. Merge and Quantile operate on immutable snapshots,
+// never on live registries, so they need no locking and cannot perturb
+// the source.
 
 // Merge folds snapshots into one: counters and histogram buckets sum,
 // gauges take the last snapshot's value (most recent wins), and
@@ -59,44 +58,6 @@ func Merge(snaps ...*Snapshot) *Snapshot {
 				acc.Help = m.Help
 			}
 		}
-	}
-	return out
-}
-
-// Delta returns after minus before, metric by metric: counter values
-// and histogram buckets subtract (clamped at zero, so a reset between
-// snapshots degrades to "since reset" rather than a negative count),
-// gauges carry after's value unchanged. Metrics present only in after
-// pass through whole; metrics present only in before are dropped. Both
-// snapshots are left untouched.
-func Delta(after, before *Snapshot) *Snapshot {
-	out := &Snapshot{}
-	if after == nil {
-		return out
-	}
-	prev := make(map[string]*MetricValue)
-	if before != nil {
-		for i := range before.Metrics {
-			prev[before.Metrics[i].Name] = &before.Metrics[i]
-		}
-	}
-	for i := range after.Metrics {
-		m := cloneMetric(&after.Metrics[i])
-		if b, ok := prev[m.Name]; ok && b.Type == m.Type {
-			switch m.Type {
-			case "counter":
-				m.Value = math.Max(0, m.Value-b.Value)
-			case "histogram":
-				if len(b.Buckets) == len(m.Buckets) {
-					for j := range m.Buckets {
-						m.Buckets[j].Count = max64(0, m.Buckets[j].Count-b.Buckets[j].Count)
-					}
-					m.Sum -= b.Sum
-					m.Count = max64(0, m.Count-b.Count)
-				}
-			}
-		}
-		out.Metrics = append(out.Metrics, m)
 	}
 	return out
 }
@@ -156,11 +117,4 @@ func cloneMetric(m *MetricValue) MetricValue {
 		c.Buckets = append([]BucketCount(nil), m.Buckets...)
 	}
 	return c
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

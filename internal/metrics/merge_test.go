@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"bytes"
 	"testing"
 )
 
@@ -73,48 +74,39 @@ func TestMergeTypeMismatchPanics(t *testing.T) {
 	Merge(ra.Snapshot(), rb.Snapshot())
 }
 
-func TestDelta(t *testing.T) {
-	before := buildSnap(3, 1.5, []float64{0.5, 5})
-	after := buildSnap(10, 9.5, []float64{0.5, 5, 50, 500})
-	d := Delta(after, before)
+// A registry that has counted, set and observed reads like a freshly
+// built one after Reset, and keeps counting from zero afterwards.
+func TestReset(t *testing.T) {
+	build := func() (*Registry, *Counter, *Gauge, *Histogram) {
+		r := NewRegistry()
+		return r, r.Counter("runs_total", "runs"), r.Gauge("last_elapsed_us", "elapsed"),
+			r.Histogram("latency_us", "latency", []float64{1, 10, 100})
+	}
+	render := func(r *Registry) string {
+		var buf bytes.Buffer
+		if err := r.Snapshot().WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	fresh, _, _, _ := build()
+	used, c, g, h := build()
+	c.Add(7)
+	g.Set(9.5)
+	h.Observe(50)
+	h.AddBuckets([]int64{1, 0, 2, 1}, 600)
 
-	if v, _ := d.Value("runs_total"); v != 7 {
-		t.Fatalf("delta counter = %v, want 7", v)
+	used.Reset()
+	if got, want := render(used), render(fresh); got != want {
+		t.Fatalf("after Reset:\n%s\nfresh registry:\n%s", got, want)
 	}
-	if v, _ := d.Value("last_elapsed_us"); v != 9.5 {
-		t.Fatalf("delta gauge = %v, want after's value 9.5", v)
+	c.Add(2)
+	h.Observe(5)
+	if v, _ := used.Snapshot().Value("runs_total"); v != 2 {
+		t.Fatalf("counter after Reset and Add(2) = %v, want 2", v)
 	}
-	var h *MetricValue
-	for i := range d.Metrics {
-		if d.Metrics[i].Name == "latency_us" {
-			h = &d.Metrics[i]
-		}
-	}
-	if h.Count != 2 {
-		t.Fatalf("delta histogram count = %d, want 2", h.Count)
-	}
-	wantCum := []int64{0, 0, 1, 2} // the two new observations: 50, 500
-	for i, b := range h.Buckets {
-		if b.Count != wantCum[i] {
-			t.Fatalf("delta bucket %d = %d, want %d", i, b.Count, wantCum[i])
-		}
-	}
-	if want := 550.0; h.Sum != want {
-		t.Fatalf("delta sum = %g, want %g", h.Sum, want)
-	}
-	// after must be untouched.
-	if after.Metrics[0].Value != 10 {
-		t.Fatal("Delta mutated the after snapshot")
-	}
-	// A fresh machine has no before: Delta(x, nil) == x.
-	d0 := Delta(after, nil)
-	if v, _ := d0.Value("runs_total"); v != 10 {
-		t.Fatalf("Delta(after, nil) counter = %v, want 10", v)
-	}
-	// Reset between snapshots clamps to zero, never negative.
-	dneg := Delta(before, after)
-	if v, _ := dneg.Value("runs_total"); v != 0 {
-		t.Fatalf("reset delta counter = %v, want clamp to 0", v)
+	if v, _ := used.Snapshot().Value("latency_us"); v != 1 {
+		t.Fatalf("histogram count after Reset and one Observe = %v, want 1", v)
 	}
 }
 

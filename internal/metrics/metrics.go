@@ -277,6 +277,28 @@ func (r *Registry) Snapshot() *Snapshot {
 	return s
 }
 
+// Reset zeroes every counter, gauge and histogram (buckets, sum and
+// count) and keeps every registration, so the registry reads as a
+// freshly built one with the same metrics.
+func (r *Registry) Reset() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, m := range r.order {
+		switch m.kind {
+		case kindCounter:
+			m.counter.v.Store(0)
+		case kindGauge:
+			m.gauge.bits.Store(0)
+		case kindHistogram:
+			h := m.hist
+			h.mu.Lock()
+			clear(h.counts)
+			h.sum, h.n = 0, 0
+			h.mu.Unlock()
+		}
+	}
+}
+
 // Value returns the snapshot value of the named counter or gauge (for
 // histograms, the observation count) and whether the name exists.
 func (s *Snapshot) Value(name string) (float64, bool) {

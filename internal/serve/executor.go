@@ -17,10 +17,10 @@ import (
 // the cube a d=4 cm2 run just released, priced by ipsc. Recorders are
 // armed exactly as `vmprim -profile` arms them — profiler, message
 // trace, critical-path tracer — so the artifacts a run serves are the
-// same documents the CLI writes for the same spec. Machine metric
-// registries are cumulative across tenants, so each run's own metrics
-// are the snapshot delta taken around it; the deltas also fold into
-// the server-wide aggregate that /metrics exposes.
+// same documents the CLI writes for the same spec. The pool hands out
+// a machine whose metrics registry is zeroed, so a run's own metrics
+// are its machine's snapshot, failed runs included; they also fold
+// into the server-wide aggregate that /metrics exposes.
 
 // worker drains the queue until the server closes it.
 func (s *Server) worker() {
@@ -48,19 +48,10 @@ func (s *Server) execute(run *Run) {
 	}
 	run.setRunning(hit)
 
-	before := m.Metrics().Snapshot()
 	m.EnableStream(run.bcast.publish)
 	res, err := run.Spec.RunOn(m, bench.ProfileOpts{Profile: true, CritPath: true})
 	m.EnableStream(nil)
-
-	// Per-run metrics: the machine registry delta around this tenant.
-	// On failures RunOn returns no result, so snapshot the machine
-	// directly — the failed run's counters are already folded in.
-	after := m.Metrics().Snapshot()
-	if res != nil {
-		after = res.Metrics
-	}
-	runMetrics := metrics.Delta(after, before)
+	runMetrics := m.Metrics().Snapshot()
 
 	// A failed run tears down cleanly (a panic or a detected deadlock
 	// aborts it and every processor unwinds before Run returns), so the

@@ -16,7 +16,7 @@ import (
 
 // The run registry: every submitted workload becomes a Run with a
 // server-assigned ID, and the registry keeps finished runs — results,
-// per-run metric deltas, post-mortems — addressable until capacity
+// per-run metrics, post-mortems — addressable until capacity
 // pressure evicts them. Queued and running runs are never evicted;
 // only the done/failed backlog is bounded, oldest-completed first. IDs
 // are issued in sequence and runs leave only by eviction, so an issued
@@ -59,9 +59,9 @@ type Run struct {
 	// result is the profiled run; nil until done (and on failures that
 	// died before producing one).
 	result *bench.ProfileResult
-	// runMetrics is this run's own metrics: the machine registry delta
-	// around the run, so pooled-machine reuse does not leak earlier
-	// tenants' counters into it.
+	// runMetrics is this run's own metrics: its machine's snapshot,
+	// which counts only this run because the pool zeroes the registry
+	// of the machine it hands out.
 	runMetrics *metrics.Snapshot
 	// postmortem is the flight-recorder report of a failed run.
 	postmortem *flightrec.Report

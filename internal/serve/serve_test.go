@@ -196,7 +196,7 @@ func TestServedArtifactsMatchDirectRun(t *testing.T) {
 	}
 
 	// The run executed on the server's first (fresh) pooled machine, so
-	// its delta equals the direct run's cumulative snapshot — except the
+	// its metrics equal the direct run's snapshot — except the
 	// host-scheduler counters, which are nondeterministic by design.
 	got := getBody(t, fmt.Sprintf("%s/runs/%s/metrics", ts.URL, id))
 	if diff := diffMetricsJSON(t, got, metBuf.Bytes()); diff != "" {
@@ -277,7 +277,7 @@ func TestPooledRerunIsIdentical(t *testing.T) {
 	am := getBody(t, fmt.Sprintf("%s/runs/%s/metrics", ts.URL, id1))
 	bm := getBody(t, fmt.Sprintf("%s/runs/%s/metrics", ts.URL, id2))
 	if diff := diffMetricsJSON(t, am, bm, "vmprim_pool_"); diff != "" {
-		t.Errorf("per-run metric deltas differ between identical runs: %s", diff)
+		t.Errorf("per-run metrics differ between identical runs: %s", diff)
 	}
 }
 

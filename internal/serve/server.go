@@ -75,7 +75,7 @@ type Server struct {
 	closed   bool
 
 	met *serveMetrics
-	// simAgg folds every finished run's per-run metric delta; /metrics
+	// simAgg folds every finished run's metrics; /metrics
 	// merges it with the serving registry.
 	aggMu  sync.Mutex
 	simAgg *metrics.Snapshot
@@ -458,9 +458,8 @@ func (s *Server) handleCritPath(w http.ResponseWriter, _ *http.Request, run *Run
 	_ = res.CritPath.WriteJSON(w)
 }
 
-// handleRunMetrics serves the run's own metrics — the machine
-// registry delta around the run — as JSON, or Prometheus text with
-// ?format=prom.
+// handleRunMetrics serves the run's own metrics — its machine's
+// snapshot — as JSON, or Prometheus text with ?format=prom.
 func (s *Server) handleRunMetrics(w http.ResponseWriter, req *http.Request, run *Run) {
 	if !requireDone(w, run) {
 		return

@@ -29,23 +29,56 @@ BASELINE=scripts/allocgate_baseline.txt
 
 # current prints "file count" per source file, sorted, for every
 # distinct "escapes to heap" / "moved to heap" diagnostic in the gated
-# packages. The compiler repeats a diagnostic, position and text
-# alike, for each instantiation of a generic function and each inlined
-# copy of a call, so identical lines count once: one site is one
-# escape however often it is instantiated or inlined. -gcflags
-# without a pattern applies only to the packages named on the command
-# line, so dependencies don't pollute the count —
+# packages: one site is one escape however often it is instantiated or
+# inlined. Identical lines (one per generic instantiation) count once.
+# The compiler reports an inlined copy of a callee's allocation at the
+# call site, so an escape at an "inlining call to F" site is dropped
+# when F is "can inline" in a gated package and the same diagnostic
+# lies in F's body (its definition line to its closing brace), where
+# it is counted. F's own position is never dropped, and a callee
+# defined outside the gated packages keeps its escapes at the call
+# site. -gcflags without a pattern applies only to the packages named,
 # but generic code instantiated in them (iter.Pull's, say) reports
-# under its own file in GOROOT, which is keyed by its path relative to
-# GOROOT/src so that the baseline does not depend on where Go lives.
+# under its GOROOT file, keyed by its path relative to GOROOT/src so
+# that the baseline does not depend on where Go lives.
 current() {
-  local goroot_src
-  goroot_src="$(go env GOROOT)/src/"
-  go build -gcflags=-m "${PKGS[@]}" 2>&1 |
-    grep -E 'escapes to heap|moved to heap' |
-    sort -u |
-    cut -d: -f1 |
-    awk -v pre="$goroot_src" 'index($0, pre) == 1 { $0 = substr($0, length(pre) + 1) } { print }' |
+  go build -gcflags=-m "${PKGS[@]}" 2>&1 | sort -u |
+    awk -v pre="$(go env GOROOT)/src/" '
+      match($0, /^[^:]+:[0-9]+(:[0-9]+)?: /) {
+        pos = substr($0, 1, RLENGTH - 2); msg = substr($0, RLENGTH + 1)
+        split(pos, pp, ":"); pkg = pp[1]; sub(/\/[^\/]*$/, "", pkg); sub(/.*\//, "", pkg)
+        if (msg ~ /^can inline / && pos !~ /^\//) def[pkg "." substr(msg, 12)] = pos
+        # F as named at the call: qualified by the caller package, or already by its own.
+        if (msg ~ /^inlining call to /) calls[pos] = calls[pos] "\n" pkg "." substr(msg, 18) "\n" substr(msg, 18)
+        if (msg ~ /escapes to heap|moved to heap/) { esc[++n] = pos; emsg[n] = msg; at[pp[1], msg] = at[pp[1], msg] " " pp[2] }
+      }
+      # bodyend is the last line of the function defined at line l of
+      # the gofmt-ed file f: l for a one-liner, else the next "}" line.
+      function bodyend(f, l,    src, i) {
+        if (!((f, l) in last)) {
+          last[f, l] = l
+          while ((getline src < f) > 0)
+            if (++i == l && src ~ /}$/) break
+            else if (i > l && src == "}") { last[f, l] = i; break }
+          close(f)
+        }
+        return last[f, l]
+      }
+      function inlined(e,    c, k, i, d, ls, j) {
+        k = split(calls[esc[e]], c, "\n")
+        for (i = 2; i <= k; i++) {
+          if (!(c[i] in def) || def[c[i]] == esc[e]) continue
+          split(def[c[i]], d, ":"); split(at[d[1], emsg[e]], ls, " ")
+          for (j in ls) if (ls[j] + 0 >= d[2] + 0 && ls[j] + 0 <= bodyend(d[1], d[2] + 0)) return 1
+        }
+        return 0
+      }
+      END {
+        for (e = 1; e <= n; e++) if (!inlined(e)) {
+          split(esc[e], pp, ":"); f = pp[1]
+          print index(f, pre) == 1 ? substr(f, length(pre) + 1) : f
+        }
+      }' |
     sort | uniq -c |
     awk '{ print $2, $1 }'
 }
@@ -54,7 +87,8 @@ if [[ "${1:-}" == "-update" ]]; then
   {
     echo "# Per-file heap-escape counts in the hot-path packages,"
     echo "# from 'go build -gcflags=-m' (escapes to heap + moved to heap),"
-    echo "# each distinct diagnostic line counted once."
+    echo "# each distinct diagnostic line counted once, and an escape"
+    echo "# inlined from a gated callee counted only in the callee's body."
     echo "# Regenerate with: scripts/allocgate.sh -update"
     current
   } > "$BASELINE"

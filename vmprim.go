@@ -153,7 +153,8 @@ const (
 
 // NewMachinePool returns a pool retaining up to capacity idle
 // machines; Acquire either reuses a pooled machine of the requested
-// dimension, under the requested cost parameters, or builds one.
+// dimension, under the requested cost parameters and with its metrics
+// registry reset to zero, or builds one.
 func NewMachinePool(capacity int) *MachinePool { return hypercube.NewMachinePool(capacity) }
 
 // NewMachine returns a 2^dim-processor machine; it panics on invalid
