@@ -38,19 +38,20 @@
 // An Env, and every SPMD-local temporary made inside a run (TempVector,
 // TempMatrix, and the results of the primitives), is valid until the
 // end of the Run that made it. Their headers come from a run-scoped
-// slab on each processor that the machine rewinds after every Run, so
-// a primitive call allocates nothing but its result's storage; a value
-// that must outlive the Run is copied into a host-created container or
-// a plain slice before the body returns. A temporary used after its Run
-// is refused by name (L and the host accessors panic), until its slot
-// is handed out again. The slab holds a few headers of each kind; a
-// body that makes more gets plain allocations, so a long loop of
-// temporaries keeps at most that few alive, however many steps it
-// takes. All inter-processor data motion happens through the
-// collectives of internal/collective over cube-edge links, and every
-// operation charges the cost model for its communication and
-// arithmetic, so Machine.Elapsed after a run is the simulated time of
-// the whole distributed computation.
+// slab on each processor that the machine rewinds after every Run, and
+// the storage of those headers from the machine's scratch arena
+// (hypercube.Proc.Scratch), rewound with it, so a warm primitive call
+// allocates nothing; a value that must outlive the Run is copied into
+// a host-created container or a plain slice before the body returns. A
+// temporary used after its Run is refused by name (L and the host
+// accessors panic), until its slot is handed out again. The slab holds
+// a few headers of each kind; a body that makes more gets plain
+// allocations, so a long loop of temporaries keeps at most that few
+// alive, however many steps it takes. All inter-processor data motion
+// happens through the collectives of internal/collective over cube-edge
+// links, and every operation charges the cost model for its
+// communication and arithmetic, so Machine.Elapsed after a run is the
+// simulated time of the whole distributed computation.
 package core
 
 import (
@@ -86,7 +87,7 @@ func NewEnv(p *hypercube.Proc, g embed.Grid) *Env {
 		s = newRunSlab()
 		p.SetLocal(s)
 	}
-	e := s.envs.next()
+	e, _ := s.envs.next()
 	*e = Env{P: p, G: g, slab: s}
 	return e
 }
@@ -94,9 +95,11 @@ func NewEnv(p *hypercube.Proc, g embed.Grid) *Env {
 // runSlab is one processor's store of the fixed-size objects a Run
 // makes: its Envs and the headers of its SPMD-local temporaries. It is
 // the processor's hypercube.RunLocal, so the machine rewinds it after
-// every Run. Block and piece storage is not pooled: it stays a plain
-// make, reachable only from its header until EndRun drops it, so the
-// machine retains no run's data between Runs.
+// every Run. A held header's piece or block comes from the processor's
+// region of the machine's scratch arena (see tempStorage), reachable
+// from the header until EndRun drops it; the machine rewinds the
+// arena after every Run too and holds it only weakly between Runs, so
+// it retains no run's data that the collector cannot take.
 type runSlab struct {
 	envs slots[Env]
 	vecs slots[Vector]
@@ -107,14 +110,30 @@ type runSlab struct {
 // is an error value already, so L's inlined copies convert nothing.
 var errExpired = errors.New("core: SPMD-local temporary used after the end of the Run that made it")
 
+// tempStorage returns n zeroed words for an SPMD-local temporary's own
+// piece or block: from the scratch arena of p, the processor whose slab
+// holds the header, or a plain allocation for a header past the slab's
+// limit (p nil). An expired temporary is refused by name.
+func tempStorage(p *hypercube.Proc, expired bool, n int) []float64 {
+	if expired {
+		panic(errExpired)
+	}
+	if p != nil {
+		return p.Scratch(n)
+	}
+	return make([]float64, n)
+}
+
 // newRunSlab returns an empty slab holding at most 4 Envs, 4 vector
-// headers and 1 matrix header; a Run that makes more gets plain
-// allocations for the rest, which the collector reclaims as before. A
-// held header keeps its storage alive until EndRun, so the limits bound
-// what a body that loops over temporaries, dropping each, keeps alive
-// to four pieces and one block per processor, however long it loops.
-// The benchmark's bodies take at most 4 vectors and 1 matrix. Rewound
-// headers are expired: L and the host accessors refuse them by name.
+// headers and 1 matrix header, which covers every primitive's result;
+// a Run that makes more gets plain allocations for the rest, headers
+// and storage, which the collector reclaims as before. A held header
+// keeps its storage, in the scratch arena, until EndRun, so the limits
+// bound what a body that loops over temporaries, dropping each, keeps
+// alive to four pieces and one block per processor, however long it
+// loops, and bound the arena's regions to as much. The benchmark's
+// bodies take at most 4 vectors and 1 matrix. Rewound headers are
+// expired: L and the host accessors refuse them by name.
 func newRunSlab() *runSlab {
 	return &runSlab{envs: slots[Env]{limit: 4}, vecs: slots[Vector]{limit: 4}, mats: slots[Matrix]{limit: 1}}
 }
@@ -135,18 +154,20 @@ type slots[T any] struct {
 }
 
 // next returns the next unused object, allocating it only the first
-// time a Run takes that many, and past the limit every time.
-func (s *slots[T]) next() *T {
+// time a Run takes that many, and past the limit every time; held
+// reports whether the slab holds it, which past the limit it does not.
+func (s *slots[T]) next() (t *T, held bool) {
 	if s.n < len(s.all) {
 		s.n++
-		return s.all[s.n-1]
+		return s.all[s.n-1], true
 	}
-	t := new(T)
+	t = new(T)
 	if s.n < s.limit {
 		s.all = append(s.all, t)
 		s.n++
+		return t, true
 	}
-	return t
+	return t, false
 }
 
 // rewind resets the objects handed out to spent, dropping what they
@@ -227,6 +248,10 @@ type Matrix struct {
 	local   []float64
 	isLocal bool
 	expired bool // a temporary whose Run has ended; it holds nothing
+	// arena is the processor whose scratch arena backs local: set for a
+	// temporary whose header the slab holds, nil for host containers and
+	// temporaries past the slab's limit, which allocate.
+	arena *hypercube.Proc
 }
 
 // NewMatrix returns a zero matrix of the given shape distributed on
@@ -301,19 +326,22 @@ func MustNewMatrix(g embed.Grid, rows, cols int, rkind, ckind embed.MapKind) *Ma
 // call it for a given pid. For SPMD-local temporaries pid is ignored:
 // the handle belongs to exactly one processor.
 func (a *Matrix) L(pid int) []float64 {
-	if a.isLocal {
-		if a.local == nil {
-			if a.expired {
-				panic(errExpired)
-			}
-			a.local = make([]float64, a.RMap.B*a.CMap.B)
-		}
+	if a.local != nil {
 		return a.local
 	}
-	if a.blocks[pid] == nil {
-		a.blocks[pid] = make([]float64, a.RMap.B*a.CMap.B)
+	return a.block(pid)
+}
+
+// block is L past a temporary's materialized block (see Vector.piece).
+func (a *Matrix) block(pid int) []float64 {
+	if !a.isLocal {
+		if a.blocks[pid] == nil {
+			a.blocks[pid] = make([]float64, a.RMap.B*a.CMap.B)
+		}
+		return a.blocks[pid]
 	}
-	return a.blocks[pid]
+	a.local = tempStorage(a.arena, a.expired, a.RMap.B*a.CMap.B)
+	return a.local
 }
 
 // IsLocal reports whether this is an SPMD-local temporary handle
@@ -467,19 +495,21 @@ type Vector struct {
 	G      embed.Grid
 	Layout Layout
 	Map    embed.Map1D
-	// Replicated reports, for aligned layouts, whether every grid row
-	// (column) holds a copy. Linear vectors are never replicated.
-	Replicated bool
 	// Home is the grid row (for RowAligned) or grid column (for
 	// ColAligned) holding the data when not replicated.
 	Home int
+	// Replicated reports, for aligned layouts, whether every grid row
+	// (column) holds a copy. Linear vectors are never replicated.
+	Replicated bool
 
 	// Storage follows the Matrix convention: host-created vectors hold
-	// all pieces; SPMD-created temporaries hold only the creator's.
+	// all pieces; SPMD-created temporaries hold only the creator's. The
+	// two flags share Replicated's word.
+	isLocal bool
+	expired bool        // as for Matrix
 	vals    [][]float64 // indexed by processor address; nil in local mode
 	local   []float64
-	isLocal bool
-	expired bool // as for Matrix
+	arena   *hypercube.Proc // as for Matrix
 }
 
 // NewVector returns a zero vector of length n in the given layout.
@@ -531,19 +561,24 @@ func MustNewVector(g embed.Grid, n int, layout Layout, kind embed.MapKind, home 
 // use. As for Matrix.L, only pid's processor may call it for pid, and
 // pid is ignored for SPMD-local temporaries.
 func (v *Vector) L(pid int) []float64 {
-	if v.isLocal {
-		if v.local == nil {
-			if v.expired {
-				panic(errExpired)
-			}
-			v.local = make([]float64, v.Map.B)
-		}
+	if v.local != nil {
 		return v.local
 	}
-	if v.vals[pid] == nil {
-		v.vals[pid] = make([]float64, v.Map.B)
+	return v.piece(pid)
+}
+
+// piece is L past a temporary's materialized piece, out of L's line so
+// that L inlines: a host vector's piece pid, made on first use, or a
+// temporary's own piece, given its storage.
+func (v *Vector) piece(pid int) []float64 {
+	if !v.isLocal {
+		if v.vals[pid] == nil {
+			v.vals[pid] = make([]float64, v.Map.B)
+		}
+		return v.vals[pid]
 	}
-	return v.vals[pid]
+	v.local = tempStorage(v.arena, v.expired, v.Map.B)
+	return v.local
 }
 
 // stored returns processor pid's piece without materializing it: nil
@@ -594,21 +629,27 @@ func (v *Vector) SameShape(w *Vector) bool {
 // must create the temporary with identical arguments. The matrix is
 // valid until the end of the Run that made it.
 func (e *Env) TempMatrix(rows, cols int, rkind, ckind embed.MapKind) *Matrix {
-	m := e.slab.mats.next()
+	m, held := e.slab.mats.next()
 	if err := m.setShape(e.G, rows, cols, rkind, ckind); err != nil {
 		panic(err)
 	}
 	m.isLocal = true
+	if held {
+		m.arena = e.P
+	}
 	return m
 }
 
 // TempVector creates an SPMD-local zero vector (see TempMatrix), valid
 // until the end of the Run that made it.
 func (e *Env) TempVector(n int, layout Layout, kind embed.MapKind, home int, replicated bool) *Vector {
-	v := e.slab.vecs.next()
+	v, held := e.slab.vecs.next()
 	if err := v.setShape(e.G, n, layout, kind, home, replicated); err != nil {
 		panic(err)
 	}
 	v.isLocal = true
+	if held {
+		v.arena = e.P
+	}
 	return v
 }

@@ -2,6 +2,7 @@ package hypercube
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 )
 
@@ -9,11 +10,15 @@ import (
 // test (schedule_test.go): the order queued processors run in — "fifo"
 // (production), "lifo" (the last queued first) or "random" (from a
 // generator seeded with Seed on each machine) — and the messages a link
-// holds, LinkCap (0 keeps linkCap(dim)).
+// holds, LinkCap (0 keeps linkCap(dim)). With Poison the machine fills
+// its scratch arena with NaN at the end of every Run that used it, so a
+// result read from a temporary's storage after its Run, or storage
+// handed out without zeroing, shows in what the run computes.
 type Schedule struct {
 	Policy  string
 	Seed    uint64
 	LinkCap int
+	Poison  bool
 }
 
 func (s Schedule) String() string {
@@ -31,6 +36,9 @@ func (s Schedule) String() string {
 func (s Schedule) Apply(m *Machine) {
 	if s.LinkCap > 0 {
 		m.store.cap = int32(s.LinkCap)
+	}
+	if s.Poison {
+		m.scratchDone = poison
 	}
 	if m.eng == nil {
 		m.start()
@@ -65,4 +73,11 @@ func SetSchedule(s Schedule) (restore func()) {
 	prev := testSched
 	testSched = s.Apply
 	return func() { testSched = prev }
+}
+
+// poison fills words with NaN.
+func poison(words []float64) {
+	for i := range words {
+		words[i] = math.NaN()
+	}
 }

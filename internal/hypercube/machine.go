@@ -56,6 +56,7 @@ import (
 	"iter"
 	"math/bits"
 	"runtime"
+	"weak"
 
 	"vmprim/internal/costmodel"
 	"vmprim/internal/flightrec"
@@ -162,6 +163,24 @@ type Machine struct {
 	postmortem *flightrec.Report
 	labels     flightrec.Labels
 	met        machMetrics
+
+	// The scratch arena (see Proc.Scratch): arena pins it from a Run's
+	// first Scratch call until the Run ends, nil otherwise; weakArena
+	// holds it between Runs; region is the words of each processor's
+	// region, the most any processor has taken in one Run. scratchDone,
+	// set only by export_test.go, is handed the arena's words at the end
+	// of every Run that used it.
+	arena       *arena
+	weakArena   weak.Pointer[arena]
+	region      int
+	scratchDone func([]float64)
+}
+
+// arena is a machine's scratch storage: p equal regions of region
+// words, processor pid's starting at pid*region.
+type arena struct {
+	words  []float64
+	region int
 }
 
 // engine runs a machine's processors: one coroutine each, resumed one
@@ -415,6 +434,7 @@ func (m *Machine) Run(body func(*Proc)) (costmodel.Time, error) {
 			pr.local.EndRun()
 		}
 	}
+	m.endScratch()
 
 	// The first error is the lowest-numbered processor's own panic;
 	// processors cancelled because a sibling failed first are secondary
@@ -659,6 +679,10 @@ type Proc struct {
 	// local is the layer above's run-scoped state (see RunLocal).
 	local RunLocal
 
+	// scratchOff is the words of the arena this processor has taken in
+	// this Run, past the end of its region included (see Scratch).
+	scratchOff int
+
 	// tagMark is the highest protocol tag NoteCollective has seen in
 	// this Run, 0 if none, and tagBy the label of the collective that
 	// took it.
@@ -680,7 +704,78 @@ func (p *Proc) Local() RunLocal { return p.local }
 // Proc method it is called only from this processor's body.
 func (p *Proc) SetLocal(l RunLocal) { p.local = l }
 
-// GetBuf returns a scratch buffer of length n from the machine's pool,
+// Scratch returns n zeroed words from this processor's region of the
+// machine's scratch arena, capacity-clipped so that an append copies
+// rather than growing into the next request. They are valid until the
+// end of the Run that took them, whose every exit rewinds the region:
+// the next Run hands the same words out again. So a caller keeps them
+// no longer than the Run, and never Recycles, sends (SendOwned,
+// SendOwnedParts) or Captures them, which would let the pool or a
+// receiver hand them out a second time. A request past the region's
+// end gets a plain allocation; the arena then grows at the end of the
+// Run to the most words any processor took, so the next Run's requests
+// fit. The arena is held strongly only while a Run uses it: between
+// Runs the collector may reclaim it, and the next Scratch allocates it
+// again.
+func (p *Proc) Scratch(n int) []float64 {
+	a := p.m.arena
+	if a == nil {
+		a = p.m.pinArena()
+	}
+	off := p.scratchOff
+	p.scratchOff += n
+	if p.scratchOff > a.region {
+		return make([]float64, n)
+	}
+	base := p.id*a.region + off
+	s := a.words[base : base+n : base+n]
+	clear(s)
+	return s
+}
+
+// pinArena holds the machine's arena strongly for the rest of the Run
+// and returns it, allocating it anew if the collector has reclaimed it.
+func (m *Machine) pinArena() *arena {
+	a := m.weakArena.Value()
+	if a == nil {
+		a = m.newArena()
+	}
+	m.arena = a
+	return a
+}
+
+// newArena allocates an arena of the machine's region size and holds it
+// weakly.
+func (m *Machine) newArena() *arena {
+	a := &arena{words: make([]float64, m.p*m.region), region: m.region}
+	m.weakArena = weak.Make(a)
+	return a
+}
+
+// endScratch ends a Run's use of the arena: it rewinds every
+// processor's region, grows the arena if some processor took more than
+// its region, and leaves it held only weakly.
+func (m *Machine) endScratch() {
+	a := m.arena
+	if a == nil {
+		return
+	}
+	m.arena = nil
+	need := 0
+	for _, pr := range m.procs {
+		need = max(need, pr.scratchOff)
+		pr.scratchOff = 0
+	}
+	if m.scratchDone != nil {
+		m.scratchDone(a.words)
+	}
+	if need > m.region {
+		m.region = need
+		m.newArena()
+	}
+}
+
+// GetBuf returns a buffer of length n from the machine's pool,
 // with arbitrary contents: the caller must fully overwrite it before
 // reading. Pair with Recycle for allocation-free steady state.
 func (p *Proc) GetBuf(n int) []float64 { return p.m.pool.get(n) }

@@ -186,6 +186,9 @@ func TestHostSchedMetricsExcluded(t *testing.T) {
 // TestScheduleIndependenceTables builds every table of bench.All at the
 // registry's sizes under two hostile schedules, and requires each to
 // match testdata/tables.golden, which TestTablesGolden pins under FIFO.
+// Both schedules poison every machine's scratch arena at the end of
+// every Run, so a table that read a temporary's storage after its Run
+// would differ too.
 func TestScheduleIndependenceTables(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds every experiment table twice")
@@ -202,7 +205,7 @@ func TestScheduleIndependenceTables(t *testing.T) {
 	for _, block := range strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n\n") {
 		golden[strings.SplitN(block, "\n", 2)[0]] = block
 	}
-	for _, s := range []hypercube.Schedule{{Policy: "lifo", LinkCap: 1}, {Policy: "random", Seed: 1}} {
+	for _, s := range []hypercube.Schedule{{Policy: "lifo", LinkCap: 1, Poison: true}, {Policy: "random", Seed: 1, Poison: true}} {
 		t.Run(s.String(), func(t *testing.T) {
 			// Cleanup, not defer: the parallel subtests run after this
 			// function returns.

@@ -19,8 +19,9 @@ import (
 // trace, critical-path tracer — so the artifacts a run serves are the
 // same documents the CLI writes for the same spec. The pool hands out
 // a machine whose metrics registry is zeroed, so a run's own metrics
-// are its machine's snapshot, failed runs included; they also fold
-// into the server-wide aggregate that /metrics exposes.
+// are its machine's snapshot, taken once: the result's on success, the
+// executor's own on failure. They also fold into the server-wide
+// aggregate that /metrics exposes.
 
 // worker drains the queue until the server closes it.
 func (s *Server) worker() {
@@ -51,7 +52,14 @@ func (s *Server) execute(run *Run) {
 	m.EnableStream(run.bcast.publish)
 	res, err := run.Spec.RunOn(m, bench.ProfileOpts{Profile: true, CritPath: true})
 	m.EnableStream(nil)
-	runMetrics := m.Metrics().Snapshot()
+	// A result carries its machine's snapshot; a failed run has none, so
+	// it takes its own, before the machine goes back.
+	var runMetrics *metrics.Snapshot
+	if res != nil {
+		runMetrics = res.Metrics
+	} else {
+		runMetrics = m.Metrics().Snapshot()
+	}
 
 	// A failed run tears down cleanly (a panic or a detected deadlock
 	// aborts it and every processor unwinds before Run returns), so the

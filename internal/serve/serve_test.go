@@ -149,8 +149,14 @@ var simulatedDocs = []string{"profile", "trace", "critpath"}
 // byte-identical, per-run metrics identical after dropping the
 // host-nondeterministic scheduler counters.
 func TestServedArtifactsMatchDirectRun(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 1})
+	s, ts := newTestServer(t, Options{Workers: 1})
 	id := submitAndWait(t, ts.URL, testSpec)
+	// A successful run's metrics are its result's snapshot, not a second
+	// one taken after it.
+	run, _ := s.reg.get(id)
+	if res, met, _ := run.artifacts(); res == nil || met != res.Metrics {
+		t.Errorf("the run's metrics are not its result's snapshot")
+	}
 
 	spec, err := testSpec.Normalized()
 	if err != nil {

@@ -9,15 +9,17 @@ import (
 // call of f after warm warm-up calls, in the spirit of
 // testing.AllocsPerRun but tolerant of the simulator's worker
 // goroutines allocating concurrently with the caller. While it counts,
-// the collector is off and the process runs on one P: a collection
-// that starts during the measured calls, or another goroutine running
-// beside them, allocates objects of its own, which would blur an exact
-// count.
+// the process runs on one P, and the collector is off from before the
+// warm-up calls: a collection that starts during the measured calls, or
+// another goroutine running beside them, allocates objects of its own,
+// and one that ends between the warm-up and the count may reclaim
+// weakly held storage the warm-up made (a machine's scratch arena),
+// either of which would blur an exact count.
 func MallocsPerRun(warm, runs int, f func()) float64 {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for i := 0; i < warm; i++ {
 		f()
 	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

@@ -5,7 +5,9 @@
 (cmd/vmload, cmd/vmprimd); for the run-scoped slab, the
 per-processor store of Envs and temporary headers in
 internal/core/core.go that Machine.Run (internal/hypercube/machine.go)
-rewinds after every Run; and for the SPMD code the spanbalance and
+rewinds after every Run, and the machine's scratch arena that backs
+those headers' storage (Proc.Scratch, in machine.go); and for the SPMD
+code the spanbalance and
 collorder analyzers check (internal/core, internal/collective,
 internal/apps).
 
@@ -77,6 +79,7 @@ CLASSES = {
     "D": "run-scoped slot handed out twice in one Run",
     "U": "run-scoped slab grows past its limit",
     "X": "expired temporary not refused",
+    "Z": "scratch arena held strongly, not rewound, not zeroed or overlapping",
     "N": "EndSpan dropped on one branch",
     "I": "collective guarded by identity, or structural argument derived from ID()",
     "P": "Recycle dropped: a pooled buffer leaks",
@@ -276,11 +279,11 @@ MUTANTS = [
 
     # D: two live objects of one Run share a slot.
     ("D1", CORE, "NewEnv: reuses the processor's last Env of the Run",
-     "\te := s.envs.next()\n",
-     "\tif s.envs.n > 0 {\n\t\ts.envs.n--\n\t}\n\te := s.envs.next()\n"),
+     "\te, _ := s.envs.next()\n",
+     "\tif s.envs.n > 0 {\n\t\ts.envs.n--\n\t}\n\te, _ := s.envs.next()\n"),
     ("D2", CORE, "slots.next: hands out a slot without taking it",
-     "\t\ts.n++\n\t\treturn s.all[s.n-1]\n",
-     "\t\treturn s.all[s.n]\n"),
+     "\t\ts.n++\n\t\treturn s.all[s.n-1], true\n",
+     "\t\treturn s.all[s.n], true\n"),
 
     # U: the slab holds more than its limit, so a looping body's
     # dropped temporaries stay alive until the Run ends.
@@ -292,9 +295,23 @@ MUTANTS = [
     ("X1", CORE, "runSlab.EndRun: rewound vector headers are zeroed, not expired",
      "s.vecs.rewind(Vector{isLocal: true, expired: true})",
      "s.vecs.rewind(Vector{})"),
-    ("X2", CORE, "Vector.L: materializes an expired vector's piece",
-     "\t\t\tif v.expired {\n\t\t\t\tpanic(errExpired)\n\t\t\t}\n",
+    ("X2", CORE, "tempStorage: materializes an expired temporary's storage",
+     "\tif expired {\n\t\tpanic(errExpired)\n\t}\n",
      ""),
+
+    # Z: the scratch arena that backs the slab-held headers' storage.
+    ("Z1", MACHINE, "Machine.endScratch: the arena stays pinned between Runs",
+     "\t\tm.newArena()\n\t}\n}\n",
+     "\t\tm.newArena()\n\t}\n\tm.arena = m.weakArena.Value()\n}\n"),
+    ("Z2", MACHINE, "Machine.endScratch: a failed Run leaves the regions' offsets",
+     "\t\tpr.scratchOff = 0\n",
+     "\t\tif !m.eng.aborted {\n\t\t\tpr.scratchOff = 0\n\t\t}\n"),
+    ("Z3", MACHINE, "Proc.Scratch: hands out words without zeroing them",
+     "\tclear(s)\n\treturn s\n",
+     "\treturn s\n"),
+    ("Z4", MACHINE, "Proc.Scratch: two processors' regions overlap",
+     "\tbase := p.id*a.region + off\n",
+     "\tbase := p.id*a.region/2 + off\n"),
 
     # N: a span closed on the main path only. The defer becomes an
     # inline EndSpan at the last exit (EXTRA), so an early return skips
