@@ -56,8 +56,8 @@ func GaussKernelNaive(e *core.Env, w *core.Matrix, xOut *core.Vector) error {
 
 		// Spread the pivot row and the raw column k; every processor
 		// derives its multipliers locally.
-		prow := naiveSpreadRow(e, w, k, k, n+1)
-		ccol := naiveSpreadCol(e, w, k, k+1, n)
+		prow := naiveSpread(e, w, true, k, k, n+1)
+		ccol := naiveSpread(e, w, false, k, k+1, n)
 		pv := naiveFetchElems(e, w, [][2]int{{k, k}})
 		var pivotWords []float64
 		if pid == 0 {
@@ -102,7 +102,7 @@ func GaussKernelNaive(e *core.Env, w *core.Matrix, xOut *core.Vector) error {
 		}
 		// Update the rhs of rows above: each owner of (i, k) routes the
 		// value to the owner of (i, n), one message per element.
-		ck := naiveSpreadCol(e, w, k, 0, k)
+		ck := naiveSpread(e, w, false, k, 0, k)
 		count := 0
 		for lr := 0; lr < w.RMap.B; lr++ {
 			gi := w.RMap.GlobalOf(myRow, lr)

@@ -92,81 +92,52 @@ func naiveSwapRows(e *core.Env, a *core.Matrix, i1, i2 int) {
 	}
 }
 
-// naiveSpreadRow sends each element of matrix row i (columns [clo,
-// chi)) to every processor in the element's grid column, one message
-// per (element, destination). The result maps local column index ->
-// value on every processor.
-func naiveSpreadRow(e *core.Env, a *core.Matrix, i, clo, chi int) []float64 {
+// naiveSpread sends each element of one line of a, at positions [lo,
+// hi), to every processor that holds that position of some line, one
+// message per (element, destination): row idx down its elements' grid
+// columns if row, column idx along their grid rows otherwise. The
+// result maps local position -> value on every processor.
+func naiveSpread(e *core.Env, a *core.Matrix, row bool, idx, lo, hi int) []float64 {
 	pid := e.P.ID()
 	blk := a.L(pid)
-	b := a.CMap.B
-	myRow, myCol := e.GridRow(), e.GridCol()
+	// The line index is dealt over the field lines, the positions along
+	// a line over along; position k of local line l is blk[l*stride+k*step].
+	lineMap, alongMap := &a.RMap, &a.CMap
+	lines, along := e.G.Rows(), e.G.Cols()
+	stride, step := a.CMap.B, 1
+	if !row {
+		lineMap, alongMap = &a.CMap, &a.RMap
+		lines, along = e.G.Cols(), e.G.Rows()
+		stride, step = 1, a.CMap.B
+	}
+	myAlong := along.Coord(pid)
 	var out router.Batch
-	if myRow == a.RMap.CoordOf(i) {
+	if lines.Coord(pid) == lineMap.CoordOf(idx) {
 		n := 0
-		for lc := 0; lc < b; lc++ {
-			if gj := a.CMap.GlobalOf(myCol, lc); gj >= clo && gj < chi {
+		for k := 0; k < alongMap.B; k++ {
+			if g := alongMap.GlobalOf(myAlong, k); g >= lo && g < hi {
 				n++
 			}
 		}
-		out = router.NewBatch(e.P, n*e.G.PRows(), n*e.G.PRows())
-		lr := a.RMap.LocalOf(i)
-		for lc := 0; lc < b; lc++ {
-			gj := a.CMap.GlobalOf(myCol, lc)
-			if gj < clo || gj >= chi {
+		out = router.NewBatch(e.P, n*lines.Size(), n*lines.Size())
+		l := lineMap.LocalOf(idx)
+		for k := 0; k < alongMap.B; k++ {
+			g := alongMap.GlobalOf(myAlong, k)
+			if g < lo || g >= hi {
 				continue
 			}
-			for gr := 0; gr < e.G.PRows(); gr++ {
-				out.Add(e.G.ProcAt(gr, myCol), gj, 1)[0] = blk[lr*b+lc]
+			for q := 0; q < lines.Size(); q++ {
+				out.Add(pid&^lines.Mask()|lines.Place(q), g, 1)[0] = blk[l*stride+k*step]
 			}
 		}
 	}
 	got := out.Route(e.P, e.NextTag())
-	vals := make([]float64, b)
+	vals := make([]float64, alongMap.B)
 	for i := range vals {
 		vals[i] = math.NaN()
 	}
 	for key, w, ok := got.Next(); ok; key, w, ok = got.Next() {
-		vals[a.CMap.LocalOf(key)] = w[0]
-	}
-	return vals
-}
-
-// naiveSpreadCol is naiveSpreadRow transposed: each element of column
-// j (rows [rlo, rhi)) goes to every processor in the element's grid
-// row; the result maps local row index -> value.
-func naiveSpreadCol(e *core.Env, a *core.Matrix, j, rlo, rhi int) []float64 {
-	pid := e.P.ID()
-	blk := a.L(pid)
-	b := a.CMap.B
-	myRow, myCol := e.GridRow(), e.GridCol()
-	var out router.Batch
-	if myCol == a.CMap.CoordOf(j) {
-		n := 0
-		for lr := 0; lr < a.RMap.B; lr++ {
-			if gi := a.RMap.GlobalOf(myRow, lr); gi >= rlo && gi < rhi {
-				n++
-			}
-		}
-		out = router.NewBatch(e.P, n*e.G.PCols(), n*e.G.PCols())
-		lc := a.CMap.LocalOf(j)
-		for lr := 0; lr < a.RMap.B; lr++ {
-			gi := a.RMap.GlobalOf(myRow, lr)
-			if gi < rlo || gi >= rhi {
-				continue
-			}
-			for gc := 0; gc < e.G.PCols(); gc++ {
-				out.Add(e.G.ProcAt(myRow, gc), gi, 1)[0] = blk[lr*b+lc]
-			}
-		}
-	}
-	got := out.Route(e.P, e.NextTag())
-	vals := make([]float64, a.RMap.B)
-	for i := range vals {
-		vals[i] = math.NaN()
-	}
-	for key, w, ok := got.Next(); ok; key, w, ok = got.Next() {
-		vals[a.RMap.LocalOf(key)] = w[0]
+		vals[alongMap.LocalOf(key)] = w[0]
 	}
 	return vals
 }

@@ -93,8 +93,8 @@ func SimplexKernelNaive(e *core.Env, t *core.Matrix, nVars, maxIter int) (serial
 		// as SimplexKernel/serial.Pivot.
 		pivot := fetchScalar(ir, jc)
 		inv := 1 / pivot
-		prow := naiveSpreadRow(e, t, ir, 0, rhs+1)
-		fcol := naiveSpreadCol(e, t, jc, 0, m+1)
+		prow := naiveSpread(e, t, true, ir, 0, rhs+1)
+		fcol := naiveSpread(e, t, false, jc, 0, m+1)
 		count := 0
 		for lr := 0; lr < t.RMap.B; lr++ {
 			gi := t.RMap.GlobalOf(myRow, lr)

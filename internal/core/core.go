@@ -37,17 +37,23 @@
 //
 // An Env, and every SPMD-local temporary made inside a run (TempVector,
 // TempMatrix, and the results of the primitives), is valid until the
-// end of the Run that made it. Their headers come from a run-scoped
-// slab on each processor that the machine rewinds after every Run, and
-// the storage of those headers from the machine's scratch arena
-// (hypercube.Proc.Scratch), rewound with it, so a warm primitive call
-// allocates nothing; a value that must outlive the Run is copied into
-// a host-created container or a plain slice before the body returns. A
-// temporary used after its Run is refused by name (L and the host
-// accessors panic), until its slot is handed out again. The slab holds
-// a few headers of each kind; a body that makes more gets plain
-// allocations, so a long loop of temporaries keeps at most that few
-// alive, however many steps it takes. All inter-processor data motion
+// end of the Run that made it; a value that must outlive the Run is
+// copied into a host-created container or a plain slice before the
+// body returns. A Matrix or Vector header is in one of four states:
+//
+//   - a host container holds every processor's piece or block;
+//   - a slab-held temporary holds its processor's own, and comes from
+//     the processor's run-scoped slab, its storage from the machine's
+//     scratch arena (hypercube.Proc.Scratch), so a warm primitive call
+//     allocates nothing;
+//   - a temporary past the slab's few headers of each kind is a plain
+//     allocation, header and storage, so a long loop of temporaries
+//     keeps at most the slab's few alive;
+//   - a spent header, which the machine's rewind after every Run leaves
+//     in each slot the Run took, holds nothing: L and the host
+//     accessors refuse it by name until the slot is handed out again.
+//
+// All inter-processor data motion
 // happens through the collectives of internal/collective over cube-edge
 // links, and every operation charges the cost model for its
 // communication and arithmetic, so Machine.Elapsed after a run is the
@@ -95,55 +101,32 @@ func NewEnv(p *hypercube.Proc, g embed.Grid) *Env {
 // runSlab is one processor's store of the fixed-size objects a Run
 // makes: its Envs and the headers of its SPMD-local temporaries. It is
 // the processor's hypercube.RunLocal, so the machine rewinds it after
-// every Run. A held header's piece or block comes from the processor's
-// region of the machine's scratch arena (see tempStorage), reachable
-// from the header until EndRun drops it; the machine rewinds the
-// arena after every Run too and holds it only weakly between Runs, so
-// it retains no run's data that the collector cannot take.
+// every Run, and with it the scratch arena that backs its headers'
+// storage; a header it rewinds is spent, the last of the four states
+// of the package doc.
 type runSlab struct {
 	envs slots[Env]
 	vecs slots[Vector]
 	mats slots[Matrix]
 }
 
-// errExpired is the panic of L on a temporary whose Run has ended. It
-// is an error value already, so L's inlined copies convert nothing.
-var errExpired = errors.New("core: SPMD-local temporary used after the end of the Run that made it")
-
-// tempStorage returns n zeroed words for an SPMD-local temporary's own
-// piece or block: from the scratch arena of p, the processor whose slab
-// holds the header, or a plain allocation for a header past the slab's
-// limit (p nil). An expired temporary is refused by name.
-func tempStorage(p *hypercube.Proc, expired bool, n int) []float64 {
-	if expired {
-		panic(errExpired)
-	}
-	if p != nil {
-		return p.Scratch(n)
-	}
-	return make([]float64, n)
-}
-
 // newRunSlab returns an empty slab holding at most 4 Envs, 4 vector
-// headers and 1 matrix header, which covers every primitive's result;
-// a Run that makes more gets plain allocations for the rest, headers
-// and storage, which the collector reclaims as before. A held header
-// keeps its storage, in the scratch arena, until EndRun, so the limits
-// bound what a body that loops over temporaries, dropping each, keeps
-// alive to four pieces and one block per processor, however long it
-// loops, and bound the arena's regions to as much. The benchmark's
-// bodies take at most 4 vectors and 1 matrix. Rewound headers are
-// expired: L and the host accessors refuse them by name.
+// headers and 1 matrix header, which covers every primitive's result
+// and the benchmark's bodies. A held header keeps its storage, in the
+// scratch arena, until EndRun, so the limits bound what a body that
+// loops over temporaries, dropping each, keeps alive to four pieces
+// and one block per processor, however long it loops, and bound the
+// arena's regions to as much.
 func newRunSlab() *runSlab {
 	return &runSlab{envs: slots[Env]{limit: 4}, vecs: slots[Vector]{limit: 4}, mats: slots[Matrix]{limit: 1}}
 }
 
-// EndRun resets every object handed out since the last rewind,
-// dropping each header's storage, and rewinds the slab.
+// EndRun resets every object handed out since the last rewind, leaving
+// each header spent and without storage, and rewinds the slab.
 func (s *runSlab) EndRun() {
 	s.envs.rewind(Env{})
-	s.vecs.rewind(Vector{isLocal: true, expired: true})
-	s.mats.rewind(Matrix{isLocal: true, expired: true})
+	s.vecs.rewind(Vector{storage: storage{src: spent}})
+	s.mats.rewind(Matrix{storage: storage{src: spent}})
 }
 
 // slots hands out *T in order; all grows to the most a Run has taken,
@@ -230,28 +213,86 @@ func (e *Env) GridRow() int { return e.G.RowOf(e.P.ID()) }
 // GridCol returns this processor's grid column.
 func (e *Env) GridCol() int { return e.G.ColOf(e.P.ID()) }
 
+// storage is where a Matrix's blocks or a Vector's pieces live. A
+// temporary stores only its creator's (local), so it costs O(m/p) per
+// processor instead of O(p) slice headers. The fields tell the four
+// states of the package doc apart: all is set for a host container
+// alone; src is the processor whose scratch arena backs a slab-held
+// temporary, nil for a temporary past the slab's limit, and spent for a
+// spent header.
+type storage struct {
+	all   [][]float64 // indexed by processor address; nil for a temporary
+	local []float64
+	src   *hypercube.Proc
+}
+
+// spent is the src of a header whose Run has ended; its Proc is never
+// used.
+var spent = &hypercube.Proc{}
+
+// errExpired is the panic of L on a temporary whose Run has ended. It
+// is an error value already, so L's inlined copies convert nothing.
+var errExpired = errors.New("core: SPMD-local temporary used after the end of the Run that made it")
+
+// get is L past a temporary's materialized piece, out of L's line so
+// that L inlines: a host container's n words for processor pid, made on
+// first use, or a temporary's own, from its source.
+func (s *storage) get(pid, n int) []float64 {
+	if s.all != nil {
+		if s.all[pid] == nil {
+			s.all[pid] = make([]float64, n)
+		}
+		return s.all[pid]
+	}
+	switch s.src {
+	case spent:
+		panic(errExpired)
+	case nil:
+		s.local = make([]float64, n)
+	default:
+		s.local = s.src.Scratch(n)
+	}
+	return s.local
+}
+
+// stored returns processor pid's words without materializing them: nil
+// if L has never been called for pid.
+func (s *storage) stored(pid int) []float64 {
+	if s.all == nil {
+		return s.local
+	}
+	return s.all[pid]
+}
+
+// IsLocal reports whether this is an SPMD-local temporary handle, which
+// host accessors like ToDense refuse to read.
+func (s *storage) IsLocal() bool { return s.all == nil }
+
+// hostOnly is the guard of every host accessor: nil for a host
+// container, errExpired for a spent header, and the accessor's own
+// refusal, local, for a temporary.
+func (s *storage) hostOnly(local error) error {
+	if s.src == spent {
+		return errExpired
+	}
+	if s.all == nil {
+		return local
+	}
+	return nil
+}
+
 // Matrix is a dense matrix distributed over the processor grid. Local
 // blocks are row-major with RMap.B local rows and CMap.B local
 // columns; slots beyond the logical extent (padding) hold zero and are
 // skipped by every operation.
 type Matrix struct {
+	// The record comes first, at offset zero, which keeps L's inlining
+	// cost within the compiler's budget.
+	storage
 	Rows, Cols int
 	G          embed.Grid
 	RMap       embed.Map1D // rows over the 2^Dr grid rows
 	CMap       embed.Map1D // cols over the 2^Dc grid cols
-
-	// Host-created matrices store every processor's block (blocks);
-	// matrices created inside an SPMD body are per-processor handles
-	// that store only the creator's block (local), so temporaries cost
-	// O(m/p) per processor instead of O(p) slice headers.
-	blocks  [][]float64 // indexed by processor address; nil in local mode
-	local   []float64
-	isLocal bool
-	expired bool // a temporary whose Run has ended; it holds nothing
-	// arena is the processor whose scratch arena backs local: set for a
-	// temporary whose header the slab holds, nil for host containers and
-	// temporaries past the slab's limit, which allocate.
-	arena *hypercube.Proc
 }
 
 // NewMatrix returns a zero matrix of the given shape distributed on
@@ -261,7 +302,7 @@ func NewMatrix(g embed.Grid, rows, cols int, rkind, ckind embed.MapKind) (*Matri
 	if err := m.setShape(g, rows, cols, rkind, ckind); err != nil {
 		return nil, err
 	}
-	m.blocks = make([][]float64, g.P())
+	m.all = make([][]float64, g.P())
 	m.carve()
 	return m, nil
 }
@@ -295,7 +336,7 @@ func (a *Matrix) carve() {
 	for gr := 0; gr < a.G.PRows(); gr++ {
 		for gc := 0; gc < a.G.PCols(); gc++ {
 			if a.RMap.ValidCount(gr) > 0 && a.CMap.ValidCount(gc) > 0 {
-				a.blocks[a.G.ProcAt(gr, gc)], buf = buf[:n:n], buf[n:]
+				a.all[a.G.ProcAt(gr, gc)], buf = buf[:n:n], buf[n:]
 			}
 		}
 	}
@@ -329,24 +370,8 @@ func (a *Matrix) L(pid int) []float64 {
 	if a.local != nil {
 		return a.local
 	}
-	return a.block(pid)
+	return a.get(pid, a.RMap.B*a.CMap.B)
 }
-
-// block is L past a temporary's materialized block (see Vector.piece).
-func (a *Matrix) block(pid int) []float64 {
-	if !a.isLocal {
-		if a.blocks[pid] == nil {
-			a.blocks[pid] = make([]float64, a.RMap.B*a.CMap.B)
-		}
-		return a.blocks[pid]
-	}
-	a.local = tempStorage(a.arena, a.expired, a.RMap.B*a.CMap.B)
-	return a.local
-}
-
-// IsLocal reports whether this is an SPMD-local temporary handle
-// (host-side accessors like ToDense refuse to read those).
-func (a *Matrix) IsLocal() bool { return a.isLocal }
 
 // LocalRows returns the local block's row count.
 func (a *Matrix) LocalRows() int { return a.RMap.B }
@@ -491,6 +516,8 @@ func (l Layout) String() string {
 // Vector is a dense vector distributed on the processor grid in one of
 // the three embeddings.
 type Vector struct {
+	storage // first, as for Matrix
+
 	N      int
 	G      embed.Grid
 	Layout Layout
@@ -501,15 +528,6 @@ type Vector struct {
 	// Replicated reports, for aligned layouts, whether every grid row
 	// (column) holds a copy. Linear vectors are never replicated.
 	Replicated bool
-
-	// Storage follows the Matrix convention: host-created vectors hold
-	// all pieces; SPMD-created temporaries hold only the creator's. The
-	// two flags share Replicated's word.
-	isLocal bool
-	expired bool        // as for Matrix
-	vals    [][]float64 // indexed by processor address; nil in local mode
-	local   []float64
-	arena   *hypercube.Proc // as for Matrix
 }
 
 // NewVector returns a zero vector of length n in the given layout.
@@ -520,7 +538,7 @@ func NewVector(g embed.Grid, n int, layout Layout, kind embed.MapKind, home int,
 	if err := v.setShape(g, n, layout, kind, home, replicated); err != nil {
 		return nil, err
 	}
-	v.vals = make([][]float64, g.P())
+	v.all = make([][]float64, g.P())
 	return v, nil
 }
 
@@ -564,34 +582,8 @@ func (v *Vector) L(pid int) []float64 {
 	if v.local != nil {
 		return v.local
 	}
-	return v.piece(pid)
+	return v.get(pid, v.Map.B)
 }
-
-// piece is L past a temporary's materialized piece, out of L's line so
-// that L inlines: a host vector's piece pid, made on first use, or a
-// temporary's own piece, given its storage.
-func (v *Vector) piece(pid int) []float64 {
-	if !v.isLocal {
-		if v.vals[pid] == nil {
-			v.vals[pid] = make([]float64, v.Map.B)
-		}
-		return v.vals[pid]
-	}
-	v.local = tempStorage(v.arena, v.expired, v.Map.B)
-	return v.local
-}
-
-// stored returns processor pid's piece without materializing it: nil
-// if L has never been called for pid.
-func (v *Vector) stored(pid int) []float64 {
-	if v.isLocal {
-		return v.local
-	}
-	return v.vals[pid]
-}
-
-// IsLocal reports whether this is an SPMD-local temporary handle.
-func (v *Vector) IsLocal() bool { return v.isLocal }
 
 // fields returns the field v's pieces are dealt over and the field it
 // is homed on (see Layout.fields).
@@ -633,9 +625,8 @@ func (e *Env) TempMatrix(rows, cols int, rkind, ckind embed.MapKind) *Matrix {
 	if err := m.setShape(e.G, rows, cols, rkind, ckind); err != nil {
 		panic(err)
 	}
-	m.isLocal = true
 	if held {
-		m.arena = e.P
+		m.src = e.P
 	}
 	return m
 }
@@ -647,9 +638,8 @@ func (e *Env) TempVector(n int, layout Layout, kind embed.MapKind, home int, rep
 	if err := v.setShape(e.G, n, layout, kind, home, replicated); err != nil {
 		panic(err)
 	}
-	v.isLocal = true
 	if held {
-		v.arena = e.P
+		v.src = e.P
 	}
 	return v
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"vmprim/internal/costmodel"
 	"vmprim/internal/embed"
@@ -562,51 +563,94 @@ func TestEnvValidatesGrid(t *testing.T) {
 	}
 }
 
-// TestHostAccessorsRejectLocalHandles: the host accessors refuse an
-// SPMD-local temporary inside the Run that made it, which holds one
-// processor's piece, and after that Run, when it holds nothing; L
-// refuses it then too, by name, instead of reading an empty container.
+// TestHostAccessorsRejectLocalHandles: each accessor against the four
+// states of a container header. A host container serves them all. A
+// temporary, held by the slab or made past its limit, serves L but not
+// the host accessors, since it holds one processor's piece. A spent
+// header, which the end of its Run leaves, is refused by every
+// accessor by name instead of read as an empty container.
 func TestHostAccessorsRejectLocalHandles(t *testing.T) {
 	g, _ := embed.NewGrid(0, 0)
-	var tempM *Matrix
-	var tempV *Vector
-	refused := func(want string, fs map[string]func()) (accepted []string) {
-		for name, f := range fs {
-			func() {
-				defer func() {
-					if msg := fmt.Sprint(recover()); !strings.Contains(msg, want) {
-						accepted = append(accepted, fmt.Sprintf("%s (panic %q)", name, msg))
-					}
-				}()
-				f()
-			}()
+	const ok, local, lifetime = "", "SPMD-local", "end of the Run that made it"
+	type header struct {
+		m *Matrix
+		v *Vector
+	}
+	caught := func(f func()) (msg string) {
+		defer func() {
+			if r := recover(); r != nil {
+				msg = fmt.Sprint(r)
+			}
+		}()
+		f()
+		return ""
+	}
+	// outcomes returns, per accessor, "" if it served h, or the text of
+	// its panic or error.
+	outcomes := func(h header) map[string]string {
+		out := map[string]string{
+			"Matrix.L":       caught(func() { h.m.L(0) }),
+			"Vector.L":       caught(func() { h.v.L(0) }),
+			"ToDense":        caught(func() { h.m.ToDense() }),
+			"ToSlice":        caught(func() { h.v.ToSlice() }),
+			"Matrix.IsLocal": fmt.Sprint(h.m.IsLocal()),
+			"Vector.IsLocal": fmt.Sprint(h.v.IsLocal()),
 		}
-		return accepted
+		if err := h.v.CheckReplicas(); err != nil {
+			out["CheckReplicas"] = err.Error()
+		}
+		return out
 	}
-	host := map[string]func(){
-		"ToDense": func() { tempM.ToDense() },
-		"ToSlice": func() { tempV.ToSlice() },
-	}
-	var inRun []string
-	var replicasErr error
+	host := header{MustNewMatrix(g, 2, 2, embed.Block, embed.Block), MustNewVector(g, 2, Linear, embed.Block, 0, false)}
+	got := map[string]map[string]string{"host": outcomes(host)}
+	var held header
 	spmd(t, g, func(e *Env) {
-		tempM = e.TempMatrix(2, 2, embed.Block, embed.Block)
-		tempV = e.TempVector(2, Linear, embed.Block, 0, false)
-		tempM.L(e.P.ID())
-		inRun = refused("SPMD-local", host)
-		replicasErr = tempV.CheckReplicas()
+		held = header{e.TempMatrix(2, 2, embed.Block, embed.Block), e.TempVector(2, Linear, embed.Block, 0, false)}
+		for i := 1; i < e.slab.vecs.limit; i++ {
+			e.TempVector(2, Linear, embed.Block, 0, false)
+		}
+		past := header{e.TempMatrix(2, 2, embed.Block, embed.Block), e.TempVector(2, Linear, embed.Block, 0, false)}
+		if held.m.src != e.P || held.v.src != e.P || past.m.src != nil || past.v.src != nil {
+			t.Error("the slab did not hold the first temporaries of each kind, or held those past its limit")
+		}
+		got["slab-held"], got["past-limit"] = outcomes(held), outcomes(past)
 	})
-	if len(inRun) > 0 || replicasErr == nil {
-		t.Fatalf("in its Run, a local handle accepted by host accessors %v, CheckReplicas error %v", inRun, replicasErr)
+	if held.m.src != spent || held.v.src != spent {
+		t.Fatal("the end of the Run left the slab-held headers unspent")
 	}
-	const lifetime = "end of the Run that made it"
-	host["Matrix.L"] = func() { tempM.L(0) }
-	host["Vector.L"] = func() { tempV.L(0) }
-	if after := refused(lifetime, host); len(after) > 0 {
-		t.Fatalf("after its Run, an expired local handle accepted without a lifetime error by %v", after)
+	got["spent"] = outcomes(held)
+	for _, row := range []struct {
+		state                      string
+		l, host, replicas, isLocal string
+	}{
+		{"host", ok, ok, ok, "false"},
+		{"slab-held", ok, local, local, "true"},
+		{"past-limit", ok, local, local, "true"},
+		{"spent", lifetime, lifetime, lifetime, "true"},
+	} {
+		want := map[string]string{
+			"Matrix.L": row.l, "Vector.L": row.l,
+			"ToDense": row.host, "ToSlice": row.host,
+			"CheckReplicas":  row.replicas,
+			"Matrix.IsLocal": row.isLocal, "Vector.IsLocal": row.isLocal,
+		}
+		for acc, w := range want {
+			if g := got[row.state][acc]; w == ok && g != ok || !strings.Contains(g, w) {
+				t.Errorf("%s header: %s = %q, want %q", row.state, acc, g, w)
+			}
+		}
 	}
-	if err := tempV.CheckReplicas(); err == nil || !strings.Contains(err.Error(), lifetime) {
-		t.Fatalf("CheckReplicas of an expired vector = %v, want a lifetime error", err)
+}
+
+// TestHeaderSizes pins the container headers to their allocation size
+// classes: a word more and every processor's slab-held header takes the
+// next class.
+func TestHeaderSizes(t *testing.T) {
+	if s := unsafe.Sizeof(Matrix{}); s > 160 {
+		t.Errorf("Matrix header is %d bytes, want at most 160", s)
+	}
+	if s := unsafe.Sizeof(Vector{}); s > 144 {
+		t.Errorf("Vector header is %d bytes, want at most 144", s)
 	}
 }
 

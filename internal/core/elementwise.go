@@ -259,21 +259,12 @@ func (e *Env) StoreMatrix(dst, src *Matrix) {
 // ZipVecWith is ZipVec with the global index exposed:
 // dst[g] = f(g, dst[g], src[g]) on common holders.
 func (e *Env) ZipVecWith(dst, src *Vector, f func(g int, a, b float64) float64, flopsPer int) {
-	if !dst.SameShape(src) {
-		panic("core: ZipVecWith shape mismatch")
-	}
-	pid := e.P.ID()
-	if !dst.HoldsData(pid) {
+	dp, sp, nv, ok := e.zipSlices(dst, src)
+	if !ok {
 		return
 	}
-	if !src.HoldsData(pid) {
-		panic("core: ZipVecWith src not present where dst is")
-	}
-	dp, sp := dst.L(pid), src.L(pid)
-	c := dst.PieceCoord(pid)
-	nv := dst.Map.ValidCount(c)
 	if nv > 0 {
-		g := dst.Map.GlobalOf(c, 0)
+		g := dst.Map.GlobalOf(dst.PieceCoord(e.P.ID()), 0)
 		stride := dst.Map.GlobalStride()
 		for l := 0; l < nv; l++ {
 			dp[l] = f(g, dp[l], sp[l])

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"vmprim/internal/embed"
@@ -76,15 +77,20 @@ func (a *Matrix) eachBlockRow(f func(blockRow []float64, i, nc, c0, cs int)) {
 	}
 }
 
+// The host accessors' refusals of an SPMD-local temporary, which holds
+// one processor's piece or block.
+var (
+	errDenseLocal    = errors.New("core: ToDense on an SPMD-local matrix")
+	errSliceLocal    = errors.New("core: ToSlice on an SPMD-local vector")
+	errReplicasLocal = errors.New("core: CheckReplicas on an SPMD-local vector")
+)
+
 // ToDense assembles the distributed matrix into a dense one
 // (host-side). It panics on SPMD-local temporaries, which hold only
 // one processor's block.
 func (a *Matrix) ToDense() *serial.Mat {
-	if a.isLocal {
-		if a.expired {
-			panic(errExpired)
-		}
-		panic("core: ToDense on an SPMD-local matrix")
+	if err := a.hostOnly(errDenseLocal); err != nil {
+		panic(err)
 	}
 	dm := serial.NewMat(a.Rows, a.Cols)
 	a.eachBlockRow(func(blockRow []float64, i, nc, c0, cs int) {
@@ -123,7 +129,7 @@ func (v *Vector) carve() {
 			continue
 		}
 		for k := 0; k < v.copies(); k++ {
-			v.vals[v.holder(c, k)], buf = buf[:b:b], buf[b:]
+			v.all[v.holder(c, k)], buf = buf[:b:b], buf[b:]
 		}
 	}
 }
@@ -150,11 +156,8 @@ func (v *Vector) holder(c, k int) int {
 // (host-side), reading each piece from one holder. It panics on
 // SPMD-local temporaries.
 func (v *Vector) ToSlice() []float64 {
-	if v.isLocal {
-		if v.expired {
-			panic(errExpired)
-		}
-		panic("core: ToSlice on an SPMD-local vector")
+	if err := v.hostOnly(errSliceLocal); err != nil {
+		panic(err)
 	}
 	out := make([]float64, v.N)
 	for c := 0; c < v.Map.Coords(); c++ {
@@ -172,11 +175,8 @@ func (v *Vector) ToSlice() []float64 {
 // mismatch, piece by piece. Tests use it to catch broken replication
 // invariants.
 func (v *Vector) CheckReplicas() error {
-	if v.expired {
-		return errExpired
-	}
-	if v.isLocal {
-		return fmt.Errorf("core: CheckReplicas on an SPMD-local vector")
+	if err := v.hostOnly(errReplicasLocal); err != nil {
+		return err
 	}
 	if !v.Replicated {
 		return nil

@@ -42,7 +42,7 @@ func mustRun(t *testing.T, m *hypercube.Machine, body func(*hypercube.Proc)) {
 
 // checkRewound fails unless every processor's slab is rewound, holds
 // no more objects of a kind than its limit, and every object it ever handed
-// out is reset: Envs zero, headers expired and without storage.
+// out is reset: Envs zero, headers spent and without storage.
 func checkRewound(t *testing.T, procs []*hypercube.Proc) {
 	t.Helper()
 	for pid, p := range procs {
@@ -64,16 +64,22 @@ func checkRewound(t *testing.T, procs []*hypercube.Proc) {
 			}
 		}
 		for _, v := range s.vecs.all {
-			if v.local != nil || v.vals != nil || v.N != 0 || !v.expired {
-				t.Fatalf("proc %d: a rewound vector header keeps its storage (N=%d) or is not expired", pid, v.N)
+			if !spentAndEmpty(&v.storage) || v.N != 0 {
+				t.Fatalf("proc %d: a rewound vector header keeps its storage (N=%d) or is not spent", pid, v.N)
 			}
 		}
 		for _, a := range s.mats.all {
-			if a.local != nil || a.blocks != nil || a.Rows != 0 || !a.expired {
-				t.Fatalf("proc %d: a rewound matrix header keeps its storage (%dx%d) or is not expired", pid, a.Rows, a.Cols)
+			if !spentAndEmpty(&a.storage) || a.Rows != 0 {
+				t.Fatalf("proc %d: a rewound matrix header keeps its storage (%dx%d) or is not spent", pid, a.Rows, a.Cols)
 			}
 		}
 	}
+}
+
+// spentAndEmpty reports whether s is a spent header's record: it
+// names the spent source and references no storage.
+func spentAndEmpty(s *storage) bool {
+	return s.src == spent && s.all == nil && s.local == nil
 }
 
 // TestNewEnvAllocatesNothing: once the slab has grown to a body's

@@ -101,6 +101,66 @@ func TestQueueFullAnswersAtOnce(t *testing.T) {
 	}
 }
 
+// TestArtifactEndpointsByState pins the answer of each artifact
+// endpoint in each state a run is read in: 409 not_finished while it
+// runs, its document once it is done (a run that did not fail has no
+// post-mortem), and 404 no_artifact for a run refused at submission,
+// which failed before any simulation and whose post-mortem answer says
+// that only a failed simulation has one.
+func TestArtifactEndpointsByState(t *testing.T) {
+	s, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 1})
+	release := stallWorker(t, s, ts.URL)
+	defer release()
+	postSpec(t, ts.URL, testSpec, http.StatusAccepted) // fills the queue
+	if status, code, err := submit(ts.URL); err != nil || status != http.StatusServiceUnavailable || code != "queue_full" {
+		t.Fatalf("submission to a full queue = %d %q (%v), want 503 queue_full", status, code, err)
+	}
+	runs := s.reg.list() // submission order: running, queued, refused
+	if len(runs) != 3 || runs[0].State() != StateRunning || runs[2].State() != StateFailed {
+		t.Fatalf("want a running, a queued and a refused run, have %d runs", len(runs))
+	}
+	endpoints := []string{"profile", "trace", "critpath", "metrics", "metrics?format=prom", "postmortem"}
+	const noPostmortem = "only a run whose simulation failed has one"
+	check := func(state string, run *Run, want map[string]string) {
+		t.Helper()
+		for _, ep := range endpoints {
+			resp, err := http.Get(ts.URL + "/runs/" + run.ID + "/" + ep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var e struct {
+				Error apiError `json:"error"`
+			}
+			got := "200"
+			if resp.StatusCode != http.StatusOK {
+				_ = json.NewDecoder(resp.Body).Decode(&e)
+				got = fmt.Sprintf("%d %s", resp.StatusCode, e.Error.Code)
+			}
+			resp.Body.Close()
+			if got != want[ep] {
+				t.Errorf("%s run: GET %s = %s, want %s", state, ep, got, want[ep])
+			}
+			if ep == "postmortem" && e.Error.Code == "no_artifact" && !strings.Contains(e.Error.Message, noPostmortem) {
+				t.Errorf("%s run: post-mortem answer %q does not say %q", state, e.Error.Message, noPostmortem)
+			}
+		}
+	}
+	all := func(answer string) map[string]string {
+		m := map[string]string{}
+		for _, ep := range endpoints {
+			m[ep] = answer
+		}
+		return m
+	}
+	check("running", runs[0], all("409 not_finished"))
+	check("refused", runs[2], all("404 no_artifact"))
+	release()
+	within(t, "the released run's completion", func() { <-runs[0].done })
+	done := all("200")
+	done["postmortem"] = "404 no_artifact"
+	check("done", runs[0], done)
+}
+
 // TestSubmitDuringCloseAnswersAtOnce: while Close waits for the worker
 // to finish its run, submissions are refused with 503 at once.
 func TestSubmitDuringCloseAnswersAtOnce(t *testing.T) {

@@ -120,11 +120,18 @@ func (r *Run) complete(res *bench.ProfileResult, runMetrics *metrics.Snapshot, p
 	close(r.done)
 }
 
-// artifacts returns the run's terminal payload (any field may be nil).
-func (r *Run) artifacts() (*bench.ProfileResult, *metrics.Snapshot, *flightrec.Report) {
+// runArtifacts is a finished run's payload; any field may be nil.
+type runArtifacts struct {
+	res  *bench.ProfileResult
+	snap *metrics.Snapshot
+	pm   *flightrec.Report
+}
+
+// artifacts returns the run's terminal payload.
+func (r *Run) artifacts() runArtifacts {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.result, r.runMetrics, r.postmortem
+	return runArtifacts{r.result, r.runMetrics, r.postmortem}
 }
 
 // registry holds runs by ID and bounds the finished backlog.

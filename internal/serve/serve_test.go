@@ -154,7 +154,7 @@ func TestServedArtifactsMatchDirectRun(t *testing.T) {
 	// A successful run's metrics are its result's snapshot, not a second
 	// one taken after it.
 	run, _ := s.reg.get(id)
-	if res, met, _ := run.artifacts(); res == nil || met != res.Metrics {
+	if a := run.artifacts(); a.res == nil || a.snap != a.res.Metrics {
 		t.Errorf("the run's metrics are not its result's snapshot")
 	}
 

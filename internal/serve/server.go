@@ -218,11 +218,11 @@ func (s *Server) routes() {
 	route("GET /runs/{id}", s.withRun(s.handleStatus))
 	route("GET /runs/{id}/wait", s.withRun(s.handleWait))
 	route("GET /runs/{id}/events", s.withRun(s.handleEvents))
-	route("GET /runs/{id}/profile", s.withRun(s.handleProfile))
-	route("GET /runs/{id}/trace", s.withRun(s.handleTrace))
-	route("GET /runs/{id}/critpath", s.withRun(s.handleCritPath))
-	route("GET /runs/{id}/metrics", s.withRun(s.handleRunMetrics))
-	route("GET /runs/{id}/postmortem", s.withRun(s.handlePostmortem))
+	route("GET /runs/{id}/profile", s.withRun(handleArtifact(profileDoc)))
+	route("GET /runs/{id}/trace", s.withRun(handleArtifact(traceDoc)))
+	route("GET /runs/{id}/critpath", s.withRun(handleArtifact(critPathDoc)))
+	route("GET /runs/{id}/metrics", s.withRun(handleArtifact(runMetricsDoc)))
+	route("GET /runs/{id}/postmortem", s.withRun(handleArtifact(postmortemDoc)))
 	route("GET /metrics", s.handleMetrics)
 	route("GET /healthz", s.handleHealthz)
 }
@@ -235,7 +235,7 @@ type apiError struct {
 }
 
 func writeError(w http.ResponseWriter, status int, code, msg string) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Type", jsonContentType)
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(struct {
 		Error apiError `json:"error"`
@@ -243,7 +243,7 @@ func writeError(w http.ResponseWriter, status int, code, msg string) {
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Type", jsonContentType)
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -402,97 +402,76 @@ func (s *Server) handleWait(w http.ResponseWriter, req *http.Request, run *Run) 
 	}
 }
 
-// requireDone gates artifact endpoints: only terminal runs have
-// artifacts, and failed runs have only metrics and a post-mortem.
-func requireDone(w http.ResponseWriter, run *Run) bool {
-	switch run.State() {
-	case StateDone, StateFailed:
-		return true
-	default:
-		writeError(w, http.StatusConflict, "not_finished",
-			fmt.Sprintf("run %s is %s; wait for it to finish", run.ID, run.State()))
-		return false
-	}
+// An artifact is one document of a finished run as its endpoint serves
+// it: its content type, the 404's message for a run without it, whether
+// a run's payload has it, and its writer. The writers are the
+// obs/metrics writers the CLI uses, so a served document is
+// byte-identical to the file `vmprim -profile`/`-critpath` writes for
+// the same spec.
+type artifact struct {
+	contentType, missing string
+	has                  func(runArtifacts) bool
+	write                func(io.Writer, runArtifacts) error
+	prom                 *artifact // if set, served instead for ?format=prom
 }
 
-// The artifact endpoints render with the same obs/metrics writers the
-// CLI uses, so a served document is byte-identical to the file
-// `vmprim -profile`/`-critpath` writes for the same spec.
+// The content types of JSON documents and of the Prometheus text
+// exposition.
+const (
+	jsonContentType = "application/json"
+	promContentType = "text/plain; version=0.0.4"
+)
 
-func (s *Server) handleProfile(w http.ResponseWriter, _ *http.Request, run *Run) {
-	if !requireDone(w, run) {
-		return
+func hasProfile(a runArtifacts) bool { return a.res != nil && a.res.Profile != nil }
+func hasMetrics(a runArtifacts) bool { return a.snap != nil }
+
+var (
+	profileDoc = &artifact{contentType: jsonContentType, missing: "run has no profile (it failed before producing one)",
+		has:   hasProfile,
+		write: func(w io.Writer, a runArtifacts) error { return a.res.Profile.WriteJSON(w) }}
+	traceDoc = &artifact{contentType: jsonContentType, missing: "run has no trace (it failed before producing one)",
+		has:   hasProfile,
+		write: func(w io.Writer, a runArtifacts) error { return a.res.Profile.ChromeTrace(w, 0) }}
+	critPathDoc = &artifact{contentType: jsonContentType, missing: "run has no critical path (it failed before producing one)",
+		has:   func(a runArtifacts) bool { return a.res != nil && a.res.CritPath != nil },
+		write: func(w io.Writer, a runArtifacts) error { return a.res.CritPath.WriteJSON(w) }}
+	// A run's own metrics are its machine's snapshot, as JSON or as
+	// Prometheus text.
+	runMetricsDoc = &artifact{contentType: jsonContentType, missing: "run recorded no metrics",
+		has:   hasMetrics,
+		write: func(w io.Writer, a runArtifacts) error { return a.snap.WriteJSON(w) },
+		prom: &artifact{contentType: promContentType, missing: "run recorded no metrics",
+			has:   hasMetrics,
+			write: func(w io.Writer, a runArtifacts) error { return a.snap.WritePrometheus(w) }}}
+	// A run refused at submission, or whose workload failed outside the
+	// simulation, failed without one.
+	postmortemDoc = &artifact{contentType: jsonContentType, missing: "run has no post-mortem (only a run whose simulation failed has one)",
+		has:   func(a runArtifacts) bool { return a.pm != nil },
+		write: func(w io.Writer, a runArtifacts) error { return a.pm.WriteJSON(w) }}
+)
+
+// handleArtifact returns the handler of doc's endpoint: only a
+// finished run has artifacts, so a run still queued or running answers
+// 409, and a finished run without the document 404.
+func handleArtifact(doc *artifact) func(http.ResponseWriter, *http.Request, *Run) {
+	return func(w http.ResponseWriter, req *http.Request, run *Run) {
+		if st := run.State(); st != StateDone && st != StateFailed {
+			writeError(w, http.StatusConflict, "not_finished", fmt.Sprintf("run %s is %s; wait for it to finish", run.ID, st))
+			return
+		}
+		d := doc
+		if d.prom != nil && req.URL.Query().Get("format") == "prom" {
+			d = d.prom
+		}
+		a := run.artifacts()
+		if !d.has(a) {
+			writeError(w, http.StatusNotFound, "no_artifact", d.missing)
+			return
+		}
+		w.Header().Set("Content-Type", d.contentType)
+		_ = d.write(w, a) // an error is the client gone mid-answer: nothing left to tell it
 	}
-	res, _, _ := run.artifacts()
-	if res == nil || res.Profile == nil {
-		writeError(w, http.StatusNotFound, "no_artifact", "run has no profile (it failed before producing one)")
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = res.Profile.WriteJSON(w)
 }
-
-func (s *Server) handleTrace(w http.ResponseWriter, _ *http.Request, run *Run) {
-	if !requireDone(w, run) {
-		return
-	}
-	res, _, _ := run.artifacts()
-	if res == nil || res.Profile == nil {
-		writeError(w, http.StatusNotFound, "no_artifact", "run has no trace (it failed before producing one)")
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = res.Profile.ChromeTrace(w, 0)
-}
-
-func (s *Server) handleCritPath(w http.ResponseWriter, _ *http.Request, run *Run) {
-	if !requireDone(w, run) {
-		return
-	}
-	res, _, _ := run.artifacts()
-	if res == nil || res.CritPath == nil {
-		writeError(w, http.StatusNotFound, "no_artifact", "run has no critical path (it failed before producing one)")
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = res.CritPath.WriteJSON(w)
-}
-
-// handleRunMetrics serves the run's own metrics — its machine's
-// snapshot — as JSON, or Prometheus text with ?format=prom.
-func (s *Server) handleRunMetrics(w http.ResponseWriter, req *http.Request, run *Run) {
-	if !requireDone(w, run) {
-		return
-	}
-	_, snap, _ := run.artifacts()
-	if snap == nil {
-		writeError(w, http.StatusNotFound, "no_artifact", "run recorded no metrics")
-		return
-	}
-	if req.URL.Query().Get("format") == "prom" {
-		w.Header().Set("Content-Type", promContentType)
-		_ = snap.WritePrometheus(w)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = snap.WriteJSON(w)
-}
-
-func (s *Server) handlePostmortem(w http.ResponseWriter, _ *http.Request, run *Run) {
-	if !requireDone(w, run) {
-		return
-	}
-	_, _, pm := run.artifacts()
-	if pm == nil {
-		writeError(w, http.StatusNotFound, "no_artifact", "run has no post-mortem (it did not fail)")
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = pm.WriteJSON(w)
-}
-
-// promContentType is the Prometheus text exposition content type.
-const promContentType = "text/plain; version=0.0.4"
 
 // handleMetrics serves the server-wide exposition: the serving
 // registry (with the scrape-time gauges and Go runtime samples

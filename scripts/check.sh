@@ -49,17 +49,25 @@ go build ./...
 
 # Inlining gate: the link transport's hot path relies on the compiler
 # inlining (*Proc).charge, (*Proc).Recv and (*Proc).wake (costs 79, 69
-# and 43 against the inliner's budget of 80). One more statement or
+# and 43 against the inliner's budget of 80), and every kernel reads a
+# container's local words through (*Vector).L and (*Matrix).L, whose
+# materialized fast path is one inlined branch. One more statement or
 # nested field access can push one over the budget with every other
 # gate green, so fail if any of them stops inlining. The diagnostics
 # replay from the build cache.
-inl=$(go build -gcflags=-m ./internal/hypercube 2>&1)
-for fn in charge Recv wake; do
-	echo "$inl" | grep -Eq "can inline \(\*Proc\)\.$fn\$" || {
-		echo "(*Proc).$fn no longer inlines; bring its cost back within the inliner's budget (go build -gcflags=-m=2 ./internal/hypercube)" >&2
-		exit 1
-	}
-done
+inline_gate() { # package, Type.method...
+	pkg=$1
+	shift
+	inl=$(go build -gcflags=-m "$pkg" 2>&1)
+	for m in "$@"; do
+		echo "$inl" | grep -Eq "can inline \(\*${m%.*}\)\.${m#*.}\$" || {
+			echo "(*${m%.*}).${m#*.} no longer inlines; bring its cost back within the inliner's budget (go build -gcflags=-m=2 $pkg)" >&2
+			exit 1
+		}
+	done
+}
+inline_gate ./internal/hypercube Proc.charge Proc.Recv Proc.wake
+inline_gate ./internal/core Vector.L Matrix.L
 
 # The vmlint suite (see README). Build the tool once, then lint before
 # spending time on tests — a lint finding is file:line:col actionable,

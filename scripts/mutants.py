@@ -78,7 +78,7 @@ CLASSES = {
     "R": "run-scoped slab keeps a header's storage",
     "D": "run-scoped slot handed out twice in one Run",
     "U": "run-scoped slab grows past its limit",
-    "X": "expired temporary not refused",
+    "X": "spent temporary not refused",
     "Z": "scratch arena held strongly, not rewound, not zeroed or overlapping",
     "N": "EndSpan dropped on one branch",
     "I": "collective guarded by identity, or structural argument derived from ID()",
@@ -274,7 +274,7 @@ MUTANTS = [
      "\tfor _, t := range s.all[:s.n] {\n\t\t*t = spent\n\t}\n\ts.n = 0\n",
      "\ts.n = 0\n"),
     ("R2", CORE, "runSlab.EndRun: rewinds the vector headers without zeroing them",
-     "\ts.vecs.rewind(Vector{isLocal: true, expired: true})\n",
+     "\ts.vecs.rewind(Vector{storage: storage{src: spent}})\n",
      "\ts.vecs.n = 0\n"),
 
     # D: two live objects of one Run share a slot.
@@ -292,12 +292,12 @@ MUTANTS = [
      "\tif true {\n"),
 
     # X: a temporary used after its Run is not refused by name.
-    ("X1", CORE, "runSlab.EndRun: rewound vector headers are zeroed, not expired",
-     "s.vecs.rewind(Vector{isLocal: true, expired: true})",
+    ("X1", CORE, "runSlab.EndRun: rewound vector headers are zeroed, not spent",
+     "s.vecs.rewind(Vector{storage: storage{src: spent}})",
      "s.vecs.rewind(Vector{})"),
-    ("X2", CORE, "tempStorage: materializes an expired temporary's storage",
-     "\tif expired {\n\t\tpanic(errExpired)\n\t}\n",
-     ""),
+    ("X2", CORE, "storage.get: materializes a spent temporary's storage",
+     "\tcase spent:\n\t\tpanic(errExpired)\n",
+     "\tcase spent:\n\t\ts.local = make([]float64, n)\n"),
 
     # Z: the scratch arena that backs the slab-held headers' storage.
     ("Z1", MACHINE, "Machine.endScratch: the arena stays pinned between Runs",
