@@ -62,12 +62,11 @@ func SolveCG(m *hypercube.Machine, a *serial.Mat, b []float64, opts CGOpts) (CGR
 		opts.MaxIter = 10 * n
 	}
 	g := embed.SplitFor(m.Dim(), n, n)
-	da, err := core.FromDense(g, a, opts.Kind, opts.Kind)
-	if err != nil {
-		return CGResult{}, 0, err
-	}
 	// All iterate vectors live row-aligned and replicated (aligned
-	// with the matrix columns, as the multiply consumes them).
+	// with the matrix columns, as the multiply consumes them). b and
+	// the preconditioner are host containers, not staged: x, r, z and
+	// p fill the run slab's vector headers, and two more temporaries
+	// would push z and p past its limit on every processor.
 	newVec := func(vals []float64) (*core.Vector, error) {
 		return core.VectorFromSlice(g, vals, core.RowAligned, opts.Kind, 0, true)
 	}
@@ -87,16 +86,13 @@ func SolveCG(m *hypercube.Machine, a *serial.Mat, b []float64, opts CGOpts) (CGR
 	if err != nil {
 		return CGResult{}, 0, err
 	}
-	xOut, err := core.NewVector(g, n, core.RowAligned, opts.Kind, 0, true)
-	if err != nil {
-		return CGResult{}, 0, err
-	}
 
-	var res CGResult
+	res := CGResult{X: make([]float64, n)}
 	elapsed, err := m.Run(func(p *hypercube.Proc) {
 		e := core.NewEnv(p, g)
 		e.BeginSpan("cg")
 		defer e.EndSpan()
+		da := e.LoadDense(a, opts.Kind, opts.Kind)
 		x := e.TempVector(n, core.RowAligned, opts.Kind, 0, true) // x0 = 0
 		r := e.CopyVec(rb)                                        // r0 = b
 		z := e.CopyVec(r)
@@ -129,7 +125,7 @@ func SolveCG(m *hypercube.Machine, a *serial.Mat, b []float64, opts CGOpts) (CGR
 			e.EndSpan()
 			iters++
 		}
-		e.StoreVec(xOut, x)
+		e.StoreSlice(res.X, x)
 		if p.ID() == 0 {
 			res.Iterations = iters
 			res.Residual = resid
@@ -139,7 +135,6 @@ func SolveCG(m *hypercube.Machine, a *serial.Mat, b []float64, opts CGOpts) (CGR
 	if err != nil {
 		return CGResult{}, 0, err
 	}
-	res.X = xOut.ToSlice()
 	// Report the true residual of the returned iterate.
 	res.Residual = serial.Norm2(serial.Residual(a, res.X, b))
 	res.Converged = res.Converged && !math.IsNaN(res.Residual)

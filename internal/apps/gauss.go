@@ -78,7 +78,7 @@ func eliminateCol(e *core.Env, w *core.Matrix, prow, mcol *core.Vector, k, cols 
 // GaussKernel runs forward elimination with partial pivoting and back
 // substitution on the distributed augmented matrix w (n rows, n+1
 // columns) and returns the solution through the provided linear-layout
-// host vector xOut (length n). It reports an error (identically on
+// vector xOut (length n). It reports an error (identically on
 // every processor) if the matrix is numerically singular.
 func GaussKernel(e *core.Env, w *core.Matrix, xOut *core.Vector) error {
 	n := w.Rows
@@ -122,7 +122,7 @@ func GaussKernel(e *core.Env, w *core.Matrix, xOut *core.Vector) error {
 	return nil
 }
 
-// SolveGauss distributes the augmented system [A | b] on machine m and
+// SolveGauss stages the augmented system [A | b] on machine m and
 // solves it with GaussKernel (or the naive router-based kernel),
 // returning the solution and the simulated elapsed time.
 func SolveGauss(m *hypercube.Machine, a *serial.Mat, b []float64, opts GaussOpts) ([]float64, costmodel.Time, error) {
@@ -139,28 +139,24 @@ func SolveGauss(m *hypercube.Machine, a *serial.Mat, b []float64, opts GaussOpts
 		copy(aug.A[i*(n+1):], a.A[i*n:(i+1)*n])
 		aug.Set(i, n, b[i])
 	}
-	w, err := core.FromDense(g, aug, opts.RKind, opts.CKind)
-	if err != nil {
-		return nil, 0, err
-	}
-	xOut, err := core.NewVector(g, n, core.Linear, embed.Block, 0, false)
-	if err != nil {
-		return nil, 0, err
-	}
 	kernel := GaussKernel
 	if opts.Naive {
 		kernel = GaussKernelNaive
 	}
+	x := make([]float64, n)
 	elapsed, err := m.Run(func(p *hypercube.Proc) {
 		e := core.NewEnv(p, g)
+		w := e.LoadDense(aug, opts.RKind, opts.CKind)
+		xOut := e.TempVector(n, core.Linear, embed.Block, 0, false)
 		if kerr := kernel(e, w, xOut); kerr != nil {
 			panic(kerr)
 		}
+		e.StoreSlice(x, xOut)
 	})
 	if err != nil {
 		return nil, 0, err
 	}
-	return xOut.ToSlice(), elapsed, nil
+	return x, elapsed, nil
 }
 
 // Determinant computes det(A) on machine mach by distributed Gaussian
@@ -173,13 +169,10 @@ func Determinant(mach *hypercube.Machine, a *serial.Mat, opts GaussOpts) (float6
 	}
 	n := a.R
 	g := embed.SplitFor(mach.Dim(), n, n)
-	w, err := core.FromDense(g, a, opts.RKind, opts.CKind)
-	if err != nil {
-		return 0, 0, err
-	}
 	var det float64
 	elapsed, err := mach.Run(func(p *hypercube.Proc) {
 		e := core.NewEnv(p, g)
+		w := e.LoadDense(a, opts.RKind, opts.CKind)
 		d := 1.0
 		prow := e.TempVector(n, core.RowAligned, w.CMap.Kind, 0, true)
 		mcol := e.TempVector(n, core.ColAligned, w.RMap.Kind, 0, true)

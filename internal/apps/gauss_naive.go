@@ -27,13 +27,21 @@ func GaussKernelNaive(e *core.Env, w *core.Matrix, xOut *core.Vector) error {
 	blk := w.L(pid)
 	b := w.CMap.B
 	myRow, myCol := e.GridRow(), e.GridCol()
+	// Processor 0 alone reads a fetch list (naiveFetchElems), so it
+	// alone builds one, once, with room for the longest column.
+	var idx [][2]int
+	if pid == 0 {
+		idx = make([][2]int, 0, n)
+	}
 
 	for k := 0; k < n; k++ {
 		// Pivot search on processor 0: fetch column k rows [k, n) one
 		// element at a time, pick the max magnitude, announce it.
-		idx := make([][2]int, 0, n-k)
-		for i := k; i < n; i++ {
-			idx = append(idx, [2]int{i, k})
+		if pid == 0 {
+			idx = idx[:0]
+			for i := k; i < n; i++ {
+				idx = append(idx, [2]int{i, k})
+			}
 		}
 		colVals := naiveFetchElems(e, w, idx)
 		var ann []float64

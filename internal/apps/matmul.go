@@ -47,25 +47,17 @@ func MatMul(m *hypercube.Machine, a, b *serial.Mat, kind embed.MapKind) (*serial
 		return nil, 0, fmt.Errorf("apps: MatMul shapes %dx%d * %dx%d", a.R, a.C, b.R, b.C)
 	}
 	g := embed.SplitFor(m.Dim(), a.R, b.C)
-	da, err := core.FromDense(g, a, kind, kind)
-	if err != nil {
-		return nil, 0, err
-	}
-	db, err := core.FromDense(g, b, kind, kind)
-	if err != nil {
-		return nil, 0, err
-	}
 	dc, err := core.NewMatrix(g, a.R, b.C, kind, kind)
 	if err != nil {
 		return nil, 0, err
 	}
 	// The kernel needs aligned embeddings: A's columns and B's rows
 	// are the contracted axis and may differ in map; C aligns with A's
-	// rows and B's columns, which FromDense above guarantees (same
-	// kind, same grid).
+	// rows and B's columns, which staging both with the same kind on
+	// the same grid guarantees.
 	elapsed, err := m.Run(func(p *hypercube.Proc) {
 		e := core.NewEnv(p, g)
-		MatMulKernel(e, dc, da, db)
+		MatMulKernel(e, dc, e.LoadDense(a, kind, kind), e.LoadDense(b, kind, kind))
 	})
 	if err != nil {
 		return nil, 0, err

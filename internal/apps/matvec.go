@@ -6,10 +6,16 @@
 // the paper's order-of-magnitude comparison is against.
 //
 // SPMD kernels take a *core.Env and distributed operands and run
-// inside Machine.Run; the exported Solve*/Run* drivers wrap machine
-// setup, data distribution, a single timed SPMD run, and result
-// collection, returning both the answer and the simulated elapsed
-// time.
+// inside Machine.Run; the exported Solve*/Run* drivers wrap a single
+// timed SPMD run, returning both the answer and the simulated elapsed
+// time. Data distribution and result collection happen inside that
+// Run and cost no simulated time: a driver stages the operands it
+// reads in that Run alone on each processor (core.Env.LoadDense,
+// LoadSlice) and lands its result in the slice it returns
+// (core.Env.StoreSlice), so it allocates little beyond that result.
+// LU, whose factors serve later Runs, and SolveGaussMany, which reads
+// its whole reduced system back, distribute host containers
+// (core.FromDense) instead.
 package apps
 
 import (
@@ -128,41 +134,25 @@ func vecMatFused(e *core.Env, a *core.Matrix, x *core.Vector) *core.Vector {
 	return out
 }
 
-// RunVecMat is the host driver: it distributes A and x on machine m,
-// runs the chosen variant once, and returns y, the simulated elapsed
+// RunVecMat is the host driver: it stages A and x on machine m inside
+// one Run of the chosen variant and returns y, the simulated elapsed
 // time and the run statistics.
 func RunVecMat(m *hypercube.Machine, a *serial.Mat, x []float64, variant MatvecVariant) ([]float64, costmodel.Time, hypercube.Stats, error) {
 	if len(x) != a.R {
 		return nil, 0, hypercube.Stats{}, fmt.Errorf("apps: x length %d, want %d", len(x), a.R)
 	}
 	g := embed.SplitFor(m.Dim(), a.R, a.C)
-	da, err := core.FromDense(g, a, embed.Block, embed.Block)
-	if err != nil {
-		return nil, 0, hypercube.Stats{}, err
-	}
-	dx, err := core.VectorFromSlice(g, x, core.ColAligned, embed.Block, 0, false)
-	if err != nil {
-		return nil, 0, hypercube.Stats{}, err
-	}
-	// The naive kernel produces y in the linear embedding; the
-	// structured kernels leave it row-aligned and replicated.
-	layout, repl := core.RowAligned, true
-	if variant == MatvecNaive {
-		layout, repl = core.Linear, false
-	}
-	out, err := core.NewVector(g, a.C, layout, embed.Block, 0, repl)
-	if err != nil {
-		return nil, 0, hypercube.Stats{}, err
-	}
+	y := make([]float64, a.C)
 	elapsed, err := m.Run(func(p *hypercube.Proc) {
 		e := core.NewEnv(p, g)
-		y := VecMatKernel(e, da, dx, variant)
-		e.StoreVec(out, y)
+		da := e.LoadDense(a, embed.Block, embed.Block)
+		dx := e.LoadSlice(x, core.ColAligned, embed.Block, 0, false)
+		e.StoreSlice(y, VecMatKernel(e, da, dx, variant))
 	})
 	if err != nil {
 		return nil, 0, hypercube.Stats{}, err
 	}
-	return out.ToSlice(), elapsed, m.LastStats(), nil
+	return y, elapsed, m.LastStats(), nil
 }
 
 // vecMatNaive computes y = x*A with no structured communication at

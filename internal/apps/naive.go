@@ -96,7 +96,8 @@ func naiveSwapRows(e *core.Env, a *core.Matrix, i1, i2 int) {
 // hi), to every processor that holds that position of some line, one
 // message per (element, destination): row idx down its elements' grid
 // columns if row, column idx along their grid rows otherwise. The
-// result maps local position -> value on every processor.
+// result maps local position -> value on every processor; it is
+// scratch, valid until the end of the Run.
 func naiveSpread(e *core.Env, a *core.Matrix, row bool, idx, lo, hi int) []float64 {
 	pid := e.P.ID()
 	blk := a.L(pid)
@@ -132,7 +133,7 @@ func naiveSpread(e *core.Env, a *core.Matrix, row bool, idx, lo, hi int) []float
 		}
 	}
 	got := out.Route(e.P, e.NextTag())
-	vals := make([]float64, alongMap.B)
+	vals := e.P.Scratch(alongMap.B)
 	for i := range vals {
 		vals[i] = math.NaN()
 	}

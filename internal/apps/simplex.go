@@ -152,20 +152,18 @@ func simplexLoop(e *core.Env, t *core.Matrix, nVars, maxIter int, bland bool) (s
 	}
 }
 
-// SolveSimplex distributes the tableau for maximize c^T x subject to
-// A x <= b, x >= 0 (b >= 0) on machine m and solves it with the
+// SolveSimplex stages the tableau for maximize c^T x subject to A x <=
+// b, x >= 0 (b >= 0) on machine m and solves it with the
 // primitive-based (or naive) kernel, returning the result and the
-// simulated elapsed time.
+// simulated elapsed time. x lands in a host container: the kernel's
+// four temporaries fill the run slab's vector headers, so a temporary
+// x would be a fifth, made past the slab's limit on every processor.
 func SolveSimplex(mach *hypercube.Machine, c []float64, a *serial.Mat, b []float64, opts SimplexOpts) (serial.LPResult, costmodel.Time, error) {
 	tab, err := serial.NewTableau(c, a, b)
 	if err != nil {
 		return serial.LPResult{}, 0, err
 	}
 	g := embed.SplitFor(mach.Dim(), tab.R, tab.C)
-	dt, err := core.FromDense(g, tab, opts.RKind, opts.CKind)
-	if err != nil {
-		return serial.LPResult{}, 0, err
-	}
 	if opts.MaxIter <= 0 {
 		opts.MaxIter = 10000
 	}
@@ -186,6 +184,7 @@ func SolveSimplex(mach *hypercube.Machine, c []float64, a *serial.Mat, b []float
 	}
 	elapsed, err := mach.Run(func(p *hypercube.Proc) {
 		e := core.NewEnv(p, g)
+		dt := e.LoadDense(tab, opts.RKind, opts.CKind)
 		status, z, iters, bas := kernel(e, dt, len(c), opts.MaxIter)
 		// Pull the basic variables' values out of the rhs column.
 		for i, bj := range bas {

@@ -34,12 +34,20 @@ func SimplexKernelNaive(e *core.Env, t *core.Matrix, nVars, maxIter int) (serial
 		}
 		return naiveBcast(e, 0, words)[0]
 	}
+	// Processor 0 alone reads a fetch list (naiveFetchElems), so it
+	// alone builds one, once, with room for the longest.
+	var idx [][2]int
+	if pid == 0 {
+		idx = make([][2]int, 0, max(rhs, 2*m))
+	}
 	iters := 0
 	for {
 		// Entering variable on processor 0.
-		idx := make([][2]int, rhs)
-		for j := 0; j < rhs; j++ {
-			idx[j] = [2]int{m, j}
+		if pid == 0 {
+			idx = idx[:0]
+			for j := 0; j < rhs; j++ {
+				idx = append(idx, [2]int{m, j})
+			}
 		}
 		objRow := naiveFetchElems(e, t, idx)
 		var ann []float64
@@ -61,12 +69,14 @@ func SimplexKernelNaive(e *core.Env, t *core.Matrix, nVars, maxIter int) (serial
 			return serial.IterLimit, fetchScalar(m, rhs), iters, basis
 		}
 		// Ratio test on processor 0.
-		idx = idx[:0]
-		for i := 0; i < m; i++ {
-			idx = append(idx, [2]int{i, jc})
-		}
-		for i := 0; i < m; i++ {
-			idx = append(idx, [2]int{i, rhs})
+		if pid == 0 {
+			idx = idx[:0]
+			for i := 0; i < m; i++ {
+				idx = append(idx, [2]int{i, jc})
+			}
+			for i := 0; i < m; i++ {
+				idx = append(idx, [2]int{i, rhs})
+			}
 		}
 		vals := naiveFetchElems(e, t, idx)
 		if pid == 0 {

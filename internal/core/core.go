@@ -31,15 +31,16 @@
 // tags. Distributed containers (Matrix, Vector) may be created by host
 // code before a run and filled from dense data, or created inside a
 // run, in which case each processor lazily materializes only its own
-// block. A loop that needs the same temporary every step creates it
+// block; LoadDense and LoadSlice stage dense data that way, for an
+// operand read in that run alone. A loop that needs the same temporary every step creates it
 // once and refills it with an *Into method (ExtractRowInto,
 // ExtractColInto, TransposeInto).
 //
 // An Env, and every SPMD-local temporary made inside a run (TempVector,
 // TempMatrix, and the results of the primitives), is valid until the
 // end of the Run that made it; a value that must outlive the Run is
-// copied into a host-created container or a plain slice before the
-// body returns. A Matrix or Vector header is in one of four states:
+// copied into a host-created container or a plain slice (StoreSlice)
+// before the body returns. A Matrix or Vector header is in one of four states:
 //
 //   - a host container holds every processor's piece or block;
 //   - a slab-held temporary holds its processor's own, and comes from
@@ -111,14 +112,16 @@ type runSlab struct {
 }
 
 // newRunSlab returns an empty slab holding at most 4 Envs, 4 vector
-// headers and 1 matrix header, which covers every primitive's result
-// and the benchmark's bodies. A held header keeps its storage, in the
-// scratch arena, until EndRun, so the limits bound what a body that
-// loops over temporaries, dropping each, keeps alive to four pieces
-// and one block per processor, however long it loops, and bound the
-// arena's regions to as much.
+// headers and 2 matrix headers, which covers every primitive's result,
+// the benchmark's bodies, and an operand staged by LoadDense next to a
+// primitive's matrix result (vecMatPrimitive's spread block) or next
+// to a second operand (MatMul's A and B). A held header keeps its
+// storage, in the scratch arena, until EndRun, so the limits bound
+// what a body that loops over temporaries, dropping each, keeps alive
+// to four pieces and two blocks per processor, however long it loops,
+// and bound the arena's regions to as much.
 func newRunSlab() *runSlab {
-	return &runSlab{envs: slots[Env]{limit: 4}, vecs: slots[Vector]{limit: 4}, mats: slots[Matrix]{limit: 1}}
+	return &runSlab{envs: slots[Env]{limit: 4}, vecs: slots[Vector]{limit: 4}, mats: slots[Matrix]{limit: 2}}
 }
 
 // EndRun resets every object handed out since the last rewind, leaving

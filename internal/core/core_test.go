@@ -606,6 +606,9 @@ func TestHostAccessorsRejectLocalHandles(t *testing.T) {
 	var held header
 	spmd(t, g, func(e *Env) {
 		held = header{e.TempMatrix(2, 2, embed.Block, embed.Block), e.TempVector(2, Linear, embed.Block, 0, false)}
+		for i := 1; i < e.slab.mats.limit; i++ {
+			e.TempMatrix(2, 2, embed.Block, embed.Block)
+		}
 		for i := 1; i < e.slab.vecs.limit; i++ {
 			e.TempVector(2, Linear, embed.Block, 0, false)
 		}

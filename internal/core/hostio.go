@@ -45,7 +45,9 @@ func fromPiece(dense, local []float64, n, first, stride int) {
 
 // FromDense distributes a dense matrix onto grid g (host-side: no
 // simulated communication; loading input data is outside the timed
-// computation, as it was for the paper's experiments).
+// computation, as it was for the paper's experiments). It builds a
+// host container, which outlives Runs: an operand read in one Run only
+// is staged inside it with Env.LoadDense instead.
 func FromDense(g embed.Grid, dm *serial.Mat, rkind, ckind embed.MapKind) (*Matrix, error) {
 	a, err := NewMatrix(g, dm.R, dm.C, rkind, ckind)
 	if err != nil {
@@ -63,18 +65,39 @@ func FromDense(g embed.Grid, dm *serial.Mat, rkind, ckind embed.MapKind) (*Matri
 // no valid element are not materialized.
 func (a *Matrix) eachBlockRow(f func(blockRow []float64, i, nc, c0, cs int)) {
 	for gr := 0; gr < a.G.PRows(); gr++ {
-		nr, r0, rs := pieceOf(a.RMap, gr)
 		for gc := 0; gc < a.G.PCols(); gc++ {
-			nc, c0, cs := pieceOf(a.CMap, gc)
-			if nr == 0 || nc == 0 {
-				continue
-			}
-			blk := a.L(a.G.ProcAt(gr, gc))
-			for lr := 0; lr < nr; lr++ {
-				f(blk[lr*a.CMap.B:(lr+1)*a.CMap.B], r0+lr*rs, nc, c0, cs)
-			}
+			a.blockRows(gr, gc, f)
 		}
 	}
+}
+
+// blockRows is eachBlockRow for the block at grid coordinates (gr,
+// gc) alone.
+func (a *Matrix) blockRows(gr, gc int, f func(blockRow []float64, i, nc, c0, cs int)) {
+	nr, r0, rs := pieceOf(a.RMap, gr)
+	nc, c0, cs := pieceOf(a.CMap, gc)
+	if nr == 0 || nc == 0 {
+		return
+	}
+	blk := a.L(a.G.ProcAt(gr, gc))
+	for lr := 0; lr < nr; lr++ {
+		f(blk[lr*a.CMap.B:(lr+1)*a.CMap.B], r0+lr*rs, nc, c0, cs)
+	}
+}
+
+// LoadDense stages a dense matrix inside a Run: every processor calls
+// it with the same arguments and gets an SPMD-local temporary holding
+// its own block of dm, as FromDense would have dealt it, valid until
+// the end of the Run. Like FromDense it charges no simulated time; it
+// allocates nothing a slab-held temporary does not, so a driver whose
+// operand lives for one Run stages it here instead of building a host
+// container.
+func (e *Env) LoadDense(dm *serial.Mat, rkind, ckind embed.MapKind) *Matrix {
+	a := e.TempMatrix(dm.R, dm.C, rkind, ckind)
+	a.blockRows(e.GridRow(), e.GridCol(), func(blockRow []float64, i, nc, c0, cs int) {
+		toPiece(blockRow, dm.A[i*dm.C:(i+1)*dm.C], nc, c0, cs)
+	})
+	return a
 }
 
 // The host accessors' refusals of an SPMD-local temporary, which holds
@@ -117,6 +140,44 @@ func VectorFromSlice(g embed.Grid, x []float64, layout Layout, kind embed.MapKin
 		}
 	}
 	return v, nil
+}
+
+// LoadSlice is LoadDense's twin for vectors: an SPMD-local temporary
+// holding this processor's piece of x if it holds data, laid out as
+// VectorFromSlice would have, at no simulated cost.
+func (e *Env) LoadSlice(x []float64, layout Layout, kind embed.MapKind, home int, replicated bool) *Vector {
+	v := e.TempVector(len(x), layout, kind, home, replicated)
+	pid := e.P.ID()
+	if !v.HoldsData(pid) {
+		return v
+	}
+	if n, first, stride := pieceOf(v.Map, v.PieceCoord(pid)); n > 0 {
+		toPiece(v.L(pid), x, n, first, stride)
+	}
+	return v
+}
+
+// errStoreLength is StoreSlice's refusal of a slice whose length is not
+// the vector's.
+var errStoreLength = errors.New("core: StoreSlice length mismatch")
+
+// StoreSlice writes v into dst (len v.N) from inside a Run: every
+// processor calls it, and the one ToSlice would read a piece from,
+// its first holder, writes that piece, at no simulated cost. It serves
+// temporaries and host containers alike, so a driver's result needs no
+// host container to land in.
+func (e *Env) StoreSlice(dst []float64, v *Vector) {
+	if len(dst) != v.N {
+		panic(errStoreLength)
+	}
+	pid := e.P.ID()
+	c := v.PieceCoord(pid)
+	if pid != v.holder(c, 0) {
+		return
+	}
+	if n, first, stride := pieceOf(v.Map, c); n > 0 {
+		fromPiece(dst, v.L(pid), n, first, stride)
+	}
 }
 
 // carve backs every piece that holds data, on each of its holders,

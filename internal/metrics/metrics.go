@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -321,50 +322,74 @@ func (s *Snapshot) WriteJSON(w io.Writer) error {
 }
 
 // WritePrometheus writes the snapshot in the Prometheus text
-// exposition format (version 0.0.4).
+// exposition format (version 0.0.4). It appends every number into one
+// reused buffer and writes text straight into the bufio.Writer, so a
+// document costs the writer and that buffer, however many metrics it
+// holds.
 func (s *Snapshot) WritePrometheus(w io.Writer) error {
 	bw := bufio.NewWriter(w)
+	num := make([]byte, 0, 32)
 	for i := range s.Metrics {
 		m := &s.Metrics[i]
 		if m.Help != "" {
-			fmt.Fprintf(bw, "# HELP %s %s\n", m.Name, escapeHelp(m.Help))
+			bw.WriteString("# HELP ")
+			bw.WriteString(m.Name)
+			bw.WriteByte(' ')
+			helpEscaper.WriteString(bw, m.Help)
+			bw.WriteByte('\n')
 		}
-		fmt.Fprintf(bw, "# TYPE %s %s\n", m.Name, m.Type)
+		bw.WriteString("# TYPE ")
+		bw.WriteString(m.Name)
+		bw.WriteByte(' ')
+		bw.WriteString(m.Type)
+		bw.WriteByte('\n')
 		switch m.Type {
 		case "histogram":
 			for _, b := range m.Buckets {
-				fmt.Fprintf(bw, "%s_bucket{le=\"%s\"} %d\n", m.Name, escapeLabel(promFloat(b.Le)), b.Count)
+				// A rendered bound holds digits, a sign, a point, an
+				// exponent or Inf: nothing a label value escapes.
+				bw.WriteString(m.Name)
+				bw.WriteString(`_bucket{le="`)
+				bw.Write(appendPromFloat(num[:0], b.Le))
+				bw.WriteString(`"} `)
+				bw.Write(strconv.AppendInt(num[:0], b.Count, 10))
+				bw.WriteByte('\n')
 			}
-			fmt.Fprintf(bw, "%s_sum %s\n", m.Name, promFloat(m.Sum))
-			fmt.Fprintf(bw, "%s_count %d\n", m.Name, m.Count)
+			writeSample(bw, m.Name, "_sum", appendPromFloat(num[:0], m.Sum))
+			writeSample(bw, m.Name, "_count", strconv.AppendInt(num[:0], m.Count, 10))
 		default:
-			fmt.Fprintf(bw, "%s %s\n", m.Name, promFloat(m.Value))
+			writeSample(bw, m.Name, "", appendPromFloat(num[:0], m.Value))
 		}
 	}
 	return bw.Flush()
 }
 
-// The exposition format is line-oriented, so the only characters that
-// can break it are escaped: backslash and line feed in HELP text, plus
-// the double quote inside label values. Anything else passes through
-// verbatim (Go's %q would emit \t and \u escapes Prometheus parsers do
-// not understand).
-var (
-	helpEscaper  = strings.NewReplacer(`\`, `\\`, "\n", `\n`)
-	labelEscaper = strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`)
-)
+// writeSample writes the exposition line "name+suffix value".
+func writeSample(bw *bufio.Writer, name, suffix string, value []byte) {
+	bw.WriteString(name)
+	bw.WriteString(suffix)
+	bw.WriteByte(' ')
+	bw.Write(value)
+	bw.WriteByte('\n')
+}
 
-func escapeHelp(s string) string  { return helpEscaper.Replace(s) }
-func escapeLabel(s string) string { return labelEscaper.Replace(s) }
+// The exposition format is line-oriented, so the only characters that
+// can break it are escaped: backslash and line feed in HELP text.
+// Anything else passes through verbatim (Go's %q would emit \t and \u
+// escapes Prometheus parsers do not understand).
+var helpEscaper = strings.NewReplacer(`\`, `\\`, "\n", `\n`)
 
 // promFloat renders a float the way Prometheus expects: integral
 // values without an exponent, +Inf spelled literally.
-func promFloat(v float64) string {
+func promFloat(v float64) string { return string(appendPromFloat(nil, v)) }
+
+// appendPromFloat appends promFloat(v) to dst.
+func appendPromFloat(dst []byte, v float64) []byte {
 	if math.IsInf(v, 1) {
-		return "+Inf"
+		return append(dst, "+Inf"...)
 	}
 	if v == math.Trunc(v) && math.Abs(v) < 1e15 {
-		return fmt.Sprintf("%d", int64(v))
+		return strconv.AppendInt(dst, int64(v), 10)
 	}
-	return fmt.Sprintf("%g", v)
+	return strconv.AppendFloat(dst, v, 'g', -1, 64)
 }

@@ -16,6 +16,20 @@ import (
 // weakly held storage the warm-up made (a machine's scratch arena),
 // either of which would blur an exact count.
 func MallocsPerRun(warm, runs int, f func()) float64 {
+	mallocs, _ := perRun(warm, runs, f)
+	return mallocs
+}
+
+// BytesPerRun is MallocsPerRun counting the bytes allocated instead of
+// the objects.
+func BytesPerRun(warm, runs int, f func()) float64 {
+	_, bytes := perRun(warm, runs, f)
+	return bytes
+}
+
+// perRun returns the objects and bytes one call of f allocates, counted
+// as MallocsPerRun describes.
+func perRun(warm, runs int, f func()) (mallocs, bytes float64) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for i := 0; i < warm; i++ {
 		f()
@@ -27,7 +41,8 @@ func MallocsPerRun(warm, runs int, f func()) float64 {
 		f()
 	}
 	runtime.ReadMemStats(&after)
-	return float64(after.Mallocs-before.Mallocs) / float64(runs)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs),
+		float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }
 
 // LiveHeap returns the bytes of heap objects still reachable after a

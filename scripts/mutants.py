@@ -6,8 +6,10 @@
 per-processor store of Envs and temporary headers in
 internal/core/core.go that Machine.Run (internal/hypercube/machine.go)
 rewinds after every Run, and the machine's scratch arena that backs
-those headers' storage (Proc.Scratch, in machine.go); and for the SPMD
-code the spanbalance and
+those headers' storage (Proc.Scratch, in machine.go); for the staging
+of a driver's operands inside its Run (Env.LoadDense, LoadSlice and
+StoreSlice, in internal/core/hostio.go); and for the SPMD code the
+spanbalance and
 collorder analyzers check (internal/core, internal/collective,
 internal/apps).
 
@@ -85,6 +87,7 @@ CLASSES = {
     "P": "Recycle dropped: a pooled buffer leaks",
     "T": "tag skewed across a call",
     "W": "wall clock in a sim package",
+    "H": "staging inside a Run reads or writes the wrong words, or charges time",
 }
 
 SSE = "internal/serve/sse.go"
@@ -108,6 +111,7 @@ SPREAD = "internal/core/spread.go"
 MATVEC = "internal/apps/matvec.go"
 NAIVE = "internal/apps/naive.go"
 LU = "internal/apps/lu.go"
+HOSTIO = "internal/core/hostio.go"
 SPMD = ("internal/core/", "internal/collective/", "internal/apps/")
 
 # id, file, site (function), old text, new text. The class is the id's
@@ -312,6 +316,28 @@ MUTANTS = [
     ("Z4", MACHINE, "Proc.Scratch: two processors' regions overlap",
      "\tbase := p.id*a.region + off\n",
      "\tbase := p.id*a.region/2 + off\n"),
+
+    # H: Env.LoadDense, LoadSlice and StoreSlice, which stage a driver's
+    # operands inside its one Run and land its result, at no simulated
+    # cost, with the piece walk FromDense and ToSlice use.
+    ("H1", HOSTIO, "Env.LoadDense: stages the next grid row's rows (wrong block-row offset)",
+     "\ta.blockRows(e.GridRow(), e.GridCol(), ",
+     "\ta.blockRows((e.GridRow()+1)%e.G.PRows(), e.GridCol(), "),
+    ("H2", HOSTIO, "Env.LoadDense: stages the next grid column's piece of each row",
+     "\ta.blockRows(e.GridRow(), e.GridCol(), ",
+     "\ta.blockRows(e.GridRow(), (e.GridCol()+1)%e.G.PCols(), "),
+    ("H3", HOSTIO, "Matrix.blockRows: copies the block's padding rows too",
+     "\tfor lr := 0; lr < nr; lr++ {\n\t\tf(",
+     "\tfor lr := 0; lr < a.RMap.B; lr++ {\n\t\tf("),
+    ("H4", HOSTIO, "Env.StoreSlice: writes each piece from its last holder, not holder(c, 0)",
+     "\tif pid != v.holder(c, 0) {\n",
+     "\tif pid != v.holder(c, v.copies()-1) {\n"),
+    ("H5", HOSTIO, "Env.LoadDense: charges a Compute per staged word",
+     "\t})\n\treturn a\n}\n",
+     "\t})\n\te.P.Compute(len(a.L(e.P.ID())))\n\treturn a\n}\n"),
+    ("H6", HOSTIO, "Env.LoadSlice: a processor off the vector's home fills a piece too",
+     "\tif !v.HoldsData(pid) {\n\t\treturn v\n\t}\n",
+     ""),
 
     # N: a span closed on the main path only. The defer becomes an
     # inline EndSpan at the last exit (EXTRA), so an early return skips
