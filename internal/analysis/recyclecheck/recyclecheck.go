@@ -18,8 +18,6 @@
 // Discharging uses of a tracked buffer v:
 //
 //   - p.Recycle(v) — returned to the pool;
-//   - p.Capture(v) — handed to the flight recorder, which keeps it
-//     for the post-mortem report;
 //   - p.SendOwned(d, tag, v), or p.SendOwnedParts(d, tag, v) for a
 //     list of buffers — the buffers themselves ride the link and
 //     belong to the receiver;
@@ -33,7 +31,7 @@
 //     — an explicit hand-off);
 //   - v passed to a function known to discharge that parameter — a
 //     sink. Sinks are summarized per package (any function that
-//     recycles, captures, stores or returns one of its slice
+//     recycles, stores or returns one of its slice
 //     parameters) and the summary is exported as a package fact, so a
 //     caller in another package that hands its buffer to
 //     rcout.Consume(p, buf) is credited exactly as a same-package
@@ -503,15 +501,13 @@ func discharges(info *types.Info, id *ast.Ident, stack []ast.Node, sinks *sinkSe
 }
 
 // callDischarges decides whether passing the buffer as arg to call
-// transfers ownership: Recycle always does, and so does Capture (the
-// flight recorder takes the buffer for the post-mortem, so it must
-// not go back to the pool); SendOwned and SendOwnedParts do for their
+// transfers ownership: Recycle always does; SendOwned and SendOwnedParts do for their
 // payload, which the receiver owns from then on; append does for element arguments (not
 // for the slice being grown, and not for v... which copies); a call
 // to a summarized sink does for the discharged parameter positions;
 // every other call is a borrow.
 func callDischarges(info *types.Info, call *ast.CallExpr, arg ast.Node, sinks *sinkSet) bool {
-	if vmlib.IsProcMethod(info, call, "Recycle", "Capture") {
+	if vmlib.IsProcMethod(info, call, "Recycle") {
 		return true
 	}
 	if vmlib.IsProcMethod(info, call, "SendOwned", "SendOwnedParts") {

@@ -98,25 +98,6 @@ func ownedSendOther(p *hypercube.Proc, other []float64) {
 	p.SendOwned(0, len(buf), other)
 }
 
-// captured discharges by handing the buffer to the flight recorder:
-// Capture keeps it for the post-mortem, so it must not be recycled.
-func captured(p *hypercube.Proc) {
-	buf := p.GetBuf(8)
-	buf[0] = 1
-	p.Capture(buf)
-}
-
-// capturedRecv discharges a received message the same way, on the
-// tag-mismatch diagnostic path the simulator itself uses.
-func capturedRecv(p *hypercube.Proc, wantTag int) {
-	got := p.Recv(0, wantTag)
-	if len(got) > 0 && got[0] != float64(wantTag) {
-		p.Capture(got)
-		panic("unexpected payload")
-	}
-	p.Recycle(got)
-}
-
 // predicted feeds a buffer-derived size into the critical-path
 // predictor. SpanPredict is pure instrumentation — a borrow, not an
 // origin and not a discharge — so the Recycle is still what closes
@@ -134,15 +115,6 @@ func predictedLeak(p *hypercube.Proc) {
 	buf := p.GetBuf(64) // want `buffer "buf" from GetBuf is never recycled`
 	p.SpanPredict(float64(cap(buf)))
 	p.SpanNote("predicted from buffer capacity")
-}
-
-// snapshotCaptured hands a critpath snapshot of the buffer to the
-// flight recorder: Capture keeps the (resliced) backing array for the
-// post-mortem, so the capture itself is the discharge.
-func snapshotCaptured(p *hypercube.Proc, n int) {
-	buf := p.GetBuf(n)
-	p.SpanNote("capturing conformance snapshot")
-	p.Capture(buf[:n/2])
 }
 
 // pinned documents a deliberate leak with a suppression directive.

@@ -27,7 +27,6 @@ func (p *Proc) RecvParts(d, wantTag int, dst [][]float64) [][]float64 {
 	return dst
 }
 func (p *Proc) Barrier(mask, tag int) {}
-func (p *Proc) Capture(buf []float64) {}
 func (p *Proc) BeginSpan(name string) {}
 func (p *Proc) EndSpan()              {}
 func (p *Proc) SpanPredict(t float64) {}

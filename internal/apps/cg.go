@@ -62,18 +62,6 @@ func SolveCG(m *hypercube.Machine, a *serial.Mat, b []float64, opts CGOpts) (CGR
 		opts.MaxIter = 10 * n
 	}
 	g := embed.SplitFor(m.Dim(), n, n)
-	// All iterate vectors live row-aligned and replicated (aligned
-	// with the matrix columns, as the multiply consumes them). b and
-	// the preconditioner are host containers, not staged: x, r, z and
-	// p fill the run slab's vector headers, and two more temporaries
-	// would push z and p past its limit on every processor.
-	newVec := func(vals []float64) (*core.Vector, error) {
-		return core.VectorFromSlice(g, vals, core.RowAligned, opts.Kind, 0, true)
-	}
-	rb, err := newVec(b)
-	if err != nil {
-		return CGResult{}, 0, err
-	}
 	diag := make([]float64, n)
 	for i := 0; i < n; i++ {
 		d := a.At(i, i)
@@ -82,17 +70,17 @@ func SolveCG(m *hypercube.Machine, a *serial.Mat, b []float64, opts CGOpts) (CGR
 		}
 		diag[i] = 1 / d
 	}
-	dinv, err := newVec(diag)
-	if err != nil {
-		return CGResult{}, 0, err
-	}
 
 	res := CGResult{X: make([]float64, n)}
 	elapsed, err := m.Run(func(p *hypercube.Proc) {
 		e := core.NewEnv(p, g)
 		e.BeginSpan("cg")
 		defer e.EndSpan()
+		// All iterate vectors live row-aligned and replicated (aligned
+		// with the matrix columns, as the multiply consumes them).
 		da := e.LoadDense(a, opts.Kind, opts.Kind)
+		rb := e.LoadSlice(b, core.RowAligned, opts.Kind, 0, true)
+		dinv := e.LoadSlice(diag, core.RowAligned, opts.Kind, 0, true)
 		x := e.TempVector(n, core.RowAligned, opts.Kind, 0, true) // x0 = 0
 		r := e.CopyVec(rb)                                        // r0 = b
 		z := e.CopyVec(r)
@@ -113,7 +101,7 @@ func SolveCG(m *hypercube.Machine, a *serial.Mat, b []float64, opts CGOpts) (CGR
 			e.AddScaledVec(r, -alpha, q)
 			e.EndSpan()
 			e.BeginSpan("precond")
-			z = e.CopyVec(r)
+			e.CopyVecInto(z, r)
 			e.ZipVec(z, dinv, func(ri, di float64) float64 { return ri * di }, 1)
 			e.EndSpan()
 			e.BeginSpan("update")

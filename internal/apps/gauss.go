@@ -54,25 +54,45 @@ func pivotRow(e *core.Env, w *core.Matrix, k int) (int, error) {
 	return piv, nil
 }
 
-// eliminateCol is the eliminate half: it extracts the pivot row into
-// prow and column k into mcol, both replicated (Extract + Distribute
-// fused), scales mcol to the multipliers (zero at and above the pivot
-// row), and applies the rank-1 elementwise update to rows (k, n) and
-// columns [k, cols). Column k is included so the eliminated entries
-// become exact zeros. It returns the pivot.
-func eliminateCol(e *core.Env, w *core.Matrix, prow, mcol *core.Vector, k, cols int) float64 {
-	e.ExtractRowInto(prow, w, k, true)
-	pivot := e.VecElemAt(prow, k)
-	e.ExtractColInto(mcol, w, k, true)
-	inv := 1 / pivot
-	e.MapVec(mcol, func(gi int, v float64) float64 {
-		if gi <= k {
-			return 0 // rows at or above the pivot are untouched
+// forwardEliminate runs forward elimination with partial pivoting on
+// the n = w.Rows leading columns of w, updating columns [k, cols) at
+// step k. Each step is a pivot (pivotRow) and an elimination: the
+// pivot row into prow and column k into mcol, both replicated (Extract
+// + Distribute fused), mcol scaled to the multipliers (zero at and
+// above the pivot row), and the rank-1 elementwise update of rows (k,
+// n); column k is included so the eliminated entries become exact
+// zeros. It returns the product of the pivots, its sign flipped at
+// every row swap (the determinant of the leading n x n block), or an
+// error, identical on every processor, if that block is numerically
+// singular.
+func forwardEliminate(e *core.Env, w *core.Matrix, prow, mcol *core.Vector, cols int) (float64, error) {
+	det := 1.0
+	for k := 0; k < w.Rows; k++ {
+		e.BeginSpan("pivot")
+		piv, err := pivotRow(e, w, k)
+		e.EndSpan()
+		if err != nil {
+			return 0, err
 		}
-		return v * inv
-	}, 1)
-	e.UpdateOuterSub(w, mcol, prow, k+1, w.Rows, k, cols)
-	return pivot
+		if piv != k {
+			det = -det
+		}
+		e.BeginSpan("eliminate")
+		e.ExtractRowInto(prow, w, k, true)
+		pivot := e.VecElemAt(prow, k)
+		e.ExtractColInto(mcol, w, k, true)
+		inv := 1 / pivot
+		e.MapVec(mcol, func(gi int, v float64) float64 {
+			if gi <= k {
+				return 0 // rows at or above the pivot are untouched
+			}
+			return v * inv
+		}, 1)
+		e.UpdateOuterSub(w, mcol, prow, k+1, w.Rows, k, cols)
+		e.EndSpan()
+		det *= pivot
+	}
+	return det, nil
 }
 
 // GaussKernel runs forward elimination with partial pivoting and back
@@ -89,17 +109,8 @@ func GaussKernel(e *core.Env, w *core.Matrix, xOut *core.Vector) error {
 	defer e.EndSpan()
 	prow := e.TempVector(w.Cols, core.RowAligned, w.CMap.Kind, 0, true)
 	mcol := e.TempVector(n, core.ColAligned, w.RMap.Kind, 0, true)
-	// Forward elimination.
-	for k := 0; k < n; k++ {
-		e.BeginSpan("pivot")
-		_, err := pivotRow(e, w, k)
-		e.EndSpan()
-		if err != nil {
-			return err
-		}
-		e.BeginSpan("eliminate")
-		eliminateCol(e, w, prow, mcol, k, n+1)
-		e.EndSpan()
+	if _, err := forwardEliminate(e, w, prow, mcol, n+1); err != nil {
+		return err
 	}
 
 	// Back substitution: x_k = w[k][n] / w[k][k], then eliminate
@@ -162,7 +173,8 @@ func SolveGauss(m *hypercube.Machine, a *serial.Mat, b []float64, opts GaussOpts
 // Determinant computes det(A) on machine mach by distributed Gaussian
 // elimination with partial pivoting: every processor tracks the
 // product of the broadcast pivots and the swap parity, so the result
-// needs no extra communication beyond the elimination itself.
+// needs no extra communication beyond the elimination itself. A
+// singular A has determinant 0.
 func Determinant(mach *hypercube.Machine, a *serial.Mat, opts GaussOpts) (float64, costmodel.Time, error) {
 	if a.R != a.C {
 		return 0, 0, fmt.Errorf("apps: Determinant needs a square matrix, got %dx%d", a.R, a.C)
@@ -173,20 +185,9 @@ func Determinant(mach *hypercube.Machine, a *serial.Mat, opts GaussOpts) (float6
 	elapsed, err := mach.Run(func(p *hypercube.Proc) {
 		e := core.NewEnv(p, g)
 		w := e.LoadDense(a, opts.RKind, opts.CKind)
-		d := 1.0
 		prow := e.TempVector(n, core.RowAligned, w.CMap.Kind, 0, true)
 		mcol := e.TempVector(n, core.ColAligned, w.RMap.Kind, 0, true)
-		for k := 0; k < n; k++ {
-			piv, err := pivotRow(e, w, k)
-			if err != nil {
-				d = 0
-				break
-			}
-			if piv != k {
-				d = -d
-			}
-			d *= eliminateCol(e, w, prow, mcol, k, n)
-		}
+		d, _ := forwardEliminate(e, w, prow, mcol, n) // 0 if singular
 		if p.ID() == 0 {
 			det = d
 		}

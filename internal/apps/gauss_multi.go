@@ -29,12 +29,9 @@ func EliminateMulti(e *core.Env, w *core.Matrix, nrhs int) error {
 	cols := n + nrhs
 	prow := e.TempVector(cols, core.RowAligned, w.CMap.Kind, 0, true)
 	mcol := e.TempVector(n, core.ColAligned, w.RMap.Kind, 0, true)
-	// Forward elimination (same step as GaussKernel, wider rows).
-	for k := 0; k < n; k++ {
-		if _, err := pivotRow(e, w, k); err != nil {
-			return err
-		}
-		eliminateCol(e, w, prow, mcol, k, cols)
+	// Forward elimination (as in GaussKernel, over wider rows).
+	if _, err := forwardEliminate(e, w, prow, mcol, cols); err != nil {
+		return err
 	}
 	// Back substitution: normalize row k's solution block, extract it,
 	// and clear column k from the rows above with one restricted
@@ -69,20 +66,18 @@ func SolveGaussMany(m *hypercube.Machine, a, b *serial.Mat, opts GaussOpts) (*se
 		copy(aug.A[i*(n+nrhs):], a.A[i*n:(i+1)*n])
 		copy(aug.A[i*(n+nrhs)+n:], b.A[i*nrhs:(i+1)*nrhs])
 	}
-	w, err := core.FromDense(g, aug, opts.RKind, opts.CKind)
-	if err != nil {
-		return nil, 0, err
-	}
+	full := serial.NewMat(n, n+nrhs)
 	elapsed, err := m.Run(func(p *hypercube.Proc) {
 		e := core.NewEnv(p, g)
+		w := e.LoadDense(aug, opts.RKind, opts.CKind)
 		if kerr := EliminateMulti(e, w, nrhs); kerr != nil {
 			panic(kerr)
 		}
+		e.StoreDense(full, w)
 	})
 	if err != nil {
 		return nil, 0, err
 	}
-	full := w.ToDense()
 	x := serial.NewMat(n, nrhs)
 	for i := 0; i < n; i++ {
 		for r := 0; r < nrhs; r++ {

@@ -27,6 +27,7 @@ func GaussKernelNaive(e *core.Env, w *core.Matrix, xOut *core.Vector) error {
 	blk := w.L(pid)
 	b := w.CMap.B
 	myRow, myCol := e.GridRow(), e.GridCol()
+	rowBuf, colBuf := e.P.Scratch(w.CMap.B), e.P.Scratch(w.RMap.B)
 	// Processor 0 alone reads a fetch list (naiveFetchElems), so it
 	// alone builds one, once, with room for the longest column.
 	var idx [][2]int
@@ -64,8 +65,8 @@ func GaussKernelNaive(e *core.Env, w *core.Matrix, xOut *core.Vector) error {
 
 		// Spread the pivot row and the raw column k; every processor
 		// derives its multipliers locally.
-		prow := naiveSpread(e, w, true, k, k, n+1)
-		ccol := naiveSpread(e, w, false, k, k+1, n)
+		prow := naiveSpread(e, w, true, k, k, n+1, rowBuf)
+		ccol := naiveSpread(e, w, false, k, k+1, n, colBuf)
 		pv := naiveFetchElems(e, w, [][2]int{{k, k}})
 		var pivotWords []float64
 		if pid == 0 {
@@ -110,7 +111,7 @@ func GaussKernelNaive(e *core.Env, w *core.Matrix, xOut *core.Vector) error {
 		}
 		// Update the rhs of rows above: each owner of (i, k) routes the
 		// value to the owner of (i, n), one message per element.
-		ck := naiveSpread(e, w, false, k, 0, k)
+		ck := naiveSpread(e, w, false, k, 0, k, colBuf)
 		count := 0
 		for lr := 0; lr < w.RMap.B; lr++ {
 			gi := w.RMap.GlobalOf(myRow, lr)

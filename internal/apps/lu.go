@@ -54,6 +54,8 @@ func LUFactor(mach *hypercube.Machine, a *serial.Mat, opts GaussOpts) (*LU, erro
 		defer e.EndSpan()
 		prow := e.TempVector(n, core.RowAligned, w.CMap.Kind, 0, true)
 		colK := e.TempVector(n, core.ColAligned, w.RMap.Kind, 0, true)
+		mult := e.TempVector(n, core.ColAligned, w.RMap.Kind, 0, true)
+		lcol := e.TempVector(n, core.ColAligned, w.RMap.Kind, 0, true)
 		for k := 0; k < n; k++ {
 			e.BeginSpan("pivot")
 			piv, err := pivotRow(e, w, k)
@@ -72,7 +74,7 @@ func LUFactor(mach *hypercube.Machine, a *serial.Mat, opts GaussOpts) (*LU, erro
 			// Multipliers: zero at and above the pivot row, a_ik/pivot
 			// below. These drive the trailing update and are also the
 			// L factor entries.
-			mult := e.CopyVec(colK)
+			e.CopyVecInto(mult, colK)
 			e.MapVec(mult, func(gi int, v float64) float64 {
 				if gi <= k {
 					return 0
@@ -84,7 +86,7 @@ func LUFactor(mach *hypercube.Machine, a *serial.Mat, opts GaussOpts) (*LU, erro
 			e.UpdateOuterSub(w, mult, prow, k+1, n, k+1, n)
 			// Store L: column k below the diagonal becomes the
 			// multipliers; at and above it keeps the extracted values.
-			lcol := e.CopyVec(colK)
+			e.CopyVecInto(lcol, colK)
 			e.ZipVecWith(lcol, mult, func(gi int, orig, mi float64) float64 {
 				if gi <= k {
 					return orig
@@ -128,24 +130,19 @@ func (lu *LU) Solve(b []float64) ([]float64, costmodel.Time, error) {
 		return nil, 0, fmt.Errorf("apps: LU.Solve rhs length %d, want %d", len(b), n)
 	}
 	// The permutation lives host-side; apply it to the right-hand side
-	// before distributing.
+	// before staging it.
 	pb := make([]float64, n)
 	for k := 0; k < n; k++ {
 		pb[k] = b[lu.perm[k]]
 	}
-	y, err := core.VectorFromSlice(lu.g, pb, core.ColAligned, lu.w.RMap.Kind, 0, true)
-	if err != nil {
-		return nil, 0, err
-	}
-	xOut, err := core.NewVector(lu.g, n, core.Linear, embed.Block, 0, false)
-	if err != nil {
-		return nil, 0, err
-	}
 	w := lu.w
+	x := make([]float64, n)
 	elapsed, err := lu.mach.Run(func(p *hypercube.Proc) {
 		e := core.NewEnv(p, lu.g)
 		e.BeginSpan("lu-solve")
 		defer e.EndSpan()
+		y := e.LoadSlice(pb, core.ColAligned, w.RMap.Kind, 0, true)
+		xOut := e.TempVector(n, core.Linear, embed.Block, 0, false)
 		// Forward substitution with unit-diagonal L:
 		// y_i -= L[i][k] * y_k for i > k.
 		// col holds column k of L in the forward sweep, of U in the
@@ -191,9 +188,10 @@ func (lu *LU) Solve(b []float64) ([]float64, costmodel.Time, error) {
 				return yi - uik*xk
 			}, 2)
 		}
+		e.StoreSlice(x, xOut)
 	})
 	if err != nil {
 		return nil, 0, err
 	}
-	return xOut.ToSlice(), elapsed, nil
+	return x, elapsed, nil
 }

@@ -47,20 +47,19 @@ func MatMul(m *hypercube.Machine, a, b *serial.Mat, kind embed.MapKind) (*serial
 		return nil, 0, fmt.Errorf("apps: MatMul shapes %dx%d * %dx%d", a.R, a.C, b.R, b.C)
 	}
 	g := embed.SplitFor(m.Dim(), a.R, b.C)
-	dc, err := core.NewMatrix(g, a.R, b.C, kind, kind)
-	if err != nil {
-		return nil, 0, err
-	}
+	c := serial.NewMat(a.R, b.C)
 	// The kernel needs aligned embeddings: A's columns and B's rows
 	// are the contracted axis and may differ in map; C aligns with A's
-	// rows and B's columns, which staging both with the same kind on
-	// the same grid guarantees.
+	// rows and B's columns, which making all three with the same kind
+	// on the same grid guarantees.
 	elapsed, err := m.Run(func(p *hypercube.Proc) {
 		e := core.NewEnv(p, g)
+		dc := e.TempMatrix(a.R, b.C, kind, kind)
 		MatMulKernel(e, dc, e.LoadDense(a, kind, kind), e.LoadDense(b, kind, kind))
+		e.StoreDense(c, dc)
 	})
 	if err != nil {
 		return nil, 0, err
 	}
-	return dc.ToDense(), elapsed, nil
+	return c, elapsed, nil
 }

@@ -9,13 +9,12 @@
 // inside Machine.Run; the exported Solve*/Run* drivers wrap a single
 // timed SPMD run, returning both the answer and the simulated elapsed
 // time. Data distribution and result collection happen inside that
-// Run and cost no simulated time: a driver stages the operands it
-// reads in that Run alone on each processor (core.Env.LoadDense,
-// LoadSlice) and lands its result in the slice it returns
-// (core.Env.StoreSlice), so it allocates little beyond that result.
-// LU, whose factors serve later Runs, and SolveGaussMany, which reads
-// its whole reduced system back, distribute host containers
-// (core.FromDense) instead.
+// Run and cost no simulated time: a driver stages its operands on each
+// processor (core.Env.LoadDense, LoadSlice) and lands its result in
+// the value it returns (core.Env.StoreDense, StoreSlice), so it
+// allocates little beyond that result. Only a value that outlives the
+// Run lives in a host container (core.FromDense): LU's factors, which
+// serve every later Solve.
 package apps
 
 import (

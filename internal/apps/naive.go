@@ -95,10 +95,12 @@ func naiveSwapRows(e *core.Env, a *core.Matrix, i1, i2 int) {
 // naiveSpread sends each element of one line of a, at positions [lo,
 // hi), to every processor that holds that position of some line, one
 // message per (element, destination): row idx down its elements' grid
-// columns if row, column idx along their grid rows otherwise. The
-// result maps local position -> value on every processor; it is
-// scratch, valid until the end of the Run.
-func naiveSpread(e *core.Env, a *core.Matrix, row bool, idx, lo, hi int) []float64 {
+// columns if row, column idx along their grid rows otherwise. It
+// overwrites vals (one word per local position along a line: a.CMap.B
+// if row, a.RMap.B otherwise) with local position -> value, NaN where
+// nothing arrived, and returns it, so a kernel spreads every step into
+// the same two buffers.
+func naiveSpread(e *core.Env, a *core.Matrix, row bool, idx, lo, hi int, vals []float64) []float64 {
 	pid := e.P.ID()
 	blk := a.L(pid)
 	// The line index is dealt over the field lines, the positions along
@@ -133,7 +135,6 @@ func naiveSpread(e *core.Env, a *core.Matrix, row bool, idx, lo, hi int) []float
 		}
 	}
 	got := out.Route(e.P, e.NextTag())
-	vals := e.P.Scratch(alongMap.B)
 	for i := range vals {
 		vals[i] = math.NaN()
 	}

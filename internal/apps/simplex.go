@@ -155,9 +155,7 @@ func simplexLoop(e *core.Env, t *core.Matrix, nVars, maxIter int, bland bool) (s
 // SolveSimplex stages the tableau for maximize c^T x subject to A x <=
 // b, x >= 0 (b >= 0) on machine m and solves it with the
 // primitive-based (or naive) kernel, returning the result and the
-// simulated elapsed time. x lands in a host container: the kernel's
-// four temporaries fill the run slab's vector headers, so a temporary
-// x would be a fifth, made past the slab's limit on every processor.
+// simulated elapsed time.
 func SolveSimplex(mach *hypercube.Machine, c []float64, a *serial.Mat, b []float64, opts SimplexOpts) (serial.LPResult, costmodel.Time, error) {
 	tab, err := serial.NewTableau(c, a, b)
 	if err != nil {
@@ -166,11 +164,6 @@ func SolveSimplex(mach *hypercube.Machine, c []float64, a *serial.Mat, b []float
 	g := embed.SplitFor(mach.Dim(), tab.R, tab.C)
 	if opts.MaxIter <= 0 {
 		opts.MaxIter = 10000
-	}
-	var res serial.LPResult
-	xOut, err := core.NewVector(g, len(c), core.Linear, embed.Block, 0, false)
-	if err != nil {
-		return serial.LPResult{}, 0, err
 	}
 	if opts.Bland && opts.Naive {
 		return serial.LPResult{}, 0, fmt.Errorf("apps: Bland's rule is not implemented for the naive kernel")
@@ -182,17 +175,20 @@ func SolveSimplex(mach *hypercube.Machine, c []float64, a *serial.Mat, b []float
 	case opts.Bland:
 		kernel = SimplexKernelBland
 	}
+	res := serial.LPResult{X: make([]float64, len(c))}
 	elapsed, err := mach.Run(func(p *hypercube.Proc) {
 		e := core.NewEnv(p, g)
 		dt := e.LoadDense(tab, opts.RKind, opts.CKind)
 		status, z, iters, bas := kernel(e, dt, len(c), opts.MaxIter)
 		// Pull the basic variables' values out of the rhs column.
+		xOut := e.TempVector(len(c), core.Linear, embed.Block, 0, false)
 		for i, bj := range bas {
 			if bj < len(c) {
 				v := e.ElemAt(dt, i, dt.Cols-1)
 				e.SetVecElem(xOut, bj, v)
 			}
 		}
+		e.StoreSlice(res.X, xOut)
 		if p.ID() == 0 {
 			res.Status = status
 			res.Z = z
@@ -202,6 +198,5 @@ func SolveSimplex(mach *hypercube.Machine, c []float64, a *serial.Mat, b []float
 	if err != nil {
 		return serial.LPResult{}, 0, err
 	}
-	res.X = xOut.ToSlice()
 	return res, elapsed, nil
 }

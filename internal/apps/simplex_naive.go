@@ -20,6 +20,7 @@ func SimplexKernelNaive(e *core.Env, t *core.Matrix, nVars, maxIter int) (serial
 	blk := t.L(pid)
 	b := t.CMap.B
 	myRow, myCol := e.GridRow(), e.GridCol()
+	rowBuf, colBuf := e.P.Scratch(t.CMap.B), e.P.Scratch(t.RMap.B)
 	basis := make([]int, m)
 	for i := range basis {
 		basis[i] = nVars + i
@@ -103,8 +104,8 @@ func SimplexKernelNaive(e *core.Env, t *core.Matrix, nVars, maxIter int) (serial
 		// as SimplexKernel/serial.Pivot.
 		pivot := fetchScalar(ir, jc)
 		inv := 1 / pivot
-		prow := naiveSpread(e, t, true, ir, 0, rhs+1)
-		fcol := naiveSpread(e, t, false, jc, 0, m+1)
+		prow := naiveSpread(e, t, true, ir, 0, rhs+1, rowBuf)
+		fcol := naiveSpread(e, t, false, jc, 0, m+1, colBuf)
 		count := 0
 		for lr := 0; lr < t.RMap.B; lr++ {
 			gi := t.RMap.GlobalOf(myRow, lr)

@@ -1,10 +1,12 @@
 package apps
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
 	"vmprim/internal/costmodel"
+	"vmprim/internal/embed"
 	"vmprim/internal/hypercube"
 	"vmprim/internal/serial"
 	"vmprim/internal/testutil"
@@ -40,6 +42,111 @@ func TestRunVecMatStagesItsOperands(t *testing.T) {
 		t.Logf("RunVecMat %v d=%d n=%d: %.1f KB per call", variant, d, n, per/1024)
 		if per > limit {
 			t.Errorf("RunVecMat %v allocates %.0f KB per call, want <= %.0f KB", variant, per/1024, limit/1024)
+		}
+	}
+}
+
+// TestDriversStageTheirOperands: a warm call of each driver below
+// allocates the value it returns and, beyond it, at most an allowance
+// fixed from a measurement: none of them builds a host container for
+// an operand it reads, or a result it writes, in its one Run. Measured
+// bytes beyond the returned value, staged against host containers:
+//   - SolveSimplex, d = 8, 32 x 48, 5 pivots: 87,504 against 94,576
+//     (both include the host tableau, 21 KB, and every processor's
+//     basis, 64 KB);
+//   - MatMul, d = 8, 64 x 64: 112 against 39,568 (C's container and
+//     ToDense's copy);
+//   - LU.Solve, d = 6, n = 64: 33,360 against 41,808 (both include
+//     every processor's per-step broadcast result, 32 KB);
+//   - SolveTridiag, d = 4, n = 100: 107,904 against 109,568 (both
+//     include the per-level fetch maps);
+//   - SolveGaussMany, d = 6, 8 x 8 with 3 right-hand sides: 1,632
+//     against 4,576.
+func TestDriversStageTheirOperands(t *testing.T) {
+	rng := rand.New(rand.NewSource(56))
+	randMat := func(r, c int) *serial.Mat {
+		dm := serial.NewMat(r, c)
+		for i := range dm.A {
+			dm.A[i] = rng.NormFloat64()
+		}
+		return dm
+	}
+	randVec := func(n int) []float64 { return randMat(1, n).A }
+	machine := func(d int) *hypercube.Machine {
+		m := hypercube.MustNew(d, costmodel.CM2())
+		t.Cleanup(m.Close)
+		return m
+	}
+	d8, d6, d4 := machine(8), machine(6), machine(4)
+
+	const lpRows, lpCols = 32, 48
+	lpA := randMat(lpRows, lpCols)
+	for i := range lpA.A {
+		lpA.A[i] = math.Abs(lpA.A[i]) + 0.1
+	}
+	lpB, lpC := randVec(lpRows), randVec(lpCols)
+	for i := range lpB {
+		lpB[i] = math.Abs(lpB[i]) + 1
+	}
+	lpOpts := DefaultSimplexOpts()
+	lpOpts.MaxIter = 5
+	mmA, mmB := randMat(64, 64), randMat(64, 64)
+	const luN = 64
+	luA := randMat(luN, luN)
+	for i := 0; i < luN; i++ {
+		luA.Set(i, i, luA.At(i, i)+luN)
+	}
+	lu, err := LUFactor(d6, luA, DefaultGaussOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	luB := randVec(luN)
+	const trN = 100
+	trA, trB, trC, trD := randVec(trN), randVec(trN), randVec(trN), randVec(trN)
+	for i := range trB {
+		trB[i] = 4
+	}
+	gmA, gmB := randMat(8, 8), randMat(8, 3)
+	for i := 0; i < 8; i++ {
+		gmA.Set(i, i, gmA.At(i, i)+8)
+	}
+
+	for _, c := range []struct {
+		name      string
+		returned  int // bytes of the returned value
+		allowance float64
+		call      func() error
+	}{
+		{"SolveSimplex", 8 * lpCols, 89 << 10, func() error {
+			_, _, err := SolveSimplex(d8, lpC, lpA, lpB, lpOpts)
+			return err
+		}},
+		{"MatMul", 8 * 64 * 64, 1 << 10, func() error {
+			_, _, err := MatMul(d8, mmA, mmB, embed.Block)
+			return err
+		}},
+		{"LU.Solve", 8 * luN, 34 << 10, func() error {
+			_, _, err := lu.Solve(luB)
+			return err
+		}},
+		{"SolveTridiag", 8 * trN, 108_500, func() error {
+			_, _, err := SolveTridiag(d4, trA, trB, trC, trD)
+			return err
+		}},
+		{"SolveGaussMany", 8 * 8 * 3, 2 << 10, func() error {
+			_, _, err := SolveGaussMany(d6, gmA, gmB, DefaultGaussOpts())
+			return err
+		}},
+	} {
+		per := testutil.BytesPerRun(2, 3, func() {
+			if err := c.call(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		beyond := per - float64(c.returned)
+		t.Logf("%s: %.0f B per call, %.0f B beyond its result", c.name, per, beyond)
+		if beyond > c.allowance {
+			t.Errorf("%s allocates %.0f B per call beyond its %d-byte result, want <= %.0f B", c.name, beyond, c.returned, c.allowance)
 		}
 	}
 }

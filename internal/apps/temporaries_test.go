@@ -14,11 +14,11 @@ import (
 	"vmprim/internal/serial"
 )
 
-// TestKernelTemporariesPerRun pins that the kernels allocate their
-// per-step temporaries once per run, not once per step: a run with
-// eight times the steps may allocate at most one more object per
-// processor than the short run. Allocating an extracted vector per
-// step costs two objects per processor per step.
+// TestKernelTemporariesPerRun pins that the kernels, and LUFactor's
+// loop, allocate their per-step temporaries once per run, not once per
+// step: a run with four or eight times the steps may allocate at most
+// one more object per processor than the short run. Allocating an
+// extracted vector per step costs two objects per processor per step.
 func TestKernelTemporariesPerRun(t *testing.T) {
 	const d = 4
 	m := hypercube.MustNew(d, costmodel.CM2())
@@ -86,6 +86,17 @@ func TestKernelTemporariesPerRun(t *testing.T) {
 		xOut := core.MustNewVector(g, n, core.Linear, embed.Block, 0, false)
 		return allocsPerRun(g, restorer(w), func(e *core.Env) error { return GaussKernel(e, w, xOut) })
 	}
+	luFactor := func(n int) float64 {
+		a := randMat(n, n)
+		for i := 0; i < n; i++ {
+			a.Set(i, i, a.At(i, i)+float64(n)) // no pivot swaps
+		}
+		return testing.AllocsPerRun(3, func() {
+			if _, err := LUFactor(m, a, DefaultGaussOpts()); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
 	// simplex stops Dantzig's rule after the given number of pivots on
 	// the 5-variable Klee-Minty cube, which it solves in 31.
 	const kmN = 5
@@ -120,6 +131,7 @@ func TestKernelTemporariesPerRun(t *testing.T) {
 	}{
 		{"MatMulKernel K=8 vs K=64", matmul(8), matmul(64)},
 		{"GaussKernel n=8 vs n=32", gauss(8), gauss(32)},
+		{"LUFactor n=8 vs n=32", luFactor(8), luFactor(32)},
 		{"SimplexKernel 1 vs 8 pivots", simplex(1), simplex(8)},
 	} {
 		t.Logf("%s: %.0f vs %.0f objects per run", c.name, c.short, c.long)

@@ -44,14 +44,7 @@ func SolveTridiag(mach *hypercube.Machine, a, b, c, d []float64) ([]float64, cos
 	if err != nil {
 		return nil, 0, err
 	}
-	// The host-visible solution vector spans the padded length so its
-	// map matches the working layout exactly; the driver slices the
-	// real prefix off at the end.
-	xOut, err := core.NewVector(g, np, core.Linear, embed.Block, 0, false)
-	if err != nil {
-		return nil, 0, err
-	}
-
+	x := make([]float64, n)
 	elapsed, err := mach.Run(func(p *hypercube.Proc) {
 		e := core.NewEnv(p, g)
 		pid := p.ID()
@@ -186,18 +179,17 @@ func SolveTridiag(mach *hypercube.Machine, a, b, c, d []float64) ([]float64, cos
 			}
 			p.Compute(flops)
 		}
-		// Land the solution in the host vector (same layout by
-		// construction: both use the padded-length block map).
+		// Land the real equations' solution in the returned slice.
 		for l := 0; l < bs; l++ {
-			if gi := globalOf(l); gi >= 0 {
-				xOut.L(pid)[xOut.Map.LocalOf(gi)] = lx[l]
+			if gi := globalOf(l); gi >= 0 && gi < n {
+				x[gi] = lx[l]
 			}
 		}
 	})
 	if err != nil {
 		return nil, 0, err
 	}
-	return xOut.ToSlice()[:n], elapsed, nil
+	return x, elapsed, nil
 }
 
 // TridiagSystem is one independent tridiagonal system for the batch

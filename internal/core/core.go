@@ -111,17 +111,16 @@ type runSlab struct {
 	mats slots[Matrix]
 }
 
-// newRunSlab returns an empty slab holding at most 4 Envs, 4 vector
-// headers and 2 matrix headers, which covers every primitive's result,
-// the benchmark's bodies, and an operand staged by LoadDense next to a
-// primitive's matrix result (vecMatPrimitive's spread block) or next
-// to a second operand (MatMul's A and B). A held header keeps its
-// storage, in the scratch arena, until EndRun, so the limits bound
+// newRunSlab returns an empty slab holding at most 4 Envs, 6 vector
+// headers and 3 matrix headers: the most any driver of internal/apps
+// holds at once (SolveCG's six iterate, right-hand-side and
+// preconditioner vectors; MatMul's A, B and C). A held header keeps
+// its storage, in the scratch arena, until EndRun, so the limits bound
 // what a body that loops over temporaries, dropping each, keeps alive
-// to four pieces and two blocks per processor, however long it loops,
+// to six pieces and three blocks per processor, however long it loops,
 // and bound the arena's regions to as much.
 func newRunSlab() *runSlab {
-	return &runSlab{envs: slots[Env]{limit: 4}, vecs: slots[Vector]{limit: 4}, mats: slots[Matrix]{limit: 2}}
+	return &runSlab{envs: slots[Env]{limit: 4}, vecs: slots[Vector]{limit: 6}, mats: slots[Matrix]{limit: 3}}
 }
 
 // EndRun resets every object handed out since the last rewind, leaving

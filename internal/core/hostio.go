@@ -53,27 +53,25 @@ func FromDense(g embed.Grid, dm *serial.Mat, rkind, ckind embed.MapKind) (*Matri
 	if err != nil {
 		return nil, err
 	}
-	a.eachBlockRow(func(blockRow []float64, i, nc, c0, cs int) {
-		toPiece(blockRow, dm.A[i*dm.C:(i+1)*dm.C], nc, c0, cs)
-	})
+	a.copyBlocks(dm, true)
 	return a, nil
 }
 
-// eachBlockRow calls f once per local row of every block that holds
-// data: blockRow is the local row, i the global row it stores, and
-// (nc, c0, cs) the column piece it covers (see pieceOf). Blocks with
-// no valid element are not materialized.
-func (a *Matrix) eachBlockRow(f func(blockRow []float64, i, nc, c0, cs int)) {
+// copyBlocks is copyBlock for every block of the grid.
+func (a *Matrix) copyBlocks(dm *serial.Mat, load bool) {
 	for gr := 0; gr < a.G.PRows(); gr++ {
 		for gc := 0; gc < a.G.PCols(); gc++ {
-			a.blockRows(gr, gc, f)
+			a.copyBlock(dm, gr, gc, load)
 		}
 	}
 }
 
-// blockRows is eachBlockRow for the block at grid coordinates (gr,
-// gc) alone.
-func (a *Matrix) blockRows(gr, gc int, f func(blockRow []float64, i, nc, c0, cs int)) {
+// copyBlock copies the block at grid coordinates (gr, gc) from dm if
+// load is set, into dm otherwise: of each of its local rows that
+// stores a global row, the column piece it covers (see pieceOf), so
+// padding is neither read nor written. A block with no valid element
+// is not materialized.
+func (a *Matrix) copyBlock(dm *serial.Mat, gr, gc int, load bool) {
 	nr, r0, rs := pieceOf(a.RMap, gr)
 	nc, c0, cs := pieceOf(a.CMap, gc)
 	if nr == 0 || nc == 0 {
@@ -81,7 +79,13 @@ func (a *Matrix) blockRows(gr, gc int, f func(blockRow []float64, i, nc, c0, cs 
 	}
 	blk := a.L(a.G.ProcAt(gr, gc))
 	for lr := 0; lr < nr; lr++ {
-		f(blk[lr*a.CMap.B:(lr+1)*a.CMap.B], r0+lr*rs, nc, c0, cs)
+		local := blk[lr*a.CMap.B : (lr+1)*a.CMap.B]
+		i := r0 + lr*rs
+		if load {
+			toPiece(local, dm.A[i*dm.C:(i+1)*dm.C], nc, c0, cs)
+		} else {
+			fromPiece(dm.A[i*dm.C:(i+1)*dm.C], local, nc, c0, cs)
+		}
 	}
 }
 
@@ -94,10 +98,24 @@ func (a *Matrix) blockRows(gr, gc int, f func(blockRow []float64, i, nc, c0, cs 
 // container.
 func (e *Env) LoadDense(dm *serial.Mat, rkind, ckind embed.MapKind) *Matrix {
 	a := e.TempMatrix(dm.R, dm.C, rkind, ckind)
-	a.blockRows(e.GridRow(), e.GridCol(), func(blockRow []float64, i, nc, c0, cs int) {
-		toPiece(blockRow, dm.A[i*dm.C:(i+1)*dm.C], nc, c0, cs)
-	})
+	a.copyBlock(dm, e.GridRow(), e.GridCol(), true)
 	return a
+}
+
+// errStoreShape is StoreDense's refusal of a dense matrix whose shape
+// is not the distributed one's.
+var errStoreShape = errors.New("core: StoreDense shape mismatch")
+
+// StoreDense is LoadDense's twin: every processor calls it from inside
+// a Run and writes its own block of a into dst (a.Rows x a.Cols), as
+// ToDense would have assembled it, padding skipped, at no simulated
+// cost. It serves temporaries and host containers alike, so a driver's
+// result needs no host container to land in.
+func (e *Env) StoreDense(dst *serial.Mat, a *Matrix) {
+	if dst.R != a.Rows || dst.C != a.Cols {
+		panic(errStoreShape)
+	}
+	a.copyBlock(dst, e.GridRow(), e.GridCol(), false)
 }
 
 // The host accessors' refusals of an SPMD-local temporary, which holds
@@ -116,9 +134,7 @@ func (a *Matrix) ToDense() *serial.Mat {
 		panic(err)
 	}
 	dm := serial.NewMat(a.Rows, a.Cols)
-	a.eachBlockRow(func(blockRow []float64, i, nc, c0, cs int) {
-		fromPiece(dm.A[i*dm.C:(i+1)*dm.C], blockRow, nc, c0, cs)
-	})
+	a.copyBlocks(dm, false)
 	return dm
 }
 

@@ -10,6 +10,7 @@ import (
 	"vmprim/internal/costmodel"
 	"vmprim/internal/embed"
 	"vmprim/internal/hypercube"
+	"vmprim/internal/serial"
 )
 
 // stagingMachines returns a machine per grid dimension of testGrids,
@@ -70,6 +71,73 @@ func TestLoadDenseMatchesFromDense(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestStoreDenseMatchesToDense: StoreDense lands a staged matrix, and
+// a host container, in the dense matrix ToDense assembles, on every
+// test grid, under every pair of maps, for the shapes of
+// TestLoadDenseMatchesFromDense. Every processor fills its block's
+// padding with NaN first, so a store that wrote padding anywhere
+// shows; and storing charges no simulated time. A dense matrix of
+// another shape, even one with as many elements, is refused.
+func TestStoreDenseMatchesToDense(t *testing.T) {
+	machine := stagingMachines(t)
+	rng := rand.New(rand.NewSource(57))
+	kinds := []embed.MapKind{embed.Block, embed.Cyclic}
+	for _, g := range testGrids(t) {
+		m := machine(g)
+		for _, shape := range [][2]int{{8, 8}, {7, 5}, {3, 2}, {1, 9}, {13, 1}, {0, 4}} {
+			for _, rk := range kinds {
+				for _, ck := range kinds {
+					name := fmt.Sprintf("grid %dx%d %dx%d %v/%v", g.PRows(), g.PCols(), shape[0], shape[1], rk, ck)
+					dm := randDense(rng, shape[0], shape[1])
+					ref, err := FromDense(g, dm, rk, ck)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := ref.ToDense()
+					staged, hosted := serial.NewMat(dm.R, dm.C), serial.NewMat(dm.R, dm.C)
+					elapsed, err := m.Run(func(p *hypercube.Proc) {
+						e := NewEnv(p, g)
+						a := e.LoadDense(dm, rk, ck)
+						for _, blk := range [][]float64{a.L(p.ID()), ref.L(p.ID())} {
+							for l := range blk {
+								lr, lc := l/a.CMap.B, l%a.CMap.B
+								if a.RMap.GlobalOf(e.GridRow(), lr) < 0 || a.CMap.GlobalOf(e.GridCol(), lc) < 0 {
+									blk[l] = math.NaN()
+								}
+							}
+						}
+						e.StoreDense(staged, a)
+						e.StoreDense(hosted, ref)
+					})
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if !slices.Equal(staged.A, want.A) || !slices.Equal(hosted.A, want.A) {
+						t.Fatalf("%s: StoreDense gave %v from the staged matrix and %v from the host one, ToDense %v",
+							name, staged.A, hosted.A, want.A)
+					}
+					if elapsed != 0 {
+						t.Fatalf("%s: storing took %v of simulated time, want none", name, elapsed)
+					}
+				}
+			}
+		}
+	}
+	g, _ := embed.NewGrid(1, 1)
+	msg := ""
+	spmd(t, g, func(e *Env) {
+		defer func() {
+			if r := recover(); r != nil && e.P.ID() == 0 {
+				msg = fmt.Sprint(r)
+			}
+		}()
+		e.StoreDense(serial.NewMat(4, 5), e.TempMatrix(5, 4, embed.Block, embed.Block))
+	})
+	if want := "core: StoreDense shape mismatch"; msg != want {
+		t.Fatalf("StoreDense panicked with %q, want %q", msg, want)
 	}
 }
 

@@ -38,8 +38,8 @@ const (
 	// router phase); Label carries the protocol name and Dim the
 	// subcube dimension mask.
 	KindCollective
-	// KindCapture is a payload handed to the recorder with
-	// Proc.Capture for post-mortem inspection.
+	// KindCapture is the offending payload of a tag mismatch, kept
+	// for post-mortem inspection.
 	KindCapture
 )
 

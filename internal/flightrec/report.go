@@ -41,8 +41,9 @@ func (k WaitKind) String() string {
 	}
 }
 
-// CapturedBuf summarizes one payload handed to the recorder with
-// Proc.Capture: its length and a short prefix of its words.
+// CapturedBuf summarizes a payload kept for the post-mortem (the
+// offending message of a tag mismatch): its length and a short prefix
+// of its words.
 type CapturedBuf struct {
 	Len  int       `json:"len"`
 	Head []float64 `json:"head,omitempty"`

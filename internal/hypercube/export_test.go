@@ -81,3 +81,7 @@ func poison(words []float64) {
 		words[i] = math.NaN()
 	}
 }
+
+// ScratchRegion returns the words of each processor's region of m's
+// scratch arena: the most any processor has taken in one Run so far.
+func (m *Machine) ScratchRegion() int { return m.region }

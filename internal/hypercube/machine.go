@@ -563,10 +563,7 @@ func (p *Proc) resetForRun() {
 	p.msgHist = [msgHistBins]int64{}
 	p.rec.Reset()
 	p.waitKind = flightrec.WaitNone
-	for i := range p.captured {
-		p.captured[i] = nil
-	}
-	p.captured = p.captured[:0]
+	p.captured, p.hasCaptured = nil, false
 	p.panicked = nil
 	p.trace = p.trace[:0]
 }
@@ -655,15 +652,16 @@ type Proc struct {
 	// Flight recorder and post-mortem state (see postmortem.go). rec is
 	// the bounded event ring; the wait registers say what the processor
 	// is blocked on right now (written on the slow paths, read by the
-	// machine only after the run has ended); captured
-	// holds payloads handed over with Capture. All feed the post-mortem
-	// report of a failed run.
-	rec       flightrec.Ring
-	waitKind  flightrec.WaitKind
-	waitDim   int
-	waitTag   int
-	waitSince costmodel.Time
-	captured  [][]float64
+	// machine only after the run has ended); captured holds the
+	// offending payload of a tag mismatch, if hasCaptured. All feed the
+	// post-mortem report of a failed run.
+	rec         flightrec.Ring
+	waitKind    flightrec.WaitKind
+	waitDim     int
+	waitTag     int
+	waitSince   costmodel.Time
+	captured    []float64
+	hasCaptured bool
 
 	// Per-run metric counters, folded into the machine's registry once
 	// per Run: collective entries and the message-size histogram bins
@@ -709,9 +707,9 @@ func (p *Proc) SetLocal(l RunLocal) { p.local = l }
 // rather than growing into the next request. They are valid until the
 // end of the Run that took them, whose every exit rewinds the region:
 // the next Run hands the same words out again. So a caller keeps them
-// no longer than the Run, and never Recycles, sends (SendOwned,
-// SendOwnedParts) or Captures them, which would let the pool or a
-// receiver hand them out a second time. A request past the region's
+// no longer than the Run, and never Recycles or sends (SendOwned,
+// SendOwnedParts) them, which would let the pool or a receiver hand
+// them out a second time. A request past the region's
 // end gets a plain allocation; the arena then grows at the end of the
 // Run to the most words any processor took, so the next Run's requests
 // fit. The arena is held strongly only while a Run uses it: between
@@ -1005,26 +1003,6 @@ func (p *Proc) TagMark() int { return p.tagMark }
 // "" if none.
 func (p *Proc) TagOwner() string { return p.m.labels.Name(p.tagBy) }
 
-// maxCaptured bounds the payloads the recorder retains per processor.
-const maxCaptured = 4
-
-// Capture hands buf to the flight recorder for post-mortem inspection:
-// ownership transfers to the recorder, so the caller must not use or
-// Recycle buf afterwards. The recorder keeps the newest maxCaptured
-// payloads; they appear in the post-mortem report of a failed run and
-// are dropped at the next Run. Recv uses it to preserve the offending
-// payload of a tag mismatch; application code may capture its own
-// evidence before panicking.
-func (p *Proc) Capture(buf []float64) {
-	if len(p.captured) < maxCaptured {
-		p.captured = append(p.captured, buf)
-	} else {
-		copy(p.captured, p.captured[1:])
-		p.captured[maxCaptured-1] = buf
-	}
-	p.record(flightrec.KindCapture, flightrec.NoLabel, -1, 0, len(buf), p.clock)
-}
-
 // Recv receives the next message on dimension d, checks that its tag
 // matches wantTag (a mismatch is a protocol bug and panics), advances
 // the clock to the arrival time, and returns the payload. The returned
@@ -1074,7 +1052,8 @@ func (p *Proc) recv(d, wantTag int, gather bool) ([]float64, *parts) {
 		if msg.more != nil {
 			msg.words = p.gather(msg.words, msg.more)
 		}
-		p.Capture(msg.words)
+		p.captured, p.hasCaptured = msg.words, true
+		p.record(flightrec.KindCapture, flightrec.NoLabel, -1, 0, len(msg.words), p.clock)
 		panic(fmt.Sprintf("tag mismatch on dim %d: got %d, want %d", d, msg.tag, wantTag))
 	}
 	if p.crit {

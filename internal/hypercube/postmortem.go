@@ -73,13 +73,10 @@ func (m *Machine) buildPostMortem(cause string, failedPid int) *flightrec.Report
 		for _, f := range pr.ps.stack {
 			ps.OpenSpans = append(ps.OpenSpans, pr.ps.nodes[f.node].Name)
 		}
-		for _, buf := range pr.captured {
-			head := buf
-			if len(head) > capturedHeadWords {
-				head = head[:capturedHeadWords]
-			}
+		if pr.hasCaptured {
+			head := pr.captured[:min(len(pr.captured), capturedHeadWords)]
 			ps.Captured = append(ps.Captured, flightrec.CapturedBuf{
-				Len: len(buf), Head: append([]float64(nil), head...),
+				Len: len(pr.captured), Head: append([]float64(nil), head...),
 			})
 		}
 		ps.Events = pr.rec.Snapshot(nil, &m.labels)

@@ -58,13 +58,16 @@ func submit(base string) (status int, code string, err error) {
 // stallWorker submits one run and holds it in the single worker: the
 // worker finishes simulating it, then waits in finishRun for s.aggMu,
 // which the test holds until it calls release (at most once takes
-// effect).
+// effect). It returns once the run is running, not merely taken off
+// the queue: the worker counts a run as started before it acquires a
+// machine and marks it running.
 func stallWorker(t *testing.T, s *Server, base string) (release func()) {
 	t.Helper()
 	s.aggMu.Lock()
 	release = sync.OnceFunc(s.aggMu.Unlock)
-	postSpec(t, base, testSpec, http.StatusAccepted)
-	for deadline := time.Now().Add(5 * time.Second); len(s.queue) > 0 || s.met.runsStarted.Value() == 0; {
+	st := postSpec(t, base, testSpec, http.StatusAccepted)
+	run, _ := s.reg.get(st.ID)
+	for deadline := time.Now().Add(5 * time.Second); run.State() != StateRunning; {
 		if time.Now().After(deadline) {
 			release()
 			t.Fatal("the worker did not take the first run within 5s")

@@ -7,11 +7,11 @@ per-processor store of Envs and temporary headers in
 internal/core/core.go that Machine.Run (internal/hypercube/machine.go)
 rewinds after every Run, and the machine's scratch arena that backs
 those headers' storage (Proc.Scratch, in machine.go); for the staging
-of a driver's operands inside its Run (Env.LoadDense, LoadSlice and
-StoreSlice, in internal/core/hostio.go); and for the SPMD code the
-spanbalance and
-collorder analyzers check (internal/core, internal/collective,
-internal/apps).
+of a driver's operands inside its Run (Env.LoadDense, LoadSlice,
+StoreDense and StoreSlice, in internal/core/hostio.go, and the shared
+forward-elimination step of internal/apps/gauss.go); and for the SPMD
+code the spanbalance and collorder analyzers check (internal/core,
+internal/collective, internal/apps).
 
 Each mutant is data: a file, an exact old text, the new text that
 replaces it, and the bug class it seeds. The harness copies a source
@@ -87,7 +87,7 @@ CLASSES = {
     "P": "Recycle dropped: a pooled buffer leaks",
     "T": "tag skewed across a call",
     "W": "wall clock in a sim package",
-    "H": "staging inside a Run reads or writes the wrong words, or charges time",
+    "H": "staging inside a Run reads or writes the wrong words, or charges time; the shared elimination step loses a sign",
 }
 
 SSE = "internal/serve/sse.go"
@@ -112,6 +112,7 @@ MATVEC = "internal/apps/matvec.go"
 NAIVE = "internal/apps/naive.go"
 LU = "internal/apps/lu.go"
 HOSTIO = "internal/core/hostio.go"
+GAUSS = "internal/apps/gauss.go"
 SPMD = ("internal/core/", "internal/collective/", "internal/apps/")
 
 # id, file, site (function), old text, new text. The class is the id's
@@ -317,27 +318,38 @@ MUTANTS = [
      "\tbase := p.id*a.region + off\n",
      "\tbase := p.id*a.region/2 + off\n"),
 
-    # H: Env.LoadDense, LoadSlice and StoreSlice, which stage a driver's
-    # operands inside its one Run and land its result, at no simulated
-    # cost, with the piece walk FromDense and ToSlice use.
+    # H: Env.LoadDense, LoadSlice, StoreDense and StoreSlice, which
+    # stage a driver's operands inside its one Run and land its result,
+    # at no simulated cost, with the walks FromDense, ToDense and
+    # ToSlice use; and the forward-elimination step GaussKernel,
+    # EliminateMulti and Determinant share.
     ("H1", HOSTIO, "Env.LoadDense: stages the next grid row's rows (wrong block-row offset)",
-     "\ta.blockRows(e.GridRow(), e.GridCol(), ",
-     "\ta.blockRows((e.GridRow()+1)%e.G.PRows(), e.GridCol(), "),
+     "\ta.copyBlock(dm, e.GridRow(), e.GridCol(), true)\n",
+     "\ta.copyBlock(dm, (e.GridRow()+1)%e.G.PRows(), e.GridCol(), true)\n"),
     ("H2", HOSTIO, "Env.LoadDense: stages the next grid column's piece of each row",
-     "\ta.blockRows(e.GridRow(), e.GridCol(), ",
-     "\ta.blockRows(e.GridRow(), (e.GridCol()+1)%e.G.PCols(), "),
-    ("H3", HOSTIO, "Matrix.blockRows: copies the block's padding rows too",
-     "\tfor lr := 0; lr < nr; lr++ {\n\t\tf(",
-     "\tfor lr := 0; lr < a.RMap.B; lr++ {\n\t\tf("),
+     "\ta.copyBlock(dm, e.GridRow(), e.GridCol(), true)\n",
+     "\ta.copyBlock(dm, e.GridRow(), (e.GridCol()+1)%e.G.PCols(), true)\n"),
+    ("H3", HOSTIO, "Matrix.copyBlock: copies the block's padding rows too",
+     "\tfor lr := 0; lr < nr; lr++ {\n\t\tlocal :=",
+     "\tfor lr := 0; lr < a.RMap.B; lr++ {\n\t\tlocal :="),
     ("H4", HOSTIO, "Env.StoreSlice: writes each piece from its last holder, not holder(c, 0)",
      "\tif pid != v.holder(c, 0) {\n",
      "\tif pid != v.holder(c, v.copies()-1) {\n"),
     ("H5", HOSTIO, "Env.LoadDense: charges a Compute per staged word",
-     "\t})\n\treturn a\n}\n",
-     "\t})\n\te.P.Compute(len(a.L(e.P.ID())))\n\treturn a\n}\n"),
+     ", true)\n\treturn a\n}\n",
+     ", true)\n\te.P.Compute(len(a.L(e.P.ID())))\n\treturn a\n}\n"),
     ("H6", HOSTIO, "Env.LoadSlice: a processor off the vector's home fills a piece too",
      "\tif !v.HoldsData(pid) {\n\t\treturn v\n\t}\n",
      ""),
+    ("H7", HOSTIO, "Env.StoreDense: writes the next grid row's block",
+     "\ta.copyBlock(dst, e.GridRow(), e.GridCol(), false)\n",
+     "\ta.copyBlock(dst, (e.GridRow()+1)%e.G.PRows(), e.GridCol(), false)\n"),
+    ("H8", HOSTIO, "Matrix.copyBlock: a store (StoreDense, ToDense) writes the block's padding rows too",
+     "\tfor lr := 0; lr < nr; lr++ {\n\t\tlocal :=",
+     "\tfor lr := 0; lr < nr || !load && lr < a.RMap.B; lr++ {\n\t\tlocal :="),
+    ("H9", GAUSS, "forwardEliminate: a row swap does not flip the determinant's sign",
+     "\t\tif piv != k {\n\t\t\tdet = -det\n\t\t}\n",
+     "\t\t_ = piv\n"),
 
     # N: a span closed on the main path only. The defer becomes an
     # inline EndSpan at the last exit (EXTRA), so an early return skips
