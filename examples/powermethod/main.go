@@ -60,6 +60,9 @@ func main() {
 		x := xv
 		var est float64
 		for it := 0; it < iterations; it++ {
+			// Each iteration's vectors live in its step scope; the
+			// iterate it carries to the next lands in eigvec.
+			step := e.Mark()
 			// y = x*A (A symmetric, so this is also A*x).
 			y := vmprim.VecMatKernel(e, a, x, vmprim.MatvecFused)
 			// lambda estimate: ||y||_inf via Reduce, then normalize.
@@ -69,9 +72,10 @@ func main() {
 			e.MapVec(y, func(_ int, v float64) float64 { return v * inv }, 1)
 			// Embedding change: the result is row-aligned, the next
 			// multiply wants it col-aligned.
-			x = e.Realign(y, vmprim.ColAligned, vmprim.Block, 0, false)
+			e.StoreVec(eigvec, e.Realign(y, vmprim.ColAligned, vmprim.Block, 0, false))
+			e.Release(step)
+			x = eigvec
 		}
-		e.StoreVec(eigvec, x)
 		if p.ID() == 0 {
 			lambda = est
 		}

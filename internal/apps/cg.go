@@ -90,6 +90,9 @@ func SolveCG(m *hypercube.Machine, a *serial.Mat, b []float64, opts CGOpts) (CGR
 		iters := 0
 		resid := e.Norm2Vec(r)
 		for iters < opts.MaxIter && resid > opts.Tol {
+			// The iteration's q and z live in its step scope; x, r and
+			// pv are updated in place.
+			step := e.Mark()
 			// q = A p (col-aligned), realigned to the iterate layout.
 			e.BeginSpan("matvec")
 			qc := MatVecKernel(e, da, pv)
@@ -101,7 +104,7 @@ func SolveCG(m *hypercube.Machine, a *serial.Mat, b []float64, opts CGOpts) (CGR
 			e.AddScaledVec(r, -alpha, q)
 			e.EndSpan()
 			e.BeginSpan("precond")
-			e.CopyVecInto(z, r)
+			z := e.CopyVec(r)
 			e.ZipVec(z, dinv, func(ri, di float64) float64 { return ri * di }, 1)
 			e.EndSpan()
 			e.BeginSpan("update")
@@ -111,6 +114,7 @@ func SolveCG(m *hypercube.Machine, a *serial.Mat, b []float64, opts CGOpts) (CGR
 			e.ScaleAddVec(pv, beta, z)
 			resid = e.Norm2Vec(r)
 			e.EndSpan()
+			e.Release(step)
 			iters++
 		}
 		e.StoreSlice(res.X, x)

@@ -56,18 +56,19 @@ func pivotRow(e *core.Env, w *core.Matrix, k int) (int, error) {
 
 // forwardEliminate runs forward elimination with partial pivoting on
 // the n = w.Rows leading columns of w, updating columns [k, cols) at
-// step k. Each step is a pivot (pivotRow) and an elimination: the
-// pivot row into prow and column k into mcol, both replicated (Extract
-// + Distribute fused), mcol scaled to the multipliers (zero at and
-// above the pivot row), and the rank-1 elementwise update of rows (k,
-// n); column k is included so the eliminated entries become exact
-// zeros. It returns the product of the pivots, its sign flipped at
-// every row swap (the determinant of the leading n x n block), or an
+// step k. Each step, in a step scope of its own, is a pivot (pivotRow)
+// and an elimination: the pivot row and column k, both replicated
+// (Extract + Distribute fused), the column scaled to the multipliers
+// (zero at and above the pivot row), and the rank-1 elementwise update
+// of rows (k, n); column k is included so the eliminated entries become
+// exact zeros. It returns the product of the pivots, its sign flipped
+// at every row swap (the determinant of the leading n x n block), or an
 // error, identical on every processor, if that block is numerically
 // singular.
-func forwardEliminate(e *core.Env, w *core.Matrix, prow, mcol *core.Vector, cols int) (float64, error) {
+func forwardEliminate(e *core.Env, w *core.Matrix, cols int) (float64, error) {
 	det := 1.0
 	for k := 0; k < w.Rows; k++ {
+		step := e.Mark()
 		e.BeginSpan("pivot")
 		piv, err := pivotRow(e, w, k)
 		e.EndSpan()
@@ -78,9 +79,9 @@ func forwardEliminate(e *core.Env, w *core.Matrix, prow, mcol *core.Vector, cols
 			det = -det
 		}
 		e.BeginSpan("eliminate")
-		e.ExtractRowInto(prow, w, k, true)
+		prow := e.ExtractRow(w, k, true)
 		pivot := e.VecElemAt(prow, k)
-		e.ExtractColInto(mcol, w, k, true)
+		mcol := e.ExtractCol(w, k, true)
 		inv := 1 / pivot
 		e.MapVec(mcol, func(gi int, v float64) float64 {
 			if gi <= k {
@@ -90,6 +91,7 @@ func forwardEliminate(e *core.Env, w *core.Matrix, prow, mcol *core.Vector, cols
 		}, 1)
 		e.UpdateOuterSub(w, mcol, prow, k+1, w.Rows, k, cols)
 		e.EndSpan()
+		e.Release(step)
 		det *= pivot
 	}
 	return det, nil
@@ -107,9 +109,7 @@ func GaussKernel(e *core.Env, w *core.Matrix, xOut *core.Vector) error {
 	}
 	e.BeginSpan("gauss")
 	defer e.EndSpan()
-	prow := e.TempVector(w.Cols, core.RowAligned, w.CMap.Kind, 0, true)
-	mcol := e.TempVector(n, core.ColAligned, w.RMap.Kind, 0, true)
-	if _, err := forwardEliminate(e, w, prow, mcol, n+1); err != nil {
+	if _, err := forwardEliminate(e, w, n+1); err != nil {
 		return err
 	}
 
@@ -126,9 +126,10 @@ func GaussKernel(e *core.Env, w *core.Matrix, xOut *core.Vector) error {
 		if k == 0 {
 			break
 		}
-		e.ExtractColInto(mcol, w, k, true)
-		e.UpdateOuter(w, mcol, ones, 0, k, n, n+1,
+		step := e.Mark()
+		e.UpdateOuter(w, e.ExtractCol(w, k, true), ones, 0, k, n, n+1,
 			func(aij, ci, _ float64) float64 { return aij - ci*xk }, 2)
+		e.Release(step)
 	}
 	return nil
 }
@@ -185,9 +186,7 @@ func Determinant(mach *hypercube.Machine, a *serial.Mat, opts GaussOpts) (float6
 	elapsed, err := mach.Run(func(p *hypercube.Proc) {
 		e := core.NewEnv(p, g)
 		w := e.LoadDense(a, opts.RKind, opts.CKind)
-		prow := e.TempVector(n, core.RowAligned, w.CMap.Kind, 0, true)
-		mcol := e.TempVector(n, core.ColAligned, w.RMap.Kind, 0, true)
-		d, _ := forwardEliminate(e, w, prow, mcol, n) // 0 if singular
+		d, _ := forwardEliminate(e, w, n) // 0 if singular
 		if p.ID() == 0 {
 			det = d
 		}

@@ -27,10 +27,8 @@ func EliminateMulti(e *core.Env, w *core.Matrix, nrhs int) error {
 		panic(fmt.Sprintf("apps: EliminateMulti needs n x n+nrhs, got %dx%d with nrhs=%d", w.Rows, w.Cols, nrhs))
 	}
 	cols := n + nrhs
-	prow := e.TempVector(cols, core.RowAligned, w.CMap.Kind, 0, true)
-	mcol := e.TempVector(n, core.ColAligned, w.RMap.Kind, 0, true)
 	// Forward elimination (as in GaussKernel, over wider rows).
-	if _, err := forwardEliminate(e, w, prow, mcol, cols); err != nil {
+	if _, err := forwardEliminate(e, w, cols); err != nil {
 		return err
 	}
 	// Back substitution: normalize row k's solution block, extract it,
@@ -43,9 +41,10 @@ func EliminateMulti(e *core.Env, w *core.Matrix, nrhs int) error {
 		if k == 0 {
 			break
 		}
-		e.ExtractRowInto(prow, w, k, true)
-		e.ExtractColInto(mcol, w, k, true)
-		e.UpdateOuterSub(w, mcol, prow, 0, k, n, cols)
+		step := e.Mark()
+		prow := e.ExtractRow(w, k, true)
+		e.UpdateOuterSub(w, e.ExtractCol(w, k, true), prow, 0, k, n, cols)
+		e.Release(step)
 	}
 	return nil
 }

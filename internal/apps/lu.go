@@ -3,7 +3,6 @@ package apps
 import (
 	"fmt"
 
-	"vmprim/internal/collective"
 	"vmprim/internal/core"
 	"vmprim/internal/costmodel"
 	"vmprim/internal/embed"
@@ -52,11 +51,8 @@ func LUFactor(mach *hypercube.Machine, a *serial.Mat, opts GaussOpts) (*LU, erro
 		e := core.NewEnv(p, g)
 		e.BeginSpan("lu-factor")
 		defer e.EndSpan()
-		prow := e.TempVector(n, core.RowAligned, w.CMap.Kind, 0, true)
-		colK := e.TempVector(n, core.ColAligned, w.RMap.Kind, 0, true)
-		mult := e.TempVector(n, core.ColAligned, w.RMap.Kind, 0, true)
-		lcol := e.TempVector(n, core.ColAligned, w.RMap.Kind, 0, true)
 		for k := 0; k < n; k++ {
+			step := e.Mark()
 			e.BeginSpan("pivot")
 			piv, err := pivotRow(e, w, k)
 			if err != nil {
@@ -67,14 +63,14 @@ func LUFactor(mach *hypercube.Machine, a *serial.Mat, opts GaussOpts) (*LU, erro
 			}
 			e.EndSpan()
 			e.BeginSpan("eliminate")
-			e.ExtractRowInto(prow, w, k, true)
+			prow := e.ExtractRow(w, k, true)
 			pivot := e.VecElemAt(prow, k)
 			inv := 1 / pivot
-			e.ExtractColInto(colK, w, k, true)
+			colK := e.ExtractCol(w, k, true)
 			// Multipliers: zero at and above the pivot row, a_ik/pivot
 			// below. These drive the trailing update and are also the
 			// L factor entries.
-			e.CopyVecInto(mult, colK)
+			mult := e.CopyVec(colK)
 			e.MapVec(mult, func(gi int, v float64) float64 {
 				if gi <= k {
 					return 0
@@ -86,7 +82,7 @@ func LUFactor(mach *hypercube.Machine, a *serial.Mat, opts GaussOpts) (*LU, erro
 			e.UpdateOuterSub(w, mult, prow, k+1, n, k+1, n)
 			// Store L: column k below the diagonal becomes the
 			// multipliers; at and above it keeps the extracted values.
-			e.CopyVecInto(lcol, colK)
+			lcol := e.CopyVec(colK)
 			e.ZipVecWith(lcol, mult, func(gi int, orig, mi float64) float64 {
 				if gi <= k {
 					return orig
@@ -95,6 +91,7 @@ func LUFactor(mach *hypercube.Machine, a *serial.Mat, opts GaussOpts) (*LU, erro
 			}, 1)
 			e.InsertCol(w, lcol, k)
 			e.EndSpan()
+			e.Release(step)
 		}
 	})
 	if err != nil {
@@ -144,20 +141,19 @@ func (lu *LU) Solve(b []float64) ([]float64, costmodel.Time, error) {
 		y := e.LoadSlice(pb, core.ColAligned, w.RMap.Kind, 0, true)
 		xOut := e.TempVector(n, core.Linear, embed.Block, 0, false)
 		// Forward substitution with unit-diagonal L:
-		// y_i -= L[i][k] * y_k for i > k.
-		// col holds column k of L in the forward sweep, of U in the
-		// backward one.
-		col := e.TempVector(n, core.ColAligned, w.RMap.Kind, 0, true)
+		// y_i -= L[i][k] * y_k for i > k, column k of L extracted in
+		// each step's scope.
 		e.BeginSpan("forward-sub")
 		for k := 0; k < n-1; k++ {
+			step := e.Mark()
 			yk := e.VecElemAt(y, k)
-			e.ExtractColInto(col, w, k, true)
-			e.ZipVecWith(y, col, func(gi int, yi, lik float64) float64 {
+			e.ZipVecWith(y, e.ExtractCol(w, k, true), func(gi int, yi, lik float64) float64 {
 				if gi <= k {
 					return yi
 				}
 				return yi - lik*yk
 			}, 2)
+			e.Release(step)
 		}
 		e.EndSpan()
 		e.BeginSpan("back-substitute")
@@ -168,25 +164,25 @@ func (lu *LU) Solve(b []float64) ([]float64, costmodel.Time, error) {
 		// finished x_k instead of separate u and y broadcasts.
 		for k := n - 1; k >= 0; k-- {
 			owner := w.OwnerOf(k, k)
-			var quot []float64
+			var quot float64
 			if e.P.ID() == owner {
 				ukk := w.L(owner)[w.RMap.LocalOf(k)*w.CMap.B+w.CMap.LocalOf(k)]
-				yk := y.L(owner)[y.Map.LocalOf(k)]
-				quot = []float64{yk / ukk}
+				quot = y.L(owner)[y.Map.LocalOf(k)] / ukk
 				e.P.Compute(1)
 			}
-			xk := collective.Bcast(e.P, e.P.FullMask(), e.NextTag(), owner, quot)[0]
+			xk := e.BcastWord(owner, quot)
 			e.SetVecElem(xOut, k, xk)
 			if k == 0 {
 				break
 			}
-			e.ExtractColInto(col, w, k, true)
-			e.ZipVecWith(y, col, func(gi int, yi, uik float64) float64 {
+			step := e.Mark()
+			e.ZipVecWith(y, e.ExtractCol(w, k, true), func(gi int, yi, uik float64) float64 {
 				if gi >= k {
 					return yi
 				}
 				return yi - uik*xk
 			}, 2)
+			e.Release(step)
 		}
 		e.StoreSlice(x, xOut)
 	})

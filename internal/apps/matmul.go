@@ -30,12 +30,12 @@ func MatMulKernel(e *core.Env, c, a, b *core.Matrix) {
 	if c.RMap != a.RMap || c.CMap != b.CMap {
 		panic("apps: MatMulKernel output embedding must match A's rows and B's columns")
 	}
-	ak := e.TempVector(a.Rows, core.ColAligned, a.RMap.Kind, 0, true)
-	bk := e.TempVector(b.Cols, core.RowAligned, b.CMap.Kind, 0, true)
 	for k := 0; k < a.Cols; k++ {
-		e.ExtractColInto(ak, a, k, true) // Extract + Distribute
-		e.ExtractRowInto(bk, b, k, true) // Extract + Distribute
+		step := e.Mark()
+		ak := e.ExtractCol(a, k, true) // Extract + Distribute
+		bk := e.ExtractRow(b, k, true) // Extract + Distribute
 		e.UpdateOuterAddMul(c, ak, bk, 0, c.Rows, 0, c.Cols)
+		e.Release(step)
 	}
 }
 

@@ -46,42 +46,36 @@ func DefaultSimplexOpts() SimplexOpts {
 // distributed tableau t (m+1 rows, n+m+1 columns, as built by
 // serial.NewTableau) with nVars original variables. It returns the
 // final status, objective value, iteration count and basis (identical
-// on every processor).
-func SimplexKernel(e *core.Env, t *core.Matrix, nVars, maxIter int) (serial.LPStatus, float64, int, []int) {
+// on every processor): the column index of row i's basic variable as
+// basis[i], held in the processor's scratch (hypercube.Proc.Scratch)
+// until the end of the Run or step scope that called the kernel.
+func SimplexKernel(e *core.Env, t *core.Matrix, nVars, maxIter int) (serial.LPStatus, float64, int, []float64) {
 	return simplexLoop(e, t, nVars, maxIter, false)
 }
 
 // SimplexKernelBland is SimplexKernel under Bland's anti-cycling rule
 // (smallest-index entering column; minimum ratio with ties broken by
 // smallest basis index), matching serial.SolveLPBland pivot for pivot.
-func SimplexKernelBland(e *core.Env, t *core.Matrix, nVars, maxIter int) (serial.LPStatus, float64, int, []int) {
+func SimplexKernelBland(e *core.Env, t *core.Matrix, nVars, maxIter int) (serial.LPStatus, float64, int, []float64) {
 	return simplexLoop(e, t, nVars, maxIter, true)
 }
 
-func simplexLoop(e *core.Env, t *core.Matrix, nVars, maxIter int, bland bool) (serial.LPStatus, float64, int, []int) {
+func simplexLoop(e *core.Env, t *core.Matrix, nVars, maxIter int, bland bool) (serial.LPStatus, float64, int, []float64) {
 	e.BeginSpan("simplex")
 	defer e.EndSpan()
 	m := t.Rows - 1
 	rhs := t.Cols - 1
-	basis := make([]int, m)
-	for i := range basis {
-		basis[i] = nVars + i
-	}
+	basis := newBasis(e, m, nVars)
 	iters := 0
-	// Per-step temporaries, refilled every iteration. Bland's pricing
-	// borrows prow for the objective row, which is dead by the pivot.
-	col := e.TempVector(t.Rows, core.ColAligned, t.RMap.Kind, 0, true)
-	rhsv := e.TempVector(t.Rows, core.ColAligned, t.RMap.Kind, 0, true)
-	prow := e.TempVector(t.Cols, core.RowAligned, t.CMap.Kind, 0, true)
-	mult := e.TempVector(t.Rows, core.ColAligned, t.RMap.Kind, 0, true)
 	for {
+		step := e.Mark()
 		// Entering variable: Dantzig takes the most negative reduced
 		// cost; Bland the smallest improving index.
 		e.BeginSpan("pricing")
 		var jc int
 		if bland {
-			e.ExtractRowInto(prow, t, m, true) // the objective row
-			_, jc = e.ZipLocVec(prow, prow, 0, rhs, func(g int, v, _ float64) (float64, bool) {
+			obj := e.ExtractRow(t, m, true) // the objective row
+			_, jc = e.ZipLocVec(obj, obj, 0, rhs, func(g int, v, _ float64) (float64, bool) {
 				if v < -simplexEps {
 					return float64(g), true
 				}
@@ -104,8 +98,8 @@ func simplexLoop(e *core.Env, t *core.Matrix, nVars, maxIter int, bland bool) (s
 		// Ratio test: Extract the entering column and the rhs column,
 		// ZipLoc(minloc) over the guarded ratios.
 		e.BeginSpan("ratio-test")
-		e.ExtractColInto(col, t, jc, true)
-		e.ExtractColInto(rhsv, t, rhs, true)
+		col := e.ExtractCol(t, jc, true)
+		rhsv := e.ExtractCol(t, rhs, true)
 		ratio := func(_ int, aij, bi float64) (float64, bool) {
 			if aij <= simplexEps {
 				return 0, false
@@ -121,7 +115,7 @@ func simplexLoop(e *core.Env, t *core.Matrix, nVars, maxIter int, bland bool) (s
 				if !ok || r > minRatio+simplexEps {
 					return 0, false
 				}
-				return float64(basis[g]), true
+				return basis[g], true
 			}, core.LocMin)
 		}
 		e.EndSpan()
@@ -135,10 +129,10 @@ func simplexLoop(e *core.Env, t *core.Matrix, nVars, maxIter int, bland bool) (s
 		e.BeginSpan("pivot")
 		pivot := e.VecElemAt(col, ir)
 		inv := 1 / pivot
-		e.ExtractRowInto(prow, t, ir, true)
+		prow := e.ExtractRow(t, ir, true)
 		e.MapVec(prow, func(_ int, v float64) float64 { return v * inv }, 1)
 		e.InsertRow(t, prow, ir)
-		e.CopyVecInto(mult, col)
+		mult := e.CopyVec(col)
 		e.MapVec(mult, func(gi int, v float64) float64 {
 			if gi == ir {
 				return 0
@@ -147,9 +141,21 @@ func simplexLoop(e *core.Env, t *core.Matrix, nVars, maxIter int, bland bool) (s
 		}, 1)
 		e.UpdateOuterSub(t, mult, prow, 0, m+1, 0, rhs+1)
 		e.EndSpan()
-		basis[ir] = jc
+		e.Release(step)
+		basis[ir] = float64(jc)
 		iters++
 	}
+}
+
+// newBasis returns the initial basis of an m-row tableau over nVars
+// original variables, the slacks, taken from the processor's scratch:
+// a column index per row, exact in a float64.
+func newBasis(e *core.Env, m, nVars int) []float64 {
+	basis := e.P.Scratch(m)
+	for i := range basis {
+		basis[i] = float64(nVars + i)
+	}
+	return basis
 }
 
 // SolveSimplex stages the tableau for maximize c^T x subject to A x <=
@@ -183,9 +189,9 @@ func SolveSimplex(mach *hypercube.Machine, c []float64, a *serial.Mat, b []float
 		// Pull the basic variables' values out of the rhs column.
 		xOut := e.TempVector(len(c), core.Linear, embed.Block, 0, false)
 		for i, bj := range bas {
-			if bj < len(c) {
+			if j := int(bj); j < len(c) {
 				v := e.ElemAt(dt, i, dt.Cols-1)
-				e.SetVecElem(xOut, bj, v)
+				e.SetVecElem(xOut, j, v)
 			}
 		}
 		e.StoreSlice(res.X, xOut)

@@ -11,7 +11,7 @@ import (
 // objective row and the ratio-test columns element by element and
 // rebroadcasts each decision as p separate messages; the pivot row and
 // entering column are spread one message per (element, destination).
-func SimplexKernelNaive(e *core.Env, t *core.Matrix, nVars, maxIter int) (serial.LPStatus, float64, int, []int) {
+func SimplexKernelNaive(e *core.Env, t *core.Matrix, nVars, maxIter int) (serial.LPStatus, float64, int, []float64) {
 	e.BeginSpan("simplex(naive)")
 	defer e.EndSpan()
 	m := t.Rows - 1
@@ -21,10 +21,7 @@ func SimplexKernelNaive(e *core.Env, t *core.Matrix, nVars, maxIter int) (serial
 	b := t.CMap.B
 	myRow, myCol := e.GridRow(), e.GridCol()
 	rowBuf, colBuf := e.P.Scratch(t.CMap.B), e.P.Scratch(t.RMap.B)
-	basis := make([]int, m)
-	for i := range basis {
-		basis[i] = nVars + i
-	}
+	basis := newBasis(e, m, nVars)
 	// fetchScalar reads one tableau element on processor 0 and
 	// rebroadcasts it naively.
 	fetchScalar := func(i, j int) float64 {
@@ -133,7 +130,7 @@ func SimplexKernelNaive(e *core.Env, t *core.Matrix, nVars, maxIter int) (serial
 			}
 		}
 		e.P.Compute(count)
-		basis[ir] = jc
+		basis[ir] = float64(jc)
 		iters++
 	}
 }

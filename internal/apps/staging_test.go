@@ -15,10 +15,10 @@ import (
 // TestRunVecMatStagesItsOperands: RunVecMat stages A and x inside its
 // one Run, so a warm call at the apps benchmark's shape (d = 8, n =
 // 512) allocates y and a few words, not a host copy of A's 2 MB. The
-// primitive variant's spread block must stay in the run slab beside
-// the staged A, too: past the slab's limit it is a 2 MB make of its
-// own. Measured: 2.2 MB per call with A and x in host containers, 4.1
-// KB staged. The guard allows 5% of A.
+// primitive variant's spread block comes from the run slab and the
+// scratch arena beside the staged A, too. Measured: 2.2 MB per call
+// with A and x in host containers, 4.1 KB staged. The guard allows 5%
+// of A.
 func TestRunVecMatStagesItsOperands(t *testing.T) {
 	const d, n = 8, 512
 	m := hypercube.MustNew(d, costmodel.CM2())
@@ -49,19 +49,17 @@ func TestRunVecMatStagesItsOperands(t *testing.T) {
 // TestDriversStageTheirOperands: a warm call of each driver below
 // allocates the value it returns and, beyond it, at most an allowance
 // fixed from a measurement: none of them builds a host container for
-// an operand it reads, or a result it writes, in its one Run. Measured
-// bytes beyond the returned value, staged against host containers:
-//   - SolveSimplex, d = 8, 32 x 48, 5 pivots: 87,504 against 94,576
-//     (both include the host tableau, 21 KB, and every processor's
-//     basis, 64 KB);
-//   - MatMul, d = 8, 64 x 64: 112 against 39,568 (C's container and
-//     ToDense's copy);
-//   - LU.Solve, d = 6, n = 64: 33,360 against 41,808 (both include
-//     every processor's per-step broadcast result, 32 KB);
-//   - SolveTridiag, d = 4, n = 100: 107,904 against 109,568 (both
-//     include the per-level fetch maps);
-//   - SolveGaussMany, d = 6, 8 x 8 with 3 right-hand sides: 1,632
-//     against 4,576.
+// an operand it reads, or a result it writes, in its one Run, and none
+// makes per-step or per-level scratch on the heap. Measured bytes
+// beyond the returned value:
+//   - SolveSimplex, d = 8, 32 x 48, 5 pivots: 21,968 (the host
+//     tableau, 21 KB; the basis is in each processor's scratch);
+//   - MatMul, d = 8, 64 x 64: 112;
+//   - LU.Solve, d = 6, n = 64: 592 (the back-substitution's broadcast
+//     is recycled);
+//   - SolveTridiag, d = 4, n = 100: 52,768 (the answers are read by
+//     request number, the bands are in each processor's scratch);
+//   - SolveGaussMany, d = 6, 8 x 8 with 3 right-hand sides: 1,632.
 func TestDriversStageTheirOperands(t *testing.T) {
 	rng := rand.New(rand.NewSource(56))
 	randMat := func(r, c int) *serial.Mat {
@@ -117,7 +115,7 @@ func TestDriversStageTheirOperands(t *testing.T) {
 		allowance float64
 		call      func() error
 	}{
-		{"SolveSimplex", 8 * lpCols, 89 << 10, func() error {
+		{"SolveSimplex", 8 * lpCols, 22 << 10, func() error {
 			_, _, err := SolveSimplex(d8, lpC, lpA, lpB, lpOpts)
 			return err
 		}},
@@ -125,11 +123,11 @@ func TestDriversStageTheirOperands(t *testing.T) {
 			_, _, err := MatMul(d8, mmA, mmB, embed.Block)
 			return err
 		}},
-		{"LU.Solve", 8 * luN, 34 << 10, func() error {
+		{"LU.Solve", 8 * luN, 1 << 10, func() error {
 			_, _, err := lu.Solve(luB)
 			return err
 		}},
-		{"SolveTridiag", 8 * trN, 108_500, func() error {
+		{"SolveTridiag", 8 * trN, 53_000, func() error {
 			_, _, err := SolveTridiag(d4, trA, trB, trC, trD)
 			return err
 		}},

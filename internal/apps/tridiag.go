@@ -2,6 +2,7 @@ package apps
 
 import (
 	"fmt"
+	"slices"
 
 	"vmprim/internal/core"
 	"vmprim/internal/costmodel"
@@ -49,13 +50,10 @@ func SolveTridiag(mach *hypercube.Machine, a, b, c, d []float64) ([]float64, cos
 		e := core.NewEnv(p, g)
 		pid := p.ID()
 		myCoord := gray.Decode(pid)
-		// Local slices of the padded band vectors.
+		// Local slices of the padded band vectors, from the
+		// processor's scratch.
 		bs := lmap.B
-		la := make([]float64, bs)
-		lb := make([]float64, bs)
-		lc := make([]float64, bs)
-		ld := make([]float64, bs)
-		lx := make([]float64, bs)
+		la, lb, lc, ld, lx := p.Scratch(bs), p.Scratch(bs), p.Scratch(bs), p.Scratch(bs), p.Scratch(bs)
 		globalOf := func(l int) int { return lmap.GlobalOf(myCoord, l) }
 		for l := 0; l < bs; l++ {
 			gi := globalOf(l)
@@ -70,58 +68,63 @@ func SolveTridiag(mach *hypercube.Machine, a, b, c, d []float64) ([]float64, cos
 		}
 		ownerOf := func(gi int) int { return gray.Encode(lmap.CoordOf(gi)) }
 		localOf := func(gi int) int { return lmap.LocalOf(gi) }
-		// fetch gathers what serve answers for a set of global indices
-		// through one batched routing round trip.
-		fetch := func(idx []int, serve func(l int) []float64) map[int][]float64 {
-			want := router.NewBatch(p, len(idx), 0)
-			for _, gi := range idx {
+		// act and need hold a level's active equations and the
+		// neighbors they read, vals the answers by request number;
+		// every level reuses them.
+		var act, need []int
+		var vals [][]float64
+		// fetch gathers what serve answers for need, in need's order,
+		// into vals through one batched routing round trip.
+		fetch := func(serve func(l int) []float64) {
+			want := router.NewBatch(p, len(need), 0)
+			for _, gi := range need {
 				want.Ask(ownerOf(gi), gi)
 			}
 			got := want.Request(p, e.NextTag2(), func(key int) []float64 { return serve(localOf(key)) })
-			out := make(map[int][]float64, len(idx))
-			for q2, words, ok := got.Next(); ok; q2, words, ok = got.Next() {
-				out[idx[q2]] = words
+			vals = slices.Grow(vals[:0], len(need))[:len(need)]
+			for r, words, ok := got.Next(); ok; r, words, ok = got.Next() {
+				vals[r] = words
 			}
-			return out
 		}
-		activeAt := func(s int) []int {
-			// Global indices i in my block with (i+1) divisible by 2^(s+1).
+		// activeAt sets act to the global indices i in my block with
+		// (i+1) % 2^(s+1) == rem.
+		activeAt := func(s, rem int) {
 			step := 1 << (s + 1)
-			var act []int
+			act = act[:0]
 			for l := 0; l < bs; l++ {
-				gi := globalOf(l)
-				if gi >= 0 && (gi+1)%step == 0 && gi < np {
+				if gi := globalOf(l); gi >= 0 && gi < np && (gi+1)%step == rem {
 					act = append(act, gi)
 				}
 			}
-			return act
 		}
 
 		// Reduction: after level s, the equations with (i+1) % 2^(s+1)
 		// == 0 form a tridiagonal system among themselves at stride
 		// 2^(s+1).
+		eq := make([]float64, 4) // Request copies each answer before the next
+		identity := []float64{0, 1, 0, 0}
 		for s := 0; s < q-1; s++ {
 			h := 1 << s
-			act := activeAt(s)
-			var need []int
+			activeAt(s, 0)
+			need = need[:0]
 			for _, gi := range act {
 				need = append(need, gi-h)
 				if gi+h < np {
 					need = append(need, gi+h)
 				}
 			}
-			eq := make([]float64, 4) // Request copies each answer before the next
-			vals := fetch(need, func(l int) []float64 {
+			fetch(func(l int) []float64 {
 				eq[0], eq[1], eq[2], eq[3] = la[l], lb[l], lc[l], ld[l]
 				return eq
 			})
-			flops := 0
+			flops, r := 0, 0
 			for _, gi := range act {
 				l := localOf(gi)
-				lo := vals[gi-h]
-				hi := []float64{0, 1, 0, 0}
+				lo, hi := vals[r], identity
+				r++
 				if gi+h < np {
-					hi = vals[gi+h]
+					hi = vals[r]
+					r++
 				}
 				alpha := la[l] / lo[1]
 				gamma := lc[l] / hi[1]
@@ -146,15 +149,8 @@ func SolveTridiag(mach *hypercube.Machine, a, b, c, d []float64) ([]float64, cos
 			// Solve the equations that were reduced INTO at level s:
 			// indices with (i+1) % 2^(s+1) == 2^s (i.e. active at level
 			// s but not above).
-			step := 1 << (s + 1)
-			var act []int
-			for l := 0; l < bs; l++ {
-				gi := globalOf(l)
-				if gi >= 0 && gi < np && (gi+1)%step == h {
-					act = append(act, gi)
-				}
-			}
-			var need []int
+			activeAt(s, h)
+			need = need[:0]
 			for _, gi := range act {
 				if gi-h >= 0 {
 					need = append(need, gi-h)
@@ -163,16 +159,18 @@ func SolveTridiag(mach *hypercube.Machine, a, b, c, d []float64) ([]float64, cos
 					need = append(need, gi+h)
 				}
 			}
-			xs := fetch(need, func(l int) []float64 { return lx[l : l+1] })
-			flops := 0
+			fetch(func(l int) []float64 { return lx[l : l+1] })
+			flops, r := 0, 0
 			for _, gi := range act {
 				l := localOf(gi)
 				xm, xp2 := 0.0, 0.0
 				if gi-h >= 0 {
-					xm = xs[gi-h][0]
+					xm = vals[r][0]
+					r++
 				}
 				if gi+h < np {
-					xp2 = xs[gi+h][0]
+					xp2 = vals[r][0]
+					r++
 				}
 				lx[l] = (ld[l] - la[l]*xm - lc[l]*xp2) / lb[l]
 				flops += 5

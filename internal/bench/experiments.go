@@ -39,12 +39,14 @@ func timeEach(m *hypercube.Machine, g embed.Grid, bodies []func(*core.Env)) ([]c
 	return times, nil
 }
 
-// runBackToBack executes the bodies in one run, in order, and returns
-// its simulated time.
+// runBackToBack executes the bodies in one run, in order, each in a
+// step scope of its own, and returns its simulated time.
 func runBackToBack(m *hypercube.Machine, g embed.Grid, bodies []func(*core.Env)) (costmodel.Time, error) {
 	return timedRun(m, g, func(e *core.Env) {
 		for _, body := range bodies {
+			step := e.Mark()
 			body(e)
+			e.Release(step)
 		}
 	})
 }

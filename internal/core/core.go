@@ -30,29 +30,31 @@
 // body, through an Env that wraps its Proc handle and manages protocol
 // tags. Distributed containers (Matrix, Vector) may be created by host
 // code before a run and filled from dense data, or created inside a
-// run, in which case each processor lazily materializes only its own
-// block; LoadDense and LoadSlice stage dense data that way, for an
-// operand read in that run alone. A loop that needs the same temporary every step creates it
-// once and refills it with an *Into method (ExtractRowInto,
-// ExtractColInto, TransposeInto).
+// run, in which case each processor holds only its own block;
+// LoadDense and LoadSlice stage dense data that way, for an
+// operand read in that run alone.
 //
 // An Env, and every SPMD-local temporary made inside a run (TempVector,
 // TempMatrix, and the results of the primitives), is valid until the
-// end of the Run that made it; a value that must outlive the Run is
-// copied into a host-created container or a plain slice (StoreSlice)
-// before the body returns. A Matrix or Vector header is in one of four states:
+// end of the Run or step scope that made it; a value that must outlive
+// the Run is copied into a host-created container or a plain slice
+// (StoreSlice) before the body returns. A step scope is a loop's way to
+// reuse temporaries: m := e.Mark() at the top of a step and
+// e.Release(m) at its end give back every temporary the step made, so
+// the next step takes the same headers and storage again and a loop of
+// any length holds one step's. A processor holds a few headers of each
+// kind at once; a make past that panics (errSlabFull). A Matrix or
+// Vector header is in one of three states:
 //
 //   - a host container holds every processor's piece or block;
 //   - a slab-held temporary holds its processor's own, and comes from
 //     the processor's run-scoped slab, its storage from the machine's
 //     scratch arena (hypercube.Proc.Scratch), so a warm primitive call
 //     allocates nothing;
-//   - a temporary past the slab's few headers of each kind is a plain
-//     allocation, header and storage, so a long loop of temporaries
-//     keeps at most the slab's few alive;
-//   - a spent header, which the machine's rewind after every Run leaves
-//     in each slot the Run took, holds nothing: L and the host
-//     accessors refuse it by name until the slot is handed out again.
+//   - a spent header, which a Release or the machine's rewind after
+//     every Run leaves in each slot the scope or Run took, holds
+//     nothing: L and the host accessors refuse it by name until the
+//     slot is handed out again.
 //
 // All inter-processor data motion
 // happens through the collectives of internal/collective over cube-edge
@@ -84,84 +86,113 @@ type Env struct {
 
 // NewEnv returns the environment for proc p on grid g. The grid must
 // exactly cover p's machine. The Env, and every temporary made through
-// it, is valid until the end of the Run that made it.
+// it, is valid until the end of the Run or step scope that made it.
 func NewEnv(p *hypercube.Proc, g embed.Grid) *Env {
 	if g.D != p.Dim() {
 		panic(fmt.Sprintf("core: grid dimension %d does not match machine dimension %d", g.D, p.Dim()))
 	}
 	s, _ := p.Local().(*runSlab)
 	if s == nil {
-		s = newRunSlab()
+		s = newRunSlab(p)
 		p.SetLocal(s)
 	}
-	e, _ := s.envs.next()
+	e := s.envs.next()
 	*e = Env{P: p, G: g, slab: s}
 	return e
 }
 
+// A Mark is a point in one processor's Run: the Envs and headers its
+// slab has handed out and the scratch words it holds.
+type Mark struct{ envs, vecs, mats, scratch int }
+
+// Mark opens a step scope: it returns this processor's current point,
+// for a Release at the end of the step. Scopes nest; a Release gives
+// back the inner scopes' objects with its own.
+func (e *Env) Mark() Mark {
+	s := e.slab
+	return Mark{s.envs.n, s.vecs.n, s.mats.n, e.P.ScratchMark()}
+}
+
+// Release closes the step scope m opened: every Env and temporary made
+// since m is spent, and its slot and scratch words go to the next
+// makes. All processors release the same scopes; what a loop keeps
+// from a step lives in a container made before m. Releasing a mark an
+// earlier Release passed panics.
+func (e *Env) Release(m Mark) { e.slab.release(m) }
+
+var errReleased = errors.New("core: Release of a scope already released")
+
 // runSlab is one processor's store of the fixed-size objects a Run
 // makes: its Envs and the headers of its SPMD-local temporaries. It is
-// the processor's hypercube.RunLocal, so the machine rewinds it after
-// every Run, and with it the scratch arena that backs its headers'
-// storage; a header it rewinds is spent, the last of the four states
-// of the package doc.
+// the processor's hypercube.RunLocal, so the machine releases it back
+// to the start of the Run after every Run, as Release does a step; a
+// header a release gives back is spent, the last of the three states of
+// the package doc.
 type runSlab struct {
+	p    *hypercube.Proc
 	envs slots[Env]
 	vecs slots[Vector]
 	mats slots[Matrix]
 }
 
-// newRunSlab returns an empty slab holding at most 4 Envs, 6 vector
-// headers and 3 matrix headers: the most any driver of internal/apps
-// holds at once (SolveCG's six iterate, right-hand-side and
-// preconditioner vectors; MatMul's A, B and C). A held header keeps
-// its storage, in the scratch arena, until EndRun, so the limits bound
-// what a body that loops over temporaries, dropping each, keeps alive
-// to six pieces and three blocks per processor, however long it loops,
-// and bound the arena's regions to as much.
-func newRunSlab() *runSlab {
-	return &runSlab{envs: slots[Env]{limit: 4}, vecs: slots[Vector]{limit: 6}, mats: slots[Matrix]{limit: 3}}
+// newRunSlab returns p's empty slab, which holds at most 4 Envs, 12
+// vector and 4 matrix headers at once: a few more than any driver of
+// internal/apps holds (SolveCG's ten vectors, MatMul's three matrices),
+// so only a loop that never releases its steps reaches a limit.
+func newRunSlab(p *hypercube.Proc) *runSlab {
+	return &runSlab{p: p, envs: slots[Env]{limit: 4}, vecs: slots[Vector]{limit: 12}, mats: slots[Matrix]{limit: 4}}
 }
 
-// EndRun resets every object handed out since the last rewind, leaving
-// each header spent and without storage, and rewinds the slab.
-func (s *runSlab) EndRun() {
-	s.envs.rewind(Env{})
-	s.vecs.rewind(Vector{storage: storage{src: spent}})
-	s.mats.rewind(Matrix{storage: storage{src: spent}})
+// release spends what was handed out since m and rewinds slots and scratch to m.
+func (s *runSlab) release(m Mark) {
+	if m.envs > s.envs.n || m.vecs > s.vecs.n || m.mats > s.mats.n {
+		panic(errReleased)
+	}
+	for _, e := range s.envs.rewind(m.envs) {
+		*e = Env{}
+	}
+	for _, v := range s.vecs.rewind(m.vecs) {
+		v.local = nil
+	}
+	for _, a := range s.mats.rewind(m.mats) {
+		a.local = nil
+	}
+	s.p.RewindScratch(m.scratch)
 }
 
-// slots hands out *T in order; all grows to the most a Run has taken,
-// up to limit.
+// EndRun releases everything the Run took.
+func (s *runSlab) EndRun() { s.release(Mark{}) }
+
+var errSlabFull = errors.New("core: more temporaries of one kind held at once than the run slab holds; release each step of a loop with Env.Mark and Env.Release")
+
+// slots hands out *T in order; all grows to the most a Run has held at
+// once, up to limit.
 type slots[T any] struct {
 	all      []*T
 	n, limit int
 }
 
 // next returns the next unused object, allocating it only the first
-// time a Run takes that many, and past the limit every time; held
-// reports whether the slab holds it, which past the limit it does not.
-func (s *slots[T]) next() (t *T, held bool) {
-	if s.n < len(s.all) {
-		s.n++
-		return s.all[s.n-1], true
+// time a Run holds that many. Past the limit it panics with
+// errSlabFull.
+func (s *slots[T]) next() *T {
+	if s.n == len(s.all) {
+		if s.n == s.limit {
+			panic(errSlabFull)
+		}
+		s.all = append(s.all, new(T))
 	}
-	t = new(T)
-	if s.n < s.limit {
-		s.all = append(s.all, t)
-		s.n++
-		return t, true
-	}
-	return t, false
+	s.n++
+	return s.all[s.n-1]
 }
 
-// rewind resets the objects handed out to spent, dropping what they
-// referenced, and makes them available again.
-func (s *slots[T]) rewind(spent T) {
-	for _, t := range s.all[:s.n] {
-		*t = spent
-	}
-	s.n = 0
+// rewind makes the objects handed out past the first k available
+// again and returns them, for the caller to reset: an Env to zero, a
+// header to spent by dropping its storage, the one reference it holds.
+func (s *slots[T]) rewind(k int) []*T {
+	out := s.all[k:s.n]
+	s.n = k
+	return out
 }
 
 // NextTag returns a fresh protocol tag. Primitives call it once per
@@ -217,51 +248,31 @@ func (e *Env) GridCol() int { return e.G.ColOf(e.P.ID()) }
 
 // storage is where a Matrix's blocks or a Vector's pieces live. A
 // temporary stores only its creator's (local), so it costs O(m/p) per
-// processor instead of O(p) slice headers. The fields tell the four
+// processor instead of O(p) slice headers. The fields tell the three
 // states of the package doc apart: all is set for a host container
-// alone; src is the processor whose scratch arena backs a slab-held
-// temporary, nil for a temporary past the slab's limit, and spent for a
-// spent header.
+// alone, local for a slab-held temporary alone, and neither for a spent
+// header.
 type storage struct {
 	all   [][]float64 // indexed by processor address; nil for a temporary
 	local []float64
-	src   *hypercube.Proc
 }
 
-// spent is the src of a header whose Run has ended; its Proc is never
-// used.
-var spent = &hypercube.Proc{}
+// errExpired is the panic of L on a spent header. It is an error value
+// already, so L's inlined copies convert nothing.
+var errExpired = errors.New("core: SPMD-local temporary used after the end of the Run or step scope that made it")
 
-// errExpired is the panic of L on a temporary whose Run has ended. It
-// is an error value already, so L's inlined copies convert nothing.
-var errExpired = errors.New("core: SPMD-local temporary used after the end of the Run that made it")
-
-// get is L past a temporary's materialized piece, out of L's line so
-// that L inlines: a host container's n words for processor pid, made on
-// first use, or a temporary's own, from its source.
+// get is L past a temporary's piece, kept out of L's line so that L
+// stays small: a host container's n words for processor pid, made on
+// first use. A temporary gets its piece when it is made, so a header
+// without one is spent.
+//
+//go:noinline
 func (s *storage) get(pid, n int) []float64 {
-	if s.all != nil {
-		if s.all[pid] == nil {
-			s.all[pid] = make([]float64, n)
-		}
-		return s.all[pid]
-	}
-	switch s.src {
-	case spent:
-		panic(errExpired)
-	case nil:
-		s.local = make([]float64, n)
-	default:
-		s.local = s.src.Scratch(n)
-	}
-	return s.local
-}
-
-// stored returns processor pid's words without materializing them: nil
-// if L has never been called for pid.
-func (s *storage) stored(pid int) []float64 {
 	if s.all == nil {
-		return s.local
+		panic(errExpired)
+	}
+	if s.all[pid] == nil {
+		s.all[pid] = make([]float64, n)
 	}
 	return s.all[pid]
 }
@@ -274,13 +285,13 @@ func (s *storage) IsLocal() bool { return s.all == nil }
 // container, errExpired for a spent header, and the accessor's own
 // refusal, local, for a temporary.
 func (s *storage) hostOnly(local error) error {
-	if s.src == spent {
+	switch {
+	case s.all != nil:
+		return nil
+	case s.local == nil:
 		return errExpired
 	}
-	if s.all == nil {
-		return local
-	}
-	return nil
+	return local
 }
 
 // Matrix is a dense matrix distributed over the processor grid. Local
@@ -311,8 +322,7 @@ func NewMatrix(g embed.Grid, rows, cols int, rkind, ckind embed.MapKind) (*Matri
 
 // setShape validates the shape and overwrites the whole header with
 // it, leaving no backing storage: hosts attach the all-processor block
-// table, SPMD-local temporaries stay storage-free until L materializes
-// the caller's own block.
+// table, SPMD-local temporaries the caller's own block.
 func (a *Matrix) setShape(g embed.Grid, rows, cols int, rkind, ckind embed.MapKind) error {
 	if rows < 0 || cols < 0 {
 		return fmt.Errorf("core: invalid shape %dx%d", rows, cols)
@@ -364,10 +374,10 @@ func MustNewMatrix(g embed.Grid, rows, cols int, rkind, ckind embed.MapKind) *Ma
 	return m
 }
 
-// L returns processor pid's local block, materializing it on first
-// use. Only pid's own processor body (or host code outside a run) may
-// call it for a given pid. For SPMD-local temporaries pid is ignored:
-// the handle belongs to exactly one processor.
+// L returns processor pid's local block, materializing a host
+// container's on first use. Only pid's own processor body (or host
+// code outside a run) may call it for a given pid. For SPMD-local
+// temporaries pid is ignored: the handle belongs to one processor.
 func (a *Matrix) L(pid int) []float64 {
 	if a.local != nil {
 		return a.local
@@ -577,9 +587,9 @@ func MustNewVector(g embed.Grid, n int, layout Layout, kind embed.MapKind, home 
 	return v
 }
 
-// L returns processor pid's local piece, materializing it on first
-// use. As for Matrix.L, only pid's processor may call it for pid, and
-// pid is ignored for SPMD-local temporaries.
+// L returns processor pid's local piece, materializing a host
+// container's on first use. As for Matrix.L, only pid's processor may
+// call it for pid, and pid is ignored for SPMD-local temporaries.
 func (v *Vector) L(pid int) []float64 {
 	if v.local != nil {
 		return v.local
@@ -621,27 +631,33 @@ func (v *Vector) SameShape(w *Vector) bool {
 // TempMatrix creates an SPMD-local zero matrix: a per-processor handle
 // holding only this processor's block. Every processor of the machine
 // must create the temporary with identical arguments. The matrix is
-// valid until the end of the Run that made it.
+// valid until the end of the Run or step scope that made it.
 func (e *Env) TempMatrix(rows, cols int, rkind, ckind embed.MapKind) *Matrix {
-	m, held := e.slab.mats.next()
+	m := e.slab.mats.next()
 	if err := m.setShape(e.G, rows, cols, rkind, ckind); err != nil {
 		panic(err)
 	}
-	if held {
-		m.src = e.P
-	}
+	m.local = e.P.Scratch(m.RMap.B * m.CMap.B)
 	return m
 }
 
 // TempVector creates an SPMD-local zero vector (see TempMatrix), valid
-// until the end of the Run that made it.
+// until the end of the Run or step scope that made it.
 func (e *Env) TempVector(n int, layout Layout, kind embed.MapKind, home int, replicated bool) *Vector {
-	v, held := e.slab.vecs.next()
+	v := e.slab.vecs.next()
 	if err := v.setShape(e.G, n, layout, kind, home, replicated); err != nil {
 		panic(err)
 	}
-	if held {
-		v.src = e.P
-	}
+	v.local = e.P.Scratch(v.Map.B)
+	return v
+}
+
+// tempVector is TempVector for a shape already validated, a vector's or
+// a matrix line's. It sets every field but the host table, which a slot
+// the slab hands out, new or spent, has nil.
+func (e *Env) tempVector(g embed.Grid, n int, layout Layout, m embed.Map1D, home int, replicated bool) *Vector {
+	v := e.slab.vecs.next()
+	v.N, v.G, v.Layout, v.Map, v.Home, v.Replicated = n, g, layout, m, home, replicated
+	v.local = e.P.Scratch(m.B)
 	return v
 }

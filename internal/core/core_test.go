@@ -563,27 +563,18 @@ func TestEnvValidatesGrid(t *testing.T) {
 	}
 }
 
-// TestHostAccessorsRejectLocalHandles: each accessor against the four
+// TestHostAccessorsRejectLocalHandles: each accessor against the three
 // states of a container header. A host container serves them all. A
-// temporary, held by the slab or made past its limit, serves L but not
-// the host accessors, since it holds one processor's piece. A spent
-// header, which the end of its Run leaves, is refused by every
+// slab-held temporary serves L but not the host accessors, since it
+// holds one processor's piece. A spent header, which the Release of
+// its step scope or the end of its Run leaves, is refused by every
 // accessor by name instead of read as an empty container.
 func TestHostAccessorsRejectLocalHandles(t *testing.T) {
 	g, _ := embed.NewGrid(0, 0)
-	const ok, local, lifetime = "", "SPMD-local", "end of the Run that made it"
+	const ok, local, lifetime = "", "SPMD-local", "end of the Run or step scope that made it"
 	type header struct {
 		m *Matrix
 		v *Vector
-	}
-	caught := func(f func()) (msg string) {
-		defer func() {
-			if r := recover(); r != nil {
-				msg = fmt.Sprint(r)
-			}
-		}()
-		f()
-		return ""
 	}
 	// outcomes returns, per accessor, "" if it served h, or the text of
 	// its panic or error.
@@ -606,21 +597,11 @@ func TestHostAccessorsRejectLocalHandles(t *testing.T) {
 	var held header
 	spmd(t, g, func(e *Env) {
 		held = header{e.TempMatrix(2, 2, embed.Block, embed.Block), e.TempVector(2, Linear, embed.Block, 0, false)}
-		for i := 1; i < e.slab.mats.limit; i++ {
-			e.TempMatrix(2, 2, embed.Block, embed.Block)
-		}
-		for i := 1; i < e.slab.vecs.limit; i++ {
-			e.TempVector(2, Linear, embed.Block, 0, false)
-		}
-		past := header{e.TempMatrix(2, 2, embed.Block, embed.Block), e.TempVector(2, Linear, embed.Block, 0, false)}
-		if held.m.src != e.P || held.v.src != e.P || past.m.src != nil || past.v.src != nil {
-			t.Error("the slab did not hold the first temporaries of each kind, or held those past its limit")
-		}
-		got["slab-held"], got["past-limit"] = outcomes(held), outcomes(past)
+		step := e.Mark()
+		released := header{e.TempMatrix(2, 2, embed.Block, embed.Block), e.TempVector(2, Linear, embed.Block, 0, false)}
+		e.Release(step)
+		got["slab-held"], got["released"] = outcomes(held), outcomes(released)
 	})
-	if held.m.src != spent || held.v.src != spent {
-		t.Fatal("the end of the Run left the slab-held headers unspent")
-	}
 	got["spent"] = outcomes(held)
 	for _, row := range []struct {
 		state                      string
@@ -628,7 +609,7 @@ func TestHostAccessorsRejectLocalHandles(t *testing.T) {
 	}{
 		{"host", ok, ok, ok, "false"},
 		{"slab-held", ok, local, local, "true"},
-		{"past-limit", ok, local, local, "true"},
+		{"released", lifetime, lifetime, lifetime, "true"},
 		{"spent", lifetime, lifetime, lifetime, "true"},
 	} {
 		want := map[string]string{

@@ -206,28 +206,12 @@ func (e *Env) CopyMatrix(a *Matrix) *Matrix {
 
 // CopyVec returns an SPMD-local deep copy of v (same embedding).
 func (e *Env) CopyVec(v *Vector) *Vector {
-	out := e.TempVector(v.N, v.Layout, v.Map.Kind, v.Home, v.Replicated)
-	e.CopyVecInto(out, v)
-	return out
-}
-
-// CopyVecInto is CopyVec writing into dst, which must have v's length,
-// layout and map, so a loop can refill one temporary every step
-// instead of allocating a copy per step. It sets dst.Home and
-// dst.Replicated to v's; afterwards dst is indistinguishable from a
-// fresh CopyVec of v, as ExtractRowInto's result is from ExtractRow's.
-func (e *Env) CopyVecInto(dst, v *Vector) {
-	if !dst.SameShape(v) {
-		panic("core: CopyVecInto shape mismatch")
-	}
-	dst.Home, dst.Replicated = v.Home, v.Replicated
-	pid := e.P.ID()
-	if v.HoldsData(pid) {
-		copy(dst.L(pid), v.L(pid))
+	out := e.tempVector(v.G, v.N, v.Layout, v.Map, v.Home, v.Replicated)
+	if pid := e.P.ID(); v.HoldsData(pid) {
+		copy(out.L(pid), v.L(pid))
 		e.P.Compute(v.Map.B)
-	} else {
-		clear(dst.stored(pid))
 	}
+	return out
 }
 
 // StoreVec copies the values of src into the host-visible vector dst

@@ -14,7 +14,8 @@ import (
 // simplex applications. One iteration is a Run of calls calls per
 // processor; it reports host nanoseconds per processor-call. The
 // insert cases move a vector homed on another grid row (column) to
-// the owner first, and the loc-reductions span the whole line.
+// the owner first, and the loc-reductions span the whole line. Each
+// extraction runs in a step scope of its own, as a solver loop's does.
 func BenchmarkPrimitiveEntry(b *testing.B) {
 	const d, n, calls, home = 8, 64, 64, 5
 	g, err := embed.NewGrid(d/2, d/2)
@@ -31,30 +32,10 @@ func BenchmarkPrimitiveEntry(b *testing.B) {
 		name string
 		body func(e *Env)
 	}{
-		{"extract-row-local", func(e *Env) {
-			v := e.TempVector(n, RowAligned, embed.Block, 0, false)
-			for c := 0; c < calls; c++ {
-				e.ExtractRowInto(v, a, c, false)
-			}
-		}},
-		{"extract-row-replicated", func(e *Env) {
-			v := e.TempVector(n, RowAligned, embed.Block, 0, true)
-			for c := 0; c < calls; c++ {
-				e.ExtractRowInto(v, a, c, true)
-			}
-		}},
-		{"extract-col-local", func(e *Env) {
-			v := e.TempVector(n, ColAligned, embed.Block, 0, false)
-			for c := 0; c < calls; c++ {
-				e.ExtractColInto(v, a, c, false)
-			}
-		}},
-		{"extract-col-replicated", func(e *Env) {
-			v := e.TempVector(n, ColAligned, embed.Block, 0, true)
-			for c := 0; c < calls; c++ {
-				e.ExtractColInto(v, a, c, true)
-			}
-		}},
+		{"extract-row-local", scoped(calls, func(e *Env, c int) { e.ExtractRow(a, c, false) })},
+		{"extract-row-replicated", scoped(calls, func(e *Env, c int) { e.ExtractRow(a, c, true) })},
+		{"extract-col-local", scoped(calls, func(e *Env, c int) { e.ExtractCol(a, c, false) })},
+		{"extract-col-replicated", scoped(calls, func(e *Env, c int) { e.ExtractCol(a, c, true) })},
 		{"insert-row-moved", func(e *Env) {
 			v := e.TempVector(n, RowAligned, embed.Block, home, false)
 			for c := 0; c < calls; c++ {
@@ -95,5 +76,17 @@ func BenchmarkPrimitiveEntry(b *testing.B) {
 			b.StopTimer()
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*calls*m.P()), "ns/call")
 		})
+	}
+}
+
+// scoped returns a body that makes calls calls of call, each in a step
+// scope of its own.
+func scoped(calls int, call func(e *Env, c int)) func(e *Env) {
+	return func(e *Env) {
+		for c := 0; c < calls; c++ {
+			step := e.Mark()
+			call(e, c)
+			e.Release(step)
+		}
 	}
 }

@@ -19,51 +19,27 @@ import (
 // Extract-then-Distribute fused into one call, costing a binomial
 // broadcast of the m/p-sized local pieces over the dr row dimensions.
 func (e *Env) ExtractRow(a *Matrix, i int, replicate bool) *Vector {
-	v := e.TempVector(a.Cols, RowAligned, a.CMap.Kind, 0, replicate)
-	e.ExtractRowInto(v, a, i, replicate)
-	return v
-}
-
-// ExtractRowInto is ExtractRow writing into dst, which must be
-// row-aligned with a's column map, so a loop can refill one temporary
-// every step instead of allocating a vector per step. It sets dst.Home
-// and dst.Replicated; afterwards dst is indistinguishable from a fresh
-// ExtractRow on every processor: holder pieces are overwritten, a
-// non-holder's piece is zeroed if it was ever materialized and stays
-// unmaterialized otherwise.
-func (e *Env) ExtractRowInto(dst *Vector, a *Matrix, i int, replicate bool) {
-	e.extract(dst, a, i, replicate, new(axis).rows(a), "extract-row")
+	return e.extract(a, i, replicate, new(axis).rows(a), "extract-row")
 }
 
 // ExtractCol pulls column j out of the matrix as a col-aligned vector,
 // symmetric to ExtractRow.
 func (e *Env) ExtractCol(a *Matrix, j int, replicate bool) *Vector {
-	v := e.TempVector(a.Rows, ColAligned, a.RMap.Kind, 0, replicate)
-	e.ExtractColInto(v, a, j, replicate)
-	return v
+	return e.extract(a, j, replicate, new(axis).cols(a), "extract-col")
 }
 
-// ExtractColInto is ExtractCol writing into dst, which must be
-// col-aligned with a's row map; the rules are ExtractRowInto's.
-func (e *Env) ExtractColInto(dst *Vector, a *Matrix, j int, replicate bool) {
-	e.extract(dst, a, j, replicate, new(axis).cols(a), "extract-col")
-}
-
-// extract pulls line i of axis ax out of a into dst, homed on the
+// extract pulls line i of axis ax out of a as a vector homed on the
 // line's coordinate: the owning processors copy their local piece of
 // the line, and with replicate a broadcast over the lines' field
-// carries it to every copy; otherwise a non-owner's stale piece, if
-// any, is zeroed.
-func (e *Env) extract(dst *Vector, a *Matrix, i int, replicate bool, ax *axis, span string) {
+// carries it to every copy.
+func (e *Env) extract(a *Matrix, i int, replicate bool, ax *axis, span string) *Vector {
 	e.BeginSpan(span)
 	defer e.EndSpan()
 	checkIndex(span, i, ax.line.N)
-	if !ax.fits(dst) {
-		panic("core: Extract into a vector incompatible with the matrix line embedding")
-	}
 	_, lines := ax.layout.fields(a.G)
 	pid := e.P.ID()
 	home := ax.line.CoordOf(i)
+	dst := e.tempVector(a.G, ax.along.N, ax.layout, *ax.along, home, replicate)
 	owner := lines.Coord(pid) == home
 	var piece []float64
 	if owner {
@@ -71,7 +47,6 @@ func (e *Env) extract(dst *Vector, a *Matrix, i int, replicate bool, ax *axis, s
 		ax.get(piece, a.L(pid), ax.line.LocalOf(i))
 		e.P.Compute(ax.along.B)
 	}
-	dst.Home, dst.Replicated = home, replicate
 	switch {
 	case replicate:
 		got := collective.Bcast(e.P, lines.Mask(), e.NextTag(), lines.Rel(home), piece)
@@ -79,10 +54,9 @@ func (e *Env) extract(dst *Vector, a *Matrix, i int, replicate bool, ax *axis, s
 		e.P.Recycle(got)
 	case owner:
 		copy(dst.L(pid), piece)
-	default:
-		clear(dst.stored(pid))
 	}
 	e.P.Recycle(piece)
+	return dst
 }
 
 // sendAlong moves data from the subcube member at relative address
@@ -195,10 +169,12 @@ func (e *Env) SwapRows(a *Matrix, i1, i2 int) {
 	if i1 == i2 {
 		return
 	}
+	step := e.Mark()
 	r1 := e.ExtractRow(a, i1, false)
 	r2 := e.ExtractRow(a, i2, false)
 	e.InsertRow(a, r1, i2)
 	e.InsertRow(a, r2, i1)
+	e.Release(step)
 }
 
 // ElemAt reads element (i, j) and replicates it to every processor
@@ -210,11 +186,21 @@ func (e *Env) ElemAt(a *Matrix, i, j int) float64 {
 		panic(fmt.Sprintf("core: ElemAt (%d,%d) out of %dx%d", i, j, a.Rows, a.Cols))
 	}
 	owner := a.OwnerOf(i, j)
+	var x float64
+	if e.P.ID() == owner {
+		x = a.L(owner)[a.RMap.LocalOf(i)*a.CMap.B+a.CMap.LocalOf(j)]
+	}
+	return e.BcastWord(owner, x)
+}
+
+// BcastWord returns processor owner's x on every processor: a one-word
+// broadcast over the whole cube, in pooled buffers. Every processor
+// calls it; only owner's x is read.
+func (e *Env) BcastWord(owner int, x float64) float64 {
 	var data []float64
 	if e.P.ID() == owner {
-		lr, lc := a.RMap.LocalOf(i), a.CMap.LocalOf(j)
 		data = e.P.GetBuf(1)
-		data[0] = a.L(owner)[lr*a.CMap.B+lc]
+		data[0] = x
 	}
 	got := collective.Bcast(e.P, e.P.FullMask(), e.NextTag(), owner, data)
 	out := got[0]
@@ -245,18 +231,12 @@ func (e *Env) VecElemAt(v *Vector, idx int) float64 {
 	if idx < 0 || idx >= v.N {
 		panic(fmt.Sprintf("core: VecElemAt %d out of [0,%d)", idx, v.N))
 	}
-	c, l := v.Map.CoordOf(idx), v.Map.LocalOf(idx)
-	owner := v.holder(c, 0)
-	var data []float64
+	owner := v.holder(v.Map.CoordOf(idx), 0)
+	var x float64
 	if e.P.ID() == owner {
-		data = e.P.GetBuf(1)
-		data[0] = v.L(owner)[l]
+		x = v.L(owner)[v.Map.LocalOf(idx)]
 	}
-	got := collective.Bcast(e.P, e.P.FullMask(), e.NextTag(), owner, data)
-	out := got[0]
-	e.P.Recycle(got)
-	e.P.Recycle(data)
-	return out
+	return e.BcastWord(owner, x)
 }
 
 // OwnerProcOf returns the canonical processor owning global element g

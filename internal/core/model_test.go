@@ -120,7 +120,9 @@ func TestRandomOpSequencesMatchSerialModel(t *testing.T) {
 				ops := randomOps(rng, rows, cols, 12)
 				spmd(t, g, func(e *Env) {
 					for _, op := range ops {
+						step := e.Mark()
 						applyDistributed(e, a, op)
+						e.Release(step)
 					}
 				})
 				for _, op := range ops {

@@ -1,9 +1,13 @@
 package core
 
 import (
+	"bytes"
+	"fmt"
+	"math"
 	"math/rand"
 	"runtime/debug"
 	"slices"
+	"strings"
 	"testing"
 
 	"vmprim/internal/costmodel"
@@ -42,7 +46,9 @@ func mustRun(t *testing.T, m *hypercube.Machine, body func(*hypercube.Proc)) {
 
 // checkRewound fails unless every processor's slab is rewound, holds
 // no more objects of a kind than its limit, and every object it ever handed
-// out is reset: Envs zero, headers spent and without storage.
+// out is reset: Envs zero, headers spent, which is without storage (a
+// spent header keeps its shape, plain numbers, until a make overwrites
+// it).
 func checkRewound(t *testing.T, procs []*hypercube.Proc) {
 	t.Helper()
 	for pid, p := range procs {
@@ -64,22 +70,22 @@ func checkRewound(t *testing.T, procs []*hypercube.Proc) {
 			}
 		}
 		for _, v := range s.vecs.all {
-			if !spentAndEmpty(&v.storage) || v.N != 0 {
-				t.Fatalf("proc %d: a rewound vector header keeps its storage (N=%d) or is not spent", pid, v.N)
+			if !spentAndEmpty(&v.storage) {
+				t.Fatalf("proc %d: a rewound vector header (N=%d) keeps its storage", pid, v.N)
 			}
 		}
 		for _, a := range s.mats.all {
-			if !spentAndEmpty(&a.storage) || a.Rows != 0 {
-				t.Fatalf("proc %d: a rewound matrix header keeps its storage (%dx%d) or is not spent", pid, a.Rows, a.Cols)
+			if !spentAndEmpty(&a.storage) {
+				t.Fatalf("proc %d: a rewound matrix header (%dx%d) keeps its storage", pid, a.Rows, a.Cols)
 			}
 		}
 	}
 }
 
 // spentAndEmpty reports whether s is a spent header's record: it
-// names the spent source and references no storage.
+// references no storage.
 func spentAndEmpty(s *storage) bool {
-	return s.src == spent && s.all == nil && s.local == nil
+	return s.all == nil && s.local == nil
 }
 
 // TestNewEnvAllocatesNothing: once the slab has grown to a body's
@@ -313,40 +319,136 @@ func TestSlabSlotsDistinct(t *testing.T) {
 	}
 }
 
-// TestSlabLimitBoundsRun: a body that makes many more temporaries
-// than the slab holds in one Run, dropping each after use as a solver
-// loop does, keeps the storage of at most the slab's limits alive, not
-// one per step, and leaves no more headers than the limits on the
-// machine.
-func TestSlabLimitBoundsRun(t *testing.T) {
-	// Every step makes a vector and a matrix whose piece and block on
-	// each processor are one piece of words.
-	const dim, steps, piece, blockRows = 2, 64, 1 << 12, 64
-	g := embed.SplitFor(dim, piece<<dim, piece<<dim)
-	rows, cols := blockRows<<g.Dr, piece/blockRows<<g.Dc
-	m := hypercube.MustNew(dim, costmodel.CM2())
+// TestScopedLoopHoldsOneStep: a 64-step loop that releases each step
+// holds one step's temporaries at any time, not one per step: every
+// step takes the same slots and scratch words, a header of a released
+// step is refused by name, a temporary made before the loop lives
+// through it, and the loop ends with the slab and the scratch where it
+// began. The arena grows to the most a processor held at once, so a
+// warm Run of the loop allocates nothing.
+func TestScopedLoopHoldsOneStep(t *testing.T) {
+	const steps, n = 64, 32
+	g := embed.SplitFor(slabDim, n, n)
+	m := hypercube.MustNew(slabDim, costmodel.CM2())
 	defer m.Close()
-	procs := make([]*hypercube.Proc, m.P())
-	live := make([]uint64, m.P())
+	bad := make([]string, m.P())
+	probe := true // check that released headers are refused; it allocates
 	body := func(p *hypercube.Proc) {
+		pid := p.ID()
+		e := NewEnv(p, g)
+		keep := e.TempVector(n, RowAligned, embed.Block, 0, true)
+		s := e.slab
+		before, slots := p.ScratchMark(), [3]int{s.envs.n, s.vecs.n, s.mats.n}
+		var first *Vector
+		stepWords := 0
+		for i := 0; i < steps && bad[pid] == ""; i++ {
+			step := e.Mark()
+			v := e.TempVector(n, Linear, embed.Block, 0, false)
+			a := e.TempMatrix(n, n, embed.Block, embed.Block)
+			v.L(pid)[0], a.L(pid)[0] = float64(i), float64(i)
+			keep.L(pid)[0]++
+			held := p.ScratchMark() - before
+			switch {
+			case i == 0:
+				first, stepWords = v, held
+			case v != first:
+				bad[pid] = fmt.Sprintf("step %d took another vector slot than step 0", i)
+			case held > stepWords:
+				bad[pid] = fmt.Sprintf("step %d holds %d words of scratch, step 0 held %d", i, held, stepWords)
+			}
+			e.Release(step)
+			if !probe {
+				continue
+			}
+			if msg := caught(func() { v.L(pid) }); !strings.Contains(msg, errExpired.Error()) {
+				bad[pid] = fmt.Sprintf("step %d: a released vector serves L (%q)", i, msg)
+			}
+		}
+		switch {
+		case bad[pid] != "":
+		case keep.L(pid)[0] != steps:
+			bad[pid] = fmt.Sprintf("the vector made before the loop reads %v after %d steps", keep.L(pid)[0], steps)
+		case p.ScratchMark() != before || [3]int{s.envs.n, s.vecs.n, s.mats.n} != slots:
+			bad[pid] = fmt.Sprintf("the loop ends with %d words of scratch and slots %v taken, it began with %d and %v",
+				p.ScratchMark(), [3]int{s.envs.n, s.vecs.n, s.mats.n}, before, slots)
+		}
+	}
+	check := func() {
+		t.Helper()
+		for pid, msg := range bad {
+			if msg != "" {
+				t.Fatalf("proc %d: %s", pid, msg)
+			}
+		}
+	}
+	mustRun(t, m, body)
+	check()
+	probe = false
+	if allocs := testutil.MallocsPerRun(1, 5, func() { mustRun(t, m, body) }); allocs != 0 {
+		t.Fatalf("a warm Run of the scoped loop allocates %.1f objects, want 0", allocs)
+	}
+	check()
+}
+
+// caught returns the text of f's panic, "" if it returns.
+func caught(f func()) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	f()
+	return ""
+}
+
+// TestSlabOverflowRefused: a loop that never releases its steps panics
+// with errSlabFull at the first make past the slab's limit of its kind,
+// instead of holding every step's temporaries to the end of the Run;
+// the failed Run leaves the slab rewound, and the machine's next Run
+// answers and times exactly what a fresh machine's does.
+func TestSlabOverflowRefused(t *testing.T) {
+	g, a := slabMatrix(t)
+	np := 1 << slabDim
+	procs := make([]*hypercube.Proc, np)
+	got := make([][]float64, np)
+	good := func(p *hypercube.Proc) {
+		e := NewEnv(p, g)
+		row := e.ExtractRow(a, slabN/3, true)
+		sums := e.ReduceRows(a, OpSum, true)
+		got[p.ID()] = append(append(got[p.ID()][:0], row.L(p.ID())...), sums.L(p.ID())...)
+	}
+	answer := func(m *hypercube.Machine) ([]byte, costmodel.Time) {
+		t.Helper()
+		elapsed, err := m.Run(good)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []byte
+		for _, piece := range got {
+			for _, x := range piece {
+				out = fmt.Appendf(out, "%x ", math.Float64bits(x))
+			}
+		}
+		return out, elapsed
+	}
+	fresh := hypercube.MustNew(slabDim, costmodel.CM2())
+	defer fresh.Close()
+	want, wantT := answer(fresh)
+
+	m := hypercube.MustNew(slabDim, costmodel.CM2())
+	defer m.Close()
+	_, err := m.Run(func(p *hypercube.Proc) {
 		procs[p.ID()] = p
 		e := NewEnv(p, g)
-		for i := 0; i < steps; i++ {
-			e.TempVector(piece<<dim, Linear, embed.Block, 0, false).L(p.ID())[0] = float64(i)
-			e.TempMatrix(rows, cols, embed.Block, embed.Block).L(p.ID())[0] = float64(i)
+		for i := 0; i < 64; i++ {
+			e.ExtractRow(a, i, true)
 		}
-		// The processors do not communicate, so the last one to run
-		// finds every other body returned and its slab not yet rewound.
-		live[p.ID()] = testutil.LiveHeap()
-	}
-	before := testutil.LiveHeap()
-	mustRun(t, m, body)
-	limits := newRunSlab()
-	held := uint64(limits.vecs.limit + limits.mats.limit)
-	kept := slices.Max(live) - min(before, slices.Max(live))
-	if want := 2 * held * uint64(m.P()) * 8 * piece; kept > want {
-		t.Fatalf("a Run of %d steps, each dropping a %d KB piece and block per processor, keeps %d KB live at its end, want at most %d KB (twice the %d pieces the slab may hold per processor)",
-			steps, 8*piece>>10, kept>>10, want>>10, held)
+	})
+	if err == nil || !strings.Contains(err.Error(), errSlabFull.Error()) {
+		t.Fatalf("an unscoped loop of temporaries ended with %v, want %q", err, errSlabFull)
 	}
 	checkRewound(t, procs)
+	if ans, elapsed := answer(m); !bytes.Equal(ans, want) || elapsed != wantT {
+		t.Fatalf("the Run after an overflow answers differently from a fresh machine (%v against %v)", elapsed, wantT)
+	}
 }

@@ -167,9 +167,10 @@ type Machine struct {
 	// The scratch arena (see Proc.Scratch): arena pins it from a Run's
 	// first Scratch call until the Run ends, nil otherwise; weakArena
 	// holds it between Runs; region is the words of each processor's
-	// region, the most any processor has taken in one Run. scratchDone,
-	// set only by export_test.go, is handed the arena's words at the end
-	// of every Run that used it.
+	// region, the most any processor has held at once in one Run.
+	// scratchDone, set only by export_test.go, is handed the words a
+	// RewindScratch gives back and the arena's words at the end of every
+	// Run that used it.
 	arena       *arena
 	weakArena   weak.Pointer[arena]
 	region      int
@@ -677,9 +678,11 @@ type Proc struct {
 	// local is the layer above's run-scoped state (see RunLocal).
 	local RunLocal
 
-	// scratchOff is the words of the arena this processor has taken in
-	// this Run, past the end of its region included (see Scratch).
-	scratchOff int
+	// scratchOff is the words of the arena this processor holds in this
+	// Run, past the end of its region included (see Scratch), and
+	// scratchPeak the most it held before a RewindScratch gave words
+	// back.
+	scratchOff, scratchPeak int
 
 	// tagMark is the highest protocol tag NoteCollective has seen in
 	// this Run, 0 if none, and tagBy the label of the collective that
@@ -704,17 +707,17 @@ func (p *Proc) SetLocal(l RunLocal) { p.local = l }
 
 // Scratch returns n zeroed words from this processor's region of the
 // machine's scratch arena, capacity-clipped so that an append copies
-// rather than growing into the next request. They are valid until the
-// end of the Run that took them, whose every exit rewinds the region:
-// the next Run hands the same words out again. So a caller keeps them
-// no longer than the Run, and never Recycles or sends (SendOwned,
-// SendOwnedParts) them, which would let the pool or a receiver hand
-// them out a second time. A request past the region's
-// end gets a plain allocation; the arena then grows at the end of the
-// Run to the most words any processor took, so the next Run's requests
-// fit. The arena is held strongly only while a Run uses it: between
-// Runs the collector may reclaim it, and the next Scratch allocates it
-// again.
+// rather than growing into the next request. They are valid until a
+// RewindScratch gives them back or the Run that took them ends, whose
+// every exit rewinds the region: the next request hands the same words
+// out again. So a caller keeps them no longer than that, and never
+// Recycles or sends (SendOwned, SendOwnedParts) them, which would let
+// the pool or a receiver hand them out a second time. A request past
+// the region's end gets a plain allocation; the arena then grows at the
+// end of the Run to the most words any processor held at once, so the
+// next Run's requests fit. The arena is held strongly only while a Run
+// uses it: between Runs the collector may reclaim it, and the next
+// Scratch allocates it again.
 func (p *Proc) Scratch(n int) []float64 {
 	a := p.m.arena
 	if a == nil {
@@ -729,6 +732,22 @@ func (p *Proc) Scratch(n int) []float64 {
 	s := a.words[base : base+n : base+n]
 	clear(s)
 	return s
+}
+
+// ScratchMark returns the words of scratch this processor holds, for a
+// later RewindScratch.
+func (p *Proc) ScratchMark() int { return p.scratchOff }
+
+// RewindScratch gives back the words taken since mark, a ScratchMark of
+// the same Run that no rewind has passed yet: the next Scratch hands
+// them out again.
+func (p *Proc) RewindScratch(mark int) {
+	p.scratchPeak = max(p.scratchPeak, p.scratchOff)
+	if a := p.m.arena; a != nil && p.m.scratchDone != nil && mark < a.region {
+		base := p.id * a.region
+		p.m.scratchDone(a.words[base+mark : base+min(p.scratchOff, a.region)])
+	}
+	p.scratchOff = mark
 }
 
 // pinArena holds the machine's arena strongly for the rest of the Run
@@ -751,8 +770,8 @@ func (m *Machine) newArena() *arena {
 }
 
 // endScratch ends a Run's use of the arena: it rewinds every
-// processor's region, grows the arena if some processor took more than
-// its region, and leaves it held only weakly.
+// processor's region, grows the arena if some processor held more than
+// its region at once, and leaves it held only weakly.
 func (m *Machine) endScratch() {
 	a := m.arena
 	if a == nil {
@@ -761,8 +780,8 @@ func (m *Machine) endScratch() {
 	m.arena = nil
 	need := 0
 	for _, pr := range m.procs {
-		need = max(need, pr.scratchOff)
-		pr.scratchOff = 0
+		need = max(need, pr.scratchPeak, pr.scratchOff)
+		pr.scratchOff, pr.scratchPeak = 0, 0
 	}
 	if m.scratchDone != nil {
 		m.scratchDone(a.words)

@@ -148,3 +148,44 @@ func TestPoisonFillsArena(t *testing.T) {
 		t.Fatalf("procs %v got poisoned scratch", dirty)
 	}
 }
+
+// TestScratchRewindReusesWords: RewindScratch gives back the words taken
+// since its mark, so the next request gets the same words, zeroed, and
+// the arena grows at the end of the Run to the most a processor held at
+// once, not to what it held at the end or to the sum of its requests.
+func TestScratchRewindReusesWords(t *testing.T) {
+	const n, steps = 8, 4
+	m := MustNew(2, costmodel.CM2())
+	defer m.Close()
+	bad := make([]string, m.P())
+	body := func(p *Proc) {
+		mark := p.ScratchMark()
+		var first *float64
+		for i := 0; i < steps; i++ {
+			s := p.Scratch(n)
+			if slices.ContainsFunc(s, func(x float64) bool { return x != 0 }) {
+				bad[p.ID()] = "rewound words handed out again without zeroing"
+			}
+			if i == 0 {
+				first = &s[0]
+			} else if m.arena.region >= n && &s[0] != first {
+				bad[p.ID()] = "a request after a rewind did not get the rewound words"
+			}
+			s[0] = 1
+			p.RewindScratch(mark)
+		}
+	}
+	for run := 0; run < 2; run++ {
+		if _, err := m.Run(body); err != nil {
+			t.Fatal(err)
+		}
+		for pid, msg := range bad {
+			if msg != "" {
+				t.Fatalf("run %d, proc %d: %s", run, pid, msg)
+			}
+		}
+		if m.region != n {
+			t.Fatalf("run %d: region of %d words after Runs that held %d at once", run, m.region, n)
+		}
+	}
+}

@@ -5,8 +5,11 @@
 (cmd/vmload, cmd/vmprimd); for the run-scoped slab, the
 per-processor store of Envs and temporary headers in
 internal/core/core.go that Machine.Run (internal/hypercube/machine.go)
-rewinds after every Run, and the machine's scratch arena that backs
-those headers' storage (Proc.Scratch, in machine.go); for the staging
+rewinds after every Run, the machine's scratch arena that backs
+those headers' storage (Proc.Scratch, in machine.go), and the step
+scopes that give a loop's temporaries back (Env.Mark and Env.Release
+over the slab, Proc.ScratchMark and RewindScratch over the arena);
+for the staging
 of a driver's operands inside its Run (Env.LoadDense, LoadSlice,
 StoreDense and StoreSlice, in internal/core/hostio.go, and the shared
 forward-elimination step of internal/apps/gauss.go); and for the SPMD
@@ -79,8 +82,8 @@ CLASSES = {
     "E": "run-scoped slab not rewound after a failed Run",
     "R": "run-scoped slab keeps a header's storage",
     "D": "run-scoped slot handed out twice in one Run",
-    "U": "run-scoped slab grows past its limit",
-    "X": "spent temporary not refused",
+    "U": "run-scoped slab serves a make past its limit instead of refusing it",
+    "X": "spent header not refused by name",
     "Z": "scratch arena held strongly, not rewound, not zeroed or overlapping",
     "N": "EndSpan dropped on one branch",
     "I": "collective guarded by identity, or structural argument derived from ID()",
@@ -88,6 +91,7 @@ CLASSES = {
     "T": "tag skewed across a call",
     "W": "wall clock in a sim package",
     "H": "staging inside a Run reads or writes the wrong words, or charges time; the shared elimination step loses a sign",
+    "M": "step scope releases too much or too little, or the arena forgets a released peak",
 }
 
 SSE = "internal/serve/sse.go"
@@ -275,42 +279,64 @@ MUTANTS = [
      "\te.body(p)\n\tp.checkSpansClosed()\n\tif p.local != nil {\n\t\tp.local.EndRun()\n\t}\n"),
 
     # R: a rewound header still points at the last Run's storage.
-    ("R1", CORE, "slots.rewind: rewinds without zeroing",
-     "\tfor _, t := range s.all[:s.n] {\n\t\t*t = spent\n\t}\n\ts.n = 0\n",
-     "\ts.n = 0\n"),
+    ("R1", CORE, "runSlab.EndRun: rewinds the slots without zeroing them",
+     "func (s *runSlab) EndRun() { s.release(Mark{}) }\n",
+     "func (s *runSlab) EndRun() {\n\ts.envs.n, s.vecs.n, s.mats.n = 0, 0, 0\n\ts.p.RewindScratch(0)\n}\n"),
     ("R2", CORE, "runSlab.EndRun: rewinds the vector headers without zeroing them",
-     "\ts.vecs.rewind(Vector{storage: storage{src: spent}})\n",
-     "\ts.vecs.n = 0\n"),
+     "func (s *runSlab) EndRun() { s.release(Mark{}) }\n",
+     "func (s *runSlab) EndRun() {\n\ts.release(Mark{vecs: s.vecs.n})\n\ts.vecs.n = 0\n}\n"),
 
     # D: two live objects of one Run share a slot.
     ("D1", CORE, "NewEnv: reuses the processor's last Env of the Run",
-     "\te, _ := s.envs.next()\n",
-     "\tif s.envs.n > 0 {\n\t\ts.envs.n--\n\t}\n\te, _ := s.envs.next()\n"),
+     "\te := s.envs.next()\n",
+     "\tif s.envs.n > 0 {\n\t\ts.envs.n--\n\t}\n\te := s.envs.next()\n"),
     ("D2", CORE, "slots.next: hands out a slot without taking it",
-     "\t\ts.n++\n\t\treturn s.all[s.n-1], true\n",
-     "\t\treturn s.all[s.n], true\n"),
+     "\ts.n++\n\treturn s.all[s.n-1]\n",
+     "\treturn s.all[s.n]\n"),
 
-    # U: the slab holds more than its limit, so a looping body's
-    # dropped temporaries stay alive until the Run ends.
+    # U: the slab serves a make past its limit instead of refusing it,
+    # so a loop that never releases its steps holds every step's
+    # temporaries until the Run ends.
     ("U1", CORE, "slots.next: grows past its limit",
-     "\tif s.n < s.limit {\n",
-     "\tif true {\n"),
+     "\t\tif s.n == s.limit {\n\t\t\tpanic(errSlabFull)\n\t\t}\n",
+     ""),
 
-    # X: a temporary used after its Run is not refused by name.
-    ("X1", CORE, "runSlab.EndRun: rewound vector headers are zeroed, not spent",
-     "s.vecs.rewind(Vector{storage: storage{src: spent}})",
-     "s.vecs.rewind(Vector{})"),
-    ("X2", CORE, "storage.get: materializes a spent temporary's storage",
-     "\tcase spent:\n\t\tpanic(errExpired)\n",
-     "\tcase spent:\n\t\ts.local = make([]float64, n)\n"),
+    # X: a spent header is not refused by name.
+    ("X1", CORE, "storage.get: serves a spent header from the heap",
+     "\tif s.all == nil {\n\t\tpanic(errExpired)\n\t}\n",
+     "\tif s.all == nil {\n\t\ts.local = make([]float64, n)\n\t\treturn s.local\n\t}\n"),
+    ("X2", CORE, "storage.hostOnly: a spent header is refused as a temporary, not by its lifetime",
+     "\tcase s.local == nil:\n\t\treturn errExpired\n",
+     ""),
+
+    # M: step scopes (Env.Mark and Env.Release over the slab, and
+    # Proc.ScratchMark and RewindScratch over the arena).
+    ("M1", CORE, "runSlab.release: skips the scratch rewind",
+     "\ts.p.RewindScratch(m.scratch)\n",
+     ""),
+    ("M2", CORE, "Env.Release: rewinds the slots but leaves their headers unspent",
+     "func (e *Env) Release(m Mark) { e.slab.release(m) }\n",
+     "func (e *Env) Release(m Mark) {\n\ts := e.slab\n\ts.envs.n, s.vecs.n, s.mats.n = m.envs, m.vecs, m.mats\n\te.P.RewindScratch(m.scratch)\n}\n"),
+    ("M3", CORE, "Env.Mark: the mark is one vector slot late",
+     "\treturn Mark{s.envs.n, s.vecs.n, s.mats.n, e.P.ScratchMark()}\n",
+     "\treturn Mark{s.envs.n, s.vecs.n + 1, s.mats.n, e.P.ScratchMark()}\n"),
+    ("M4", CORE, "Env.Mark: the mark is one matrix slot early",
+     "\treturn Mark{s.envs.n, s.vecs.n, s.mats.n, e.P.ScratchMark()}\n",
+     "\treturn Mark{s.envs.n, s.vecs.n, max(s.mats.n-1, 0), e.P.ScratchMark()}\n"),
+    ("M5", MACHINE, "Machine.endScratch: grows the arena from the end offset, not the peak",
+     "\t\tneed = max(need, pr.scratchPeak, pr.scratchOff)\n",
+     "\t\tneed = max(need, pr.scratchOff)\n"),
+    ("M6", MACHINE, "Proc.RewindScratch: poisons nothing it gives back",
+     "\t\tp.m.scratchDone(a.words[base+mark : base+min(p.scratchOff, a.region)])\n",
+     "\t\t_ = base\n"),
 
     # Z: the scratch arena that backs the slab-held headers' storage.
     ("Z1", MACHINE, "Machine.endScratch: the arena stays pinned between Runs",
      "\t\tm.newArena()\n\t}\n}\n",
      "\t\tm.newArena()\n\t}\n\tm.arena = m.weakArena.Value()\n}\n"),
     ("Z2", MACHINE, "Machine.endScratch: a failed Run leaves the regions' offsets",
-     "\t\tpr.scratchOff = 0\n",
-     "\t\tif !m.eng.aborted {\n\t\t\tpr.scratchOff = 0\n\t\t}\n"),
+     "\t\tpr.scratchOff, pr.scratchPeak = 0, 0\n",
+     "\t\tif !m.eng.aborted {\n\t\t\tpr.scratchOff, pr.scratchPeak = 0, 0\n\t\t}\n"),
     ("Z3", MACHINE, "Proc.Scratch: hands out words without zeroing them",
      "\tclear(s)\n\treturn s\n",
      "\treturn s\n"),
@@ -445,9 +471,9 @@ MUTANTS = [
      "\ttag := e.NextTag()\n\t//lint:allow collorder",
      "\t//lint:allow collorder"),
     ("T6", LU, "LU.Solve: the owner of x[k] takes one more tag before the broadcast",
-     "\t\t\txk := collective.Bcast(e.P, e.P.FullMask(), e.NextTag(), owner, quot)[0]\n",
+     "\t\t\txk := e.BcastWord(owner, quot)\n",
      "\t\t\tif e.P.ID() == owner {\n\t\t\t\te.NextTag()\n\t\t\t}\n"
-     "\t\t\txk := collective.Bcast(e.P, e.P.FullMask(), e.NextTag(), owner, quot)[0]\n"),
+     "\t\t\txk := e.BcastWord(owner, quot)\n"),
 
     # W: host time read or waited on in the simulation packages; the
     # import is the second edit (EXTRA).
@@ -483,7 +509,7 @@ EXTRA = {
            "\tp.Recycle(buf)\n\tp.EndSpan()\n\treturn out\n}\n\n// Scatter distributes"),
     "N3": ("\tif myRel == toRel {\n\t\treturn buf\n\t}\n\treturn nil\n}",
            "\te.EndSpan()\n\tif myRel == toRel {\n\t\treturn buf\n\t}\n\treturn nil\n}"),
-    "N4": ("\te.InsertRow(a, r2, i1)\n}", "\te.InsertRow(a, r2, i1)\n\te.EndSpan()\n}"),
+    "N4": ("\te.Release(step)\n}", "\te.Release(step)\n\te.EndSpan()\n}"),
     "N5": ("\t\te.P.Compute(v.Map.B)\n\t}\n\treturn out\n}",
            "\t\te.P.Compute(v.Map.B)\n\t}\n\te.EndSpan()\n\treturn out\n}"),
     # T5 takes the tag after the early return instead.

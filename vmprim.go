@@ -206,7 +206,14 @@ type (
 	// and the vectors and matrices the primitives return), is valid
 	// until the end of the Run that made it: copy what must outlive the
 	// Run into a host-created container (Env.StoreVec, Env.StoreMatrix).
+	// A loop releases each step's temporaries with a step scope
+	// (m := e.Mark() ... e.Release(m)); a processor holds at most a few
+	// temporaries of each kind at once, and a Run that takes more
+	// panics.
 	Env = core.Env
+	// Mark is a point in one processor's Run, opened by Env.Mark and
+	// closed by Env.Release.
+	Mark = core.Mark
 	// Op names the plain reduction operators.
 	Op = core.Op
 	// LocOp names the value-with-location reduction operators.
@@ -232,9 +239,9 @@ const (
 )
 
 // NewEnv returns the SPMD environment for proc p on grid g, valid
-// until the end of the Run that made it. Making one allocates nothing
-// once the processor's run-scoped slab has grown to the body's needs
-// (a body that makes more than a few Envs gets the rest from the heap).
+// until the end of the Run, or of the step scope, that made it. Making
+// one allocates nothing once the processor's run-scoped slab has grown
+// to the body's needs; a body holds at most a few Envs at once.
 func NewEnv(p *Proc, g Grid) *Env { return core.NewEnv(p, g) }
 
 // NewMatrix returns a zero distributed matrix.
