@@ -41,12 +41,6 @@ import (
 	"vmprim/internal/serve"
 )
 
-// latencyBoundsUs are the recorded histogram buckets, 100µs..10s.
-var latencyBoundsUs = []float64{
-	100, 250, 500, 1e3, 2.5e3, 5e3, 1e4, 2.5e4, 5e4,
-	1e5, 2.5e5, 5e5, 1e6, 2.5e6, 5e6, 1e7,
-}
-
 type loadConfig struct {
 	Runs        int           `json:"runs"`
 	Concurrency int           `json:"concurrency"`
@@ -179,7 +173,7 @@ func main() {
 func drive(base string, spec bench.RunSpec, total, conc int) (*benchDoc, error) {
 	client := &http.Client{Timeout: 5 * time.Minute}
 	reg := metrics.NewRegistry()
-	hist := reg.Histogram("vmload_latency_us", "submit-to-done latency", latencyBoundsUs)
+	hist := reg.Histogram("vmload_latency_us", "submit-to-done latency", serve.LatencyBoundsUs)
 
 	latencies := make([]float64, total)
 	var next, failures atomic.Int64
@@ -237,7 +231,7 @@ func drive(base string, spec bench.RunSpec, total, conc int) (*benchDoc, error) 
 			P50: round3(estimate(0.50)), P90: round3(estimate(0.90)),
 			P95: round3(estimate(0.95)), P99: round3(estimate(0.99)),
 		},
-		BoundsUs: latencyBoundsUs,
+		BoundsUs: serve.LatencyBoundsUs,
 	}
 	if len(ok) > 0 {
 		res.MaxUs = round3(ok[len(ok)-1])

@@ -50,8 +50,8 @@ func TestDriveInProcess(t *testing.T) {
 	if res.MeanUs <= 0 || res.WallSecs <= 0 || res.RunsPerSec <= 0 {
 		t.Fatalf("degenerate aggregates: %+v", res)
 	}
-	if len(res.Counts) != len(latencyBoundsUs)+1 {
-		t.Fatalf("histogram has %d counts for %d bounds", len(res.Counts), len(latencyBoundsUs))
+	if len(res.Counts) != len(serve.LatencyBoundsUs)+1 {
+		t.Fatalf("histogram has %d counts for %d bounds", len(res.Counts), len(serve.LatencyBoundsUs))
 	}
 	if inf := res.Counts[len(res.Counts)-1]; inf != total {
 		t.Fatalf("+Inf bucket holds %d, want the full %d sample", inf, total)

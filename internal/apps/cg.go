@@ -78,7 +78,7 @@ func SolveCG(m *hypercube.Machine, a *serial.Mat, b []float64, opts CGOpts) (CGR
 		defer e.EndSpan()
 		// All iterate vectors live row-aligned and replicated (aligned
 		// with the matrix columns, as the multiply consumes them).
-		da := e.LoadDense(a, opts.Kind, opts.Kind)
+		da := e.LoadDense(opts.Kind, opts.Kind, a)
 		rb := e.LoadSlice(b, core.RowAligned, opts.Kind, 0, true)
 		dinv := e.LoadSlice(diag, core.RowAligned, opts.Kind, 0, true)
 		x := e.TempVector(n, core.RowAligned, opts.Kind, 0, true) // x0 = 0

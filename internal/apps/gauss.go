@@ -134,9 +134,9 @@ func GaussKernel(e *core.Env, w *core.Matrix, xOut *core.Vector) error {
 	return nil
 }
 
-// SolveGauss stages the augmented system [A | b] on machine m and
-// solves it with GaussKernel (or the naive router-based kernel),
-// returning the solution and the simulated elapsed time.
+// SolveGauss stages the augmented system [A | b] on machine m from A
+// and b and solves it with GaussKernel (or the naive router-based
+// kernel), returning the solution and the simulated elapsed time.
 func SolveGauss(m *hypercube.Machine, a *serial.Mat, b []float64, opts GaussOpts) ([]float64, costmodel.Time, error) {
 	if a.R != a.C {
 		return nil, 0, fmt.Errorf("apps: SolveGauss needs a square matrix, got %dx%d", a.R, a.C)
@@ -146,11 +146,6 @@ func SolveGauss(m *hypercube.Machine, a *serial.Mat, b []float64, opts GaussOpts
 	}
 	n := a.R
 	g := embed.SplitFor(m.Dim(), n, n+1)
-	aug := serial.NewMat(n, n+1)
-	for i := 0; i < n; i++ {
-		copy(aug.A[i*(n+1):], a.A[i*n:(i+1)*n])
-		aug.Set(i, n, b[i])
-	}
 	kernel := GaussKernel
 	if opts.Naive {
 		kernel = GaussKernelNaive
@@ -158,7 +153,7 @@ func SolveGauss(m *hypercube.Machine, a *serial.Mat, b []float64, opts GaussOpts
 	x := make([]float64, n)
 	elapsed, err := m.Run(func(p *hypercube.Proc) {
 		e := core.NewEnv(p, g)
-		w := e.LoadDense(aug, opts.RKind, opts.CKind)
+		w := e.LoadDense(opts.RKind, opts.CKind, a, &serial.Mat{R: n, C: 1, A: b})
 		xOut := e.TempVector(n, core.Linear, embed.Block, 0, false)
 		if kerr := kernel(e, w, xOut); kerr != nil {
 			panic(kerr)
@@ -185,7 +180,7 @@ func Determinant(mach *hypercube.Machine, a *serial.Mat, opts GaussOpts) (float6
 	var det float64
 	elapsed, err := mach.Run(func(p *hypercube.Proc) {
 		e := core.NewEnv(p, g)
-		w := e.LoadDense(a, opts.RKind, opts.CKind)
+		w := e.LoadDense(opts.RKind, opts.CKind, a)
 		d, _ := forwardEliminate(e, w, n) // 0 if singular
 		if p.ID() == 0 {
 			det = d

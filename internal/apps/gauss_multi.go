@@ -49,8 +49,9 @@ func EliminateMulti(e *core.Env, w *core.Matrix, nrhs int) error {
 	return nil
 }
 
-// SolveGaussMany solves A X = B for an n x nrhs right-hand-side block,
-// returning X (n x nrhs) and the simulated elapsed time.
+// SolveGaussMany solves A X = B for an n x nrhs block B, staging
+// [A | B] from A and B and landing X from the trailing columns, and
+// returns X and the simulated elapsed time.
 func SolveGaussMany(m *hypercube.Machine, a, b *serial.Mat, opts GaussOpts) (*serial.Mat, costmodel.Time, error) {
 	if a.R != a.C {
 		return nil, 0, fmt.Errorf("apps: SolveGaussMany needs a square matrix, got %dx%d", a.R, a.C)
@@ -60,28 +61,17 @@ func SolveGaussMany(m *hypercube.Machine, a, b *serial.Mat, opts GaussOpts) (*se
 	}
 	n, nrhs := a.R, b.C
 	g := embed.SplitFor(m.Dim(), n, n+nrhs)
-	aug := serial.NewMat(n, n+nrhs)
-	for i := 0; i < n; i++ {
-		copy(aug.A[i*(n+nrhs):], a.A[i*n:(i+1)*n])
-		copy(aug.A[i*(n+nrhs)+n:], b.A[i*nrhs:(i+1)*nrhs])
-	}
-	full := serial.NewMat(n, n+nrhs)
+	x := serial.NewMat(n, nrhs)
 	elapsed, err := m.Run(func(p *hypercube.Proc) {
 		e := core.NewEnv(p, g)
-		w := e.LoadDense(aug, opts.RKind, opts.CKind)
+		w := e.LoadDense(opts.RKind, opts.CKind, a, b)
 		if kerr := EliminateMulti(e, w, nrhs); kerr != nil {
 			panic(kerr)
 		}
-		e.StoreDense(full, w)
+		e.StoreDense(x, w, n)
 	})
 	if err != nil {
 		return nil, 0, err
-	}
-	x := serial.NewMat(n, nrhs)
-	for i := 0; i < n; i++ {
-		for r := 0; r < nrhs; r++ {
-			x.Set(i, r, full.At(i, n+r))
-		}
 	}
 	return x, elapsed, nil
 }

@@ -55,8 +55,8 @@ func MatMul(m *hypercube.Machine, a, b *serial.Mat, kind embed.MapKind) (*serial
 	elapsed, err := m.Run(func(p *hypercube.Proc) {
 		e := core.NewEnv(p, g)
 		dc := e.TempMatrix(a.R, b.C, kind, kind)
-		MatMulKernel(e, dc, e.LoadDense(a, kind, kind), e.LoadDense(b, kind, kind))
-		e.StoreDense(c, dc)
+		MatMulKernel(e, dc, e.LoadDense(kind, kind, a), e.LoadDense(kind, kind, b))
+		e.StoreDense(c, dc, 0)
 	})
 	if err != nil {
 		return nil, 0, err

@@ -12,9 +12,10 @@
 // Run and cost no simulated time: a driver stages its operands on each
 // processor (core.Env.LoadDense, LoadSlice) and lands its result in
 // the value it returns (core.Env.StoreDense, StoreSlice), so it
-// allocates little beyond that result. Only a value that outlives the
-// Run lives in a host container (core.FromDense): LU's factors, which
-// serve every later Solve.
+// allocates little beyond that result: the Gauss drivers stage [A | b]
+// from A and b and land X from the eliminated [A | X]. Only a value
+// that outlives the Run lives in a host container (core.FromDense):
+// LU's factors, which serve every later Solve.
 package apps
 
 import (
@@ -144,7 +145,7 @@ func RunVecMat(m *hypercube.Machine, a *serial.Mat, x []float64, variant MatvecV
 	y := make([]float64, a.C)
 	elapsed, err := m.Run(func(p *hypercube.Proc) {
 		e := core.NewEnv(p, g)
-		da := e.LoadDense(a, embed.Block, embed.Block)
+		da := e.LoadDense(embed.Block, embed.Block, a)
 		dx := e.LoadSlice(x, core.ColAligned, embed.Block, 0, false)
 		e.StoreSlice(y, VecMatKernel(e, da, dx, variant))
 	})

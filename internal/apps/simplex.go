@@ -184,7 +184,7 @@ func SolveSimplex(mach *hypercube.Machine, c []float64, a *serial.Mat, b []float
 	res := serial.LPResult{X: make([]float64, len(c))}
 	elapsed, err := mach.Run(func(p *hypercube.Proc) {
 		e := core.NewEnv(p, g)
-		dt := e.LoadDense(tab, opts.RKind, opts.CKind)
+		dt := e.LoadDense(opts.RKind, opts.CKind, tab)
 		status, z, iters, bas := kernel(e, dt, len(c), opts.MaxIter)
 		// Pull the basic variables' values out of the rhs column.
 		xOut := e.TempVector(len(c), core.Linear, embed.Block, 0, false)

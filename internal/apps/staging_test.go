@@ -57,9 +57,15 @@ func TestRunVecMatStagesItsOperands(t *testing.T) {
 //   - MatMul, d = 8, 64 x 64: 112;
 //   - LU.Solve, d = 6, n = 64: 592 (the back-substitution's broadcast
 //     is recycled);
-//   - SolveTridiag, d = 4, n = 100: 52,768 (the answers are read by
-//     request number, the bands are in each processor's scratch);
-//   - SolveGaussMany, d = 6, 8 x 8 with 3 right-hand sides: 1,632.
+//   - SolveTridiag, d = 4, n = 100: 51,504, most of it the
+//     router's wires (the answers are read by request number into
+//     slices sized once per call, the bands and the answer buffer are
+//     in each processor's scratch);
+//   - SolveGauss, d = 6, n = 64: 128 (A and b are staged where they
+//     lie; a host copy of [A | b] took 41,120);
+//   - SolveGaussMany, d = 6, 8 x 8 with 3 right-hand sides: 144 (X
+//     lands straight from the trailing columns; host copies of [A | B]
+//     and of the eliminated [A | X] took 1,632).
 func TestDriversStageTheirOperands(t *testing.T) {
 	rng := rand.New(rand.NewSource(56))
 	randMat := func(r, c int) *serial.Mat {
@@ -104,6 +110,11 @@ func TestDriversStageTheirOperands(t *testing.T) {
 	for i := range trB {
 		trB[i] = 4
 	}
+	const gN = 64
+	gA, gB := randMat(gN, gN), randVec(gN)
+	for i := 0; i < gN; i++ {
+		gA.Set(i, i, gA.At(i, i)+gN)
+	}
 	gmA, gmB := randMat(8, 8), randMat(8, 3)
 	for i := 0; i < 8; i++ {
 		gmA.Set(i, i, gmA.At(i, i)+8)
@@ -127,11 +138,15 @@ func TestDriversStageTheirOperands(t *testing.T) {
 			_, _, err := lu.Solve(luB)
 			return err
 		}},
-		{"SolveTridiag", 8 * trN, 53_000, func() error {
+		{"SolveTridiag", 8 * trN, 52_000, func() error {
 			_, _, err := SolveTridiag(d4, trA, trB, trC, trD)
 			return err
 		}},
-		{"SolveGaussMany", 8 * 8 * 3, 2 << 10, func() error {
+		{"SolveGauss", 8 * gN, 512, func() error {
+			_, _, err := SolveGauss(d6, gA, gB, DefaultGaussOpts())
+			return err
+		}},
+		{"SolveGaussMany", 8 * 8 * 3, 512, func() error {
 			_, _, err := SolveGaussMany(d6, gmA, gmB, DefaultGaussOpts())
 			return err
 		}},

@@ -2,7 +2,6 @@ package apps
 
 import (
 	"fmt"
-	"slices"
 
 	"vmprim/internal/core"
 	"vmprim/internal/costmodel"
@@ -68,20 +67,27 @@ func SolveTridiag(mach *hypercube.Machine, a, b, c, d []float64) ([]float64, cos
 		}
 		ownerOf := func(gi int) int { return gray.Encode(lmap.CoordOf(gi)) }
 		localOf := func(gi int) int { return lmap.LocalOf(gi) }
-		// act and need hold a level's active equations and the
-		// neighbors they read, vals the answers by request number;
-		// every level reuses them.
-		var act, need []int
-		var vals [][]float64
+		// act and need hold a level's active equations (at least 2
+		// apart, so at most (bs+1)/2 in a block) and the neighbors they
+		// read (at most bs+1), vals the answers by request number.
+		act, need, vals := make([]int, 0, (bs+1)/2), make([]int, 0, bs+1), make([][]float64, bs+1)
+		// equation answers a request for equation key with its four
+		// coefficients, solution with its x, at every level.
+		eq := p.Scratch(4) // Request copies each answer before the next
+		equation := func(key int) []float64 {
+			l := localOf(key)
+			eq[0], eq[1], eq[2], eq[3] = la[l], lb[l], lc[l], ld[l]
+			return eq
+		}
+		solution := func(key int) []float64 { return lx[localOf(key):][:1] }
 		// fetch gathers what serve answers for need, in need's order,
 		// into vals through one batched routing round trip.
-		fetch := func(serve func(l int) []float64) {
+		fetch := func(serve func(key int) []float64) {
 			want := router.NewBatch(p, len(need), 0)
 			for _, gi := range need {
 				want.Ask(ownerOf(gi), gi)
 			}
-			got := want.Request(p, e.NextTag2(), func(key int) []float64 { return serve(localOf(key)) })
-			vals = slices.Grow(vals[:0], len(need))[:len(need)]
+			got := want.Request(p, e.NextTag2(), serve)
 			for r, words, ok := got.Next(); ok; r, words, ok = got.Next() {
 				vals[r] = words
 			}
@@ -101,7 +107,6 @@ func SolveTridiag(mach *hypercube.Machine, a, b, c, d []float64) ([]float64, cos
 		// Reduction: after level s, the equations with (i+1) % 2^(s+1)
 		// == 0 form a tridiagonal system among themselves at stride
 		// 2^(s+1).
-		eq := make([]float64, 4) // Request copies each answer before the next
 		identity := []float64{0, 1, 0, 0}
 		for s := 0; s < q-1; s++ {
 			h := 1 << s
@@ -113,10 +118,7 @@ func SolveTridiag(mach *hypercube.Machine, a, b, c, d []float64) ([]float64, cos
 					need = append(need, gi+h)
 				}
 			}
-			fetch(func(l int) []float64 {
-				eq[0], eq[1], eq[2], eq[3] = la[l], lb[l], lc[l], ld[l]
-				return eq
-			})
+			fetch(equation)
 			flops, r := 0, 0
 			for _, gi := range act {
 				l := localOf(gi)
@@ -159,7 +161,7 @@ func SolveTridiag(mach *hypercube.Machine, a, b, c, d []float64) ([]float64, cos
 					need = append(need, gi+h)
 				}
 			}
-			fetch(func(l int) []float64 { return lx[l : l+1] })
+			fetch(solution)
 			flops, r := 0, 0
 			for _, gi := range act {
 				l := localOf(gi)

@@ -31,8 +31,9 @@
 // tags. Distributed containers (Matrix, Vector) may be created by host
 // code before a run and filled from dense data, or created inside a
 // run, in which case each processor holds only its own block;
-// LoadDense and LoadSlice stage dense data that way, for an
-// operand read in that run alone.
+// LoadDense and LoadSlice stage dense data that way, for an operand
+// read in that run alone, LoadDense from the column blocks it lies in
+// ([A | b] from A and b); StoreDense lands a column window of one.
 //
 // An Env, and every SPMD-local temporary made inside a run (TempVector,
 // TempMatrix, and the results of the primitives), is valid until the

@@ -57,29 +57,29 @@ func FromDense(g embed.Grid, dm *serial.Mat, rkind, ckind embed.MapKind) (*Matri
 	return a, nil
 }
 
-// copyBlocks is copyBlock for every block of the grid.
+// copyBlocks is copyBlock for every block of the grid, dm being all of a.
 func (a *Matrix) copyBlocks(dm *serial.Mat, load bool) {
-	for gr := 0; gr < a.G.PRows(); gr++ {
-		for gc := 0; gc < a.G.PCols(); gc++ {
-			a.copyBlock(dm, gr, gc, load)
-		}
+	for pid := 0; pid < a.G.P(); pid++ {
+		a.copyBlock(dm, 0, a.G.RowOf(pid), a.G.ColOf(pid), load)
 	}
 }
 
 // copyBlock copies the block at grid coordinates (gr, gc) from dm if
-// load is set, into dm otherwise: of each of its local rows that
-// stores a global row, the column piece it covers (see pieceOf), so
-// padding is neither read nor written. A block with no valid element
-// is not materialized.
-func (a *Matrix) copyBlock(dm *serial.Mat, gr, gc int, load bool) {
+// load is set, into dm otherwise, dm being columns [j0, j0+dm.C) of a:
+// of each local row that stores a global row, the contiguous local
+// columns inside that window (Map1D.LocalRange), a strided piece of
+// dm's row. Padding is neither read nor written, and a block with no
+// valid element in the window is not materialized.
+func (a *Matrix) copyBlock(dm *serial.Mat, j0, gr, gc int, load bool) {
 	nr, r0, rs := pieceOf(a.RMap, gr)
-	nc, c0, cs := pieceOf(a.CMap, gc)
-	if nr == 0 || nc == 0 {
+	l0, l1 := a.CMap.LocalRange(gc, j0, j0+dm.C)
+	if nr == 0 || l0 == l1 {
 		return
 	}
+	nc, c0, cs := l1-l0, a.CMap.GlobalOf(gc, l0)-j0, a.CMap.GlobalStride()
 	blk := a.L(a.G.ProcAt(gr, gc))
 	for lr := 0; lr < nr; lr++ {
-		local := blk[lr*a.CMap.B : (lr+1)*a.CMap.B]
+		local := blk[lr*a.CMap.B+l0 : lr*a.CMap.B+l1]
 		i := r0 + lr*rs
 		if load {
 			toPiece(local, dm.A[i*dm.C:(i+1)*dm.C], nc, c0, cs)
@@ -89,33 +89,43 @@ func (a *Matrix) copyBlock(dm *serial.Mat, gr, gc int, load bool) {
 	}
 }
 
-// LoadDense stages a dense matrix inside a Run: every processor calls
-// it with the same arguments and gets an SPMD-local temporary holding
-// its own block of dm, as FromDense would have dealt it, valid until
-// the end of the Run. Like FromDense it charges no simulated time; it
-// allocates nothing a slab-held temporary does not, so a driver whose
-// operand lives for one Run stages it here instead of building a host
-// container.
-func (e *Env) LoadDense(dm *serial.Mat, rkind, ckind embed.MapKind) *Matrix {
-	a := e.TempMatrix(dm.R, dm.C, rkind, ckind)
-	a.copyBlock(dm, e.GridRow(), e.GridCol(), true)
+// errLoadRows is LoadDense's refusal of blocks whose row counts differ.
+var errLoadRows = errors.New("core: LoadDense blocks differ in row count")
+
+// LoadDense stages [blocks[0] | blocks[1] | ...], each block read where
+// it lies, inside a Run: every processor calls it with the same
+// arguments and gets an SPMD-local temporary holding its own block, as
+// FromDense would have dealt it, valid until the end of the Run, at no
+// simulated cost. It allocates nothing a slab-held temporary does not,
+// so an operand read in one Run, [A | b] included, needs no host copy.
+func (e *Env) LoadDense(rkind, ckind embed.MapKind, blocks ...*serial.Mat) *Matrix {
+	cols := 0
+	for _, b := range blocks {
+		if b.R != blocks[0].R {
+			panic(errLoadRows)
+		}
+		cols += b.C
+	}
+	a := e.TempMatrix(blocks[0].R, cols, rkind, ckind)
+	for j0, k := 0, 0; k < len(blocks); j0, k = j0+blocks[k].C, k+1 {
+		a.copyBlock(blocks[k], j0, e.GridRow(), e.GridCol(), true)
+	}
 	return a
 }
 
-// errStoreShape is StoreDense's refusal of a dense matrix whose shape
-// is not the distributed one's.
+// errStoreShape is StoreDense's refusal of a dst that is no window of a.
 var errStoreShape = errors.New("core: StoreDense shape mismatch")
 
 // StoreDense is LoadDense's twin: every processor calls it from inside
-// a Run and writes its own block of a into dst (a.Rows x a.Cols), as
-// ToDense would have assembled it, padding skipped, at no simulated
-// cost. It serves temporaries and host containers alike, so a driver's
-// result needs no host container to land in.
-func (e *Env) StoreDense(dst *serial.Mat, a *Matrix) {
-	if dst.R != a.Rows || dst.C != a.Cols {
+// a Run and writes its own part of columns [j0, j0+dst.C) of a into
+// dst (a.Rows x dst.C), as ToDense would have assembled them, padding
+// skipped, at no simulated cost. It serves temporaries and host
+// containers alike, so a driver's result needs no host copy either.
+func (e *Env) StoreDense(dst *serial.Mat, a *Matrix, j0 int) {
+	if dst.R != a.Rows || j0 < 0 || j0+dst.C > a.Cols {
 		panic(errStoreShape)
 	}
-	a.copyBlock(dst, e.GridRow(), e.GridCol(), false)
+	a.copyBlock(dst, j0, e.GridRow(), e.GridCol(), false)
 }
 
 // The host accessors' refusals of an SPMD-local temporary, which holds

@@ -73,8 +73,9 @@ type ProcState struct {
 	// OpenSpans is the profiler span stack left open when the run died
 	// (outermost first); empty unless the run was profiled.
 	OpenSpans []string `json:"open_spans,omitempty"`
-	// Captured lists payloads handed to the recorder with Capture,
-	// oldest first.
+	// Captured holds at most one payload: the offending message of a
+	// tag mismatch that killed this processor (its length and leading
+	// words). It stays a list so the JSON shape does not change.
 	Captured []CapturedBuf `json:"captured,omitempty"`
 	// EventsTotal counts all events recorded this run, including
 	// overwritten ones; Events is the flight-recorder tail, oldest

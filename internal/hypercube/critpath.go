@@ -1,6 +1,7 @@
 package hypercube
 
 import (
+	"errors"
 	"sort"
 
 	"vmprim/internal/costmodel"
@@ -37,23 +38,28 @@ import (
 // The segment kinds and where they come from: compute (Compute), send
 // (Send, SendOwned, SendOwnedParts, ExchangeAll) and route (RoutePhaseCharge) all pass
 // Proc.charge and extend the chain through cpCharge; hop is a receive
-// adopting the sender's chain (cpRecv). Idle can come only from
-// cpRecv's defensive branch, a message that carried no chain, so a
-// chain recorded within one machine has none. The idle class and the
-// exported idle_us fields stay: they keep the class sum exact on
-// that branch.
+// adopting the sender's chain (cpRecv). Every message a receive meets
+// carries a chain: every processor of a Run shares p.crit, every post
+// under it attaches one, and drain empties the links after every Run.
+// So no wait is ever unexplained and the machine records no idle
+// segment; cpRecv panics on a message without a chain, which breaks
+// one of the three. The idle class, the exported idle_us fields and
+// obs's idle kind stay, reading zero, so every document keeps its
+// shape.
+
+// errChainless is cpRecv's refusal of a message that carries no chain.
+var errChainless = errors.New("hypercube: critical path: message received without a chain (every post of a recording Run attaches one, and drain empties the links between Runs)")
 
 // Segment kinds, indexing segKinds.
 const (
 	cpKindCompute = iota
 	cpKindSend
 	cpKindRoute
-	cpKindIdle
 	cpKindHop
 )
 
 // segKinds are the export names of the segment kinds.
-var segKinds = [...]string{"compute", "send", "route", "idle", "hop"}
+var segKinds = [...]string{"compute", "send", "route", "hop"}
 
 // chainSeg is one displayable segment of a chain: processor, span node
 // (-1 outside any span), kind and dimension (-1 for none), and its
@@ -174,21 +180,17 @@ func (p *Proc) cpCharge(kind, dim int, comp, su, xf costmodel.Time) {
 // own chain already dominates and nothing changes. Either way the
 // chain left over goes back to the free list. The caller advances the
 // clock afterwards; adoption keeps the class-sum invariant because the
-// snapshot sums exactly to the arrival time.
+// snapshot sums exactly to the arrival time. A message without a chain
+// breaks the invariant of the file comment, and panics (errChainless).
 func (p *Proc) cpRecv(msg *message, d int) {
+	if msg.cp == nil {
+		panic(errChainless)
+	}
 	if msg.arrive > p.clock {
 		node, _ := p.openSpan()
-		if msg.cp != nil {
-			p.cp, msg.cp = msg.cp, p.cp
-			p.cp.hops++
-			p.cpSeg(node, cpKindHop, d, msg.arrive, msg.arrive)
-		} else {
-			// No chain travelled with the message (cannot happen within
-			// one machine; defensive): account the gap as idle so the
-			// invariant holds.
-			p.cp.add(node, obs.Buckets{Idle: msg.arrive - p.clock})
-			p.cpSeg(node, cpKindIdle, -1, p.clock, msg.arrive)
-		}
+		p.cp, msg.cp = msg.cp, p.cp
+		p.cp.hops++
+		p.cpSeg(node, cpKindHop, d, msg.arrive, msg.arrive)
 	}
 	p.m.putChain(msg.cp)
 }

@@ -397,3 +397,25 @@ func TestArmedAbortLeavesNothingBehind(t *testing.T) {
 		t.Errorf("documents after the failed run differ from a fresh machine's:\n%s\nwant:\n%s", got, want)
 	}
 }
+
+// TestCritPathRefusesChainlessMessage: a receive under critical-path
+// recording that meets a message without a chain panics by name instead
+// of booking the wait as idle: no post of a recording Run leaves one.
+func TestCritPathRefusesChainlessMessage(t *testing.T) {
+	m := MustNew(1, costmodel.CM2())
+	defer m.Close()
+	m.EnableCritPath(true)
+	var got any
+	if _, err := m.Run(func(p *Proc) {
+		if p.ID() != 0 {
+			return
+		}
+		defer func() { got = recover() }()
+		p.cpRecv(&message{arrive: p.clock + 1}, 0)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got != errChainless {
+		t.Fatalf("cpRecv of a chainless message panicked with %v, want %v", got, errChainless)
+	}
+}

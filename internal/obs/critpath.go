@@ -56,7 +56,8 @@ type PathSegment struct {
 	Span string
 	// Kind is "compute", "send" (start-up plus transfer of one
 	// message), "route" (router charges), "idle" (clock advanced
-	// outside a receive), or "hop" (the chain crossing a link).
+	// outside a receive; the hypercube machine records none), or
+	// "hop" (the chain crossing a link).
 	Kind string
 	// Dim is the cube dimension for send and hop segments, -1 otherwise.
 	Dim int

@@ -107,9 +107,11 @@ type serveMetrics struct {
 	goRuntime   *goRuntime
 }
 
-// latencyBounds are the per-endpoint request-duration buckets, in
-// microseconds: 100µs up to 10s, roughly quarter-decade spaced.
-var latencyBounds = []float64{
+// LatencyBoundsUs are the request-latency histogram buckets, in
+// microseconds: 100µs up to 10s, roughly quarter-decade spaced. The
+// server's per-endpoint durations and vmload's submit-to-done latency
+// both use them.
+var LatencyBoundsUs = []float64{
 	100, 250, 500, 1e3, 2.5e3, 5e3, 1e4, 2.5e4, 5e4,
 	1e5, 2.5e5, 5e5, 1e6, 2.5e6, 5e6, 1e7,
 }
@@ -140,7 +142,7 @@ func newServeMetrics() *serveMetrics {
 // e.g. "POST /runs" -> vmprimd_http_post_runs_duration_us.
 func (sm *serveMetrics) endpointHist(pattern string) *metrics.Histogram {
 	name := "vmprimd_http_" + sanitizeMetricPart(pattern) + "_duration_us"
-	h := sm.reg.Histogram(name, "request latency for "+pattern+" in microseconds", latencyBounds)
+	h := sm.reg.Histogram(name, "request latency for "+pattern+" in microseconds", LatencyBoundsUs)
 	sm.perEndpoint[pattern] = h
 	return h
 }
