@@ -165,12 +165,12 @@ type Machine struct {
 	met        machMetrics
 
 	// The scratch arena (see Proc.Scratch): arena pins it from a Run's
-	// first Scratch call until the Run ends, nil otherwise; weakArena
-	// holds it between Runs; region is the words of each processor's
-	// region, the most any processor has held at once in one Run.
-	// scratchDone, set only by export_test.go, is handed the words a
-	// RewindScratch gives back and the arena's words at the end of every
-	// Run that used it.
+	// start, or from its first Scratch call if the Run found none, until
+	// the Run ends, nil otherwise; weakArena holds it between Runs;
+	// region is the words of each processor's region, the most any
+	// processor has held at once in one Run. scratchDone, set only by
+	// export_test.go, is handed the words a RewindScratch gives back and
+	// the arena's words at the end of every Run that held it.
 	arena       *arena
 	weakArena   weak.Pointer[arena]
 	region      int
@@ -422,6 +422,10 @@ func (m *Machine) Run(body func(*Proc)) (costmodel.Time, error) {
 		pr.resetForRun()
 	}
 	m.pool.gets, m.pool.hits = 0, 0
+	// The Run holds the arena from its start, not from its first
+	// Scratch: a collection that ends while the Run is in flight never
+	// takes it, however late the first Scratch comes.
+	m.arena = m.weakArena.Value()
 	e := m.eng
 	e.body = body
 	e.run(m.procs)
@@ -716,12 +720,13 @@ func (p *Proc) SetLocal(l RunLocal) { p.local = l }
 // the region's end gets a plain allocation; the arena then grows at the
 // end of the Run to the most words any processor held at once, so the
 // next Run's requests fit. The arena is held strongly only while a Run
-// uses it: between Runs the collector may reclaim it, and the next
-// Scratch allocates it again.
+// is in flight: between Runs the collector may reclaim it, and the
+// first Scratch of a Run that started without it allocates it again.
 func (p *Proc) Scratch(n int) []float64 {
 	a := p.m.arena
 	if a == nil {
-		a = p.m.pinArena()
+		a = p.m.newArena()
+		p.m.arena = a
 	}
 	off := p.scratchOff
 	p.scratchOff += n
@@ -748,17 +753,6 @@ func (p *Proc) RewindScratch(mark int) {
 		p.m.scratchDone(a.words[base+mark : base+min(p.scratchOff, a.region)])
 	}
 	p.scratchOff = mark
-}
-
-// pinArena holds the machine's arena strongly for the rest of the Run
-// and returns it, allocating it anew if the collector has reclaimed it.
-func (m *Machine) pinArena() *arena {
-	a := m.weakArena.Value()
-	if a == nil {
-		a = m.newArena()
-	}
-	m.arena = a
-	return a
 }
 
 // newArena allocates an arena of the machine's region size and holds it

@@ -130,6 +130,31 @@ func TestScratchHeldWeaklyBetweenRuns(t *testing.T) {
 	}
 }
 
+// TestRunHoldsArenaFromItsStart: a collection that ends while a Run is
+// in flight, before any processor has taken scratch, leaves the arena
+// alone: the Run holds it from its start, so it allocates no new one.
+func TestRunHoldsArenaFromItsStart(t *testing.T) {
+	// Only the collections the body asks for may reclaim the arena.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	m := MustNew(2, costmodel.CM2())
+	defer m.Close()
+	scratchRun(t, m, 64)
+	held := m.weakArena
+	if held.Value() == nil {
+		t.Fatal("no arena after a Run that took scratch")
+	}
+	if _, err := m.Run(func(p *Proc) {
+		// Whichever processor runs first collects before any Scratch.
+		runtime.GC()
+		p.Scratch(64)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if m.weakArena != held {
+		t.Fatal("a collection inside the Run, before its first Scratch, reclaimed the arena")
+	}
+}
+
 // TestPoisonFillsArena: the schedule-independence tests' Poison fills
 // the arena with NaN at the end of every Run that used it, and the next
 // Run still hands out zeroed words.
