@@ -87,7 +87,7 @@ var structuralParams = map[string]bool{
 // pairwiseMethods are the point-to-point Proc operations whose
 // structural arguments must also agree (between the two sides of the
 // pairing) even though they are not collectives.
-var pairwiseMethods = []string{"Send", "SendOwned", "SendOwnedParts", "Recv", "RecvParts", "Exchange", "ExchangeAll"}
+var pairwiseMethods = []string{"Send", "SendOwned", "Recv", "Exchange", "ExchangeAll"}
 
 func run(pass *framework.Pass) (any, error) {
 	summary := summarize(pass)

@@ -1,7 +1,7 @@
 // Package recyclecheck statically enforces the buffer-ownership
 // discipline of the simulator's machine-wide buffer pool: every buffer a
-// function obtains from Proc.GetBuf, Proc.Recv, Proc.RecvParts,
-// Proc.Exchange or Proc.ExchangeAll must be discharged — recycled back to the pool,
+// function obtains from Proc.GetBuf, Proc.Recv, Proc.Exchange or
+// Proc.ExchangeAll must be discharged — recycled back to the pool,
 // returned to the caller, or handed off into a longer-lived structure
 // — before the function is done with it. A buffer with no discharging
 // use at all is a guaranteed pool leak that the runtime allocation
@@ -18,9 +18,8 @@
 // Discharging uses of a tracked buffer v:
 //
 //   - p.Recycle(v) — returned to the pool;
-//   - p.SendOwned(d, tag, v), or p.SendOwnedParts(d, tag, v) for a
-//     list of buffers — the buffers themselves ride the link and
-//     belong to the receiver;
+//   - p.SendOwned(d, tag, v) — the buffer itself rides the link and
+//     belongs to the receiver;
 //   - any appearance inside a return statement — ownership passes to
 //     the caller;
 //   - v (or a reslice v[i:j], which shares the backing array) assigned
@@ -88,7 +87,7 @@ type Sink struct {
 func (*Fact) AFact() {}
 
 // originMethods obtain pool-owned buffers.
-var originMethods = []string{"GetBuf", "Recv", "RecvParts", "Exchange", "ExchangeAll"}
+var originMethods = []string{"GetBuf", "Recv", "Exchange", "ExchangeAll"}
 
 // sinkSet answers "does passing an argument at this parameter index of
 // this function transfer ownership?" for both local functions (by
@@ -501,7 +500,7 @@ func discharges(info *types.Info, id *ast.Ident, stack []ast.Node, sinks *sinkSe
 }
 
 // callDischarges decides whether passing the buffer as arg to call
-// transfers ownership: Recycle always does; SendOwned and SendOwnedParts do for their
+// transfers ownership: Recycle always does; SendOwned does for its
 // payload, which the receiver owns from then on; append does for element arguments (not
 // for the slice being grown, and not for v... which copies); a call
 // to a summarized sink does for the discharged parameter positions;
@@ -510,7 +509,7 @@ func callDischarges(info *types.Info, call *ast.CallExpr, arg ast.Node, sinks *s
 	if vmlib.IsProcMethod(info, call, "Recycle") {
 		return true
 	}
-	if vmlib.IsProcMethod(info, call, "SendOwned", "SendOwnedParts") {
+	if vmlib.IsProcMethod(info, call, "SendOwned") {
 		return len(call.Args) == 3 && call.Args[2] == arg
 	}
 	if vmlib.IsBuiltinCall(info, call, "append") {

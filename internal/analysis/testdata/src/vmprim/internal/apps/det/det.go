@@ -132,20 +132,3 @@ func kernelSharedWrite(p *hypercube.Proc) {
 	kernelCalls++ // want `write to kernelCalls, captured from outside the SPMD body, races across processors`
 	p.Compute(1)
 }
-
-// mapOrderSendOwnedParts: sending buffers in parts changes nothing
-// about the order either.
-func mapOrderSendOwnedParts(p *hypercube.Proc, pending map[int][][]float64) {
-	for d, parts := range pending { // want `map iteration order is nondeterministic and this loop feeds SendOwnedParts`
-		p.SendOwnedParts(d, 1, parts)
-	}
-}
-
-// mapOrderRecvParts: the parts land in the list in the loop's order.
-func mapOrderRecvParts(p *hypercube.Proc, dims map[int]bool) [][]float64 {
-	var got [][]float64
-	for d := range dims { // want `map iteration order is nondeterministic and this loop feeds RecvParts`
-		got = p.RecvParts(d, 1, got)
-	}
-	return got
-}

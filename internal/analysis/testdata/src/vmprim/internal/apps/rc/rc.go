@@ -123,39 +123,3 @@ func pinned(p *hypercube.Proc) {
 	buf := p.GetBuf(8)
 	buf[0] = 1
 }
-
-// ownedParts discharges a list of received buffers by moving them
-// onto the link in parts: the receiver owns them. A receiver that
-// takes the message with a plain Recv gets a gathered copy and the
-// parts are dropped rather than recycled; only RecvParts hands them
-// back, and its result is tracked like ExchangeAll's.
-func ownedParts(p *hypercube.Proc, dims []int) {
-	got := p.ExchangeAll(dims, 1, nil)
-	p.SendOwnedParts(0, 1, got)
-}
-
-// ownedPartsOther moves a different list; sizing the tag from got is a
-// borrow, so got's obligation stands.
-func ownedPartsOther(p *hypercube.Proc, dims []int, other [][]float64) {
-	got := p.ExchangeAll(dims, 1, nil) // want `buffer "got" from ExchangeAll is never recycled`
-	p.SendOwnedParts(0, len(got), other)
-}
-
-// recvPartsLeak takes a message's parts and never discharges them.
-func recvPartsLeak(p *hypercube.Proc) {
-	got := p.RecvParts(0, 1, nil) // want `buffer "got" from RecvParts is never recycled`
-	p.Compute(len(got))
-}
-
-// recvPartsForwarded moves the received parts on, as the router's
-// forwarding does: the next receiver owns them.
-func recvPartsForwarded(p *hypercube.Proc) {
-	got := p.RecvParts(0, 1, nil)
-	p.SendOwnedParts(1, 1, got)
-}
-
-// recvPartsHandedOff passes the fresh list straight to a call, which
-// owns it from then on.
-func recvPartsHandedOff(p *hypercube.Proc, keep func([][]float64)) {
-	keep(p.RecvParts(0, 1, nil))
-}

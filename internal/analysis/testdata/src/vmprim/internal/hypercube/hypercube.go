@@ -22,10 +22,6 @@ func (p *Proc) Exchange(d, tag int, words []float64) []float64 { return nil }
 func (p *Proc) ExchangeAll(dims []int, tag int, payloads [][]float64) [][]float64 {
 	return nil
 }
-func (p *Proc) SendOwnedParts(d, tag int, parts [][]float64) {}
-func (p *Proc) RecvParts(d, wantTag int, dst [][]float64) [][]float64 {
-	return dst
-}
 func (p *Proc) Barrier(mask, tag int) {}
 func (p *Proc) BeginSpan(name string) {}
 func (p *Proc) EndSpan()              {}

@@ -27,6 +27,9 @@ const (
 	WaitRecv
 	// WaitSend means the processor was blocked posting to a full link.
 	WaitSend
+	// WaitRendezvous means the processor was waiting in a machine-wide
+	// rendezvous (a route) for the others to arrive.
+	WaitRendezvous
 )
 
 // String returns the wait-kind name used in the report.
@@ -36,6 +39,8 @@ func (k WaitKind) String() string {
 		return "recv"
 	case WaitSend:
 		return "send"
+	case WaitRendezvous:
+		return "rendezvous"
 	default:
 		return ""
 	}
@@ -61,8 +66,9 @@ type ProcState struct {
 	// Buckets splits the clock into compute/startup/transfer/idle.
 	Buckets obs.Buckets `json:"buckets"`
 	// Wait, WaitDim and WaitTag say what the processor was blocked on
-	// ("recv" or "send" with the link dimension and protocol tag);
-	// Wait is empty if it was not blocked. WaitDim and WaitTag carry no
+	// ("recv" or "send" with the link dimension and protocol tag, or
+	// "rendezvous" with dimension -1 and the route's tag); Wait is empty
+	// if it was not blocked. WaitDim and WaitTag carry no
 	// omitempty: dimension 0 and tag 0 are meaningful values.
 	Wait    string `json:"wait,omitempty"`
 	WaitDim int    `json:"wait_dim"`

@@ -36,9 +36,14 @@ import (
 // under every schedule (see TestScheduleIndependence).
 //
 // The segment kinds and where they come from: compute (Compute), send
-// (Send, SendOwned, SendOwnedParts, ExchangeAll) and route (RoutePhaseCharge) all pass
-// Proc.charge and extend the chain through cpCharge; hop is a receive
-// adopting the sender's chain (cpRecv). Every message a receive meets
+// (Send, SendOwned, ExchangeAll, and a route phase's send in RoutePair)
+// and route (RoutePhaseCharge) all pass Proc.charge and extend the
+// chain through cpCharge; hop is a receive adopting the sender's chain
+// (cpRecv). A route phase sends no message: within a pair at most one
+// side's arrival is strictly later than its partner's clock, so
+// RoutePair copies that one sender's chain, which no receive has
+// changed yet, straight into the receiver (routeRecv) instead of
+// snapshotting both. Every message a receive meets
 // carries a chain: every processor of a Run shares p.crit, every post
 // under it attaches one, and drain empties the links after every Run.
 // So no wait is ever unexplained and the machine records no idle

@@ -32,10 +32,14 @@ type link struct {
 func (l *link) empty() bool { return l.n == 0 }
 
 // msgNode is one queued message. next is 1 + the index of the node
-// after it on its link or on the free list, 0 at the end.
+// after it on its link or on the free list, 0 at the end. The padding
+// makes a node one 64-byte cache line, so a push or a pop touches one
+// line: with 56-byte nodes six in eight straddled two, and the prims
+// workload's raw rate read 3-4% lower in paired runs.
 type msgNode struct {
 	message
 	next int32
+	_    [12]byte
 }
 
 // msgStore holds the nodes of every link of one machine.

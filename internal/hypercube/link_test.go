@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"vmprim/internal/costmodel"
 	"vmprim/internal/flightrec"
@@ -334,6 +335,20 @@ func TestLinkPingPongReusesTwoNodes(t *testing.T) {
 	}
 	if n := len(m.store.nodes); n > 2 || !m.linksEmpty() {
 		t.Fatalf("store holds %d nodes, %d in use after the run, want <= 2 and 0", n, m.store.inUse)
+	}
+}
+
+// TestMessageSize pins a queued message at 48 bytes: a payload slice,
+// a tag, an arrival time and a chain pointer. Every send copies one
+// into a node of the link store and every receive copies it out, so a
+// field added to it is paid on every message. The node that holds it
+// is one cache line.
+func TestMessageSize(t *testing.T) {
+	if s := unsafe.Sizeof(message{}); s != 48 {
+		t.Errorf("message is %d bytes, want 48", s)
+	}
+	if s := unsafe.Sizeof(msgNode{}); s != 64 {
+		t.Errorf("a link store node is %d bytes, want 64", s)
 	}
 }
 

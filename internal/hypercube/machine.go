@@ -29,15 +29,17 @@
 // body is a coroutine (iter.Pull) that Run's goroutine resumes from a
 // FIFO run queue, so a machine executes one processor at a time and a
 // processor runs until it returns or must wait at the virtual-time
-// frontier — a Recv whose message has not been posted yet, or a Send
-// against a full link (run-ahead backpressure, see linkCap). A waiting
-// processor records what it waits on and yields; the partner that
-// changes that link puts it back on the queue, and an abort puts back
-// every parked processor. A deadlock is exact: the queue is empty while
-// processors are still pending, so every one of them waits on a link
-// nobody will change. The parked processors are then resumed in
-// address order and the lowest reports the deadlock; no timer and no
-// timeout are involved.
+// frontier — a Recv whose message has not been posted yet, a Send
+// against a full link (run-ahead backpressure, see linkCap), or a
+// route's rendezvous the others have not all entered (see Meet). A
+// waiting processor records what it waits on and yields; the partner
+// that changes that link, or the last processor into the rendezvous,
+// puts it back on the queue, and an abort puts back every parked
+// processor. A deadlock is exact: the queue is empty while processors
+// are still pending, so every one of them waits on a link nobody will
+// change or in a rendezvous somebody will never enter. The parked
+// processors are then resumed in address order and the lowest reports
+// the deadlock; no timer and no timeout are involved.
 //
 // Simulated results never depend on the order processors run in: every
 // directed link is a single-producer single-consumer FIFO (the only
@@ -70,33 +72,12 @@ const defaultFlightDepth = 32
 // message is one inter-processor transfer: a payload of words, a
 // protocol tag for error detection, and the virtual arrival time.
 // Under critical-path recording cp carries a snapshot of the sender's
-// chain (see critpath.go). A message sent in parts (SendOwnedParts)
-// carries its first part in words and the others in more, nil for a
-// message of one part.
+// chain (see critpath.go).
 type message struct {
 	words  []float64
 	tag    int
 	arrive costmodel.Time
 	cp     *chain
-	more   *parts
-}
-
-// parts is the tail of a multi-part message: the parts after its
-// first, in order, and their word total. Part lists come from the
-// machine's free list, as chain snapshots do; whoever consumes the
-// message returns its list there.
-type parts struct {
-	list  [][]float64
-	words int
-}
-
-// size returns the message's length in words, every part counted.
-func (msg *message) size() int {
-	n := len(msg.words)
-	if msg.more != nil {
-		n += msg.more.words
-	}
-	return n
 }
 
 // Machine is a simulated hypercube multiprocessor. Construct it with
@@ -122,11 +103,13 @@ type Machine struct {
 
 	// pool is the buffer pool every processor draws from (see pool.go),
 	// chains the free list of critical-path chain snapshots (see
-	// critpath.go), partLists the free list of multi-part messages'
-	// tails.
-	pool      bufPool
-	chains    []*chain
-	partLists []*parts
+	// critpath.go).
+	pool   bufPool
+	chains []*chain
+
+	// meeting counts the processors that have entered the rendezvous
+	// in progress (see Meet).
+	meeting int
 
 	// procs are the persistent per-processor handles, reset and reused
 	// by every Run.
@@ -273,12 +256,15 @@ func (e *engine) ready(pid int) {
 	e.qlen++
 }
 
-// wakeParked puts every parked processor back on the run queue, in
-// address order.
+// wakeParked puts every parked processor, on a link or in a
+// rendezvous, back on the run queue, in address order.
 func (e *engine) wakeParked(procs []*Proc) {
 	for pid, pr := range procs {
 		if l := pr.parked; l != nil && l.waiter == int32(pid)+1 {
 			l.waiter = 0
+			e.ready(pid)
+		} else if pr.meet == meetParked {
+			pr.meet = meetNone
 			e.ready(pid)
 		}
 	}
@@ -422,6 +408,7 @@ func (m *Machine) Run(body func(*Proc)) (costmodel.Time, error) {
 		pr.resetForRun()
 	}
 	m.pool.gets, m.pool.hits = 0, 0
+	m.meeting = 0
 	// The Run holds the arena from its start, not from its first
 	// Scratch: a collection that ends while the Run is in flight never
 	// takes it, however late the first Scratch comes.
@@ -570,6 +557,7 @@ func (p *Proc) resetForRun() {
 	p.waitKind = flightrec.WaitNone
 	p.captured, p.hasCaptured = nil, false
 	p.panicked = nil
+	p.meet = meetNone
 	p.trace = p.trace[:0]
 }
 
@@ -591,7 +579,6 @@ func (m *Machine) drain() {
 	for i := 0; m.store.inUse > 0; i++ {
 		for msg, ok := m.store.pop(&m.links[i]); ok; msg, ok = m.store.pop(&m.links[i]) {
 			m.putChain(msg.cp)
-			m.putParts(msg.more)
 		}
 	}
 }
@@ -607,6 +594,9 @@ type abortedError struct{}
 
 func (abortedError) Error() string { return "aborted by sibling failure" }
 
+// errAborted is the abortedError a cancelled processor panics with.
+var errAborted any = abortedError{}
+
 // Proc is one simulated processor's handle, valid only inside the body
 // passed to Run and only on that processor's coroutine. Procs are
 // persistent: the machine reuses them across runs.
@@ -619,7 +609,9 @@ type Proc struct {
 	// receives from along dimension d, yield suspends its coroutine, and
 	// parked is the link it waits on while suspended there (nil
 	// otherwise). panicked is the value this processor's body panicked
-	// with, nil if it returned.
+	// with, nil if it returned; inside a Meet, it is set before the
+	// panic, to the failure the meeting found for this processor (see
+	// RoutePair).
 	in       []link
 	yield    func(struct{}) bool
 	parked   *link
@@ -693,6 +685,11 @@ type Proc struct {
 	// took it.
 	tagMark int
 	tagBy   flightrec.Label
+
+	// Rendezvous state (see Meet): meet is where the processor stands in
+	// the one in progress, and met what it left at its latest Meet.
+	meet meetState
+	met  any
 }
 
 // RunLocal is per-processor state owned by a layer above the machine,
@@ -715,7 +712,7 @@ func (p *Proc) SetLocal(l RunLocal) { p.local = l }
 // RewindScratch gives them back or the Run that took them ends, whose
 // every exit rewinds the region: the next request hands the same words
 // out again. So a caller keeps them no longer than that, and never
-// Recycles or sends (SendOwned, SendOwnedParts) them, which would let
+// Recycles or sends (SendOwned) them, which would let
 // the pool or a receiver hand them out a second time. A request past
 // the region's end gets a plain allocation; the arena then grows at the
 // end of the Run to the most words any processor held at once, so the
@@ -877,55 +874,6 @@ func (p *Proc) SendOwned(d, tag int, buf []float64) {
 	p.post(d, message{words: buf, tag: tag, arrive: p.clock})
 }
 
-// SendOwnedParts is SendOwned of the concatenation of parts, without
-// building it: the parts themselves ride the link as one message of
-// the sum of their lengths, charged, counted and recorded exactly as
-// SendOwned of the concatenation, and belong to the receiver once it
-// arrives. RecvParts hands over the non-empty ones as they were sent;
-// Recv gathers them into one pooled buffer and drops the parts
-// without recycling them, so pooled buffers sent in parts go back to
-// the pool only through a receiver that takes them with RecvParts and
-// recycles them.
-func (p *Proc) SendOwnedParts(d, tag int, parts [][]float64) {
-	p.checkDim(d)
-	msg := message{tag: tag}
-	if len(parts) > 0 {
-		msg.words = parts[0]
-	}
-	if len(parts) > 1 {
-		msg.more = p.m.getParts()
-		msg.more.list = append(msg.more.list, parts[1:]...)
-		for _, pt := range parts[1:] {
-			msg.more.words += len(pt)
-		}
-	}
-	p.chargeSend(d, msg.size())
-	msg.arrive = p.clock
-	p.post(d, msg)
-}
-
-// getParts returns an empty part list from the machine's free list (or
-// a new one).
-func (m *Machine) getParts() *parts {
-	n := len(m.partLists)
-	if n == 0 {
-		return new(parts)
-	}
-	ps := m.partLists[n-1]
-	m.partLists = m.partLists[:n-1]
-	return ps
-}
-
-// putParts empties ps, if any, and returns it to the machine's free
-// list.
-func (m *Machine) putParts(ps *parts) {
-	if ps != nil {
-		clear(ps.list)
-		ps.list, ps.words = ps.list[:0], 0
-		m.partLists = append(m.partLists, ps)
-	}
-}
-
 // pooledCopy returns a copy of words in a buffer from the machine's
 // pool; it goes back when the receiver recycles it.
 func (p *Proc) pooledCopy(words []float64) []float64 {
@@ -937,26 +885,33 @@ func (p *Proc) pooledCopy(words []float64) []float64 {
 // post enqueues msg, whose payload the caller gives up, on the
 // neighbor's inbound link along dimension d.
 func (p *Proc) post(d int, msg message) {
-	n := msg.size()
+	p.noteSend(d, msg.tag, len(msg.words), msg.arrive)
+	if p.crit {
+		msg.cp = p.m.getChain(p.cp)
+	}
+	l := &p.m.links[(p.id^(1<<d))*p.m.dim+d]
+	if !p.m.store.push(l, msg) {
+		p.stallSend(l, msg, d)
+	}
+	p.wake(l)
+}
+
+// noteSend counts and records a send of n words on dimension d under
+// tag, arriving at arrive: the message and word counters, the link's
+// load, the message-size histogram, the flight recorder and, on
+// processor 0's links in a traced run, the message trace.
+func (p *Proc) noteSend(d, tag, n int, arrive costmodel.Time) {
 	p.counts.Messages++
 	p.counts.Words += int64(n)
 	p.linkWords[d] += int64(n)
 	dst := p.id ^ (1 << d)
 	if (dst == 0 || p.id == 0) && len(p.trace) < p.m.traceLimit && p.m.profEnabled {
 		p.trace = append(p.trace, obs.LinkEvent{
-			Time: msg.arrive, Src: p.id, Dst: dst, Dim: d, Words: n, Tag: msg.tag,
+			Time: arrive, Src: p.id, Dst: dst, Dim: d, Words: n, Tag: tag,
 		})
 	}
 	p.msgHist[msgBin(n)]++
-	p.record(flightrec.KindSend, flightrec.NoLabel, d, msg.tag, n, msg.arrive)
-	if p.crit {
-		msg.cp = p.m.getChain(p.cp)
-	}
-	l := &p.m.links[dst*p.m.dim+d]
-	if !p.m.store.push(l, msg) {
-		p.stallSend(l, msg, d)
-	}
-	p.wake(l)
+	p.record(flightrec.KindSend, flightrec.NoLabel, d, tag, n, arrive)
 }
 
 // wake puts the processor parked on l, if any, back on the run queue.
@@ -1019,38 +974,15 @@ func (p *Proc) TagOwner() string { return p.m.labels.Name(p.tagBy) }
 // Recv receives the next message on dimension d, checks that its tag
 // matches wantTag (a mismatch is a protocol bug and panics), advances
 // the clock to the arrival time, and returns the payload. The returned
-// slice is owned by the caller. A message sent in parts arrives
-// gathered into one buffer from the machine's pool.
+// slice is owned by the caller.
 func (p *Proc) Recv(d, wantTag int) []float64 {
-	words, _ := p.recv(d, wantTag, true)
-	return words
-}
-
-// RecvParts is Recv without the gathering: it appends the message's
-// non-empty parts to dst, in order, and returns the extended slice. A
-// message sent with SendOwnedParts arrives as the parts it was sent
-// in, any other as its one payload; the parts are the caller's.
-func (p *Proc) RecvParts(d, wantTag int, dst [][]float64) [][]float64 {
-	words, more := p.recv(d, wantTag, false)
-	if len(words) > 0 {
-		dst = append(dst, words)
-	}
-	if more != nil {
-		for _, pt := range more.list {
-			if len(pt) > 0 {
-				dst = append(dst, pt)
-			}
-		}
-		p.m.putParts(more)
-	}
-	return dst
+	return p.recv(d, wantTag)
 }
 
 // recv takes the next message on dimension d, charges its receipt —
 // the tag check, the critical path, the clock and the flight recorder —
-// and returns its first part and the others, or with gather set, its
-// parts gathered into one buffer.
-func (p *Proc) recv(d, wantTag int, gather bool) ([]float64, *parts) {
+// and returns its payload.
+func (p *Proc) recv(d, wantTag int) []float64 {
 	p.checkDim(d)
 	l := &p.in[d]
 	msg, ok := p.m.store.pop(l)
@@ -1060,14 +992,7 @@ func (p *Proc) recv(d, wantTag int, gather bool) ([]float64, *parts) {
 	// The sender may be parked on this link having found it full.
 	p.wake(l)
 	if msg.tag != wantTag {
-		// Preserve the offending payload for the post-mortem before
-		// dying: the report shows its length and leading words.
-		if msg.more != nil {
-			msg.words = p.gather(msg.words, msg.more)
-		}
-		p.captured, p.hasCaptured = msg.words, true
-		p.record(flightrec.KindCapture, flightrec.NoLabel, -1, 0, len(msg.words), p.clock)
-		panic(fmt.Sprintf("tag mismatch on dim %d: got %d, want %d", d, msg.tag, wantTag))
+		panic(p.mismatch(d, msg.tag, wantTag, msg.words))
 	}
 	if p.crit {
 		p.cpRecv(&msg, d)
@@ -1075,25 +1000,18 @@ func (p *Proc) recv(d, wantTag int, gather bool) ([]float64, *parts) {
 	if msg.arrive > p.clock {
 		p.clock = msg.arrive
 	}
-	p.record(flightrec.KindRecv, flightrec.NoLabel, d, wantTag, msg.size(), p.clock)
-	if gather && msg.more != nil {
-		return p.gather(msg.words, msg.more), nil
-	}
-	return msg.words, msg.more
+	p.record(flightrec.KindRecv, flightrec.NoLabel, d, wantTag, len(msg.words), p.clock)
+	return msg.words
 }
 
-// gather returns the concatenation of a message's parts, first and
-// more, in a buffer from the machine's pool. The parts themselves are
-// left as they are, since nothing says they came from the pool; the
-// part list goes back to the free list.
-func (p *Proc) gather(first []float64, more *parts) []float64 {
-	buf := p.m.pool.get(len(first) + more.words)
-	n := copy(buf, first)
-	for _, pt := range more.list {
-		n += copy(buf[n:], pt)
-	}
-	p.m.putParts(more)
-	return buf
+// mismatch preserves the payload of a message that arrived on
+// dimension d under tag got instead of want for the post-mortem — the
+// report shows its length and leading words — and returns the panic
+// value that names the mismatch.
+func (p *Proc) mismatch(d, got, want int, words []float64) any {
+	p.captured, p.hasCaptured = words, true
+	p.record(flightrec.KindCapture, flightrec.NoLabel, -1, 0, len(words), p.clock)
+	return fmt.Sprintf("tag mismatch on dim %d: got %d, want %d", d, got, want)
 }
 
 // awaitRecv is Recv's slow path: the link is empty, so park at the
@@ -1126,14 +1044,18 @@ func (p *Proc) park(l *link, kind flightrec.WaitKind, d, tag int, since costmode
 	case sending && !p.m.store.full(l), !sending && !l.empty():
 		p.waitKind = flightrec.WaitNone
 	case e.aborted:
-		panic(abortedError{})
+		panic(errAborted)
+	case sending:
+		panic(deadlock("send stalled", d, tag))
 	default:
-		what := "recv"
-		if sending {
-			what = "send stalled"
-		}
-		panic(fmt.Sprintf("%s on dim %d (tag %d): deadlock", what, d, tag))
+		panic(deadlock("recv", d, tag))
 	}
+}
+
+// deadlock returns the panic value of a processor that waits to do
+// what on dimension d under tag when nothing else can run.
+func deadlock(what string, d, tag int) any {
+	return fmt.Sprintf("%s on dim %d (tag %d): deadlock", what, d, tag)
 }
 
 // Exchange performs the paired send/receive with the neighbor along

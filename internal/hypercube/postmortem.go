@@ -105,9 +105,8 @@ func (m *Machine) buildPostMortem(cause string, failedPid int) *flightrec.Report
 				headTag, headVT = msg.tag, msg.arrive
 			}
 			queued++
-			words += msg.size()
+			words += len(msg.words)
 			m.putChain(msg.cp)
-			m.putParts(msg.more)
 		}
 		if queued > 0 {
 			rep.Links = append(rep.Links, flightrec.LinkState{

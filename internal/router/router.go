@@ -20,25 +20,30 @@
 // processor whose links carry more routed volume accumulates a larger
 // virtual clock, and the operation finishes at the slowest processor.
 //
-// On the host, messages stay in wire form (two header words, then the
-// payload) from injection to delivery, and buffers move instead of
-// being copied. Callers write messages with Batch.Add (requests with
-// Batch.Ask) straight into the run the router injects and read what
-// arrives from an Inbox over the delivered runs; Route and Request on
-// message lists are wrappers over the two, kept for the benchmark's
-// callers. Between phases a processor holds its runs in order, the
-// injection run, then each phase's arrivals. A phase plans each run in
-// one walk over its headers, partitions every run with leaving traffic
-// in place, and sends the leaving parts, capacity-clipped subslices of
-// their runs in run order, as one message through
-// Proc.SendOwnedParts; the receiver appends them to its runs with
-// Proc.RecvParts. Nothing is copied on the way, except that arrivals
-// that do not fit the fixed number of runs a processor holds are
-// merged into one. Routed buffers are plain allocations that travel
-// with the messages, kept neither between calls nor in the machine's
-// buffer pool, whose size classes they would not ask for again. The
-// one pooled buffer is the scratch an interleaved partition stages
-// messages through, returned before the partition ends.
+// On the host, a route is one machine-level step: every processor
+// leaves its traffic at a rendezvous (hypercube.Proc.Meet) and parks
+// once, and the last to arrive runs all d phases for all processors,
+// pair by pair (hypercube.RoutePair charges and records each phase's
+// two messages exactly as the simulated links would carry them), so a
+// phase that carries nothing costs the host no coroutine switch.
+// Messages stay in wire form (two header words, then the payload) from
+// injection to delivery, and buffers move instead of being copied.
+// Callers write messages with Batch.Add (requests with Batch.Ask)
+// straight into the run the router injects and read what arrives from
+// an Inbox over the delivered runs; Route and Request on message lists
+// are wrappers over the two, kept for the benchmark's callers. Between
+// phases a processor holds its runs in order, the injection run, then
+// each phase's arrivals. A phase plans each run in one walk over its
+// headers, partitions every run with leaving traffic in place, and
+// hands the leaving parts, capacity-clipped subslices of their runs in
+// run order, to the partner's runs, where they count as one message.
+// Nothing is copied on the way, except that arrivals beyond the number
+// of runs a processor holds are merged into one. Routed buffers are
+// plain allocations that travel with the messages, kept neither
+// between calls nor in the machine's buffer pool, whose size classes
+// they would not ask for again. The one pooled buffer is the scratch
+// an interleaved partition stages messages through, returned before
+// the partition ends.
 package router
 
 import (
@@ -96,12 +101,8 @@ func header(w float64) (dst, n int) {
 	return int(dl >> 32), int(dl & math.MaxUint32)
 }
 
-// held is a processor's pending traffic between phases: wire-form
-// runs in delivery order — the injection buffer, then each phase's
-// arrivals, as many runs as their sender forwarded from. Runs are
-// appended and merged only when the array would overflow (see
-// receive): a phase divides each run in place and drops the ones it
-// empties, keeping the rest in order.
+// held is what a route delivered to a processor: the wire-form runs
+// its slot held after the last phase, in delivery order.
 type held struct {
 	runs [maxRuns][]float64
 	n    int
@@ -109,14 +110,6 @@ type held struct {
 
 // maxRuns is the number of runs a processor holds between phases.
 const maxRuns = hypercube.MaxDim + 1
-
-// push appends run unless it is empty.
-func (h *held) push(run []float64) {
-	if len(run) > 0 {
-		h.runs[h.n] = run
-		h.n++
-	}
-}
 
 // next returns the offset of the message after the one at offset at.
 func next(run []float64, at int) int {
@@ -209,8 +202,7 @@ func (in *Inbox) Next() (key int, words []float64, ok bool) {
 // every processor must call it with the same tag.
 func (b *Batch) Route(p *hypercube.Proc, tag int) Inbox {
 	var in Inbox
-	in.h.push(b.wire)
-	route(p, tag, &in.h, b.n)
+	route(p, tag, b.wire, b.n, &in.h)
 	*b = Batch{}
 	return in
 }
@@ -286,41 +278,94 @@ func Request(p *hypercube.Proc, tag int, want []Msg, serve func(key int) []float
 	return out
 }
 
-// route runs the d phases on h, which holds the caller's msgs messages
-// in wire form as its one run, and leaves in h the runs of what was
-// addressed here. The runs h holds are the caller's.
-func route(p *hypercube.Proc, tag int, h *held, msgs int) {
+// slot is what a processor leaves at a route's rendezvous: its tag and
+// its pending traffic between phases, wire-form runs in delivery order
+// — the injection buffer, then each phase's arrivals, as many runs as
+// their sender forwarded from. Runs are appended, and merged only when
+// there would be more than maxRuns (see receive): a phase divides each
+// run in place and drops the ones it empties, keeping the rest in
+// order. Each processor keeps one slot for the machine's lifetime
+// (hypercube.Proc.Met), which holds runs only during a route; its list
+// grows to the most runs the processor has held, so it costs a
+// processor that routes little traffic little memory.
+type slot struct {
+	runs [][]float64
+	tag  int
+}
+
+// route routes the caller's msgs messages, in wire form in wire, and
+// leaves in h the runs of what was addressed here. The route is one
+// machine-level step: every processor leaves its runs in its slot and
+// meets the others, and the last to arrive runs every phase for every
+// pair (phases). The runs h receives are the caller's.
+func route(p *hypercube.Proc, tag int, wire []float64, msgs int, h *held) {
 	p.BeginSpan("route")
 	defer p.EndSpan()
 	p.NoteCollective("route", p.FullMask(), tag)
 	if p.Profiling() {
 		// Predict from the local injection load: each of the d phases
 		// forwards about half of what is pending here on average.
-		p.SpanPredict(costmodel.PredictRoute(p.Params(), p.Dim(), msgs, len(h.runs[0])-headerWords*msgs, headerWords))
+		p.SpanPredict(costmodel.PredictRoute(p.Params(), p.Dim(), msgs, len(wire)-headerWords*msgs, headerWords))
 	}
-	var fwd [maxRuns][]float64
-	for i := 0; i < p.Dim(); i++ {
-		parts, nfwd, wfwd := h.forward(p, i, &fwd)
-		// The router charges per-phase start-up plus per-message
-		// handling on the payload volume; the link transfer itself
-		// (payload + headers) is charged by the send.
-		p.RoutePhaseCharge(nfwd, wfwd)
-		p.SendOwnedParts(i, tag<<6|i, parts)
-		// Once sent, the parts leave fwd free for the arrivals.
-		h.receive(p.RecvParts(i, tag<<6|i, fwd[:0]))
+	s, _ := p.Met().(*slot)
+	if s == nil {
+		s = new(slot)
+	}
+	defer s.release()
+	s.tag = tag
+	if len(wire) > 0 {
+		s.runs = append(s.runs, wire)
+	}
+	p.Meet(tag, s, phases)
+	h.n = copy(h.runs[:], s.runs)
+}
+
+// release empties the slot: it outlives the route, the runs it held do
+// not, whichever way the route ended.
+func (s *slot) release() {
+	clear(s.runs)
+	s.runs = s.runs[:0]
+}
+
+// phases runs a route's d phases for every processor, each phase pair
+// by pair in address order: each side's leaving traffic (forward) is
+// charged and recorded by hypercube.RoutePair, and handed across to
+// the other's runs (receive). A pair is done before the next starts,
+// so one phase needs two part lists, not one per processor. It stops
+// at a pair that fails, whose RoutePair has already failed the route.
+func phases(procs []*hypercube.Proc) {
+	var fa, fb [maxRuns][]float64
+	for i, bit := 0, 1; bit < len(procs); i, bit = i+1, bit<<1 {
+		for a, pa := range procs {
+			if a&bit != 0 {
+				continue
+			}
+			pb := procs[a|bit]
+			ha, hb := pa.Met().(*slot), pb.Met().(*slot)
+			// Phase i travels under tag<<6|i.
+			sa := hypercube.RouteSide{Tag: ha.tag<<6 | i}
+			sb := hypercube.RouteSide{Tag: hb.tag<<6 | i}
+			sa.Parts, sa.Msgs, sa.Words = ha.forward(pa, i, &fa)
+			sb.Parts, sb.Msgs, sb.Words = hb.forward(pb, i, &fb)
+			if !hypercube.RoutePair(pa, pb, i, &sa, &sb) {
+				return
+			}
+			ha.receive(sb.Parts)
+			hb.receive(sa.Parts)
+		}
 	}
 }
 
-// forward takes out of h the messages that leave in phase i, those
+// forward takes out of s the messages that leave in phase i, those
 // whose destination differs from p's address in bit i, and returns
 // them in order as parts in fwd, one per run they leave from, with
 // their count and payload words. Nothing is copied: split divides
 // each run in its own memory. What stays is kept in order, and the
 // runs emptied are dropped.
-func (h *held) forward(p *hypercube.Proc, i int, fwd *[maxRuns][]float64) (parts [][]float64, nfwd, wfwd int) {
+func (s *slot) forward(p *hypercube.Proc, i int, fwd *[maxRuns][]float64) (parts [][]float64, nfwd, wfwd int) {
 	mine := p.ID() >> i & 1
 	n, k := 0, 0
-	for _, run := range h.runs[:h.n] {
+	for _, run := range s.runs {
 		kept, f, msgs, words := split(p, run, i, mine)
 		nfwd += msgs
 		wfwd += words
@@ -329,27 +374,28 @@ func (h *held) forward(p *hypercube.Proc, i int, fwd *[maxRuns][]float64) (parts
 			k++
 		}
 		if len(kept) > 0 {
-			h.runs[n] = kept
+			s.runs[n] = kept
 			n++
 		}
 	}
-	clear(h.runs[n:h.n])
-	h.n = n
+	clear(s.runs[n:])
+	s.runs = s.runs[:n]
 	return fwd[:k], nfwd, wfwd
 }
 
-// receive appends to h the runs that arrived in a phase. When they do
-// not all fit, they are merged, in order, into one run, led by h's
-// last run if h is full: the one copy the router makes.
-func (h *held) receive(arrived [][]float64) {
-	if h.n+len(arrived) <= maxRuns {
-		h.n += copy(h.runs[h.n:], arrived)
+// receive appends to s the runs that arrived in a phase. When there
+// would be more than maxRuns, they are merged, in order, into one run,
+// led by s's last run if s already holds maxRuns: the one copy the
+// router makes.
+func (s *slot) receive(arrived [][]float64) {
+	if len(s.runs)+len(arrived) <= maxRuns {
+		s.runs = append(s.runs, arrived...)
 		return
 	}
 	var last []float64
-	if h.n == maxRuns {
-		h.n--
-		last = h.runs[h.n]
+	if n := len(s.runs); n == maxRuns {
+		last = s.runs[n-1]
+		s.runs = s.runs[:n-1]
 	}
 	w := len(last)
 	for _, run := range arrived {
@@ -359,8 +405,7 @@ func (h *held) receive(arrived [][]float64) {
 	for _, run := range arrived {
 		merged = append(merged, run...)
 	}
-	h.runs[h.n] = merged
-	h.n++
+	s.runs = append(s.runs, merged)
 }
 
 // split divides run into what stays and what leaves in phase i, the

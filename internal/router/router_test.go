@@ -2,6 +2,7 @@ package router
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -408,22 +409,58 @@ type traffic struct {
 }
 
 // outcome is everything observable about one routed run, recorders
-// included (the profile carries the span tree with its predictions).
+// included: the profile carries the span tree with its predictions and,
+// with the message trace armed, the flows; metrics is the run's
+// metrics snapshot without the host counters (frontier parks and pool
+// traffic, which count host work); postmortem is the report of the
+// same run failed by a panic on processor 0 right after the route,
+// when runTraffic was asked for it.
 type outcome struct {
-	got     [][]Msg
-	elapsed costmodel.Time
-	stats   hypercube.Stats
-	clocks  []costmodel.Time
-	profile *obs.Profile
-	crit    *obs.CritPath
+	got        [][]Msg
+	elapsed    costmodel.Time
+	stats      hypercube.Stats
+	clocks     []costmodel.Time
+	profile    *obs.Profile
+	crit       *obs.CritPath
+	congestion []obs.LinkLoad
+	metrics    string
+	postmortem string
+}
+
+// hostMetrics are the metrics that count host work, not simulated
+// work: a route that executes its phases differently moves them.
+var hostMetrics = map[string]bool{
+	"vmprim_sched_recv_parks_total": true,
+	"vmprim_pool_gets_total":        true,
+	"vmprim_pool_hits_total":        true,
+	"vmprim_pool_hit_rate":          true,
+}
+
+// simMetrics renders m's metrics snapshot without the host counters.
+func simMetrics(m *hypercube.Machine) string {
+	var b strings.Builder
+	for _, mv := range m.Metrics().Snapshot().Metrics {
+		if !hostMetrics[mv.Name] {
+			fmt.Fprintf(&b, "%+v\n", mv)
+		}
+	}
+	return b.String()
 }
 
 func runTraffic(t testing.TB, tr traffic, route func(*hypercube.Proc, int, []Msg) []Msg) outcome {
+	return runTrafficFailed(t, tr, route, false)
+}
+
+// runTrafficFailed is runTraffic, and with failed set it routes tr a
+// second time on the same machine with processor 0 panicking right
+// after the route, and keeps that run's post-mortem as JSON.
+func runTrafficFailed(t testing.TB, tr traffic, route func(*hypercube.Proc, int, []Msg) []Msg, failed bool) outcome {
 	t.Helper()
 	m := hypercube.MustNew(tr.dim, costmodel.CM2())
 	defer m.Close()
 	m.EnableProfile(true)
 	m.EnableCritPath(true)
+	m.EnableTrace(1 << 20)
 	o := outcome{got: make([][]Msg, m.P())}
 	var err error
 	o.elapsed, err = m.Run(func(p *hypercube.Proc) { o.got[p.ID()] = route(p, 3, tr.out[p.ID()]) })
@@ -431,6 +468,24 @@ func runTraffic(t testing.TB, tr traffic, route func(*hypercube.Proc, int, []Msg
 		t.Fatalf("%s: %v", tr.name, err)
 	}
 	o.stats, o.clocks, o.profile, o.crit = m.LastStats(), m.Clocks(), m.Profile(), m.CritPath()
+	o.congestion, o.metrics = m.Congestion(0), simMetrics(m)
+	if failed {
+		_, err = m.Run(func(p *hypercube.Proc) {
+			route(p, 3, tr.out[p.ID()])
+			if p.ID() == 0 {
+				panic("deliberate failure after the route")
+			}
+		})
+		var re *hypercube.RunError
+		if !errors.As(err, &re) {
+			t.Fatalf("%s: the failed run returned %v", tr.name, err)
+		}
+		var pm bytes.Buffer
+		if err := re.Report.WriteJSON(&pm); err != nil {
+			t.Fatal(err)
+		}
+		o.postmortem = pm.String()
+	}
 	return o
 }
 
@@ -443,6 +498,15 @@ func sameOutcome(t testing.TB, name string, got, want outcome) {
 	}
 	if want.profile == nil || want.crit == nil || !reflect.DeepEqual(got.profile, want.profile) || !reflect.DeepEqual(got.crit, want.crit) {
 		t.Errorf("%s: profile or critical path differs from the reference", name)
+	}
+	if !reflect.DeepEqual(got.congestion, want.congestion) {
+		t.Errorf("%s: link loads %v, reference %v", name, got.congestion, want.congestion)
+	}
+	if got.metrics != want.metrics {
+		t.Errorf("%s: metrics differ from the reference:\n%s\nreference:\n%s", name, got.metrics, want.metrics)
+	}
+	if got.postmortem != want.postmortem {
+		t.Errorf("%s: post-mortem differs from the reference:\n%.2000s\nreference:\n%.2000s", name, got.postmortem, want.postmortem)
 	}
 	for pid := range want.got {
 		g, w := got.got[pid], want.got[pid]
@@ -508,9 +572,14 @@ func referenceTraffic() []traffic {
 	return all
 }
 
+// TestRouteMatchesReference: on every reference traffic, Route
+// delivers the reference router's messages in its order at its
+// simulated cost, with the same profile, flows, critical path, link
+// loads and metrics, and a run that fails on processor 0 right after
+// the route leaves the same post-mortem byte for byte.
 func TestRouteMatchesReference(t *testing.T) {
 	for _, tr := range referenceTraffic() {
-		sameOutcome(t, tr.name, runTraffic(t, tr, Route), runTraffic(t, tr, routeReference))
+		sameOutcome(t, tr.name, runTrafficFailed(t, tr, Route, true), runTrafficFailed(t, tr, routeReference, true))
 	}
 }
 
@@ -1058,6 +1127,29 @@ func BenchmarkRouteHotspot(b *testing.B) {
 	}
 	run := func() {
 		if _, err := m.Run(func(p *hypercube.Proc) { Route(p, 2, out[p.ID()]) }); err != nil {
+			b.Fatal(err)
+		}
+	}
+	run() // create the coroutines
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+}
+
+// BenchmarkRouteEmpty is the floor of a route: at d = 8 every
+// processor routes nothing, one Run per iteration, so each of the 8
+// phases carries no record and costs only its start-up, the price the
+// naive kernels' empty phase-sends pay.
+func BenchmarkRouteEmpty(b *testing.B) {
+	m := hypercube.MustNew(8, costmodel.CM2())
+	defer m.Close()
+	run := func() {
+		if _, err := m.Run(func(p *hypercube.Proc) {
+			var batch Batch
+			batch.Route(p, 2)
+		}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -12,7 +12,10 @@ over the slab, Proc.ScratchMark and RewindScratch over the arena);
 for the staging
 of a driver's operands inside its Run (Env.LoadDense, LoadSlice,
 StoreDense and StoreSlice, in internal/core/hostio.go, and the shared
-forward-elimination step of internal/apps/gauss.go); and for the SPMD
+forward-elimination step of internal/apps/gauss.go); for the
+machine-level route (the rendezvous Proc.Meet and the pairwise phase
+edge RoutePair in internal/hypercube/route.go, and the phase loop of
+internal/router/router.go that drives them); and for the SPMD
 code the spanbalance and collorder analyzers check (internal/core,
 internal/collective, internal/apps).
 
@@ -36,7 +39,8 @@ finally prints one Markdown table row per mutant:
     the end-to-end smokes scripts/check.sh runs (vmload's in-process
     mini-burst; vmprimd's submit, wait, scrape and SIGTERM steps); for
     the slab and the SPMD code, core, collective, hypercube, apps,
-    bench (the golden tables) and the facade.
+    bench (the golden tables) and the facade, and for the route
+    router as well.
 
 A mutant whose old text is not found, or that does not compile, is
 reported as such; it decides nothing.
@@ -92,6 +96,7 @@ CLASSES = {
     "W": "wall clock in a sim package",
     "H": "staging inside a Run reads or writes the wrong words or column window, or charges time; the shared elimination step loses a sign",
     "M": "step scope releases too much or too little, or the arena forgets a released peak",
+    "Q": "machine-level route charges, records or orders a phase unlike its two messages, or strands a processor",
 }
 
 SSE = "internal/serve/sse.go"
@@ -118,6 +123,8 @@ LU = "internal/apps/lu.go"
 HOSTIO = "internal/core/hostio.go"
 GAUSS = "internal/apps/gauss.go"
 SPMD = ("internal/core/", "internal/collective/", "internal/apps/")
+ROUTE = "internal/hypercube/route.go"
+ROUTER = "internal/router/router.go"
 
 # id, file, site (function), old text, new text. The class is the id's
 # letter.
@@ -347,6 +354,35 @@ MUTANTS = [
      "\tm.arena = m.weakArena.Value()\n\te := m.eng\n",
      "\te := m.eng\n"),
 
+    # Q: the machine-level route: the rendezvous (Proc.Meet), the
+    # pairwise phase edge (RoutePair) and the router's phase loop that
+    # drives it, which must charge, count and record each phase exactly
+    # as its two messages would have.
+    ("Q1", ROUTE, "RoutePair: a pair's receives take the arrival times from before both sends",
+     "\tna, nb := a.routeSend(i, sa), b.routeSend(i, sb)\n\tta, tb := a.clock, b.clock\n",
+     "\tta, tb := a.clock, b.clock\n\tna, nb := a.routeSend(i, sa), b.routeSend(i, sb)\n"),
+    ("Q2", ROUTE, "routeRecv: a chain is adopted on a tie",
+     "\tif arrive > p.clock {\n",
+     "\tif arrive >= p.clock {\n"),
+    ("Q3", ROUTE, "routeSend: the phase's link load is not booked",
+     "\tp.noteSend(d, s.Tag, n, p.clock)\n",
+     "\tp.noteSend(d, s.Tag, n, p.clock)\n\tp.linkWords[d] -= int64(n)\n"),
+    ("Q4", ROUTE, "routeSend: the phase's message is left out of the size histogram",
+     "\tp.noteSend(d, s.Tag, n, p.clock)\n",
+     "\tp.noteSend(d, s.Tag, n, p.clock)\n\tp.msgHist[msgBin(n)]--\n"),
+    ("Q5", ROUTE, "routeRecv: the flight recorder's receive is dropped",
+     "\tp.record(flightrec.KindRecv, flightrec.NoLabel, d, tag, n, p.clock)\n",
+     ""),
+    ("Q6", ROUTER, "phases: each low address runs all its phases before the next, so phase i+1 starts before phase i's last pair",
+     "\tfor i, bit := 0, 1; bit < len(procs); i, bit = i+1, bit<<1 {\n\t\tfor a, pa := range procs {\n",
+     "\tfor a, pa := range procs {\n\t\tfor i, bit := 0, 1; bit < len(procs); i, bit = i+1, bit<<1 {\n"),
+    ("Q7", ROUTE, "Meet: processor 0 is left unreadied",
+     "\t\t\tif pr.meet == meetParked {\n",
+     "\t\t\tif pr.meet == meetParked && pid != 0 {\n"),
+    ("Q8", ROUTE, "routeMismatch: a message left on a link before the route goes unnoticed",
+     "p.m.store.inUse > 0 && !l.empty()",
+     "false && !l.empty()"),
+
     # H: Env.LoadDense, LoadSlice, StoreDense and StoreSlice, which
     # stage a driver's operands inside its one Run and land its result,
     # at no simulated cost, with the walks FromDense, ToDense and
@@ -545,7 +581,7 @@ RACE_PKGS = ["./internal/serve/", "./internal/metrics/", "./cmd/vmload/"]
 
 def one_thread(path):
     """Whether path is code a Run executes on its one thread."""
-    return path in SLAB or path.startswith(SPMD)
+    return path in SLAB or path in (ROUTE, ROUTER) or path.startswith(SPMD)
 
 
 def other_tests(path):
@@ -562,7 +598,7 @@ def other_tests(path):
     if one_thread(path):
         return ("go", ["go", "test", "-count=1", "-timeout", "300s", "./internal/core/",
                        "./internal/collective/", "./internal/hypercube/", "./internal/apps/",
-                       "./internal/bench/", "."])
+                       "./internal/bench/", "."] + (["./internal/router/"] if path in (ROUTE, ROUTER) else []))
     return None
 
 
