@@ -180,12 +180,11 @@ func vecMatNaive(e *core.Env, a *core.Matrix, x *core.Vector) *core.Vector {
 	want := router.NewBatch(e.P, rows, 0)
 	for lr := 0; lr < a.RMap.B; lr++ {
 		if gi := a.RMap.GlobalOf(myRow, lr); gi >= 0 {
-			want.Ask(g.ProcAt(x.Map.CoordOf(gi), x.Home), gi)
+			want.Ask(g.ProcAt(x.Map.CoordOf(gi), x.Home), x.Map.LocalOf(gi))
 		}
 	}
 	xp := x.L(pid)
-	got := want.Request(e.P, e.NextTag2(), func(key int) []float64 {
-		l := x.Map.LocalOf(key)
+	got := want.Request(e.P, e.NextTag2(), func(l int) []float64 {
 		return xp[l : l+1] // Request copies it
 	})
 	// x_i lands at its request's number, which is its row's rank here.
@@ -201,31 +200,29 @@ func vecMatNaive(e *core.Env, a *core.Matrix, x *core.Vector) *core.Vector {
 	// one message per local element.
 	out := e.TempVector(a.Cols, core.Linear, a.CMap.Kind, 0, false)
 	e.BeginSpan("route-products")
+	// Per local column j: the owner of y_j, then its offset there, the
+	// key its products travel under.
+	nr, nc := a.RMap.ValidCount(myRow), a.CMap.ValidCount(myCol)
+	mark := e.P.ScratchMark()
+	to := e.P.Scratch(2 * nc)
+	for lc := 0; lc < nc; lc++ {
+		gj := a.CMap.GlobalOf(myCol, lc)
+		to[2*lc], to[2*lc+1] = float64(out.OwnerProcOf(gj)), float64(out.Map.LocalOf(gj))
+	}
 	parts := router.NewBatch(e.P, rows*b, rows*b)
-	flops, q := 0, 0
-	for lr := 0; lr < a.RMap.B; lr++ {
-		if a.RMap.GlobalOf(myRow, lr) < 0 {
-			continue
-		}
-		xi := xs[q]
-		q++
-		row := blk[lr*b : (lr+1)*b]
-		for lc, aij := range row {
-			gj := a.CMap.GlobalOf(myCol, lc)
-			if gj < 0 {
-				continue
-			}
-			parts.Add(out.OwnerProcOf(gj), gj, 1)[0] = xi * aij
-			flops++
+	for lr, xi := range xs[:nr] {
+		for lc, aij := range blk[lr*b : lr*b+nc] {
+			parts.Add(int(to[2*lc]), int(to[2*lc+1]), 1)[0] = xi * aij
 		}
 	}
+	e.P.RewindScratch(mark)
 	e.P.Recycle(xs)
-	e.P.Compute(flops)
+	e.P.Compute(nr * nc)
 	arrived := parts.Route(e.P, e.NextTag())
 	op := out.L(pid)
 	n := 0
-	for key, w, ok := arrived.Next(); ok; key, w, ok = arrived.Next() {
-		op[out.Map.LocalOf(key)] += w[0]
+	for k, w, ok := arrived.Next(); ok; k, w, ok = arrived.Next() {
+		op[k] += w[0]
 		n++
 	}
 	e.P.Compute(n)

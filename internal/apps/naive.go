@@ -35,23 +35,19 @@ func naiveBcast(e *core.Env, src int, words []float64) []float64 {
 }
 
 // naiveFetchElems has proc 0 fetch the listed matrix elements through
-// the router, one request per element; every processor calls, proc 0
-// returns the values in order, others nil.
+// the router, one request per element, each asked by its offset in its
+// owner's block; every processor calls, proc 0 returns the values in
+// order, others nil.
 func naiveFetchElems(e *core.Env, a *core.Matrix, idx [][2]int) []float64 {
 	var want router.Batch
 	if e.P.ID() == 0 {
 		want = router.NewBatch(e.P, len(idx), 0)
 		for _, ij := range idx {
-			want.Ask(a.OwnerOf(ij[0], ij[1]), ij[0]*a.Cols+ij[1])
+			want.Ask(a.OwnerOf(ij[0], ij[1]), a.RMap.LocalOf(ij[0])*a.CMap.B+a.CMap.LocalOf(ij[1]))
 		}
 	}
-	pid := e.P.ID()
-	blk := a.L(pid)
-	b := a.CMap.B
-	got := want.Request(e.P, e.NextTag2(), func(key int) []float64 {
-		k := a.RMap.LocalOf(key/a.Cols)*b + a.CMap.LocalOf(key%a.Cols)
-		return blk[k : k+1]
-	})
+	blk := a.L(e.P.ID())
+	got := want.Request(e.P, e.NextTag2(), func(k int) []float64 { return blk[k : k+1] })
 	if e.P.ID() != 0 {
 		return nil
 	}
@@ -62,6 +58,8 @@ func naiveFetchElems(e *core.Env, a *core.Matrix, idx [][2]int) []float64 {
 	return vals
 }
 
+// naiveSwapRows swaps rows i1 and i2 of a, one routed message per
+// element, each keyed by its offset in the receiver's block.
 func naiveSwapRows(e *core.Env, a *core.Matrix, i1, i2 int) {
 	if i1 == i2 {
 		return
@@ -69,26 +67,24 @@ func naiveSwapRows(e *core.Env, a *core.Matrix, i1, i2 int) {
 	pid := e.P.ID()
 	blk := a.L(pid)
 	b := a.CMap.B
-	myRow, myCol := e.GridRow(), e.GridCol()
+	nc := a.CMap.ValidCount(e.GridCol())
 	out := router.NewBatch(e.P, 2*b, 2*b)
 	for _, pair := range [2][2]int{{i1, i2}, {i2, i1}} {
 		from, to := pair[0], pair[1]
-		if myRow != a.RMap.CoordOf(from) {
+		if e.GridRow() != a.RMap.CoordOf(from) {
 			continue
 		}
-		lr := a.RMap.LocalOf(from)
-		for lc := 0; lc < b; lc++ {
-			gj := a.CMap.GlobalOf(myCol, lc)
-			if gj < 0 {
-				continue
-			}
-			out.Add(a.OwnerOf(to, gj), to*a.Cols+gj, 1)[0] = blk[lr*b+lc]
+		// Row to lies in this grid column too, at the same local
+		// columns.
+		at := pid&^a.G.RowMask() | a.G.Rows().Place(a.RMap.CoordOf(to))
+		lf, lt := a.RMap.LocalOf(from)*b, a.RMap.LocalOf(to)*b
+		for lc, val := range blk[lf : lf+nc] {
+			out.Add(at, lt+lc, 1)[0] = val
 		}
 	}
 	got := out.Route(e.P, e.NextTag())
-	for key, w, ok := got.Next(); ok; key, w, ok = got.Next() {
-		i, j := key/a.Cols, key%a.Cols
-		blk[a.RMap.LocalOf(i)*b+a.CMap.LocalOf(j)] = w[0]
+	for k, w, ok := got.Next(); ok; k, w, ok = got.Next() {
+		blk[k] = w[0]
 	}
 }
 
@@ -116,21 +112,15 @@ func naiveSpread(e *core.Env, a *core.Matrix, row bool, idx, lo, hi int, vals []
 	myAlong := along.Coord(pid)
 	var out router.Batch
 	if lines.Coord(pid) == lineMap.CoordOf(idx) {
-		n := 0
-		for k := 0; k < alongMap.B; k++ {
-			if g := alongMap.GlobalOf(myAlong, k); g >= lo && g < hi {
-				n++
-			}
-		}
+		// Every destination holds the same positions along a line, so a
+		// message is keyed by the local position it lands at.
+		k0, k1 := alongMap.LocalRange(myAlong, lo, hi)
+		n := k1 - k0
 		out = router.NewBatch(e.P, n*lines.Size(), n*lines.Size())
 		l := lineMap.LocalOf(idx)
-		for k := 0; k < alongMap.B; k++ {
-			g := alongMap.GlobalOf(myAlong, k)
-			if g < lo || g >= hi {
-				continue
-			}
+		for k := k0; k < k1; k++ {
 			for q := 0; q < lines.Size(); q++ {
-				out.Add(pid&^lines.Mask()|lines.Place(q), g, 1)[0] = blk[l*stride+k*step]
+				out.Add(pid&^lines.Mask()|lines.Place(q), k, 1)[0] = blk[l*stride+k*step]
 			}
 		}
 	}
@@ -138,8 +128,8 @@ func naiveSpread(e *core.Env, a *core.Matrix, row bool, idx, lo, hi int, vals []
 	for i := range vals {
 		vals[i] = math.NaN()
 	}
-	for key, w, ok := got.Next(); ok; key, w, ok = got.Next() {
-		vals[alongMap.LocalOf(key)] = w[0]
+	for k, w, ok := got.Next(); ok; k, w, ok = got.Next() {
+		vals[k] = w[0]
 	}
 	return vals
 }

@@ -264,35 +264,45 @@ func TestRealignAllPairs(t *testing.T) {
 		repl   bool
 	}
 	specs := []spec{{Linear, false}, {RowAligned, false}, {RowAligned, true}, {ColAligned, false}, {ColAligned, true}}
+	kinds := []embed.MapKind{embed.Block, embed.Cyclic}
 	for _, g := range testGrids(t) {
-		x := make([]float64, 11)
-		for i := range x {
-			x[i] = rng.NormFloat64()
-		}
-		for _, from := range specs {
-			for _, to := range specs {
-				fromHome, toHome := 0, 0
-				if from.layout == RowAligned {
-					fromHome = g.PRows() - 1
-				}
-				if from.layout == ColAligned {
-					fromHome = g.PCols() - 1
-				}
-				v, err := VectorFromSlice(g, x, from.layout, embed.Block, fromHome, from.repl)
-				if err != nil {
-					t.Fatal(err)
-				}
-				out, err := NewVector(g, 11, to.layout, embed.Cyclic, toHome, to.repl)
-				if err != nil {
-					t.Fatal(err)
-				}
-				spmd(t, g, func(e *Env) {
-					w := e.Realign(v, to.layout, embed.Cyclic, toHome, to.repl)
-					e.StoreVec(out, w)
-				})
-				vecEqual(t, out.ToSlice(), x, 0, "Realign")
-				if err := out.CheckReplicas(); err != nil {
-					t.Fatal(err)
+		// 11 and 3 are multiples of no coordinate count above 1, so a
+		// Block piece can hold fewer elements than its slots, or none.
+		for _, n := range []int{11, 3} {
+			x := make([]float64, n)
+			for i := range x {
+				x[i] = rng.NormFloat64()
+			}
+			for _, fromKind := range kinds {
+				for _, toKind := range kinds {
+					for _, from := range specs {
+						for _, to := range specs {
+							fromHome, toHome := 0, 0
+							if from.layout == RowAligned {
+								fromHome = g.PRows() - 1
+							}
+							if from.layout == ColAligned {
+								fromHome = g.PCols() - 1
+							}
+							v, err := VectorFromSlice(g, x, from.layout, fromKind, fromHome, from.repl)
+							if err != nil {
+								t.Fatal(err)
+							}
+							out, err := NewVector(g, n, to.layout, toKind, toHome, to.repl)
+							if err != nil {
+								t.Fatal(err)
+							}
+							spmd(t, g, func(e *Env) {
+								w := e.Realign(v, to.layout, toKind, toHome, to.repl)
+								e.StoreVec(out, w)
+							})
+							what := fmt.Sprintf("Realign n=%d %v %v -> %v %v on %dx%d", n, from.layout, fromKind, to.layout, toKind, g.PRows(), g.PCols())
+							vecEqual(t, out.ToSlice(), x, 0, what)
+							if err := out.CheckReplicas(); err != nil {
+								t.Fatal(err)
+							}
+						}
+					}
 				}
 			}
 		}
@@ -318,15 +328,71 @@ func TestToLinearRoundTrip(t *testing.T) {
 func TestTransposeMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for _, g := range testGrids(t) {
-		for _, kind := range []embed.MapKind{embed.Block, embed.Cyclic} {
-			for _, shape := range [][2]int{{1, 5}, {5, 1}, {4, 4}, {7, 9}, {9, 7}} {
-				dm := randDense(rng, shape[0], shape[1])
-				a, _ := FromDense(g, dm, kind, kind)
-				out, _ := NewMatrix(g, shape[1], shape[0], kind, kind)
+		// Every source kind pair into every destination kind pair: the
+		// kinds swapped with the axes (Transpose's choice), mixed kinds,
+		// and a destination whose kinds are the source's unswapped,
+		// since where an element goes is dst's maps' business.
+		for _, src := range mapKindPairs {
+			for _, to := range mapKindPairs {
+				for _, shape := range [][2]int{{1, 5}, {5, 1}, {4, 4}, {7, 9}, {9, 7}} {
+					dm := randDense(rng, shape[0], shape[1])
+					a, _ := FromDense(g, dm, src[0], src[1])
+					out, _ := NewMatrix(g, shape[1], shape[0], to[0], to[1])
+					spmd(t, g, func(e *Env) {
+						e.TransposeInto(out, a)
+					})
+					what := fmt.Sprintf("Transpose %dx%d %v/%v -> %v/%v on %dx%d", shape[0], shape[1], src[0], src[1], to[0], to[1], g.PRows(), g.PCols())
+					matEqual(t, out.ToDense(), dm.Transpose(), 0, what)
+				}
+			}
+		}
+	}
+}
+
+// TestRemapZeroExtent: an embedding change of nothing routes nothing
+// and fails nowhere, on every grid, whatever the map kinds: a matrix
+// with no rows, no columns or neither has no slot to find a first
+// global index in.
+func TestRemapZeroExtent(t *testing.T) {
+	layouts := []Layout{Linear, RowAligned, ColAligned}
+	for _, g := range testGrids(t) {
+		for _, shape := range [][2]int{{0, 5}, {5, 0}, {0, 0}} {
+			for _, kinds := range mapKindPairs {
+				a, err := NewMatrix(g, shape[0], shape[1], kinds[0], kinds[1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				out, err := NewMatrix(g, shape[1], shape[0], kinds[1], kinds[0])
+				if err != nil {
+					t.Fatal(err)
+				}
 				spmd(t, g, func(e *Env) {
 					e.TransposeInto(out, a)
+					if tm := e.Transpose(a); tm.Rows != shape[1] || tm.Cols != shape[0] {
+						t.Errorf("Transpose of %dx%d is %dx%d", shape[0], shape[1], tm.Rows, tm.Cols)
+					}
 				})
-				matEqual(t, out.ToDense(), dm.Transpose(), 0, "Transpose")
+				if d := out.ToDense(); d.R != shape[1] || d.C != shape[0] {
+					t.Fatalf("TransposeInto of %dx%d gave %dx%d", shape[0], shape[1], d.R, d.C)
+				}
+			}
+		}
+		for _, from := range layouts {
+			for _, kind := range []embed.MapKind{embed.Block, embed.Cyclic} {
+				v, err := NewVector(g, 0, from, kind, 0, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, to := range layouts {
+					out, err := NewVector(g, 0, to, kind, 0, true)
+					if err != nil {
+						t.Fatal(err)
+					}
+					spmd(t, g, func(e *Env) { e.StoreVec(out, e.Realign(v, to, kind, 0, true)) })
+					if got := out.ToSlice(); len(got) != 0 {
+						t.Fatalf("Realign of an empty %v vector to %v gave %v", from, to, got)
+					}
+				}
 			}
 		}
 	}

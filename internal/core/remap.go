@@ -17,12 +17,16 @@ import (
 // element-at-a-time access.
 
 // remap lays the elements of an embedding change out for the router:
-// one combined message of (key, value) pairs per destination, keyed by
-// its pair count, in source order within a message and ascending
-// destination order across messages. Destinations are dense in [0, P),
-// so this is a counting sort, run as two passes over the source that
-// make the same add calls: the first counts, the second fills the
-// payloads of the router.Batch the count sized.
+// one combined message of (destination-local offset, value) pairs per
+// destination, keyed by its pair count, in source order within a
+// message and ascending destination order across messages, so the
+// receiver stores each value with one index. Destinations are dense in
+// [0, P), so this is a counting sort, run as two passes over the source
+// that make the same add calls: the first counts, the second fills the
+// payloads of the router.Batch the count sized. The callers work out
+// each element's destination and offset once per call, into tables
+// borrowed from the machine's pool and returned before the exchange,
+// so neither pass divides.
 type remap struct {
 	e    *Env
 	end  []float64 // per destination: its message's length, then where it ends so far in run
@@ -63,14 +67,15 @@ func (r *remap) passes() bool {
 	return r.pass <= 2
 }
 
-// add sends element key, holding val, to processor dst.
-func (r *remap) add(dst, key int, val float64) {
+// add sends val to processor dst, to be stored at offset off of dst's
+// local piece or block.
+func (r *remap) add(dst, off int, val float64) {
 	if r.pass == 1 {
 		r.end[dst] += 2
 		return
 	}
 	k := int(r.end[dst])
-	r.run[k], r.run[k+1] = float64(key), val
+	r.run[k], r.run[k+1] = float64(off), val
 	r.end[dst] += 2
 }
 
@@ -82,6 +87,17 @@ func (r *remap) exchange() router.Inbox {
 		r.e.P.Recycle(r.end)
 	}
 	return r.b.Route(r.e.P, r.e.NextTag())
+}
+
+// validPrefix returns how many local slots at coordinate c of m hold an
+// element, the global index of the first and the global stride between
+// consecutive ones: slot l holds g0 + l*stride for l < n. A coordinate
+// with no element (m.B may be 0) gives n = 0 and g0 = 0.
+func validPrefix(m *embed.Map1D, c int) (n, g0, stride int) {
+	if n = m.ValidCount(c); n > 0 {
+		g0 = m.GlobalOf(c, 0)
+	}
+	return n, g0, m.GlobalStride()
 }
 
 // Realign converts a vector to another embedding: layout, map kind,
@@ -100,18 +116,20 @@ func (e *Env) Realign(v *Vector, layout Layout, kind embed.MapKind, home int, re
 	// This processor sends the elements it is the canonical
 	// contributor for, each to its owner under the new embedding.
 	if pid := e.P.ID(); v.contributes(pid) {
-		c := v.PieceCoord(pid)
+		n, g, s := validPrefix(&v.Map, v.PieceCoord(pid))
 		deal, hf := out.fields()
 		at := hf.Place(out.Home)
+		// Per element: its owner, then its offset there.
+		to := e.P.GetBuf(2 * n)
+		for l := 0; l < n; l, g = l+1, g+s {
+			to[2*l], to[2*l+1] = float64(deal.Place(out.Map.CoordOf(g))|at), float64(out.Map.LocalOf(g))
+		}
 		for r.passes() {
-			for l, val := range v.L(pid) {
-				g := v.Map.GlobalOf(c, l)
-				if g < 0 {
-					continue
-				}
-				r.add(deal.Place(out.Map.CoordOf(g))|at, g, val)
+			for l, val := range v.L(pid)[:n] {
+				r.add(int(to[2*l]), int(to[2*l+1]), val)
 			}
 		}
+		e.P.Recycle(to)
 	}
 	got := r.exchange()
 	if _, words, ok := got.Next(); ok {
@@ -119,7 +137,7 @@ func (e *Env) Realign(v *Vector, layout Layout, kind embed.MapKind, home int, re
 		n := 0
 		for ; ok; _, words, ok = got.Next() {
 			for i := 0; i+1 < len(words); i += 2 {
-				pv[out.Map.LocalOf(int(words[i]))] = words[i+1]
+				pv[int(words[i])] = words[i+1]
 			}
 			n += len(words) / 2
 		}
@@ -152,34 +170,38 @@ func (e *Env) TransposeInto(dst, a *Matrix) {
 	pid := e.P.ID()
 	blk := a.L(pid)
 	b := a.CMap.B
-	myRow, myCol := e.GridRow(), e.GridCol()
+	nr, gi, si := validPrefix(&a.RMap, e.GridRow())
+	nc, gj, sj := validPrefix(&a.CMap, e.GridCol())
+	// Element (gi, gj) becomes dst element (gj, gi), on the processor
+	// at dst's grid row of gj and grid column of gi, at local row
+	// dst.RMap.LocalOf(gj) and column dst.CMap.LocalOf(gi). Per local
+	// row: the grid-column place and the column offset; per local
+	// column: the grid-row place and the row's offset in dst's block.
+	t := e.P.GetBuf(2 * (nr + nc))
+	rows, cols := t[:2*nr], t[2*nr:]
+	for lr := 0; lr < nr; lr, gi = lr+1, gi+si {
+		rows[2*lr], rows[2*lr+1] = float64(dst.G.Cols().Place(dst.CMap.CoordOf(gi))), float64(dst.CMap.LocalOf(gi))
+	}
+	for lc := 0; lc < nc; lc, gj = lc+1, gj+sj {
+		cols[2*lc], cols[2*lc+1] = float64(dst.G.Rows().Place(dst.RMap.CoordOf(gj))), float64(dst.RMap.LocalOf(gj)*dst.CMap.B)
+	}
 	r := remap{e: e}
 	for r.passes() {
-		for lr := 0; lr < a.RMap.B; lr++ {
-			gi := a.RMap.GlobalOf(myRow, lr)
-			if gi < 0 {
-				continue
-			}
-			for lc := 0; lc < b; lc++ {
-				gj := a.CMap.GlobalOf(myCol, lc)
-				if gj < 0 {
-					continue
-				}
-				// Element (gi, gj) becomes dst element (gj, gi).
-				r.add(dst.OwnerOf(gj, gi), gj*dst.Cols+gi, blk[lr*b+lc])
+		for lr := 0; lr < nr; lr++ {
+			at, off := int(rows[2*lr]), int(rows[2*lr+1])
+			for lc, val := range blk[lr*b : lr*b+nc] {
+				r.add(at|int(cols[2*lc]), off+int(cols[2*lc+1]), val)
 			}
 		}
 	}
+	e.P.Recycle(t)
 	got := r.exchange()
 	if _, words, ok := got.Next(); ok {
 		db := dst.L(pid)
-		bc := dst.CMap.B
 		n := 0
 		for ; ok; _, words, ok = got.Next() {
 			for k := 0; k+1 < len(words); k += 2 {
-				key := int(words[k])
-				i, j := key/dst.Cols, key%dst.Cols
-				db[dst.RMap.LocalOf(i)*bc+dst.CMap.LocalOf(j)] = words[k+1]
+				db[int(words[k])] = words[k+1]
 			}
 			n += len(words) / 2
 		}

@@ -25,7 +25,9 @@
 // once, and the last to arrive runs all d phases for all processors,
 // pair by pair (hypercube.RoutePair charges and records each phase's
 // two messages exactly as the simulated links would carry them), so a
-// phase that carries nothing costs the host no coroutine switch.
+// phase that carries nothing costs the host no coroutine switch, and a
+// side with nothing to send or receive costs no host work beyond its
+// charges.
 // Messages stay in wire form (two header words, then the payload) from
 // injection to delivery, and buffers move instead of being copied.
 // Callers write messages with Batch.Add (requests with Batch.Ask)
@@ -96,8 +98,10 @@ func appendHeader(wire []float64, procs, dst, key, n int) []float64 {
 }
 
 // header decodes the first header word: destination and payload length.
+// dst*2^32 + len stays below 2^53, so the signed conversion, one
+// instruction where the unsigned one branches, is exact.
 func header(w float64) (dst, n int) {
-	dl := uint64(w)
+	dl := int64(w)
 	return int(dl >> 32), int(dl & math.MaxUint32)
 }
 
@@ -363,6 +367,9 @@ func phases(procs []*hypercube.Proc) {
 // each run in its own memory. What stays is kept in order, and the
 // runs emptied are dropped.
 func (s *slot) forward(p *hypercube.Proc, i int, fwd *[maxRuns][]float64) (parts [][]float64, nfwd, wfwd int) {
+	if len(s.runs) == 0 {
+		return nil, 0, 0
+	}
 	mine := p.ID() >> i & 1
 	n, k := 0, 0
 	for _, run := range s.runs {
@@ -388,6 +395,9 @@ func (s *slot) forward(p *hypercube.Proc, i int, fwd *[maxRuns][]float64) (parts
 // led by s's last run if s already holds maxRuns: the one copy the
 // router makes.
 func (s *slot) receive(arrived [][]float64) {
+	if len(arrived) == 0 {
+		return
+	}
 	if len(s.runs)+len(arrived) <= maxRuns {
 		s.runs = append(s.runs, arrived...)
 		return

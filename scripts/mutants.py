@@ -15,7 +15,9 @@ StoreDense and StoreSlice, in internal/core/hostio.go, and the shared
 forward-elimination step of internal/apps/gauss.go); for the
 machine-level route (the rendezvous Proc.Meet and the pairwise phase
 edge RoutePair in internal/hypercube/route.go, and the phase loop of
-internal/router/router.go that drives them); and for the SPMD
+internal/router/router.go that drives them); for the embedding
+changes' addressing (the destination tables of Realign and
+TransposeInto in internal/core/remap.go); and for the SPMD
 code the spanbalance and collorder analyzers check (internal/core,
 internal/collective, internal/apps).
 
@@ -97,6 +99,7 @@ CLASSES = {
     "H": "staging inside a Run reads or writes the wrong words or column window, or charges time; the shared elimination step loses a sign",
     "M": "step scope releases too much or too little, or the arena forgets a released peak",
     "Q": "machine-level route charges, records or orders a phase unlike its two messages, or strands a processor",
+    "J": "an embedding change addresses an element by the wrong owner or offset",
 }
 
 SSE = "internal/serve/sse.go"
@@ -125,6 +128,7 @@ GAUSS = "internal/apps/gauss.go"
 SPMD = ("internal/core/", "internal/collective/", "internal/apps/")
 ROUTE = "internal/hypercube/route.go"
 ROUTER = "internal/router/router.go"
+REMAP = "internal/core/remap.go"
 
 # id, file, site (function), old text, new text. The class is the id's
 # letter.
@@ -383,6 +387,25 @@ MUTANTS = [
      "p.m.store.inUse > 0 && !l.empty()",
      "false && !l.empty()"),
 
+    # J: the embedding changes (Realign, TransposeInto), whose sender
+    # reads each element's destination and destination-local offset
+    # from per-call tables over the valid prefix of its piece or block.
+    ("J1", REMAP, "TransposeInto: the row and column tables take each other's grid field",
+     "float64(dst.G.Cols().Place(dst.CMap.CoordOf(gi)))",
+     "float64(dst.G.Rows().Place(dst.CMap.CoordOf(gi)))"),
+    ("J2", REMAP, "validPrefix: the cyclic stride is dropped",
+     "\treturn n, g0, m.GlobalStride()\n",
+     "\treturn n, g0, 1\n"),
+    ("J3", REMAP, "validPrefix: the valid prefix loses its last slot",
+     "\tif n = m.ValidCount(c); n > 0 {\n",
+     "\tif n = max(m.ValidCount(c)-1, 0); n > 0 {\n"),
+    ("J4", REMAP, "validPrefix: the first global index is looked up with no slot to look in",
+     "\tif n = m.ValidCount(c); n > 0 {\n\t\tg0 = m.GlobalOf(c, 0)\n\t}\n",
+     "\tn = m.ValidCount(c)\n\tg0 = m.GlobalOf(c, 0)\n"),
+    ("J5", REMAP, "Realign: an element is keyed by its offset in the source piece",
+     "float64(out.Map.LocalOf(g))",
+     "float64(v.Map.LocalOf(g))"),
+
     # H: Env.LoadDense, LoadSlice, StoreDense and StoreSlice, which
     # stage a driver's operands inside its one Run and land its result,
     # at no simulated cost, with the walks FromDense, ToDense and
@@ -553,6 +576,9 @@ EXTRA = {
            "\t\t\t\tlat, err = submitOne(client, base, spec)\n"),
     # E2 moves EndRun into the body's success path: Run's own call goes.
     # Z5's Scratch looks the arena up itself, as it did before Run held it.
+    # J1 swaps the other table's field as well.
+    "J1": ("float64(dst.G.Rows().Place(dst.RMap.CoordOf(gj)))",
+           "float64(dst.G.Cols().Place(dst.RMap.CoordOf(gj)))"),
     "Z5": ("\t\ta = p.m.newArena()\n\t\tp.m.arena = a\n",
            "\t\tif a = p.m.weakArena.Value(); a == nil {\n\t\t\ta = p.m.newArena()\n\t\t}\n\t\tp.m.arena = a\n"),
     "E2": ("\tfor _, pr := range m.procs {\n\t\tif pr.local != nil {\n\t\t\tpr.local.EndRun()\n\t\t}\n\t}\n", ""),
