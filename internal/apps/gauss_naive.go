@@ -36,6 +36,9 @@ func GaussKernelNaive(e *core.Env, w *core.Matrix, xOut *core.Vector) error {
 	}
 
 	for k := 0; k < n; k++ {
+		// Each step's fetched values and announcement are scratch of
+		// the step, so the kernel's scratch stays flat.
+		step := e.Mark()
 		// Pivot search on processor 0: fetch column k rows [k, n) one
 		// element at a time, pick the max magnitude, announce it.
 		if pid == 0 {
@@ -53,7 +56,8 @@ func GaussKernelNaive(e *core.Env, w *core.Matrix, xOut *core.Vector) error {
 					best, bestAbs = k+q, a
 				}
 			}
-			ann = []float64{float64(best), bestAbs}
+			ann = e.P.Scratch(2)
+			ann[0], ann[1] = float64(best), bestAbs
 			e.P.Compute(len(colVals))
 		}
 		ann = naiveBcast(e, 0, ann)
@@ -94,19 +98,23 @@ func GaussKernelNaive(e *core.Env, w *core.Matrix, xOut *core.Vector) error {
 			}
 		}
 		e.P.Compute(count)
+		e.Release(step)
 	}
 
 	// Back substitution, processor 0 driving element fetches.
 	for k := n - 1; k >= 0; k-- {
+		step := e.Mark()
 		vals := naiveFetchElems(e, w, [][2]int{{k, n}, {k, k}})
 		var ann []float64
 		if pid == 0 {
-			ann = []float64{vals[0] / vals[1]}
+			ann = e.P.Scratch(1)
+			ann[0] = vals[0] / vals[1]
 		}
 		ann = naiveBcast(e, 0, ann)
 		xk := ann[0]
 		e.SetVecElem(xOut, k, xk)
 		if k == 0 {
+			e.Release(step)
 			break
 		}
 		// Update the rhs of rows above: each owner of (i, k) routes the
@@ -126,6 +134,7 @@ func GaussKernelNaive(e *core.Env, w *core.Matrix, xOut *core.Vector) error {
 			count += 2
 		}
 		e.P.Compute(count)
+		e.Release(step)
 	}
 	return nil
 }

@@ -37,7 +37,7 @@ func naiveBcast(e *core.Env, src int, words []float64) []float64 {
 // naiveFetchElems has proc 0 fetch the listed matrix elements through
 // the router, one request per element, each asked by its offset in its
 // owner's block; every processor calls, proc 0 returns the values in
-// order, others nil.
+// order, in scratch words of the caller's step, others nil.
 func naiveFetchElems(e *core.Env, a *core.Matrix, idx [][2]int) []float64 {
 	var want router.Batch
 	if e.P.ID() == 0 {
@@ -51,7 +51,7 @@ func naiveFetchElems(e *core.Env, a *core.Matrix, idx [][2]int) []float64 {
 	if e.P.ID() != 0 {
 		return nil
 	}
-	vals := make([]float64, len(idx))
+	vals := e.P.Scratch(len(idx))
 	for q, w, ok := got.Next(); ok; q, w, ok = got.Next() {
 		vals[q] = w[0]
 	}

@@ -40,6 +40,9 @@ func SimplexKernelNaive(e *core.Env, t *core.Matrix, nVars, maxIter int) (serial
 	}
 	iters := 0
 	for {
+		// Each iteration's fetched values and announcements are
+		// scratch of the step, so the kernel's scratch stays flat.
+		step := e.Mark()
 		// Entering variable on processor 0.
 		if pid == 0 {
 			idx = idx[:0]
@@ -56,7 +59,8 @@ func SimplexKernelNaive(e *core.Env, t *core.Matrix, nVars, maxIter int) (serial
 					jc, best = j, v
 				}
 			}
-			ann = []float64{float64(jc)}
+			ann = e.P.Scratch(1)
+			ann[0] = float64(jc)
 			e.P.Compute(rhs)
 		}
 		jc := int(naiveBcast(e, 0, ann)[0])
@@ -89,7 +93,7 @@ func SimplexKernelNaive(e *core.Env, t *core.Matrix, nVars, maxIter int) (serial
 					ir, bestRatio = i, ratio
 				}
 			}
-			ann = []float64{float64(ir)}
+			ann[0] = float64(ir)
 			e.P.Compute(2 * m)
 		}
 		ir := int(naiveBcast(e, 0, ann)[0])
@@ -132,5 +136,6 @@ func SimplexKernelNaive(e *core.Env, t *core.Matrix, nVars, maxIter int) (serial
 		e.P.Compute(count)
 		basis[ir] = float64(jc)
 		iters++
+		e.Release(step)
 	}
 }

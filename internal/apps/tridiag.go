@@ -219,7 +219,18 @@ func SolveTridiagBatch(mach *hypercube.Machine, systems []TridiagSystem) ([][]fl
 		}
 	}
 	p := mach.P()
+	// The gathered solutions are routed payloads, valid only until
+	// processor 0's next route, so they land in host storage of their
+	// own, one system after another.
 	results := make([][]float64, ns)
+	words := 0
+	for _, sys := range systems {
+		words += len(sys.B)
+	}
+	landed := make([]float64, words)
+	for si, sys := range systems {
+		results[si], landed = landed[:len(sys.B):len(sys.B)], landed[len(sys.B):]
+	}
 	elapsed, err := mach.Run(func(pr *hypercube.Proc) {
 		pid := pr.ID()
 		// Scatter: processor 0 owns the input (host data); it routes
@@ -259,7 +270,7 @@ func SolveTridiagBatch(mach *hypercube.Machine, systems []TridiagSystem) ([][]fl
 		}
 		gathered := back.Route(pr, 2)
 		for si, x, ok := gathered.Next(); ok; si, x, ok = gathered.Next() {
-			results[si] = x
+			copy(results[si], x)
 		}
 	})
 	if err != nil {

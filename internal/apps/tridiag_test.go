@@ -3,6 +3,7 @@ package apps
 import (
 	"math"
 	"math/rand"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -162,6 +163,50 @@ func TestSolveTridiagBatchMatchesSerial(t *testing.T) {
 				if math.Abs(got[si][i]-wants[si][i]) > 1e-10 {
 					t.Fatalf("dim %d system %d x[%d] = %v, want %v", dim, si, i, got[si][i], wants[si][i])
 				}
+			}
+		}
+	}
+}
+
+// TestSolveTridiagBatchResultsSurvive: the solutions SolveTridiagBatch
+// returns are the caller's. Gathered through the router, they arrive as
+// payloads that the machine's route after next overwrites, so a second
+// call on the same machine, of systems of the same sizes, must leave
+// the first call's solutions as they were. The collector is off, so
+// that the router's weakly held wires survive between the two calls as
+// they usually do.
+func TestSolveTridiagBatchResultsSurvive(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	rng := rand.New(rand.NewSource(101))
+	m := hypercube.MustNew(2, costmodel.CM2())
+	defer m.Close()
+	batch := func() ([]TridiagSystem, [][]float64) {
+		var systems []TridiagSystem
+		var wants [][]float64
+		for si := 0; si < 9; si++ {
+			a, b, c, d := randTridiag(rng, 5+si%3)
+			systems = append(systems, TridiagSystem{A: a, B: b, C: c, D: d})
+			want, err := serial.SolveTridiag(a, b, c, d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wants = append(wants, want)
+		}
+		return systems, wants
+	}
+	first, firstWant := batch()
+	second, _ := batch()
+	got, _, err := SolveTridiagBatch(m, first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := SolveTridiagBatch(m, second); err != nil {
+		t.Fatal(err)
+	}
+	for si := range firstWant {
+		for i := range firstWant[si] {
+			if math.Abs(got[si][i]-firstWant[si][i]) > 1e-10 {
+				t.Fatalf("after a second call, the first call's system %d x[%d] = %v, want %v", si, i, got[si][i], firstWant[si][i])
 			}
 		}
 	}

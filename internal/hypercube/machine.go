@@ -418,12 +418,16 @@ func (m *Machine) Run(body func(*Proc)) (costmodel.Time, error) {
 	e.run(m.procs)
 	// An idle machine keeps nothing of the finished run reachable: not
 	// its body, not whatever that captured, and not what the layers
-	// above made for the run in their processor-local state. EndRun runs
-	// on every path out of the body: return, panic, deadlock or abort.
+	// above made for the run in their processor-local state, or left at
+	// a rendezvous (Met). EndRun runs on every path out of the body:
+	// return, panic, deadlock or abort.
 	e.body = nil
 	for _, pr := range m.procs {
 		if pr.local != nil {
 			pr.local.EndRun()
+		}
+		if l, ok := pr.met.(RunLocal); ok {
+			l.EndRun()
 		}
 	}
 	m.endScratch()
@@ -693,10 +697,11 @@ type Proc struct {
 }
 
 // RunLocal is per-processor state owned by a layer above the machine,
-// kept on the Proc across Runs with SetLocal. The machine never reads
-// it: it only calls EndRun on every processor's value after every Run,
-// whether the Run returned, panicked or deadlocked, so whatever the
-// state handed out during a Run ends with that Run.
+// kept on the Proc across Runs with SetLocal, or left at a rendezvous
+// (Meet) and kept as Met. The machine never reads it: it only calls
+// EndRun on every processor's value after every Run, whether the Run
+// returned, panicked or deadlocked, so whatever the state handed out
+// during a Run ends with that Run.
 type RunLocal interface{ EndRun() }
 
 // Local returns the value last stored with SetLocal, nil if none.

@@ -22,12 +22,14 @@ import "math/bits"
 // number of buffers in existence is the peak concurrent demand however
 // many runs the machine serves. A run has one thread (see machine.go),
 // so the stacks need no lock. The router's message buffers stay out
-// of the pool (plain make, their leaving parts handed from one
-// processor's runs to its partner's in every phase of a route, see
-// RoutePair): their sizes follow the traffic pattern, not a class a
-// later message would ask for again. The router borrows only the
-// scratch of an in-place partition, and returns it before the phase's
-// pair is charged.
+// of the pool: their sizes follow the traffic pattern, not a class a
+// later message would ask for again. Each processor's router slot
+// keeps its own two wires instead, reused two routes later and held
+// only weakly between Runs, so that the parts handed from one
+// processor's runs to its partner's in every phase of a route (see
+// RoutePair) come from storage the sender already has. The router
+// borrows only the scratch of an in-place partition, and returns it
+// before the phase's pair is charged.
 
 // poolClasses bounds the capacity classes kept (2^27 floats = 1 GiB of
 // payload per buffer is far beyond any simulated message).

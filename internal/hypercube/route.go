@@ -88,7 +88,8 @@ func (p *Proc) abortMeet() {
 
 // Met returns what p left at its latest Meet, nil before its first. The
 // machine keeps it across Runs, so a caller can keep one value per
-// processor there and reuse it.
+// processor there and reuse it; if it is a RunLocal, its EndRun is
+// called after every Run.
 func (p *Proc) Met() any { return p.met }
 
 // RouteSide is one processor's half of a route phase between two

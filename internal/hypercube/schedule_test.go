@@ -98,9 +98,11 @@ func specResults(t *testing.T, s hypercube.Schedule, r results, ids ...string) {
 }
 
 // workloadResults runs E1–E5, a collective mix (reduce, broadcast and
-// all-to-all personalized on a 4-cube) and the router's two most
+// all-to-all personalized on a 4-cube), the router's two most
 // contended patterns (a random permutation plus an all-to-one hotspot
-// on a 5-cube) under s.
+// on a 5-cube) and rounds of routes that reuse the router's wires
+// (routeReuseBody, on a 6-cube, where all-to-one traffic merges) under
+// s.
 func workloadResults(t *testing.T, s hypercube.Schedule) results {
 	r := results{}
 	specResults(t, s, r, bench.ProfileIDs()...)
@@ -135,7 +137,72 @@ func workloadResults(t *testing.T, s hypercube.Schedule) results {
 		})
 	})
 	r["router/deliveries"] = fmt.Sprint(received)
+	m = newMachine(t, s, 6, costmodel.CM2())
+	run("router reuse", m, routeReuseBody(m.P(), 8))
 	return r
+}
+
+// routeReuseBody returns a Run body that routes rounds of traffic in
+// which each processor reads what a route delivered while others have
+// already gone on to build their next batch, and fails the Run on any
+// payload that is not what was sent. The router writes a batch into
+// the wire of the processor's route before last, and the runs a route
+// merges behind its own wire, so a schedule that resumes processors in
+// another order after a route would expose a wire handed out a route
+// too early. A round is all-to-one requests (the asks merge at
+// processor 0, which reads them while it writes the answers), an empty
+// route, and a rotation forwarded from the Inbox into the next batch:
+// five routes, so each kind takes both wires in turn.
+func routeReuseBody(procs, rounds int) func(*hypercube.Proc) {
+	return func(p *hypercube.Proc) {
+		id, tag := p.ID(), 1
+		fail := func(c int, what string, got any) {
+			panic(fmt.Sprintf("round %d: processor %d: %s %v", c, id, what, got))
+		}
+		answer := make([]float64, 2)
+		serve := func(key int) []float64 {
+			answer[0], answer[1] = float64(key), float64(-7*key)
+			return answer
+		}
+		for c := 0; c < rounds; c++ {
+			want := router.NewBatch(p, 3, 0)
+			for j := range 3 {
+				want.Ask(0, 1000*c+3*id+j)
+			}
+			got := want.Request(p, tag, serve)
+			tag += 2
+			for j, w, ok := got.Next(); ok; j, w, ok = got.Next() {
+				if key := 1000*c + 3*id + j; w[0] != float64(key) || w[1] != float64(-7*key) {
+					fail(c, "answer", w)
+				}
+			}
+			var none router.Batch
+			none.Route(p, tag)
+			tag++
+			b := router.NewBatch(p, 2, 8)
+			for j := range 2 {
+				pl := b.Add((id+c+1)%procs, j, 4)
+				for k := range pl {
+					pl[k] = float64(1e6*id + 1e3*c + 10*j + k)
+				}
+			}
+			in := b.Route(p, tag)
+			fwd := router.NewBatch(p, 2, 8)
+			for key, w, ok := in.Next(); ok; key, w, ok = in.Next() {
+				copy(fwd.Add((id+1)%procs, key, len(w)), w)
+			}
+			in = fwd.Route(p, tag+1)
+			tag += 2
+			from := ((id-c-2)%procs + 2*procs) % procs
+			for j, w, ok := in.Next(); ok; j, w, ok = in.Next() {
+				for k, v := range w {
+					if v != float64(1e6*from+1e3*c+10*j+k) {
+						fail(c, "forwarded payload", w)
+					}
+				}
+			}
+		}
+	}
 }
 
 func TestScheduleIndependence(t *testing.T) {

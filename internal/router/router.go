@@ -40,17 +40,29 @@
 // hands the leaving parts, capacity-clipped subslices of their runs in
 // run order, to the partner's runs, where they count as one message.
 // Nothing is copied on the way, except that arrivals beyond the number
-// of runs a processor holds are merged into one. Routed buffers are
-// plain allocations that travel with the messages, kept neither
-// between calls nor in the machine's buffer pool, whose size classes
-// they would not ask for again. The one pooled buffer is the scratch
-// an interleaved partition stages messages through, returned before
-// the partition ends.
+// of runs a processor holds are merged into one.
+//
+// Routed buffers are reused, not allocated per route. Each processor
+// holds two wires and uses them in alternation by its route count: a
+// batch is written into the wire of the processor's route before last,
+// which every receiver of that route has left behind by entering a
+// later one, and the runs a route merges are written behind the
+// route's own wire. So a delivered payload is valid until its
+// receiver's next route, and may still be read while that route's
+// batch is built; a caller that keeps one longer copies it out. The
+// wrappers' result lists are held the same way. The wires are held
+// strongly while a Run is in flight and only weakly between Runs, as
+// the machine's scratch arena is, so an idle machine keeps them only
+// until a collection. They stay out of the machine's buffer pool,
+// whose size classes their traffic-shaped sizes would not ask for
+// again; the one pooled buffer is the scratch an interleaved partition
+// stages messages through, returned before the partition ends.
 package router
 
 import (
 	"fmt"
 	"math"
+	"weak"
 
 	"vmprim/internal/costmodel"
 	"vmprim/internal/hypercube"
@@ -68,9 +80,9 @@ type Msg struct {
 	// Key identifies the message to the receiving application code.
 	Key int
 	// Words is the payload. In a message returned by Route it aliases
-	// a buffer shared with the other returned messages (capacity
-	// clipped to the payload, so an append reallocates): the caller
-	// may keep or overwrite it, and must not Recycle it.
+	// the delivered runs (capacity clipped to the payload, so an append
+	// reallocates): like the list itself it is valid until the caller's
+	// next route, may be overwritten, and must not be Recycled.
 	Words []float64
 }
 
@@ -105,13 +117,6 @@ func header(w float64) (dst, n int) {
 	return int(dl >> 32), int(dl & math.MaxUint32)
 }
 
-// held is what a route delivered to a processor: the wire-form runs
-// its slot held after the last phase, in delivery order.
-type held struct {
-	runs [maxRuns][]float64
-	n    int
-}
-
 // maxRuns is the number of runs a processor holds between phases.
 const maxRuns = hypercube.MaxDim + 1
 
@@ -123,28 +128,37 @@ func next(run []float64, at int) int {
 
 // Batch is one processor's outgoing traffic for one routing call,
 // built in wire form: the buffer Add and Ask append to is the run the
-// router injects. A batch is routed once; the zero Batch routes nothing.
+// router injects. The first Add or Ask takes the processor's wire of
+// its route before last, if that holds the room reserved, and routing
+// hands the batch's wire back to be taken two routes later. A batch is
+// routed once; the zero Batch routes nothing.
 type Batch struct {
+	s           *slot
 	procs, id   int
-	msgs, words int // room reserved by NewBatch, allocated by the first Add or Ask
+	msgs, words int // room reserved by NewBatch, taken by the first Add or Ask
 	wire        []float64
 	n           int // messages added
 }
 
 // NewBatch returns an empty batch for p with room for msgs messages
 // carrying words payload words in all (a request carries none of the
-// caller's). Nothing is allocated before the first Add or Ask.
+// caller's). Nothing is taken before the first Add or Ask.
 func NewBatch(p *hypercube.Proc, msgs, words int) Batch {
-	return Batch{procs: p.P(), id: p.ID(), msgs: msgs, words: words}
+	s, _ := p.Met().(*slot) // nil before p's first route, with no wire to take
+	return Batch{s: s, procs: p.P(), id: p.ID(), msgs: msgs, words: words}
 }
 
 // room makes space for k more words, at least the room NewBatch
-// reserved at per wire words a message besides the payload.
+// reserved at per wire words a message besides the payload: in the
+// held wire if it fits (take), else in a new one.
 func (b *Batch) room(per, k int) {
 	if len(b.wire)+k > cap(b.wire) {
-		w := make([]float64, len(b.wire), max(len(b.wire)+k, 2*cap(b.wire), per*b.msgs+b.words))
-		copy(w, b.wire)
-		b.wire = w
+		n := max(len(b.wire)+k, 2*cap(b.wire), per*b.msgs+b.words)
+		w := b.s.take(n)
+		if w == nil {
+			w = make([]float64, 0, n)
+		}
+		b.wire = append(w, b.wire...)
 	}
 }
 
@@ -172,23 +186,26 @@ func (b *Batch) Ask(dst, key int) {
 }
 
 // Inbox is what a routing call delivered to a processor, walked in
-// delivery order by Next.
+// delivery order by Next: a view of the runs the processor's slot
+// holds until its next route.
 type Inbox struct {
-	h     held
+	runs  [][]float64
 	r, at int // the next message: its run and its offset there
 	skip  int // leading payload words that carry the key
 }
 
 // Next returns the next delivered message's key and payload, or ok
 // false after the last. The key is the sender's for Route and the
-// request's number for Request. A payload is the caller's to keep or
-// overwrite, never to Recycle; its capacity is clipped, so an append
-// reallocates.
+// request's number for Request. A payload is valid until the
+// processor's next route, and may still be read while that route's
+// batch is built; it may be overwritten, never Recycled, and its
+// capacity is clipped, so an append reallocates. The Inbox itself is
+// spent by the next route.
 func (in *Inbox) Next() (key int, words []float64, ok bool) {
-	if in.r == in.h.n {
+	if in.r == len(in.runs) {
 		return 0, nil, false
 	}
-	run, at := in.h.runs[in.r], in.at
+	run, at := in.runs[in.r], in.at
 	end := next(run, at)
 	if in.at = end; end == len(run) {
 		in.r, in.at = in.r+1, 0
@@ -201,14 +218,19 @@ func (in *Inbox) Next() (key int, words []float64, ok bool) {
 // calling processor (including any it sent to itself): those that
 // never left, in the order added, then each phase's arrivals in the
 // order their sender held them. Receivers should dispatch on the key,
-// but sums taken in delivery order are reproducible. The batch's
-// buffer becomes the router's. Route is a machine-wide collective:
-// every processor must call it with the same tag.
+// but sums taken in delivery order are reproducible. The batch's wire
+// becomes the router's, held for the processor's route after next, so
+// what a processor sent must not be read after its next route either.
+// Route is a machine-wide collective: every processor must call it
+// with the same tag.
 func (b *Batch) Route(p *hypercube.Proc, tag int) Inbox {
-	var in Inbox
-	route(p, tag, b.wire, b.n, &in.h)
+	s := b.s
+	if s == nil {
+		s = slotOf(p)
+	}
+	route(p, s, tag, b.wire, b.n)
 	*b = Batch{}
-	return in
+	return Inbox{runs: s.runs}
 }
 
 // Request pairs a round-trip through the router, with tags tag and
@@ -227,7 +249,7 @@ func (b *Batch) Request(p *hypercube.Proc, tag int, serve func(key int) []float6
 	// sized for one-word answers.
 	arrived := b.Route(p, tag)
 	words := 0
-	for _, run := range arrived.h.runs[:arrived.h.n] {
+	for _, run := range arrived.runs {
 		words += len(run)
 	}
 	back := NewBatch(p, 0, words)
@@ -243,9 +265,10 @@ func (b *Batch) Request(p *hypercube.Proc, tag int, serve func(key int) []float6
 }
 
 // Route is Batch.Route over a message list, which it only reads. The
-// Words of the messages it returns alias the delivered runs. It and
-// Request serve the benchmark's callers, which hold message lists;
-// code in this module builds Batches.
+// list it returns, and the Words of its messages, are valid until the
+// processor's next route, as an Inbox's payloads are. It and Request
+// serve the benchmark's callers, which hold message lists; code in
+// this module builds Batches.
 func Route(p *hypercube.Proc, tag int, outgoing []Msg) []Msg {
 	words := 0
 	for _, m := range outgoing {
@@ -256,30 +279,35 @@ func Route(p *hypercube.Proc, tag int, outgoing []Msg) []Msg {
 		copy(b.Add(m.Dst, m.Key, len(m.Words)), m.Words)
 	}
 	in := b.Route(p, tag)
-	n := 0
-	for c := in; c.r < c.h.n; c.Next() {
-		n++
-	}
-	msgs := make([]Msg, 0, n)
+	l := slotOf(p).last()
+	msgs := l.msgs[:0]
 	for key, words, ok := in.Next(); ok; key, words, ok = in.Next() {
 		msgs = append(msgs, Msg{Dst: p.ID(), Key: key, Words: words})
 	}
-	return msgs
+	l.msgs = msgs
+	return msgs[:len(msgs):len(msgs)]
 }
 
 // Request is Batch.Request over a list of (owner processor, key)
-// pairs. The result maps each request index to the fetched payload.
+// pairs. The result maps each request index to the fetched payload;
+// it is valid until the processor's next route, as Route's is.
 func Request(p *hypercube.Proc, tag int, want []Msg, serve func(key int) []float64) [][]float64 {
 	b := NewBatch(p, len(want), 0)
 	for _, w := range want {
 		b.Ask(w.Dst, w.Key)
 	}
 	in := b.Request(p, tag, serve)
-	out := make([][]float64, len(want))
+	l := slotOf(p).last()
+	out := l.got[:0]
+	if cap(out) < len(want) {
+		out = make([][]float64, len(want))
+	}
+	out = out[:len(want)]
 	for i, words, ok := in.Next(); ok; i, words, ok = in.Next() {
 		out[i] = words
 	}
-	return out
+	l.got = out
+	return out[:len(want):len(want)]
 }
 
 // slot is what a processor leaves at a route's rendezvous: its tag and
@@ -288,21 +316,111 @@ func Request(p *hypercube.Proc, tag int, want []Msg, serve func(key int) []float
 // their sender forwarded from. Runs are appended, and merged only when
 // there would be more than maxRuns (see receive): a phase divides each
 // run in place and drops the ones it empties, keeping the rest in
-// order. Each processor keeps one slot for the machine's lifetime
-// (hypercube.Proc.Met), which holds runs only during a route; its list
-// grows to the most runs the processor has held, so it costs a
-// processor that routes little traffic little memory.
+// order. After the last phase the runs are what the route delivered,
+// kept for the Inbox until the processor's next route or the end of
+// the Run. Each processor keeps one slot for the machine's lifetime
+// (hypercube.Proc.Met), whose run list grows to the most runs the
+// processor has held, and whose lanes hold its routed storage.
 type slot struct {
 	runs [][]float64
 	tag  int
+	// routes counts the routes the processor has entered; a route uses
+	// lane routes&1. held pins the lanes while a Run is in flight, nil
+	// between Runs, when only weak holds them (see EndRun).
+	routes int
+	held   *[2]lane
+	weak   weak.Pointer[[2]lane]
+}
+
+// lane is a processor's routed storage for the routes of one parity:
+// the latest one's wire, with used words of it holding that route's
+// injection run and then the runs it merged, and the result lists the
+// wrappers returned from it. A batch built for the route after next
+// takes the wire: every receiver of this route will have entered the
+// next one by then, so none reads it any more.
+type lane struct {
+	wire []float64
+	used int
+	msgs []Msg
+	got  [][]float64
+}
+
+// slotOf returns p's slot, a new one before p's first route.
+func slotOf(p *hypercube.Proc) *slot {
+	if s, ok := p.Met().(*slot); ok {
+		return s
+	}
+	return new(slot)
+}
+
+// lanes returns s's lanes, held strongly until the Run ends: the ones
+// weak still reaches, or new ones if a collection took them.
+func (s *slot) lanes() *[2]lane {
+	if s.held == nil {
+		if s.held = s.weak.Value(); s.held == nil {
+			s.held = new([2]lane)
+			s.weak = weak.Make(s.held)
+		}
+	}
+	return s.held
+}
+
+// last returns the lane of the route the processor entered last.
+func (s *slot) last() *lane { return &s.lanes()[(s.routes-1)&1] }
+
+// take hands a batch for the processor's next route the wire of its
+// route before last, if that holds at least n words, and nil otherwise
+// (always on a nil slot, the zero Batch's). The wire leaves the lane,
+// so two batches built before one route never share it.
+func (s *slot) take(n int) []float64 {
+	if s == nil {
+		return nil
+	}
+	l := &s.lanes()[s.routes&1]
+	if len(l.wire) < n {
+		return nil
+	}
+	w := l.wire[:0]
+	l.wire = nil
+	return w
+}
+
+// carve returns an empty slice with room for n words in the lane of
+// the route in flight, behind what its wire already holds, or in a new
+// wire, larger than the last, if they do not fit.
+func (s *slot) carve(n int) []float64 {
+	l := s.last()
+	if l.used+n > len(l.wire) {
+		l.wire, l.used = make([]float64, max(2*len(l.wire), n)), 0
+	}
+	at := l.used
+	l.used += n
+	return l.wire[at : at : at+n]
+}
+
+// EndRun ends the Run's use of s: the runs its last route delivered
+// are dropped, and the lanes are left held only weakly, so that a
+// collection while the machine is idle may take them. The machine
+// calls it after every Run (hypercube.RunLocal).
+func (s *slot) EndRun() {
+	s.release()
+	s.held = nil
+}
+
+// release drops the runs the slot holds: what the last route delivered,
+// or what a route that failed left.
+func (s *slot) release() {
+	clear(s.runs)
+	s.runs = s.runs[:0]
 }
 
 // route routes the caller's msgs messages, in wire form in wire, and
-// leaves in h the runs of what was addressed here. The route is one
+// leaves in s.runs what was addressed here. The route is one
 // machine-level step: every processor leaves its runs in its slot and
 // meets the others, and the last to arrive runs every phase for every
-// pair (phases). The runs h receives are the caller's.
-func route(p *hypercube.Proc, tag int, wire []float64, msgs int, h *held) {
+// pair (phases). The wire goes to the route's lane, where the runs the
+// route merges follow it.
+func route(p *hypercube.Proc, s *slot, tag int, wire []float64, msgs int) {
 	p.BeginSpan("route")
 	defer p.EndSpan()
 	p.NoteCollective("route", p.FullMask(), tag)
@@ -311,24 +429,17 @@ func route(p *hypercube.Proc, tag int, wire []float64, msgs int, h *held) {
 		// forwards about half of what is pending here on average.
 		p.SpanPredict(costmodel.PredictRoute(p.Params(), p.Dim(), msgs, len(wire)-headerWords*msgs, headerWords))
 	}
-	s, _ := p.Met().(*slot)
-	if s == nil {
-		s = new(slot)
-	}
-	defer s.release()
+	s.release()
 	s.tag = tag
+	l := &s.lanes()[s.routes&1]
+	s.routes++
+	if l.used = len(wire); cap(wire) > 0 {
+		l.wire = wire[:cap(wire)]
+	}
 	if len(wire) > 0 {
 		s.runs = append(s.runs, wire)
 	}
 	p.Meet(tag, s, phases)
-	h.n = copy(h.runs[:], s.runs)
-}
-
-// release empties the slot: it outlives the route, the runs it held do
-// not, whichever way the route ended.
-func (s *slot) release() {
-	clear(s.runs)
-	s.runs = s.runs[:0]
 }
 
 // phases runs a route's d phases for every processor, each phase pair
@@ -393,7 +504,7 @@ func (s *slot) forward(p *hypercube.Proc, i int, fwd *[maxRuns][]float64) (parts
 // receive appends to s the runs that arrived in a phase. When there
 // would be more than maxRuns, they are merged, in order, into one run,
 // led by s's last run if s already holds maxRuns: the one copy the
-// router makes.
+// router makes, into the route's lane (carve).
 func (s *slot) receive(arrived [][]float64) {
 	if len(arrived) == 0 {
 		return
@@ -411,7 +522,7 @@ func (s *slot) receive(arrived [][]float64) {
 	for _, run := range arrived {
 		w += len(run)
 	}
-	merged := append(make([]float64, 0, w), last...)
+	merged := append(s.carve(w), last...)
 	for _, run := range arrived {
 		merged = append(merged, run...)
 	}

@@ -1019,8 +1019,8 @@ func TestRouteHeldOverflow(t *testing.T) {
 			if p.ID() != 0 {
 				return
 			}
-			runs = in.h.n
-			for _, run := range in.h.runs[:in.h.n] {
+			runs = len(in.runs)
+			for _, run := range in.runs {
 				if next(run, 0) < len(run) {
 					merged++
 				}
@@ -1049,45 +1049,192 @@ func permTraffic(d, k, n int) [][]Msg {
 	return out
 }
 
-// TestRouteSteadyStateAllocs: what Route allocates per processor per
-// call is bounded by a handful of buffers — the injection buffer, a
-// merged run when a phase's arrivals overflow the held array, and the
-// result slice — however many messages are routed and however long
-// they are. Forwarding copies nothing: a phase's traffic leaves as one
-// message of in-place parts. A lone message per processor costs less
-// still: it never merges. (The decode/encode router allocated per
-// message per hop: 18.6 objects per message on the one-message
-// traffic, so ~600 per processor at 32 messages. The merging wire-form
-// router: 3.39, 8.77, 8.97 and 8.02 on the four cases below; held runs
-// copied into a forward buffer when they left from two or more: 2.25,
-// 6.44, 6.42 and 7.03; parts forwarded in place: 2.03, 2.99, 2.92 and
-// 4.02.)
-func TestRouteSteadyStateAllocs(t *testing.T) {
-	const d = 6
-	m := hypercube.MustNew(d, costmodel.CM2())
-	defer m.Close()
-	for _, c := range []struct{ msgs, words int }{{1, 16}, {32, 16}, {32, 64}, {128, 1}} {
-		out := permTraffic(d, c.msgs, c.words)
-		per := testutil.MallocsPerRun(1, 10, func() {
-			if _, err := m.Run(func(p *hypercube.Proc) { Route(p, 1, out[p.ID()]) }); err != nil {
-				t.Fatal(err)
-			}
-		}) / float64(m.P())
-		t.Logf("%d messages of %d words per processor: %.2f objects per processor per Route", c.msgs, c.words, per)
-		bound := 5.0
-		if c.msgs == 1 {
-			bound = 3
+// churnBody returns a Run body for a machine of procs >= 2 processors that
+// routes cycles rounds of mixed traffic, seven routes a round, and
+// fails the Run on any payload that is not what was sent. The routes
+// hand the held wires out in the orders callers use them: all-to-one
+// requests, whose asks merge at processor 0 and are read there while
+// the answers are written; empty routes, which pass a lane on without
+// a wire; a permutation whose arrivals are forwarded, read while the
+// next batch is built; and the message-list wrapper. Seven routes a
+// round put each kind on both lanes in turn. Everything the body needs
+// is made here, so that what a Run allocates is the router's.
+func churnBody(procs, cycles int) func(*hypercube.Proc) {
+	const asked, words = 3, 4
+	serve := make([]func(int) []float64, procs)
+	asks := make([][]Msg, procs)
+	lists := make([][]Msg, procs)
+	for pid := range serve {
+		answer := make([]float64, 2)
+		serve[pid] = func(key int) []float64 {
+			answer[0], answer[1] = float64(key), -float64(key)
+			return answer
 		}
-		if per > bound {
-			t.Fatalf("%d messages of %d words: Route allocates %.2f objects per processor per call, want <= %.0f", c.msgs, c.words, per, bound)
+		for j := 0; j < asked; j++ {
+			asks[pid] = append(asks[pid], Msg{Dst: 0, Key: asked*pid + j})
+		}
+		lists[pid] = []Msg{{Dst: pid ^ 1, Key: pid, Words: make([]float64, 2)}}
+	}
+	// sent is word k of the j-th payload processor src sends in round c.
+	sent := func(src, c, j, k int) float64 { return float64(1e6*src + 1e3*c + 10*j + k) }
+	return func(p *hypercube.Proc) {
+		id, tag := p.ID(), 1
+		fail := func(c int, what string) {
+			panic(fmt.Sprintf("round %d: processor %d: %s", c, id, what))
+		}
+		for c := 0; c < cycles; c++ {
+			for range 2 {
+				got := Request(p, tag, asks[id], serve[id])
+				tag += 2
+				for j, w := range got {
+					if key := asked*id + j; len(w) != 2 || w[0] != float64(key) || w[1] != -float64(key) {
+						fail(c, fmt.Sprintf("answer %d is %v", j, w))
+					}
+				}
+				var none Batch
+				if in := none.Route(p, tag); in.r < len(in.runs) {
+					fail(c, "an empty route delivered")
+				}
+				tag++
+			}
+			// A rotation by c+1, then each arrival forwarded to the
+			// next address, copied from the Inbox into the new batch.
+			b := NewBatch(p, 2, 2*words)
+			for j := range 2 {
+				pl := b.Add((id+c+1)%procs, j, words)
+				for k := range pl {
+					pl[k] = sent(id, c, j, k)
+				}
+			}
+			in := b.Route(p, tag)
+			tag++
+			fwd := NewBatch(p, 2, 2*words)
+			for key, w, ok := in.Next(); ok; key, w, ok = in.Next() {
+				copy(fwd.Add((id+1)%procs, key, len(w)), w)
+			}
+			in = fwd.Route(p, tag)
+			tag++
+			from := ((id-1-c-1)%procs + 2*procs) % procs
+			n := 0
+			for j, w, ok := in.Next(); ok; j, w, ok = in.Next() {
+				for k, v := range w {
+					if v != sent(from, c, j, k) {
+						fail(c, fmt.Sprintf("forwarded payload %d is %v", j, w))
+					}
+				}
+				n++
+			}
+			if n != 2 {
+				fail(c, fmt.Sprintf("%d forwarded payloads arrived", n))
+			}
+			lists[id][0].Words[0], lists[id][0].Words[1] = float64(c), float64(id)
+			for _, m := range Route(p, tag, lists[id]) {
+				if m.Words[0] != float64(c) || m.Key != int(m.Words[1]) || m.Key != id^1 {
+					fail(c, fmt.Sprintf("listed message %+v", m))
+				}
+			}
+			tag++
 		}
 	}
 }
 
-// TestRouteRetainsNothing: routed buffers travel with the messages and
-// die with the result; nothing is parked in a pool between calls, so
-// the live heap after 200 calls is the live heap after 20. Hotspot
-// traffic is the case that made pooled variants drift.
+// TestRouteSteadyStateAllocs: a warm machine routes without
+// allocating. Every route takes its wire from the processor's route
+// before last, merges into the route's own lane, and the wrappers'
+// lists come from the lane too, so once the lanes have grown to the
+// traffic a Run allocates nothing: a d=6 machine running 203 routes of
+// churnBody per Run (all-to-one requests that merge, empty routes,
+// forwarded permutations, the wrappers), and a Run of one Route on
+// each of four permutation traffics once both lanes have seen it.
+// (Before the wires were held: 3.39 objects per processor per Route
+// with a fresh wire and merged run per call on the four traffics,
+// down to 2.03, 2.99, 2.92 and 4.02 with parts forwarded in place;
+// the decode/encode router allocated 18.6 objects per message.)
+func TestRouteSteadyStateAllocs(t *testing.T) {
+	const d = 6
+	m := hypercube.MustNew(d, costmodel.CM2())
+	defer m.Close()
+	body := churnBody(m.P(), 29)
+	if per := testutil.MallocsPerRun(1, 5, func() {
+		if _, err := m.Run(body); err != nil {
+			t.Fatal(err)
+		}
+	}); per != 0 {
+		t.Errorf("a warm Run of 203 mixed routes allocates %.2f objects, want 0", per)
+	}
+	for _, c := range []struct{ msgs, words int }{{1, 16}, {32, 16}, {32, 64}, {128, 1}} {
+		out := permTraffic(d, c.msgs, c.words)
+		body := func(p *hypercube.Proc) { Route(p, 1, out[p.ID()]) }
+		// Runs of one route alternate between the two lanes.
+		if per := testutil.MallocsPerRun(4, 10, func() {
+			if _, err := m.Run(body); err != nil {
+				t.Fatal(err)
+			}
+		}); per != 0 {
+			t.Errorf("%d messages of %d words per processor: a warm Route allocates %.2f objects, want 0", c.msgs, c.words, per)
+		}
+	}
+}
+
+// TestRouteWiresHeldWeakly: a processor's lanes are held strongly while
+// a Run is in flight and only weakly between Runs. A collection inside
+// the body, between two routes, takes nothing: the payloads held across
+// it are intact, and the next batch is written into the same wire as
+// the route before last. After the Run a collection takes the lanes.
+func TestRouteWiresHeldWeakly(t *testing.T) {
+	m := hypercube.MustNew(3, costmodel.CM2())
+	defer m.Close()
+	procs := m.P()
+	slots := make([]*slot, procs)
+	if _, err := m.Run(func(p *hypercube.Proc) {
+		id := p.ID()
+		send := func(tag int) Inbox {
+			b := NewBatch(p, 1, 4)
+			pl := b.Add((id+tag)%procs, id, 4)
+			for k := range pl {
+				pl[k] = float64(100*tag + 10*id + k)
+			}
+			return b.Route(p, tag)
+		}
+		send(1)
+		in := send(2)
+		_, kept, _ := in.Next()
+		slots[id] = p.Met().(*slot)
+		// Another processor's collection may come first.
+		lost := fmt.Sprintf("processor %d: a collection inside the Run took the wire of the route before last", id)
+		lane := &slots[id].lanes()[slots[id].routes&1]
+		if len(lane.wire) == 0 {
+			panic(lost)
+		}
+		wire := &lane.wire[0]
+		runtime.GC()
+		from := ((id-2)%procs + procs) % procs
+		for k, v := range kept {
+			if v != float64(200+10*from+k) {
+				panic(fmt.Sprintf("processor %d: payload %v after a collection", id, kept))
+			}
+		}
+		b := NewBatch(p, 1, 4)
+		b.Add(id, id, 4)
+		if &b.wire[0] != wire {
+			panic(lost)
+		}
+		b.Route(p, 3)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	for id, s := range slots {
+		if s.held != nil || s.weak.Value() != nil {
+			t.Fatalf("processor %d: a collection after the Run left its lanes", id)
+		}
+	}
+}
+
+// TestRouteRetainsNothing: routed buffers are held only weakly between
+// Runs and parked in no pool, so a collection after 200 calls leaves
+// the live heap it leaves after 20. Hotspot traffic is the case that
+// made pooled variants drift.
 func TestRouteRetainsNothing(t *testing.T) {
 	const d = 6
 	m := hypercube.MustNew(d, costmodel.CM2())

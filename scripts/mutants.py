@@ -17,7 +17,10 @@ machine-level route (the rendezvous Proc.Meet and the pairwise phase
 edge RoutePair in internal/hypercube/route.go, and the phase loop of
 internal/router/router.go that drives them); for the embedding
 changes' addressing (the destination tables of Realign and
-TransposeInto in internal/core/remap.go); and for the SPMD
+TransposeInto in internal/core/remap.go); for the router's held wires
+(the two lanes of internal/router/router.go, the EndRun Machine.Run
+calls on the router's slot, and the copy SolveTridiagBatch makes of
+its routed results); and for the SPMD
 code the spanbalance and collorder analyzers check (internal/core,
 internal/collective, internal/apps).
 
@@ -41,8 +44,8 @@ finally prints one Markdown table row per mutant:
     the end-to-end smokes scripts/check.sh runs (vmload's in-process
     mini-burst; vmprimd's submit, wait, scrape and SIGTERM steps); for
     the slab and the SPMD code, core, collective, hypercube, apps,
-    bench (the golden tables) and the facade, and for the route
-    router as well.
+    bench (the golden tables) and the facade, and for the route,
+    the router and machine.go the router's tests as well.
 
 A mutant whose old text is not found, or that does not compile, is
 reported as such; it decides nothing.
@@ -100,6 +103,7 @@ CLASSES = {
     "M": "step scope releases too much or too little, or the arena forgets a released peak",
     "Q": "machine-level route charges, records or orders a phase unlike its two messages, or strands a processor",
     "J": "an embedding change addresses an element by the wrong owner or offset",
+    "V": "a routed wire reused while a receiver may still read it, or held strongly between Runs",
 }
 
 SSE = "internal/serve/sse.go"
@@ -129,6 +133,7 @@ SPMD = ("internal/core/", "internal/collective/", "internal/apps/")
 ROUTE = "internal/hypercube/route.go"
 ROUTER = "internal/router/router.go"
 REMAP = "internal/core/remap.go"
+TRIDIAG = "internal/apps/tridiag.go"
 
 # id, file, site (function), old text, new text. The class is the id's
 # letter.
@@ -406,6 +411,27 @@ MUTANTS = [
      "float64(out.Map.LocalOf(g))",
      "float64(v.Map.LocalOf(g))"),
 
+    # V: the router's held wires: two lanes per processor, used in
+    # alternation by its route count, a batch written into the wire of
+    # the route before last and a merged run behind its own route's
+    # wire, pinned while a Run is in flight and held only weakly
+    # between Runs; and the one caller that kept payloads past its Run.
+    ("V1", ROUTER, "take: a batch takes the wire of the latest route, not of the route before last",
+     "\tl := &s.lanes()[s.routes&1]\n\tif len(l.wire) < n {\n",
+     "\tl := &s.lanes()[(s.routes+1)&1]\n\tif len(l.wire) < n {\n"),
+    ("V2", MACHINE, "Machine.Run: the router's slot is not ended, so its wires stay held strongly between Runs",
+     "\t\tif l, ok := pr.met.(RunLocal); ok {\n\t\t\tl.EndRun()\n\t\t}\n",
+     ""),
+    ("V3", ROUTER, "lanes: the lanes are not pinned, so only the weak pointer holds them during a Run",
+     "\treturn s.held\n}\n",
+     "\th := s.held\n\ts.held = nil\n\treturn h\n}\n"),
+    ("V4", TRIDIAG, "SolveTridiagBatch: the gathered solutions are kept as routed payloads, not copied out",
+     "\t\t\tcopy(results[si], x)\n",
+     "\t\t\tresults[si] = x\n"),
+    ("V5", ROUTER, "carve: a merged run is written into the other lane",
+     "\tl := s.last()\n\tif l.used+n > len(l.wire) {\n",
+     "\tl := &s.lanes()[s.routes&1]\n\tif l.used+n > len(l.wire) {\n"),
+
     # H: Env.LoadDense, LoadSlice, StoreDense and StoreSlice, which
     # stage a driver's operands inside its one Run and land its result,
     # at no simulated cost, with the walks FromDense, ToDense and
@@ -535,8 +561,8 @@ MUTANTS = [
      "collective.AllReduce(e.P, mask, e.NextTag2(), piece, op.combiner())",
      "collective.AllReduce(e.P, mask, e.NextTag(), piece, op.combiner())"),
     ("T3", NAIVE, "naiveFetchElems: Request, a round trip on tag and tag+1, gets one tag",
-     "want.Request(e.P, e.NextTag2(), func(key int) []float64 {",
-     "want.Request(e.P, e.NextTag(), func(key int) []float64 {"),
+     "want.Request(e.P, e.NextTag2(), func(k int) []float64 {",
+     "want.Request(e.P, e.NextTag(), func(k int) []float64 {"),
     ("T4", REDUCE, "Env.allReduceScalar: the all-reduce's tag depends on the ID",
      "\tbuf[0] = x\n\tres := collective.AllReduce(e.P, e.P.FullMask(), e.NextTag(), buf, comb)\n",
      "\tbuf[0] = x\n\tres := collective.AllReduce(e.P, e.P.FullMask(), e.NextTag()+e.P.ID()&1, buf, comb)\n"),
@@ -581,7 +607,7 @@ EXTRA = {
            "float64(dst.G.Cols().Place(dst.RMap.CoordOf(gj)))"),
     "Z5": ("\t\ta = p.m.newArena()\n\t\tp.m.arena = a\n",
            "\t\tif a = p.m.weakArena.Value(); a == nil {\n\t\t\ta = p.m.newArena()\n\t\t}\n\t\tp.m.arena = a\n"),
-    "E2": ("\tfor _, pr := range m.procs {\n\t\tif pr.local != nil {\n\t\t\tpr.local.EndRun()\n\t\t}\n\t}\n", ""),
+    "E2": ("\t\tif pr.local != nil {\n\t\t\tpr.local.EndRun()\n\t\t}\n", ""),
     # N1-N5 close the span inline before the function's last return.
     "N1": ("\tp.Recycle(piece)\n\treturn out\n}", "\tp.Recycle(piece)\n\tp.EndSpan()\n\treturn out\n}"),
     "N2": ("\tp.Recycle(buf)\n\treturn out\n}\n\n// Scatter distributes",
@@ -624,7 +650,7 @@ def other_tests(path):
     if one_thread(path):
         return ("go", ["go", "test", "-count=1", "-timeout", "300s", "./internal/core/",
                        "./internal/collective/", "./internal/hypercube/", "./internal/apps/",
-                       "./internal/bench/", "."] + (["./internal/router/"] if path in (ROUTE, ROUTER) else []))
+                       "./internal/bench/", "."] + (["./internal/router/"] if path in (ROUTE, ROUTER, MACHINE) else []))
     return None
 
 
