@@ -45,13 +45,11 @@ import (
 	"vmprim/internal/analysis/framework"
 	"vmprim/internal/analysis/recyclecheck"
 	"vmprim/internal/analysis/simdeterminism"
-	"vmprim/internal/analysis/spanbalance"
 )
 
 func analyzers() []*framework.Analyzer {
 	return []*framework.Analyzer{
 		recyclecheck.Analyzer,
-		spanbalance.Analyzer,
 		collorder.Analyzer,
 		simdeterminism.Analyzer,
 	}

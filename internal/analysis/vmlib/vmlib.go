@@ -56,9 +56,9 @@ func InTopLevelScope(pkgPath string) bool {
 
 // IsTestFile reports whether the file containing pos is a _test.go
 // file. The analyzers audit only non-test sources: tests deliberately
-// exercise the failing runtime paths (unbalanced spans, seeded random
-// workloads, host-time measurement) that the analyzers exist to keep
-// out of the simulator proper.
+// exercise the failing runtime paths (seeded random workloads,
+// host-time measurement) that the analyzers exist to keep out of the
+// simulator proper.
 func IsTestFile(fset *token.FileSet, pos token.Pos) bool {
 	return strings.HasSuffix(fset.Position(pos).Filename, "_test.go")
 }
@@ -244,22 +244,6 @@ func firstParamIsNamed(f *types.Func, pkgPath, typeName string) bool {
 // analyses; values computed from them differ across processors.
 func IsIdentityRead(info *types.Info, call *ast.CallExpr) bool {
 	return IsProcMethod(info, call, "ID") || IsEnvMethod(info, call, "GridRow", "GridCol")
-}
-
-// IsSpanCall classifies call as BeginSpan or EndSpan on either
-// hypercube.Proc or core.Env. The bool result reports a match; begin
-// distinguishes the two.
-func IsSpanCall(info *types.Info, call *ast.CallExpr) (begin, ok bool) {
-	f := Callee(info, call)
-	for _, owner := range [][2]string{{HypercubePath, "Proc"}, {CorePath, "Env"}} {
-		if IsMethod(f, owner[0], owner[1], "BeginSpan") {
-			return true, true
-		}
-		if IsMethod(f, owner[0], owner[1], "EndSpan") {
-			return false, true
-		}
-	}
-	return false, false
 }
 
 // IsBuiltinCall reports whether call invokes the named builtin (panic,

@@ -60,19 +60,13 @@ func (e *Env) extract(a *Matrix, i int, replicate bool, ax *axis, span string) *
 }
 
 // sendAlong moves data from the subcube member at relative address
-// fromRel to the member at toRel, hop by hop along the e-cube path.
-// All subcube members must call it; it returns the data at toRel (and
-// at fromRel if fromRel == toRel) and nil elsewhere.
+// fromRel to the member at toRel != fromRel, hop by hop along the
+// e-cube path. All subcube members must call it; it returns the data at
+// toRel and nil elsewhere.
 func (e *Env) sendAlong(mask, fromRel, toRel int, data []float64) []float64 {
 	e.BeginSpan("shift")
 	defer e.EndSpan()
 	myRel := gray.Compact(e.P.ID(), mask)
-	if fromRel == toRel {
-		if myRel == fromRel {
-			return data
-		}
-		return nil
-	}
 	var dimBuf [hypercube.MaxDim]int
 	dims := gray.AppendDims(dimBuf[:0], mask)
 	tag := e.NextTag()

@@ -539,6 +539,7 @@ func (p *Proc) resetForRun() {
 	// the span machinery even when no Profile will be built.
 	p.crit = p.m.critEnabled
 	p.prof = p.m.profEnabled || p.crit
+	p.spanDepth = 0
 	if p.prof || len(p.ps.nodes) > 0 {
 		p.ps.reset()
 	}
@@ -634,9 +635,11 @@ type Proc struct {
 	linkWords            []int64
 
 	// Span recorder, active only when the machine's EnableProfile is
-	// set (see profile.go).
-	prof bool
-	ps   profState
+	// set (see profile.go). spanDepth counts the open spans in every
+	// run, profiled or not, so every Run checks their balance.
+	prof      bool
+	spanDepth int
+	ps        profState
 
 	// Live event sink (see stream.go), non-nil only on processor 0 of
 	// a streamed profiled run; streamClosed counts closed spans for

@@ -2,9 +2,9 @@ package hypercube
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"vmprim/internal/costmodel"
@@ -18,7 +18,8 @@ import (
 // activates only under EnableProfile, so the hot paths stay
 // allocation-free when profiling is off and the simulated times are
 // bit-identical either way — spans observe the clock, never advance
-// it.
+// it. Only the open-span depth is kept in every run, so that every run
+// checks span balance.
 
 // profInstProc reports whether a processor keeps a full
 // per-occurrence span log for the Chrome-trace exporter: processor 0
@@ -79,16 +80,20 @@ func (ps *profState) findOrAddNode(parent int, name string) int {
 
 // Profiling reports whether span recording is active for the current
 // run. Use it to guard annotation work (string building for SpanNote)
-// that would otherwise run with profiling off.
+// that would otherwise run with profiling off. It does not guard span
+// balance: BeginSpan and EndSpan are checked in every run.
 func (p *Proc) Profiling() bool { return p.prof }
 
 // BeginSpan opens a named span on this processor's span stack. Spans
 // nest and must be closed in LIFO order with EndSpan before the SPMD
-// body returns. The SPMD contract applies: every processor must open
-// and close the same spans in the same order, so the span tree is
-// recorded once per run while the timings are aggregated over
-// processors. A no-op unless the machine's EnableProfile is set.
+// body returns; every Run checks this, profiled or not. The SPMD
+// contract applies: every processor must open and close the same spans
+// in the same order, so the span tree is recorded once per run while
+// the timings are aggregated over processors. Only the open depth is
+// kept unless the machine's EnableProfile is set (or its critical path
+// is armed); then the span is recorded.
 func (p *Proc) BeginSpan(name string) {
+	p.spanDepth++
 	if !p.prof {
 		return
 	}
@@ -109,18 +114,20 @@ func (p *Proc) BeginSpan(name string) {
 	})
 }
 
-// EndSpan closes the innermost open span, recording its inclusive and
-// exclusive virtual time, bucket deltas and counter deltas. It panics
-// if no span is open — an unbalanced Begin/End pair is a program bug.
+// EndSpan closes the innermost open span and, in a profiled run,
+// records its inclusive and exclusive virtual time, bucket deltas and
+// counter deltas. It panics if no span is open, profiled or not: an
+// unbalanced Begin/End pair is a program bug.
 func (p *Proc) EndSpan() {
+	if p.spanDepth == 0 {
+		panic("hypercube: EndSpan without matching BeginSpan")
+	}
+	p.spanDepth--
 	if !p.prof {
 		return
 	}
 	ps := &p.ps
 	n := len(ps.stack)
-	if n == 0 {
-		panic("hypercube: EndSpan without matching BeginSpan")
-	}
 	f := &ps.stack[n-1]
 	incl := p.clock - f.begin
 	a := &ps.agg[f.node]
@@ -183,18 +190,19 @@ func (p *Proc) SpanNote(note string) {
 }
 
 // checkSpansClosed panics if the SPMD body returned with spans still
-// open; runBody calls it so the mismatch surfaces as a Run error
-// naming the processor.
+// open, in every Run, profiled or not; runBody calls it so the mismatch
+// surfaces as a Run error naming the processor. Only a profiled run
+// knows the innermost span's name.
 func (p *Proc) checkSpansClosed() {
-	if !p.prof {
+	if p.spanDepth == 0 {
 		return
 	}
-	if n := len(p.ps.stack); n > 0 {
-		name := p.ps.nodes[p.ps.stack[n-1].node].Name
-		panic(fmt.Sprintf(
-			"hypercube: %d span(s) left open at end of run (innermost %q): BeginSpan without matching EndSpan",
-			n, name))
+	innermost := ""
+	if p.prof {
+		innermost = " (innermost " + strconv.Quote(p.ps.nodes[p.ps.stack[p.spanDepth-1].node].Name) + ")"
 	}
+	panic("hypercube: " + strconv.Itoa(p.spanDepth) + " span(s) left open at end of run" + innermost +
+		": BeginSpan without matching EndSpan")
 }
 
 // EnableProfile turns span recording on or off for subsequent runs.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -54,12 +55,86 @@ func TestSpanOpsIgnoredWhenProfilingOff(t *testing.T) {
 		if p.Profiling() {
 			t.Error("Profiling() true without EnableProfile")
 		}
-		p.BeginSpan("ignored") // deliberately unbalanced: all no-ops
+		p.BeginSpan("ignored")
+		p.EndSpan()
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if pf := m.Profile(); pf != nil {
 		t.Fatal("Profile() non-nil without EnableProfile")
+	}
+}
+
+// TestSpanBalanceCheckedUnprofiled pins that span balance is part of
+// every Run, not of profiling: without EnableProfile a body that returns
+// with a span open fails the run, with a post-mortem, and an EndSpan
+// with none open panics.
+func TestSpanBalanceCheckedUnprofiled(t *testing.T) {
+	m := MustNew(2, costmodel.Ideal())
+	_, err := m.Run(func(p *Proc) { p.BeginSpan("leaky") })
+	var re *RunError
+	if !errors.As(err, &re) || re.Report == nil || !strings.Contains(err.Error(), "1 span(s) left open at end of run") {
+		t.Fatalf("err = %v, want the open-span failure with a post-mortem", err)
+	}
+	_, err = m.Run(func(p *Proc) { p.EndSpan() })
+	if err == nil || !strings.Contains(err.Error(), "EndSpan without matching BeginSpan") {
+		t.Fatalf("err = %v, want the unmatched-EndSpan panic", err)
+	}
+	if _, err := m.Run(profiledPingPong); err != nil || m.Profile() != nil {
+		t.Fatalf("balanced spans, unprofiled: err %v, profile %v", err, m.Profile())
+	}
+}
+
+// TestSpanDepthResetAfterPanic: processor 1 panics inside two open
+// spans while its siblings wait in a receive, and the same machine's
+// next Run, direct and pooled through MachinePool, must start every
+// processor at depth 0; under three schedules, profiled and not.
+func TestSpanDepthResetAfterPanic(t *testing.T) {
+	fail := func(t *testing.T, m *Machine) {
+		_, err := m.Run(func(p *Proc) {
+			p.BeginSpan("outer")
+			p.BeginSpan("inner")
+			if p.ID() == 1 {
+				panic("boom")
+			}
+			p.Recycle(p.Recv(0, 1))
+		})
+		if err == nil || !strings.Contains(err.Error(), "boom") {
+			t.Fatalf("err = %v, want processor 1's panic", err)
+		}
+	}
+	next := func(t *testing.T, m *Machine) {
+		if _, err := m.Run(func(p *Proc) {
+			if p.spanDepth != 0 {
+				t.Errorf("processor %d starts the Run at span depth %d", p.ID(), p.spanDepth)
+			}
+			p.BeginSpan("next")
+			p.EndSpan()
+		}); err != nil {
+			t.Fatalf("the Run after the panic: %v", err)
+		}
+		if _, err := m.Run(func(p *Proc) { p.EndSpan() }); err == nil {
+			t.Fatal("EndSpan with no span opened in its Run passed")
+		}
+	}
+	for _, s := range []Schedule{{Policy: "fifo"}, {Policy: "lifo"}, {Policy: "random", Seed: 1}} {
+		for _, prof := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s-profile=%v", s, prof), func(t *testing.T) {
+				m := MustNew(2, costmodel.Ideal())
+				s.Apply(m)
+				m.EnableProfile(prof)
+				fail(t, m)
+				next(t, m)
+				mp := NewMachinePool(1)
+				defer mp.Close()
+				fail(t, m)
+				mp.Release(m)
+				if pm, hit, err := mp.Acquire(2, costmodel.Ideal()); err != nil || pm != m {
+					t.Fatalf("Acquire after Release: hit %v, same machine %v, err %v", hit, pm == m, err)
+				}
+				next(t, m)
+			})
+		}
 	}
 }
 

@@ -21,8 +21,8 @@ TransposeInto in internal/core/remap.go); for the router's held wires
 (the two lanes of internal/router/router.go, the EndRun Machine.Run
 calls on the router's slot, and the copy SolveTridiagBatch makes of
 its routed results); and for the SPMD
-code the spanbalance and collorder analyzers check (internal/core,
-internal/collective, internal/apps).
+code the collorder analyzer and the runtime span-balance check guard
+(internal/core, internal/collective, internal/apps).
 
 Each mutant is data: a file, an exact old text, the new text that
 replaces it, and the bug class it seeds. The harness copies a source
@@ -44,7 +44,8 @@ finally prints one Markdown table row per mutant:
     the end-to-end smokes scripts/check.sh runs (vmload's in-process
     mini-burst; vmprimd's submit, wait, scrape and SIGTERM steps); for
     the slab and the SPMD code, core, collective, hypercube, apps,
-    bench (the golden tables) and the facade, and for the route,
+    bench (the golden tables), obs (the golden profile renders) and
+    the facade, and for the route,
     the router and machine.go the router's tests as well.
 
 A mutant whose old text is not found, or that does not compile, is
@@ -63,9 +64,11 @@ To audit a past revision, extract it first (git archive REV | tar -x
 
 scripts/check.sh does not run this: one pass takes about 40 minutes on
 2 vCPUs, most of it in the 60 s timeouts of mutants that deadlock.
-The N, I, P, T and W classes are the SPMD analyzers' yield audit
-(ROADMAP item 3(d)): which bugs spanbalance, collorder, recyclecheck
-and simdeterminism catch that the tests do not, and the reverse.
+The I, P, T and W classes are the SPMD analyzers' yield audit
+(ROADMAP item 3(d)): which bugs collorder, recyclecheck and
+simdeterminism catch that the tests do not, and the reverse. The N
+class audits the tests alone: span balance has no analyzer, since every
+Run checks it.
 """
 
 import argparse
@@ -94,7 +97,7 @@ CLASSES = {
     "U": "run-scoped slab serves a make past its limit instead of refusing it",
     "X": "spent header not refused by name",
     "Z": "scratch arena held strongly or late, not rewound, not zeroed or overlapping",
-    "N": "EndSpan dropped on one branch",
+    "N": "span left open on one path, or closed at the wrong point",
     "I": "collective guarded by identity, or structural argument derived from ID()",
     "P": "Recycle dropped: a pooled buffer leaks",
     "T": "tag skewed across a call",
@@ -476,18 +479,19 @@ MUTANTS = [
      "\tl0, l1 := a.CMap.LocalRange(gc, j0, j0+dm.C)\n",
      "\tl0, l1 := a.CMap.LocalRange(gc, j0, j0+max(dm.C-1, 0))\n"),
 
-    # N: a span closed on the main path only. The defer becomes an
-    # inline EndSpan at the last exit (EXTRA), so an early return skips
-    # it; or an inline EndSpan moves past, or into, a branch.
+    # N: a span closed on the main path only, or at the wrong point.
+    # The defer becomes an inline EndSpan at the last exit (EXTRA), so
+    # an early return skips it; an inline EndSpan moves past, or into, a
+    # branch; a loop's span is closed by a defer, or left by a break.
     ("N1", COLL, "BcastLarge: EndSpan inline at the end, the k == 0 return skips it",
      "\tp.BeginSpan(\"bcast-large\")\n\tdefer p.EndSpan()\n",
      "\tp.BeginSpan(\"bcast-large\")\n"),
     ("N2", COLL, "Gather: EndSpan inline at the end, the sender's return skips it",
      "\tp.BeginSpan(\"gather\")\n\tdefer p.EndSpan()\n",
      "\tp.BeginSpan(\"gather\")\n"),
-    ("N3", EXTRACT, "Env.sendAlong: EndSpan inline at the end, the fromRel == toRel returns skip it",
-     "\te.BeginSpan(\"shift\")\n\tdefer e.EndSpan()\n",
-     "\te.BeginSpan(\"shift\")\n"),
+    ("N3", COLL, "Bcast: EndSpan inline at the end, the root's r == 0 return skips it",
+     "\tp.BeginSpan(\"bcast\")\n\tdefer p.EndSpan()\n",
+     "\tp.BeginSpan(\"bcast\")\n"),
     ("N4", EXTRACT, "Env.SwapRows: EndSpan inline at the end, the i1 == i2 return skips it",
      "\te.BeginSpan(\"swap-rows\")\n\tdefer e.EndSpan()\n",
      "\te.BeginSpan(\"swap-rows\")\n"),
@@ -500,6 +504,13 @@ MUTANTS = [
     ("N7", SIMPLEX, "simplexLoop: pricing closes its span on the Dantzig branch only",
      "\t\t\tif jc >= 0 && val >= -simplexEps {\n\t\t\t\tjc = -1\n\t\t\t}\n\t\t}\n\t\te.EndSpan()\n",
      "\t\t\tif jc >= 0 && val >= -simplexEps {\n\t\t\t\tjc = -1\n\t\t\t}\n\t\t\te.EndSpan()\n\t\t}\n"),
+    ("N8", GAUSS, "forwardEliminate: the eliminate span is closed by a defer inside the step loop",
+     "\t\te.BeginSpan(\"eliminate\")\n",
+     "\t\te.BeginSpan(\"eliminate\")\n\t\tdefer e.EndSpan()\n"),
+    ("N9", CG, "SolveCG: a converged iteration breaks out of the loop inside its last update span",
+     "\t\t\tresid = e.Norm2Vec(r)\n\t\t\te.EndSpan()\n",
+     "\t\t\tresid = e.Norm2Vec(r)\n\t\t\tif resid <= opts.Tol {\n\t\t\t\te.Release(step)\n"
+     "\t\t\t\titers++\n\t\t\t\tbreak\n\t\t\t}\n\t\t\te.EndSpan()\n"),
 
     # I: processors disagree on which collectives run, or on how an
     # operation pairs them.
@@ -608,15 +619,16 @@ EXTRA = {
     "Z5": ("\t\ta = p.m.newArena()\n\t\tp.m.arena = a\n",
            "\t\tif a = p.m.weakArena.Value(); a == nil {\n\t\t\ta = p.m.newArena()\n\t\t}\n\t\tp.m.arena = a\n"),
     "E2": ("\t\tif pr.local != nil {\n\t\t\tpr.local.EndRun()\n\t\t}\n", ""),
-    # N1-N5 close the span inline before the function's last return.
+    # N1-N5 close the span inline before the function's last return;
+    # N8's defer replaces the inline EndSpan.
     "N1": ("\tp.Recycle(piece)\n\treturn out\n}", "\tp.Recycle(piece)\n\tp.EndSpan()\n\treturn out\n}"),
     "N2": ("\tp.Recycle(buf)\n\treturn out\n}\n\n// Scatter distributes",
            "\tp.Recycle(buf)\n\tp.EndSpan()\n\treturn out\n}\n\n// Scatter distributes"),
-    "N3": ("\tif myRel == toRel {\n\t\treturn buf\n\t}\n\treturn nil\n}",
-           "\te.EndSpan()\n\tif myRel == toRel {\n\t\treturn buf\n\t}\n\treturn nil\n}"),
+    "N3": ("\t\treturn cp\n\t}\n\treturn buf\n}", "\t\treturn cp\n\t}\n\tp.EndSpan()\n\treturn buf\n}"),
     "N4": ("\te.Release(step)\n}", "\te.Release(step)\n\te.EndSpan()\n}"),
     "N5": ("\t\te.P.Compute(v.Map.B)\n\t}\n\treturn out\n}",
            "\t\te.P.Compute(v.Map.B)\n\t}\n\te.EndSpan()\n\treturn out\n}"),
+    "N8": ("\t\te.EndSpan()\n\t\te.Release(step)\n\t\tdet *= pivot\n", "\t\te.Release(step)\n\t\tdet *= pivot\n"),
     # T5 takes the tag after the early return instead.
     "T5": ("\tpv := out.L(pid)\n\tc := deal.Coord(pid)\n",
            "\ttag := e.NextTag()\n\tpv := out.L(pid)\n\tc := deal.Coord(pid)\n"),
@@ -650,7 +662,8 @@ def other_tests(path):
     if one_thread(path):
         return ("go", ["go", "test", "-count=1", "-timeout", "300s", "./internal/core/",
                        "./internal/collective/", "./internal/hypercube/", "./internal/apps/",
-                       "./internal/bench/", "."] + (["./internal/router/"] if path in (ROUTE, ROUTER, MACHINE) else []))
+                       "./internal/bench/", "./internal/obs/", "."] +
+                (["./internal/router/"] if path in (ROUTE, ROUTER, MACHINE) else []))
     return None
 
 
